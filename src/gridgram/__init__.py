@@ -53,28 +53,22 @@ from .slg2d import (
 )
 from .access1d import (
     AccessIndex1,
-    Bookmark1,
     access1,
     access1_traced,
     build_index1,
     ceil_log,
-    dump_index1,
     hook_offset1,
     left_map,
-    load_index1,
     optimal_tau,
     right_map,
 )
 from .access2d import (
     AccessIndex2,
-    Bookmark2,
     access2,
     access2_traced,
     build_index2,
     corner_map,
-    dump_index2,
     hook_offset2,
-    load_index2,
     optimal_tau2,
 )
 from . import oracle

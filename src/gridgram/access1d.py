@@ -1,4 +1,4 @@
-"""Bookmark-based random access over 1D SLPs.
+"""Random access over 1D SLPs through bookmark tables.
 
 For every variable, level p, and block index k < tau, the index stores the
 hook (deepest variable whose expansion still contains the block strictly
@@ -20,19 +20,9 @@ of concurrent readers. Builds are single-threaded.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 
-from .errors import ParseError, PositionOutOfRange, PreconditionViolated, RangeError
+from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .slg import validate_slp1
-
-
-@dataclass(frozen=True)
-class Bookmark1:
-    """A stored (hook, offset) pair for one boundary-aligned block."""
-
-    hook: int
-    offset: int
 
 
 def ceil_log(n, base):
@@ -74,7 +64,7 @@ def _hook_core(rules, lens, node, b, e):
 
 
 def hook_offset1(g, nid, b, e):
-    """Hook and offset of the window (b..e] of Exp(nid).
+    """Hook and offset of the window (b..e] of Exp(nid), as a (hook, offset) pair.
 
     The result satisfies Exp(nid)(b..e] = Exp(hook)(offset..offset+(e-b)];
     a width-1 window lands on a literal, otherwise the hook's child split
@@ -84,8 +74,7 @@ def hook_offset1(g, nid, b, e):
     m = g._lens[nid]
     if not (0 <= b < e <= m):
         raise RangeError(f"window {b}..{e} invalid for expansion length {m}")
-    hook, off = _hook_core(g.rules, g._lens, nid, b, e)
-    return Bookmark1(hook, off)
+    return _hook_core(g.rules, g._lens, nid, b, e)
 
 
 class AccessIndex1:
@@ -212,43 +201,3 @@ def access1_traced(ix, i):
 def access1(ix, i):
     """The symbol Exp(S)[i] (1-based)."""
     return access1_traced(ix, i)[0]
-
-
-# -- optional binary dump (AIX1) ---------------------------------------------
-#
-# magic "AIX1", then little-endian u64s: tau, |V|, n, len(left), len(right),
-# then each entry as (i, p, k, hook, offset). Meant for cross-run
-# benchmarking only; not a compatibility surface.
-
-_MAGIC1 = b"AIX1"
-_U64x5 = struct.Struct("<5Q")
-
-
-def dump_index1(ix, path):
-    with open(path, "wb") as f:
-        f.write(_MAGIC1)
-        f.write(struct.pack("<5Q", ix.tau, len(ix.lens), ix.n,
-                            len(ix.left), len(ix.right)))
-        for table in (ix.left, ix.right):
-            for (i, p, k), (h, off) in sorted(table.items()):
-                f.write(_U64x5.pack(i, p, k, h, off))
-
-
-def load_index1(g, path):
-    g = validate_slp1(g)
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC1:
-            raise ParseError("bad AIX1 magic")
-        tau, nvars, n, nleft, nright = struct.unpack("<5Q", f.read(40))
-        if nvars != len(g.rules) or n != g._lens[g.start]:
-            raise ParseError("index dump does not match this grammar")
-        left, right = {}, {}
-        for table, count in ((left, nleft), (right, nright)):
-            for _ in range(count):
-                i, p, k, h, off = _U64x5.unpack(f.read(40))
-                table[(i, p, k)] = (h, off)
-    levels = ceil_log(n, tau)
-    pows = [tau ** p for p in range(levels + 2)]
-    lit = [r if isinstance(r, int) else None for r in g.rules]
-    kids = [None if isinstance(r, int) else r for r in g.rules]
-    return AccessIndex1(g, tau, levels, pows, g._lens, lit, kids, left, right)

@@ -29,21 +29,10 @@ Immutable after build; queries are safe under concurrent readers.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 
-from .errors import ParseError, PositionOutOfRange, PreconditionViolated, RangeError
+from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .access1d import ceil_log
 from .slg2d import Horiz, validate_slp2
-
-
-@dataclass(frozen=True)
-class Bookmark2:
-    """A stored (hook, row offset, column offset) for one corner block."""
-
-    hook: int
-    offset_r: int
-    offset_c: int
 
 
 def optimal_tau2(n, epsilon=1.0):
@@ -89,7 +78,8 @@ def _grammar_arrays(g):
 
 
 def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
-    """2D hook and offsets of the window (b_r..e_r] x (b_c..e_c] of Exp(nid).
+    """2D hook and offsets of the window (b_r..e_r] x (b_c..e_c] of Exp(nid),
+    as a (hook, offset_r, offset_c) triple.
 
     The window reappears inside the hook's expansion shifted to
     (offset_r..offset_r+(e_r-b_r)] x (offset_c..offset_c+(e_c-b_c)], with
@@ -104,9 +94,7 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     if not (0 <= b_c < e_c <= m_c):
         raise RangeError(f"col window {b_c}..{e_c} invalid for {m_c} cols")
     lit, kids, horiz = _grammar_arrays(g)
-    h, a_r, a_c = _hook_core2(lit, kids, horiz, g._rows, g._cols,
-                              nid, b_r, b_c, e_r, e_c)
-    return Bookmark2(h, a_r, a_c)
+    return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c)
 
 
 _CORNER_MIRROR = {
@@ -304,46 +292,3 @@ def access2_traced(ix, i, j):
 def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based)."""
     return access2_traced(ix, i, j)[0]
-
-
-# -- optional binary dump (AIX2) ---------------------------------------------
-#
-# magic "AIX2", little-endian u64s: tau, |V|, rows, cols, then the four table
-# lengths in NW/NE/SW/SE order, then each entry as
-# (i, p_r, p_c, k_r, k_c, hook, offset_r, offset_c). Benchmarking aid only.
-
-_MAGIC2 = b"AIX2"
-_U64x8 = struct.Struct("<8Q")
-_CORNER_ORDER = ("NW", "NE", "SW", "SE")
-
-
-def dump_index2(ix, path):
-    with open(path, "wb") as f:
-        f.write(_MAGIC2)
-        f.write(struct.pack("<4Q", ix.tau, len(ix.rows), ix.n_rows, ix.n_cols))
-        f.write(struct.pack("<4Q", *(len(ix.tables[c]) for c in _CORNER_ORDER)))
-        for cname in _CORNER_ORDER:
-            for (i, p_r, p_c, k_r, k_c), (h, a_r, a_c) in sorted(ix.tables[cname].items()):
-                f.write(_U64x8.pack(i, p_r, p_c, k_r, k_c, h, a_r, a_c))
-
-
-def load_index2(g, path):
-    g = validate_slp2(g)
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC2:
-            raise ParseError("bad AIX2 magic")
-        tau, nvars, r0, c0 = struct.unpack("<4Q", f.read(32))
-        if nvars != len(g.rules) or (r0, c0) != (g._rows[g.start], g._cols[g.start]):
-            raise ParseError("index dump does not match this grammar")
-        counts = struct.unpack("<4Q", f.read(32))
-        tables = {}
-        for cname, count in zip(_CORNER_ORDER, counts):
-            table = {}
-            for _ in range(count):
-                i, p_r, p_c, k_r, k_c, h, a_r, a_c = _U64x8.unpack(f.read(64))
-                table[(i, p_r, p_c, k_r, k_c)] = (h, a_r, a_c)
-            tables[cname] = table
-    levels = ceil_log(max(r0, c0), tau)
-    pows = [tau ** p for p in range(levels + 2)]
-    lit, kids, horiz = _grammar_arrays(g)
-    return AccessIndex2(g, tau, levels, pows, g._rows, g._cols, lit, kids, horiz, tables)

@@ -15,16 +15,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import access1d, access2d, gen, oracle, reductions
-from .errors import GrammarError, ParseError, PositionOutOfRange
-from .slg import DEFAULT_CAP, dump_slg1, expand1, parse_slg1, slg_to_slp, validate_slg1
+from .errors import GrammarError, ParseError, PositionOutOfRange, RangeError
+from .slg import (
+    DEFAULT_CAP,
+    Slg1,
+    dump_slg1,
+    exp_len,
+    expand1,
+    grammar_size1,
+    parse_slg1,
+    slg_to_slp,
+    validate_slg1,
+)
 from .slg2d import (
+    dims,
     dump_matrix,
     dump_slg2,
     expand2,
+    grammar_size2,
     parse_slg2,
     slg2_to_slp2,
     validate_slg2,
@@ -57,31 +70,62 @@ def _load_grammar(path):
 
 
 def _cap(args):
-    if getattr(args, "cap_cells", None):
-        return args.cap_cells
-    env = os.environ.get("GG_CAP_CELLS")
-    if env:
-        return int(env)
-    return DEFAULT_CAP
+    """The expansion cap: --cap-cells, else GG_CAP_CELLS, else DEFAULT_CAP."""
+    if getattr(args, "cap_cells", None) is not None:
+        name, raw = "--cap-cells", args.cap_cells
+    else:
+        name, raw = "GG_CAP_CELLS", os.environ.get("GG_CAP_CELLS")
+        if not raw:
+            return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise RangeError(f"{name} must be a positive integer, got {raw!r}")
+    return cap
 
 
-def _pick_tau(args, n):
-    if args.tau is not None:
-        return args.tau
-    return access1d.optimal_tau(n, args.epsilon)
+def _reference1(slp, cap):
+    text = expand1(slp, cap=cap)
+    return lambda i: text[i - 1]
 
 
-def _pick_tau2(args, n):
-    if args.tau is not None:
-        return args.tau
-    return access2d.optimal_tau2(n, args.epsilon)
+def _reference2(slp, cap):
+    return expand2(slp, cap=cap).get
+
+
+@dataclass
+class _Dim:
+    """What the access and bench commands need to know about one dimension."""
+
+    to_slp: Callable      # parsed grammar -> validated SLP
+    shape: Callable       # SLP -> (n,) or (rows, cols); its length is the coordinate arity
+    tau: Callable         # (max(shape), epsilon) -> the tau preset
+    build: Callable       # (SLP, tau) -> index
+    access: Callable      # (index, *position) -> code
+    traced: Callable      # (index, *position) -> (code, mapping steps)
+    reference: Callable   # (SLP, cap) -> (*position -> code), from the full expansion
+    record_bytes: int     # one stored bookmark: its key and value as 64-bit words
+
+
+# record_bytes: 1D stores (i, p, k) -> (hook, offset), five words; 2D stores
+# (i, p_r, p_c, k_r, k_c) -> (hook, offset_r, offset_c), eight words.
+_DIM1 = _Dim(slg_to_slp, lambda slp: (exp_len(slp, slp.start),), access1d.optimal_tau,
+             access1d.build_index1, access1d.access1, access1d.access1_traced,
+             _reference1, 5 * 8)
+_DIM2 = _Dim(slg2_to_slp2, lambda slp: dims(slp, slp.start), access2d.optimal_tau2,
+             access2d.build_index2, access2d.access2, access2d.access2_traced,
+             _reference2, 8 * 8)
+
+
+def _dim(g):
+    return _DIM1 if isinstance(g, Slg1) else _DIM2
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_validate(args):
-    from .slg import Slg1
-
     g = _load_grammar(args.path)
     if isinstance(g, Slg1):
         g = validate_slg1(g)
@@ -93,8 +137,6 @@ def cmd_validate(args):
 
 
 def cmd_expand(args):
-    from .slg import Slg1
-
     g = _load_grammar(args.path)
     cap = _cap(args)
     if isinstance(g, Slg1):
@@ -107,44 +149,31 @@ def cmd_expand(args):
 
 
 def cmd_access(args):
-    from .slg import Slg1
-
+    cap = _cap(args)
     g = _load_grammar(args.path)
+    dim = _dim(g)
+    slp = dim.to_slp(g)
+    shape = dim.shape(slp)
+    tau = args.tau if args.tau is not None else dim.tau(max(shape), args.epsilon)
+    ix = dim.build(slp, tau)
+    reference = dim.reference(slp, cap) if args.verify else None
     failed = False
-    if isinstance(g, Slg1):
-        slp = slg_to_slp(validate_slg1(g, allow_empty=True))
-        ix = access1d.build_index1(slp, _pick_tau(args, slp._lens[slp.start]))
-        reference = expand1(slp, cap=_cap(args)) if args.verify else None
-        for q in args.coords:
-            try:
-                i = int(q.replace(",", " ").split()[0])
-                code = access1d.access1(ix, i)
-            except (PositionOutOfRange, ValueError, IndexError) as e:
-                print("ERR")
-                print(f"query {q!r}: {e}", file=sys.stderr)
-                failed = True
-                continue
-            if reference is not None and reference[i - 1] != code:
-                raise AssertionError(f"verify mismatch at {i}")
-            print(code)
-    else:
-        slp = slg2_to_slp2(validate_slg2(g))
-        n = max(slp._rows[slp.start], slp._cols[slp.start])
-        ix = access2d.build_index2(slp, _pick_tau2(args, n))
-        reference = expand2(slp, cap=_cap(args)) if args.verify else None
-        for q in args.coords:
-            try:
-                parts = q.replace(",", " ").split()
-                i, j = int(parts[0]), int(parts[1])
-                code = access2d.access2(ix, i, j)
-            except (PositionOutOfRange, ValueError, IndexError) as e:
-                print("ERR")
-                print(f"query {q!r}: {e}", file=sys.stderr)
-                failed = True
-                continue
-            if reference is not None and reference.get(i, j) != code:
-                raise AssertionError(f"verify mismatch at ({i},{j})")
-            print(code)
+    for q in args.coords:
+        try:
+            fields = q.replace(",", " ").split()
+            pos = [int(fields[k]) for k in range(len(shape))]
+            code = dim.access(ix, *pos)
+        except (PositionOutOfRange, ValueError, IndexError) as e:
+            print("ERR")
+            print(f"query {q!r}: {e}", file=sys.stderr)
+            failed = True
+            continue
+        if reference is not None:
+            want = reference(*pos)
+            if want != code:
+                raise GrammarError(f"verify mismatch at {q!r}: index gives {code}, "
+                                   f"expansion gives {want}")
+        print(code)
     return 1 if failed else 0
 
 
@@ -166,7 +195,6 @@ def cmd_ov(args):
     pm = reductions.ov_to_pm(inst)
     _write(args.pattern_out, "".join(str(b) for b in pm.pattern.cells) + "\n")
     _write(args.grammar_out, dump_slg2(pm.grammar))
-    from .slg2d import grammar_size2
     print(f"n={pm.n} d={pm.d} l={pm.l} size={grammar_size2(pm.grammar)}", file=sys.stderr)
     return 0
 
@@ -250,8 +278,6 @@ def cmd_query(args):
 
 
 def cmd_reduce(args):
-    from .slg import Slg1
-
     g = _load_grammar(args.path)
     if args.kind in ("mark", "extmark"):
         if not isinstance(g, Slg1):
@@ -261,8 +287,6 @@ def cmd_reduce(args):
         build = reductions.mark_grammar if args.kind == "mark" else reductions.ext_mark_grammar
         out = build(slp, sigma)
         _write(args.out, dump_slg2(out))
-        from .slg import grammar_size1
-        from .slg2d import grammar_size2
         in_size, out_size = grammar_size1(slp), grammar_size2(out)
         print(f"size={out_size} input={in_size} sigma={sigma} "
               f"ratio={out_size / (in_size + sigma):.2f}", file=sys.stderr)
@@ -275,50 +299,26 @@ def cmd_reduce(args):
 
 
 def cmd_bench(args):
-    from .slg import Slg1
-
     g = _load_grammar(args.path)
     rng = gen._rng(args.seed)
     taus = [int(t) for t in args.tau_list.split(",")]
     rows = ["tau,entries,bytes,build_ms,mean_query_ns,loop_iterations_mean"]
-    if isinstance(g, Slg1):
-        slp = slg_to_slp(validate_slg1(g, allow_empty=True))
-        n = slp._lens[slp.start]
-        queries = [rng.randint(1, n) for _ in range(args.reps)]
-        for tau in taus:
-            t0 = time.perf_counter()
-            ix = access1d.build_index1(slp, tau)
-            build_ms = (time.perf_counter() - t0) * 1e3
-            with tempfile.NamedTemporaryFile(delete=False) as tmp:
-                access1d.dump_index1(ix, tmp.name)
-                nbytes = os.path.getsize(tmp.name)
-            os.unlink(tmp.name)
-            t0 = time.perf_counter()
-            total_steps = 0
-            for q in queries:
-                total_steps += access1d.access1_traced(ix, q)[1]
-            query_ns = (time.perf_counter() - t0) * 1e9 / max(1, len(queries))
-            rows.append(f"{tau},{ix.entry_count()},{nbytes},{build_ms:.3f},"
-                        f"{query_ns:.0f},{total_steps / max(1, len(queries)):.2f}")
-    else:
-        slp = slg2_to_slp2(validate_slg2(g))
-        r, c = slp._rows[slp.start], slp._cols[slp.start]
-        queries = [(rng.randint(1, r), rng.randint(1, c)) for _ in range(args.reps)]
-        for tau in taus:
-            t0 = time.perf_counter()
-            ix = access2d.build_index2(slp, tau)
-            build_ms = (time.perf_counter() - t0) * 1e3
-            with tempfile.NamedTemporaryFile(delete=False) as tmp:
-                access2d.dump_index2(ix, tmp.name)
-                nbytes = os.path.getsize(tmp.name)
-            os.unlink(tmp.name)
-            t0 = time.perf_counter()
-            total_steps = 0
-            for qi, qj in queries:
-                total_steps += access2d.access2_traced(ix, qi, qj)[1]
-            query_ns = (time.perf_counter() - t0) * 1e9 / max(1, len(queries))
-            rows.append(f"{tau},{ix.entry_count()},{nbytes},{build_ms:.3f},"
-                        f"{query_ns:.0f},{total_steps / max(1, len(queries)):.2f}")
+    dim = _dim(g)
+    slp = dim.to_slp(g)
+    shape = dim.shape(slp)
+    queries = [tuple(rng.randint(1, s) for s in shape) for _ in range(args.reps)]
+    for tau in taus:
+        t0 = time.perf_counter()
+        ix = dim.build(slp, tau)
+        build_ms = (time.perf_counter() - t0) * 1e3
+        t0 = time.perf_counter()
+        total_steps = 0
+        for q in queries:
+            total_steps += dim.traced(ix, *q)[1]
+        query_ns = (time.perf_counter() - t0) * 1e9 / max(1, len(queries))
+        entries = ix.entry_count()
+        rows.append(f"{tau},{entries},{entries * dim.record_bytes},{build_ms:.3f},"
+                    f"{query_ns:.0f},{total_steps / max(1, len(queries)):.2f}")
     print("\n".join(rows))
     return 0
 

@@ -11,26 +11,16 @@ All functions are pure; inputs are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RangeError
 from .slg2d import Matrix2D
 
 
-@dataclass(frozen=True)
-class QueryRect:
-    """A half-open rectangle (b_r..e_r] x (b_c..e_c] in paper-style bounds."""
-
-    b_r: int
-    e_r: int
-    b_c: int
-    e_c: int
-
-    def check(self, rows, cols):
-        if not (0 <= self.b_r <= rows and 0 <= self.e_r <= rows):
-            raise RangeError(f"row bounds {self.b_r}..{self.e_r} outside [0, {rows}]")
-        if not (0 <= self.b_c <= cols and 0 <= self.e_c <= cols):
-            raise RangeError(f"col bounds {self.b_c}..{self.e_c} outside [0, {cols}]")
+def _check_rect(rows, cols, b_r, e_r, b_c, e_c):
+    """Reject a rectangle (b_r..e_r] x (b_c..e_c] with a bound outside the matrix."""
+    if not (0 <= b_r <= rows and 0 <= e_r <= rows):
+        raise RangeError(f"row bounds {b_r}..{e_r} outside [0, {rows}]")
+    if not (0 <= b_c <= cols and 0 <= e_c <= cols):
+        raise RangeError(f"col bounds {b_c}..{e_c} outside [0, {cols}]")
 
 
 # -- 1D queries ---------------------------------------------------------------
@@ -56,7 +46,7 @@ def occurs(t, b, e, a):
 
 def sum_rect(m, b_r, b_c, e_r, e_c):
     """Sum of all cells in (b_r..e_r] x (b_c..e_c]; empty ranges sum to 0."""
-    QueryRect(b_r, e_r, b_c, e_c).check(m.rows, m.cols)
+    _check_rect(m.rows, m.cols, b_r, e_r, b_c, e_c)
     if b_r >= e_r or b_c >= e_c:
         return 0
     total = 0
@@ -79,7 +69,7 @@ def line_sum(m, e_r, e_c, l):
 
 def all_zero(m, b_r, b_c, e_r, e_c):
     """1 iff every cell in (b_r..e_r] x (b_c..e_c] is 0; empty ranges give 1."""
-    QueryRect(b_r, e_r, b_c, e_c).check(m.rows, m.cols)
+    _check_rect(m.rows, m.cols, b_r, e_r, b_c, e_c)
     cells, w = m.cells, m.cols
     for i in range(b_r, e_r):
         if any(cells[i * w + b_c:i * w + e_c]):

@@ -1,9 +1,13 @@
-"""1D straight-line grammars: representation, validation, expansion, SLP form.
+"""Straight-line grammars: the machinery shared by 1D and 2D, and the 1D form.
 
 A grammar is a list of rules indexed by nonterminal id. Each rule is either
-
-  * an ``int``   -- a literal rule, the value is the terminal code, or
-  * a ``tuple``  -- a sequence rule listing child nonterminal ids.
+an ``int`` -- a literal rule, the value is the terminal code -- or a rule
+object listing child nonterminal ids. In 1D the rule object is a plain
+``tuple`` of children; in 2D (module ``slg2d``) it is a ``Horiz`` or
+``Vert`` whose children are in ``rule.children``. Everything that does not
+look at expansion lengths or dimensions -- acyclicity, reference and
+terminal ranges, reachability, moving the start to id 0, the SLP conversion
+and the text format skeleton -- is written once here, for both.
 
 A valid grammar is acyclic (some ordering of the nonterminals exists in which
 every sequence rule references only later ones), every referenced id has a
@@ -44,18 +48,25 @@ MAX_LEN = 1 << 62
 DEFAULT_CAP = 1 << 26
 
 
-class Slg1:
-    """A 1D straight-line grammar (rules, alphabet size, start id)."""
+class _Grammar:
+    """State and helpers shared by the 1D and 2D grammar classes.
 
-    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_lens", "_eps")
+    A subclass names its text format (``_magic``, the literal letter
+    ``_literal``, and ``_letters`` mapping each rule type to its letter),
+    how to read a rule's children (``_children``), the fewest children a
+    rule line may list (``_min_children``), the caches validation fills
+    (``_caches``), and what an empty expansion is called (``_empty``).
+    A rule's type is also its rebuilder: ``type(rule)(child_ids)``.
+    """
+
+    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_eps")
 
     def __init__(self, rules, alphabet_size, start=0):
-        self.rules = [r if isinstance(r, int) else tuple(r) for r in rules]
+        self.rules = list(rules)
         self.alphabet_size = alphabet_size
         self.start = start
         self._topo = None   # parents-first topological order (ids)
-        self._lens = None   # expansion length per id
-        self._eps = None    # per-id flag: expands to the empty string
+        self._eps = None    # per-id flag: expands to the empty string/matrix
 
     @property
     def validated(self):
@@ -63,12 +74,12 @@ class Slg1:
 
     def require_validated(self):
         if not self.validated:
-            raise ValueError("grammar must pass validate_slg1() first")
+            raise ValueError(f"grammar must pass validate_{self._magic.lower()}() first")
 
     @property
     def is_binary(self):
-        """True when every sequence rule has exactly two children."""
-        return all(isinstance(r, int) or len(r) == 2 for r in self.rules)
+        """True when every non-literal rule has exactly two children."""
+        return all(isinstance(r, int) or len(self._children(r)) == 2 for r in self.rules)
 
     def __len__(self):
         return len(self.rules)
@@ -78,19 +89,32 @@ class Slg1:
                 f"sigma={self.alphabet_size}, start={self.start})")
 
 
+class Slg1(_Grammar):
+    """A 1D straight-line grammar (rules, alphabet size, start id)."""
+
+    __slots__ = ("_lens",)
+    _magic, _literal, _letters, _min_children = "SLG1", "T", {tuple: "N"}, 1
+    _caches = ("_topo", "_eps", "_lens")
+    _empty = "the empty string"
+
+    def __init__(self, rules, alphabet_size, start=0):
+        super().__init__((r if isinstance(r, int) else tuple(r) for r in rules),
+                         alphabet_size, start)
+        self._lens = None   # expansion length per id
+
+    @staticmethod
+    def _children(rule):
+        return rule
+
+
 class Slp1(Slg1):
     """An Slg1 in which every sequence rule has arity exactly 2."""
 
 
-def _relabel(rules, start, perm):
-    """Apply an id permutation to a rule list; perm[old] = new."""
-    out = [None] * len(rules)
-    for old, rule in enumerate(rules):
-        if isinstance(rule, int):
-            out[perm[old]] = rule
-        else:
-            out[perm[old]] = tuple(perm[c] for c in rule)
-    return out, perm[start]
+def _child_lists(g):
+    """Per id, the tuple of child ids (empty for literals)."""
+    children = g._children
+    return [() if isinstance(r, int) else children(r) for r in g.rules]
 
 
 def _swap_start_to_zero(g):
@@ -98,20 +122,25 @@ def _swap_start_to_zero(g):
         return g
     perm = list(range(len(g.rules)))
     perm[g.start], perm[0] = 0, g.start
-    rules, start = _relabel(g.rules, g.start, perm)
-    return type(g)(rules, g.alphabet_size, start)
+    out = [None] * len(g.rules)
+    for old, rule in enumerate(g.rules):
+        if isinstance(rule, int):
+            out[perm[old]] = rule
+        else:
+            out[perm[old]] = type(rule)(perm[c] for c in g._children(rule))
+    return type(g)(out, g.alphabet_size, perm[g.start])
 
 
-def _toposort(rules):
+def _toposort(kids):
     """Children-first DFS over all ids; returns parents-first order.
 
     Iterative (explicit stack): grammar depth may reach the rule count.
     Raises CyclicGrammar on any cycle, including self-reference.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(rules)
+    color = [WHITE] * len(kids)
     order = []
-    for root in range(len(rules)):
+    for root in range(len(kids)):
         if color[root] != WHITE:
             continue
         stack = [(root, 0)]
@@ -123,8 +152,7 @@ def _toposort(rules):
                 if color[node] == GRAY:
                     raise CyclicGrammar(f"cycle through nonterminal {node}")
                 color[node] = GRAY
-            rule = rules[node]
-            children = () if isinstance(rule, int) else rule
+            children = kids[node]
             if child_ix < len(children):
                 stack.append((node, child_ix + 1))
                 c = children[child_ix]
@@ -139,13 +167,12 @@ def _toposort(rules):
     return order
 
 
-def validate_slg1(g, allow_empty=False):
-    """Check all Slg1 invariants; return the canonicalized grammar.
+def _canonical(g):
+    """The dimension-independent half of validation.
 
-    On success the returned grammar has the start symbol at id 0, a cached
-    topological order, and cached expansion lengths. ``allow_empty`` admits
-    rules expanding to the empty string (needed only while eliminating them
-    in slg_to_slp); by default such rules are rejected.
+    Checks the start and every reference and terminal range, moves the start
+    to id 0 and sorts topologically. Returns the relabelled grammar and its
+    parents-first order; the caller computes sizes and stores the caches.
     """
     if not g.rules:
         raise DanglingReference("grammar has no rules")
@@ -160,12 +187,41 @@ def validate_slg1(g, allow_empty=False):
         if isinstance(rule, int):
             if not (0 <= rule < g.alphabet_size):
                 raise TerminalOutOfRange(f"terminal {rule} at id {nid} not in [0, {g.alphabet_size})")
-        else:
-            for c in rule:
+        elif type(rule) in g._letters:
+            for c in g._children(rule):
                 if not (0 <= c < len(rules)):
                     raise DanglingReference(f"rule {nid} references undefined id {c}")
+        else:
+            kinds = "/".join(t.__name__ for t in g._letters)
+            raise TypeError(f"rule {nid} is not int/{kinds}: {rule!r}")
+    return g, _toposort(_child_lists(g))
 
-    topo = _toposort(rules)
+
+def _as_slp(g, slp_cls):
+    """Check that every non-literal rule of validated ``g`` has arity 2 and
+    return it as an ``slp_cls`` sharing its caches."""
+    for nid, rule in enumerate(g.rules):
+        if not isinstance(rule, int) and len(g._children(rule)) != 2:
+            raise GrammarError(f"rule {nid} has arity {len(g._children(rule))}, "
+                               f"{slp_cls.__name__} requires 2")
+    if isinstance(g, slp_cls):
+        return g
+    s = slp_cls(g.rules, g.alphabet_size, g.start)
+    for name in g._caches:
+        setattr(s, name, getattr(g, name))
+    return s
+
+
+def validate_slg1(g, allow_empty=False):
+    """Check all Slg1 invariants; return the canonicalized grammar.
+
+    On success the returned grammar has the start symbol at id 0, a cached
+    topological order, and cached expansion lengths. ``allow_empty`` admits
+    rules expanding to the empty string (needed only while eliminating them
+    in slg_to_slp); by default such rules are rejected.
+    """
+    g, topo = _canonical(g)
+    rules = g.rules
 
     eps = [False] * len(rules)
     lens = [0] * len(rules)
@@ -193,15 +249,7 @@ def validate_slg1(g, allow_empty=False):
 
 def validate_slp1(g, allow_empty=False):
     """validate_slg1 plus the arity-2 restriction; returns an Slp1."""
-    g = validate_slg1(g, allow_empty=allow_empty)
-    for nid, rule in enumerate(g.rules):
-        if not isinstance(rule, int) and len(rule) != 2:
-            raise GrammarError(f"rule {nid} has arity {len(rule)}, SLP requires 2")
-    if not isinstance(g, Slp1):
-        s = Slp1(g.rules, g.alphabet_size, g.start)
-        s._topo, s._lens, s._eps = g._topo, g._lens, g._eps
-        g = s
-    return g
+    return _as_slp(validate_slg1(g, allow_empty=allow_empty), Slp1)
 
 
 def exp_len(g, nid):
@@ -211,18 +259,29 @@ def exp_len(g, nid):
 
 
 def _reachable(g, root):
-    seen = [False] * len(g.rules)
+    kids = _child_lists(g)
+    seen = [False] * len(kids)
     seen[root] = True
     stack = [root]
     while stack:
-        rule = g.rules[stack.pop()]
-        if isinstance(rule, int):
-            continue
-        for c in rule:
+        for c in kids[stack.pop()]:
             if not seen[c]:
                 seen[c] = True
                 stack.append(c)
     return seen
+
+
+def _reach_pending(g):
+    """Ids reachable from the start, and per id how many reachable rules
+    list it as a child (an expansion is freed once that count reaches 0)."""
+    reach = _reachable(g, g.start)
+    pending = [0] * len(g.rules)
+    for nid, rule in enumerate(g.rules):
+        if not reach[nid] or isinstance(rule, int):
+            continue
+        for c in g._children(rule):
+            pending[c] += 1
+    return reach, pending
 
 
 def expand1(g, cap=DEFAULT_CAP):
@@ -238,13 +297,7 @@ def expand1(g, cap=DEFAULT_CAP):
     if n > cap:
         raise ExpansionTooLarge(f"expansion has {n} symbols, cap is {cap}")
 
-    reach = _reachable(g, g.start)
-    pending = [0] * len(g.rules)  # parents still needing this id's expansion
-    for nid in range(len(g.rules)):
-        if not reach[nid] or isinstance(g.rules[nid], int):
-            continue
-        for c in g.rules[nid]:
-            pending[c] += 1
+    reach, pending = _reach_pending(g)
 
     exp = {}
     for nid in reversed(g._topo):
@@ -265,22 +318,20 @@ def expand1(g, cap=DEFAULT_CAP):
 
 
 def grammar_size1(g):
-    """The size measure sum(max(|rhs|, 1)) over all rules."""
-    return sum(1 if isinstance(r, int) else max(len(r), 1) for r in g.rules)
+    """The size measure sum(max(|rhs|, 1)) over all rules, in either dimension."""
+    return sum(1 if isinstance(r, int) else max(len(g._children(r)), 1) for r in g.rules)
 
 
-def slg_to_slp(g, cap_unused=None):
-    """Convert a grammar to an equivalent SLP (binary rules, no empty rules).
+def _binarize(g, slp_cls):
+    """The SLP conversion of a validated grammar, in either dimension.
 
     Empty-expanding children are dropped, single-child rules are aliased away,
-    and longer right-hand sides are binarized left to right. Only rules
-    reachable from the start survive. Output size stays within a small
-    constant factor of the input size.
+    and longer right-hand sides are binarized left to right, each pair rule
+    keeping its parent's type. Only rules reachable from the start survive.
+    Returns an unvalidated ``slp_cls``.
     """
-    if not g.validated:
-        g = validate_slg1(g, allow_empty=True)
-    if g._lens[g.start] == 0:
-        raise EmptyLanguage("grammar derives only the empty string")
+    if g._eps[g.start]:
+        raise EmptyLanguage(f"grammar derives only {g._empty}")
 
     reach = _reachable(g, g.start)
     out_rules = []
@@ -297,37 +348,54 @@ def slg_to_slp(g, cap_unused=None):
         if isinstance(rule, int):
             alias[nid] = emit(rule)
             continue
-        kids = [alias[c] for c in rule if not g._eps[c]]
+        kids = [alias[c] for c in g._children(rule) if not g._eps[c]]
         if len(kids) == 1:
             alias[nid] = kids[0]
         else:
+            ctor = type(rule)
             acc = kids[0]
             for c in kids[1:]:
-                acc = emit((acc, c))
+                acc = emit(ctor((acc, c)))
             alias[nid] = acc
+    return slp_cls(out_rules, g.alphabet_size, alias[g.start])
 
-    out = Slp1(out_rules, g.alphabet_size, alias[g.start])
-    return validate_slp1(out)
+
+def slg_to_slp(g, cap_unused=None):
+    """Convert a grammar to an equivalent SLP (binary rules, no empty rules).
+
+    Empty-expanding children are dropped, single-child rules are aliased away,
+    and longer right-hand sides are binarized left to right. Only rules
+    reachable from the start survive. Output size stays within a small
+    constant factor of the input size.
+    """
+    if not g.validated:
+        g = validate_slg1(g, allow_empty=True)
+    return validate_slp1(_binarize(g, Slp1))
 
 
 # -- text format ------------------------------------------------------------
 
-def parse_slg1(text):
-    """Parse the SLG1 text format; returns an unvalidated Slg1."""
+def _int(field, line):
+    try:
+        return int(field)
+    except ValueError:
+        raise ParseError(f"bad integer {field!r} in: {line!r}") from None
+
+
+def _parse(text, cls):
+    """Parse the text format of grammar class ``cls``; returns it unvalidated."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ParseError("empty grammar file")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "SLG1":
+    if len(head) != 3 or head[0] != cls._magic:
         raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        count, sigma = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(f"bad header numbers: {lines[0]!r}") from None
+    count, sigma = _int(head[1], lines[0]), _int(head[2], lines[0])
     if count < 1 or sigma < 1:
         raise ParseError("nonterminal count and alphabet size must be positive")
 
+    kinds = {letter: ctor for ctor, letter in cls._letters.items()}
     rules = [None] * count
     start = None
     for ln in lines[1:]:
@@ -335,15 +403,12 @@ def parse_slg1(text):
             parts = ln.split()
             if len(parts) != 2 or start is not None:
                 raise ParseError(f"bad START line: {ln!r}")
-            start = int(parts[1])
+            start = _int(parts[1], ln)
             continue
-        head_part, _, rest = ln.partition(":")
-        if not _:
+        head_part, sep, rest = ln.partition(":")
+        if not sep:
             raise ParseError(f"bad rule line: {ln!r}")
-        try:
-            nid = int(head_part)
-        except ValueError:
-            raise ParseError(f"bad rule id in: {ln!r}") from None
+        nid = _int(head_part, ln)
         if not (0 <= nid < count):
             raise ParseError(f"rule id {nid} out of range [0, {count})")
         if rules[nid] is not None:
@@ -351,15 +416,15 @@ def parse_slg1(text):
         fields = rest.split()
         if not fields:
             raise ParseError(f"empty rule body: {ln!r}")
-        kind, args = fields[0], fields[1:]
-        if kind == "T":
+        kind, args = fields[0], [_int(a, ln) for a in fields[1:]]
+        if kind == cls._literal:
             if len(args) != 1:
                 raise ParseError(f"literal rule needs one terminal: {ln!r}")
-            rules[nid] = int(args[0])
-        elif kind == "N":
-            if not args:
+            rules[nid] = args[0]
+        elif kind in kinds:
+            if len(args) < cls._min_children:
                 raise ParseError(f"sequence rule needs children: {ln!r}")
-            rules[nid] = tuple(int(a) for a in args)
+            rules[nid] = kinds[kind](args)
         else:
             raise ParseError(f"unknown rule kind {kind!r} in: {ln!r}")
     if start is None:
@@ -367,16 +432,27 @@ def parse_slg1(text):
     missing = [i for i, r in enumerate(rules) if r is None]
     if missing:
         raise ParseError(f"no rule given for ids {missing}")
-    return Slg1(rules, sigma, start)
+    return cls(rules, sigma, start)
+
+
+def _dump(g):
+    """Serialize a grammar of either dimension to its text format."""
+    out = [f"{g._magic} {len(g.rules)} {g.alphabet_size}"]
+    for nid, rule in enumerate(g.rules):
+        if isinstance(rule, int):
+            out.append(f"{nid}: {g._literal} {rule}")
+        else:
+            out.append(" ".join([f"{nid}:", g._letters[type(rule)],
+                                 *map(str, g._children(rule))]))
+    out.append(f"START {g.start}")
+    return "\n".join(out) + "\n"
+
+
+def parse_slg1(text):
+    """Parse the SLG1 text format; returns an unvalidated Slg1."""
+    return _parse(text, Slg1)
 
 
 def dump_slg1(g):
     """Serialize to the SLG1 text format."""
-    out = [f"SLG1 {len(g.rules)} {g.alphabet_size}"]
-    for nid, rule in enumerate(g.rules):
-        if isinstance(rule, int):
-            out.append(f"{nid}: T {rule}")
-        else:
-            out.append(f"{nid}: N " + " ".join(str(c) for c in rule))
-    out.append(f"START {g.start}")
-    return "\n".join(out) + "\n"
+    return _dump(g)

@@ -15,6 +15,12 @@ horizontal slabs, stacked top to bottom); "vertical" nonterminals cut along
 vertical seams (children are vertical slabs, left to right). The file format
 letters H/V mirror the class, not the direction of growth.
 
+A 2D grammar is a 1D grammar whose rule objects carry an axis, so the
+machinery that ignores sizes (reference and cycle checks, reachability,
+moving the start to id 0, SLP conversion, the text format skeleton) is the
+shared core in ``slg``. This module holds what is truly 2D: the rule and
+matrix types, the dimension pass of validation, expansion and the MAT format.
+
 Rules with an empty child list expand to the empty matrix; they are legal in
 Slg2 (one construction in the reductions module needs them) and are
 eliminated by slg2_to_slp2. Mixed arity is legal in Slg2; only Slp2 restricts
@@ -39,17 +45,24 @@ from __future__ import annotations
 
 from .errors import (
     ArithmeticOverflow,
-    CyclicGrammar,
-    DanglingReference,
     DimensionMismatch,
-    DuplicateRule,
     EmptyLanguage,
     ExpansionTooLarge,
-    GrammarError,
     ParseError,
-    TerminalOutOfRange,
 )
-from .slg import DEFAULT_CAP, MAX_LEN
+from .slg import (
+    DEFAULT_CAP,
+    MAX_LEN,
+    _as_slp,
+    _binarize,
+    _canonical,
+    _dump,
+    _Grammar,
+    _int,
+    _parse,
+    _reach_pending,
+    grammar_size1,
+)
 
 
 class Horiz:
@@ -166,88 +179,26 @@ def vconcat(a, b):
     return Matrix2D(a.rows + b.rows, a.cols, a.cells + b.cells)
 
 
-class Slg2:
+class Slg2(_Grammar):
     """A 2D straight-line grammar over literal/Horiz/Vert rules."""
 
-    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_rows", "_cols", "_eps")
+    __slots__ = ("_rows", "_cols")
+    _magic, _literal, _letters, _min_children = "SLG2", "L", {Horiz: "H", Vert: "V"}, 0
+    _caches = ("_topo", "_eps", "_rows", "_cols")
+    _empty = "the empty matrix"
 
     def __init__(self, rules, alphabet_size, start=0):
-        self.rules = list(rules)
-        self.alphabet_size = alphabet_size
-        self.start = start
-        self._topo = None
+        super().__init__(rules, alphabet_size, start)
         self._rows = None
         self._cols = None
-        self._eps = None
 
-    @property
-    def validated(self):
-        return self._topo is not None
-
-    def require_validated(self):
-        if not self.validated:
-            raise ValueError("grammar must pass validate_slg2() first")
-
-    @property
-    def is_binary(self):
-        return all(isinstance(r, int) or len(r.children) == 2 for r in self.rules)
-
-    def __len__(self):
-        return len(self.rules)
-
-    def __repr__(self):
-        return (f"{type(self).__name__}({len(self.rules)} rules, "
-                f"sigma={self.alphabet_size}, start={self.start})")
+    @staticmethod
+    def _children(rule):
+        return rule.children
 
 
 class Slp2(Slg2):
     """An Slg2 in which every non-literal rule has arity exactly 2."""
-
-
-def _swap_start_to_zero2(g):
-    if g.start == 0:
-        return g
-    perm = list(range(len(g.rules)))
-    perm[g.start], perm[0] = 0, g.start
-    out = [None] * len(g.rules)
-    for old, rule in enumerate(g.rules):
-        if isinstance(rule, int):
-            out[perm[old]] = rule
-        else:
-            out[perm[old]] = type(rule)(*(perm[c] for c in rule.children))
-    return type(g)(out, g.alphabet_size, perm[g.start])
-
-
-def _toposort2(rules):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(rules)
-    order = []
-    for root in range(len(rules)):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, 0)]
-        while stack:
-            node, child_ix = stack.pop()
-            if child_ix == 0:
-                if color[node] == BLACK:
-                    continue
-                if color[node] == GRAY:
-                    raise CyclicGrammar(f"cycle through nonterminal {node}")
-                color[node] = GRAY
-            rule = rules[node]
-            children = () if isinstance(rule, int) else rule.children
-            if child_ix < len(children):
-                stack.append((node, child_ix + 1))
-                c = children[child_ix]
-                if color[c] == GRAY:
-                    raise CyclicGrammar(f"cycle through nonterminal {c}")
-                if color[c] == WHITE:
-                    stack.append((c, 0))
-            else:
-                color[node] = BLACK
-                order.append(node)
-    order.reverse()
-    return order
 
 
 def validate_slg2(g):
@@ -258,27 +209,8 @@ def validate_slg2(g):
     column count, those of a Vert rule one row count. Caches the topological
     order and per-nonterminal (rows, cols); empty-expanding rules get (0, 0).
     """
-    if not g.rules:
-        raise DanglingReference("grammar has no rules")
-    if g.alphabet_size < 1:
-        raise TerminalOutOfRange(f"alphabet_size must be >= 1, got {g.alphabet_size}")
-    if not (0 <= g.start < len(g.rules)):
-        raise DanglingReference(f"start id {g.start} out of range")
-
-    g = _swap_start_to_zero2(g)
+    g, topo = _canonical(g)
     rules = g.rules
-    for nid, rule in enumerate(rules):
-        if isinstance(rule, int):
-            if not (0 <= rule < g.alphabet_size):
-                raise TerminalOutOfRange(f"terminal {rule} at id {nid} not in [0, {g.alphabet_size})")
-        elif isinstance(rule, (Horiz, Vert)):
-            for c in rule.children:
-                if not (0 <= c < len(rules)):
-                    raise DanglingReference(f"rule {nid} references undefined id {c}")
-        else:
-            raise TypeError(f"rule {nid} is not int/Horiz/Vert: {rule!r}")
-
-    topo = _toposort2(rules)
 
     rows = [0] * len(rules)
     cols = [0] * len(rules)
@@ -320,18 +252,9 @@ def validate_slg2(g):
 
 def validate_slp2(g):
     """validate_slg2 plus arity-2 and no empty rules; returns an Slp2."""
-    g = validate_slg2(g)
-    for nid, rule in enumerate(g.rules):
-        if isinstance(rule, int):
-            continue
-        if len(rule.children) != 2:
-            raise GrammarError(f"rule {nid} has arity {len(rule.children)}, 2D SLP requires 2")
+    g = _as_slp(validate_slg2(g), Slp2)
     if any(g._eps):
         raise EmptyLanguage("2D SLP may not contain empty-expanding rules")
-    if not isinstance(g, Slp2):
-        s = Slp2(g.rules, g.alphabet_size, g.start)
-        s._topo, s._rows, s._cols, s._eps = g._topo, g._rows, g._cols, g._eps
-        g = s
     return g
 
 
@@ -339,21 +262,6 @@ def dims(g, nid):
     """(rows, cols) of the expansion of ``nid``; (0, 0) for empty rules."""
     g.require_validated()
     return g._rows[nid], g._cols[nid]
-
-
-def _reachable2(g, root):
-    seen = [False] * len(g.rules)
-    seen[root] = True
-    stack = [root]
-    while stack:
-        rule = g.rules[stack.pop()]
-        if isinstance(rule, int):
-            continue
-        for c in rule.children:
-            if not seen[c]:
-                seen[c] = True
-                stack.append(c)
-    return seen
 
 
 def expand2(g, cap=DEFAULT_CAP):
@@ -369,13 +277,7 @@ def expand2(g, cap=DEFAULT_CAP):
     if r * c > cap:
         raise ExpansionTooLarge(f"expansion has {r * c} cells, cap is {cap}")
 
-    reach = _reachable2(g, g.start)
-    pending = [0] * len(g.rules)
-    for nid in range(len(g.rules)):
-        if not reach[nid] or isinstance(g.rules[nid], int):
-            continue
-        for child in g.rules[nid].children:
-            pending[child] += 1
+    reach, pending = _reach_pending(g)
 
     exp = {}  # id -> flat row-major list (dims come from the caches)
     rows, cols = g._rows, g._cols
@@ -405,15 +307,7 @@ def expand2(g, cap=DEFAULT_CAP):
     return Matrix2D(r, c, exp[g.start])
 
 
-def grammar_size2(g):
-    """The size measure sum(max(|rhs|, 1)) over all rules."""
-    total = 0
-    for rule in g.rules:
-        if isinstance(rule, int):
-            total += 1
-        else:
-            total += max(len(rule.children), 1)
-    return total
+grammar_size2 = grammar_size1  # the size measure is the same in both dimensions
 
 
 def slg2_to_slp2(g):
@@ -425,110 +319,19 @@ def slg2_to_slp2(g):
     """
     if not g.validated:
         g = validate_slg2(g)
-    if g._eps[g.start]:
-        raise EmptyLanguage("grammar derives only the empty matrix")
-
-    reach = _reachable2(g, g.start)
-    out_rules = []
-
-    def emit(rule):
-        out_rules.append(rule)
-        return len(out_rules) - 1
-
-    alias = {}
-    for nid in reversed(g._topo):
-        if not reach[nid] or g._eps[nid]:
-            continue
-        rule = g.rules[nid]
-        if isinstance(rule, int):
-            alias[nid] = emit(rule)
-            continue
-        kids = [alias[c] for c in rule.children if not g._eps[c]]
-        if len(kids) == 1:
-            alias[nid] = kids[0]
-        else:
-            ctor = type(rule)
-            acc = kids[0]
-            for c in kids[1:]:
-                acc = emit(ctor(acc, c))
-            alias[nid] = acc
-
-    out = Slp2(out_rules, g.alphabet_size, alias[g.start])
-    return validate_slp2(out)
+    return validate_slp2(_binarize(g, Slp2))
 
 
 # -- text formats -----------------------------------------------------------
 
 def parse_slg2(text):
     """Parse the SLG2 text format; returns an unvalidated Slg2."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty grammar file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "SLG2":
-        raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        count, sigma = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(f"bad header numbers: {lines[0]!r}") from None
-    if count < 1 or sigma < 1:
-        raise ParseError("nonterminal count and alphabet size must be positive")
-
-    rules = [None] * count
-    start = None
-    for ln in lines[1:]:
-        if ln.startswith("START"):
-            parts = ln.split()
-            if len(parts) != 2 or start is not None:
-                raise ParseError(f"bad START line: {ln!r}")
-            start = int(parts[1])
-            continue
-        head_part, sep, rest = ln.partition(":")
-        if not sep:
-            raise ParseError(f"bad rule line: {ln!r}")
-        try:
-            nid = int(head_part)
-        except ValueError:
-            raise ParseError(f"bad rule id in: {ln!r}") from None
-        if not (0 <= nid < count):
-            raise ParseError(f"rule id {nid} out of range [0, {count})")
-        if rules[nid] is not None:
-            raise DuplicateRule(f"duplicate rule for id {nid}")
-        fields = rest.split()
-        if not fields:
-            raise ParseError(f"empty rule body: {ln!r}")
-        kind, args = fields[0], fields[1:]
-        if kind == "L":
-            if len(args) != 1:
-                raise ParseError(f"literal rule needs one terminal: {ln!r}")
-            rules[nid] = int(args[0])
-        elif kind == "H":
-            rules[nid] = Horiz(*(int(a) for a in args))
-        elif kind == "V":
-            rules[nid] = Vert(*(int(a) for a in args))
-        else:
-            raise ParseError(f"unknown rule kind {kind!r} in: {ln!r}")
-    if start is None:
-        raise ParseError("missing START line")
-    missing = [i for i, r in enumerate(rules) if r is None]
-    if missing:
-        raise ParseError(f"no rule given for ids {missing}")
-    return Slg2(rules, sigma, start)
+    return _parse(text, Slg2)
 
 
 def dump_slg2(g):
     """Serialize to the SLG2 text format."""
-    out = [f"SLG2 {len(g.rules)} {g.alphabet_size}"]
-    for nid, rule in enumerate(g.rules):
-        if isinstance(rule, int):
-            out.append(f"{nid}: L {rule}")
-        elif isinstance(rule, Horiz):
-            out.append((f"{nid}: H " + " ".join(str(c) for c in rule.children)).rstrip())
-        else:
-            out.append((f"{nid}: V " + " ".join(str(c) for c in rule.children)).rstrip())
-    out.append(f"START {g.start}")
-    return "\n".join(out) + "\n"
+    return _dump(g)
 
 
 def parse_matrix(text):
@@ -539,12 +342,12 @@ def parse_matrix(text):
     head = lines[0].split()
     if len(head) != 3 or head[0] != "MAT":
         raise ParseError(f"bad header: {lines[0]!r}")
-    rows, cols = int(head[1]), int(head[2])
+    rows, cols = _int(head[1], lines[0]), _int(head[2], lines[0])
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} rows, found {len(lines) - 1}")
     flat = []
     for ln in lines[1:]:
-        vals = [int(v) for v in ln.split()]
+        vals = [_int(v, ln) for v in ln.split()]
         if len(vals) != cols:
             raise ParseError(f"expected {cols} columns in row: {ln!r}")
         flat.extend(vals)

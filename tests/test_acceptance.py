@@ -226,15 +226,15 @@ def test_criterion_6_hook_lemmas():
             m = len(w)
             for b in range(m):
                 for e in range(b + 1, m + 1):
-                    bm = hook_offset1(g, nid, b, e)
-                    h = exps[bm.hook]
-                    assert w[b:e] == h[bm.offset:bm.offset + (e - b)]
-                    assert bm.offset <= b
+                    hook, offset = hook_offset1(g, nid, b, e)
+                    h = exps[hook]
+                    assert w[b:e] == h[offset:offset + (e - b)]
+                    assert offset <= b
                     if e - b == 1:
-                        assert exp_len(g, bm.hook) == 1
+                        assert exp_len(g, hook) == 1
                     else:
-                        l = exp_len(g, g.rules[bm.hook][0])
-                        assert bm.offset < l < bm.offset + (e - b)
+                        l = exp_len(g, g.rules[hook][0])
+                        assert offset < l < offset + (e - b)
                     windows_1d += 1
 
     windows_2d = 0
@@ -248,13 +248,13 @@ def test_criterion_6_hook_lemmas():
                 for e_r in range(b_r + 1, w.rows + 1):
                     for b_c in range(w.cols):
                         for e_c in range(b_c + 1, w.cols + 1):
-                            bm = hook_offset2(g, nid, b_r, b_c, e_r, e_c)
-                            h = exps[bm.hook]
+                            hook, offset_r, offset_c = hook_offset2(g, nid, b_r, b_c, e_r, e_c)
+                            h = exps[hook]
                             assert submatrix(w, b_r, e_r, b_c, e_c) == submatrix(
-                                h, bm.offset_r, bm.offset_r + (e_r - b_r),
-                                bm.offset_c, bm.offset_c + (e_c - b_c))
-                            assert bm.offset_r <= b_r and bm.offset_c <= b_c
-                            rule = g.rules[bm.hook]
+                                h, offset_r, offset_r + (e_r - b_r),
+                                offset_c, offset_c + (e_c - b_c))
+                            assert offset_r <= b_r and offset_c <= b_c
+                            rule = g.rules[hook]
                             if e_r - b_r == 1 and e_c - b_c == 1:
                                 assert isinstance(rule, int)
                             else:
@@ -263,10 +263,10 @@ def test_criterion_6_hook_lemmas():
                                 x = rule.children[0]
                                 if isinstance(rule, Horiz):
                                     l = dims(g, x)[0]
-                                    assert bm.offset_r < l < bm.offset_r + (e_r - b_r)
+                                    assert offset_r < l < offset_r + (e_r - b_r)
                                 else:
                                     l = dims(g, x)[1]
-                                    assert bm.offset_c < l < bm.offset_c + (e_c - b_c)
+                                    assert offset_c < l < offset_c + (e_c - b_c)
                             windows_2d += 1
     _report(f"PASS criterion 6: hook contracts exact on {windows_1d} 1D and "
           f"{windows_2d} 2D exhaustive windows "

@@ -12,12 +12,10 @@ from gridgram import (
     access1_traced,
     build_index1,
     ceil_log,
-    dump_index1,
     exp_len,
     expand1,
     hook_offset1,
     left_map,
-    load_index1,
     optimal_tau,
     right_map,
     validate_slp1,
@@ -42,16 +40,16 @@ def test_optimal_tau_clamps():
 
 
 def test_hook_full_window_straddles_split(abab):
-    bm = hook_offset1(abab, 0, 0, 4)
-    assert (bm.hook, bm.offset) == (0, 0)
+    hook, offset = hook_offset1(abab, 0, 0, 4)
+    assert (hook, offset) == (0, 0)
 
 
 def test_hook_examples(abab):
     assert hook_offset1(abab, 0, 1, 3) == hook_offset1(abab, 0, 1, 3)
-    bm = hook_offset1(abab, 0, 1, 3)
-    assert (bm.hook, bm.offset) == (0, 1)
-    bm = hook_offset1(abab, 0, 0, 1)
-    assert (bm.hook, bm.offset) == (2, 0)
+    hook, offset = hook_offset1(abab, 0, 1, 3)
+    assert (hook, offset) == (0, 1)
+    hook, offset = hook_offset1(abab, 0, 0, 1)
+    assert (hook, offset) == (2, 0)
 
 
 def test_hook_rejects_bad_window(abab):
@@ -85,8 +83,8 @@ def test_hook_matches_recursive_definition():
             m = exp_len(g, nid)
             b = rng.randrange(m)
             e = rng.randint(b + 1, m)
-            bm = hook_offset1(g, nid, b, e)
-            assert (bm.hook, bm.offset) == _hook_by_definition(g, nid, b, e)
+            hook, offset = hook_offset1(g, nid, b, e)
+            assert (hook, offset) == _hook_by_definition(g, nid, b, e)
 
 
 def test_hook_window_equality_exhaustive_small():
@@ -100,16 +98,16 @@ def test_hook_window_equality_exhaustive_small():
             m = len(w)
             for b in range(m):
                 for e in range(b + 1, m + 1):
-                    bm = hook_offset1(g, nid, b, e)
-                    h = exps[bm.hook]
-                    assert w[b:e] == h[bm.offset:bm.offset + (e - b)]
-                    assert bm.offset <= b
+                    hook, offset = hook_offset1(g, nid, b, e)
+                    h = exps[hook]
+                    assert w[b:e] == h[offset:offset + (e - b)]
+                    assert offset <= b
                     if e - b == 1:
-                        assert exp_len(g, bm.hook) == 1
+                        assert exp_len(g, hook) == 1
                     else:
-                        x, _ = g.rules[bm.hook]
+                        x, _ = g.rules[hook]
                         l = exp_len(g, x)
-                        assert bm.offset < l < bm.offset + (e - b)
+                        assert offset < l < offset + (e - b)
 
 
 def test_index_single_literal():
@@ -237,31 +235,3 @@ def test_access_random_30_rule_all_positions():
             code, steps = access1_traced(ix, i)
             assert code == want
             assert steps == want_steps
-
-
-def test_dump_load_roundtrip(tmp_path):
-    g = random_slp1(5, 25, sigma=4, max_len=1024)
-    ix = build_index1(g, 3)
-    path = tmp_path / "index.aix1"
-    dump_index1(ix, path)
-    ix2 = load_index1(g, path)
-    assert ix2.left == ix.left and ix2.right == ix.right
-    text = expand1(g)
-    for i in range(1, len(text) + 1):
-        assert access1(ix2, i) == text[i - 1]
-
-
-def test_load_rejects_bad_magic_and_mismatched_grammar(tmp_path):
-    from gridgram.errors import ParseError
-
-    g = random_slp1(5, 25, sigma=4, max_len=1024)
-    ix = build_index1(g, 3)
-    path = tmp_path / "index.aix1"
-    dump_index1(ix, path)
-    bad = tmp_path / "bad.aix1"
-    bad.write_bytes(b"NOPE" + path.read_bytes()[4:])
-    with pytest.raises(ParseError):
-        load_index1(g, bad)
-    other = random_slp1(6, 25, sigma=4, max_len=1024)
-    with pytest.raises(ParseError):
-        load_index1(other, path)

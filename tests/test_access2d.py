@@ -16,10 +16,8 @@ from gridgram import (
     ceil_log,
     corner_map,
     dims,
-    dump_index2,
     expand2,
     hook_offset2,
-    load_index2,
     optimal_tau2,
     validate_slp2,
 )
@@ -40,15 +38,15 @@ def test_optimal_tau2_clamps():
 
 
 def test_hook_full_window(grid22):
-    bm = hook_offset2(grid22, 0, 0, 0, 2, 2)
-    assert (bm.hook, bm.offset_r, bm.offset_c) == (0, 0, 0)
+    hook, offset_r, offset_c = hook_offset2(grid22, 0, 0, 0, 2, 2)
+    assert (hook, offset_r, offset_c) == (0, 0, 0)
 
 
 def test_hook_examples(grid22):
-    bm = hook_offset2(grid22, 0, 1, 0, 2, 1)
-    assert (bm.hook, bm.offset_r, bm.offset_c) == (5, 0, 0)
-    bm = hook_offset2(grid22, 0, 0, 0, 1, 2)
-    assert (bm.hook, bm.offset_r, bm.offset_c) == (1, 0, 0)
+    hook, offset_r, offset_c = hook_offset2(grid22, 0, 1, 0, 2, 1)
+    assert (hook, offset_r, offset_c) == (5, 0, 0)
+    hook, offset_r, offset_c = hook_offset2(grid22, 0, 0, 0, 1, 2)
+    assert (hook, offset_r, offset_c) == (1, 0, 0)
 
 
 def test_hook_rejects_bad_windows(grid22):
@@ -90,8 +88,8 @@ def test_hook2_matches_recursive_definition():
             e_r = rng.randint(b_r + 1, r)
             b_c = rng.randrange(c)
             e_c = rng.randint(b_c + 1, c)
-            bm = hook_offset2(g, nid, b_r, b_c, e_r, e_c)
-            assert (bm.hook, bm.offset_r, bm.offset_c) == \
+            hook, offset_r, offset_c = hook_offset2(g, nid, b_r, b_c, e_r, e_c)
+            assert (hook, offset_r, offset_c) == \
                 _hook2_by_definition(g, nid, b_r, b_c, e_r, e_c)
 
 
@@ -107,13 +105,13 @@ def test_hook_window_equality_exhaustive_small():
                 for e_r in range(b_r + 1, w.rows + 1):
                     for b_c in range(w.cols):
                         for e_c in range(b_c + 1, w.cols + 1):
-                            bm = hook_offset2(g, nid, b_r, b_c, e_r, e_c)
-                            h = exps[bm.hook]
+                            hook, offset_r, offset_c = hook_offset2(g, nid, b_r, b_c, e_r, e_c)
+                            h = exps[hook]
                             assert submatrix(w, b_r, e_r, b_c, e_c) == submatrix(
-                                h, bm.offset_r, bm.offset_r + (e_r - b_r),
-                                bm.offset_c, bm.offset_c + (e_c - b_c))
-                            assert bm.offset_r <= b_r and bm.offset_c <= b_c
-                            rule = g.rules[bm.hook]
+                                h, offset_r, offset_r + (e_r - b_r),
+                                offset_c, offset_c + (e_c - b_c))
+                            assert offset_r <= b_r and offset_c <= b_c
+                            rule = g.rules[hook]
                             if e_r - b_r == 1 and e_c - b_c == 1:
                                 assert isinstance(rule, int)
                             else:
@@ -121,10 +119,10 @@ def test_hook_window_equality_exhaustive_small():
                                 x = rule.children[0]
                                 if isinstance(rule, Horiz):
                                     l = dims(g, x)[0]
-                                    assert bm.offset_r < l < bm.offset_r + (e_r - b_r)
+                                    assert offset_r < l < offset_r + (e_r - b_r)
                                 else:
                                     l = dims(g, x)[1]
-                                    assert bm.offset_c < l < bm.offset_c + (e_c - b_c)
+                                    assert offset_c < l < offset_c + (e_c - b_c)
 
 
 def test_index_1x1_text():
@@ -399,16 +397,3 @@ def test_access_single_row_and_column():
     ix = build_index2(col, 2)
     for i in range(1, m.rows + 1):
         assert access2(ix, i, 1) == m.get(i, 1)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    g = random_slp2(9, 22, sigma=3, max_cells=1024)
-    ix = build_index2(g, 3)
-    path = tmp_path / "index.aix2"
-    dump_index2(ix, path)
-    ix2 = load_index2(g, path)
-    assert ix2.tables == ix.tables
-    m = expand2(g)
-    for i in range(1, m.rows + 1):
-        for j in range(1, m.cols + 1):
-            assert access2(ix2, i, j) == m.get(i, j)

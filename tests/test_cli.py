@@ -3,6 +3,7 @@
 import pytest
 
 from gridgram import expand1, expand2, parse_slg1, parse_slg2, validate_slg1, validate_slg2
+from gridgram import cli
 from gridgram.cli import main
 from gridgram.oracle import rank
 from gridgram.reductions import mark_all_chars
@@ -54,6 +55,40 @@ def test_validate_cyclic_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 1 and out == ""
     assert "CyclicGrammar" in err
+
+
+def test_validate_bad_integer_field_is_one_line(tmp_path, capsys):
+    for name, text in (("a.slg1", "SLG1 2 2\n0: N 1 x\n1: T 0\nSTART 0\n"),
+                       ("b.slg1", "SLG1 1 2\n0: T 0\nSTART x\n"),
+                       ("c.slg2", "SLG2 1 2\n0: L y\nSTART 0\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("ParseError: ") and err.count("\n") == 1
+
+
+def test_bad_cap_is_one_line(slp2_file, capsys, monkeypatch):
+    for argv in (("expand", str(slp2_file), "--cap-cells", "0"),
+                 ("access", str(slp2_file), "1,1", "--cap-cells", "-4")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("RangeError: --cap-cells") and err.count("\n") == 1
+    for value in ("abc", "0"):
+        monkeypatch.setenv("GG_CAP_CELLS", value)
+        code, out, err = run(capsys, "expand", str(slp2_file))
+        assert code == 1 and out == ""
+        assert err.startswith("RangeError: GG_CAP_CELLS") and err.count("\n") == 1
+
+
+def test_access_verify_mismatch_is_one_line(slp1_file, capsys, monkeypatch):
+    def access1(ix, i):
+        return -1
+
+    monkeypatch.setattr(cli._DIM1, "access", access1)
+    code, out, err = run(capsys, "access", str(slp1_file), "1", "--tau", "2", "--verify")
+    assert code == 1 and out == ""
+    assert err.startswith("GrammarError: verify mismatch") and err.count("\n") == 1
 
 
 def test_expand_matches_library(slp2_file, tmp_path, capsys):
@@ -193,6 +228,15 @@ def test_bench_2d_branch(slp2_file, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2 and lines[1].startswith("2,")
+
+
+def test_bench_bytes_are_entries_times_record_width(slp1_file, slp2_file, capsys):
+    for path, width in ((slp1_file, 40), (slp2_file, 64)):
+        code, out, _ = run(capsys, "bench", str(path), "--tau-list", "2,3", "--reps", "4")
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            _, entries, nbytes = line.split(",")[:3]
+            assert int(nbytes) == int(entries) * width
 
 
 def test_access_tau_preset_from_epsilon(slp1_file, capsys):

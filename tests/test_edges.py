@@ -10,16 +10,13 @@ from gridgram import (
     ParseError,
     Slg1,
     Slg2,
-    build_index2,
-    dump_index2,
-    load_index2,
+    parse_matrix,
     parse_slg1,
     parse_slg2,
     validate_slg1,
     validate_slg2,
 )
 from gridgram.errors import RangeError
-from gridgram.gen import random_slp2
 from gridgram.reductions import (
     OvInstance,
     mark_all_chars,
@@ -62,6 +59,9 @@ def test_parser_header_errors():
     for text in ("", "MAT 1 1\n0\n", "SLG2 1 0\n0: L 0\nSTART 0\n"):
         with pytest.raises(ParseError):
             parse_slg2(text)
+    for text in ("MAT 2 x\n0\n0\n", "MAT 1 2\n0 y\n"):
+        with pytest.raises(ParseError):
+            parse_matrix(text)
 
 
 def test_parser_double_start_and_bad_lines():
@@ -73,6 +73,17 @@ def test_parser_double_start_and_bad_lines():
         parse_slg1("SLG1 1 2\n0:\nSTART 0\n")
     with pytest.raises(ParseError):
         parse_slg1("SLG1 1 2\n0: N\nSTART 0\n")  # 1D rules may not be empty
+    assert parse_slg2("SLG2 2 2\n0: L 0\n1: H\nSTART 0\n").rules[1] == Horiz()
+    # every integer field, not just the header and the rule id
+    for text in ("SLG1 2 2\n0: N 1 x\n1: T 0\nSTART 0\n",
+                 "SLG1 1 2\n0: T 0\nSTART x\n",
+                 "SLG1 1 2\n0: T z\nSTART 0\n"):
+        with pytest.raises(ParseError):
+            parse_slg1(text)
+    for text in ("SLG2 1 2\n0: L y\nSTART 0\n",
+                 "SLG2 2 2\n0: V 1 y\n1: L 0\nSTART 0\n"):
+        with pytest.raises(ParseError):
+            parse_slg2(text)
 
 
 def test_parse_ov_errors():
@@ -103,17 +114,3 @@ def test_mark_all_chars_code_range():
 def test_pad_rejects_empty_expansion():
     with pytest.raises(RangeError):
         pad_with_zero_block(Slg2([Horiz()], 1, 0))
-
-
-def test_load_index2_rejects_bad_magic_and_mismatch(tmp_path):
-    g = random_slp2(42, 15, sigma=3, max_cells=256)
-    ix = build_index2(g, 2)
-    path = tmp_path / "index.aix2"
-    dump_index2(ix, path)
-    bad = tmp_path / "bad.aix2"
-    bad.write_bytes(b"NOPE" + path.read_bytes()[4:])
-    with pytest.raises(ParseError):
-        load_index2(g, bad)
-    other = random_slp2(43, 15, sigma=3, max_cells=256)
-    with pytest.raises(ParseError):
-        load_index2(other, path)

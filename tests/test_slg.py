@@ -1,8 +1,14 @@
-"""1D grammar core: validation, lengths, expansion, SLP conversion, formats."""
+"""Grammar core: validation, lengths, expansion, SLP conversion, formats.
+
+The checks that live in the shared core (cycles, dangling references,
+moving the start to id 0, the text format) run over both dimensions.
+"""
 
 import random
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridgram import (
     ArithmeticOverflow,
@@ -11,20 +17,37 @@ from gridgram import (
     DuplicateRule,
     EmptyLanguage,
     ExpansionTooLarge,
+    Horiz,
     ParseError,
     Slg1,
+    Slg2,
     Slp1,
     TerminalOutOfRange,
+    Vert,
     dump_slg1,
+    dump_slg2,
     exp_len,
     expand1,
+    expand2,
     grammar_size1,
     parse_slg1,
+    parse_slg2,
     slg_to_slp,
     validate_slg1,
+    validate_slg2,
     validate_slp1,
 )
-from gridgram.gen import random_slg1, random_slp1
+from gridgram.gen import random_slg1, random_slg2, random_slp1
+
+Dim = namedtuple("Dim", "cls rule validate parse dump cells")
+DIMS = (
+    Dim(Slg1, lambda *c: c, validate_slg1, parse_slg1, dump_slg1, expand1),
+    Dim(Slg2, Horiz, validate_slg2, parse_slg2, dump_slg2, lambda g: expand2(g).cells),
+)
+
+
+def _fields(g):
+    return type(g), g.rules, g.alphabet_size, g.start
 
 
 def test_validate_two_leaf_chain():
@@ -33,18 +56,21 @@ def test_validate_two_leaf_chain():
 
 
 def test_validate_self_reference_cycles():
-    with pytest.raises(CyclicGrammar):
-        validate_slg1(Slg1([(0,)], 1, 0))
+    for d in DIMS:
+        with pytest.raises(CyclicGrammar):
+            d.validate(d.cls([d.rule(0)], 1, 0))
 
 
 def test_validate_longer_cycle():
-    with pytest.raises(CyclicGrammar):
-        validate_slg1(Slg1([(1,), (2,), (0,)], 1, 0))
+    for d in DIMS:
+        with pytest.raises(CyclicGrammar):
+            d.validate(d.cls([d.rule(1), d.rule(2), d.rule(0)], 1, 0))
 
 
 def test_validate_dangling_reference():
-    with pytest.raises(DanglingReference):
-        validate_slg1(Slg1([(1,)], 1, 0))
+    for d in DIMS:
+        with pytest.raises(DanglingReference):
+            d.validate(d.cls([d.rule(1)], 1, 0))
 
 
 def test_validate_terminal_out_of_range():
@@ -62,9 +88,10 @@ def test_validate_rejects_empty_rules_by_default():
 
 
 def test_validate_reindexes_start_to_zero():
-    g = validate_slg1(Slg1([0, (0, 0)], 2, start=1))
-    assert g.start == 0
-    assert expand1(g) == [0, 0]
+    for d in DIMS:
+        g = d.validate(d.cls([0, d.rule(0, 0)], 2, start=1))
+        assert g.start == 0
+        assert d.cells(g) == [0, 0]
 
 
 def test_exp_len_literal_is_one():
@@ -187,11 +214,26 @@ def test_random_slp_generator_is_binary_and_exact_count():
     assert g.is_binary
 
 
-def test_format_roundtrip(abab):
-    text = dump_slg1(abab)
-    g = validate_slg1(parse_slg1(text))
-    assert expand1(g) == expand1(abab)
-    assert dump_slg1(g) == text
+def test_format_roundtrip(abab, grid22):
+    for d, orig in zip(DIMS, (abab, grid22)):
+        text = d.dump(orig)
+        g = d.validate(d.parse(text))
+        assert d.cells(g) == d.cells(orig)
+        assert d.dump(g) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_rules=st.integers(1, 25),
+       empty=st.sampled_from([None, Horiz, Vert]))
+def test_format_roundtrip_property(seed, n_rules, empty):
+    """parse(dump(g)) gives back g's rules, alphabet and start exactly."""
+    g1 = random_slg1(seed, n_rules, max_len=512)
+    assert _fields(parse_slg1(dump_slg1(g1))) == _fields(g1)
+    g2 = random_slg2(seed, n_rules, max_cells=512)
+    if empty is not None:
+        # gen never emits an empty rule; add one that nothing references
+        g2 = Slg2(g2.rules + [empty()], g2.alphabet_size, g2.start)
+    assert _fields(parse_slg2(dump_slg2(g2))) == _fields(g2)
 
 
 def test_format_duplicate_id_rejected():
