@@ -9,9 +9,18 @@ levels top-down, each step relocating the position into a smaller variable
 via one stored bookmark, so access costs exactly ceil(log_tau n) + 1 mapping
 steps.
 
-Tables are sparse dicts keyed by (variable, level, block): entries exist only
-where k * tau**p is inside the variable's expansion, which is also what makes
-the stored-entry count at most 2 * |V| * tau * (ceil(log_tau n) + 1).
+Tables are flat: ``tables[side][p]`` is one list per side (0 = left,
+1 = right) and level, holding the bookmark of block k of variable i at
+``i * tau + k``. Slots exist only where k * tau**p is inside the variable's
+expansion, which is also what makes the stored-entry count at most
+2 * |V| * tau * (ceil(log_tau n) + 1); the other slots hold None.
+
+The build fills the tables children first. A block that lies wholly inside
+the child on its aligned side (the left child for left blocks, the right
+child for right blocks) is that child's block with the same (p, k), since
+the descent enters the child with the window unchanged, so its bookmark is
+copied: one slice per (variable, level). Only blocks that straddle the
+split or sit unaligned in the other child descend from the variable.
 
 The index is immutable after build_index1; queries are safe under any number
 of concurrent readers. Builds are single-threaded.
@@ -41,18 +50,18 @@ def optimal_tau(n, epsilon=1.0):
     return max(2, int(math.log2(n) ** epsilon))
 
 
-def _hook_core(rules, lens, node, b, e):
+def _hook_core(kids, lens, node, b, e):
     """Iterative descent shared by the standalone op and the index builder.
 
     Descends while the window (b..e] fits strictly inside one child, shifting
-    coordinates when moving right. Stops at a literal or at the variable
-    whose child split the window straddles.
+    coordinates when moving right. Stops at a literal (``kids`` entry None)
+    or at the variable whose child split the window straddles.
     """
     while True:
-        rule = rules[node]
-        if isinstance(rule, int):
+        kid = kids[node]
+        if kid is None:
             break
-        x, y = rule
+        x, y = kid
         l = lens[x]
         if e <= l:
             node = x
@@ -61,6 +70,10 @@ def _hook_core(rules, lens, node, b, e):
         else:
             break
     return node, b
+
+
+def _kids(rules):
+    return [None if isinstance(r, int) else r for r in rules]
 
 
 def hook_offset1(g, nid, b, e):
@@ -74,16 +87,16 @@ def hook_offset1(g, nid, b, e):
     m = g._lens[nid]
     if not (0 <= b < e <= m):
         raise RangeError(f"window {b}..{e} invalid for expansion length {m}")
-    return _hook_core(g.rules, g._lens, nid, b, e)
+    return _hook_core(_kids(g.rules), g._lens, nid, b, e)
 
 
 class AccessIndex1:
     """Leveled bookmark tables plus per-variable length/rule shortcuts."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "lens", "lit", "kids",
-                 "left", "right", "n")
+                 "tables", "entries", "n")
 
-    def __init__(self, grammar, tau, levels, pows, lens, lit, kids, left, right):
+    def __init__(self, grammar, tau, levels, pows, lens, lit, kids, tables, entries):
         self.grammar = grammar
         self.tau = tau
         self.levels = levels          # top level index; p ranges over [0..levels]
@@ -91,13 +104,13 @@ class AccessIndex1:
         self.lens = lens
         self.lit = lit                # literal code per variable, None for pairs
         self.kids = kids              # (x, y) per variable, None for literals
-        self.left = left              # (i, p, k) -> (hook, offset)
-        self.right = right
+        self.tables = tables          # [side][p][i * tau + k] -> (hook, offset) or None
+        self.entries = entries        # defined slots, counted by the build
         self.n = lens[grammar.start]
 
     def entry_count(self):
         """Stored bookmarks across both tables (the size-bound quantity)."""
-        return len(self.left) + len(self.right)
+        return self.entries
 
     def __repr__(self):
         return (f"AccessIndex1(n={self.n}, tau={self.tau}, "
@@ -116,21 +129,76 @@ def build_index1(g, tau):
     pows = [tau ** p for p in range(levels + 2)]
 
     lit = [r if isinstance(r, int) else None for r in rules]
-    kids = [None if isinstance(r, int) else r for r in rules]
+    kids = _kids(rules)
 
-    left = {}
-    right = {}
-    for i in range(len(rules)):
+    size = len(rules) * tau
+    left = [[None] * size for _ in range(levels + 1)]
+    right = [[None] * size for _ in range(levels + 1)]
+    entries = 0
+    for i in reversed(g._topo):
         m = lens[i]
+        base = i * tau
+        if kids[i] is None:
+            hook = (i, 0)
+            for p in range(levels + 1):
+                left[p][base] = right[p][base] = hook
+            entries += 2 * (levels + 1)
+            continue
+        x, y = kids[i]
         for p in range(levels + 1):
             tp = pows[p]
             blocks = min(tau, -(-m // tp))  # k with k * tau**p < m
-            for k in range(blocks):
+            entries += 2 * blocks
+            # left blocks inside x, right blocks inside y: the child's own entry
+            lt, rt = left[p], right[p]
+            cx = min(blocks, lens[x] // tp)
+            lt[base:base + cx] = lt[x * tau:x * tau + cx]
+            for k in range(cx, blocks):
                 b = k * tp
-                e = min(m, b + tp)
-                left[(i, p, k)] = _hook_core(rules, lens, i, b, e)
-                right[(i, p, k)] = _hook_core(rules, lens, i, m - e, m - b)
-    return AccessIndex1(g, tau, levels, pows, lens, lit, kids, left, right)
+                lt[base + k] = _hook_core(kids, lens, i, b, min(m, b + tp))
+            cy = min(blocks, lens[y] // tp)
+            rt[base:base + cy] = rt[y * tau:y * tau + cy]
+            for k in range(cy, blocks):
+                b = k * tp
+                rt[base + k] = _hook_core(kids, lens, i, max(0, m - b - tp), m - b)
+    return AccessIndex1(g, tau, levels, pows, lens, lit, kids, (left, right), entries)
+
+
+def _map1(ix, side, t, p, delta):
+    """One checked mapping step from ``side`` (0 = left, 1 = right) of Exp(N_t).
+
+    The block's hook splits into the child nearer the addressed boundary and
+    the farther one; landing in the nearer child flips the side.
+    """
+    m = ix.lens[t]
+    if p < 0 or p > ix.levels or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
+        name = ("left_map", "right_map")[side]
+        raise PreconditionViolated(f"{name}(t={t}, p={p}, delta={delta}) out of contract")
+    tp = ix.pows[p]
+    k = (delta - 1) // tp
+    b = k * tp
+    w = min(m - b, tp)
+    h, off = ix.tables[side][p][t * ix.tau + k]
+    if ix.kids[h] is None:
+        if w != 1:
+            raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
+                                       f"is the literal {h} for a block of width {w}")
+        return h, 1, 0
+    x, y = ix.kids[h]
+    if side:
+        near, far, s = y, x, off + w - ix.lens[x]
+    else:
+        near, far, s = x, y, ix.lens[x] - off
+    if not 0 < s < w:   # s: the hook's split, as a position inside the block
+        raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
+                                   f"does not straddle its hook's split")
+    d = delta - b
+    if d <= s:
+        return near, s - d + 1, side ^ 1
+    return far, d - s, side
+
+
+_SIDES = ("L", "R")
 
 
 def left_map(ix, t, p, delta):
@@ -139,49 +207,24 @@ def left_map(ix, t, p, delta):
     Returns (t', delta', side) with delta' <= tau**p and
     Access(N_t, delta, L) = Access(N_t', delta', side).
     """
-    m = ix.lens[t]
-    if p < 0 or p > ix.levels or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
-        raise PreconditionViolated(f"left_map(t={t}, p={p}, delta={delta}) out of contract")
-    tp = ix.pows[p]
-    k = (delta - 1) // tp
-    b = k * tp
-    e = min(m, b + tp)
-    h, alpha = ix.left[(t, p, k)]
-    if e - b == 1:
-        return (h, 1, "L")
-    x, y = ix.kids[h]
-    l = ix.lens[x]
-    if delta - b <= l - alpha:
-        return (x, (l - alpha) - (delta - b) + 1, "R")
-    return (y, (delta - b) - (l - alpha), "L")
+    t, delta, side = _map1(ix, 0, t, p, delta)
+    return t, delta, _SIDES[side]
 
 
 def right_map(ix, t, p, delta):
     """Mirror of left_map for positions measured from the right boundary."""
-    m = ix.lens[t]
-    if p < 0 or p > ix.levels or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
-        raise PreconditionViolated(f"right_map(t={t}, p={p}, delta={delta}) out of contract")
-    tp = ix.pows[p]
-    k = (delta - 1) // tp
-    b = k * tp
-    e = min(m, b + tp)
-    h, off = ix.right[(t, p, k)]
-    if e - b == 1:
-        return (h, 1, "L")
-    beta = ix.lens[h] - (off + (e - b))
-    x, y = ix.kids[h]
-    l = ix.lens[y]
-    if delta - b <= l - beta:
-        return (y, (l - beta) - (delta - b) + 1, "L")
-    return (x, (delta - b) - (l - beta), "R")
+    t, delta, side = _map1(ix, 1, t, p, delta)
+    return t, delta, _SIDES[side]
 
 
 def access1_traced(ix, i):
     """Random access returning (code, mapping_steps).
 
-    Runs the level loop from ceil(log_tau n) down to 0, picking left_map or
-    right_map by the current side; the step count is always levels + 1. In
-    test builds each step asserts the contraction contract delta' <= tau**p.
+    Runs the level loop from ceil(log_tau n) down to 0 through the checked
+    left_map and right_map, picking one by the current side; the step count
+    is always levels + 1. Each step checks the contraction contract
+    1 <= delta' <= tau**p, and the walk must end on a literal at delta 1;
+    a breach raises PreconditionViolated.
     """
     if not (1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")
@@ -193,11 +236,45 @@ def access1_traced(ix, i):
         else:
             t, delta, side = right_map(ix, t, p, delta)
         steps += 1
-        assert delta <= ix.pows[p], "per-step contraction violated"
-    assert ix.lens[t] == 1 and delta == 1
+        if not (1 <= delta <= ix.pows[p]):
+            raise PreconditionViolated(
+                f"per-step contraction violated at level {p}: delta {delta} "
+                f"outside [1, {ix.pows[p]}]")
+    if ix.lens[t] != 1 or delta != 1:
+        raise PreconditionViolated(f"walk ended at variable {t}, delta {delta}, not a literal")
     return ix.lit[t], steps
 
 
 def access1(ix, i):
-    """The symbol Exp(S)[i] (1-based)."""
-    return access1_traced(ix, i)[0]
+    """The symbol Exp(S)[i] (1-based).
+
+    The same walk as access1_traced in one loop with integer sides and no
+    per-step checks; it stops as soon as a bookmark's hook is a literal.
+    """
+    if not (1 <= i <= ix.n):
+        raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")
+    tau, pows, lens, kids, tables = ix.tau, ix.pows, ix.lens, ix.kids, ix.tables
+    t, delta, side = ix.grammar.start, i, 0
+    for p in range(ix.levels, -1, -1):
+        tp = pows[p]
+        k = (delta - 1) // tp
+        h, off = tables[side][p][t * tau + k]
+        kid = kids[h]
+        if kid is None:
+            return ix.lit[h]
+        x, y = kid
+        b = k * tp
+        d = delta - b
+        if side:
+            s = off + min(lens[t] - b, tp) - lens[x]
+            if d <= s:
+                t, delta, side = y, s - d + 1, 0
+            else:
+                t, delta = x, d - s
+        else:
+            s = lens[x] - off
+            if d <= s:
+                t, delta, side = x, s - d + 1, 1
+            else:
+                t, delta = y, d - s
+    raise PreconditionViolated(f"walk to position {i} ended off a literal")

@@ -19,9 +19,22 @@ ceil(log_tau r) + ceil(log_tau c) + 2 iterations.
 
 Only the top-left mapping is written out; the other three corners reuse the
 same body through entry/exit coordinate mirrors, which keeps the four cases
-from drifting apart. Tables are sparse dicts as in the 1D index; the stored
-bookmark count is at most 4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 where
-n = max(rows, cols).
+from drifting apart. Corners are numbered 0..3 (NW, NE, SW, SE): bit 1 set
+means measured from the bottom, bit 0 set means measured from the right.
+
+Tables are flat: ``tables[corner][p_r][p_c]`` is one list per corner and
+level pair, holding the bookmark of block (k_r, k_c) of variable i at
+``(i * tau + k_r) * tau + k_c``; slots outside the variable's expansion hold
+None. The stored bookmark count is at most
+4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 where n = max(rows, cols).
+
+The build fills the tables children first. On the axis a variable splits,
+a block aligned to the top or left lies wholly inside the child x when its
+far edge is within x, and then it is x's own block with the same key: the
+descent enters x with the window unchanged, and the other axis is shared.
+So is a block aligned to the bottom or right that lies wholly inside y.
+Those bookmarks are copied from the child, a slice at a time; only blocks
+that straddle the split or sit unaligned in the other child descend.
 
 Immutable after build; queries are safe under concurrent readers.
 """
@@ -97,29 +110,18 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c)
 
 
-_CORNER_MIRROR = {
-    "NW": (False, False),
-    "NE": (False, True),
-    "SW": (True, False),
-    "SE": (True, True),
-}
-
-_SIDES_TO_CORNER = {
-    ("T", "L"): "NW",
-    ("T", "R"): "NE",
-    ("B", "L"): "SW",
-    ("B", "R"): "SE",
-}
+_CORNERS = ("NW", "NE", "SW", "SE")
+_CORNER_ID = {name: c for c, name in enumerate(_CORNERS)}
 
 
 class AccessIndex2:
     """Four corner bookmark tables plus per-variable dimension/rule arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols",
-                 "lit", "kids", "horiz", "tables", "n_rows", "n_cols")
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "lit", "kids",
+                 "horiz", "tables", "entries", "n_rows", "n_cols", "top_r", "top_c")
 
     def __init__(self, grammar, tau, levels, pows, rows, cols, lit, kids,
-                 horiz, tables):
+                 horiz, tables, entries):
         self.grammar = grammar
         self.tau = tau
         self.levels = levels
@@ -129,13 +131,16 @@ class AccessIndex2:
         self.lit = lit
         self.kids = kids
         self.horiz = horiz          # True iff the variable splits on rows
-        self.tables = tables        # corner name -> {(i,p_r,p_c,k_r,k_c): (h,a_r,a_c)}
+        self.tables = tables        # [corner][p_r][p_c][(i*tau+k_r)*tau+k_c] -> (h,a_r,a_c)
+        self.entries = entries      # defined slots, counted by the build
         self.n_rows = rows[grammar.start]
         self.n_cols = cols[grammar.start]
+        self.top_r = ceil_log(self.n_rows, tau)   # the walk's starting levels
+        self.top_c = ceil_log(self.n_cols, tau)
 
     def entry_count(self):
         """Stored bookmarks across all four corner tables."""
-        return sum(len(t) for t in self.tables.values())
+        return self.entries
 
     def __repr__(self):
         return (f"AccessIndex2({self.n_rows}x{self.n_cols}, tau={self.tau}, "
@@ -153,33 +158,63 @@ def build_index2(g, tau):
     pows = [tau ** p for p in range(levels + 2)]
     lit, kids, horiz = _grammar_arrays(g)
 
-    nw, ne, sw, se = {}, {}, {}, {}
-    for i in range(len(g.rules)):
+    span = tau * tau                # slots per variable in one table
+    size = len(g.rules) * span
+    tables = [[[[None] * size for _ in range(levels + 1)] for _ in range(levels + 1)]
+              for _ in _CORNERS]
+    entries = 0
+    for i in reversed(g._topo):
         m_r, m_c = rows[i], cols[i]
+        base = i * span
+        if lit[i] is not None:
+            hook = (i, 0, 0)
+            for corner_tables in tables:
+                for row_level in corner_tables:
+                    for table in row_level:
+                        table[base] = hook
+            entries += 4 * (levels + 1) ** 2
+            continue
+        x, y = kids[i]
         for p_r in range(levels + 1):
             tpr = pows[p_r]
             blocks_r = min(tau, -(-m_r // tpr))
             for p_c in range(levels + 1):
                 tpc = pows[p_c]
                 blocks_c = min(tau, -(-m_c // tpc))
-                for k_r in range(blocks_r):
-                    b_r = k_r * tpr
-                    e_r = min(m_r, b_r + tpr)
-                    for k_c in range(blocks_c):
-                        b_c = k_c * tpc
-                        e_c = min(m_c, b_c + tpc)
-                        key = (i, p_r, p_c, k_r, k_c)
-                        nw[key] = _hook_core2(lit, kids, horiz, rows, cols,
-                                              i, b_r, b_c, e_r, e_c)
-                        ne[key] = _hook_core2(lit, kids, horiz, rows, cols,
-                                              i, b_r, m_c - e_c, e_r, m_c - b_c)
-                        sw[key] = _hook_core2(lit, kids, horiz, rows, cols,
-                                              i, m_r - e_r, b_c, m_r - b_r, e_c)
-                        se[key] = _hook_core2(lit, kids, horiz, rows, cols,
-                                              i, m_r - e_r, m_c - e_c,
-                                              m_r - b_r, m_c - b_c)
-    tables = {"NW": nw, "NE": ne, "SW": sw, "SE": se}
-    return AccessIndex2(g, tau, levels, pows, rows, cols, lit, kids, horiz, tables)
+                entries += 4 * blocks_r * blocks_c
+                for corner in range(4):
+                    table = tables[corner][p_r][p_c]
+                    # the child on the split axis that shares this corner's side
+                    if horiz[i]:
+                        src = y if corner & 2 else x
+                        cut_r, cut_c = min(blocks_r, rows[src] // tpr), 0
+                        start = src * span
+                        table[base:base + cut_r * tau] = table[start:start + cut_r * tau]
+                    else:
+                        src = y if corner & 1 else x
+                        cut_r, cut_c = 0, min(blocks_c, cols[src] // tpc)
+                        for k_r in range(blocks_r):
+                            at, start = base + k_r * tau, src * span + k_r * tau
+                            table[at:at + cut_c] = table[start:start + cut_c]
+                    for k_r in range(cut_r, blocks_r):
+                        b_r = k_r * tpr
+                        e_r = min(m_r, b_r + tpr)
+                        if corner & 2:
+                            b_r, e_r = m_r - e_r, m_r - b_r
+                        at = base + k_r * tau
+                        for k_c in range(cut_c, blocks_c):
+                            b_c = k_c * tpc
+                            e_c = min(m_c, b_c + tpc)
+                            if corner & 1:
+                                b_c, e_c = m_c - e_c, m_c - b_c
+                            table[at + k_c] = _hook_core2(lit, kids, horiz, rows, cols,
+                                                          i, b_r, b_c, e_r, e_c)
+    return AccessIndex2(g, tau, levels, pows, rows, cols, lit, kids, horiz, tables, entries)
+
+
+def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
+    return PreconditionViolated(
+        f"bookmark of variable {t}, levels ({p_r},{p_c}), block ({k_r},{k_c}) {what}")
 
 
 def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
@@ -193,9 +228,10 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
 
     The body is the top-left mapping; the other corners enter through
     coordinate mirrors (offsets and child order flipped on the mirrored
-    axis) and leave by flipping the returned side flags back.
+    axis). Landing in the child nearer the corner on the split axis flips
+    that axis's side; the farther child keeps both sides.
     """
-    row_mir, col_mir = _CORNER_MIRROR[corner]
+    c = _CORNER_ID[corner]
     m_r, m_c = ix.rows[t], ix.cols[t]
     if not (0 <= p_r <= ix.levels) or not (0 <= p_c <= ix.levels) \
             or not (1 <= delta_r <= m_r) or not (1 <= delta_c <= m_c) \
@@ -207,74 +243,79 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     tpc = ix.pows[p_c]
     k_r = (delta_r - 1) // tpr
     b_r = k_r * tpr
-    e_r = min(m_r, b_r + tpr)
     k_c = (delta_c - 1) // tpc
     b_c = k_c * tpc
-    e_c = min(m_c, b_c + tpc)
-    h, a_r, a_c = ix.tables[corner][(t, p_r, p_c, k_r, k_c)]
-    if e_r - b_r == 1 and e_c - b_c == 1:
+    w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
+    h, a_r, a_c = ix.tables[c][p_r][p_c][(t * ix.tau + k_r) * ix.tau + k_c]
+    if ix.lit[h] is not None:
+        if w_r != 1 or w_c != 1:
+            raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
+                                f"is the literal {h} for a {w_r}x{w_c} block")
         return (h, 1, 1, "T", "L")
-
-    la_r = a_r if not row_mir else ix.rows[h] - (a_r + (e_r - b_r))
-    la_c = a_c if not col_mir else ix.cols[h] - (a_c + (e_c - b_c))
+    # offsets of the block inside the hook, measured from the corner's sides
+    if c & 2:
+        a_r = ix.rows[h] - (a_r + w_r)
+    if c & 1:
+        a_c = ix.cols[h] - (a_c + w_c)
+    d_r, d_c = delta_r - b_r, delta_c - b_c    # the cell inside the block
     x, y = ix.kids[h]
     if ix.horiz[h]:
-        fx, fy = ((x, y) if not row_mir else (y, x))
-        l = ix.rows[fx]
-        if delta_r - b_r <= l - la_r:
-            node, d_r, d_c = fx, (l - la_r) - (delta_r - b_r) + 1, la_c + (delta_c - b_c)
-            r_side, c_side = "B", "L"
+        near, far = (y, x) if c & 2 else (x, y)
+        s = ix.rows[near] - a_r                 # the split, inside the block
+        if not 0 < s < w_r:
+            raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")
+        if d_r <= s:
+            t, d_r, c = near, s - d_r + 1, c ^ 2
         else:
-            node, d_r, d_c = fy, (delta_r - b_r) - (l - la_r), la_c + (delta_c - b_c)
-            r_side, c_side = "T", "L"
+            t, d_r = far, d_r - s
+        d_c += a_c
     else:
-        fx, fy = ((x, y) if not col_mir else (y, x))
-        l = ix.cols[fx]
-        if delta_c - b_c <= l - la_c:
-            node, d_r, d_c = fx, la_r + (delta_r - b_r), (l - la_c) - (delta_c - b_c) + 1
-            r_side, c_side = "T", "R"
+        near, far = (y, x) if c & 1 else (x, y)
+        s = ix.cols[near] - a_c
+        if not 0 < s < w_c:
+            raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")
+        if d_c <= s:
+            t, d_c, c = near, s - d_c + 1, c ^ 1
         else:
-            node, d_r, d_c = fy, la_r + (delta_r - b_r), (delta_c - b_c) - (l - la_c)
-            r_side, c_side = "T", "L"
-    if row_mir:
-        r_side = "B" if r_side == "T" else "T"
-    if col_mir:
-        c_side = "R" if c_side == "L" else "L"
-    return (node, d_r, d_c, r_side, c_side)
+            t, d_c = far, d_c - s
+        d_r += a_r
+    return (t, d_r, d_c, "B" if c & 2 else "T", "R" if c & 1 else "L")
 
 
 def access2_traced(ix, i, j):
     """Random access returning (code, loop_iterations).
 
     State starts at (start, i, j, T, L) with levels ceil(log_tau rows) and
-    ceil(log_tau cols). Each iteration dispatches the corner mapping matching
-    the current sides, then lowers the level of the contracted axis by one
-    and additionally shrinks each level while tau**p exceeds the new
+    ceil(log_tau cols). Each iteration dispatches the checked corner mapping
+    matching the current sides, then lowers the level of the contracted axis
+    by one and additionally shrinks each level while tau**p exceeds the new
     variable's dimension on that axis. The loop ends when the state reaches a
     literal; the iteration count is at most
     ceil(log_tau rows) + ceil(log_tau cols) + 2.
 
-    In test builds each iteration asserts the per-step contract: the
-    contracted axis's distance drops to at most tau**p while the other axis's
-    distance does not grow.
+    Each iteration checks the per-step contract: the contracted axis's
+    distance drops to at most tau**p while the other axis's distance does
+    not grow; a breach, or a walk that ends off (1, 1), raises
+    PreconditionViolated.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
     t, d_r, d_c = ix.grammar.start, i, j
-    r_side, c_side = "T", "L"
-    p_r = ceil_log(r0, ix.tau)
-    p_c = ceil_log(c0, ix.tau)
+    corner = "NW"
+    p_r, p_c = ix.top_r, ix.top_c
     pows = ix.pows
     steps = 0
     lit = ix.lit
     while lit[t] is None:
         prev_r, prev_c = d_r, d_c
-        t, d_r, d_c, r_side, c_side = corner_map(
-            ix, _SIDES_TO_CORNER[(r_side, c_side)], t, p_r, p_c, d_r, d_c)
+        t, d_r, d_c, r_side, c_side = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
+        corner = ("N" if r_side == "T" else "S") + ("W" if c_side == "L" else "E")
         steps += 1
-        assert (d_r <= pows[p_r] and d_c <= prev_c) or \
-               (d_c <= pows[p_c] and d_r <= prev_r), "per-step contract violated"
+        if not ((d_r <= pows[p_r] and d_c <= prev_c) or (d_c <= pows[p_c] and d_r <= prev_r)):
+            raise PreconditionViolated(
+                f"per-step contract violated at levels ({p_r},{p_c}): "
+                f"({prev_r},{prev_c}) -> ({d_r},{d_c})")
         if lit[t] is not None:
             break
         if d_r <= pows[p_r] and p_r > 0:
@@ -285,10 +326,63 @@ def access2_traced(ix, i, j):
             p_r -= 1
         while p_c > 0 and pows[p_c] > ix.cols[t]:
             p_c -= 1
-    assert d_r == 1 and d_c == 1
+    if d_r != 1 or d_c != 1:
+        raise PreconditionViolated(f"walk ended at variable {t}, delta ({d_r},{d_c}), not (1,1)")
     return lit[t], steps
 
 
 def access2(ix, i, j):
-    """The symbol Exp(S)[i, j] (1-based)."""
-    return access2_traced(ix, i, j)[0]
+    """The symbol Exp(S)[i, j] (1-based).
+
+    The same walk as access2_traced in one loop with integer corners and no
+    per-step checks; it stops as soon as a bookmark's hook is a literal.
+    """
+    r0, c0 = ix.n_rows, ix.n_cols
+    if not (1 <= i <= r0 and 1 <= j <= c0):
+        raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
+    tau, pows, rows, cols = ix.tau, ix.pows, ix.rows, ix.cols
+    lit, kids, horiz, tables = ix.lit, ix.kids, ix.horiz, ix.tables
+    t, d_r, d_c, c = ix.grammar.start, i, j, 0
+    p_r, p_c = ix.top_r, ix.top_c
+    while lit[t] is None:
+        tpr, tpc = pows[p_r], pows[p_c]
+        k_r = (d_r - 1) // tpr
+        k_c = (d_c - 1) // tpc
+        h, a_r, a_c = tables[c][p_r][p_c][(t * tau + k_r) * tau + k_c]
+        code = lit[h]
+        if code is not None:
+            return code
+        b_r = k_r * tpr
+        b_c = k_c * tpc
+        if c & 2:
+            a_r = rows[h] - (a_r + min(rows[t] - b_r, tpr))
+        if c & 1:
+            a_c = cols[h] - (a_c + min(cols[t] - b_c, tpc))
+        d_r -= b_r
+        d_c -= b_c
+        x, y = kids[h]
+        if horiz[h]:
+            near, far = (y, x) if c & 2 else (x, y)
+            s = rows[near] - a_r
+            if d_r <= s:
+                t, d_r, c = near, s - d_r + 1, c ^ 2
+            else:
+                t, d_r = far, d_r - s
+            d_c += a_c
+        else:
+            near, far = (y, x) if c & 1 else (x, y)
+            s = cols[near] - a_c
+            if d_c <= s:
+                t, d_c, c = near, s - d_c + 1, c ^ 1
+            else:
+                t, d_c = far, d_c - s
+            d_r += a_r
+        if d_r <= tpr and p_r > 0:
+            p_r -= 1
+        elif d_c <= tpc and p_c > 0:
+            p_c -= 1
+        while p_r > 0 and pows[p_r] > rows[t]:
+            p_r -= 1
+        while p_c > 0 and pows[p_c] > cols[t]:
+            p_c -= 1
+    return lit[t]

@@ -109,8 +109,10 @@ class _Dim:
     record_bytes: int     # one stored bookmark: its key and value as 64-bit words
 
 
-# record_bytes: 1D stores (i, p, k) -> (hook, offset), five words; 2D stores
-# (i, p_r, p_c, k_r, k_c) -> (hook, offset_r, offset_c), eight words.
+# record_bytes: a 1D bookmark is keyed by (i, p, k) and holds (hook, offset),
+# five words; a 2D one is keyed by (i, p_r, p_c, k_r, k_c) and holds
+# (hook, offset_r, offset_c), eight words. The flat tables keep the key as the
+# slot's position; the nominal width keeps the column comparable across runs.
 _DIM1 = _Dim(slg_to_slp, lambda slp: (exp_len(slp, slp.start),), access1d.optimal_tau,
              access1d.build_index1, access1d.access1, access1d.access1_traced,
              _reference1, 5 * 8)
@@ -199,9 +201,48 @@ def cmd_ov(args):
     return 0
 
 
-def _query_1d(args, cap):
+def _ints(what, fields):
+    """Integer command-line fields; a non-integer one is a RangeError naming ``what``."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise RangeError(f"{what} must be integers, got {' '.join(fields)!r}") from None
+
+
+# the arguments each query takes, in order
+_QUERY_ARGS = {
+    "rank": "j c",
+    "occurs": "b e c",
+    "sum": "b_r b_c e_r e_c",
+    "line-sum": "e_r e_c l",
+    "all-zero": "b_r b_c e_r e_c",
+    "square-all-zero": "e_r e_c l",
+    "equal": "b_r b_c b2_r b2_c h w",
+    "square-lce": "b_r b_c b2_r b2_c",
+    "line-lce": "b_r b_c b2_r b2_c l",
+    "row-pattern": "pattern",
+}
+
+
+def _query_args(name, fields):
+    """Check the argument count of query ``name`` and parse its integers.
+
+    row-pattern takes one pattern: comma-separated codes (``10,2,3``) or,
+    without a comma, one code per digit (``1023``).
+    """
+    want = _QUERY_ARGS[name].split()
+    if len(fields) != len(want):
+        raise RangeError(f"{name} takes {len(want)} argument(s) ({' '.join(want)}), "
+                         f"got {len(fields)}")
+    if name == "row-pattern":
+        raw = fields[0]
+        return _ints("row-pattern codes", raw.split(",") if "," in raw else list(raw))
+    return _ints(f"{name} arguments", fields)
+
+
+def _query_1d(args, cap, qargs):
     g = slg_to_slp(validate_slg1(_load_grammar(args.path), allow_empty=True))
-    name, qargs = args.query, [int(a) for a in args.args]
+    name = args.query
     if name == "rank":
         j, c = qargs
         if not args.via:
@@ -226,14 +267,12 @@ def _query_1d(args, cap):
     raise ParseError(f"unknown 1D query {name!r}")
 
 
-def _query_2d(args, cap):
+def _query_2d(args, cap, qargs):
     g = validate_slg2(_load_grammar(args.path))
     m = expand2(g, cap=cap)
     name = args.query
     if name == "row-pattern":
-        pat = [int(ch) for ch in args.args[0]]
-        return oracle.row_pattern_occurs(m, pat)
-    qargs = [int(a) for a in args.args]
+        return oracle.row_pattern_occurs(m, qargs)
     if name == "sum":
         return oracle.sum_rect(m, *qargs)
     if name == "line-sum":
@@ -246,7 +285,7 @@ def _query_2d(args, cap):
         if args.via != "square-lce":
             raise ParseError(f"square-all-zero supports --via square-lce, not {args.via!r}")
         padded, make_adapter = reductions.square_all_zero_via_square_lce(g)
-        pm = expand2(padded, cap=max(cap, 2 * m.rows * m.cols))
+        pm = expand2(padded, cap=cap)
         provider = lambda br, bc, br2, bc2: oracle.square_lce(pm, br, bc, br2, bc2)
         return make_adapter(provider)(*qargs)
     if name == "equal":
@@ -270,10 +309,11 @@ def _query_2d(args, cap):
 
 def cmd_query(args):
     cap = _cap(args)
+    qargs = _query_args(args.query, args.args)
     if args.query in ("rank", "occurs"):
-        print(_query_1d(args, cap))
+        print(_query_1d(args, cap, qargs))
     else:
-        print(_query_2d(args, cap))
+        print(_query_2d(args, cap, qargs))
     return 0
 
 
@@ -301,7 +341,9 @@ def cmd_reduce(args):
 def cmd_bench(args):
     g = _load_grammar(args.path)
     rng = gen._rng(args.seed)
-    taus = [int(t) for t in args.tau_list.split(",")]
+    taus = _ints("--tau-list entries", args.tau_list.split(","))
+    if min(taus) < 2:
+        raise RangeError(f"--tau-list entries must be >= 2, got {args.tau_list!r}")
     rows = ["tau,entries,bytes,build_ms,mean_query_ns,loop_iterations_mean"]
     dim = _dim(g)
     slp = dim.to_slp(g)
@@ -312,10 +354,10 @@ def cmd_bench(args):
         ix = dim.build(slp, tau)
         build_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
-        total_steps = 0
         for q in queries:
-            total_steps += dim.traced(ix, *q)[1]
+            dim.access(ix, *q)
         query_ns = (time.perf_counter() - t0) * 1e9 / max(1, len(queries))
+        total_steps = sum(dim.traced(ix, *q)[1] for q in queries)
         entries = ix.entry_count()
         rows.append(f"{tau},{entries},{entries * dim.record_bytes},{build_ms:.3f},"
                     f"{query_ns:.0f},{total_steps / max(1, len(queries)):.2f}")
@@ -388,9 +430,7 @@ def _build_parser():
 
     p = sub.add_parser("query", help="run a query (oracle, or --via an adapter chain)")
     p.add_argument("path")
-    p.add_argument("query", choices=["rank", "occurs", "sum", "line-sum", "all-zero",
-                                     "square-all-zero", "equal", "square-lce",
-                                     "line-lce", "row-pattern"])
+    p.add_argument("query", choices=list(_QUERY_ARGS))
     p.add_argument("args", nargs="+")
     p.add_argument("--via", default=None,
                    help="adapter chain: line-sum | square-all-zero | square-lce | "

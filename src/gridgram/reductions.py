@@ -30,10 +30,11 @@ from .errors import (
     ExtRequiresLengthTwo,
     NonUniformInstance,
     ParseError,
+    PreconditionViolated,
     RangeError,
 )
-from .slg import grammar_size1, validate_slp1
-from .slg2d import Horiz, Matrix2D, Slg2, Vert, validate_slg2
+from .slg import Slp1, _reachable, grammar_size1, validate_slp1
+from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2, validate_slg2
 
 
 # -- orthogonal vectors -------------------------------------------------------
@@ -252,7 +253,9 @@ def ext_mark_grammar(g, sigma):
 
     num_z = (n - 1).bit_length()
     # the chain length is logarithmic, so it never dominates the grammar size
-    assert num_z <= grammar_size1(g)
+    if num_z > grammar_size1(g):
+        raise PreconditionViolated(
+            f"zero chain of {num_z} rules exceeds the grammar size {grammar_size1(g)}")
     powers = [p for p in range(num_z) if (n - 1) >> p & 1]
 
     gv = len(g.rules)
@@ -323,8 +326,6 @@ def alphabet_reduce(g):
     without consulting the new grammar at all.
     """
     g = validate_slp1(g)
-    from .slg import _reachable, Slp1
-
     reach = _reachable(g, g.start)
     occurring = sorted({r for nid, r in enumerate(g.rules)
                         if reach[nid] and isinstance(r, int)})
@@ -479,11 +480,11 @@ def pad_with_zero_block(g2):
     r, c = g2._rows[g2.start], g2._cols[g2.start]
     if r == 0 or c == 0:
         raise RangeError("cannot pad an empty expansion")
-    if g2.is_binary:
-        # sanity: a binary grammar for an r x c matrix cannot be smaller than
-        # the bit length of its dimensions, so the padding stays linear
-        from .slg2d import grammar_size2
-        assert max(r, c) <= 1 << grammar_size2(g2)
+    # a binary grammar for an r x c matrix cannot be smaller than the bit
+    # length of its dimensions, so the padding stays linear in its size
+    if g2.is_binary and max(r, c) > 1 << grammar_size2(g2):
+        raise PreconditionViolated(
+            f"binary grammar of size {grammar_size2(g2)} claims a {r}x{c} expansion")
 
     rules = list(g2.rules)
     zero_lit = len(rules)

@@ -114,13 +114,15 @@ def test_index_single_literal():
     g = validate_slp1(Slp1([0], 1, 0))
     ix = build_index1(g, 2)
     assert ix.levels == 0
-    assert set(ix.left) == {(0, 0, 0)} and ix.left[(0, 0, 0)] == (0, 0)
-    assert ix.right[(0, 0, 0)] == (0, 0)
+    left, right = ix.tables
+    assert left == [[(0, 0), None]] and right[0][0] == (0, 0)
+    assert ix.entry_count() == 2
 
 
 def test_index_abab_entry(abab):
     ix = build_index1(abab, 2)
-    assert ix.left[(0, 1, 1)] == (1, 0)
+    left, _ = ix.tables
+    assert left[1][0 * 2 + 1] == (1, 0)     # variable 0, level 1, block 1
 
 
 def test_index_entry_count_bound():

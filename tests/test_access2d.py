@@ -128,14 +128,15 @@ def test_hook_window_equality_exhaustive_small():
 def test_index_1x1_text():
     g = validate_slp2(Slp2([4], 5, 0))
     ix = build_index2(g, 2)
-    for corner in ("NW", "NE", "SW", "SE"):
-        assert ix.tables[corner] == {(0, 0, 0, 0, 0): (0, 0, 0)}
+    for corner in range(4):     # NW, NE, SW, SE
+        assert ix.tables[corner] == [[[(0, 0, 0), None, None, None]]]
     assert ix.entry_count() == 4
 
 
 def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
-    assert ix.tables["NW"][(0, 0, 0, 1, 0)] == (5, 0, 0)
+    nw = ix.tables[0]
+    assert nw[0][0][(0 * 2 + 1) * 2 + 0] == (5, 0, 0)   # variable 0, levels (0, 0), block (1, 0)
 
 
 def test_index_entry_count_bound_random():

@@ -1,0 +1,211 @@
+"""The children-first bookmark build and both query loops, in 1D and 2D.
+
+The build copies a child's bookmark wherever a block lies wholly inside the
+child on its aligned side and descends only for the other blocks. These
+properties check every stored bookmark against the hook of its window
+computed from scratch, the kept entry count against the number of defined
+windows, and the fast and the traced access against the expansion, on
+random SLPs, left and right combs (deep, mostly copied on one side and
+descended on the other) and staircases.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import gridgram
+from gridgram import (
+    Horiz,
+    Slp1,
+    Slp2,
+    Vert,
+    access1,
+    access1_traced,
+    access2,
+    access2_traced,
+    build_index1,
+    build_index2,
+    expand1,
+    expand2,
+    hook_offset1,
+    hook_offset2,
+    validate_slp1,
+    validate_slp2,
+)
+from gridgram.gen import random_slp1, random_slp2
+
+TAUS = st.sampled_from([2, 3, 8])
+
+
+def comb1(codes, right):
+    """X_i -> lit(codes[i]) X_{i+1} (a right comb) or X_i -> X_{i+1} lit(codes[i])."""
+    pairs = len(codes) - 1
+    rules = []
+    for i in range(pairs):
+        nxt = i + 1 if i + 1 < pairs else pairs + codes[pairs]
+        rules.append((pairs + codes[i], nxt) if right else (nxt, pairs + codes[i]))
+    rules.extend(range(4))
+    return validate_slp1(Slp1(rules, 4, 0))
+
+
+def staircase2(codes, steps):
+    """X_{k+1} = Horiz(Vert(X_k, col_k), row_{k+1}) from the literal X_0."""
+    rules = list(range(4))
+
+    def add(rule):
+        rules.append(rule)
+        return len(rules) - 1
+
+    take = iter(codes)
+    x, col = next(take), next(take)
+    row = add(Vert(next(take), next(take)))
+    for k in range(steps):
+        x = add(Horiz(add(Vert(x, col)), row))
+        if k + 1 < steps:
+            col = add(Horiz(col, next(take)))
+            row = add(Vert(row, next(take)))
+    return validate_slp2(Slp2(rules, 4, x))
+
+
+@st.composite
+def grammars1(draw):
+    kind = draw(st.sampled_from(["gen", "right-comb", "left-comb"]))
+    if kind == "gen":
+        return random_slp1(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 30)),
+                           sigma=3, max_len=draw(st.sampled_from([8, 100, 600])))
+    codes = draw(st.lists(st.integers(0, 3), min_size=2, max_size=70))
+    return comb1(codes, kind == "right-comb")
+
+
+@st.composite
+def grammars2(draw):
+    if draw(st.booleans()):
+        return random_slp2(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 20)),
+                           sigma=3, max_cells=draw(st.sampled_from([8, 64, 300])))
+    steps = draw(st.integers(1, 12))
+    return staircase2(draw(st.lists(st.integers(0, 3), min_size=2 * steps + 2,
+                                    max_size=2 * steps + 2)), steps)
+
+
+def blocks(m, tp, tau):
+    """(k, b, e) of each block of size tp along an axis of length m."""
+    return [(k, k * tp, min(m, k * tp + tp)) for k in range(min(tau, -(-m // tp)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1(), tau=TAUS)
+def test_build1_stores_every_window_hook(g, tau):
+    ix = build_index1(g, tau)
+    left, right = ix.tables
+    defined = 0
+    for i, m in enumerate(g._lens):
+        for p in range(ix.levels + 1):
+            for k, b, e in blocks(m, ix.pows[p], tau):
+                defined += 2
+                assert left[p][i * tau + k] == hook_offset1(g, i, b, e)
+                assert right[p][i * tau + k] == hook_offset1(g, i, m - e, m - b)
+    assert ix.entry_count() == defined
+    assert sum(v is not None for table in ix.tables for level in table for v in level) == defined
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=TAUS)
+def test_build2_stores_every_window_hook(g, tau):
+    ix = build_index2(g, tau)
+    defined = 0
+    for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
+        for p_r in range(ix.levels + 1):
+            for p_c in range(ix.levels + 1):
+                for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], tau):
+                    for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], tau):
+                        slot = (i * tau + k_r) * tau + k_c
+                        for corner, (rb, re) in enumerate(((b_r, e_r), (b_r, e_r),
+                                                           (m_r - e_r, m_r - b_r),
+                                                           (m_r - e_r, m_r - b_r))):
+                            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+                            defined += 1
+                            assert ix.tables[corner][p_r][p_c][slot] == \
+                                hook_offset2(g, i, rb, cb, re, ce)
+    assert ix.entry_count() == defined
+    assert sum(v is not None for corner in ix.tables for row in corner for table in row
+               for v in table) == defined
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1(), tau=TAUS)
+def test_access1_matches_expansion(g, tau):
+    ix = build_index1(g, tau)
+    for i, want in enumerate(expand1(g), start=1):
+        assert access1(ix, i) == want
+        assert access1_traced(ix, i) == (want, ix.levels + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=TAUS)
+def test_access2_matches_expansion(g, tau):
+    ix = build_index2(g, tau)
+    m = expand2(g)
+    for i in range(1, m.rows + 1):
+        for j in range(1, m.cols + 1):
+            assert access2(ix, i, j) == m.get(i, j)
+            assert access2_traced(ix, i, j)[0] == m.get(i, j)
+
+
+_CORRUPT = """
+from gridgram import (PreconditionViolated, Horiz, Slp1, Slp2, Vert, access1_traced,
+                      access2_traced, build_index1, build_index2, validate_slp1,
+                      validate_slp2)
+from gridgram import access1d, access2d
+
+if __debug__:
+    raise SystemExit("run this under python -O")
+
+def last_step(module, names, query):
+    # the arguments of the last mapping step the traced walk makes
+    calls, saved = [], {n: getattr(module, n) for n in names}
+    for n in names:
+        setattr(module, n, lambda *a, _f=saved[n], _n=n: calls.append((_n,) + a[1:]) or _f(*a))
+    query()
+    for n in names:
+        setattr(module, n, saved[n])
+    return calls[-1]
+
+# 16 symbols, balanced; tau 2
+g1 = validate_slp1(Slp1([(1, 1), (2, 2), (3, 3), (4, 5), 0, 1], 2, 0))
+ix1 = build_index1(g1, 2)
+name, t, p, delta = last_step(access1d, ("left_map", "right_map"),
+                              lambda: access1_traced(ix1, 7))
+ix1.tables[name == "right_map"][p][t * 2 + (delta - 1) // ix1.pows[p]] = (0, 0)
+try:
+    access1_traced(ix1, 7)
+except PreconditionViolated:
+    print("1D raised")
+
+# 4 x 8, balanced; tau 2
+g2 = validate_slp2(Slp2([Vert(1, 1), Horiz(2, 2), Horiz(3, 3), Vert(4, 4),
+                         Vert(5, 6), 0, 1], 2, 0))
+ix2 = build_index2(g2, 2)
+_, corner, t, p_r, p_c, d_r, d_c = last_step(access2d, ("corner_map",),
+                                             lambda: access2_traced(ix2, 3, 6))
+c = ("NW", "NE", "SW", "SE").index(corner)
+k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
+ix2.tables[c][p_r][p_c][(t * 2 + k_r) * 2 + k_c] = (0, 0, 0)
+try:
+    access2_traced(ix2, 3, 6)
+except PreconditionViolated:
+    print("2D raised")
+"""
+
+
+def test_traced_walk_raises_on_corrupt_bookmark_under_O():
+    """The traced walks' contract checks are explicit raises, so they hold
+    under ``python -O``, which strips ``assert``."""
+    src = str(Path(gridgram.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == ["1D raised", "2D raised", ""]

@@ -251,3 +251,44 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["query"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "{slg1}", "rank", "3", "x"),
+    ("query", "{slg1}", "rank", "3"),
+    ("query", "{slg1}", "occurs", "1", "2", "0", "4"),
+    ("query", "{slg2}", "sum", "1", "1", "2"),
+    ("bench", "{slg1}", "--tau-list", "2,x"),
+    ("bench", "{slg1}", "--tau-list", "2,1"),
+], ids=["non-integer", "missing", "extra", "missing-2d", "tau-list-non-integer",
+        "tau-list-below-two"])
+def test_bad_query_or_bench_argument_is_one_line(argv, slp1_file, slp2_file, capsys):
+    argv = [a.format(slg1=slp1_file, slg2=slp2_file) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("RangeError: ") and err.count("\n") == 1
+
+
+def test_row_pattern_codes_digits_or_comma_separated(tmp_path, capsys):
+    path = tmp_path / "row.slg2"
+    path.write_text("SLG2 4 12\n0: V 1 2 3\n1: L 10\n2: L 2\n3: L 3\nSTART 0\n")
+    for pattern, want in (("10,2,3", "1"), ("2,3", "1"), ("3,10", "0"),
+                          ("23", "1"), ("102", "0")):
+        code, out, _ = run(capsys, "query", str(path), "row-pattern", pattern)
+        assert code == 0 and out.strip() == want, pattern
+    code, out, err = run(capsys, "query", str(path), "row-pattern", "10,x")
+    assert code == 1 and out == ""
+    assert err.startswith("RangeError: ") and err.count("\n") == 1
+
+
+def test_square_all_zero_via_square_lce_keeps_the_cap(tmp_path, capsys):
+    # a 2 x 32 matrix: 64 cells fit the cap, its 2 x 64 zero-padded copy does not
+    path = tmp_path / "wide.slg2"
+    path.write_text("SLG2 7 2\n0: L 0\n1: V 0 0\n2: V 1 1\n3: V 2 2\n4: V 3 3\n"
+                    "5: V 4 4\n6: H 5 5\nSTART 6\n")
+    argv = ("query", str(path), "square-all-zero", "2", "2", "2", "--cap-cells", "64")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == "1"
+    code, out, err = run(capsys, *argv, "--via", "square-lce")
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
