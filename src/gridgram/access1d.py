@@ -45,6 +45,8 @@ def ceil_log(n, base):
 
 def optimal_tau(n, epsilon=1.0):
     """The block-count preset floor(log2(n) ** epsilon), clamped to >= 2."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise RangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
     if n < 4:
         return 2
     return max(2, int(math.log2(n) ** epsilon))

@@ -41,10 +41,8 @@ Immutable after build; queries are safe under concurrent readers.
 
 from __future__ import annotations
 
-import math
-
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import ceil_log
+from .access1d import ceil_log, optimal_tau
 from .slg2d import Horiz, validate_slp2
 
 
@@ -54,9 +52,7 @@ def optimal_tau2(n, epsilon=1.0):
     The optimal-time analysis sets tau = log**(epsilon/2) n, which drops
     below 2 for small n; the clamp keeps the structure well-defined there.
     """
-    if n < 4:
-        return 2
-    return max(2, int(math.log2(n) ** (epsilon / 2.0)))
+    return optimal_tau(n, epsilon / 2)
 
 
 def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c):

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import access1d, access2d, gen, oracle, reductions
@@ -45,16 +46,24 @@ from .slg2d import (
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason}") from None
 
 
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _load_grammar(path):
@@ -156,7 +165,8 @@ def cmd_access(args):
     dim = _dim(g)
     slp = dim.to_slp(g)
     shape = dim.shape(slp)
-    tau = args.tau if args.tau is not None else dim.tau(max(shape), args.epsilon)
+    preset = dim.tau(max(shape), args.epsilon)     # checks --epsilon even under --tau
+    tau = preset if args.tau is None else args.tau
     ix = dim.build(slp, tau)
     reference = dim.reference(slp, cap) if args.verify else None
     failed = False
@@ -209,111 +219,85 @@ def _ints(what, fields):
         raise RangeError(f"{what} must be integers, got {' '.join(fields)!r}") from None
 
 
-# the arguments each query takes, in order
-_QUERY_ARGS = {
-    "rank": "j c",
-    "occurs": "b e c",
-    "sum": "b_r b_c e_r e_c",
-    "line-sum": "e_r e_c l",
-    "all-zero": "b_r b_c e_r e_c",
-    "square-all-zero": "e_r e_c l",
-    "equal": "b_r b_c b2_r b2_c h w",
-    "square-lce": "b_r b_c b2_r b2_c",
-    "line-lce": "b_r b_c b2_r b2_c l",
-    "row-pattern": "pattern",
+def _rank_via_line_sum(g, cap, j, c):
+    reduced, amap = reductions.alphabet_reduce(g)
+    marking = expand2(reductions.mark_grammar(reduced, len(amap)), cap=cap)
+    return reductions.rank_via_line_sum(partial(oracle.line_sum, marking), amap, j, c)
+
+
+def _occurs_via_square_all_zero(g, cap, b, e, c):
+    reduced, amap = reductions.alphabet_reduce(g)
+    marking = expand2(reductions.ext_mark_grammar(reduced, len(amap)), cap=cap)
+    return reductions.occurs_via_square_all_zero(
+        partial(oracle.square_all_zero, marking), amap, b, e, c, reduced._lens[reduced.start])
+
+
+def _square_all_zero_via_square_lce(g, cap, *qargs):
+    padded, make_adapter = reductions.square_all_zero_via_square_lce(g)
+    return make_adapter(partial(oracle.square_lce, expand2(padded, cap=cap)))(*qargs)
+
+
+def _square_lce_via_line_lce(g, cap, *qargs):
+    m = expand2(g, cap=cap)
+    return reductions.square_lce_via_line_lce(
+        partial(oracle.line_lce, m), m.rows, m.cols, *qargs)
+
+
+def _line_lce_via_equality(g, cap, *qargs):
+    m = expand2(g, cap=cap)
+    return reductions.line_lce_via_equality(
+        partial(oracle.equal_rect, m), m.rows, m.cols, *qargs)
+
+
+# name -> (arguments in order, input dimension, oracle over the expansion,
+#          {--via name: chain answering from the validated grammar and the cap})
+_QUERIES = {
+    "rank": ("j c", 1, oracle.rank, {"line-sum": _rank_via_line_sum}),
+    "occurs": ("b e c", 1, oracle.occurs, {"square-all-zero": _occurs_via_square_all_zero}),
+    "sum": ("b_r b_c e_r e_c", 2, oracle.sum_rect, {}),
+    "line-sum": ("e_r e_c l", 2, oracle.line_sum, {}),
+    "all-zero": ("b_r b_c e_r e_c", 2, oracle.all_zero, {}),
+    "square-all-zero": ("e_r e_c l", 2, oracle.square_all_zero,
+                        {"square-lce": _square_all_zero_via_square_lce}),
+    "equal": ("b_r b_c b2_r b2_c h w", 2, oracle.equal_rect, {}),
+    "square-lce": ("b_r b_c b2_r b2_c", 2, oracle.square_lce,
+                   {"line-lce": _square_lce_via_line_lce}),
+    "line-lce": ("b_r b_c b2_r b2_c l", 2, oracle.line_lce,
+                 {"equality": _line_lce_via_equality}),
+    "row-pattern": ("pattern", 2, oracle.row_pattern_occurs, {}),
 }
 
 
-def _query_args(name, fields):
-    """Check the argument count of query ``name`` and parse its integers.
+def _query_args(name, want, fields):
+    """Check ``fields`` against the argument names ``want`` of ``name``; parse the integers.
 
     row-pattern takes one pattern: comma-separated codes (``10,2,3``) or,
     without a comma, one code per digit (``1023``).
     """
-    want = _QUERY_ARGS[name].split()
     if len(fields) != len(want):
         raise RangeError(f"{name} takes {len(want)} argument(s) ({' '.join(want)}), "
                          f"got {len(fields)}")
     if name == "row-pattern":
         raw = fields[0]
-        return _ints("row-pattern codes", raw.split(",") if "," in raw else list(raw))
+        return [_ints("row-pattern codes", raw.split(",") if "," in raw else list(raw))]
     return _ints(f"{name} arguments", fields)
-
-
-def _query_1d(args, cap, qargs):
-    g = slg_to_slp(validate_slg1(_load_grammar(args.path), allow_empty=True))
-    name = args.query
-    if name == "rank":
-        j, c = qargs
-        if not args.via:
-            return oracle.rank(expand1(g, cap=cap), j, c)
-        if args.via != "line-sum":
-            raise ParseError(f"rank supports --via line-sum, not {args.via!r}")
-        reduced, amap = reductions.alphabet_reduce(g)
-        marking = expand2(reductions.mark_grammar(reduced, len(amap)), cap=cap)
-        provider = lambda e_r, e_c, l: oracle.line_sum(marking, e_r, e_c, l)
-        return reductions.rank_via_line_sum(provider, amap, j, c)
-    if name == "occurs":
-        b, e, c = qargs
-        if not args.via:
-            return oracle.occurs(expand1(g, cap=cap), b, e, c)
-        if args.via != "square-all-zero":
-            raise ParseError(f"occurs supports --via square-all-zero, not {args.via!r}")
-        reduced, amap = reductions.alphabet_reduce(g)
-        n = reduced._lens[reduced.start]
-        marking = expand2(reductions.ext_mark_grammar(reduced, len(amap)), cap=cap)
-        provider = lambda e_r, e_c, l: oracle.square_all_zero(marking, e_r, e_c, l)
-        return reductions.occurs_via_square_all_zero(provider, amap, b, e, c, n)
-    raise ParseError(f"unknown 1D query {name!r}")
-
-
-def _query_2d(args, cap, qargs):
-    g = validate_slg2(_load_grammar(args.path))
-    m = expand2(g, cap=cap)
-    name = args.query
-    if name == "row-pattern":
-        return oracle.row_pattern_occurs(m, qargs)
-    if name == "sum":
-        return oracle.sum_rect(m, *qargs)
-    if name == "line-sum":
-        return oracle.line_sum(m, *qargs)
-    if name == "all-zero":
-        return oracle.all_zero(m, *qargs)
-    if name == "square-all-zero":
-        if not args.via:
-            return oracle.square_all_zero(m, *qargs)
-        if args.via != "square-lce":
-            raise ParseError(f"square-all-zero supports --via square-lce, not {args.via!r}")
-        padded, make_adapter = reductions.square_all_zero_via_square_lce(g)
-        pm = expand2(padded, cap=cap)
-        provider = lambda br, bc, br2, bc2: oracle.square_lce(pm, br, bc, br2, bc2)
-        return make_adapter(provider)(*qargs)
-    if name == "equal":
-        return oracle.equal_rect(m, *qargs)
-    if name == "square-lce":
-        if not args.via:
-            return oracle.square_lce(m, *qargs)
-        if args.via != "line-lce":
-            raise ParseError(f"square-lce supports --via line-lce, not {args.via!r}")
-        provider = lambda br, bc, br2, bc2, l: oracle.line_lce(m, br, bc, br2, bc2, l)
-        return reductions.square_lce_via_line_lce(provider, m.rows, m.cols, *qargs)
-    if name == "line-lce":
-        if not args.via:
-            return oracle.line_lce(m, *qargs)
-        if args.via != "equality":
-            raise ParseError(f"line-lce supports --via equality, not {args.via!r}")
-        provider = lambda br, bc, br2, bc2, h, w: oracle.equal_rect(m, br, bc, br2, bc2, h, w)
-        return reductions.line_lce_via_equality(provider, m.rows, m.cols, *qargs)
-    raise ParseError(f"unknown 2D query {name!r}")
 
 
 def cmd_query(args):
     cap = _cap(args)
-    qargs = _query_args(args.query, args.args)
-    if args.query in ("rank", "occurs"):
-        print(_query_1d(args, cap, qargs))
+    arguments, dim, answer, chains = _QUERIES[args.query]
+    qargs = _query_args(args.query, arguments.split(), args.args)
+    g = _load_grammar(args.path)
+    if isinstance(g, Slg1) != (dim == 1):
+        raise ParseError(f"{args.query} needs an SLG{dim} input")
+    if args.via is not None and args.via not in chains:
+        takes = f"--via {' or '.join(chains)}" if chains else "no --via"
+        raise RangeError(f"{args.query} takes {takes}, not {args.via!r}")
+    g = slg_to_slp(g) if dim == 1 else validate_slg2(g)
+    if args.via is not None:
+        print(chains[args.via](g, cap, *qargs))
     else:
-        print(_query_2d(args, cap, qargs))
+        print(answer((expand1 if dim == 1 else expand2)(g, cap=cap), *qargs))
     return 0
 
 
@@ -322,8 +306,8 @@ def cmd_reduce(args):
     if args.kind in ("mark", "extmark"):
         if not isinstance(g, Slg1):
             raise ParseError("mark/extmark need an SLG1 input")
-        slp = slg_to_slp(validate_slg1(g, allow_empty=True))
-        sigma = args.sigma or slp.alphabet_size
+        slp = slg_to_slp(g)
+        sigma = slp.alphabet_size if args.sigma is None else args.sigma
         build = reductions.mark_grammar if args.kind == "mark" else reductions.ext_mark_grammar
         out = build(slp, sigma)
         _write(args.out, dump_slg2(out))
@@ -344,6 +328,8 @@ def cmd_bench(args):
     taus = _ints("--tau-list entries", args.tau_list.split(","))
     if min(taus) < 2:
         raise RangeError(f"--tau-list entries must be >= 2, got {args.tau_list!r}")
+    if args.reps < 1:
+        raise RangeError(f"--reps must be >= 1, got {args.reps}")
     rows = ["tau,entries,bytes,build_ms,mean_query_ns,loop_iterations_mean"]
     dim = _dim(g)
     slp = dim.to_slp(g)
@@ -430,11 +416,12 @@ def _build_parser():
 
     p = sub.add_parser("query", help="run a query (oracle, or --via an adapter chain)")
     p.add_argument("path")
-    p.add_argument("query", choices=list(_QUERY_ARGS))
+    p.add_argument("query", choices=list(_QUERIES))
     p.add_argument("args", nargs="+")
     p.add_argument("--via", default=None,
-                   help="adapter chain: line-sum | square-all-zero | square-lce | "
-                        "line-lce | equality")
+                   help="adapter chain: " + ", ".join(
+                       f"{name} --via {via}"
+                       for name, (_, _, _, chains) in _QUERIES.items() for via in chains))
     p.add_argument("--cap-cells", type=int, default=None)
     p.set_defaults(fn=cmd_query)
 

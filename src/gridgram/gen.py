@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import RangeError
 from .slg import Slg1, Slp1, validate_slg1, validate_slp1
 from .slg2d import Horiz, Slg2, Slp2, Vert, validate_slg2, validate_slp2
 
@@ -48,7 +49,7 @@ def random_slp1(seed, n_rules, sigma=4, max_len=1 << 14):
     """A random validated 1D SLP with exactly n_rules rules."""
     rng = _rng(seed)
     if n_rules < 1 or sigma < 1 or max_len < 2:
-        raise ValueError("need n_rules >= 1, sigma >= 1, max_len >= 2")
+        raise RangeError("need n_rules >= 1, sigma >= 1, max_len >= 2")
     if n_rules == 1:
         return validate_slp1(Slp1([rng.randrange(sigma)], sigma, 0))
 
@@ -76,7 +77,7 @@ def random_slg1(seed, n_rules, sigma=4, max_arity=5, max_len=1 << 14):
     """A random validated 1D SLG with rule arity up to max_arity."""
     rng = _rng(seed)
     if n_rules < 1 or sigma < 1 or max_arity < 1 or max_len < 2:
-        raise ValueError("bad generator parameters")
+        raise RangeError("bad generator parameters")
     if n_rules == 1:
         return validate_slg1(Slg1([rng.randrange(sigma)], sigma, 0))
 
@@ -105,7 +106,7 @@ def random_slp2(seed, n_rules, sigma=4, max_cells=1 << 16):
     """A random validated 2D SLP with exactly n_rules rules."""
     rng = _rng(seed)
     if n_rules < 1 or sigma < 1 or max_cells < 2:
-        raise ValueError("need n_rules >= 1, sigma >= 1, max_cells >= 2")
+        raise RangeError("need n_rules >= 1, sigma >= 1, max_cells >= 2")
     if n_rules == 1:
         return validate_slp2(Slp2([rng.randrange(sigma)], sigma, 0))
 
@@ -166,7 +167,7 @@ def random_slg2(seed, n_rules, sigma=4, max_arity=5, max_cells=1 << 16):
     """A random validated 2D SLG with rule arity up to max_arity."""
     rng = _rng(seed)
     if n_rules < 1 or sigma < 1 or max_arity < 1 or max_cells < 2:
-        raise ValueError("bad generator parameters")
+        raise RangeError("bad generator parameters")
     if n_rules == 1:
         return validate_slg2(Slg2([rng.randrange(sigma)], sigma, 0))
 

@@ -203,6 +203,55 @@ def ext_mark_all_chars(t, sigma):
     return Matrix2D(n * sigma, n, flat)
 
 
+def _zero_run(rules, unit, count, ctor):
+    """Append rules for ``count`` copies of the zero block ``unit`` joined by ``ctor``.
+
+    The copies come from a doubling chain (``unit``, 2, 4, ... copies) joined
+    by the binary decomposition of ``count`` in increasing powers, so at most
+    2 * bit_length(count) - 1 rules are added. Returns the run's id, which is
+    ``unit`` itself when ``count`` is 1.
+    """
+    powers = [unit]
+    for _ in range(1, count.bit_length()):
+        rules.append(ctor(powers[-1], powers[-1]))
+        powers.append(len(rules) - 1)
+    parts = [powers[p] for p in range(count.bit_length()) if count >> p & 1]
+    if len(parts) == 1:
+        return parts[0]
+    rules.append(ctor(*parts))
+    return len(rules) - 1
+
+
+def _marking_grammar(g, sigma, gap):
+    """The marking grammar of the validated SLP g with ``gap`` zero rows under each 1.
+
+    Every 1D variable becomes a Vert over its children; a literal with code
+    c becomes the column with a 1 in row c * (gap + 1) + 1. Each column is a
+    prefix of c zero units, the 1, a run of ``gap`` zeros and sigma - 1 - c
+    more zero units, where a zero unit is gap + 1 zero cells tall.
+    """
+    if any(not (0 <= r < sigma) for r in g.rules if isinstance(r, int)):
+        raise RangeError(f"grammar terminals must lie in [0, {sigma})")
+    gv = len(g.rules)
+    m0, m1 = gv, gv + 1
+    rules = [None] * gv + [0, 1]
+    mid, unit = [m1], m0                   # mid: the 1, then the gap run if any
+    if gap:
+        mid.append(_zero_run(rules, m0, gap, Horiz))
+        rules.append(Horiz(mid[-1], m0))
+        unit = len(rules) - 1
+    zeros = [len(rules)]                   # zeros[i]: i zero units, i in [0..sigma)
+    rules.append(Horiz())
+    for _ in range(1, sigma):
+        rules.append(Horiz(zeros[-1], unit))
+        zeros.append(len(rules) - 1)
+    col = len(rules)                       # col + c: the marking column of code c
+    rules.extend(Horiz(zeros[c], *mid, zeros[sigma - 1 - c]) for c in range(sigma))
+    for nid, rule in enumerate(g.rules):
+        rules[nid] = Vert(col + rule) if isinstance(rule, int) else Vert(*rule)
+    return validate_slg2(Slg2(rules, 2, g.start))
+
+
 def mark_grammar(g, sigma):
     """A 2D grammar expanding to mark_all_chars(expand1(g), sigma).
 
@@ -212,29 +261,7 @@ def mark_grammar(g, sigma):
     The zero-columns above/below that 1 are built by a chain of prefix rules,
     one of which is empty. Output size is linear in |g| + sigma.
     """
-    g = validate_slp1(g)
-    if any(not (0 <= r < sigma) for r in g.rules if isinstance(r, int)):
-        raise RangeError(f"grammar terminals must lie in [0, {sigma})")
-    gv = len(g.rules)
-    m0 = gv
-    m1 = gv + 1
-    z_id = lambda i: gv + 2 + i              # zero column of height i, i in [0..sigma)
-    x_id = lambda c: gv + 2 + sigma + c      # marking column for code c
-
-    rules = [None] * (gv + 2 + 2 * sigma)
-    for nid, rule in enumerate(g.rules):
-        if isinstance(rule, int):
-            rules[nid] = Vert(x_id(rule))
-        else:
-            rules[nid] = Vert(rule[0], rule[1])
-    rules[m0] = 0
-    rules[m1] = 1
-    rules[z_id(0)] = Horiz()
-    for i in range(1, sigma):
-        rules[z_id(i)] = Horiz(z_id(i - 1), m0)
-    for c in range(sigma):
-        rules[x_id(c)] = Horiz(z_id(c), m1, z_id(sigma - 1 - c))
-    return validate_slg2(Slg2(rules, 2, g.start))
+    return _marking_grammar(validate_slp1(g), sigma, 0)
 
 
 def ext_mark_grammar(g, sigma):
@@ -245,47 +272,15 @@ def ext_mark_grammar(g, sigma):
     decomposition of n-1 (increasing powers).
     """
     g = validate_slp1(g)
-    if any(not (0 <= r < sigma) for r in g.rules if isinstance(r, int)):
-        raise RangeError(f"grammar terminals must lie in [0, {sigma})")
     n = g._lens[g.start]
     if n < 2:
         raise ExtRequiresLengthTwo("extended marking needs a text of length >= 2")
-
     num_z = (n - 1).bit_length()
     # the chain length is logarithmic, so it never dominates the grammar size
     if num_z > grammar_size1(g):
         raise PreconditionViolated(
             f"zero chain of {num_z} rules exceeds the grammar size {grammar_size1(g)}")
-    powers = [p for p in range(num_z) if (n - 1) >> p & 1]
-
-    gv = len(g.rules)
-    m0 = gv
-    m1 = gv + 1
-    zpow_id = lambda i: gv + 2 + i              # zero column of height 2**i
-    znm1 = gv + 2 + num_z                       # zero column of height n-1
-    zn = znm1 + 1                               # zero column of height n
-    zq_id = lambda i: zn + 1 + i                # zero column of height i*n, i in [0..sigma)
-    x_id = lambda c: zn + 1 + sigma + c         # marking column for code c
-
-    rules = [None] * (zn + 1 + 2 * sigma)
-    for nid, rule in enumerate(g.rules):
-        if isinstance(rule, int):
-            rules[nid] = Vert(x_id(rule))
-        else:
-            rules[nid] = Vert(rule[0], rule[1])
-    rules[m0] = 0
-    rules[m1] = 1
-    rules[zpow_id(0)] = Horiz(m0)
-    for i in range(1, num_z):
-        rules[zpow_id(i)] = Horiz(zpow_id(i - 1), zpow_id(i - 1))
-    rules[znm1] = Horiz(*(zpow_id(p) for p in powers))
-    rules[zn] = Horiz(znm1, m0)
-    rules[zq_id(0)] = Horiz()
-    for i in range(1, sigma):
-        rules[zq_id(i)] = Horiz(zq_id(i - 1), zn)
-    for c in range(sigma):
-        rules[x_id(c)] = Horiz(zq_id(c), m1, znm1, zq_id(sigma - 1 - c))
-    return validate_slg2(Slg2(rules, 2, g.start))
+    return _marking_grammar(g, sigma, n - 1)
 
 
 # -- alphabet reduction -------------------------------------------------------
@@ -437,38 +432,6 @@ def line_lce_via_equality(eq_provider, rows, cols, b_r, b_c, b2_r, b2_c, l):
     return lo
 
 
-def _zero_block_rules(rows, cols, zero_lit, next_id):
-    """Rules for an all-zero rows x cols block, O(log rows + log cols) of them.
-
-    Returns (rules_by_id dict, block_id). Builds a rows x 1 column by
-    doubling, combines per the binary decomposition of rows, then widens to
-    cols columns the same way.
-    """
-    rules = {}
-    nid = next_id
-
-    def fresh(rule):
-        nonlocal nid
-        rules[nid] = rule
-        nid += 1
-        return nid - 1
-
-    # column of height `rows`
-    pow_col = [zero_lit]
-    for _ in range(1, rows.bit_length()):
-        pow_col.append(fresh(Horiz(pow_col[-1], pow_col[-1])))
-    parts = [pow_col[p] for p in range(rows.bit_length()) if rows >> p & 1]
-    col = parts[0] if len(parts) == 1 else fresh(Horiz(*parts))
-
-    # widen to `cols`
-    pow_blk = [col]
-    for _ in range(1, cols.bit_length()):
-        pow_blk.append(fresh(Vert(pow_blk[-1], pow_blk[-1])))
-    parts = [pow_blk[p] for p in range(cols.bit_length()) if cols >> p & 1]
-    blk = parts[0] if len(parts) == 1 else fresh(Vert(*parts))
-    return rules, blk
-
-
 def pad_with_zero_block(g2):
     """A grammar for Exp(g2) horizontally extended by an all-zero copy-sized block.
 
@@ -486,12 +449,9 @@ def pad_with_zero_block(g2):
         raise PreconditionViolated(
             f"binary grammar of size {grammar_size2(g2)} claims a {r}x{c} expansion")
 
-    rules = list(g2.rules)
-    zero_lit = len(rules)
-    rules.append(0)
-    extra, blk = _zero_block_rules(r, c, zero_lit, len(rules))
-    rules.extend(extra[i] for i in sorted(extra))
-    rules.append(Vert(g2.start, blk))
+    rules = list(g2.rules) + [0]
+    column = _zero_run(rules, len(rules) - 1, r, Horiz)
+    rules.append(Vert(g2.start, _zero_run(rules, column, c, Vert)))
     new_start = len(rules) - 1
     sigma = max(g2.alphabet_size, 1)
     return validate_slg2(Slg2(rules, sigma, new_start))

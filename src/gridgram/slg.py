@@ -170,9 +170,9 @@ def _toposort(kids):
 def _canonical(g):
     """The dimension-independent half of validation.
 
-    Checks the start and every reference and terminal range, moves the start
-    to id 0 and sorts topologically. Returns the relabelled grammar and its
-    parents-first order; the caller computes sizes and stores the caches.
+    Checks the start and every reference and terminal range, then moves the
+    start to id 0 and sorts topologically. Returns the relabelled grammar and
+    its parents-first order; the caller computes sizes and stores the caches.
     """
     if not g.rules:
         raise DanglingReference("grammar has no rules")
@@ -181,7 +181,6 @@ def _canonical(g):
     if not (0 <= g.start < len(g.rules)):
         raise DanglingReference(f"start id {g.start} out of range")
 
-    g = _swap_start_to_zero(g)
     rules = g.rules
     for nid, rule in enumerate(rules):
         if isinstance(rule, int):
@@ -194,6 +193,7 @@ def _canonical(g):
         else:
             kinds = "/".join(t.__name__ for t in g._letters)
             raise TypeError(f"rule {nid} is not int/{kinds}: {rule!r}")
+    g = _swap_start_to_zero(g)
     return g, _toposort(_child_lists(g))
 
 
@@ -360,7 +360,7 @@ def _binarize(g, slp_cls):
     return slp_cls(out_rules, g.alphabet_size, alias[g.start])
 
 
-def slg_to_slp(g, cap_unused=None):
+def slg_to_slp(g):
     """Convert a grammar to an equivalent SLP (binary rules, no empty rules).
 
     Empty-expanding children are dropped, single-child rules are aliased away,
@@ -394,6 +394,8 @@ def _parse(text, cls):
     count, sigma = _int(head[1], lines[0]), _int(head[2], lines[0])
     if count < 1 or sigma < 1:
         raise ParseError("nonterminal count and alphabet size must be positive")
+    if count > len(lines) - 1:
+        raise ParseError(f"header declares {count} rules, but {len(lines) - 1} lines follow")
 
     kinds = {letter: ctor for ctor, letter in cls._letters.items()}
     rules = [None] * count

@@ -292,3 +292,51 @@ def test_square_all_zero_via_square_lce_keeps_the_cap(tmp_path, capsys):
     code, out, err = run(capsys, *argv, "--via", "square-lce")
     assert code == 1 and out == ""
     assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
+
+
+def test_every_query_rejects_the_other_dimension_and_an_unknown_via(
+        slp1_file, slp2_file, capsys):
+    all_vias = {via for _, _, _, chains in cli._QUERIES.values() for via in chains}
+    for name, (arguments, dim, _, chains) in cli._QUERIES.items():
+        qargs = ["1"] * len(arguments.split())
+        own, other = (slp1_file, slp2_file) if dim == 1 else (slp2_file, slp1_file)
+        bad = [("query", str(other), name, *qargs)]
+        bad += [("query", str(own), name, *qargs, "--via", via)
+                for via in sorted(all_vias - set(chains)) + ["bogus"]]
+        for argv in bad:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith(("ParseError: ", "RangeError: ")), argv
+            assert err.count("\n") == 1, argv
+
+
+def test_unreadable_input_and_unwritable_output_are_one_line(slp1_file, tmp_path, capsys):
+    for argv, prefix in ((("validate", str(tmp_path / "nope.slg1")), "ParseError: cannot read"),
+                         (("expand", str(slp1_file), "-o", str(tmp_path / "no" / "x")),
+                          "ParseError: cannot write")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+    binary = tmp_path / "bin.slg1"
+    binary.write_bytes(b"SLG1 \xff\xfe\n")
+    code, out, err = run(capsys, "validate", str(binary))
+    assert code == 1 and err.startswith("ParseError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "slp1", "--rules", "0"),
+    ("reduce", "mark", "{slg1}", "{out}", "--sigma", "0"),
+    ("access", "{slg1}", "1", "--epsilon=nan"),
+    ("access", "{slg1}", "1", "--epsilon=inf"),
+    ("access", "{slg1}", "1", "--epsilon=0"),
+    ("access", "{slg1}", "1", "--tau", "4", "--epsilon=nan"),
+    ("bench", "{slg1}", "--reps", "0"),
+], ids=["gen-rules-zero", "reduce-sigma-zero", "epsilon-nan", "epsilon-inf", "epsilon-zero",
+        "epsilon-nan-with-tau", "bench-reps-zero"])
+def test_bad_flag_value_is_one_line(argv, slp1_file, tmp_path, capsys):
+    out_path = tmp_path / "out.slg2"
+    argv = [a.format(slg1=slp1_file, out=out_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("RangeError: ") and err.count("\n") == 1
+    assert not out_path.exists()

@@ -1,15 +1,22 @@
 """Negative paths and constructor edge cases across modules."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridgram import (
     DanglingReference,
     DimensionMismatch,
+    GrammarError,
     Horiz,
     Matrix2D,
     ParseError,
     Slg1,
     Slg2,
+    dump_matrix,
+    dump_slg1,
+    dump_slg2,
     parse_matrix,
     parse_slg1,
     parse_slg2,
@@ -17,6 +24,7 @@ from gridgram import (
     validate_slg2,
 )
 from gridgram.errors import RangeError
+from gridgram.gen import random_matrix, random_slg1, random_slg2
 from gridgram.reductions import (
     OvInstance,
     mark_all_chars,
@@ -62,6 +70,68 @@ def test_parser_header_errors():
     for text in ("MAT 2 x\n0\n0\n", "MAT 1 2\n0 y\n"):
         with pytest.raises(ParseError):
             parse_matrix(text)
+
+
+def test_parser_rejects_a_header_count_beyond_the_file():
+    # the count is checked against the lines before any per-id allocation
+    for parse, text in ((parse_slg1, "SLG1 1000000000 2\n0: T 0\nSTART 0\n"),
+                        (parse_slg2, "SLG2 1000000 2\n0: L 0\nSTART 0\n")):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert len(str(exc.value)) < 80
+
+
+def test_child_ids_are_checked_before_the_start_moves_to_zero():
+    # -1 would index the relabelling table from the end and turn into id 2
+    with pytest.raises(DanglingReference):
+        validate_slg1(parse_slg1("SLG1 3 2\n0: T 0\n1: N -1 0\n2: T 1\nSTART 1\n"))
+    with pytest.raises(DanglingReference):
+        validate_slg2(parse_slg2("SLG2 3 2\n0: L 0\n1: V 0 5\n2: L 1\nSTART 1\n"))
+
+
+def _valid_text(kind, seed, size):
+    if kind == "SLG1":
+        return dump_slg1(random_slg1(seed, size, max_len=256))
+    if kind == "SLG2":
+        return dump_slg2(random_slg2(seed, size, max_cells=256))
+    return dump_matrix(random_matrix(seed, size % 4 + 1, size % 5 + 1))
+
+
+_PARSE_AND_VALIDATE = {
+    "SLG1": lambda text: validate_slg1(parse_slg1(text)),
+    "SLG2": lambda text: validate_slg2(parse_slg2(text)),
+    "MAT": parse_matrix,
+}
+_MUTATION = st.tuples(st.sampled_from(["drop", "duplicate", "replace"]),
+                      st.integers(0, 10 ** 6),
+                      st.sampled_from(["0", "1", "-1", "3", "x", ":", "1:", "N", "T", "H",
+                                       "V", "L", "START", "SLG1", "MAT", "\n",
+                                       str(1 << 62), "1e3", "0x1"]))
+
+
+@settings(max_examples=300, deadline=1000)
+@given(kind=st.sampled_from(sorted(_PARSE_AND_VALIDATE)), seed=st.integers(0, 2 ** 16),
+       size=st.integers(1, 12), scale=st.sampled_from([1, 0, 2, 10, 10 ** 6, 10 ** 9]),
+       mutations=st.lists(_MUTATION, max_size=4))
+def test_mutated_files_raise_only_grammar_errors(kind, seed, size, scale, mutations):
+    """A dropped, duplicated or replaced token, or a scaled header count,
+    gives a GrammarError or a parsed result, never another exception."""
+    tokens = re.split(r"(\s+)", _valid_text(kind, seed, size))
+    tokens[2] = str(int(tokens[2]) * scale)
+    for op, at, token in mutations:
+        i = at % len(tokens)
+        if op == "drop":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i] = token
+        if not tokens:
+            tokens = [""]
+    try:
+        _PARSE_AND_VALIDATE[kind]("".join(tokens))
+    except GrammarError:
+        pass
 
 
 def test_parser_double_start_and_bad_lines():
