@@ -1,26 +1,34 @@
 """Random access over 1D SLPs through bookmark tables.
 
 For every variable, level p, and block index k < tau, the index stores the
-hook (deepest variable whose expansion still contains the block strictly
-straddling a child split) and the block's offset inside that hook, for the
-block of size tau**p starting at k * tau**p from the left boundary of the
-variable's expansion, and mirrored from the right boundary. A query walks
-levels top-down, each step relocating the position into a smaller variable
-via one stored bookmark, so access costs exactly ceil(log_tau n) + 1 mapping
-steps.
+bookmark of the block of size tau**p starting at k * tau**p from the left
+boundary of the variable's expansion, and mirrored from the right boundary.
+The bookmark is found through the block's hook (the deepest variable whose
+expansion still contains the block strictly straddling a child split), but
+it is stored resolved, as the step a query takes there: ``(s, near, far)``,
+where s is the hook's split inside the block measured from the boundary the
+table addresses, and near and far are the hook's children in that order
+from that boundary. A block of one literal is stored as ``(0, v, None)``
+for the literal variable v. A query walks levels top-down, each step
+relocating the position into a smaller variable through one table read, so
+access costs exactly ceil(log_tau n) + 1 mapping steps.
 
 Tables are flat: ``tables[side][p]`` is one list per side (0 = left,
-1 = right) and level, holding the bookmark of block k of variable i at
+1 = right) and level, holding the step of block k of variable i at
 ``i * tau + k``. Slots exist only where k * tau**p is inside the variable's
 expansion, which is also what makes the stored-entry count at most
-2 * |V| * tau * (ceil(log_tau n) + 1); the other slots hold None.
+2 * |V| * tau * (ceil(log_tau n) + 1); the other slots hold None. Every tau
+at least as long as the longest variable expansion (n, when every variable
+is reachable from the start) gives the same levels and blocks, so the build
+clamps tau to that length (and to at least 2).
 
 The build fills the tables children first. A block that lies wholly inside
 the child on its aligned side (the left child for left blocks, the right
 child for right blocks) is that child's block with the same (p, k), since
-the descent enters the child with the window unchanged, so its bookmark is
-copied: one slice per (variable, level). Only blocks that straddle the
-split or sit unaligned in the other child descend from the variable.
+the descent enters the child with the window unchanged and reaches the same
+hook at the same place, so its step is copied: one slice per (variable,
+level). Only blocks that straddle the split or sit unaligned in the other
+child descend from the variable.
 
 The index is immutable after build_index1; queries are safe under any number
 of concurrent readers. Builds are single-threaded.
@@ -44,34 +52,65 @@ def ceil_log(n, base):
 
 
 def optimal_tau(n, epsilon=1.0):
-    """The block-count preset floor(log2(n) ** epsilon), clamped to >= 2."""
+    """The block-count preset floor(log2(n) ** epsilon), clamped to [2, max(2, n)].
+
+    A preset past n returns n, where it would only add empty slots, and is
+    never computed as a power that overflows.
+    """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise RangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
     if n < 4:
         return 2
-    return max(2, int(math.log2(n) ** epsilon))
+    lg = math.log2(n)
+    if epsilon * math.log2(lg) >= lg:      # log2(n) ** epsilon >= n, which may overflow
+        return n
+    return max(2, min(n, int(lg ** epsilon)))
 
 
-def _hook_core(kids, lens, node, b, e):
+def clamp_tau(tau, longest):
+    """The tau an index uses: tau, at most max(2, longest).
+
+    ``longest`` is the longest side of any variable's expansion. The clamp is
+    exact: at every tau >= longest each variable's blocks are its cells at
+    level 0 and its whole expansion at level 1, the top level.
+    """
+    if tau < 2:
+        raise PreconditionViolated(f"tau must be >= 2, got {tau}")
+    return min(tau, max(2, longest))
+
+
+def table_slots1(g, tau):
+    """Slots, defined or not, that build_index1(g, tau) allocates for the validated SLP g."""
+    tau = clamp_tau(tau, max(g._lens))
+    return 2 * (ceil_log(g._lens[g.start], tau) + 1) * len(g.rules) * tau
+
+
+def _hook_core(kids, lens, node, b, e, side):
     """Iterative descent shared by the standalone op and the index builder.
 
     Descends while the window (b..e] fits strictly inside one child, shifting
-    coordinates when moving right. Stops at a literal (``kids`` entry None)
-    or at the variable whose child split the window straddles.
+    coordinates when moving right. It stops at a literal (``kids`` entry
+    None) or at the variable whose child split the window straddles, and
+    returns the step a query takes there from ``side`` (0 = left, 1 =
+    right): (split from that side, near child, far child), or (0, literal,
+    None). With side None it returns the (hook, offset) pair instead.
     """
     while True:
         kid = kids[node]
         if kid is None:
-            break
+            return (node, b) if side is None else (0, node, None)
         x, y = kid
         l = lens[x]
         if e <= l:
             node = x
         elif l <= b:
             node, b, e = y, b - l, e - l
+        elif side is None:
+            return node, b
+        elif side:
+            return e - l, y, x
         else:
-            break
-    return node, b
+            return l - b, x, y
 
 
 def _kids(rules):
@@ -89,24 +128,22 @@ def hook_offset1(g, nid, b, e):
     m = g._lens[nid]
     if not (0 <= b < e <= m):
         raise RangeError(f"window {b}..{e} invalid for expansion length {m}")
-    return _hook_core(_kids(g.rules), g._lens, nid, b, e)
+    return _hook_core(_kids(g.rules), g._lens, nid, b, e, None)
 
 
 class AccessIndex1:
     """Leveled bookmark tables plus per-variable length/rule shortcuts."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "lit", "kids",
-                 "tables", "entries", "n")
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "lit", "tables", "entries", "n")
 
-    def __init__(self, grammar, tau, levels, pows, lens, lit, kids, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, lens, lit, tables, entries):
         self.grammar = grammar
-        self.tau = tau
+        self.tau = tau                # clamped to the longest variable expansion
         self.levels = levels          # top level index; p ranges over [0..levels]
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
         self.lens = lens
         self.lit = lit                # literal code per variable, None for pairs
-        self.kids = kids              # (x, y) per variable, None for literals
-        self.tables = tables          # [side][p][i * tau + k] -> (hook, offset) or None
+        self.tables = tables          # [side][p][i * tau + k] -> (s, near, far) or None
         self.entries = entries        # defined slots, counted by the build
         self.n = lens[grammar.start]
 
@@ -120,13 +157,12 @@ class AccessIndex1:
 
 
 def build_index1(g, tau):
-    """Populate every defined (variable, level, block) bookmark of both tables."""
-    if tau < 2:
-        raise PreconditionViolated(f"tau must be >= 2, got {tau}")
+    """Populate every defined (variable, level, block) step of both tables."""
     g = validate_slp1(g)
     lens = g._lens
     rules = g.rules
     n = lens[g.start]
+    tau = clamp_tau(tau, max(lens))
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
 
@@ -141,36 +177,40 @@ def build_index1(g, tau):
         m = lens[i]
         base = i * tau
         if kids[i] is None:
-            hook = (i, 0)
+            step = (0, i, None)
             for p in range(levels + 1):
-                left[p][base] = right[p][base] = hook
+                left[p][base] = right[p][base] = step
             entries += 2 * (levels + 1)
             continue
         x, y = kids[i]
+        lx, ly = lens[x], lens[y]
         for p in range(levels + 1):
             tp = pows[p]
-            blocks = min(tau, -(-m // tp))  # k with k * tau**p < m
+            blocks = -(-m // tp)            # k with k * tau**p < m
+            if blocks > tau:
+                blocks = tau
             entries += 2 * blocks
-            # left blocks inside x, right blocks inside y: the child's own entry
+            # block k's window from either boundary: (k * tp, its end clipped to m)
+            ends = [b + tp if b + tp < m else m for b in range(0, blocks * tp, tp)]
+            # left blocks inside x, right blocks inside y: the child's own step
             lt, rt = left[p], right[p]
-            cx = min(blocks, lens[x] // tp)
+            cx = lx // tp if lx // tp < blocks else blocks
             lt[base:base + cx] = lt[x * tau:x * tau + cx]
             for k in range(cx, blocks):
-                b = k * tp
-                lt[base + k] = _hook_core(kids, lens, i, b, min(m, b + tp))
-            cy = min(blocks, lens[y] // tp)
+                lt[base + k] = _hook_core(kids, lens, i, k * tp, ends[k], 0)
+            cy = ly // tp if ly // tp < blocks else blocks
             rt[base:base + cy] = rt[y * tau:y * tau + cy]
             for k in range(cy, blocks):
-                b = k * tp
-                rt[base + k] = _hook_core(kids, lens, i, max(0, m - b - tp), m - b)
-    return AccessIndex1(g, tau, levels, pows, lens, lit, kids, (left, right), entries)
+                rt[base + k] = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1)
+    return AccessIndex1(g, tau, levels, pows, lens, lit, (left, right), entries)
 
 
 def _map1(ix, side, t, p, delta):
     """One checked mapping step from ``side`` (0 = left, 1 = right) of Exp(N_t).
 
-    The block's hook splits into the child nearer the addressed boundary and
-    the farther one; landing in the nearer child flips the side.
+    The stored step splits the block into the part in the child nearer the
+    addressed boundary and the part in the farther one; landing in the
+    nearer child flips the side.
     """
     m = ix.lens[t]
     if p < 0 or p > ix.levels or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
@@ -180,17 +220,12 @@ def _map1(ix, side, t, p, delta):
     k = (delta - 1) // tp
     b = k * tp
     w = min(m - b, tp)
-    h, off = ix.tables[side][p][t * ix.tau + k]
-    if ix.kids[h] is None:
+    s, near, far = ix.tables[side][p][t * ix.tau + k]
+    if far is None:
         if w != 1:
             raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
-                                       f"is the literal {h} for a block of width {w}")
-        return h, 1, 0
-    x, y = ix.kids[h]
-    if side:
-        near, far, s = y, x, off + w - ix.lens[x]
-    else:
-        near, far, s = x, y, ix.lens[x] - off
+                                       f"is the literal {near} for a block of width {w}")
+        return near, 1, 0
     if not 0 < s < w:   # s: the hook's split, as a position inside the block
         raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
                                    f"does not straddle its hook's split")
@@ -251,32 +286,22 @@ def access1(ix, i):
     """The symbol Exp(S)[i] (1-based).
 
     The same walk as access1_traced in one loop with integer sides and no
-    per-step checks; it stops as soon as a bookmark's hook is a literal.
+    per-step checks, one table read per step; it stops at the first literal
+    step, which the walk reaches by level 0 at the latest.
     """
     if not (1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")
-    tau, pows, lens, kids, tables = ix.tau, ix.pows, ix.lens, ix.kids, ix.tables
+    tau, pows, tables = ix.tau, ix.pows, ix.tables
     t, delta, side = ix.grammar.start, i, 0
     for p in range(ix.levels, -1, -1):
         tp = pows[p]
         k = (delta - 1) // tp
-        h, off = tables[side][p][t * tau + k]
-        kid = kids[h]
-        if kid is None:
-            return ix.lit[h]
-        x, y = kid
-        b = k * tp
-        d = delta - b
-        if side:
-            s = off + min(lens[t] - b, tp) - lens[x]
-            if d <= s:
-                t, delta, side = y, s - d + 1, 0
-            else:
-                t, delta = x, d - s
+        s, near, far = tables[side][p][t * tau + k]
+        d = delta - k * tp
+        if d <= s:
+            t, delta, side = near, s - d + 1, side ^ 1
+        elif far is None:
+            return ix.lit[near]
         else:
-            s = lens[x] - off
-            if d <= s:
-                t, delta, side = x, s - d + 1, 1
-            else:
-                t, delta = y, d - s
+            t, delta = far, d - s
     raise PreconditionViolated(f"walk to position {i} ended off a literal")

@@ -3,38 +3,45 @@
 The 2D analogue of the 1D bookmark index. For every variable and level pair
 (p_r, p_c), the index stores bookmarks for the tau x tau grid of blocks of
 size tau**p_r x tau**p_c growing out of each of the four corners of the
-variable's expansion (NW, NE, SW, SE). A bookmark is the 2D hook of the block
-(the deepest variable whose expansion still contains the block strictly
-straddling a child split on the splitting axis) together with the block's
-row/column offset inside that hook.
+variable's expansion (NW, NE, SW, SE). A bookmark is found through the 2D
+hook of the block (the deepest variable whose expansion still contains the
+block strictly straddling a child split on the splitting axis), but it is
+stored resolved, as the step a query takes there:
+``(axis, s, near, far, shift)``. axis is 1 when the hook splits rows and 0
+when it splits columns; s is the hook's split inside the block on that axis,
+measured from the corner; near and far are the hook's children in that order
+from the corner; shift is the block's offset inside the hook on the other
+axis, measured from the corner's side. A 1x1 block of a literal variable v
+is stored as ``(0, 0, v, None, 0)``.
 
 A query keeps a state (variable, delta_r, delta_c, row side, column side)
-addressing the target cell from one corner, and repeatedly applies the corner
-mapping matching the current sides. Each mapping relocates the cell into a
-child of the stored hook, contracting the distance on the hook's splitting
-axis to at most tau**p while never growing the other axis. The level of the
-contracted axis then drops by one, and levels also shrink whenever they
-exceed the new variable's dimensions, which bounds the loop by
-ceil(log_tau r) + ceil(log_tau c) + 2 iterations.
-
-Only the top-left mapping is written out; the other three corners reuse the
-same body through entry/exit coordinate mirrors, which keeps the four cases
-from drifting apart. Corners are numbered 0..3 (NW, NE, SW, SE): bit 1 set
-means measured from the bottom, bit 0 set means measured from the right.
+addressing the target cell from one corner, and repeatedly applies the
+stored step for the current corner. Each step relocates the cell into a
+child of the hook, contracting the distance on the hook's splitting axis to
+at most tau**p while never growing the other axis. The level of the
+contracted axis then drops by one, and levels are also capped by the new
+variable's dimensions (the largest p with tau**p within them, computed per
+variable by the build), which bounds the loop by
+ceil(log_tau r) + ceil(log_tau c) + 2 iterations. Corners are numbered
+0..3 (NW, NE, SW, SE): bit 1 set means measured from the bottom, bit 0 set
+means measured from the right.
 
 Tables are flat: ``tables[corner][p_r][p_c]`` is one list per corner and
-level pair, holding the bookmark of block (k_r, k_c) of variable i at
+level pair, holding the step of block (k_r, k_c) of variable i at
 ``(i * tau + k_r) * tau + k_c``; slots outside the variable's expansion hold
 None. The stored bookmark count is at most
-4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 where n = max(rows, cols).
+4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 where n = max(rows, cols). As in
+1D, the build clamps tau to the longest side of any variable's expansion
+(and to at least 2), which changes neither levels nor blocks.
 
 The build fills the tables children first. On the axis a variable splits,
 a block aligned to the top or left lies wholly inside the child x when its
 far edge is within x, and then it is x's own block with the same key: the
-descent enters x with the window unchanged, and the other axis is shared.
-So is a block aligned to the bottom or right that lies wholly inside y.
-Those bookmarks are copied from the child, a slice at a time; only blocks
-that straddle the split or sit unaligned in the other child descend.
+descent enters x with the window unchanged, and the other axis is shared,
+so it reaches the same hook at the same place. So is a block aligned to the
+bottom or right that lies wholly inside y. Those steps are copied from the
+child, a slice at a time; only blocks that straddle the split or sit
+unaligned in the other child descend.
 
 Immutable after build; queries are safe under concurrent readers.
 """
@@ -42,12 +49,12 @@ Immutable after build; queries are safe under concurrent readers.
 from __future__ import annotations
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import ceil_log, optimal_tau
+from .access1d import ceil_log, clamp_tau, optimal_tau
 from .slg2d import Horiz, validate_slp2
 
 
 def optimal_tau2(n, epsilon=1.0):
-    """The 2D preset floor(log2(n) ** (epsilon / 2)), clamped to >= 2.
+    """The 2D preset floor(log2(n) ** (epsilon / 2)), clamped to [2, max(2, n)].
 
     The optimal-time analysis sets tau = log**(epsilon/2) n, which drops
     below 2 for small n; the clamp keeps the structure well-defined there.
@@ -55,9 +62,22 @@ def optimal_tau2(n, epsilon=1.0):
     return optimal_tau(n, epsilon / 2)
 
 
-def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c):
+def table_slots2(g, tau):
+    """Slots, defined or not, that build_index2(g, tau) allocates for the validated 2D SLP g."""
+    n = max(g._rows[g.start], g._cols[g.start])
+    tau = clamp_tau(tau, max(max(g._rows), max(g._cols)))
+    return 4 * (ceil_log(n, tau) + 1) ** 2 * len(g.rules) * tau * tau
+
+
+def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner):
     """Iterative 2D descent: rows-splitting variables compare the row window,
-    columns-splitting variables the column window."""
+    columns-splitting variables the column window.
+
+    Returns the step a query takes from ``corner`` at the hook:
+    (axis, split from the corner, near child, far child, shift on the other
+    axis from the corner's side), or (0, 0, literal, None, 0). With corner
+    None it returns the (hook, offset_r, offset_c) triple instead.
+    """
     while lit[node] is None:
         x, y = kids[node]
         if horiz[node]:
@@ -66,17 +86,23 @@ def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c):
                 node = x
             elif l <= b_r:
                 node, b_r, e_r = y, b_r - l, e_r - l
-            else:
+            elif corner is None:
                 break
+            else:
+                shift = cols[node] - e_c if corner & 1 else b_c
+                return (1, e_r - l, y, x, shift) if corner & 2 else (1, l - b_r, x, y, shift)
         else:
             l = cols[x]
             if e_c <= l:
                 node = x
             elif l <= b_c:
                 node, b_c, e_c = y, b_c - l, e_c - l
-            else:
+            elif corner is None:
                 break
-    return node, b_r, b_c
+            else:
+                shift = rows[node] - e_r if corner & 2 else b_r
+                return (0, e_c - l, y, x, shift) if corner & 1 else (0, l - b_c, x, y, shift)
+    return (node, b_r, b_c) if corner is None else (0, 0, node, None, 0)
 
 
 def _grammar_arrays(g):
@@ -103,7 +129,7 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     if not (0 <= b_c < e_c <= m_c):
         raise RangeError(f"col window {b_c}..{e_c} invalid for {m_c} cols")
     lit, kids, horiz = _grammar_arrays(g)
-    return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c)
+    return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None)
 
 
 _CORNERS = ("NW", "NE", "SW", "SE")
@@ -111,23 +137,24 @@ _CORNER_ID = {name: c for c, name in enumerate(_CORNERS)}
 
 
 class AccessIndex2:
-    """Four corner bookmark tables plus per-variable dimension/rule arrays."""
+    """Four corner bookmark tables plus per-variable dimension arrays and level caps."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "lit", "kids",
-                 "horiz", "tables", "entries", "n_rows", "n_cols", "top_r", "top_c")
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "lit", "cap_r", "cap_c",
+                 "tables", "entries", "n_rows", "n_cols", "top_r", "top_c")
 
-    def __init__(self, grammar, tau, levels, pows, rows, cols, lit, kids,
-                 horiz, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, rows, cols, lit, cap_r, cap_c,
+                 tables, entries):
         self.grammar = grammar
-        self.tau = tau
+        self.tau = tau              # clamped to the longest variable side
         self.levels = levels
         self.pows = pows
         self.rows = rows
         self.cols = cols
         self.lit = lit
-        self.kids = kids
-        self.horiz = horiz          # True iff the variable splits on rows
-        self.tables = tables        # [corner][p_r][p_c][(i*tau+k_r)*tau+k_c] -> (h,a_r,a_c)
+        self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
+        self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
+        self.tables = tables        # [corner][p_r][p_c][(i*tau+k_r)*tau+k_c]
+                                    #   -> (axis, s, near, far, shift)
         self.entries = entries      # defined slots, counted by the build
         self.n_rows = rows[grammar.start]
         self.n_cols = cols[grammar.start]
@@ -143,16 +170,28 @@ class AccessIndex2:
                 f"levels={self.levels}, entries={self.entry_count()})")
 
 
+def _windows(m, pows, tau):
+    """Per level: the block windows (b, e] along an axis of length m, as the
+    pair (measured from the start, measured from the end)."""
+    out = []
+    for tp in pows[:-1]:
+        stop = m if m < tau * tp else tau * tp
+        fwd = [(b, b + tp if b + tp < m else m) for b in range(0, stop, tp)]
+        out.append((fwd, [(m - e, m - b) for b, e in fwd]))
+    return out
+
+
 def build_index2(g, tau):
-    """Populate every defined corner bookmark of all four tables."""
-    if tau < 2:
-        raise PreconditionViolated(f"tau must be >= 2, got {tau}")
+    """Populate every defined corner step of all four tables."""
     g = validate_slp2(g)
     rows, cols = g._rows, g._cols
     n = max(rows[g.start], cols[g.start])
+    tau = clamp_tau(tau, max(max(rows), max(cols)))
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
     lit, kids, horiz = _grammar_arrays(g)
+    cap_r = [ceil_log(r + 1, tau) - 1 for r in rows]
+    cap_c = [ceil_log(c + 1, tau) - 1 for c in cols]
 
     span = tau * tau                # slots per variable in one table
     size = len(g.rules) * span
@@ -160,52 +199,49 @@ def build_index2(g, tau):
               for _ in _CORNERS]
     entries = 0
     for i in reversed(g._topo):
-        m_r, m_c = rows[i], cols[i]
         base = i * span
         if lit[i] is not None:
-            hook = (i, 0, 0)
+            step = (0, 0, i, None, 0)
             for corner_tables in tables:
                 for row_level in corner_tables:
                     for table in row_level:
-                        table[base] = hook
+                        table[base] = step
             entries += 4 * (levels + 1) ** 2
             continue
         x, y = kids[i]
+        win_r, win_c = _windows(rows[i], pows, tau), _windows(cols[i], pows, tau)
         for p_r in range(levels + 1):
             tpr = pows[p_r]
-            blocks_r = min(tau, -(-m_r // tpr))
+            blocks_r = len(win_r[p_r][0])
             for p_c in range(levels + 1):
                 tpc = pows[p_c]
-                blocks_c = min(tau, -(-m_c // tpc))
+                blocks_c = len(win_c[p_c][0])
                 entries += 4 * blocks_r * blocks_c
                 for corner in range(4):
                     table = tables[corner][p_r][p_c]
                     # the child on the split axis that shares this corner's side
                     if horiz[i]:
                         src = y if corner & 2 else x
-                        cut_r, cut_c = min(blocks_r, rows[src] // tpr), 0
+                        cut_r, cut_c = rows[src] // tpr, 0
+                        if cut_r > blocks_r:
+                            cut_r = blocks_r
                         start = src * span
                         table[base:base + cut_r * tau] = table[start:start + cut_r * tau]
                     else:
                         src = y if corner & 1 else x
-                        cut_r, cut_c = 0, min(blocks_c, cols[src] // tpc)
+                        cut_r, cut_c = 0, cols[src] // tpc
+                        if cut_c > blocks_c:
+                            cut_c = blocks_c
                         for k_r in range(blocks_r):
                             at, start = base + k_r * tau, src * span + k_r * tau
                             table[at:at + cut_c] = table[start:start + cut_c]
-                    for k_r in range(cut_r, blocks_r):
-                        b_r = k_r * tpr
-                        e_r = min(m_r, b_r + tpr)
-                        if corner & 2:
-                            b_r, e_r = m_r - e_r, m_r - b_r
+                    col_wins = win_c[p_c][corner & 1][cut_c:]
+                    for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][cut_r:], cut_r):
                         at = base + k_r * tau
-                        for k_c in range(cut_c, blocks_c):
-                            b_c = k_c * tpc
-                            e_c = min(m_c, b_c + tpc)
-                            if corner & 1:
-                                b_c, e_c = m_c - e_c, m_c - b_c
-                            table[at + k_c] = _hook_core2(lit, kids, horiz, rows, cols,
-                                                          i, b_r, b_c, e_r, e_c)
-    return AccessIndex2(g, tau, levels, pows, rows, cols, lit, kids, horiz, tables, entries)
+                        for k_c, (b_c, e_c) in enumerate(col_wins, at + cut_c):
+                            table[k_c] = _hook_core2(lit, kids, horiz, rows, cols,
+                                                     i, b_r, b_c, e_r, e_c, corner)
+    return AccessIndex2(g, tau, levels, pows, rows, cols, lit, cap_r, cap_c, tables, entries)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
@@ -222,10 +258,9 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     delta_r' <= tau**p_r with delta_c' not grown, or the column mirror of
     that statement.
 
-    The body is the top-left mapping; the other corners enter through
-    coordinate mirrors (offsets and child order flipped on the mirrored
-    axis). Landing in the child nearer the corner on the split axis flips
-    that axis's side; the farther child keeps both sides.
+    The stored step is already seen from the corner: landing in the child
+    nearer the corner on the split axis flips that axis's side, the farther
+    child keeps both sides, and the other axis moves by the stored shift.
     """
     c = _CORNER_ID[corner]
     m_r, m_c = ix.rows[t], ix.cols[t]
@@ -242,39 +277,27 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     k_c = (delta_c - 1) // tpc
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
-    h, a_r, a_c = ix.tables[c][p_r][p_c][(t * ix.tau + k_r) * ix.tau + k_c]
-    if ix.lit[h] is not None:
+    axis, s, near, far, shift = ix.tables[c][p_r][p_c][(t * ix.tau + k_r) * ix.tau + k_c]
+    if far is None:
         if w_r != 1 or w_c != 1:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
-                                f"is the literal {h} for a {w_r}x{w_c} block")
-        return (h, 1, 1, "T", "L")
-    # offsets of the block inside the hook, measured from the corner's sides
-    if c & 2:
-        a_r = ix.rows[h] - (a_r + w_r)
-    if c & 1:
-        a_c = ix.cols[h] - (a_c + w_c)
+                                f"is the literal {near} for a {w_r}x{w_c} block")
+        return (near, 1, 1, "T", "L")
+    if not 0 < s < (w_r if axis else w_c):    # s: the hook's split, inside the block
+        raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")
     d_r, d_c = delta_r - b_r, delta_c - b_c    # the cell inside the block
-    x, y = ix.kids[h]
-    if ix.horiz[h]:
-        near, far = (y, x) if c & 2 else (x, y)
-        s = ix.rows[near] - a_r                 # the split, inside the block
-        if not 0 < s < w_r:
-            raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")
+    if axis:
         if d_r <= s:
             t, d_r, c = near, s - d_r + 1, c ^ 2
         else:
             t, d_r = far, d_r - s
-        d_c += a_c
+        d_c += shift
     else:
-        near, far = (y, x) if c & 1 else (x, y)
-        s = ix.cols[near] - a_c
-        if not 0 < s < w_c:
-            raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")
         if d_c <= s:
             t, d_c, c = near, s - d_c + 1, c ^ 1
         else:
             t, d_c = far, d_c - s
-        d_r += a_r
+        d_r += shift
     return (t, d_r, d_c, "B" if c & 2 else "T", "R" if c & 1 else "L")
 
 
@@ -284,9 +307,9 @@ def access2_traced(ix, i, j):
     State starts at (start, i, j, T, L) with levels ceil(log_tau rows) and
     ceil(log_tau cols). Each iteration dispatches the checked corner mapping
     matching the current sides, then lowers the level of the contracted axis
-    by one and additionally shrinks each level while tau**p exceeds the new
-    variable's dimension on that axis. The loop ends when the state reaches a
-    literal; the iteration count is at most
+    by one and caps each level by the new variable's dimension on that axis
+    (the largest p with tau**p within it). The loop ends when the state
+    reaches a literal; the iteration count is at most
     ceil(log_tau rows) + ceil(log_tau cols) + 2.
 
     Each iteration checks the per-step contract: the contracted axis's
@@ -318,10 +341,8 @@ def access2_traced(ix, i, j):
             p_r -= 1
         elif d_c <= pows[p_c] and p_c > 0:
             p_c -= 1
-        while p_r > 0 and pows[p_r] > ix.rows[t]:
-            p_r -= 1
-        while p_c > 0 and pows[p_c] > ix.cols[t]:
-            p_c -= 1
+        p_r = min(p_r, ix.cap_r[t])
+        p_c = min(p_c, ix.cap_c[t])
     if d_r != 1 or d_c != 1:
         raise PreconditionViolated(f"walk ended at variable {t}, delta ({d_r},{d_c}), not (1,1)")
     return lit[t], steps
@@ -331,54 +352,44 @@ def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based).
 
     The same walk as access2_traced in one loop with integer corners and no
-    per-step checks; it stops as soon as a bookmark's hook is a literal.
+    per-step checks, one table read per step; it stops at the first literal
+    step. Every other step lowers p_r + p_c by at least one, and at levels
+    (0, 0) every block is one cell, so the loop is bounded by
+    ceil(log_tau rows) + ceil(log_tau cols) + 1 reads.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
-    tau, pows, rows, cols = ix.tau, ix.pows, ix.rows, ix.cols
-    lit, kids, horiz, tables = ix.lit, ix.kids, ix.horiz, ix.tables
+    tau, pows, tables, cap_r, cap_c = ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c
     t, d_r, d_c, c = ix.grammar.start, i, j, 0
     p_r, p_c = ix.top_r, ix.top_c
-    while lit[t] is None:
+    for _ in range(p_r + p_c + 1):
         tpr, tpc = pows[p_r], pows[p_c]
         k_r = (d_r - 1) // tpr
         k_c = (d_c - 1) // tpc
-        h, a_r, a_c = tables[c][p_r][p_c][(t * tau + k_r) * tau + k_c]
-        code = lit[h]
-        if code is not None:
-            return code
-        b_r = k_r * tpr
-        b_c = k_c * tpc
-        if c & 2:
-            a_r = rows[h] - (a_r + min(rows[t] - b_r, tpr))
-        if c & 1:
-            a_c = cols[h] - (a_c + min(cols[t] - b_c, tpc))
-        d_r -= b_r
-        d_c -= b_c
-        x, y = kids[h]
-        if horiz[h]:
-            near, far = (y, x) if c & 2 else (x, y)
-            s = rows[near] - a_r
+        axis, s, near, far, shift = tables[c][p_r][p_c][(t * tau + k_r) * tau + k_c]
+        d_r -= k_r * tpr
+        d_c -= k_c * tpc
+        if axis:
             if d_r <= s:
                 t, d_r, c = near, s - d_r + 1, c ^ 2
             else:
                 t, d_r = far, d_r - s
-            d_c += a_c
+            d_c += shift
+        elif d_c <= s:
+            t, d_c, c = near, s - d_c + 1, c ^ 1
+            d_r += shift
+        elif far is None:
+            return ix.lit[near]
         else:
-            near, far = (y, x) if c & 1 else (x, y)
-            s = cols[near] - a_c
-            if d_c <= s:
-                t, d_c, c = near, s - d_c + 1, c ^ 1
-            else:
-                t, d_c = far, d_c - s
-            d_r += a_r
+            t, d_c = far, d_c - s
+            d_r += shift
         if d_r <= tpr and p_r > 0:
             p_r -= 1
         elif d_c <= tpc and p_c > 0:
             p_c -= 1
-        while p_r > 0 and pows[p_r] > rows[t]:
-            p_r -= 1
-        while p_c > 0 and pows[p_c] > cols[t]:
-            p_c -= 1
-    return lit[t]
+        if p_r > cap_r[t]:
+            p_r = cap_r[t]
+        if p_c > cap_c[t]:
+            p_c = cap_c[t]
+    raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable
 
 from . import access1d, access2d, gen, oracle, reductions
-from .errors import GrammarError, ParseError, PositionOutOfRange, RangeError
+from .errors import ExpansionTooLarge, GrammarError, ParseError, PositionOutOfRange, RangeError
 from .slg import (
     DEFAULT_CAP,
     Slg1,
@@ -111,6 +111,7 @@ class _Dim:
     to_slp: Callable      # parsed grammar -> validated SLP
     shape: Callable       # SLP -> (n,) or (rows, cols); its length is the coordinate arity
     tau: Callable         # (max(shape), epsilon) -> the tau preset
+    slots: Callable       # (SLP, tau) -> table slots the build allocates
     build: Callable       # (SLP, tau) -> index
     access: Callable      # (index, *position) -> code
     traced: Callable      # (index, *position) -> (code, mapping steps)
@@ -118,16 +119,25 @@ class _Dim:
     record_bytes: int     # one stored bookmark: its key and value as 64-bit words
 
 
-# record_bytes: a 1D bookmark is keyed by (i, p, k) and holds (hook, offset),
-# five words; a 2D one is keyed by (i, p_r, p_c, k_r, k_c) and holds
-# (hook, offset_r, offset_c), eight words. The flat tables keep the key as the
-# slot's position; the nominal width keeps the column comparable across runs.
+# record_bytes: a 1D bookmark is keyed by (i, p, k) and holds the resolved
+# step (s, near, far), six words; a 2D one is keyed by (i, p_r, p_c, k_r, k_c)
+# and holds (axis, s, near, far, shift), ten words. The flat tables keep the
+# key as the slot's position; the nominal width keeps the column comparable
+# across runs.
 _DIM1 = _Dim(slg_to_slp, lambda slp: (exp_len(slp, slp.start),), access1d.optimal_tau,
-             access1d.build_index1, access1d.access1, access1d.access1_traced,
-             _reference1, 5 * 8)
+             access1d.table_slots1, access1d.build_index1, access1d.access1,
+             access1d.access1_traced, _reference1, 6 * 8)
 _DIM2 = _Dim(slg2_to_slp2, lambda slp: dims(slp, slp.start), access2d.optimal_tau2,
-             access2d.build_index2, access2d.access2, access2d.access2_traced,
-             _reference2, 8 * 8)
+             access2d.table_slots2, access2d.build_index2, access2d.access2,
+             access2d.access2_traced, _reference2, 10 * 8)
+
+
+def _check_slots(dim, slp, tau, cap):
+    """Refuse, before building, an index at ``tau`` with more table slots than the cap."""
+    slots = dim.slots(slp, tau)
+    if slots > cap:
+        raise ExpansionTooLarge(f"an index at tau {tau} needs {slots} table slots, "
+                                f"over the expansion cap of {cap}")
 
 
 def _dim(g):
@@ -167,15 +177,17 @@ def cmd_access(args):
     shape = dim.shape(slp)
     preset = dim.tau(max(shape), args.epsilon)     # checks --epsilon even under --tau
     tau = preset if args.tau is None else args.tau
+    _check_slots(dim, slp, tau, cap)
     ix = dim.build(slp, tau)
     reference = dim.reference(slp, cap) if args.verify else None
     failed = False
     for q in args.coords:
         try:
-            fields = q.replace(",", " ").split()
-            pos = [int(fields[k]) for k in range(len(shape))]
+            pos = _ints("coordinates", q.replace(",", " ").split())
+            if len(pos) != len(shape):
+                raise RangeError(f"expected {len(shape)} coordinate(s), got {len(pos)}")
             code = dim.access(ix, *pos)
-        except (PositionOutOfRange, ValueError, IndexError) as e:
+        except (PositionOutOfRange, RangeError) as e:
             print("ERR")
             print(f"query {q!r}: {e}", file=sys.stderr)
             failed = True
@@ -323,6 +335,7 @@ def cmd_reduce(args):
 
 
 def cmd_bench(args):
+    cap = _cap(args)
     g = _load_grammar(args.path)
     rng = gen._rng(args.seed)
     taus = _ints("--tau-list entries", args.tau_list.split(","))
@@ -335,6 +348,8 @@ def cmd_bench(args):
     slp = dim.to_slp(g)
     shape = dim.shape(slp)
     queries = [tuple(rng.randint(1, s) for s in shape) for _ in range(args.reps)]
+    for tau in taus:
+        _check_slots(dim, slp, tau, cap)
     for tau in taus:
         t0 = time.perf_counter()
         ix = dim.build(slp, tau)

@@ -34,7 +34,7 @@ class ArithmeticOverflow(GrammarError):
 
 
 class ExpansionTooLarge(GrammarError):
-    """The fully expanded string/matrix would exceed the configured cap."""
+    """The fully expanded string/matrix, or an index's tables, would exceed the configured cap."""
 
 
 class EmptyLanguage(GrammarError):

@@ -115,20 +115,34 @@ def test_index_single_literal():
     ix = build_index1(g, 2)
     assert ix.levels == 0
     left, right = ix.tables
-    assert left == [[(0, 0), None]] and right[0][0] == (0, 0)
+    assert left == [[(0, 0, None), None]] and right[0][0] == (0, 0, None)   # the literal 0
     assert ix.entry_count() == 2
 
 
 def test_index_abab_entry(abab):
     ix = build_index1(abab, 2)
     left, _ = ix.tables
-    assert left[1][0 * 2 + 1] == (1, 0)     # variable 0, level 1, block 1
+    # variable 0, level 1, block 1: hook 1 (A -> B C) at offset 0, so the split
+    # lies 1 in from the left, with B nearer that boundary and C farther
+    assert left[1][0 * 2 + 1] == (1, 2, 3)
 
 
 def test_index_entry_count_bound():
     g = random_slp1(4, 10, sigma=2, max_len=16)
     ix = build_index1(g, 2)
     assert ix.entry_count() <= 2 * 10 * 2 * (ix.levels + 1)
+
+
+def test_index_clamps_tau_to_the_longest_expansion(abab):
+    ix = build_index1(abab, 10 ** 11)
+    assert ix.tau == 4 and ix.tables == build_index1(abab, 4).tables
+    assert [access1(ix, i) for i in range(1, 5)] == [0, 1, 0, 1]
+
+
+def test_optimal_tau_stops_at_n():
+    assert optimal_tau(2 ** 20, epsilon=100) == 2 ** 20
+    assert optimal_tau(2 ** 20, epsilon=1e300) == 2 ** 20
+    assert optimal_tau(2 ** 20, epsilon=4.0) == 20 ** 4
 
 
 def test_index_rejects_tau_below_two(abab):

@@ -129,14 +129,15 @@ def test_index_1x1_text():
     g = validate_slp2(Slp2([4], 5, 0))
     ix = build_index2(g, 2)
     for corner in range(4):     # NW, NE, SW, SE
-        assert ix.tables[corner] == [[[(0, 0, 0), None, None, None]]]
+        assert ix.tables[corner] == [[[(0, 0, 0, None, 0), None, None, None]]]
     assert ix.entry_count() == 4
 
 
 def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
     nw = ix.tables[0]
-    assert nw[0][0][(0 * 2 + 1) * 2 + 0] == (5, 0, 0)   # variable 0, levels (0, 0), block (1, 0)
+    # variable 0, levels (0, 0), block (1, 0): the literal 5 at offset (0, 0)
+    assert nw[0][0][(0 * 2 + 1) * 2 + 0] == (0, 0, 5, None, 0)
 
 
 def test_index_entry_count_bound_random():
@@ -145,6 +146,12 @@ def test_index_entry_count_bound_random():
         for tau in (2, 3):
             ix = build_index2(g, tau)
             assert ix.entry_count() <= 4 * len(g.rules) * tau * tau * (ix.levels + 1) ** 2
+
+
+def test_index_clamps_tau_to_the_longest_side(grid22):
+    ix = build_index2(grid22, 10 ** 11)
+    assert ix.tau == 2 and ix.tables == build_index2(grid22, 2).tables
+    assert optimal_tau2(2 ** 20, epsilon=50) == 2 ** 20
 
 
 def test_index_rejects_tau_below_two(grid22):

@@ -1,12 +1,14 @@
 """The children-first bookmark build and both query loops, in 1D and 2D.
 
-The build copies a child's bookmark wherever a block lies wholly inside the
-child on its aligned side and descends only for the other blocks. These
-properties check every stored bookmark against the hook of its window
-computed from scratch, the kept entry count against the number of defined
-windows, and the fast and the traced access against the expansion, on
-random SLPs, left and right combs (deep, mostly copied on one side and
-descended on the other) and staircases.
+The build stores every bookmark resolved into the step a query takes, and
+copies a child's step wherever a block lies wholly inside the child on its
+aligned side, descending only for the other blocks. These properties check
+every stored step against one resolved here from the reference
+``hook_offset1``/``hook_offset2`` of its window, the kept entry count
+against the number of defined windows, and the fast and the traced access
+against the expansion and against a plain root-to-leaf descent, on random
+SLPs, left and right combs (deep, mostly copied on one side and descended
+on the other) and staircases.
 """
 
 import os
@@ -38,6 +40,9 @@ from gridgram import (
 from gridgram.gen import random_slp1, random_slp2
 
 TAUS = st.sampled_from([2, 3, 8])
+# tau past every 1D test length: the build clamps it to the longest variable
+# expansion and must still store exactly the blocks of the tau asked for
+TAUS1 = st.sampled_from([2, 3, 8, 10 ** 6])
 
 
 def comb1(codes, right):
@@ -95,18 +100,83 @@ def blocks(m, tp, tau):
     return [(k, k * tp, min(m, k * tp + tp)) for k in range(min(tau, -(-m // tp)))]
 
 
+def step1(g, i, side, b, e):
+    """The step stored for the window (b..e] of Exp(i) read from ``side``
+    (0 = left, 1 = right): (split from that side, near child, far child), or
+    (0, literal, None), resolved from the hook and offset of the window."""
+    h, off = hook_offset1(g, i, b, e)
+    rule = g.rules[h]
+    if isinstance(rule, int):
+        return (0, h, None)
+    x, y = rule
+    split = g._lens[x] - off            # from the window's left end
+    return (e - b - split, y, x) if side else (split, x, y)
+
+
+def step2(g, i, corner, b_r, b_c, e_r, e_c):
+    """The step stored for a window of Exp(i) read from ``corner``:
+    (axis, split from the corner, near child, far child, shift on the other
+    axis), or (0, 0, literal, None, 0), resolved from the hook and offsets."""
+    h, a_r, a_c = hook_offset2(g, i, b_r, b_c, e_r, e_c)
+    rule = g.rules[h]
+    if isinstance(rule, int):
+        return (0, 0, h, None, 0)
+    # the window's offsets inside the hook, from the corner's sides
+    if corner & 2:
+        a_r = g._rows[h] - a_r - (e_r - b_r)
+    if corner & 1:
+        a_c = g._cols[h] - a_c - (e_c - b_c)
+    x, y = rule.children
+    if isinstance(rule, Horiz):
+        near, far = (y, x) if corner & 2 else (x, y)
+        return (1, g._rows[near] - a_r, near, far, a_c)
+    near, far = (y, x) if corner & 1 else (x, y)
+    return (0, g._cols[near] - a_c, near, far, a_r)
+
+
+def descend1(g, i):
+    """Exp(S)[i] by root-to-leaf descent."""
+    t = g.start
+    while not isinstance(g.rules[t], int):
+        x, y = g.rules[t]
+        if i <= g._lens[x]:
+            t = x
+        else:
+            t, i = y, i - g._lens[x]
+    return g.rules[t]
+
+
+def descend2(g, i, j):
+    """Exp(S)[i, j] by root-to-leaf descent."""
+    t = g.start
+    while not isinstance(g.rules[t], int):
+        rule = g.rules[t]
+        x, y = rule.children
+        if isinstance(rule, Horiz):
+            if i <= g._rows[x]:
+                t = x
+            else:
+                t, i = y, i - g._rows[x]
+        elif j <= g._cols[x]:
+            t = x
+        else:
+            t, j = y, j - g._cols[x]
+    return g.rules[t]
+
+
 @settings(max_examples=60, deadline=None)
-@given(g=grammars1(), tau=TAUS)
+@given(g=grammars1(), tau=TAUS1)
 def test_build1_stores_every_window_hook(g, tau):
     ix = build_index1(g, tau)
+    assert ix.tau == min(tau, max(2, *g._lens))
     left, right = ix.tables
     defined = 0
     for i, m in enumerate(g._lens):
         for p in range(ix.levels + 1):
             for k, b, e in blocks(m, ix.pows[p], tau):
                 defined += 2
-                assert left[p][i * tau + k] == hook_offset1(g, i, b, e)
-                assert right[p][i * tau + k] == hook_offset1(g, i, m - e, m - b)
+                assert left[p][i * ix.tau + k] == step1(g, i, 0, b, e)
+                assert right[p][i * ix.tau + k] == step1(g, i, 1, m - e, m - b)
     assert ix.entry_count() == defined
     assert sum(v is not None for table in ix.tables for level in table for v in level) == defined
 
@@ -115,27 +185,28 @@ def test_build1_stores_every_window_hook(g, tau):
 @given(g=grammars2(), tau=TAUS)
 def test_build2_stores_every_window_hook(g, tau):
     ix = build_index2(g, tau)
+    assert ix.tau == min(tau, max(2, *g._rows, *g._cols))
     defined = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
         for p_r in range(ix.levels + 1):
             for p_c in range(ix.levels + 1):
                 for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], tau):
                     for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], tau):
-                        slot = (i * tau + k_r) * tau + k_c
+                        slot = (i * ix.tau + k_r) * ix.tau + k_c
                         for corner, (rb, re) in enumerate(((b_r, e_r), (b_r, e_r),
                                                            (m_r - e_r, m_r - b_r),
                                                            (m_r - e_r, m_r - b_r))):
                             cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
                             defined += 1
                             assert ix.tables[corner][p_r][p_c][slot] == \
-                                hook_offset2(g, i, rb, cb, re, ce)
+                                step2(g, i, corner, rb, cb, re, ce)
     assert ix.entry_count() == defined
     assert sum(v is not None for corner in ix.tables for row in corner for table in row
                for v in table) == defined
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=grammars1(), tau=TAUS)
+@given(g=grammars1(), tau=TAUS1)
 def test_access1_matches_expansion(g, tau):
     ix = build_index1(g, tau)
     for i, want in enumerate(expand1(g), start=1):
@@ -152,6 +223,23 @@ def test_access2_matches_expansion(g, tau):
         for j in range(1, m.cols + 1):
             assert access2(ix, i, j) == m.get(i, j)
             assert access2_traced(ix, i, j)[0] == m.get(i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1(), tau=TAUS1, data=st.data())
+def test_access1_matches_descent(g, tau, data):
+    ix = build_index1(g, tau)
+    for i in data.draw(st.lists(st.integers(1, ix.n), min_size=1, max_size=40)):
+        assert access1(ix, i) == descend1(g, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=TAUS, data=st.data())
+def test_access2_matches_descent(g, tau, data):
+    ix = build_index2(g, tau)
+    cells = st.tuples(st.integers(1, ix.n_rows), st.integers(1, ix.n_cols))
+    for i, j in data.draw(st.lists(cells, min_size=1, max_size=40)):
+        assert access2(ix, i, j) == descend2(g, i, j)
 
 
 _CORRUPT = """
@@ -178,7 +266,8 @@ g1 = validate_slp1(Slp1([(1, 1), (2, 2), (3, 3), (4, 5), 0, 1], 2, 0))
 ix1 = build_index1(g1, 2)
 name, t, p, delta = last_step(access1d, ("left_map", "right_map"),
                               lambda: access1_traced(ix1, 7))
-ix1.tables[name == "right_map"][p][t * 2 + (delta - 1) // ix1.pows[p]] = (0, 0)
+# a split at the far edge of the block, not inside it
+ix1.tables[name == "right_map"][p][t * 2 + (delta - 1) // ix1.pows[p]] = (ix1.pows[p], 1, 1)
 try:
     access1_traced(ix1, 7)
 except PreconditionViolated:
@@ -192,7 +281,7 @@ _, corner, t, p_r, p_c, d_r, d_c = last_step(access2d, ("corner_map",),
                                              lambda: access2_traced(ix2, 3, 6))
 c = ("NW", "NE", "SW", "SE").index(corner)
 k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
-ix2.tables[c][p_r][p_c][(t * 2 + k_r) * 2 + k_c] = (0, 0, 0)
+ix2.tables[c][p_r][p_c][(t * 2 + k_r) * 2 + k_c] = (1, ix2.pows[p_r], 1, 1, 0)
 try:
     access2_traced(ix2, 3, 6)
 except PreconditionViolated:

@@ -129,6 +129,35 @@ def test_access_out_of_range_line(slp2_file, capsys):
     assert lines[0] == "ERR" and lines[1].isdigit()
 
 
+def test_access_checks_the_coordinate_count(slp1_file, slp2_file, capsys):
+    for path, coords, want in ((slp1_file, "1,5", 1), (slp2_file, "1,1,9", 2),
+                               (slp2_file, "1", 2)):
+        code, out, err = run(capsys, "access", str(path), coords, "1" if want == 1 else "1,1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "ERR" and lines[1].isdigit()
+        assert err == f"query {coords!r}: expected {want} coordinate(s), " \
+                      f"got {len(coords.split(','))}\n"
+
+
+def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, capsys,
+                                                         monkeypatch):
+    g1 = validate_slg1(parse_slg1(slp1_file.read_text()))
+    m = expand2(validate_slg2(parse_slg2(slp2_file.read_text())))
+    for argv, want in (((str(slp1_file), "3", "--tau", "100000000000"), [expand1(g1)[2]]),
+                       ((str(slp1_file), "3", "--epsilon", "100"), [expand1(g1)[2]]),
+                       ((str(slp2_file), "1,1", "--epsilon", "50"), [m.get(1, 1)])):
+        code, out, err = run(capsys, "access", *argv, "--verify")
+        assert (code, err) == (0, "") and [int(v) for v in out.split()] == want
+    monkeypatch.setenv("GG_CAP_CELLS", "999")       # bench's cap; --cap-cells wins in access
+    for argv in (("access", str(slp1_file), "1", "--tau", "100000000000", "--cap-cells", "99"),
+                 ("access", str(slp2_file), "1,1", "--epsilon", "50", "--cap-cells", "99"),
+                 ("bench", str(slp1_file), "--tau-list", "2,64")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("ExpansionTooLarge: an index at tau ") and err.count("\n") == 1
+
+
 def test_ov_pipeline(tmp_path, capsys):
     inst = tmp_path / "v.ov"
     code, _, _ = run(capsys, "ov", "gen", "6", "5", "--seed", "2", "-o", str(inst))
@@ -231,7 +260,8 @@ def test_bench_2d_branch(slp2_file, capsys):
 
 
 def test_bench_bytes_are_entries_times_record_width(slp1_file, slp2_file, capsys):
-    for path, width in ((slp1_file, 40), (slp2_file, 64)):
+    # six words per resolved 1D step (key i, p, k and s, near, far), ten in 2D
+    for path, width in ((slp1_file, 48), (slp2_file, 80)):
         code, out, _ = run(capsys, "bench", str(path), "--tau-list", "2,3", "--reps", "4")
         assert code == 0
         for line in out.strip().splitlines()[1:]:
