@@ -15,12 +15,19 @@ access costs exactly ceil(log_tau n) + 1 mapping steps.
 
 Tables are flat: ``tables[side][p]`` is one list per side (0 = left,
 1 = right) and level, holding the step of block k of variable i at
-``i * tau + k``. Slots exist only where k * tau**p is inside the variable's
-expansion, which is also what makes the stored-entry count at most
-2 * |V| * tau * (ceil(log_tau n) + 1); the other slots hold None. Every tau
-at least as long as the longest variable expansion (n, when every variable
-is reachable from the start) gives the same levels and blocks, so the build
-clamps tau to that length (and to at least 2).
+``i * tau + k``. Only variables reachable from the start get steps, and
+only where k * tau**p is inside the variable's expansion, which is also what
+makes the stored-entry count at most 2 * |V| * tau * (ceil(log_tau n) + 1);
+the other slots hold None. Every tau at least as long as the start's
+expansion gives the same levels and blocks, so the build clamps tau to n
+(and to at least 2).
+
+Equal steps are stored as one tuple: the build keeps a dict of the steps it
+has made and stores each new step through it, so every slot holding a given
+``(s, near, far)`` refers to the same object. On a comb most of the steps
+repeat: on a 2000-variable right comb at tau 8 the build makes 55,373 steps
+by descent, holding 5,968 distinct values. The dict is dropped when the
+build returns.
 
 The build fills the tables children first. A block that lies wholly inside
 the child on its aligned side (the left child for left blocks, the right
@@ -39,7 +46,7 @@ from __future__ import annotations
 import math
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .slg import validate_slp1
+from .slg import _reachable, validate_slp1
 
 
 def ceil_log(n, base):
@@ -70,9 +77,10 @@ def optimal_tau(n, epsilon=1.0):
 def clamp_tau(tau, longest):
     """The tau an index uses: tau, at most max(2, longest).
 
-    ``longest`` is the longest side of any variable's expansion. The clamp is
-    exact: at every tau >= longest each variable's blocks are its cells at
-    level 0 and its whole expansion at level 1, the top level.
+    ``longest`` is the longest side of the start's expansion, which bounds
+    the sides of every variable the index stores. The clamp is exact:
+    at every tau >= longest each variable's blocks are its cells at level 0
+    and its whole expansion at level 1, the top level.
     """
     if tau < 2:
         raise PreconditionViolated(f"tau must be >= 2, got {tau}")
@@ -81,8 +89,9 @@ def clamp_tau(tau, longest):
 
 def table_slots1(g, tau):
     """Slots, defined or not, that build_index1(g, tau) allocates for the validated SLP g."""
-    tau = clamp_tau(tau, max(g._lens))
-    return 2 * (ceil_log(g._lens[g.start], tau) + 1) * len(g.rules) * tau
+    n = g._lens[g.start]
+    tau = clamp_tau(tau, n)
+    return 2 * (ceil_log(n, tau) + 1) * len(g.rules) * tau
 
 
 def _hook_core(kids, lens, node, b, e, side):
@@ -138,7 +147,7 @@ class AccessIndex1:
 
     def __init__(self, grammar, tau, levels, pows, lens, lit, tables, entries):
         self.grammar = grammar
-        self.tau = tau                # clamped to the longest variable expansion
+        self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # top level index; p ranges over [0..levels]
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
         self.lens = lens
@@ -157,27 +166,33 @@ class AccessIndex1:
 
 
 def build_index1(g, tau):
-    """Populate every defined (variable, level, block) step of both tables."""
+    """Populate every defined (variable, level, block) step of both tables
+    for the variables reachable from the start."""
     g = validate_slp1(g)
     lens = g._lens
     rules = g.rules
     n = lens[g.start]
-    tau = clamp_tau(tau, max(lens))
+    tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
 
     lit = [r if isinstance(r, int) else None for r in rules]
     kids = _kids(rules)
+    reach = _reachable(g, g.start)
+    share = {}.setdefault           # step -> its one stored copy
 
     size = len(rules) * tau
     left = [[None] * size for _ in range(levels + 1)]
     right = [[None] * size for _ in range(levels + 1)]
     entries = 0
     for i in reversed(g._topo):
+        if not reach[i]:
+            continue
         m = lens[i]
         base = i * tau
         if kids[i] is None:
             step = (0, i, None)
+            step = share(step, step)
             for p in range(levels + 1):
                 left[p][base] = right[p][base] = step
             entries += 2 * (levels + 1)
@@ -197,11 +212,13 @@ def build_index1(g, tau):
             cx = lx // tp if lx // tp < blocks else blocks
             lt[base:base + cx] = lt[x * tau:x * tau + cx]
             for k in range(cx, blocks):
-                lt[base + k] = _hook_core(kids, lens, i, k * tp, ends[k], 0)
+                step = _hook_core(kids, lens, i, k * tp, ends[k], 0)
+                lt[base + k] = share(step, step)
             cy = ly // tp if ly // tp < blocks else blocks
             rt[base:base + cy] = rt[y * tau:y * tau + cy]
             for k in range(cy, blocks):
-                rt[base + k] = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1)
+                step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1)
+                rt[base + k] = share(step, step)
     return AccessIndex1(g, tau, levels, pows, lens, lit, (left, right), entries)
 
 
@@ -212,7 +229,7 @@ def _map1(ix, side, t, p, delta):
     addressed boundary and the part in the farther one; landing in the
     nearer child flips the side.
     """
-    m = ix.lens[t]
+    m = ix.lens[t] if 0 <= t < len(ix.lens) else 0
     if p < 0 or p > ix.levels or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
         name = ("left_map", "right_map")[side]
         raise PreconditionViolated(f"{name}(t={t}, p={p}, delta={delta}) out of contract")
@@ -220,7 +237,11 @@ def _map1(ix, side, t, p, delta):
     k = (delta - 1) // tp
     b = k * tp
     w = min(m - b, tp)
-    s, near, far = ix.tables[side][p][t * ix.tau + k]
+    step = ix.tables[side][p][t * ix.tau + k]
+    if step is None:
+        raise PreconditionViolated(f"variable {t} is not reachable from the start "
+                                   f"and has no bookmarks")
+    s, near, far = step
     if far is None:
         if w != 1:
             raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "

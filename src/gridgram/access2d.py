@@ -1,7 +1,8 @@
 """Corner-bookmark random access over 2D SLPs.
 
-The 2D analogue of the 1D bookmark index. For every variable and level pair
-(p_r, p_c), the index stores bookmarks for the tau x tau grid of blocks of
+The 2D analogue of the 1D bookmark index. For every variable reachable from
+the start and every level pair (p_r, p_c) within the variable's level caps
+(below), the index stores bookmarks for the tau x tau grid of blocks of
 size tau**p_r x tau**p_c growing out of each of the four corners of the
 variable's expansion (NW, NE, SW, SE). A bookmark is found through the 2D
 hook of the block (the deepest variable whose expansion still contains the
@@ -20,19 +21,26 @@ stored step for the current corner. Each step relocates the cell into a
 child of the hook, contracting the distance on the hook's splitting axis to
 at most tau**p while never growing the other axis. The level of the
 contracted axis then drops by one, and levels are also capped by the new
-variable's dimensions (the largest p with tau**p within them, computed per
-variable by the build), which bounds the loop by
-ceil(log_tau r) + ceil(log_tau c) + 2 iterations. Corners are numbered
-0..3 (NW, NE, SW, SE): bit 1 set means measured from the bottom, bit 0 set
-means measured from the right.
+variable's dimensions: cap_r and cap_c, the largest p with tau**p within its
+rows and columns, computed per variable by the build. The walk starts at the
+start's caps, which is exact because delta <= rows < tau**(cap_r + 1) (and
+the same for columns). Each step but the last lowers p_r + p_c by at least
+one, and at levels (0, 0) every block is one cell, so a query makes at most
+floor(log_tau r) + floor(log_tau c) + 1 reads. Corners are numbered 0..3
+(NW, NE, SW, SE): bit 1 set means measured from the bottom, bit 0 set means
+measured from the right.
 
-Tables are flat: ``tables[corner][p_r][p_c]`` is one list per corner and
-level pair, holding the step of block (k_r, k_c) of variable i at
-``(i * tau + k_r) * tau + k_c``; slots outside the variable's expansion hold
-None. The stored bookmark count is at most
-4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 where n = max(rows, cols). As in
-1D, the build clamps tau to the longest side of any variable's expansion
-(and to at least 2), which changes neither levels nor blocks.
+Tables are flat and per variable: ``tables[corner][t]`` is one list per
+corner and variable reachable from the start (None for the others). It
+holds only the level pairs a walk can read, p_r <= cap_r[t] and
+p_c <= cap_c[t], with the step of block (k_r, k_c) at level pair
+(p_r, p_c) at ``((p_r * (cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c``;
+slots outside the variable's expansion hold None. A list has
+(cap_r[t] + 1) * (cap_c[t] + 1) * tau**2 slots, so the stored bookmark count
+is at most 4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 where
+n = max(rows, cols). As in 1D, the build clamps tau to the longest side of
+the start's expansion (and to at least 2), which changes neither levels
+nor blocks, and it stores equal steps as one tuple.
 
 The build fills the tables children first. On the axis a variable splits,
 a block aligned to the top or left lies wholly inside the child x when its
@@ -40,8 +48,10 @@ far edge is within x, and then it is x's own block with the same key: the
 descent enters x with the window unchanged, and the other axis is shared,
 so it reaches the same hook at the same place. So is a block aligned to the
 bottom or right that lies wholly inside y. Those steps are copied from the
-child, a slice at a time; only blocks that straddle the split or sit
-unaligned in the other child descend.
+child's own list, a slice at a time; only blocks that straddle the split or
+sit unaligned in the other child descend. The child has the level pair
+whenever a block fits inside it, and on a rows split it has the parent's
+columns, hence the parent's column cap and stride.
 
 Immutable after build; queries are safe under concurrent readers.
 """
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .access1d import ceil_log, clamp_tau, optimal_tau
+from .slg import _reachable
 from .slg2d import Horiz, validate_slp2
 
 
@@ -62,11 +73,21 @@ def optimal_tau2(n, epsilon=1.0):
     return optimal_tau(n, epsilon / 2)
 
 
+def _layout2(g, tau):
+    """The clamped tau, reachability and per-variable level caps of an index
+    at ``tau`` over the validated 2D SLP g."""
+    rows, cols = g._rows, g._cols
+    tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
+    cap_r = [ceil_log(r + 1, tau) - 1 for r in rows]
+    cap_c = [ceil_log(c + 1, tau) - 1 for c in cols]
+    return tau, _reachable(g, g.start), cap_r, cap_c
+
+
 def table_slots2(g, tau):
     """Slots, defined or not, that build_index2(g, tau) allocates for the validated 2D SLP g."""
-    n = max(g._rows[g.start], g._cols[g.start])
-    tau = clamp_tau(tau, max(max(g._rows), max(g._cols)))
-    return 4 * (ceil_log(n, tau) + 1) ** 2 * len(g.rules) * tau * tau
+    tau, reach, cap_r, cap_c = _layout2(g, tau)
+    return 4 * tau * tau * sum((cr + 1) * (cc + 1)
+                               for cr, cc, r in zip(cap_r, cap_c, reach) if r)
 
 
 def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner):
@@ -140,12 +161,12 @@ class AccessIndex2:
     """Four corner bookmark tables plus per-variable dimension arrays and level caps."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "lit", "cap_r", "cap_c",
-                 "tables", "entries", "n_rows", "n_cols", "top_r", "top_c")
+                 "tables", "entries", "n_rows", "n_cols")
 
     def __init__(self, grammar, tau, levels, pows, rows, cols, lit, cap_r, cap_c,
                  tables, entries):
         self.grammar = grammar
-        self.tau = tau              # clamped to the longest variable side
+        self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
         self.pows = pows
         self.rows = rows
@@ -153,13 +174,12 @@ class AccessIndex2:
         self.lit = lit
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
-        self.tables = tables        # [corner][p_r][p_c][(i*tau+k_r)*tau+k_c]
-                                    #   -> (axis, s, near, far, shift)
+        self.tables = tables        # [corner][t][((p_r*(cap_c[t]+1)+p_c)*tau+k_r)*tau+k_c]
+                                    #   -> (axis, s, near, far, shift); [corner][t] is
+                                    #   None for a variable unreachable from the start
         self.entries = entries      # defined slots, counted by the build
         self.n_rows = rows[grammar.start]
         self.n_cols = cols[grammar.start]
-        self.top_r = ceil_log(self.n_rows, tau)   # the walk's starting levels
-        self.top_c = ceil_log(self.n_cols, tau)
 
     def entry_count(self):
         """Stored bookmarks across all four corner tables."""
@@ -182,65 +202,73 @@ def _windows(m, pows, tau):
 
 
 def build_index2(g, tau):
-    """Populate every defined corner step of all four tables."""
+    """Populate every defined corner step of the variables reachable from the start."""
     g = validate_slp2(g)
     rows, cols = g._rows, g._cols
-    n = max(rows[g.start], cols[g.start])
-    tau = clamp_tau(tau, max(max(rows), max(cols)))
-    levels = ceil_log(n, tau)
+    tau, reach, cap_r, cap_c = _layout2(g, tau)
+    levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
     lit, kids, horiz = _grammar_arrays(g)
-    cap_r = [ceil_log(r + 1, tau) - 1 for r in rows]
-    cap_c = [ceil_log(c + 1, tau) - 1 for c in cols]
+    share = {}.setdefault           # step -> its one stored copy
 
-    span = tau * tau                # slots per variable in one table
-    size = len(g.rules) * span
-    tables = [[[[None] * size for _ in range(levels + 1)] for _ in range(levels + 1)]
-              for _ in _CORNERS]
+    span = tau * tau                # slots per level pair in one list
+    tables = [[None] * len(g.rules) for _ in _CORNERS]
     entries = 0
     for i in reversed(g._topo):
-        base = i * span
-        if lit[i] is not None:
+        if not reach[i]:
+            continue
+        if lit[i] is not None:      # caps (0, 0): one level pair, one cell
             step = (0, 0, i, None, 0)
+            step = share(step, step)
             for corner_tables in tables:
-                for row_level in corner_tables:
-                    for table in row_level:
-                        table[base] = step
-            entries += 4 * (levels + 1) ** 2
+                corner_tables[i] = [step] + [None] * (span - 1)
+            entries += 4
             continue
         x, y = kids[i]
-        win_r, win_c = _windows(rows[i], pows, tau), _windows(cols[i], pows, tau)
-        for p_r in range(levels + 1):
+        cr, cc = cap_r[i], cap_c[i]
+        win_r = _windows(rows[i], pows[:cr + 2], tau)
+        win_c = _windows(cols[i], pows[:cc + 2], tau)
+        size = (cr + 1) * (cc + 1) * span
+        own = [[None] * size for _ in _CORNERS]
+        for corner in range(4):
+            tables[corner][i] = own[corner]
+        for p_r in range(cr + 1):
             tpr = pows[p_r]
             blocks_r = len(win_r[p_r][0])
-            for p_c in range(levels + 1):
+            for p_c in range(cc + 1):
                 tpc = pows[p_c]
                 blocks_c = len(win_c[p_c][0])
                 entries += 4 * blocks_r * blocks_c
+                base = (p_r * (cc + 1) + p_c) * span
                 for corner in range(4):
-                    table = tables[corner][p_r][p_c]
+                    table = own[corner]
                     # the child on the split axis that shares this corner's side
                     if horiz[i]:
                         src = y if corner & 2 else x
                         cut_r, cut_c = rows[src] // tpr, 0
                         if cut_r > blocks_r:
                             cut_r = blocks_r
-                        start = src * span
-                        table[base:base + cut_r * tau] = table[start:start + cut_r * tau]
+                        if cut_r:           # same columns, so the same stride
+                            table[base:base + cut_r * tau] = \
+                                tables[corner][src][base:base + cut_r * tau]
                     else:
                         src = y if corner & 1 else x
                         cut_r, cut_c = 0, cols[src] // tpc
                         if cut_c > blocks_c:
                             cut_c = blocks_c
-                        for k_r in range(blocks_r):
-                            at, start = base + k_r * tau, src * span + k_r * tau
-                            table[at:at + cut_c] = table[start:start + cut_c]
+                        if cut_c:
+                            child = tables[corner][src]
+                            start = (p_r * (cap_c[src] + 1) + p_c) * span
+                            for at in range(base, base + blocks_r * tau, tau):
+                                table[at:at + cut_c] = child[start:start + cut_c]
+                                start += tau
                     col_wins = win_c[p_c][corner & 1][cut_c:]
                     for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][cut_r:], cut_r):
                         at = base + k_r * tau
                         for k_c, (b_c, e_c) in enumerate(col_wins, at + cut_c):
-                            table[k_c] = _hook_core2(lit, kids, horiz, rows, cols,
-                                                     i, b_r, b_c, e_r, e_c, corner)
+                            step = _hook_core2(lit, kids, horiz, rows, cols,
+                                               i, b_r, b_c, e_r, e_c, corner)
+                            table[k_c] = share(step, step)
     return AccessIndex2(g, tau, levels, pows, rows, cols, lit, cap_r, cap_c, tables, entries)
 
 
@@ -261,15 +289,22 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     The stored step is already seen from the corner: landing in the child
     nearer the corner on the split axis flips that axis's side, the farther
     child keeps both sides, and the other axis moves by the stored shift.
+    A level above the variable's cap on its axis reads at the cap, whose
+    blocks are no larger, so the step still contracts within tau**p.
     """
     c = _CORNER_ID[corner]
-    m_r, m_c = ix.rows[t], ix.cols[t]
+    m_r, m_c = (ix.rows[t], ix.cols[t]) if 0 <= t < len(ix.rows) else (0, 0)
     if not (0 <= p_r <= ix.levels) or not (0 <= p_c <= ix.levels) \
             or not (1 <= delta_r <= m_r) or not (1 <= delta_c <= m_c) \
             or delta_r > ix.pows[p_r + 1] or delta_c > ix.pows[p_c + 1]:
         raise PreconditionViolated(
             f"corner_map({corner}, t={t}, p=({p_r},{p_c}), delta=({delta_r},{delta_c}))"
             " out of contract")
+    table = ix.tables[c][t]
+    if table is None:
+        raise PreconditionViolated(f"variable {t} is not reachable from the start "
+                                   f"and has no bookmarks")
+    p_r, p_c = min(p_r, ix.cap_r[t]), min(p_c, ix.cap_c[t])
     tpr = ix.pows[p_r]
     tpc = ix.pows[p_c]
     k_r = (delta_r - 1) // tpr
@@ -277,7 +312,8 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     k_c = (delta_c - 1) // tpc
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
-    axis, s, near, far, shift = ix.tables[c][p_r][p_c][(t * ix.tau + k_r) * ix.tau + k_c]
+    tau = ix.tau
+    axis, s, near, far, shift = table[((p_r * (ix.cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c]
     if far is None:
         if w_r != 1 or w_c != 1:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
@@ -304,13 +340,13 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
 def access2_traced(ix, i, j):
     """Random access returning (code, loop_iterations).
 
-    State starts at (start, i, j, T, L) with levels ceil(log_tau rows) and
-    ceil(log_tau cols). Each iteration dispatches the checked corner mapping
-    matching the current sides, then lowers the level of the contracted axis
-    by one and caps each level by the new variable's dimension on that axis
-    (the largest p with tau**p within it). The loop ends when the state
-    reaches a literal; the iteration count is at most
-    ceil(log_tau rows) + ceil(log_tau cols) + 2.
+    State starts at (start, i, j, T, L) at the start's level caps
+    floor(log_tau rows) and floor(log_tau cols). Each iteration dispatches
+    the checked corner mapping matching the current sides, then lowers the
+    level of the contracted axis by one and caps each level by the new
+    variable's dimension on that axis (the largest p with tau**p within it).
+    The loop ends when the state reaches a literal; the iteration count is
+    at most floor(log_tau rows) + floor(log_tau cols) + 1.
 
     Each iteration checks the per-step contract: the contracted axis's
     distance drops to at most tau**p while the other axis's distance does
@@ -322,7 +358,7 @@ def access2_traced(ix, i, j):
         raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
     t, d_r, d_c = ix.grammar.start, i, j
     corner = "NW"
-    p_r, p_c = ix.top_r, ix.top_c
+    p_r, p_c = ix.cap_r[t], ix.cap_c[t]
     pows = ix.pows
     steps = 0
     lit = ix.lit
@@ -353,21 +389,21 @@ def access2(ix, i, j):
 
     The same walk as access2_traced in one loop with integer corners and no
     per-step checks, one table read per step; it stops at the first literal
-    step. Every other step lowers p_r + p_c by at least one, and at levels
-    (0, 0) every block is one cell, so the loop is bounded by
-    ceil(log_tau rows) + ceil(log_tau cols) + 1 reads.
+    step, after at most floor(log_tau rows) + floor(log_tau cols) + 1 reads.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
     tau, pows, tables, cap_r, cap_c = ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c
     t, d_r, d_c, c = ix.grammar.start, i, j, 0
-    p_r, p_c = ix.top_r, ix.top_c
+    p_r, p_c = cap_r[t], cap_c[t]
+    stride = p_c + 1                # level pairs per row level in t's lists
     for _ in range(p_r + p_c + 1):
         tpr, tpc = pows[p_r], pows[p_c]
         k_r = (d_r - 1) // tpr
         k_c = (d_c - 1) // tpc
-        axis, s, near, far, shift = tables[c][p_r][p_c][(t * tau + k_r) * tau + k_c]
+        axis, s, near, far, shift = \
+            tables[c][t][((p_r * stride + p_c) * tau + k_r) * tau + k_c]
         d_r -= k_r * tpr
         d_c -= k_c * tpc
         if axis:
@@ -390,6 +426,7 @@ def access2(ix, i, j):
             p_c -= 1
         if p_r > cap_r[t]:
             p_r = cap_r[t]
-        if p_c > cap_c[t]:
-            p_c = cap_c[t]
+        stride = cap_c[t] + 1
+        if p_c >= stride:
+            p_c = stride - 1
     raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")

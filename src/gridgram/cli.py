@@ -116,28 +116,40 @@ class _Dim:
     access: Callable      # (index, *position) -> code
     traced: Callable      # (index, *position) -> (code, mapping steps)
     reference: Callable   # (SLP, cap) -> (*position -> code), from the full expansion
-    record_bytes: int     # one stored bookmark: its key and value as 64-bit words
 
 
-# record_bytes: a 1D bookmark is keyed by (i, p, k) and holds the resolved
-# step (s, near, far), six words; a 2D one is keyed by (i, p_r, p_c, k_r, k_c)
-# and holds (axis, s, near, far, shift), ten words. The flat tables keep the
-# key as the slot's position; the nominal width keeps the column comparable
-# across runs.
 _DIM1 = _Dim(slg_to_slp, lambda slp: (exp_len(slp, slp.start),), access1d.optimal_tau,
              access1d.table_slots1, access1d.build_index1, access1d.access1,
-             access1d.access1_traced, _reference1, 6 * 8)
+             access1d.access1_traced, _reference1)
 _DIM2 = _Dim(slg2_to_slp2, lambda slp: dims(slp, slp.start), access2d.optimal_tau2,
              access2d.table_slots2, access2d.build_index2, access2d.access2,
-             access2d.access2_traced, _reference2, 10 * 8)
+             access2d.access2_traced, _reference2)
+
+
+def _held_bytes(ix):
+    """The memory an index's tables hold: 8 B per allocated slot (one
+    pointer) plus each distinct step object once, as sys.getsizeof counts it.
+
+    ``ix.tables`` is two or four parts of flat lists, a 2D part holding None
+    for a variable without tables; equal steps are one shared object."""
+    slots, steps = 0, {}
+    for part in ix.tables:
+        for table in part:
+            if table is not None:
+                slots += len(table)
+                steps.update((id(v), v) for v in table if v is not None)
+    return 8 * slots + sum(sys.getsizeof(v) for v in steps.values())
 
 
 def _check_slots(dim, slp, tau, cap):
     """Refuse, before building, an index at ``tau`` with more table slots than the cap."""
-    slots = dim.slots(slp, tau)
-    if slots > cap:
-        raise ExpansionTooLarge(f"an index at tau {tau} needs {slots} table slots, "
-                                f"over the expansion cap of {cap}")
+    _check_work(f"an index at tau {tau} needs", dim.slots(slp, tau), "table slots", cap)
+
+
+def _check_work(what, amount, unit, cap):
+    """Refuse, before doing it, work of ``amount`` units over the expansion cap."""
+    if amount > cap:
+        raise ExpansionTooLarge(f"{what} {amount} {unit}, over the expansion cap of {cap}")
 
 
 def _dim(g):
@@ -203,16 +215,23 @@ def cmd_access(args):
 
 def cmd_ov(args):
     if args.ov_cmd == "gen":
+        if args.n < 1 or args.d < 1:
+            raise RangeError(f"ov gen needs n >= 1 and d >= 1, got {args.n} and {args.d}")
+        _check_work(f"{args.n} vectors of dimension {args.d} are", args.n * args.d, "cells",
+                    _cap(args))
         rng_inst = gen._rng(args.seed)
         vecs = tuple(tuple(rng_inst.randrange(2) for _ in range(args.d))
                      for _ in range(args.n))
         _write(args.out, reductions.dump_ov(reductions.OvInstance(vecs)))
         return 0
     inst = reductions.parse_ov(_read(args.path))
-    if args.ov_cmd == "uniform":
+    n, d = inst.n, inst.d
+    if args.ov_cmd == "uniform":         # 2n vectors of dimension 3d
+        _check_work("the uniform instance has", 6 * n * d, "cells", _cap(args))
         _write(args.out, reductions.dump_ov(reductions.uniform_ov(inst)))
         return 0
-    if args.ov_cmd == "solve":
+    if args.ov_cmd == "solve":           # every ordered pair, d products each
+        _check_work("brute force over the pairs takes", n * n * d, "products", _cap(args))
         print(oracle.ov_brute(inst.vectors))
         return 0
     # reduce
@@ -306,6 +325,10 @@ def cmd_query(args):
         takes = f"--via {' or '.join(chains)}" if chains else "no --via"
         raise RangeError(f"{args.query} takes {takes}, not {args.via!r}")
     g = slg_to_slp(g) if dim == 1 else validate_slg2(g)
+    if args.query == "row-pattern":     # every cell against every pattern code
+        rows, cols = dims(g, g.start)
+        _check_work(f"row-pattern over {rows}x{cols} cells takes",
+                    rows * cols * len(qargs[0]), "comparisons", cap)
     if args.via is not None:
         print(chains[args.via](g, cap, *qargs))
     else:
@@ -359,8 +382,7 @@ def cmd_bench(args):
             dim.access(ix, *q)
         query_ns = (time.perf_counter() - t0) * 1e9 / max(1, len(queries))
         total_steps = sum(dim.traced(ix, *q)[1] for q in queries)
-        entries = ix.entry_count()
-        rows.append(f"{tau},{entries},{entries * dim.record_bytes},{build_ms:.3f},"
+        rows.append(f"{tau},{ix.entry_count()},{_held_bytes(ix)},{build_ms:.3f},"
                     f"{query_ns:.0f},{total_steps / max(1, len(queries)):.2f}")
     print("\n".join(rows))
     return 0
@@ -418,15 +440,18 @@ def _build_parser():
     q.add_argument("d", type=int)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--out", default="-")
+    q.add_argument("--cap-cells", type=int, default=None)
     q = ovsub.add_parser("uniform", help="equalize ones counts")
     q.add_argument("path")
     q.add_argument("-o", "--out", default="-")
+    q.add_argument("--cap-cells", type=int, default=None)
     q = ovsub.add_parser("reduce", help="emit pattern + grammar instance")
     q.add_argument("path")
     q.add_argument("-p", "--pattern-out", required=True)
     q.add_argument("-g", "--grammar-out", required=True)
     q = ovsub.add_parser("solve", help="brute-force answer")
     q.add_argument("path")
+    q.add_argument("--cap-cells", type=int, default=None)
     p.set_defaults(fn=cmd_ov)
 
     p = sub.add_parser("query", help="run a query (oracle, or --via an adapter chain)")

@@ -85,6 +85,20 @@ def expand_all_1d(g):
     return out
 
 
+def reachable(g):
+    """Ids reachable from the start, ascending: the variables an index stores."""
+    seen, stack = {g.start}, [g.start]
+    while stack:
+        rule = g.rules[stack.pop()]
+        if isinstance(rule, int):
+            continue
+        for c in rule if isinstance(rule, tuple) else rule.children:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return sorted(seen)
+
+
 def submatrix(m, b_r, e_r, b_c, e_c):
     """Rows (b_r..e_r], cols (b_c..e_c] as a list of row lists."""
     return [[m.get(i, j) for j in range(b_c + 1, e_c + 1)]

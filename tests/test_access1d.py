@@ -22,7 +22,7 @@ from gridgram import (
 )
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp1
-from conftest import expand_all_1d
+from conftest import expand_all_1d, reachable
 
 
 def test_ceil_log():
@@ -137,6 +137,21 @@ def test_index_clamps_tau_to_the_longest_expansion(abab):
     ix = build_index1(abab, 10 ** 11)
     assert ix.tau == 4 and ix.tables == build_index1(abab, 4).tables
     assert [access1(ix, i) for i in range(1, 5)] == [0, 1, 0, 1]
+    # U (id 3, 8 symbols) is unreachable: the clamp is the start's length 2
+    g = validate_slp1(Slp1([(1, 2), 0, 1, (4, 4), (5, 5), (1, 2)], 2, 0))
+    ix = build_index1(g, 10 ** 11)
+    assert ix.tau == 2 and [access1(ix, i) for i in (1, 2)] == [0, 1]
+
+
+def test_maps_refuse_a_variable_without_bookmarks():
+    g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
+    ix = build_index1(g, 2)
+    # levels 0 and 1, both sides: 2 + 1 blocks of the start, 1 + 1 per literal
+    assert ix.tables[0][0][3 * 2] is None and ix.entry_count() == 2 * 3 + 2 * 2 * 2
+    for fn in (left_map, right_map):
+        for t in (3, 4, -1):    # unreachable, then no such variable
+            with pytest.raises(PreconditionViolated):
+                fn(ix, t, 0, 1)
 
 
 def test_optimal_tau_stops_at_n():
@@ -187,7 +202,7 @@ def test_map_contraction_property():
         for tau in (2, 3):
             ix = build_index1(g, tau)
             for _ in range(200):
-                t = rng.randrange(len(g.rules))
+                t = rng.choice(reachable(g))
                 m = exp_len(g, t)
                 p = rng.randint(0, ix.levels)
                 delta = rng.randint(1, min(m, ix.pows[p + 1]))
@@ -209,7 +224,7 @@ def test_map_access_semantics_random():
         for tau in (2, 3):
             ix = build_index1(g, tau)
             for _ in range(300):
-                t = rng.randrange(len(g.rules))
+                t = rng.choice(reachable(g))
                 m = len(exps[t])
                 p = rng.randint(0, ix.levels)
                 delta = rng.randint(1, min(m, ix.pows[p + 1]))

@@ -23,7 +23,7 @@ from gridgram import (
 )
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp2
-from conftest import expand_all_2d, submatrix
+from conftest import expand_all_2d, reachable, submatrix
 
 
 def _access_naive(m, d_r, d_c, r_side, c_side):
@@ -129,7 +129,7 @@ def test_index_1x1_text():
     g = validate_slp2(Slp2([4], 5, 0))
     ix = build_index2(g, 2)
     for corner in range(4):     # NW, NE, SW, SE
-        assert ix.tables[corner] == [[[(0, 0, 0, None, 0), None, None, None]]]
+        assert ix.tables[corner] == [[(0, 0, 0, None, 0), None, None, None]]
     assert ix.entry_count() == 4
 
 
@@ -137,7 +137,7 @@ def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
     nw = ix.tables[0]
     # variable 0, levels (0, 0), block (1, 0): the literal 5 at offset (0, 0)
-    assert nw[0][0][(0 * 2 + 1) * 2 + 0] == (0, 0, 5, None, 0)
+    assert nw[0][((0 * (ix.cap_c[0] + 1) + 0) * 2 + 1) * 2 + 0] == (0, 0, 5, None, 0)
 
 
 def test_index_entry_count_bound_random():
@@ -152,6 +152,19 @@ def test_index_clamps_tau_to_the_longest_side(grid22):
     ix = build_index2(grid22, 10 ** 11)
     assert ix.tau == 2 and ix.tables == build_index2(grid22, 2).tables
     assert optimal_tau2(2 ** 20, epsilon=50) == 2 ** 20
+    # id 3 (1x8) is unreachable: the clamp is the start's longest side 2
+    g = validate_slp2(Slp2([Vert(1, 2), 0, 1, Vert(4, 4), Vert(5, 5), Vert(1, 2)], 2, 0))
+    ix = build_index2(g, 10 ** 11)
+    assert ix.tau == 2 and [access2(ix, 1, j) for j in (1, 2)] == [0, 1]
+
+
+def test_corner_map_refuses_a_variable_without_bookmarks():
+    g = validate_slp2(Slp2([Vert(1, 2), 0, 1, Horiz(1, 1)], 2, 0))     # id 3 is unreachable
+    ix = build_index2(g, 2)
+    assert all(ix.tables[corner][3] is None for corner in range(4))
+    for t in (3, 4, -2):        # unreachable, then no such variable
+        with pytest.raises(PreconditionViolated):
+            corner_map(ix, "NW", t, 0, 0, 1, 1)
 
 
 def test_index_rejects_tau_below_two(grid22):
@@ -188,7 +201,7 @@ def test_corner_map_semantics_all_corners_random():
         for tau in (2, 3):
             ix = build_index2(g, tau)
             for _ in range(250):
-                t = rng.randrange(len(g.rules))
+                t = rng.choice(reachable(g))
                 w = exps[t]
                 p_r = rng.randint(0, ix.levels)
                 p_c = rng.randint(0, ix.levels)

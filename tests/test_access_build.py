@@ -1,14 +1,16 @@
 """The children-first bookmark build and both query loops, in 1D and 2D.
 
-The build stores every bookmark resolved into the step a query takes, and
-copies a child's step wherever a block lies wholly inside the child on its
-aligned side, descending only for the other blocks. These properties check
-every stored step against one resolved here from the reference
-``hook_offset1``/``hook_offset2`` of its window, the kept entry count
-against the number of defined windows, and the fast and the traced access
-against the expansion and against a plain root-to-leaf descent, on random
-SLPs, left and right combs (deep, mostly copied on one side and descended
-on the other) and staircases.
+The build stores every bookmark resolved into the step a query takes, for
+the variables reachable from the start, and copies a child's step wherever
+a block lies wholly inside the child on its aligned side, descending only
+for the other blocks. These properties check every stored step against one
+resolved here from the reference ``hook_offset1``/``hook_offset2`` of its
+window, the kept entry count against the number of defined windows, the 2D
+lists against the per-variable level caps, that equal steps are stored as
+one object, and the fast and the traced access against the expansion and
+against a plain root-to-leaf descent, on random SLPs, left and right combs
+(deep, mostly copied on one side and descended on the other) and
+staircases.
 """
 
 import os
@@ -30,6 +32,7 @@ from gridgram import (
     access2_traced,
     build_index1,
     build_index2,
+    corner_map,
     expand1,
     expand2,
     hook_offset1,
@@ -37,11 +40,13 @@ from gridgram import (
     validate_slp1,
     validate_slp2,
 )
+from gridgram.access2d import table_slots2
 from gridgram.gen import random_slp1, random_slp2
+from conftest import reachable
 
 TAUS = st.sampled_from([2, 3, 8])
-# tau past every 1D test length: the build clamps it to the longest variable
-# expansion and must still store exactly the blocks of the tau asked for
+# tau past every 1D test length: the build clamps it to the start's length
+# and must still store exactly the blocks of the tau asked for
 TAUS1 = st.sampled_from([2, 3, 8, 10 ** 6])
 
 
@@ -168,10 +173,11 @@ def descend2(g, i, j):
 @given(g=grammars1(), tau=TAUS1)
 def test_build1_stores_every_window_hook(g, tau):
     ix = build_index1(g, tau)
-    assert ix.tau == min(tau, max(2, *g._lens))
+    assert ix.tau == min(tau, max(2, g._lens[g.start]))
     left, right = ix.tables
     defined = 0
-    for i, m in enumerate(g._lens):
+    for i in reachable(g):
+        m = g._lens[i]
         for p in range(ix.levels + 1):
             for k, b, e in blocks(m, ix.pows[p], tau):
                 defined += 2
@@ -185,24 +191,68 @@ def test_build1_stores_every_window_hook(g, tau):
 @given(g=grammars2(), tau=TAUS)
 def test_build2_stores_every_window_hook(g, tau):
     ix = build_index2(g, tau)
-    assert ix.tau == min(tau, max(2, *g._rows, *g._cols))
+    T = ix.tau
+    assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
+    ids = reachable(g)
     defined = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
-        for p_r in range(ix.levels + 1):
-            for p_c in range(ix.levels + 1):
+        if i not in ids:
+            assert all(ix.tables[corner][i] is None for corner in range(4))
+            continue
+        cap_r, cap_c = ix.cap_r[i], ix.cap_c[i]
+        assert T ** cap_r <= m_r < T ** (cap_r + 1) and T ** cap_c <= m_c < T ** (cap_c + 1)
+        for corner in range(4):     # no slot above the caps exists
+            assert len(ix.tables[corner][i]) == (cap_r + 1) * (cap_c + 1) * T ** 2
+        for p_r in range(cap_r + 1):
+            for p_c in range(cap_c + 1):
                 for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], tau):
                     for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], tau):
-                        slot = (i * ix.tau + k_r) * ix.tau + k_c
+                        slot = ((p_r * (cap_c + 1) + p_c) * T + k_r) * T + k_c
                         for corner, (rb, re) in enumerate(((b_r, e_r), (b_r, e_r),
                                                            (m_r - e_r, m_r - b_r),
                                                            (m_r - e_r, m_r - b_r))):
                             cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
                             defined += 1
-                            assert ix.tables[corner][p_r][p_c][slot] == \
+                            assert ix.tables[corner][i][slot] == \
                                 step2(g, i, corner, rb, cb, re, ce)
+    lists = [table for corner in ix.tables for table in corner if table is not None]
+    assert table_slots2(g, tau) == sum(len(table) for table in lists)
     assert ix.entry_count() == defined
-    assert sum(v is not None for corner in ix.tables for row in corner for table in row
-               for v in table) == defined
+    assert sum(v is not None for table in lists for v in table) == defined
+
+
+def distinct_objects_are_distinct_values(steps):
+    steps = [v for v in steps if v is not None]
+    return len({id(v) for v in steps}) == len(set(steps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars1(), tau=TAUS1)
+def test_build1_stores_each_distinct_step_once(g, tau):
+    ix = build_index1(g, tau)
+    assert distinct_objects_are_distinct_values(
+        v for table in ix.tables for level in table for v in level)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grammars2(), tau=TAUS)
+def test_build2_stores_each_distinct_step_once(g, tau):
+    ix = build_index2(g, tau)
+    assert distinct_objects_are_distinct_values(
+        v for corner in ix.tables for table in corner if table is not None for v in table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=TAUS, data=st.data())
+def test_corner_map_above_the_caps_answers_as_at_the_caps(g, tau, data):
+    ix = build_index2(g, tau)
+    t = data.draw(st.sampled_from(reachable(g)))
+    p_r, p_c = data.draw(st.integers(0, ix.levels)), data.draw(st.integers(0, ix.levels))
+    d_r = data.draw(st.integers(1, min(ix.rows[t], ix.pows[p_r + 1])))
+    d_c = data.draw(st.integers(1, min(ix.cols[t], ix.pows[p_c + 1])))
+    for corner in ("NW", "NE", "SW", "SE"):
+        assert corner_map(ix, corner, t, p_r, p_c, d_r, d_c) == \
+            corner_map(ix, corner, t, min(p_r, ix.cap_r[t]), min(p_c, ix.cap_c[t]), d_r, d_c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,7 +331,8 @@ _, corner, t, p_r, p_c, d_r, d_c = last_step(access2d, ("corner_map",),
                                              lambda: access2_traced(ix2, 3, 6))
 c = ("NW", "NE", "SW", "SE").index(corner)
 k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
-ix2.tables[c][p_r][p_c][(t * 2 + k_r) * 2 + k_c] = (1, ix2.pows[p_r], 1, 1, 0)
+ix2.tables[c][t][((p_r * (ix2.cap_c[t] + 1) + p_c) * 2 + k_r) * 2 + k_c] = \
+    (1, ix2.pows[p_r], 1, 1, 0)
 try:
     access2_traced(ix2, 3, 6)
 except PreconditionViolated:

@@ -1,8 +1,21 @@
 """CLI surface: every subcommand end to end, determinism, exit codes."""
 
+import sys
+
 import pytest
 
-from gridgram import expand1, expand2, parse_slg1, parse_slg2, validate_slg1, validate_slg2
+from gridgram import (
+    build_index1,
+    build_index2,
+    expand1,
+    expand2,
+    parse_slg1,
+    parse_slg2,
+    slg2_to_slp2,
+    slg_to_slp,
+    validate_slg1,
+    validate_slg2,
+)
 from gridgram import cli
 from gridgram.cli import main
 from gridgram.oracle import rank
@@ -259,14 +272,19 @@ def test_bench_2d_branch(slp2_file, capsys):
     assert len(lines) == 2 and lines[1].startswith("2,")
 
 
-def test_bench_bytes_are_entries_times_record_width(slp1_file, slp2_file, capsys):
-    # six words per resolved 1D step (key i, p, k and s, near, far), ten in 2D
-    for path, width in ((slp1_file, 48), (slp2_file, 80)):
+def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys):
+    # 8 B per allocated slot plus each distinct (shared) step object once
+    for path, load, build in ((slp1_file, lambda t: slg_to_slp(parse_slg1(t)), build_index1),
+                              (slp2_file, lambda t: slg2_to_slp2(parse_slg2(t)), build_index2)):
         code, out, _ = run(capsys, "bench", str(path), "--tau-list", "2,3", "--reps", "4")
         assert code == 0
         for line in out.strip().splitlines()[1:]:
-            _, entries, nbytes = line.split(",")[:3]
-            assert int(nbytes) == int(entries) * width
+            tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
+            ix = build(load(path.read_text()), tau)
+            lists = [t for part in ix.tables for t in part if t is not None]
+            steps = {id(v): v for t in lists for v in t if v is not None}
+            assert entries == ix.entry_count() and len(steps) < entries
+            assert nbytes == 8 * sum(map(len, lists)) + sum(map(sys.getsizeof, steps.values()))
 
 
 def test_access_tau_preset_from_epsilon(slp1_file, capsys):
@@ -281,6 +299,49 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["query"])
     assert exc.value.code == 2
+
+
+def test_ov_gen_over_the_cap_is_refused_in_one_line(capsys, monkeypatch):
+    # 10**10 cells: refused before any is generated
+    code, out, err = run(capsys, "ov", "gen", "100000", "100000")
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "ov", "gen", "3", "4", "--cap-cells", "12")
+    assert code == 0 and len(out.split()) == 3
+    monkeypatch.setenv("GG_CAP_CELLS", "11")
+    code, out, err = run(capsys, "ov", "gen", "3", "4")
+    assert code == 1 and out == "" and err.startswith("ExpansionTooLarge: ")
+
+
+def test_ov_uniform_over_the_cap_is_refused_in_one_line(tmp_path, capsys):
+    inst = tmp_path / "v.ov"
+    inst.write_text("101\n011\n")          # uniform: 4 vectors of dimension 9, 36 cells
+    code, out, _ = run(capsys, "ov", "uniform", str(inst), "--cap-cells", "36")
+    assert code == 0 and len(out.split()) == 4
+    code, out, err = run(capsys, "ov", "uniform", str(inst), "--cap-cells", "35")
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
+
+
+def test_ov_solve_over_the_work_cap_is_refused_in_one_line(tmp_path, capsys):
+    inst = tmp_path / "v.ov"
+    inst.write_text("101\n011\n")          # 2 * 2 ordered pairs of 3 products
+    code, out, _ = run(capsys, "ov", "solve", str(inst), "--cap-cells", "12")
+    assert code == 0 and out == "0\n"
+    code, out, err = run(capsys, "ov", "solve", str(inst), "--cap-cells", "11")
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
+
+
+def test_row_pattern_over_the_work_cap_is_refused_in_one_line(tmp_path, capsys):
+    path = tmp_path / "row.slg2"
+    path.write_text("SLG2 4 12\n0: V 1 2 3\n1: L 10\n2: L 2\n3: L 3\nSTART 0\n")
+    argv = ("query", str(path), "row-pattern", "2,3")       # 3 cells times 2 codes
+    code, out, _ = run(capsys, *argv, "--cap-cells", "6")
+    assert code == 0 and out == "1\n"
+    code, out, err = run(capsys, *argv, "--cap-cells", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
