@@ -58,9 +58,8 @@ from .access1d import (
     build_index1,
     ceil_log,
     hook_offset1,
-    left_map,
     optimal_tau,
-    right_map,
+    side_map,
 )
 from .access2d import (
     AccessIndex2,

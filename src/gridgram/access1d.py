@@ -11,7 +11,9 @@ table addresses, and near and far are the hook's children in that order
 from that boundary. A block of one literal is stored as ``(0, v, None)``
 for the literal variable v. A query walks levels top-down, each step
 relocating the position into a smaller variable through one table read, so
-access costs exactly ceil(log_tau n) + 1 mapping steps.
+access costs exactly ceil(log_tau n) + 1 mapping steps. The checked single
+step is side_map, which takes and returns the side the position is
+measured from as the tables number it: 0 = left, 1 = right.
 
 Tables are flat: ``tables[side][p]`` is one list per side (0 = left,
 1 = right) and level, holding the step of block k of variable i at
@@ -133,8 +135,7 @@ def hook_offset1(g, nid, b, e):
     a width-1 window lands on a literal, otherwise the hook's child split
     falls strictly inside the relocated window.
     """
-    g.require_validated()
-    m = g._lens[nid]
+    m = g._lens[g._checked_id(nid)]
     if not (0 <= b < e <= m):
         raise RangeError(f"window {b}..{e} invalid for expansion length {m}")
     return _hook_core(_kids(g.rules), g._lens, nid, b, e, None)
@@ -222,17 +223,21 @@ def build_index1(g, tau):
     return AccessIndex1(g, tau, levels, pows, lens, lit, (left, right), entries)
 
 
-def _map1(ix, side, t, p, delta):
-    """One checked mapping step from ``side`` (0 = left, 1 = right) of Exp(N_t).
+def side_map(ix, side, t, p, delta):
+    """One checked mapping step: relocate position delta, measured from
+    ``side`` (0 = left, 1 = right) of Exp(N_t), one level down.
 
-    The stored step splits the block into the part in the child nearer the
-    addressed boundary and the part in the farther one; landing in the
-    nearer child flips the side.
+    Returns (t', delta', side') with delta' <= tau**p and
+    Access(N_t, delta, side) = Access(N_t', delta', side'). The stored step
+    splits the block into the part in the child nearer the addressed
+    boundary and the part in the farther one; landing in the nearer child
+    flips the side.
     """
     m = ix.lens[t] if 0 <= t < len(ix.lens) else 0
-    if p < 0 or p > ix.levels or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
-        name = ("left_map", "right_map")[side]
-        raise PreconditionViolated(f"{name}(t={t}, p={p}, delta={delta}) out of contract")
+    if not (isinstance(side, int) and 0 <= side <= 1) or p < 0 or p > ix.levels \
+            or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
+        raise PreconditionViolated(
+            f"side_map(side={side!r}, t={t}, p={p}, delta={delta}) out of contract")
     tp = ix.pows[p]
     k = (delta - 1) // tp
     b = k * tp
@@ -256,59 +261,34 @@ def _map1(ix, side, t, p, delta):
     return far, d - s, side
 
 
-_SIDES = ("L", "R")
-
-
-def left_map(ix, t, p, delta):
-    """Relocate position delta (from the left) of Exp(N_t) one level down.
-
-    Returns (t', delta', side) with delta' <= tau**p and
-    Access(N_t, delta, L) = Access(N_t', delta', side).
-    """
-    t, delta, side = _map1(ix, 0, t, p, delta)
-    return t, delta, _SIDES[side]
-
-
-def right_map(ix, t, p, delta):
-    """Mirror of left_map for positions measured from the right boundary."""
-    t, delta, side = _map1(ix, 1, t, p, delta)
-    return t, delta, _SIDES[side]
-
-
 def access1_traced(ix, i):
     """Random access returning (code, mapping_steps).
 
-    Runs the level loop from ceil(log_tau n) down to 0 through the checked
-    left_map and right_map, picking one by the current side; the step count
-    is always levels + 1. Each step checks the contraction contract
-    1 <= delta' <= tau**p, and the walk must end on a literal at delta 1;
-    a breach raises PreconditionViolated.
+    Runs the level loop from ceil(log_tau n) down to 0, one checked side_map
+    per level, so the step count is always levels + 1. Each step checks the
+    contraction contract 1 <= delta' <= tau**p, and the walk must end on a
+    literal at delta 1; a breach raises PreconditionViolated.
     """
     if not (1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")
-    t, delta, side = ix.grammar.start, i, "L"
-    steps = 0
+    t, delta, side = ix.grammar.start, i, 0
     for p in range(ix.levels, -1, -1):
-        if side == "L":
-            t, delta, side = left_map(ix, t, p, delta)
-        else:
-            t, delta, side = right_map(ix, t, p, delta)
-        steps += 1
+        t, delta, side = side_map(ix, side, t, p, delta)
         if not (1 <= delta <= ix.pows[p]):
             raise PreconditionViolated(
                 f"per-step contraction violated at level {p}: delta {delta} "
                 f"outside [1, {ix.pows[p]}]")
     if ix.lens[t] != 1 or delta != 1:
         raise PreconditionViolated(f"walk ended at variable {t}, delta {delta}, not a literal")
-    return ix.lit[t], steps
+    return ix.lit[t], ix.levels + 1
 
 
 def access1(ix, i):
     """The symbol Exp(S)[i] (1-based).
 
-    The same walk as access1_traced in one loop with integer sides and no
-    per-step checks, one table read per step; it stops at the first literal
-    step, which the walk reaches by level 0 at the latest.
+    The same walk as access1_traced in one loop with no per-step checks,
+    one table read per step; it stops at the first literal step, which the
+    walk reaches by level 0 at the latest.
     """
     if not (1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")

@@ -27,8 +27,8 @@ start's caps, which is exact because delta <= rows < tau**(cap_r + 1) (and
 the same for columns). Each step but the last lowers p_r + p_c by at least
 one, and at levels (0, 0) every block is one cell, so a query makes at most
 floor(log_tau r) + floor(log_tau c) + 1 reads. Corners are numbered 0..3
-(NW, NE, SW, SE): bit 1 set means measured from the bottom, bit 0 set means
-measured from the right.
+(NW, NE, SW, SE), in the tables and in corner_map, the checked single step:
+bit 1 set means measured from the bottom, bit 0 set means from the right.
 
 Tables are flat and per variable: ``tables[corner][t]`` is one list per
 corner and variable reachable from the start (None for the others). It
@@ -143,7 +143,7 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     window lands on a literal; otherwise the hook's child split falls
     strictly inside the relocated window on the hook's splitting axis.
     """
-    g.require_validated()
+    nid = g._checked_id(nid)
     m_r, m_c = g._rows[nid], g._cols[nid]
     if not (0 <= b_r < e_r <= m_r):
         raise RangeError(f"row window {b_r}..{e_r} invalid for {m_r} rows")
@@ -151,10 +151,6 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
         raise RangeError(f"col window {b_c}..{e_c} invalid for {m_c} cols")
     lit, kids, horiz = _grammar_arrays(g)
     return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None)
-
-
-_CORNERS = ("NW", "NE", "SW", "SE")
-_CORNER_ID = {name: c for c, name in enumerate(_CORNERS)}
 
 
 class AccessIndex2:
@@ -212,7 +208,7 @@ def build_index2(g, tau):
     share = {}.setdefault           # step -> its one stored copy
 
     span = tau * tau                # slots per level pair in one list
-    tables = [[None] * len(g.rules) for _ in _CORNERS]
+    tables = [[None] * len(g.rules) for _ in range(4)]
     entries = 0
     for i in reversed(g._topo):
         if not reach[i]:
@@ -229,7 +225,7 @@ def build_index2(g, tau):
         win_r = _windows(rows[i], pows[:cr + 2], tau)
         win_c = _windows(cols[i], pows[:cc + 2], tau)
         size = (cr + 1) * (cc + 1) * span
-        own = [[None] * size for _ in _CORNERS]
+        own = [[None] * size for _ in range(4)]
         for corner in range(4):
             tables[corner][i] = own[corner]
         for p_r in range(cr + 1):
@@ -278,11 +274,12 @@ def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
 
 
 def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
-    """One query step: relocate the cell addressed from ``corner`` of Exp(N_t).
+    """One checked query step: relocate the cell addressed from ``corner``
+    (0..3, bit 1 = from the bottom, bit 0 = from the right) of Exp(N_t).
 
-    Returns (t', delta_r', delta_c', row_side, col_side) such that reading
+    Returns (t', delta_r', delta_c', corner') such that reading
     (delta_r, delta_c) from the given corner of Exp(N_t) equals reading
-    (delta_r', delta_c') from the returned sides of Exp(N_t'), and either
+    (delta_r', delta_c') from corner' of Exp(N_t'), and either
     delta_r' <= tau**p_r with delta_c' not grown, or the column mirror of
     that statement.
 
@@ -292,15 +289,15 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     A level above the variable's cap on its axis reads at the cap, whose
     blocks are no larger, so the step still contracts within tau**p.
     """
-    c = _CORNER_ID[corner]
     m_r, m_c = (ix.rows[t], ix.cols[t]) if 0 <= t < len(ix.rows) else (0, 0)
-    if not (0 <= p_r <= ix.levels) or not (0 <= p_c <= ix.levels) \
+    if not (isinstance(corner, int) and 0 <= corner <= 3) \
+            or not (0 <= p_r <= ix.levels) or not (0 <= p_c <= ix.levels) \
             or not (1 <= delta_r <= m_r) or not (1 <= delta_c <= m_c) \
             or delta_r > ix.pows[p_r + 1] or delta_c > ix.pows[p_c + 1]:
         raise PreconditionViolated(
-            f"corner_map({corner}, t={t}, p=({p_r},{p_c}), delta=({delta_r},{delta_c}))"
-            " out of contract")
-    table = ix.tables[c][t]
+            f"corner_map(corner={corner!r}, t={t}, p=({p_r},{p_c}), "
+            f"delta=({delta_r},{delta_c})) out of contract")
+    table = ix.tables[corner][t]
     if table is None:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
@@ -318,31 +315,25 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
         if w_r != 1 or w_c != 1:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
                                 f"is the literal {near} for a {w_r}x{w_c} block")
-        return (near, 1, 1, "T", "L")
+        return near, 1, 1, 0
     if not 0 < s < (w_r if axis else w_c):    # s: the hook's split, inside the block
         raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")
     d_r, d_c = delta_r - b_r, delta_c - b_c    # the cell inside the block
     if axis:
         if d_r <= s:
-            t, d_r, c = near, s - d_r + 1, c ^ 2
-        else:
-            t, d_r = far, d_r - s
-        d_c += shift
-    else:
-        if d_c <= s:
-            t, d_c, c = near, s - d_c + 1, c ^ 1
-        else:
-            t, d_c = far, d_c - s
-        d_r += shift
-    return (t, d_r, d_c, "B" if c & 2 else "T", "R" if c & 1 else "L")
+            return near, s - d_r + 1, d_c + shift, corner ^ 2
+        return far, d_r - s, d_c + shift, corner
+    if d_c <= s:
+        return near, d_r + shift, s - d_c + 1, corner ^ 1
+    return far, d_r + shift, d_c - s, corner
 
 
 def access2_traced(ix, i, j):
     """Random access returning (code, loop_iterations).
 
-    State starts at (start, i, j, T, L) at the start's level caps
-    floor(log_tau rows) and floor(log_tau cols). Each iteration dispatches
-    the checked corner mapping matching the current sides, then lowers the
+    State starts at (start, i, j, corner 0) at the start's level caps
+    floor(log_tau rows) and floor(log_tau cols). Each iteration makes one
+    checked corner_map from the current corner, then lowers the
     level of the contracted axis by one and caps each level by the new
     variable's dimension on that axis (the largest p with tau**p within it).
     The loop ends when the state reaches a literal; the iteration count is
@@ -356,16 +347,14 @@ def access2_traced(ix, i, j):
     r0, c0 = ix.n_rows, ix.n_cols
     if not (1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
-    t, d_r, d_c = ix.grammar.start, i, j
-    corner = "NW"
+    t, d_r, d_c, corner = ix.grammar.start, i, j, 0
     p_r, p_c = ix.cap_r[t], ix.cap_c[t]
     pows = ix.pows
     steps = 0
     lit = ix.lit
     while lit[t] is None:
         prev_r, prev_c = d_r, d_c
-        t, d_r, d_c, r_side, c_side = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
-        corner = ("N" if r_side == "T" else "S") + ("W" if c_side == "L" else "E")
+        t, d_r, d_c, corner = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
         steps += 1
         if not ((d_r <= pows[p_r] and d_c <= prev_c) or (d_c <= pows[p_c] and d_r <= prev_r)):
             raise PreconditionViolated(
@@ -387,9 +376,9 @@ def access2_traced(ix, i, j):
 def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based).
 
-    The same walk as access2_traced in one loop with integer corners and no
-    per-step checks, one table read per step; it stops at the first literal
-    step, after at most floor(log_tau rows) + floor(log_tau cols) + 1 reads.
+    The same walk as access2_traced in one loop with no per-step checks,
+    one table read per step; it stops at the first literal step, after at
+    most floor(log_tau rows) + floor(log_tau cols) + 1 reads.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (1 <= i <= r0 and 1 <= j <= c0):

@@ -343,6 +343,8 @@ def cmd_reduce(args):
             raise ParseError("mark/extmark need an SLG1 input")
         slp = slg_to_slp(g)
         sigma = slp.alphabet_size if args.sigma is None else args.sigma
+        _check_work(f"a marking grammar over sigma {sigma} adds about", 2 * sigma, "rules",
+                    _cap(args))
         build = reductions.mark_grammar if args.kind == "mark" else reductions.ext_mark_grammar
         out = build(slp, sigma)
         _write(args.out, dump_slg2(out))
@@ -389,6 +391,9 @@ def cmd_bench(args):
 
 
 def cmd_gen(args):
+    # each new rule scans the pool of the rules made before it
+    _check_work(f"gen {args.kind} with {args.rules} rules reads",
+                max(args.rules, 0) ** 2, "pool entries", _cap(args))
     if args.kind == "slp1":
         g = gen.random_slp1(args.seed, args.rules, sigma=args.sigma, max_len=args.max_len)
         _write(args.out, dump_slg1(g))

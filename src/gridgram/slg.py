@@ -37,6 +37,8 @@ from .errors import (
     ExpansionTooLarge,
     GrammarError,
     ParseError,
+    PreconditionViolated,
+    RangeError,
     TerminalOutOfRange,
 )
 
@@ -74,7 +76,15 @@ class _Grammar:
 
     def require_validated(self):
         if not self.validated:
-            raise ValueError(f"grammar must pass validate_{self._magic.lower()}() first")
+            raise PreconditionViolated(
+                f"grammar must pass validate_{self._magic.lower()}() first")
+
+    def _checked_id(self, nid):
+        """nid, once the grammar is validated and nid is one of its rule ids."""
+        self.require_validated()
+        if not (isinstance(nid, int) and 0 <= nid < len(self.rules)):
+            raise RangeError(f"variable id {nid!r} outside [0, {len(self.rules)})")
+        return nid
 
     @property
     def is_binary(self):
@@ -254,8 +264,7 @@ def validate_slp1(g, allow_empty=False):
 
 def exp_len(g, nid):
     """Length of the expansion of nonterminal ``nid`` (memoized at validation)."""
-    g.require_validated()
-    return g._lens[nid]
+    return g._lens[g._checked_id(nid)]
 
 
 def _reachable(g, root):

@@ -260,7 +260,7 @@ def validate_slp2(g):
 
 def dims(g, nid):
     """(rows, cols) of the expansion of ``nid``; (0, 0) for empty rules."""
-    g.require_validated()
+    nid = g._checked_id(nid)
     return g._rows[nid], g._cols[nid]
 
 

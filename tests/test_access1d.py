@@ -15,9 +15,8 @@ from gridgram import (
     exp_len,
     expand1,
     hook_offset1,
-    left_map,
     optimal_tau,
-    right_map,
+    side_map,
     validate_slp1,
 )
 from gridgram.errors import RangeError
@@ -57,6 +56,13 @@ def test_hook_rejects_bad_window(abab):
         hook_offset1(abab, 0, 2, 2)
     with pytest.raises(RangeError):
         hook_offset1(abab, 0, 0, 5)
+
+
+def test_hook_checks_the_variable_id():
+    g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
+    for nid in (-1, 4):
+        with pytest.raises(RangeError):
+            hook_offset1(g, nid, 0, 1)
 
 
 def _hook_by_definition(g, nid, b, e):
@@ -148,10 +154,10 @@ def test_maps_refuse_a_variable_without_bookmarks():
     ix = build_index1(g, 2)
     # levels 0 and 1, both sides: 2 + 1 blocks of the start, 1 + 1 per literal
     assert ix.tables[0][0][3 * 2] is None and ix.entry_count() == 2 * 3 + 2 * 2 * 2
-    for fn in (left_map, right_map):
+    for side in (0, 1):
         for t in (3, 4, -1):    # unreachable, then no such variable
             with pytest.raises(PreconditionViolated):
-                fn(ix, t, 0, 1)
+                side_map(ix, side, t, 0, 1)
 
 
 def test_optimal_tau_stops_at_n():
@@ -167,32 +173,32 @@ def test_index_rejects_tau_below_two(abab):
 
 def test_left_map_examples(abab):
     ix = build_index1(abab, 2)
-    assert left_map(ix, 0, 0, 2) == (3, 1, "L")     # reads 'b'
-    assert left_map(ix, 0, 1, 3) == (2, 1, "R")     # reads 'a'
+    assert side_map(ix, 0, 0, 0, 2) == (3, 1, 0)     # reads 'b'
+    assert side_map(ix, 0, 0, 1, 3) == (2, 1, 1)     # reads 'a'
     g1 = validate_slp1(Slp1([0], 1, 0))
     ixs = build_index1(g1, 2)
-    assert left_map(ixs, 0, 0, 1) == (0, 1, "L")
+    assert side_map(ixs, 0, 0, 0, 1) == (0, 1, 0)
 
 
 def test_right_map_examples(abab):
     ix = build_index1(abab, 2)
     g1 = validate_slp1(Slp1([0], 1, 0))
     ixs = build_index1(g1, 2)
-    assert right_map(ixs, 0, 0, 1) == (0, 1, "L")
-    t, d, side = right_map(ix, 0, 0, 1)             # Exp(S)[4] = 'b'
+    assert side_map(ixs, 1, 0, 0, 1) == (0, 1, 0)
+    t, d, side = side_map(ix, 1, 0, 0, 1)            # Exp(S)[4] = 'b'
     assert abab.rules[t] == 1 and d == 1
-    t, d, side = right_map(ix, 0, 1, 3)             # Exp(S)[2] = 'b'
+    t, d, side = side_map(ix, 1, 0, 1, 3)            # Exp(S)[2] = 'b'
     assert abab.rules[t] == 1 and d == 1
 
 
 def test_map_precondition_checks(abab):
     ix = build_index1(abab, 2)
     with pytest.raises(PreconditionViolated):
-        left_map(ix, 0, 0, 5)
+        side_map(ix, 0, 0, 0, 5)
     with pytest.raises(PreconditionViolated):
-        left_map(ix, 0, 0, 3)   # delta > tau**(p+1)
+        side_map(ix, 0, 0, 0, 3)   # delta > tau**(p+1)
     with pytest.raises(PreconditionViolated):
-        right_map(ix, 0, 0, 0)
+        side_map(ix, 1, 0, 0, 0)
 
 
 def test_map_contraction_property():
@@ -206,8 +212,8 @@ def test_map_contraction_property():
                 m = exp_len(g, t)
                 p = rng.randint(0, ix.levels)
                 delta = rng.randint(1, min(m, ix.pows[p + 1]))
-                for fn in (left_map, right_map):
-                    t2, d2, side = fn(ix, t, p, delta)
+                for side in (0, 1):
+                    t2, d2, _ = side_map(ix, side, t, p, delta)
                     assert 1 <= d2 <= exp_len(g, t2)
                     assert d2 <= ix.pows[p]
                     if p == 0:
@@ -215,8 +221,8 @@ def test_map_contraction_property():
 
 
 def test_map_access_semantics_random():
-    """left/right map outputs address the same symbol, checked on the
-    naive expansion via side-based indexing."""
+    """side_map's output addresses the same symbol from either side,
+    checked on the naive expansion via side-based indexing."""
     rng = random.Random(17)
     for seed in range(10):
         g = random_slp1(seed + 400, 16, sigma=3, max_len=256)
@@ -228,11 +234,11 @@ def test_map_access_semantics_random():
                 m = len(exps[t])
                 p = rng.randint(0, ix.levels)
                 delta = rng.randint(1, min(m, ix.pows[p + 1]))
-                for fn, side_in in ((left_map, "L"), (right_map, "R")):
-                    before = exps[t][delta - 1] if side_in == "L" else exps[t][m - delta]
-                    t2, d2, s2 = fn(ix, t, p, delta)
+                for side in (0, 1):
+                    before = exps[t][m - delta] if side else exps[t][delta - 1]
+                    t2, d2, s2 = side_map(ix, side, t, p, delta)
                     w2 = exps[t2]
-                    after = w2[d2 - 1] if s2 == "L" else w2[len(w2) - d2]
+                    after = w2[len(w2) - d2] if s2 else w2[d2 - 1]
                     assert before == after
 
 

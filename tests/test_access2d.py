@@ -26,9 +26,11 @@ from gridgram.gen import random_slp2
 from conftest import expand_all_2d, reachable, submatrix
 
 
-def _access_naive(m, d_r, d_c, r_side, c_side):
-    i = d_r if r_side == "T" else m.rows - d_r + 1
-    j = d_c if c_side == "L" else m.cols - d_c + 1
+def _access_naive(m, d_r, d_c, corner):
+    """The cell (d_r, d_c) of m read from ``corner`` (bit 1 = from the
+    bottom, bit 0 = from the right)."""
+    i = m.rows - d_r + 1 if corner & 2 else d_r
+    j = m.cols - d_c + 1 if corner & 1 else d_c
     return m.get(i, j)
 
 
@@ -54,6 +56,13 @@ def test_hook_rejects_bad_windows(grid22):
         hook_offset2(grid22, 0, 0, 0, 3, 1)
     with pytest.raises(RangeError):
         hook_offset2(grid22, 0, 1, 1, 1, 2)
+
+
+def test_hook_checks_the_variable_id():
+    g = validate_slp2(Slp2([Vert(1, 2), 0, 1, Horiz(1, 1)], 2, 0))    # id 3 is unreachable
+    for nid in (-1, 4):
+        with pytest.raises(RangeError):
+            hook_offset2(g, nid, 0, 0, 1, 1)
 
 
 def _hook2_by_definition(g, nid, b_r, b_c, e_r, e_c):
@@ -164,7 +173,7 @@ def test_corner_map_refuses_a_variable_without_bookmarks():
     assert all(ix.tables[corner][3] is None for corner in range(4))
     for t in (3, 4, -2):        # unreachable, then no such variable
         with pytest.raises(PreconditionViolated):
-            corner_map(ix, "NW", t, 0, 0, 1, 1)
+            corner_map(ix, 0, t, 0, 0, 1, 1)
 
 
 def test_index_rejects_tau_below_two(grid22):
@@ -174,21 +183,21 @@ def test_index_rejects_tau_below_two(grid22):
 
 def test_corner_map_examples(grid22):
     ix = build_index2(grid22, 2)
-    assert corner_map(ix, "NW", 0, 0, 0, 2, 1) == (5, 1, 1, "T", "L")
-    t, d_r, d_c, _, _ = corner_map(ix, "SE", 0, 0, 0, 1, 1)
+    assert corner_map(ix, 0, 0, 0, 0, 2, 1) == (5, 1, 1, 0)
+    t, d_r, d_c, _ = corner_map(ix, 3, 0, 0, 0, 1, 1)
     assert grid22.rules[t] == 3 and (d_r, d_c) == (1, 1)
     g1 = validate_slp2(Slp2([0], 1, 0))
     ix1 = build_index2(g1, 2)
-    for corner in ("NW", "NE", "SW", "SE"):
-        assert corner_map(ix1, corner, 0, 0, 0, 1, 1) == (0, 1, 1, "T", "L")
+    for corner in range(4):
+        assert corner_map(ix1, corner, 0, 0, 0, 1, 1) == (0, 1, 1, 0)
 
 
 def test_corner_map_precondition(grid22):
     ix = build_index2(grid22, 2)
     with pytest.raises(PreconditionViolated):
-        corner_map(ix, "NW", 0, 0, 0, 3, 1)
+        corner_map(ix, 0, 0, 0, 0, 3, 1)
     with pytest.raises(PreconditionViolated):
-        corner_map(ix, "NW", 0, 0, 0, 2, 4)
+        corner_map(ix, 0, 0, 0, 0, 2, 4)
 
 
 def test_corner_map_semantics_all_corners_random():
@@ -207,17 +216,16 @@ def test_corner_map_semantics_all_corners_random():
                 p_c = rng.randint(0, ix.levels)
                 d_r = rng.randint(1, min(w.rows, ix.pows[p_r + 1]))
                 d_c = rng.randint(1, min(w.cols, ix.pows[p_c + 1]))
-                for corner, (rs, cs) in (("NW", ("T", "L")), ("NE", ("T", "R")),
-                                         ("SW", ("B", "L")), ("SE", ("B", "R"))):
-                    before = _access_naive(w, d_r, d_c, rs, cs)
-                    t2, d_r2, d_c2, rs2, cs2 = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
+                for corner in range(4):
+                    before = _access_naive(w, d_r, d_c, corner)
+                    t2, d_r2, d_c2, c2 = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
                     w2 = exps[t2]
                     assert 1 <= d_r2 <= w2.rows and 1 <= d_c2 <= w2.cols
                     assert (d_r2 <= ix.pows[p_r] and d_c2 <= d_c) or \
                            (d_c2 <= ix.pows[p_c] and d_r2 <= d_r)
                     if p_r == 0 and p_c == 0:
                         assert isinstance(g.rules[t2], int)
-                    assert _access_naive(w2, d_r2, d_c2, rs2, cs2) == before
+                    assert _access_naive(w2, d_r2, d_c2, c2) == before
 
 
 def test_access_2x2(grid22):

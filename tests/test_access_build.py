@@ -18,11 +18,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridgram
 from gridgram import (
     Horiz,
+    PreconditionViolated,
     Slp1,
     Slp2,
     Vert,
@@ -37,6 +39,7 @@ from gridgram import (
     expand2,
     hook_offset1,
     hook_offset2,
+    side_map,
     validate_slp1,
     validate_slp2,
 )
@@ -250,9 +253,22 @@ def test_corner_map_above_the_caps_answers_as_at_the_caps(g, tau, data):
     p_r, p_c = data.draw(st.integers(0, ix.levels)), data.draw(st.integers(0, ix.levels))
     d_r = data.draw(st.integers(1, min(ix.rows[t], ix.pows[p_r + 1])))
     d_c = data.draw(st.integers(1, min(ix.cols[t], ix.pows[p_c + 1])))
-    for corner in ("NW", "NE", "SW", "SE"):
+    for corner in range(4):
         assert corner_map(ix, corner, t, p_r, p_c, d_r, d_c) == \
             corner_map(ix, corner, t, min(p_r, ix.cap_r[t]), min(p_c, ix.cap_c[t]), d_r, d_c)
+
+
+def test_maps_refuse_a_side_or_corner_out_of_range():
+    ix1 = build_index1(validate_slp1(Slp1([(1, 2), 0, 1], 2, 0)), 2)
+    assert side_map(ix1, 1, 0, 0, 1) == (2, 1, 0)
+    for side in (-1, 2, "L"):
+        with pytest.raises(PreconditionViolated):
+            side_map(ix1, side, 0, 0, 1)
+    ix2 = build_index2(validate_slp2(Slp2([Vert(1, 2), 0, 1], 2, 0)), 2)
+    assert corner_map(ix2, 3, 0, 0, 0, 1, 1) == (2, 1, 1, 0)
+    for corner in (-1, 4, "NW"):
+        with pytest.raises(PreconditionViolated):
+            corner_map(ix2, corner, 0, 0, 0, 1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,23 +317,20 @@ from gridgram import access1d, access2d
 if __debug__:
     raise SystemExit("run this under python -O")
 
-def last_step(module, names, query):
-    # the arguments of the last mapping step the traced walk makes
-    calls, saved = [], {n: getattr(module, n) for n in names}
-    for n in names:
-        setattr(module, n, lambda *a, _f=saved[n], _n=n: calls.append((_n,) + a[1:]) or _f(*a))
+def last_step(module, name, query):
+    # the arguments after the index of the last mapping step the traced walk makes
+    calls, saved = [], getattr(module, name)
+    setattr(module, name, lambda *a: calls.append(a[1:]) or saved(*a))
     query()
-    for n in names:
-        setattr(module, n, saved[n])
+    setattr(module, name, saved)
     return calls[-1]
 
 # 16 symbols, balanced; tau 2
 g1 = validate_slp1(Slp1([(1, 1), (2, 2), (3, 3), (4, 5), 0, 1], 2, 0))
 ix1 = build_index1(g1, 2)
-name, t, p, delta = last_step(access1d, ("left_map", "right_map"),
-                              lambda: access1_traced(ix1, 7))
+side, t, p, delta = last_step(access1d, "side_map", lambda: access1_traced(ix1, 7))
 # a split at the far edge of the block, not inside it
-ix1.tables[name == "right_map"][p][t * 2 + (delta - 1) // ix1.pows[p]] = (ix1.pows[p], 1, 1)
+ix1.tables[side][p][t * 2 + (delta - 1) // ix1.pows[p]] = (ix1.pows[p], 1, 1)
 try:
     access1_traced(ix1, 7)
 except PreconditionViolated:
@@ -327,11 +340,10 @@ except PreconditionViolated:
 g2 = validate_slp2(Slp2([Vert(1, 1), Horiz(2, 2), Horiz(3, 3), Vert(4, 4),
                          Vert(5, 6), 0, 1], 2, 0))
 ix2 = build_index2(g2, 2)
-_, corner, t, p_r, p_c, d_r, d_c = last_step(access2d, ("corner_map",),
-                                             lambda: access2_traced(ix2, 3, 6))
-c = ("NW", "NE", "SW", "SE").index(corner)
+corner, t, p_r, p_c, d_r, d_c = last_step(access2d, "corner_map",
+                                          lambda: access2_traced(ix2, 3, 6))
 k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
-ix2.tables[c][t][((p_r * (ix2.cap_c[t] + 1) + p_c) * 2 + k_r) * 2 + k_c] = \
+ix2.tables[corner][t][((p_r * (ix2.cap_c[t] + 1) + p_c) * 2 + k_r) * 2 + k_c] = \
     (1, ix2.pows[p_r], 1, 1, 0)
 try:
     access2_traced(ix2, 3, 6)

@@ -313,6 +313,32 @@ def test_ov_gen_over_the_cap_is_refused_in_one_line(capsys, monkeypatch):
     assert code == 1 and out == "" and err.startswith("ExpansionTooLarge: ")
 
 
+def test_gen_over_the_work_cap_is_refused_in_one_line(capsys, monkeypatch):
+    # 40 rules read 40**2 = 1600 pool entries
+    monkeypatch.setenv("GG_CAP_CELLS", "1599")
+    code, out, err = run(capsys, "gen", "slp1", "--rules", "40")
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
+    monkeypatch.setenv("GG_CAP_CELLS", "1600")
+    code, out, _ = run(capsys, "gen", "slp1", "--rules", "40")
+    assert code == 0 and out.startswith("SLG1 40 ")
+
+
+def test_reduce_mark_over_the_work_cap_is_refused_in_one_line(slp1_file, tmp_path, capsys,
+                                                              monkeypatch):
+    # sigma 1000 adds about 2000 rules
+    out_path = tmp_path / "marked.slg2"
+    monkeypatch.setenv("GG_CAP_CELLS", "1999")
+    for kind in ("mark", "extmark"):
+        code, out, err = run(capsys, "reduce", kind, str(slp1_file), str(out_path),
+                             "--sigma", "1000")
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
+    monkeypatch.setenv("GG_CAP_CELLS", "2000")
+    code, _, _ = run(capsys, "reduce", "mark", str(slp1_file), str(out_path), "--sigma", "1000")
+    assert code == 0 and out_path.exists()
+
+
 def test_ov_uniform_over_the_cap_is_refused_in_one_line(tmp_path, capsys):
     inst = tmp_path / "v.ov"
     inst.write_text("101\n011\n")          # uniform: 4 vectors of dimension 9, 36 cells

@@ -37,6 +37,7 @@ from gridgram import (
     validate_slg2,
     validate_slp1,
 )
+from gridgram.errors import PreconditionViolated, RangeError
 from gridgram.gen import random_slg1, random_slg2, random_slp1
 
 Dim = namedtuple("Dim", "cls rule validate parse dump cells")
@@ -109,6 +110,18 @@ def test_exp_len_balanced_depth_20():
     rules = [(i + 1, i + 1) for i in range(20)] + [0]
     g = validate_slp1(Slp1(rules, 1, 0))
     assert exp_len(g, 0) == 2 ** 20
+
+
+def test_exp_len_checks_the_variable_id():
+    g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
+    for nid in (-1, 4):
+        with pytest.raises(RangeError):
+            exp_len(g, nid)
+
+
+def test_exp_len_needs_a_validated_grammar():
+    with pytest.raises(PreconditionViolated):
+        exp_len(Slp1([0], 1, 0), 0)
 
 
 def test_exp_len_overflow_rejected():

@@ -24,6 +24,7 @@ from gridgram import (
     validate_slg2,
     vconcat,
 )
+from gridgram.errors import RangeError
 from gridgram.gen import random_slg2, random_slp2
 from conftest import expand_all_2d
 
@@ -48,6 +49,13 @@ def test_validate_cols_split_height_mismatch():
 def test_validate_single_child_inherits_dims():
     g = validate_slg2(Slg2([Vert(1), Horiz(2, 3), 0, 1], 2, 0))
     assert dims(g, 0) == (2, 1)
+
+
+def test_dims_checks_the_variable_id():
+    g = validate_slg2(Slg2([Vert(1, 2), 0, 1, Horiz(1, 1)], 2, 0))    # id 3 is unreachable
+    for nid in (-1, 4):
+        with pytest.raises(RangeError):
+            dims(g, nid)
 
 
 def test_dims_literal():
