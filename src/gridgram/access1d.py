@@ -84,8 +84,8 @@ def clamp_tau(tau, longest):
     at every tau >= longest each variable's blocks are its cells at level 0
     and its whole expansion at level 1, the top level.
     """
-    if tau < 2:
-        raise PreconditionViolated(f"tau must be >= 2, got {tau}")
+    if not isinstance(tau, int) or tau < 2:
+        raise PreconditionViolated(f"tau must be an int >= 2, got {tau!r}")
     return min(tau, max(2, longest))
 
 

@@ -390,22 +390,22 @@ def cmd_bench(args):
     return 0
 
 
+# gen kind -> (generator, its size-bound keyword, which is also the flag's dest, dump)
+_GEN = {
+    "slp1": (gen.random_slp1, "max_len", dump_slg1),
+    "slg1": (gen.random_slg1, "max_len", dump_slg1),
+    "slp2": (gen.random_slp2, "max_cells", dump_slg2),
+    "slg2": (gen.random_slg2, "max_cells", dump_slg2),
+}
+
+
 def cmd_gen(args):
     # each new rule scans the pool of the rules made before it
     _check_work(f"gen {args.kind} with {args.rules} rules reads",
                 max(args.rules, 0) ** 2, "pool entries", _cap(args))
-    if args.kind == "slp1":
-        g = gen.random_slp1(args.seed, args.rules, sigma=args.sigma, max_len=args.max_len)
-        _write(args.out, dump_slg1(g))
-    elif args.kind == "slg1":
-        g = gen.random_slg1(args.seed, args.rules, sigma=args.sigma, max_len=args.max_len)
-        _write(args.out, dump_slg1(g))
-    elif args.kind == "slp2":
-        g = gen.random_slp2(args.seed, args.rules, sigma=args.sigma, max_cells=args.max_cells)
-        _write(args.out, dump_slg2(g))
-    else:
-        g = gen.random_slg2(args.seed, args.rules, sigma=args.sigma, max_cells=args.max_cells)
-        _write(args.out, dump_slg2(g))
+    make, bound, dump = _GEN[args.kind]
+    g = make(args.seed, args.rules, sigma=args.sigma, **{bound: getattr(args, bound)})
+    _write(args.out, dump(g))
     return 0
 
 
@@ -485,7 +485,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("gen", help="seeded random grammar files")
-    p.add_argument("kind", choices=["slp1", "slg1", "slp2", "slg2"])
+    p.add_argument("kind", choices=list(_GEN))
     p.add_argument("--rules", type=int, required=True)
     p.add_argument("--sigma", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

@@ -1,12 +1,15 @@
 """Seeded random grammar generators for tests, benchmarks, and the CLI.
 
-Generators emit valid grammars by construction: ids are laid out so every
-rule references strictly higher ids (literals live at the top of the id
-range), and children are drawn from pools filtered so the expansion size
-stays under the cap. Child choice is biased toward recently created (hence
-larger) variables, so expansions grow roughly geometrically until they hug
-the cap instead of collapsing to a handful of symbols. Same seed, same
-grammar.
+Generators emit valid grammars by construction. One prelude, ``_literals``,
+checks the parameters and lays the literals out at the top of the id range,
+so every rule built below them references strictly higher ids. Children are
+drawn from pools filtered so the expansion size stays under the cap; in 2D
+one axis-generic filter, ``_joiners``, gives the ids that share a rule's
+fixed axis and keep its cell count within the cap, and one shape rule,
+``_shape``, sets the new rule's dimensions. Child choice is biased toward
+recently created (hence larger) variables, so expansions grow roughly
+geometrically until they hug the cap instead of collapsing to a handful of
+symbols. Same seed, same grammar.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 
 from .errors import RangeError
 from .slg import Slg1, Slp1, validate_slg1, validate_slp1
-from .slg2d import Horiz, Slg2, Slp2, Vert, validate_slg2, validate_slp2
+from .slg2d import Horiz, Matrix2D, Slg2, Slp2, Vert, validate_slg2, validate_slp2
 
 
 def _rng(seed_or_rng):
@@ -39,33 +42,32 @@ def _pick_growth(rng, pool, sizekey):
     return _pick_biased(rng, pool)
 
 
-def _emit_literals(rng, rules, sizes, n_comp, n_rules, sigma):
-    for nid in range(n_comp, n_rules):
-        rules[nid] = rng.randrange(sigma)
-        sizes[nid] = 1
+def _literals(rng, n_rules, sigma, bound, max_arity=2):
+    """Check the parameters and draw the literals of an n_rules grammar.
+
+    Returns (rules, sizes, n_comp): ids n_comp.. hold literal codes of size
+    1, ids ..n_comp-1 are left for the caller to fill top-down with size 0.
+    A one-rule grammar is a single literal, so n_comp is 0.
+    """
+    if n_rules < 1 or sigma < 1 or max_arity < 1 or bound < 2:
+        raise RangeError(f"need n_rules >= 1, sigma >= 1, max_arity >= 1 and a size "
+                         f"bound >= 2, got {n_rules}, {sigma}, {max_arity}, {bound}")
+    n_lit = 1 if n_rules == 1 else rng.randint(1, min(sigma, n_rules - 1))
+    n_comp = n_rules - n_lit
+    rules = [None] * n_comp + [rng.randrange(sigma) for _ in range(n_lit)]
+    return rules, [0] * n_comp + [1] * n_lit, n_comp
 
 
 def random_slp1(seed, n_rules, sigma=4, max_len=1 << 14):
     """A random validated 1D SLP with exactly n_rules rules."""
     rng = _rng(seed)
-    if n_rules < 1 or sigma < 1 or max_len < 2:
-        raise RangeError("need n_rules >= 1, sigma >= 1, max_len >= 2")
-    if n_rules == 1:
-        return validate_slp1(Slp1([rng.randrange(sigma)], sigma, 0))
-
-    n_lit = rng.randint(1, max(1, min(sigma, n_rules - 1)))
-    n_comp = n_rules - n_lit
-    rules = [None] * n_rules
-    lens = [0] * n_rules
-    _emit_literals(rng, rules, lens, n_comp, n_rules, sigma)
+    rules, lens, n_comp = _literals(rng, n_rules, sigma, max_len)
+    size = lens.__getitem__
     for nid in range(n_comp - 1, -1, -1):
         growable = [i for i in range(nid + 1, n_rules) if lens[i] < max_len]
-        if nid == 0:
-            a = max(growable, key=lens.__getitem__)
-        else:
-            a = _pick_growth(rng, growable, lens.__getitem__)
+        a = max(growable, key=size) if nid == 0 else _pick_growth(rng, growable, size)
         fits = [i for i in range(nid + 1, n_rules) if lens[a] + lens[i] <= max_len]
-        b = max(fits, key=lens.__getitem__) if nid == 0 else _pick_biased(rng, fits)
+        b = max(fits, key=size) if nid == 0 else _pick_biased(rng, fits)
         if rng.random() < 0.5:
             a, b = b, a
         rules[nid] = (a, b)
@@ -76,16 +78,7 @@ def random_slp1(seed, n_rules, sigma=4, max_len=1 << 14):
 def random_slg1(seed, n_rules, sigma=4, max_arity=5, max_len=1 << 14):
     """A random validated 1D SLG with rule arity up to max_arity."""
     rng = _rng(seed)
-    if n_rules < 1 or sigma < 1 or max_arity < 1 or max_len < 2:
-        raise RangeError("bad generator parameters")
-    if n_rules == 1:
-        return validate_slg1(Slg1([rng.randrange(sigma)], sigma, 0))
-
-    n_lit = rng.randint(1, max(1, min(sigma, n_rules - 1)))
-    n_comp = n_rules - n_lit
-    rules = [None] * n_rules
-    lens = [0] * n_rules
-    _emit_literals(rng, rules, lens, n_comp, n_rules, sigma)
+    rules, lens, n_comp = _literals(rng, n_rules, sigma, max_len, max_arity)
     for nid in range(n_comp - 1, -1, -1):
         arity = rng.randint(1, max_arity)
         kids, total = [], 0
@@ -102,34 +95,39 @@ def random_slg1(seed, n_rules, sigma=4, max_arity=5, max_len=1 << 14):
     return validate_slg1(Slg1(rules, sigma, 0))
 
 
+def _axes(kind, rows, cols):
+    """(growing, shared) axis of a kind rule: Horiz adds rows, Vert adds columns."""
+    return (rows, cols) if kind is Horiz else (cols, rows)
+
+
+def _joiners(kind, rows, cols, nid, kids, max_cells):
+    """Ids above nid that can join the kind rule with children kids: they
+    share its fixed axis and keep its cell count within max_cells."""
+    grow, share = _axes(kind, rows, cols)
+    span, width = sum(grow[k] for k in kids), share[kids[0]]
+    return [i for i in range(nid + 1, len(rows))
+            if share[i] == width and (span + grow[i]) * width <= max_cells]
+
+
+def _shape(kind, rows, cols, nid, kids):
+    """Set nid's dimensions: the kids' growing spans add, the shared one carries over."""
+    grow, share = _axes(kind, rows, cols)
+    grow[nid] = sum(grow[k] for k in kids)
+    share[nid] = share[kids[0]]
+
+
 def random_slp2(seed, n_rules, sigma=4, max_cells=1 << 16):
     """A random validated 2D SLP with exactly n_rules rules."""
     rng = _rng(seed)
-    if n_rules < 1 or sigma < 1 or max_cells < 2:
-        raise RangeError("need n_rules >= 1, sigma >= 1, max_cells >= 2")
-    if n_rules == 1:
-        return validate_slp2(Slp2([rng.randrange(sigma)], sigma, 0))
-
-    n_lit = rng.randint(1, max(1, min(sigma, n_rules - 1)))
-    n_comp = n_rules - n_lit
-    rules = [None] * n_rules
-    rows = [0] * n_rules
-    cols = [0] * n_rules
-    for nid in range(n_comp, n_rules):
-        rules[nid] = rng.randrange(sigma)
-        rows[nid] = cols[nid] = 1
+    rules, rows, n_comp = _literals(rng, n_rules, sigma, max_cells)
+    cols = rows[:]
+    area = lambda i: rows[i] * cols[i]
     for nid in range(n_comp - 1, -1, -1):
         choice = None
         if nid == 0:
-            area = lambda i: rows[i] * cols[i]
             for a in sorted(range(1, n_rules), key=area, reverse=True):
                 for kind in (Horiz, Vert):
-                    if kind is Horiz:
-                        pool = [i for i in range(1, n_rules)
-                                if cols[i] == cols[a] and (rows[a] + rows[i]) * cols[a] <= max_cells]
-                    else:
-                        pool = [i for i in range(1, n_rules)
-                                if rows[i] == rows[a] and rows[a] * (cols[a] + cols[i]) <= max_cells]
+                    pool = _joiners(kind, rows, cols, 0, [a], max_cells)
                     if pool:
                         choice = (kind, a, max(pool, key=area))
                         break
@@ -138,78 +136,39 @@ def random_slp2(seed, n_rules, sigma=4, max_cells=1 << 16):
         if choice is None:
             for _ in range(8):
                 kind = rng.choice((Horiz, Vert))
-                a = _pick_growth(rng, list(range(nid + 1, n_rules)),
-                                 lambda i: rows[i] * cols[i])
-                if kind is Horiz:
-                    pool = [i for i in range(nid + 1, n_rules)
-                            if cols[i] == cols[a] and (rows[a] + rows[i]) * cols[a] <= max_cells]
-                else:
-                    pool = [i for i in range(nid + 1, n_rules)
-                            if rows[i] == rows[a] and rows[a] * (cols[a] + cols[i]) <= max_cells]
+                a = _pick_growth(rng, list(range(nid + 1, n_rules)), area)
+                pool = _joiners(kind, rows, cols, nid, [a], max_cells)
                 if pool:
                     choice = (kind, a, _pick_biased(rng, pool))
                     break
         if choice is None:
-            smallest = min(range(nid + 1, n_rules), key=lambda i: rows[i] * cols[i])
+            smallest = min(range(nid + 1, n_rules), key=area)
             choice = (rng.choice((Horiz, Vert)), smallest, smallest)
         kind, a, b = choice
         if rng.random() < 0.5:
             a, b = b, a
         rules[nid] = kind(a, b)
-        if kind is Horiz:
-            rows[nid], cols[nid] = rows[a] + rows[b], cols[a]
-        else:
-            rows[nid], cols[nid] = rows[a], cols[a] + cols[b]
+        _shape(kind, rows, cols, nid, (a, b))
     return validate_slp2(Slp2(rules, sigma, 0))
 
 
 def random_slg2(seed, n_rules, sigma=4, max_arity=5, max_cells=1 << 16):
     """A random validated 2D SLG with rule arity up to max_arity."""
     rng = _rng(seed)
-    if n_rules < 1 or sigma < 1 or max_arity < 1 or max_cells < 2:
-        raise RangeError("bad generator parameters")
-    if n_rules == 1:
-        return validate_slg2(Slg2([rng.randrange(sigma)], sigma, 0))
-
-    n_lit = rng.randint(1, max(1, min(sigma, n_rules - 1)))
-    n_comp = n_rules - n_lit
-    rules = [None] * n_rules
-    rows = [0] * n_rules
-    cols = [0] * n_rules
-    for nid in range(n_comp, n_rules):
-        rules[nid] = rng.randrange(sigma)
-        rows[nid] = cols[nid] = 1
+    rules, rows, n_comp = _literals(rng, n_rules, sigma, max_cells, max_arity)
+    cols = rows[:]
+    area = lambda i: rows[i] * cols[i]
     for nid in range(n_comp - 1, -1, -1):
         kind = rng.choice((Horiz, Vert))
-        first = _pick_growth(rng, list(range(nid + 1, n_rules)),
-                             lambda i: rows[i] * cols[i])
-        arity = rng.randint(1, max_arity)
-        kids = [first]
-        if kind is Horiz:
-            total_r, w = rows[first], cols[first]
-            for _ in range(arity - 1):
-                pool = [i for i in range(nid + 1, n_rules)
-                        if cols[i] == w and (total_r + rows[i]) * w <= max_cells]
-                if not pool:
-                    break
-                c = _pick_biased(rng, pool)
-                kids.append(c)
-                total_r += rows[c]
-            r, c = total_r, w
-        else:
-            h, total_c = rows[first], cols[first]
-            for _ in range(arity - 1):
-                pool = [i for i in range(nid + 1, n_rules)
-                        if rows[i] == h and h * (total_c + cols[i]) <= max_cells]
-                if not pool:
-                    break
-                cc = _pick_biased(rng, pool)
-                kids.append(cc)
-                total_c += cols[cc]
-            r, c = h, total_c
+        kids = [_pick_growth(rng, list(range(nid + 1, n_rules)), area)]
+        for _ in range(rng.randint(1, max_arity) - 1):
+            pool = _joiners(kind, rows, cols, nid, kids, max_cells)
+            if not pool:
+                break
+            kids.append(_pick_biased(rng, pool))
         rng.shuffle(kids)
         rules[nid] = kind(*kids)
-        rows[nid], cols[nid] = r, c
+        _shape(kind, rows, cols, nid, kids)
     return validate_slg2(Slg2(rules, sigma, 0))
 
 
@@ -243,8 +202,6 @@ def grammar_from_matrix(m):
 
 def random_matrix(seed, rows, cols, sigma=2):
     """A random explicit matrix (flat row-major codes)."""
-    from .slg2d import Matrix2D
-
     rng = _rng(seed)
     return Matrix2D(rows, cols, [rng.randrange(sigma) for _ in range(rows * cols)])
 

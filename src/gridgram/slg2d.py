@@ -65,44 +65,37 @@ from .slg import (
 )
 
 
-class Horiz:
+class _Concat:
+    """A concatenation rule: the tuple of its child ids, given as arguments
+    or as one iterable. Equal only to a rule of the same class."""
+
+    __slots__ = ("children",)
+
+    def __init__(self, *children):
+        if len(children) == 1 and not isinstance(children[0], int):
+            children = tuple(children[0])
+        self.children = tuple(children)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.children == other.children
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.children))
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.children!r}"
+
+
+class Horiz(_Concat):
     """Children share width; expansions stack vertically (rows add)."""
 
-    __slots__ = ("children",)
-
-    def __init__(self, *children):
-        if len(children) == 1 and not isinstance(children[0], int):
-            children = tuple(children[0])
-        self.children = tuple(children)
-
-    def __eq__(self, other):
-        return isinstance(other, Horiz) and self.children == other.children
-
-    def __hash__(self):
-        return hash(("H", self.children))
-
-    def __repr__(self):
-        return f"Horiz{self.children!r}"
+    __slots__ = ()
 
 
-class Vert:
+class Vert(_Concat):
     """Children share height; expansions concatenate horizontally (cols add)."""
 
-    __slots__ = ("children",)
-
-    def __init__(self, *children):
-        if len(children) == 1 and not isinstance(children[0], int):
-            children = tuple(children[0])
-        self.children = tuple(children)
-
-    def __eq__(self, other):
-        return isinstance(other, Vert) and self.children == other.children
-
-    def __hash__(self):
-        return hash(("V", self.children))
-
-    def __repr__(self):
-        return f"Vert{self.children!r}"
+    __slots__ = ()
 
 
 class Matrix2D:

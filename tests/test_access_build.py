@@ -43,6 +43,7 @@ from gridgram import (
     validate_slp1,
     validate_slp2,
 )
+from gridgram.access1d import table_slots1
 from gridgram.access2d import table_slots2
 from gridgram.gen import random_slp1, random_slp2
 from conftest import reachable
@@ -269,6 +270,17 @@ def test_maps_refuse_a_side_or_corner_out_of_range():
     for corner in (-1, 4, "NW"):
         with pytest.raises(PreconditionViolated):
             corner_map(ix2, corner, 0, 0, 0, 1, 1)
+
+
+def test_builds_and_slot_counts_refuse_a_float_tau():
+    g1, g2 = random_slp1(7, 30), random_slp2(7, 30)
+    # longer than every tau below, so the clamp keeps the float
+    assert g1._lens[g1.start] > 4 and max(g2._rows[g2.start], g2._cols[g2.start]) > 4
+    for tau in (2.0, 3.5):
+        for call, g in ((build_index1, g1), (table_slots1, g1),
+                        (build_index2, g2), (table_slots2, g2)):
+            with pytest.raises(PreconditionViolated):
+                call(g, tau)
 
 
 @settings(max_examples=60, deadline=None)

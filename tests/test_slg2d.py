@@ -200,3 +200,13 @@ def test_matrix_format_roundtrip(grid22):
     assert parse_matrix(dump_matrix(m)) == m
     with pytest.raises(ParseError):
         parse_matrix("MAT 2 2\n0 1\n0\n")
+
+
+def test_horiz_and_vert_equality_hash_and_repr():
+    assert Horiz(1, 2) != Vert(1, 2) and Vert(1, 2) != Horiz(1, 2)
+    assert Horiz(1, 2) == Horiz([1, 2]) and hash(Horiz(1, 2)) == hash(Horiz([1, 2]))
+    assert Vert(3, 4) == Vert((3, 4)) and hash(Vert(3, 4)) == hash(Vert((3, 4)))
+    assert Horiz(1, 2) != Horiz(2, 1) and Horiz(1, 2) != (1, 2)
+    assert len({Horiz(1, 2), Horiz(1, 2), Vert(1, 2)}) == 2
+    assert repr(Horiz(1, 2)) == "Horiz(1, 2)" and repr(Vert(3, 4)) == "Vert(3, 4)"
+    assert repr(Horiz(5)) == "Horiz(5,)" and repr(Vert()) == "Vert()"
