@@ -57,6 +57,7 @@ from .access1d import (
     access1_traced,
     build_index1,
     ceil_log,
+    descend1,
     hook_offset1,
     optimal_tau,
     side_map,
@@ -67,6 +68,7 @@ from .access2d import (
     access2_traced,
     build_index2,
     corner_map,
+    descend2,
     hook_offset2,
     optimal_tau2,
 )

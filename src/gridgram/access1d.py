@@ -9,11 +9,22 @@ it is stored resolved, as the step a query takes there: ``(s, near, far)``,
 where s is the hook's split inside the block measured from the boundary the
 table addresses, and near and far are the hook's children in that order
 from that boundary. A block of one literal is stored as ``(0, v, None)``
-for the literal variable v. A query walks levels top-down, each step
-relocating the position into a smaller variable through one table read, so
-access costs exactly ceil(log_tau n) + 1 mapping steps. The checked single
-step is side_map, which takes and returns the side the position is
-measured from as the tables number it: 0 = left, 1 = right.
+for the literal variable v. The checked single step is side_map, which
+takes and returns the side the position is measured from as the tables
+number it: 0 = left, 1 = right. The traced walk makes one side_map per
+level, top-down, each relocating the position into a smaller variable, so
+it costs exactly ceil(log_tau n) + 1 mapping steps.
+
+Where descending is cheaper than reading on, a slot holds a finish marker
+instead: every block slot of a variable i at a level p with
+height(i) <= 2p (a literal has height 0, a pair one more than its higher
+child) is ``(0, i, None)``, the literal step's shape, and for a literal the
+literal step itself. The fast walk reads tables until it meets a marker and
+then finishes by a root-to-leaf descent from the marker's variable, at most
+2p moves from a level it reached with one read per level above; so it makes
+at most L + 1 reads plus 2L moves, L = ceil(log_tau n). side_map checks a
+marker against its variable's height and the block's place, then resolves
+the real step by descent, so the traced walk's steps do not change.
 
 Tables are flat: ``tables[side][p]`` is one list per side (0 = left,
 1 = right) and level, holding the step of block k of variable i at
@@ -36,8 +47,9 @@ the child on its aligned side (the left child for left blocks, the right
 child for right blocks) is that child's block with the same (p, k), since
 the descent enters the child with the window unchanged and reaches the same
 hook at the same place, so its step is copied: one slice per (variable,
-level). Only blocks that straddle the split or sit unaligned in the other
-child descend from the variable.
+level). A copied marker stays right for the same reason: the block sits at
+the same offset from the same side of the child. Only blocks that straddle
+the split or sit unaligned in the other child descend from the variable.
 
 The index is immutable after build_index1; queries are safe under any number
 of concurrent readers. Builds are single-threaded.
@@ -66,14 +78,24 @@ def optimal_tau(n, epsilon=1.0):
     A preset past n returns n, where it would only add empty slots, and is
     never computed as a power that overflows.
     """
+    return _preset(n, epsilon, 1)
+
+
+def _preset(n, epsilon, share):
+    """floor(log2(n) ** (epsilon * share)), clamped to [2, max(2, n)].
+
+    epsilon is checked as given, so a share that rounds it to 0.0 is
+    still a preset, and an error names the value the caller passed.
+    """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise RangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    exponent = epsilon * share
     if n < 4:
         return 2
     lg = math.log2(n)
-    if epsilon * math.log2(lg) >= lg:      # log2(n) ** epsilon >= n, which may overflow
+    if exponent * math.log2(lg) >= lg:     # log2(n) ** exponent >= n, which may overflow
         return n
-    return max(2, min(n, int(lg ** epsilon)))
+    return max(2, min(n, int(lg ** exponent)))
 
 
 def clamp_tau(tau, longest):
@@ -144,15 +166,18 @@ def hook_offset1(g, nid, b, e):
 class AccessIndex1:
     """Leveled bookmark tables plus per-variable length/rule shortcuts."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "lit", "tables", "entries", "n")
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "lit", "kids", "height", "tables",
+                 "entries", "n")
 
-    def __init__(self, grammar, tau, levels, pows, lens, lit, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, lens, lit, kids, height, tables, entries):
         self.grammar = grammar
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # top level index; p ranges over [0..levels]
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
         self.lens = lens
         self.lit = lit                # literal code per variable, None for pairs
+        self.kids = kids              # (left, right) child ids per variable, None for literals
+        self.height = height          # longest path down to a literal, 0 for a literal
         self.tables = tables          # [side][p][i * tau + k] -> (s, near, far) or None
         self.entries = entries        # defined slots, counted by the build
         self.n = lens[grammar.start]
@@ -168,7 +193,8 @@ class AccessIndex1:
 
 def build_index1(g, tau):
     """Populate every defined (variable, level, block) step of both tables
-    for the variables reachable from the start."""
+    for the variables reachable from the start; every block of a variable
+    i at a level p with height(i) <= 2p gets the finish marker (0, i, None)."""
     g = validate_slp1(g)
     lens = g._lens
     rules = g.rules
@@ -185,8 +211,12 @@ def build_index1(g, tau):
     size = len(rules) * tau
     left = [[None] * size for _ in range(levels + 1)]
     right = [[None] * size for _ in range(levels + 1)]
+    height = [0] * len(rules)
     entries = 0
     for i in reversed(g._topo):
+        if kids[i] is not None:
+            x, y = kids[i]
+            height[i] = 1 + max(height[x], height[y])
         if not reach[i]:
             continue
         m = lens[i]
@@ -206,6 +236,11 @@ def build_index1(g, tau):
             if blocks > tau:
                 blocks = tau
             entries += 2 * blocks
+            if height[i] <= 2 * p:          # descending from i is cheaper than reading on
+                marker = (0, i, None)
+                left[p][base:base + blocks] = right[p][base:base + blocks] = \
+                    [share(marker, marker)] * blocks
+                continue
             # block k's window from either boundary: (k * tp, its end clipped to m)
             ends = [b + tp if b + tp < m else m for b in range(0, blocks * tp, tp)]
             # left blocks inside x, right blocks inside y: the child's own step
@@ -220,7 +255,7 @@ def build_index1(g, tau):
             for k in range(cy, blocks):
                 step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1)
                 rt[base + k] = share(step, step)
-    return AccessIndex1(g, tau, levels, pows, lens, lit, (left, right), entries)
+    return AccessIndex1(g, tau, levels, pows, lens, lit, kids, height, (left, right), entries)
 
 
 def side_map(ix, side, t, p, delta):
@@ -231,7 +266,9 @@ def side_map(ix, side, t, p, delta):
     Access(N_t, delta, side) = Access(N_t', delta', side'). The stored step
     splits the block into the part in the child nearer the addressed
     boundary and the part in the farther one; landing in the nearer child
-    flips the side.
+    flips the side. A finish marker ``(0, v, None)`` for a pair v is checked
+    (v is t or on t's spine of children on ``side`` with the block inside
+    it, and height(v) <= 2p) and then resolved into the real step by descent.
     """
     m = ix.lens[t] if 0 <= t < len(ix.lens) else 0
     if not (isinstance(side, int) and 0 <= side <= 1) or p < 0 or p > ix.levels \
@@ -247,6 +284,13 @@ def side_map(ix, side, t, p, delta):
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
     s, near, far = step
+    if far is None and not (0 <= near < len(ix.lit) and ix.lit[near] is not None):
+        if not _on_spine1(ix, side, t, near, b + w) or ix.height[near] > 2 * p:
+            raise PreconditionViolated(
+                f"bookmark of variable {t}, level {p}, block {k} is a finish marker for "
+                f"{near}, off the block's spine or above height {2 * p}")
+        e = m - b if side else b + w       # the block's window, from the left
+        s, near, far = _hook_core(ix.kids, ix.lens, t, e - w, e, side)
     if far is None:
         if w != 1:
             raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
@@ -261,11 +305,25 @@ def side_map(ix, side, t, p, delta):
     return far, d - s, side
 
 
+def _on_spine1(ix, side, t, v, e):
+    """Whether v is t or a descendant reached through children on ``side``,
+    each holding the first e positions from that side."""
+    kids, lens = ix.kids, ix.lens
+    while t != v:
+        if kids[t] is None:
+            return False
+        t = kids[t][side]
+        if e > lens[t]:
+            return False
+    return True
+
+
 def access1_traced(ix, i):
     """Random access returning (code, mapping_steps).
 
     Runs the level loop from ceil(log_tau n) down to 0, one checked side_map
-    per level, so the step count is always levels + 1. Each step checks the
+    per level, so the step count is always levels + 1 (a finish marker is
+    resolved, not followed). Each step checks the
     contraction contract 1 <= delta' <= tau**p, and the walk must end on a
     literal at delta 1; a breach raises PreconditionViolated.
     """
@@ -287,8 +345,11 @@ def access1(ix, i):
     """The symbol Exp(S)[i] (1-based).
 
     The same walk as access1_traced in one loop with no per-step checks,
-    one table read per step; it stops at the first literal step, which the
-    walk reaches by level 0 at the latest.
+    one table read per step, until the first step shaped (0, v, None): a
+    literal step, which returns v's code, or a finish marker, which descends
+    from v with the full delta; the walk meets one by level 0 at the latest.
+    So it makes at most ceil(log_tau n) + 1 reads plus 2 * ceil(log_tau n)
+    moves.
     """
     if not (1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")
@@ -302,7 +363,29 @@ def access1(ix, i):
         if d <= s:
             t, delta, side = near, s - d + 1, side ^ 1
         elif far is None:
-            return ix.lit[near]
+            code = ix.lit[near]
+            return descend1(ix, near, delta, side) if code is None else code
         else:
             t, delta = far, d - s
     raise PreconditionViolated(f"walk to position {i} ended off a literal")
+
+
+def descend1(ix, t, delta, side):
+    """The symbol at position delta measured from ``side`` (0 = left,
+    1 = right) of Exp(N_t), by root-to-leaf descent over the index's arrays.
+
+    Costs one move per grammar level below t, height(t) at most.
+    """
+    lens, kids = ix.lens, ix.kids
+    if not (0 <= t < len(lens) and side in (0, 1) and 1 <= delta <= lens[t]):
+        raise PreconditionViolated(f"descend1(t={t}, delta={delta}, side={side!r}) "
+                                   f"out of contract")
+    i = lens[t] + 1 - delta if side else delta
+    while kids[t] is not None:
+        x, y = kids[t]
+        l = lens[x]
+        if i <= l:
+            t = x
+        else:
+            t, i = y, i - l
+    return ix.lit[t]

@@ -25,10 +25,22 @@ variable's dimensions: cap_r and cap_c, the largest p with tau**p within its
 rows and columns, computed per variable by the build. The walk starts at the
 start's caps, which is exact because delta <= rows < tau**(cap_r + 1) (and
 the same for columns). Each step but the last lowers p_r + p_c by at least
-one, and at levels (0, 0) every block is one cell, so a query makes at most
-floor(log_tau r) + floor(log_tau c) + 1 reads. Corners are numbered 0..3
-(NW, NE, SW, SE), in the tables and in corner_map, the checked single step:
-bit 1 set means measured from the bottom, bit 0 set means from the right.
+one, and at levels (0, 0) every block is one cell, so the traced walk makes
+at most floor(log_tau r) + floor(log_tau c) + 1 steps. Corners are numbered
+0..3 (NW, NE, SW, SE), in the tables and in corner_map, the checked single
+step: bit 1 set means measured from the bottom, bit 0 set means from the
+right.
+
+Where descending is cheaper than reading on, a slot holds a finish marker
+instead: every block slot of a variable i at a level pair (p_r, p_c) with
+height(i) <= 2 (p_r + p_c) (a literal has height 0, a pair one more than its
+higher child) is ``(0, 0, i, None, 0)``, the literal step's shape, and for a
+literal the literal step itself. The fast walk reads tables until it meets a
+marker and then finishes by a root-to-leaf descent from the marker's
+variable, so it makes at most L + 1 reads plus 2L moves,
+L = floor(log_tau r) + floor(log_tau c). corner_map checks a marker against
+its variable's height and the block's place, then resolves the real step by
+descent, so the traced walk's steps do not change.
 
 Tables are flat and per variable: ``tables[corner][t]`` is one list per
 corner and variable reachable from the start (None for the others). It
@@ -48,10 +60,11 @@ far edge is within x, and then it is x's own block with the same key: the
 descent enters x with the window unchanged, and the other axis is shared,
 so it reaches the same hook at the same place. So is a block aligned to the
 bottom or right that lies wholly inside y. Those steps are copied from the
-child's own list, a slice at a time; only blocks that straddle the split or
-sit unaligned in the other child descend. The child has the level pair
-whenever a block fits inside it, and on a rows split it has the parent's
-columns, hence the parent's column cap and stride.
+child's own list, a slice at a time, markers included, since the block sits
+at the same offset from the same corner of the child; only blocks that
+straddle the split or sit unaligned in the other child descend. The child
+has the level pair whenever a block fits inside it, and on a rows split it
+has the parent's columns, hence the parent's column cap and stride.
 
 Immutable after build; queries are safe under concurrent readers.
 """
@@ -59,7 +72,7 @@ Immutable after build; queries are safe under concurrent readers.
 from __future__ import annotations
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import ceil_log, clamp_tau, optimal_tau
+from .access1d import _preset, ceil_log, clamp_tau
 from .slg import _reachable
 from .slg2d import Horiz, validate_slp2
 
@@ -69,8 +82,9 @@ def optimal_tau2(n, epsilon=1.0):
 
     The optimal-time analysis sets tau = log**(epsilon/2) n, which drops
     below 2 for small n; the clamp keeps the structure well-defined there.
+    epsilon is checked as given, before it is halved.
     """
-    return optimal_tau(n, epsilon / 2)
+    return _preset(n, epsilon, 0.5)
 
 
 def _layout2(g, tau):
@@ -156,11 +170,11 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
 class AccessIndex2:
     """Four corner bookmark tables plus per-variable dimension arrays and level caps."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "lit", "cap_r", "cap_c",
-                 "tables", "entries", "n_rows", "n_cols")
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "lit", "kids", "horiz",
+                 "height", "cap_r", "cap_c", "tables", "entries", "n_rows", "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, rows, cols, lit, cap_r, cap_c,
-                 tables, entries):
+    def __init__(self, grammar, tau, levels, pows, rows, cols, lit, kids, horiz, height,
+                 cap_r, cap_c, tables, entries):
         self.grammar = grammar
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
@@ -168,6 +182,9 @@ class AccessIndex2:
         self.rows = rows
         self.cols = cols
         self.lit = lit
+        self.kids = kids            # (x, y) child ids per variable, None for literals
+        self.horiz = horiz          # per variable: True when it splits rows
+        self.height = height        # longest path down to a literal, 0 for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
         self.tables = tables        # [corner][t][((p_r*(cap_c[t]+1)+p_c)*tau+k_r)*tau+k_c]
@@ -198,7 +215,9 @@ def _windows(m, pows, tau):
 
 
 def build_index2(g, tau):
-    """Populate every defined corner step of the variables reachable from the start."""
+    """Populate every defined corner step of the variables reachable from the
+    start; every block of a variable i at a level pair (p_r, p_c) with
+    height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0)."""
     g = validate_slp2(g)
     rows, cols = g._rows, g._cols
     tau, reach, cap_r, cap_c = _layout2(g, tau)
@@ -209,8 +228,12 @@ def build_index2(g, tau):
 
     span = tau * tau                # slots per level pair in one list
     tables = [[None] * len(g.rules) for _ in range(4)]
+    height = [0] * len(g.rules)
     entries = 0
     for i in reversed(g._topo):
+        if kids[i] is not None:
+            x, y = kids[i]
+            height[i] = 1 + max(height[x], height[y])
         if not reach[i]:
             continue
         if lit[i] is not None:      # caps (0, 0): one level pair, one cell
@@ -236,6 +259,13 @@ def build_index2(g, tau):
                 blocks_c = len(win_c[p_c][0])
                 entries += 4 * blocks_r * blocks_c
                 base = (p_r * (cc + 1) + p_c) * span
+                if height[i] <= 2 * (p_r + p_c):   # descending from i is cheaper
+                    marker = (0, 0, i, None, 0)
+                    marks = [share(marker, marker)] * blocks_c
+                    for table in own:
+                        for at in range(base, base + blocks_r * tau, tau):
+                            table[at:at + blocks_c] = marks
+                    continue
                 for corner in range(4):
                     table = own[corner]
                     # the child on the split axis that shares this corner's side
@@ -265,7 +295,8 @@ def build_index2(g, tau):
                             step = _hook_core2(lit, kids, horiz, rows, cols,
                                                i, b_r, b_c, e_r, e_c, corner)
                             table[k_c] = share(step, step)
-    return AccessIndex2(g, tau, levels, pows, rows, cols, lit, cap_r, cap_c, tables, entries)
+    return AccessIndex2(g, tau, levels, pows, rows, cols, lit, kids, horiz, height,
+                        cap_r, cap_c, tables, entries)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
@@ -287,7 +318,11 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     nearer the corner on the split axis flips that axis's side, the farther
     child keeps both sides, and the other axis moves by the stored shift.
     A level above the variable's cap on its axis reads at the cap, whose
-    blocks are no larger, so the step still contracts within tau**p.
+    blocks are no larger, so the step still contracts within tau**p. A
+    finish marker ``(0, 0, v, None, 0)`` for a pair v is checked (v is t or
+    on t's spine of children on the corner's sides with the block inside
+    it, and height(v) <= 2 (p_r + p_c) at the capped levels) and then
+    resolved into the real step by descent.
     """
     m_r, m_c = (ix.rows[t], ix.cols[t]) if 0 <= t < len(ix.rows) else (0, 0)
     if not (isinstance(corner, int) and 0 <= corner <= 3) \
@@ -311,6 +346,16 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
     tau = ix.tau
     axis, s, near, far, shift = table[((p_r * (ix.cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c]
+    if far is None and not (0 <= near < len(ix.lit) and ix.lit[near] is not None):
+        if not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c) \
+                or ix.height[near] > 2 * (p_r + p_c):
+            raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
+                                f"is a finish marker for {near}, off the block's spine "
+                                f"or above height {2 * (p_r + p_c)}")
+        e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
+        e_c = m_c - b_c if corner & 1 else b_c + w_c
+        axis, s, near, far, shift = _hook_core2(ix.lit, ix.kids, ix.horiz, ix.rows, ix.cols,
+                                                t, e_r - w_r, e_c - w_c, e_r, e_c, corner)
     if far is None:
         if w_r != 1 or w_c != 1:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
@@ -326,6 +371,20 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     if d_c <= s:
         return near, d_r + shift, s - d_c + 1, corner ^ 1
     return far, d_r + shift, d_c - s, corner
+
+
+def _on_spine2(ix, corner, t, v, e_r, e_c):
+    """Whether v is t or a descendant reached through the children on
+    ``corner``'s side of each split, each holding the first e_r rows and
+    e_c columns from that corner."""
+    kids, horiz, rows, cols = ix.kids, ix.horiz, ix.rows, ix.cols
+    while t != v:
+        if kids[t] is None:
+            return False
+        t = kids[t][corner >> 1 if horiz[t] else corner & 1]
+        if e_r > rows[t] or e_c > cols[t]:
+            return False
+    return True
 
 
 def access2_traced(ix, i, j):
@@ -377,8 +436,10 @@ def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based).
 
     The same walk as access2_traced in one loop with no per-step checks,
-    one table read per step; it stops at the first literal step, after at
-    most floor(log_tau rows) + floor(log_tau cols) + 1 reads.
+    one table read per step, until the first step shaped (0, 0, v, None, 0):
+    a literal step, which returns v's code, or a finish marker, which
+    descends from v with the full deltas. With L = floor(log_tau rows) +
+    floor(log_tau cols), it makes at most L + 1 reads plus 2L moves.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (1 <= i <= r0 and 1 <= j <= c0):
@@ -405,7 +466,10 @@ def access2(ix, i, j):
             t, d_c, c = near, s - d_c + 1, c ^ 1
             d_r += shift
         elif far is None:
-            return ix.lit[near]
+            code = ix.lit[near]
+            if code is None:
+                return descend2(ix, near, d_r + k_r * tpr, d_c + k_c * tpc, c)
+            return code
         else:
             t, d_c = far, d_c - s
             d_r += shift
@@ -419,3 +483,34 @@ def access2(ix, i, j):
         if p_c >= stride:
             p_c = stride - 1
     raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")
+
+
+def descend2(ix, t, d_r, d_c, corner):
+    """The cell (d_r, d_c) measured from ``corner`` (0..3, bit 1 = from the
+    bottom, bit 0 = from the right) of Exp(N_t), by root-to-leaf descent
+    over the index's arrays.
+
+    Costs one move per grammar level below t, height(t) at most.
+    """
+    rows, cols, kids, horiz = ix.rows, ix.cols, ix.kids, ix.horiz
+    if not (0 <= t < len(rows) and corner in (0, 1, 2, 3)
+            and 1 <= d_r <= rows[t] and 1 <= d_c <= cols[t]):
+        raise PreconditionViolated(f"descend2(t={t}, delta=({d_r},{d_c}), "
+                                   f"corner={corner!r}) out of contract")
+    i = rows[t] + 1 - d_r if corner & 2 else d_r
+    j = cols[t] + 1 - d_c if corner & 1 else d_c
+    while kids[t] is not None:
+        x, y = kids[t]
+        if horiz[t]:
+            l = rows[x]
+            if i <= l:
+                t = x
+            else:
+                t, i = y, i - l
+        else:
+            l = cols[x]
+            if j <= l:
+                t = x
+            else:
+                t, j = y, j - l
+    return ix.lit[t]

@@ -21,7 +21,8 @@ from functools import partial
 from typing import Callable
 
 from . import access1d, access2d, gen, oracle, reductions
-from .errors import ExpansionTooLarge, GrammarError, ParseError, PositionOutOfRange, RangeError
+from .errors import (ExpansionTooLarge, GrammarError, ParseError, PositionOutOfRange,
+                     PreconditionViolated, RangeError)
 from .slg import (
     DEFAULT_CAP,
     Slg1,
@@ -206,9 +207,14 @@ def cmd_access(args):
             continue
         if reference is not None:
             want = reference(*pos)
-            if want != code:
-                raise GrammarError(f"verify mismatch at {q!r}: index gives {code}, "
-                                   f"expansion gives {want}")
+            try:        # the traced walk checks every stored step and marker it reads
+                traced = dim.traced(ix, *pos)[0]
+            except PreconditionViolated as e:
+                raise GrammarError(f"verify mismatch at {q!r}: the traced walk refuses "
+                                   f"the tables: {e}") from None
+            if not want == code == traced:
+                raise GrammarError(f"verify mismatch at {q!r}: index gives {code}, traced "
+                                   f"walk gives {traced}, expansion gives {want}")
         print(code)
     return 1 if failed else 0
 

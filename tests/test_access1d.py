@@ -19,6 +19,7 @@ from gridgram import (
     side_map,
     validate_slp1,
 )
+from gridgram.access2d import optimal_tau2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp1
 from conftest import expand_all_1d, reachable
@@ -128,9 +129,16 @@ def test_index_single_literal():
 def test_index_abab_entry(abab):
     ix = build_index1(abab, 2)
     left, _ = ix.tables
-    # variable 0, level 1, block 1: hook 1 (A -> B C) at offset 0, so the split
-    # lies 1 in from the left, with B nearer that boundary and C farther
-    assert left[1][0 * 2 + 1] == (1, 2, 3)
+    assert ix.height == [2, 1, 0, 0]
+    # variable 0 (S -> A A, height 2), level 1, block 1: S is at most 2p = 2
+    # high, so the slot is S's finish marker
+    assert left[1][0 * 2 + 1] == (0, 0, None)
+    # W -> A S (id 0, height 3 > 2), level 1, block 1, the window (2..4]:
+    # hook 1 (A -> B C) at offset 0, so the split lies 1 in from the left,
+    # with B nearer that boundary and C farther
+    ix = build_index1(validate_slp1(Slp1([(1, 4), (2, 3), 0, 1, (1, 1)], 2, 0)), 2)
+    left, _ = ix.tables
+    assert ix.height[0] == 3 and left[1][0 * 2 + 1] == (1, 2, 3)
 
 
 def test_index_entry_count_bound():
@@ -158,6 +166,14 @@ def test_maps_refuse_a_variable_without_bookmarks():
         for t in (3, 4, -1):    # unreachable, then no such variable
             with pytest.raises(PreconditionViolated):
                 side_map(ix, side, t, 0, 1)
+
+
+def test_optimal_tau_refuses_epsilon_as_given():
+    for call in (optimal_tau, optimal_tau2):
+        with pytest.raises(RangeError, match=r"got -1$"):
+            call(1000, -1)
+    # positive, though half of it is 0.0
+    assert optimal_tau(1000, 5e-324) == optimal_tau2(1000, 5e-324) == 2
 
 
 def test_optimal_tau_stops_at_n():

@@ -1,14 +1,18 @@
 """The children-first bookmark build and both query loops, in 1D and 2D.
 
 The build stores every bookmark resolved into the step a query takes, for
-the variables reachable from the start, and copies a child's step wherever
-a block lies wholly inside the child on its aligned side, descending only
-for the other blocks. These properties check every stored step against one
-resolved here from the reference ``hook_offset1``/``hook_offset2`` of its
-window, the kept entry count against the number of defined windows, the 2D
-lists against the per-variable level caps, that equal steps are stored as
-one object, and the fast and the traced access against the expansion and
-against a plain root-to-leaf descent, on random SLPs, left and right combs
+the variables reachable from the start, or a finish marker where the
+variable is low enough for the level, and copies a child's slot wherever a
+block lies wholly inside the child on its aligned side, descending only
+for the other blocks. These properties check every stored slot against one
+predicted here: the marker of the first low enough variable on the block's
+spine, or else the step resolved from the reference
+``hook_offset1``/``hook_offset2`` of its window. They also check the kept
+entry count against the number of defined windows, the 2D lists against
+the per-variable level caps, that equal steps are stored as one object,
+the fast and the traced access against the expansion and against the
+library's root-to-leaf descent from every side or corner, and that the
+checked steps refuse a corrupt marker, on random SLPs, left and right combs
 (deep, mostly copied on one side and descended on the other) and
 staircases.
 """
@@ -35,6 +39,8 @@ from gridgram import (
     build_index1,
     build_index2,
     corner_map,
+    descend1,
+    descend2,
     expand1,
     expand2,
     hook_offset1,
@@ -143,34 +149,44 @@ def step2(g, i, corner, b_r, b_c, e_r, e_c):
     return (0, g._cols[near] - a_c, near, far, a_r)
 
 
-def descend1(g, i):
-    """Exp(S)[i] by root-to-leaf descent."""
-    t = g.start
-    while not isinstance(g.rules[t], int):
-        x, y = g.rules[t]
-        if i <= g._lens[x]:
-            t = x
-        else:
-            t, i = y, i - g._lens[x]
-    return g.rules[t]
+def heights(g):
+    """Per variable: the longest path down to a literal (0 for a literal)."""
+    h = [0] * len(g.rules)
+    for i in reversed(g._topo):
+        rule = g.rules[i]
+        if not isinstance(rule, int):
+            x, y = rule if isinstance(rule, tuple) else rule.children
+            h[i] = 1 + max(h[x], h[y])
+    return h
 
 
-def descend2(g, i, j):
-    """Exp(S)[i, j] by root-to-leaf descent."""
-    t = g.start
-    while not isinstance(g.rules[t], int):
-        rule = g.rules[t]
-        x, y = rule.children
-        if isinstance(rule, Horiz):
-            if i <= g._rows[x]:
-                t = x
-            else:
-                t, i = y, i - g._rows[x]
-        elif j <= g._cols[x]:
-            t = x
-        else:
-            t, j = y, j - g._cols[x]
-    return g.rules[t]
+def slot1(g, height, i, side, p, b, e):
+    """What the build stores for block (b..e] of Exp(i), measured from
+    ``side``, at level p: the finish marker (0, v, None) of the first v on
+    i's spine of children on that side with height(v) <= 2p, or the block's
+    step when the block leaves the spine before that."""
+    v = i
+    while height[v] > 2 * p:
+        v = g.rules[v][side]
+        if e > g._lens[v]:
+            m = g._lens[i]
+            return step1(g, i, 1, m - e, m - b) if side else step1(g, i, 0, b, e)
+    return (0, v, None)
+
+
+def slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c):
+    """The 2D slot1 for block (b_r..e_r] x (b_c..e_c] of Exp(i), measured
+    from ``corner``, at levels (p_r, p_c); the marker is (0, 0, v, None, 0)."""
+    v = i
+    while height[v] > 2 * (p_r + p_c):
+        rule = g.rules[v]
+        v = rule.children[corner >> 1 if isinstance(rule, Horiz) else corner & 1]
+        if e_r > g._rows[v] or e_c > g._cols[v]:
+            m_r, m_c = g._rows[i], g._cols[i]
+            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+            return step2(g, i, corner, rb, cb, re, ce)
+    return (0, 0, v, None, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,6 +194,8 @@ def descend2(g, i, j):
 def test_build1_stores_every_window_hook(g, tau):
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
+    height = heights(g)
+    assert ix.height == height
     left, right = ix.tables
     defined = 0
     for i in reachable(g):
@@ -185,8 +203,8 @@ def test_build1_stores_every_window_hook(g, tau):
         for p in range(ix.levels + 1):
             for k, b, e in blocks(m, ix.pows[p], tau):
                 defined += 2
-                assert left[p][i * ix.tau + k] == step1(g, i, 0, b, e)
-                assert right[p][i * ix.tau + k] == step1(g, i, 1, m - e, m - b)
+                assert left[p][i * ix.tau + k] == slot1(g, height, i, 0, p, b, e)
+                assert right[p][i * ix.tau + k] == slot1(g, height, i, 1, p, b, e)
     assert ix.entry_count() == defined
     assert sum(v is not None for table in ix.tables for level in table for v in level) == defined
 
@@ -197,6 +215,8 @@ def test_build2_stores_every_window_hook(g, tau):
     ix = build_index2(g, tau)
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
+    height = heights(g)
+    assert ix.height == height
     ids = reachable(g)
     defined = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
@@ -212,13 +232,10 @@ def test_build2_stores_every_window_hook(g, tau):
                 for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], tau):
                     for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], tau):
                         slot = ((p_r * (cap_c + 1) + p_c) * T + k_r) * T + k_c
-                        for corner, (rb, re) in enumerate(((b_r, e_r), (b_r, e_r),
-                                                           (m_r - e_r, m_r - b_r),
-                                                           (m_r - e_r, m_r - b_r))):
-                            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+                        for corner in range(4):
                             defined += 1
                             assert ix.tables[corner][i][slot] == \
-                                step2(g, i, corner, rb, cb, re, ce)
+                                slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c)
     lists = [table for corner in ix.tables for table in corner if table is not None]
     assert table_slots2(g, tau) == sum(len(table) for table in lists)
     assert ix.entry_count() == defined
@@ -272,6 +289,20 @@ def test_maps_refuse_a_side_or_corner_out_of_range():
             corner_map(ix2, corner, 0, 0, 0, 1, 1)
 
 
+def test_descents_refuse_arguments_out_of_contract():
+    ix1 = build_index1(validate_slp1(Slp1([(1, 2), 0, 1], 2, 0)), 2)
+    assert descend1(ix1, 0, 2, 0) == 1 == descend1(ix1, 0, 1, 1)
+    for t, delta, side in ((3, 1, 0), (-1, 1, 0), (0, 0, 0), (0, 3, 0), (0, 1, 2)):
+        with pytest.raises(PreconditionViolated):
+            descend1(ix1, t, delta, side)
+    ix2 = build_index2(validate_slp2(Slp2([Vert(1, 2), 0, 1], 2, 0)), 2)
+    assert descend2(ix2, 0, 1, 2, 0) == 1 == descend2(ix2, 0, 1, 1, 1)
+    for args in ((3, 1, 1, 0), (-1, 1, 1, 0), (0, 2, 1, 0), (0, 1, 3, 0), (0, 1, 0, 0),
+                 (0, 1, 1, 4)):
+        with pytest.raises(PreconditionViolated):
+            descend2(ix2, *args)
+
+
 def test_builds_and_slot_counts_refuse_a_float_tau():
     g1, g2 = random_slp1(7, 30), random_slp2(7, 30)
     # longer than every tau below, so the clamp keeps the float
@@ -307,17 +338,226 @@ def test_access2_matches_expansion(g, tau):
 @given(g=grammars1(), tau=TAUS1, data=st.data())
 def test_access1_matches_descent(g, tau, data):
     ix = build_index1(g, tau)
-    for i in data.draw(st.lists(st.integers(1, ix.n), min_size=1, max_size=40)):
-        assert access1(ix, i) == descend1(g, i)
+    n = ix.n
+    for i in data.draw(st.lists(st.integers(1, n), min_size=1, max_size=40)):
+        assert access1(ix, i) == descend1(ix, g.start, i, 0) == descend1(ix, g.start, n + 1 - i, 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=TAUS, data=st.data())
 def test_access2_matches_descent(g, tau, data):
     ix = build_index2(g, tau)
-    cells = st.tuples(st.integers(1, ix.n_rows), st.integers(1, ix.n_cols))
+    r, c = ix.n_rows, ix.n_cols
+    cells = st.tuples(st.integers(1, r), st.integers(1, c))
     for i, j in data.draw(st.lists(cells, min_size=1, max_size=40)):
-        assert access2(ix, i, j) == descend2(g, i, j)
+        assert access2(ix, i, j) == descend2(ix, g.start, i, j, 0) == \
+            descend2(ix, g.start, i, c + 1 - j, 1) == descend2(ix, g.start, r + 1 - i, j, 2) == \
+            descend2(ix, g.start, r + 1 - i, c + 1 - j, 3)
+
+
+# -- the finish: markers where descent is cheaper than reading on ------------
+
+FINISH_TAUS = st.sampled_from([2, 3, 4, 8, 16])
+
+
+def is_marker1(ix, step):
+    """Whether a 1D slot holds a finish marker of a pair (not a literal step)."""
+    return step is not None and step[2] is None and ix.lit[step[1]] is None
+
+
+def is_marker2(ix, step):
+    return step is not None and step[3] is None and ix.lit[step[2]] is None
+
+
+def pairs(g):
+    return [i for i in reachable(g) if not isinstance(g.rules[i], int)]
+
+
+def spine1(g, t, side, e):
+    """t and its descendants through children on ``side`` holding e positions."""
+    out = [t]
+    while not isinstance(g.rules[t], int):
+        t = g.rules[t][side]
+        if e > g._lens[t]:
+            break
+        out.append(t)
+    return out
+
+
+def spine2(g, t, corner, e_r, e_c):
+    out = [t]
+    while not isinstance(g.rules[t], int):
+        rule = g.rules[t]
+        t = rule.children[corner >> 1 if isinstance(rule, Horiz) else corner & 1]
+        if e_r > g._rows[t] or e_c > g._cols[t]:
+            break
+        out.append(t)
+    return out
+
+
+class Reads(list):
+    """A table list that logs the slots read through it."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, k):
+        self.log.append(k)
+        return super().__getitem__(k)
+
+
+@st.composite
+def low1(draw):
+    """A 1D SLP of height at most 2: S -> A B, each child a literal or a
+    pair of literals (ids 1..3)."""
+    rules = [None, 0, 1, 2]
+
+    def part():
+        if draw(st.booleans()):
+            return draw(st.integers(1, 3))
+        rules.append((draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+        return len(rules) - 1
+
+    rules[0] = (part(), part())
+    return validate_slp1(Slp1(rules, 3, 0))
+
+
+@st.composite
+def low2(draw):
+    """A 2D SLP of height at most 2 over the literal ids 1..3."""
+    rules = [None, 0, 1, 2]
+    horiz = draw(st.booleans())
+    wide = draw(st.booleans())      # children 1x2 under a rows split, 2x1 under a columns split
+
+    def part():
+        if wide:
+            kind = Vert if horiz else Horiz
+        elif draw(st.booleans()):
+            return draw(st.integers(1, 3))
+        else:
+            kind = Horiz if horiz else Vert
+        rules.append(kind(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+        return len(rules) - 1
+
+    rules[0] = (Horiz if horiz else Vert)(part(), part())
+    return validate_slp2(Slp2(rules, 3, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1(), tau=FINISH_TAUS)
+def test_finish1_is_exact_and_markers_are_low(g, tau):
+    ix = build_index1(g, tau)
+    for i, want in enumerate(expand1(g), start=1):
+        assert access1(ix, i) == want and access1_traced(ix, i) == (want, ix.levels + 1)
+    for table in ix.tables:
+        for p, level in enumerate(table):
+            assert all(ix.height[v[1]] <= 2 * p for v in level if is_marker1(ix, v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=FINISH_TAUS)
+def test_finish2_is_exact_and_markers_are_low(g, tau):
+    ix = build_index2(g, tau)
+    m = expand2(g)
+    for i in range(1, m.rows + 1):
+        for j in range(1, m.cols + 1):
+            assert access2(ix, i, j) == access2_traced(ix, i, j)[0] == m.get(i, j)
+    span = ix.tau ** 2
+    for corner in ix.tables:
+        for t, table in enumerate(corner):
+            if table is None:
+                continue
+            stride = ix.cap_c[t] + 1
+            for at, v in enumerate(table):
+                if is_marker2(ix, v):
+                    p_r, p_c = divmod(at // span, stride)
+                    assert ix.height[v[2]] <= 2 * (p_r + p_c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=low1(), tau=FINISH_TAUS)
+def test_finish1_at_height_two_reads_one_slot(g, tau):
+    ix = build_index1(g, tau)
+    log = []
+    ix.tables = tuple([Reads(level, log) for level in side] for side in ix.tables)
+    for i, want in enumerate(expand1(g), start=1):
+        del log[:]
+        assert access1(ix, i) == want and len(log) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=low2(), tau=FINISH_TAUS)
+def test_finish2_at_height_two_reads_one_slot(g, tau):
+    ix = build_index2(g, tau)
+    log = []
+    ix.tables = [[None if t is None else Reads(t, log) for t in corner] for corner in ix.tables]
+    m = expand2(g)
+    for i in range(1, m.rows + 1):
+        for j in range(1, m.cols + 1):
+            del log[:]
+            assert access2(ix, i, j) == m.get(i, j) and len(log) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1(), tau=FINISH_TAUS, data=st.data())
+def test_side_map_refuses_a_corrupt_marker(g, tau, data):
+    ix = build_index1(g, tau)
+    ts = pairs(g)
+    if not ts:
+        return
+    t = data.draw(st.sampled_from(ts))
+    side = data.draw(st.integers(0, 1))
+    # too high: t's own marker at a level where t is higher than 2p
+    p = data.draw(st.integers(0, min(ix.levels, (ix.height[t] - 1) // 2)))
+    k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
+    table, at = ix.tables[side][p], t * ix.tau + k
+    table[at] = (0, t, None)
+    with pytest.raises(PreconditionViolated, match="finish marker"):
+        side_map(ix, side, t, p, b + 1)
+    # off the spine: low enough at the top level, but not on the block's spine
+    p = ix.levels
+    k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
+    on = spine1(g, t, side, e)
+    off = [v for v in range(len(g.rules)) if v not in on and ix.height[v] <= 2 * p
+           and ix.lit[v] is None] + [len(g.rules), -1]
+    table, at = ix.tables[side][p], t * ix.tau + k
+    table[at] = (0, data.draw(st.sampled_from(off)), None)
+    with pytest.raises(PreconditionViolated, match="finish marker"):
+        side_map(ix, side, t, p, b + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=FINISH_TAUS, data=st.data())
+def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
+    ix = build_index2(g, tau)
+    ts = pairs(g)
+    if not ts:
+        return
+    t = data.draw(st.sampled_from(ts))
+    corner = data.draw(st.integers(0, 3))
+    T, m_r, m_c = ix.tau, g._rows[t], g._cols[t]
+
+    def corrupt(p_r, p_c, v):
+        (k_r, b_r, e_r), (k_c, b_c, e_c) = data.draw(
+            st.tuples(st.sampled_from(blocks(m_r, ix.pows[p_r], T)),
+                      st.sampled_from(blocks(m_c, ix.pows[p_c], T))))
+        if v is None:
+            on = spine2(g, t, corner, e_r, e_c)
+            v = data.draw(st.sampled_from(
+                [v for v in range(len(g.rules)) if v not in on and ix.lit[v] is None
+                 and ix.height[v] <= 2 * (p_r + p_c)] + [len(g.rules), -1]))
+        at = ((p_r * (ix.cap_c[t] + 1) + p_c) * T + k_r) * T + k_c
+        ix.tables[corner][t][at] = (0, 0, v, None, 0)
+        with pytest.raises(PreconditionViolated, match="finish marker"):
+            corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
+
+    # too high: t's own marker at a level pair where t is higher than 2 (p_r + p_c)
+    corrupt(*data.draw(st.sampled_from(
+        [(p_r, p_c) for p_r in range(ix.cap_r[t] + 1) for p_c in range(ix.cap_c[t] + 1)
+         if ix.height[t] > 2 * (p_r + p_c)])), t)
+    # off the spine: low enough at t's top level pair, but not on the block's spine
+    corrupt(ix.cap_r[t], ix.cap_c[t], None)
 
 
 _CORRUPT = """

@@ -104,6 +104,50 @@ def test_access_verify_mismatch_is_one_line(slp1_file, capsys, monkeypatch):
     assert err.startswith("GrammarError: verify mismatch") and err.count("\n") == 1
 
 
+def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.slg1"
+    code, _, _ = run(capsys, "gen", "slp1", "--rules", "40", "--seed", "5", "--sigma", "3",
+                     "--max-len", "200", "-o", str(path))
+    assert code == 0
+    slp = slg_to_slp(parse_slg1(path.read_text()))
+    text = expand1(slp)
+    coords = [str(i) for i in range(1, len(text) + 1)]
+    ix = build_index1(slp, 2)
+    marked = [(side, p, at) for side, table in enumerate(ix.tables)
+              for p, level in enumerate(table) for at, v in enumerate(level)
+              if v is not None and v[2] is None and ix.lit[v[1]] is None]
+    assert marked       # at tau 2 the tables hold finish markers
+    code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
+    assert code == 0 and out.split() == [str(v) for v in text] and err == ""
+
+    def build(slp, tau):
+        # each marker copied from a child now names the variable itself,
+        # though it is higher than its level allows; the fast walk descends
+        # from there with the same delta and still answers right
+        ix = build_index1(slp, tau)
+        for side, p, at in marked:
+            t = at // ix.tau
+            if ix.height[t] > 2 * p:
+                ix.tables[side][p][at] = (0, t, None)
+        return ix
+
+    monkeypatch.setattr(cli._DIM1, "build", build)
+    code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2")
+    assert code == 0 and out.split() == [str(v) for v in text]
+    code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("GrammarError: verify mismatch at ") and "finish marker" in err
+
+
+def test_access_checks_epsilon_before_halving_it(slp2_file, capsys):
+    code, out, err = run(capsys, "access", str(slp2_file), "1,1", "--epsilon", "-1")
+    assert code == 1 and out == ""
+    assert err == "RangeError: epsilon must be finite and > 0, got -1.0\n"
+    code, out, err = run(capsys, "access", str(slp2_file), "1,1", "--epsilon", "5e-324",
+                         "--verify")
+    assert code == 0 and err == ""
+
+
 def test_expand_matches_library(slp2_file, tmp_path, capsys):
     out_path = tmp_path / "m.mat"
     code, _, _ = run(capsys, "expand", str(slp2_file), "-o", str(out_path))
