@@ -66,13 +66,25 @@ straddle the split or sit unaligned in the other child descend. The child
 has the level pair whenever a block fits inside it, and on a rows split it
 has the parent's columns, hence the parent's column cap and stride.
 
+A descent jumps along long runs of moves as in 1D, with the same RUN and
+the same ``_jumps`` tables over the x and the y children, whatever axis
+each variable splits: it may move on to a node v of the x chain while the
+window's far corner fits in v (e_r <= rows[v] and e_c <= cols[v]), and to
+a node v of the y chain while v's offsets inside the node are at most the
+window's start on both axes. Both tests are monotone along a chain, since
+rows and columns shrink down it. A run may switch axes and still jump: on
+the staircase X_{k+1} = Horiz(Vert(X_k, col_k), row_{k+1}) reaches X_k by
+two x moves, one on each axis. The tables cost what they cost in 1D and
+are dropped when the build returns. A descent given NO_JUMPS is the plain
+walk; hook_offset2 and corner_map use it.
+
 Immutable after build; queries are safe under concurrent readers.
 """
 
 from __future__ import annotations
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import _preset, ceil_log, clamp_tau
+from .access1d import NO_JUMPS, RUN, _jumps, _preset, ceil_log, clamp_tau
 from .slg import _reachable
 from .slg2d import Horiz, validate_slp2
 
@@ -104,7 +116,26 @@ def table_slots2(g, tau):
                                for cr, cc, r in zip(cap_r, cap_c, reach) if r)
 
 
-def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner):
+def _jump2(table, rows, cols, node, need_r, need_c):
+    """The last node on ``table``'s chain from node with at least need_r rows
+    and need_c columns, found by doubling then halving the jump, as
+    ``_jump1`` does with lengths."""
+    j = 0
+    while j < len(table):
+        v = table[j][node]
+        if v < 0 or rows[v] < need_r or cols[v] < need_c:
+            break
+        node = v
+        j += 1
+    while j:
+        j -= 1
+        v = table[j][node]
+        if v >= 0 and rows[v] >= need_r and cols[v] >= need_c:
+            node = v
+    return node
+
+
+def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, jumps):
     """Iterative 2D descent: rows-splitting variables compare the row window,
     columns-splitting variables the column window.
 
@@ -112,14 +143,26 @@ def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner):
     (axis, split from the corner, near child, far child, shift on the other
     axis from the corner's side), or (0, 0, literal, None, 0). With corner
     None it returns the (hook, offset_r, offset_c) triple instead.
+
+    ``jumps`` is the pair of ``_jumps`` tables for the x and the y children;
+    after RUN moves in a row to one child the descent jumps along its chain
+    (see the module docstring). With NO_JUMPS it is the plain walk.
     """
+    jx, jy = jumps
+    xs = ys = 0                     # the current run of x / y moves
     while lit[node] is None:
         x, y = kids[node]
         if horiz[node]:
             l = rows[x]
             if e_r <= l:
                 node = x
-            elif l <= b_r:
+                xs += 1
+                ys = 0
+                if xs == RUN and jx:
+                    node = _jump2(jx, rows, cols, node, e_r, e_c)
+                    xs = 0
+                continue
+            if l <= b_r:
                 node, b_r, e_r = y, b_r - l, e_r - l
             elif corner is None:
                 break
@@ -130,13 +173,26 @@ def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner):
             l = cols[x]
             if e_c <= l:
                 node = x
-            elif l <= b_c:
+                xs += 1
+                ys = 0
+                if xs == RUN and jx:
+                    node = _jump2(jx, rows, cols, node, e_r, e_c)
+                    xs = 0
+                continue
+            if l <= b_c:
                 node, b_c, e_c = y, b_c - l, e_c - l
             elif corner is None:
                 break
             else:
                 shift = rows[node] - e_r if corner & 2 else b_r
                 return (0, e_c - l, y, x, shift) if corner & 1 else (0, l - b_c, x, y, shift)
+        ys += 1                     # the move went to y
+        xs = 0
+        if ys == RUN and jy:
+            top_r, top_c = rows[node], cols[node]
+            node = _jump2(jy, rows, cols, node, top_r - b_r, top_c - b_c)
+            s_r, s_c = top_r - rows[node], top_c - cols[node]
+            b_r, e_r, b_c, e_c, ys = b_r - s_r, e_r - s_r, b_c - s_c, e_c - s_c, 0
     return (node, b_r, b_c) if corner is None else (0, 0, node, None, 0)
 
 
@@ -151,7 +207,8 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     """2D hook and offsets of the window (b_r..e_r] x (b_c..e_c] of Exp(nid),
     as a (hook, offset_r, offset_c) triple.
 
-    The window reappears inside the hook's expansion shifted to
+    The reference: the plain walk, one move per grammar level, with no jump
+    tables. The window reappears inside the hook's expansion shifted to
     (offset_r..offset_r+(e_r-b_r)] x (offset_c..offset_c+(e_c-b_c)], with
     offsets never exceeding the original window start on either axis. A 1x1
     window lands on a literal; otherwise the hook's child split falls
@@ -164,7 +221,8 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     if not (0 <= b_c < e_c <= m_c):
         raise RangeError(f"col window {b_c}..{e_c} invalid for {m_c} cols")
     lit, kids, horiz = _grammar_arrays(g)
-    return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None)
+    return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None,
+                       NO_JUMPS)
 
 
 class AccessIndex2:
@@ -225,6 +283,7 @@ def build_index2(g, tau):
     pows = [tau ** p for p in range(levels + 2)]
     lit, kids, horiz = _grammar_arrays(g)
     share = {}.setdefault           # step -> its one stored copy
+    jumps = (_jumps(kids, 0), _jumps(kids, 1))
 
     span = tau * tau                # slots per level pair in one list
     tables = [[None] * len(g.rules) for _ in range(4)]
@@ -293,7 +352,7 @@ def build_index2(g, tau):
                         at = base + k_r * tau
                         for k_c, (b_c, e_c) in enumerate(col_wins, at + cut_c):
                             step = _hook_core2(lit, kids, horiz, rows, cols,
-                                               i, b_r, b_c, e_r, e_c, corner)
+                                               i, b_r, b_c, e_r, e_c, corner, jumps)
                             table[k_c] = share(step, step)
     return AccessIndex2(g, tau, levels, pows, rows, cols, lit, kids, horiz, height,
                         cap_r, cap_c, tables, entries)
@@ -322,7 +381,8 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     finish marker ``(0, 0, v, None, 0)`` for a pair v is checked (v is t or
     on t's spine of children on the corner's sides with the block inside
     it, and height(v) <= 2 (p_r + p_c) at the capped levels) and then
-    resolved into the real step by descent.
+    resolved into the real step by descent; a literal step must equal the
+    step the same descent gives.
     """
     m_r, m_c = (ix.rows[t], ix.cols[t]) if 0 <= t < len(ix.rows) else (0, 0)
     if not (isinstance(corner, int) and 0 <= corner <= 3) \
@@ -345,21 +405,24 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
     tau = ix.tau
-    axis, s, near, far, shift = table[((p_r * (ix.cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c]
-    if far is None and not (0 <= near < len(ix.lit) and ix.lit[near] is not None):
-        if not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c) \
-                or ix.height[near] > 2 * (p_r + p_c):
+    step = table[((p_r * (ix.cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c]
+    axis, s, near, far, shift = step
+    if far is None:
+        literal = 0 <= near < len(ix.lit) and ix.lit[near] is not None
+        if not literal and (not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c)
+                            or ix.height[near] > 2 * (p_r + p_c)):
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
                                 f"is a finish marker for {near}, off the block's spine "
                                 f"or above height {2 * (p_r + p_c)}")
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
-        axis, s, near, far, shift = _hook_core2(ix.lit, ix.kids, ix.horiz, ix.rows, ix.cols,
-                                                t, e_r - w_r, e_c - w_c, e_r, e_c, corner)
-    if far is None:
-        if w_r != 1 or w_c != 1:
+        axis, s, near, far, shift = real = _hook_core2(
+            ix.lit, ix.kids, ix.horiz, ix.rows, ix.cols,
+            t, e_r - w_r, e_c - w_c, e_r, e_c, corner, NO_JUMPS)
+        if literal and real != step:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
-                                f"is the literal {near} for a {w_r}x{w_c} block")
+                                f"is the literal step {step}, descent gives {real}")
+    if far is None:
         return near, 1, 1, 0
     if not 0 < s < (w_r if axis else w_c):    # s: the hook's split, inside the block
         raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")

@@ -12,15 +12,21 @@ entry count against the number of defined windows, the 2D lists against
 the per-variable level caps, that equal steps are stored as one object,
 the fast and the traced access against the expansion and against the
 library's root-to-leaf descent from every side or corner, and that the
-checked steps refuse a corrupt marker, on random SLPs, left and right combs
-(deep, mostly copied on one side and descended on the other) and
-staircases.
+checked steps refuse a corrupt marker or literal step, on random SLPs, left
+and right combs (deep, mostly copied on one side and descended on the
+other), 2D combs along either axis and staircases. The descents that jump
+along long runs of moves are checked against the plain walk, window by
+window and table by table, on these and on the benchmark's own comb and
+staircase.
 """
 
 import os
+import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,8 +55,9 @@ from gridgram import (
     validate_slp1,
     validate_slp2,
 )
-from gridgram.access1d import table_slots1
-from gridgram.access2d import table_slots2
+from gridgram import access1d, access2d
+from gridgram.access1d import NO_JUMPS, _hook_core, _jump1, _jumps, _kids, table_slots1
+from gridgram.access2d import _grammar_arrays, _hook_core2, _jump2, table_slots2
 from gridgram.gen import random_slp1, random_slp2
 from conftest import reachable
 
@@ -90,21 +97,46 @@ def staircase2(codes, steps):
     return validate_slp2(Slp2(rules, 4, x))
 
 
+def comb2(codes, kind, right):
+    """comb1 in 2D over one axis: X_i -> kind(lit(codes[i]), X_{i+1}), the
+    chain on the bottom or right, or X_i -> kind(X_{i+1}, lit(codes[i]))."""
+    pairs = len(codes) - 1
+    rules = []
+    for i in range(pairs):
+        nxt = i + 1 if i + 1 < pairs else pairs + codes[pairs]
+        rules.append(kind(pairs + codes[i], nxt) if right else kind(nxt, pairs + codes[i]))
+    rules.extend(range(4))
+    return validate_slp2(Slp2(rules, 4, 0))
+
+
 @st.composite
-def grammars1(draw):
+def comb_codes(draw, longest):
+    """Literal codes for a comb, half the time up to 70 long and half the
+    time up to ``longest``, so that a descent's runs cross several jump
+    levels."""
+    n = draw(st.integers(2, min(70, longest)) | st.integers(2, longest))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return [rng.randrange(4) for _ in range(n)]
+
+
+@st.composite
+def grammars1(draw, longest=600):
     kind = draw(st.sampled_from(["gen", "right-comb", "left-comb"]))
     if kind == "gen":
         return random_slp1(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 30)),
                            sigma=3, max_len=draw(st.sampled_from([8, 100, 600])))
-    codes = draw(st.lists(st.integers(0, 3), min_size=2, max_size=70))
-    return comb1(codes, kind == "right-comb")
+    return comb1(draw(comb_codes(longest)), kind == "right-comb")
 
 
 @st.composite
-def grammars2(draw):
-    if draw(st.booleans()):
+def grammars2(draw, longest=150):
+    kind = draw(st.sampled_from(["gen", "staircase", "horiz-comb", "vert-comb"]))
+    if kind == "gen":
         return random_slp2(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 20)),
                            sigma=3, max_cells=draw(st.sampled_from([8, 64, 300])))
+    if kind != "staircase":
+        return comb2(draw(comb_codes(longest)), Horiz if kind == "horiz-comb" else Vert,
+                     draw(st.booleans()))
     steps = draw(st.integers(1, 12))
     return staircase2(draw(st.lists(st.integers(0, 3), min_size=2 * steps + 2,
                                     max_size=2 * steps + 2)), steps)
@@ -189,8 +221,11 @@ def slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c):
     return (0, 0, v, None, 0)
 
 
+# the oracle below walks from each slot's variable, so its cost grows with
+# slots times depth: these two draw combs of at most 70 codes, and the deep
+# combs reach the tables through test_jump_builds_equal_plain_builds1/2
 @settings(max_examples=60, deadline=None)
-@given(g=grammars1(), tau=TAUS1)
+@given(g=grammars1(longest=70), tau=TAUS1)
 def test_build1_stores_every_window_hook(g, tau):
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
@@ -210,7 +245,7 @@ def test_build1_stores_every_window_hook(g, tau):
 
 
 @settings(max_examples=40, deadline=None)
-@given(g=grammars2(), tau=TAUS)
+@given(g=grammars2(longest=70), tau=TAUS)
 def test_build2_stores_every_window_hook(g, tau):
     ix = build_index2(g, tau)
     T = ix.tau
@@ -242,25 +277,26 @@ def test_build2_stores_every_window_hook(g, tau):
     assert sum(v is not None for table in lists for v in table) == defined
 
 
+def stored(ix):
+    """Every defined slot of a 1D or a 2D index, in table order."""
+    return [v for lists in ix.tables for slots in lists if slots is not None
+            for v in slots if v is not None]
+
+
 def distinct_objects_are_distinct_values(steps):
-    steps = [v for v in steps if v is not None]
     return len({id(v) for v in steps}) == len(set(steps))
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1(), tau=TAUS1)
 def test_build1_stores_each_distinct_step_once(g, tau):
-    ix = build_index1(g, tau)
-    assert distinct_objects_are_distinct_values(
-        v for table in ix.tables for level in table for v in level)
+    assert distinct_objects_are_distinct_values(stored(build_index1(g, tau)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(g=grammars2(), tau=TAUS)
 def test_build2_stores_each_distinct_step_once(g, tau):
-    ix = build_index2(g, tau)
-    assert distinct_objects_are_distinct_values(
-        v for corner in ix.tables for table in corner if table is not None for v in table)
+    assert distinct_objects_are_distinct_values(stored(build_index2(g, tau)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,6 +389,143 @@ def test_access2_matches_descent(g, tau, data):
         assert access2(ix, i, j) == descend2(ix, g.start, i, j, 0) == \
             descend2(ix, g.start, i, c + 1 - j, 1) == descend2(ix, g.start, r + 1 - i, j, 2) == \
             descend2(ix, g.start, r + 1 - i, c + 1 - j, 3)
+
+
+# -- jump descents: long runs of moves toward one child ----------------------
+
+@contextmanager
+def plain_builds():
+    """Builds made inside get no jump tables, so every descent is the plain walk."""
+    with mock.patch.object(access1d, "_jumps", lambda kids, side: []), \
+            mock.patch.object(access2d, "_jumps", lambda kids, side: []):
+        yield
+
+
+def assert_jump_tables(g, kids, side, tables, data):
+    """One list per j while some chain toward ``side`` has 2**j moves, and
+    tables[j][v] is where 2**j moves from v lead, or -1 past a literal."""
+    chain = [0] * len(kids)         # moves from v toward side until a literal
+    for v in reversed(g._topo):
+        if kids[v] is not None:
+            chain[v] = 1 + chain[kids[v][side]]
+    assert len(tables) == max(chain).bit_length()
+    for _ in range(8 if tables else 0):
+        j = data.draw(st.integers(0, len(tables) - 1))
+        v = u = data.draw(st.integers(0, len(kids) - 1))
+        for _ in range(2 ** j):
+            u = -1 if u < 0 or kids[u] is None else kids[u][side]
+        assert tables[j][v] == u
+
+
+def window(data, m):
+    """A window (b, e] of a length-m axis, often narrow so descents go deep."""
+    b = data.draw(st.integers(0, m - 1))
+    return b, b + data.draw(st.integers(1, min(4, m - b)) | st.integers(1, m - b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars1(), data=st.data())
+def test_hook_core_jumps_like_the_plain_walk(g, data):
+    kids, lens = _kids(g.rules), g._lens
+    jumps = (_jumps(kids, 0), _jumps(kids, 1))
+    for side in (0, 1):
+        assert_jump_tables(g, kids, side, jumps[side], data)
+        # a jump lands on the last node of the chain that is long enough
+        v = u = data.draw(st.integers(0, len(g.rules) - 1))
+        need = data.draw(st.integers(1, lens[v]))
+        while kids[u] is not None and lens[kids[u][side]] >= need:
+            u = kids[u][side]
+        assert _jump1(jumps[side], lens, v, need) == u
+    for _ in range(16):
+        t = data.draw(st.integers(0, len(g.rules) - 1))
+        b, e = window(data, lens[t])
+        side = data.draw(st.sampled_from([0, 1, None]))
+        assert _hook_core(kids, lens, t, b, e, side, jumps) == \
+            _hook_core(kids, lens, t, b, e, side, NO_JUMPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), data=st.data())
+def test_hook_core2_jumps_like_the_plain_walk(g, data):
+    lit, kids, horiz = _grammar_arrays(g)
+    rows, cols = g._rows, g._cols
+    jumps = (_jumps(kids, 0), _jumps(kids, 1))
+    for side in (0, 1):
+        assert_jump_tables(g, kids, side, jumps[side], data)
+        v = u = data.draw(st.integers(0, len(g.rules) - 1))
+        need_r, need_c = data.draw(st.integers(1, rows[v])), data.draw(st.integers(1, cols[v]))
+        while kids[u] is not None and rows[kids[u][side]] >= need_r \
+                and cols[kids[u][side]] >= need_c:
+            u = kids[u][side]
+        assert _jump2(jumps[side], rows, cols, v, need_r, need_c) == u
+    for _ in range(16):
+        t = data.draw(st.integers(0, len(g.rules) - 1))
+        (b_r, e_r), (b_c, e_c) = window(data, rows[t]), window(data, cols[t])
+        corner = data.draw(st.sampled_from([0, 1, 2, 3, None]))
+        args = (lit, kids, horiz, rows, cols, t, b_r, b_c, e_r, e_c, corner)
+        assert _hook_core2(*args, jumps) == _hook_core2(*args, NO_JUMPS)
+
+
+def assert_same_tables(ix, plain):
+    assert ix.tables == plain.tables and ix.entry_count() == plain.entry_count()
+    assert len({id(v) for v in stored(ix)}) == len({id(v) for v in stored(plain)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grammars1(), tau=TAUS)
+def test_jump_builds_equal_plain_builds1(g, tau):
+    with plain_builds():
+        plain = build_index1(g, tau)
+    assert_same_tables(build_index1(g, tau), plain)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grammars2(), tau=TAUS)
+def test_jump_builds_equal_plain_builds2(g, tau):
+    with plain_builds():
+        plain = build_index2(g, tau)
+    assert_same_tables(build_index2(g, tau), plain)
+
+
+def test_jump_builds_equal_plain_builds_on_the_benchmark_shapes():
+    """The comb-deep workload's 2000-variable right comb and 100-step
+    staircase at tau 8, built the way the benchmark builds them."""
+    rng = random.Random(1)
+    comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
+    stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
+    assert len(comb.rules) == 2000
+    for build, g in ((build_index1, comb), (build_index2, stair)):
+        with plain_builds():
+            plain = build(g, 8)
+        assert_same_tables(build(g, 8), plain)
+
+
+# -- checked literal steps ---------------------------------------------------
+
+def test_side_map_refuses_a_wrong_literal_step():
+    g = validate_slp1(Slp1([(1, 2), 0, 1], 2, 0))       # S -> a b
+    ix = build_index1(g, 2)
+    assert access1_traced(ix, 2) == (1, 2)
+    for side in (0, 1):         # b's own cell claims to be a
+        ix.tables[side][0][2 * ix.tau] = (0, 1, None)
+    with pytest.raises(PreconditionViolated, match="literal step"):
+        access1_traced(ix, 2)
+    with pytest.raises(PreconditionViolated, match="literal step"):
+        side_map(ix, 1, 2, 0, 1)
+
+
+def test_corner_map_refuses_a_wrong_literal_step():
+    g = validate_slp2(Slp2([Vert(1, 2), 0, 1], 2, 0))   # S = [a b], one row
+    ix = build_index2(g, 2)
+    for corner in range(4):
+        d_c = 1 if corner & 1 else 2                    # b's column from the corner
+        assert corner_map(ix, corner, 0, 0, 0, 1, d_c) == (2, 1, 1, 0)
+        # S's 1x1 block on b, and b's own cell, each claim to be a
+        ix.tables[corner][0][d_c - 1] = ix.tables[corner][2][0] = (0, 0, 1, None, 0)
+        with pytest.raises(PreconditionViolated, match="literal step"):
+            corner_map(ix, corner, 0, 0, 0, 1, d_c)
+        with pytest.raises(PreconditionViolated, match="literal step"):
+            corner_map(ix, corner, 2, 0, 0, 1, 1)
 
 
 # -- the finish: markers where descent is cheaper than reading on ------------
