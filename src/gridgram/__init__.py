@@ -43,13 +43,11 @@ from .slg2d import (
     dump_slg2,
     expand2,
     grammar_size2,
-    hconcat,
     parse_matrix,
     parse_slg2,
     slg2_to_slp2,
     validate_slg2,
     validate_slp2,
-    vconcat,
 )
 from .access1d import (
     AccessIndex1,

@@ -280,24 +280,105 @@ def _reachable(g, root):
     return seen
 
 
-def _reach_pending(g):
-    """Ids reachable from the start, and per id how many reachable rules
-    list it as a child (an expansion is freed once that count reaches 0)."""
-    reach = _reachable(g, g.start)
-    pending = [0] * len(g.rules)
-    for nid, rule in enumerate(g.rules):
-        if not reach[nid] or isinstance(rule, int):
+# Expansion builds a variable of at most this many symbols (cells in 2D)
+# whole, once, and copies it into place; a larger one is only split.
+_BLOCK = 1 << 12
+
+
+def _expand(g, size, shift, build, paint):
+    """The expansion of validated ``g`` as one flat list, each cell written once.
+
+    A variable is built whole, once, when a built variable lists it, when
+    it is a literal, or when it has at most ``_BLOCK`` cells and lies at two
+    or more places of the output; every other variable it reaches is split
+    into its children. Empty children are skipped, and nothing recurses.
+
+    1. Parents first: give each split variable its children with their
+       offsets inside it, ``shift(rule, child)`` apart, and count per
+       variable its places below split variables (up to 2) and its
+       occurrences in the rules of built ones.
+    2. Children first: build each built variable, ``build(v, rule,
+       children, memo)``. An entry is freed once its last built parent has
+       consumed it, unless it lies at a place of its own (a block).
+    3. Top down from the start over the split variables: at every place a
+       block lies, ``paint(out, offset, block, memo[block])``.
+
+    A literal start is its own memo entry and is returned as it is.
+    """
+    rules, eps, topo, start = g.rules, g._eps, g._topo, g.start
+    children = g._children
+    places = [0] * len(rules)
+    places[start] = 1
+    pending = [0] * len(rules)
+    live = {}    # built id -> its non-empty children
+    split = {}   # split id -> [(child, offset of the child inside it)]
+    for nid in topo:
+        rule = rules[nid]
+        if isinstance(rule, int) or not (places[nid] or pending[nid]):
             continue
-        for c in g._children(rule):
-            pending[c] += 1
-    return reach, pending
+        kids = [c for c in children(rule) if not eps[c]]
+        if pending[nid] or (places[nid] > 1 and size(nid) <= _BLOCK):
+            live[nid] = kids
+            for c in kids:
+                pending[c] += 1
+            continue
+        parts, off = [], 0
+        for c in kids:
+            parts.append((c, off))
+            off += shift(rule, c)
+            places[c] = min(places[c] + places[nid], 2)
+        split[nid] = parts
+
+    memo = {}
+    for nid in reversed(topo):
+        if nid in split or not (places[nid] or pending[nid]):
+            continue
+        rule = rules[nid]
+        if isinstance(rule, int):
+            memo[nid] = [rule]
+            continue
+        kids = live.pop(nid)
+        built = build(nid, rule, kids, memo)
+        for c in kids:
+            pending[c] -= 1
+            if not pending[c] and not places[c]:
+                del memo[c]
+        memo[nid] = built
+    if start not in split:
+        return memo[start]
+
+    out = [0] * size(start)
+    stack = [(start, 0)]
+    while stack:
+        nid, base = stack.pop()
+        for c, off in split[nid]:
+            if c in split:
+                stack.append((c, base + off))
+            else:
+                paint(out, base + off, c, memo[c])
+    return out
+
+
+def _extend_all(nid, rule, kids, memo):
+    out = []
+    for c in kids:
+        out.extend(memo[c])
+    return out
+
+
+def _paint1(out, off, c, src):
+    out[off:off + len(src)] = src
 
 
 def expand1(g, cap=DEFAULT_CAP):
     """Materialize the unique string derived by the grammar as a list of codes.
 
-    Bottom-up over the topological order (no recursion); intermediate
-    expansions are freed as soon as every parent has consumed them.
+    Each output symbol is written once, into one preallocated list. A
+    variable of at most 2**12 symbols that occurs at two or more places is
+    built once and its copies are sliced into place; every other variable
+    is split top down into its children. The working set is the output
+    plus those small variables, not the sum of all expansion lengths, and
+    nothing recurses.
     """
     g.require_validated()
     n = g._lens[g.start]
@@ -305,25 +386,8 @@ def expand1(g, cap=DEFAULT_CAP):
         raise EmptyLanguage("grammar derives only the empty string")
     if n > cap:
         raise ExpansionTooLarge(f"expansion has {n} symbols, cap is {cap}")
-
-    reach, pending = _reach_pending(g)
-
-    exp = {}
-    for nid in reversed(g._topo):
-        if not reach[nid]:
-            continue
-        rule = g.rules[nid]
-        if isinstance(rule, int):
-            exp[nid] = [rule]
-            continue
-        parts = []
-        for c in rule:
-            parts.extend(exp[c])
-            pending[c] -= 1
-            if pending[c] == 0 and c != g.start:
-                del exp[c]
-        exp[nid] = parts
-    return exp[g.start]
+    lens = g._lens
+    return _expand(g, lens.__getitem__, lambda rule, c: lens[c], _extend_all, _paint1)
 
 
 def grammar_size1(g):

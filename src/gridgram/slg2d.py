@@ -57,10 +57,11 @@ from .slg import (
     _binarize,
     _canonical,
     _dump,
+    _expand,
+    _extend_all,
     _Grammar,
     _int,
     _parse,
-    _reach_pending,
     grammar_size1,
 )
 
@@ -103,7 +104,9 @@ class Matrix2D:
 
     The public cell accessor is 1-based on both axes to match the query
     conventions used throughout the package; the flat ``cells`` list is
-    0-based row-major.
+    0-based row-major. The constructor checks the dimensions and copies
+    ``cells``; expand2 hands over its freshly written list through
+    ``_adopt`` instead, so a large expansion is never held twice.
     """
 
     __slots__ = ("rows", "cols", "cells")
@@ -118,6 +121,14 @@ class Matrix2D:
         self.rows = rows
         self.cols = cols
         self.cells = cells
+
+    @classmethod
+    def _adopt(cls, rows, cols, cells):
+        """Wrap a fresh row-major list of rows x cols cells, unchecked and
+        uncopied; for expand2, whose output nothing else holds."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.cells = rows, cols, cells
+        return m
 
     @classmethod
     def from_rows(cls, rows_of_codes):
@@ -152,24 +163,6 @@ class Matrix2D:
 
     def __repr__(self):
         return f"Matrix2D({self.rows}x{self.cols})"
-
-
-def hconcat(a, b):
-    """Place b to the right of a (column counts add); rows must match."""
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"hconcat needs equal rows, got {a.rows} and {b.rows}")
-    cells = []
-    for i in range(a.rows):
-        cells.extend(a.cells[i * a.cols:(i + 1) * a.cols])
-        cells.extend(b.cells[i * b.cols:(i + 1) * b.cols])
-    return Matrix2D(a.rows, a.cols + b.cols, cells)
-
-
-def vconcat(a, b):
-    """Place b below a (row counts add); columns must match."""
-    if a.cols != b.cols:
-        raise DimensionMismatch(f"vconcat needs equal cols, got {a.cols} and {b.cols}")
-    return Matrix2D(a.rows + b.rows, a.cols, a.cells + b.cells)
 
 
 class Slg2(_Grammar):
@@ -257,11 +250,33 @@ def dims(g, nid):
     return g._rows[nid], g._cols[nid]
 
 
+def _paint(out, width, off, src, h, w):
+    """Copy the h x w row-major block ``src`` into ``out``, a row-major list
+    ``width`` columns wide, with its top-left cell at flat index ``off``:
+    one slice when the block spans the width, else a slice per row, or a
+    strided slice per column when the block is taller than wide."""
+    if w == width:
+        out[off:off + h * w] = src
+    elif h <= w:
+        for i in range(0, h * w, w):
+            out[off:off + w] = src[i:i + w]
+            off += width
+    else:
+        span = (h - 1) * width + 1
+        for j in range(w):
+            out[off + j:off + j + span:width] = src[j::w]
+
+
 def expand2(g, cap=DEFAULT_CAP):
     """Materialize the unique matrix derived by the grammar.
 
-    Assembled bottom-up (flat row-major lists); intermediate expansions are
-    freed once every parent has consumed them. Empty children are skipped.
+    Each output cell is written once, into one preallocated row-major list
+    that the returned Matrix2D adopts without a copy. A variable of at most
+    2**12 cells that occurs at two or more places is built once and its
+    copies are painted into place (see ``_paint``); every other variable
+    is split top down into its children. The working set is the output
+    plus those small variables, not the sum of all expansion sizes.
+    Empty children are skipped.
     """
     g.require_validated()
     r, c = g._rows[g.start], g._cols[g.start]
@@ -269,35 +284,26 @@ def expand2(g, cap=DEFAULT_CAP):
         raise EmptyLanguage("grammar derives only the empty matrix")
     if r * c > cap:
         raise ExpansionTooLarge(f"expansion has {r * c} cells, cap is {cap}")
-
-    reach, pending = _reach_pending(g)
-
-    exp = {}  # id -> flat row-major list (dims come from the caches)
     rows, cols = g._rows, g._cols
-    for nid in reversed(g._topo):
-        if not reach[nid] or g._eps[nid]:
-            continue
-        rule = g.rules[nid]
-        if isinstance(rule, int):
-            exp[nid] = [rule]
-            continue
-        live = [ch for ch in rule.children if not g._eps[ch]]
-        if isinstance(rule, Horiz):
-            flat = []
-            for ch in live:
-                flat.extend(exp[ch])
-        else:
-            flat = []
-            w = [cols[ch] for ch in live]
-            for i in range(rows[nid]):
-                for ch, wc in zip(live, w):
-                    flat.extend(exp[ch][i * wc:(i + 1) * wc])
-        for ch in rule.children:
-            pending[ch] -= 1
-            if pending[ch] == 0 and ch != g.start and ch in exp:
-                del exp[ch]
-        exp[nid] = flat
-    return Matrix2D(r, c, exp[g.start])
+
+    def shift(rule, ch):
+        return rows[ch] * c if type(rule) is Horiz else cols[ch]
+
+    def build(nid, rule, kids, memo):
+        if type(rule) is Horiz:
+            return _extend_all(nid, rule, kids, memo)
+        h, w = rows[nid], cols[nid]
+        flat, off = [0] * (h * w), 0
+        for ch in kids:
+            _paint(flat, w, off, memo[ch], h, cols[ch])
+            off += cols[ch]
+        return flat
+
+    def paint(out, off, ch, src):
+        _paint(out, c, off, src, rows[ch], cols[ch])
+
+    cells = _expand(g, lambda nid: rows[nid] * cols[nid], shift, build, paint)
+    return Matrix2D._adopt(r, c, cells)
 
 
 grammar_size2 = grammar_size1  # the size measure is the same in both dimensions

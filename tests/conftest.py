@@ -1,4 +1,8 @@
-"""Shared grammars, naive helpers, and the acceptance-line reporter."""
+"""Shared grammars, naive helpers, and the acceptance-line reporter.
+
+``hconcat``/``vconcat`` and the ``expand_all_*`` folds are the independent
+references the expansion tests check ``expand1``/``expand2`` against.
+"""
 
 from __future__ import annotations
 
@@ -16,15 +20,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from gridgram import (
+    DimensionMismatch,
     Horiz,
     Matrix2D,
     Slp1,
     Slp2,
     Vert,
-    hconcat,
     validate_slp1,
     validate_slp2,
-    vconcat,
 )
 
 
@@ -46,6 +49,24 @@ def grid22():
 @pytest.fixture
 def ov_figure_vectors():
     return ((1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 1, 0))
+
+
+def hconcat(a, b):
+    """Place b to the right of a (column counts add); rows must match."""
+    if a.rows != b.rows:
+        raise DimensionMismatch(f"hconcat needs equal rows, got {a.rows} and {b.rows}")
+    cells = []
+    for i in range(a.rows):
+        cells.extend(a.cells[i * a.cols:(i + 1) * a.cols])
+        cells.extend(b.cells[i * b.cols:(i + 1) * b.cols])
+    return Matrix2D(a.rows, a.cols + b.cols, cells)
+
+
+def vconcat(a, b):
+    """Place b below a (row counts add); columns must match."""
+    if a.cols != b.cols:
+        raise DimensionMismatch(f"vconcat needs equal cols, got {a.cols} and {b.cols}")
+    return Matrix2D(a.rows + b.rows, a.cols, a.cells + b.cells)
 
 
 def expand_all_2d(g):
@@ -83,6 +104,48 @@ def expand_all_1d(g):
             acc.extend(out.get(c, []))
         out[nid] = acc
     return out
+
+
+def comb1(codes, right):
+    """X_i -> lit(codes[i]) X_{i+1} (a right comb) or X_i -> X_{i+1} lit(codes[i])."""
+    pairs = len(codes) - 1
+    rules = []
+    for i in range(pairs):
+        nxt = i + 1 if i + 1 < pairs else pairs + codes[pairs]
+        rules.append((pairs + codes[i], nxt) if right else (nxt, pairs + codes[i]))
+    rules.extend(range(4))
+    return validate_slp1(Slp1(rules, 4, 0))
+
+
+def comb2(codes, kind, right):
+    """comb1 in 2D over one axis: X_i -> kind(lit(codes[i]), X_{i+1}), the
+    chain on the bottom or right, or X_i -> kind(X_{i+1}, lit(codes[i]))."""
+    pairs = len(codes) - 1
+    rules = []
+    for i in range(pairs):
+        nxt = i + 1 if i + 1 < pairs else pairs + codes[pairs]
+        rules.append(kind(pairs + codes[i], nxt) if right else kind(nxt, pairs + codes[i]))
+    rules.extend(range(4))
+    return validate_slp2(Slp2(rules, 4, 0))
+
+
+def staircase2(codes, steps):
+    """X_{k+1} = Horiz(Vert(X_k, col_k), row_{k+1}) from the literal X_0."""
+    rules = list(range(4))
+
+    def add(rule):
+        rules.append(rule)
+        return len(rules) - 1
+
+    take = iter(codes)
+    x, col = next(take), next(take)
+    row = add(Vert(next(take), next(take)))
+    for k in range(steps):
+        x = add(Horiz(add(Vert(x, col)), row))
+        if k + 1 < steps:
+            col = add(Horiz(col, next(take)))
+            row = add(Vert(row, next(take)))
+    return validate_slp2(Slp2(rules, 4, x))
 
 
 def reachable(g):

@@ -59,54 +59,12 @@ from gridgram import access1d, access2d
 from gridgram.access1d import NO_JUMPS, _hook_core, _jump1, _jumps, _kids, table_slots1
 from gridgram.access2d import _grammar_arrays, _hook_core2, _jump2, table_slots2
 from gridgram.gen import random_slp1, random_slp2
-from conftest import reachable
+from conftest import comb1, comb2, reachable, staircase2
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
 # and must still store exactly the blocks of the tau asked for
 TAUS1 = st.sampled_from([2, 3, 8, 10 ** 6])
-
-
-def comb1(codes, right):
-    """X_i -> lit(codes[i]) X_{i+1} (a right comb) or X_i -> X_{i+1} lit(codes[i])."""
-    pairs = len(codes) - 1
-    rules = []
-    for i in range(pairs):
-        nxt = i + 1 if i + 1 < pairs else pairs + codes[pairs]
-        rules.append((pairs + codes[i], nxt) if right else (nxt, pairs + codes[i]))
-    rules.extend(range(4))
-    return validate_slp1(Slp1(rules, 4, 0))
-
-
-def staircase2(codes, steps):
-    """X_{k+1} = Horiz(Vert(X_k, col_k), row_{k+1}) from the literal X_0."""
-    rules = list(range(4))
-
-    def add(rule):
-        rules.append(rule)
-        return len(rules) - 1
-
-    take = iter(codes)
-    x, col = next(take), next(take)
-    row = add(Vert(next(take), next(take)))
-    for k in range(steps):
-        x = add(Horiz(add(Vert(x, col)), row))
-        if k + 1 < steps:
-            col = add(Horiz(col, next(take)))
-            row = add(Vert(row, next(take)))
-    return validate_slp2(Slp2(rules, 4, x))
-
-
-def comb2(codes, kind, right):
-    """comb1 in 2D over one axis: X_i -> kind(lit(codes[i]), X_{i+1}), the
-    chain on the bottom or right, or X_i -> kind(X_{i+1}, lit(codes[i]))."""
-    pairs = len(codes) - 1
-    rules = []
-    for i in range(pairs):
-        nxt = i + 1 if i + 1 < pairs else pairs + codes[pairs]
-        rules.append(kind(pairs + codes[i], nxt) if right else kind(nxt, pairs + codes[i]))
-    rules.extend(range(4))
-    return validate_slp2(Slp2(rules, 4, 0))
 
 
 @st.composite

@@ -14,7 +14,6 @@ from gridgram import (
     expand2,
     grammar_size1,
     grammar_size2,
-    hconcat,
     validate_slp1,
 )
 from gridgram.errors import RangeError
@@ -50,7 +49,7 @@ from gridgram.reductions import (
     square_lce_via_line_lce,
     uniform_ov,
 )
-from conftest import CountingProvider
+from conftest import CountingProvider, hconcat
 
 
 # -- orthogonal vectors -------------------------------------------------------

@@ -17,16 +17,14 @@ from gridgram import (
     dump_slg2,
     expand2,
     grammar_size2,
-    hconcat,
     parse_matrix,
     parse_slg2,
     slg2_to_slp2,
     validate_slg2,
-    vconcat,
 )
 from gridgram.errors import RangeError
 from gridgram.gen import random_slg2, random_slp2
-from conftest import expand_all_2d
+from conftest import expand_all_2d, hconcat, vconcat
 
 
 def test_validate_2x2(grid22):
