@@ -79,7 +79,7 @@ from __future__ import annotations
 import math
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .slg import _reachable, validate_slp1
+from .slg import validate_slp1
 
 
 def ceil_log(n, base):
@@ -224,10 +224,6 @@ def _hook_core(kids, lens, node, b, e, side, jumps):
             return l - b, x, y
 
 
-def _kids(rules):
-    return [None if isinstance(r, int) else r for r in rules]
-
-
 def hook_offset1(g, nid, b, e):
     """Hook and offset of the window (b..e] of Exp(nid), as a (hook, offset) pair.
 
@@ -237,29 +233,28 @@ def hook_offset1(g, nid, b, e):
     falls strictly inside the relocated window.
     """
     m = g._lens[g._checked_id(nid)]
-    if not (0 <= b < e <= m):
-        raise RangeError(f"window {b}..{e} invalid for expansion length {m}")
-    return _hook_core(_kids(g.rules), g._lens, nid, b, e, None, NO_JUMPS)
+    if not (isinstance(b, int) and isinstance(e, int) and 0 <= b < e <= m):
+        raise RangeError(f"window {b!r}..{e!r} invalid for expansion length {m}")
+    return _hook_core(g._kids, g._lens, nid, b, e, None, NO_JUMPS)
 
 
 class AccessIndex1:
-    """Leveled bookmark tables plus per-variable length/rule shortcuts."""
+    """Leveled bookmark tables plus references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "lit", "kids", "height", "tables",
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "kids", "height", "tables",
                  "entries", "n")
 
-    def __init__(self, grammar, tau, levels, pows, lens, lit, kids, height, tables, entries):
-        self.grammar = grammar
+    def __init__(self, grammar, tau, levels, pows, height, tables, entries):
+        self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # top level index; p ranges over [0..levels]
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
-        self.lens = lens
-        self.lit = lit                # literal code per variable, None for pairs
-        self.kids = kids              # (left, right) child ids per variable, None for literals
+        self.lens = grammar._lens     # the grammar's expansion lengths
+        self.kids = grammar._kids     # the grammar's (left, right) child ids, None for literals
         self.height = height          # longest path down to a literal, 0 for a literal
         self.tables = tables          # [side][p][i * tau + k] -> (s, near, far) or None
         self.entries = entries        # defined slots, counted by the build
-        self.n = lens[grammar.start]
+        self.n = self.lens[grammar.start]
 
     def entry_count(self):
         """Stored bookmarks across both tables (the size-bound quantity)."""
@@ -275,23 +270,18 @@ def build_index1(g, tau):
     for the variables reachable from the start; every block of a variable
     i at a level p with height(i) <= 2p gets the finish marker (0, i, None)."""
     g = validate_slp1(g)
-    lens = g._lens
-    rules = g.rules
+    lens, kids, reach = g._lens, g._kids, g._reach
     n = lens[g.start]
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
-
-    lit = [r if isinstance(r, int) else None for r in rules]
-    kids = _kids(rules)
-    reach = _reachable(g, g.start)
     share = {}.setdefault           # step -> its one stored copy
     jumps = (_jumps(kids, 0), _jumps(kids, 1))
 
-    size = len(rules) * tau
+    size = len(kids) * tau
     left = [[None] * size for _ in range(levels + 1)]
     right = [[None] * size for _ in range(levels + 1)]
-    height = [0] * len(rules)
+    height = [0] * len(kids)
     entries = 0
     for i in reversed(g._topo):
         if kids[i] is not None:
@@ -335,7 +325,7 @@ def build_index1(g, tau):
             for k in range(cy, blocks):
                 step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1, jumps)
                 rt[base + k] = share(step, step)
-    return AccessIndex1(g, tau, levels, pows, lens, lit, kids, height, (left, right), entries)
+    return AccessIndex1(g, tau, levels, pows, height, (left, right), entries)
 
 
 def side_map(ix, side, t, p, delta):
@@ -351,9 +341,10 @@ def side_map(ix, side, t, p, delta):
     it, and height(v) <= 2p) and then resolved into the real step by descent;
     a literal step must equal the step the same descent gives.
     """
-    m = ix.lens[t] if 0 <= t < len(ix.lens) else 0
-    if not (isinstance(side, int) and 0 <= side <= 1) or p < 0 or p > ix.levels \
-            or not (1 <= delta <= m) or delta > ix.pows[p + 1]:
+    m = ix.lens[t] if isinstance(t, int) and 0 <= t < len(ix.lens) else 0
+    if not (isinstance(side, int) and 0 <= side <= 1) \
+            or not (isinstance(p, int) and 0 <= p <= ix.levels) \
+            or not (isinstance(delta, int) and 1 <= delta <= m) or delta > ix.pows[p + 1]:
         raise PreconditionViolated(
             f"side_map(side={side!r}, t={t}, p={p}, delta={delta}) out of contract")
     tp = ix.pows[p]
@@ -366,7 +357,7 @@ def side_map(ix, side, t, p, delta):
                                    f"and has no bookmarks")
     s, near, far = step
     if far is None:
-        literal = 0 <= near < len(ix.lit) and ix.lit[near] is not None
+        literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
         if not literal and (not _on_spine1(ix, side, t, near, b + w)
                             or ix.height[near] > 2 * p):
             raise PreconditionViolated(
@@ -410,8 +401,8 @@ def access1_traced(ix, i):
     contraction contract 1 <= delta' <= tau**p, and the walk must end on a
     literal at delta 1; a breach raises PreconditionViolated.
     """
-    if not (1 <= i <= ix.n):
-        raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")
+    if not (isinstance(i, int) and 1 <= i <= ix.n):
+        raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
     t, delta, side = ix.grammar.start, i, 0
     for p in range(ix.levels, -1, -1):
         t, delta, side = side_map(ix, side, t, p, delta)
@@ -421,7 +412,7 @@ def access1_traced(ix, i):
                 f"outside [1, {ix.pows[p]}]")
     if ix.lens[t] != 1 or delta != 1:
         raise PreconditionViolated(f"walk ended at variable {t}, delta {delta}, not a literal")
-    return ix.lit[t], ix.levels + 1
+    return ix.grammar.rules[t], ix.levels + 1
 
 
 def access1(ix, i):
@@ -434,8 +425,8 @@ def access1(ix, i):
     So it makes at most ceil(log_tau n) + 1 reads plus 2 * ceil(log_tau n)
     moves.
     """
-    if not (1 <= i <= ix.n):
-        raise PositionOutOfRange(f"position {i} outside [1, {ix.n}]")
+    if not (isinstance(i, int) and 1 <= i <= ix.n):
+        raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
     tau, pows, tables = ix.tau, ix.pows, ix.tables
     t, delta, side = ix.grammar.start, i, 0
     for p in range(ix.levels, -1, -1):
@@ -446,8 +437,9 @@ def access1(ix, i):
         if d <= s:
             t, delta, side = near, s - d + 1, side ^ 1
         elif far is None:
-            code = ix.lit[near]
-            return descend1(ix, near, delta, side) if code is None else code
+            if ix.kids[near] is None:
+                return ix.grammar.rules[near]
+            return descend1(ix, near, delta, side)
         else:
             t, delta = far, d - s
     raise PreconditionViolated(f"walk to position {i} ended off a literal")
@@ -455,13 +447,14 @@ def access1(ix, i):
 
 def descend1(ix, t, delta, side):
     """The symbol at position delta measured from ``side`` (0 = left,
-    1 = right) of Exp(N_t), by root-to-leaf descent over the index's arrays.
+    1 = right) of Exp(N_t), by root-to-leaf descent over the grammar's arrays.
 
     Costs one move per grammar level below t, height(t) at most.
     """
     lens, kids = ix.lens, ix.kids
-    if not (0 <= t < len(lens) and side in (0, 1) and 1 <= delta <= lens[t]):
-        raise PreconditionViolated(f"descend1(t={t}, delta={delta}, side={side!r}) "
+    if not (isinstance(t, int) and 0 <= t < len(lens) and isinstance(side, int)
+            and 0 <= side <= 1 and isinstance(delta, int) and 1 <= delta <= lens[t]):
+        raise PreconditionViolated(f"descend1(t={t!r}, delta={delta!r}, side={side!r}) "
                                    f"out of contract")
     i = lens[t] + 1 - delta if side else delta
     while kids[t] is not None:
@@ -471,4 +464,4 @@ def descend1(ix, t, delta, side):
             t = x
         else:
             t, i = y, i - l
-    return ix.lit[t]
+    return ix.grammar.rules[t]

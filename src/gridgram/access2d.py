@@ -85,8 +85,7 @@ from __future__ import annotations
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .access1d import NO_JUMPS, RUN, _jumps, _preset, ceil_log, clamp_tau
-from .slg import _reachable
-from .slg2d import Horiz, validate_slp2
+from .slg2d import validate_slp2
 
 
 def optimal_tau2(n, epsilon=1.0):
@@ -100,20 +99,20 @@ def optimal_tau2(n, epsilon=1.0):
 
 
 def _layout2(g, tau):
-    """The clamped tau, reachability and per-variable level caps of an index
-    at ``tau`` over the validated 2D SLP g."""
+    """The clamped tau and per-variable level caps of an index at ``tau``
+    over the validated 2D SLP g."""
     rows, cols = g._rows, g._cols
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
     cap_r = [ceil_log(r + 1, tau) - 1 for r in rows]
     cap_c = [ceil_log(c + 1, tau) - 1 for c in cols]
-    return tau, _reachable(g, g.start), cap_r, cap_c
+    return tau, cap_r, cap_c
 
 
 def table_slots2(g, tau):
     """Slots, defined or not, that build_index2(g, tau) allocates for the validated 2D SLP g."""
-    tau, reach, cap_r, cap_c = _layout2(g, tau)
+    tau, cap_r, cap_c = _layout2(g, tau)
     return 4 * tau * tau * sum((cr + 1) * (cc + 1)
-                               for cr, cc, r in zip(cap_r, cap_c, reach) if r)
+                               for cr, cc, r in zip(cap_r, cap_c, g._reach) if r)
 
 
 def _jump2(table, rows, cols, node, need_r, need_c):
@@ -135,7 +134,7 @@ def _jump2(table, rows, cols, node, need_r, need_c):
     return node
 
 
-def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, jumps):
+def _hook_core2(kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, jumps):
     """Iterative 2D descent: rows-splitting variables compare the row window,
     columns-splitting variables the column window.
 
@@ -150,8 +149,8 @@ def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, 
     """
     jx, jy = jumps
     xs = ys = 0                     # the current run of x / y moves
-    while lit[node] is None:
-        x, y = kids[node]
+    while (kid := kids[node]) is not None:
+        x, y = kid
         if horiz[node]:
             l = rows[x]
             if e_r <= l:
@@ -196,13 +195,6 @@ def _hook_core2(lit, kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, 
     return (node, b_r, b_c) if corner is None else (0, 0, node, None, 0)
 
 
-def _grammar_arrays(g):
-    lit = [r if isinstance(r, int) else None for r in g.rules]
-    kids = [None if isinstance(r, int) else r.children for r in g.rules]
-    horiz = [isinstance(r, Horiz) for r in g.rules]
-    return lit, kids, horiz
-
-
 def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     """2D hook and offsets of the window (b_r..e_r] x (b_c..e_c] of Exp(nid),
     as a (hook, offset_r, offset_c) triple.
@@ -216,32 +208,30 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     """
     nid = g._checked_id(nid)
     m_r, m_c = g._rows[nid], g._cols[nid]
-    if not (0 <= b_r < e_r <= m_r):
-        raise RangeError(f"row window {b_r}..{e_r} invalid for {m_r} rows")
-    if not (0 <= b_c < e_c <= m_c):
-        raise RangeError(f"col window {b_c}..{e_c} invalid for {m_c} cols")
-    lit, kids, horiz = _grammar_arrays(g)
-    return _hook_core2(lit, kids, horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None,
+    if not (isinstance(b_r, int) and isinstance(e_r, int) and 0 <= b_r < e_r <= m_r):
+        raise RangeError(f"row window {b_r!r}..{e_r!r} invalid for {m_r} rows")
+    if not (isinstance(b_c, int) and isinstance(e_c, int) and 0 <= b_c < e_c <= m_c):
+        raise RangeError(f"col window {b_c!r}..{e_c!r} invalid for {m_c} cols")
+    return _hook_core2(g._kids, g._horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None,
                        NO_JUMPS)
 
 
 class AccessIndex2:
-    """Four corner bookmark tables plus per-variable dimension arrays and level caps."""
+    """Four corner bookmark tables and per-variable level caps, plus
+    references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "lit", "kids", "horiz",
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "kids", "horiz",
                  "height", "cap_r", "cap_c", "tables", "entries", "n_rows", "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, rows, cols, lit, kids, horiz, height,
-                 cap_r, cap_c, tables, entries):
-        self.grammar = grammar
+    def __init__(self, grammar, tau, levels, pows, height, cap_r, cap_c, tables, entries):
+        self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
         self.pows = pows
-        self.rows = rows
-        self.cols = cols
-        self.lit = lit
-        self.kids = kids            # (x, y) child ids per variable, None for literals
-        self.horiz = horiz          # per variable: True when it splits rows
+        self.rows = grammar._rows   # the grammar's row and column counts
+        self.cols = grammar._cols
+        self.kids = grammar._kids   # the grammar's (x, y) child ids, None for literals
+        self.horiz = grammar._horiz  # the grammar's flags: True when a variable splits rows
         self.height = height        # longest path down to a literal, 0 for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
@@ -249,8 +239,8 @@ class AccessIndex2:
                                     #   -> (axis, s, near, far, shift); [corner][t] is
                                     #   None for a variable unreachable from the start
         self.entries = entries      # defined slots, counted by the build
-        self.n_rows = rows[grammar.start]
-        self.n_cols = cols[grammar.start]
+        self.n_rows = self.rows[grammar.start]
+        self.n_cols = self.cols[grammar.start]
 
     def entry_count(self):
         """Stored bookmarks across all four corner tables."""
@@ -277,17 +267,16 @@ def build_index2(g, tau):
     start; every block of a variable i at a level pair (p_r, p_c) with
     height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0)."""
     g = validate_slp2(g)
-    rows, cols = g._rows, g._cols
-    tau, reach, cap_r, cap_c = _layout2(g, tau)
+    rows, cols, kids, horiz, reach = g._rows, g._cols, g._kids, g._horiz, g._reach
+    tau, cap_r, cap_c = _layout2(g, tau)
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
-    lit, kids, horiz = _grammar_arrays(g)
     share = {}.setdefault           # step -> its one stored copy
     jumps = (_jumps(kids, 0), _jumps(kids, 1))
 
     span = tau * tau                # slots per level pair in one list
-    tables = [[None] * len(g.rules) for _ in range(4)]
-    height = [0] * len(g.rules)
+    tables = [[None] * len(kids) for _ in range(4)]
+    height = [0] * len(kids)
     entries = 0
     for i in reversed(g._topo):
         if kids[i] is not None:
@@ -295,7 +284,7 @@ def build_index2(g, tau):
             height[i] = 1 + max(height[x], height[y])
         if not reach[i]:
             continue
-        if lit[i] is not None:      # caps (0, 0): one level pair, one cell
+        if kids[i] is None:         # a literal, caps (0, 0): one level pair, one cell
             step = (0, 0, i, None, 0)
             step = share(step, step)
             for corner_tables in tables:
@@ -351,11 +340,10 @@ def build_index2(g, tau):
                     for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][cut_r:], cut_r):
                         at = base + k_r * tau
                         for k_c, (b_c, e_c) in enumerate(col_wins, at + cut_c):
-                            step = _hook_core2(lit, kids, horiz, rows, cols,
+                            step = _hook_core2(kids, horiz, rows, cols,
                                                i, b_r, b_c, e_r, e_c, corner, jumps)
                             table[k_c] = share(step, step)
-    return AccessIndex2(g, tau, levels, pows, rows, cols, lit, kids, horiz, height,
-                        cap_r, cap_c, tables, entries)
+    return AccessIndex2(g, tau, levels, pows, height, cap_r, cap_c, tables, entries)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
@@ -384,10 +372,13 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     resolved into the real step by descent; a literal step must equal the
     step the same descent gives.
     """
-    m_r, m_c = (ix.rows[t], ix.cols[t]) if 0 <= t < len(ix.rows) else (0, 0)
+    m_r, m_c = (ix.rows[t], ix.cols[t]) if isinstance(t, int) and 0 <= t < len(ix.rows) \
+        else (0, 0)
     if not (isinstance(corner, int) and 0 <= corner <= 3) \
-            or not (0 <= p_r <= ix.levels) or not (0 <= p_c <= ix.levels) \
-            or not (1 <= delta_r <= m_r) or not (1 <= delta_c <= m_c) \
+            or not (isinstance(p_r, int) and 0 <= p_r <= ix.levels) \
+            or not (isinstance(p_c, int) and 0 <= p_c <= ix.levels) \
+            or not (isinstance(delta_r, int) and 1 <= delta_r <= m_r) \
+            or not (isinstance(delta_c, int) and 1 <= delta_c <= m_c) \
             or delta_r > ix.pows[p_r + 1] or delta_c > ix.pows[p_c + 1]:
         raise PreconditionViolated(
             f"corner_map(corner={corner!r}, t={t}, p=({p_r},{p_c}), "
@@ -408,7 +399,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     step = table[((p_r * (ix.cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c]
     axis, s, near, far, shift = step
     if far is None:
-        literal = 0 <= near < len(ix.lit) and ix.lit[near] is not None
+        literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
         if not literal and (not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c)
                             or ix.height[near] > 2 * (p_r + p_c)):
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
@@ -417,7 +408,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
         axis, s, near, far, shift = real = _hook_core2(
-            ix.lit, ix.kids, ix.horiz, ix.rows, ix.cols,
+            ix.kids, ix.horiz, ix.rows, ix.cols,
             t, e_r - w_r, e_c - w_c, e_r, e_c, corner, NO_JUMPS)
         if literal and real != step:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
@@ -467,14 +458,14 @@ def access2_traced(ix, i, j):
     PreconditionViolated.
     """
     r0, c0 = ix.n_rows, ix.n_cols
-    if not (1 <= i <= r0 and 1 <= j <= c0):
-        raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
+    if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
+        raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
     t, d_r, d_c, corner = ix.grammar.start, i, j, 0
     p_r, p_c = ix.cap_r[t], ix.cap_c[t]
     pows = ix.pows
     steps = 0
-    lit = ix.lit
-    while lit[t] is None:
+    kids = ix.kids
+    while kids[t] is not None:
         prev_r, prev_c = d_r, d_c
         t, d_r, d_c, corner = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
         steps += 1
@@ -482,7 +473,7 @@ def access2_traced(ix, i, j):
             raise PreconditionViolated(
                 f"per-step contract violated at levels ({p_r},{p_c}): "
                 f"({prev_r},{prev_c}) -> ({d_r},{d_c})")
-        if lit[t] is not None:
+        if kids[t] is None:
             break
         if d_r <= pows[p_r] and p_r > 0:
             p_r -= 1
@@ -492,7 +483,7 @@ def access2_traced(ix, i, j):
         p_c = min(p_c, ix.cap_c[t])
     if d_r != 1 or d_c != 1:
         raise PreconditionViolated(f"walk ended at variable {t}, delta ({d_r},{d_c}), not (1,1)")
-    return lit[t], steps
+    return ix.grammar.rules[t], steps
 
 
 def access2(ix, i, j):
@@ -505,8 +496,8 @@ def access2(ix, i, j):
     floor(log_tau cols), it makes at most L + 1 reads plus 2L moves.
     """
     r0, c0 = ix.n_rows, ix.n_cols
-    if not (1 <= i <= r0 and 1 <= j <= c0):
-        raise PositionOutOfRange(f"({i},{j}) outside [1,{r0}] x [1,{c0}]")
+    if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
+        raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
     tau, pows, tables, cap_r, cap_c = ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c
     t, d_r, d_c, c = ix.grammar.start, i, j, 0
     p_r, p_c = cap_r[t], cap_c[t]
@@ -529,10 +520,9 @@ def access2(ix, i, j):
             t, d_c, c = near, s - d_c + 1, c ^ 1
             d_r += shift
         elif far is None:
-            code = ix.lit[near]
-            if code is None:
-                return descend2(ix, near, d_r + k_r * tpr, d_c + k_c * tpc, c)
-            return code
+            if ix.kids[near] is None:
+                return ix.grammar.rules[near]
+            return descend2(ix, near, d_r + k_r * tpr, d_c + k_c * tpc, c)
         else:
             t, d_c = far, d_c - s
             d_r += shift
@@ -551,14 +541,15 @@ def access2(ix, i, j):
 def descend2(ix, t, d_r, d_c, corner):
     """The cell (d_r, d_c) measured from ``corner`` (0..3, bit 1 = from the
     bottom, bit 0 = from the right) of Exp(N_t), by root-to-leaf descent
-    over the index's arrays.
+    over the grammar's arrays.
 
     Costs one move per grammar level below t, height(t) at most.
     """
     rows, cols, kids, horiz = ix.rows, ix.cols, ix.kids, ix.horiz
-    if not (0 <= t < len(rows) and corner in (0, 1, 2, 3)
-            and 1 <= d_r <= rows[t] and 1 <= d_c <= cols[t]):
-        raise PreconditionViolated(f"descend2(t={t}, delta=({d_r},{d_c}), "
+    if not (isinstance(t, int) and 0 <= t < len(rows) and isinstance(corner, int)
+            and 0 <= corner <= 3 and isinstance(d_r, int) and 1 <= d_r <= rows[t]
+            and isinstance(d_c, int) and 1 <= d_c <= cols[t]):
+        raise PreconditionViolated(f"descend2(t={t!r}, delta=({d_r!r},{d_c!r}), "
                                    f"corner={corner!r}) out of contract")
     i = rows[t] + 1 - d_r if corner & 2 else d_r
     j = cols[t] + 1 - d_c if corner & 1 else d_c
@@ -576,4 +567,4 @@ def descend2(ix, t, d_r, d_c, corner):
                 t = x
             else:
                 t, j = y, j - l
-    return ix.lit[t]
+    return ix.grammar.rules[t]

@@ -374,6 +374,7 @@ def cmd_bench(args):
         raise RangeError(f"--tau-list entries must be >= 2, got {args.tau_list!r}")
     if args.reps < 1:
         raise RangeError(f"--reps must be >= 1, got {args.reps}")
+    _check_work("--reps over --tau-list asks for", args.reps * len(taus), "queries", cap)
     rows = ["tau,entries,bytes,build_ms,mean_query_ns,loop_iterations_mean"]
     dim = _dim(g)
     slp = dim.to_slp(g)

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
     RangeError,
 )
-from .slg import Slp1, _reachable, grammar_size1, validate_slp1
+from .slg import Slp1, grammar_size1, validate_slp1
 from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2, validate_slg2
 
 
@@ -321,7 +321,7 @@ def alphabet_reduce(g):
     without consulting the new grammar at all.
     """
     g = validate_slp1(g)
-    reach = _reachable(g, g.start)
+    reach = g._reach
     occurring = sorted({r for nid, r in enumerate(g.rules)
                         if reach[nid] and isinstance(r, int)})
     amap = AlphabetMap(tuple(occurring))

@@ -13,7 +13,11 @@ A valid grammar is acyclic (some ordering of the nonterminals exists in which
 every sequence rule references only later ones), every referenced id has a
 rule, and every literal code is in ``[0, alphabet_size)``. Validation
 canonicalizes the grammar so the start symbol has id 0 and caches a
-topological order plus per-nonterminal expansion lengths.
+topological order, the child lists (``_kids``: per id the tuple of child
+ids, None for a literal), reachability from the start (``_reach``), and
+per-nonterminal expansion lengths (in 2D, dimensions and the axis flags
+``_horiz``, see ``slg2d``). The walkers of every module read these arrays
+and derive none of their own.
 
 Text format (UTF-8, line oriented)::
 
@@ -61,7 +65,7 @@ class _Grammar:
     A rule's type is also its rebuilder: ``type(rule)(child_ids)``.
     """
 
-    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_eps")
+    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_eps", "_kids", "_reach")
 
     def __init__(self, rules, alphabet_size, start=0):
         self.rules = list(rules)
@@ -69,6 +73,8 @@ class _Grammar:
         self.start = start
         self._topo = None   # parents-first topological order (ids)
         self._eps = None    # per-id flag: expands to the empty string/matrix
+        self._kids = None   # per id: the tuple of child ids, None for a literal
+        self._reach = None  # per-id flag: reachable from the start
 
     @property
     def validated(self):
@@ -104,7 +110,7 @@ class Slg1(_Grammar):
 
     __slots__ = ("_lens",)
     _magic, _literal, _letters, _min_children = "SLG1", "T", {tuple: "N"}, 1
-    _caches = ("_topo", "_eps", "_lens")
+    _caches = ("_topo", "_eps", "_kids", "_reach", "_lens")
     _empty = "the empty string"
 
     def __init__(self, rules, alphabet_size, start=0):
@@ -119,12 +125,6 @@ class Slg1(_Grammar):
 
 class Slp1(Slg1):
     """An Slg1 in which every sequence rule has arity exactly 2."""
-
-
-def _child_lists(g):
-    """Per id, the tuple of child ids (empty for literals)."""
-    children = g._children
-    return [() if isinstance(r, int) else children(r) for r in g.rules]
 
 
 def _swap_start_to_zero(g):
@@ -142,14 +142,18 @@ def _swap_start_to_zero(g):
 
 
 def _toposort(kids):
-    """Children-first DFS over all ids; returns parents-first order.
+    """Children-first DFS over all ids, id 0 first; returns the parents-first
+    order and the per-id flag of reachability from id 0.
 
-    Iterative (explicit stack): grammar depth may reach the rule count.
-    Raises CyclicGrammar on any cycle, including self-reference.
+    The ids finished before the DFS moves on from root 0 are exactly those
+    reachable from it. Iterative (explicit stack): grammar depth may reach
+    the rule count. Raises CyclicGrammar on any cycle, including
+    self-reference.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * len(kids)
     order = []
+    reach = [False] * len(kids)
     for root in range(len(kids)):
         if color[root] != WHITE:
             continue
@@ -162,7 +166,7 @@ def _toposort(kids):
                 if color[node] == GRAY:
                     raise CyclicGrammar(f"cycle through nonterminal {node}")
                 color[node] = GRAY
-            children = kids[node]
+            children = kids[node] or ()
             if child_ix < len(children):
                 stack.append((node, child_ix + 1))
                 c = children[child_ix]
@@ -173,16 +177,20 @@ def _toposort(kids):
             else:
                 color[node] = BLACK
                 order.append(node)
+        if root == 0:
+            for node in order:
+                reach[node] = True
     order.reverse()
-    return order
+    return order, reach
 
 
 def _canonical(g):
     """The dimension-independent half of validation.
 
     Checks the start and every reference and terminal range, then moves the
-    start to id 0 and sorts topologically. Returns the relabelled grammar and
-    its parents-first order; the caller computes sizes and stores the caches.
+    start to id 0 and sorts topologically. Stores the child lists and the
+    reachability from the start on the relabelled grammar and returns it with
+    its parents-first order; the caller computes sizes and stores the rest.
     """
     if not g.rules:
         raise DanglingReference("grammar has no rules")
@@ -204,15 +212,18 @@ def _canonical(g):
             kinds = "/".join(t.__name__ for t in g._letters)
             raise TypeError(f"rule {nid} is not int/{kinds}: {rule!r}")
     g = _swap_start_to_zero(g)
-    return g, _toposort(_child_lists(g))
+    children = g._children
+    g._kids = [None if isinstance(r, int) else children(r) for r in g.rules]
+    topo, g._reach = _toposort(g._kids)
+    return g, topo
 
 
 def _as_slp(g, slp_cls):
     """Check that every non-literal rule of validated ``g`` has arity 2 and
     return it as an ``slp_cls`` sharing its caches."""
-    for nid, rule in enumerate(g.rules):
-        if not isinstance(rule, int) and len(g._children(rule)) != 2:
-            raise GrammarError(f"rule {nid} has arity {len(g._children(rule))}, "
+    for nid, kid in enumerate(g._kids):
+        if kid is not None and len(kid) != 2:
+            raise GrammarError(f"rule {nid} has arity {len(kid)}, "
                                f"{slp_cls.__name__} requires 2")
     if isinstance(g, slp_cls):
         return g
@@ -225,10 +236,11 @@ def _as_slp(g, slp_cls):
 def validate_slg1(g, allow_empty=False):
     """Check all Slg1 invariants; return the canonicalized grammar.
 
-    On success the returned grammar has the start symbol at id 0, a cached
-    topological order, and cached expansion lengths. ``allow_empty`` admits
-    rules expanding to the empty string (needed only while eliminating them
-    in slg_to_slp); by default such rules are rejected.
+    On success the returned grammar has the start symbol at id 0 and caches
+    a topological order, the child lists, reachability from the start, and
+    expansion lengths. ``allow_empty`` admits rules expanding to the empty
+    string (needed only while eliminating them in slg_to_slp); by default
+    such rules are rejected.
     """
     g, topo = _canonical(g)
     rules = g.rules
@@ -257,27 +269,14 @@ def validate_slg1(g, allow_empty=False):
     return g
 
 
-def validate_slp1(g, allow_empty=False):
+def validate_slp1(g):
     """validate_slg1 plus the arity-2 restriction; returns an Slp1."""
-    return _as_slp(validate_slg1(g, allow_empty=allow_empty), Slp1)
+    return _as_slp(validate_slg1(g), Slp1)
 
 
 def exp_len(g, nid):
     """Length of the expansion of nonterminal ``nid`` (memoized at validation)."""
     return g._lens[g._checked_id(nid)]
-
-
-def _reachable(g, root):
-    kids = _child_lists(g)
-    seen = [False] * len(kids)
-    seen[root] = True
-    stack = [root]
-    while stack:
-        for c in kids[stack.pop()]:
-            if not seen[c]:
-                seen[c] = True
-                stack.append(c)
-    return seen
 
 
 # Expansion builds a variable of at most this many symbols (cells in 2D)
@@ -305,8 +304,7 @@ def _expand(g, size, shift, build, paint):
 
     A literal start is its own memo entry and is returned as it is.
     """
-    rules, eps, topo, start = g.rules, g._eps, g._topo, g.start
-    children = g._children
+    rules, eps, topo, start, children = g.rules, g._eps, g._topo, g.start, g._kids
     places = [0] * len(rules)
     places[start] = 1
     pending = [0] * len(rules)
@@ -316,7 +314,7 @@ def _expand(g, size, shift, build, paint):
         rule = rules[nid]
         if isinstance(rule, int) or not (places[nid] or pending[nid]):
             continue
-        kids = [c for c in children(rule) if not eps[c]]
+        kids = [c for c in children[nid] if not eps[c]]
         if pending[nid] or (places[nid] > 1 and size(nid) <= _BLOCK):
             live[nid] = kids
             for c in kids:
@@ -406,7 +404,6 @@ def _binarize(g, slp_cls):
     if g._eps[g.start]:
         raise EmptyLanguage(f"grammar derives only {g._empty}")
 
-    reach = _reachable(g, g.start)
     out_rules = []
 
     def emit(rule):
@@ -415,13 +412,13 @@ def _binarize(g, slp_cls):
 
     alias = {}  # original id -> output id, for surviving nodes
     for nid in reversed(g._topo):
-        if not reach[nid] or g._eps[nid]:
+        if not g._reach[nid] or g._eps[nid]:
             continue
         rule = g.rules[nid]
         if isinstance(rule, int):
             alias[nid] = emit(rule)
             continue
-        kids = [alias[c] for c in g._children(rule) if not g._eps[c]]
+        kids = [alias[c] for c in g._kids[nid] if not g._eps[c]]
         if len(kids) == 1:
             alias[nid] = kids[0]
         else:

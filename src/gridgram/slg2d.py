@@ -168,15 +168,16 @@ class Matrix2D:
 class Slg2(_Grammar):
     """A 2D straight-line grammar over literal/Horiz/Vert rules."""
 
-    __slots__ = ("_rows", "_cols")
+    __slots__ = ("_rows", "_cols", "_horiz")
     _magic, _literal, _letters, _min_children = "SLG2", "L", {Horiz: "H", Vert: "V"}, 0
-    _caches = ("_topo", "_eps", "_rows", "_cols")
+    _caches = ("_topo", "_eps", "_kids", "_reach", "_rows", "_cols", "_horiz")
     _empty = "the empty matrix"
 
     def __init__(self, rules, alphabet_size, start=0):
         super().__init__(rules, alphabet_size, start)
         self._rows = None
         self._cols = None
+        self._horiz = None  # per id: True for a Horiz rule, which splits rows
 
     @staticmethod
     def _children(rule):
@@ -193,7 +194,8 @@ def validate_slg2(g):
     Verifies acyclicity, reference and terminal ranges, and dimension
     consistency: the non-empty children of a Horiz rule must share one
     column count, those of a Vert rule one row count. Caches the topological
-    order and per-nonterminal (rows, cols); empty-expanding rules get (0, 0).
+    order, the child lists, reachability from the start, the per-id Horiz
+    flags and per-nonterminal (rows, cols); empty-expanding rules get (0, 0).
     """
     g, topo = _canonical(g)
     rules = g.rules
@@ -232,6 +234,7 @@ def validate_slg2(g):
     g._topo = topo
     g._rows = rows
     g._cols = cols
+    g._horiz = [isinstance(r, Horiz) for r in rules]
     g._eps = eps
     return g
 

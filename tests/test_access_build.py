@@ -56,8 +56,8 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import NO_JUMPS, _hook_core, _jump1, _jumps, _kids, table_slots1
-from gridgram.access2d import _grammar_arrays, _hook_core2, _jump2, table_slots2
+from gridgram.access1d import NO_JUMPS, _hook_core, _jump1, _jumps, table_slots1
+from gridgram.access2d import _hook_core2, _jump2, table_slots2
 from gridgram.gen import random_slp1, random_slp2
 from conftest import comb1, comb2, reachable, staircase2
 
@@ -384,7 +384,7 @@ def window(data, m):
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1(), data=st.data())
 def test_hook_core_jumps_like_the_plain_walk(g, data):
-    kids, lens = _kids(g.rules), g._lens
+    kids, lens = g._kids, g._lens
     jumps = (_jumps(kids, 0), _jumps(kids, 1))
     for side in (0, 1):
         assert_jump_tables(g, kids, side, jumps[side], data)
@@ -405,7 +405,7 @@ def test_hook_core_jumps_like_the_plain_walk(g, data):
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), data=st.data())
 def test_hook_core2_jumps_like_the_plain_walk(g, data):
-    lit, kids, horiz = _grammar_arrays(g)
+    kids, horiz = g._kids, g._horiz
     rows, cols = g._rows, g._cols
     jumps = (_jumps(kids, 0), _jumps(kids, 1))
     for side in (0, 1):
@@ -420,7 +420,7 @@ def test_hook_core2_jumps_like_the_plain_walk(g, data):
         t = data.draw(st.integers(0, len(g.rules) - 1))
         (b_r, e_r), (b_c, e_c) = window(data, rows[t]), window(data, cols[t])
         corner = data.draw(st.sampled_from([0, 1, 2, 3, None]))
-        args = (lit, kids, horiz, rows, cols, t, b_r, b_c, e_r, e_c, corner)
+        args = (kids, horiz, rows, cols, t, b_r, b_c, e_r, e_c, corner)
         assert _hook_core2(*args, jumps) == _hook_core2(*args, NO_JUMPS)
 
 
@@ -493,11 +493,11 @@ FINISH_TAUS = st.sampled_from([2, 3, 4, 8, 16])
 
 def is_marker1(ix, step):
     """Whether a 1D slot holds a finish marker of a pair (not a literal step)."""
-    return step is not None and step[2] is None and ix.lit[step[1]] is None
+    return step is not None and step[2] is None and ix.kids[step[1]] is not None
 
 
 def is_marker2(ix, step):
-    return step is not None and step[3] is None and ix.lit[step[2]] is None
+    return step is not None and step[3] is None and ix.kids[step[2]] is not None
 
 
 def pairs(g):
@@ -651,7 +651,7 @@ def test_side_map_refuses_a_corrupt_marker(g, tau, data):
     k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
     on = spine1(g, t, side, e)
     off = [v for v in range(len(g.rules)) if v not in on and ix.height[v] <= 2 * p
-           and ix.lit[v] is None] + [len(g.rules), -1]
+           and ix.kids[v] is not None] + [len(g.rules), -1]
     table, at = ix.tables[side][p], t * ix.tau + k
     table[at] = (0, data.draw(st.sampled_from(off)), None)
     with pytest.raises(PreconditionViolated, match="finish marker"):
@@ -676,7 +676,7 @@ def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
         if v is None:
             on = spine2(g, t, corner, e_r, e_c)
             v = data.draw(st.sampled_from(
-                [v for v in range(len(g.rules)) if v not in on and ix.lit[v] is None
+                [v for v in range(len(g.rules)) if v not in on and ix.kids[v] is not None
                  and ix.height[v] <= 2 * (p_r + p_c)] + [len(g.rules), -1]))
         at = ((p_r * (ix.cap_c[t] + 1) + p_c) * T + k_r) * T + k_c
         ix.tables[corner][t][at] = (0, 0, v, None, 0)

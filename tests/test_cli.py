@@ -115,7 +115,7 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     ix = build_index1(slp, 2)
     marked = [(side, p, at) for side, table in enumerate(ix.tables)
               for p, level in enumerate(table) for at, v in enumerate(level)
-              if v is not None and v[2] is None and ix.lit[v[1]] is None]
+              if v is not None and v[2] is None and ix.kids[v[1]] is not None]
     assert marked       # at tau 2 the tables hold finish markers
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""
@@ -213,6 +213,12 @@ def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, c
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("ExpansionTooLarge: an index at tau ") and err.count("\n") == 1
+    # the queries bench makes count against the same cap, before it makes any
+    code, out, err = run(capsys, "bench", str(slp1_file), "--tau-list", "2,3",
+                         "--reps", str(10 ** 20))
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: --reps over --tau-list asks for ") \
+        and err.count("\n") == 1
 
 
 def test_ov_pipeline(tmp_path, capsys):

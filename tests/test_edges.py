@@ -12,16 +12,35 @@ from gridgram import (
     Horiz,
     Matrix2D,
     ParseError,
+    PositionOutOfRange,
+    PreconditionViolated,
     Slg1,
     Slg2,
+    Slp1,
+    Slp2,
+    Vert,
+    access1,
+    access1_traced,
+    access2,
+    access2_traced,
+    build_index1,
+    build_index2,
+    corner_map,
+    descend1,
+    descend2,
     dump_matrix,
     dump_slg1,
     dump_slg2,
     parse_matrix,
     parse_slg1,
     parse_slg2,
+    hook_offset1,
+    hook_offset2,
+    side_map,
     validate_slg1,
     validate_slg2,
+    validate_slp1,
+    validate_slp2,
 )
 from gridgram.errors import RangeError
 from gridgram.gen import random_matrix, random_slg1, random_slg2
@@ -184,3 +203,37 @@ def test_mark_all_chars_code_range():
 def test_pad_rejects_empty_expansion():
     with pytest.raises(RangeError):
         pad_with_zero_block(Slg2([Horiz()], 1, 0))
+
+
+# -- non-integer positions, levels and ids ------------------------------------
+
+_G1 = validate_slp1(Slp1([(1, 1), (2, 3), 0, 1], 2, 0))
+_G2 = validate_slp2(Slp2([Horiz(1, 2), Vert(3, 4), Vert(5, 6), 0, 1, 2, 3], 4, 0))
+_IX1, _IX2 = build_index1(_G1, 2), build_index2(_G2, 2)
+# a call that succeeds as given, and the error a non-integer argument must raise
+_INT_CALLS = (
+    (access1, (_IX1, 3), PositionOutOfRange),
+    (access1_traced, (_IX1, 3), PositionOutOfRange),
+    (access2, (_IX2, 2, 1), PositionOutOfRange),
+    (access2_traced, (_IX2, 2, 1), PositionOutOfRange),
+    (descend1, (_IX1, 0, 3, 1), PreconditionViolated),
+    (descend2, (_IX2, 0, 2, 1, 3), PreconditionViolated),
+    (side_map, (_IX1, 1, 0, _IX1.levels, 3), PreconditionViolated),
+    (corner_map, (_IX2, 3, 0, _IX2.cap_r[0], _IX2.cap_c[0], 2, 1), PreconditionViolated),
+    (hook_offset1, (_G1, 0, 1, 3), RangeError),
+    (hook_offset2, (_G2, 0, 0, 1, 2, 2), RangeError),
+)
+
+
+@pytest.mark.parametrize("fn, args, error, at", [
+    pytest.param(fn, args, error, at, id=f"{fn.__name__}-{at}")
+    for fn, args, error in _INT_CALLS for at in range(1, len(args))])
+def test_a_float_argument_raises_a_grammar_error(fn, args, error, at):
+    """Each integer argument given as a float, whole or not, raises the
+    function's own GrammarError subclass instead of answering or raising
+    TypeError."""
+    fn(*args)
+    for x in (float(args[at]), args[at] + 0.5):
+        with pytest.raises(error) as exc:
+            fn(*args[:at], x, *args[at + 1:])
+        assert isinstance(exc.value, GrammarError)
