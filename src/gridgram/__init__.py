@@ -12,6 +12,7 @@ from .errors import (
     ExpansionTooLarge,
     GrammarError,
     NonUniformInstance,
+    NotAnSlp,
     ExtRequiresLengthTwo,
     ParseError,
     PositionOutOfRange,

@@ -79,7 +79,7 @@ from __future__ import annotations
 import math
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .slg import validate_slp1
+from .slg import _check_binary, validate_slp1
 
 
 def ceil_log(n, base):
@@ -230,12 +230,17 @@ def hook_offset1(g, nid, b, e):
     The reference: the plain walk, one move per grammar level, with no jump
     tables. The result satisfies Exp(nid)(b..e] = Exp(hook)(offset..offset+(e-b)];
     a width-1 window lands on a literal, otherwise the hook's child split
-    falls strictly inside the relocated window.
+    falls strictly inside the relocated window. A walk that meets a rule of
+    arity other than 2 raises NotAnSlp.
     """
     m = g._lens[g._checked_id(nid)]
     if not (isinstance(b, int) and isinstance(e, int) and 0 <= b < e <= m):
         raise RangeError(f"window {b!r}..{e!r} invalid for expansion length {m}")
-    return _hook_core(g._kids, g._lens, nid, b, e, None, NO_JUMPS)
+    try:
+        return _hook_core(g._kids, g._lens, nid, b, e, None, NO_JUMPS)
+    except ValueError:          # a child tuple did not unpack into two
+        _check_binary(g, "hook_offset1")
+        raise
 
 
 class AccessIndex1:

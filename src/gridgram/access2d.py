@@ -85,6 +85,7 @@ from __future__ import annotations
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .access1d import NO_JUMPS, RUN, _jumps, _preset, ceil_log, clamp_tau
+from .slg import _check_binary
 from .slg2d import validate_slp2
 
 
@@ -204,7 +205,8 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     (offset_r..offset_r+(e_r-b_r)] x (offset_c..offset_c+(e_c-b_c)], with
     offsets never exceeding the original window start on either axis. A 1x1
     window lands on a literal; otherwise the hook's child split falls
-    strictly inside the relocated window on the hook's splitting axis.
+    strictly inside the relocated window on the hook's splitting axis. A walk
+    that meets a rule of arity other than 2 raises NotAnSlp.
     """
     nid = g._checked_id(nid)
     m_r, m_c = g._rows[nid], g._cols[nid]
@@ -212,8 +214,12 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
         raise RangeError(f"row window {b_r!r}..{e_r!r} invalid for {m_r} rows")
     if not (isinstance(b_c, int) and isinstance(e_c, int) and 0 <= b_c < e_c <= m_c):
         raise RangeError(f"col window {b_c!r}..{e_c!r} invalid for {m_c} cols")
-    return _hook_core2(g._kids, g._horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None,
-                       NO_JUMPS)
+    try:
+        return _hook_core2(g._kids, g._horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c,
+                           None, NO_JUMPS)
+    except ValueError:          # a child tuple did not unpack into two
+        _check_binary(g, "hook_offset2")
+        raise
 
 
 class AccessIndex2:

@@ -331,7 +331,7 @@ def cmd_query(args):
         takes = f"--via {' or '.join(chains)}" if chains else "no --via"
         raise RangeError(f"{args.query} takes {takes}, not {args.via!r}")
     g = slg_to_slp(g) if dim == 1 else validate_slg2(g)
-    if args.query == "row-pattern":     # every cell against every pattern code
+    if args.query == "row-pattern":     # the fallback scan: every cell against every code
         rows, cols = dims(g, g.start)
         _check_work(f"row-pattern over {rows}x{cols} cells takes",
                     rows * cols * len(qargs[0]), "comparisons", cap)

@@ -41,6 +41,10 @@ class EmptyLanguage(GrammarError):
     """The grammar derives only the empty string/matrix."""
 
 
+class NotAnSlp(GrammarError):
+    """A rule has arity other than 2 where a straight-line program is required."""
+
+
 class RangeError(GrammarError):
     """A query argument violates the stated bounds."""
 

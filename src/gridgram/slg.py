@@ -39,7 +39,7 @@ from .errors import (
     DuplicateRule,
     EmptyLanguage,
     ExpansionTooLarge,
-    GrammarError,
+    NotAnSlp,
     ParseError,
     PreconditionViolated,
     RangeError,
@@ -218,13 +218,18 @@ def _canonical(g):
     return g, topo
 
 
+def _check_binary(g, needs):
+    """Raise NotAnSlp naming the first non-literal rule of validated ``g``
+    whose arity is not 2; ``needs`` names what requires an SLP."""
+    for nid, kid in enumerate(g._kids):
+        if kid is not None and len(kid) != 2:
+            raise NotAnSlp(f"rule {nid} has arity {len(kid)}, {needs} requires 2")
+
+
 def _as_slp(g, slp_cls):
     """Check that every non-literal rule of validated ``g`` has arity 2 and
     return it as an ``slp_cls`` sharing its caches."""
-    for nid, kid in enumerate(g._kids):
-        if kid is not None and len(kid) != 2:
-            raise GrammarError(f"rule {nid} has arity {len(kid)}, "
-                               f"{slp_cls.__name__} requires 2")
+    _check_binary(g, slp_cls.__name__)
     if isinstance(g, slp_cls):
         return g
     s = slp_cls(g.rules, g.alphabet_size, g.start)

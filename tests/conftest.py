@@ -1,7 +1,8 @@
 """Shared grammars, naive helpers, and the acceptance-line reporter.
 
 ``hconcat``/``vconcat`` and the ``expand_all_*`` folds are the independent
-references the expansion tests check ``expand1``/``expand2`` against.
+references the expansion tests check ``expand1``/``expand2`` against; the
+``cell_*`` queries restate the row-scanning oracles cell by cell.
 """
 
 from __future__ import annotations
@@ -166,6 +167,35 @@ def submatrix(m, b_r, e_r, b_c, e_c):
     """Rows (b_r..e_r], cols (b_c..e_c] as a list of row lists."""
     return [[m.get(i, j) for j in range(b_c + 1, e_c + 1)]
             for i in range(b_r + 1, e_r + 1)]
+
+
+def cell_line_lce(m, b_r, b_c, b2_r, b2_c, l):
+    """oracle.line_lce by definition: widen while both l-row strips exist
+    and agree on the next column, one cell at a time."""
+    t = 0
+    while (max(b_c, b2_c) + t <= m.cols
+           and all(m.get(b_r + d, b_c + t) == m.get(b2_r + d, b2_c + t) for d in range(l))):
+        t += 1
+    return t
+
+
+def cell_square_lce(m, b_r, b_c, b2_r, b2_c):
+    """oracle.square_lce by definition: grow the square while both blocks
+    exist and agree on every cell."""
+    t = 0
+    while (max(b_r, b2_r) + t <= m.rows and max(b_c, b2_c) + t <= m.cols
+           and all(m.get(b_r + i, b_c + j) == m.get(b2_r + i, b2_c + j)
+                   for i in range(t + 1) for j in range(t + 1))):
+        t += 1
+    return t
+
+
+def cell_row_pattern(m, pat):
+    """oracle.row_pattern_occurs by definition: 1 iff some row holds the
+    codes pat at some column, compared one cell at a time."""
+    k = len(pat)
+    return int(any(all(m.get(i, j + q) == pat[q] for q in range(k))
+                   for i in range(1, m.rows + 1) for j in range(1, m.cols - k + 2)))
 
 
 class CountingProvider:

@@ -1,9 +1,12 @@
-"""Naive query oracles: definitional examples and internal consistency."""
+"""Naive query oracles: definitional examples, internal consistency, and
+the row-scanning queries against their cell-by-cell restatements."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import cell_line_lce, cell_row_pattern, cell_square_lce
 from gridgram import Matrix2D
 from gridgram.errors import RangeError
 from gridgram.gen import random_matrix, random_string
@@ -138,3 +141,84 @@ def test_ov_brute_examples(ov_figure_vectors):
     assert ov_brute([(0, 0)]) == 1  # self-orthogonal zero vector
     with pytest.raises(RangeError):
         ov_brute([(1, 0), (1,)])
+
+
+@st.composite
+def matrices(draw):
+    """Up to 9 x 9, often a single row or column, over 1, 2, 3 or 300
+    codes; half the time later rows repeat earlier ones, some with one cell
+    changed, and sometimes one cell holds 256, outside a byte."""
+    shape = draw(st.sampled_from(["grid", "row", "col"]))
+    rows = 1 if shape == "row" else draw(st.integers(1, 9))
+    cols = 1 if shape == "col" else draw(st.integers(1, 9))
+    sigma = draw(st.sampled_from([1, 2, 3, 300]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    grid = [[rng.randrange(sigma) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        for i in range(1, rows):
+            grid[i] = list(grid[rng.randrange(i)])
+            if rng.random() < 0.5:
+                grid[i][rng.randrange(cols)] = rng.randrange(sigma)
+    if draw(st.integers(0, 3)) == 0:
+        grid[rng.randrange(rows)][rng.randrange(cols)] = 256
+    return Matrix2D(rows, cols, [x for row in grid for x in row])
+
+
+def origins(draw, m):
+    return (draw(st.integers(1, m.rows)), draw(st.integers(1, m.cols)),
+            draw(st.integers(1, m.rows)), draw(st.integers(1, m.cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_lce_scans_equal_the_cell_restatement(m, data):
+    for _ in range(8):
+        o = origins(data.draw, m)
+        assert square_lce(m, *o) == cell_square_lce(m, *o)
+        l = data.draw(st.integers(1, m.rows - max(o[0], o[2]) + 1))
+        assert line_lce(m, *o, l) == cell_line_lce(m, *o, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_row_pattern_scan_equals_the_cell_restatement(m, data):
+    """Patterns taken from the flat text (within a row, or across the end
+    of one row and the start of the next), random ones as wide as the text
+    or up to two cells wider, and either with a 300 or a -1 put in, which no
+    byte holds."""
+    for _ in range(4):
+        width = data.draw(st.sampled_from([m.cols, m.cols + 1, m.cols + 2])
+                          | st.integers(1, m.cols))
+        if width <= m.cols and data.draw(st.booleans()):
+            start = data.draw(st.integers(0, len(m.cells) - width))
+            pat = m.cells[start:start + width]
+        else:
+            pat = data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+        if data.draw(st.integers(0, 3)) == 0:
+            pat[data.draw(st.integers(0, len(pat) - 1))] = data.draw(st.sampled_from([300, -1]))
+        assert row_pattern_occurs(m, pat) == cell_row_pattern(m, pat)
+        assert row_pattern_occurs(m, Matrix2D(1, len(pat), pat)) == cell_row_pattern(m, pat)
+
+
+_T = [0, 1, 0]
+_M = Matrix2D(3, 3, [0, 1, 0, 1, 0, 1, 0, 0, 0])
+_CALLS = [(rank, (_T, 2, 1)), (occurs, (_T, 0, 2, 1)), (sum_rect, (_M, 0, 0, 2, 2)),
+          (line_sum, (_M, 2, 2, 1)), (all_zero, (_M, 0, 0, 2, 2)),
+          (square_all_zero, (_M, 2, 2, 1)), (equal_rect, (_M, 1, 1, 2, 2, 1, 1)),
+          (square_lce, (_M, 1, 1, 2, 2)), (line_lce, (_M, 1, 1, 1, 2, 2))]
+_FLOATS = [pytest.param(fn, args[:i] + (float(args[i]),) + args[i + 1:],
+                        id=f"{fn.__name__}-{i}")
+           for fn, args in _CALLS for i in range(1, len(args))]
+_FLOATS += [pytest.param(row_pattern_occurs, (_M, p), id=f"pattern-{k}") for k, p in
+            enumerate([[1.0, 0], [1, 0.0], Matrix2D(1, 1, [1.0]), "01", [None]])]
+_FLOATS += [pytest.param(ov_brute, (v,), id=f"ov_brute-{k}") for k, v in
+            enumerate([[(1.0, 0), (0, 1)], [(1, 0), (0, 1.0)]])]
+
+
+@pytest.mark.parametrize("fn, args", _FLOATS)
+def test_oracles_refuse_a_non_integer_argument(fn, args):
+    """A float equal to a valid integer, in any argument, pattern code or
+    vector entry, and a pattern of strings or None, are RangeErrors, never
+    a TypeError or a silent answer."""
+    with pytest.raises(RangeError):
+        fn(*args)

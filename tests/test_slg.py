@@ -19,6 +19,7 @@ from gridgram import (
     EmptyLanguage,
     ExpansionTooLarge,
     Horiz,
+    NotAnSlp,
     ParseError,
     Slg1,
     Slg2,
@@ -359,3 +360,14 @@ def test_hook_offset_allocates_no_per_variable_array():
             tracemalloc.stop()
         assert isinstance(g.rules[hook[0]], int) and not any(hook[1:])
         assert peak < 4096
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hook_offset1(validate_slg1(Slg1([(1, 2, 3), 0, 1, 2], 3, 0)), 0, 0, 2),
+    lambda: hook_offset2(validate_slg2(Slg2([Horiz(1, 2, 3), 0, 1, 2], 3, 0)), 0, 0, 0, 2, 1),
+], ids=["1d", "2d"])
+def test_hook_offset_names_a_rule_of_arity_other_than_two(call):
+    """A walk that meets a rule not splitting in two raises NotAnSlp naming
+    the rule and its arity, not an unpacking ValueError."""
+    with pytest.raises(NotAnSlp, match="rule 0 has arity 3"):
+        call()
