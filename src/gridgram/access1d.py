@@ -249,14 +249,14 @@ class AccessIndex1:
     __slots__ = ("grammar", "tau", "levels", "pows", "lens", "kids", "height", "tables",
                  "entries", "n")
 
-    def __init__(self, grammar, tau, levels, pows, height, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, tables, entries):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # top level index; p ranges over [0..levels]
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
         self.lens = grammar._lens     # the grammar's expansion lengths
         self.kids = grammar._kids     # the grammar's (left, right) child ids, None for literals
-        self.height = height          # longest path down to a literal, 0 for a literal
+        self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.tables = tables          # [side][p][i * tau + k] -> (s, near, far) or None
         self.entries = entries        # defined slots, counted by the build
         self.n = self.lens[grammar.start]
@@ -275,7 +275,7 @@ def build_index1(g, tau):
     for the variables reachable from the start; every block of a variable
     i at a level p with height(i) <= 2p gets the finish marker (0, i, None)."""
     g = validate_slp1(g)
-    lens, kids, reach = g._lens, g._kids, g._reach
+    lens, kids, reach, height = g._lens, g._kids, g._reach, g._height
     n = lens[g.start]
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
@@ -286,12 +286,8 @@ def build_index1(g, tau):
     size = len(kids) * tau
     left = [[None] * size for _ in range(levels + 1)]
     right = [[None] * size for _ in range(levels + 1)]
-    height = [0] * len(kids)
     entries = 0
     for i in reversed(g._topo):
-        if kids[i] is not None:
-            x, y = kids[i]
-            height[i] = 1 + max(height[x], height[y])
         if not reach[i]:
             continue
         m = lens[i]
@@ -330,7 +326,7 @@ def build_index1(g, tau):
             for k in range(cy, blocks):
                 step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1, jumps)
                 rt[base + k] = share(step, step)
-    return AccessIndex1(g, tau, levels, pows, height, (left, right), entries)
+    return AccessIndex1(g, tau, levels, pows, (left, right), entries)
 
 
 def side_map(ix, side, t, p, delta):

@@ -229,7 +229,7 @@ class AccessIndex2:
     __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "kids", "horiz",
                  "height", "cap_r", "cap_c", "tables", "entries", "n_rows", "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, height, cap_r, cap_c, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, tables, entries):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
@@ -238,7 +238,7 @@ class AccessIndex2:
         self.cols = grammar._cols
         self.kids = grammar._kids   # the grammar's (x, y) child ids, None for literals
         self.horiz = grammar._horiz  # the grammar's flags: True when a variable splits rows
-        self.height = height        # longest path down to a literal, 0 for a literal
+        self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
         self.tables = tables        # [corner][t][((p_r*(cap_c[t]+1)+p_c)*tau+k_r)*tau+k_c]
@@ -273,7 +273,8 @@ def build_index2(g, tau):
     start; every block of a variable i at a level pair (p_r, p_c) with
     height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0)."""
     g = validate_slp2(g)
-    rows, cols, kids, horiz, reach = g._rows, g._cols, g._kids, g._horiz, g._reach
+    rows, cols, kids, horiz, reach, height = \
+        g._rows, g._cols, g._kids, g._horiz, g._reach, g._height
     tau, cap_r, cap_c = _layout2(g, tau)
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
@@ -282,12 +283,8 @@ def build_index2(g, tau):
 
     span = tau * tau                # slots per level pair in one list
     tables = [[None] * len(kids) for _ in range(4)]
-    height = [0] * len(kids)
     entries = 0
     for i in reversed(g._topo):
-        if kids[i] is not None:
-            x, y = kids[i]
-            height[i] = 1 + max(height[x], height[y])
         if not reach[i]:
             continue
         if kids[i] is None:         # a literal, caps (0, 0): one level pair, one cell
@@ -349,7 +346,7 @@ def build_index2(g, tau):
                             step = _hook_core2(kids, horiz, rows, cols,
                                                i, b_r, b_c, e_r, e_c, corner, jumps)
                             table[k_c] = share(step, step)
-    return AccessIndex2(g, tau, levels, pows, height, cap_r, cap_c, tables, entries)
+    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, tables, entries)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):

@@ -407,11 +407,16 @@ _GEN = {
 
 
 def cmd_gen(args):
+    make, bound, dump = _GEN[args.kind]
+    other = "max_cells" if bound == "max_len" else "max_len"
+    if getattr(args, other) is not None:
+        raise RangeError(f"gen {args.kind} takes --{bound.replace('_', '-')}, "
+                         f"not --{other.replace('_', '-')}")
     # each new rule scans the pool of the rules made before it
     _check_work(f"gen {args.kind} with {args.rules} rules reads",
                 max(args.rules, 0) ** 2, "pool entries", _cap(args))
-    make, bound, dump = _GEN[args.kind]
-    g = make(args.seed, args.rules, sigma=args.sigma, **{bound: getattr(args, bound)})
+    size = getattr(args, bound)     # unset, the generator's own default applies
+    g = make(args.seed, args.rules, sigma=args.sigma, **({} if size is None else {bound: size}))
     _write(args.out, dump(g))
     return 0
 
@@ -496,8 +501,8 @@ def _build_parser():
     p.add_argument("--rules", type=int, required=True)
     p.add_argument("--sigma", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=1 << 14)
-    p.add_argument("--max-cells", type=int, default=1 << 16)
+    p.add_argument("--max-len", type=int, help="1D kinds only")
+    p.add_argument("--max-cells", type=int, help="2D kinds only")
     p.add_argument("-o", "--out", default="-")
     p.set_defaults(fn=cmd_gen)
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 
 from .errors import RangeError
-from .slg import Slg1, Slp1, validate_slg1, validate_slp1
-from .slg2d import Horiz, Matrix2D, Slg2, Slp2, Vert, validate_slg2, validate_slp2
+from .slg import Slg1, validate_slg1, validate_slp1
+from .slg2d import Horiz, Matrix2D, Slg2, Vert, validate_slg2, validate_slp2
 
 
 def _rng(seed_or_rng):
@@ -72,7 +72,7 @@ def random_slp1(seed, n_rules, sigma=4, max_len=1 << 14):
             a, b = b, a
         rules[nid] = (a, b)
         lens[nid] = lens[a] + lens[b]
-    return validate_slp1(Slp1(rules, sigma, 0))
+    return validate_slp1(Slg1(rules, sigma, 0))
 
 
 def random_slg1(seed, n_rules, sigma=4, max_arity=5, max_len=1 << 14):
@@ -149,7 +149,7 @@ def random_slp2(seed, n_rules, sigma=4, max_cells=1 << 16):
             a, b = b, a
         rules[nid] = kind(a, b)
         _shape(kind, rows, cols, nid, (a, b))
-    return validate_slp2(Slp2(rules, sigma, 0))
+    return validate_slp2(Slg2(rules, sigma, 0))
 
 
 def random_slg2(seed, n_rules, sigma=4, max_arity=5, max_cells=1 << 16):

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
     RangeError,
 )
-from .slg import Slp1, grammar_size1, validate_slp1
+from .slg import Slg1, grammar_size1, validate_slp1
 from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2, validate_slg2
 
 
@@ -338,7 +338,7 @@ def alphabet_reduce(g):
         else:
             out_rules.append((alias[rule[0]], alias[rule[1]]))
         alias[nid] = len(out_rules) - 1
-    out = validate_slp1(Slp1(out_rules, max(1, len(occurring)), alias[g.start]))
+    out = validate_slp1(Slg1(out_rules, max(1, len(occurring)), alias[g.start]))
     return out, amap
 
 

@@ -14,10 +14,13 @@ every sequence rule references only later ones), every referenced id has a
 rule, and every literal code is in ``[0, alphabet_size)``. Validation
 canonicalizes the grammar so the start symbol has id 0 and caches a
 topological order, the child lists (``_kids``: per id the tuple of child
-ids, None for a literal), reachability from the start (``_reach``), and
-per-nonterminal expansion lengths (in 2D, dimensions and the axis flags
-``_horiz``, see ``slg2d``). The walkers of every module read these arrays
-and derive none of their own.
+ids, None for a literal), reachability from the start (``_reach``), heights
+(``_height``: 0 for a literal, else one more than the highest child), the
+flags of empty-expanding rules (``_eps``), and per-nonterminal expansion
+lengths (in 2D, dimensions and the axis flags ``_horiz``, see ``slg2d``).
+The walkers of every module read these arrays and derive none of their own.
+An SLP is a validated grammar whose non-literal rules all have two children;
+``Slp1`` is another name for ``Slg1``.
 
 Text format (UTF-8, line oriented)::
 
@@ -60,12 +63,13 @@ class _Grammar:
     A subclass names its text format (``_magic``, the literal letter
     ``_literal``, and ``_letters`` mapping each rule type to its letter),
     how to read a rule's children (``_children``), the fewest children a
-    rule line may list (``_min_children``), the caches validation fills
-    (``_caches``), and what an empty expansion is called (``_empty``).
+    rule line may list (``_min_children``), and what an empty expansion is
+    called (``_empty``).
     A rule's type is also its rebuilder: ``type(rule)(child_ids)``.
     """
 
-    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_eps", "_kids", "_reach")
+    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_eps", "_kids", "_reach",
+                 "_height")
 
     def __init__(self, rules, alphabet_size, start=0):
         self.rules = list(rules)
@@ -75,6 +79,7 @@ class _Grammar:
         self._eps = None    # per-id flag: expands to the empty string/matrix
         self._kids = None   # per id: the tuple of child ids, None for a literal
         self._reach = None  # per-id flag: reachable from the start
+        self._height = None  # per id: longest path down to a literal, 0 for a literal
 
     @property
     def validated(self):
@@ -110,7 +115,6 @@ class Slg1(_Grammar):
 
     __slots__ = ("_lens",)
     _magic, _literal, _letters, _min_children = "SLG1", "T", {tuple: "N"}, 1
-    _caches = ("_topo", "_eps", "_kids", "_reach", "_lens")
     _empty = "the empty string"
 
     def __init__(self, rules, alphabet_size, start=0):
@@ -123,8 +127,7 @@ class Slg1(_Grammar):
         return rule
 
 
-class Slp1(Slg1):
-    """An Slg1 in which every sequence rule has arity exactly 2."""
+Slp1 = Slg1  # an SLP is a validated Slg1 with binary rules, see validate_slp1
 
 
 def _swap_start_to_zero(g):
@@ -188,9 +191,10 @@ def _canonical(g):
     """The dimension-independent half of validation.
 
     Checks the start and every reference and terminal range, then moves the
-    start to id 0 and sorts topologically. Stores the child lists and the
-    reachability from the start on the relabelled grammar and returns it with
-    its parents-first order; the caller computes sizes and stores the rest.
+    start to id 0 and sorts topologically. Stores the child lists, the
+    reachability from the start and the heights on the relabelled grammar
+    and returns it with its parents-first order; the caller computes sizes
+    and stores the rest.
     """
     if not g.rules:
         raise DanglingReference("grammar has no rules")
@@ -213,44 +217,41 @@ def _canonical(g):
             raise TypeError(f"rule {nid} is not int/{kinds}: {rule!r}")
     g = _swap_start_to_zero(g)
     children = g._children
-    g._kids = [None if isinstance(r, int) else children(r) for r in g.rules]
-    topo, g._reach = _toposort(g._kids)
+    g._kids = kids = [None if isinstance(r, int) else children(r) for r in g.rules]
+    topo, g._reach = _toposort(kids)
+    g._height = height = [0] * len(kids)
+    for nid in reversed(topo):
+        if kids[nid] is not None:
+            h = 0                   # a plain loop: 4x faster than max() over a map
+            for c in kids[nid]:
+                if height[c] > h:
+                    h = height[c]
+            height[nid] = h + 1
     return g, topo
 
 
 def _check_binary(g, needs):
-    """Raise NotAnSlp naming the first non-literal rule of validated ``g``
-    whose arity is not 2; ``needs`` names what requires an SLP."""
+    """Validated ``g``, unless a non-literal rule's arity is not 2: then
+    NotAnSlp names the first such rule; ``needs`` names what requires an SLP."""
     for nid, kid in enumerate(g._kids):
         if kid is not None and len(kid) != 2:
             raise NotAnSlp(f"rule {nid} has arity {len(kid)}, {needs} requires 2")
+    return g
 
 
-def _as_slp(g, slp_cls):
-    """Check that every non-literal rule of validated ``g`` has arity 2 and
-    return it as an ``slp_cls`` sharing its caches."""
-    _check_binary(g, slp_cls.__name__)
-    if isinstance(g, slp_cls):
-        return g
-    s = slp_cls(g.rules, g.alphabet_size, g.start)
-    for name in g._caches:
-        setattr(s, name, getattr(g, name))
-    return s
-
-
-def validate_slg1(g, allow_empty=False):
+def validate_slg1(g):
     """Check all Slg1 invariants; return the canonicalized grammar.
 
     On success the returned grammar has the start symbol at id 0 and caches
-    a topological order, the child lists, reachability from the start, and
-    expansion lengths. ``allow_empty`` admits rules expanding to the empty
-    string (needed only while eliminating them in slg_to_slp); by default
-    such rules are rejected.
+    a topological order, the child lists, reachability from the start,
+    heights, expansion lengths, and the flags of rules expanding to the
+    empty string. Such rules are legal here; expand1 refuses a grammar
+    whose start is one, slg_to_slp eliminates the others, and
+    validate_slp1 rejects them all.
     """
     g, topo = _canonical(g)
     rules = g.rules
 
-    eps = [False] * len(rules)
     lens = [0] * len(rules)
     for nid in reversed(topo):
         rule = rules[nid]
@@ -263,20 +264,16 @@ def validate_slg1(g, allow_empty=False):
         if total > MAX_LEN:
             raise ArithmeticOverflow(f"expansion of id {nid} exceeds 2**62")
         lens[nid] = total
-        if total == 0:
-            eps[nid] = True
-            if not allow_empty:
-                raise EmptyLanguage(f"rule {nid} expands to the empty string")
 
     g._topo = topo
     g._lens = lens
-    g._eps = eps
+    g._eps = [n == 0 for n in lens]
     return g
 
 
 def validate_slp1(g):
-    """validate_slg1 plus the arity-2 restriction; returns an Slp1."""
-    return _as_slp(validate_slg1(g), Slp1)
+    """validate_slg1 plus the arity-2 restriction, which rules out empty rules."""
+    return _check_binary(validate_slg1(g), "validate_slp1")
 
 
 def exp_len(g, nid):
@@ -398,13 +395,13 @@ def grammar_size1(g):
     return sum(1 if isinstance(r, int) else max(len(g._children(r)), 1) for r in g.rules)
 
 
-def _binarize(g, slp_cls):
+def _binarize(g):
     """The SLP conversion of a validated grammar, in either dimension.
 
     Empty-expanding children are dropped, single-child rules are aliased away,
     and longer right-hand sides are binarized left to right, each pair rule
     keeping its parent's type. Only rules reachable from the start survive.
-    Returns an unvalidated ``slp_cls``.
+    Returns an unvalidated grammar of ``g``'s type.
     """
     if g._eps[g.start]:
         raise EmptyLanguage(f"grammar derives only {g._empty}")
@@ -432,7 +429,7 @@ def _binarize(g, slp_cls):
             for c in kids[1:]:
                 acc = emit(ctor((acc, c)))
             alias[nid] = acc
-    return slp_cls(out_rules, g.alphabet_size, alias[g.start])
+    return type(g)(out_rules, g.alphabet_size, alias[g.start])
 
 
 def slg_to_slp(g):
@@ -444,8 +441,8 @@ def slg_to_slp(g):
     constant factor of the input size.
     """
     if not g.validated:
-        g = validate_slg1(g, allow_empty=True)
-    return validate_slp1(_binarize(g, Slp1))
+        g = validate_slg1(g)
+    return validate_slp1(_binarize(g))
 
 
 # -- text format ------------------------------------------------------------

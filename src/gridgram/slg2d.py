@@ -23,8 +23,8 @@ matrix types, the dimension pass of validation, expansion and the MAT format.
 
 Rules with an empty child list expand to the empty matrix; they are legal in
 Slg2 (one construction in the reductions module needs them) and are
-eliminated by slg2_to_slp2. Mixed arity is legal in Slg2; only Slp2 restricts
-non-literal rules to exactly two children.
+eliminated by slg2_to_slp2. Mixed arity is legal in Slg2; only validate_slp2
+restricts non-literal rules to exactly two children.
 
 Text formats::
 
@@ -43,19 +43,23 @@ for any number of concurrent readers.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import (
     ArithmeticOverflow,
     DimensionMismatch,
     EmptyLanguage,
     ExpansionTooLarge,
     ParseError,
+    PositionOutOfRange,
+    RangeError,
 )
 from .slg import (
     DEFAULT_CAP,
     MAX_LEN,
-    _as_slp,
     _binarize,
     _canonical,
+    _check_binary,
     _dump,
     _expand,
     _extend_all,
@@ -102,22 +106,24 @@ class Vert(_Concat):
 class Matrix2D:
     """An explicit matrix of terminal codes, row-major flat storage.
 
-    The public cell accessor is 1-based on both axes to match the query
+    The public cell accessors are 1-based on both axes to match the query
     conventions used throughout the package; the flat ``cells`` list is
-    0-based row-major. The constructor checks the dimensions and copies
-    ``cells``; expand2 hands over its freshly written list through
+    0-based row-major. The constructor checks the dimensions and the cells
+    and copies ``cells``; expand2 hands over its freshly written list through
     ``_adopt`` instead, so a large expansion is never held twice.
     """
 
     __slots__ = ("rows", "cols", "cells")
 
     def __init__(self, rows, cols, cells):
-        if rows < 1 or cols < 1:
-            raise DimensionMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
+        if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+            raise DimensionMismatch(f"matrix dimensions must be positive ints: {rows!r}x{cols!r}")
         cells = list(cells)
         if len(cells) != rows * cols:
             raise DimensionMismatch(
                 f"cell count {len(cells)} does not match {rows}x{cols}")
+        if not all(map(isinstance, cells, repeat(int))):
+            raise RangeError("matrix cells must be integers")
         self.rows = rows
         self.cols = cols
         self.cells = cells
@@ -145,12 +151,15 @@ class Matrix2D:
 
     def get(self, i, j):
         """Cell in row i, column j (both 1-based)."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
+        if not (isinstance(i, int) and isinstance(j, int)
+                and 1 <= i <= self.rows and 1 <= j <= self.cols):
+            raise PositionOutOfRange(f"({i!r},{j!r}) outside {self.rows}x{self.cols}")
         return self.cells[(i - 1) * self.cols + (j - 1)]
 
     def row(self, i):
         """Row i (1-based) as a list."""
+        if not (isinstance(i, int) and 1 <= i <= self.rows):
+            raise PositionOutOfRange(f"row {i!r} outside [1, {self.rows}]")
         base = (i - 1) * self.cols
         return self.cells[base:base + self.cols]
 
@@ -170,7 +179,6 @@ class Slg2(_Grammar):
 
     __slots__ = ("_rows", "_cols", "_horiz")
     _magic, _literal, _letters, _min_children = "SLG2", "L", {Horiz: "H", Vert: "V"}, 0
-    _caches = ("_topo", "_eps", "_kids", "_reach", "_rows", "_cols", "_horiz")
     _empty = "the empty matrix"
 
     def __init__(self, rules, alphabet_size, start=0):
@@ -184,8 +192,7 @@ class Slg2(_Grammar):
         return rule.children
 
 
-class Slp2(Slg2):
-    """An Slg2 in which every non-literal rule has arity exactly 2."""
+Slp2 = Slg2  # a 2D SLP is a validated Slg2 with binary rules, see validate_slp2
 
 
 def validate_slg2(g):
@@ -194,7 +201,7 @@ def validate_slg2(g):
     Verifies acyclicity, reference and terminal ranges, and dimension
     consistency: the non-empty children of a Horiz rule must share one
     column count, those of a Vert rule one row count. Caches the topological
-    order, the child lists, reachability from the start, the per-id Horiz
+    order, the child lists, reachability from the start, heights, the Horiz
     flags and per-nonterminal (rows, cols); empty-expanding rules get (0, 0).
     """
     g, topo = _canonical(g)
@@ -240,11 +247,8 @@ def validate_slg2(g):
 
 
 def validate_slp2(g):
-    """validate_slg2 plus arity-2 and no empty rules; returns an Slp2."""
-    g = _as_slp(validate_slg2(g), Slp2)
-    if any(g._eps):
-        raise EmptyLanguage("2D SLP may not contain empty-expanding rules")
-    return g
+    """validate_slg2 plus the arity-2 restriction, which rules out empty rules."""
+    return _check_binary(validate_slg2(g), "validate_slp2")
 
 
 def dims(g, nid):
@@ -321,7 +325,7 @@ def slg2_to_slp2(g):
     """
     if not g.validated:
         g = validate_slg2(g)
-    return validate_slp2(_binarize(g, Slp2))
+    return validate_slp2(_binarize(g))
 
 
 # -- text formats -----------------------------------------------------------

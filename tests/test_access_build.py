@@ -691,6 +691,54 @@ def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
     corrupt(ix.cap_r[t], ix.cap_c[t], None)
 
 
+@pytest.mark.parametrize("split", ["0", "w"])
+def test_side_map_refuses_a_step_that_does_not_straddle(split):
+    """A real step whose split is moved to the block's near or far edge is
+    refused, for every such step of the index."""
+    ix = build_index1(random_slp1(3, 40, 3, 4096), 2)
+    seen = 0
+    for side in (0, 1):
+        for p, level in enumerate(ix.tables[side]):
+            for at, step in enumerate(level):
+                if step is None or step[2] is None:
+                    continue
+                t, k = divmod(at, ix.tau)
+                b = k * ix.pows[p]
+                w = min(ix.lens[t] - b, ix.pows[p])
+                level[at] = (0 if split == "0" else w,) + step[1:]
+                with pytest.raises(PreconditionViolated, match="does not straddle"):
+                    side_map(ix, side, t, p, b + 1)
+                level[at] = step
+                seen += 1
+    assert seen > 100
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["cols", "rows"])
+@pytest.mark.parametrize("split", ["0", "w"])
+def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
+    """The 2D straddle guard, on steps that split columns and on steps that
+    split rows."""
+    ix = build_index2(random_slp2(3, 40, 3, 4096), 2)
+    T, seen = ix.tau, 0
+    for corner in range(4):
+        for t, table in enumerate(ix.tables[corner]):
+            for at, step in enumerate(table or ()):
+                if step is None or step[3] is None or step[0] != axis:
+                    continue
+                k_c, rest = at % T, at // T
+                k_r, pair = rest % T, rest // T
+                p_r, p_c = divmod(pair, ix.cap_c[t] + 1)
+                b_r, b_c = k_r * ix.pows[p_r], k_c * ix.pows[p_c]
+                w = min((ix.rows[t] - b_r, ix.pows[p_r]) if axis else
+                        (ix.cols[t] - b_c, ix.pows[p_c]))
+                table[at] = (axis, 0 if split == "0" else w) + step[2:]
+                with pytest.raises(PreconditionViolated, match="does not straddle"):
+                    corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
+                table[at] = step
+                seen += 1
+    assert seen > 100
+
+
 _CORRUPT = """
 from gridgram import (PreconditionViolated, Horiz, Slp1, Slp2, Vert, access1_traced,
                       access2_traced, build_index1, build_index2, validate_slp1,

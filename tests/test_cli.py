@@ -55,6 +55,23 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("kind, flag, other", [
+    ("slp1", "--max-len", "--max-cells"), ("slg1", "--max-len", "--max-cells"),
+    ("slp2", "--max-cells", "--max-len"), ("slg2", "--max-cells", "--max-len"),
+])
+def test_gen_refuses_the_size_flag_its_kind_ignores(kind, flag, other, capsys):
+    """The other dimension's size flag is refused in one line; with no size
+    flag the generator's own default bound applies."""
+    code, out, err = run(capsys, "gen", kind, "--rules", "20", other, "4")
+    assert code == 1 and out == ""
+    assert err.startswith("RangeError: ") and err.count("\n") == 1 and other in err
+    make, bound, dump = cli._GEN[kind]
+    code, out, _ = run(capsys, "gen", kind, "--rules", "20", "--seed", "5")
+    assert code == 0 and out == dump(make(5, 20, sigma=4))
+    code, out, _ = run(capsys, "gen", kind, "--rules", "20", "--seed", "5", flag, "16")
+    assert code == 0 and out == dump(make(5, 20, sigma=4, **{bound: 16}))
+
+
 def test_validate_ok_lines(slp1_file, slp2_file, capsys):
     code, out, _ = run(capsys, "validate", str(slp1_file))
     assert code == 0 and out.startswith("ok n=")

@@ -76,6 +76,14 @@ def test_matrix_constructor_checks():
         Matrix2D(2, 2, [1, 2, 3])
     with pytest.raises(DimensionMismatch):
         Matrix2D.from_rows([[1, 2], [3]])
+    for rows, cols in ((1.0, 2), (1, 2.0), ("1", 2)):
+        with pytest.raises(DimensionMismatch):
+            Matrix2D(rows, cols, [0, 1])
+    for cells in ([1.0, "a"], [0, 1.0], [None, 0], ["0", 1]):
+        with pytest.raises(RangeError):
+            Matrix2D(1, 2, cells)
+        with pytest.raises(RangeError):
+            Matrix2D.from_rows([cells[:1], cells[1:]])
 
 
 def test_parser_header_errors():

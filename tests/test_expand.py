@@ -205,7 +205,7 @@ def grammars1(draw):
         g = Slg1([(1,) * draw(st.integers(1, 4)), block, 0, 1, 2], 3, 0)
     if draw(st.booleans()):
         g = Slg1(_sprinkle_empties(g.rules, rng, tuple), g.alphabet_size, g.start)
-    return validate_slg1(g, allow_empty=True)
+    return validate_slg1(g)
 
 
 @settings(max_examples=120, deadline=None)

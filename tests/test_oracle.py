@@ -210,7 +210,7 @@ _FLOATS = [pytest.param(fn, args[:i] + (float(args[i]),) + args[i + 1:],
                         id=f"{fn.__name__}-{i}")
            for fn, args in _CALLS for i in range(1, len(args))]
 _FLOATS += [pytest.param(row_pattern_occurs, (_M, p), id=f"pattern-{k}") for k, p in
-            enumerate([[1.0, 0], [1, 0.0], Matrix2D(1, 1, [1.0]), "01", [None]])]
+            enumerate([[1.0, 0], [1, 0.0], Matrix2D._adopt(1, 1, [1.0]), "01", [None]])]
 _FLOATS += [pytest.param(ov_brute, (v,), id=f"ov_brute-{k}") for k, v in
             enumerate([[(1.0, 0), (0, 1)], [(1, 0), (0, 1.0)]])]
 

@@ -24,6 +24,7 @@ from gridgram import (
     Slg1,
     Slg2,
     Slp1,
+    Slp2,
     TerminalOutOfRange,
     Vert,
     dump_slg1,
@@ -41,9 +42,10 @@ from gridgram import (
     hook_offset2,
     slg2_to_slp2,
     validate_slp1,
+    validate_slp2,
 )
 from gridgram.errors import PreconditionViolated, RangeError
-from gridgram.gen import random_slg1, random_slg2, random_slp1
+from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
 from conftest import comb1, comb2, reachable
 
 Dim = namedtuple("Dim", "cls rule validate parse dump cells")
@@ -88,10 +90,28 @@ def test_validate_terminal_out_of_range():
 
 
 def test_validate_rejects_empty_rules_by_default():
-    with pytest.raises(EmptyLanguage):
-        validate_slg1(Slg1([(1,), ()], 2, 0))
-    g = validate_slg1(Slg1([(1,), ()], 2, 0), allow_empty=True)
+    """Validation marks rules expanding to the empty string; expansion and
+    the SLP conversion refuse an empty start, and an SLP has no empty rule."""
+    g = validate_slg1(Slg1([(1,), ()], 2, 0))
     assert g._eps[1] and g._eps[0]
+    for refuse in (expand1, slg_to_slp):
+        with pytest.raises(EmptyLanguage):
+            refuse(g)
+    with pytest.raises(NotAnSlp):
+        validate_slp1(Slg1([(1,), ()], 2, 0))
+
+
+def test_an_slp_is_a_checked_grammar_not_a_type():
+    """Slp1/Slp2 are other names for the grammar classes, and checking that a
+    validated binary grammar is an SLP returns that same grammar."""
+    assert Slp1 is Slg1 and Slp2 is Slg2
+    binary = [(validate_slp1, validate_slg1(Slg1([0, (0, 2), 1], 2, 1))),
+              (validate_slp2, validate_slg2(Slg2([0, Vert(0, 2), 1], 2, 1))),
+              (validate_slp1, random_slp1(5, 30)), (validate_slp2, random_slp2(5, 30)),
+              (validate_slp1, slg_to_slp(random_slg1(5, 30))),
+              (validate_slp2, slg2_to_slp2(random_slg2(5, 30)))]
+    for check, g in binary:
+        assert type(g) in (Slg1, Slg2) and check(g) is g
 
 
 def test_validate_reindexes_start_to_zero():
@@ -316,8 +336,28 @@ def raw_grammars(draw):
     return type(g)(_relabelled(rules, perm), g.alphabet_size, perm[g.start])
 
 
+def _heights(g):
+    """Per id, the height by its recursive definition: 0 for a literal, else
+    one more than the highest child (0 for a rule without children)."""
+    memo = {}
+
+    def height(v):
+        if v not in memo:
+            rule = g.rules[v]
+            if isinstance(rule, int):
+                memo[v] = 0
+            else:
+                kids = rule if isinstance(rule, tuple) else rule.children
+                memo[v] = 1 + max(map(height, kids), default=0)
+        return memo[v]
+
+    return [height(v) for v in range(len(g.rules))]
+
+
 def assert_walk_arrays(g):
-    """g's cached child lists, Horiz flags and reachability against its rules."""
+    """g's cached child lists, Horiz flags, reachability and heights against
+    its rules."""
+    assert g._height == _heights(g)
     for v, rule in enumerate(g.rules):
         if isinstance(rule, int):
             assert g._kids[v] is None
@@ -333,9 +373,9 @@ def assert_walk_arrays(g):
 
 @settings(max_examples=80, deadline=None)
 @given(g=raw_grammars())
-def test_validation_caches_the_walk_arrays(g):
+def test_validation_keeps_the_walk_arrays(g):
     if isinstance(g, Slg1):
-        valid, slp = validate_slg1(g, allow_empty=True), slg_to_slp(g)
+        valid, slp = validate_slg1(g), slg_to_slp(g)
     else:
         valid, slp = validate_slg2(g), slg2_to_slp2(g)
     assert valid.start == slp.start == 0

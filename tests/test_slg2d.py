@@ -10,6 +10,7 @@ from gridgram import (
     Horiz,
     Matrix2D,
     ParseError,
+    PositionOutOfRange,
     Slg2,
     Vert,
     dims,
@@ -165,12 +166,19 @@ def test_start_literal_allowed(grid22):
 
 
 def test_1based_cell_access(grid22):
+    """A position that is not an integer in range is a PositionOutOfRange,
+    never an empty row, a row counted from the end, an IndexError or a
+    TypeError."""
     m = expand2(grid22)
     assert m.get(2, 1) == 2
-    with pytest.raises(IndexError):
-        m.get(0, 1)
-    with pytest.raises(IndexError):
-        m.get(1, 3)
+    m = Matrix2D(2, 3, [0, 1, 2, 3, 4, 5])
+    assert m.row(2) == [3, 4, 5] and m.get(2, 3) == 5
+    for i in (0, 3, -1, 1.0):
+        with pytest.raises(PositionOutOfRange):
+            m.row(i)
+    for i, j in ((0, 1), (1, 0), (3, 1), (1, 4), (-1, 2), (1.0, 2), (1, "2")):
+        with pytest.raises(PositionOutOfRange):
+            m.get(i, j)
 
 
 def test_grammar_format_roundtrip(grid22):

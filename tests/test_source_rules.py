@@ -1,0 +1,58 @@
+"""Rules the package source keeps, read from its syntax trees.
+
+No ``assert`` statement: ``python -O`` strips them, so a contract the code
+checks must be an explicit raise. No import from outside the standard
+library: the package is stdlib-only, so every import is either a standard
+module or relative to the package.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import gridgram
+
+SOURCES = sorted(Path(gridgram.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_package_has_sources():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "slg.py", "slg2d.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def _foreign_imports(tree):
+    """(line, module) of every absolute import outside the standard library."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in sys.stdlib_module_names:
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_package_relative(path):
+    foreign = list(_foreign_imports(_tree(path)))
+    assert not foreign, f"{path.name}: imports outside the standard library: {foreign}"
+
+
+def test_the_rules_catch_what_they_name():
+    tree = ast.parse("import os\nimport hypothesis.strategies\nfrom numpy import array\n"
+                     "from . import slg\nfrom .errors import RangeError\nassert os\n")
+    assert list(_foreign_imports(tree)) == [(2, "hypothesis.strategies"), (3, "numpy")]
+    assert any(isinstance(node, ast.Assert) for node in ast.walk(tree))
