@@ -52,23 +52,29 @@ the same offset from the same side of the child. Only blocks that straddle
 the split or sit unaligned in the other child descend from the variable.
 
 A descent moves one grammar level at a time and counts its moves in a row
-toward the same child; once RUN (4) of them went the same way, it jumps
-along that chain instead. The build makes jump tables for both children,
-``_jumps(kids, side)[j][v]``, the node reached from v by 2**j moves toward
-that child, or -1 past a literal: O(|V| log h) ids per side for a grammar
-of height h, made once per build in that much time and dropped on return,
-like the share dict, so the index holds nothing more. Whether the
-plain walk would move on to a node v of the chain is monotone along it, as
+toward the same child; once RUN (4) of them went the same way, it runs
+along that chain instead. For each child the build decomposes the forest
+v -> kids[v][side], in which a node's tree parent is its child on that
+side and each root a literal, into heavy paths (``_chains``): O(|V|) ids
+per side in flat lists, each path contiguous and stored root end first,
+made children first in O(|V|) time with no sort and dropped on return,
+like the share dict, so the index holds nothing more. Whether the plain
+walk would move on to a node v of the chain is monotone along it, as
 lengths shrink down a chain: on the left chain while the window's far edge
 fits in v, e <= lens[v]; on the right chain while v's offset inside the
 node is at most the window's start, lens[node] - lens[v] <= b, the window
-then shifting by that offset. So the jump doubles while the test holds,
-then halves back down, and lands where the plain walk would. On the
-2000-variable right comb at tau 8 the unaligned left blocks no longer walk
-down the comb k * tau**p moves each: the build's 5.98 M moves become 37 k
-jumps of about 0.38 M table reads. The gen corpus's runs are mostly 1 to 3
-moves, so it seldom jumps but pays for the counting. A descent given empty
-tables (NO_JUMPS) is the plain walk; hook_offset1 and side_map use it.
+then shifting by that offset. Lengths grow along a stored path away from
+its root end, so one bisect over the path up to the current node finds
+where the run stops, and only a run that passes the path's root end goes
+on to the next path down. A node's subtree at least doubles at each step
+onto another path, so a chain crosses at most floor(log2 |V|) + 1 paths,
+and the run lands where the plain walk would. On the 2000-variable right
+comb at tau 8 the unaligned left blocks no longer walk down the comb
+k * tau**p moves each: the build's 5.98 M moves become 37 k runs of one
+bisect each, the comb's right chain being one heavy path. The gen
+corpus's runs are mostly 1 to 3 moves, so it seldom runs along a chain but
+pays for the counting. A descent given NO_JUMPS, no chains, is the plain
+walk; hook_offset1 and side_map use it.
 
 The index is immutable after build_index1; queries are safe under any number
 of concurrent readers. Builds are single-threaded.
@@ -77,6 +83,7 @@ of concurrent readers. Builds are single-threaded.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .slg import _check_binary, validate_slp1
@@ -137,47 +144,77 @@ def table_slots1(g, tau):
     return 2 * (ceil_log(n, tau) + 1) * len(g.rules) * tau
 
 
-RUN = 4               # moves in a row toward one child before a descent jumps
-NO_JUMPS = ((), ())   # jump tables that make _hook_core the plain walk
+RUN = 4               # moves in a row toward one child before a descent runs along its chain
+NO_JUMPS = ((), ())   # no chains: _hook_core makes the plain walk
 
 
-def _jumps(kids, side):
-    """Jump tables along the children on ``side`` (0 = x, the left or top
-    child; 1 = y).
+def _chains(kids, topo, keys, side):
+    """Heavy-path decomposition of the forest v -> kids[v][side] (side 0 =
+    x, the left or top child; 1 = y), for runs along it (``_run1``,
+    ``_run2``).
 
-    ``out[j][v]`` is the node reached from v by 2**j moves, each to the
-    child on ``side``, or -1 where the chain meets a literal sooner. There
-    is one list of |V| ids per j while some node still has 2**j moves, at
-    most floor(log2 h) + 1 lists for a grammar of height h.
+    A node's tree parent is its child on ``side``, so each tree's root is
+    a literal. Sizes are taken over ``topo``, the grammar's parents-first
+    order, in which a node comes after every node whose child it is, so
+    its size is final when it passes its size on; its heavy tree child is
+    the first of the largest. Every heavy path is stored root end first,
+    contiguous in flat lists, so a chain of children from any node crosses
+    at most floor(log2 |V|) + 1 paths: its size at least doubles at each
+    step onto another path. ``keys`` is a tuple of per-node key lists
+    (lengths, or rows and columns), none of which grows down a chain.
+
+    Returns (order, at, top, down, *flat keys): order[j] the node at flat
+    index j, at[v] the flat index of node v, top[j] the flat index of the
+    root end of j's path, down[j] the flat index of the node below that
+    root end on the chain, or -1 past a literal, and each key list in flat
+    order, so never decreasing along a path.
     """
-    step = [-1 if kid is None else kid[side] for kid in kids]
-    out = []
-    while max(step) >= 0:
-        out.append(step)
-        step = [-1 if v < 0 else step[v] for v in step]
-    return out
+    n = len(kids)
+    size = [1] * n
+    heavy = [-1] * n
+    best = [0] * n
+    for v in topo:
+        kid = kids[v]
+        if kid is not None:
+            c, s = kid[side], size[v]
+            size[c] += s
+            if s > best[c]:
+                best[c], heavy[c] = s, v
+    order, top, down = [], [], []
+    at = [0] * n
+    for v in reversed(topo):        # the path below a root end is laid out before it
+        kid = kids[v]
+        if kid is not None and heavy[kid[side]] == v:
+            continue                # not the root end of its path
+        root = len(order)
+        below = -1 if kid is None else at[kid[side]]
+        while v >= 0:
+            at[v] = len(order)
+            order.append(v)
+            top.append(root)
+            down.append(below)
+            v = heavy[v]
+    return (order, at, top, down, *([key[v] for v in order] for key in keys))
 
 
-def _jump1(table, lens, node, need):
-    """The last node on ``table``'s chain from node whose length is at least
-    need, found by doubling then halving the jump. Lengths shrink down a
-    chain, so the nodes that qualify are a prefix of it."""
-    j = 0
-    while j < len(table):
-        v = table[j][node]
-        if v < 0 or lens[v] < need:
-            break
-        node = v
-        j += 1
-    while j:
-        j -= 1
-        v = table[j][node]
-        if v >= 0 and lens[v] >= need:
-            node = v
-    return node
+def _run1(chains, node, need):
+    """The last node on the chain of ``chains``' side from node whose
+    length is at least need; node's own length must be. Lengths shrink
+    down a chain, so the nodes that qualify are a prefix of it: one bisect
+    per heavy path finds its end."""
+    order, at, top, down, lens = chains
+    i = at[node]
+    while True:
+        lo = top[i]
+        j = bisect_left(lens, need, lo, i + 1)
+        if j > lo:
+            return order[j]
+        i = down[lo]
+        if i < 0 or lens[i] < need:
+            return order[lo]
 
 
-def _hook_core(kids, lens, node, b, e, side, jumps):
+def _hook_core(kids, lens, node, b, e, side, chains):
     """Iterative descent shared by the standalone op and the index builder.
 
     Descends while the window (b..e] fits strictly inside one child, shifting
@@ -187,12 +224,12 @@ def _hook_core(kids, lens, node, b, e, side, jumps):
     right): (split from that side, near child, far child), or (0, literal,
     None). With side None it returns the (hook, offset) pair instead.
 
-    ``jumps`` is the pair of ``_jumps`` tables for the left and the right
-    children; after RUN moves in a row to one child the descent jumps along
+    ``chains`` is the pair of ``_chains`` for the left and the right
+    children; after RUN moves in a row to one child the descent runs along
     its chain (see the module docstring). With NO_JUMPS it is the plain
     walk, one move per grammar level.
     """
-    jx, jy = jumps
+    cx, cy = chains
     xs = ys = 0                     # the current run of left / right moves
     while True:
         kid = kids[node]
@@ -204,16 +241,16 @@ def _hook_core(kids, lens, node, b, e, side, jumps):
             node = x
             xs += 1
             ys = 0
-            if xs == RUN and jx:
-                node = _jump1(jx, lens, node, e)
+            if xs == RUN and cx:
+                node = _run1(cx, node, e)
                 xs = 0
         elif l <= b:
             node, b, e = y, b - l, e - l
             ys += 1
             xs = 0
-            if ys == RUN and jy:
+            if ys == RUN and cy:
                 top = lens[node]
-                node = _jump1(jy, lens, node, top - b)
+                node = _run1(cy, node, top - b)
                 shift = top - lens[node]
                 b, e, ys = b - shift, e - shift, 0
         elif side is None:
@@ -227,8 +264,8 @@ def _hook_core(kids, lens, node, b, e, side, jumps):
 def hook_offset1(g, nid, b, e):
     """Hook and offset of the window (b..e] of Exp(nid), as a (hook, offset) pair.
 
-    The reference: the plain walk, one move per grammar level, with no jump
-    tables. The result satisfies Exp(nid)(b..e] = Exp(hook)(offset..offset+(e-b)];
+    The reference: the plain walk, one move per grammar level, with no
+    chains. The result satisfies Exp(nid)(b..e] = Exp(hook)(offset..offset+(e-b)];
     a width-1 window lands on a literal, otherwise the hook's child split
     falls strictly inside the relocated window. A walk that meets a rule of
     arity other than 2 raises NotAnSlp.
@@ -274,14 +311,14 @@ def build_index1(g, tau):
     """Populate every defined (variable, level, block) step of both tables
     for the variables reachable from the start; every block of a variable
     i at a level p with height(i) <= 2p gets the finish marker (0, i, None)."""
-    g = validate_slp1(g)
+    g = _check_binary(g, "build_index1") if g.validated else validate_slp1(g)
     lens, kids, reach, height = g._lens, g._kids, g._reach, g._height
     n = lens[g.start]
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
     share = {}.setdefault           # step -> its one stored copy
-    jumps = (_jumps(kids, 0), _jumps(kids, 1))
+    chains = tuple(_chains(kids, g._topo, (lens,), side) for side in (0, 1))
 
     size = len(kids) * tau
     left = [[None] * size for _ in range(levels + 1)]
@@ -319,12 +356,12 @@ def build_index1(g, tau):
             cx = lx // tp if lx // tp < blocks else blocks
             lt[base:base + cx] = lt[x * tau:x * tau + cx]
             for k in range(cx, blocks):
-                step = _hook_core(kids, lens, i, k * tp, ends[k], 0, jumps)
+                step = _hook_core(kids, lens, i, k * tp, ends[k], 0, chains)
                 lt[base + k] = share(step, step)
             cy = ly // tp if ly // tp < blocks else blocks
             rt[base:base + cy] = rt[y * tau:y * tau + cy]
             for k in range(cy, blocks):
-                step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1, jumps)
+                step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1, chains)
                 rt[base + k] = share(step, step)
     return AccessIndex1(g, tau, levels, pows, (left, right), entries)
 
@@ -400,7 +437,8 @@ def access1_traced(ix, i):
     per level, so the step count is always levels + 1 (a finish marker is
     resolved, not followed). Each step checks the
     contraction contract 1 <= delta' <= tau**p, and the walk must end on a
-    literal at delta 1; a breach raises PreconditionViolated.
+    literal at delta 1 whose code the root-to-leaf descent to i also
+    reaches; a breach raises PreconditionViolated.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
@@ -413,7 +451,11 @@ def access1_traced(ix, i):
                 f"outside [1, {ix.pows[p]}]")
     if ix.lens[t] != 1 or delta != 1:
         raise PreconditionViolated(f"walk ended at variable {t}, delta {delta}, not a literal")
-    return ix.grammar.rules[t], ix.levels + 1
+    code, want = ix.grammar.rules[t], descend1(ix, ix.grammar.start, i, 0)
+    if code != want:
+        raise PreconditionViolated(f"walk to position {i} ended at code {code}, "
+                                   f"descent reaches {want}")
+    return code, ix.levels + 1
 
 
 def access1(ix, i):

@@ -14,10 +14,11 @@ the fast and the traced access against the expansion and against the
 library's root-to-leaf descent from every side or corner, and that the
 checked steps refuse a corrupt marker or literal step, on random SLPs, left
 and right combs (deep, mostly copied on one side and descended on the
-other), 2D combs along either axis and staircases. The descents that jump
-along long runs of moves are checked against the plain walk, window by
-window and table by table, on these and on the benchmark's own comb and
-staircase.
+other), 2D combs along either axis and staircases. The descents that run
+along heavy-path chains over long runs of moves are checked against the
+plain walk, run by run, window by window and table by table, on these and
+on the benchmark's own comb and staircase, and the chains against their
+layout and path-count bound.
 """
 
 import os
@@ -34,7 +35,10 @@ from hypothesis import given, settings, strategies as st
 import gridgram
 from gridgram import (
     Horiz,
+    NotAnSlp,
     PreconditionViolated,
+    Slg1,
+    Slg2,
     Slp1,
     Slp2,
     Vert,
@@ -52,12 +56,14 @@ from gridgram import (
     hook_offset1,
     hook_offset2,
     side_map,
+    validate_slg1,
+    validate_slg2,
     validate_slp1,
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import NO_JUMPS, _hook_core, _jump1, _jumps, table_slots1
-from gridgram.access2d import _hook_core2, _jump2, table_slots2
+from gridgram.access1d import NO_JUMPS, _chains, _hook_core, _run1, table_slots1
+from gridgram.access2d import _hook_core2, _run2, table_slots2
 from gridgram.gen import random_slp1, random_slp2
 from conftest import comb1, comb2, reachable, staircase2
 
@@ -70,8 +76,8 @@ TAUS1 = st.sampled_from([2, 3, 8, 10 ** 6])
 @st.composite
 def comb_codes(draw, longest):
     """Literal codes for a comb, half the time up to 70 long and half the
-    time up to ``longest``, so that a descent's runs cross several jump
-    levels."""
+    time up to ``longest``, so that a descent's runs along one chain get
+    long."""
     n = draw(st.integers(2, min(70, longest)) | st.integers(2, longest))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     return [rng.randrange(4) for _ in range(n)]
@@ -349,30 +355,55 @@ def test_access2_matches_descent(g, tau, data):
             descend2(ix, g.start, r + 1 - i, c + 1 - j, 3)
 
 
-# -- jump descents: long runs of moves toward one child ----------------------
+# -- chain runs: long runs of moves toward one child --------------------------
 
 @contextmanager
 def plain_builds():
-    """Builds made inside get no jump tables, so every descent is the plain walk."""
-    with mock.patch.object(access1d, "_jumps", lambda kids, side: []), \
-            mock.patch.object(access2d, "_jumps", lambda kids, side: []):
+    """Builds made inside get no chains, so every descent is the plain walk."""
+    with mock.patch.object(access1d, "_chains", lambda kids, topo, keys, side: ()), \
+            mock.patch.object(access2d, "_chains", lambda kids, topo, keys, side: ()):
         yield
 
 
-def assert_jump_tables(g, kids, side, tables, data):
-    """One list per j while some chain toward ``side`` has 2**j moves, and
-    tables[j][v] is where 2**j moves from v lead, or -1 past a literal."""
-    chain = [0] * len(kids)         # moves from v toward side until a literal
-    for v in reversed(g._topo):
-        if kids[v] is not None:
-            chain[v] = 1 + chain[kids[v][side]]
-    assert len(tables) == max(chain).bit_length()
-    for _ in range(8 if tables else 0):
-        j = data.draw(st.integers(0, len(tables) - 1))
-        v = u = data.draw(st.integers(0, len(kids) - 1))
-        for _ in range(2 ** j):
-            u = -1 if u < 0 or kids[u] is None else kids[u][side]
-        assert tables[j][v] == u
+def assert_chains(g, side, chains, keys):
+    """Every node sits once on one heavy path of the forest v -> kids[v][side],
+    stored root end first and contiguous, with its keys never decreasing
+    along the path; ``down`` links each root end to the node below it, and
+    a chain from any node crosses at most floor(log2 |V|) + 1 paths."""
+    kids = g._kids
+    order, at, top, down, *flat = chains
+    n = len(kids)
+    assert sorted(order) == list(range(n))
+    assert all(at[v] == j for j, v in enumerate(order))
+    assert [list(key) for key in flat] == [[key[v] for v in order] for key in keys]
+    for j, v in enumerate(order):
+        if j == top[j]:
+            below = -1 if kids[v] is None else at[kids[v][side]]
+            assert down[j] == below
+        else:
+            assert top[j] == top[j - 1] and kids[v][side] == order[j - 1]
+            assert all(key[j - 1] <= key[j] for key in flat)
+    bound = n.bit_length()          # floor(log2 n) + 1
+    for v in range(n):
+        i, paths = at[v], 1
+        while down[top[i]] >= 0:
+            i, paths = down[top[i]], paths + 1
+        assert paths <= bound
+
+
+def test_chains_pick_the_larger_subtree_as_heavy():
+    """A caterpillar: s_i -> s_{i+1} t_i and t_i -> s_{i+1} a, so s_{i+1} is
+    the left child of both s_i and the twig t_i. Only the choice by subtree
+    size keeps the spine on one path; any other crosses a path per level."""
+    k = 20
+    s_, t_, a = range(k), range(k, 2 * k - 1), 2 * k - 1      # s_{k-1} is a literal
+    rules = [(s_[i + 1], t_[i]) for i in range(k - 1)] + [0] + \
+        [(s_[i + 1], a) for i in range(k - 1)] + [1]
+    g = validate_slp1(Slp1(rules, 2, 0))
+    chains = _chains(g._kids, g._topo, (g._lens,), 0)
+    assert_chains(g, 0, chains, (g._lens,))
+    order, at, top, down, lens = chains
+    assert top[at[0]] == top[at[k - 1]]         # the whole spine is one path
 
 
 def window(data, m):
@@ -383,45 +414,48 @@ def window(data, m):
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1(), data=st.data())
-def test_hook_core_jumps_like_the_plain_walk(g, data):
+def test_hook_core_runs_like_the_plain_walk(g, data):
     kids, lens = g._kids, g._lens
-    jumps = (_jumps(kids, 0), _jumps(kids, 1))
+    chains = tuple(_chains(kids, g._topo, (lens,), side) for side in (0, 1))
     for side in (0, 1):
-        assert_jump_tables(g, kids, side, jumps[side], data)
-        # a jump lands on the last node of the chain that is long enough
-        v = u = data.draw(st.integers(0, len(g.rules) - 1))
-        need = data.draw(st.integers(1, lens[v]))
-        while kids[u] is not None and lens[kids[u][side]] >= need:
-            u = kids[u][side]
-        assert _jump1(jumps[side], lens, v, need) == u
+        assert_chains(g, side, chains[side], (lens,))
+        # a run lands on the last node of the chain that is long enough
+        for _ in range(4):
+            v = u = data.draw(st.integers(0, len(g.rules) - 1))
+            need = data.draw(st.integers(1, lens[v]))
+            while kids[u] is not None and lens[kids[u][side]] >= need:
+                u = kids[u][side]
+            assert _run1(chains[side], v, need) == u
     for _ in range(16):
         t = data.draw(st.integers(0, len(g.rules) - 1))
         b, e = window(data, lens[t])
         side = data.draw(st.sampled_from([0, 1, None]))
-        assert _hook_core(kids, lens, t, b, e, side, jumps) == \
+        assert _hook_core(kids, lens, t, b, e, side, chains) == \
             _hook_core(kids, lens, t, b, e, side, NO_JUMPS)
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), data=st.data())
-def test_hook_core2_jumps_like_the_plain_walk(g, data):
+def test_hook_core2_runs_like_the_plain_walk(g, data):
     kids, horiz = g._kids, g._horiz
     rows, cols = g._rows, g._cols
-    jumps = (_jumps(kids, 0), _jumps(kids, 1))
+    chains = tuple(_chains(kids, g._topo, (rows, cols), side) for side in (0, 1))
     for side in (0, 1):
-        assert_jump_tables(g, kids, side, jumps[side], data)
-        v = u = data.draw(st.integers(0, len(g.rules) - 1))
-        need_r, need_c = data.draw(st.integers(1, rows[v])), data.draw(st.integers(1, cols[v]))
-        while kids[u] is not None and rows[kids[u][side]] >= need_r \
-                and cols[kids[u][side]] >= need_c:
-            u = kids[u][side]
-        assert _jump2(jumps[side], rows, cols, v, need_r, need_c) == u
+        assert_chains(g, side, chains[side], (rows, cols))
+        for _ in range(4):
+            v = u = data.draw(st.integers(0, len(g.rules) - 1))
+            need_r = data.draw(st.integers(1, rows[v]))
+            need_c = data.draw(st.integers(1, cols[v]))
+            while kids[u] is not None and rows[kids[u][side]] >= need_r \
+                    and cols[kids[u][side]] >= need_c:
+                u = kids[u][side]
+            assert _run2(chains[side], v, need_r, need_c) == u
     for _ in range(16):
         t = data.draw(st.integers(0, len(g.rules) - 1))
         (b_r, e_r), (b_c, e_c) = window(data, rows[t]), window(data, cols[t])
         corner = data.draw(st.sampled_from([0, 1, 2, 3, None]))
         args = (kids, horiz, rows, cols, t, b_r, b_c, e_r, e_c, corner)
-        assert _hook_core2(*args, jumps) == _hook_core2(*args, NO_JUMPS)
+        assert _hook_core2(*args, chains) == _hook_core2(*args, NO_JUMPS)
 
 
 def assert_same_tables(ix, plain):
@@ -456,6 +490,75 @@ def test_jump_builds_equal_plain_builds_on_the_benchmark_shapes():
         with plain_builds():
             plain = build(g, 8)
         assert_same_tables(build(g, 8), plain)
+
+
+# -- validated input -------------------------------------------------------------
+
+def test_builds_keep_a_validated_grammars_arrays():
+    """A build checks a validated grammar's arity instead of validating it
+    again, so the walk arrays it holds stay the grammar's own lists."""
+    for g, build in ((random_slp1(5, 40, 3, 4096), build_index1),
+                     (random_slp2(5, 40, 3, 4096), build_index2)):
+        kids, topo = g._kids, g._topo
+        ix = build(g, 2)
+        assert g._kids is kids and g._topo is topo and ix.kids is kids
+
+
+@pytest.mark.parametrize("build, g", [
+    (build_index1, lambda: validate_slg1(Slg1([(1, 2, 3), 0, 1, 2], 3, 0))),
+    (build_index2, lambda: validate_slg2(Slg2([Horiz(1, 2, 3), 0, 1, 2], 3, 0))),
+], ids=["1d", "2d"])
+def test_builds_refuse_a_validated_grammar_that_is_no_slp(build, g):
+    with pytest.raises(NotAnSlp, match="rule 0 has arity 3, build_index"):
+        build(g(), 2)
+
+
+# -- traced walks against the descent -------------------------------------------
+
+def swapped(step, far):
+    """The step with its near and far children exchanged; ``far`` indexes
+    the far child in the step tuple."""
+    out = list(step)
+    out[far - 1], out[far] = step[far], step[far - 1]
+    return tuple(out)
+
+
+def test_access1_traced_never_answers_wrong_on_a_swapped_step():
+    """A step whose near and far children are exchanged still straddles its
+    block, so only the descent the traced walk compares with catches it:
+    every position either answers right or raises."""
+    g = random_slp1(0, 40, 3, 4096)
+    ix = build_index1(g, 2)
+    assert ix.tables[0][12][0] == (613, 11, 1)
+    ix.tables[0][12][0] = swapped(ix.tables[0][12][0], 2)
+    raised = 0
+    for i, want in enumerate(expand1(g), start=1):
+        try:
+            assert access1_traced(ix, i) == (want, ix.levels + 1)
+        except PreconditionViolated:
+            raised += 1
+    assert raised > 2498            # the 332 wrong answers raise too
+
+
+def test_access2_traced_never_answers_wrong_on_a_swapped_step():
+    """The 2D case, on a 20-step staircase, deep enough at tau 2 that the
+    start's own steps are read: the swapped one sends 12 of the 441 cells
+    to a wrong code through every per-step check."""
+    rng = random.Random(0)
+    g = staircase2([rng.randrange(4) for _ in range(42)], 20)
+    ix = build_index2(g, 2)
+    table = ix.tables[0][g.start]
+    assert table[96] == (1, 15, 61, 60, 0)
+    table[96] = swapped(table[96], 3)
+    m = expand2(g)
+    raised = 0
+    for i in range(1, m.rows + 1):
+        for j in range(1, m.cols + 1):
+            try:
+                assert access2_traced(ix, i, j)[0] == m.get(i, j)
+            except PreconditionViolated:
+                raised += 1
+    assert raised > 224             # the 12 wrong answers raise too
 
 
 # -- checked literal steps ---------------------------------------------------

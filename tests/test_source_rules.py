@@ -3,7 +3,9 @@
 No ``assert`` statement: ``python -O`` strips them, so a contract the code
 checks must be an explicit raise. No import from outside the standard
 library: the package is stdlib-only, so every import is either a standard
-module or relative to the package.
+module or relative to the package. No environment read outside ``cli.py``:
+``GG_CAP_CELLS`` stays the package's one environment knob, read where the
+command line is.
 """
 
 import ast
@@ -51,8 +53,33 @@ def test_imports_are_stdlib_or_package_relative(path):
     assert not foreign, f"{path.name}: imports outside the standard library: {foreign}"
 
 
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _env_reads(tree):
+    """(line, name) of every read of the environment through ``os``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READS \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            yield node.lineno, f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENV_READS:
+                    yield node.lineno, alias.name
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_the_cli_reads_the_environment(path):
+    reads = list(_env_reads(_tree(path)))
+    assert not reads, f"{path.name}: reads the environment: {reads}"
+
+
 def test_the_rules_catch_what_they_name():
     tree = ast.parse("import os\nimport hypothesis.strategies\nfrom numpy import array\n"
-                     "from . import slg\nfrom .errors import RangeError\nassert os\n")
+                     "from . import slg\nfrom .errors import RangeError\nassert os\n"
+                     "cap = os.environ.get('GG_CAP_CELLS')\nfrom os import getenv\n"
+                     "os.getenv('X')\nos.path.join('a')\n")
     assert list(_foreign_imports(tree)) == [(2, "hypothesis.strategies"), (3, "numpy")]
     assert any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+    assert sorted(_env_reads(tree)) == [(7, "os.environ"), (8, "getenv"), (9, "os.getenv")]
+    assert list(_env_reads(_tree(Path(gridgram.__file__).parent / "cli.py")))
