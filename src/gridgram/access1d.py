@@ -73,7 +73,7 @@ comb at tau 8 the unaligned left blocks no longer walk down the comb
 k * tau**p moves each: the build's 5.98 M moves become 37 k runs of one
 bisect each, the comb's right chain being one heavy path. The gen
 corpus's runs are mostly 1 to 3 moves, so it seldom runs along a chain but
-pays for the counting. A descent given NO_JUMPS, no chains, is the plain
+pays for the counting. A descent given PLAIN, no chains, is the plain
 walk; hook_offset1 and side_map use it.
 
 The index is immutable after build_index1; queries are safe under any number
@@ -113,7 +113,9 @@ def _preset(n, epsilon, share):
     epsilon is checked as given, so a share that rounds it to 0.0 is
     still a preset, and an error names the value the caller passed.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if not (isinstance(n, int) and n >= 1):
+        raise RangeError(f"n must be an int >= 1, got {n!r}")
+    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon > 0):
         raise RangeError(f"epsilon must be finite and > 0, got {epsilon!r}")
     exponent = epsilon * share
     if n < 4:
@@ -145,7 +147,7 @@ def table_slots1(g, tau):
 
 
 RUN = 4               # moves in a row toward one child before a descent runs along its chain
-NO_JUMPS = ((), ())   # no chains: _hook_core makes the plain walk
+PLAIN = ((), ())      # no chains: _hook_core makes the plain walk
 
 
 def _chains(kids, topo, keys, side):
@@ -226,8 +228,8 @@ def _hook_core(kids, lens, node, b, e, side, chains):
 
     ``chains`` is the pair of ``_chains`` for the left and the right
     children; after RUN moves in a row to one child the descent runs along
-    its chain (see the module docstring). With NO_JUMPS it is the plain
-    walk, one move per grammar level.
+    its chain (see the module docstring). With PLAIN it is the plain walk,
+    one move per grammar level.
     """
     cx, cy = chains
     xs = ys = 0                     # the current run of left / right moves
@@ -274,7 +276,7 @@ def hook_offset1(g, nid, b, e):
     if not (isinstance(b, int) and isinstance(e, int) and 0 <= b < e <= m):
         raise RangeError(f"window {b!r}..{e!r} invalid for expansion length {m}")
     try:
-        return _hook_core(g._kids, g._lens, nid, b, e, None, NO_JUMPS)
+        return _hook_core(g._kids, g._lens, nid, b, e, None, PLAIN)
     except ValueError:          # a child tuple did not unpack into two
         _check_binary(g, "hook_offset1")
         raise
@@ -402,7 +404,7 @@ def side_map(ix, side, t, p, delta):
                 f"bookmark of variable {t}, level {p}, block {k} is a finish marker for "
                 f"{near}, off the block's spine or above height {2 * p}")
         e = m - b if side else b + w       # the block's window, from the left
-        s, near, far = real = _hook_core(ix.kids, ix.lens, t, e - w, e, side, NO_JUMPS)
+        s, near, far = real = _hook_core(ix.kids, ix.lens, t, e - w, e, side, PLAIN)
         if literal and real != step:
             raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
                                        f"is the literal step {step}, descent gives {real}")

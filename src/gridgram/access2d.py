@@ -80,8 +80,8 @@ and still go on: on the staircase X_{k+1} = Horiz(Vert(X_k, col_k),
 row_{k+1}) reaches X_k by two x moves, one on each axis. On the 100-step
 staircase at tau 8 the build makes 95 k runs, crossing 1.01 paths each
 on average. The chains cost what they cost in 1D and are dropped when the
-build returns. A descent given NO_JUMPS is the plain walk; hook_offset2
-and corner_map use it.
+build returns. A descent given PLAIN, no chains, is the plain walk;
+hook_offset2 and corner_map use it.
 
 Immutable after build; queries are safe under concurrent readers.
 """
@@ -91,7 +91,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import NO_JUMPS, RUN, _chains, _preset, ceil_log, clamp_tau
+from .access1d import PLAIN, RUN, _chains, _preset, ceil_log, clamp_tau
 from .slg import _check_binary
 from .slg2d import validate_slp2
 
@@ -152,7 +152,7 @@ def _hook_core2(kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, chain
 
     ``chains`` is the pair of ``_chains`` for the x and the y children;
     after RUN moves in a row to one child the descent runs along its chain
-    (see the module docstring). With NO_JUMPS it is the plain walk.
+    (see the module docstring). With PLAIN it is the plain walk.
     """
     cx, cy = chains
     xs = ys = 0                     # the current run of x / y moves
@@ -222,7 +222,7 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
         raise RangeError(f"col window {b_c!r}..{e_c!r} invalid for {m_c} cols")
     try:
         return _hook_core2(g._kids, g._horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c,
-                           None, NO_JUMPS)
+                           None, PLAIN)
     except ValueError:          # a child tuple did not unpack into two
         _check_binary(g, "hook_offset2")
         raise
@@ -418,7 +418,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
         e_c = m_c - b_c if corner & 1 else b_c + w_c
         axis, s, near, far, shift = real = _hook_core2(
             ix.kids, ix.horiz, ix.rows, ix.cols,
-            t, e_r - w_r, e_c - w_c, e_r, e_c, corner, NO_JUMPS)
+            t, e_r - w_r, e_c - w_c, e_r, e_c, corner, PLAIN)
         if literal and real != step:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
                                 f"is the literal step {step}, descent gives {real}")

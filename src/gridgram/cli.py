@@ -225,10 +225,8 @@ def cmd_ov(args):
             raise RangeError(f"ov gen needs n >= 1 and d >= 1, got {args.n} and {args.d}")
         _check_work(f"{args.n} vectors of dimension {args.d} are", args.n * args.d, "cells",
                     _cap(args))
-        rng_inst = gen._rng(args.seed)
-        vecs = tuple(tuple(rng_inst.randrange(2) for _ in range(args.d))
-                     for _ in range(args.n))
-        _write(args.out, reductions.dump_ov(reductions.OvInstance(vecs)))
+        m = gen.random_matrix(args.seed, args.n, args.d, 2)
+        _write(args.out, reductions.dump_ov(reductions.OvInstance(m.to_rows())))
         return 0
     inst = reductions.parse_ov(_read(args.path))
     n, d = inst.n, inst.d

@@ -5,19 +5,20 @@ an ``int`` -- a literal rule, the value is the terminal code -- or a rule
 object listing child nonterminal ids. In 1D the rule object is a plain
 ``tuple`` of children; in 2D (module ``slg2d``) it is a ``Horiz`` or
 ``Vert`` whose children are in ``rule.children``. Everything that does not
-look at expansion lengths or dimensions -- acyclicity, reference and
-terminal ranges, reachability, moving the start to id 0, the SLP conversion
-and the text format skeleton -- is written once here, for both.
+look at expansion lengths or dimensions -- the type and range checks,
+acyclicity, reachability, the SLP conversion and the text format skeleton
+-- is written once here, for both.
 
 A valid grammar is acyclic (some ordering of the nonterminals exists in which
 every sequence rule references only later ones), every referenced id has a
-rule, and every literal code is in ``[0, alphabet_size)``. Validation
-canonicalizes the grammar so the start symbol has id 0 and caches a
-topological order, the child lists (``_kids``: per id the tuple of child
-ids, None for a literal), reachability from the start (``_reach``), heights
-(``_height``: 0 for a literal, else one more than the highest child), the
-flags of empty-expanding rules (``_eps``), and per-nonterminal expansion
-lengths (in 2D, dimensions and the axis flags ``_horiz``, see ``slg2d``).
+rule, and every literal code is in ``[0, alphabet_size)``. Validation keeps
+every id: it returns the grammar it is given, rules and start unchanged,
+and caches on it a topological order, the child lists (``_kids``: per id
+the tuple of child ids, None for a literal), reachability from the start
+(``_reach``), heights (``_height``: 0 for a literal, else one more than the
+highest child), the flags of empty-expanding rules (``_eps``), and
+per-nonterminal expansion lengths (in 2D, dimensions and the axis flags
+``_horiz``, see ``slg2d``).
 The walkers of every module read these arrays and derive none of their own.
 An SLP is a validated grammar whose non-literal rules all have two children;
 ``Slp1`` is another name for ``Slg1``.
@@ -35,6 +36,8 @@ construction and validation are single-threaded.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import (
     ArithmeticOverflow,
     CyclicGrammar,
@@ -49,8 +52,8 @@ from .errors import (
     TerminalOutOfRange,
 )
 
-# Expansion lengths are stored as plain ints but checked against this bound so
-# downstream structures can pack them into 64-bit words.
+# Validation raises ArithmeticOverflow for an expansion length or side past
+# this bound: Python ints never overflow, so this keeps sizes in a stated range.
 MAX_LEN = 1 << 62
 
 # Default cap on materialized expansion size (cells / symbols).
@@ -111,15 +114,16 @@ class _Grammar:
 
 
 class Slg1(_Grammar):
-    """A 1D straight-line grammar (rules, alphabet size, start id)."""
+    """A 1D straight-line grammar (rules, alphabet size, start id). An iterable
+    rule is stored as a tuple; another non-int is left for validation to name."""
 
     __slots__ = ("_lens",)
     _magic, _literal, _letters, _min_children = "SLG1", "T", {tuple: "N"}, 1
     _empty = "the empty string"
 
     def __init__(self, rules, alphabet_size, start=0):
-        super().__init__((r if isinstance(r, int) else tuple(r) for r in rules),
-                         alphabet_size, start)
+        super().__init__((r if isinstance(r, int) or not hasattr(r, "__iter__")
+                          else tuple(r) for r in rules), alphabet_size, start)
         self._lens = None   # expansion length per id
 
     @staticmethod
@@ -130,34 +134,20 @@ class Slg1(_Grammar):
 Slp1 = Slg1  # an SLP is a validated Slg1 with binary rules, see validate_slp1
 
 
-def _swap_start_to_zero(g):
-    if g.start == 0:
-        return g
-    perm = list(range(len(g.rules)))
-    perm[g.start], perm[0] = 0, g.start
-    out = [None] * len(g.rules)
-    for old, rule in enumerate(g.rules):
-        if isinstance(rule, int):
-            out[perm[old]] = rule
-        else:
-            out[perm[old]] = type(rule)(perm[c] for c in g._children(rule))
-    return type(g)(out, g.alphabet_size, perm[g.start])
+def _toposort(kids, start):
+    """Children-first DFS over all ids, the start first; returns the
+    parents-first order and the per-id flag of reachability from the start.
 
-
-def _toposort(kids):
-    """Children-first DFS over all ids, id 0 first; returns the parents-first
-    order and the per-id flag of reachability from id 0.
-
-    The ids finished before the DFS moves on from root 0 are exactly those
-    reachable from it. Iterative (explicit stack): grammar depth may reach
-    the rule count. Raises CyclicGrammar on any cycle, including
+    The ids finished before the DFS moves on from the start are exactly
+    those reachable from it. Iterative (explicit stack): grammar depth may
+    reach the rule count. Raises CyclicGrammar on any cycle, including
     self-reference.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * len(kids)
     order = []
     reach = [False] * len(kids)
-    for root in range(len(kids)):
+    for root in chain((start,), range(len(kids))):
         if color[root] != WHITE:
             continue
         stack = [(root, 0)]
@@ -180,45 +170,45 @@ def _toposort(kids):
             else:
                 color[node] = BLACK
                 order.append(node)
-        if root == 0:
+        if root == start:
             for node in order:
                 reach[node] = True
     order.reverse()
     return order, reach
 
 
-def _canonical(g):
-    """The dimension-independent half of validation.
+def _validate_core(g):
+    """The dimension-independent half of validation, keeping every id.
 
-    Checks the start and every reference and terminal range, then moves the
-    start to id 0 and sorts topologically. Stores the child lists, the
-    reachability from the start and the heights on the relabelled grammar
-    and returns it with its parents-first order; the caller computes sizes
-    and stores the rest.
+    Checks the type and range of the alphabet size, the start and every
+    rule, child id and terminal, then sorts topologically. Stores the child
+    lists, reachability from the start and heights on ``g``, and returns its
+    parents-first order; the caller computes sizes and stores the rest.
     """
-    if not g.rules:
-        raise DanglingReference("grammar has no rules")
-    if g.alphabet_size < 1:
-        raise TerminalOutOfRange(f"alphabet_size must be >= 1, got {g.alphabet_size}")
-    if not (0 <= g.start < len(g.rules)):
-        raise DanglingReference(f"start id {g.start} out of range")
-
     rules = g.rules
+    if not rules:
+        raise DanglingReference("grammar has no rules")
+    sigma = g.alphabet_size
+    if not (isinstance(sigma, int) and sigma >= 1):
+        raise TerminalOutOfRange(f"alphabet_size must be an int >= 1, got {sigma!r}")
+    if not (isinstance(g.start, int) and 0 <= g.start < len(rules)):
+        raise DanglingReference(f"start id {g.start!r} is not a rule id in [0, {len(rules)})")
+
     for nid, rule in enumerate(rules):
         if isinstance(rule, int):
-            if not (0 <= rule < g.alphabet_size):
-                raise TerminalOutOfRange(f"terminal {rule} at id {nid} not in [0, {g.alphabet_size})")
+            if not (0 <= rule < sigma):
+                raise TerminalOutOfRange(f"terminal {rule} at id {nid} not in [0, {sigma})")
         elif type(rule) in g._letters:
             for c in g._children(rule):
-                if not (0 <= c < len(rules)):
-                    raise DanglingReference(f"rule {nid} references undefined id {c}")
+                if not (isinstance(c, int) and 0 <= c < len(rules)):
+                    raise DanglingReference(f"rule {nid} references undefined id {c!r}")
         else:
             kinds = "/".join(t.__name__ for t in g._letters)
-            raise TypeError(f"rule {nid} is not int/{kinds}: {rule!r}")
-    g = _swap_start_to_zero(g)
+            raise TerminalOutOfRange(f"rule {nid} is neither an int terminal nor "
+                                     f"a {kinds}: {rule!r}")
     children = g._children
-    g._kids = kids = [None if isinstance(r, int) else children(r) for r in g.rules]
-    topo, g._reach = _toposort(kids)
+    g._kids = kids = [None if isinstance(r, int) else children(r) for r in rules]
+    topo, g._reach = _toposort(kids, g.start)
     g._height = height = [0] * len(kids)
     for nid in reversed(topo):
         if kids[nid] is not None:
@@ -227,7 +217,7 @@ def _canonical(g):
                 if height[c] > h:
                     h = height[c]
             height[nid] = h + 1
-    return g, topo
+    return topo
 
 
 def _check_binary(g, needs):
@@ -240,16 +230,16 @@ def _check_binary(g, needs):
 
 
 def validate_slg1(g):
-    """Check all Slg1 invariants; return the canonicalized grammar.
+    """Check all Slg1 invariants; return ``g`` itself.
 
-    On success the returned grammar has the start symbol at id 0 and caches
-    a topological order, the child lists, reachability from the start,
+    Every id is kept: on success ``g``, with its rules and start unchanged,
+    caches a topological order, the child lists, reachability from the start,
     heights, expansion lengths, and the flags of rules expanding to the
     empty string. Such rules are legal here; expand1 refuses a grammar
     whose start is one, slg_to_slp eliminates the others, and
     validate_slp1 rejects them all.
     """
-    g, topo = _canonical(g)
+    topo = _validate_core(g)
     rules = g.rules
 
     lens = [0] * len(rules)
@@ -272,7 +262,8 @@ def validate_slg1(g):
 
 
 def validate_slp1(g):
-    """validate_slg1 plus the arity-2 restriction, which rules out empty rules."""
+    """validate_slg1 plus the arity-2 restriction, which rules out empty rules;
+    returns ``g`` itself."""
     return _check_binary(validate_slg1(g), "validate_slp1")
 
 
@@ -359,6 +350,14 @@ def _expand(g, size, shift, build, paint):
     return out
 
 
+def _check_cap(size, cap, unit):
+    """Raise unless the int ``cap`` admits an expansion of ``size`` units."""
+    if not isinstance(cap, int):
+        raise RangeError(f"cap must be an int, got {cap!r}")
+    if size > cap:
+        raise ExpansionTooLarge(f"expansion has {size} {unit}, cap is {cap}")
+
+
 def _extend_all(nid, rule, kids, memo):
     out = []
     for c in kids:
@@ -384,8 +383,7 @@ def expand1(g, cap=DEFAULT_CAP):
     n = g._lens[g.start]
     if n == 0:
         raise EmptyLanguage("grammar derives only the empty string")
-    if n > cap:
-        raise ExpansionTooLarge(f"expansion has {n} symbols, cap is {cap}")
+    _check_cap(n, cap, "symbols")
     lens = g._lens
     return _expand(g, lens.__getitem__, lambda rule, c: lens[c], _extend_all, _paint1)
 

@@ -16,10 +16,11 @@ vertical seams (children are vertical slabs, left to right). The file format
 letters H/V mirror the class, not the direction of growth.
 
 A 2D grammar is a 1D grammar whose rule objects carry an axis, so the
-machinery that ignores sizes (reference and cycle checks, reachability,
-moving the start to id 0, SLP conversion, the text format skeleton) is the
-shared core in ``slg``. This module holds what is truly 2D: the rule and
-matrix types, the dimension pass of validation, expansion and the MAT format.
+machinery that ignores sizes (type, reference and cycle checks,
+reachability, SLP conversion, the text format skeleton) is the shared core
+in ``slg``; validation keeps every id and returns the grammar it is given.
+This module holds what is truly 2D: the rule and matrix types, the
+dimension pass of validation, expansion and the MAT format.
 
 Rules with an empty child list expand to the empty matrix; they are legal in
 Slg2 (one construction in the reductions module needs them) and are
@@ -49,7 +50,6 @@ from .errors import (
     ArithmeticOverflow,
     DimensionMismatch,
     EmptyLanguage,
-    ExpansionTooLarge,
     ParseError,
     PositionOutOfRange,
     RangeError,
@@ -58,14 +58,15 @@ from .slg import (
     DEFAULT_CAP,
     MAX_LEN,
     _binarize,
-    _canonical,
     _check_binary,
+    _check_cap,
     _dump,
     _expand,
     _extend_all,
     _Grammar,
     _int,
     _parse,
+    _validate_core,
     grammar_size1,
 )
 
@@ -77,7 +78,7 @@ class _Concat:
     __slots__ = ("children",)
 
     def __init__(self, *children):
-        if len(children) == 1 and not isinstance(children[0], int):
+        if len(children) == 1 and hasattr(children[0], "__iter__"):
             children = tuple(children[0])
         self.children = tuple(children)
 
@@ -196,7 +197,7 @@ Slp2 = Slg2  # a 2D SLP is a validated Slg2 with binary rules, see validate_slp2
 
 
 def validate_slg2(g):
-    """Check all Slg2 invariants; return the canonicalized grammar.
+    """Check all Slg2 invariants; return ``g`` itself, every id kept.
 
     Verifies acyclicity, reference and terminal ranges, and dimension
     consistency: the non-empty children of a Horiz rule must share one
@@ -204,7 +205,7 @@ def validate_slg2(g):
     order, the child lists, reachability from the start, heights, the Horiz
     flags and per-nonterminal (rows, cols); empty-expanding rules get (0, 0).
     """
-    g, topo = _canonical(g)
+    topo = _validate_core(g)
     rules = g.rules
 
     rows = [0] * len(rules)
@@ -247,7 +248,8 @@ def validate_slg2(g):
 
 
 def validate_slp2(g):
-    """validate_slg2 plus the arity-2 restriction, which rules out empty rules."""
+    """validate_slg2 plus the arity-2 restriction, which rules out empty rules;
+    returns ``g`` itself."""
     return _check_binary(validate_slg2(g), "validate_slp2")
 
 
@@ -289,8 +291,7 @@ def expand2(g, cap=DEFAULT_CAP):
     r, c = g._rows[g.start], g._cols[g.start]
     if r == 0 or c == 0:
         raise EmptyLanguage("grammar derives only the empty matrix")
-    if r * c > cap:
-        raise ExpansionTooLarge(f"expansion has {r * c} cells, cap is {cap}")
+    _check_cap(r * c, cap, "cells")
     rows, cols = g._rows, g._cols
 
     def shift(rule, ch):

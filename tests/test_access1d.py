@@ -172,8 +172,17 @@ def test_optimal_tau_refuses_epsilon_as_given():
     for call in (optimal_tau, optimal_tau2):
         with pytest.raises(RangeError, match=r"got -1$"):
             call(1000, -1)
+        with pytest.raises(RangeError, match=r"got '1'$"):
+            call(1000, "1")
     # positive, though half of it is 0.0
     assert optimal_tau(1000, 5e-324) == optimal_tau2(1000, 5e-324) == 2
+
+
+@pytest.mark.parametrize("n", [float("nan"), "16", 2.5, 0, None])
+def test_optimal_tau_refuses_an_n_that_is_not_a_positive_int(n):
+    for call in (optimal_tau, optimal_tau2):
+        with pytest.raises(RangeError, match="n must be an int >= 1"):
+            call(n)
 
 
 def test_optimal_tau_stops_at_n():

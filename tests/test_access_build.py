@@ -62,7 +62,7 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import NO_JUMPS, _chains, _hook_core, _run1, table_slots1
+from gridgram.access1d import PLAIN, _chains, _hook_core, _run1, table_slots1
 from gridgram.access2d import _hook_core2, _run2, table_slots2
 from gridgram.gen import random_slp1, random_slp2
 from conftest import comb1, comb2, reachable, staircase2
@@ -431,7 +431,7 @@ def test_hook_core_runs_like_the_plain_walk(g, data):
         b, e = window(data, lens[t])
         side = data.draw(st.sampled_from([0, 1, None]))
         assert _hook_core(kids, lens, t, b, e, side, chains) == \
-            _hook_core(kids, lens, t, b, e, side, NO_JUMPS)
+            _hook_core(kids, lens, t, b, e, side, PLAIN)
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,7 +455,7 @@ def test_hook_core2_runs_like_the_plain_walk(g, data):
         (b_r, e_r), (b_c, e_c) = window(data, rows[t]), window(data, cols[t])
         corner = data.draw(st.sampled_from([0, 1, 2, 3, None]))
         args = (kids, horiz, rows, cols, t, b_r, b_c, e_r, e_c, corner)
-        assert _hook_core2(*args, chains) == _hook_core2(*args, NO_JUMPS)
+        assert _hook_core2(*args, chains) == _hook_core2(*args, PLAIN)
 
 
 def assert_same_tables(ix, plain):

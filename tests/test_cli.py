@@ -18,6 +18,7 @@ from gridgram import (
 )
 from gridgram import cli
 from gridgram.cli import main
+from gridgram.gen import random_matrix
 from gridgram.oracle import rank
 from gridgram.reductions import mark_all_chars
 
@@ -366,6 +367,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["query"])
     assert exc.value.code == 2
+
+
+def test_ov_gen_prints_the_rows_of_random_matrix(capsys):
+    """ov gen draws its vectors with gen.random_matrix, so a seed's instance is
+    that matrix's rows; the first is pinned byte for byte."""
+    assert run(capsys, "ov", "gen", "2", "3", "--seed", "4")[1] == "010\n110\n"
+    for seed, n, d in ((7, 5, 9), (123, 8, 1)):
+        code, out, _ = run(capsys, "ov", "gen", str(n), str(d), "--seed", str(seed))
+        rows = random_matrix(seed, n, d, 2).to_rows()
+        assert code == 0 and out == "".join("".join(map(str, r)) + "\n" for r in rows)
 
 
 def test_ov_gen_over_the_cap_is_refused_in_one_line(capsys, monkeypatch):

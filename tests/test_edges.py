@@ -42,7 +42,7 @@ from gridgram import (
     validate_slp1,
     validate_slp2,
 )
-from gridgram.errors import RangeError
+from gridgram.errors import RangeError, TerminalOutOfRange
 from gridgram.gen import random_matrix, random_slg1, random_slg2
 from gridgram.reductions import (
     OvInstance,
@@ -65,7 +65,7 @@ def test_start_out_of_range_rejected():
 
 
 def test_bad_rule_object_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(TerminalOutOfRange, match="rule 0 is neither"):
         validate_slg2(Slg2([("H", (1,))], 2, 0))
 
 

@@ -30,6 +30,7 @@ from gridgram import (
     validate_slg2,
 )
 from gridgram import slg2d
+from gridgram.errors import RangeError
 from gridgram.slg import _BLOCK as BLOCK
 from gridgram.gen import (
     grammar_from_matrix,
@@ -91,6 +92,15 @@ def test_doubling_past_the_cap_raises_before_allocating():
     assert dims(g2, g2.start) == (1 << 20, 1 << 20)
     for fn, g in ((expand1, g1), (expand2, g2)):
         assert _traced_peak(_refused, fn, g)[1] < 1 << 16
+
+
+@pytest.mark.parametrize("cap", ["3", 3.0, None])
+def test_a_cap_that_is_not_an_int_is_a_range_error(cap):
+    g1 = validate_slg1(Slg1([(1, 1), 0], 1, 0))
+    g2 = validate_slg2(Slg2([Vert(1, 1), 0], 1, 0))
+    for fn, g in ((expand1, g1), (expand2, g2)):
+        with pytest.raises(RangeError, match="cap must be an int"):
+            fn(g, cap=cap)
 
 
 # -- random families, both sides of the threshold -----------------------------

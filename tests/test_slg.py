@@ -1,7 +1,8 @@
 """Grammar core: validation, lengths, expansion, SLP conversion, formats.
 
 The checks that live in the shared core (cycles, dangling references,
-moving the start to id 0, the text format) run over both dimensions.
+ill-typed fields, keeping every id, the text format) run over both
+dimensions.
 """
 
 import random
@@ -27,6 +28,9 @@ from gridgram import (
     Slp2,
     TerminalOutOfRange,
     Vert,
+    build_index1,
+    build_index2,
+    dims,
     dump_slg1,
     dump_slg2,
     exp_len,
@@ -46,7 +50,7 @@ from gridgram import (
 )
 from gridgram.errors import PreconditionViolated, RangeError
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import comb1, comb2, reachable
+from conftest import comb1, comb2, expand_all_1d, expand_all_2d, reachable
 
 Dim = namedtuple("Dim", "cls rule validate parse dump cells")
 DIMS = (
@@ -114,11 +118,35 @@ def test_an_slp_is_a_checked_grammar_not_a_type():
         assert type(g) in (Slg1, Slg2) and check(g) is g
 
 
-def test_validate_reindexes_start_to_zero():
+def test_validate_keeps_a_nonzero_start():
     for d in DIMS:
-        g = d.validate(d.cls([0, d.rule(0, 0)], 2, start=1))
-        assert g.start == 0
+        g = d.cls([0, d.rule(0, 0)], 2, start=1)
+        assert d.validate(g) is g
+        assert g.start == 1 and g.rules == [0, d.rule(0, 0)]
         assert d.cells(g) == [0, 0]
+    g = Slg1([0, 1, (0, 1)], 2, 2)
+    assert validate_slg1(g) is g and g.rules == [0, 1, (0, 1)]
+    assert [exp_len(g, v) for v in range(3)] == [1, 1, 2]
+
+
+@pytest.mark.parametrize("make, error, field", [
+    (lambda: validate_slg1(Slg1([(1.5,), 0], 2, 0)), DanglingReference, r"rule 0 .* 1\.5"),
+    (lambda: validate_slg1(Slg1([(1, 2), 0, 1.0], 2, 0)), TerminalOutOfRange, "rule 2"),
+    (lambda: validate_slg1(Slg1([Horiz(1, 2), 0, 1], 2, 0)), TerminalOutOfRange, "rule 0"),
+    (lambda: validate_slg1(Slg1([(1, 2), 0, 1], 2, "0")), DanglingReference, "start id '0'"),
+    (lambda: validate_slg2(Slg2([Vert(1, 2), 0, 1], 2, 1.0)), DanglingReference, "start id 1.0"),
+    (lambda: validate_slg2(Slg2([Horiz(None, 1), 0], 2, 0)), DanglingReference,
+     "rule 0 .* None"),
+    (lambda: validate_slg2(Slg2([Vert(1.5), 0], 2, 0)), DanglingReference, r"rule 0 .* 1\.5"),
+    (lambda: validate_slg2(Slg2([(1, 2), 0, 1], 2, 0)), TerminalOutOfRange, "rule 0"),
+    (lambda: validate_slg1(Slg1([(1, 2), 0, 1], 2.5, 0)), TerminalOutOfRange, "alphabet_size"),
+    (lambda: validate_slg2(Slg2([Vert(1, 2), 0, 1], None, 0)), TerminalOutOfRange,
+     "alphabet_size"),
+], ids=["float-child", "float-literal", "horiz-in-1d", "str-start", "float-start",
+        "none-child", "float-only-child", "tuple-in-2d", "float-sigma", "none-sigma"])
+def test_validation_names_an_ill_typed_field(make, error, field):
+    with pytest.raises(error, match=field):
+        make()
 
 
 def test_exp_len_literal_is_one():
@@ -378,7 +406,7 @@ def test_validation_keeps_the_walk_arrays(g):
         valid, slp = validate_slg1(g), slg_to_slp(g)
     else:
         valid, slp = validate_slg2(g), slg2_to_slp2(g)
-    assert valid.start == slp.start == 0
+    assert valid is g and slp.start == len(slp.rules) - 1
     assert_walk_arrays(valid)
     assert_walk_arrays(slp)
 
@@ -411,3 +439,40 @@ def test_hook_offset_names_a_rule_of_arity_other_than_two(call):
     the rule and its arity, not an unpacking ValueError."""
     with pytest.raises(NotAnSlp, match="rule 0 has arity 3"):
         call()
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=raw_grammars(), seed=st.integers(0, 2 ** 32))
+def test_validation_returns_its_argument_with_every_id_kept(g, seed):
+    """Validation checks and caches: it returns the grammar it is given, rules
+    and start unchanged, and answers lengths, dims and the expansion under
+    the caller's ids; validate_slp* and the index builds keep a shuffled SLP."""
+    if isinstance(g, Slg1):
+        validate, validate_slp, to_slp, fold, build = (
+            validate_slg1, validate_slp1, slg_to_slp, expand_all_1d, build_index1)
+    else:
+        validate, validate_slp, to_slp, fold, build = (
+            validate_slg2, validate_slp2, slg2_to_slp2, expand_all_2d, build_index2)
+    rules, start = list(g.rules), g.start
+    assert validate(g) is g and g.rules == rules and g.start == start
+    folded = fold(g)
+    for v in range(len(rules)):
+        if isinstance(g, Slg1):
+            assert exp_len(g, v) == len(folded[v])
+        else:
+            m = folded.get(v)
+            assert dims(g, v) == ((m.rows, m.cols) if m else (0, 0))
+    if g._eps[start]:
+        return
+    want = expand1(g) if isinstance(g, Slg1) else expand2(g)
+    assert want == folded[start]
+
+    slp = to_slp(g)
+    perm = list(range(len(slp.rules)))
+    random.Random(seed).shuffle(perm)
+    shuffled = type(slp)(_relabelled(slp.rules, perm), slp.alphabet_size, perm[slp.start])
+    rules = list(shuffled.rules)
+    assert validate_slp(shuffled) is shuffled
+    assert shuffled.rules == rules and shuffled.start == perm[slp.start]
+    assert build(shuffled, 2).grammar is shuffled
+    assert (expand1(shuffled) if isinstance(g, Slg1) else expand2(shuffled)) == want

@@ -5,10 +5,12 @@ checks must be an explicit raise. No import from outside the standard
 library: the package is stdlib-only, so every import is either a standard
 module or relative to the package. No environment read outside ``cli.py``:
 ``GG_CAP_CELLS`` stays the package's one environment knob, read where the
-command line is.
+command line is. No ``raise`` of a builtin exception class: every domain
+error is a ``GrammarError`` subclass; a bare re-``raise`` passes one on.
 """
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -74,6 +76,22 @@ def test_only_the_cli_reads_the_environment(path):
     assert not reads, f"{path.name}: reads the environment: {reads}"
 
 
+def _builtin_raises(tree):
+    """(line, name) of every ``raise`` of a builtin exception class, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and isinstance(getattr(builtins, exc.id, None), type) \
+                    and issubclass(getattr(builtins, exc.id), BaseException):
+                yield node.lineno, exc.id
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_raise_of_a_builtin_exception(path):
+    raises = list(_builtin_raises(_tree(path)))
+    assert not raises, f"{path.name}: raises builtin exceptions: {raises}"
+
+
 def test_the_rules_catch_what_they_name():
     tree = ast.parse("import os\nimport hypothesis.strategies\nfrom numpy import array\n"
                      "from . import slg\nfrom .errors import RangeError\nassert os\n"
@@ -83,3 +101,8 @@ def test_the_rules_catch_what_they_name():
     assert any(isinstance(node, ast.Assert) for node in ast.walk(tree))
     assert sorted(_env_reads(tree)) == [(7, "os.environ"), (8, "getenv"), (9, "os.getenv")]
     assert list(_env_reads(_tree(Path(gridgram.__file__).parent / "cli.py")))
+    raises = ast.parse("try:\n    pass\nexcept ValueError:\n    raise\n"
+                       "raise TypeError('x')\nraise KeyError\nraise RangeError('y')\n"
+                       "raise ValueError('z') from None\n")
+    assert list(_builtin_raises(raises)) == [(5, "TypeError"), (6, "KeyError"),
+                                            (8, "ValueError")]
