@@ -15,32 +15,29 @@ number it: 0 = left, 1 = right. The traced walk makes one side_map per
 level, top-down, each relocating the position into a smaller variable, so
 it costs exactly ceil(log_tau n) + 1 mapping steps.
 
+Tables are flat and per variable, as in 2D: ``tables[side][t]`` is one list
+per side and variable reachable from the start (None for the others),
+holding only the levels p <= cap[t], the largest p with
+tau**p <= |Exp(N_t)|, with block k of level p at ``p * tau + k``; slots
+past the expansion hold None. So a list has (cap[t] + 1) * tau slots and
+at most 2 * |V| * tau * (floor(log_tau n) + 1) entries are stored.
+side_map reads a level above the variable's cap at the cap, whose blocks
+are no larger. Every tau at least as long as the start's expansion gives
+the same levels and blocks, so the build clamps tau to n (and to at least
+2). Equal steps are stored as one tuple, through a dict of the steps made
+that the build drops on return; on a comb most steps repeat.
+
 Where descending is cheaper than reading on, a slot holds a finish marker
 instead: every block slot of a variable i at a level p with
 height(i) <= 2p (a literal has height 0, a pair one more than its higher
 child) is ``(0, i, None)``, the literal step's shape, and for a literal the
-literal step itself. The fast walk reads tables until it meets a marker and
-then finishes by a root-to-leaf descent from the marker's variable, at most
-2p moves from a level it reached with one read per level above; so it makes
-at most L + 1 reads plus 2L moves, L = ceil(log_tau n). side_map checks a
-marker against its variable's height and the block's place, then resolves
-the real step by descent, so the traced walk's steps do not change.
-
-Tables are flat: ``tables[side][p]`` is one list per side (0 = left,
-1 = right) and level, holding the step of block k of variable i at
-``i * tau + k``. Only variables reachable from the start get steps, and
-only where k * tau**p is inside the variable's expansion, which is also what
-makes the stored-entry count at most 2 * |V| * tau * (ceil(log_tau n) + 1);
-the other slots hold None. Every tau at least as long as the start's
-expansion gives the same levels and blocks, so the build clamps tau to n
-(and to at least 2).
-
-Equal steps are stored as one tuple: the build keeps a dict of the steps it
-has made and stores each new step through it, so every slot holding a given
-``(s, near, far)`` refers to the same object. On a comb most of the steps
-repeat: on a 2000-variable right comb at tau 8 the build makes 55,373 steps
-by descent, holding 5,968 distinct values. The dict is dropped when the
-build returns.
+literal step itself. The fast walk starts at the start's cap and caps the
+level by each new variable's cap; it reads tables until it meets a marker
+and then finishes by a root-to-leaf descent from the marker's variable, at
+most 2p moves, so it makes at most L + 1 reads plus 2L moves,
+L = floor(log_tau n). side_map checks a marker against its variable's
+height and the block's place, then resolves the real step by descent, so
+the traced walk's steps do not change.
 
 The build fills the tables children first. A block that lies wholly inside
 the child on its aligned side (the left child for left blocks, the right
@@ -53,28 +50,15 @@ the split or sit unaligned in the other child descend from the variable.
 
 A descent moves one grammar level at a time and counts its moves in a row
 toward the same child; once RUN (4) of them went the same way, it runs
-along that chain instead. For each child the build decomposes the forest
-v -> kids[v][side], in which a node's tree parent is its child on that
-side and each root a literal, into heavy paths (``_chains``): O(|V|) ids
-per side in flat lists, each path contiguous and stored root end first,
-made children first in O(|V|) time with no sort and dropped on return,
-like the share dict, so the index holds nothing more. Whether the plain
-walk would move on to a node v of the chain is monotone along it, as
-lengths shrink down a chain: on the left chain while the window's far edge
-fits in v, e <= lens[v]; on the right chain while v's offset inside the
-node is at most the window's start, lens[node] - lens[v] <= b, the window
-then shifting by that offset. Lengths grow along a stored path away from
-its root end, so one bisect over the path up to the current node finds
-where the run stops, and only a run that passes the path's root end goes
-on to the next path down. A node's subtree at least doubles at each step
-onto another path, so a chain crosses at most floor(log2 |V|) + 1 paths,
-and the run lands where the plain walk would. On the 2000-variable right
-comb at tau 8 the unaligned left blocks no longer walk down the comb
-k * tau**p moves each: the build's 5.98 M moves become 37 k runs of one
-bisect each, the comb's right chain being one heavy path. The gen
-corpus's runs are mostly 1 to 3 moves, so it seldom runs along a chain but
-pays for the counting. A descent given PLAIN, no chains, is the plain
-walk; hook_offset1 and side_map use it.
+along that chain instead, by one bisect per heavy path of the forest
+v -> kids[v][side] (``_chains``, ``_run1``), made per side in O(|V|) time
+and dropped on return. Whether the plain walk would move on to a node v of
+the chain is monotone along it, as lengths shrink down a chain: on the
+left chain while the window's far edge fits in v, e <= lens[v]; on the
+right chain while v's offset inside the node is at most the window's
+start, lens[node] - lens[v] <= b. So a run crosses at most
+floor(log2 |V|) + 1 paths and lands where the plain walk would. A descent
+given PLAIN, no chains, is the plain walk; hook_offset1 and side_map use it.
 
 The index is immutable after build_index1; queries are safe under any number
 of concurrent readers. Builds are single-threaded.
@@ -139,11 +123,18 @@ def clamp_tau(tau, longest):
     return min(tau, max(2, longest))
 
 
+def caps(sizes, tau):
+    """Per variable: its level cap, the largest p with tau**p <= its size
+    along an axis (its length in 1D, its rows or columns in 2D)."""
+    return [ceil_log(m + 1, tau) - 1 for m in sizes]
+
+
 def table_slots1(g, tau):
-    """Slots, defined or not, that build_index1(g, tau) allocates for the validated SLP g."""
-    n = g._lens[g.start]
-    tau = clamp_tau(tau, n)
-    return 2 * (ceil_log(n, tau) + 1) * len(g.rules) * tau
+    """Slots, defined or not, that build_index1(g, tau) allocates for the
+    validated SLP g: (cap + 1) * tau per side and variable reachable from
+    the start."""
+    tau = clamp_tau(tau, g._lens[g.start])
+    return 2 * tau * sum(c + 1 for c, r in zip(caps(g._lens, tau), g._reach) if r)
 
 
 RUN = 4               # moves in a row toward one child before a descent runs along its chain
@@ -283,20 +274,23 @@ def hook_offset1(g, nid, b, e):
 
 
 class AccessIndex1:
-    """Leveled bookmark tables plus references to the grammar's walk arrays."""
+    """Per-variable bookmark tables and level caps, plus references to the
+    grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "kids", "height", "tables",
-                 "entries", "n")
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "kids", "height", "cap",
+                 "tables", "entries", "n")
 
-    def __init__(self, grammar, tau, levels, pows, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, cap, tables, entries):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
-        self.levels = levels          # top level index; p ranges over [0..levels]
+        self.levels = levels          # ceil(log_tau n); the traced walk steps from here to 0
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
         self.lens = grammar._lens     # the grammar's expansion lengths
         self.kids = grammar._kids     # the grammar's (left, right) child ids, None for literals
         self.height = grammar._height  # the grammar's heights, 0 for a literal
-        self.tables = tables          # [side][p][i * tau + k] -> (s, near, far) or None
+        self.cap = cap                # per variable: the largest p with tau**p <= its length
+        self.tables = tables          # [side][t][p * tau + k] -> (s, near, far) or None;
+                                      #   [side][t] is None for t unreachable from the start
         self.entries = entries        # defined slots, counted by the build
         self.n = self.lens[grammar.start]
 
@@ -311,61 +305,55 @@ class AccessIndex1:
 
 def build_index1(g, tau):
     """Populate every defined (variable, level, block) step of both tables
-    for the variables reachable from the start; every block of a variable
-    i at a level p with height(i) <= 2p gets the finish marker (0, i, None)."""
+    for the variables reachable from the start, up to each variable's cap;
+    every block of a variable i at a level p with height(i) <= 2p gets the
+    finish marker (0, i, None), which for a literal is its literal step."""
     g = _check_binary(g, "build_index1") if g.validated else validate_slp1(g)
     lens, kids, reach, height = g._lens, g._kids, g._reach, g._height
     n = lens[g.start]
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
+    cap = caps(lens, tau)
     share = {}.setdefault           # step -> its one stored copy
     chains = tuple(_chains(kids, g._topo, (lens,), side) for side in (0, 1))
 
-    size = len(kids) * tau
-    left = [[None] * size for _ in range(levels + 1)]
-    right = [[None] * size for _ in range(levels + 1)]
+    left, right = [None] * len(kids), [None] * len(kids)
     entries = 0
     for i in reversed(g._topo):
         if not reach[i]:
             continue
         m = lens[i]
-        base = i * tau
-        if kids[i] is None:
-            step = (0, i, None)
-            step = share(step, step)
-            for p in range(levels + 1):
-                left[p][base] = right[p][base] = step
-            entries += 2 * (levels + 1)
-            continue
-        x, y = kids[i]
-        lx, ly = lens[x], lens[y]
-        for p in range(levels + 1):
+        lt = left[i] = [None] * ((cap[i] + 1) * tau)
+        rt = right[i] = [None] * len(lt)
+        for p in range(cap[i] + 1):
             tp = pows[p]
+            base = p * tau
             blocks = -(-m // tp)            # k with k * tau**p < m
             if blocks > tau:
                 blocks = tau
             entries += 2 * blocks
             if height[i] <= 2 * p:          # descending from i is cheaper than reading on
                 marker = (0, i, None)
-                left[p][base:base + blocks] = right[p][base:base + blocks] = \
+                lt[base:base + blocks] = rt[base:base + blocks] = \
                     [share(marker, marker)] * blocks
                 continue
+            x, y = kids[i]
             # block k's window from either boundary: (k * tp, its end clipped to m)
             ends = [b + tp if b + tp < m else m for b in range(0, blocks * tp, tp)]
-            # left blocks inside x, right blocks inside y: the child's own step
-            lt, rt = left[p], right[p]
-            cx = lx // tp if lx // tp < blocks else blocks
-            lt[base:base + cx] = lt[x * tau:x * tau + cx]
+            # left blocks inside x, right blocks inside y: the child's own step,
+            # at the same slot, since the child has level p whenever one fits
+            cx = lens[x] // tp if lens[x] // tp < blocks else blocks
+            lt[base:base + cx] = left[x][base:base + cx]
             for k in range(cx, blocks):
                 step = _hook_core(kids, lens, i, k * tp, ends[k], 0, chains)
                 lt[base + k] = share(step, step)
-            cy = ly // tp if ly // tp < blocks else blocks
-            rt[base:base + cy] = rt[y * tau:y * tau + cy]
+            cy = lens[y] // tp if lens[y] // tp < blocks else blocks
+            rt[base:base + cy] = right[y][base:base + cy]
             for k in range(cy, blocks):
                 step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1, chains)
                 rt[base + k] = share(step, step)
-    return AccessIndex1(g, tau, levels, pows, (left, right), entries)
+    return AccessIndex1(g, tau, levels, pows, cap, (left, right), entries)
 
 
 def side_map(ix, side, t, p, delta):
@@ -376,10 +364,13 @@ def side_map(ix, side, t, p, delta):
     Access(N_t, delta, side) = Access(N_t', delta', side'). The stored step
     splits the block into the part in the child nearer the addressed
     boundary and the part in the farther one; landing in the nearer child
-    flips the side. A finish marker ``(0, v, None)`` for a pair v is checked
-    (v is t or on t's spine of children on ``side`` with the block inside
-    it, and height(v) <= 2p) and then resolved into the real step by descent;
-    a literal step must equal the step the same descent gives.
+    flips the side. A level above the variable's cap reads at the cap, whose
+    blocks are no larger, so the step still contracts within tau**p. A
+    finish marker ``(0, v, None)`` for a pair v is checked (v is t or on t's
+    spine of children on ``side`` with the block inside it, and
+    height(v) <= 2p at the capped level) and then resolved into the real
+    step by descent; a literal step must equal the step the same descent
+    gives.
     """
     m = ix.lens[t] if isinstance(t, int) and 0 <= t < len(ix.lens) else 0
     if not (isinstance(side, int) and 0 <= side <= 1) \
@@ -387,11 +378,13 @@ def side_map(ix, side, t, p, delta):
             or not (isinstance(delta, int) and 1 <= delta <= m) or delta > ix.pows[p + 1]:
         raise PreconditionViolated(
             f"side_map(side={side!r}, t={t}, p={p}, delta={delta}) out of contract")
+    p = min(p, ix.cap[t])
     tp = ix.pows[p]
     k = (delta - 1) // tp
     b = k * tp
     w = min(m - b, tp)
-    step = ix.tables[side][p][t * ix.tau + k]
+    table = ix.tables[side][t]
+    step = None if table is None else table[p * ix.tau + k]
     if step is None:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
@@ -437,10 +430,10 @@ def access1_traced(ix, i):
 
     Runs the level loop from ceil(log_tau n) down to 0, one checked side_map
     per level, so the step count is always levels + 1 (a finish marker is
-    resolved, not followed). Each step checks the
-    contraction contract 1 <= delta' <= tau**p, and the walk must end on a
-    literal at delta 1 whose code the root-to-leaf descent to i also
-    reaches; a breach raises PreconditionViolated.
+    resolved, not followed). Each step checks the contraction contract
+    1 <= delta' <= tau**p, and the walk must end on a literal at delta 1
+    whose code the root-to-leaf descent to i also reaches; a breach raises
+    PreconditionViolated.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
@@ -467,17 +460,19 @@ def access1(ix, i):
     one table read per step, until the first step shaped (0, v, None): a
     literal step, which returns v's code, or a finish marker, which descends
     from v with the full delta; the walk meets one by level 0 at the latest.
-    So it makes at most ceil(log_tau n) + 1 reads plus 2 * ceil(log_tau n)
-    moves.
+    It starts at the start's cap and, after each step, caps the level by the
+    new variable's cap, so it makes at most floor(log_tau n) + 1 reads plus
+    2 * floor(log_tau n) moves.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    tau, pows, tables = ix.tau, ix.pows, ix.tables
+    tau, pows, tables, cap = ix.tau, ix.pows, ix.tables, ix.cap
     t, delta, side = ix.grammar.start, i, 0
-    for p in range(ix.levels, -1, -1):
+    p = cap[t]
+    while p >= 0:
         tp = pows[p]
         k = (delta - 1) // tp
-        s, near, far = tables[side][p][t * tau + k]
+        s, near, far = tables[side][t][p * tau + k]
         d = delta - k * tp
         if d <= s:
             t, delta, side = near, s - d + 1, side ^ 1
@@ -487,6 +482,9 @@ def access1(ix, i):
             return descend1(ix, near, delta, side)
         else:
             t, delta = far, d - s
+        p -= 1
+        if p > cap[t]:
+            p = cap[t]
     raise PreconditionViolated(f"walk to position {i} ended off a literal")
 
 

@@ -42,17 +42,14 @@ L = floor(log_tau r) + floor(log_tau c). corner_map checks a marker against
 its variable's height and the block's place, then resolves the real step by
 descent, so the traced walk's steps do not change.
 
-Tables are flat and per variable: ``tables[corner][t]`` is one list per
-corner and variable reachable from the start (None for the others). It
-holds only the level pairs a walk can read, p_r <= cap_r[t] and
-p_c <= cap_c[t], with the step of block (k_r, k_c) at level pair
-(p_r, p_c) at ``((p_r * (cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c``;
-slots outside the variable's expansion hold None. A list has
-(cap_r[t] + 1) * (cap_c[t] + 1) * tau**2 slots, so the stored bookmark count
-is at most 4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 where
-n = max(rows, cols). As in 1D, the build clamps tau to the longest side of
-the start's expansion (and to at least 2), which changes neither levels
-nor blocks, and it stores equal steps as one tuple.
+Tables are flat and per variable, as in 1D: ``tables[corner][t]`` is one
+list per corner and reachable variable, holding only the level pairs
+p_r <= cap_r[t] and p_c <= cap_c[t], with block (k_r, k_c) of level pair
+(p_r, p_c) at ``((p_r * (cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c``.
+A list has (cap_r[t] + 1) * (cap_c[t] + 1) * tau**2 slots, so at most
+4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 bookmarks are stored,
+n = max(rows, cols). The build clamps tau to the start's longest side and
+stores equal steps as one tuple, as in 1D.
 
 The build fills the tables children first. On the axis a variable splits,
 a block aligned to the top or left lies wholly inside the child x when its
@@ -77,11 +74,9 @@ either may stay put for a step; so the nodes that qualify are a prefix of
 the chain, and per heavy path one bisect over the rows and one over the
 columns, from where the rows qualify, find its end. A run may switch axes
 and still go on: on the staircase X_{k+1} = Horiz(Vert(X_k, col_k),
-row_{k+1}) reaches X_k by two x moves, one on each axis. On the 100-step
-staircase at tau 8 the build makes 95 k runs, crossing 1.01 paths each
-on average. The chains cost what they cost in 1D and are dropped when the
-build returns. A descent given PLAIN, no chains, is the plain walk;
-hook_offset2 and corner_map use it.
+row_{k+1}) reaches X_k by two x moves, one on each axis. The chains are
+dropped when the build returns. A descent given PLAIN, no chains, is the
+plain walk; hook_offset2 and corner_map use it.
 
 Immutable after build; queries are safe under concurrent readers.
 """
@@ -91,7 +86,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import PLAIN, RUN, _chains, _preset, ceil_log, clamp_tau
+from .access1d import PLAIN, RUN, _chains, _preset, caps, ceil_log, clamp_tau
 from .slg import _check_binary
 from .slg2d import validate_slp2
 
@@ -106,21 +101,12 @@ def optimal_tau2(n, epsilon=1.0):
     return _preset(n, epsilon, 0.5)
 
 
-def _layout2(g, tau):
-    """The clamped tau and per-variable level caps of an index at ``tau``
-    over the validated 2D SLP g."""
-    rows, cols = g._rows, g._cols
-    tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
-    cap_r = [ceil_log(r + 1, tau) - 1 for r in rows]
-    cap_c = [ceil_log(c + 1, tau) - 1 for c in cols]
-    return tau, cap_r, cap_c
-
-
 def table_slots2(g, tau):
     """Slots, defined or not, that build_index2(g, tau) allocates for the validated 2D SLP g."""
-    tau, cap_r, cap_c = _layout2(g, tau)
-    return 4 * tau * tau * sum((cr + 1) * (cc + 1)
-                               for cr, cc, r in zip(cap_r, cap_c, g._reach) if r)
+    rows, cols = g._rows, g._cols
+    tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
+    return 4 * tau * tau * sum((cr + 1) * (cc + 1) for cr, cc, r
+                               in zip(caps(rows, tau), caps(cols, tau), g._reach) if r)
 
 
 def _run2(chains, node, need_r, need_c):
@@ -277,11 +263,13 @@ def _windows(m, pows, tau):
 def build_index2(g, tau):
     """Populate every defined corner step of the variables reachable from the
     start; every block of a variable i at a level pair (p_r, p_c) with
-    height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0)."""
+    height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0),
+    which for a literal is its literal step."""
     g = _check_binary(g, "build_index2") if g.validated else validate_slp2(g)
     rows, cols, kids, horiz, reach, height = \
         g._rows, g._cols, g._kids, g._horiz, g._reach, g._height
-    tau, cap_r, cap_c = _layout2(g, tau)
+    tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
+    cap_r, cap_c = caps(rows, tau), caps(cols, tau)
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
     share = {}.setdefault           # step -> its one stored copy
@@ -293,14 +281,6 @@ def build_index2(g, tau):
     for i in reversed(g._topo):
         if not reach[i]:
             continue
-        if kids[i] is None:         # a literal, caps (0, 0): one level pair, one cell
-            step = (0, 0, i, None, 0)
-            step = share(step, step)
-            for corner_tables in tables:
-                corner_tables[i] = [step] + [None] * (span - 1)
-            entries += 4
-            continue
-        x, y = kids[i]
         cr, cc = cap_r[i], cap_c[i]
         win_r = _windows(rows[i], pows[:cr + 2], tau)
         win_c = _windows(cols[i], pows[:cc + 2], tau)
@@ -323,6 +303,7 @@ def build_index2(g, tau):
                         for at in range(base, base + blocks_r * tau, tau):
                             table[at:at + blocks_c] = marks
                     continue
+                x, y = kids[i]
                 for corner in range(4):
                     table = own[corner]
                     # the child on the split axis that shares this corner's side

@@ -131,8 +131,9 @@ def _held_bytes(ix):
     """The memory an index's tables hold: 8 B per allocated slot (one
     pointer) plus each distinct step object once, as sys.getsizeof counts it.
 
-    ``ix.tables`` is two or four parts of flat lists, a 2D part holding None
-    for a variable without tables; equal steps are one shared object."""
+    ``ix.tables`` is two sides or four corners, each a list over the
+    variables of flat lists, None for a variable without tables; equal steps
+    are one shared object."""
     slots, steps = 0, {}
     for part in ix.tables:
         for table in part:

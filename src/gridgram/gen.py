@@ -42,6 +42,13 @@ def _pick_growth(rng, pool, sizekey):
     return _pick_biased(rng, pool)
 
 
+def _check_sizes(least, **sizes):
+    """Raise RangeError unless every named size is an int >= least (no upper cap)."""
+    for name, v in sizes.items():
+        if not isinstance(v, int) or v < least:
+            raise RangeError(f"{name} must be an int >= {least}, got {v!r}")
+
+
 def _literals(rng, n_rules, sigma, bound, max_arity=2):
     """Check the parameters and draw the literals of an n_rules grammar.
 
@@ -49,9 +56,8 @@ def _literals(rng, n_rules, sigma, bound, max_arity=2):
     1, ids ..n_comp-1 are left for the caller to fill top-down with size 0.
     A one-rule grammar is a single literal, so n_comp is 0.
     """
-    if n_rules < 1 or sigma < 1 or max_arity < 1 or bound < 2:
-        raise RangeError(f"need n_rules >= 1, sigma >= 1, max_arity >= 1 and a size "
-                         f"bound >= 2, got {n_rules}, {sigma}, {max_arity}, {bound}")
+    _check_sizes(1, n_rules=n_rules, sigma=sigma, max_arity=max_arity)
+    _check_sizes(2, size_bound=bound)
     n_lit = 1 if n_rules == 1 else rng.randint(1, min(sigma, n_rules - 1))
     n_comp = n_rules - n_lit
     rules = [None] * n_comp + [rng.randrange(sigma) for _ in range(n_lit)]
@@ -201,11 +207,15 @@ def grammar_from_matrix(m):
 
 
 def random_matrix(seed, rows, cols, sigma=2):
-    """A random explicit matrix (flat row-major codes)."""
+    """A random explicit matrix (flat row-major codes); the caller bounds rows * cols."""
+    _check_sizes(1, rows=rows, cols=cols, sigma=sigma)
     rng = _rng(seed)
     return Matrix2D(rows, cols, [rng.randrange(sigma) for _ in range(rows * cols)])
 
 
 def random_string(seed, n, sigma=4):
+    """A random list of n codes below sigma; the caller bounds n."""
+    _check_sizes(0, n=n)
+    _check_sizes(1, sigma=sigma)
     rng = _rng(seed)
     return [rng.randrange(sigma) for _ in range(n)]

@@ -46,7 +46,10 @@ class OvInstance:
     vectors: tuple
 
     def __post_init__(self):
-        vecs = tuple(tuple(v) for v in self.vectors)
+        try:
+            vecs = tuple(tuple(v) for v in self.vectors)
+        except TypeError:
+            raise RangeError("an instance is an iterable of 0/1 vectors") from None
         object.__setattr__(self, "vectors", vecs)
         if not vecs:
             raise RangeError("instance must contain at least one vector")
@@ -230,6 +233,8 @@ def _marking_grammar(g, sigma, gap):
     prefix of c zero units, the 1, a run of ``gap`` zeros and sigma - 1 - c
     more zero units, where a zero unit is gap + 1 zero cells tall.
     """
+    if not (isinstance(sigma, int) and sigma >= 1):
+        raise RangeError(f"sigma must be an int >= 1, got {sigma!r}")
     if any(not (0 <= r < sigma) for r in g.rules if isinstance(r, int)):
         raise RangeError(f"grammar terminals must lie in [0, {sigma})")
     gv = len(g.rules)

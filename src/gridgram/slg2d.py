@@ -139,7 +139,11 @@ class Matrix2D:
 
     @classmethod
     def from_rows(cls, rows_of_codes):
-        rows = list(rows_of_codes)
+        try:
+            rows = [list(r) for r in rows_of_codes]
+        except TypeError:
+            raise DimensionMismatch("a matrix literal is an iterable of rows, "
+                                    "each an iterable of codes") from None
         if not rows:
             raise DimensionMismatch("matrix needs at least one row")
         width = len(rows[0])

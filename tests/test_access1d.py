@@ -120,7 +120,7 @@ def test_hook_window_equality_exhaustive_small():
 def test_index_single_literal():
     g = validate_slp1(Slp1([0], 1, 0))
     ix = build_index1(g, 2)
-    assert ix.levels == 0
+    assert ix.levels == 0 and ix.cap == [0]
     left, right = ix.tables
     assert left == [[(0, 0, None), None]] and right[0][0] == (0, 0, None)   # the literal 0
     assert ix.entry_count() == 2
@@ -132,13 +132,13 @@ def test_index_abab_entry(abab):
     assert ix.height == [2, 1, 0, 0]
     # variable 0 (S -> A A, height 2), level 1, block 1: S is at most 2p = 2
     # high, so the slot is S's finish marker
-    assert left[1][0 * 2 + 1] == (0, 0, None)
+    assert ix.cap[0] == 2 and left[0][1 * 2 + 1] == (0, 0, None)
     # W -> A S (id 0, height 3 > 2), level 1, block 1, the window (2..4]:
     # hook 1 (A -> B C) at offset 0, so the split lies 1 in from the left,
     # with B nearer that boundary and C farther
     ix = build_index1(validate_slp1(Slp1([(1, 4), (2, 3), 0, 1, (1, 1)], 2, 0)), 2)
     left, _ = ix.tables
-    assert ix.height[0] == 3 and left[1][0 * 2 + 1] == (1, 2, 3)
+    assert ix.height[0] == 3 and left[0][1 * 2 + 1] == (1, 2, 3)
 
 
 def test_index_entry_count_bound():
@@ -160,8 +160,9 @@ def test_index_clamps_tau_to_the_longest_expansion(abab):
 def test_maps_refuse_a_variable_without_bookmarks():
     g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
     ix = build_index1(g, 2)
-    # levels 0 and 1, both sides: 2 + 1 blocks of the start, 1 + 1 per literal
-    assert ix.tables[0][0][3 * 2] is None and ix.entry_count() == 2 * 3 + 2 * 2 * 2
+    # both sides: levels 0 and 1 of the start, 2 + 1 blocks; level 0 of
+    # each literal, its one block; no list for the unreachable id 3
+    assert ix.tables[0][3] is None and ix.entry_count() == 2 * 3 + 2 * 2
     for side in (0, 1):
         for t in (3, 4, -1):    # unreachable, then no such variable
             with pytest.raises(PreconditionViolated):

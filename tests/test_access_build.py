@@ -8,8 +8,8 @@ for the other blocks. These properties check every stored slot against one
 predicted here: the marker of the first low enough variable on the block's
 spine, or else the step resolved from the reference
 ``hook_offset1``/``hook_offset2`` of its window. They also check the kept
-entry count against the number of defined windows, the 2D lists against
-the per-variable level caps, that equal steps are stored as one object,
+entry count against the number of defined windows, the 1D and 2D lists
+against the per-variable level caps, that equal steps are stored as one object,
 the fast and the traced access against the expansion and against the
 library's root-to-leaf descent from every side or corner, and that the
 checked steps refuse a corrupt marker or literal step, on random SLPs, left
@@ -195,17 +195,26 @@ def test_build1_stores_every_window_hook(g, tau):
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
     height = heights(g)
     assert ix.height == height
+    T = ix.tau
     left, right = ix.tables
+    ids = reachable(g)
     defined = 0
-    for i in reachable(g):
-        m = g._lens[i]
-        for p in range(ix.levels + 1):
+    for i, m in enumerate(g._lens):
+        if i not in ids:
+            assert left[i] is None and right[i] is None
+            continue
+        cap = ix.cap[i]
+        assert T ** cap <= m < T ** (cap + 1)
+        assert len(left[i]) == len(right[i]) == (cap + 1) * T     # no slot above the cap
+        for p in range(cap + 1):
             for k, b, e in blocks(m, ix.pows[p], tau):
                 defined += 2
-                assert left[p][i * ix.tau + k] == slot1(g, height, i, 0, p, b, e)
-                assert right[p][i * ix.tau + k] == slot1(g, height, i, 1, p, b, e)
+                assert left[i][p * T + k] == slot1(g, height, i, 0, p, b, e)
+                assert right[i][p * T + k] == slot1(g, height, i, 1, p, b, e)
+    lists = [table for side in ix.tables for table in side if table is not None]
+    assert table_slots1(g, tau) == sum(len(table) for table in lists)
     assert ix.entry_count() == defined
-    assert sum(v is not None for table in ix.tables for level in table for v in level) == defined
+    assert sum(v is not None for table in lists for v in table) == defined
 
 
 @settings(max_examples=40, deadline=None)
@@ -529,15 +538,16 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
     every position either answers right or raises."""
     g = random_slp1(0, 40, 3, 4096)
     ix = build_index1(g, 2)
-    assert ix.tables[0][12][0] == (613, 11, 1)
-    ix.tables[0][12][0] = swapped(ix.tables[0][12][0], 2)
+    table = ix.tables[0][g.start]   # the start's first block at its cap, level 11
+    assert ix.cap[g.start] == 11 and table[11 * 2] == (613, 11, 1)
+    table[11 * 2] = swapped(table[11 * 2], 2)
     raised = 0
     for i, want in enumerate(expand1(g), start=1):
         try:
             assert access1_traced(ix, i) == (want, ix.levels + 1)
         except PreconditionViolated:
             raised += 1
-    assert raised > 2498            # the 332 wrong answers raise too
+    assert raised > 1153            # the 332 wrong answers raise too
 
 
 def test_access2_traced_never_answers_wrong_on_a_swapped_step():
@@ -568,7 +578,7 @@ def test_side_map_refuses_a_wrong_literal_step():
     ix = build_index1(g, 2)
     assert access1_traced(ix, 2) == (1, 2)
     for side in (0, 1):         # b's own cell claims to be a
-        ix.tables[side][0][2 * ix.tau] = (0, 1, None)
+        ix.tables[side][2][0] = (0, 1, None)
     with pytest.raises(PreconditionViolated, match="literal step"):
         access1_traced(ix, 2)
     with pytest.raises(PreconditionViolated, match="literal step"):
@@ -684,9 +694,11 @@ def test_finish1_is_exact_and_markers_are_low(g, tau):
     ix = build_index1(g, tau)
     for i, want in enumerate(expand1(g), start=1):
         assert access1(ix, i) == want and access1_traced(ix, i) == (want, ix.levels + 1)
-    for table in ix.tables:
-        for p, level in enumerate(table):
-            assert all(ix.height[v[1]] <= 2 * p for v in level if is_marker1(ix, v))
+    for side in ix.tables:
+        for table in side:
+            for at, v in enumerate(table or ()):
+                if is_marker1(ix, v):
+                    assert ix.height[v[1]] <= 2 * (at // ix.tau)
 
 
 @settings(max_examples=40, deadline=None)
@@ -714,10 +726,24 @@ def test_finish2_is_exact_and_markers_are_low(g, tau):
 def test_finish1_at_height_two_reads_one_slot(g, tau):
     ix = build_index1(g, tau)
     log = []
-    ix.tables = tuple([Reads(level, log) for level in side] for side in ix.tables)
+    ix.tables = [[None if t is None else Reads(t, log) for t in side] for side in ix.tables]
     for i, want in enumerate(expand1(g), start=1):
         del log[:]
         assert access1(ix, i) == want and len(log) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars1(), tau=TAUS1)
+def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
+    """The fast walk starts at the start's cap and caps each level by the
+    new variable's, so it reads at most floor(log_tau n) + 1 slots."""
+    ix = build_index1(g, tau)
+    assert ix.tau ** ix.cap[g.start] <= ix.n < ix.tau ** (ix.cap[g.start] + 1)
+    log = []
+    ix.tables = [[None if t is None else Reads(t, log) for t in side] for side in ix.tables]
+    for i, want in enumerate(expand1(g), start=1):
+        del log[:]
+        assert access1(ix, i) == want and 1 <= len(log) <= ix.cap[g.start] + 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -742,21 +768,20 @@ def test_side_map_refuses_a_corrupt_marker(g, tau, data):
         return
     t = data.draw(st.sampled_from(ts))
     side = data.draw(st.integers(0, 1))
+    table = ix.tables[side][t]
     # too high: t's own marker at a level where t is higher than 2p
-    p = data.draw(st.integers(0, min(ix.levels, (ix.height[t] - 1) // 2)))
+    p = data.draw(st.integers(0, min(ix.cap[t], (ix.height[t] - 1) // 2)))
     k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
-    table, at = ix.tables[side][p], t * ix.tau + k
-    table[at] = (0, t, None)
+    table[p * ix.tau + k] = (0, t, None)
     with pytest.raises(PreconditionViolated, match="finish marker"):
         side_map(ix, side, t, p, b + 1)
-    # off the spine: low enough at the top level, but not on the block's spine
-    p = ix.levels
+    # off the spine: low enough at t's top level, but not on the block's spine
+    p = ix.cap[t]
     k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
     on = spine1(g, t, side, e)
     off = [v for v in range(len(g.rules)) if v not in on and ix.height[v] <= 2 * p
            and ix.kids[v] is not None] + [len(g.rules), -1]
-    table, at = ix.tables[side][p], t * ix.tau + k
-    table[at] = (0, data.draw(st.sampled_from(off)), None)
+    table[p * ix.tau + k] = (0, data.draw(st.sampled_from(off)), None)
     with pytest.raises(PreconditionViolated, match="finish marker"):
         side_map(ix, side, t, p, b + 1)
 
@@ -801,17 +826,17 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
     ix = build_index1(random_slp1(3, 40, 3, 4096), 2)
     seen = 0
     for side in (0, 1):
-        for p, level in enumerate(ix.tables[side]):
-            for at, step in enumerate(level):
+        for t, table in enumerate(ix.tables[side]):
+            for at, step in enumerate(table or ()):
                 if step is None or step[2] is None:
                     continue
-                t, k = divmod(at, ix.tau)
+                p, k = divmod(at, ix.tau)
                 b = k * ix.pows[p]
                 w = min(ix.lens[t] - b, ix.pows[p])
-                level[at] = (0 if split == "0" else w,) + step[1:]
+                table[at] = (0 if split == "0" else w,) + step[1:]
                 with pytest.raises(PreconditionViolated, match="does not straddle"):
                     side_map(ix, side, t, p, b + 1)
-                level[at] = step
+                table[at] = step
                 seen += 1
     assert seen > 100
 
@@ -864,7 +889,7 @@ g1 = validate_slp1(Slp1([(1, 1), (2, 2), (3, 3), (4, 5), 0, 1], 2, 0))
 ix1 = build_index1(g1, 2)
 side, t, p, delta = last_step(access1d, "side_map", lambda: access1_traced(ix1, 7))
 # a split at the far edge of the block, not inside it
-ix1.tables[side][p][t * 2 + (delta - 1) // ix1.pows[p]] = (ix1.pows[p], 1, 1)
+ix1.tables[side][t][p * 2 + (delta - 1) // ix1.pows[p]] = (ix1.pows[p], 1, 1)
 try:
     access1_traced(ix1, 7)
 except PreconditionViolated:

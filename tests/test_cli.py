@@ -17,6 +17,7 @@ from gridgram import (
     validate_slg2,
 )
 from gridgram import cli
+from gridgram.access1d import ceil_log, table_slots1
 from gridgram.cli import main
 from gridgram.gen import random_matrix
 from gridgram.oracle import rank
@@ -131,8 +132,8 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     text = expand1(slp)
     coords = [str(i) for i in range(1, len(text) + 1)]
     ix = build_index1(slp, 2)
-    marked = [(side, p, at) for side, table in enumerate(ix.tables)
-              for p, level in enumerate(table) for at, v in enumerate(level)
+    marked = [(side, t, at) for side, lists in enumerate(ix.tables)
+              for t, table in enumerate(lists) for at, v in enumerate(table or ())
               if v is not None and v[2] is None and ix.kids[v[1]] is not None]
     assert marked       # at tau 2 the tables hold finish markers
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
@@ -143,10 +144,9 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
         # though it is higher than its level allows; the fast walk descends
         # from there with the same delta and still answers right
         ix = build_index1(slp, tau)
-        for side, p, at in marked:
-            t = at // ix.tau
-            if ix.height[t] > 2 * p:
-                ix.tables[side][p][at] = (0, t, None)
+        for side, t, at in marked:
+            if ix.height[t] > 2 * (at // ix.tau):
+                ix.tables[side][t][at] = (0, t, None)
         return ix
 
     monkeypatch.setattr(cli._DIM1, "build", build)
@@ -237,6 +237,22 @@ def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, c
     assert code == 1 and out == ""
     assert err.startswith("ExpansionTooLarge: --reps over --tau-list asks for ") \
         and err.count("\n") == 1
+
+
+def test_access_refuses_by_the_slots_the_build_allocates(slp1_file, capsys):
+    slp = slg_to_slp(parse_slg1(slp1_file.read_text()))
+    slots = table_slots1(slp, 2)
+    # one list per side and reachable variable, up to its own level cap; a
+    # list per side and level over every rule id would be over the cap
+    assert slots < 2 * (ceil_log(len(expand1(slp)), 2) + 1) * len(slp.rules) * 2
+    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2",
+                         "--cap-cells", str(slots))
+    assert (code, err) == (0, "") and int(out) == expand1(slp)[2]
+    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2",
+                         "--cap-cells", str(slots - 1))
+    assert code == 1 and out == ""
+    assert err == (f"ExpansionTooLarge: an index at tau 2 needs {slots} table slots, "
+                   f"over the expansion cap of {slots - 1}\n")
 
 
 def test_ov_pipeline(tmp_path, capsys):

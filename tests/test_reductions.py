@@ -479,3 +479,17 @@ def test_adapter_range_errors():
         rank_via_line_sum(lambda *a: 0, None, -1, 0)
     with pytest.raises(RangeError):
         occurs_via_square_all_zero(lambda *a: 0, None, 0, 9, 0, 5)
+
+
+def test_ov_instance_refuses_what_is_no_list_of_vectors():
+    with pytest.raises(RangeError, match="iterable of 0/1 vectors"):
+        OvInstance(5)
+
+
+@pytest.mark.parametrize("make, sigma", [
+    (mark_grammar, 2.5), (ext_mark_grammar, 2.5), (mark_grammar, "2"),
+], ids=["mark-float", "ext-mark-float", "mark-str"])
+def test_marking_grammars_refuse_a_sigma_that_is_no_int(make, sigma):
+    g = random_slp1(1, 10, 2, 50)
+    with pytest.raises(RangeError, match="sigma must be an int >= 1"):
+        make(g, sigma)

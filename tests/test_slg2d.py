@@ -216,3 +216,9 @@ def test_horiz_and_vert_equality_hash_and_repr():
     assert len({Horiz(1, 2), Horiz(1, 2), Vert(1, 2)}) == 2
     assert repr(Horiz(1, 2)) == "Horiz(1, 2)" and repr(Vert(3, 4)) == "Vert(3, 4)"
     assert repr(Horiz(5)) == "Horiz(5,)" and repr(Vert()) == "Vert()"
+
+
+@pytest.mark.parametrize("rows", [None, [1, 2]], ids=["none", "flat-list"])
+def test_from_rows_refuses_what_is_no_list_of_rows(rows):
+    with pytest.raises(DimensionMismatch, match="iterable of rows"):
+        Matrix2D.from_rows(rows)
