@@ -70,7 +70,7 @@ import math
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .slg import _check_binary, validate_slp1
+from .slg import Slg1, _check_binary, validate_slp1
 
 
 def ceil_log(n, base):
@@ -133,7 +133,7 @@ def table_slots1(g, tau):
     """Slots, defined or not, that build_index1(g, tau) allocates for the
     validated SLP g: (cap + 1) * tau per side and variable reachable from
     the start."""
-    tau = clamp_tau(tau, g._lens[g.start])
+    tau = clamp_tau(tau, Slg1._validated(g)._lens[g.start])
     return 2 * tau * sum(c + 1 for c, r in zip(caps(g._lens, tau), g._reach) if r)
 
 
@@ -263,7 +263,8 @@ def hook_offset1(g, nid, b, e):
     falls strictly inside the relocated window. A walk that meets a rule of
     arity other than 2 raises NotAnSlp.
     """
-    m = g._lens[g._checked_id(nid)]
+    nid = Slg1._checked_id(g, nid)
+    m = g._lens[nid]
     if not (isinstance(b, int) and isinstance(e, int) and 0 <= b < e <= m):
         raise RangeError(f"window {b!r}..{e!r} invalid for expansion length {m}")
     try:
@@ -308,7 +309,7 @@ def build_index1(g, tau):
     for the variables reachable from the start, up to each variable's cap;
     every block of a variable i at a level p with height(i) <= 2p gets the
     finish marker (0, i, None), which for a literal is its literal step."""
-    g = _check_binary(g, "build_index1") if g.validated else validate_slp1(g)
+    g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, kids, reach, height = g._lens, g._kids, g._reach, g._height
     n = lens[g.start]
     tau = clamp_tau(tau, n)

@@ -88,7 +88,7 @@ from bisect import bisect_left
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .access1d import PLAIN, RUN, _chains, _preset, caps, ceil_log, clamp_tau
 from .slg import _check_binary
-from .slg2d import validate_slp2
+from .slg2d import Slg2, validate_slp2
 
 
 def optimal_tau2(n, epsilon=1.0):
@@ -103,7 +103,7 @@ def optimal_tau2(n, epsilon=1.0):
 
 def table_slots2(g, tau):
     """Slots, defined or not, that build_index2(g, tau) allocates for the validated 2D SLP g."""
-    rows, cols = g._rows, g._cols
+    rows, cols = Slg2._validated(g)._rows, g._cols
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
     return 4 * tau * tau * sum((cr + 1) * (cc + 1) for cr, cc, r
                                in zip(caps(rows, tau), caps(cols, tau), g._reach) if r)
@@ -200,7 +200,7 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     strictly inside the relocated window on the hook's splitting axis. A walk
     that meets a rule of arity other than 2 raises NotAnSlp.
     """
-    nid = g._checked_id(nid)
+    nid = Slg2._checked_id(g, nid)
     m_r, m_c = g._rows[nid], g._cols[nid]
     if not (isinstance(b_r, int) and isinstance(e_r, int) and 0 <= b_r < e_r <= m_r):
         raise RangeError(f"row window {b_r!r}..{e_r!r} invalid for {m_r} rows")
@@ -265,7 +265,7 @@ def build_index2(g, tau):
     start; every block of a variable i at a level pair (p_r, p_c) with
     height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0),
     which for a literal is its literal step."""
-    g = _check_binary(g, "build_index2") if g.validated else validate_slp2(g)
+    g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, kids, horiz, reach, height = \
         g._rows, g._cols, g._kids, g._horiz, g._reach, g._height
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))

@@ -38,7 +38,7 @@ class ExpansionTooLarge(GrammarError):
 
 
 class EmptyLanguage(GrammarError):
-    """The grammar derives only the empty string/matrix."""
+    """A rule lists no children, so it would derive the empty string/matrix."""
 
 
 class NotAnSlp(GrammarError):

@@ -17,8 +17,11 @@ Contents:
 
 Adapters are written against plain callables ("providers") answering the
 lower-level query, so the same code path runs over the naive oracle today
-and over any future sublinear structure. All constructors are pure and the
-adapters stateless; concurrent use is safe given concurrent-safe providers.
+and over any future sublinear structure. Since a provider need not check
+its arguments, every adapter checks that its own are integers, as the
+oracles do: a float, a string or None raises RangeError before any provider
+call. All constructors are pure and the adapters stateless; concurrent use
+is safe given concurrent-safe providers.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .errors import (
     PreconditionViolated,
     RangeError,
 )
-from .slg import Slg1, grammar_size1, validate_slp1
+from .oracle import _not_ints
+from .slg import Slg1, _binarize, grammar_size1, validate_slp1
 from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2, validate_slg2
 
 
@@ -231,7 +235,8 @@ def _marking_grammar(g, sigma, gap):
     Every 1D variable becomes a Vert over its children; a literal with code
     c becomes the column with a 1 in row c * (gap + 1) + 1. Each column is a
     prefix of c zero units, the 1, a run of ``gap`` zeros and sigma - 1 - c
-    more zero units, where a zero unit is gap + 1 zero cells tall.
+    more zero units, where a zero unit is gap + 1 zero cells tall; a run of
+    no zero units is no child at all, so every rule lists one.
     """
     if not (isinstance(sigma, int) and sigma >= 1):
         raise RangeError(f"sigma must be an int >= 1, got {sigma!r}")
@@ -245,13 +250,12 @@ def _marking_grammar(g, sigma, gap):
         mid.append(_zero_run(rules, m0, gap, Horiz))
         rules.append(Horiz(mid[-1], m0))
         unit = len(rules) - 1
-    zeros = [len(rules)]                   # zeros[i]: i zero units, i in [0..sigma)
-    rules.append(Horiz())
-    for _ in range(1, sigma):
-        rules.append(Horiz(zeros[-1], unit))
-        zeros.append(len(rules) - 1)
+    zeros = [(), (unit,)]                  # zeros[i]: the ids spelling i zero units
+    for _ in range(2, sigma):
+        rules.append(Horiz(*zeros[-1], unit))
+        zeros.append((len(rules) - 1,))
     col = len(rules)                       # col + c: the marking column of code c
-    rules.extend(Horiz(zeros[c], *mid, zeros[sigma - 1 - c]) for c in range(sigma))
+    rules.extend(Horiz(*zeros[c], *mid, *zeros[sigma - 1 - c]) for c in range(sigma))
     for nid, rule in enumerate(g.rules):
         rules[nid] = Vert(col + rule) if isinstance(rule, int) else Vert(*rule)
     return validate_slg2(Slg2(rules, 2, g.start))
@@ -263,8 +267,11 @@ def mark_grammar(g, sigma):
     Structure mirrors the 1D grammar: every 1D variable gets a counterpart
     concatenating its children's marking matrices horizontally; a 1D literal
     with code c maps to the sigma x 1 column with the single 1 in row c + 1.
-    The zero-columns above/below that 1 are built by a chain of prefix rules,
-    one of which is empty. Output size is linear in |g| + sigma.
+    The zero-columns above/below that 1 are built by a chain of prefix rules;
+    a code at the top or bottom row has no zero-column on that side, so no
+    rule is empty. Output size is linear in |g| + sigma: the grammar gains
+    about 2 * sigma rules, and sigma is not capped here, so the caller
+    bounds it (the CLI checks 2 * sigma rules against its cell cap).
     """
     return _marking_grammar(validate_slp1(g), sigma, 0)
 
@@ -325,26 +332,12 @@ def alphabet_reduce(g):
     through the returned map: a queried code that never occurs answers 0
     without consulting the new grammar at all.
     """
-    g = validate_slp1(g)
-    reach = g._reach
-    occurring = sorted({r for nid, r in enumerate(g.rules)
-                        if reach[nid] and isinstance(r, int)})
-    amap = AlphabetMap(tuple(occurring))
+    pruned = _binarize(validate_slp1(g))
+    occurring = sorted({r for r in pruned.rules if isinstance(r, int)})
     fwd = {c: i for i, c in enumerate(occurring)}
-
-    out_rules = []
-    alias = {}
-    for nid in reversed(g._topo):
-        if not reach[nid]:
-            continue
-        rule = g.rules[nid]
-        if isinstance(rule, int):
-            out_rules.append(fwd[rule])
-        else:
-            out_rules.append((alias[rule[0]], alias[rule[1]]))
-        alias[nid] = len(out_rules) - 1
-    out = validate_slp1(Slg1(out_rules, max(1, len(occurring)), alias[g.start]))
-    return out, amap
+    rules = [fwd[r] if isinstance(r, int) else r for r in pruned.rules]
+    out = validate_slp1(Slg1(rules, len(occurring), pruned.start))
+    return out, AlphabetMap(tuple(occurring))
 
 
 # -- adapters over query providers --------------------------------------------
@@ -357,6 +350,8 @@ def rank_via_line_sum(line_sum_provider, amap, j, c):
     provider already speaks the original alphabet. Exactly one provider call
     is issued, plus one alphabet-map lookup.
     """
+    if not (isinstance(j, int) and isinstance(c, int)):
+        raise _not_ints(j, c)
     if j < 0:
         raise RangeError(f"rank prefix {j} must be >= 0")
     if amap is not None:
@@ -379,6 +374,9 @@ def occurs_via_square_all_zero(saz_provider, amap, b, e, c, n):
     of (b..e] stacked on zero padding, so it is all zero exactly when the
     code never occurs in the range.
     """
+    if not (isinstance(b, int) and isinstance(e, int)
+            and isinstance(c, int) and isinstance(n, int)):
+        raise _not_ints(b, e, c, n)
     if not (0 <= b <= n and 0 <= e <= n):
         raise RangeError(f"occurs range {b}..{e} outside [0, {n}]")
     if b >= e:
@@ -399,6 +397,9 @@ def square_lce_via_line_lce(line_lce_provider, rows, cols, b_r, b_c, b2_r, b2_c)
     >= t. Issues at most ceil(log2(t_max + 1)) provider calls where t_max is
     the geometric cap from both origins.
     """
+    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(b_r, int)
+            and isinstance(b_c, int) and isinstance(b2_r, int) and isinstance(b2_c, int)):
+        raise _not_ints(rows, cols, b_r, b_c, b2_r, b2_c)
     if not (1 <= b_r <= rows and 1 <= b2_r <= rows
             and 1 <= b_c <= cols and 1 <= b2_c <= cols):
         raise RangeError("LCE origins outside the matrix")
@@ -419,6 +420,10 @@ def line_lce_via_equality(eq_provider, rows, cols, b_r, b_c, b2_r, b2_c, l):
     Uses: the line LCE with height l is >= t iff the l x t rectangles at the
     two origins are equal. Same provider-call bound as the square search.
     """
+    if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(b_r, int)
+            and isinstance(b_c, int) and isinstance(b2_r, int) and isinstance(b2_c, int)
+            and isinstance(l, int)):
+        raise _not_ints(rows, cols, b_r, b_c, b2_r, b2_c, l)
     if l < 1:
         raise RangeError("line LCE height must be >= 1")
     if not (1 <= b_r <= rows and 1 <= b2_r <= rows
@@ -446,8 +451,6 @@ def pad_with_zero_block(g2):
     """
     g2 = validate_slg2(g2)
     r, c = g2._rows[g2.start], g2._cols[g2.start]
-    if r == 0 or c == 0:
-        raise RangeError("cannot pad an empty expansion")
     # a binary grammar for an r x c matrix cannot be smaller than the bit
     # length of its dimensions, so the padding stays linear in its size
     if g2.is_binary and max(r, c) > 1 << grammar_size2(g2):
@@ -458,8 +461,7 @@ def pad_with_zero_block(g2):
     column = _zero_run(rules, len(rules) - 1, r, Horiz)
     rules.append(Vert(g2.start, _zero_run(rules, column, c, Vert)))
     new_start = len(rules) - 1
-    sigma = max(g2.alphabet_size, 1)
-    return validate_slg2(Slg2(rules, sigma, new_start))
+    return validate_slg2(Slg2(rules, g2.alphabet_size, new_start))
 
 
 def square_all_zero_via_square_lce(g2):
@@ -477,6 +479,8 @@ def square_all_zero_via_square_lce(g2):
 
     def make_adapter(square_lce_provider):
         def saz(e_r, e_c, l):
+            if not (isinstance(e_r, int) and isinstance(e_c, int) and isinstance(l, int)):
+                raise _not_ints(e_r, e_c, l)
             if l < 0:
                 raise RangeError(f"square side {l} must be >= 0")
             if not (l <= e_r <= r) or not (l <= e_c <= c):

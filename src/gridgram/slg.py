@@ -10,15 +10,16 @@ acyclicity, reachability, the SLP conversion and the text format skeleton
 -- is written once here, for both.
 
 A valid grammar is acyclic (some ordering of the nonterminals exists in which
-every sequence rule references only later ones), every referenced id has a
-rule, and every literal code is in ``[0, alphabet_size)``. Validation keeps
-every id: it returns the grammar it is given, rules and start unchanged,
-and caches on it a topological order, the child lists (``_kids``: per id
-the tuple of child ids, None for a literal), reachability from the start
-(``_reach``), heights (``_height``: 0 for a literal, else one more than the
-highest child), the flags of empty-expanding rules (``_eps``), and
-per-nonterminal expansion lengths (in 2D, dimensions and the axis flags
-``_horiz``, see ``slg2d``).
+every sequence rule references only later ones), every sequence rule lists
+at least one child, every referenced id has a rule, and every literal code
+is in ``[0, alphabet_size)``, so no rule derives the empty string or
+matrix. Validation keeps every id: it returns the grammar it is given,
+rules and start unchanged, and caches on it a topological order, the child
+lists (``_kids``: per id the tuple of child ids, None for a literal),
+reachability from the start (``_reach``), heights (``_height``: 0 for a
+literal, else one more than the highest child), and per-nonterminal
+expansion lengths (in 2D, dimensions and the axis flags ``_horiz``, see
+``slg2d``).
 The walkers of every module read these arrays and derive none of their own.
 An SLP is a validated grammar whose non-literal rules all have two children;
 ``Slp1`` is another name for ``Slg1``.
@@ -27,7 +28,7 @@ Text format (UTF-8, line oriented)::
 
     SLG1 <num_nonterminals> <alphabet_size>
     <id>: T <terminal>
-    <id>: N <id> <id> [...]
+    <id>: N <id> [<id> ...]
     START <id>
 
 Grammars are immutable after validation and safe to share across readers;
@@ -64,22 +65,18 @@ class _Grammar:
     """State and helpers shared by the 1D and 2D grammar classes.
 
     A subclass names its text format (``_magic``, the literal letter
-    ``_literal``, and ``_letters`` mapping each rule type to its letter),
-    how to read a rule's children (``_children``), the fewest children a
-    rule line may list (``_min_children``), and what an empty expansion is
-    called (``_empty``).
+    ``_literal``, and ``_letters`` mapping each rule type to its letter) and
+    how to read a rule's children (``_children``).
     A rule's type is also its rebuilder: ``type(rule)(child_ids)``.
     """
 
-    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_eps", "_kids", "_reach",
-                 "_height")
+    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_kids", "_reach", "_height")
 
     def __init__(self, rules, alphabet_size, start=0):
         self.rules = list(rules)
         self.alphabet_size = alphabet_size
         self.start = start
         self._topo = None   # parents-first topological order (ids)
-        self._eps = None    # per-id flag: expands to the empty string/matrix
         self._kids = None   # per id: the tuple of child ids, None for a literal
         self._reach = None  # per-id flag: reachable from the start
         self._height = None  # per id: longest path down to a literal, 0 for a literal
@@ -88,16 +85,29 @@ class _Grammar:
     def validated(self):
         return self._topo is not None
 
-    def require_validated(self):
-        if not self.validated:
-            raise PreconditionViolated(
-                f"grammar must pass validate_{self._magic.lower()}() first")
+    @classmethod
+    def _own(cls, g):
+        """``g`` itself, if it is a grammar of this class. Every entry point
+        of a dimension passes its argument here first, so a grammar of the
+        other dimension, or any other object, raises PreconditionViolated."""
+        if not isinstance(g, cls):
+            raise PreconditionViolated(f"expected an {cls.__name__}, got {type(g).__name__}")
+        return g
 
-    def _checked_id(self, nid):
-        """nid, once the grammar is validated and nid is one of its rule ids."""
-        self.require_validated()
-        if not (isinstance(nid, int) and 0 <= nid < len(self.rules)):
-            raise RangeError(f"variable id {nid!r} outside [0, {len(self.rules)})")
+    @classmethod
+    def _validated(cls, g):
+        """``g`` itself, once it is a grammar of this class that passed validation."""
+        if not cls._own(g).validated:
+            raise PreconditionViolated(f"grammar must pass validate_{cls._magic.lower()}() first")
+        return g
+
+    @classmethod
+    def _checked_id(cls, g, nid):
+        """nid, once ``g`` is a validated grammar of this class and nid is one
+        of its rule ids."""
+        count = len(cls._validated(g).rules)
+        if not (isinstance(nid, int) and 0 <= nid < count):
+            raise RangeError(f"variable id {nid!r} outside [0, {count})")
         return nid
 
     @property
@@ -118,8 +128,7 @@ class Slg1(_Grammar):
     rule is stored as a tuple; another non-int is left for validation to name."""
 
     __slots__ = ("_lens",)
-    _magic, _literal, _letters, _min_children = "SLG1", "T", {tuple: "N"}, 1
-    _empty = "the empty string"
+    _magic, _literal, _letters = "SLG1", "T", {tuple: "N"}
 
     def __init__(self, rules, alphabet_size, start=0):
         super().__init__((r if isinstance(r, int) or not hasattr(r, "__iter__")
@@ -181,8 +190,9 @@ def _validate_core(g):
     """The dimension-independent half of validation, keeping every id.
 
     Checks the type and range of the alphabet size, the start and every
-    rule, child id and terminal, then sorts topologically. Stores the child
-    lists, reachability from the start and heights on ``g``, and returns its
+    rule, child id and terminal, refuses a rule with no children
+    (EmptyLanguage), then sorts topologically. Stores the child lists,
+    reachability from the start and heights on ``g``, and returns its
     parents-first order; the caller computes sizes and stores the rest.
     """
     rules = g.rules
@@ -199,6 +209,8 @@ def _validate_core(g):
             if not (0 <= rule < sigma):
                 raise TerminalOutOfRange(f"terminal {rule} at id {nid} not in [0, {sigma})")
         elif type(rule) in g._letters:
+            if not g._children(rule):
+                raise EmptyLanguage(f"rule {nid} has no children")
             for c in g._children(rule):
                 if not (isinstance(c, int) and 0 <= c < len(rules)):
                     raise DanglingReference(f"rule {nid} references undefined id {c!r}")
@@ -234,12 +246,9 @@ def validate_slg1(g):
 
     Every id is kept: on success ``g``, with its rules and start unchanged,
     caches a topological order, the child lists, reachability from the start,
-    heights, expansion lengths, and the flags of rules expanding to the
-    empty string. Such rules are legal here; expand1 refuses a grammar
-    whose start is one, slg_to_slp eliminates the others, and
-    validate_slp1 rejects them all.
+    heights and expansion lengths.
     """
-    topo = _validate_core(g)
+    topo = _validate_core(Slg1._own(g))
     rules = g.rules
 
     lens = [0] * len(rules)
@@ -257,19 +266,18 @@ def validate_slg1(g):
 
     g._topo = topo
     g._lens = lens
-    g._eps = [n == 0 for n in lens]
     return g
 
 
 def validate_slp1(g):
-    """validate_slg1 plus the arity-2 restriction, which rules out empty rules;
-    returns ``g`` itself."""
+    """validate_slg1 plus the arity-2 restriction; returns ``g`` itself."""
     return _check_binary(validate_slg1(g), "validate_slp1")
 
 
 def exp_len(g, nid):
     """Length of the expansion of nonterminal ``nid`` (memoized at validation)."""
-    return g._lens[g._checked_id(nid)]
+    nid = Slg1._checked_id(g, nid)
+    return g._lens[nid]
 
 
 # Expansion builds a variable of at most this many symbols (cells in 2D)
@@ -283,7 +291,7 @@ def _expand(g, size, shift, build, paint):
     A variable is built whole, once, when a built variable lists it, when
     it is a literal, or when it has at most ``_BLOCK`` cells and lies at two
     or more places of the output; every other variable it reaches is split
-    into its children. Empty children are skipped, and nothing recurses.
+    into its children. Nothing recurses.
 
     1. Parents first: give each split variable its children with their
        offsets inside it, ``shift(rule, child)`` apart, and count per
@@ -297,19 +305,17 @@ def _expand(g, size, shift, build, paint):
 
     A literal start is its own memo entry and is returned as it is.
     """
-    rules, eps, topo, start, children = g.rules, g._eps, g._topo, g.start, g._kids
+    rules, topo, start, children = g.rules, g._topo, g.start, g._kids
     places = [0] * len(rules)
     places[start] = 1
     pending = [0] * len(rules)
-    live = {}    # built id -> its non-empty children
     split = {}   # split id -> [(child, offset of the child inside it)]
     for nid in topo:
         rule = rules[nid]
         if isinstance(rule, int) or not (places[nid] or pending[nid]):
             continue
-        kids = [c for c in children[nid] if not eps[c]]
+        kids = children[nid]
         if pending[nid] or (places[nid] > 1 and size(nid) <= _BLOCK):
-            live[nid] = kids
             for c in kids:
                 pending[c] += 1
             continue
@@ -328,7 +334,7 @@ def _expand(g, size, shift, build, paint):
         if isinstance(rule, int):
             memo[nid] = [rule]
             continue
-        kids = live.pop(nid)
+        kids = children[nid]
         built = build(nid, rule, kids, memo)
         for c in kids:
             pending[c] -= 1
@@ -379,12 +385,8 @@ def expand1(g, cap=DEFAULT_CAP):
     plus those small variables, not the sum of all expansion lengths, and
     nothing recurses.
     """
-    g.require_validated()
-    n = g._lens[g.start]
-    if n == 0:
-        raise EmptyLanguage("grammar derives only the empty string")
-    _check_cap(n, cap, "symbols")
-    lens = g._lens
+    lens = Slg1._validated(g)._lens
+    _check_cap(lens[g.start], cap, "symbols")
     return _expand(g, lens.__getitem__, lambda rule, c: lens[c], _extend_all, _paint1)
 
 
@@ -396,14 +398,11 @@ def grammar_size1(g):
 def _binarize(g):
     """The SLP conversion of a validated grammar, in either dimension.
 
-    Empty-expanding children are dropped, single-child rules are aliased away,
-    and longer right-hand sides are binarized left to right, each pair rule
-    keeping its parent's type. Only rules reachable from the start survive.
+    Single-child rules are aliased away, and longer right-hand sides are
+    binarized left to right, each pair rule keeping its parent's type. Only
+    rules reachable from the start survive, renumbered children first.
     Returns an unvalidated grammar of ``g``'s type.
     """
-    if g._eps[g.start]:
-        raise EmptyLanguage(f"grammar derives only {g._empty}")
-
     out_rules = []
 
     def emit(rule):
@@ -412,13 +411,13 @@ def _binarize(g):
 
     alias = {}  # original id -> output id, for surviving nodes
     for nid in reversed(g._topo):
-        if not g._reach[nid] or g._eps[nid]:
+        if not g._reach[nid]:
             continue
         rule = g.rules[nid]
         if isinstance(rule, int):
             alias[nid] = emit(rule)
             continue
-        kids = [alias[c] for c in g._kids[nid] if not g._eps[c]]
+        kids = [alias[c] for c in g._kids[nid]]
         if len(kids) == 1:
             alias[nid] = kids[0]
         else:
@@ -431,14 +430,13 @@ def _binarize(g):
 
 
 def slg_to_slp(g):
-    """Convert a grammar to an equivalent SLP (binary rules, no empty rules).
+    """Convert a grammar to an equivalent SLP (binary rules).
 
-    Empty-expanding children are dropped, single-child rules are aliased away,
-    and longer right-hand sides are binarized left to right. Only rules
-    reachable from the start survive. Output size stays within a small
-    constant factor of the input size.
+    Single-child rules are aliased away, and longer right-hand sides are
+    binarized left to right. Only rules reachable from the start survive.
+    Output size stays within a small constant factor of the input size.
     """
-    if not g.validated:
+    if not Slg1._own(g).validated:
         g = validate_slg1(g)
     return validate_slp1(_binarize(g))
 
@@ -494,7 +492,7 @@ def _parse(text, cls):
                 raise ParseError(f"literal rule needs one terminal: {ln!r}")
             rules[nid] = args[0]
         elif kind in kinds:
-            if len(args) < cls._min_children:
+            if not args:
                 raise ParseError(f"sequence rule needs children: {ln!r}")
             rules[nid] = kinds[kind](args)
         else:

@@ -22,17 +22,18 @@ in ``slg``; validation keeps every id and returns the grammar it is given.
 This module holds what is truly 2D: the rule and matrix types, the
 dimension pass of validation, expansion and the MAT format.
 
-Rules with an empty child list expand to the empty matrix; they are legal in
-Slg2 (one construction in the reductions module needs them) and are
-eliminated by slg2_to_slp2. Mixed arity is legal in Slg2; only validate_slp2
-restricts non-literal rules to exactly two children.
+Every Horiz and Vert rule lists at least one child, so no rule derives the
+empty matrix: validation refuses a rule that lists none (EmptyLanguage),
+and the parser an ``H`` or ``V`` line without children. Mixed arity is
+legal in Slg2; only validate_slp2 restricts non-literal rules to exactly
+two children.
 
 Text formats::
 
     SLG2 <num_nonterminals> <alphabet_size>
     <id>: L <terminal>
-    <id>: H <id> [...]
-    <id>: V <id> [...]
+    <id>: H <id> [<id> ...]
+    <id>: V <id> [<id> ...]
     START <id>
 
     MAT <rows> <cols>
@@ -49,7 +50,6 @@ from itertools import repeat
 from .errors import (
     ArithmeticOverflow,
     DimensionMismatch,
-    EmptyLanguage,
     ParseError,
     PositionOutOfRange,
     RangeError,
@@ -183,8 +183,7 @@ class Slg2(_Grammar):
     """A 2D straight-line grammar over literal/Horiz/Vert rules."""
 
     __slots__ = ("_rows", "_cols", "_horiz")
-    _magic, _literal, _letters, _min_children = "SLG2", "L", {Horiz: "H", Vert: "V"}, 0
-    _empty = "the empty matrix"
+    _magic, _literal, _letters = "SLG2", "L", {Horiz: "H", Vert: "V"}
 
     def __init__(self, rules, alphabet_size, start=0):
         super().__init__(rules, alphabet_size, start)
@@ -204,42 +203,36 @@ def validate_slg2(g):
     """Check all Slg2 invariants; return ``g`` itself, every id kept.
 
     Verifies acyclicity, reference and terminal ranges, and dimension
-    consistency: the non-empty children of a Horiz rule must share one
-    column count, those of a Vert rule one row count. Caches the topological
-    order, the child lists, reachability from the start, heights, the Horiz
-    flags and per-nonterminal (rows, cols); empty-expanding rules get (0, 0).
+    consistency: the children of a Horiz rule must share one column count,
+    those of a Vert rule one row count. Caches the topological order, the
+    child lists, reachability from the start, heights, the Horiz flags and
+    per-nonterminal (rows, cols).
     """
-    topo = _validate_core(g)
-    rules = g.rules
+    topo = _validate_core(Slg2._own(g))
+    rules, kids = g.rules, g._kids
 
     rows = [0] * len(rules)
     cols = [0] * len(rules)
-    eps = [False] * len(rules)
     for nid in reversed(topo):
         rule = rules[nid]
         if isinstance(rule, int):
             rows[nid] = cols[nid] = 1
             continue
-        live = [c for c in rule.children if not eps[c]]
-        if not live:
-            eps[nid] = True
-            continue
+        ks = kids[nid]
         if isinstance(rule, Horiz):
-            w = cols[live[0]]
-            for c in live[1:]:
+            w = cols[ks[0]]
+            for c in ks:
                 if cols[c] != w:
                     raise DimensionMismatch(
                         f"Horiz rule {nid}: child {c} has {cols[c]} cols, expected {w}")
-            r = sum(rows[c] for c in live)
-            rows[nid], cols[nid] = r, w
+            rows[nid], cols[nid] = sum(rows[c] for c in ks), w
         else:
-            h = rows[live[0]]
-            for c in live[1:]:
+            h = rows[ks[0]]
+            for c in ks:
                 if rows[c] != h:
                     raise DimensionMismatch(
                         f"Vert rule {nid}: child {c} has {rows[c]} rows, expected {h}")
-            w = sum(cols[c] for c in live)
-            rows[nid], cols[nid] = h, w
+            rows[nid], cols[nid] = h, sum(cols[c] for c in ks)
         if rows[nid] > MAX_LEN or cols[nid] > MAX_LEN:
             raise ArithmeticOverflow(f"dimensions of id {nid} exceed 2**62")
 
@@ -247,19 +240,17 @@ def validate_slg2(g):
     g._rows = rows
     g._cols = cols
     g._horiz = [isinstance(r, Horiz) for r in rules]
-    g._eps = eps
     return g
 
 
 def validate_slp2(g):
-    """validate_slg2 plus the arity-2 restriction, which rules out empty rules;
-    returns ``g`` itself."""
+    """validate_slg2 plus the arity-2 restriction; returns ``g`` itself."""
     return _check_binary(validate_slg2(g), "validate_slp2")
 
 
 def dims(g, nid):
-    """(rows, cols) of the expansion of ``nid``; (0, 0) for empty rules."""
-    nid = g._checked_id(nid)
+    """(rows, cols) of the expansion of ``nid``."""
+    nid = Slg2._checked_id(g, nid)
     return g._rows[nid], g._cols[nid]
 
 
@@ -289,14 +280,10 @@ def expand2(g, cap=DEFAULT_CAP):
     copies are painted into place (see ``_paint``); every other variable
     is split top down into its children. The working set is the output
     plus those small variables, not the sum of all expansion sizes.
-    Empty children are skipped.
     """
-    g.require_validated()
-    r, c = g._rows[g.start], g._cols[g.start]
-    if r == 0 or c == 0:
-        raise EmptyLanguage("grammar derives only the empty matrix")
+    rows, cols = Slg2._validated(g)._rows, g._cols
+    r, c = rows[g.start], cols[g.start]
     _check_cap(r * c, cap, "cells")
-    rows, cols = g._rows, g._cols
 
     def shift(rule, ch):
         return rows[ch] * c if type(rule) is Horiz else cols[ch]
@@ -322,13 +309,13 @@ grammar_size2 = grammar_size1  # the size measure is the same in both dimensions
 
 
 def slg2_to_slp2(g):
-    """Convert to an equivalent 2D SLP (arity-2 rules, no empty rules).
+    """Convert to an equivalent 2D SLP (arity-2 rules).
 
-    Same pipeline as the 1D conversion: drop empty-expanding children, alias
-    single-child rules, binarize longer right-hand sides left to right, keep
-    only rules reachable from the start.
+    Same pipeline as the 1D conversion: alias single-child rules, binarize
+    longer right-hand sides left to right, keep only rules reachable from
+    the start.
     """
-    if not g.validated:
+    if not Slg2._own(g).validated:
         g = validate_slg2(g)
     return validate_slp2(_binarize(g))
 

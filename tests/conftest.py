@@ -71,7 +71,7 @@ def vconcat(a, b):
 
 
 def expand_all_2d(g):
-    """Matrix2D expansion of every non-empty variable, assembled structurally.
+    """Matrix2D expansion of every variable, assembled structurally.
 
     Deliberately independent of expand2: builds each variable by folding its
     children with hconcat/vconcat, which is the definitional induction.
@@ -82,9 +82,7 @@ def expand_all_2d(g):
         if isinstance(rule, int):
             out[nid] = Matrix2D(1, 1, [rule])
             continue
-        parts = [out[c] for c in rule.children if c in out]
-        if not parts:
-            continue
+        parts = [out[c] for c in rule.children]
         acc = parts[0]
         for m in parts[1:]:
             acc = vconcat(acc, m) if isinstance(rule, Horiz) else hconcat(acc, m)
@@ -93,7 +91,7 @@ def expand_all_2d(g):
 
 
 def expand_all_1d(g):
-    """List expansion of every non-empty variable, by definitional induction."""
+    """List expansion of every variable, by definitional induction."""
     out = {}
     for nid in reversed(g._topo):
         rule = g.rules[nid]
@@ -102,7 +100,7 @@ def expand_all_1d(g):
             continue
         acc = []
         for c in rule if isinstance(rule, tuple) else rule.children:
-            acc.extend(out.get(c, []))
+            acc.extend(out[c])
         out[nid] = acc
     return out
 

@@ -100,6 +100,16 @@ def test_validate_bad_integer_field_is_one_line(tmp_path, capsys):
         assert err.startswith("ParseError: ") and err.count("\n") == 1
 
 
+def test_validate_empty_rule_is_one_line(tmp_path, capsys):
+    """An H line without children is malformed, as an N line without
+    children is in 1D."""
+    bad = tmp_path / "empty.slg2"
+    bad.write_text("SLG2 2 2\n0: H 1\n1: H\nSTART 0\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("ParseError: ") and err.count("\n") == 1
+
+
 def test_bad_cap_is_one_line(slp2_file, capsys, monkeypatch):
     for argv in (("expand", str(slp2_file), "--cap-cells", "0"),
                  ("access", str(slp2_file), "1,1", "--cap-cells", "-4")):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gridgram import (
     DanglingReference,
     DimensionMismatch,
+    EmptyLanguage,
     GrammarError,
     Horiz,
     Matrix2D,
@@ -28,27 +29,39 @@ from gridgram import (
     corner_map,
     descend1,
     descend2,
+    dims,
     dump_matrix,
     dump_slg1,
     dump_slg2,
+    exp_len,
+    expand1,
+    expand2,
     parse_matrix,
     parse_slg1,
     parse_slg2,
     hook_offset1,
     hook_offset2,
     side_map,
+    slg2_to_slp2,
+    slg_to_slp,
     validate_slg1,
     validate_slg2,
     validate_slp1,
     validate_slp2,
 )
+from gridgram.access1d import table_slots1
+from gridgram.access2d import table_slots2
 from gridgram.errors import RangeError, TerminalOutOfRange
 from gridgram.gen import random_matrix, random_slg1, random_slg2
 from gridgram.reductions import (
     OvInstance,
+    alphabet_reduce,
+    ext_mark_grammar,
     mark_all_chars,
+    mark_grammar,
     pad_with_zero_block,
     parse_ov,
+    square_all_zero_via_square_lce,
 )
 
 
@@ -169,8 +182,9 @@ def test_parser_double_start_and_bad_lines():
     with pytest.raises(ParseError):
         parse_slg1("SLG1 1 2\n0:\nSTART 0\n")
     with pytest.raises(ParseError):
-        parse_slg1("SLG1 1 2\n0: N\nSTART 0\n")  # 1D rules may not be empty
-    assert parse_slg2("SLG2 2 2\n0: L 0\n1: H\nSTART 0\n").rules[1] == Horiz()
+        parse_slg1("SLG1 1 2\n0: N\nSTART 0\n")  # rules may not be empty
+    with pytest.raises(ParseError):
+        parse_slg2("SLG2 2 2\n0: L 0\n1: H\nSTART 0\n")
     # every integer field, not just the header and the rule id
     for text in ("SLG1 2 2\n0: N 1 x\n1: T 0\nSTART 0\n",
                  "SLG1 1 2\n0: T 0\nSTART x\n",
@@ -209,7 +223,7 @@ def test_mark_all_chars_code_range():
 
 
 def test_pad_rejects_empty_expansion():
-    with pytest.raises(RangeError):
+    with pytest.raises(EmptyLanguage):
         pad_with_zero_block(Slg2([Horiz()], 1, 0))
 
 
@@ -245,3 +259,53 @@ def test_a_float_argument_raises_a_grammar_error(fn, args, error, at):
         with pytest.raises(error) as exc:
             fn(*args[:at], x, *args[at + 1:])
         assert isinstance(exc.value, GrammarError)
+
+
+# per entry point: the dimension it takes, and a call on a grammar g
+_DIMENSION_CALLS = {
+    "validate_slg1": (1, validate_slg1),
+    "validate_slp1": (1, validate_slp1),
+    "slg_to_slp": (1, slg_to_slp),
+    "expand1": (1, expand1),
+    "exp_len": (1, lambda g: exp_len(g, 0)),
+    "build_index1": (1, lambda g: build_index1(g, 2)),
+    "hook_offset1": (1, lambda g: hook_offset1(g, 0, 0, 1)),
+    "table_slots1": (1, lambda g: table_slots1(g, 2)),
+    "alphabet_reduce": (1, alphabet_reduce),
+    "mark_grammar": (1, lambda g: mark_grammar(g, 2)),
+    "ext_mark_grammar": (1, lambda g: ext_mark_grammar(g, 2)),
+    "validate_slg2": (2, validate_slg2),
+    "validate_slp2": (2, validate_slp2),
+    "slg2_to_slp2": (2, slg2_to_slp2),
+    "expand2": (2, expand2),
+    "dims": (2, lambda g: dims(g, 0)),
+    "build_index2": (2, lambda g: build_index2(g, 2)),
+    "hook_offset2": (2, lambda g: hook_offset2(g, 0, 0, 0, 1, 1)),
+    "table_slots2": (2, lambda g: table_slots2(g, 2)),
+    "pad_with_zero_block": (2, pad_with_zero_block),
+    "square_all_zero_via_square_lce": (2, square_all_zero_via_square_lce),
+}
+
+
+@pytest.mark.parametrize("validated", [True, False], ids=["validated", "raw"])
+@pytest.mark.parametrize("name", list(_DIMENSION_CALLS))
+def test_a_grammar_of_the_other_dimension_is_refused(name, validated):
+    """Each entry point given a grammar of the other dimension, validated or
+    not, raises PreconditionViolated, not an AttributeError or TypeError."""
+    dim, call = _DIMENSION_CALLS[name]
+    grammars = {1: Slp1([(1, 2), 0, 1], 2, 0), 2: Slp2([Vert(1, 2), 0, 1], 2, 0)}
+    call(validate_slp1(grammars[1]) if dim == 1 else validate_slp2(grammars[2]))
+    other = grammars[3 - dim]
+    if validated:
+        (validate_slp1 if dim == 2 else validate_slp2)(other)
+    with pytest.raises(PreconditionViolated, match="expected an Slg"):
+        call(other)
+
+
+def test_slot_counts_refuse_a_grammar_never_validated():
+    """table_slots* ask for a validated grammar, as build_index* and
+    expand* do, instead of reading caches that are not there."""
+    for count, g in ((table_slots1, Slp1([(1, 2), 0, 1], 2, 0)),
+                     (table_slots2, Slp2([Vert(1, 2), 0, 1], 2, 0))):
+        with pytest.raises(PreconditionViolated, match="must pass validate_"):
+            count(g, 2)

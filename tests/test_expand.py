@@ -3,7 +3,7 @@
 Expansion builds every small variable (at most 2**12 cells) that lies at
 two or more places once and copies it into place; everything else it only
 splits. These tests hold it to the definitional folds of ``conftest`` on
-random grammars with empty children and mixed arity, combs, staircases,
+random grammars of mixed arity, combs, staircases,
 tiled blocks and the marking grammars, with sizes on both sides of the
 threshold; run each of the three ways a block is painted; expand combs
 deeper than the recursion limit; refuse a 2**40-cell grammar before
@@ -105,26 +105,6 @@ def test_a_cap_that_is_not_an_int_is_a_range_error(cap):
 
 # -- random families, both sides of the threshold -----------------------------
 
-def _sprinkle_empties(rules, rng, empty_rule):
-    """rules with a few empty rules appended (some built from other empty
-    rules) and listed at random places among the children of others; the
-    expansion does not change."""
-    rules = list(rules)
-    first = len(rules)
-    for k in range(rng.randint(1, 3)):
-        rules.append(empty_rule([first + j for j in range(k) if rng.random() < 0.5]))
-    empties = list(range(first, len(rules)))
-    for nid in range(first):
-        rule = rules[nid]
-        if isinstance(rule, int) or rng.random() < 0.5:
-            continue
-        kids = list(rule.children if isinstance(rule, (Horiz, Vert)) else rule)
-        for _ in range(rng.randint(1, 2)):
-            kids.insert(rng.randint(0, len(kids)), rng.choice(empties))
-        rules[nid] = type(rule)(kids)
-    return rules
-
-
 def _tiled2(rng, h, w, reps_r, reps_c):
     """A random h x w block, written as one rule per row, repeated reps_c
     times across and reps_r times down."""
@@ -183,9 +163,6 @@ def grammars2(draw):
         h = draw(st.integers(1, 96))
         w = max(1, draw(SIZES) // h)
         g = _tiled2(rng, h, w, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-    if draw(st.booleans()):
-        g = Slg2(_sprinkle_empties(g.rules, rng, draw(st.sampled_from([Horiz, Vert]))),
-                 g.alphabet_size, g.start)
     return validate_slg2(g)
 
 
@@ -213,8 +190,6 @@ def grammars1(draw):
         n = max(1, draw(SIZES) // draw(st.sampled_from([1, 2, 3])))
         block = tuple(2 + rng.randrange(3) for _ in range(n))
         g = Slg1([(1,) * draw(st.integers(1, 4)), block, 0, 1, 2], 3, 0)
-    if draw(st.booleans()):
-        g = Slg1(_sprinkle_empties(g.rules, rng, tuple), g.alphabet_size, g.start)
     return validate_slg1(g)
 
 

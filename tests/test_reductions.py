@@ -5,15 +5,22 @@ import random
 import pytest
 
 from gridgram import (
+    EmptyLanguage,
     ExtRequiresLengthTwo,
+    Horiz,
     Matrix2D,
     NonUniformInstance,
+    Slg1,
+    Slg2,
     Slp1,
+    Vert,
     dims,
     expand1,
     expand2,
     grammar_size1,
     grammar_size2,
+    validate_slg1,
+    validate_slg2,
     validate_slp1,
 )
 from gridgram.errors import RangeError
@@ -253,6 +260,23 @@ def test_marking_grammars_random_equality_and_size():
             assert grammar_size2(eg) <= 8 * (grammar_size1(g) + sigma)
 
 
+def test_every_rule_lists_a_child():
+    """Validation refuses a rule with no children in either dimension, and
+    the marking grammars build none: a code in the top or bottom row has
+    no zero run on that side, not an empty one."""
+    with pytest.raises(EmptyLanguage):
+        validate_slg1(Slg1([(1,), ()], 2, 0))
+    with pytest.raises(EmptyLanguage):
+        validate_slg2(Slg2([Vert(1), Horiz(), 0], 1, 0))
+    for sigma in range(1, 6):
+        g = random_slp1(sigma, 12, sigma=sigma, max_len=64)
+        for make in (mark_grammar, ext_mark_grammar):
+            mg = make(g, sigma)
+            assert all(isinstance(r, int) or r.children for r in mg.rules)
+        # g's rules, the two literals, sigma - 2 zero runs and sigma columns
+        assert len(mark_grammar(g, sigma).rules) == len(g.rules) + 2 + max(sigma - 2, 0) + sigma
+
+
 def test_ext_mark_grammar_power_of_two_lengths():
     # n - 1 a power of two exercises the top of the doubling chain
     for n_exp in (1, 2, 3, 4):
@@ -479,6 +503,34 @@ def test_adapter_range_errors():
         rank_via_line_sum(lambda *a: 0, None, -1, 0)
     with pytest.raises(RangeError):
         occurs_via_square_all_zero(lambda *a: 0, None, 0, 9, 0, 5)
+
+
+def _no_call(*args):
+    raise AssertionError(f"provider called with {args!r}")
+
+
+_SAZ = square_all_zero_via_square_lce(grammar_from_matrix(Matrix2D(4, 4, [0] * 16)))[1](_no_call)
+# per adapter: a call with one argument x, and the string and float forms of x
+_ADAPTER_CALLS = {
+    "rank_via_line_sum": (lambda x: rank_via_line_sum(_no_call, None, x, 0), "1", 1.0),
+    "occurs_via_square_all_zero": (
+        lambda x: occurs_via_square_all_zero(_no_call, None, x, 2, 0, 4), None, 1.0),
+    "square_lce_via_line_lce": (
+        lambda x: square_lce_via_line_lce(_no_call, 4, 4, x, 1, 1, 1), "1", 1.0),
+    "line_lce_via_equality": (
+        lambda x: line_lce_via_equality(_no_call, 4, 4, 1, 1, 1, 1, x), "2", 2.0),
+    "square_all_zero_via_square_lce": (lambda x: _SAZ(x, 2, 1), "2", 2.0),
+}
+
+
+@pytest.mark.parametrize("form", [1, 2], ids=["str", "float"])
+@pytest.mark.parametrize("name", list(_ADAPTER_CALLS))
+def test_adapters_refuse_non_integer_arguments(name, form):
+    """A string, None or float where an adapter takes an integer raises
+    RangeError before any provider call, as the oracles do."""
+    call = _ADAPTER_CALLS[name][0]
+    with pytest.raises(RangeError, match="must be integers"):
+        call(_ADAPTER_CALLS[name][form])
 
 
 def test_ov_instance_refuses_what_is_no_list_of_vectors():

@@ -94,15 +94,11 @@ def test_validate_terminal_out_of_range():
 
 
 def test_validate_rejects_empty_rules_by_default():
-    """Validation marks rules expanding to the empty string; expansion and
-    the SLP conversion refuse an empty start, and an SLP has no empty rule."""
-    g = validate_slg1(Slg1([(1,), ()], 2, 0))
-    assert g._eps[1] and g._eps[0]
-    for refuse in (expand1, slg_to_slp):
-        with pytest.raises(EmptyLanguage):
-            refuse(g)
-    with pytest.raises(NotAnSlp):
-        validate_slp1(Slg1([(1,), ()], 2, 0))
+    """A rule with no children is refused by every path that validates: the
+    grammar, the SLP check and the SLP conversion."""
+    for refuse in (validate_slg1, validate_slp1, slg_to_slp):
+        with pytest.raises(EmptyLanguage, match="rule 1 has no children"):
+            refuse(Slg1([(1,), ()], 2, 0))
 
 
 def test_an_slp_is_a_checked_grammar_not_a_type():
@@ -245,12 +241,14 @@ def test_slg_to_slp_on_binary_input_keeps_expansion(abab):
     assert grammar_size1(slp) <= 3 * grammar_size1(abab)
 
 
-def test_slg_to_slp_eliminates_empty_rules():
-    # S -> A E B with E empty; singleton chain collapses
-    g = Slg1([(1, 4, 2), 0, 1, (), (3,)], 2, 0)
-    slp = slg_to_slp(g)
+def test_slg_to_slp_refuses_empty_rules():
+    """S -> A D B with D -> E: an empty E is refused; a literal E is reached
+    through the singleton chain, which collapses."""
+    with pytest.raises(EmptyLanguage, match="rule 3 has no children"):
+        slg_to_slp(Slg1([(1, 4, 2), 0, 1, (), (3,)], 2, 0))
+    slp = slg_to_slp(Slg1([(1, 4, 2), 0, 1, (2,), (3,)], 2, 0))
     assert slp.is_binary
-    assert expand1(slp) == [0, 1]
+    assert expand1(slp) == [0, 1, 1]
     assert not any(isinstance(r, tuple) and len(r) != 2 for r in slp.rules)
 
 
@@ -290,16 +288,12 @@ def test_format_roundtrip(abab, grid22):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), n_rules=st.integers(1, 25),
-       empty=st.sampled_from([None, Horiz, Vert]))
-def test_format_roundtrip_property(seed, n_rules, empty):
+@given(seed=st.integers(0, 2 ** 32), n_rules=st.integers(1, 25))
+def test_format_roundtrip_property(seed, n_rules):
     """parse(dump(g)) gives back g's rules, alphabet and start exactly."""
     g1 = random_slg1(seed, n_rules, max_len=512)
     assert _fields(parse_slg1(dump_slg1(g1))) == _fields(g1)
     g2 = random_slg2(seed, n_rules, max_cells=512)
-    if empty is not None:
-        # gen never emits an empty rule; add one that nothing references
-        g2 = Slg2(g2.rules + [empty()], g2.alphabet_size, g2.start)
     assert _fields(parse_slg2(dump_slg2(g2))) == _fields(g2)
 
 
@@ -339,26 +333,20 @@ def _relabelled(rules, perm):
 
 @st.composite
 def raw_grammars(draw):
-    """An unvalidated Slg1 or Slg2 of mixed arity, with an empty rule listed
-    among the children of some rules, rules nothing reaches (a literal, a
-    one-child rule and a rule of only empty children), and its ids
-    shuffled, so the start is seldom id 0."""
+    """An unvalidated Slg1 or Slg2 of mixed arity, with rules nothing reaches
+    (a literal, a one-child rule and a rule listing one child twice), and
+    its ids shuffled, so the start is seldom id 0."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     n = draw(st.integers(1, 25))
     if draw(st.booleans()):
-        g, empty = random_slg1(rng, n, max_arity=4, max_len=512), tuple
+        g, kind = random_slg1(rng, n, max_arity=4, max_len=512), tuple
     else:
         g = random_slg2(rng, n, max_arity=4, max_cells=512)
-        empty = draw(st.sampled_from([Horiz, Vert]))
+        kind = draw(st.sampled_from([Horiz, Vert]))
     rules = list(g.rules)
     e = len(rules)
-    rules.append(empty(()))
-    for nid in range(e):
-        if not isinstance(rules[nid], int) and rng.random() < 0.3:
-            kids = list(rules[nid] if empty is tuple else rules[nid].children)
-            kids.insert(rng.randint(0, len(kids)), e)
-            rules[nid] = type(rules[nid])(tuple(kids))
-    rules += [rng.randrange(g.alphabet_size), empty((rng.randrange(e),)), empty((e, e))]
+    rules += [rng.randrange(g.alphabet_size), kind((rng.randrange(e),)),
+              kind((rng.randrange(e),) * 2)]
     perm = list(range(len(rules)))
     rng.shuffle(perm)
     return type(g)(_relabelled(rules, perm), g.alphabet_size, perm[g.start])
@@ -366,7 +354,7 @@ def raw_grammars(draw):
 
 def _heights(g):
     """Per id, the height by its recursive definition: 0 for a literal, else
-    one more than the highest child (0 for a rule without children)."""
+    one more than the highest child."""
     memo = {}
 
     def height(v):
@@ -376,7 +364,7 @@ def _heights(g):
                 memo[v] = 0
             else:
                 kids = rule if isinstance(rule, tuple) else rule.children
-                memo[v] = 1 + max(map(height, kids), default=0)
+                memo[v] = 1 + max(map(height, kids))
         return memo[v]
 
     return [height(v) for v in range(len(g.rules))]
@@ -460,10 +448,7 @@ def test_validation_returns_its_argument_with_every_id_kept(g, seed):
         if isinstance(g, Slg1):
             assert exp_len(g, v) == len(folded[v])
         else:
-            m = folded.get(v)
-            assert dims(g, v) == ((m.rows, m.cols) if m else (0, 0))
-    if g._eps[start]:
-        return
+            assert dims(g, v) == (folded[v].rows, folded[v].cols)
     want = expand1(g) if isinstance(g, Slg1) else expand2(g)
     assert want == folded[start]
 

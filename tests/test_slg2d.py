@@ -22,6 +22,7 @@ from gridgram import (
     parse_slg2,
     slg2_to_slp2,
     validate_slg2,
+    validate_slp2,
 )
 from gridgram.errors import RangeError
 from gridgram.gen import random_slg2, random_slp2
@@ -108,18 +109,18 @@ def test_expand_matches_structural_fold():
             assert (exps[nid].rows, exps[nid].cols) == dims(g, nid)
 
 
-def test_empty_rules_allowed_and_skipped():
-    # Z empty, column = Z then literal: expands to the 1x1 literal
-    g = validate_slg2(Slg2([Horiz(1, 2), Horiz(), 1], 2, 0))
-    assert g._eps[1]
-    assert dims(g, 0) == (1, 1)
-    assert expand2(g).cells == [1]
+def test_empty_rules_refused():
+    """A Horiz or Vert rule with no children is refused by validation, the
+    SLP check and the SLP conversion, reachable or not."""
+    for empty in (Horiz, Vert):
+        for refuse in (validate_slg2, validate_slp2, slg2_to_slp2):
+            with pytest.raises(EmptyLanguage, match="rule 1 has no children"):
+                refuse(Slg2([Horiz(2, 2), empty(), 1], 2, 0))
 
 
 def test_expand_empty_language():
-    g = validate_slg2(Slg2([Horiz()], 1, 0))
     with pytest.raises(EmptyLanguage):
-        expand2(g)
+        expand2(validate_slg2(Slg2([Horiz()], 1, 0)))
 
 
 def test_grammar_size_2x2(grid22):
@@ -188,10 +189,11 @@ def test_grammar_format_roundtrip(grid22):
     assert dump_slg2(g) == text
 
 
-def test_grammar_format_empty_rule_roundtrip():
-    g = validate_slg2(Slg2([Horiz(1, 2), Horiz(), 1], 2, 0))
-    g2 = validate_slg2(parse_slg2(dump_slg2(g)))
-    assert expand2(g2).cells == [1]
+def test_grammar_format_refuses_empty_rules():
+    """An H or V line lists at least one child, as an N line does in 1D."""
+    for letter in "HV":
+        with pytest.raises(ParseError, match="sequence rule needs children"):
+            parse_slg2(f"SLG2 2 2\n0: {letter} 1\n1: {letter}\nSTART 0\n")
 
 
 def test_grammar_format_errors():
