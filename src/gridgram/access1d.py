@@ -18,14 +18,16 @@ it costs exactly ceil(log_tau n) + 1 mapping steps.
 Tables are flat and per variable, as in 2D: ``tables[side][t]`` is one list
 per side and variable reachable from the start (None for the others),
 holding only the levels p <= cap[t], the largest p with
-tau**p <= |Exp(N_t)|, with block k of level p at ``p * tau + k``; slots
-past the expansion hold None. So a list has (cap[t] + 1) * tau slots and
-at most 2 * |V| * tau * (floor(log_tau n) + 1) entries are stored.
-side_map reads a level above the variable's cap at the cap, whose blocks
-are no larger. Every tau at least as long as the start's expansion gives
-the same levels and blocks, so the build clamps tau to n (and to at least
-2). Equal steps are stored as one tuple, through a dict of the steps made
-that the build drops on return; on a comb most steps repeat.
+tau**p <= |Exp(N_t)|, with block k of level p at ``p * tau + k``. Every
+level below the cap has tau blocks and the cap has ceil(|Exp(N_t)| /
+tau**cap[t]) <= tau, so a list has one slot per block,
+cap[t] * tau + ceil(|Exp(N_t)| / tau**cap[t]), each holding a step, and at
+most 2 * |V| * tau * (floor(log_tau n) + 1) are stored. side_map reads a
+level above the variable's cap at the cap, whose blocks are no larger.
+Every tau at least as long as the start's expansion gives the same levels
+and blocks, so the build clamps tau to n (and to at least 2). Equal steps
+are stored as one tuple, through a dict of the steps made that the build
+drops on return; on a comb most steps repeat.
 
 Where descending is cheaper than reading on, a slot holds a finish marker
 instead: every block slot of a variable i at a level p with
@@ -129,12 +131,20 @@ def caps(sizes, tau):
     return [ceil_log(m + 1, tau) - 1 for m in sizes]
 
 
+def blocks_to_cap(size, cap, tau):
+    """The blocks along an axis of ``size`` cells over the levels up to its
+    cap: tau at each level below the cap, and the ones that exist at it."""
+    return cap * tau - (-size // tau ** cap)
+
+
 def table_slots1(g, tau):
-    """Slots, defined or not, that build_index1(g, tau) allocates for the
-    validated SLP g: (cap + 1) * tau per side and variable reachable from
-    the start."""
-    tau = clamp_tau(tau, Slg1._validated(g)._lens[g.start])
-    return 2 * tau * sum(c + 1 for c, r in zip(caps(g._lens, tau), g._reach) if r)
+    """Slots that build_index1(g, tau) allocates for the validated SLP g,
+    each holding a step: one per block and side of every variable reachable
+    from the start."""
+    lens = Slg1._validated(g)._lens
+    tau = clamp_tau(tau, lens[g.start])
+    return 2 * sum(blocks_to_cap(m, c, tau)
+                   for m, c, r in zip(lens, caps(lens, tau), g._reach) if r)
 
 
 RUN = 4               # moves in a row toward one child before a descent runs along its chain
@@ -279,9 +289,9 @@ class AccessIndex1:
     grammar's walk arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "lens", "kids", "height", "cap",
-                 "tables", "entries", "n")
+                 "tables", "n")
 
-    def __init__(self, grammar, tau, levels, pows, cap, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, cap, tables):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # ceil(log_tau n); the traced walk steps from here to 0
@@ -290,14 +300,14 @@ class AccessIndex1:
         self.kids = grammar._kids     # the grammar's (left, right) child ids, None for literals
         self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap = cap                # per variable: the largest p with tau**p <= its length
-        self.tables = tables          # [side][t][p * tau + k] -> (s, near, far) or None;
-                                      #   [side][t] is None for t unreachable from the start
-        self.entries = entries        # defined slots, counted by the build
+        self.tables = tables          # [side][t][p * tau + k] -> (s, near, far), one slot
+                                      #   per block; [side][t] is None for t unreachable
         self.n = self.lens[grammar.start]
 
     def entry_count(self):
-        """Stored bookmarks across both tables (the size-bound quantity)."""
-        return self.entries
+        """Stored bookmarks across both tables (the size-bound quantity):
+        every slot holds one."""
+        return sum(len(table) for side in self.tables for table in side if table is not None)
 
     def __repr__(self):
         return (f"AccessIndex1(n={self.n}, tau={self.tau}, "
@@ -305,8 +315,8 @@ class AccessIndex1:
 
 
 def build_index1(g, tau):
-    """Populate every defined (variable, level, block) step of both tables
-    for the variables reachable from the start, up to each variable's cap;
+    """Populate every (variable, level, block) step of both tables for the
+    variables reachable from the start, up to each variable's cap;
     every block of a variable i at a level p with height(i) <= 2p gets the
     finish marker (0, i, None), which for a literal is its literal step."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
@@ -320,12 +330,11 @@ def build_index1(g, tau):
     chains = tuple(_chains(kids, g._topo, (lens,), side) for side in (0, 1))
 
     left, right = [None] * len(kids), [None] * len(kids)
-    entries = 0
     for i in reversed(g._topo):
         if not reach[i]:
             continue
         m = lens[i]
-        lt = left[i] = [None] * ((cap[i] + 1) * tau)
+        lt = left[i] = [None] * blocks_to_cap(m, cap[i], tau)
         rt = right[i] = [None] * len(lt)
         for p in range(cap[i] + 1):
             tp = pows[p]
@@ -333,7 +342,6 @@ def build_index1(g, tau):
             blocks = -(-m // tp)            # k with k * tau**p < m
             if blocks > tau:
                 blocks = tau
-            entries += 2 * blocks
             if height[i] <= 2 * p:          # descending from i is cheaper than reading on
                 marker = (0, i, None)
                 lt[base:base + blocks] = rt[base:base + blocks] = \
@@ -354,7 +362,7 @@ def build_index1(g, tau):
             for k in range(cy, blocks):
                 step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1, chains)
                 rt[base + k] = share(step, step)
-    return AccessIndex1(g, tau, levels, pows, cap, (left, right), entries)
+    return AccessIndex1(g, tau, levels, pows, cap, (left, right))
 
 
 def side_map(ix, side, t, p, delta):

@@ -44,10 +44,14 @@ descent, so the traced walk's steps do not change.
 
 Tables are flat and per variable, as in 1D: ``tables[corner][t]`` is one
 list per corner and reachable variable, holding only the level pairs
-p_r <= cap_r[t] and p_c <= cap_c[t], with block (k_r, k_c) of level pair
-(p_r, p_c) at ``((p_r * (cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c``.
-A list has (cap_r[t] + 1) * (cap_c[t] + 1) * tau**2 slots, so at most
-4 * |V| * tau**2 * (ceil(log_tau n) + 1)**2 bookmarks are stored,
+p_r <= cap_r[t] and p_c <= cap_c[t], one slot per block, each holding a
+step. Along an axis every level below the cap has tau blocks and the cap
+has the ones that exist, so the list is a grid of H x W blocks,
+H = cap_r[t] * tau + ceil(rows / tau**cap_r[t]) and
+W = cap_c[t] * tau + ceil(cols / tau**cap_c[t]) (``width[t]``), with block
+(k_r, k_c) of level pair (p_r, p_c) at
+``(p_r * tau + k_r) * W + p_c * tau + k_c``. So at most
+4 * |V| * tau**2 * (floor(log_tau n) + 1)**2 bookmarks are stored,
 n = max(rows, cols). The build clamps tau to the start's longest side and
 stores equal steps as one tuple, as in 1D.
 
@@ -61,7 +65,7 @@ child's own list, a slice at a time, markers included, since the block sits
 at the same offset from the same corner of the child; only blocks that
 straddle the split or sit unaligned in the other child descend. The child
 has the level pair whenever a block fits inside it, and on a rows split it
-has the parent's columns, hence the parent's column cap and stride.
+has the parent's columns, hence the parent's width and the same slots.
 
 A descent runs along long runs of moves as in 1D, with the same RUN and
 ``_chains`` over the x and the y children, keyed by rows and columns,
@@ -86,7 +90,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import PLAIN, RUN, _chains, _preset, caps, ceil_log, clamp_tau
+from .access1d import PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log, clamp_tau
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -102,11 +106,14 @@ def optimal_tau2(n, epsilon=1.0):
 
 
 def table_slots2(g, tau):
-    """Slots, defined or not, that build_index2(g, tau) allocates for the validated 2D SLP g."""
+    """Slots that build_index2(g, tau) allocates for the validated 2D SLP g,
+    each holding a step: one per block and corner of every variable
+    reachable from the start."""
     rows, cols = Slg2._validated(g)._rows, g._cols
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
-    return 4 * tau * tau * sum((cr + 1) * (cc + 1) for cr, cc, r
-                               in zip(caps(rows, tau), caps(cols, tau), g._reach) if r)
+    return 4 * sum(blocks_to_cap(m_r, cr, tau) * blocks_to_cap(m_c, cc, tau)
+                   for m_r, m_c, cr, cc, r in zip(rows, cols, caps(rows, tau),
+                                                  caps(cols, tau), g._reach) if r)
 
 
 def _run2(chains, node, need_r, need_c):
@@ -219,9 +226,9 @@ class AccessIndex2:
     references to the grammar's walk arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "kids", "horiz",
-                 "height", "cap_r", "cap_c", "tables", "entries", "n_rows", "n_cols")
+                 "height", "cap_r", "cap_c", "width", "tables", "n_rows", "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, tables, entries):
+    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, width, tables):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
@@ -233,16 +240,18 @@ class AccessIndex2:
         self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
-        self.tables = tables        # [corner][t][((p_r*(cap_c[t]+1)+p_c)*tau+k_r)*tau+k_c]
-                                    #   -> (axis, s, near, far, shift); [corner][t] is
-                                    #   None for a variable unreachable from the start
-        self.entries = entries      # defined slots, counted by the build
+        self.width = width          # per reachable variable: its lists' blocks per row, W
+        self.tables = tables        # [corner][t][(p_r*tau+k_r)*width[t] + p_c*tau+k_c]
+                                    #   -> (axis, s, near, far, shift), one slot per
+                                    #   block; [corner][t] is None for a variable
+                                    #   unreachable from the start
         self.n_rows = self.rows[grammar.start]
         self.n_cols = self.cols[grammar.start]
 
     def entry_count(self):
-        """Stored bookmarks across all four corner tables."""
-        return self.entries
+        """Stored bookmarks across all four corner tables: every slot holds one."""
+        return sum(len(table) for corner in self.tables for table in corner
+                   if table is not None)
 
     def __repr__(self):
         return (f"AccessIndex2({self.n_rows}x{self.n_cols}, tau={self.tau}, "
@@ -261,7 +270,7 @@ def _windows(m, pows, tau):
 
 
 def build_index2(g, tau):
-    """Populate every defined corner step of the variables reachable from the
+    """Populate every corner step of the variables reachable from the
     start; every block of a variable i at a level pair (p_r, p_c) with
     height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0),
     which for a literal is its literal step."""
@@ -275,16 +284,16 @@ def build_index2(g, tau):
     share = {}.setdefault           # step -> its one stored copy
     chains = tuple(_chains(kids, g._topo, (rows, cols), side) for side in (0, 1))
 
-    span = tau * tau                # slots per level pair in one list
+    width = [0] * len(kids)
     tables = [[None] * len(kids) for _ in range(4)]
-    entries = 0
     for i in reversed(g._topo):
         if not reach[i]:
             continue
         cr, cc = cap_r[i], cap_c[i]
         win_r = _windows(rows[i], pows[:cr + 2], tau)
         win_c = _windows(cols[i], pows[:cc + 2], tau)
-        size = (cr + 1) * (cc + 1) * span
+        w = width[i] = blocks_to_cap(cols[i], cc, tau)
+        size = blocks_to_cap(rows[i], cr, tau) * w
         own = [[None] * size for _ in range(4)]
         for corner in range(4):
             tables[corner][i] = own[corner]
@@ -294,13 +303,12 @@ def build_index2(g, tau):
             for p_c in range(cc + 1):
                 tpc = pows[p_c]
                 blocks_c = len(win_c[p_c][0])
-                entries += 4 * blocks_r * blocks_c
-                base = (p_r * (cc + 1) + p_c) * span
+                base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
                 if height[i] <= 2 * (p_r + p_c):   # descending from i is cheaper
                     marker = (0, 0, i, None, 0)
                     marks = [share(marker, marker)] * blocks_c
                     for table in own:
-                        for at in range(base, base + blocks_r * tau, tau):
+                        for at in range(base, base + blocks_r * w, w):
                             table[at:at + blocks_c] = marks
                     continue
                 x, y = kids[i]
@@ -312,28 +320,29 @@ def build_index2(g, tau):
                         cut_r, cut_c = rows[src] // tpr, 0
                         if cut_r > blocks_r:
                             cut_r = blocks_r
-                        if cut_r:           # same columns, so the same stride
-                            table[base:base + cut_r * tau] = \
-                                tables[corner][src][base:base + cut_r * tau]
+                        if cut_r:           # same columns, so the same slots
+                            child = tables[corner][src]
+                            for at in range(base, base + cut_r * w, w):
+                                table[at:at + blocks_c] = child[at:at + blocks_c]
                     else:
                         src = y if corner & 1 else x
                         cut_r, cut_c = 0, cols[src] // tpc
                         if cut_c > blocks_c:
                             cut_c = blocks_c
                         if cut_c:
-                            child = tables[corner][src]
-                            start = (p_r * (cap_c[src] + 1) + p_c) * span
-                            for at in range(base, base + blocks_r * tau, tau):
+                            child, stride = tables[corner][src], width[src]
+                            start = p_r * tau * stride + p_c * tau
+                            for at in range(base, base + blocks_r * w, w):
                                 table[at:at + cut_c] = child[start:start + cut_c]
-                                start += tau
+                                start += stride
                     col_wins = win_c[p_c][corner & 1][cut_c:]
                     for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][cut_r:], cut_r):
-                        at = base + k_r * tau
+                        at = base + k_r * w
                         for k_c, (b_c, e_c) in enumerate(col_wins, at + cut_c):
                             step = _hook_core2(kids, horiz, rows, cols,
                                                i, b_r, b_c, e_r, e_c, corner, chains)
                             table[k_c] = share(step, step)
-    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, tables, entries)
+    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, width, tables)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
@@ -386,7 +395,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
     tau = ix.tau
-    step = table[((p_r * (ix.cap_c[t] + 1) + p_c) * tau + k_r) * tau + k_c]
+    step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c]
     axis, s, near, far, shift = step
     if far is None:
         literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
@@ -493,16 +502,17 @@ def access2(ix, i, j):
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
-    tau, pows, tables, cap_r, cap_c = ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c
+    tau, pows, tables, cap_r, cap_c, width = \
+        ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width
     t, d_r, d_c, c = ix.grammar.start, i, j, 0
     p_r, p_c = cap_r[t], cap_c[t]
-    stride = p_c + 1                # level pairs per row level in t's lists
+    w = width[t]                    # blocks per row in t's lists
     for _ in range(p_r + p_c + 1):
         tpr, tpc = pows[p_r], pows[p_c]
         k_r = (d_r - 1) // tpr
         k_c = (d_c - 1) // tpc
         axis, s, near, far, shift = \
-            tables[c][t][((p_r * stride + p_c) * tau + k_r) * tau + k_c]
+            tables[c][t][(p_r * tau + k_r) * w + p_c * tau + k_c]
         d_r -= k_r * tpr
         d_c -= k_c * tpc
         if axis:
@@ -527,9 +537,9 @@ def access2(ix, i, j):
             p_c -= 1
         if p_r > cap_r[t]:
             p_r = cap_r[t]
-        stride = cap_c[t] + 1
-        if p_c >= stride:
-            p_c = stride - 1
+        if p_c > cap_c[t]:
+            p_c = cap_c[t]
+        w = width[t]
     raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")
 
 

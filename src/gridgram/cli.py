@@ -132,14 +132,14 @@ def _held_bytes(ix):
     pointer) plus each distinct step object once, as sys.getsizeof counts it.
 
     ``ix.tables`` is two sides or four corners, each a list over the
-    variables of flat lists, None for a variable without tables; equal steps
-    are one shared object."""
+    variables of flat lists, None for a variable without tables; every slot
+    holds a step, and equal steps are one shared object."""
     slots, steps = 0, {}
     for part in ix.tables:
         for table in part:
             if table is not None:
                 slots += len(table)
-                steps.update((id(v), v) for v in table if v is not None)
+                steps.update((id(v), v) for v in table)
     return 8 * slots + sum(sys.getsizeof(v) for v in steps.values())
 
 

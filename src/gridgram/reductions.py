@@ -232,17 +232,22 @@ def _zero_run(rules, unit, count, ctor):
 def _marking_grammar(g, sigma, gap):
     """The marking grammar of the validated SLP g with ``gap`` zero rows under each 1.
 
-    Every 1D variable becomes a Vert over its children; a literal with code
-    c becomes the column with a 1 in row c * (gap + 1) + 1. Each column is a
+    Every 1D variable reachable from the start becomes a Vert over its
+    children, numbered in id order before the rest; a literal with code c
+    becomes the column with a 1 in row c * (gap + 1) + 1. Each column is a
     prefix of c zero units, the 1, a run of ``gap`` zeros and sigma - 1 - c
     more zero units, where a zero unit is gap + 1 zero cells tall; a run of
-    no zero units is no child at all, so every rule lists one.
+    no zero units is no child at all, so every rule lists one. Variables the
+    start does not reach are left out, so only the codes of the text are
+    checked against sigma.
     """
     if not (isinstance(sigma, int) and sigma >= 1):
         raise RangeError(f"sigma must be an int >= 1, got {sigma!r}")
-    if any(not (0 <= r < sigma) for r in g.rules if isinstance(r, int)):
+    keep = [nid for nid, r in enumerate(g._reach) if r]
+    if any(not (0 <= g.rules[nid] < sigma) for nid in keep if g._kids[nid] is None):
         raise RangeError(f"grammar terminals must lie in [0, {sigma})")
-    gv = len(g.rules)
+    new = {nid: at for at, nid in enumerate(keep)}     # input id -> output id
+    gv = len(keep)
     m0, m1 = gv, gv + 1
     rules = [None] * gv + [0, 1]
     mid, unit = [m1], m0                   # mid: the 1, then the gap run if any
@@ -256,9 +261,10 @@ def _marking_grammar(g, sigma, gap):
         zeros.append((len(rules) - 1,))
     col = len(rules)                       # col + c: the marking column of code c
     rules.extend(Horiz(*zeros[c], *mid, *zeros[sigma - 1 - c]) for c in range(sigma))
-    for nid, rule in enumerate(g.rules):
-        rules[nid] = Vert(col + rule) if isinstance(rule, int) else Vert(*rule)
-    return validate_slg2(Slg2(rules, 2, g.start))
+    for at, nid in enumerate(keep):
+        kid = g._kids[nid]
+        rules[at] = Vert(col + g.rules[nid]) if kid is None else Vert(new[kid[0]], new[kid[1]])
+    return validate_slg2(Slg2(rules, 2, new[g.start]))
 
 
 def mark_grammar(g, sigma):

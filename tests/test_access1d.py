@@ -122,7 +122,7 @@ def test_index_single_literal():
     ix = build_index1(g, 2)
     assert ix.levels == 0 and ix.cap == [0]
     left, right = ix.tables
-    assert left == [[(0, 0, None), None]] and right[0][0] == (0, 0, None)   # the literal 0
+    assert left == right == [[(0, 0, None)]]    # the literal 0, its one block
     assert ix.entry_count() == 2
 
 

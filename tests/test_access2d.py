@@ -138,7 +138,7 @@ def test_index_1x1_text():
     g = validate_slp2(Slp2([4], 5, 0))
     ix = build_index2(g, 2)
     for corner in range(4):     # NW, NE, SW, SE
-        assert ix.tables[corner] == [[(0, 0, 0, None, 0), None, None, None]]
+        assert ix.tables[corner] == [[(0, 0, 0, None, 0)]]     # its one block
     assert ix.entry_count() == 4
 
 
@@ -148,18 +148,18 @@ def test_index_2x2_nw_entry(grid22):
     assert ix.height == [2, 1, 1, 0, 0, 0, 0]
     # variable 0, levels (0, 0), block (1, 0): S is higher than 2 (0 + 0), so
     # the slot is the step to the literal 5 at offset (0, 0)
-    assert nw[0][((0 * (ix.cap_c[0] + 1) + 0) * 2 + 1) * 2 + 0] == (0, 0, 5, None, 0)
+    assert nw[0][(0 * 2 + 1) * ix.width[0] + 0 * 2 + 0] == (0, 0, 5, None, 0)
     # levels (1, 0) and (0, 1), block (0, 0): S is at most 2 high, so the
     # slot is S's finish marker
-    assert nw[0][((1 * (ix.cap_c[0] + 1) + 0) * 2 + 0) * 2 + 0] == (0, 0, 0, None, 0)
-    assert nw[0][((0 * (ix.cap_c[0] + 1) + 1) * 2 + 0) * 2 + 0] == (0, 0, 0, None, 0)
+    assert nw[0][(1 * 2 + 0) * ix.width[0] + 0 * 2 + 0] == (0, 0, 0, None, 0)
+    assert nw[0][(0 * 2 + 0) * ix.width[0] + 1 * 2 + 0] == (0, 0, 0, None, 0)
     # T -> Vert(S, S) (id 0, 2x4, height 3 > 2), levels (0, 1), block (0, 1),
     # the window (0..1] x (2..4]: hook 2 (the top row, a b) at offset (0, 0),
     # so the columns split 1 in from the left, with a nearer and b farther
     g = validate_slp2(Slp2([Vert(1, 1), Horiz(2, 3), Vert(4, 5), Vert(6, 7), 0, 1, 2, 3], 4, 0))
     ix = build_index2(g, 2)
     assert ix.height[0] == 3
-    assert ix.tables[0][0][((0 * (ix.cap_c[0] + 1) + 1) * 2 + 0) * 2 + 1] == (0, 1, 4, 5, 0)
+    assert ix.tables[0][0][(0 * 2 + 0) * ix.width[0] + 1 * 2 + 1] == (0, 1, 4, 5, 0)
 
 
 def test_index_entry_count_bound_random():

@@ -7,9 +7,9 @@ block lies wholly inside the child on its aligned side, descending only
 for the other blocks. These properties check every stored slot against one
 predicted here: the marker of the first low enough variable on the block's
 spine, or else the step resolved from the reference
-``hook_offset1``/``hook_offset2`` of its window. They also check the kept
-entry count against the number of defined windows, the 1D and 2D lists
-against the per-variable level caps, that equal steps are stored as one object,
+``hook_offset1``/``hook_offset2`` of its window. They also check that every
+slot holds a step, the slot and entry counts against the number of
+windows, the 1D and 2D lists against the per-variable level caps, that equal steps are stored as one object,
 the fast and the traced access against the expansion and against the
 library's root-to-leaf descent from every side or corner, and that the
 checked steps refuse a corrupt marker or literal step, on random SLPs, left
@@ -205,16 +205,17 @@ def test_build1_stores_every_window_hook(g, tau):
             continue
         cap = ix.cap[i]
         assert T ** cap <= m < T ** (cap + 1)
-        assert len(left[i]) == len(right[i]) == (cap + 1) * T     # no slot above the cap
+        # one slot per block: tau at each level below the cap, the rest at it
+        assert len(left[i]) == len(right[i]) == cap * T + -(-m // T ** cap)
         for p in range(cap + 1):
             for k, b, e in blocks(m, ix.pows[p], tau):
                 defined += 2
                 assert left[i][p * T + k] == slot1(g, height, i, 0, p, b, e)
                 assert right[i][p * T + k] == slot1(g, height, i, 1, p, b, e)
     lists = [table for side in ix.tables for table in side if table is not None]
-    assert table_slots1(g, tau) == sum(len(table) for table in lists)
-    assert ix.entry_count() == defined
-    assert sum(v is not None for table in lists for v in table) == defined
+    assert all(None not in table for table in lists)
+    assert table_slots1(g, tau) == sum(len(table) for table in lists) == ix.entry_count() \
+        == defined
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,27 +234,29 @@ def test_build2_stores_every_window_hook(g, tau):
             continue
         cap_r, cap_c = ix.cap_r[i], ix.cap_c[i]
         assert T ** cap_r <= m_r < T ** (cap_r + 1) and T ** cap_c <= m_c < T ** (cap_c + 1)
-        for corner in range(4):     # no slot above the caps exists
-            assert len(ix.tables[corner][i]) == (cap_r + 1) * (cap_c + 1) * T ** 2
+        # one slot per block: an H x W grid of the row and the column blocks
+        H, W = cap_r * T + -(-m_r // T ** cap_r), cap_c * T + -(-m_c // T ** cap_c)
+        assert ix.width[i] == W
+        for corner in range(4):
+            assert len(ix.tables[corner][i]) == H * W
         for p_r in range(cap_r + 1):
             for p_c in range(cap_c + 1):
                 for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], tau):
                     for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], tau):
-                        slot = ((p_r * (cap_c + 1) + p_c) * T + k_r) * T + k_c
+                        slot = (p_r * T + k_r) * W + p_c * T + k_c
                         for corner in range(4):
                             defined += 1
                             assert ix.tables[corner][i][slot] == \
                                 slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c)
     lists = [table for corner in ix.tables for table in corner if table is not None]
-    assert table_slots2(g, tau) == sum(len(table) for table in lists)
-    assert ix.entry_count() == defined
-    assert sum(v is not None for table in lists for v in table) == defined
+    assert all(None not in table for table in lists)
+    assert table_slots2(g, tau) == sum(len(table) for table in lists) == ix.entry_count() \
+        == defined
 
 
 def stored(ix):
-    """Every defined slot of a 1D or a 2D index, in table order."""
-    return [v for lists in ix.tables for slots in lists if slots is not None
-            for v in slots if v is not None]
+    """Every slot of a 1D or a 2D index, in table order."""
+    return [v for lists in ix.tables for slots in lists if slots is not None for v in slots]
 
 
 def distinct_objects_are_distinct_values(steps):
@@ -495,6 +498,8 @@ def test_jump_builds_equal_plain_builds_on_the_benchmark_shapes():
     comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
     stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
     assert len(comb.rules) == 2000
+    # one slot per block; a full tau x tau grid per level pair would take 410,624
+    assert table_slots2(stair, 8) == 186_140
     for build, g in ((build_index1, comb), (build_index2, stair)):
         with plain_builds():
             plain = build(g, 8)
@@ -557,9 +562,11 @@ def test_access2_traced_never_answers_wrong_on_a_swapped_step():
     rng = random.Random(0)
     g = staircase2([rng.randrange(4) for _ in range(42)], 20)
     ix = build_index2(g, 2)
-    table = ix.tables[0][g.start]
-    assert table[96] == (1, 15, 61, 60, 0)
-    table[96] = swapped(table[96], 3)
+    t = g.start
+    table = ix.tables[0][t]         # the start's block (0, 0) at its caps, levels (4, 4)
+    at = (4 * 2 + 0) * ix.width[t] + 4 * 2 + 0
+    assert ix.cap_r[t] == ix.cap_c[t] == 4 and table[at] == (1, 15, 61, 60, 0)
+    table[at] = swapped(table[at], 3)
     m = expand2(g)
     raised = 0
     for i in range(1, m.rows + 1):
@@ -606,11 +613,11 @@ FINISH_TAUS = st.sampled_from([2, 3, 4, 8, 16])
 
 def is_marker1(ix, step):
     """Whether a 1D slot holds a finish marker of a pair (not a literal step)."""
-    return step is not None and step[2] is None and ix.kids[step[1]] is not None
+    return step[2] is None and ix.kids[step[1]] is not None
 
 
 def is_marker2(ix, step):
-    return step is not None and step[3] is None and ix.kids[step[2]] is not None
+    return step[3] is None and ix.kids[step[2]] is not None
 
 
 def pairs(g):
@@ -709,15 +716,14 @@ def test_finish2_is_exact_and_markers_are_low(g, tau):
     for i in range(1, m.rows + 1):
         for j in range(1, m.cols + 1):
             assert access2(ix, i, j) == access2_traced(ix, i, j)[0] == m.get(i, j)
-    span = ix.tau ** 2
     for corner in ix.tables:
         for t, table in enumerate(corner):
             if table is None:
                 continue
-            stride = ix.cap_c[t] + 1
             for at, v in enumerate(table):
                 if is_marker2(ix, v):
-                    p_r, p_c = divmod(at // span, stride)
+                    row, col = divmod(at, ix.width[t])
+                    p_r, p_c = row // ix.tau, col // ix.tau
                     assert ix.height[v[2]] <= 2 * (p_r + p_c)
 
 
@@ -806,7 +812,7 @@ def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
             v = data.draw(st.sampled_from(
                 [v for v in range(len(g.rules)) if v not in on and ix.kids[v] is not None
                  and ix.height[v] <= 2 * (p_r + p_c)] + [len(g.rules), -1]))
-        at = ((p_r * (ix.cap_c[t] + 1) + p_c) * T + k_r) * T + k_c
+        at = (p_r * T + k_r) * ix.width[t] + p_c * T + k_c
         ix.tables[corner][t][at] = (0, 0, v, None, 0)
         with pytest.raises(PreconditionViolated, match="finish marker"):
             corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
@@ -828,7 +834,7 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
     for side in (0, 1):
         for t, table in enumerate(ix.tables[side]):
             for at, step in enumerate(table or ()):
-                if step is None or step[2] is None:
+                if step[2] is None:
                     continue
                 p, k = divmod(at, ix.tau)
                 b = k * ix.pows[p]
@@ -851,11 +857,10 @@ def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
     for corner in range(4):
         for t, table in enumerate(ix.tables[corner]):
             for at, step in enumerate(table or ()):
-                if step is None or step[3] is None or step[0] != axis:
+                if step[3] is None or step[0] != axis:
                     continue
-                k_c, rest = at % T, at // T
-                k_r, pair = rest % T, rest // T
-                p_r, p_c = divmod(pair, ix.cap_c[t] + 1)
+                row, col = divmod(at, ix.width[t])
+                (p_r, k_r), (p_c, k_c) = divmod(row, T), divmod(col, T)
                 b_r, b_c = k_r * ix.pows[p_r], k_c * ix.pows[p_c]
                 w = min((ix.rows[t] - b_r, ix.pows[p_r]) if axis else
                         (ix.cols[t] - b_c, ix.pows[p_c]))
@@ -902,7 +907,7 @@ ix2 = build_index2(g2, 2)
 corner, t, p_r, p_c, d_r, d_c = last_step(access2d, "corner_map",
                                           lambda: access2_traced(ix2, 3, 6))
 k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
-ix2.tables[corner][t][((p_r * (ix2.cap_c[t] + 1) + p_c) * 2 + k_r) * 2 + k_c] = \
+ix2.tables[corner][t][(p_r * 2 + k_r) * ix2.width[t] + p_c * 2 + k_c] = \
     (1, ix2.pows[p_r], 1, 1, 0)
 try:
     access2_traced(ix2, 3, 6)

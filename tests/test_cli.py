@@ -17,7 +17,8 @@ from gridgram import (
     validate_slg2,
 )
 from gridgram import cli
-from gridgram.access1d import ceil_log, table_slots1
+from gridgram.access1d import caps, ceil_log, table_slots1
+from gridgram.access2d import table_slots2
 from gridgram.cli import main
 from gridgram.gen import random_matrix
 from gridgram.oracle import rank
@@ -144,7 +145,7 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     ix = build_index1(slp, 2)
     marked = [(side, t, at) for side, lists in enumerate(ix.tables)
               for t, table in enumerate(lists) for at, v in enumerate(table or ())
-              if v is not None and v[2] is None and ix.kids[v[1]] is not None]
+              if v[2] is None and ix.kids[v[1]] is not None]
     assert marked       # at tau 2 the tables hold finish markers
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""
@@ -234,7 +235,9 @@ def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, c
                        ((str(slp2_file), "1,1", "--epsilon", "50"), [m.get(1, 1)])):
         code, out, err = run(capsys, "access", *argv, "--verify")
         assert (code, err) == (0, "") and [int(v) for v in out.split()] == want
-    monkeypatch.setenv("GG_CAP_CELLS", "999")       # bench's cap; --cap-cells wins in access
+    # bench's cap: over its 512 default queries, under the 710 slots of the tau 64
+    # index; --cap-cells wins in access
+    monkeypatch.setenv("GG_CAP_CELLS", "600")
     for argv in (("access", str(slp1_file), "1", "--tau", "100000000000", "--cap-cells", "99"),
                  ("access", str(slp2_file), "1,1", "--epsilon", "50", "--cap-cells", "99"),
                  ("bench", str(slp1_file), "--tau-list", "2,64")):
@@ -259,6 +262,23 @@ def test_access_refuses_by_the_slots_the_build_allocates(slp1_file, capsys):
                          "--cap-cells", str(slots))
     assert (code, err) == (0, "") and int(out) == expand1(slp)[2]
     code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2",
+                         "--cap-cells", str(slots - 1))
+    assert code == 1 and out == ""
+    assert err == (f"ExpansionTooLarge: an index at tau 2 needs {slots} table slots, "
+                   f"over the expansion cap of {slots - 1}\n")
+
+
+def test_access2_refuses_by_the_slots_the_build_allocates(slp2_file, capsys):
+    slp = slg2_to_slp2(parse_slg2(slp2_file.read_text()))
+    slots = table_slots2(slp, 2)
+    # one slot per block; a full tau x tau grid per level pair would be over the cap
+    grids = sum((cr + 1) * (cc + 1) for cr, cc, r
+                in zip(caps(slp._rows, 2), caps(slp._cols, 2), slp._reach) if r)
+    assert slots < 4 * 2 * 2 * grids
+    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2",
+                         "--cap-cells", str(slots))
+    assert (code, err) == (0, "") and int(out) == expand2(slp).get(1, 2)
+    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2",
                          "--cap-cells", str(slots - 1))
     assert code == 1 and out == ""
     assert err == (f"ExpansionTooLarge: an index at tau 2 needs {slots} table slots, "
@@ -376,7 +396,7 @@ def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys
             tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
             ix = build(load(path.read_text()), tau)
             lists = [t for part in ix.tables for t in part if t is not None]
-            steps = {id(v): v for t in lists for v in t if v is not None}
+            steps = {id(v): v for t in lists for v in t}
             assert entries == ix.entry_count() and len(steps) < entries
             assert nbytes == 8 * sum(map(len, lists)) + sum(map(sys.getsizeof, steps.values()))
 

@@ -238,6 +238,24 @@ def test_ext_mark_grammar_ab():
     assert expand2(ext_mark_grammar(g, 2)).to_rows() == [[1, 0], [0, 0], [0, 1], [0, 0]]
 
 
+def test_marking_grammars_follow_reachability():
+    """Only the text's codes are checked against sigma, and a variable the
+    start does not reach gets no rule; here literal 3 (code 5) is
+    unreachable, and the text is [0, 1]."""
+    g = validate_slp1(Slg1([(1, 2), 0, 1, 5], 6, 0))
+    mg, eg = mark_grammar(g, 2), ext_mark_grammar(g, 2)
+    assert expand2(mg) == mark_all_chars(expand1(g), 2)
+    assert expand2(eg) == ext_mark_all_chars(expand1(g), 2)
+    assert all(mg._reach) and all(eg._reach)     # every rule lies under the start
+    for seed in range(40):      # random SLPs with unreachable rules, sigma just above the text
+        g = random_slp1(seed, 30, sigma=6, max_len=64)
+        text = expand1(g)
+        sigma = max(text) + 1
+        assert expand2(mark_grammar(g, sigma)) == mark_all_chars(text, sigma)
+        if len(text) >= 2:
+            assert expand2(ext_mark_grammar(g, sigma)) == ext_mark_all_chars(text, sigma)
+
+
 def test_ext_mark_grammar_needs_length_two():
     g = validate_slp1(Slp1([0], 1, 0))
     with pytest.raises(ExtRequiresLengthTwo):
@@ -273,8 +291,8 @@ def test_every_rule_lists_a_child():
         for make in (mark_grammar, ext_mark_grammar):
             mg = make(g, sigma)
             assert all(isinstance(r, int) or r.children for r in mg.rules)
-        # g's rules, the two literals, sigma - 2 zero runs and sigma columns
-        assert len(mark_grammar(g, sigma).rules) == len(g.rules) + 2 + max(sigma - 2, 0) + sigma
+        # g's reachable rules, the two literals, sigma - 2 zero runs and sigma columns
+        assert len(mark_grammar(g, sigma).rules) == sum(g._reach) + 2 + max(sigma - 2, 0) + sigma
 
 
 def test_ext_mark_grammar_power_of_two_lengths():
