@@ -411,7 +411,8 @@ def cmd_gen(args):
     if getattr(args, other) is not None:
         raise RangeError(f"gen {args.kind} takes --{bound.replace('_', '-')}, "
                          f"not --{other.replace('_', '-')}")
-    # each new rule scans the pool of the rules made before it
+    # each new rule reads the earlier rules that can join it: all of them
+    # in 1D, and in 2D those sharing the joined side, at worst all of them
     _check_work(f"gen {args.kind} with {args.rules} rules reads",
                 max(args.rules, 0) ** 2, "pool entries", _cap(args))
     size = getattr(args, bound)     # unset, the generator's own default applies

@@ -3,13 +3,14 @@
 Generators emit valid grammars by construction. One prelude, ``_literals``,
 checks the parameters and lays the literals out at the top of the id range,
 so every rule built below them references strictly higher ids. Children are
-drawn from pools filtered so the expansion size stays under the cap; in 2D
-one axis-generic filter, ``_joiners``, gives the ids that share a rule's
-fixed axis and keep its cell count within the cap, and one shape rule,
-``_shape``, sets the new rule's dimensions. Child choice is biased toward
-recently created (hence larger) variables, so expansions grow roughly
-geometrically until they hug the cap instead of collapsing to a handful of
-symbols. Same seed, same grammar.
+drawn from pools filtered so the expansion size stays under the cap. In 2D,
+``_Pools`` groups the rules defined so far by the side each kind shares and
+tracks the one of largest area, so ``_Pools.joiners`` reads only the group
+of a rule's fixed side for the ids that keep its cell count within the cap,
+and ``_Pools.define`` sets the new rule's dimensions and files it. Child
+choice is biased toward recently created (hence larger) variables, so
+expansions grow roughly geometrically until they hug the cap instead of
+collapsing to a handful of symbols. Same seed, same grammar.
 """
 
 from __future__ import annotations
@@ -35,10 +36,14 @@ def _pick_biased(rng, pool):
     return pool[min(k, len(pool) - 1)]
 
 
-def _pick_growth(rng, pool, sizekey):
-    """Pick the largest variable most of the time so expansions keep growing."""
+def _pick_growth(rng, pool, largest):
+    """Pick the largest variable most of the time so expansions keep growing.
+
+    largest() gives the pool's lowest id of largest size; it runs only when
+    that branch is drawn.
+    """
     if rng.random() < 0.65:
-        return max(pool, key=sizekey)
+        return largest()
     return _pick_biased(rng, pool)
 
 
@@ -65,13 +70,14 @@ def _literals(rng, n_rules, sigma, bound, max_arity=2):
 
 
 def random_slp1(seed, n_rules, sigma=4, max_len=1 << 14):
-    """A random validated 1D SLP with exactly n_rules rules."""
+    """A random validated 1D SLP with exactly n_rules rules; the caller bounds n_rules."""
     rng = _rng(seed)
     rules, lens, n_comp = _literals(rng, n_rules, sigma, max_len)
     size = lens.__getitem__
     for nid in range(n_comp - 1, -1, -1):
         growable = [i for i in range(nid + 1, n_rules) if lens[i] < max_len]
-        a = max(growable, key=size) if nid == 0 else _pick_growth(rng, growable, size)
+        largest = lambda: max(growable, key=size)
+        a = largest() if nid == 0 else _pick_growth(rng, growable, largest)
         fits = [i for i in range(nid + 1, n_rules) if lens[a] + lens[i] <= max_len]
         b = max(fits, key=size) if nid == 0 else _pick_biased(rng, fits)
         if rng.random() < 0.5:
@@ -82,7 +88,7 @@ def random_slp1(seed, n_rules, sigma=4, max_len=1 << 14):
 
 
 def random_slg1(seed, n_rules, sigma=4, max_arity=5, max_len=1 << 14):
-    """A random validated 1D SLG with rule arity up to max_arity."""
+    """A random validated 1D SLG with rule arity up to max_arity; the caller bounds n_rules."""
     rng = _rng(seed)
     rules, lens, n_comp = _literals(rng, n_rules, sigma, max_len, max_arity)
     for nid in range(n_comp - 1, -1, -1):
@@ -92,7 +98,10 @@ def random_slg1(seed, n_rules, sigma=4, max_arity=5, max_len=1 << 14):
             fits = [i for i in range(nid + 1, n_rules) if total + lens[i] <= max_len]
             if not fits:
                 break
-            c = _pick_growth(rng, fits, lens.__getitem__) if j == 0 else _pick_biased(rng, fits)
+            if j == 0:
+                c = _pick_growth(rng, fits, lambda: max(fits, key=lens.__getitem__))
+            else:
+                c = _pick_biased(rng, fits)
             kids.append(c)
             total += lens[c]
         rng.shuffle(kids)
@@ -106,75 +115,102 @@ def _axes(kind, rows, cols):
     return (rows, cols) if kind is Horiz else (cols, rows)
 
 
-def _joiners(kind, rows, cols, nid, kids, max_cells):
-    """Ids above nid that can join the kind rule with children kids: they
-    share its fixed axis and keep its cell count within max_cells."""
-    grow, share = _axes(kind, rows, cols)
-    span, width = sum(grow[k] for k in kids), share[kids[0]]
-    return [i for i in range(nid + 1, len(rows))
-            if share[i] == width and (span + grow[i]) * width <= max_cells]
+class _Pools:
+    """The 2D ids defined so far, which all lie above the rule being built.
 
+    rows and cols hold every id's dimensions (0 while undefined). For each
+    kind, ids are grouped by the side its rules share, columns for Horiz and
+    rows for Vert, each group in descending id order since rules are defined
+    top-down. largest is the lowest id of largest area, which is what max
+    over ascending ids returns.
+    """
 
-def _shape(kind, rows, cols, nid, kids):
-    """Set nid's dimensions: the kids' growing spans add, the shared one carries over."""
-    grow, share = _axes(kind, rows, cols)
-    grow[nid] = sum(grow[k] for k in kids)
-    share[nid] = share[kids[0]]
+    def __init__(self, sizes, first):
+        self.rows, self.cols = sizes, sizes[:]
+        self.groups = {Horiz: {}, Vert: {}}
+        self.largest = len(sizes) - 1
+        for i in range(len(sizes) - 1, first - 1, -1):
+            self._file(i)
+
+    def _file(self, i):
+        rows, cols, top = self.rows, self.cols, self.largest
+        self.groups[Horiz].setdefault(cols[i], []).append(i)
+        self.groups[Vert].setdefault(rows[i], []).append(i)
+        if rows[i] * cols[i] >= rows[top] * cols[top]:
+            self.largest = i
+
+    def area(self, i):
+        return self.rows[i] * self.cols[i]
+
+    def joiners(self, kind, kids, max_cells):
+        """Ids, ascending, that can join the kind rule with children kids:
+        they share its fixed axis and keep its cell count within max_cells."""
+        grow, share = _axes(kind, self.rows, self.cols)
+        width = share[kids[0]]
+        # (span + g) * width <= max_cells, for a positive int width
+        room = max_cells // width - sum(grow[k] for k in kids)
+        return [i for i in reversed(self.groups[kind][width]) if grow[i] <= room]
+
+    def define(self, nid, kind, kids):
+        """Set nid's dimensions, the kids' growing spans added and the shared
+        one carried over, and file nid in both groups."""
+        grow, share = _axes(kind, self.rows, self.cols)
+        grow[nid] = sum(grow[k] for k in kids)
+        share[nid] = share[kids[0]]
+        self._file(nid)
 
 
 def random_slp2(seed, n_rules, sigma=4, max_cells=1 << 16):
-    """A random validated 2D SLP with exactly n_rules rules."""
+    """A random validated 2D SLP with exactly n_rules rules; the caller bounds n_rules."""
     rng = _rng(seed)
-    rules, rows, n_comp = _literals(rng, n_rules, sigma, max_cells)
-    cols = rows[:]
-    area = lambda i: rows[i] * cols[i]
+    rules, sizes, n_comp = _literals(rng, n_rules, sigma, max_cells)
+    pools = _Pools(sizes, n_comp)
     for nid in range(n_comp - 1, -1, -1):
         choice = None
         if nid == 0:
-            for a in sorted(range(1, n_rules), key=area, reverse=True):
+            for a in sorted(range(1, n_rules), key=pools.area, reverse=True):
                 for kind in (Horiz, Vert):
-                    pool = _joiners(kind, rows, cols, 0, [a], max_cells)
+                    pool = pools.joiners(kind, [a], max_cells)
                     if pool:
-                        choice = (kind, a, max(pool, key=area))
+                        choice = (kind, a, max(pool, key=pools.area))
                         break
                 if choice:
                     break
         if choice is None:
             for _ in range(8):
                 kind = rng.choice((Horiz, Vert))
-                a = _pick_growth(rng, list(range(nid + 1, n_rules)), area)
-                pool = _joiners(kind, rows, cols, nid, [a], max_cells)
+                a = _pick_growth(rng, range(nid + 1, n_rules), lambda: pools.largest)
+                pool = pools.joiners(kind, [a], max_cells)
                 if pool:
                     choice = (kind, a, _pick_biased(rng, pool))
                     break
         if choice is None:
-            smallest = min(range(nid + 1, n_rules), key=area)
-            choice = (rng.choice((Horiz, Vert)), smallest, smallest)
+            # the lowest id of least area: a literal, as every other rule has area >= 2
+            choice = (rng.choice((Horiz, Vert)), n_comp, n_comp)
         kind, a, b = choice
         if rng.random() < 0.5:
             a, b = b, a
         rules[nid] = kind(a, b)
-        _shape(kind, rows, cols, nid, (a, b))
+        pools.define(nid, kind, (a, b))
     return validate_slp2(Slg2(rules, sigma, 0))
 
 
 def random_slg2(seed, n_rules, sigma=4, max_arity=5, max_cells=1 << 16):
-    """A random validated 2D SLG with rule arity up to max_arity."""
+    """A random validated 2D SLG with rule arity up to max_arity; the caller bounds n_rules."""
     rng = _rng(seed)
-    rules, rows, n_comp = _literals(rng, n_rules, sigma, max_cells, max_arity)
-    cols = rows[:]
-    area = lambda i: rows[i] * cols[i]
+    rules, sizes, n_comp = _literals(rng, n_rules, sigma, max_cells, max_arity)
+    pools = _Pools(sizes, n_comp)
     for nid in range(n_comp - 1, -1, -1):
         kind = rng.choice((Horiz, Vert))
-        kids = [_pick_growth(rng, list(range(nid + 1, n_rules)), area)]
+        kids = [_pick_growth(rng, range(nid + 1, n_rules), lambda: pools.largest)]
         for _ in range(rng.randint(1, max_arity) - 1):
-            pool = _joiners(kind, rows, cols, nid, kids, max_cells)
+            pool = pools.joiners(kind, kids, max_cells)
             if not pool:
                 break
             kids.append(_pick_biased(rng, pool))
         rng.shuffle(kids)
         rules[nid] = kind(*kids)
-        _shape(kind, rows, cols, nid, kids)
+        pools.define(nid, kind, kids)
     return validate_slg2(Slg2(rules, sigma, 0))
 
 

@@ -224,7 +224,8 @@ def row_pattern_occurs(m, p):
         return 0
     cells = m.cells
     try:
-        hay, needle = bytes(cells), bytes(pat)
+        # bytearray builds from a list faster than bytes; its find takes the same bounds
+        hay, needle = bytearray(cells), bytes(pat)
     except (ValueError, TypeError):
         # a code outside 0..255, or a text cell that is no integer: compare
         # the pattern at every offset of every row

@@ -33,11 +33,36 @@ def _corpus():
     yield dump_slg2(random_slp2(7, 200, 4, 1 << 20))
 
 
-def test_generator_corpus_digest():
+# sha256 over the 2D dumps below: every seed reduce-chains' grid search tries
+# (100 rules, 2^10 cells; the k-th grid tries seeds 7000 + 100k upwards and
+# none takes more than 8), in both 2D kinds, and a few grammars with a cap
+# far above their size.
+GRID_CORPUS_SHA256 = "72214b986f96765edb7d262cd0a718d13a13d8b1576a09a6cbb69758e061a0fc"
+
+
+def _grid_corpus():
+    for first in range(7000, 7800, 100):
+        for seed in range(first, first + 8):
+            yield dump_slg2(random_slp2(seed, 100, 4, 1 << 10))
+            yield dump_slg2(random_slg2(seed, 100, 4, max_cells=1 << 10))
+    for seed in range(6):
+        yield dump_slg2(random_slp2(seed, 150, 5, 1 << 24))
+        yield dump_slg2(random_slg2(seed, 150, 5, max_cells=1 << 24))
+
+
+def _digest(texts):
     h = hashlib.sha256()
-    for text in _corpus():
+    for text in texts:
         h.update(text.encode())
-    assert h.hexdigest() == CORPUS_SHA256
+    return h.hexdigest()
+
+
+def test_generator_corpus_digest():
+    assert _digest(_corpus()) == CORPUS_SHA256
+
+
+def test_grid_corpus_digest():
+    assert _digest(_grid_corpus()) == GRID_CORPUS_SHA256
 
 
 @pytest.mark.parametrize("make, args", [
