@@ -283,47 +283,75 @@ def exp_len(g, nid):
 # Expansion builds a variable of at most this many symbols (cells in 2D)
 # whole, once, and copies it into place; a larger one is only split.
 _BLOCK = 1 << 12
+# ... and only if at least one cell in _DENSE is nonzero: the zeros of a
+# sparser one are already in the output, so splitting it paints only the rest.
+_DENSE = 16
 
 
 def _expand(g, size, shift, build, paint):
-    """The expansion of validated ``g`` as one flat list, each cell written once.
+    """The expansion of validated ``g`` as one flat list, each cell written
+    at most once.
 
-    A variable is built whole, once, when a built variable lists it, when
-    it is a literal, or when it has at most ``_BLOCK`` cells and lies at two
-    or more places of the output; every other variable it reaches is split
-    into its children. Nothing recurses.
+    The output starts as ``size(start)`` zeros, and a variable whose cells
+    are all code 0 is left as those zeros: it is never split, built from its
+    children or painted, and a built parent that lists it gets
+    ``[0] * size`` for it. Of the rest, a variable is built whole, once,
+    when a built variable lists it, when it is a literal, or when it has at
+    most ``_BLOCK`` cells, at most ``_DENSE`` cells per nonzero one, and
+    lies at two or more places of the output; every other variable it
+    reaches is split into its children. Nothing recurses. So the one-hot
+    columns of the 4096 x 1024 ext-marking matrix of reduce-chains are split
+    down to their 1s, and it expands in about 22 ms, not 93 (README,
+    "Expansion cost").
 
-    1. Parents first: give each split variable its children with their
-       offsets inside it, ``shift(rule, child)`` apart, and count per
-       variable its places below split variables (up to 2) and its
-       occurrences in the rules of built ones.
+    0. Children first: count per variable its nonzero cells. An all-zero
+       start is returned as its zeros.
+    1. Parents first: give each split variable its children that are not
+       all zero with their offsets inside it, ``shift(rule, child)`` apart,
+       and count per variable its places below split variables (up to 2)
+       and its occurrences in the rules of built ones.
     2. Children first: build each built variable, ``build(v, rule,
        children, memo)``. An entry is freed once its last built parent has
        consumed it, unless it lies at a place of its own (a block).
     3. Top down from the start over the split variables: at every place a
        block lies, ``paint(out, offset, block, memo[block])``.
 
-    A literal start is its own memo entry and is returned as it is.
+    A nonzero literal start is its own memo entry and is returned as it is.
     """
     rules, topo, start, children = g.rules, g._topo, g.start, g._kids
+    nnz = [0] * len(rules)   # per id: its cells that are not code 0
+    for nid in reversed(topo):
+        kids = children[nid]
+        if kids is None:
+            nnz[nid] = 1 if rules[nid] else 0
+            continue
+        total = 0
+        for c in kids:
+            total += nnz[c]
+        nnz[nid] = total
+    if not nnz[start]:
+        return [0] * size(start)
+
     places = [0] * len(rules)
     places[start] = 1
     pending = [0] * len(rules)
     split = {}   # split id -> [(child, offset of the child inside it)]
     for nid in topo:
         rule = rules[nid]
-        if isinstance(rule, int) or not (places[nid] or pending[nid]):
+        if isinstance(rule, int) or not nnz[nid] or not (places[nid] or pending[nid]):
             continue
         kids = children[nid]
-        if pending[nid] or (places[nid] > 1 and size(nid) <= _BLOCK):
+        if pending[nid] or (places[nid] > 1 and size(nid) <= _BLOCK
+                            and size(nid) <= _DENSE * nnz[nid]):
             for c in kids:
                 pending[c] += 1
             continue
         parts, off = [], 0
         for c in kids:
-            parts.append((c, off))
+            if nnz[c]:
+                parts.append((c, off))
+                places[c] = min(places[c] + places[nid], 2)
             off += shift(rule, c)
-            places[c] = min(places[c] + places[nid], 2)
         split[nid] = parts
 
     memo = {}
@@ -331,6 +359,9 @@ def _expand(g, size, shift, build, paint):
         if nid in split or not (places[nid] or pending[nid]):
             continue
         rule = rules[nid]
+        if not nnz[nid]:
+            memo[nid] = [0] * size(nid)
+            continue
         if isinstance(rule, int):
             memo[nid] = [rule]
             continue
@@ -378,12 +409,13 @@ def _paint1(out, off, c, src):
 def expand1(g, cap=DEFAULT_CAP):
     """Materialize the unique string derived by the grammar as a list of codes.
 
-    Each output symbol is written once, into one preallocated list. A
-    variable of at most 2**12 symbols that occurs at two or more places is
-    built once and its copies are sliced into place; every other variable
-    is split top down into its children. The working set is the output
-    plus those small variables, not the sum of all expansion lengths, and
-    nothing recurses.
+    Each output symbol is written at most once, into one preallocated list
+    of zeros. A variable whose symbols are all code 0 is left as those
+    zeros. A variable of at most 2**12 symbols, at least one in 16 of them
+    nonzero, that occurs at two or more places is built once and its
+    copies are sliced into place; every other variable is split top down
+    into its children. The working set is the output plus those small
+    variables, not the sum of all expansion lengths, and nothing recurses.
     """
     lens = Slg1._validated(g)._lens
     _check_cap(lens[g.start], cap, "symbols")

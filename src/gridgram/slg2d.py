@@ -274,12 +274,15 @@ def _paint(out, width, off, src, h, w):
 def expand2(g, cap=DEFAULT_CAP):
     """Materialize the unique matrix derived by the grammar.
 
-    Each output cell is written once, into one preallocated row-major list
-    that the returned Matrix2D adopts without a copy. A variable of at most
-    2**12 cells that occurs at two or more places is built once and its
-    copies are painted into place (see ``_paint``); every other variable
-    is split top down into its children. The working set is the output
-    plus those small variables, not the sum of all expansion sizes.
+    Each output cell is written at most once, into one preallocated
+    row-major list of zeros that the returned Matrix2D adopts without a
+    copy. A variable whose cells are all code 0 is left as those zeros, so
+    a one-hot column taller than 16 cells is split down to its 1. A
+    variable of at most 2**12 cells, at least one in 16 of them nonzero,
+    that occurs at two or more places is built once and its copies are
+    painted into place (see ``_paint``); every other variable is split top
+    down into its children. The working set is the output plus those small
+    variables, not the sum of all expansion sizes.
     """
     rows, cols = Slg2._validated(g)._rows, g._cols
     r, c = rows[g.start], cols[g.start]

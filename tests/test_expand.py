@@ -1,12 +1,17 @@
-"""expand1/expand2: each output cell written once, and nothing else changed.
+"""expand1/expand2: each output cell written at most once, and nothing else changed.
 
-Expansion builds every small variable (at most 2**12 cells) that lies at
-two or more places once and copies it into place; everything else it only
-splits. These tests hold it to the definitional folds of ``conftest`` on
-random grammars of mixed arity, combs, staircases,
-tiled blocks and the marking grammars, with sizes on both sides of the
-threshold; run each of the three ways a block is painted; expand combs
-deeper than the recursion limit; refuse a 2**40-cell grammar before
+Expansion starts from an output of zeros and leaves every all-zero
+variable as those zeros. It builds every small variable (at most 2**12
+cells, at least one in ``_DENSE`` = 16 of them nonzero) that lies at two
+or more places once and copies it into place; everything else it only
+splits. So the 4096 x 1024 ext-marking matrix of reduce-chains, one 1 per
+column, paints its 1024 ones alone and expands in about 22 ms, not 93 ms
+(README, "Expansion cost"). These tests hold it to the definitional folds
+of ``conftest`` on random grammars of mixed arity, combs, staircases,
+tiled blocks, the marking grammars and grammars rich in code 0, with sizes
+on both sides of the thresholds; run each of the three ways a block is
+painted; check that a sparse matrix paints only its nonzero cells; expand
+combs deeper than the recursion limit; refuse a 2**40-cell grammar before
 allocating anything; and bound the memory an expansion traces.
 """
 
@@ -31,7 +36,7 @@ from gridgram import (
 )
 from gridgram import slg2d
 from gridgram.errors import RangeError
-from gridgram.slg import _BLOCK as BLOCK
+from gridgram.slg import _BLOCK as BLOCK, _DENSE as DENSE
 from gridgram.gen import (
     grammar_from_matrix,
     random_matrix,
@@ -45,6 +50,9 @@ from conftest import comb1, comb2, expand_all_1d, expand_all_2d, staircase2
 
 # target sizes for the families that take one: on both sides of BLOCK
 SIZES = st.sampled_from([16, BLOCK // 2, BLOCK, BLOCK + 1, 3 * BLOCK])
+# strip lengths of the zero-heavy shapes: on both sides of DENSE and BLOCK
+STRIPS = st.sampled_from([1, 2, DENSE, DENSE + 1, 100, BLOCK // DENSE, BLOCK + 1])
+ZERO_SHAPES = ["literal", "zero", "column", "built", "shared"]
 RULES = st.integers(1, 12) | st.integers(20, 40)
 # the folds keep every variable, so a comb's reference holds ~teeth * size / 2 cells
 TEETH = st.integers(1, 300)
@@ -132,9 +140,64 @@ def _tooth_comb(rng, kind, teeth, tooth):
     return (Slg1 if kind is tuple else Slg2)(rules, 3, prev)
 
 
+def _zero_shape(rng, shape, kind, h, k):
+    """A grammar rich in code 0 built from strips of ``h`` literals along
+    the axis kind joins (kind a 2D rule class, or tuple in 1D), repeated
+    ``k`` times across. Literal ids 0, 1, 2 hold codes 0, 1, 2.
+
+    ``literal``: the start is the literal 0. ``zero``: the start is all
+    zero. ``column``: a zero strip with a single 1, taller than DENSE from
+    17 cells up, so it is split down to the 1. ``built``: a block of up to
+    15 zero strips and one strip of nonzero codes, dense enough to be built
+    whole where it repeats, so its zero child is built too. ``shared``: that
+    block twice with a zero strip between them, so the zero strip lies at a
+    place of the split start and is also needed by the built block.
+    """
+    if shape == "literal":
+        return (Slg1 if kind is tuple else Slg2)([0], 1, 0)
+    across = tuple if kind is tuple else Horiz if kind is Vert else Vert
+    rules = [0, 1, 2]
+
+    def add(rule):
+        rules.append(rule)
+        return len(rules) - 1
+
+    zero = add(kind([0] * h))
+    if shape == "zero":
+        start = add(across([zero] * k))
+    elif shape == "column":
+        at = rng.randrange(h)
+        parts = [add(kind([0] * at))] if at else []
+        parts.append(1)
+        if at < h - 1:
+            parts.append(add(kind([0] * (h - 1 - at))))
+        start = add(across([add(kind(parts))] * k))
+    else:
+        dense = add(kind(rng.choice((1, 2)) for _ in range(h)))
+        block = add(across([zero] * rng.randint(1, DENSE - 1) + [dense]))
+        start = add(across([block, zero, block] if shape == "shared" else [block] * (k + 1)))
+    return (Slg1 if kind is tuple else Slg2)(rules, 3, start)
+
+
+def _zero_heavy(draw, rng, kind):
+    """One of the shapes of ``_zero_shape``, or a random grammar (of the
+    dimension kind belongs to) most or all of whose literals are code 0."""
+    shape = draw(st.sampled_from(["gen"] + ZERO_SHAPES))
+    if shape != "gen":
+        return _zero_shape(rng, shape, kind, draw(STRIPS), draw(st.integers(1, 3)))
+    if kind is tuple:
+        g = random_slg1(rng, draw(RULES), max_len=draw(SIZES))
+    else:
+        g = random_slg2(rng, draw(RULES), max_arity=4, max_cells=draw(SIZES))
+    share = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    rules = [0 if isinstance(r, int) and rng.random() < share else r for r in g.rules]
+    return type(g)(rules, g.alphabet_size, g.start)
+
+
 @st.composite
 def grammars2(draw):
-    family = draw(st.sampled_from(["gen", "slp", "comb", "stair", "mark", "ext", "tiled"]))
+    family = draw(st.sampled_from(["gen", "slp", "comb", "stair", "mark", "ext", "tiled",
+                                   "zero"]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if family == "gen":
         g = random_slg2(rng, draw(RULES), max_arity=4, max_cells=draw(SIZES))
@@ -159,6 +222,8 @@ def grammars2(draw):
             g = mark_grammar(reduced, len(amap))
         else:
             g = ext_mark_grammar(reduced, len(amap))
+    elif family == "zero":
+        g = _zero_heavy(draw, rng, draw(st.sampled_from([Horiz, Vert])))
     else:
         h = draw(st.integers(1, 96))
         w = max(1, draw(SIZES) // h)
@@ -174,10 +239,12 @@ def test_expand2_equals_the_structural_fold(g):
 
 @st.composite
 def grammars1(draw):
-    family = draw(st.sampled_from(["gen", "comb", "tiled"]))
+    family = draw(st.sampled_from(["gen", "comb", "tiled", "zero"]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if family == "gen":
         g = random_slg1(rng, draw(RULES), max_len=draw(SIZES))
+    elif family == "zero":
+        g = _zero_heavy(draw, rng, tuple)
     elif family == "comb":
         if draw(st.booleans()):
             codes = [rng.randrange(4) for _ in range(draw(st.integers(2, 200)))]
@@ -199,6 +266,33 @@ def test_expand1_equals_the_structural_fold(g):
     assert expand1(g) == expand_all_1d(g)[g.start]
 
 
+@pytest.mark.parametrize("shape", ZERO_SHAPES)
+def test_every_zero_shape_expands_as_the_fold(shape):
+    """Each shape of ``_zero_shape`` at a size where its blocks take the
+    path its docstring names, in 1D and along both 2D axes."""
+    for kind in (tuple, Horiz, Vert):
+        g = _zero_shape(random.Random(4), shape, kind, 100, 3)
+        if kind is tuple:
+            g = validate_slg1(g)
+            assert expand1(g) == expand_all_1d(g)[g.start]
+        else:
+            g = validate_slg2(g)
+            assert expand2(g) == expand_all_2d(g)[g.start]
+
+
+def _painted(g):
+    """expand2(g) and the (h, w, output width) of every ``_paint`` call it
+    made, to build a block or to paint one into place."""
+    seen = []
+
+    def spy(out, w_out, off, src, h, w, real=slg2d._paint):
+        seen.append((h, w, w_out))
+        return real(out, w_out, off, src, h, w)
+
+    with mock.patch.object(slg2d, "_paint", spy):
+        return expand2(g), seen
+
+
 def test_every_paint_branch_runs():
     """A block repeated down (full width), across (a slice per row), and a
     tall narrow block repeated across (a strided slice per column)."""
@@ -208,16 +302,26 @@ def test_every_paint_branch_runs():
              "column": (_tiled2(rng, BLOCK, 1, 1, 2), 2)}
     for branch, (g, width) in cases.items():
         g = validate_slg2(g)
-        seen = []
-
-        def spy(out, w_out, off, src, h, w, real=slg2d._paint):
-            seen.append("full" if w == w_out else "row" if h <= w else "column")
-            return real(out, w_out, off, src, h, w)
-
-        with mock.patch.object(slg2d, "_paint", spy):
-            m = expand2(g)
+        m, seen = _painted(g)
+        seen = ["full" if w == w_out else "row" if h <= w else "column" for h, w, w_out in seen]
         assert m.cols == width and m == expand_all_2d(g)[g.start]
         assert seen.count(branch) >= 2, (branch, seen)
+
+
+def test_a_sparse_matrix_paints_only_its_nonzero_cells():
+    """The ext-marking matrix, one 1 in each 1024-cell column, paints its
+    512 ones and no zero (537,600 cells when its columns were built whole);
+    the marking matrix's 4 x 1 columns are dense enough to stay built whole
+    and painted as 38 blocks of 2,390 cells."""
+    text = random_slp1(11, 60, sigma=4, max_len=512)
+    reduced, amap = alphabet_reduce(text)
+    for make, blocks, cells in ((ext_mark_grammar, 512, 512), (mark_grammar, 38, 2390)):
+        g = make(reduced, len(amap))
+        m, seen = _painted(g)
+        assert m == expand_all_2d(g)[g.start]
+        assert (len(seen), sum(h * w for h, w, _ in seen)) == (blocks, cells), make.__name__
+        if make is ext_mark_grammar:
+            assert sum(1 for v in m.cells if v) == cells
 
 
 # -- memory ---------------------------------------------------------------------
@@ -225,6 +329,9 @@ def test_every_paint_branch_runs():
 def _corpus():
     yield expand1, random_slp1(7, 200, 4, 1 << 20)
     yield expand2, random_slp2(7, 200, 4, 1 << 20)
+    # 1536 x 640 cells of codes 2 and 3: no zero, so its small variables
+    # are still built, memoised and painted
+    yield expand2, random_slp2(16, 200, 4, 1 << 20)
     text = random_slp1(11, 60, sigma=4, max_len=512)
     reduced, amap = alphabet_reduce(text)
     yield expand2, ext_mark_grammar(reduced, len(amap))
@@ -233,8 +340,11 @@ def _corpus():
 def test_expansion_traces_little_beyond_its_output():
     """Peak traced memory stays within 1.25 x 8 bytes per output cell: the
     output list, plus the small variables, and no second copy."""
+    zero_free_2d = False
     for fn, g in _corpus():
         out, peak = _traced_peak(fn, g)
         cells = len(out) if isinstance(out, list) else out.rows * out.cols
         assert cells >= 1 << 19
         assert peak <= 1.25 * 8 * cells, (fn.__name__, cells, peak / (8 * cells))
+        zero_free_2d |= fn is expand2 and 0 not in out.cells
+    assert zero_free_2d   # some 2D case builds its blocks rather than leaving zeros
