@@ -1,69 +1,27 @@
 """Random access over 1D SLPs through bookmark tables.
 
-For every variable, level p, and block index k < tau, the index stores the
-bookmark of the block of size tau**p starting at k * tau**p from the left
-boundary of the variable's expansion, and mirrored from the right boundary.
-The bookmark is found through the block's hook (the deepest variable whose
-expansion still contains the block strictly straddling a child split), but
-it is stored resolved, as the step a query takes there: ``(s, near, far)``,
-where s is the hook's split inside the block measured from the boundary the
-table addresses, and near and far are the hook's children in that order
-from that boundary. A block of one literal is stored as ``(0, v, None)``
-for the literal variable v. The checked single step is side_map, which
-takes and returns the side the position is measured from as the tables
-number it: 0 = left, 1 = right. The traced walk makes one side_map per
-level, top-down, each relocating the position into a smaller variable, so
-it costs exactly ceil(log_tau n) + 1 mapping steps.
+README, "How the index works", describes the build, the walk and their
+costs. The contracts that the functions below share:
 
-Tables are flat and per variable, as in 2D: ``tables[side][t]`` is one list
-per side and variable reachable from the start (None for the others),
-holding only the levels p <= cap[t], the largest p with
-tau**p <= |Exp(N_t)|, with block k of level p at ``p * tau + k``. Every
-level below the cap has tau blocks and the cap has ceil(|Exp(N_t)| /
-tau**cap[t]) <= tau, so a list has one slot per block,
-cap[t] * tau + ceil(|Exp(N_t)| / tau**cap[t]), each holding a step, and at
-most 2 * |V| * tau * (floor(log_tau n) + 1) are stored. side_map reads a
-level above the variable's cap at the cap, whose blocks are no larger.
-Every tau at least as long as the start's expansion gives the same levels
-and blocks, so the build clamps tau to n (and to at least 2). Equal steps
-are stored as one tuple, through a dict of the steps made that the build
-drops on return; on a comb most steps repeat.
-
-Where descending is cheaper than reading on, a slot holds a finish marker
-instead: every block slot of a variable i at a level p with
-height(i) <= 2p (a literal has height 0, a pair one more than its higher
-child) is ``(0, i, None)``, the literal step's shape, and for a literal the
-literal step itself. The fast walk starts at the start's cap and caps the
-level by each new variable's cap; it reads tables until it meets a marker
-and then finishes by a root-to-leaf descent from the marker's variable, at
-most 2p moves, so it makes at most L + 1 reads plus 2L moves,
-L = floor(log_tau n). side_map checks a marker against its variable's
-height and the block's place, then resolves the real step by descent, so
-the traced walk's steps do not change.
-
-The build fills the tables children first. A block that lies wholly inside
-the child on its aligned side (the left child for left blocks, the right
-child for right blocks) is that child's block with the same (p, k), since
-the descent enters the child with the window unchanged and reaches the same
-hook at the same place, so its step is copied: one slice per (variable,
-level). A copied marker stays right for the same reason: the block sits at
-the same offset from the same side of the child. Only blocks that straddle
-the split or sit unaligned in the other child descend from the variable.
-
-A descent moves one grammar level at a time and counts its moves in a row
-toward the same child; once RUN (4) of them went the same way, it runs
-along that chain instead, by one bisect per heavy path of the forest
-v -> kids[v][side] (``_chains``, ``_run1``), made per side in O(|V|) time
-and dropped on return. Whether the plain walk would move on to a node v of
-the chain is monotone along it, as lengths shrink down a chain: on the
-left chain while the window's far edge fits in v, e <= lens[v]; on the
-right chain while v's offset inside the node is at most the window's
-start, lens[node] - lens[v] <= b. So a run crosses at most
-floor(log2 |V|) + 1 paths and lands where the plain walk would. A descent
-given PLAIN, no chains, is the plain walk; hook_offset1 and side_map use it.
-
-The index is immutable after build_index1; queries are safe under any number
-of concurrent readers. Builds are single-threaded.
+- A slot holds the step a query takes at its block's hook: ``(s, near,
+  far)``, the hook's split inside the block measured from the addressed
+  side, then the hook's children in that order from that side. A
+  one-symbol block of a literal v holds ``(0, v, None)``.
+- Sides are integers, in the tables and in side_map: 0 = left, 1 = right.
+- ``tables[side][t]`` is one list per variable t reachable from the start
+  (None for the others); block k of level p <= cap[t] is at ``p * tau + k``.
+- Finish rule: every slot of a variable v at a level p with
+  height(v) <= FINISH * p holds the marker ``(0, v, None)``, the literal
+  step's shape, and a walk that reads it descends from v.
+- A build descent that made RUN moves in a row toward one child runs along
+  that child's chain (``_chains``, ``_run1``). Whether the plain walk would
+  move on to a node v of the chain is monotone along it, as lengths shrink
+  down a chain: on the left chain while the window's end fits in v,
+  e <= lens[v]; on the right chain while v's offset inside the node is at
+  most the window's start, lens[node] - lens[v] <= b. So a run lands where
+  the plain walk would. Given PLAIN, no chains, a descent is the plain walk.
+- The index is immutable after build_index1, so any number of threads may
+  query it. Builds are single-threaded.
 """
 
 from __future__ import annotations
@@ -148,6 +106,7 @@ def table_slots1(g, tau):
 
 
 RUN = 4               # moves in a row toward one child before a descent runs along its chain
+FINISH = 2            # slots of a variable with height <= FINISH * level are finish markers
 PLAIN = ((), ())      # no chains: _hook_core makes the plain walk
 
 
@@ -317,8 +276,9 @@ class AccessIndex1:
 def build_index1(g, tau):
     """Populate every (variable, level, block) step of both tables for the
     variables reachable from the start, up to each variable's cap;
-    every block of a variable i at a level p with height(i) <= 2p gets the
-    finish marker (0, i, None), which for a literal is its literal step."""
+    every block of a variable i at a level p with height(i) <= FINISH * p
+    gets the finish marker (0, i, None), which for a literal is its literal
+    step."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, kids, reach, height = g._lens, g._kids, g._reach, g._height
     n = lens[g.start]
@@ -342,7 +302,7 @@ def build_index1(g, tau):
             blocks = -(-m // tp)            # k with k * tau**p < m
             if blocks > tau:
                 blocks = tau
-            if height[i] <= 2 * p:          # descending from i is cheaper than reading on
+            if height[i] <= FINISH * p:     # descending from i is cheaper than reading on
                 marker = (0, i, None)
                 lt[base:base + blocks] = rt[base:base + blocks] = \
                     [share(marker, marker)] * blocks
@@ -377,9 +337,9 @@ def side_map(ix, side, t, p, delta):
     blocks are no larger, so the step still contracts within tau**p. A
     finish marker ``(0, v, None)`` for a pair v is checked (v is t or on t's
     spine of children on ``side`` with the block inside it, and
-    height(v) <= 2p at the capped level) and then resolved into the real
-    step by descent; a literal step must equal the step the same descent
-    gives.
+    height(v) <= FINISH * p at the capped level) and then resolved into
+    the real step by descent; a literal step must equal the step the same
+    descent gives.
     """
     m = ix.lens[t] if isinstance(t, int) and 0 <= t < len(ix.lens) else 0
     if not (isinstance(side, int) and 0 <= side <= 1) \
@@ -393,18 +353,18 @@ def side_map(ix, side, t, p, delta):
     b = k * tp
     w = min(m - b, tp)
     table = ix.tables[side][t]
-    step = None if table is None else table[p * ix.tau + k]
-    if step is None:
+    if table is None:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
+    step = table[p * ix.tau + k]
     s, near, far = step
     if far is None:
         literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
         if not literal and (not _on_spine1(ix, side, t, near, b + w)
-                            or ix.height[near] > 2 * p):
+                            or ix.height[near] > FINISH * p):
             raise PreconditionViolated(
                 f"bookmark of variable {t}, level {p}, block {k} is a finish marker for "
-                f"{near}, off the block's spine or above height {2 * p}")
+                f"{near}, off the block's spine or above height {FINISH * p}")
         e = m - b if side else b + w       # the block's window, from the left
         s, near, far = real = _hook_core(ix.kids, ix.lens, t, e - w, e, side, PLAIN)
         if literal and real != step:
@@ -471,7 +431,7 @@ def access1(ix, i):
     from v with the full delta; the walk meets one by level 0 at the latest.
     It starts at the start's cap and, after each step, caps the level by the
     new variable's cap, so it makes at most floor(log_tau n) + 1 reads plus
-    2 * floor(log_tau n) moves.
+    FINISH * floor(log_tau n) moves.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")

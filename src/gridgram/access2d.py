@@ -1,88 +1,30 @@
 """Corner-bookmark random access over 2D SLPs.
 
-The 2D analogue of the 1D bookmark index. For every variable reachable from
-the start and every level pair (p_r, p_c) within the variable's level caps
-(below), the index stores bookmarks for the tau x tau grid of blocks of
-size tau**p_r x tau**p_c growing out of each of the four corners of the
-variable's expansion (NW, NE, SW, SE). A bookmark is found through the 2D
-hook of the block (the deepest variable whose expansion still contains the
-block strictly straddling a child split on the splitting axis), but it is
-stored resolved, as the step a query takes there:
-``(axis, s, near, far, shift)``. axis is 1 when the hook splits rows and 0
-when it splits columns; s is the hook's split inside the block on that axis,
-measured from the corner; near and far are the hook's children in that order
-from the corner; shift is the block's offset inside the hook on the other
-axis, measured from the corner's side. A 1x1 block of a literal variable v
-is stored as ``(0, 0, v, None, 0)``.
+README, "How the index works", describes the build, the walk and their
+costs. The contracts that the functions below share:
 
-A query keeps a state (variable, delta_r, delta_c, row side, column side)
-addressing the target cell from one corner, and repeatedly applies the
-stored step for the current corner. Each step relocates the cell into a
-child of the hook, contracting the distance on the hook's splitting axis to
-at most tau**p while never growing the other axis. The level of the
-contracted axis then drops by one, and levels are also capped by the new
-variable's dimensions: cap_r and cap_c, the largest p with tau**p within its
-rows and columns, computed per variable by the build. The walk starts at the
-start's caps, which is exact because delta <= rows < tau**(cap_r + 1) (and
-the same for columns). Each step but the last lowers p_r + p_c by at least
-one, and at levels (0, 0) every block is one cell, so the traced walk makes
-at most floor(log_tau r) + floor(log_tau c) + 1 steps. Corners are numbered
-0..3 (NW, NE, SW, SE), in the tables and in corner_map, the checked single
-step: bit 1 set means measured from the bottom, bit 0 set means from the
-right.
-
-Where descending is cheaper than reading on, a slot holds a finish marker
-instead: every block slot of a variable i at a level pair (p_r, p_c) with
-height(i) <= 2 (p_r + p_c) (a literal has height 0, a pair one more than its
-higher child) is ``(0, 0, i, None, 0)``, the literal step's shape, and for a
-literal the literal step itself. The fast walk reads tables until it meets a
-marker and then finishes by a root-to-leaf descent from the marker's
-variable, so it makes at most L + 1 reads plus 2L moves,
-L = floor(log_tau r) + floor(log_tau c). corner_map checks a marker against
-its variable's height and the block's place, then resolves the real step by
-descent, so the traced walk's steps do not change.
-
-Tables are flat and per variable, as in 1D: ``tables[corner][t]`` is one
-list per corner and reachable variable, holding only the level pairs
-p_r <= cap_r[t] and p_c <= cap_c[t], one slot per block, each holding a
-step. Along an axis every level below the cap has tau blocks and the cap
-has the ones that exist, so the list is a grid of H x W blocks,
-H = cap_r[t] * tau + ceil(rows / tau**cap_r[t]) and
-W = cap_c[t] * tau + ceil(cols / tau**cap_c[t]) (``width[t]``), with block
-(k_r, k_c) of level pair (p_r, p_c) at
-``(p_r * tau + k_r) * W + p_c * tau + k_c``. So at most
-4 * |V| * tau**2 * (floor(log_tau n) + 1)**2 bookmarks are stored,
-n = max(rows, cols). The build clamps tau to the start's longest side and
-stores equal steps as one tuple, as in 1D.
-
-The build fills the tables children first. On the axis a variable splits,
-a block aligned to the top or left lies wholly inside the child x when its
-far edge is within x, and then it is x's own block with the same key: the
-descent enters x with the window unchanged, and the other axis is shared,
-so it reaches the same hook at the same place. So is a block aligned to the
-bottom or right that lies wholly inside y. Those steps are copied from the
-child's own list, a slice at a time, markers included, since the block sits
-at the same offset from the same corner of the child; only blocks that
-straddle the split or sit unaligned in the other child descend. The child
-has the level pair whenever a block fits inside it, and on a rows split it
-has the parent's columns, hence the parent's width and the same slots.
-
-A descent runs along long runs of moves as in 1D, with the same RUN and
-``_chains`` over the x and the y children, keyed by rows and columns,
-whatever axis each variable splits: it may move on to a node v of the x
-chain while the window's far corner fits in v (e_r <= rows[v] and
-e_c <= cols[v]), and to a node v of the y chain while v's offsets inside
-the node are at most the window's start on both axes. Both tests are
-monotone along a chain, since rows and columns never grow down it, though
-either may stay put for a step; so the nodes that qualify are a prefix of
-the chain, and per heavy path one bisect over the rows and one over the
-columns, from where the rows qualify, find its end. A run may switch axes
-and still go on: on the staircase X_{k+1} = Horiz(Vert(X_k, col_k),
-row_{k+1}) reaches X_k by two x moves, one on each axis. The chains are
-dropped when the build returns. A descent given PLAIN, no chains, is the
-plain walk; hook_offset2 and corner_map use it.
-
-Immutable after build; queries are safe under concurrent readers.
+- A slot holds the step a query takes at its block's hook:
+  ``(axis, s, near, far, shift)``. axis is 1 when the hook splits rows and
+  0 when it splits columns; s is the hook's split inside the block on that
+  axis, measured from the corner; near and far are the hook's children in
+  that order from the corner; shift is the block's offset inside the hook
+  on the other axis, measured from the corner's side. A 1x1 block of a
+  literal v holds ``(0, 0, v, None, 0)``.
+- Corners are integers 0..3 (NW, NE, SW, SE), in the tables and in
+  corner_map: bit 1 set means from the bottom, bit 0 set from the right.
+- ``tables[corner][t]`` is one list per variable t reachable from the start
+  (None for the others), a grid of blocks W = ``width[t]`` wide; block
+  (k_r, k_c) of level pair (p_r, p_c) is at
+  ``(p_r * tau + k_r) * W + p_c * tau + k_c``.
+- Finish rule: every slot of a variable v at a level pair (p_r, p_c) with
+  height(v) <= FINISH * (p_r + p_c) holds the marker ``(0, 0, v, None, 0)``.
+- Build descents run along chains as in 1D, keyed by rows and columns: a
+  node v of the x chain qualifies while the window's far corner fits in v
+  (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
+  inside the node are at most the window's start on both axes. Rows and
+  columns never grow down a chain, so both tests are monotone along it.
+- The index is immutable after build_index2, so any number of threads may
+  query it. Builds are single-threaded.
 """
 
 from __future__ import annotations
@@ -90,7 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log, clamp_tau
+from .access1d import (FINISH, PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log,
+                       clamp_tau)
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -272,8 +215,8 @@ def _windows(m, pows, tau):
 def build_index2(g, tau):
     """Populate every corner step of the variables reachable from the
     start; every block of a variable i at a level pair (p_r, p_c) with
-    height(i) <= 2 (p_r + p_c) gets the finish marker (0, 0, i, None, 0),
-    which for a literal is its literal step."""
+    height(i) <= FINISH * (p_r + p_c) gets the finish marker
+    (0, 0, i, None, 0), which for a literal is its literal step."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, kids, horiz, reach, height = \
         g._rows, g._cols, g._kids, g._horiz, g._reach, g._height
@@ -304,7 +247,7 @@ def build_index2(g, tau):
                 tpc = pows[p_c]
                 blocks_c = len(win_c[p_c][0])
                 base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
-                if height[i] <= 2 * (p_r + p_c):   # descending from i is cheaper
+                if height[i] <= FINISH * (p_r + p_c):  # descending from i is cheaper
                     marker = (0, 0, i, None, 0)
                     marks = [share(marker, marker)] * blocks_c
                     for table in own:
@@ -367,8 +310,8 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     blocks are no larger, so the step still contracts within tau**p. A
     finish marker ``(0, 0, v, None, 0)`` for a pair v is checked (v is t or
     on t's spine of children on the corner's sides with the block inside
-    it, and height(v) <= 2 (p_r + p_c) at the capped levels) and then
-    resolved into the real step by descent; a literal step must equal the
+    it, and height(v) <= FINISH * (p_r + p_c) at the capped levels) and
+    then resolved into the real step by descent; a literal step must equal the
     step the same descent gives.
     """
     m_r, m_c = (ix.rows[t], ix.cols[t]) if isinstance(t, int) and 0 <= t < len(ix.rows) \
@@ -400,10 +343,10 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     if far is None:
         literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
         if not literal and (not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c)
-                            or ix.height[near] > 2 * (p_r + p_c)):
+                            or ix.height[near] > FINISH * (p_r + p_c)):
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
                                 f"is a finish marker for {near}, off the block's spine "
-                                f"or above height {2 * (p_r + p_c)}")
+                                f"or above height {FINISH * (p_r + p_c)}")
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
         axis, s, near, far, shift = real = _hook_core2(
@@ -497,7 +440,7 @@ def access2(ix, i, j):
     one table read per step, until the first step shaped (0, 0, v, None, 0):
     a literal step, which returns v's code, or a finish marker, which
     descends from v with the full deltas. With L = floor(log_tau rows) +
-    floor(log_tau cols), it makes at most L + 1 reads plus 2L moves.
+    floor(log_tau cols), it makes at most L + 1 reads plus FINISH * L moves.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):

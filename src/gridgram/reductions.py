@@ -315,10 +315,6 @@ class AlphabetMap:
         if any(codes[i] >= codes[i + 1] for i in range(len(codes) - 1)):
             raise RangeError("codes must be strictly increasing")
 
-    def __contains__(self, c):
-        i = bisect_left(self.codes, c)
-        return i < len(self.codes) and self.codes[i] == c
-
     def index_of(self, c):
         """Dense code for c, or None when c never occurs."""
         i = bisect_left(self.codes, c)

@@ -162,11 +162,7 @@ def _toposort(kids, start):
         stack = [(root, 0)]
         while stack:
             node, child_ix = stack.pop()
-            if child_ix == 0:
-                if color[node] == BLACK:
-                    continue
-                if color[node] == GRAY:
-                    raise CyclicGrammar(f"cycle through nonterminal {node}")
+            if child_ix == 0:           # pushed while white, and popped next
                 color[node] = GRAY
             children = kids[node] or ()
             if child_ix < len(children):
@@ -301,8 +297,7 @@ def _expand(g, size, shift, build, paint):
     lies at two or more places of the output; every other variable it
     reaches is split into its children. Nothing recurses. So the one-hot
     columns of the 4096 x 1024 ext-marking matrix of reduce-chains are split
-    down to their 1s, and it expands in about 22 ms, not 93 (README,
-    "Expansion cost").
+    down to their 1s (README, "Expansion cost").
 
     0. Children first: count per variable its nonzero cells. An all-zero
        start is returned as its zeros.

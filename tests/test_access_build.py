@@ -62,7 +62,7 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import PLAIN, _chains, _hook_core, _run1, table_slots1
+from gridgram.access1d import FINISH, PLAIN, _chains, _hook_core, _run1, table_slots1
 from gridgram.access2d import _hook_core2, _run2, table_slots2
 from gridgram.gen import random_slp1, random_slp2
 from conftest import comb1, comb2, reachable, staircase2
@@ -159,10 +159,10 @@ def heights(g):
 def slot1(g, height, i, side, p, b, e):
     """What the build stores for block (b..e] of Exp(i), measured from
     ``side``, at level p: the finish marker (0, v, None) of the first v on
-    i's spine of children on that side with height(v) <= 2p, or the block's
-    step when the block leaves the spine before that."""
+    i's spine of children on that side with height(v) <= FINISH * p, or the
+    block's step when the block leaves the spine before that."""
     v = i
-    while height[v] > 2 * p:
+    while height[v] > FINISH * p:
         v = g.rules[v][side]
         if e > g._lens[v]:
             m = g._lens[i]
@@ -174,7 +174,7 @@ def slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c):
     """The 2D slot1 for block (b_r..e_r] x (b_c..e_c] of Exp(i), measured
     from ``corner``, at levels (p_r, p_c); the marker is (0, 0, v, None, 0)."""
     v = i
-    while height[v] > 2 * (p_r + p_c):
+    while height[v] > FINISH * (p_r + p_c):
         rule = g.rules[v]
         v = rule.children[corner >> 1 if isinstance(rule, Horiz) else corner & 1]
         if e_r > g._rows[v] or e_c > g._cols[v]:
@@ -705,7 +705,7 @@ def test_finish1_is_exact_and_markers_are_low(g, tau):
         for table in side:
             for at, v in enumerate(table or ()):
                 if is_marker1(ix, v):
-                    assert ix.height[v[1]] <= 2 * (at // ix.tau)
+                    assert ix.height[v[1]] <= FINISH * (at // ix.tau)
 
 
 @settings(max_examples=40, deadline=None)
@@ -724,7 +724,7 @@ def test_finish2_is_exact_and_markers_are_low(g, tau):
                 if is_marker2(ix, v):
                     row, col = divmod(at, ix.width[t])
                     p_r, p_c = row // ix.tau, col // ix.tau
-                    assert ix.height[v[2]] <= 2 * (p_r + p_c)
+                    assert ix.height[v[2]] <= FINISH * (p_r + p_c)
 
 
 @settings(max_examples=30, deadline=None)
@@ -775,8 +775,8 @@ def test_side_map_refuses_a_corrupt_marker(g, tau, data):
     t = data.draw(st.sampled_from(ts))
     side = data.draw(st.integers(0, 1))
     table = ix.tables[side][t]
-    # too high: t's own marker at a level where t is higher than 2p
-    p = data.draw(st.integers(0, min(ix.cap[t], (ix.height[t] - 1) // 2)))
+    # too high: t's own marker at a level where t is higher than FINISH * p
+    p = data.draw(st.integers(0, min(ix.cap[t], (ix.height[t] - 1) // FINISH)))
     k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
     table[p * ix.tau + k] = (0, t, None)
     with pytest.raises(PreconditionViolated, match="finish marker"):
@@ -785,7 +785,7 @@ def test_side_map_refuses_a_corrupt_marker(g, tau, data):
     p = ix.cap[t]
     k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
     on = spine1(g, t, side, e)
-    off = [v for v in range(len(g.rules)) if v not in on and ix.height[v] <= 2 * p
+    off = [v for v in range(len(g.rules)) if v not in on and ix.height[v] <= FINISH * p
            and ix.kids[v] is not None] + [len(g.rules), -1]
     table[p * ix.tau + k] = (0, data.draw(st.sampled_from(off)), None)
     with pytest.raises(PreconditionViolated, match="finish marker"):
@@ -811,16 +811,16 @@ def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
             on = spine2(g, t, corner, e_r, e_c)
             v = data.draw(st.sampled_from(
                 [v for v in range(len(g.rules)) if v not in on and ix.kids[v] is not None
-                 and ix.height[v] <= 2 * (p_r + p_c)] + [len(g.rules), -1]))
+                 and ix.height[v] <= FINISH * (p_r + p_c)] + [len(g.rules), -1]))
         at = (p_r * T + k_r) * ix.width[t] + p_c * T + k_c
         ix.tables[corner][t][at] = (0, 0, v, None, 0)
         with pytest.raises(PreconditionViolated, match="finish marker"):
             corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
 
-    # too high: t's own marker at a level pair where t is higher than 2 (p_r + p_c)
+    # too high: t's own marker at a level pair where t is higher than FINISH * (p_r + p_c)
     corrupt(*data.draw(st.sampled_from(
         [(p_r, p_c) for p_r in range(ix.cap_r[t] + 1) for p_c in range(ix.cap_c[t] + 1)
-         if ix.height[t] > 2 * (p_r + p_c)])), t)
+         if ix.height[t] > FINISH * (p_r + p_c)])), t)
     # off the spine: low enough at t's top level pair, but not on the block's spine
     corrupt(ix.cap_r[t], ix.cap_c[t], None)
 

@@ -510,6 +510,19 @@ def test_bad_query_or_bench_argument_is_one_line(argv, slp1_file, slp2_file, cap
     assert err.startswith("RangeError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind, path", [
+    ("mark", "{slg2}"), ("extmark", "{slg2}"), ("pad", "{slg1}"),
+], ids=["mark-slg2", "extmark-slg2", "pad-slg1"])
+def test_reduce_of_the_wrong_dimension_is_one_line(kind, path, slp1_file, slp2_file,
+                                                   tmp_path, capsys):
+    out_path = tmp_path / "out.slg2"
+    code, out, err = run(capsys, "reduce", kind, path.format(slg1=slp1_file, slg2=slp2_file),
+                         str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith("ParseError: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_row_pattern_codes_digits_or_comma_separated(tmp_path, capsys):
     path = tmp_path / "row.slg2"
     path.write_text("SLG2 4 12\n0: V 1 2 3\n1: L 10\n2: L 2\n3: L 3\nSTART 0\n")

@@ -222,3 +222,35 @@ def test_oracles_refuse_a_non_integer_argument(fn, args):
     a TypeError or a silent answer."""
     with pytest.raises(RangeError):
         fn(*args)
+
+
+M3 = Matrix2D.from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+@pytest.mark.parametrize("query, args, match", [
+    (line_sum, (M3, 1, 3, -1), "line length"),
+    (line_sum, (M3, 4, 3, 1), "row 4 outside"),
+    (line_sum, (M3, 1, 1, 2), "column 1 outside"),
+    (square_all_zero, (M3, 3, 3, -1), "square side"),
+    (square_all_zero, (M3, 1, 3, 2), "row bound"),
+    (square_all_zero, (M3, 3, 4, 2), "col bound"),
+    (equal_rect, (M3, 1, 1, 2, 2, 0, 1), "at least 1x1"),
+    (equal_rect, (M3, 1, 1, 4, 1, 1, 1), "origins outside"),
+    (equal_rect, (M3, 1, 0, 1, 1, 1, 1), "origins outside"),
+    (equal_rect, (M3, 1, 1, 2, 2, 3, 1), "extends past"),
+    (square_lce, (M3, 0, 1, 1, 1), "origins outside"),
+    (square_lce, (M3, 1, 1, 1, 4), "origins outside"),
+    (line_lce, (M3, 1, 1, 2, 2, 0), "height must be"),
+    (line_lce, (M3, 4, 1, 1, 1, 1), "origins outside"),
+    (line_lce, (M3, 1, 0, 1, 1, 1), "origins outside"),
+    (line_lce, (M3, 1, 1, 3, 1, 2), "extends past"),
+    (occurs, ([0, 1, 2], 0, 4, 1), "occurs range"),
+    (sum_rect, (M3, 0, 0, 3, 4), "col bounds"),
+    (row_pattern_occurs, (M3, Matrix2D.from_rows([[0], [1]])), "exactly one row"),
+    (row_pattern_occurs, (M3, []), "nonempty"),
+    (ov_brute, ([],), "nonempty"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_out_of_range_arguments_raise_range_error(query, args, match):
+    with pytest.raises(RangeError, match=match) as err:
+        query(*args)
+    assert type(err.value) is RangeError

@@ -1,5 +1,7 @@
-"""README's library example runs as written against the package source."""
+"""README's library example runs as written against the package source,
+and every README section or phrase that a docstring cites exists."""
 
+import ast
 import os
 import re
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 import gridgram
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# a citation: the word README, a comma, then the cited text in double quotes
+CITATION = re.compile(r'README,\s+"([^"]+)"')
 
 
 def test_readme_library_block_runs():
@@ -19,3 +23,24 @@ def test_readme_library_block_runs():
     out = subprocess.run([sys.executable, "-c", block], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def _docstrings(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+
+
+def test_readme_citations_name_text_in_readme():
+    sources = sorted(Path(gridgram.__file__).parent.glob("*.py"))
+    sources += sorted(Path(__file__).parent.glob("*.py"))
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    cited = [(path.name, " ".join(quote.split())) for path in sources
+             for doc in _docstrings(path) for quote in CITATION.findall(doc)]
+    # the access modules point to README for the index's design
+    assert {"access1d.py", "access2d.py"} <= {name for name, _ in cited}
+    missing = [(name, quote) for name, quote in cited if quote not in text]
+    assert not missing, f"docstrings cite README text that it does not hold: {missing}"

@@ -339,7 +339,7 @@ def test_alphabet_reduce_prunes_unreachable():
 
 def test_alphabet_map_lookup():
     amap = AlphabetMap((2, 5, 9))
-    assert 5 in amap and 4 not in amap
+    assert amap.index_of(5) == 1 and amap.index_of(4) is None
     assert amap.index_of(9) == 2 and amap.index_of(3) is None
 
 
@@ -563,3 +563,26 @@ def test_marking_grammars_refuse_a_sigma_that_is_no_int(make, sigma):
     g = random_slp1(1, 10, 2, 50)
     with pytest.raises(RangeError, match="sigma must be an int >= 1"):
         make(g, sigma)
+
+
+def square_all_zero_adapter(e_r, e_c, l):
+    """The square-all-zero adapter of a 1 x 2 matrix, over a provider that
+    must not be reached."""
+    _, make = square_all_zero_via_square_lce(validate_slg2(Slg2([Vert(1, 1), 0], 1, 0)))
+    return make(lambda *a: 1 / 0)(e_r, e_c, l)
+
+
+@pytest.mark.parametrize("fn, args, match", [
+    (mark_char, ([0, 1], -1), "non-negative"),
+    (ext_mark_all_chars, ([0, 2], 2), "text codes"),
+    (mark_grammar, (validate_slp1(Slg1([(1, 2), 0, 1], 2, 0)), 1), "grammar terminals"),
+    (AlphabetMap, ((2, 2),), "strictly increasing"),
+    (line_lce_via_equality, (lambda *a: 1 / 0, 3, 3, 1, 1, 1, 1, 0), "height must be"),
+    (line_lce_via_equality, (lambda *a: 1 / 0, 3, 3, 1, 4, 1, 1, 1), "origins outside"),
+    (square_all_zero_adapter, (1, 1, -1), "square side"),
+    (square_all_zero_adapter, (1, 3, 1), "square bounds"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_reduction_refusals_raise_range_error(fn, args, match):
+    with pytest.raises(RangeError, match=match) as err:
+        fn(*args)
+    assert type(err.value) is RangeError

@@ -3,6 +3,7 @@
 import pytest
 
 from gridgram import (
+    ArithmeticOverflow,
     DimensionMismatch,
     DuplicateRule,
     EmptyLanguage,
@@ -224,3 +225,16 @@ def test_horiz_and_vert_equality_hash_and_repr():
 def test_from_rows_refuses_what_is_no_list_of_rows(rows):
     with pytest.raises(DimensionMismatch, match="iterable of rows"):
         Matrix2D.from_rows(rows)
+
+
+@pytest.mark.parametrize("fn, args, error, match", [
+    (Matrix2D.from_rows, ([],), DimensionMismatch, "at least one row"),
+    (parse_matrix, ("",), ParseError, "empty matrix file"),
+    # id v + 1 is Vert(v, v), so id 63 is 2**63 columns wide
+    (validate_slg2, (Slg2([0] + [Vert(v, v) for v in range(63)], 1, 63),),
+     ArithmeticOverflow, r"exceed 2\*\*62"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_malformed_2d_input_raises_its_error(fn, args, error, match):
+    with pytest.raises(error, match=match) as err:
+        fn(*args)
+    assert type(err.value) is error
