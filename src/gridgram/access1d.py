@@ -427,34 +427,50 @@ def access1(ix, i):
 
     The same walk as access1_traced in one loop with no per-step checks,
     one table read per step, until the first step shaped (0, v, None): a
-    literal step, which returns v's code, or a finish marker, which descends
-    from v with the full delta; the walk meets one by level 0 at the latest.
-    It starts at the start's cap and, after each step, caps the level by the
-    new variable's cap, so it makes at most floor(log_tau n) + 1 reads plus
-    FINISH * floor(log_tau n) moves.
+    literal step, which returns v's code, or a finish marker, after which
+    the walk descends from v with the full delta, inline; it meets one by
+    level 0 at the latest. A start low enough for its own top slot to be a
+    marker, height <= FINISH * cap, is descended from at once, without a
+    read. The walk starts at the start's cap and, after each step, caps the
+    level by the new variable's cap, so it makes at most floor(log_tau n) + 1
+    reads plus FINISH * floor(log_tau n) moves.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    tau, pows, tables, cap = ix.tau, ix.pows, ix.tables, ix.cap
-    t, delta, side = ix.grammar.start, i, 0
+    lens, kids, cap = ix.lens, ix.kids, ix.cap
+    t = ix.grammar.start
     p = cap[t]
-    while p >= 0:
-        tp = pows[p]
-        k = (delta - 1) // tp
-        s, near, far = tables[side][t][p * tau + k]
-        d = delta - k * tp
-        if d <= s:
-            t, delta, side = near, s - d + 1, side ^ 1
-        elif far is None:
-            if ix.kids[near] is None:
-                return ix.grammar.rules[near]
-            return descend1(ix, near, delta, side)
+    if ix.height[t] > FINISH * p:   # else the start's top slots are markers
+        tau, pows, tables = ix.tau, ix.pows, ix.tables
+        delta, side = i, 0
+        while p >= 0:
+            tp = pows[p]
+            k = (delta - 1) // tp
+            s, near, far = tables[side][t][p * tau + k]
+            d = delta - k * tp
+            if d <= s:
+                t, delta, side = near, s - d + 1, side ^ 1
+            elif far is None:
+                if kids[near] is None:
+                    return ix.grammar.rules[near]
+                t = near            # a marker: the full delta, from the left
+                i = lens[t] + 1 - delta if side else delta
+                break
+            else:
+                t, delta = far, d - s
+            p -= 1
+            if p > cap[t]:
+                p = cap[t]
         else:
-            t, delta = far, d - s
-        p -= 1
-        if p > cap[t]:
-            p = cap[t]
-    raise PreconditionViolated(f"walk to position {i} ended off a literal")
+            raise PreconditionViolated(f"walk to position {i} ended off a literal")
+    while (kid := kids[t]) is not None:
+        x, y = kid
+        l = lens[x]
+        if i <= l:
+            t = x
+        else:
+            t, i = y, i - l
+    return ix.grammar.rules[t]
 
 
 def descend1(ix, t, delta, side):

@@ -17,7 +17,7 @@ costs. The contracts that the functions below share:
   (k_r, k_c) of level pair (p_r, p_c) is at
   ``(p_r * tau + k_r) * W + p_c * tau + k_c``.
 - Finish rule: every slot of a variable v at a level pair (p_r, p_c) with
-  height(v) <= FINISH * (p_r + p_c) holds the marker ``(0, 0, v, None, 0)``.
+  height(v) <= FINISH2 * (p_r + p_c) holds the marker ``(0, 0, v, None, 0)``.
 - Build descents run along chains as in 1D, keyed by rows and columns: a
   node v of the x chain qualifies while the window's far corner fits in v
   (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
@@ -32,10 +32,11 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import (FINISH, PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log,
-                       clamp_tau)
+from .access1d import PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log, clamp_tau
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
+
+FINISH2 = 6     # slots of a variable with height <= FINISH2 * (p_r + p_c) are finish markers
 
 
 def optimal_tau2(n, epsilon=1.0):
@@ -215,7 +216,7 @@ def _windows(m, pows, tau):
 def build_index2(g, tau):
     """Populate every corner step of the variables reachable from the
     start; every block of a variable i at a level pair (p_r, p_c) with
-    height(i) <= FINISH * (p_r + p_c) gets the finish marker
+    height(i) <= FINISH2 * (p_r + p_c) gets the finish marker
     (0, 0, i, None, 0), which for a literal is its literal step."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, kids, horiz, reach, height = \
@@ -247,7 +248,7 @@ def build_index2(g, tau):
                 tpc = pows[p_c]
                 blocks_c = len(win_c[p_c][0])
                 base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
-                if height[i] <= FINISH * (p_r + p_c):  # descending from i is cheaper
+                if height[i] <= FINISH2 * (p_r + p_c):  # descending from i is cheaper
                     marker = (0, 0, i, None, 0)
                     marks = [share(marker, marker)] * blocks_c
                     for table in own:
@@ -310,7 +311,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     blocks are no larger, so the step still contracts within tau**p. A
     finish marker ``(0, 0, v, None, 0)`` for a pair v is checked (v is t or
     on t's spine of children on the corner's sides with the block inside
-    it, and height(v) <= FINISH * (p_r + p_c) at the capped levels) and
+    it, and height(v) <= FINISH2 * (p_r + p_c) at the capped levels) and
     then resolved into the real step by descent; a literal step must equal the
     step the same descent gives.
     """
@@ -343,10 +344,10 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     if far is None:
         literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
         if not literal and (not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c)
-                            or ix.height[near] > FINISH * (p_r + p_c)):
+                            or ix.height[near] > FINISH2 * (p_r + p_c)):
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
                                 f"is a finish marker for {near}, off the block's spine "
-                                f"or above height {FINISH * (p_r + p_c)}")
+                                f"or above height {FINISH2 * (p_r + p_c)}")
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
         axis, s, near, far, shift = real = _hook_core2(
@@ -438,52 +439,80 @@ def access2(ix, i, j):
 
     The same walk as access2_traced in one loop with no per-step checks,
     one table read per step, until the first step shaped (0, 0, v, None, 0):
-    a literal step, which returns v's code, or a finish marker, which
-    descends from v with the full deltas. With L = floor(log_tau rows) +
-    floor(log_tau cols), it makes at most L + 1 reads plus FINISH * L moves.
+    a literal step, which returns v's code, or a finish marker, after which
+    the walk descends from v with the full deltas, inline. A start low
+    enough for its own top slot to be a marker, height <= FINISH2 *
+    (cap_r + cap_c), is descended from at once, without a read. With L =
+    floor(log_tau rows) + floor(log_tau cols), it makes at most L + 1 reads
+    plus FINISH2 * L moves.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
-    tau, pows, tables, cap_r, cap_c, width = \
-        ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width
-    t, d_r, d_c, c = ix.grammar.start, i, j, 0
-    p_r, p_c = cap_r[t], cap_c[t]
-    w = width[t]                    # blocks per row in t's lists
-    for _ in range(p_r + p_c + 1):
-        tpr, tpc = pows[p_r], pows[p_c]
-        k_r = (d_r - 1) // tpr
-        k_c = (d_c - 1) // tpc
-        axis, s, near, far, shift = \
-            tables[c][t][(p_r * tau + k_r) * w + p_c * tau + k_c]
-        d_r -= k_r * tpr
-        d_c -= k_c * tpc
-        if axis:
-            if d_r <= s:
-                t, d_r, c = near, s - d_r + 1, c ^ 2
+    rows, cols, kids = ix.rows, ix.cols, ix.kids
+    t = ix.grammar.start
+    p_r, p_c = ix.cap_r[t], ix.cap_c[t]
+    if ix.height[t] > FINISH2 * (p_r + p_c):   # else the start's top slots are markers
+        tau, pows, tables, cap_r, cap_c, width = \
+            ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width
+        d_r, d_c, c = i, j, 0
+        w = width[t]                # blocks per row in t's lists
+        for _ in range(p_r + p_c + 1):
+            tpr, tpc = pows[p_r], pows[p_c]
+            k_r = (d_r - 1) // tpr
+            k_c = (d_c - 1) // tpc
+            axis, s, near, far, shift = \
+                tables[c][t][(p_r * tau + k_r) * w + p_c * tau + k_c]
+            d_r -= k_r * tpr
+            d_c -= k_c * tpc
+            if axis:
+                if d_r <= s:
+                    t, d_r, c = near, s - d_r + 1, c ^ 2
+                else:
+                    t, d_r = far, d_r - s
+                d_c += shift
+            elif d_c <= s:
+                t, d_c, c = near, s - d_c + 1, c ^ 1
+                d_r += shift
+            elif far is None:
+                if kids[near] is None:
+                    return ix.grammar.rules[near]
+                t = near            # a marker: the cell's full deltas, from the NW
+                d_r += k_r * tpr
+                d_c += k_c * tpc
+                i = rows[t] + 1 - d_r if c & 2 else d_r
+                j = cols[t] + 1 - d_c if c & 1 else d_c
+                break
             else:
-                t, d_r = far, d_r - s
-            d_c += shift
-        elif d_c <= s:
-            t, d_c, c = near, s - d_c + 1, c ^ 1
-            d_r += shift
-        elif far is None:
-            if ix.kids[near] is None:
-                return ix.grammar.rules[near]
-            return descend2(ix, near, d_r + k_r * tpr, d_c + k_c * tpc, c)
+                t, d_c = far, d_c - s
+                d_r += shift
+            if d_r <= tpr and p_r > 0:
+                p_r -= 1
+            elif d_c <= tpc and p_c > 0:
+                p_c -= 1
+            if p_r > cap_r[t]:
+                p_r = cap_r[t]
+            if p_c > cap_c[t]:
+                p_c = cap_c[t]
+            w = width[t]
         else:
-            t, d_c = far, d_c - s
-            d_r += shift
-        if d_r <= tpr and p_r > 0:
-            p_r -= 1
-        elif d_c <= tpc and p_c > 0:
-            p_c -= 1
-        if p_r > cap_r[t]:
-            p_r = cap_r[t]
-        if p_c > cap_c[t]:
-            p_c = cap_c[t]
-        w = width[t]
-    raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")
+            raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")
+    horiz = ix.horiz
+    while (kid := kids[t]) is not None:
+        x, y = kid
+        if horiz[t]:
+            l = rows[x]
+            if i <= l:
+                t = x
+            else:
+                t, i = y, i - l
+        else:
+            l = cols[x]
+            if j <= l:
+                t = x
+            else:
+                t, j = y, j - l
+    return ix.grammar.rules[t]
 
 
 def descend2(ix, t, d_r, d_c, corner):

@@ -21,6 +21,7 @@ from gridgram import (
     optimal_tau2,
     validate_slp2,
 )
+from gridgram.access2d import FINISH2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp2
 from conftest import expand_all_2d, reachable, submatrix
@@ -146,20 +147,28 @@ def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
     nw = ix.tables[0]
     assert ix.height == [2, 1, 1, 0, 0, 0, 0]
-    # variable 0, levels (0, 0), block (1, 0): S is higher than 2 (0 + 0), so
-    # the slot is the step to the literal 5 at offset (0, 0)
+    # variable 0, levels (0, 0), block (1, 0): S is higher than FINISH2 * (0 + 0),
+    # so the slot is the step to the literal 5 at offset (0, 0)
     assert nw[0][(0 * 2 + 1) * ix.width[0] + 0 * 2 + 0] == (0, 0, 5, None, 0)
-    # levels (1, 0) and (0, 1), block (0, 0): S is at most 2 high, so the
-    # slot is S's finish marker
+    # levels (1, 0) and (0, 1), block (0, 0): S is at most FINISH2 * 1 high, so
+    # the slot is S's finish marker
     assert nw[0][(1 * 2 + 0) * ix.width[0] + 0 * 2 + 0] == (0, 0, 0, None, 0)
     assert nw[0][(0 * 2 + 0) * ix.width[0] + 1 * 2 + 0] == (0, 0, 0, None, 0)
-    # T -> Vert(S, S) (id 0, 2x4, height 3 > 2), levels (0, 1), block (0, 1),
-    # the window (0..1] x (2..4]: hook 2 (the top row, a b) at offset (0, 0),
-    # so the columns split 1 in from the left, with a nearer and b farther
-    g = validate_slp2(Slp2([Vert(1, 1), Horiz(2, 3), Vert(4, 5), Vert(6, 7), 0, 1, 2, 3], 4, 0))
+    # T_5, with T_k -> Vert(S, T_k-1) and T_0 = S (id 5, 2x2): id 0, 2x12,
+    # height 7 > FINISH2 * 1. Levels (0, 1), block (0, 0), the window
+    # (0..1] x (0..2], lies in T's first S, at most FINISH2 * 1 high: S's
+    # marker. Block (0, 1), the window (0..1] x (2..4], leaves that S: hook 6
+    # (the top row, a b, of T_4's S) at offset (0, 0), so the columns split
+    # 1 in from the left, with a nearer and b farther. At levels (0, 2),
+    # 7 <= FINISH2 * 2: T's own marker
+    g = validate_slp2(Slp2([Vert(5, 1), Vert(5, 2), Vert(5, 3), Vert(5, 4), Vert(5, 5),
+                            Horiz(6, 7), Vert(8, 9), Vert(10, 11), 0, 1, 2, 3], 4, 0))
     ix = build_index2(g, 2)
-    assert ix.height[0] == 3
-    assert ix.tables[0][0][(0 * 2 + 0) * ix.width[0] + 1 * 2 + 1] == (0, 1, 4, 5, 0)
+    nw, w = ix.tables[0][0], ix.width[0]
+    assert ix.height[0] == 7 and FINISH2 * 1 < 7 <= FINISH2 * 2
+    assert nw[(0 * 2 + 0) * w + 1 * 2 + 0] == (0, 0, 5, None, 0)
+    assert nw[(0 * 2 + 0) * w + 1 * 2 + 1] == (0, 1, 8, 9, 0)
+    assert nw[(0 * 2 + 0) * w + 2 * 2 + 1] == (0, 0, 0, None, 0)
 
 
 def test_index_entry_count_bound_random():

@@ -63,7 +63,7 @@ from gridgram import (
 )
 from gridgram import access1d, access2d
 from gridgram.access1d import FINISH, PLAIN, _chains, _hook_core, _run1, table_slots1
-from gridgram.access2d import _hook_core2, _run2, table_slots2
+from gridgram.access2d import FINISH2, _hook_core2, _run2, table_slots2
 from gridgram.gen import random_slp1, random_slp2
 from conftest import comb1, comb2, reachable, staircase2
 
@@ -172,9 +172,10 @@ def slot1(g, height, i, side, p, b, e):
 
 def slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c):
     """The 2D slot1 for block (b_r..e_r] x (b_c..e_c] of Exp(i), measured
-    from ``corner``, at levels (p_r, p_c); the marker is (0, 0, v, None, 0)."""
+    from ``corner``, at levels (p_r, p_c), with 2D's FINISH2 in place of
+    FINISH; the marker is (0, 0, v, None, 0)."""
     v = i
-    while height[v] > FINISH * (p_r + p_c):
+    while height[v] > FINISH2 * (p_r + p_c):
         rule = g.rules[v]
         v = rule.children[corner >> 1 if isinstance(rule, Horiz) else corner & 1]
         if e_r > g._rows[v] or e_c > g._cols[v]:
@@ -556,16 +557,17 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
 
 
 def test_access2_traced_never_answers_wrong_on_a_swapped_step():
-    """The 2D case, on a 20-step staircase, deep enough at tau 2 that the
-    start's own steps are read: the swapped one sends 12 of the 441 cells
-    to a wrong code through every per-step check."""
+    """The 2D case, on a 40-step staircase, deep enough at tau 2 that the
+    start's own steps are read (height 80 > FINISH2 * (5 + 5)): the swapped
+    one sends 24 of the 1681 cells to a wrong code through every per-step
+    check."""
     rng = random.Random(0)
-    g = staircase2([rng.randrange(4) for _ in range(42)], 20)
+    g = staircase2([rng.randrange(4) for _ in range(82)], 40)
     ix = build_index2(g, 2)
     t = g.start
-    table = ix.tables[0][t]         # the start's block (0, 0) at its caps, levels (4, 4)
-    at = (4 * 2 + 0) * ix.width[t] + 4 * 2 + 0
-    assert ix.cap_r[t] == ix.cap_c[t] == 4 and table[at] == (1, 15, 61, 60, 0)
+    table = ix.tables[0][t]         # the start's block (0, 0) at its caps, levels (5, 5)
+    at = (5 * 2 + 0) * ix.width[t] + 5 * 2 + 0
+    assert ix.cap_r[t] == ix.cap_c[t] == 5 and table[at] == (1, 31, 125, 124, 0)
     table[at] = swapped(table[at], 3)
     m = expand2(g)
     raised = 0
@@ -575,7 +577,7 @@ def test_access2_traced_never_answers_wrong_on_a_swapped_step():
                 assert access2_traced(ix, i, j)[0] == m.get(i, j)
             except PreconditionViolated:
                 raised += 1
-    assert raised > 224             # the 12 wrong answers raise too
+    assert raised > 960             # the 24 wrong answers raise too
 
 
 # -- checked literal steps ---------------------------------------------------
@@ -647,15 +649,23 @@ def spine2(g, t, corner, e_r, e_c):
 
 
 class Reads(list):
-    """A table list that logs the slots read through it."""
+    """A table list that logs the steps read through it."""
 
     def __init__(self, items, log):
         super().__init__(items)
         self.log = log
 
     def __getitem__(self, k):
-        self.log.append(k)
-        return super().__getitem__(k)
+        step = super().__getitem__(k)
+        self.log.append(step)
+        return step
+
+
+def logged(ix):
+    """Wrap every list of ix's tables in Reads; returns the shared log."""
+    log = []
+    ix.tables = [[None if t is None else Reads(t, log) for t in lists] for lists in ix.tables]
+    return log
 
 
 @st.composite
@@ -724,45 +734,154 @@ def test_finish2_is_exact_and_markers_are_low(g, tau):
                 if is_marker2(ix, v):
                     row, col = divmod(at, ix.width[t])
                     p_r, p_c = row // ix.tau, col // ix.tau
-                    assert ix.height[v[2]] <= FINISH * (p_r + p_c)
+                    assert ix.height[v[2]] <= FINISH2 * (p_r + p_c)
 
 
 @settings(max_examples=30, deadline=None)
 @given(g=low1(), tau=FINISH_TAUS)
-def test_finish1_at_height_two_reads_one_slot(g, tau):
+def test_finish1_at_height_two_reads_no_slot(g, tau):
+    """The start, at most 2 high and at least 2 long, is low enough for its
+    own top slot to be a marker, so the walk descends from it at once."""
     ix = build_index1(g, tau)
-    log = []
-    ix.tables = [[None if t is None else Reads(t, log) for t in side] for side in ix.tables]
+    log = logged(ix)
     for i, want in enumerate(expand1(g), start=1):
         del log[:]
-        assert access1(ix, i) == want and len(log) == 1
+        assert access1(ix, i) == want and len(log) == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1(), tau=TAUS1)
 def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
     """The fast walk starts at the start's cap and caps each level by the
-    new variable's, so it reads at most floor(log_tau n) + 1 slots."""
+    new variable's, so it reads at most floor(log_tau n) + 1 slots; none
+    when the start's top slot is its own marker."""
     ix = build_index1(g, tau)
-    assert ix.tau ** ix.cap[g.start] <= ix.n < ix.tau ** (ix.cap[g.start] + 1)
-    log = []
-    ix.tables = [[None if t is None else Reads(t, log) for t in side] for side in ix.tables]
+    cap = ix.cap[g.start]
+    assert ix.tau ** cap <= ix.n < ix.tau ** (cap + 1)
+    reads = (0, 0) if ix.height[g.start] <= FINISH * cap else (1, cap + 1)
+    log = logged(ix)
     for i, want in enumerate(expand1(g), start=1):
         del log[:]
-        assert access1(ix, i) == want and 1 <= len(log) <= ix.cap[g.start] + 1
+        assert access1(ix, i) == want and reads[0] <= len(log) <= reads[1]
 
 
 @settings(max_examples=30, deadline=None)
 @given(g=low2(), tau=FINISH_TAUS)
-def test_finish2_at_height_two_reads_one_slot(g, tau):
+def test_finish2_at_height_two_reads_no_slot(g, tau):
+    """The start, at most 2 high and at least 2 cells, is low enough for
+    its own top slots to be markers, so the walk descends from it at once."""
     ix = build_index2(g, tau)
-    log = []
-    ix.tables = [[None if t is None else Reads(t, log) for t in corner] for corner in ix.tables]
+    log = logged(ix)
     m = expand2(g)
     for i in range(1, m.rows + 1):
         for j in range(1, m.cols + 1):
             del log[:]
-            assert access2(ix, i, j) == m.get(i, j) and len(log) == 1
+            assert access2(ix, i, j) == m.get(i, j) and len(log) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=FINISH_TAUS)
+def test_finish2_changes_the_tables_only_by_markers(g, tau):
+    """Against a build with FINISH2 = FINISH = 2, every slot is the same or a
+    marker that the FINISH2 rule allows: the tables differ only by markers."""
+    ix = build_index2(g, tau)
+    with mock.patch.object(access2d, "FINISH2", 2):
+        low = build_index2(g, tau)
+    assert ix.width == low.width
+    for corner, low_corner in zip(ix.tables, low.tables):
+        for t, (table, low_table) in enumerate(zip(corner, low_corner)):
+            assert (table is None) == (low_table is None)
+            for at, (v, was) in enumerate(zip(table or (), low_table or ())):
+                if v != was:
+                    row, col = divmod(at, ix.width[t])
+                    p_r, p_c = row // ix.tau, col // ix.tau
+                    assert v == (0, 0, v[2], None, 0) and ix.kids[v[2]] is not None
+                    assert ix.height[v[2]] <= FINISH2 * (p_r + p_c)
+
+
+def distinct_codes(g):
+    """g with every literal rule given its own code, so that an access that
+    lands on the wrong literal answers wrong."""
+    codes = {}
+    rules = [codes.setdefault(i, len(codes)) if isinstance(r, int) else r
+             for i, r in enumerate(g.rules)]
+    if isinstance(g, Slg1):
+        return validate_slp1(Slp1(rules, len(codes), g.start))
+    return validate_slp2(Slp2(rules, len(codes), g.start))
+
+
+def block_comb2(blocks):
+    """X_0 = B, X_k -> Vert(B or B', X_k-1), alternating: a row of 2x2 blocks
+    B = [[0, 1], [2, 3]] and B' = [[1, 0], [2, 3]], each 2 high."""
+    rules = [0, 1, 2, 3, Vert(0, 1), Vert(1, 0), Vert(2, 3), Horiz(4, 6), Horiz(5, 6)]
+    x = 7
+    for k in range(blocks):
+        rules.append(Vert(8 if k % 2 else 7, x))
+        x = len(rules) - 1
+    return validate_slp2(Slp2(rules, 4, x))
+
+
+def finishes():
+    """(grammar, tau) pairs, per dimension, for the three ways a fast walk
+    finishes: ``start``, the start is low enough to be descended from at
+    once; ``marker``, every walk ends at a pair's finish marker; ``literal``,
+    every walk ends at a literal step."""
+    rng = random.Random(5)
+    return {
+        "start": ((distinct_codes(random_slp1(11, 20, 3, 100)), 2),
+                  (staircase2([rng.randrange(4) for _ in range(22)], 10), 2)),
+        "marker": ((distinct_codes(random_slp1(34, 20, 3, 100)), 2), (block_comb2(64), 2)),
+        "literal": ((comb1([rng.randrange(4) for _ in range(64)], True), 8),
+                    (staircase2([rng.randrange(4) for _ in range(22)], 10), 8)),
+    }
+
+
+def walk_ends(ix, log, literal_at):
+    """How the walk that filled ``log`` finished: 'start', 'marker' or
+    'literal'; ``literal_at`` indexes a step's near child."""
+    if not log:
+        return "start"
+    return "literal" if ix.kids[log[-1][literal_at]] is None else "marker"
+
+
+@pytest.mark.parametrize("kind", ["start", "marker", "literal"])
+def test_access_equals_descent_however_the_walk_finishes(kind):
+    (g1, tau1), (g2, tau2) = finishes()[kind]
+    ix = build_index1(g1, tau1)
+    n, log = ix.n, logged(ix)
+    assert len(set(expand1(g1))) > 1
+    for i in range(1, n + 1):
+        del log[:]
+        assert access1(ix, i) == descend1(ix, g1.start, i, 0) == \
+            descend1(ix, g1.start, n + 1 - i, 1)
+        assert walk_ends(ix, log, 1) == kind
+    ix = build_index2(g2, tau2)
+    r, c, log = ix.n_rows, ix.n_cols, logged(ix)
+    assert len(set(expand2(g2).cells)) > 1
+    for i in range(1, r + 1):
+        for j in range(1, c + 1):
+            del log[:]
+            assert access2(ix, i, j) == descend2(ix, g2.start, i, j, 0) == \
+                descend2(ix, g2.start, i, c + 1 - j, 1) == \
+                descend2(ix, g2.start, r + 1 - i, j, 2) == \
+                descend2(ix, g2.start, r + 1 - i, c + 1 - j, 3)
+            assert walk_ends(ix, log, 2) == kind
+
+
+def test_access_finishes_inline():
+    """The fast walks descend over their own locals: with the public
+    descents made to raise, every walk still answers."""
+    def refuse(*args):
+        raise AssertionError("the fast walk called a public descent")
+
+    with mock.patch.object(access1d, "descend1", refuse), \
+            mock.patch.object(access2d, "descend2", refuse):
+        for (g1, tau1), (g2, tau2) in finishes().values():
+            ix = build_index1(g1, tau1)
+            assert [access1(ix, i) for i in range(1, ix.n + 1)] == expand1(g1)
+            ix, m = build_index2(g2, tau2), expand2(g2)
+            assert all(access2(ix, i, j) == m.get(i, j)
+                       for i in range(1, m.rows + 1) for j in range(1, m.cols + 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -811,16 +930,16 @@ def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
             on = spine2(g, t, corner, e_r, e_c)
             v = data.draw(st.sampled_from(
                 [v for v in range(len(g.rules)) if v not in on and ix.kids[v] is not None
-                 and ix.height[v] <= FINISH * (p_r + p_c)] + [len(g.rules), -1]))
+                 and ix.height[v] <= FINISH2 * (p_r + p_c)] + [len(g.rules), -1]))
         at = (p_r * T + k_r) * ix.width[t] + p_c * T + k_c
         ix.tables[corner][t][at] = (0, 0, v, None, 0)
         with pytest.raises(PreconditionViolated, match="finish marker"):
             corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
 
-    # too high: t's own marker at a level pair where t is higher than FINISH * (p_r + p_c)
+    # too high: t's own marker at a level pair where t is higher than FINISH2 * (p_r + p_c)
     corrupt(*data.draw(st.sampled_from(
         [(p_r, p_c) for p_r in range(ix.cap_r[t] + 1) for p_c in range(ix.cap_c[t] + 1)
-         if ix.height[t] > FINISH * (p_r + p_c)])), t)
+         if ix.height[t] > FINISH2 * (p_r + p_c)])), t)
     # off the spine: low enough at t's top level pair, but not on the block's spine
     corrupt(ix.cap_r[t], ix.cap_c[t], None)
 
@@ -851,8 +970,9 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
 @pytest.mark.parametrize("split", ["0", "w"])
 def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
     """The 2D straddle guard, on steps that split columns and on steps that
-    split rows."""
-    ix = build_index2(random_slp2(3, 40, 3, 4096), 2)
+    split rows; at tau 4, where this grammar's tables hold hundreds of each
+    under the finish rule."""
+    ix = build_index2(random_slp2(3, 40, 3, 4096), 4)
     T, seen = ix.tau, 0
     for corner in range(4):
         for t, table in enumerate(ix.tables[corner]):

@@ -1,5 +1,6 @@
 """README's library example runs as written against the package source,
-and every README section or phrase that a docstring cites exists."""
+every README section or phrase that a docstring cites exists, and README
+states the finish constants with the values the code has."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import gridgram
+from gridgram import access1d, access2d
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a citation: the word README, a comma, then the cited text in double quotes
@@ -44,3 +46,13 @@ def test_readme_citations_name_text_in_readme():
     assert {"access1d.py", "access2d.py"} <= {name for name, _ in cited}
     missing = [(name, quote) for name, quote in cited if quote not in text]
     assert not missing, f"docstrings cite README text that it does not hold: {missing}"
+
+
+def test_readme_states_the_finish_constants():
+    """README gives each finish factor the value the code has, so that
+    retuning one cannot leave the text stale."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for name, value in (("access1d.FINISH", access1d.FINISH),
+                        ("access2d.FINISH2", access2d.FINISH2)):
+        stated = re.findall(rf"`{re.escape(name)}` = (\d+)", text)
+        assert stated and all(int(v) == value for v in stated), (name, value, stated)
