@@ -20,6 +20,8 @@ costs. The contracts that the functions below share:
   e <= lens[v]; on the right chain while v's offset inside the node is at
   most the window's start, lens[node] - lens[v] <= b. So a run lands where
   the plain walk would. Given PLAIN, no chains, a descent is the plain walk.
+- Every descent move reads one record, the grammar's ``_moves[t]``:
+  ``(x, y, lens[x])``, None for a literal (``slg``).
 - The index is immutable after build_index1, so any number of threads may
   query it. Builds are single-threaded.
 """
@@ -110,8 +112,8 @@ FINISH = 2            # slots of a variable with height <= FINISH * level are fi
 PLAIN = ((), ())      # no chains: _hook_core makes the plain walk
 
 
-def _chains(kids, topo, keys, side):
-    """Heavy-path decomposition of the forest v -> kids[v][side] (side 0 =
+def _chains(moves, topo, keys, side):
+    """Heavy-path decomposition of the forest v -> moves[v][side] (side 0 =
     x, the left or top child; 1 = y), for runs along it (``_run1``,
     ``_run2``).
 
@@ -131,12 +133,12 @@ def _chains(kids, topo, keys, side):
     root end on the chain, or -1 past a literal, and each key list in flat
     order, so never decreasing along a path.
     """
-    n = len(kids)
+    n = len(moves)
     size = [1] * n
     heavy = [-1] * n
     best = [0] * n
     for v in topo:
-        kid = kids[v]
+        kid = moves[v]
         if kid is not None:
             c, s = kid[side], size[v]
             size[c] += s
@@ -145,7 +147,7 @@ def _chains(kids, topo, keys, side):
     order, top, down = [], [], []
     at = [0] * n
     for v in reversed(topo):        # the path below a root end is laid out before it
-        kid = kids[v]
+        kid = moves[v]
         if kid is not None and heavy[kid[side]] == v:
             continue                # not the root end of its path
         root = len(order)
@@ -159,28 +161,33 @@ def _chains(kids, topo, keys, side):
     return (order, at, top, down, *([key[v] for v in order] for key in keys))
 
 
-def _run1(chains, node, need):
-    """The last node on the chain of ``chains``' side from node whose
-    length is at least need; node's own length must be. Lengths shrink
-    down a chain, so the nodes that qualify are a prefix of it: one bisect
-    per heavy path finds its end."""
+def _run1(chains, node, b, e, side):
+    """A run from node along the chain on ``side`` (``chains``, that side's
+    ``_chains``) with the window (b..e] of Exp(node): the last node v of the
+    chain that the plain walk would reach, and the window's shift into v,
+    0 on the left chain and lens[node] - lens[v] on the right. The nodes
+    that qualify, those of length at least e on the left and at least
+    lens[node] - b on the right, are a prefix of the chain, as lengths
+    shrink down it: one bisect per heavy path finds its end."""
     order, at, top, down, lens = chains
     i = at[node]
+    m = lens[i]
+    need = m - b if side else e
     while True:
         lo = top[i]
         j = bisect_left(lens, need, lo, i + 1)
-        if j > lo:
-            return order[j]
-        i = down[lo]
-        if i < 0 or lens[i] < need:
-            return order[lo]
+        if j == lo:
+            i = down[lo]
+            if i >= 0 and lens[i] >= need:
+                continue
+        return order[j], (m - lens[j] if side else 0)
 
 
-def _hook_core(kids, lens, node, b, e, side, chains):
+def _hook_core(moves, node, b, e, side, chains):
     """Iterative descent shared by the standalone op and the index builder.
 
     Descends while the window (b..e] fits strictly inside one child, shifting
-    coordinates when moving right. It stops at a literal (``kids`` entry
+    coordinates when moving right. It stops at a literal (``moves`` entry
     None) or at the variable whose child split the window straddles, and
     returns the step a query takes there from ``side`` (0 = left, 1 =
     right): (split from that side, near child, far child), or (0, literal,
@@ -193,27 +200,21 @@ def _hook_core(kids, lens, node, b, e, side, chains):
     """
     cx, cy = chains
     xs = ys = 0                     # the current run of left / right moves
-    while True:
-        kid = kids[node]
-        if kid is None:
-            return (node, b) if side is None else (0, node, None)
-        x, y = kid
-        l = lens[x]
+    while (move := moves[node]) is not None:
+        x, y, l = move
         if e <= l:
             node = x
             xs += 1
             ys = 0
             if xs == RUN and cx:
-                node = _run1(cx, node, e)
+                node = _run1(cx, node, b, e, 0)[0]
                 xs = 0
         elif l <= b:
             node, b, e = y, b - l, e - l
             ys += 1
             xs = 0
             if ys == RUN and cy:
-                top = lens[node]
-                node = _run1(cy, node, top - b)
-                shift = top - lens[node]
+                node, shift = _run1(cy, node, b, e, 1)
                 b, e, ys = b - shift, e - shift, 0
         elif side is None:
             return node, b
@@ -221,6 +222,7 @@ def _hook_core(kids, lens, node, b, e, side, chains):
             return e - l, y, x
         else:
             return l - b, x, y
+    return (node, b) if side is None else (0, node, None)
 
 
 def hook_offset1(g, nid, b, e):
@@ -229,36 +231,35 @@ def hook_offset1(g, nid, b, e):
     The reference: the plain walk, one move per grammar level, with no
     chains. The result satisfies Exp(nid)(b..e] = Exp(hook)(offset..offset+(e-b)];
     a width-1 window lands on a literal, otherwise the hook's child split
-    falls strictly inside the relocated window. A walk that meets a rule of
+    falls strictly inside the relocated window. A grammar with a rule of
     arity other than 2 raises NotAnSlp.
     """
     nid = Slg1._checked_id(g, nid)
     m = g._lens[nid]
     if not (isinstance(b, int) and isinstance(e, int) and 0 <= b < e <= m):
         raise RangeError(f"window {b!r}..{e!r} invalid for expansion length {m}")
-    try:
-        return _hook_core(g._kids, g._lens, nid, b, e, None, PLAIN)
-    except ValueError:          # a child tuple did not unpack into two
-        _check_binary(g, "hook_offset1")
-        raise
+    return _hook_core(_check_binary(g, "hook_offset1")._moves, nid, b, e, None, PLAIN)
 
 
 class AccessIndex1:
-    """Per-variable bookmark tables and level caps, plus references to the
-    grammar's walk arrays."""
+    """Per-variable bookmark tables and level caps, the start's first step,
+    plus references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "kids", "height", "cap",
-                 "tables", "n")
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "height", "cap",
+                 "first", "tables", "n")
 
-    def __init__(self, grammar, tau, levels, pows, cap, tables):
+    def __init__(self, grammar, tau, levels, pows, cap, first, tables):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # ceil(log_tau n); the traced walk steps from here to 0
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
         self.lens = grammar._lens     # the grammar's expansion lengths
-        self.kids = grammar._kids     # the grammar's (left, right) child ids, None for literals
+        self.moves = grammar._moves   # the grammar's move records (x, y, lens[x]), None
+                                      #   for a literal
         self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap = cap                # per variable: the largest p with tau**p <= its length
+        self.first = first            # the start's cap, the level of the walk's first
+                                      #   read; None when its top slots are markers
         self.tables = tables          # [side][t][p * tau + k] -> (s, near, far), one slot
                                       #   per block; [side][t] is None for t unreachable
         self.n = self.lens[grammar.start]
@@ -280,16 +281,16 @@ def build_index1(g, tau):
     gets the finish marker (0, i, None), which for a literal is its literal
     step."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
-    lens, kids, reach, height = g._lens, g._kids, g._reach, g._height
+    lens, moves, reach, height = g._lens, g._moves, g._reach, g._height
     n = lens[g.start]
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
     cap = caps(lens, tau)
     share = {}.setdefault           # step -> its one stored copy
-    chains = tuple(_chains(kids, g._topo, (lens,), side) for side in (0, 1))
+    chains = tuple(_chains(moves, g._topo, (lens,), side) for side in (0, 1))
 
-    left, right = [None] * len(kids), [None] * len(kids)
+    left, right = [None] * len(moves), [None] * len(moves)
     for i in reversed(g._topo):
         if not reach[i]:
             continue
@@ -307,22 +308,24 @@ def build_index1(g, tau):
                 lt[base:base + blocks] = rt[base:base + blocks] = \
                     [share(marker, marker)] * blocks
                 continue
-            x, y = kids[i]
+            x, y, l = moves[i]
             # block k's window from either boundary: (k * tp, its end clipped to m)
             ends = [b + tp if b + tp < m else m for b in range(0, blocks * tp, tp)]
             # left blocks inside x, right blocks inside y: the child's own step,
             # at the same slot, since the child has level p whenever one fits
-            cx = lens[x] // tp if lens[x] // tp < blocks else blocks
+            cx = l // tp if l // tp < blocks else blocks
             lt[base:base + cx] = left[x][base:base + cx]
             for k in range(cx, blocks):
-                step = _hook_core(kids, lens, i, k * tp, ends[k], 0, chains)
+                step = _hook_core(moves, i, k * tp, ends[k], 0, chains)
                 lt[base + k] = share(step, step)
             cy = lens[y] // tp if lens[y] // tp < blocks else blocks
             rt[base:base + cy] = right[y][base:base + cy]
             for k in range(cy, blocks):
-                step = _hook_core(kids, lens, i, m - ends[k], m - k * tp, 1, chains)
+                step = _hook_core(moves, i, m - ends[k], m - k * tp, 1, chains)
                 rt[base + k] = share(step, step)
-    return AccessIndex1(g, tau, levels, pows, cap, (left, right))
+    p = cap[g.start]
+    first = p if height[g.start] > FINISH * p else None
+    return AccessIndex1(g, tau, levels, pows, cap, first, (left, right))
 
 
 def side_map(ix, side, t, p, delta):
@@ -359,14 +362,14 @@ def side_map(ix, side, t, p, delta):
     step = table[p * ix.tau + k]
     s, near, far = step
     if far is None:
-        literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
+        literal = 0 <= near < len(ix.moves) and ix.moves[near] is None
         if not literal and (not _on_spine1(ix, side, t, near, b + w)
                             or ix.height[near] > FINISH * p):
             raise PreconditionViolated(
                 f"bookmark of variable {t}, level {p}, block {k} is a finish marker for "
                 f"{near}, off the block's spine or above height {FINISH * p}")
         e = m - b if side else b + w       # the block's window, from the left
-        s, near, far = real = _hook_core(ix.kids, ix.lens, t, e - w, e, side, PLAIN)
+        s, near, far = real = _hook_core(ix.moves, t, e - w, e, side, PLAIN)
         if literal and real != step:
             raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
                                        f"is the literal step {step}, descent gives {real}")
@@ -384,12 +387,14 @@ def side_map(ix, side, t, p, delta):
 def _on_spine1(ix, side, t, v, e):
     """Whether v is t or a descendant reached through children on ``side``,
     each holding the first e positions from that side."""
-    kids, lens = ix.kids, ix.lens
+    moves, m = ix.moves, ix.lens[t]
     while t != v:
-        if kids[t] is None:
+        move = moves[t]
+        if move is None:
             return False
-        t = kids[t][side]
-        if e > lens[t]:
+        x, y, l = move
+        t, m = (y, m - l) if side else (x, l)
+        if e > m:
             return False
     return True
 
@@ -431,17 +436,18 @@ def access1(ix, i):
     the walk descends from v with the full delta, inline; it meets one by
     level 0 at the latest. A start low enough for its own top slot to be a
     marker, height <= FINISH * cap, is descended from at once, without a
-    read. The walk starts at the start's cap and, after each step, caps the
-    level by the new variable's cap, so it makes at most floor(log_tau n) + 1
-    reads plus FINISH * floor(log_tau n) moves.
+    read: the index's first step is None. The walk starts at the start's
+    cap and, after each step, caps the level by the new variable's cap, so
+    it makes at most floor(log_tau n) + 1 reads plus FINISH *
+    floor(log_tau n) moves. Reads and moves use the index's tables and the
+    grammar's move records.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    lens, kids, cap = ix.lens, ix.kids, ix.cap
+    moves = ix.moves
     t = ix.grammar.start
-    p = cap[t]
-    if ix.height[t] > FINISH * p:   # else the start's top slots are markers
-        tau, pows, tables = ix.tau, ix.pows, ix.tables
+    if (p := ix.first) is not None:
+        tau, pows, tables, cap = ix.tau, ix.pows, ix.tables, ix.cap
         delta, side = i, 0
         while p >= 0:
             tp = pows[p]
@@ -451,10 +457,10 @@ def access1(ix, i):
             if d <= s:
                 t, delta, side = near, s - d + 1, side ^ 1
             elif far is None:
-                if kids[near] is None:
+                if moves[near] is None:
                     return ix.grammar.rules[near]
                 t = near            # a marker: the full delta, from the left
-                i = lens[t] + 1 - delta if side else delta
+                i = ix.lens[t] + 1 - delta if side else delta
                 break
             else:
                 t, delta = far, d - s
@@ -463,9 +469,8 @@ def access1(ix, i):
                 p = cap[t]
         else:
             raise PreconditionViolated(f"walk to position {i} ended off a literal")
-    while (kid := kids[t]) is not None:
-        x, y = kid
-        l = lens[x]
+    while (move := moves[t]) is not None:
+        x, y, l = move
         if i <= l:
             t = x
         else:
@@ -475,19 +480,19 @@ def access1(ix, i):
 
 def descend1(ix, t, delta, side):
     """The symbol at position delta measured from ``side`` (0 = left,
-    1 = right) of Exp(N_t), by root-to-leaf descent over the grammar's arrays.
+    1 = right) of Exp(N_t), by root-to-leaf descent over the grammar's move
+    records.
 
     Costs one move per grammar level below t, height(t) at most.
     """
-    lens, kids = ix.lens, ix.kids
+    lens, moves = ix.lens, ix.moves
     if not (isinstance(t, int) and 0 <= t < len(lens) and isinstance(side, int)
             and 0 <= side <= 1 and isinstance(delta, int) and 1 <= delta <= lens[t]):
         raise PreconditionViolated(f"descend1(t={t!r}, delta={delta!r}, side={side!r}) "
                                    f"out of contract")
     i = lens[t] + 1 - delta if side else delta
-    while kids[t] is not None:
-        x, y = kids[t]
-        l = lens[x]
+    while (move := moves[t]) is not None:
+        x, y, l = move
         if i <= l:
             t = x
         else:

@@ -23,6 +23,9 @@ costs. The contracts that the functions below share:
   (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
   inside the node are at most the window's start on both axes. Rows and
   columns never grow down a chain, so both tests are monotone along it.
+- Every descent move reads one record, the grammar's ``_moves[t]``:
+  ``(x, y, split, horiz)``, split the rows of x when horiz and its columns
+  otherwise; None for a literal (``slg``).
 - The index is immutable after build_index2, so any number of threads may
   query it. Builds are single-threaded.
 """
@@ -60,32 +63,39 @@ def table_slots2(g, tau):
                                                   caps(cols, tau), g._reach) if r)
 
 
-def _run2(chains, node, need_r, need_c):
-    """The last node on the chain of ``chains``' side from node with at
-    least need_r rows and need_c columns; node itself must have them. Rows
-    and columns never grow down a chain, so the nodes that qualify are a
-    prefix of it, as in ``_run1``; per heavy path one bisect finds where the
-    rows qualify and a second one, from there, where the columns do too."""
+def _run2(chains, node, b_r, b_c, e_r, e_c, side):
+    """``_run1`` in 2D, for the window (b_r..e_r] x (b_c..e_c]: the last
+    node v the plain walk would reach and the window's shift into v on both
+    axes, (0, 0) on the x chain. The nodes that qualify have at least e_r
+    rows and e_c columns on the x chain, at least rows[node] - b_r and
+    cols[node] - b_c on the y chain; per heavy path one bisect finds where
+    the rows qualify and a second one, from there, where the columns do."""
     order, at, top, down, rows, cols = chains
     i = at[node]
+    m_r, m_c = rows[i], cols[i]
+    if side:
+        need_r, need_c = m_r - b_r, m_c - b_c
+    else:
+        need_r, need_c = e_r, e_c
     while True:
         lo = top[i]
         j = bisect_left(cols, need_c, bisect_left(rows, need_r, lo, i + 1), i + 1)
-        if j > lo:
-            return order[j]
-        i = down[lo]
-        if i < 0 or rows[i] < need_r or cols[i] < need_c:
-            return order[lo]
+        if j == lo:
+            i = down[lo]
+            if i >= 0 and rows[i] >= need_r and cols[i] >= need_c:
+                continue
+        return order[j], (m_r - rows[j], m_c - cols[j]) if side else (0, 0)
 
 
-def _hook_core2(kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, chains):
+def _hook_core2(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner, chains):
     """Iterative 2D descent: rows-splitting variables compare the row window,
     columns-splitting variables the column window.
 
     Returns the step a query takes from ``corner`` at the hook:
     (axis, split from the corner, near child, far child, shift on the other
     axis from the corner's side), or (0, 0, literal, None, 0). With corner
-    None it returns the (hook, offset_r, offset_c) triple instead.
+    None it returns the (hook, offset_r, offset_c) triple instead. The
+    moves read ``moves`` only; rows and cols give the hook's shift.
 
     ``chains`` is the pair of ``_chains`` for the x and the y children;
     after RUN moves in a row to one child the descent runs along its chain
@@ -93,50 +103,46 @@ def _hook_core2(kids, horiz, rows, cols, node, b_r, b_c, e_r, e_c, corner, chain
     """
     cx, cy = chains
     xs = ys = 0                     # the current run of x / y moves
-    while (kid := kids[node]) is not None:
-        x, y = kid
-        if horiz[node]:
-            l = rows[x]
+    while (move := moves[node]) is not None:
+        x, y, l, horiz = move
+        if horiz:
             if e_r <= l:
                 node = x
                 xs += 1
                 ys = 0
                 if xs == RUN and cx:
-                    node = _run2(cx, node, e_r, e_c)
+                    node = _run2(cx, node, b_r, b_c, e_r, e_c, 0)[0]
                     xs = 0
                 continue
-            if l <= b_r:
-                node, b_r, e_r = y, b_r - l, e_r - l
-            elif corner is None:
+            if b_r < l:
                 break
-            else:
-                shift = cols[node] - e_c if corner & 1 else b_c
-                return (1, e_r - l, y, x, shift) if corner & 2 else (1, l - b_r, x, y, shift)
+            node, b_r, e_r = y, b_r - l, e_r - l
         else:
-            l = cols[x]
             if e_c <= l:
                 node = x
                 xs += 1
                 ys = 0
                 if xs == RUN and cx:
-                    node = _run2(cx, node, e_r, e_c)
+                    node = _run2(cx, node, b_r, b_c, e_r, e_c, 0)[0]
                     xs = 0
                 continue
-            if l <= b_c:
-                node, b_c, e_c = y, b_c - l, e_c - l
-            elif corner is None:
+            if b_c < l:
                 break
-            else:
-                shift = rows[node] - e_r if corner & 2 else b_r
-                return (0, e_c - l, y, x, shift) if corner & 1 else (0, l - b_c, x, y, shift)
+            node, b_c, e_c = y, b_c - l, e_c - l
         ys += 1                     # the move went to y
         xs = 0
         if ys == RUN and cy:
-            top_r, top_c = rows[node], cols[node]
-            node = _run2(cy, node, top_r - b_r, top_c - b_c)
-            s_r, s_c = top_r - rows[node], top_c - cols[node]
+            node, (s_r, s_c) = _run2(cy, node, b_r, b_c, e_r, e_c, 1)
             b_r, e_r, b_c, e_c, ys = b_r - s_r, e_r - s_r, b_c - s_c, e_c - s_c, 0
-    return (node, b_r, b_c) if corner is None else (0, 0, node, None, 0)
+    else:                           # a literal
+        return (node, b_r, b_c) if corner is None else (0, 0, node, None, 0)
+    if corner is None:              # the window straddles node's split
+        return node, b_r, b_c
+    if horiz:
+        shift = cols[node] - e_c if corner & 1 else b_c
+        return (1, e_r - l, y, x, shift) if corner & 2 else (1, l - b_r, x, y, shift)
+    shift = rows[node] - e_r if corner & 2 else b_r
+    return (0, e_c - l, y, x, shift) if corner & 1 else (0, l - b_c, x, y, shift)
 
 
 def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
@@ -148,8 +154,8 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     (offset_r..offset_r+(e_r-b_r)] x (offset_c..offset_c+(e_c-b_c)], with
     offsets never exceeding the original window start on either axis. A 1x1
     window lands on a literal; otherwise the hook's child split falls
-    strictly inside the relocated window on the hook's splitting axis. A walk
-    that meets a rule of arity other than 2 raises NotAnSlp.
+    strictly inside the relocated window on the hook's splitting axis. A
+    grammar with a rule of arity other than 2 raises NotAnSlp.
     """
     nid = Slg2._checked_id(g, nid)
     m_r, m_c = g._rows[nid], g._cols[nid]
@@ -157,33 +163,32 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
         raise RangeError(f"row window {b_r!r}..{e_r!r} invalid for {m_r} rows")
     if not (isinstance(b_c, int) and isinstance(e_c, int) and 0 <= b_c < e_c <= m_c):
         raise RangeError(f"col window {b_c!r}..{e_c!r} invalid for {m_c} cols")
-    try:
-        return _hook_core2(g._kids, g._horiz, g._rows, g._cols, nid, b_r, b_c, e_r, e_c,
-                           None, PLAIN)
-    except ValueError:          # a child tuple did not unpack into two
-        _check_binary(g, "hook_offset2")
-        raise
+    return _hook_core2(_check_binary(g, "hook_offset2")._moves, g._rows, g._cols,
+                       nid, b_r, b_c, e_r, e_c, None, PLAIN)
 
 
 class AccessIndex2:
-    """Four corner bookmark tables and per-variable level caps, plus
-    references to the grammar's walk arrays."""
+    """Four corner bookmark tables and per-variable level caps, the start's
+    first step, plus references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "kids", "horiz",
-                 "height", "cap_r", "cap_c", "width", "tables", "n_rows", "n_cols")
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves",
+                 "height", "cap_r", "cap_c", "first", "width", "tables", "n_rows", "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, width, tables):
+    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, first, width, tables):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
         self.pows = pows
         self.rows = grammar._rows   # the grammar's row and column counts
         self.cols = grammar._cols
-        self.kids = grammar._kids   # the grammar's (x, y) child ids, None for literals
-        self.horiz = grammar._horiz  # the grammar's flags: True when a variable splits rows
+        self.moves = grammar._moves  # the grammar's move records (x, y, split, horiz),
+                                    #   None for a literal
         self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
+        self.first = first          # the start's caps (cap_r, cap_c), the level pair of
+                                    #   the walk's first read; None when its top slots
+                                    #   are markers
         self.width = width          # per reachable variable: its lists' blocks per row, W
         self.tables = tables        # [corner][t][(p_r*tau+k_r)*width[t] + p_c*tau+k_c]
                                     #   -> (axis, s, near, far, shift), one slot per
@@ -219,17 +224,16 @@ def build_index2(g, tau):
     height(i) <= FINISH2 * (p_r + p_c) gets the finish marker
     (0, 0, i, None, 0), which for a literal is its literal step."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
-    rows, cols, kids, horiz, reach, height = \
-        g._rows, g._cols, g._kids, g._horiz, g._reach, g._height
+    rows, cols, moves, reach, height = g._rows, g._cols, g._moves, g._reach, g._height
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
     cap_r, cap_c = caps(rows, tau), caps(cols, tau)
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
     share = {}.setdefault           # step -> its one stored copy
-    chains = tuple(_chains(kids, g._topo, (rows, cols), side) for side in (0, 1))
+    chains = tuple(_chains(moves, g._topo, (rows, cols), side) for side in (0, 1))
 
-    width = [0] * len(kids)
-    tables = [[None] * len(kids) for _ in range(4)]
+    width = [0] * len(moves)
+    tables = [[None] * len(moves) for _ in range(4)]
     for i in reversed(g._topo):
         if not reach[i]:
             continue
@@ -255,11 +259,11 @@ def build_index2(g, tau):
                         for at in range(base, base + blocks_r * w, w):
                             table[at:at + blocks_c] = marks
                     continue
-                x, y = kids[i]
+                x, y, _, horiz = moves[i]
                 for corner in range(4):
                     table = own[corner]
                     # the child on the split axis that shares this corner's side
-                    if horiz[i]:
+                    if horiz:
                         src = y if corner & 2 else x
                         cut_r, cut_c = rows[src] // tpr, 0
                         if cut_r > blocks_r:
@@ -283,10 +287,13 @@ def build_index2(g, tau):
                     for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][cut_r:], cut_r):
                         at = base + k_r * w
                         for k_c, (b_c, e_c) in enumerate(col_wins, at + cut_c):
-                            step = _hook_core2(kids, horiz, rows, cols,
+                            step = _hook_core2(moves, rows, cols,
                                                i, b_r, b_c, e_r, e_c, corner, chains)
                             table[k_c] = share(step, step)
-    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, width, tables)
+    first = cap_r[g.start], cap_c[g.start]
+    if height[g.start] <= FINISH2 * sum(first):
+        first = None
+    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, first, width, tables)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
@@ -342,7 +349,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c]
     axis, s, near, far, shift = step
     if far is None:
-        literal = 0 <= near < len(ix.kids) and ix.kids[near] is None
+        literal = 0 <= near < len(ix.moves) and ix.moves[near] is None
         if not literal and (not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c)
                             or ix.height[near] > FINISH2 * (p_r + p_c)):
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
@@ -351,8 +358,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
         axis, s, near, far, shift = real = _hook_core2(
-            ix.kids, ix.horiz, ix.rows, ix.cols,
-            t, e_r - w_r, e_c - w_c, e_r, e_c, corner, PLAIN)
+            ix.moves, ix.rows, ix.cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner, PLAIN)
         if literal and real != step:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
                                 f"is the literal step {step}, descent gives {real}")
@@ -374,12 +380,17 @@ def _on_spine2(ix, corner, t, v, e_r, e_c):
     """Whether v is t or a descendant reached through the children on
     ``corner``'s side of each split, each holding the first e_r rows and
     e_c columns from that corner."""
-    kids, horiz, rows, cols = ix.kids, ix.horiz, ix.rows, ix.cols
+    moves, m_r, m_c = ix.moves, ix.rows[t], ix.cols[t]
     while t != v:
-        if kids[t] is None:
+        move = moves[t]
+        if move is None:
             return False
-        t = kids[t][corner >> 1 if horiz[t] else corner & 1]
-        if e_r > rows[t] or e_c > cols[t]:
+        x, y, l, horiz = move
+        if horiz:
+            t, m_r = (y, m_r - l) if corner & 2 else (x, l)
+        else:
+            t, m_c = (y, m_c - l) if corner & 1 else (x, l)
+        if e_r > m_r or e_c > m_c:
             return False
     return True
 
@@ -408,8 +419,8 @@ def access2_traced(ix, i, j):
     p_r, p_c = ix.cap_r[t], ix.cap_c[t]
     pows = ix.pows
     steps = 0
-    kids = ix.kids
-    while kids[t] is not None:
+    moves = ix.moves
+    while moves[t] is not None:
         prev_r, prev_c = d_r, d_c
         t, d_r, d_c, corner = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
         steps += 1
@@ -417,7 +428,7 @@ def access2_traced(ix, i, j):
             raise PreconditionViolated(
                 f"per-step contract violated at levels ({p_r},{p_c}): "
                 f"({prev_r},{prev_c}) -> ({d_r},{d_c})")
-        if kids[t] is None:
+        if moves[t] is None:
             break
         if d_r <= pows[p_r] and p_r > 0:
             p_r -= 1
@@ -442,17 +453,18 @@ def access2(ix, i, j):
     a literal step, which returns v's code, or a finish marker, after which
     the walk descends from v with the full deltas, inline. A start low
     enough for its own top slot to be a marker, height <= FINISH2 *
-    (cap_r + cap_c), is descended from at once, without a read. With L =
-    floor(log_tau rows) + floor(log_tau cols), it makes at most L + 1 reads
-    plus FINISH2 * L moves.
+    (cap_r + cap_c), is descended from at once, without a read: the index's
+    first step is None. With L = floor(log_tau rows) + floor(log_tau cols),
+    it makes at most L + 1 reads plus FINISH2 * L moves. Reads and moves use
+    the index's tables and the grammar's move records.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
-    rows, cols, kids = ix.rows, ix.cols, ix.kids
+    moves = ix.moves
     t = ix.grammar.start
-    p_r, p_c = ix.cap_r[t], ix.cap_c[t]
-    if ix.height[t] > FINISH2 * (p_r + p_c):   # else the start's top slots are markers
+    if (first := ix.first) is not None:
+        p_r, p_c = first
         tau, pows, tables, cap_r, cap_c, width = \
             ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width
         d_r, d_c, c = i, j, 0
@@ -475,13 +487,13 @@ def access2(ix, i, j):
                 t, d_c, c = near, s - d_c + 1, c ^ 1
                 d_r += shift
             elif far is None:
-                if kids[near] is None:
+                if moves[near] is None:
                     return ix.grammar.rules[near]
                 t = near            # a marker: the cell's full deltas, from the NW
                 d_r += k_r * tpr
                 d_c += k_c * tpc
-                i = rows[t] + 1 - d_r if c & 2 else d_r
-                j = cols[t] + 1 - d_c if c & 1 else d_c
+                i = ix.rows[t] + 1 - d_r if c & 2 else d_r
+                j = ix.cols[t] + 1 - d_c if c & 1 else d_c
                 break
             else:
                 t, d_c = far, d_c - s
@@ -497,32 +509,28 @@ def access2(ix, i, j):
             w = width[t]
         else:
             raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")
-    horiz = ix.horiz
-    while (kid := kids[t]) is not None:
-        x, y = kid
-        if horiz[t]:
-            l = rows[x]
+    while (move := moves[t]) is not None:
+        x, y, l, horiz = move
+        if horiz:
             if i <= l:
                 t = x
             else:
                 t, i = y, i - l
+        elif j <= l:
+            t = x
         else:
-            l = cols[x]
-            if j <= l:
-                t = x
-            else:
-                t, j = y, j - l
+            t, j = y, j - l
     return ix.grammar.rules[t]
 
 
 def descend2(ix, t, d_r, d_c, corner):
     """The cell (d_r, d_c) measured from ``corner`` (0..3, bit 1 = from the
     bottom, bit 0 = from the right) of Exp(N_t), by root-to-leaf descent
-    over the grammar's arrays.
+    over the grammar's move records.
 
     Costs one move per grammar level below t, height(t) at most.
     """
-    rows, cols, kids, horiz = ix.rows, ix.cols, ix.kids, ix.horiz
+    rows, cols, moves = ix.rows, ix.cols, ix.moves
     if not (isinstance(t, int) and 0 <= t < len(rows) and isinstance(corner, int)
             and 0 <= corner <= 3 and isinstance(d_r, int) and 1 <= d_r <= rows[t]
             and isinstance(d_c, int) and 1 <= d_c <= cols[t]):
@@ -530,18 +538,15 @@ def descend2(ix, t, d_r, d_c, corner):
                                    f"corner={corner!r}) out of contract")
     i = rows[t] + 1 - d_r if corner & 2 else d_r
     j = cols[t] + 1 - d_c if corner & 1 else d_c
-    while kids[t] is not None:
-        x, y = kids[t]
-        if horiz[t]:
-            l = rows[x]
+    while (move := moves[t]) is not None:
+        x, y, l, horiz = move
+        if horiz:
             if i <= l:
                 t = x
             else:
                 t, i = y, i - l
+        elif j <= l:
+            t = x
         else:
-            l = cols[x]
-            if j <= l:
-                t = x
-            else:
-                t, j = y, j - l
+            t, j = y, j - l
     return ix.grammar.rules[t]

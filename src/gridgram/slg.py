@@ -20,9 +20,13 @@ reachability from the start (``_reach``), heights (``_height``: 0 for a
 literal, else one more than the highest child), and per-nonterminal
 expansion lengths (in 2D, dimensions and the axis flags ``_horiz``, see
 ``slg2d``).
-The walkers of every module read these arrays and derive none of their own.
 An SLP is a validated grammar whose non-literal rules all have two children;
-``Slp1`` is another name for ``Slg1``.
+``Slp1`` is another name for ``Slg1``. The check of that arity caches one
+more list, the move records (``_moves``): per id the tuple a descent move
+reads, ``(x, y, split)`` in 1D with split the length of x, and ``(x, y,
+split, horiz)`` in 2D with split the rows of x when horiz (the rule splits
+rows) and its columns otherwise; None for a literal.
+The walkers of every module read these arrays and derive none of their own.
 
 Text format (UTF-8, line oriented)::
 
@@ -70,7 +74,8 @@ class _Grammar:
     A rule's type is also its rebuilder: ``type(rule)(child_ids)``.
     """
 
-    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_kids", "_reach", "_height")
+    __slots__ = ("rules", "alphabet_size", "start", "_topo", "_kids", "_reach", "_height",
+                 "_moves")
 
     def __init__(self, rules, alphabet_size, start=0):
         self.rules = list(rules)
@@ -80,6 +85,7 @@ class _Grammar:
         self._kids = None   # per id: the tuple of child ids, None for a literal
         self._reach = None  # per-id flag: reachable from the start
         self._height = None  # per id: longest path down to a literal, 0 for a literal
+        self._moves = None  # per id: a descent move's record, once _check_binary passed
 
     @property
     def validated(self):
@@ -138,6 +144,10 @@ class Slg1(_Grammar):
     @staticmethod
     def _children(rule):
         return rule
+
+    def _move_records(self):
+        lens = self._lens
+        return [None if kid is None else (kid[0], kid[1], lens[kid[0]]) for kid in self._kids]
 
 
 Slp1 = Slg1  # an SLP is a validated Slg1 with binary rules, see validate_slp1
@@ -215,6 +225,7 @@ def _validate_core(g):
             raise TerminalOutOfRange(f"rule {nid} is neither an int terminal nor "
                                      f"a {kinds}: {rule!r}")
     children = g._children
+    g._moves = None
     g._kids = kids = [None if isinstance(r, int) else children(r) for r in rules]
     topo, g._reach = _toposort(kids, g.start)
     g._height = height = [0] * len(kids)
@@ -230,10 +241,13 @@ def _validate_core(g):
 
 def _check_binary(g, needs):
     """Validated ``g``, unless a non-literal rule's arity is not 2: then
-    NotAnSlp names the first such rule; ``needs`` names what requires an SLP."""
-    for nid, kid in enumerate(g._kids):
-        if kid is not None and len(kid) != 2:
-            raise NotAnSlp(f"rule {nid} has arity {len(kid)}, {needs} requires 2")
+    NotAnSlp names the first such rule; ``needs`` names what requires an SLP.
+    The first check that passes caches ``g``'s move records (``_moves``)."""
+    if g._moves is None:
+        for nid, kid in enumerate(g._kids):
+            if kid is not None and len(kid) != 2:
+                raise NotAnSlp(f"rule {nid} has arity {len(kid)}, {needs} requires 2")
+        g._moves = g._move_records()
     return g
 
 

@@ -195,6 +195,11 @@ class Slg2(_Grammar):
     def _children(rule):
         return rule.children
 
+    def _move_records(self):
+        rows, cols = self._rows, self._cols
+        return [None if kid is None else (kid[0], kid[1], rows[kid[0]] if h else cols[kid[0]], h)
+                for kid, h in zip(self._kids, self._horiz)]
+
 
 Slp2 = Slg2  # a 2D SLP is a validated Slg2 with binary rules, see validate_slp2
 

@@ -18,7 +18,11 @@ other), 2D combs along either axis and staircases. The descents that run
 along heavy-path chains over long runs of moves are checked against the
 plain walk, run by run, window by window and table by table, on these and
 on the benchmark's own comb and staircase, and the chains against their
-layout and path-count bound.
+layout and path-count bound. The grammar's move records are checked
+against its child, length and axis arrays and, through every walk that
+reads them, against the expansion; a grammar that is no SLP is refused by
+the arity check before any walk; and the index's stored first step is
+None exactly when the start's top slots are markers.
 """
 
 import os
@@ -30,7 +34,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gridgram
 from gridgram import (
@@ -64,8 +68,9 @@ from gridgram import (
 from gridgram import access1d, access2d
 from gridgram.access1d import FINISH, PLAIN, _chains, _hook_core, _run1, table_slots1
 from gridgram.access2d import FINISH2, _hook_core2, _run2, table_slots2
-from gridgram.gen import random_slp1, random_slp2
-from conftest import comb1, comb2, reachable, staircase2
+from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
+from conftest import (comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2,
+                      submatrix)
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
@@ -373,8 +378,8 @@ def test_access2_matches_descent(g, tau, data):
 @contextmanager
 def plain_builds():
     """Builds made inside get no chains, so every descent is the plain walk."""
-    with mock.patch.object(access1d, "_chains", lambda kids, topo, keys, side: ()), \
-            mock.patch.object(access2d, "_chains", lambda kids, topo, keys, side: ()):
+    with mock.patch.object(access1d, "_chains", lambda moves, topo, keys, side: ()), \
+            mock.patch.object(access2d, "_chains", lambda moves, topo, keys, side: ()):
         yield
 
 
@@ -413,7 +418,7 @@ def test_chains_pick_the_larger_subtree_as_heavy():
     rules = [(s_[i + 1], t_[i]) for i in range(k - 1)] + [0] + \
         [(s_[i + 1], a) for i in range(k - 1)] + [1]
     g = validate_slp1(Slp1(rules, 2, 0))
-    chains = _chains(g._kids, g._topo, (g._lens,), 0)
+    chains = _chains(g._moves, g._topo, (g._lens,), 0)
     assert_chains(g, 0, chains, (g._lens,))
     order, at, top, down, lens = chains
     assert top[at[0]] == top[at[k - 1]]         # the whole spine is one path
@@ -428,31 +433,34 @@ def window(data, m):
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1(), data=st.data())
 def test_hook_core_runs_like_the_plain_walk(g, data):
-    kids, lens = g._kids, g._lens
-    chains = tuple(_chains(kids, g._topo, (lens,), side) for side in (0, 1))
+    kids, lens, moves = g._kids, g._lens, g._moves
+    chains = tuple(_chains(moves, g._topo, (lens,), side) for side in (0, 1))
     for side in (0, 1):
         assert_chains(g, side, chains[side], (lens,))
-        # a run lands on the last node of the chain that is long enough
+        # a run lands on the last node of the chain that is long enough: at
+        # least need positions, the window's end on the left chain and the
+        # node's length less the window's start on the right
         for _ in range(4):
             v = u = data.draw(st.integers(0, len(g.rules) - 1))
             need = data.draw(st.integers(1, lens[v]))
             while kids[u] is not None and lens[kids[u][side]] >= need:
                 u = kids[u][side]
-            assert _run1(chains[side], v, need) == u
+            b, e = (lens[v] - need, lens[v]) if side else (0, need)
+            assert _run1(chains[side], v, b, e, side) == (u, lens[v] - lens[u] if side else 0)
     for _ in range(16):
         t = data.draw(st.integers(0, len(g.rules) - 1))
         b, e = window(data, lens[t])
         side = data.draw(st.sampled_from([0, 1, None]))
-        assert _hook_core(kids, lens, t, b, e, side, chains) == \
-            _hook_core(kids, lens, t, b, e, side, PLAIN)
+        assert _hook_core(moves, t, b, e, side, chains) == \
+            _hook_core(moves, t, b, e, side, PLAIN)
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), data=st.data())
 def test_hook_core2_runs_like_the_plain_walk(g, data):
-    kids, horiz = g._kids, g._horiz
+    kids, moves = g._kids, g._moves
     rows, cols = g._rows, g._cols
-    chains = tuple(_chains(kids, g._topo, (rows, cols), side) for side in (0, 1))
+    chains = tuple(_chains(moves, g._topo, (rows, cols), side) for side in (0, 1))
     for side in (0, 1):
         assert_chains(g, side, chains[side], (rows, cols))
         for _ in range(4):
@@ -462,12 +470,17 @@ def test_hook_core2_runs_like_the_plain_walk(g, data):
             while kids[u] is not None and rows[kids[u][side]] >= need_r \
                     and cols[kids[u][side]] >= need_c:
                 u = kids[u][side]
-            assert _run2(chains[side], v, need_r, need_c) == u
+            if side:
+                window_ = (rows[v] - need_r, cols[v] - need_c, rows[v], cols[v])
+                shift = (rows[v] - rows[u], cols[v] - cols[u])
+            else:
+                window_, shift = (0, 0, need_r, need_c), (0, 0)
+            assert _run2(chains[side], v, *window_, side) == (u, shift)
     for _ in range(16):
         t = data.draw(st.integers(0, len(g.rules) - 1))
         (b_r, e_r), (b_c, e_c) = window(data, rows[t]), window(data, cols[t])
         corner = data.draw(st.sampled_from([0, 1, 2, 3, None]))
-        args = (kids, horiz, rows, cols, t, b_r, b_c, e_r, e_c, corner)
+        args = (moves, rows, cols, t, b_r, b_c, e_r, e_c, corner)
         assert _hook_core2(*args, chains) == _hook_core2(*args, PLAIN)
 
 
@@ -514,9 +527,9 @@ def test_builds_keep_a_validated_grammars_arrays():
     again, so the walk arrays it holds stay the grammar's own lists."""
     for g, build in ((random_slp1(5, 40, 3, 4096), build_index1),
                      (random_slp2(5, 40, 3, 4096), build_index2)):
-        kids, topo = g._kids, g._topo
+        kids, topo, moves = g._kids, g._topo, g._moves
         ix = build(g, 2)
-        assert g._kids is kids and g._topo is topo and ix.kids is kids
+        assert g._kids is kids and g._topo is topo and g._moves is moves and ix.moves is moves
 
 
 @pytest.mark.parametrize("build, g", [
@@ -526,6 +539,93 @@ def test_builds_keep_a_validated_grammars_arrays():
 def test_builds_refuse_a_validated_grammar_that_is_no_slp(build, g):
     with pytest.raises(NotAnSlp, match="rule 0 has arity 3, build_index"):
         build(g(), 2)
+
+
+# -- move records and the start's first step -----------------------------------
+
+def is_marker(step, t):
+    """Whether a 1D or 2D step is t's finish marker (t's literal step when
+    t is a literal)."""
+    return step == ((0, t, None) if len(step) == 3 else (0, 0, t, None, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars1() | grammars2(), tau=TAUS, data=st.data())
+def test_move_records_drive_every_walk(g, tau, data):
+    """One record per variable, equal to the grammar's own arrays; every
+    walk that reads the records answers as the expansion; the index's first
+    step is None exactly when the start's top slots are markers, and the
+    start's caps otherwise."""
+    one = isinstance(g, Slg1)
+    for v, (kid, move) in enumerate(zip(g._kids, g._moves, strict=True)):
+        if kid is None:
+            assert move is None
+        elif one:
+            assert move == (*kid, g._lens[kid[0]])
+        else:
+            split = g._rows[kid[0]] if g._horiz[v] else g._cols[kid[0]]
+            assert move == (*kid, split, g._horiz[v])
+    exp = expand_all_1d(g) if one else expand_all_2d(g)
+    start = g.start
+    if one:
+        ix = build_index1(g, tau)
+        assert ix.moves is g._moves
+        n = g._lens[start]
+        for i in data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6)):
+            assert access1(ix, i) == descend1(ix, start, n + 1 - i, 1) == exp[start][i - 1]
+        for _ in range(6):
+            t = data.draw(st.integers(0, len(g.rules) - 1))
+            m = g._lens[t]
+            d, side = data.draw(st.integers(1, m)), data.draw(st.integers(0, 1))
+            assert descend1(ix, t, d, side) == exp[t][m - d if side else d - 1]
+            b, e = window(data, m)
+            hook, off = hook_offset1(g, t, b, e)
+            assert exp[hook][off:off + e - b] == exp[t][b:e]
+        top, tops = ix.cap[start], [side[start] for side in ix.tables]
+        marked = all(is_marker(v, start) for table in tops for v in table[top * ix.tau:])
+        assert ix.first == (None if marked else top)
+        return
+    ix = build_index2(g, tau)
+    assert ix.moves is g._moves
+    r0, c0 = g._rows[start], g._cols[start]
+    for _ in range(6):
+        i, j = data.draw(st.integers(1, r0)), data.draw(st.integers(1, c0))
+        assert access2(ix, i, j) == descend2(ix, start, r0 + 1 - i, c0 + 1 - j, 3) == \
+            exp[start].get(i, j)
+        t = data.draw(st.integers(0, len(g.rules) - 1))
+        m_r, m_c = g._rows[t], g._cols[t]
+        d_r, d_c = data.draw(st.integers(1, m_r)), data.draw(st.integers(1, m_c))
+        corner = data.draw(st.integers(0, 3))
+        assert descend2(ix, t, d_r, d_c, corner) == exp[t].get(
+            m_r + 1 - d_r if corner & 2 else d_r, m_c + 1 - d_c if corner & 1 else d_c)
+        (b_r, e_r), (b_c, e_c) = window(data, m_r), window(data, m_c)
+        hook, off_r, off_c = hook_offset2(g, t, b_r, b_c, e_r, e_c)
+        assert submatrix(exp[hook], off_r, off_r + e_r - b_r, off_c, off_c + e_c - b_c) == \
+            submatrix(exp[t], b_r, e_r, b_c, e_c)
+    cap_r, cap_c, w = ix.cap_r[start], ix.cap_c[start], ix.width[start]
+    base = (cap_r * ix.tau) * w + cap_c * ix.tau
+    marked = all(is_marker(v, start) for corner in ix.tables
+                 for at in range(base, len(corner[start]), w)
+                 for v in corner[start][at:at + w - cap_c * ix.tau])
+    assert ix.first == (None if marked else (cap_r, cap_c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(one=st.booleans(), seed=st.integers(0, 2 ** 32), rules=st.integers(1, 20))
+def test_a_validated_slg_that_is_no_slp_is_refused_before_any_walk(one, seed, rules):
+    """hook_offset* and build_index* refuse a validated grammar with a rule
+    of arity other than 2 from its arity check, whatever the window: even a
+    window of a literal, which no walk would take through that rule."""
+    g = random_slg1(seed, rules, sigma=3) if one else random_slg2(seed, rules, sigma=3)
+    assume(not g.is_binary)
+    literal = next(v for v, rule in enumerate(g.rules) if isinstance(rule, int))
+    hook, build = (hook_offset1, build_index1) if one else (hook_offset2, build_index2)
+    for nid in (g.start, literal):
+        with pytest.raises(NotAnSlp, match="requires 2"):
+            hook(g, nid, 0, 1) if one else hook(g, nid, 0, 0, 1, 1)
+    with pytest.raises(NotAnSlp, match="requires 2"):
+        build(g, 2)
+    assert g._moves is None
 
 
 # -- traced walks against the descent -------------------------------------------
@@ -615,11 +715,11 @@ FINISH_TAUS = st.sampled_from([2, 3, 4, 8, 16])
 
 def is_marker1(ix, step):
     """Whether a 1D slot holds a finish marker of a pair (not a literal step)."""
-    return step[2] is None and ix.kids[step[1]] is not None
+    return step[2] is None and ix.moves[step[1]] is not None
 
 
 def is_marker2(ix, step):
-    return step[3] is None and ix.kids[step[2]] is not None
+    return step[3] is None and ix.moves[step[2]] is not None
 
 
 def pairs(g):
@@ -795,7 +895,7 @@ def test_finish2_changes_the_tables_only_by_markers(g, tau):
                 if v != was:
                     row, col = divmod(at, ix.width[t])
                     p_r, p_c = row // ix.tau, col // ix.tau
-                    assert v == (0, 0, v[2], None, 0) and ix.kids[v[2]] is not None
+                    assert v == (0, 0, v[2], None, 0) and ix.moves[v[2]] is not None
                     assert ix.height[v[2]] <= FINISH2 * (p_r + p_c)
 
 
@@ -841,7 +941,7 @@ def walk_ends(ix, log, literal_at):
     'literal'; ``literal_at`` indexes a step's near child."""
     if not log:
         return "start"
-    return "literal" if ix.kids[log[-1][literal_at]] is None else "marker"
+    return "literal" if ix.moves[log[-1][literal_at]] is None else "marker"
 
 
 @pytest.mark.parametrize("kind", ["start", "marker", "literal"])
@@ -905,7 +1005,7 @@ def test_side_map_refuses_a_corrupt_marker(g, tau, data):
     k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
     on = spine1(g, t, side, e)
     off = [v for v in range(len(g.rules)) if v not in on and ix.height[v] <= FINISH * p
-           and ix.kids[v] is not None] + [len(g.rules), -1]
+           and ix.moves[v] is not None] + [len(g.rules), -1]
     table[p * ix.tau + k] = (0, data.draw(st.sampled_from(off)), None)
     with pytest.raises(PreconditionViolated, match="finish marker"):
         side_map(ix, side, t, p, b + 1)
@@ -929,7 +1029,7 @@ def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
         if v is None:
             on = spine2(g, t, corner, e_r, e_c)
             v = data.draw(st.sampled_from(
-                [v for v in range(len(g.rules)) if v not in on and ix.kids[v] is not None
+                [v for v in range(len(g.rules)) if v not in on and ix.moves[v] is not None
                  and ix.height[v] <= FINISH2 * (p_r + p_c)] + [len(g.rules), -1]))
         at = (p_r * T + k_r) * ix.width[t] + p_c * T + k_c
         ix.tables[corner][t][at] = (0, 0, v, None, 0)

@@ -145,7 +145,7 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     ix = build_index1(slp, 2)
     marked = [(side, t, at) for side, lists in enumerate(ix.tables)
               for t, table in enumerate(lists) for at, v in enumerate(table or ())
-              if v[2] is None and ix.kids[v[1]] is not None]
+              if v[2] is None and ix.moves[v[1]] is not None]
     assert marked       # at tau 2 the tables hold finish markers
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""

@@ -7,6 +7,9 @@ module or relative to the package. No environment read outside ``cli.py``:
 ``GG_CAP_CELLS`` stays the package's one environment knob, read where the
 command line is. No ``raise`` of a builtin exception class: every domain
 error is a ``GrammarError`` subclass; a bare re-``raise`` passes one on.
+No ``except`` clause in the access modules: their walks check their
+contracts before walking, and never learn of a bad input from an error
+raised mid-walk.
 """
 
 import ast
@@ -92,6 +95,17 @@ def test_no_raise_of_a_builtin_exception(path):
     assert not raises, f"{path.name}: raises builtin exceptions: {raises}"
 
 
+def _handlers(tree):
+    """Lines of every ``except`` clause, ``except*`` included."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+
+
+@pytest.mark.parametrize("name", ["access1d.py", "access2d.py"])
+def test_the_access_modules_catch_no_exception(name):
+    path = Path(gridgram.__file__).parent / name
+    assert not _handlers(_tree(path)), f"{name}: except clauses at lines {_handlers(_tree(path))}"
+
+
 def test_the_rules_catch_what_they_name():
     tree = ast.parse("import os\nimport hypothesis.strategies\nfrom numpy import array\n"
                      "from . import slg\nfrom .errors import RangeError\nassert os\n"
@@ -106,3 +120,6 @@ def test_the_rules_catch_what_they_name():
                        "raise ValueError('z') from None\n")
     assert list(_builtin_raises(raises)) == [(5, "TypeError"), (6, "KeyError"),
                                             (8, "ValueError")]
+    assert _handlers(raises) == [3]
+    assert _handlers(ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n"
+                               "finally:\n    pass\n")) == [3]
