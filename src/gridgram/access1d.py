@@ -36,7 +36,9 @@ from .slg import Slg1, _check_binary, validate_slp1
 
 
 def ceil_log(n, base):
-    """Smallest p >= 0 with base**p >= n."""
+    """Smallest p >= 0 with base**p >= n; ``n`` an int and ``base`` an int >= 2."""
+    if not (isinstance(n, int) and isinstance(base, int) and base >= 2):
+        raise RangeError(f"ceil_log needs an int n and an int base >= 2, got {n!r} and {base!r}")
     p, v = 0, 1
     while v < n:
         v *= base

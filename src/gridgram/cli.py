@@ -3,11 +3,10 @@ corpus generation, and benchmarking.
 
 Conventions: stdout carries only data (one value per query line, CSV for
 bench, grammar/matrix files); diagnostics go to stderr. Exit codes: 0 on
-success, 1 on a domain error, 2 on a usage error. Every command is
-deterministic given its flags and seed (bench timing columns excepted).
-
-The expansion cap defaults to 2**26 cells and can be overridden by the
-GG_CAP_CELLS environment variable or the --cap-cells flag (flag wins).
+success, 1 on a domain error, 2 on a usage error. A command's output
+depends on its flags, its seed and GG_CAP_CELLS alone (bench timing columns
+excepted). GG_CAP_CELLS, a positive integer defaulting to 2**26, is the one
+work cap: every command that would otherwise run unbounded refuses work over it.
 """
 
 from __future__ import annotations
@@ -79,20 +78,17 @@ def _load_grammar(path):
     raise ParseError(f"{path}: expected an SLG1 or SLG2 file, found {kind!r}")
 
 
-def _cap(args):
-    """The expansion cap: --cap-cells, else GG_CAP_CELLS, else DEFAULT_CAP."""
-    if getattr(args, "cap_cells", None) is not None:
-        name, raw = "--cap-cells", args.cap_cells
-    else:
-        name, raw = "GG_CAP_CELLS", os.environ.get("GG_CAP_CELLS")
-        if not raw:
-            return DEFAULT_CAP
+def _cap():
+    """The work cap: GG_CAP_CELLS, else DEFAULT_CAP."""
+    raw = os.environ.get("GG_CAP_CELLS")
+    if not raw:
+        return DEFAULT_CAP
     try:
         cap = int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
-        raise RangeError(f"{name} must be a positive integer, got {raw!r}")
+        raise RangeError(f"GG_CAP_CELLS must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -173,7 +169,7 @@ def cmd_validate(args):
 
 def cmd_expand(args):
     g = _load_grammar(args.path)
-    cap = _cap(args)
+    cap = _cap()
     if isinstance(g, Slg1):
         text = expand1(validate_slg1(g), cap=cap)
         _write(args.out, " ".join(str(v) for v in text) + "\n")
@@ -184,7 +180,7 @@ def cmd_expand(args):
 
 
 def cmd_access(args):
-    cap = _cap(args)
+    cap = _cap()
     g = _load_grammar(args.path)
     dim = _dim(g)
     slp = dim.to_slp(g)
@@ -225,18 +221,18 @@ def cmd_ov(args):
         if args.n < 1 or args.d < 1:
             raise RangeError(f"ov gen needs n >= 1 and d >= 1, got {args.n} and {args.d}")
         _check_work(f"{args.n} vectors of dimension {args.d} are", args.n * args.d, "cells",
-                    _cap(args))
+                    _cap())
         m = gen.random_matrix(args.seed, args.n, args.d, 2)
         _write(args.out, reductions.dump_ov(reductions.OvInstance(m.to_rows())))
         return 0
     inst = reductions.parse_ov(_read(args.path))
     n, d = inst.n, inst.d
     if args.ov_cmd == "uniform":         # 2n vectors of dimension 3d
-        _check_work("the uniform instance has", 6 * n * d, "cells", _cap(args))
+        _check_work("the uniform instance has", 6 * n * d, "cells", _cap())
         _write(args.out, reductions.dump_ov(reductions.uniform_ov(inst)))
         return 0
     if args.ov_cmd == "solve":           # every ordered pair, d products each
-        _check_work("brute force over the pairs takes", n * n * d, "products", _cap(args))
+        _check_work("brute force over the pairs takes", n * n * d, "products", _cap())
         print(oracle.ov_brute(inst.vectors))
         return 0
     # reduce
@@ -320,7 +316,7 @@ def _query_args(name, want, fields):
 
 
 def cmd_query(args):
-    cap = _cap(args)
+    cap = _cap()
     arguments, dim, answer, chains = _QUERIES[args.query]
     qargs = _query_args(args.query, arguments.split(), args.args)
     g = _load_grammar(args.path)
@@ -349,7 +345,7 @@ def cmd_reduce(args):
         slp = slg_to_slp(g)
         sigma = slp.alphabet_size if args.sigma is None else args.sigma
         _check_work(f"a marking grammar over sigma {sigma} adds about", 2 * sigma, "rules",
-                    _cap(args))
+                    _cap())
         build = reductions.mark_grammar if args.kind == "mark" else reductions.ext_mark_grammar
         out = build(slp, sigma)
         _write(args.out, dump_slg2(out))
@@ -365,7 +361,7 @@ def cmd_reduce(args):
 
 
 def cmd_bench(args):
-    cap = _cap(args)
+    cap = _cap()
     g = _load_grammar(args.path)
     rng = gen._rng(args.seed)
     taus = _ints("--tau-list entries", args.tau_list.split(","))
@@ -414,7 +410,7 @@ def cmd_gen(args):
     # each new rule reads the earlier rules that can join it: all of them
     # in 1D, and in 2D those sharing the joined side, at worst all of them
     _check_work(f"gen {args.kind} with {args.rules} rules reads",
-                max(args.rules, 0) ** 2, "pool entries", _cap(args))
+                max(args.rules, 0) ** 2, "pool entries", _cap())
     size = getattr(args, bound)     # unset, the generator's own default applies
     g = make(args.seed, args.rules, sigma=args.sigma, **({} if size is None else {bound: size}))
     _write(args.out, dump(g))
@@ -436,7 +432,6 @@ def _build_parser():
     p = sub.add_parser("expand", help="decompress a grammar file")
     p.add_argument("path")
     p.add_argument("-o", "--out", default="-")
-    p.add_argument("--cap-cells", type=int, default=None)
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("access", help="point queries through the bookmark index")
@@ -447,7 +442,6 @@ def _build_parser():
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against full expansion (under the cap)")
-    p.add_argument("--cap-cells", type=int, default=None)
     p.set_defaults(fn=cmd_access)
 
     p = sub.add_parser("ov", help="orthogonal-vectors pipelines")
@@ -457,18 +451,15 @@ def _build_parser():
     q.add_argument("d", type=int)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--out", default="-")
-    q.add_argument("--cap-cells", type=int, default=None)
     q = ovsub.add_parser("uniform", help="equalize ones counts")
     q.add_argument("path")
     q.add_argument("-o", "--out", default="-")
-    q.add_argument("--cap-cells", type=int, default=None)
     q = ovsub.add_parser("reduce", help="emit pattern + grammar instance")
     q.add_argument("path")
     q.add_argument("-p", "--pattern-out", required=True)
     q.add_argument("-g", "--grammar-out", required=True)
     q = ovsub.add_parser("solve", help="brute-force answer")
     q.add_argument("path")
-    q.add_argument("--cap-cells", type=int, default=None)
     p.set_defaults(fn=cmd_ov)
 
     p = sub.add_parser("query", help="run a query (oracle, or --via an adapter chain)")
@@ -479,7 +470,6 @@ def _build_parser():
                    help="adapter chain: " + ", ".join(
                        f"{name} --via {via}"
                        for name, (_, _, _, chains) in _QUERIES.items() for via in chains))
-    p.add_argument("--cap-cells", type=int, default=None)
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("reduce", help="write a constructed grammar")

@@ -177,17 +177,18 @@ def dump_ov(inst):
 
 def mark_char(t, a):
     """The 1 x n row marking the positions where t equals code a."""
-    if a < 0:
-        raise RangeError("codes are non-negative")
+    if not (isinstance(a, int) and a >= 0):
+        raise RangeError(f"codes are non-negative ints, got {a!r}")
     return Matrix2D(1, len(t), [1 if v == a else 0 for v in t])
 
 
 def mark_all_chars(t, sigma):
     """The sigma x n matrix stacking mark_char rows for c = 0..sigma-1."""
+    _check_sigma(sigma)
     n = len(t)
     if n < 1:
         raise RangeError("text must be nonempty")
-    if any(not (0 <= v < sigma) for v in t):
+    if any(not (isinstance(v, int) and 0 <= v < sigma) for v in t):
         raise RangeError(f"text codes must lie in [0, {sigma})")
     flat = []
     for c in range(sigma):
@@ -197,10 +198,11 @@ def mark_all_chars(t, sigma):
 
 def ext_mark_all_chars(t, sigma):
     """The n*sigma x n matrix interleaving each mark row with n-1 zero rows."""
+    _check_sigma(sigma)
     n = len(t)
     if n < 2:
         raise ExtRequiresLengthTwo("extended marking needs a text of length >= 2")
-    if any(not (0 <= v < sigma) for v in t):
+    if any(not (isinstance(v, int) and 0 <= v < sigma) for v in t):
         raise RangeError(f"text codes must lie in [0, {sigma})")
     flat = []
     zeros = [0] * ((n - 1) * n)
@@ -208,6 +210,11 @@ def ext_mark_all_chars(t, sigma):
         flat.extend(1 if v == c else 0 for v in t)
         flat.extend(zeros)
     return Matrix2D(n * sigma, n, flat)
+
+
+def _check_sigma(sigma):
+    if not (isinstance(sigma, int) and sigma >= 1):
+        raise RangeError(f"sigma must be an int >= 1, got {sigma!r}")
 
 
 def _zero_run(rules, unit, count, ctor):
@@ -241,8 +248,7 @@ def _marking_grammar(g, sigma, gap):
     start does not reach are left out, so only the codes of the text are
     checked against sigma.
     """
-    if not (isinstance(sigma, int) and sigma >= 1):
-        raise RangeError(f"sigma must be an int >= 1, got {sigma!r}")
+    _check_sigma(sigma)
     keep = [nid for nid, r in enumerate(g._reach) if r]
     if any(not (0 <= g.rules[nid] < sigma) for nid in keep if g._kids[nid] is None):
         raise RangeError(f"grammar terminals must lie in [0, {sigma})")
@@ -312,6 +318,8 @@ class AlphabetMap:
     def __post_init__(self):
         codes = tuple(self.codes)
         object.__setattr__(self, "codes", codes)
+        if not all(isinstance(c, int) and c >= 0 for c in codes):
+            raise RangeError(f"codes are non-negative ints, got {codes!r}")
         if any(codes[i] >= codes[i + 1] for i in range(len(codes) - 1)):
             raise RangeError("codes must be strictly increasing")
 

@@ -18,8 +18,7 @@ rules and start unchanged, and caches on it a topological order, the child
 lists (``_kids``: per id the tuple of child ids, None for a literal),
 reachability from the start (``_reach``), heights (``_height``: 0 for a
 literal, else one more than the highest child), and per-nonterminal
-expansion lengths (in 2D, dimensions and the axis flags ``_horiz``, see
-``slg2d``).
+expansion lengths (in 2D, dimensions, see ``slg2d``).
 An SLP is a validated grammar whose non-literal rules all have two children;
 ``Slp1`` is another name for ``Slg1``. The check of that arity caches one
 more list, the move records (``_moves``): per id the tuple a descent move

@@ -182,14 +182,13 @@ class Matrix2D:
 class Slg2(_Grammar):
     """A 2D straight-line grammar over literal/Horiz/Vert rules."""
 
-    __slots__ = ("_rows", "_cols", "_horiz")
+    __slots__ = ("_rows", "_cols")
     _magic, _literal, _letters = "SLG2", "L", {Horiz: "H", Vert: "V"}
 
     def __init__(self, rules, alphabet_size, start=0):
         super().__init__(rules, alphabet_size, start)
         self._rows = None
         self._cols = None
-        self._horiz = None  # per id: True for a Horiz rule, which splits rows
 
     @staticmethod
     def _children(rule):
@@ -198,7 +197,7 @@ class Slg2(_Grammar):
     def _move_records(self):
         rows, cols = self._rows, self._cols
         return [None if kid is None else (kid[0], kid[1], rows[kid[0]] if h else cols[kid[0]], h)
-                for kid, h in zip(self._kids, self._horiz)]
+                for kid, h in zip(self._kids, [isinstance(r, Horiz) for r in self.rules])]
 
 
 Slp2 = Slg2  # a 2D SLP is a validated Slg2 with binary rules, see validate_slp2
@@ -210,8 +209,8 @@ def validate_slg2(g):
     Verifies acyclicity, reference and terminal ranges, and dimension
     consistency: the children of a Horiz rule must share one column count,
     those of a Vert rule one row count. Caches the topological order, the
-    child lists, reachability from the start, heights, the Horiz flags and
-    per-nonterminal (rows, cols).
+    child lists, reachability from the start, heights and per-nonterminal
+    (rows, cols).
     """
     topo = _validate_core(Slg2._own(g))
     rules, kids = g.rules, g._kids
@@ -244,7 +243,6 @@ def validate_slg2(g):
     g._topo = topo
     g._rows = rows
     g._cols = cols
-    g._horiz = [isinstance(r, Horiz) for r in rules]
     return g
 
 

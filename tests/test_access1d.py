@@ -31,6 +31,11 @@ def test_ceil_log():
     assert ceil_log(5, 2) == 3
     assert ceil_log(9, 3) == 2
     assert ceil_log(81, 3) == 4
+    # a base below 2 never grows the power, and a non-int n is no length
+    for n, base in ((5, 0), (5, 1), (5, True), (5, -2), (5, 2.0), (5, "2"), (5, None),
+                    (2.5, 2), ("5", 2), (None, 2)):
+        with pytest.raises(RangeError):
+            ceil_log(n, base)
 
 
 def test_optimal_tau_clamps():

@@ -193,7 +193,8 @@ def slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c):
 
 # the oracle below walks from each slot's variable, so its cost grows with
 # slots times depth: these two draw combs of at most 70 codes, and the deep
-# combs reach the tables through test_jump_builds_equal_plain_builds1/2
+# combs reach the tables through test_run_builds_equal_plain_builds1/2, which
+# hold the chain-run builds to the plain ones
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=TAUS1)
 def test_build1_stores_every_window_hook(g, tau):
@@ -491,7 +492,7 @@ def assert_same_tables(ix, plain):
 
 @settings(max_examples=30, deadline=None)
 @given(g=grammars1(), tau=TAUS)
-def test_jump_builds_equal_plain_builds1(g, tau):
+def test_run_builds_equal_plain_builds1(g, tau):
     with plain_builds():
         plain = build_index1(g, tau)
     assert_same_tables(build_index1(g, tau), plain)
@@ -499,13 +500,13 @@ def test_jump_builds_equal_plain_builds1(g, tau):
 
 @settings(max_examples=30, deadline=None)
 @given(g=grammars2(), tau=TAUS)
-def test_jump_builds_equal_plain_builds2(g, tau):
+def test_run_builds_equal_plain_builds2(g, tau):
     with plain_builds():
         plain = build_index2(g, tau)
     assert_same_tables(build_index2(g, tau), plain)
 
 
-def test_jump_builds_equal_plain_builds_on_the_benchmark_shapes():
+def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
     """The comb-deep workload's 2000-variable right comb and 100-step
     staircase at tau 8, built the way the benchmark builds them."""
     rng = random.Random(1)
@@ -563,8 +564,9 @@ def test_move_records_drive_every_walk(g, tau, data):
         elif one:
             assert move == (*kid, g._lens[kid[0]])
         else:
-            split = g._rows[kid[0]] if g._horiz[v] else g._cols[kid[0]]
-            assert move == (*kid, split, g._horiz[v])
+            horiz = isinstance(g.rules[v], Horiz)
+            split = g._rows[kid[0]] if horiz else g._cols[kid[0]]
+            assert move == (*kid, split, horiz)
     exp = expand_all_1d(g) if one else expand_all_2d(g)
     start = g.start
     if one:

@@ -111,12 +111,23 @@ def test_validate_empty_rule_is_one_line(tmp_path, capsys):
     assert err.startswith("ParseError: ") and err.count("\n") == 1
 
 
-def test_bad_cap_is_one_line(slp2_file, capsys, monkeypatch):
+def test_bad_cap_is_one_line(slp1_file, slp2_file, tmp_path, capsys, monkeypatch):
+    # GG_CAP_CELLS is the cap's one source: a --cap-cells flag, even a valid
+    # one, is a usage error on every command the cap bounds
+    inst = tmp_path / "v.ov"
+    inst.write_text("101\n011\n")
     for argv in (("expand", str(slp2_file), "--cap-cells", "0"),
-                 ("access", str(slp2_file), "1,1", "--cap-cells", "-4")):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("RangeError: --cap-cells") and err.count("\n") == 1
+                 ("access", str(slp2_file), "1,1", "--cap-cells", "-4"),
+                 ("ov", "gen", "3", "4", "--cap-cells", "12"),
+                 ("ov", "uniform", str(inst), "--cap-cells", "36"),
+                 ("ov", "solve", str(inst), "--cap-cells", "12"),
+                 ("query", str(slp2_file), "sum", "1", "1", "1", "1", "--cap-cells", "64"),
+                 ("reduce", "mark", str(slp1_file), str(tmp_path / "m"), "--cap-cells", "64"),
+                 ("gen", "slp1", "--rules", "4", "--cap-cells", "64"),
+                 ("bench", str(slp1_file), "--cap-cells", "4096")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and capsys.readouterr().out == "", argv
     for value in ("abc", "0"):
         monkeypatch.setenv("GG_CAP_CELLS", value)
         code, out, err = run(capsys, "expand", str(slp2_file))
@@ -235,15 +246,17 @@ def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, c
                        ((str(slp2_file), "1,1", "--epsilon", "50"), [m.get(1, 1)])):
         code, out, err = run(capsys, "access", *argv, "--verify")
         assert (code, err) == (0, "") and [int(v) for v in out.split()] == want
-    # bench's cap: over its 512 default queries, under the 710 slots of the tau 64
-    # index; --cap-cells wins in access
-    monkeypatch.setenv("GG_CAP_CELLS", "600")
-    for argv in (("access", str(slp1_file), "1", "--tau", "100000000000", "--cap-cells", "99"),
-                 ("access", str(slp2_file), "1,1", "--epsilon", "50", "--cap-cells", "99"),
-                 ("bench", str(slp1_file), "--tau-list", "2,64")):
+    monkeypatch.setenv("GG_CAP_CELLS", "99")
+    for argv in (("access", str(slp1_file), "1", "--tau", "100000000000"),
+                 ("access", str(slp2_file), "1,1", "--epsilon", "50")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("ExpansionTooLarge: an index at tau ") and err.count("\n") == 1
+    # bench's cap: over its 512 default queries, under the 710 slots of the tau 64 index
+    monkeypatch.setenv("GG_CAP_CELLS", "600")
+    code, out, err = run(capsys, "bench", str(slp1_file), "--tau-list", "2,64")
+    assert code == 1 and out == ""
+    assert err.startswith("ExpansionTooLarge: an index at tau ") and err.count("\n") == 1
     # the queries bench makes count against the same cap, before it makes any
     code, out, err = run(capsys, "bench", str(slp1_file), "--tau-list", "2,3",
                          "--reps", str(10 ** 20))
@@ -252,34 +265,34 @@ def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, c
         and err.count("\n") == 1
 
 
-def test_access_refuses_by_the_slots_the_build_allocates(slp1_file, capsys):
+def test_access_refuses_by_the_slots_the_build_allocates(slp1_file, capsys, monkeypatch):
     slp = slg_to_slp(parse_slg1(slp1_file.read_text()))
     slots = table_slots1(slp, 2)
     # one list per side and reachable variable, up to its own level cap; a
     # list per side and level over every rule id would be over the cap
     assert slots < 2 * (ceil_log(len(expand1(slp)), 2) + 1) * len(slp.rules) * 2
-    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2",
-                         "--cap-cells", str(slots))
+    monkeypatch.setenv("GG_CAP_CELLS", str(slots))
+    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2")
     assert (code, err) == (0, "") and int(out) == expand1(slp)[2]
-    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2",
-                         "--cap-cells", str(slots - 1))
+    monkeypatch.setenv("GG_CAP_CELLS", str(slots - 1))
+    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2")
     assert code == 1 and out == ""
     assert err == (f"ExpansionTooLarge: an index at tau 2 needs {slots} table slots, "
                    f"over the expansion cap of {slots - 1}\n")
 
 
-def test_access2_refuses_by_the_slots_the_build_allocates(slp2_file, capsys):
+def test_access2_refuses_by_the_slots_the_build_allocates(slp2_file, capsys, monkeypatch):
     slp = slg2_to_slp2(parse_slg2(slp2_file.read_text()))
     slots = table_slots2(slp, 2)
     # one slot per block; a full tau x tau grid per level pair would be over the cap
     grids = sum((cr + 1) * (cc + 1) for cr, cc, r
                 in zip(caps(slp._rows, 2), caps(slp._cols, 2), slp._reach) if r)
     assert slots < 4 * 2 * 2 * grids
-    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2",
-                         "--cap-cells", str(slots))
+    monkeypatch.setenv("GG_CAP_CELLS", str(slots))
+    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2")
     assert (code, err) == (0, "") and int(out) == expand2(slp).get(1, 2)
-    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2",
-                         "--cap-cells", str(slots - 1))
+    monkeypatch.setenv("GG_CAP_CELLS", str(slots - 1))
+    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2")
     assert code == 1 and out == ""
     assert err == (f"ExpansionTooLarge: an index at tau 2 needs {slots} table slots, "
                    f"over the expansion cap of {slots - 1}\n")
@@ -430,7 +443,8 @@ def test_ov_gen_over_the_cap_is_refused_in_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "ov", "gen", "100000", "100000")
     assert code == 1 and out == ""
     assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
-    code, out, _ = run(capsys, "ov", "gen", "3", "4", "--cap-cells", "12")
+    monkeypatch.setenv("GG_CAP_CELLS", "12")
+    code, out, _ = run(capsys, "ov", "gen", "3", "4")
     assert code == 0 and len(out.split()) == 3
     monkeypatch.setenv("GG_CAP_CELLS", "11")
     code, out, err = run(capsys, "ov", "gen", "3", "4")
@@ -463,33 +477,39 @@ def test_reduce_mark_over_the_work_cap_is_refused_in_one_line(slp1_file, tmp_pat
     assert code == 0 and out_path.exists()
 
 
-def test_ov_uniform_over_the_cap_is_refused_in_one_line(tmp_path, capsys):
+def test_ov_uniform_over_the_cap_is_refused_in_one_line(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "v.ov"
     inst.write_text("101\n011\n")          # uniform: 4 vectors of dimension 9, 36 cells
-    code, out, _ = run(capsys, "ov", "uniform", str(inst), "--cap-cells", "36")
+    monkeypatch.setenv("GG_CAP_CELLS", "36")
+    code, out, _ = run(capsys, "ov", "uniform", str(inst))
     assert code == 0 and len(out.split()) == 4
-    code, out, err = run(capsys, "ov", "uniform", str(inst), "--cap-cells", "35")
+    monkeypatch.setenv("GG_CAP_CELLS", "35")
+    code, out, err = run(capsys, "ov", "uniform", str(inst))
     assert code == 1 and out == ""
     assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
 
 
-def test_ov_solve_over_the_work_cap_is_refused_in_one_line(tmp_path, capsys):
+def test_ov_solve_over_the_work_cap_is_refused_in_one_line(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "v.ov"
     inst.write_text("101\n011\n")          # 2 * 2 ordered pairs of 3 products
-    code, out, _ = run(capsys, "ov", "solve", str(inst), "--cap-cells", "12")
+    monkeypatch.setenv("GG_CAP_CELLS", "12")
+    code, out, _ = run(capsys, "ov", "solve", str(inst))
     assert code == 0 and out == "0\n"
-    code, out, err = run(capsys, "ov", "solve", str(inst), "--cap-cells", "11")
+    monkeypatch.setenv("GG_CAP_CELLS", "11")
+    code, out, err = run(capsys, "ov", "solve", str(inst))
     assert code == 1 and out == ""
     assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
 
 
-def test_row_pattern_over_the_work_cap_is_refused_in_one_line(tmp_path, capsys):
+def test_row_pattern_over_the_work_cap_is_refused_in_one_line(tmp_path, capsys, monkeypatch):
     path = tmp_path / "row.slg2"
     path.write_text("SLG2 4 12\n0: V 1 2 3\n1: L 10\n2: L 2\n3: L 3\nSTART 0\n")
     argv = ("query", str(path), "row-pattern", "2,3")       # 3 cells times 2 codes
-    code, out, _ = run(capsys, *argv, "--cap-cells", "6")
+    monkeypatch.setenv("GG_CAP_CELLS", "6")
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and out == "1\n"
-    code, out, err = run(capsys, *argv, "--cap-cells", "5")
+    monkeypatch.setenv("GG_CAP_CELLS", "5")
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("ExpansionTooLarge: ") and err.count("\n") == 1
 
@@ -535,12 +555,13 @@ def test_row_pattern_codes_digits_or_comma_separated(tmp_path, capsys):
     assert err.startswith("RangeError: ") and err.count("\n") == 1
 
 
-def test_square_all_zero_via_square_lce_keeps_the_cap(tmp_path, capsys):
+def test_square_all_zero_via_square_lce_keeps_the_cap(tmp_path, capsys, monkeypatch):
     # a 2 x 32 matrix: 64 cells fit the cap, its 2 x 64 zero-padded copy does not
     path = tmp_path / "wide.slg2"
     path.write_text("SLG2 7 2\n0: L 0\n1: V 0 0\n2: V 1 1\n3: V 2 2\n4: V 3 3\n"
                     "5: V 4 4\n6: H 5 5\nSTART 6\n")
-    argv = ("query", str(path), "square-all-zero", "2", "2", "2", "--cap-cells", "64")
+    monkeypatch.setenv("GG_CAP_CELLS", "64")
+    argv = ("query", str(path), "square-all-zero", "2", "2", "2")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.strip() == "1"
     code, out, err = run(capsys, *argv, "--via", "square-lce")

@@ -3,12 +3,12 @@
 Every subcommand is drawn with its positionals and a random subset of its
 options, over small generated input files, files that are broken on
 purpose (missing, a directory, not UTF-8, a mutated grammar) and mutated
-values; a quarter of the argvs then lose, repeat or gain a token. The
-expansion cap is always small (``GG_CAP_CELLS`` or ``--cap-cells``), so no
-example does real work. Whatever the argv, the command must exit 0, 1 or
-2 without a traceback; exit 1 says why in one stderr line (``access``
-in one line per ``ERR`` it printed); and ``access`` prints one stdout line
-per coordinate, each a code or ``ERR``.
+values; a quarter of the argvs then lose, repeat or gain a token (a stray
+``--cap-cells`` is an unknown flag). The work cap ``GG_CAP_CELLS`` is always
+small, so no example does real work. Whatever the argv, the command must
+exit 0, 1 or 2 without a traceback; exit 1 says why in one stderr line
+(``access`` in one line per ``ERR`` it printed); and ``access`` prints one
+stdout line per coordinate, each a code or ``ERR``.
 """
 
 import contextlib
@@ -45,7 +45,6 @@ PATH = st.sampled_from(_FILES).map(lambda f: ["@" + f])
 OUT = st.sampled_from(["-", "@out", "@nodir/out", "@dir"])
 INT = st.integers(-2, 12).map(str) | st.sampled_from(
     ["0", "64", "4096", "1e3", "1.5", "x", "", str(10 ** 20)])
-CAP = st.integers(1, 4096).map(str) | st.sampled_from(["0", "-3", "x", ""])
 FLOAT = st.sampled_from(["1", "0.5", "2", "0", "-1", "nan", "inf", "1e400", "x"])
 COORDS = st.lists(st.sampled_from(["1", "2", "5", "3,2", "2,3", "1,1", "1,1,1", "0", "-1",
                                    "a", "2,x", "1.5", "99999", ","]), min_size=1, max_size=4)
@@ -67,16 +66,13 @@ def _query(name):
 #                its options -> strategy for the value, FLAG for none)
 _COMMANDS = {
     "validate": ([PATH], {}),
-    "expand": ([PATH], {"-o": OUT, "--cap-cells": CAP}),
-    "access": ([PATH, COORDS], {"--tau": INT, "--epsilon": FLOAT, "--verify": FLAG,
-                                "--cap-cells": CAP}),
-    "ov gen": ([INT.map(lambda v: [v]), INT.map(lambda v: [v])],
-               {"--seed": INT, "-o": OUT, "--cap-cells": CAP}),
-    "ov uniform": ([PATH], {"-o": OUT, "--cap-cells": CAP}),
+    "expand": ([PATH], {"-o": OUT}),
+    "access": ([PATH, COORDS], {"--tau": INT, "--epsilon": FLOAT, "--verify": FLAG}),
+    "ov gen": ([INT.map(lambda v: [v]), INT.map(lambda v: [v])], {"--seed": INT, "-o": OUT}),
+    "ov uniform": ([PATH], {"-o": OUT}),
     "ov reduce": ([PATH], {"-p": OUT, "-g": OUT}),
-    "ov solve": ([PATH], {"--cap-cells": CAP}),
-    "query": ([PATH, st.sampled_from(sorted(cli._QUERIES)).flatmap(_query)],
-              {"--via": VIA, "--cap-cells": CAP}),
+    "ov solve": ([PATH], {}),
+    "query": ([PATH, st.sampled_from(sorted(cli._QUERIES)).flatmap(_query)], {"--via": VIA}),
     "reduce": ([st.sampled_from(["mark", "extmark", "pad"]).map(lambda v: [v]), PATH,
                 OUT.map(lambda v: [v])], {"--sigma": INT}),
     "bench": ([PATH], {"--tau-list": TAUS, "--reps": INT, "--seed": INT}),

@@ -199,6 +199,12 @@ def test_ov_file_roundtrip(ov_figure_vectors):
     assert parse_ov(dump_ov(inst)) == inst
 
 
+def test_ov_file_skips_blank_lines_and_spaces():
+    plain = "101\n011\n110\n"
+    loose = "\n1 0 1\n   \n\n 0 11 \n\t\n1  1  0\n\n"
+    assert parse_ov(loose) == parse_ov(plain) == OvInstance(((1, 0, 1), (0, 1, 1), (1, 1, 0)))
+
+
 # -- marking matrices ---------------------------------------------------------
 
 def test_mark_char_examples():
@@ -581,6 +587,14 @@ def square_all_zero_adapter(e_r, e_c, l):
     (line_lce_via_equality, (lambda *a: 1 / 0, 3, 3, 1, 4, 1, 1, 1), "origins outside"),
     (square_all_zero_adapter, (1, 1, -1), "square side"),
     (square_all_zero_adapter, (1, 3, 1), "square bounds"),
+    (mark_char, ([0, 1], 1.5), "non-negative"),
+    (mark_char, ([0, 1], "x"), "non-negative"),
+    (mark_char, ([0, 1], None), "non-negative"),
+    (mark_all_chars, ([0, 1], "x"), "sigma must be"),
+    (mark_all_chars, ([0, 1], 2.5), "sigma must be"),
+    (mark_all_chars, ([0, 1.5], 3), "text codes"),
+    (ext_mark_all_chars, ([0, 1], "x"), "sigma must be"),
+    (AlphabetMap, (("a", 1),), "non-negative ints"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_reduction_refusals_raise_range_error(fn, args, match):
     with pytest.raises(RangeError, match=match) as err:

@@ -371,18 +371,13 @@ def _heights(g):
 
 
 def assert_walk_arrays(g):
-    """g's cached child lists, Horiz flags, reachability and heights against
-    its rules."""
+    """g's cached child lists, reachability and heights against its rules."""
     assert g._height == _heights(g)
     for v, rule in enumerate(g.rules):
         if isinstance(rule, int):
             assert g._kids[v] is None
         else:
             assert g._kids[v] == (rule if isinstance(rule, tuple) else rule.children)
-            if isinstance(g, Slg2):
-                assert g._horiz[v] == isinstance(rule, Horiz)
-    if isinstance(g, Slg2):
-        assert len(g._horiz) == len(g.rules)
     assert len(g._kids) == len(g._reach) == len(g.rules)
     assert [v for v, r in enumerate(g._reach) if r] == reachable(g)
 

@@ -3,9 +3,9 @@
 No ``assert`` statement: ``python -O`` strips them, so a contract the code
 checks must be an explicit raise. No import from outside the standard
 library: the package is stdlib-only, so every import is either a standard
-module or relative to the package. No environment read outside ``cli.py``:
-``GG_CAP_CELLS`` stays the package's one environment knob, read where the
-command line is. No ``raise`` of a builtin exception class: every domain
+module or relative to the package. One environment read in the package:
+``cli.py``'s ``_cap`` reads ``GG_CAP_CELLS``, the one knob, where the command
+line is. No ``raise`` of a builtin exception class: every domain
 error is a ``GrammarError`` subclass; a bare re-``raise`` passes one on.
 No ``except`` clause in the access modules: their walks check their
 contracts before walking, and never learn of a bad input from an error
@@ -61,22 +61,49 @@ def test_imports_are_stdlib_or_package_relative(path):
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
-def _env_reads(tree):
-    """(line, name) of every read of the environment through ``os``."""
+def _env_read_nodes(tree):
+    """(node, name) of every read of the environment through ``os``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in ENV_READS \
                 and isinstance(node.value, ast.Name) and node.value.id == "os":
-            yield node.lineno, f"os.{node.attr}"
+            yield node, f"os.{node.attr}"
         elif isinstance(node, ast.ImportFrom) and node.module == "os":
             for alias in node.names:
                 if alias.name in ENV_READS:
-                    yield node.lineno, alias.name
+                    yield node, alias.name
+
+
+def _env_reads(tree):
+    """(line, name) of every read of the environment through ``os``."""
+    return [(node.lineno, name) for node, name in _env_read_nodes(tree)]
+
+
+def _env_read_sites(tree):
+    """Sorted (enclosing function or None, expression) of every environment
+    read, the expression being the read with the lookups and call it heads."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    sites = []
+    for expr, _ in _env_read_nodes(tree):
+        up = parent.get(expr)
+        while isinstance(up, (ast.Attribute, ast.Subscript)) and up.value is expr \
+                or isinstance(up, ast.Call) and up.func is expr:
+            expr, up = up, parent.get(up)
+        while up is not None and not isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            up = parent.get(up)
+        sites.append((up and up.name, ast.unparse(expr)))
+    return sorted(sites, key=lambda site: (site[0] or "", site[1]))
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
 def test_only_the_cli_reads_the_environment(path):
     reads = list(_env_reads(_tree(path)))
     assert not reads, f"{path.name}: reads the environment: {reads}"
+
+
+def test_the_cli_reads_the_environment_once():
+    """A second knob, or a second reader of this one, fails here."""
+    sites = _env_read_sites(_tree(Path(gridgram.__file__).parent / "cli.py"))
+    assert sites == [("_cap", "os.environ.get('GG_CAP_CELLS')")], sites
 
 
 def _builtin_raises(tree):
@@ -115,6 +142,14 @@ def test_the_rules_catch_what_they_name():
     assert any(isinstance(node, ast.Assert) for node in ast.walk(tree))
     assert sorted(_env_reads(tree)) == [(7, "os.environ"), (8, "getenv"), (9, "os.getenv")]
     assert list(_env_reads(_tree(Path(gridgram.__file__).parent / "cli.py")))
+    assert _env_read_sites(tree) == [(None, "from os import getenv"),
+                                     (None, "os.environ.get('GG_CAP_CELLS')"),
+                                     (None, "os.getenv('X')")]
+    reads = ast.parse("def _cap():\n    return os.environ.get('A'), os.environ['B']\n"
+                      "def f():\n    return dict(os.environ), os.getenv\n")
+    assert _env_read_sites(reads) == [("_cap", "os.environ.get('A')"),
+                                      ("_cap", "os.environ['B']"),
+                                      ("f", "os.environ"), ("f", "os.getenv")]
     raises = ast.parse("try:\n    pass\nexcept ValueError:\n    raise\n"
                        "raise TypeError('x')\nraise KeyError\nraise RangeError('y')\n"
                        "raise ValueError('z') from None\n")
