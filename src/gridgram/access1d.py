@@ -6,13 +6,14 @@ costs. The contracts that the functions below share:
 - A slot holds the step a query takes at its block's hook: ``(s, near,
   far)``, the hook's split inside the block measured from the addressed
   side, then the hook's children in that order from that side. A
-  one-symbol block of a literal v holds ``(0, v, None)``.
+  one-symbol block of a literal v holds ``(0, v, None)``, the one such shape.
 - Sides are integers, in the tables and in side_map: 0 = left, 1 = right.
 - ``tables[side][t]`` is one list per variable t reachable from the start
-  (None for the others); block k of level p <= cap[t] is at ``p * tau + k``.
-- Finish rule: every slot of a variable v at a level p with
-  height(v) <= FINISH * p holds the marker ``(0, v, None)``, the literal
-  step's shape, and a walk that reads it descends from v.
+  (None for the others); block k of level p <= top[t] is at ``p * tau + k``.
+- Finish rule: a walk at a level p with height(v) <= FINISH * p descends
+  from v instead of reading on, so v stores only the levels up to
+  ``top[v] = min(cap[v], ceil(height(v) / FINISH) - 1)``, none for a
+  literal (top -1).
 - A build descent that made RUN moves in a row toward one child runs along
   that child's chain (``_chains``, ``_run1``). Whether the plain walk would
   move on to a node v of the chain is monotone along it, as lengths shrink
@@ -93,24 +94,33 @@ def caps(sizes, tau):
     return [ceil_log(m + 1, tau) - 1 for m in sizes]
 
 
-def blocks_to_cap(size, cap, tau):
-    """The blocks along an axis of ``size`` cells over the levels up to its
-    cap: tau at each level below the cap, and the ones that exist at it."""
-    return cap * tau - (-size // tau ** cap)
+def blocks_to_cap(size, top, tau):
+    """The blocks along an axis of ``size`` cells over the levels 0..top,
+    with top at most the axis's cap: tau at each level below top, and the
+    ones that exist at it, at most tau; none for top -1."""
+    return top * tau + min(tau, -(-size // tau ** top)) if top >= 0 else 0
+
+
+def tops(cap, mark):
+    """Per variable: the highest level of an axis whose blocks it stores,
+    min(cap, mark - 1) for its mark, ceil(height / FINISH) in 1D and
+    ceil(height / FINISH2) in 2D; -1 when it stores none."""
+    return [c if c < m else m - 1 for c, m in zip(cap, mark)]
 
 
 def table_slots1(g, tau):
     """Slots that build_index1(g, tau) allocates for the validated SLP g,
     each holding a step: one per block and side of every variable reachable
-    from the start."""
-    lens = Slg1._validated(g)._lens
+    from the start, at its levels up to its top."""
+    g = _check_binary(Slg1._validated(g), "table_slots1")
+    lens = g._lens
     tau = clamp_tau(tau, lens[g.start])
-    return 2 * sum(blocks_to_cap(m, c, tau)
-                   for m, c, r in zip(lens, caps(lens, tau), g._reach) if r)
+    top = tops(caps(lens, tau), [-(-h // FINISH) for h in g._height])
+    return 2 * sum(blocks_to_cap(m, c, tau) for m, c, r in zip(lens, top, g._reach) if r)
 
 
 RUN = 4               # moves in a row toward one child before a descent runs along its chain
-FINISH = 2            # slots of a variable with height <= FINISH * level are finish markers
+FINISH = 2            # a walk descends from a variable with height <= FINISH * level
 PLAIN = ((), ())      # no chains: _hook_core makes the plain walk
 
 
@@ -244,13 +254,13 @@ def hook_offset1(g, nid, b, e):
 
 
 class AccessIndex1:
-    """Per-variable bookmark tables and level caps, the start's first step,
-    plus references to the grammar's walk arrays."""
+    """Per-variable bookmark tables, level caps and top stored levels, plus
+    references to the grammar's walk arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "height", "cap",
-                 "first", "tables", "n")
+                 "top", "tables", "n")
 
-    def __init__(self, grammar, tau, levels, pows, cap, first, tables):
+    def __init__(self, grammar, tau, levels, pows, cap, top, tables):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # ceil(log_tau n); the traced walk steps from here to 0
@@ -260,10 +270,10 @@ class AccessIndex1:
                                       #   for a literal
         self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap = cap                # per variable: the largest p with tau**p <= its length
-        self.first = first            # the start's cap, the level of the walk's first
-                                      #   read; None when its top slots are markers
+        self.top = top                # per variable: the highest level it stores,
+                                      #   min(cap, ceil(height / FINISH) - 1), -1 for none
         self.tables = tables          # [side][t][p * tau + k] -> (s, near, far), one slot
-                                      #   per block; [side][t] is None for t unreachable
+                                      #   per block up to top[t]; None for t unreachable
         self.n = self.lens[grammar.start]
 
     def entry_count(self):
@@ -278,10 +288,10 @@ class AccessIndex1:
 
 def build_index1(g, tau):
     """Populate every (variable, level, block) step of both tables for the
-    variables reachable from the start, up to each variable's cap;
-    every block of a variable i at a level p with height(i) <= FINISH * p
-    gets the finish marker (0, i, None), which for a literal is its literal
-    step."""
+    variables reachable from the start, up to each variable's top level
+    (the finish rule): a block wholly inside the child on its side is the
+    child's block and copies its step where the child stores that level;
+    every other block's step is found by descent."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, moves, reach, height = g._lens, g._moves, g._reach, g._height
     n = lens[g.start]
@@ -289,6 +299,7 @@ def build_index1(g, tau):
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
     cap = caps(lens, tau)
+    top = tops(cap, [-(-h // FINISH) for h in height])
     share = {}.setdefault           # step -> its one stored copy
     chains = tuple(_chains(moves, g._topo, (lens,), side) for side in (0, 1))
 
@@ -297,37 +308,30 @@ def build_index1(g, tau):
         if not reach[i]:
             continue
         m = lens[i]
-        lt = left[i] = [None] * blocks_to_cap(m, cap[i], tau)
+        lt = left[i] = [None] * blocks_to_cap(m, top[i], tau)
         rt = right[i] = [None] * len(lt)
-        for p in range(cap[i] + 1):
+        for p in range(top[i] + 1):
             tp = pows[p]
             base = p * tau
             blocks = -(-m // tp)            # k with k * tau**p < m
             if blocks > tau:
                 blocks = tau
-            if height[i] <= FINISH * p:     # descending from i is cheaper than reading on
-                marker = (0, i, None)
-                lt[base:base + blocks] = rt[base:base + blocks] = \
-                    [share(marker, marker)] * blocks
-                continue
             x, y, l = moves[i]
             # block k's window from either boundary: (k * tp, its end clipped to m)
             ends = [b + tp if b + tp < m else m for b in range(0, blocks * tp, tp)]
             # left blocks inside x, right blocks inside y: the child's own step,
-            # at the same slot, since the child has level p whenever one fits
-            cx = l // tp if l // tp < blocks else blocks
+            # at the same slot, where the child stores level p
+            cx = (l // tp if l // tp < blocks else blocks) if p <= top[x] else 0
             lt[base:base + cx] = left[x][base:base + cx]
             for k in range(cx, blocks):
                 step = _hook_core(moves, i, k * tp, ends[k], 0, chains)
                 lt[base + k] = share(step, step)
-            cy = lens[y] // tp if lens[y] // tp < blocks else blocks
+            cy = (lens[y] // tp if lens[y] // tp < blocks else blocks) if p <= top[y] else 0
             rt[base:base + cy] = right[y][base:base + cy]
             for k in range(cy, blocks):
                 step = _hook_core(moves, i, m - ends[k], m - k * tp, 1, chains)
                 rt[base + k] = share(step, step)
-    p = cap[g.start]
-    first = p if height[g.start] > FINISH * p else None
-    return AccessIndex1(g, tau, levels, pows, cap, first, (left, right))
+    return AccessIndex1(g, tau, levels, pows, cap, top, (left, right))
 
 
 def side_map(ix, side, t, p, delta):
@@ -340,11 +344,9 @@ def side_map(ix, side, t, p, delta):
     boundary and the part in the farther one; landing in the nearer child
     flips the side. A level above the variable's cap reads at the cap, whose
     blocks are no larger, so the step still contracts within tau**p. A
-    finish marker ``(0, v, None)`` for a pair v is checked (v is t or on t's
-    spine of children on ``side`` with the block inside it, and
-    height(v) <= FINISH * p at the capped level) and then resolved into
-    the real step by descent; a literal step must equal the step the same
-    descent gives.
+    level above the variable's top, which it does not store, is resolved
+    into the real step by the plain descent, and a stored literal step must
+    equal the step the same descent gives.
     """
     m = ix.lens[t] if isinstance(t, int) and 0 <= t < len(ix.lens) else 0
     if not (isinstance(side, int) and 0 <= side <= 1) \
@@ -361,20 +363,17 @@ def side_map(ix, side, t, p, delta):
     if table is None:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
-    step = table[p * ix.tau + k]
-    s, near, far = step
-    if far is None:
-        literal = 0 <= near < len(ix.moves) and ix.moves[near] is None
-        if not literal and (not _on_spine1(ix, side, t, near, b + w)
-                            or ix.height[near] > FINISH * p):
-            raise PreconditionViolated(
-                f"bookmark of variable {t}, level {p}, block {k} is a finish marker for "
-                f"{near}, off the block's spine or above height {FINISH * p}")
+    stored = p <= ix.top[t]
+    step = table[p * ix.tau + k] if stored else None
+    if step is None or step[2] is None:
         e = m - b if side else b + w       # the block's window, from the left
-        s, near, far = real = _hook_core(ix.moves, t, e - w, e, side, PLAIN)
-        if literal and real != step:
-            raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
-                                       f"is the literal step {step}, descent gives {real}")
+        real = _hook_core(ix.moves, t, e - w, e, side, PLAIN)
+        if stored and real != step:
+            raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} is "
+                                       f"{step}; a stored literal step must be the step "
+                                       f"descent gives, {real}")
+        step = real
+    s, near, far = step
     if far is None:
         return near, 1, 0
     if not 0 < s < w:   # s: the hook's split, as a position inside the block
@@ -386,30 +385,15 @@ def side_map(ix, side, t, p, delta):
     return far, d - s, side
 
 
-def _on_spine1(ix, side, t, v, e):
-    """Whether v is t or a descendant reached through children on ``side``,
-    each holding the first e positions from that side."""
-    moves, m = ix.moves, ix.lens[t]
-    while t != v:
-        move = moves[t]
-        if move is None:
-            return False
-        x, y, l = move
-        t, m = (y, m - l) if side else (x, l)
-        if e > m:
-            return False
-    return True
-
-
 def access1_traced(ix, i):
     """Random access returning (code, mapping_steps).
 
     Runs the level loop from ceil(log_tau n) down to 0, one checked side_map
-    per level, so the step count is always levels + 1 (a finish marker is
-    resolved, not followed). Each step checks the contraction contract
-    1 <= delta' <= tau**p, and the walk must end on a literal at delta 1
-    whose code the root-to-leaf descent to i also reaches; a breach raises
-    PreconditionViolated.
+    per level, so the step count is always levels + 1 (a level a variable
+    does not store is resolved by descent, not skipped). Each step checks
+    the contraction contract 1 <= delta' <= tau**p, and the walk must end on
+    a literal at delta 1 whose code the root-to-leaf descent to i also
+    reaches; a breach raises PreconditionViolated.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
@@ -433,23 +417,22 @@ def access1(ix, i):
     """The symbol Exp(S)[i] (1-based).
 
     The same walk as access1_traced in one loop with no per-step checks,
-    one table read per step, until the first step shaped (0, v, None): a
-    literal step, which returns v's code, or a finish marker, after which
-    the walk descends from v with the full delta, inline; it meets one by
-    level 0 at the latest. A start low enough for its own top slot to be a
-    marker, height <= FINISH * cap, is descended from at once, without a
-    read: the index's first step is None. The walk starts at the start's
-    cap and, after each step, caps the level by the new variable's cap, so
-    it makes at most floor(log_tau n) + 1 reads plus FINISH *
-    floor(log_tau n) moves. Reads and moves use the index's tables and the
+    one table read per step from the start's cap, each step capping the
+    level by the new variable's cap, until a literal step, which returns
+    its code, or a level above the variable's top that its cap allows, from
+    which the walk descends with the full delta, inline (a literal stores
+    no level; a start whose top is below its cap is descended from at once,
+    without a read). So it makes at most floor(log_tau n) + 1 reads plus
+    FINISH * floor(log_tau n) moves, over the index's tables and the
     grammar's move records.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
     moves = ix.moves
     t = ix.grammar.start
-    if (p := ix.first) is not None:
-        tau, pows, tables, cap = ix.tau, ix.pows, ix.tables, ix.cap
+    top, cap = ix.top, ix.cap
+    if (p := top[t]) == cap[t]:
+        tau, pows, tables = ix.tau, ix.pows, ix.tables
         delta, side = i, 0
         while p >= 0:
             tp = pows[p]
@@ -459,16 +442,15 @@ def access1(ix, i):
             if d <= s:
                 t, delta, side = near, s - d + 1, side ^ 1
             elif far is None:
-                if moves[near] is None:
-                    return ix.grammar.rules[near]
-                t = near            # a marker: the full delta, from the left
-                i = ix.lens[t] + 1 - delta if side else delta
-                break
+                return ix.grammar.rules[near]
             else:
                 t, delta = far, d - s
             p -= 1
-            if p > cap[t]:
-                p = cap[t]
+            if p > top[t]:
+                if top[t] < cap[t]:     # t is low enough: the full delta, from the left
+                    i = ix.lens[t] + 1 - delta if side else delta
+                    break
+                p = top[t]
         else:
             raise PreconditionViolated(f"walk to position {i} ended off a literal")
     while (move := moves[t]) is not None:

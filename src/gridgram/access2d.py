@@ -9,15 +9,17 @@ costs. The contracts that the functions below share:
   axis, measured from the corner; near and far are the hook's children in
   that order from the corner; shift is the block's offset inside the hook
   on the other axis, measured from the corner's side. A 1x1 block of a
-  literal v holds ``(0, 0, v, None, 0)``.
+  literal v holds ``(0, 0, v, None, 0)``, the one such shape.
 - Corners are integers 0..3 (NW, NE, SW, SE), in the tables and in
   corner_map: bit 1 set means from the bottom, bit 0 set from the right.
 - ``tables[corner][t]`` is one list per variable t reachable from the start
   (None for the others), a grid of blocks W = ``width[t]`` wide; block
   (k_r, k_c) of level pair (p_r, p_c) is at
   ``(p_r * tau + k_r) * W + p_c * tau + k_c``.
-- Finish rule: every slot of a variable v at a level pair (p_r, p_c) with
-  height(v) <= FINISH2 * (p_r + p_c) holds the marker ``(0, 0, v, None, 0)``.
+- Finish rule: a walk at levels with p_r + p_c >= ``mark[v] =
+  ceil(height(v) / FINISH2)`` descends from v instead of reading on, so v's
+  grid ends at ``min(cap, mark[v] - 1)`` on each axis (none for a literal),
+  and its slots past that staircase, p_r + p_c >= mark[v], are None.
 - Build descents run along chains as in 1D, keyed by rows and columns: a
   node v of the x chain qualifies while the window's far corner fits in v
   (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
@@ -35,11 +37,11 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log, clamp_tau
+from .access1d import PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log, clamp_tau, tops
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
 
-FINISH2 = 6     # slots of a variable with height <= FINISH2 * (p_r + p_c) are finish markers
+FINISH2 = 6     # a walk descends from a variable with height <= FINISH2 * (p_r + p_c)
 
 
 def optimal_tau2(n, epsilon=1.0):
@@ -53,14 +55,17 @@ def optimal_tau2(n, epsilon=1.0):
 
 
 def table_slots2(g, tau):
-    """Slots that build_index2(g, tau) allocates for the validated 2D SLP g,
-    each holding a step: one per block and corner of every variable
-    reachable from the start."""
-    rows, cols = Slg2._validated(g)._rows, g._cols
+    """Slots that build_index2(g, tau) allocates for the validated 2D SLP g:
+    one per block and corner of every variable reachable from the start,
+    over the levels of its grid (the finish rule); those past the finish
+    staircase stay None."""
+    g = _check_binary(Slg2._validated(g), "table_slots2")
+    rows, cols = g._rows, g._cols
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
-    return 4 * sum(blocks_to_cap(m_r, cr, tau) * blocks_to_cap(m_c, cc, tau)
-                   for m_r, m_c, cr, cc, r in zip(rows, cols, caps(rows, tau),
-                                                  caps(cols, tau), g._reach) if r)
+    mark = [-(-h // FINISH2) for h in g._height]
+    return 4 * sum(blocks_to_cap(m_r, tr, tau) * blocks_to_cap(m_c, tc, tau)
+                   for m_r, m_c, tr, tc, r in zip(rows, cols, tops(caps(rows, tau), mark),
+                                                  tops(caps(cols, tau), mark), g._reach) if r)
 
 
 def _run2(chains, node, b_r, b_c, e_r, e_c, side):
@@ -168,13 +173,13 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
 
 
 class AccessIndex2:
-    """Four corner bookmark tables and per-variable level caps, the start's
-    first step, plus references to the grammar's walk arrays."""
+    """Four corner bookmark tables, per-variable level caps and marks, the
+    start's first step, plus references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves",
-                 "height", "cap_r", "cap_c", "first", "width", "tables", "n_rows", "n_cols")
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "height",
+                 "cap_r", "cap_c", "mark", "first", "width", "tables", "n_rows", "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, first, width, tables):
+    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, mark, first, width, tables):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
@@ -186,19 +191,24 @@ class AccessIndex2:
         self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
+        self.mark = mark            # per variable: ceil(height / FINISH2), the level sum
+                                    #   from which a walk descends from it
         self.first = first          # the start's caps (cap_r, cap_c), the level pair of
-                                    #   the walk's first read; None when its top slots
-                                    #   are markers
+                                    #   the walk's first read; None when their sum
+                                    #   reaches the start's mark
         self.width = width          # per reachable variable: its lists' blocks per row, W
         self.tables = tables        # [corner][t][(p_r*tau+k_r)*width[t] + p_c*tau+k_c]
                                     #   -> (axis, s, near, far, shift), one slot per
-                                    #   block; [corner][t] is None for a variable
-                                    #   unreachable from the start
+                                    #   block, None past the finish staircase;
+                                    #   [corner][t] is None for a variable unreachable
+                                    #   from the start
         self.n_rows = self.rows[grammar.start]
         self.n_cols = self.cols[grammar.start]
 
     def entry_count(self):
-        """Stored bookmarks across all four corner tables: every slot holds one."""
+        """Allocated slots across all four corner tables: every slot holds a
+        bookmark, except the ones past a variable's finish staircase, which
+        are None."""
         return sum(len(table) for corner in self.tables for table in corner
                    if table is not None)
 
@@ -220,13 +230,16 @@ def _windows(m, pows, tau):
 
 def build_index2(g, tau):
     """Populate every corner step of the variables reachable from the
-    start; every block of a variable i at a level pair (p_r, p_c) with
-    height(i) <= FINISH2 * (p_r + p_c) gets the finish marker
-    (0, 0, i, None, 0), which for a literal is its literal step."""
+    start, at the level pairs below each variable's mark (the finish rule):
+    a block wholly inside the child on the corner's side of the split is
+    the child's block and copies its step where the child stores that pair;
+    every other block's step is found by descent."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves, reach, height = g._rows, g._cols, g._moves, g._reach, g._height
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
     cap_r, cap_c = caps(rows, tau), caps(cols, tau)
+    mark = [-(-h // FINISH2) for h in height]
+    top_r, top_c = tops(cap_r, mark), tops(cap_c, mark)
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
     share = {}.setdefault           # step -> its one stored copy
@@ -237,63 +250,54 @@ def build_index2(g, tau):
     for i in reversed(g._topo):
         if not reach[i]:
             continue
-        cr, cc = cap_r[i], cap_c[i]
-        win_r = _windows(rows[i], pows[:cr + 2], tau)
-        win_c = _windows(cols[i], pows[:cc + 2], tau)
-        w = width[i] = blocks_to_cap(cols[i], cc, tau)
-        size = blocks_to_cap(rows[i], cr, tau) * w
+        tr, tc = top_r[i], top_c[i]
+        win_r = _windows(rows[i], pows[:tr + 2], tau)
+        win_c = _windows(cols[i], pows[:tc + 2], tau)
+        w = width[i] = blocks_to_cap(cols[i], tc, tau)
+        size = blocks_to_cap(rows[i], tr, tau) * w
         own = [[None] * size for _ in range(4)]
         for corner in range(4):
             tables[corner][i] = own[corner]
-        for p_r in range(cr + 1):
+        for p_r in range(tr + 1):
             tpr = pows[p_r]
             blocks_r = len(win_r[p_r][0])
-            for p_c in range(cc + 1):
+            for p_c in range(min(tc, mark[i] - 1 - p_r) + 1):
                 tpc = pows[p_c]
                 blocks_c = len(win_c[p_c][0])
                 base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
-                if height[i] <= FINISH2 * (p_r + p_c):  # descending from i is cheaper
-                    marker = (0, 0, i, None, 0)
-                    marks = [share(marker, marker)] * blocks_c
-                    for table in own:
-                        for at in range(base, base + blocks_r * w, w):
-                            table[at:at + blocks_c] = marks
-                    continue
                 x, y, _, horiz = moves[i]
                 for corner in range(4):
                     table = own[corner]
-                    # the child on the split axis that shares this corner's side
+                    # the child on the split axis that shares this corner's
+                    # side: the blocks wholly inside it are its own, cut_r x
+                    # cut_c from the corner, copied where it stores the pair
                     if horiz:
                         src = y if corner & 2 else x
-                        cut_r, cut_c = rows[src] // tpr, 0
-                        if cut_r > blocks_r:
-                            cut_r = blocks_r
-                        if cut_r:           # same columns, so the same slots
-                            child = tables[corner][src]
-                            for at in range(base, base + cut_r * w, w):
-                                table[at:at + blocks_c] = child[at:at + blocks_c]
+                        cut_r, cut_c = min(rows[src] // tpr, blocks_r), blocks_c
                     else:
                         src = y if corner & 1 else x
-                        cut_r, cut_c = 0, cols[src] // tpc
-                        if cut_c > blocks_c:
-                            cut_c = blocks_c
-                        if cut_c:
-                            child, stride = tables[corner][src], width[src]
-                            start = p_r * tau * stride + p_c * tau
-                            for at in range(base, base + blocks_r * w, w):
-                                table[at:at + cut_c] = child[start:start + cut_c]
-                                start += stride
-                    col_wins = win_c[p_c][corner & 1][cut_c:]
-                    for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][cut_r:], cut_r):
+                        cut_r, cut_c = blocks_r, min(cols[src] // tpc, blocks_c)
+                    if p_r + p_c >= mark[src]:
+                        cut_r = cut_c = 0
+                    child, stride = tables[corner][src], width[src]
+                    start = p_r * tau * stride + p_c * tau
+                    for at in range(base, base + cut_r * w, w):
+                        table[at:at + cut_c] = child[start:start + cut_c]
+                        start += stride
+                    # the other blocks, by descent: the rows past the copied
+                    # ones under a rows split, the columns past them otherwise
+                    from_r, from_c = (cut_r, 0) if horiz else (0, cut_c)
+                    col_wins = win_c[p_c][corner & 1][from_c:]
+                    for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][from_r:], from_r):
                         at = base + k_r * w
-                        for k_c, (b_c, e_c) in enumerate(col_wins, at + cut_c):
+                        for k_c, (b_c, e_c) in enumerate(col_wins, at + from_c):
                             step = _hook_core2(moves, rows, cols,
                                                i, b_r, b_c, e_r, e_c, corner, chains)
                             table[k_c] = share(step, step)
     first = cap_r[g.start], cap_c[g.start]
-    if height[g.start] <= FINISH2 * sum(first):
+    if sum(first) >= mark[g.start]:
         first = None
-    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, first, width, tables)
+    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, mark, first, width, tables)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
@@ -316,11 +320,10 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     child keeps both sides, and the other axis moves by the stored shift.
     A level above the variable's cap on its axis reads at the cap, whose
     blocks are no larger, so the step still contracts within tau**p. A
-    finish marker ``(0, 0, v, None, 0)`` for a pair v is checked (v is t or
-    on t's spine of children on the corner's sides with the block inside
-    it, and height(v) <= FINISH2 * (p_r + p_c) at the capped levels) and
-    then resolved into the real step by descent; a literal step must equal the
-    step the same descent gives.
+    level pair the variable does not store, p_r + p_c at or past its mark
+    at the capped levels, is resolved into the real step by the plain
+    descent, and a stored literal step must equal the step the same descent
+    gives.
     """
     m_r, m_c = (ix.rows[t], ix.cols[t]) if isinstance(t, int) and 0 <= t < len(ix.rows) \
         else (0, 0)
@@ -346,22 +349,18 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
     tau = ix.tau
-    step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c]
-    axis, s, near, far, shift = step
-    if far is None:
-        literal = 0 <= near < len(ix.moves) and ix.moves[near] is None
-        if not literal and (not _on_spine2(ix, corner, t, near, b_r + w_r, b_c + w_c)
-                            or ix.height[near] > FINISH2 * (p_r + p_c)):
-            raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
-                                f"is a finish marker for {near}, off the block's spine "
-                                f"or above height {FINISH2 * (p_r + p_c)}")
+    stored = p_r + p_c < ix.mark[t]
+    step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c] if stored else None
+    if step is None or step[3] is None:
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
-        axis, s, near, far, shift = real = _hook_core2(
+        real = _hook_core2(
             ix.moves, ix.rows, ix.cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner, PLAIN)
-        if literal and real != step:
-            raise _bad_bookmark(t, p_r, p_c, k_r, k_c,
-                                f"is the literal step {step}, descent gives {real}")
+        if stored and real != step:
+            raise _bad_bookmark(t, p_r, p_c, k_r, k_c, f"is {step}; a stored literal step "
+                                f"must be the step descent gives, {real}")
+        step = real
+    axis, s, near, far, shift = step
     if far is None:
         return near, 1, 1, 0
     if not 0 < s < (w_r if axis else w_c):    # s: the hook's split, inside the block
@@ -374,25 +373,6 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     if d_c <= s:
         return near, d_r + shift, s - d_c + 1, corner ^ 1
     return far, d_r + shift, d_c - s, corner
-
-
-def _on_spine2(ix, corner, t, v, e_r, e_c):
-    """Whether v is t or a descendant reached through the children on
-    ``corner``'s side of each split, each holding the first e_r rows and
-    e_c columns from that corner."""
-    moves, m_r, m_c = ix.moves, ix.rows[t], ix.cols[t]
-    while t != v:
-        move = moves[t]
-        if move is None:
-            return False
-        x, y, l, horiz = move
-        if horiz:
-            t, m_r = (y, m_r - l) if corner & 2 else (x, l)
-        else:
-            t, m_c = (y, m_c - l) if corner & 1 else (x, l)
-        if e_r > m_r or e_c > m_c:
-            return False
-    return True
 
 
 def access2_traced(ix, i, j):
@@ -449,14 +429,16 @@ def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based).
 
     The same walk as access2_traced in one loop with no per-step checks,
-    one table read per step, until the first step shaped (0, 0, v, None, 0):
-    a literal step, which returns v's code, or a finish marker, after which
-    the walk descends from v with the full deltas, inline. A start low
-    enough for its own top slot to be a marker, height <= FINISH2 *
-    (cap_r + cap_c), is descended from at once, without a read: the index's
-    first step is None. With L = floor(log_tau rows) + floor(log_tau cols),
-    it makes at most L + 1 reads plus FINISH2 * L moves. Reads and moves use
-    the index's tables and the grammar's move records.
+    one table read per step while the level sum is below the variable's
+    mark: until a literal step, which returns its code, or a variable low
+    enough for the levels, from which the walk descends with the full
+    deltas, inline; a literal's mark is 0. A start whose caps reach its
+    mark is descended from at once, without a read: the index's first step
+    is None. With L = floor(log_tau rows) + floor(log_tau cols), it makes
+    at most L + 1 reads plus FINISH2 * L moves. Reads and moves use the
+    index's tables and the grammar's move records. A step that lowers
+    neither level, which only a corrupt table holds, raises
+    PreconditionViolated.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
@@ -465,11 +447,11 @@ def access2(ix, i, j):
     t = ix.grammar.start
     if (first := ix.first) is not None:
         p_r, p_c = first
-        tau, pows, tables, cap_r, cap_c, width = \
-            ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width
+        tau, pows, tables, cap_r, cap_c, width, mark = \
+            ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width, ix.mark
         d_r, d_c, c = i, j, 0
         w = width[t]                # blocks per row in t's lists
-        for _ in range(p_r + p_c + 1):
+        while p_r + p_c < mark[t]:
             tpr, tpc = pows[p_r], pows[p_c]
             k_r = (d_r - 1) // tpr
             k_c = (d_c - 1) // tpc
@@ -487,14 +469,7 @@ def access2(ix, i, j):
                 t, d_c, c = near, s - d_c + 1, c ^ 1
                 d_r += shift
             elif far is None:
-                if moves[near] is None:
-                    return ix.grammar.rules[near]
-                t = near            # a marker: the cell's full deltas, from the NW
-                d_r += k_r * tpr
-                d_c += k_c * tpc
-                i = ix.rows[t] + 1 - d_r if c & 2 else d_r
-                j = ix.cols[t] + 1 - d_c if c & 1 else d_c
-                break
+                return ix.grammar.rules[near]
             else:
                 t, d_c = far, d_c - s
                 d_r += shift
@@ -502,13 +477,16 @@ def access2(ix, i, j):
                 p_r -= 1
             elif d_c <= tpc and p_c > 0:
                 p_c -= 1
+            else:
+                raise PreconditionViolated(f"walk to ({i},{j}): the step read at levels "
+                                           f"({p_r},{p_c}) lowers neither level")
             if p_r > cap_r[t]:
                 p_r = cap_r[t]
             if p_c > cap_c[t]:
                 p_c = cap_c[t]
             w = width[t]
-        else:
-            raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")
+        i = ix.rows[t] + 1 - d_r if c & 2 else d_r     # t is low enough: the
+        j = ix.cols[t] + 1 - d_c if c & 1 else d_c     #   full deltas, from the NW
     while (move := moves[t]) is not None:
         x, y, l, horiz = move
         if horiz:

@@ -125,19 +125,20 @@ def test_hook_window_equality_exhaustive_small():
 def test_index_single_literal():
     g = validate_slp1(Slp1([0], 1, 0))
     ix = build_index1(g, 2)
-    assert ix.levels == 0 and ix.cap == [0]
+    assert ix.levels == 0 and ix.cap == [0] and ix.top == [-1]
     left, right = ix.tables
-    assert left == right == [[(0, 0, None)]]    # the literal 0, its one block
-    assert ix.entry_count() == 2
+    assert left == right == [[]]    # a literal stores no level: descending is free
+    assert ix.entry_count() == 0
+    assert access1(ix, 1) == 0 and access1_traced(ix, 1) == (0, 1)
 
 
 def test_index_abab_entry(abab):
     ix = build_index1(abab, 2)
     left, _ = ix.tables
     assert ix.height == [2, 1, 0, 0]
-    # variable 0 (S -> A A, height 2), level 1, block 1: S is at most 2p = 2
-    # high, so the slot is S's finish marker
-    assert ix.cap[0] == 2 and left[0][1 * 2 + 1] == (0, 0, None)
+    # variable 0 (S -> A A, height 2) is at most FINISH * 1 = 2 high, so it
+    # stores level 0 only, its 2 blocks, though its cap is 2
+    assert ix.cap[0] == 2 and ix.top[0] == 0 and len(left[0]) == 2
     # W -> A S (id 0, height 3 > 2), level 1, block 1, the window (2..4]:
     # hook 1 (A -> B C) at offset 0, so the split lies 1 in from the left,
     # with B nearer that boundary and C farther
@@ -165,9 +166,9 @@ def test_index_clamps_tau_to_the_longest_expansion(abab):
 def test_maps_refuse_a_variable_without_bookmarks():
     g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
     ix = build_index1(g, 2)
-    # both sides: levels 0 and 1 of the start, 2 + 1 blocks; level 0 of
-    # each literal, its one block; no list for the unreachable id 3
-    assert ix.tables[0][3] is None and ix.entry_count() == 2 * 3 + 2 * 2
+    # both sides: level 0 of the start, its 2 blocks (height 1 <= FINISH * 1,
+    # so not level 1); no level of a literal; no list for the unreachable id 3
+    assert ix.tables[0][3] is None and ix.tables[0][1] == [] and ix.entry_count() == 2 * 2
     for side in (0, 1):
         for t in (3, 4, -1):    # unreachable, then no such variable
             with pytest.raises(PreconditionViolated):

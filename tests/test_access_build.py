@@ -1,28 +1,28 @@
 """The children-first bookmark build and both query loops, in 1D and 2D.
 
 The build stores every bookmark resolved into the step a query takes, for
-the variables reachable from the start, or a finish marker where the
-variable is low enough for the level, and copies a child's slot wherever a
-block lies wholly inside the child on its aligned side, descending only
-for the other blocks. These properties check every stored slot against one
-predicted here: the marker of the first low enough variable on the block's
-spine, or else the step resolved from the reference
-``hook_offset1``/``hook_offset2`` of its window. They also check that every
-slot holds a step, the slot and entry counts against the number of
-windows, the 1D and 2D lists against the per-variable level caps, that equal steps are stored as one object,
-the fast and the traced access against the expansion and against the
-library's root-to-leaf descent from every side or corner, and that the
-checked steps refuse a corrupt marker or literal step, on random SLPs, left
-and right combs (deep, mostly copied on one side and descended on the
-other), 2D combs along either axis and staircases. The descents that run
+the variables reachable from the start, at the levels each variable stores:
+up to its cap and below the level (level sum in 2D) at which a walk
+descends from it instead. It copies a child's slot wherever a block lies
+wholly inside the child on its aligned side and the child stores that
+level, descending for the other blocks. These properties check every
+stored slot against the step resolved from the reference
+``hook_offset1``/``hook_offset2`` of its window, the stored levels against
+the finish rule, the slot and entry counts against the number of windows,
+that the only empty slots are the 2D ones past the finish staircase, that
+equal steps are stored as one object, the fast and the traced access
+against the expansion and against the library's root-to-leaf descent from
+every side or corner, and that the checked steps refuse a corrupt step, on
+random SLPs, left and right combs (deep, mostly copied on one side and
+descended on the other), 2D combs along either axis and staircases. The descents that run
 along heavy-path chains over long runs of moves are checked against the
 plain walk, run by run, window by window and table by table, on these and
 on the benchmark's own comb and staircase, and the chains against their
 layout and path-count bound. The grammar's move records are checked
 against its child, length and axis arrays and, through every walk that
 reads them, against the expansion; a grammar that is no SLP is refused by
-the arity check before any walk; and the index's stored first step is
-None exactly when the start's top slots are markers.
+the arity check before any walk; and the index's per-variable top levels,
+marks and 2D first step follow from the heights.
 """
 
 import os
@@ -76,6 +76,7 @@ TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
 # and must still store exactly the blocks of the tau asked for
 TAUS1 = st.sampled_from([2, 3, 8, 10 ** 6])
+FINISH_TAUS = st.sampled_from([2, 3, 4, 8, 16])
 
 
 @st.composite
@@ -150,6 +151,12 @@ def step2(g, i, corner, b_r, b_c, e_r, e_c):
     return (0, g._cols[near] - a_c, near, far, a_r)
 
 
+def axis_blocks(m, top, tau):
+    """The blocks along an axis of length m over the levels 0..top: tau at
+    each level below top and the ones that exist at it; none for top -1."""
+    return 0 if top < 0 else top * tau + min(tau, -(-m // tau ** top))
+
+
 def heights(g):
     """Per variable: the longest path down to a literal (0 for a literal)."""
     h = [0] * len(g.rules)
@@ -161,43 +168,16 @@ def heights(g):
     return h
 
 
-def slot1(g, height, i, side, p, b, e):
-    """What the build stores for block (b..e] of Exp(i), measured from
-    ``side``, at level p: the finish marker (0, v, None) of the first v on
-    i's spine of children on that side with height(v) <= FINISH * p, or the
-    block's step when the block leaves the spine before that."""
-    v = i
-    while height[v] > FINISH * p:
-        v = g.rules[v][side]
-        if e > g._lens[v]:
-            m = g._lens[i]
-            return step1(g, i, 1, m - e, m - b) if side else step1(g, i, 0, b, e)
-    return (0, v, None)
-
-
-def slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c):
-    """The 2D slot1 for block (b_r..e_r] x (b_c..e_c] of Exp(i), measured
-    from ``corner``, at levels (p_r, p_c), with 2D's FINISH2 in place of
-    FINISH; the marker is (0, 0, v, None, 0)."""
-    v = i
-    while height[v] > FINISH2 * (p_r + p_c):
-        rule = g.rules[v]
-        v = rule.children[corner >> 1 if isinstance(rule, Horiz) else corner & 1]
-        if e_r > g._rows[v] or e_c > g._cols[v]:
-            m_r, m_c = g._rows[i], g._cols[i]
-            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
-            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-            return step2(g, i, corner, rb, cb, re, ce)
-    return (0, 0, v, None, 0)
-
-
 # the oracle below walks from each slot's variable, so its cost grows with
 # slots times depth: these two draw combs of at most 70 codes, and the deep
 # combs reach the tables through test_run_builds_equal_plain_builds1/2, which
 # hold the chain-run builds to the plain ones
 @settings(max_examples=60, deadline=None)
-@given(g=grammars1(longest=70), tau=TAUS1)
+@given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_stores_every_window_hook(g, tau):
+    """Every slot holds its block's hook step, as the plain walk finds it;
+    a variable stores the levels up to its cap below ceil(height / FINISH),
+    and no others."""
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
     height = heights(g)
@@ -210,15 +190,16 @@ def test_build1_stores_every_window_hook(g, tau):
         if i not in ids:
             assert left[i] is None and right[i] is None
             continue
-        cap = ix.cap[i]
+        cap, top = ix.cap[i], ix.top[i]
         assert T ** cap <= m < T ** (cap + 1)
-        # one slot per block: tau at each level below the cap, the rest at it
-        assert len(left[i]) == len(right[i]) == cap * T + -(-m // T ** cap)
-        for p in range(cap + 1):
-            for k, b, e in blocks(m, ix.pows[p], tau):
+        assert top == min(cap, -(-height[i] // FINISH) - 1)
+        # one slot per block of the levels 0..top
+        assert len(left[i]) == len(right[i]) == axis_blocks(m, top, T)
+        for p in range(top + 1):
+            for k, b, e in blocks(m, ix.pows[p], T):
                 defined += 2
-                assert left[i][p * T + k] == slot1(g, height, i, 0, p, b, e)
-                assert right[i][p * T + k] == slot1(g, height, i, 1, p, b, e)
+                assert left[i][p * T + k] == step1(g, i, 0, b, e)
+                assert right[i][p * T + k] == step1(g, i, 1, m - e, m - b)
     lists = [table for side in ix.tables for table in side if table is not None]
     assert all(None not in table for table in lists)
     assert table_slots1(g, tau) == sum(len(table) for table in lists) == ix.entry_count() \
@@ -226,8 +207,12 @@ def test_build1_stores_every_window_hook(g, tau):
 
 
 @settings(max_examples=40, deadline=None)
-@given(g=grammars2(longest=70), tau=TAUS)
+@given(g=grammars2(longest=70), tau=FINISH_TAUS)
 def test_build2_stores_every_window_hook(g, tau):
+    """Every slot of a level pair with p_r + p_c below ceil(height /
+    FINISH2) holds its block's hook step, as the plain walk finds it; a
+    variable's grid ends at min(cap, that bound - 1) on each axis, and its
+    slots past the finish staircase inside that grid are None."""
     ix = build_index2(g, tau)
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
@@ -239,26 +224,32 @@ def test_build2_stores_every_window_hook(g, tau):
         if i not in ids:
             assert all(ix.tables[corner][i] is None for corner in range(4))
             continue
-        cap_r, cap_c = ix.cap_r[i], ix.cap_c[i]
+        cap_r, cap_c, mark = ix.cap_r[i], ix.cap_c[i], ix.mark[i]
         assert T ** cap_r <= m_r < T ** (cap_r + 1) and T ** cap_c <= m_c < T ** (cap_c + 1)
+        assert mark == -(-height[i] // FINISH2)
+        top_r, top_c = min(cap_r, mark - 1), min(cap_c, mark - 1)
         # one slot per block: an H x W grid of the row and the column blocks
-        H, W = cap_r * T + -(-m_r // T ** cap_r), cap_c * T + -(-m_c // T ** cap_c)
+        H, W = axis_blocks(m_r, top_r, T), axis_blocks(m_c, top_c, T)
         assert ix.width[i] == W
         for corner in range(4):
             assert len(ix.tables[corner][i]) == H * W
-        for p_r in range(cap_r + 1):
-            for p_c in range(cap_c + 1):
-                for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], tau):
-                    for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], tau):
+        for p_r in range(top_r + 1):
+            for p_c in range(top_c + 1):
+                for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], T):
+                    for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], T):
                         slot = (p_r * T + k_r) * W + p_c * T + k_c
                         for corner in range(4):
+                            got = ix.tables[corner][i][slot]
+                            if p_r + p_c >= mark:
+                                assert got is None
+                                continue
                             defined += 1
-                            assert ix.tables[corner][i][slot] == \
-                                slot2(g, height, i, corner, p_r, p_c, b_r, b_c, e_r, e_c)
+                            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+                            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+                            assert got == step2(g, i, corner, rb, cb, re, ce)
     lists = [table for corner in ix.tables for table in corner if table is not None]
-    assert all(None not in table for table in lists)
-    assert table_slots2(g, tau) == sum(len(table) for table in lists) == ix.entry_count() \
-        == defined
+    assert sum(v is not None for table in lists for v in table) == defined
+    assert table_slots2(g, tau) == sum(len(table) for table in lists) == ix.entry_count()
 
 
 def stored(ix):
@@ -514,7 +505,7 @@ def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
     stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
     assert len(comb.rules) == 2000
     # one slot per block; a full tau x tau grid per level pair would take 410,624
-    assert table_slots2(stair, 8) == 186_140
+    assert table_slots2(stair, 8) == 186_124
     for build, g in ((build_index1, comb), (build_index2, stair)):
         with plain_builds():
             plain = build(g, 8)
@@ -542,21 +533,16 @@ def test_builds_refuse_a_validated_grammar_that_is_no_slp(build, g):
         build(g(), 2)
 
 
-# -- move records and the start's first step -----------------------------------
-
-def is_marker(step, t):
-    """Whether a 1D or 2D step is t's finish marker (t's literal step when
-    t is a literal)."""
-    return step == ((0, t, None) if len(step) == 3 else (0, 0, t, None, 0))
-
+# -- move records and where the walks finish -----------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1() | grammars2(), tau=TAUS, data=st.data())
 def test_move_records_drive_every_walk(g, tau, data):
     """One record per variable, equal to the grammar's own arrays; every
-    walk that reads the records answers as the expansion; the index's first
-    step is None exactly when the start's top slots are markers, and the
-    start's caps otherwise."""
+    walk that reads the records answers as the expansion; the 1D index's
+    top level per variable is min(cap, ceil(height / FINISH) - 1), the 2D
+    index's mark ceil(height / FINISH2), and its first step is None exactly
+    when the start's caps reach its mark, and the start's caps otherwise."""
     one = isinstance(g, Slg1)
     for v, (kid, move) in enumerate(zip(g._kids, g._moves, strict=True)):
         if kid is None:
@@ -583,9 +569,7 @@ def test_move_records_drive_every_walk(g, tau, data):
             b, e = window(data, m)
             hook, off = hook_offset1(g, t, b, e)
             assert exp[hook][off:off + e - b] == exp[t][b:e]
-        top, tops = ix.cap[start], [side[start] for side in ix.tables]
-        marked = all(is_marker(v, start) for table in tops for v in table[top * ix.tau:])
-        assert ix.first == (None if marked else top)
+        assert ix.top == [min(c, -(-h // FINISH) - 1) for c, h in zip(ix.cap, ix.height)]
         return
     ix = build_index2(g, tau)
     assert ix.moves is g._moves
@@ -604,12 +588,9 @@ def test_move_records_drive_every_walk(g, tau, data):
         hook, off_r, off_c = hook_offset2(g, t, b_r, b_c, e_r, e_c)
         assert submatrix(exp[hook], off_r, off_r + e_r - b_r, off_c, off_c + e_c - b_c) == \
             submatrix(exp[t], b_r, e_r, b_c, e_c)
-    cap_r, cap_c, w = ix.cap_r[start], ix.cap_c[start], ix.width[start]
-    base = (cap_r * ix.tau) * w + cap_c * ix.tau
-    marked = all(is_marker(v, start) for corner in ix.tables
-                 for at in range(base, len(corner[start]), w)
-                 for v in corner[start][at:at + w - cap_c * ix.tau])
-    assert ix.first == (None if marked else (cap_r, cap_c))
+    assert ix.mark == [-(-h // FINISH2) for h in ix.height]
+    cap_r, cap_c = ix.cap_r[start], ix.cap_c[start]
+    assert ix.first == (None if cap_r + cap_c >= ix.mark[start] else (cap_r, cap_c))
 
 
 @settings(max_examples=30, deadline=None)
@@ -685,69 +666,41 @@ def test_access2_traced_never_answers_wrong_on_a_swapped_step():
 # -- checked literal steps ---------------------------------------------------
 
 def test_side_map_refuses_a_wrong_literal_step():
-    g = validate_slp1(Slp1([(1, 2), 0, 1], 2, 0))       # S -> a b
+    # X0 -> a X1, X1 -> b X2, X2 -> c d: the traced walk to position 3 reads
+    # X2's one-cell block on c at level 0; c, a literal, stores no level, so
+    # its own cell is resolved by descent and has no slot to corrupt
+    g = comb1([0, 1, 2, 3], right=True)
     ix = build_index1(g, 2)
-    assert access1_traced(ix, 2) == (1, 2)
-    for side in (0, 1):         # b's own cell claims to be a
-        ix.tables[side][2][0] = (0, 1, None)
+    assert access1_traced(ix, 3) == (2, 3) and ix.tables[0][5] == []
+    assert side_map(ix, 1, 5, 0, 1) == (5, 1, 0)
+    # X2's block on c, from either side, claims to be d
+    ix.tables[0][2][0] = ix.tables[1][2][1] = (0, 6, None)
     with pytest.raises(PreconditionViolated, match="literal step"):
-        access1_traced(ix, 2)
+        access1_traced(ix, 3)
     with pytest.raises(PreconditionViolated, match="literal step"):
-        side_map(ix, 1, 2, 0, 1)
+        side_map(ix, 1, 2, 0, 2)
 
 
 def test_corner_map_refuses_a_wrong_literal_step():
     g = validate_slp2(Slp2([Vert(1, 2), 0, 1], 2, 0))   # S = [a b], one row
     ix = build_index2(g, 2)
+    assert ix.tables[0][2] == []    # a literal stores no level pair
     for corner in range(4):
         d_c = 1 if corner & 1 else 2                    # b's column from the corner
         assert corner_map(ix, corner, 0, 0, 0, 1, d_c) == (2, 1, 1, 0)
-        # S's 1x1 block on b, and b's own cell, each claim to be a
-        ix.tables[corner][0][d_c - 1] = ix.tables[corner][2][0] = (0, 0, 1, None, 0)
+        assert corner_map(ix, corner, 2, 0, 0, 1, 1) == (2, 1, 1, 0)
+        # S's 1x1 block on b claims to be a
+        ix.tables[corner][0][d_c - 1] = (0, 0, 1, None, 0)
         with pytest.raises(PreconditionViolated, match="literal step"):
             corner_map(ix, corner, 0, 0, 0, 1, d_c)
-        with pytest.raises(PreconditionViolated, match="literal step"):
-            corner_map(ix, corner, 2, 0, 0, 1, 1)
 
 
-# -- the finish: markers where descent is cheaper than reading on ------------
-
-FINISH_TAUS = st.sampled_from([2, 3, 4, 8, 16])
-
+# -- the finish: no slot where descent is cheaper than reading on ------------
 
 def is_marker1(ix, step):
-    """Whether a 1D slot holds a finish marker of a pair (not a literal step)."""
+    """Whether a 1D slot is shaped (0, v, None) for a pair v, not a literal
+    step."""
     return step[2] is None and ix.moves[step[1]] is not None
-
-
-def is_marker2(ix, step):
-    return step[3] is None and ix.moves[step[2]] is not None
-
-
-def pairs(g):
-    return [i for i in reachable(g) if not isinstance(g.rules[i], int)]
-
-
-def spine1(g, t, side, e):
-    """t and its descendants through children on ``side`` holding e positions."""
-    out = [t]
-    while not isinstance(g.rules[t], int):
-        t = g.rules[t][side]
-        if e > g._lens[t]:
-            break
-        out.append(t)
-    return out
-
-
-def spine2(g, t, corner, e_r, e_c):
-    out = [t]
-    while not isinstance(g.rules[t], int):
-        rule = g.rules[t]
-        t = rule.children[corner >> 1 if isinstance(rule, Horiz) else corner & 1]
-        if e_r > g._rows[t] or e_c > g._cols[t]:
-            break
-        out.append(t)
-    return out
 
 
 class Reads(list):
@@ -810,33 +763,12 @@ def low2(draw):
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS)
 def test_finish1_is_exact_and_markers_are_low(g, tau):
+    """Both walks answer as the expansion at every tau of the finish sweep,
+    and no slot is a pair's finish marker: a finish is never stored."""
     ix = build_index1(g, tau)
     for i, want in enumerate(expand1(g), start=1):
         assert access1(ix, i) == want and access1_traced(ix, i) == (want, ix.levels + 1)
-    for side in ix.tables:
-        for table in side:
-            for at, v in enumerate(table or ()):
-                if is_marker1(ix, v):
-                    assert ix.height[v[1]] <= FINISH * (at // ix.tau)
-
-
-@settings(max_examples=40, deadline=None)
-@given(g=grammars2(), tau=FINISH_TAUS)
-def test_finish2_is_exact_and_markers_are_low(g, tau):
-    ix = build_index2(g, tau)
-    m = expand2(g)
-    for i in range(1, m.rows + 1):
-        for j in range(1, m.cols + 1):
-            assert access2(ix, i, j) == access2_traced(ix, i, j)[0] == m.get(i, j)
-    for corner in ix.tables:
-        for t, table in enumerate(corner):
-            if table is None:
-                continue
-            for at, v in enumerate(table):
-                if is_marker2(ix, v):
-                    row, col = divmod(at, ix.width[t])
-                    p_r, p_c = row // ix.tau, col // ix.tau
-                    assert ix.height[v[2]] <= FINISH2 * (p_r + p_c)
+    assert not any(is_marker1(ix, v) for v in stored(ix))
 
 
 @settings(max_examples=30, deadline=None)
@@ -856,7 +788,7 @@ def test_finish1_at_height_two_reads_no_slot(g, tau):
 def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
     """The fast walk starts at the start's cap and caps each level by the
     new variable's, so it reads at most floor(log_tau n) + 1 slots; none
-    when the start's top slot is its own marker."""
+    when the start is low enough for its cap, height <= FINISH * cap."""
     ix = build_index1(g, tau)
     cap = ix.cap[g.start]
     assert ix.tau ** cap <= ix.n < ix.tau ** (cap + 1)
@@ -879,26 +811,6 @@ def test_finish2_at_height_two_reads_no_slot(g, tau):
         for j in range(1, m.cols + 1):
             del log[:]
             assert access2(ix, i, j) == m.get(i, j) and len(log) == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(g=grammars2(), tau=FINISH_TAUS)
-def test_finish2_changes_the_tables_only_by_markers(g, tau):
-    """Against a build with FINISH2 = FINISH = 2, every slot is the same or a
-    marker that the FINISH2 rule allows: the tables differ only by markers."""
-    ix = build_index2(g, tau)
-    with mock.patch.object(access2d, "FINISH2", 2):
-        low = build_index2(g, tau)
-    assert ix.width == low.width
-    for corner, low_corner in zip(ix.tables, low.tables):
-        for t, (table, low_table) in enumerate(zip(corner, low_corner)):
-            assert (table is None) == (low_table is None)
-            for at, (v, was) in enumerate(zip(table or (), low_table or ())):
-                if v != was:
-                    row, col = divmod(at, ix.width[t])
-                    p_r, p_c = row // ix.tau, col // ix.tau
-                    assert v == (0, 0, v[2], None, 0) and ix.moves[v[2]] is not None
-                    assert ix.height[v[2]] <= FINISH2 * (p_r + p_c)
 
 
 def distinct_codes(g):
@@ -926,24 +838,27 @@ def block_comb2(blocks):
 def finishes():
     """(grammar, tau) pairs, per dimension, for the three ways a fast walk
     finishes: ``start``, the start is low enough to be descended from at
-    once; ``marker``, every walk ends at a pair's finish marker; ``literal``,
+    once; ``marker``, every walk reads and then reaches a variable that
+    stores no slot at its next level, and descends from there; ``literal``,
     every walk ends at a literal step."""
     rng = random.Random(5)
     return {
         "start": ((distinct_codes(random_slp1(11, 20, 3, 100)), 2),
                   (staircase2([rng.randrange(4) for _ in range(22)], 10), 2)),
         "marker": ((distinct_codes(random_slp1(34, 20, 3, 100)), 2), (block_comb2(64), 2)),
-        "literal": ((comb1([rng.randrange(4) for _ in range(64)], True), 8),
-                    (staircase2([rng.randrange(4) for _ in range(22)], 10), 8)),
+        "literal": ((distinct_codes(random_slp1(0, 20, 3, 100)), 8),
+                    (distinct_codes(random_slp2(34, 30, 3, 300)), 8)),
     }
 
 
-def walk_ends(ix, log, literal_at):
-    """How the walk that filled ``log`` finished: 'start', 'marker' or
-    'literal'; ``literal_at`` indexes a step's near child."""
+def walk_ends(log, far_at):
+    """How the walk that filled ``log`` finished: 'start', with no read;
+    'literal', at a literal step; 'marker', at a real step into a variable
+    that stores no slot at the walk's next level (a literal stores none),
+    from which it descends. ``far_at`` indexes a step's far child."""
     if not log:
         return "start"
-    return "literal" if ix.moves[log[-1][literal_at]] is None else "marker"
+    return "literal" if log[-1][far_at] is None else "marker"
 
 
 @pytest.mark.parametrize("kind", ["start", "marker", "literal"])
@@ -956,7 +871,7 @@ def test_access_equals_descent_however_the_walk_finishes(kind):
         del log[:]
         assert access1(ix, i) == descend1(ix, g1.start, i, 0) == \
             descend1(ix, g1.start, n + 1 - i, 1)
-        assert walk_ends(ix, log, 1) == kind
+        assert walk_ends(log, 2) == kind
     ix = build_index2(g2, tau2)
     r, c, log = ix.n_rows, ix.n_cols, logged(ix)
     assert len(set(expand2(g2).cells)) > 1
@@ -967,7 +882,7 @@ def test_access_equals_descent_however_the_walk_finishes(kind):
                 descend2(ix, g2.start, i, c + 1 - j, 1) == \
                 descend2(ix, g2.start, r + 1 - i, j, 2) == \
                 descend2(ix, g2.start, r + 1 - i, c + 1 - j, 3)
-            assert walk_ends(ix, log, 2) == kind
+            assert walk_ends(log, 3) == kind
 
 
 def test_access_finishes_inline():
@@ -986,64 +901,49 @@ def test_access_finishes_inline():
                        for i in range(1, m.rows + 1) for j in range(1, m.cols + 1))
 
 
+def real_slots(ix, far_at):
+    """(side or corner, variable, slot) of every stored real step of ix;
+    ``far_at`` indexes a step's far child."""
+    return [(side, t, at) for side, lists in enumerate(ix.tables)
+            for t, table in enumerate(lists) for at, v in enumerate(table or ())
+            if v is not None and v[far_at] is not None]
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS, data=st.data())
 def test_side_map_refuses_a_corrupt_marker(g, tau, data):
+    """A stored real step overwritten with a marker's shape (0, v, None), for
+    the slot's own variable, any other or no variable, or with None, is
+    refused: a stored step of that shape must be the literal step the plain
+    descent gives, and a block of two or more positions has none."""
     ix = build_index1(g, tau)
-    ts = pairs(g)
-    if not ts:
+    slots = real_slots(ix, 2)
+    if not slots:
         return
-    t = data.draw(st.sampled_from(ts))
-    side = data.draw(st.integers(0, 1))
-    table = ix.tables[side][t]
-    # too high: t's own marker at a level where t is higher than FINISH * p
-    p = data.draw(st.integers(0, min(ix.cap[t], (ix.height[t] - 1) // FINISH)))
-    k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
-    table[p * ix.tau + k] = (0, t, None)
-    with pytest.raises(PreconditionViolated, match="finish marker"):
-        side_map(ix, side, t, p, b + 1)
-    # off the spine: low enough at t's top level, but not on the block's spine
-    p = ix.cap[t]
-    k, b, e = data.draw(st.sampled_from(blocks(g._lens[t], ix.pows[p], ix.tau)))
-    on = spine1(g, t, side, e)
-    off = [v for v in range(len(g.rules)) if v not in on and ix.height[v] <= FINISH * p
-           and ix.moves[v] is not None] + [len(g.rules), -1]
-    table[p * ix.tau + k] = (0, data.draw(st.sampled_from(off)), None)
-    with pytest.raises(PreconditionViolated, match="finish marker"):
-        side_map(ix, side, t, p, b + 1)
+    side, t, at = data.draw(st.sampled_from(slots))
+    p, k = divmod(at, ix.tau)
+    ix.tables[side][t][at] = data.draw(st.none() | st.builds(
+        lambda v: (0, v, None), st.integers(-1, len(g.rules))))
+    with pytest.raises(PreconditionViolated, match="literal step"):
+        side_map(ix, side, t, p, k * ix.pows[p] + 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS, data=st.data())
 def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
+    """The 2D case: a stored real step overwritten with (0, 0, v, None, 0)
+    or with None, the value of a slot past the finish staircase."""
     ix = build_index2(g, tau)
-    ts = pairs(g)
-    if not ts:
+    slots = real_slots(ix, 3)
+    if not slots:
         return
-    t = data.draw(st.sampled_from(ts))
-    corner = data.draw(st.integers(0, 3))
-    T, m_r, m_c = ix.tau, g._rows[t], g._cols[t]
-
-    def corrupt(p_r, p_c, v):
-        (k_r, b_r, e_r), (k_c, b_c, e_c) = data.draw(
-            st.tuples(st.sampled_from(blocks(m_r, ix.pows[p_r], T)),
-                      st.sampled_from(blocks(m_c, ix.pows[p_c], T))))
-        if v is None:
-            on = spine2(g, t, corner, e_r, e_c)
-            v = data.draw(st.sampled_from(
-                [v for v in range(len(g.rules)) if v not in on and ix.moves[v] is not None
-                 and ix.height[v] <= FINISH2 * (p_r + p_c)] + [len(g.rules), -1]))
-        at = (p_r * T + k_r) * ix.width[t] + p_c * T + k_c
-        ix.tables[corner][t][at] = (0, 0, v, None, 0)
-        with pytest.raises(PreconditionViolated, match="finish marker"):
-            corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
-
-    # too high: t's own marker at a level pair where t is higher than FINISH2 * (p_r + p_c)
-    corrupt(*data.draw(st.sampled_from(
-        [(p_r, p_c) for p_r in range(ix.cap_r[t] + 1) for p_c in range(ix.cap_c[t] + 1)
-         if ix.height[t] > FINISH2 * (p_r + p_c)])), t)
-    # off the spine: low enough at t's top level pair, but not on the block's spine
-    corrupt(ix.cap_r[t], ix.cap_c[t], None)
+    corner, t, at = data.draw(st.sampled_from(slots))
+    row, col = divmod(at, ix.width[t])
+    (p_r, k_r), (p_c, k_c) = divmod(row, ix.tau), divmod(col, ix.tau)
+    ix.tables[corner][t][at] = data.draw(st.none() | st.builds(
+        lambda v: (0, 0, v, None, 0), st.integers(-1, len(g.rules))))
+    with pytest.raises(PreconditionViolated, match="literal step"):
+        corner_map(ix, corner, t, p_r, p_c, k_r * ix.pows[p_r] + 1, k_c * ix.pows[p_c] + 1)
 
 
 @pytest.mark.parametrize("split", ["0", "w"])
@@ -1079,7 +979,7 @@ def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
     for corner in range(4):
         for t, table in enumerate(ix.tables[corner]):
             for at, step in enumerate(table or ()):
-                if step[3] is None or step[0] != axis:
+                if step is None or step[3] is None or step[0] != axis:
                     continue
                 row, col = divmod(at, ix.width[t])
                 (p_r, k_r), (p_c, k_c) = divmod(row, T), divmod(col, T)
@@ -1103,18 +1003,20 @@ from gridgram import access1d, access2d
 if __debug__:
     raise SystemExit("run this under python -O")
 
-def last_step(module, name, query):
-    # the arguments after the index of the last mapping step the traced walk makes
+def first_step(module, name, query):
+    # the arguments after the index of the first mapping step the traced walk
+    # makes, which reads the start's own slot at its caps
     calls, saved = [], getattr(module, name)
     setattr(module, name, lambda *a: calls.append(a[1:]) or saved(*a))
     query()
     setattr(module, name, saved)
-    return calls[-1]
+    return calls[0]
 
-# 16 symbols, balanced; tau 2
-g1 = validate_slp1(Slp1([(1, 1), (2, 2), (3, 3), (4, 5), 0, 1], 2, 0))
+# a right comb of 16 symbols, 15 high, so it stores its cap, level 4; tau 2
+g1 = validate_slp1(Slp1([(15, i + 1) for i in range(14)] + [(15, 16), 0, 1], 2, 0))
 ix1 = build_index1(g1, 2)
-side, t, p, delta = last_step(access1d, "side_map", lambda: access1_traced(ix1, 7))
+side, t, p, delta = first_step(access1d, "side_map", lambda: access1_traced(ix1, 7))
+assert p == ix1.cap[t] == ix1.top[t] == 4
 # a split at the far edge of the block, not inside it
 ix1.tables[side][t][p * 2 + (delta - 1) // ix1.pows[p]] = (ix1.pows[p], 1, 1)
 try:
@@ -1122,17 +1024,18 @@ try:
 except PreconditionViolated:
     print("1D raised")
 
-# 4 x 8, balanced; tau 2
-g2 = validate_slp2(Slp2([Vert(1, 1), Horiz(2, 2), Horiz(3, 3), Vert(4, 4),
-                         Vert(5, 6), 0, 1], 2, 0))
+# a comb of 64 rows, 63 high, so it stores its caps, levels (6, 0); tau 2
+g2 = validate_slp2(Slp2([Horiz(63, i + 1) for i in range(62)] + [Horiz(63, 64), 0, 1],
+                        2, 0))
 ix2 = build_index2(g2, 2)
-corner, t, p_r, p_c, d_r, d_c = last_step(access2d, "corner_map",
-                                          lambda: access2_traced(ix2, 3, 6))
+corner, t, p_r, p_c, d_r, d_c = first_step(access2d, "corner_map",
+                                           lambda: access2_traced(ix2, 3, 1))
+assert (p_r, p_c) == ix2.first == (6, 0)
 k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
 ix2.tables[corner][t][(p_r * 2 + k_r) * ix2.width[t] + p_c * 2 + k_c] = \
     (1, ix2.pows[p_r], 1, 1, 0)
 try:
-    access2_traced(ix2, 3, 6)
+    access2_traced(ix2, 3, 1)
 except PreconditionViolated:
     print("2D raised")
 """
@@ -1147,3 +1050,36 @@ def test_traced_walk_raises_on_corrupt_bookmark_under_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == ["1D raised", "2D raised", ""]
+
+
+_LOWERS_NO_LEVEL = """
+from gridgram import PreconditionViolated, access2, build_index2
+from conftest import staircase2
+
+# a 40-step staircase, 41 x 41, read at its caps (5, 5) at tau 2; the cell
+# (40, 40) lies in block (1, 1), whose step now keeps the walk at the start
+# with the same deltas: it lowers neither level
+g = staircase2([0, 1] * 41, 40)
+ix = build_index2(g, 2)
+assert ix.first == (5, 5)
+t = g.start
+ix.tables[0][t][(5 * 2 + 1) * ix.width[t] + 5 * 2 + 1] = (1, -32, t, t, 32)
+try:
+    access2(ix, 40, 40)
+except PreconditionViolated as e:
+    print("raised:", e)
+"""
+
+
+def test_access2_raises_on_a_step_that_lowers_no_level():
+    """The fast 2D walk loops while the level sum is below the variable's
+    mark; a corrupt step that lowers neither level raises instead of
+    looping forever (the subprocess is killed if it hangs)."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(gridgram.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    out = subprocess.run([sys.executable, "-c", _LOWERS_NO_LEVEL], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: walk to (40,40)")
+    assert "lowers neither level" in out.stdout

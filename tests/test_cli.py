@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from gridgram import (
+    access1,
+    access1_traced,
     build_index1,
     build_index2,
     expand1,
@@ -154,21 +156,28 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     text = expand1(slp)
     coords = [str(i) for i in range(1, len(text) + 1)]
     ix = build_index1(slp, 2)
-    marked = [(side, t, at) for side, lists in enumerate(ix.tables)
-              for t, table in enumerate(lists) for at, v in enumerate(table or ())
-              if v[2] is None and ix.moves[v[1]] is not None]
-    assert marked       # at tau 2 the tables hold finish markers
+    # the slots the traced walks read over every position, and the fast ones
+    fast, traced = set(), set()
+    for read, walk in ((fast, access1), (traced, access1_traced)):
+        ix.tables = [[None if table is None else _Logged(table, (side, t), read)
+                      for t, table in enumerate(lists)] for side, lists in enumerate(ix.tables)]
+        for i in range(1, len(text) + 1):
+            walk(ix, i)
+    only_traced = traced - fast
+    assert only_traced and all(ix.tables[side][t][at][2] is not None
+                               for side, t, at in only_traced)
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""
 
     def build(slp, tau):
-        # each marker copied from a child now names the variable itself,
-        # though it is higher than its level allows; the fast walk descends
-        # from there with the same delta and still answers right
+        # each real step that only the traced walk reads has its split moved
+        # to the block's far edge; the fast walk never reads it and still
+        # answers right
         ix = build_index1(slp, tau)
-        for side, t, at in marked:
-            if ix.height[t] > 2 * (at // ix.tau):
-                ix.tables[side][t][at] = (0, t, None)
+        for side, t, at in only_traced:
+            p, k = divmod(at, ix.tau)
+            s, near, far = ix.tables[side][t][at]
+            ix.tables[side][t][at] = (min(ix.lens[t] - k * ix.pows[p], ix.pows[p]), near, far)
         return ix
 
     monkeypatch.setattr(cli._DIM1, "build", build)
@@ -176,7 +185,20 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.split() == [str(v) for v in text]
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 1 and err.count("\n") == 1
-    assert err.startswith("GrammarError: verify mismatch at ") and "finish marker" in err
+    assert err.startswith("GrammarError: verify mismatch at ") and "does not straddle" in err
+
+
+class _Logged(list):
+    """A table list that adds (side, variable, slot) to ``read`` for every
+    slot read through it."""
+
+    def __init__(self, items, key, read):
+        super().__init__(items)
+        self.key, self.read = key, read
+
+    def __getitem__(self, at):
+        self.read.add(self.key + (at,))
+        return super().__getitem__(at)
 
 
 def test_access_checks_epsilon_before_halving_it(slp2_file, capsys):
@@ -409,7 +431,7 @@ def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys
             tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
             ix = build(load(path.read_text()), tau)
             lists = [t for part in ix.tables for t in part if t is not None]
-            steps = {id(v): v for t in lists for v in t}
+            steps = {id(v): v for t in lists for v in t if v is not None}
             assert entries == ix.entry_count() and len(steps) < entries
             assert nbytes == 8 * sum(map(len, lists)) + sum(map(sys.getsizeof, steps.values()))
 

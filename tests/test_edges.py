@@ -12,6 +12,7 @@ from gridgram import (
     GrammarError,
     Horiz,
     Matrix2D,
+    NotAnSlp,
     ParseError,
     PositionOutOfRange,
     PreconditionViolated,
@@ -308,4 +309,14 @@ def test_slot_counts_refuse_a_grammar_never_validated():
     for count, g in ((table_slots1, Slp1([(1, 2), 0, 1], 2, 0)),
                      (table_slots2, Slp2([Vert(1, 2), 0, 1], 2, 0))):
         with pytest.raises(PreconditionViolated, match="must pass validate_"):
+            count(g, 2)
+
+
+def test_slot_counts_refuse_a_grammar_that_is_no_slp():
+    """table_slots* check the arity as build_index* do, so they count no
+    slots for a validated grammar that the builds refuse."""
+    for count, g in ((table_slots1, validate_slg1(Slg1([(1, 1, 1), 0], 1))),
+                     (table_slots2, validate_slg2(Slg2([Vert(1, 1, 1), 0], 1)))):
+        name = count.__name__
+        with pytest.raises(NotAnSlp, match=f"rule 0 has arity 3, {name} requires 2"):
             count(g, 2)
