@@ -703,6 +703,12 @@ def is_marker1(ix, step):
     return step[2] is None and ix.moves[step[1]] is not None
 
 
+def is_marker2(ix, step):
+    """Whether a 2D slot is shaped (0, 0, v, None, 0) for a pair v, not a
+    literal step."""
+    return step[3] is None and ix.moves[step[2]] is not None
+
+
 class Reads(list):
     """A table list that logs the steps read through it."""
 
@@ -797,6 +803,52 @@ def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
     for i, want in enumerate(expand1(g), start=1):
         del log[:]
         assert access1(ix, i) == want and reads[0] <= len(log) <= reads[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=FINISH_TAUS)
+def test_finish2_is_exact_and_markers_are_low(g, tau):
+    """Both walks answer as the expansion at every tau of the finish sweep,
+    no slot is a pair's finish marker, and no slot is stored at a level pair
+    whose sum reaches its variable's mark: a finish is never stored."""
+    ix = build_index2(g, tau)
+    m = expand2(g)
+    for i in range(1, m.rows + 1):
+        for j in range(1, m.cols + 1):
+            assert access2(ix, i, j) == access2_traced(ix, i, j)[0] == m.get(i, j)
+    for corner in ix.tables:
+        for t, table in enumerate(corner):
+            for at, v in enumerate(table or ()):
+                if v is None:
+                    continue
+                assert not is_marker2(ix, v)
+                row, col = divmod(at, ix.width[t])
+                assert row // ix.tau + col // ix.tau < ix.mark[t]
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), tau=FINISH_TAUS)
+def test_finish2_changes_the_tables_only_by_markers(g, tau):
+    """Against a build with FINISH2 = FINISH = 2, every slot the FINISH2 rule
+    stores is the same step, and every slot only the low build stores is at
+    a level pair the FINISH2 rule finishes at: where the old layout held a
+    marker, the tables now differ only by the slots left out."""
+    ix = build_index2(g, tau)
+    with mock.patch.object(access2d, "FINISH2", 2):
+        low = build_index2(g, tau)
+    assert ix.height == low.height and ix.cap_r == low.cap_r and ix.cap_c == low.cap_c
+    for t, (mark, low_mark) in enumerate(zip(ix.mark, low.mark)):
+        assert mark == -(-ix.height[t] // FINISH2) <= low_mark == -(-ix.height[t] // 2)
+    for corner, low_corner in zip(ix.tables, low.tables):
+        for t, (table, low_table) in enumerate(zip(corner, low_corner)):
+            assert (table is None) == (low_table is None)
+            for at, was in enumerate(low_table or ()):
+                row, col = divmod(at, low.width[t])
+                p_r, p_c = row // ix.tau, col // ix.tau
+                if p_r + p_c < ix.mark[t]:
+                    assert table[row * ix.width[t] + col] == was is not None
+                elif was is not None:
+                    assert ix.height[t] <= FINISH2 * (p_r + p_c)
 
 
 @settings(max_examples=30, deadline=None)
