@@ -257,8 +257,8 @@ class AccessIndex1:
     """Per-variable bookmark tables, level caps and top stored levels, plus
     references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "height", "cap",
-                 "top", "tables", "n")
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "cap", "top",
+                 "tables", "n")
 
     def __init__(self, grammar, tau, levels, pows, cap, top, tables):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
@@ -268,7 +268,6 @@ class AccessIndex1:
         self.lens = grammar._lens     # the grammar's expansion lengths
         self.moves = grammar._moves   # the grammar's move records (x, y, lens[x]), None
                                       #   for a literal
-        self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap = cap                # per variable: the largest p with tau**p <= its length
         self.top = top                # per variable: the highest level it stores,
                                       #   min(cap, ceil(height / FINISH) - 1), -1 for none
@@ -291,7 +290,8 @@ def build_index1(g, tau):
     variables reachable from the start, up to each variable's top level
     (the finish rule): a block wholly inside the child on its side is the
     child's block and copies its step where the child stores that level;
-    every other block's step is found by descent."""
+    every other block's step is found by descent. The caller bounds tau:
+    table_slots1(g, tau) gives the slot count to check before building."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, moves, reach, height = g._lens, g._moves, g._reach, g._height
     n = lens[g.start]

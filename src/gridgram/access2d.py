@@ -176,8 +176,8 @@ class AccessIndex2:
     """Four corner bookmark tables, per-variable level caps and marks, the
     start's first step, plus references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "height",
-                 "cap_r", "cap_c", "mark", "first", "width", "tables", "n_rows", "n_cols")
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "cap_r",
+                 "cap_c", "mark", "first", "width", "tables", "n_rows", "n_cols")
 
     def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, mark, first, width, tables):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
@@ -188,7 +188,6 @@ class AccessIndex2:
         self.cols = grammar._cols
         self.moves = grammar._moves  # the grammar's move records (x, y, split, horiz),
                                     #   None for a literal
-        self.height = grammar._height  # the grammar's heights, 0 for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
         self.mark = mark            # per variable: ceil(height / FINISH2), the level sum
@@ -233,7 +232,8 @@ def build_index2(g, tau):
     start, at the level pairs below each variable's mark (the finish rule):
     a block wholly inside the child on the corner's side of the split is
     the child's block and copies its step where the child stores that pair;
-    every other block's step is found by descent."""
+    every other block's step is found by descent. The caller bounds tau:
+    table_slots2(g, tau) gives the slot count to check before building."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves, reach, height = g._rows, g._cols, g._moves, g._reach, g._height
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))

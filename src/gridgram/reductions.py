@@ -9,7 +9,8 @@ Contents:
   * marking matrices: the sigma x n 0/1 matrix whose row c marks the
     occurrences of symbol c in a 1D string, the padded n*sigma x n variant,
     and grammar constructions producing both directly from a 1D SLP;
-  * the alphabet reduction remapping a sparse alphabet onto a dense one;
+  * the alphabet reduction remapping a sparse alphabet onto a dense one,
+    with the dict ``amap`` from each occurring code to its dense code;
   * query adapters: rank via line sum, symbol occurrence via square all-zero,
     square LCE via line LCE (binary search), line LCE via rectangle equality
     (binary search), and square all-zero via square LCE over a zero-padded
@@ -26,7 +27,6 @@ is safe given concurrent-safe providers.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -309,45 +309,21 @@ def ext_mark_grammar(g, sigma):
 
 # -- alphabet reduction -------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphabetMap:
-    """Sorted occurring codes plus the rank remapping they induce."""
-
-    codes: tuple
-
-    def __post_init__(self):
-        codes = tuple(self.codes)
-        object.__setattr__(self, "codes", codes)
-        if not all(isinstance(c, int) and c >= 0 for c in codes):
-            raise RangeError(f"codes are non-negative ints, got {codes!r}")
-        if any(codes[i] >= codes[i + 1] for i in range(len(codes) - 1)):
-            raise RangeError("codes must be strictly increasing")
-
-    def index_of(self, c):
-        """Dense code for c, or None when c never occurs."""
-        i = bisect_left(self.codes, c)
-        if i < len(self.codes) and self.codes[i] == c:
-            return i
-        return None
-
-    def __len__(self):
-        return len(self.codes)
-
-
 def alphabet_reduce(g):
     """Remap the grammar onto the dense alphabet of codes it actually uses.
 
     Unused nonterminals are pruned; literal codes are replaced by their rank
-    among the occurring codes. Queries against the original string translate
-    through the returned map: a queried code that never occurs answers 0
-    without consulting the new grammar at all.
+    among the occurring codes. Returns the new SLP and the dict it relabels
+    with, from each occurring code to its rank, in increasing code order.
+    Queries against the original string translate through that dict: a
+    queried code that never occurs answers 0 without consulting the new
+    grammar at all.
     """
     pruned = _binarize(validate_slp1(g))
     occurring = sorted({r for r in pruned.rules if isinstance(r, int)})
-    fwd = {c: i for i, c in enumerate(occurring)}
-    rules = [fwd[r] if isinstance(r, int) else r for r in pruned.rules]
-    out = validate_slp1(Slg1(rules, len(occurring), pruned.start))
-    return out, AlphabetMap(tuple(occurring))
+    amap = {c: i for i, c in enumerate(occurring)}
+    rules = [amap[r] if isinstance(r, int) else r for r in pruned.rules]
+    return validate_slp1(Slg1(rules, len(amap), pruned.start)), amap
 
 
 # -- adapters over query providers --------------------------------------------
@@ -356,19 +332,19 @@ def rank_via_line_sum(line_sum_provider, amap, j, c):
     """Rank on the original string through a line-sum provider.
 
     The provider must answer line-sum queries on the marking matrix of the
-    (alphabet-reduced) string: provider(e_r, e_c, l). Pass amap=None when the
-    provider already speaks the original alphabet. Exactly one provider call
-    is issued, plus one alphabet-map lookup.
+    (alphabet-reduced) string: provider(e_r, e_c, l). amap is the dict that
+    alphabet_reduce returns, or None when the provider already speaks the
+    original alphabet. Exactly one provider call is issued, plus one
+    alphabet-map lookup.
     """
     if not (isinstance(j, int) and isinstance(c, int)):
         raise _not_ints(j, c)
     if j < 0:
         raise RangeError(f"rank prefix {j} must be >= 0")
     if amap is not None:
-        k = amap.index_of(c)
-        if k is None:
+        if c not in amap:
             return 0
-        c = k
+        c = amap[c]
     return line_sum_provider(c + 1, j, j)
 
 
@@ -377,7 +353,9 @@ def occurs_via_square_all_zero(saz_provider, amap, b, e, c, n):
 
     The provider must answer square-all-zero queries on the extended marking
     matrix of the (alphabet-reduced) string of length n:
-    provider(e_r, e_c, l). Empty ranges (b >= e) answer 0 before any lookup.
+    provider(e_r, e_c, l). amap is the dict that alphabet_reduce returns, or
+    None when the provider already speaks the original alphabet. Empty ranges
+    (b >= e) answer 0 before any lookup.
 
     The queried square has its top row on the mark row of code c (row
     c*n + 1) and bottom-right corner (c*n + (e-b), e): it equals the marks
@@ -392,10 +370,9 @@ def occurs_via_square_all_zero(saz_provider, amap, b, e, c, n):
     if b >= e:
         return 0
     if amap is not None:
-        k = amap.index_of(c)
-        if k is None:
+        if c not in amap:
             return 0
-        c = k
+        c = amap[c]
     z = saz_provider(c * n + (e - b), e, e - b)
     return 1 - z
 

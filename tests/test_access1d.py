@@ -135,7 +135,7 @@ def test_index_single_literal():
 def test_index_abab_entry(abab):
     ix = build_index1(abab, 2)
     left, _ = ix.tables
-    assert ix.height == [2, 1, 0, 0]
+    assert ix.grammar._height == [2, 1, 0, 0]
     # variable 0 (S -> A A, height 2) is at most FINISH * 1 = 2 high, so it
     # stores level 0 only, its 2 blocks, though its cap is 2
     assert ix.cap[0] == 2 and ix.top[0] == 0 and len(left[0]) == 2
@@ -144,7 +144,7 @@ def test_index_abab_entry(abab):
     # with B nearer that boundary and C farther
     ix = build_index1(validate_slp1(Slp1([(1, 4), (2, 3), 0, 1, (1, 1)], 2, 0)), 2)
     left, _ = ix.tables
-    assert ix.height[0] == 3 and left[0][1 * 2 + 1] == (1, 2, 3)
+    assert ix.grammar._height[0] == 3 and left[0][1 * 2 + 1] == (1, 2, 3)
 
 
 def test_index_entry_count_bound():

@@ -147,7 +147,7 @@ def test_index_1x1_text():
 def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
     nw = ix.tables[0]
-    assert ix.height == [2, 1, 1, 0, 0, 0, 0]
+    assert ix.grammar._height == [2, 1, 1, 0, 0, 0, 0]
     # variable 0, levels (0, 0), block (1, 0): S is higher than FINISH2 * (0 + 0),
     # so the slot is the step to the literal 5 at offset (0, 0)
     assert nw[0][(0 * 2 + 1) * ix.width[0] + 0 * 2 + 0] == (0, 0, 5, None, 0)
@@ -165,7 +165,7 @@ def test_index_2x2_nw_entry(grid22):
                             Horiz(6, 7), Vert(8, 9), Vert(10, 11), 0, 1, 2, 3], 4, 0))
     ix = build_index2(g, 2)
     nw, w = ix.tables[0][0], ix.width[0]
-    assert ix.height[0] == 7 and FINISH2 * 1 < 7 <= FINISH2 * 2 and ix.mark[0] == 2
+    assert ix.grammar._height[0] == 7 and FINISH2 * 1 < 7 <= FINISH2 * 2 and ix.mark[0] == 2
     assert w == 4 and len(nw) == 3 * w
     assert nw[(0 * 2 + 0) * w + 1 * 2 + 0] == (0, 1, 8, 9, 0)
     assert nw[(0 * 2 + 0) * w + 1 * 2 + 1] == (0, 1, 8, 9, 0)

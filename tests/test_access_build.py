@@ -8,9 +8,10 @@ wholly inside the child on its aligned side and the child stores that
 level, descending for the other blocks. These properties check every
 stored slot against the step resolved from the reference
 ``hook_offset1``/``hook_offset2`` of its window, the stored levels against
-the finish rule, the slot and entry counts against the number of windows,
-that the only empty slots are the 2D ones past the finish staircase, that
-equal steps are stored as one object, the fast and the traced access
+the finish rule, the slot and entry counts against the number of windows
+(and the counts as cheap to take where a build would not be), that the
+only empty slots are the 2D ones past the finish staircase, that equal
+steps are stored as one object, the fast and the traced access
 against the expansion and against the library's root-to-leaf descent from
 every side or corner, and that the checked steps refuse a corrupt step, on
 random SLPs, left and right combs (deep, mostly copied on one side and
@@ -29,6 +30,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -181,7 +184,7 @@ def test_build1_stores_every_window_hook(g, tau):
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
     height = heights(g)
-    assert ix.height == height
+    assert ix.grammar._height == height
     T = ix.tau
     left, right = ix.tables
     ids = reachable(g)
@@ -217,7 +220,7 @@ def test_build2_stores_every_window_hook(g, tau):
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
     height = heights(g)
-    assert ix.height == height
+    assert ix.grammar._height == height
     ids = reachable(g)
     defined = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
@@ -322,6 +325,25 @@ def test_builds_and_slot_counts_refuse_a_float_tau():
                         (build_index2, g2), (table_slots2, g2)):
             with pytest.raises(PreconditionViolated):
                 call(g, tau)
+
+
+def test_slot_counts_come_back_fast_where_the_builds_would_not():
+    """The builds allocate table_slots*(g, tau) slots and check no bound, so
+    the caller checks the count first; counting stays cheap where building
+    would not. The indexes are never built here."""
+    fib = validate_slp1(Slp1([0, 1] + [(i - 1, i - 2) for i in range(2, 41)], 2, 40))
+    assert len(fib.rules) == 41 and fib._lens[fib.start] == 165_580_141
+    gen2 = random_slp2(7, 200, 4, 2**20)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        counts = (table_slots1(fib, 2**27), table_slots2(gen2, 2136), table_slots2(gen2, 8))
+        took = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (804_264_046, 19_250_936, 36_488)
+    assert took < 1.0 and peak < 1 << 20
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,7 +591,8 @@ def test_move_records_drive_every_walk(g, tau, data):
             b, e = window(data, m)
             hook, off = hook_offset1(g, t, b, e)
             assert exp[hook][off:off + e - b] == exp[t][b:e]
-        assert ix.top == [min(c, -(-h // FINISH) - 1) for c, h in zip(ix.cap, ix.height)]
+        assert ix.top == [min(c, -(-h // FINISH) - 1)
+                          for c, h in zip(ix.cap, ix.grammar._height)]
         return
     ix = build_index2(g, tau)
     assert ix.moves is g._moves
@@ -588,7 +611,7 @@ def test_move_records_drive_every_walk(g, tau, data):
         hook, off_r, off_c = hook_offset2(g, t, b_r, b_c, e_r, e_c)
         assert submatrix(exp[hook], off_r, off_r + e_r - b_r, off_c, off_c + e_c - b_c) == \
             submatrix(exp[t], b_r, e_r, b_c, e_c)
-    assert ix.mark == [-(-h // FINISH2) for h in ix.height]
+    assert ix.mark == [-(-h // FINISH2) for h in ix.grammar._height]
     cap_r, cap_c = ix.cap_r[start], ix.cap_c[start]
     assert ix.first == (None if cap_r + cap_c >= ix.mark[start] else (cap_r, cap_c))
 
@@ -798,7 +821,7 @@ def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
     ix = build_index1(g, tau)
     cap = ix.cap[g.start]
     assert ix.tau ** cap <= ix.n < ix.tau ** (cap + 1)
-    reads = (0, 0) if ix.height[g.start] <= FINISH * cap else (1, cap + 1)
+    reads = (0, 0) if ix.grammar._height[g.start] <= FINISH * cap else (1, cap + 1)
     log = logged(ix)
     for i, want in enumerate(expand1(g), start=1):
         del log[:]
@@ -836,9 +859,11 @@ def test_finish2_changes_the_tables_only_by_markers(g, tau):
     ix = build_index2(g, tau)
     with mock.patch.object(access2d, "FINISH2", 2):
         low = build_index2(g, tau)
-    assert ix.height == low.height and ix.cap_r == low.cap_r and ix.cap_c == low.cap_c
+    assert ix.grammar._height == low.grammar._height
+    assert ix.cap_r == low.cap_r and ix.cap_c == low.cap_c
     for t, (mark, low_mark) in enumerate(zip(ix.mark, low.mark)):
-        assert mark == -(-ix.height[t] // FINISH2) <= low_mark == -(-ix.height[t] // 2)
+        h = ix.grammar._height[t]
+        assert mark == -(-h // FINISH2) <= low_mark == -(-h // 2)
     for corner, low_corner in zip(ix.tables, low.tables):
         for t, (table, low_table) in enumerate(zip(corner, low_corner)):
             assert (table is None) == (low_table is None)
@@ -848,7 +873,7 @@ def test_finish2_changes_the_tables_only_by_markers(g, tau):
                 if p_r + p_c < ix.mark[t]:
                     assert table[row * ix.width[t] + col] == was is not None
                 elif was is not None:
-                    assert ix.height[t] <= FINISH2 * (p_r + p_c)
+                    assert ix.grammar._height[t] <= FINISH2 * (p_r + p_c)
 
 
 @settings(max_examples=30, deadline=None)

@@ -37,7 +37,6 @@ from gridgram.oracle import (
     square_lce,
 )
 from gridgram.reductions import (
-    AlphabetMap,
     OvInstance,
     alphabet_reduce,
     dump_ov,
@@ -324,7 +323,7 @@ def test_alphabet_reduce_example():
     # "acac" over a wide alphabet using codes {0, 2}
     g = validate_slp1(Slp1([(1, 1), (2, 3), 0, 2], 100, 0))
     reduced, amap = alphabet_reduce(g)
-    assert amap.codes == (0, 2)
+    assert amap == {0: 0, 2: 1} and list(amap) == [0, 2]
     assert reduced.alphabet_size == 2
     assert expand1(reduced) == [0, 1, 0, 1]
 
@@ -332,27 +331,21 @@ def test_alphabet_reduce_example():
 def test_alphabet_reduce_identity_on_dense():
     g = validate_slp1(Slp1([(1, 2), 0, 1], 2, 0))
     reduced, amap = alphabet_reduce(g)
-    assert amap.codes == (0, 1)
+    assert amap == {0: 0, 1: 1} and list(amap) == [0, 1]
     assert expand1(reduced) == expand1(g)
 
 
 def test_alphabet_reduce_prunes_unreachable():
     g = validate_slp1(Slp1([(1, 2), 3, 5, 9], 10, 0))  # literal 9 unreachable
     reduced, amap = alphabet_reduce(g)
-    assert amap.codes == (3, 5)
+    assert amap == {3: 0, 5: 1} and list(amap) == [3, 5]
     assert len(reduced.rules) == 3
-
-
-def test_alphabet_map_lookup():
-    amap = AlphabetMap((2, 5, 9))
-    assert amap.index_of(5) == 1 and amap.index_of(4) is None
-    assert amap.index_of(9) == 2 and amap.index_of(3) is None
 
 
 def test_absent_code_answers_zero_without_provider():
     boom = CountingProvider(lambda *a: 1 / 0)
-    assert rank_via_line_sum(boom, AlphabetMap((1, 3)), 5, 2) == 0
-    assert occurs_via_square_all_zero(boom, AlphabetMap((1, 3)), 0, 4, 2, 5) == 0
+    assert rank_via_line_sum(boom, {1: 0, 3: 1}, 5, 2) == 0
+    assert occurs_via_square_all_zero(boom, {1: 0, 3: 1}, 0, 4, 2, 5) == 0
     assert boom.calls == 0
 
 
@@ -582,7 +575,7 @@ def square_all_zero_adapter(e_r, e_c, l):
     (mark_char, ([0, 1], -1), "non-negative"),
     (ext_mark_all_chars, ([0, 2], 2), "text codes"),
     (mark_grammar, (validate_slp1(Slg1([(1, 2), 0, 1], 2, 0)), 1), "grammar terminals"),
-    (AlphabetMap, ((2, 2),), "strictly increasing"),
+    (rank_via_line_sum, (lambda *a: 1 / 0, {2: 0}, 1, 2.0), "must be integers"),
     (line_lce_via_equality, (lambda *a: 1 / 0, 3, 3, 1, 1, 1, 1, 0), "height must be"),
     (line_lce_via_equality, (lambda *a: 1 / 0, 3, 3, 1, 4, 1, 1, 1), "origins outside"),
     (square_all_zero_adapter, (1, 1, -1), "square side"),
@@ -594,7 +587,6 @@ def square_all_zero_adapter(e_r, e_c, l):
     (mark_all_chars, ([0, 1], 2.5), "sigma must be"),
     (mark_all_chars, ([0, 1.5], 3), "text codes"),
     (ext_mark_all_chars, ([0, 1], "x"), "sigma must be"),
-    (AlphabetMap, (("a", 1),), "non-negative ints"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_reduction_refusals_raise_range_error(fn, args, match):
     with pytest.raises(RangeError, match=match) as err:
