@@ -16,10 +16,10 @@ costs. The contracts that the functions below share:
   (None for the others), a grid of blocks W = ``width[t]`` wide; block
   (k_r, k_c) of level pair (p_r, p_c) is at
   ``(p_r * tau + k_r) * W + p_c * tau + k_c``.
-- Finish rule: a walk at levels with p_r + p_c >= ``mark[v] =
-  ceil(height(v) / FINISH2)`` descends from v instead of reading on, so v's
-  grid ends at ``min(cap, mark[v] - 1)`` on each axis (none for a literal),
-  and its slots past that staircase, p_r + p_c >= mark[v], are None.
+- Finish rule: a walk at levels with either of p_r, p_c at least ``mark[v]
+  = ceil(height(v) / FINISH2)`` descends from v instead of reading on, so v
+  stores the grid up to ``min(cap, mark[v] - 1)`` on each axis (none for a
+  literal), and every slot of it holds a step.
 - Build descents run along chains as in 1D, keyed by rows and columns: a
   node v of the x chain qualifies while the window's far corner fits in v
   (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
@@ -41,7 +41,7 @@ from .access1d import PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_lo
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
 
-FINISH2 = 6     # a walk descends from a variable with height <= FINISH2 * (p_r + p_c)
+FINISH2 = 12    # a walk descends from a variable with height <= FINISH2 * max(p_r, p_c)
 
 
 def optimal_tau2(n, epsilon=1.0):
@@ -57,8 +57,7 @@ def optimal_tau2(n, epsilon=1.0):
 def table_slots2(g, tau):
     """Slots that build_index2(g, tau) allocates for the validated 2D SLP g:
     one per block and corner of every variable reachable from the start,
-    over the levels of its grid (the finish rule); those past the finish
-    staircase stay None."""
+    over the levels of its grid (the finish rule), each holding a step."""
     g = _check_binary(Slg2._validated(g), "table_slots2")
     rows, cols = g._rows, g._cols
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
@@ -190,24 +189,22 @@ class AccessIndex2:
                                     #   None for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
-        self.mark = mark            # per variable: ceil(height / FINISH2), the level sum
-                                    #   from which a walk descends from it
+        self.mark = mark            # per variable: ceil(height / FINISH2), the level
+                                    #   from which, on either axis, a walk descends from it
         self.first = first          # the start's caps (cap_r, cap_c), the level pair of
-                                    #   the walk's first read; None when their sum
+                                    #   the walk's first read; None when either
                                     #   reaches the start's mark
         self.width = width          # per reachable variable: its lists' blocks per row, W
         self.tables = tables        # [corner][t][(p_r*tau+k_r)*width[t] + p_c*tau+k_c]
                                     #   -> (axis, s, near, far, shift), one slot per
-                                    #   block, None past the finish staircase;
-                                    #   [corner][t] is None for a variable unreachable
-                                    #   from the start
+                                    #   block; [corner][t] is None for a variable
+                                    #   unreachable from the start
         self.n_rows = self.rows[grammar.start]
         self.n_cols = self.cols[grammar.start]
 
     def entry_count(self):
-        """Allocated slots across all four corner tables: every slot holds a
-        bookmark, except the ones past a variable's finish staircase, which
-        are None."""
+        """Stored bookmarks across all four corner tables (the size-bound
+        quantity): every slot holds one."""
         return sum(len(table) for corner in self.tables for table in corner
                    if table is not None)
 
@@ -229,11 +226,11 @@ def _windows(m, pows, tau):
 
 def build_index2(g, tau):
     """Populate every corner step of the variables reachable from the
-    start, at the level pairs below each variable's mark (the finish rule):
-    a block wholly inside the child on the corner's side of the split is
-    the child's block and copies its step where the child stores that pair;
-    every other block's step is found by descent. The caller bounds tau:
-    table_slots2(g, tau) gives the slot count to check before building."""
+    start, at the level pairs with both levels below each variable's mark
+    (the finish rule): a block wholly inside the child on the corner's side
+    of the split is the child's block and copies its step where the child
+    stores that pair; every other block's step is found by descent. The
+    caller bounds tau: table_slots2(g, tau) gives the slot count to check."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves, reach, height = g._rows, g._cols, g._moves, g._reach, g._height
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
@@ -261,7 +258,7 @@ def build_index2(g, tau):
         for p_r in range(tr + 1):
             tpr = pows[p_r]
             blocks_r = len(win_r[p_r][0])
-            for p_c in range(min(tc, mark[i] - 1 - p_r) + 1):
+            for p_c in range(tc + 1):
                 tpc = pows[p_c]
                 blocks_c = len(win_c[p_c][0])
                 base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
@@ -277,7 +274,7 @@ def build_index2(g, tau):
                     else:
                         src = y if corner & 1 else x
                         cut_r, cut_c = blocks_r, min(cols[src] // tpc, blocks_c)
-                    if p_r + p_c >= mark[src]:
+                    if max(p_r, p_c) >= mark[src]:
                         cut_r = cut_c = 0
                     child, stride = tables[corner][src], width[src]
                     start = p_r * tau * stride + p_c * tau
@@ -295,7 +292,7 @@ def build_index2(g, tau):
                                                i, b_r, b_c, e_r, e_c, corner, chains)
                             table[k_c] = share(step, step)
     first = cap_r[g.start], cap_c[g.start]
-    if sum(first) >= mark[g.start]:
+    if max(first) >= mark[g.start]:
         first = None
     return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, mark, first, width, tables)
 
@@ -320,10 +317,9 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     child keeps both sides, and the other axis moves by the stored shift.
     A level above the variable's cap on its axis reads at the cap, whose
     blocks are no larger, so the step still contracts within tau**p. A
-    level pair the variable does not store, p_r + p_c at or past its mark
-    at the capped levels, is resolved into the real step by the plain
-    descent, and a stored literal step must equal the step the same descent
-    gives.
+    level pair the variable does not store, either capped level at or past
+    its mark, is resolved into the real step by the plain descent, and a
+    stored literal step must equal the step the same descent gives.
     """
     m_r, m_c = (ix.rows[t], ix.cols[t]) if isinstance(t, int) and 0 <= t < len(ix.rows) \
         else (0, 0)
@@ -349,7 +345,7 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
     tau = ix.tau
-    stored = p_r + p_c < ix.mark[t]
+    stored = max(p_r, p_c) < ix.mark[t]
     step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c] if stored else None
     if step is None or step[3] is None:
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
@@ -429,16 +425,16 @@ def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based).
 
     The same walk as access2_traced in one loop with no per-step checks,
-    one table read per step while the level sum is below the variable's
+    one table read per step while both levels are below the variable's
     mark: until a literal step, which returns its code, or a variable low
     enough for the levels, from which the walk descends with the full
-    deltas, inline; a literal's mark is 0. A start whose caps reach its
-    mark is descended from at once, without a read: the index's first step
-    is None. With L = floor(log_tau rows) + floor(log_tau cols), it makes
-    at most L + 1 reads plus FINISH2 * L moves. Reads and moves use the
-    index's tables and the grammar's move records. A step that lowers
-    neither level, which only a corrupt table holds, raises
-    PreconditionViolated.
+    deltas, inline; a literal's mark is 0. A start one of whose caps
+    reaches its mark is descended from at once, without a read: the
+    index's first step is None. With L = floor(log_tau rows) +
+    floor(log_tau cols), it makes at most L + 1 reads plus FINISH2 times
+    the larger of L's two terms in moves, over the index's tables and the
+    grammar's move records. A step that lowers neither level, which only a
+    corrupt table holds, raises PreconditionViolated.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
@@ -451,7 +447,7 @@ def access2(ix, i, j):
             ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width, ix.mark
         d_r, d_c, c = i, j, 0
         w = width[t]                # blocks per row in t's lists
-        while p_r + p_c < mark[t]:
+        while p_r < mark[t] > p_c:
             tpr, tpc = pows[p_r], pows[p_c]
             k_r = (d_r - 1) // tpr
             k_c = (d_c - 1) // tpc

@@ -183,33 +183,37 @@ def mark_char(t, a):
 
 
 def mark_all_chars(t, sigma):
-    """The sigma x n matrix stacking mark_char rows for c = 0..sigma-1."""
+    """The sigma x n matrix stacking mark_char rows for c = 0..sigma-1.
+
+    sigma is not capped here, so the caller bounds sigma x n."""
     _check_sigma(sigma)
-    n = len(t)
-    if n < 1:
+    if len(t) < 1:
         raise RangeError("text must be nonempty")
-    if any(not (isinstance(v, int) and 0 <= v < sigma) for v in t):
-        raise RangeError(f"text codes must lie in [0, {sigma})")
-    flat = []
-    for c in range(sigma):
-        flat.extend(1 if v == c else 0 for v in t)
-    return Matrix2D(sigma, n, flat)
+    return _marking_matrix(t, sigma, 0)
 
 
 def ext_mark_all_chars(t, sigma):
-    """The n*sigma x n matrix interleaving each mark row with n-1 zero rows."""
+    """The n*sigma x n matrix interleaving each mark row with n-1 zero rows.
+
+    sigma is not capped here, so the caller bounds sigma x n."""
     _check_sigma(sigma)
-    n = len(t)
-    if n < 2:
+    if len(t) < 2:
         raise ExtRequiresLengthTwo("extended marking needs a text of length >= 2")
+    return _marking_matrix(t, sigma, len(t) - 1)
+
+
+def _marking_matrix(t, sigma, gap):
+    """The mark_char rows of t for c = 0..sigma-1, each followed by ``gap``
+    zero rows."""
     if any(not (isinstance(v, int) and 0 <= v < sigma) for v in t):
         raise RangeError(f"text codes must lie in [0, {sigma})")
+    n = len(t)
     flat = []
-    zeros = [0] * ((n - 1) * n)
+    zeros = [0] * (gap * n)
     for c in range(sigma):
         flat.extend(1 if v == c else 0 for v in t)
         flat.extend(zeros)
-    return Matrix2D(n * sigma, n, flat)
+    return Matrix2D(sigma * (gap + 1), n, flat)
 
 
 def _check_sigma(sigma):

@@ -148,28 +148,31 @@ def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
     nw = ix.tables[0]
     assert ix.grammar._height == [2, 1, 1, 0, 0, 0, 0]
-    # variable 0, levels (0, 0), block (1, 0): S is higher than FINISH2 * (0 + 0),
+    # variable 0, levels (0, 0), block (1, 0): S is higher than FINISH2 * 0,
     # so the slot is the step to the literal 5 at offset (0, 0)
     assert nw[0][(0 * 2 + 1) * ix.width[0] + 0 * 2 + 0] == (0, 0, 5, None, 0)
     # S is at most FINISH2 * 1 high, so it stores levels (0, 0) only, not
     # (1, 0) or (0, 1): a grid of 2 x 2 blocks
     assert ix.mark[0] == 1 and ix.width[0] == 2 and len(nw[0]) == 2 * 2
-    # T_5, with T_k -> Vert(S, T_k-1) and T_0 = S (id 5, 2x2): id 0, 2x12,
-    # height 7, so its mark is 2 and its grid ends at levels (1, 1), 3 x 4
-    # blocks, with the pair (1, 1) past the finish staircase. Levels (0, 1),
-    # block (0, 0), the window (0..1] x (0..2], lies in T's first S, which
-    # does not store the pair: hook 6 (the top row, a b, of that S), so the
-    # columns split 1 in from the left, with a nearer and b farther. Block
-    # (0, 1), the window (0..1] x (2..4], leaves that S: hook 6 of T_4's S
-    g = validate_slp2(Slp2([Vert(5, 1), Vert(5, 2), Vert(5, 3), Vert(5, 4), Vert(5, 5),
-                            Horiz(6, 7), Vert(8, 9), Vert(10, 11), 0, 1, 2, 3], 4, 0))
+    # T_11, with T_k -> Vert(S, T_k-1) and T_0 = S (id 11, 2x2): id 0, 2x24,
+    # height 13, so its mark is 2 and its grid ends at levels (1, 1), 3 x 4
+    # blocks, every one holding a step. Levels (0, 1), block (0, 0), the
+    # window (0..1] x (0..2], lies in T's first S, which does not store the
+    # pair: hook 12 (the top row, a b, of that S), so the columns split 1 in
+    # from the left, with a nearer and b farther. Block (0, 1), the window
+    # (0..1] x (2..4], leaves that S: hook 12 of T_10's S. Levels (1, 1),
+    # block (0, 0), is that whole S, whose rows split 1 from the top
+    n = 11
+    g = validate_slp2(Slp2([Vert(n, k + 1) for k in range(n - 1)]
+                           + [Vert(n, n), Horiz(n + 1, n + 2), Vert(n + 3, n + 4),
+                              Vert(n + 5, n + 6), 0, 1, 2, 3], 4, 0))
     ix = build_index2(g, 2)
     nw, w = ix.tables[0][0], ix.width[0]
-    assert ix.grammar._height[0] == 7 and FINISH2 * 1 < 7 <= FINISH2 * 2 and ix.mark[0] == 2
-    assert w == 4 and len(nw) == 3 * w
-    assert nw[(0 * 2 + 0) * w + 1 * 2 + 0] == (0, 1, 8, 9, 0)
-    assert nw[(0 * 2 + 0) * w + 1 * 2 + 1] == (0, 1, 8, 9, 0)
-    assert nw[(1 * 2 + 0) * w + 1 * 2 + 0] is None
+    assert ix.grammar._height[0] == 13 and FINISH2 * 1 < 13 <= FINISH2 * 2 and ix.mark[0] == 2
+    assert w == 4 and len(nw) == 3 * w and None not in nw
+    assert nw[(0 * 2 + 0) * w + 1 * 2 + 0] == (0, 1, n + 3, n + 4, 0)
+    assert nw[(0 * 2 + 0) * w + 1 * 2 + 1] == (0, 1, n + 3, n + 4, 0)
+    assert nw[(1 * 2 + 0) * w + 1 * 2 + 0] == (1, 1, n + 1, n + 2, 0)
 
 
 def test_index_entry_count_bound_random():

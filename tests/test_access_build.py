@@ -2,15 +2,15 @@
 
 The build stores every bookmark resolved into the step a query takes, for
 the variables reachable from the start, at the levels each variable stores:
-up to its cap and below the level (level sum in 2D) at which a walk
+up to its cap and below the level (on each axis in 2D) at which a walk
 descends from it instead. It copies a child's slot wherever a block lies
 wholly inside the child on its aligned side and the child stores that
 level, descending for the other blocks. These properties check every
 stored slot against the step resolved from the reference
 ``hook_offset1``/``hook_offset2`` of its window, the stored levels against
 the finish rule, the slot and entry counts against the number of windows
-(and the counts as cheap to take where a build would not be), that the
-only empty slots are the 2D ones past the finish staircase, that equal
+(and the counts as cheap to take where a build would not be), that no
+slot is empty, in 1D or in 2D, that equal
 steps are stored as one object, the fast and the traced access
 against the expansion and against the library's root-to-leaf descent from
 every side or corner, and that the checked steps refuse a corrupt step, on
@@ -212,10 +212,10 @@ def test_build1_stores_every_window_hook(g, tau):
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(longest=70), tau=FINISH_TAUS)
 def test_build2_stores_every_window_hook(g, tau):
-    """Every slot of a level pair with p_r + p_c below ceil(height /
+    """Every slot of a level pair with both levels below ceil(height /
     FINISH2) holds its block's hook step, as the plain walk finds it; a
-    variable's grid ends at min(cap, that bound - 1) on each axis, and its
-    slots past the finish staircase inside that grid are None."""
+    variable's grid ends at min(cap, that bound - 1) on each axis, every
+    pair of that grid is stored, and no slot is None."""
     ix = build_index2(g, tau)
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
@@ -242,17 +242,15 @@ def test_build2_stores_every_window_hook(g, tau):
                     for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], T):
                         slot = (p_r * T + k_r) * W + p_c * T + k_c
                         for corner in range(4):
-                            got = ix.tables[corner][i][slot]
-                            if p_r + p_c >= mark:
-                                assert got is None
-                                continue
                             defined += 1
                             rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
                             cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-                            assert got == step2(g, i, corner, rb, cb, re, ce)
+                            assert ix.tables[corner][i][slot] == \
+                                step2(g, i, corner, rb, cb, re, ce)
     lists = [table for corner in ix.tables for table in corner if table is not None]
-    assert sum(v is not None for table in lists for v in table) == defined
-    assert table_slots2(g, tau) == sum(len(table) for table in lists) == ix.entry_count()
+    assert all(None not in table for table in lists)
+    assert table_slots2(g, tau) == sum(len(table) for table in lists) == ix.entry_count() \
+        == defined
 
 
 def stored(ix):
@@ -342,7 +340,7 @@ def test_slot_counts_come_back_fast_where_the_builds_would_not():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts == (804_264_046, 19_250_936, 36_488)
+    assert counts == (804_264_046, 19_250_936, 21_880)
     assert took < 1.0 and peak < 1 << 20
 
 
@@ -527,7 +525,7 @@ def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
     stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
     assert len(comb.rules) == 2000
     # one slot per block; a full tau x tau grid per level pair would take 410,624
-    assert table_slots2(stair, 8) == 186_124
+    assert table_slots2(stair, 8) == 186_036
     for build, g in ((build_index1, comb), (build_index2, stair)):
         with plain_builds():
             plain = build(g, 8)
@@ -564,7 +562,8 @@ def test_move_records_drive_every_walk(g, tau, data):
     walk that reads the records answers as the expansion; the 1D index's
     top level per variable is min(cap, ceil(height / FINISH) - 1), the 2D
     index's mark ceil(height / FINISH2), and its first step is None exactly
-    when the start's caps reach its mark, and the start's caps otherwise."""
+    when either of the start's caps reaches its mark, and the start's caps
+    otherwise."""
     one = isinstance(g, Slg1)
     for v, (kid, move) in enumerate(zip(g._kids, g._moves, strict=True)):
         if kid is None:
@@ -613,7 +612,7 @@ def test_move_records_drive_every_walk(g, tau, data):
             submatrix(exp[t], b_r, e_r, b_c, e_c)
     assert ix.mark == [-(-h // FINISH2) for h in ix.grammar._height]
     cap_r, cap_c = ix.cap_r[start], ix.cap_c[start]
-    assert ix.first == (None if cap_r + cap_c >= ix.mark[start] else (cap_r, cap_c))
+    assert ix.first == (None if max(cap_r, cap_c) >= ix.mark[start] else (cap_r, cap_c))
 
 
 @settings(max_examples=30, deadline=None)
@@ -664,7 +663,7 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
 
 def test_access2_traced_never_answers_wrong_on_a_swapped_step():
     """The 2D case, on a 40-step staircase, deep enough at tau 2 that the
-    start's own steps are read (height 80 > FINISH2 * (5 + 5)): the swapped
+    start's own steps are read (height 80 > FINISH2 * max(5, 5)): the swapped
     one sends 24 of the 1681 cells to a wrong code through every per-step
     check."""
     rng = random.Random(0)
@@ -720,13 +719,13 @@ def test_corner_map_refuses_a_wrong_literal_step():
 
 # -- the finish: no slot where descent is cheaper than reading on ------------
 
-def is_marker1(ix, step):
+def one_child_step_to_a_pair1(ix, step):
     """Whether a 1D slot is shaped (0, v, None) for a pair v, not a literal
     step."""
     return step[2] is None and ix.moves[step[1]] is not None
 
 
-def is_marker2(ix, step):
+def one_child_step_to_a_pair2(ix, step):
     """Whether a 2D slot is shaped (0, 0, v, None, 0) for a pair v, not a
     literal step."""
     return step[3] is None and ix.moves[step[2]] is not None
@@ -791,20 +790,21 @@ def low2(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS)
-def test_finish1_is_exact_and_markers_are_low(g, tau):
+def test_finish1_is_exact_and_only_literal_steps_lack_a_far_child(g, tau):
     """Both walks answer as the expansion at every tau of the finish sweep,
-    and no slot is a pair's finish marker: a finish is never stored."""
+    and every slot without a far child is a literal step: a finish is never
+    stored."""
     ix = build_index1(g, tau)
     for i, want in enumerate(expand1(g), start=1):
         assert access1(ix, i) == want and access1_traced(ix, i) == (want, ix.levels + 1)
-    assert not any(is_marker1(ix, v) for v in stored(ix))
+    assert not any(one_child_step_to_a_pair1(ix, v) for v in stored(ix))
 
 
 @settings(max_examples=30, deadline=None)
 @given(g=low1(), tau=FINISH_TAUS)
 def test_finish1_at_height_two_reads_no_slot(g, tau):
     """The start, at most 2 high and at least 2 long, is low enough for its
-    own top slot to be a marker, so the walk descends from it at once."""
+    own cap, so the walk descends from it at once, without a read."""
     ix = build_index1(g, tau)
     log = logged(ix)
     for i, want in enumerate(expand1(g), start=1):
@@ -830,10 +830,11 @@ def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS)
-def test_finish2_is_exact_and_markers_are_low(g, tau):
+def test_finish2_is_exact_and_stores_steps_only_below_the_mark(g, tau):
     """Both walks answer as the expansion at every tau of the finish sweep,
-    no slot is a pair's finish marker, and no slot is stored at a level pair
-    whose sum reaches its variable's mark: a finish is never stored."""
+    every slot holds a step, every slot without a far child is a literal
+    step, and every slot lies at a level pair whose two levels are both
+    below its variable's mark: a finish is never stored."""
     ix = build_index2(g, tau)
     m = expand2(g)
     for i in range(1, m.rows + 1):
@@ -842,11 +843,9 @@ def test_finish2_is_exact_and_markers_are_low(g, tau):
     for corner in ix.tables:
         for t, table in enumerate(corner):
             for at, v in enumerate(table or ()):
-                if v is None:
-                    continue
-                assert not is_marker2(ix, v)
+                assert v is not None and not one_child_step_to_a_pair2(ix, v)
                 row, col = divmod(at, ix.width[t])
-                assert row // ix.tau + col // ix.tau < ix.mark[t]
+                assert row // ix.tau < ix.mark[t] > col // ix.tau
 
 
 @settings(max_examples=40, deadline=None)
@@ -854,8 +853,8 @@ def test_finish2_is_exact_and_markers_are_low(g, tau):
 def test_finish2_changes_the_tables_only_by_markers(g, tau):
     """Against a build with FINISH2 = FINISH = 2, every slot the FINISH2 rule
     stores is the same step, and every slot only the low build stores is at
-    a level pair the FINISH2 rule finishes at: where the old layout held a
-    marker, the tables now differ only by the slots left out."""
+    a level pair the FINISH2 rule finishes at: the tables differ only by the
+    slots the higher factor leaves out."""
     ix = build_index2(g, tau)
     with mock.patch.object(access2d, "FINISH2", 2):
         low = build_index2(g, tau)
@@ -870,17 +869,18 @@ def test_finish2_changes_the_tables_only_by_markers(g, tau):
             for at, was in enumerate(low_table or ()):
                 row, col = divmod(at, low.width[t])
                 p_r, p_c = row // ix.tau, col // ix.tau
-                if p_r + p_c < ix.mark[t]:
-                    assert table[row * ix.width[t] + col] == was is not None
-                elif was is not None:
-                    assert ix.grammar._height[t] <= FINISH2 * (p_r + p_c)
+                assert was is not None
+                if p_r < ix.mark[t] > p_c:
+                    assert table[row * ix.width[t] + col] == was
+                else:
+                    assert ix.grammar._height[t] <= FINISH2 * max(p_r, p_c)
 
 
 @settings(max_examples=30, deadline=None)
 @given(g=low2(), tau=FINISH_TAUS)
 def test_finish2_at_height_two_reads_no_slot(g, tau):
     """The start, at most 2 high and at least 2 cells, is low enough for
-    its own top slots to be markers, so the walk descends from it at once."""
+    its own caps, so the walk descends from it at once, without a read."""
     ix = build_index2(g, tau)
     log = logged(ix)
     m = expand2(g)
@@ -915,30 +915,31 @@ def block_comb2(blocks):
 def finishes():
     """(grammar, tau) pairs, per dimension, for the three ways a fast walk
     finishes: ``start``, the start is low enough to be descended from at
-    once; ``marker``, every walk reads and then reaches a variable that
-    stores no slot at its next level, and descends from there; ``literal``,
-    every walk ends at a literal step."""
+    once; ``read-then-descend``, every walk reads and then reaches a
+    variable that stores no slot at its next levels, and descends from
+    there; ``literal``, every walk ends at a literal step."""
     rng = random.Random(5)
     return {
         "start": ((distinct_codes(random_slp1(11, 20, 3, 100)), 2),
                   (staircase2([rng.randrange(4) for _ in range(22)], 10), 2)),
-        "marker": ((distinct_codes(random_slp1(34, 20, 3, 100)), 2), (block_comb2(64), 2)),
+        "read-then-descend": ((distinct_codes(random_slp1(34, 20, 3, 100)), 2),
+                              (block_comb2(128), 2)),
         "literal": ((distinct_codes(random_slp1(0, 20, 3, 100)), 8),
-                    (distinct_codes(random_slp2(34, 30, 3, 300)), 8)),
+                    (distinct_codes(random_slp2(142, 30, 3, 300)), 8)),
     }
 
 
 def walk_ends(log, far_at):
     """How the walk that filled ``log`` finished: 'start', with no read;
-    'literal', at a literal step; 'marker', at a real step into a variable
-    that stores no slot at the walk's next level (a literal stores none),
-    from which it descends. ``far_at`` indexes a step's far child."""
+    'literal', at a literal step; 'read-then-descend', at a real step into a
+    variable that stores no slot at the walk's next levels (a literal stores
+    none), from which it descends. ``far_at`` indexes a step's far child."""
     if not log:
         return "start"
-    return "literal" if log[-1][far_at] is None else "marker"
+    return "literal" if log[-1][far_at] is None else "read-then-descend"
 
 
-@pytest.mark.parametrize("kind", ["start", "marker", "literal"])
+@pytest.mark.parametrize("kind", ["start", "read-then-descend", "literal"])
 def test_access_equals_descent_however_the_walk_finishes(kind):
     (g1, tau1), (g2, tau2) = finishes()[kind]
     ix = build_index1(g1, tau1)
@@ -983,16 +984,16 @@ def real_slots(ix, far_at):
     ``far_at`` indexes a step's far child."""
     return [(side, t, at) for side, lists in enumerate(ix.tables)
             for t, table in enumerate(lists) for at, v in enumerate(table or ())
-            if v is not None and v[far_at] is not None]
+            if v[far_at] is not None]
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS, data=st.data())
-def test_side_map_refuses_a_corrupt_marker(g, tau, data):
-    """A stored real step overwritten with a marker's shape (0, v, None), for
-    the slot's own variable, any other or no variable, or with None, is
-    refused: a stored step of that shape must be the literal step the plain
-    descent gives, and a block of two or more positions has none."""
+def test_side_map_refuses_a_real_step_in_literal_shape(g, tau, data):
+    """A stored real step overwritten with a literal step's shape (0, v,
+    None), for the slot's own variable, any other or no variable, or with
+    None, is refused: a stored step of that shape must be the literal step
+    the plain descent gives, and a block of two or more positions has none."""
     ix = build_index1(g, tau)
     slots = real_slots(ix, 2)
     if not slots:
@@ -1007,9 +1008,9 @@ def test_side_map_refuses_a_corrupt_marker(g, tau, data):
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS, data=st.data())
-def test_corner_map_refuses_a_corrupt_marker(g, tau, data):
+def test_corner_map_refuses_a_real_step_in_literal_shape(g, tau, data):
     """The 2D case: a stored real step overwritten with (0, 0, v, None, 0)
-    or with None, the value of a slot past the finish staircase."""
+    or with None, which no slot holds."""
     ix = build_index2(g, tau)
     slots = real_slots(ix, 3)
     if not slots:
@@ -1056,7 +1057,7 @@ def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
     for corner in range(4):
         for t, table in enumerate(ix.tables[corner]):
             for at, step in enumerate(table or ()):
-                if step is None or step[3] is None or step[0] != axis:
+                if step[3] is None or step[0] != axis:
                     continue
                 row, col = divmod(at, ix.width[t])
                 (p_r, k_r), (p_c, k_c) = divmod(row, T), divmod(col, T)
@@ -1101,13 +1102,13 @@ try:
 except PreconditionViolated:
     print("1D raised")
 
-# a comb of 64 rows, 63 high, so it stores its caps, levels (6, 0); tau 2
-g2 = validate_slp2(Slp2([Horiz(63, i + 1) for i in range(62)] + [Horiz(63, 64), 0, 1],
+# a comb of 128 rows, 127 high, so it stores its caps, levels (7, 0); tau 2
+g2 = validate_slp2(Slp2([Horiz(127, i + 1) for i in range(126)] + [Horiz(127, 128), 0, 1],
                         2, 0))
 ix2 = build_index2(g2, 2)
 corner, t, p_r, p_c, d_r, d_c = first_step(access2d, "corner_map",
                                            lambda: access2_traced(ix2, 3, 1))
-assert (p_r, p_c) == ix2.first == (6, 0)
+assert (p_r, p_c) == ix2.first == (7, 0)
 k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
 ix2.tables[corner][t][(p_r * 2 + k_r) * ix2.width[t] + p_c * 2 + k_c] = \
     (1, ix2.pows[p_r], 1, 1, 0)
@@ -1149,7 +1150,7 @@ except PreconditionViolated as e:
 
 
 def test_access2_raises_on_a_step_that_lowers_no_level():
-    """The fast 2D walk loops while the level sum is below the variable's
+    """The fast 2D walk loops while both levels are below the variable's
     mark; a corrupt step that lowers neither level raises instead of
     looping forever (the subprocess is killed if it hangs)."""
     tests = str(Path(__file__).resolve().parent)
@@ -1160,3 +1161,18 @@ def test_access2_raises_on_a_step_that_lowers_no_level():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: walk to (40,40)")
     assert "lowers neither level" in out.stdout
+
+
+def test_access1_refuses_a_walk_that_ends_off_a_literal():
+    """The fast 1D walk reads one level per step down to level 0; a corrupt
+    level-0 step that sends it on to a pair leaves it off a literal with no
+    level left, which raises. The level falls every step, so the walk runs
+    in-process: it cannot hang."""
+    # a right comb of 16 symbols, 15 high; the walk to position 5 reads
+    # variable 4's left level-0 slot 0, the literal step to 15 (code 0)
+    g = validate_slp1(Slp1([(15, i + 1) for i in range(14)] + [(15, 16), 0, 1], 2, 0))
+    ix = build_index1(g, 2)
+    assert access1(ix, 5) == 0 and ix.tables[0][4][0] == (0, 15, None)
+    ix.tables[0][4][0] = (0, 15, 1)     # its far child, variable 1, is a pair
+    with pytest.raises(PreconditionViolated, match="walk to position 5 ended off a literal"):
+        access1(ix, 5)

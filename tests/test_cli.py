@@ -431,7 +431,7 @@ def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys
             tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
             ix = build(load(path.read_text()), tau)
             lists = [t for part in ix.tables for t in part if t is not None]
-            steps = {id(v): v for t in lists for v in t if v is not None}
+            steps = {id(v): v for t in lists for v in t}
             assert entries == ix.entry_count() and len(steps) < entries
             assert nbytes == 8 * sum(map(len, lists)) + sum(map(sys.getsizeof, steps.values()))
 

@@ -49,10 +49,14 @@ def test_readme_citations_name_text_in_readme():
 
 
 def test_readme_states_the_finish_constants():
-    """README gives each finish factor the value the code has, so that
-    retuning one cannot leave the text stale."""
+    """README gives each finish factor the value the code has, and each
+    finish rule the form the code tests (the level in 1D, the higher of the
+    two levels in 2D), so that retuning either cannot leave the text stale."""
     text = " ".join(README.read_text(encoding="utf-8").split())
     for name, value in (("access1d.FINISH", access1d.FINISH),
                         ("access2d.FINISH2", access2d.FINISH2)):
         stated = re.findall(rf"`{re.escape(name)}` = (\d+)", text)
         assert stated and all(int(v) == value for v in stated), (name, value, stated)
+    for factor, levels in (("FINISH", "p"), ("FINISH2", "max(p_r, p_c)")):
+        stated = re.findall(rf"`height\(v\) <= {factor} \* ([^`]*)`", text)
+        assert stated and all(v == levels for v in stated), (factor, levels, stated)
