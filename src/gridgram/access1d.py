@@ -14,6 +14,11 @@ costs. The contracts that the functions below share:
   from v instead of reading on, so v stores only the levels up to
   ``top[v] = min(cap[v], ceil(height(v) / FINISH) - 1)``, none for a
   literal (top -1).
+- Copy rule: the build fills a variable's tables after its children's and
+  copies, without descending, the blocks that ``_copied`` gives a child:
+  those lying wholly inside the near child, and, where the split falls at
+  a multiple of the block size, those inside the far child, wherever the
+  child stores the level.
 - A build descent that made RUN moves in a row toward one child runs along
   that child's chain (``_chains``, ``_run1``). Whether the plain walk would
   move on to a node v of the chain is monotone along it, as lengths shrink
@@ -285,13 +290,32 @@ class AccessIndex1:
                 f"levels={self.levels}, entries={self.entry_count()})")
 
 
+def _copied(a, tp, blocks, near, far):
+    """The copy rule: which of a variable's blocks along its split axis, at
+    a level of tp cells with ``blocks`` blocks counted from one end, its
+    children hold. The near child, a cells long, sits at that end; near
+    and far say whether each child stores the level (level pair).
+
+    Returns (lo, hi): blocks below lo lie wholly inside the near child and
+    are its blocks with the same index; when tp divides a, the far child's
+    grid lines up with the variable's, so blocks from hi = a // tp on are
+    the far child's blocks k - hi. The build copies those and descends for
+    the blocks from lo to hi: one straddling the split, or all of an
+    unaligned or unstored child's.
+    """
+    n = a // tp
+    if n > blocks:
+        n = blocks
+    return (n if near else 0), (n if far and a % tp == 0 else blocks)
+
+
 def build_index1(g, tau):
     """Populate every (variable, level, block) step of both tables for the
     variables reachable from the start, up to each variable's top level
-    (the finish rule): a block wholly inside the child on its side is the
-    child's block and copies its step where the child stores that level;
-    every other block's step is found by descent. The caller bounds tau:
-    table_slots1(g, tau) gives the slot count to check before building."""
+    (the finish rule), children first: a block that ``_copied`` gives a
+    child copies that child's step, and every other block's step is found
+    by descent. The caller bounds tau: table_slots1(g, tau) gives the slot
+    count to check before building."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, moves, reach, height = g._lens, g._moves, g._reach, g._height
     n = lens[g.start]
@@ -303,35 +327,37 @@ def build_index1(g, tau):
     share = {}.setdefault           # step -> its one stored copy
     chains = tuple(_chains(moves, g._topo, (lens,), side) for side in (0, 1))
 
-    left, right = [None] * len(moves), [None] * len(moves)
+    tables = ([None] * len(moves), [None] * len(moves))
     for i in reversed(g._topo):
         if not reach[i]:
             continue
         m = lens[i]
-        lt = left[i] = [None] * blocks_to_cap(m, top[i], tau)
-        rt = right[i] = [None] * len(lt)
-        for p in range(top[i] + 1):
-            tp = pows[p]
-            base = p * tau
-            blocks = -(-m // tp)            # k with k * tau**p < m
-            if blocks > tau:
-                blocks = tau
-            x, y, l = moves[i]
-            # block k's window from either boundary: (k * tp, its end clipped to m)
-            ends = [b + tp if b + tp < m else m for b in range(0, blocks * tp, tp)]
-            # left blocks inside x, right blocks inside y: the child's own step,
-            # at the same slot, where the child stores level p
-            cx = (l // tp if l // tp < blocks else blocks) if p <= top[x] else 0
-            lt[base:base + cx] = left[x][base:base + cx]
-            for k in range(cx, blocks):
-                step = _hook_core(moves, i, k * tp, ends[k], 0, chains)
-                lt[base + k] = share(step, step)
-            cy = (lens[y] // tp if lens[y] // tp < blocks else blocks) if p <= top[y] else 0
-            rt[base:base + cy] = right[y][base:base + cy]
-            for k in range(cy, blocks):
-                step = _hook_core(moves, i, m - ends[k], m - k * tp, 1, chains)
-                rt[base + k] = share(step, step)
-    return AccessIndex1(g, tau, levels, pows, cap, top, (left, right))
+        size = blocks_to_cap(m, top[i], tau)
+        own = tables[0][i], tables[1][i] = [None] * size, [None] * size
+        if moves[i] is None:
+            continue                # a literal stores no level
+        x, y, _ = moves[i]
+        for side, near, far in ((0, x, y), (1, y, x)):
+            table, kids, a = own[side], tables[side], lens[near]
+            for p in range(top[i] + 1):
+                tp = pows[p]
+                base = p * tau
+                blocks = -(-m // tp)            # k with k * tau**p < m
+                if blocks > tau:
+                    blocks = tau
+                lo, hi = _copied(a, tp, blocks, p <= top[near], p <= top[far])
+                if lo:
+                    table[base:base + lo] = kids[near][base:base + lo]
+                if hi < blocks:
+                    table[base + hi:base + blocks] = kids[far][base:base + blocks - hi]
+                for k in range(lo, hi):
+                    b = k * tp              # block k's window from the side, clipped to m
+                    e = b + tp if b + tp < m else m
+                    if side:
+                        b, e = m - e, m - b
+                    step = _hook_core(moves, i, b, e, side, chains)
+                    table[base + k] = share(step, step)
+    return AccessIndex1(g, tau, levels, pows, cap, top, tables)
 
 
 def side_map(ix, side, t, p, delta):

@@ -20,6 +20,12 @@ costs. The contracts that the functions below share:
   = ceil(height(v) / FINISH2)`` descends from v instead of reading on, so v
   stores the grid up to ``min(cap, mark[v] - 1)`` on each axis (none for a
   literal), and every slot of it holds a step.
+- The build copies by the 1D copy rule (``_copied``) along the split axis,
+  near and far taken in order from the corner: a block index it gives a
+  child there is copied at every block of the other axis, on which the
+  child has the variable's size. A child stores a level pair when each
+  level is at most min(cap, mark - 1) on its axis, so a far child shorter
+  than tau**p on the split axis stores no level p, whatever its mark.
 - Build descents run along chains as in 1D, keyed by rows and columns: a
   node v of the x chain qualifies while the window's far corner fits in v
   (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
@@ -37,7 +43,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import PLAIN, RUN, _chains, _preset, blocks_to_cap, caps, ceil_log, clamp_tau, tops
+from .access1d import (PLAIN, RUN, _chains, _copied, _preset, blocks_to_cap, caps, ceil_log,
+                       clamp_tau, tops)
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -227,10 +234,10 @@ def _windows(m, pows, tau):
 def build_index2(g, tau):
     """Populate every corner step of the variables reachable from the
     start, at the level pairs with both levels below each variable's mark
-    (the finish rule): a block wholly inside the child on the corner's side
-    of the split is the child's block and copies its step where the child
-    stores that pair; every other block's step is found by descent. The
-    caller bounds tau: table_slots2(g, tau) gives the slot count to check."""
+    (the finish rule), children first: a block that ``_copied`` gives a
+    child on the split axis copies that child's step, and every other
+    block's step is found by descent. The caller bounds tau:
+    table_slots2(g, tau) gives the slot count to check."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves, reach, height = g._rows, g._cols, g._moves, g._reach, g._height
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
@@ -255,39 +262,44 @@ def build_index2(g, tau):
         own = [[None] * size for _ in range(4)]
         for corner in range(4):
             tables[corner][i] = own[corner]
-        for p_r in range(tr + 1):
-            tpr = pows[p_r]
-            blocks_r = len(win_r[p_r][0])
-            for p_c in range(tc + 1):
-                tpc = pows[p_c]
-                blocks_c = len(win_c[p_c][0])
-                base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
-                x, y, _, horiz = moves[i]
-                for corner in range(4):
-                    table = own[corner]
-                    # the child on the split axis that shares this corner's
-                    # side: the blocks wholly inside it are its own, cut_r x
-                    # cut_c from the corner, copied where it stores the pair
+        if moves[i] is None:
+            continue                # a literal stores no level pair
+        x, y, _, horiz = moves[i]
+        for corner in range(4):
+            table, kids = own[corner], tables[corner]
+            # the children in order from the corner on the split axis
+            near, far = (y, x) if corner & (2 if horiz else 1) else (x, y)
+            a = rows[near] if horiz else cols[near]
+            for p_r in range(tr + 1):
+                wins_r = win_r[p_r][corner >> 1]
+                for p_c in range(tc + 1):
+                    wins_c = win_c[p_c][corner & 1]
+                    base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
+                    blocks = len(wins_r if horiz else wins_c)
+                    lo, hi = _copied(a, pows[p_r if horiz else p_c], blocks,
+                                     p_r <= top_r[near] and p_c <= top_c[near],
+                                     p_r <= top_r[far] and p_c <= top_c[far])
+                    # a child's first count blocks on the split axis, by every
+                    # block on the other, land from block k on the split axis
+                    for src, k, count in ((near, 0, lo), (far, hi, blocks - hi)):
+                        if count:
+                            child, stride = kids[src], width[src]
+                            start = p_r * tau * stride + p_c * tau
+                            if horiz:
+                                at, n_r, n_c = base + k * w, count, len(wins_c)
+                            else:
+                                at, n_r, n_c = base + k, len(wins_r), count
+                            for row in range(at, at + n_r * w, w):
+                                table[row:row + n_c] = child[start:start + n_c]
+                                start += stride
+                    # the blocks from lo to hi on the split axis, by descent
                     if horiz:
-                        src = y if corner & 2 else x
-                        cut_r, cut_c = min(rows[src] // tpr, blocks_r), blocks_c
+                        k_r0, k_c0, descend_r, descend_c = lo, 0, wins_r[lo:hi], wins_c
                     else:
-                        src = y if corner & 1 else x
-                        cut_r, cut_c = blocks_r, min(cols[src] // tpc, blocks_c)
-                    if max(p_r, p_c) >= mark[src]:
-                        cut_r = cut_c = 0
-                    child, stride = tables[corner][src], width[src]
-                    start = p_r * tau * stride + p_c * tau
-                    for at in range(base, base + cut_r * w, w):
-                        table[at:at + cut_c] = child[start:start + cut_c]
-                        start += stride
-                    # the other blocks, by descent: the rows past the copied
-                    # ones under a rows split, the columns past them otherwise
-                    from_r, from_c = (cut_r, 0) if horiz else (0, cut_c)
-                    col_wins = win_c[p_c][corner & 1][from_c:]
-                    for k_r, (b_r, e_r) in enumerate(win_r[p_r][corner >> 1][from_r:], from_r):
+                        k_r0, k_c0, descend_r, descend_c = 0, lo, wins_r, wins_c[lo:hi]
+                    for k_r, (b_r, e_r) in enumerate(descend_r, k_r0):
                         at = base + k_r * w
-                        for k_c, (b_c, e_c) in enumerate(col_wins, at + from_c):
+                        for k_c, (b_c, e_c) in enumerate(descend_c, at + k_c0):
                             step = _hook_core2(moves, rows, cols,
                                                i, b_r, b_c, e_r, e_c, corner, chains)
                             table[k_c] = share(step, step)

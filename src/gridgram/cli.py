@@ -244,11 +244,15 @@ def cmd_ov(args):
 
 
 def _ints(what, fields):
-    """Integer command-line fields; a non-integer one is a RangeError naming ``what``."""
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise RangeError(f"{what} must be integers, got {' '.join(fields)!r}") from None
+    """Integer command-line fields; a non-integer one is a RangeError naming
+    ``what`` and quoting that field."""
+    out = []
+    for f in fields:
+        try:
+            out.append(int(f))
+        except ValueError:
+            raise RangeError(f"{what} must be integers, got {f!r}") from None
+    return out
 
 
 def _rank_via_line_sum(g, cap, j, c):

@@ -4,8 +4,12 @@ The build stores every bookmark resolved into the step a query takes, for
 the variables reachable from the start, at the levels each variable stores:
 up to its cap and below the level (on each axis in 2D) at which a walk
 descends from it instead. It copies a child's slot wherever a block lies
-wholly inside the child on its aligned side and the child stores that
-level, descending for the other blocks. These properties check every
+wholly inside either child in line with that child's block grid and the
+child stores that level, descending for the other blocks, exactly once
+each: a counted build's descents are checked block by block against that
+rule, and the tables against a build that copies nothing, on grammars
+whose every split is aligned and on a far child shorter than the block.
+These properties check every
 stored slot against the step resolved from the reference
 ``hook_offset1``/``hook_offset2`` of its window, the stored levels against
 the finish rule, the slot and entry counts against the number of windows
@@ -32,7 +36,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -69,7 +75,7 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import FINISH, PLAIN, _chains, _hook_core, _run1, table_slots1
+from gridgram.access1d import FINISH, PLAIN, _chains, _copied, _hook_core, _run1, table_slots1
 from gridgram.access2d import FINISH2, _hook_core2, _run2, table_slots2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
 from conftest import (comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2,
@@ -530,6 +536,218 @@ def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
         with plain_builds():
             plain = build(g, 8)
         assert_same_tables(build(g, 8), plain)
+
+
+# -- child copies: the blocks a build takes from a child instead of descending --
+
+def uncovered1(ix, far_copies=True):
+    """Per block that no child copy covers, its variable, side and window
+    from the left, once. A block is copied when it lies wholly inside the
+    near child, at the side, and that child stores the level, or wholly
+    inside the far child at a multiple of the block size from the far
+    child's start, and that child stores the level; without far_copies
+    only the first."""
+    g, T = ix.grammar, ix.tau
+    want = Counter()
+    for i in reachable(g):
+        rule = g.rules[i]
+        if isinstance(rule, int):
+            continue
+        m = g._lens[i]
+        for side in (0, 1):
+            near, far = rule[::-1] if side else rule
+            a = g._lens[near]
+            for p in range(ix.top[i] + 1):
+                tp = ix.pows[p]
+                for _, b, e in blocks(m, tp, T):
+                    if e <= a and p <= ix.top[near] or far_copies and a <= b \
+                            and (b - a) % tp == 0 and p <= ix.top[far]:
+                        continue
+                    want[(i, side) + ((m - e, m - b) if side else (b, e))] += 1
+    return want
+
+
+def uncovered2(ix, far_copies=True):
+    """``uncovered1`` in 2D: per block and corner, the near and far children
+    are the split's children in order from the corner, sizes are taken on
+    the split axis, and a child stores a level pair when each level is at
+    most min(cap, mark - 1) on its axis. The window is from the NW."""
+    g, T = ix.grammar, ix.tau
+    rows, cols = g._rows, g._cols
+    top_r = [min(c, m - 1) for c, m in zip(ix.cap_r, ix.mark)]
+    top_c = [min(c, m - 1) for c, m in zip(ix.cap_c, ix.mark)]
+    want = Counter()
+    for i in reachable(g):
+        rule = g.rules[i]
+        if isinstance(rule, int):
+            continue
+        horiz = isinstance(rule, Horiz)
+        m_r, m_c = rows[i], cols[i]
+        for corner in range(4):
+            near, far = rule.children[::-1] if corner & (2 if horiz else 1) else rule.children
+            a = rows[near] if horiz else cols[near]
+            for p_r, p_c in product(range(top_r[i] + 1), range(top_c[i] + 1)):
+                tp = ix.pows[p_r if horiz else p_c]
+                stores = [p_r <= top_r[c] and p_c <= top_c[c] for c in (near, far)]
+                for (_, b_r, e_r), (_, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
+                                                            blocks(m_c, ix.pows[p_c], T)):
+                    b, e = (b_r, e_r) if horiz else (b_c, e_c)    # from the corner
+                    if e <= a and stores[0] or far_copies and a <= b \
+                            and (b - a) % tp == 0 and stores[1]:
+                        continue
+                    rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+                    cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+                    want[i, corner, rb, cb, re, ce] += 1
+    return want
+
+
+@contextmanager
+def descents():
+    """Counts every build descent made inside by its variable, side or
+    corner and window, from the left or the NW."""
+    log = Counter()
+    core1, core2 = access1d._hook_core, access2d._hook_core2
+
+    def one(moves, node, b, e, side, chains):
+        log[node, side, b, e] += 1
+        return core1(moves, node, b, e, side, chains)
+
+    def two(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner, chains):
+        log[node, corner, b_r, b_c, e_r, e_c] += 1
+        return core2(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner, chains)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(access1d, "_hook_core", one)
+        mp.setattr(access2d, "_hook_core2", two)
+        yield log
+
+
+@contextmanager
+def copy_rule(rule):
+    """Builds made inside copy the blocks ``rule`` gives, not ``_copied``'s."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(access1d, "_copied", rule)
+        mp.setattr(access2d, "_copied", rule)
+        yield
+
+
+def no_copies(a, tp, blocks, near, far):
+    return 0, blocks
+
+
+def near_copies(a, tp, blocks, near, far):
+    return _copied(a, tp, blocks, near, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars1(), tau=FINISH_TAUS)
+def test_build1_descends_once_per_block_no_child_holds(g, tau):
+    with descents() as log:
+        ix = build_index1(g, tau)
+    assert log == uncovered1(ix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grammars2(), tau=FINISH_TAUS)
+def test_build2_descends_once_per_block_no_child_holds(g, tau):
+    with descents() as log:
+        ix = build_index2(g, tau)
+    assert log == uncovered2(ix)
+
+
+def doubling1(k):
+    """X_k -> X_{k-1} X_{k-1}, down to X_1 -> a b: 2**k symbols, and every
+    split at a power of two."""
+    rules = [(j + 1, j + 1) for j in range(k - 1)] + [(k, k + 1), 0, 1]
+    return validate_slp1(Slp1(rules, 2, 0))
+
+
+def doubling2(k):
+    """Z_k -> two copies of Z_{k-1}, side by side when k is even and one
+    above the other when it is odd, down to Z_1 -> a above b: every split
+    at a power of two on its axis."""
+    rules = [(Vert if (k - j) % 2 == 0 else Horiz)(j + 1, j + 1) for j in range(k - 1)]
+    return validate_slp2(Slp2(rules + [Horiz(k, k + 1), 0, 1], 2, 0))
+
+
+@pytest.mark.parametrize("tau", [2, 4, 8, 16])
+def test_aligned_splits_copy_the_far_childs_blocks(tau):
+    """On grammars whose every split is aligned, the tables equal those of a
+    build that descends for every block, and the far child's copies take
+    over descents wherever it stores a level that holds some of the
+    variable's blocks. At tau 2 the 1D grammar has no such level: its top
+    levels sit about halfway to its caps (the finish rule), where all tau
+    blocks lie in the near half."""
+    for build, g, uncovered in ((build_index1, doubling1(20), uncovered1),
+                                (build_index2, doubling2(36), uncovered2)):
+        with descents() as log:
+            ix = build(g, tau)
+        with copy_rule(near_copies), descents() as near_log:
+            near = build(g, tau)
+        with copy_rule(no_copies), descents() as every:
+            plain = build(g, tau)
+        assert ix.tables == near.tables == plain.tables
+        assert every == Counter(every.keys()) and sum(every.values()) == plain.entry_count()
+        assert log == uncovered(ix) and near_log == uncovered(ix, far_copies=False)
+        far_copied = sum(near_log.values()) - sum(log.values())
+        assert far_copied == 0 if tau == 2 and build is build_index1 else far_copied > 0
+
+
+def short_far1():
+    """A 16-symbol right comb followed by a 12-symbol one, of height 11."""
+    rules = [0, 1]
+
+    def comb(k):
+        rules.append((0, 1))
+        for j in range(k - 2):
+            rules.append((j % 2, len(rules) - 1))
+        return len(rules) - 1
+
+    rules.append((comb(16), comb(12)))
+    return validate_slp1(Slp1(rules, 2, len(rules) - 1))
+
+
+def short_far2():
+    """An 8 x 40 column comb above a 3 x 40 one, of height 41."""
+    rules = [0, 1, Horiz(0, 1)]
+    for rule in (Horiz(2, 2), Horiz(3, 3), Horiz(0, 2)):   # 4 x 1, 8 x 1, 3 x 1
+        rules.append(rule)
+
+    def comb(column, k):
+        v = column
+        for _ in range(k - 1):
+            rules.append(Vert(column, v))
+            v = len(rules) - 1
+        return v
+
+    rules.append(Horiz(comb(4, 40), comb(5, 40)))
+    return validate_slp2(Slp2(rules, 2, len(rules) - 1))
+
+
+def test_a_far_child_shorter_than_the_block_is_descended():
+    """Each start splits at a multiple of its top block size, 16 symbols or
+    8 rows, into a far child shorter than that block but tall enough that
+    the finish rule alone would store the level: the far child has no such
+    level, so the block it holds is found by descent."""
+    g = short_far1()
+    s, (x, y) = g.start, g.rules[g.start]
+    with descents() as log:
+        ix = build_index1(g, 2)
+    p = ix.top[s]
+    assert g._lens[x] % 2 ** p == 0 and ix.cap[y] < p < -(-g._height[y] // FINISH)
+    with copy_rule(no_copies):
+        assert ix.tables == build_index1(g, 2).tables
+    assert log == uncovered1(ix)
+
+    g = short_far2()
+    s, (x, y) = g.start, g.rules[g.start].children
+    with descents() as log:
+        ix = build_index2(g, 2)
+    p_r = min(ix.cap_r[s], ix.mark[s] - 1)
+    assert g._rows[x] % 2 ** p_r == 0 and ix.cap_r[y] < p_r < ix.mark[y]
+    with copy_rule(no_copies):
+        assert ix.tables == build_index2(g, 2).tables
+    assert log == uncovered2(ix)
 
 
 # -- validated input -------------------------------------------------------------

@@ -552,6 +552,13 @@ def test_bad_query_or_bench_argument_is_one_line(argv, slp1_file, slp2_file, cap
     assert err.startswith("RangeError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tau_list, field", [("2,,3", ""), (",", ""), ("2,x", "x")])
+def test_bad_tau_list_quotes_the_field_that_failed(tau_list, field, slp1_file, capsys):
+    code, out, err = run(capsys, "bench", str(slp1_file), "--tau-list", tau_list)
+    assert code == 1 and out == ""
+    assert err == f"RangeError: --tau-list entries must be integers, got {field!r}\n"
+
+
 @pytest.mark.parametrize("kind, path", [
     ("mark", "{slg2}"), ("extmark", "{slg2}"), ("pad", "{slg1}"),
 ], ids=["mark-slg2", "extmark-slg2", "pad-slg1"])
