@@ -8,17 +8,26 @@ costs. The contracts that the functions below share:
   side, then the hook's children in that order from that side. A
   one-symbol block of a literal v holds ``(0, v, None)``, the one such shape.
 - Sides are integers, in the tables and in side_map: 0 = left, 1 = right.
-- ``tables[side][t]`` is one list per variable t reachable from the start
-  (None for the others); block k of level p <= top[t] is at ``p * tau + k``.
+- ``tables[side][t]`` is one list per variable t and side with a built
+  state (None for the others, and for every variable the start does not
+  reach), allocated whole; block k of level p <= top[t] is at
+  ``p * tau + k``. A slot of a state no walk can enter, and that no built
+  state copies from, is not built and holds None.
+- Walk rule: the build starts at the state the fast walk reads first, the
+  start's side 0 at its top level when that is its cap (none otherwise),
+  and builds each (variable, side, level) state that access1's transitions
+  reach from the steps of a built state's blocks, plus the states their
+  copies read (``_walk_build``). So every slot a fast walk reads is built,
+  and no state is built that a full build would not.
 - Finish rule: a walk at a level p with height(v) <= FINISH * p descends
   from v instead of reading on, so v stores only the levels up to
   ``top[v] = min(cap[v], ceil(height(v) / FINISH) - 1)``, none for a
   literal (top -1).
-- Copy rule: the build fills a variable's tables after its children's and
-  copies, without descending, the blocks that ``_copied`` gives a child:
-  those lying wholly inside the near child, and, where the split falls at
-  a multiple of the block size, those inside the far child, wherever the
-  child stores the level.
+- Copy rule: the build fills a state after the children's states it reads
+  and copies, without descending, the blocks that ``_copied`` gives a
+  child: those lying wholly inside the near child, and, where the split
+  falls at a multiple of the block size, those inside the far child,
+  wherever the child stores the level.
 - A build descent that made RUN moves in a row toward one child runs along
   that child's chain (``_chains``, ``_run1``). Whether the plain walk would
   move on to a node v of the chain is monotone along it, as lengths shrink
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .slg import Slg1, _check_binary, validate_slp1
@@ -114,9 +124,11 @@ def tops(cap, mark):
 
 
 def table_slots1(g, tau):
-    """Slots that build_index1(g, tau) allocates for the validated SLP g,
-    each holding a step: one per block and side of every variable reachable
-    from the start, at its levels up to its top."""
+    """The most slots build_index1(g, tau) can build for the validated SLP
+    g, the bound a caller checks before building: one per block and side
+    of every variable reachable from the start, at its levels up to its
+    top. The build fills those a walk can read, and allocates a variable's
+    list whole once it builds a state of it."""
     g = _check_binary(Slg1._validated(g), "table_slots1")
     lens = g._lens
     tau = clamp_tau(tau, lens[g.start])
@@ -277,13 +289,15 @@ class AccessIndex1:
         self.top = top                # per variable: the highest level it stores,
                                       #   min(cap, ceil(height / FINISH) - 1), -1 for none
         self.tables = tables          # [side][t][p * tau + k] -> (s, near, far), one slot
-                                      #   per block up to top[t]; None for t unreachable
+                                      #   per block up to top[t], None where not built;
+                                      #   [side][t] None for t without a built state
         self.n = self.lens[grammar.start]
 
     def entry_count(self):
         """Stored bookmarks across both tables (the size-bound quantity):
-        every slot holds one."""
-        return sum(len(table) for side in self.tables for table in side if table is not None)
+        the built slots, each holding a step."""
+        return sum(len(table) - table.count(None)
+                   for side in self.tables for table in side if table is not None)
 
     def __repr__(self):
         return (f"AccessIndex1(n={self.n}, tau={self.tau}, "
@@ -309,54 +323,142 @@ def _copied(a, tp, blocks, near, far):
     return (n if near else 0), (n if far and a % tp == 0 else blocks)
 
 
+def _walk_build(first, plan, fill, successors):
+    """Build the bookmark states a fast walk can enter from ``first``, and
+    the states their copies read, each once; none when ``first`` is None.
+
+    A state is one side or corner of a variable at one level (level pair),
+    coded as an int ``i * K + rest``, i the variable and rest its side and
+    level (corner and level pair), so the same side and level of a child c
+    is ``c * K + rest``. ``plan(state)`` gives the state's copy rule along
+    the split axis, ``(lo, hi, blocks, near, far)``: blocks below lo are
+    copied from the state ``near``, those from hi on from ``far``, the rest
+    descended (``_copied``). Before ``fill(state, cut)`` builds a state,
+    the states it copies from are built, children first, through an
+    explicit stack. ``successors(state, k0, k1)`` gives the set of states
+    the walk enters from the steps of the state's blocks k0..k1 on the
+    split axis; a copied range whose source state is itself walked is left
+    out of that scan, since its successors are the source's, and a state
+    with nothing left to scan is not scanned.
+    """
+    if first is None:
+        return
+    built = {}                      # state -> its cut
+    walked = {first}
+    work = [first]
+    waiting = {}                    # state -> its cut, while its sources are built
+    while work:
+        state = work.pop()
+        stack = [state]
+        while stack:
+            s = stack[-1]
+            if s in built:
+                stack.pop()
+                continue
+            cut = lo, hi, blocks, near, far = waiting.pop(s, None) or plan(s)
+            depth = len(stack)
+            if lo and near not in built:
+                stack.append(near)
+            if hi < blocks and far not in built:
+                stack.append(far)
+            if len(stack) > depth:
+                waiting[s] = cut
+                continue
+            stack.pop()
+            fill(s, cut)
+            built[s] = cut
+        lo, hi, blocks, near, far = built[state]
+        k0 = lo if lo and near in walked else 0
+        k1 = hi if hi < blocks and far in walked else blocks
+        if k0 < k1:
+            new = successors(state, k0, k1) - walked
+            walked |= new
+            work += new
+
+
 def build_index1(g, tau):
-    """Populate every (variable, level, block) step of both tables for the
-    variables reachable from the start, up to each variable's top level
-    (the finish rule), children first: a block that ``_copied`` gives a
-    child copies that child's step, and every other block's step is found
-    by descent. The caller bounds tau: table_slots1(g, tau) gives the slot
-    count to check before building."""
+    """Build the (variable, side, level) states of both tables that a fast
+    walk can enter from the start, and those their copies read: a block
+    that ``_copied`` gives a child copies that child's step, the child's
+    state built first, and every other block's step is found by descent.
+    The walk's first state is the start's left side at its top level, when
+    that is its cap; otherwise no walk reads a table and nothing is built.
+    The caller bounds tau: table_slots1(g, tau) gives the slot count the
+    tables may reach, to check before building."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
-    lens, moves, reach, height = g._lens, g._moves, g._reach, g._height
+    lens, moves = g._lens, g._moves
     n = lens[g.start]
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
     cap = caps(lens, tau)
-    top = tops(cap, [-(-h // FINISH) for h in height])
+    top = tops(cap, [-(-h // FINISH) for h in g._height])
     share = {}.setdefault           # step -> its one stored copy
     chains = tuple(_chains(moves, g._topo, (lens,), side) for side in (0, 1))
-
     tables = ([None] * len(moves), [None] * len(moves))
-    for i in reversed(g._topo):
-        if not reach[i]:
-            continue
-        m = lens[i]
-        size = blocks_to_cap(m, top[i], tau)
-        own = tables[0][i], tables[1][i] = [None] * size, [None] * size
-        if moves[i] is None:
-            continue                # a literal stores no level
+    kids = itemgetter(1, 2)
+    K = 2 * levels + 2              # state i * K + p * 2 + side
+
+    def plan(state):
+        i, rest = divmod(state, K)
+        p = rest >> 1
         x, y, _ = moves[i]
-        for side, near, far in ((0, x, y), (1, y, x)):
-            table, kids, a = own[side], tables[side], lens[near]
-            for p in range(top[i] + 1):
-                tp = pows[p]
-                base = p * tau
-                blocks = -(-m // tp)            # k with k * tau**p < m
-                if blocks > tau:
-                    blocks = tau
-                lo, hi = _copied(a, tp, blocks, p <= top[near], p <= top[far])
-                if lo:
-                    table[base:base + lo] = kids[near][base:base + lo]
-                if hi < blocks:
-                    table[base + hi:base + blocks] = kids[far][base:base + blocks - hi]
-                for k in range(lo, hi):
-                    b = k * tp              # block k's window from the side, clipped to m
-                    e = b + tp if b + tp < m else m
-                    if side:
-                        b, e = m - e, m - b
-                    step = _hook_core(moves, i, b, e, side, chains)
-                    table[base + k] = share(step, step)
+        near, far = (y, x) if rest & 1 else (x, y)
+        tp = pows[p]
+        blocks = -(-lens[i] // tp)              # k with k * tau**p < m
+        if blocks > tau:
+            blocks = tau
+        lo, hi = _copied(lens[near], tp, blocks, p <= top[near], p <= top[far])
+        return lo, hi, blocks, near * K + rest, far * K + rest
+
+    def fill(state, cut):
+        i, rest = divmod(state, K)
+        p, side = rest >> 1, rest & 1
+        lo, hi, blocks, near, far = cut
+        own, m = tables[side], lens[i]
+        table = own[i]
+        if table is None:
+            table = own[i] = [None] * blocks_to_cap(m, top[i], tau)
+        base, tp = p * tau, pows[p]
+        if lo:
+            table[base:base + lo] = own[near // K][base:base + lo]
+        if hi < blocks:
+            table[base + hi:base + blocks] = own[far // K][base:base + blocks - hi]
+        for k in range(lo, hi):
+            b = k * tp                  # block k's window from the side, clipped to m
+            e = b + tp if b + tp < m else m
+            if side:
+                b, e = m - e, m - b
+            step = _hook_core(moves, i, b, e, side, chains)
+            table[base + k] = share(step, step)
+
+    def successors(state, k0, k1):
+        # access1's rule: one level down, capped by the child's top when
+        # that is its cap; a child that stores less finishes the walk
+        i, rest = divmod(state, K)
+        p, side = rest >> 1, rest & 1
+        out = set()
+        if not p:
+            return out
+        add, q, base = out.add, p - 1, p * tau
+        flip = side ^ 1
+        for near, far in set(map(kids, tables[side][i][base + k0:base + k1])):
+            if far is None:
+                continue                # a literal step
+            t = top[near]
+            if q <= t:
+                add(near * K + q * 2 + flip)
+            elif t == cap[near]:
+                add(near * K + t * 2 + flip)
+            t = top[far]
+            if q <= t:
+                add(far * K + q * 2 + side)
+            elif t == cap[far]:
+                add(far * K + t * 2 + side)
+        return out
+
+    s = g.start
+    _walk_build(s * K + top[s] * 2 if top[s] == cap[s] else None, plan, fill, successors)
     return AccessIndex1(g, tau, levels, pows, cap, top, tables)
 
 
@@ -370,9 +472,10 @@ def side_map(ix, side, t, p, delta):
     boundary and the part in the farther one; landing in the nearer child
     flips the side. A level above the variable's cap reads at the cap, whose
     blocks are no larger, so the step still contracts within tau**p. A
-    level above the variable's top, which it does not store, is resolved
-    into the real step by the plain descent, and a stored literal step must
-    equal the step the same descent gives.
+    level above the variable's top, which it does not store, or a slot the
+    build did not build, is resolved into the real step by the plain
+    descent, and a stored literal step must equal the step the same descent
+    gives. A variable the start does not reach is refused.
     """
     m = ix.lens[t] if isinstance(t, int) and 0 <= t < len(ix.lens) else 0
     if not (isinstance(side, int) and 0 <= side <= 1) \
@@ -385,16 +488,15 @@ def side_map(ix, side, t, p, delta):
     k = (delta - 1) // tp
     b = k * tp
     w = min(m - b, tp)
-    table = ix.tables[side][t]
-    if table is None:
+    if not ix.grammar._reach[t]:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
-    stored = p <= ix.top[t]
-    step = table[p * ix.tau + k] if stored else None
+    table = ix.tables[side][t]
+    step = table[p * ix.tau + k] if table is not None and p <= ix.top[t] else None
     if step is None or step[2] is None:
         e = m - b if side else b + w       # the block's window, from the left
         real = _hook_core(ix.moves, t, e - w, e, side, PLAIN)
-        if stored and real != step:
+        if step is not None and real != step:
             raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} is "
                                        f"{step}; a stored literal step must be the step "
                                        f"descent gives, {real}")

@@ -12,16 +12,27 @@ costs. The contracts that the functions below share:
   literal v holds ``(0, 0, v, None, 0)``, the one such shape.
 - Corners are integers 0..3 (NW, NE, SW, SE), in the tables and in
   corner_map: bit 1 set means from the bottom, bit 0 set from the right.
-- ``tables[corner][t]`` is one list per variable t reachable from the start
-  (None for the others), a grid of blocks W = ``width[t]`` wide; block
+- ``tables[corner][t]`` is one list per variable t and corner with a built
+  state (None for the others, and for every variable the start does not
+  reach), allocated whole, a grid of blocks W = ``width[t]`` wide; block
   (k_r, k_c) of level pair (p_r, p_c) is at
-  ``(p_r * tau + k_r) * W + p_c * tau + k_c``.
+  ``(p_r * tau + k_r) * W + p_c * tau + k_c``. A slot of a state no walk
+  can enter, and that no built state copies from, is not built and holds
+  None.
+- Walk rule: the build starts at ``first``, the start's NW corner at its
+  caps (none when that is None), and builds each (variable, corner, level
+  pair) state that access2's transitions reach from the steps of a built
+  state's blocks, plus the states their copies read (``_walk_build``): a
+  row step lowers p_r, and a column step lowers p_r or p_c as the new row
+  delta falls, so both are followed. So every slot a fast walk reads is
+  built, and no state is built that a full build would not.
 - Finish rule: a walk at levels with either of p_r, p_c at least ``mark[v]
   = ceil(height(v) / FINISH2)`` descends from v instead of reading on, so v
   stores the grid up to ``min(cap, mark[v] - 1)`` on each axis (none for a
-  literal), and every slot of it holds a step.
+  literal).
 - The build copies by the 1D copy rule (``_copied``) along the split axis,
-  near and far taken in order from the corner: a block index it gives a
+  the child's state built first, near and far taken in order from the
+  corner: a block index it gives a
   child there is copied at every block of the other axis, on which the
   child has the variable's size. A child stores a level pair when each
   level is at most min(cap, mark - 1) on its axis, so a far child shorter
@@ -41,10 +52,11 @@ costs. The contracts that the functions below share:
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import (PLAIN, RUN, _chains, _copied, _preset, blocks_to_cap, caps, ceil_log,
-                       clamp_tau, tops)
+from .access1d import (PLAIN, RUN, _chains, _copied, _preset, _walk_build, blocks_to_cap, caps,
+                       ceil_log, clamp_tau, tops)
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -62,9 +74,11 @@ def optimal_tau2(n, epsilon=1.0):
 
 
 def table_slots2(g, tau):
-    """Slots that build_index2(g, tau) allocates for the validated 2D SLP g:
-    one per block and corner of every variable reachable from the start,
-    over the levels of its grid (the finish rule), each holding a step."""
+    """The most slots build_index2(g, tau) can build for the validated 2D
+    SLP g, the bound a caller checks before building: one per block and
+    corner of every variable reachable from the start, over the levels of
+    its grid (the finish rule). The build fills those a walk can read, and
+    allocates a variable's grid whole once it builds a state of it."""
     g = _check_binary(Slg2._validated(g), "table_slots2")
     rows, cols = g._rows, g._cols
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
@@ -204,108 +218,154 @@ class AccessIndex2:
         self.width = width          # per reachable variable: its lists' blocks per row, W
         self.tables = tables        # [corner][t][(p_r*tau+k_r)*width[t] + p_c*tau+k_c]
                                     #   -> (axis, s, near, far, shift), one slot per
-                                    #   block; [corner][t] is None for a variable
-                                    #   unreachable from the start
+                                    #   block, None where not built; [corner][t] is
+                                    #   None for a variable without a built state
         self.n_rows = self.rows[grammar.start]
         self.n_cols = self.cols[grammar.start]
 
     def entry_count(self):
         """Stored bookmarks across all four corner tables (the size-bound
-        quantity): every slot holds one."""
-        return sum(len(table) for corner in self.tables for table in corner
-                   if table is not None)
+        quantity): the built slots, each holding a step."""
+        return sum(len(table) - table.count(None)
+                   for corner in self.tables for table in corner if table is not None)
 
     def __repr__(self):
         return (f"AccessIndex2({self.n_rows}x{self.n_cols}, tau={self.tau}, "
                 f"levels={self.levels}, entries={self.entry_count()})")
 
 
-def _windows(m, pows, tau):
-    """Per level: the block windows (b, e] along an axis of length m, as the
-    pair (measured from the start, measured from the end)."""
-    out = []
-    for tp in pows[:-1]:
-        stop = m if m < tau * tp else tau * tp
-        fwd = [(b, b + tp if b + tp < m else m) for b in range(0, stop, tp)]
-        out.append((fwd, [(m - e, m - b) for b, e in fwd]))
-    return out
-
-
 def build_index2(g, tau):
-    """Populate every corner step of the variables reachable from the
-    start, at the level pairs with both levels below each variable's mark
-    (the finish rule), children first: a block that ``_copied`` gives a
-    child on the split axis copies that child's step, and every other
-    block's step is found by descent. The caller bounds tau:
-    table_slots2(g, tau) gives the slot count to check."""
+    """Build the (variable, corner, level pair) states of the four tables
+    that a fast walk can enter from the start, and those their copies read:
+    a block that ``_copied`` gives a child on the split axis copies that
+    child's step, the child's state built first, and every other block's
+    step is found by descent. The walk's first state is the start's NW
+    corner at its caps, ``first``; when that is None no walk reads a table
+    and nothing is built. The caller bounds tau: table_slots2(g, tau) gives
+    the slot count the tables may reach, to check before building."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
-    rows, cols, moves, reach, height = g._rows, g._cols, g._moves, g._reach, g._height
+    rows, cols, moves = g._rows, g._cols, g._moves
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
     cap_r, cap_c = caps(rows, tau), caps(cols, tau)
-    mark = [-(-h // FINISH2) for h in height]
+    mark = [-(-h // FINISH2) for h in g._height]
     top_r, top_c = tops(cap_r, mark), tops(cap_c, mark)
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
     share = {}.setdefault           # step -> its one stored copy
     chains = tuple(_chains(moves, g._topo, (rows, cols), side) for side in (0, 1))
-
-    width = [0] * len(moves)
+    width = [blocks_to_cap(m, t, tau) if r else 0 for m, t, r in zip(cols, top_c, g._reach)]
     tables = [[None] * len(moves) for _ in range(4)]
-    for i in reversed(g._topo):
-        if not reach[i]:
-            continue
-        tr, tc = top_r[i], top_c[i]
-        win_r = _windows(rows[i], pows[:tr + 2], tau)
-        win_c = _windows(cols[i], pows[:tc + 2], tau)
-        w = width[i] = blocks_to_cap(cols[i], tc, tau)
-        size = blocks_to_cap(rows[i], tr, tau) * w
-        own = [[None] * size for _ in range(4)]
-        for corner in range(4):
-            tables[corner][i] = own[corner]
-        if moves[i] is None:
-            continue                # a literal stores no level pair
+    kids = itemgetter(0, 2, 3)
+    H = levels + 1
+    K = 4 * H * H                   # state i * K + (p_r * H + p_c) * 4 + corner
+
+    def plan(state):
+        i, rest = divmod(state, K)
+        p_r, p_c = divmod(rest >> 2, H)
+        corner = rest & 3
         x, y, _, horiz = moves[i]
-        for corner in range(4):
-            table, kids = own[corner], tables[corner]
-            # the children in order from the corner on the split axis
-            near, far = (y, x) if corner & (2 if horiz else 1) else (x, y)
-            a = rows[near] if horiz else cols[near]
-            for p_r in range(tr + 1):
-                wins_r = win_r[p_r][corner >> 1]
-                for p_c in range(tc + 1):
-                    wins_c = win_c[p_c][corner & 1]
-                    base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
-                    blocks = len(wins_r if horiz else wins_c)
-                    lo, hi = _copied(a, pows[p_r if horiz else p_c], blocks,
-                                     p_r <= top_r[near] and p_c <= top_c[near],
-                                     p_r <= top_r[far] and p_c <= top_c[far])
-                    # a child's first count blocks on the split axis, by every
-                    # block on the other, land from block k on the split axis
-                    for src, k, count in ((near, 0, lo), (far, hi, blocks - hi)):
-                        if count:
-                            child, stride = kids[src], width[src]
-                            start = p_r * tau * stride + p_c * tau
-                            if horiz:
-                                at, n_r, n_c = base + k * w, count, len(wins_c)
-                            else:
-                                at, n_r, n_c = base + k, len(wins_r), count
-                            for row in range(at, at + n_r * w, w):
-                                table[row:row + n_c] = child[start:start + n_c]
-                                start += stride
-                    # the blocks from lo to hi on the split axis, by descent
-                    if horiz:
-                        k_r0, k_c0, descend_r, descend_c = lo, 0, wins_r[lo:hi], wins_c
-                    else:
-                        k_r0, k_c0, descend_r, descend_c = 0, lo, wins_r, wins_c[lo:hi]
-                    for k_r, (b_r, e_r) in enumerate(descend_r, k_r0):
-                        at = base + k_r * w
-                        for k_c, (b_c, e_c) in enumerate(descend_c, at + k_c0):
-                            step = _hook_core2(moves, rows, cols,
-                                               i, b_r, b_c, e_r, e_c, corner, chains)
-                            table[k_c] = share(step, step)
-    first = cap_r[g.start], cap_c[g.start]
-    if max(first) >= mark[g.start]:
+        # the children in order from the corner on the split axis
+        near, far = (y, x) if corner & (2 if horiz else 1) else (x, y)
+        if horiz:
+            m, a, tp = rows[i], rows[near], pows[p_r]
+        else:
+            m, a, tp = cols[i], cols[near], pows[p_c]
+        blocks = -(-m // tp)
+        if blocks > tau:
+            blocks = tau
+        lo, hi = _copied(a, tp, blocks, p_r <= top_r[near] and p_c <= top_c[near],
+                         p_r <= top_r[far] and p_c <= top_c[far])
+        return lo, hi, blocks, near * K + rest, far * K + rest
+
+    def fill(state, cut):
+        i, rest = divmod(state, K)
+        p_r, p_c = divmod(rest >> 2, H)
+        corner = rest & 3
+        lo, hi, blocks, near, far = cut
+        own, w = tables[corner], width[i]
+        table = own[i]
+        if table is None:
+            table = own[i] = [None] * (blocks_to_cap(rows[i], top_r[i], tau) * w)
+        horiz = moves[i][3]
+        tpr, tpc = pows[p_r], pows[p_c]
+        m_r, m_c = rows[i], cols[i]
+        # the blocks on the other axis, every one of the split axis's spans
+        other = -(-m_c // tpc) if horiz else -(-m_r // tpr)
+        if other > tau:
+            other = tau
+        base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
+        # a child's first count blocks on the split axis, by every block on
+        # the other, land from block k on the split axis
+        for src, k, count in ((near // K, 0, lo), (far // K, hi, blocks - hi)):
+            if count:
+                child, stride = own[src], width[src]
+                start = p_r * tau * stride + p_c * tau
+                if horiz:
+                    at, n_r, n_c = base + k * w, count, other
+                else:
+                    at, n_r, n_c = base + k, other, count
+                for row in range(at, at + n_r * w, w):
+                    table[row:row + n_c] = child[start:start + n_c]
+                    start += stride
+        # the blocks from lo to hi on the split axis, by descent
+        k_r0, k_r1, k_c0, k_c1 = (lo, hi, 0, other) if horiz else (0, other, lo, hi)
+        for k_r in range(k_r0, k_r1):
+            b_r = k_r * tpr             # the block's window, from the corner's sides
+            e_r = b_r + tpr if b_r + tpr < m_r else m_r
+            if corner & 2:
+                b_r, e_r = m_r - e_r, m_r - b_r
+            at = base + k_r * w
+            for k_c in range(k_c0, k_c1):
+                b_c = k_c * tpc
+                e_c = b_c + tpc if b_c + tpc < m_c else m_c
+                if corner & 1:
+                    b_c, e_c = m_c - e_c, m_c - b_c
+                step = _hook_core2(moves, rows, cols, i, b_r, b_c, e_r, e_c, corner, chains)
+                table[at + k_c] = share(step, step)
+
+    def successors(state, k0, k1):
+        # access2's rule: a row step lowers p_r; a column step lowers p_r or
+        # p_c, as the new row delta falls, so both are taken; each level is
+        # capped by the child's cap, and a pair reaching its mark finishes
+        i, rest = divmod(state, K)
+        p_r, p_c = divmod(rest >> 2, H)
+        corner = rest & 3
+        table, w = tables[corner][i], width[i]
+        base = p_r * tau * w + p_c * tau
+        keys = set()
+        if moves[i][3]:
+            n_c = min(tau, -(-cols[i] // pows[p_c]))
+            for at in range(base + k0 * w, base + k1 * w, w):
+                keys.update(map(kids, table[at:at + n_c]))
+        else:
+            n_r = min(tau, -(-rows[i] // pows[p_r]))
+            for at in range(base + k0, base + k0 + n_r * w, w):
+                keys.update(map(kids, table[at:at + k1 - k0]))
+        out = set()
+        add = out.add
+        down_r = ((p_r - 1, p_c),)
+        down = down_r + ((p_r, p_c - 1),) if p_r else ((p_r, p_c - 1),)
+        for axis, near, far in keys:
+            if far is None:
+                continue                # a literal step
+            pairs, flip = (down_r, corner ^ 2) if axis else (down, corner ^ 1)
+            for c, to in ((near, flip), (far, corner)):
+                c_r, c_c, m = cap_r[c], cap_c[c], mark[c]
+                for q_r, q_c in pairs:
+                    if q_r > c_r:
+                        q_r = c_r
+                    if q_c > c_c:
+                        q_c = c_c
+                    if q_r < m > q_c:
+                        add(c * K + (q_r * H + q_c) * 4 + to)
+        return out
+
+    s = g.start
+    first = cap_r[s], cap_c[s]
+    if max(first) >= mark[s]:
         first = None
+    _walk_build(None if first is None else s * K + (first[0] * H + first[1]) * 4, plan, fill,
+                successors)
     return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, mark, first, width, tables)
 
 
@@ -330,8 +390,10 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     A level above the variable's cap on its axis reads at the cap, whose
     blocks are no larger, so the step still contracts within tau**p. A
     level pair the variable does not store, either capped level at or past
-    its mark, is resolved into the real step by the plain descent, and a
-    stored literal step must equal the step the same descent gives.
+    its mark, or a slot the build did not build, is resolved into the real
+    step by the plain descent, and a stored literal step must equal the
+    step the same descent gives. A variable the start does not reach is
+    refused.
     """
     m_r, m_c = (ix.rows[t], ix.cols[t]) if isinstance(t, int) and 0 <= t < len(ix.rows) \
         else (0, 0)
@@ -344,10 +406,10 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
         raise PreconditionViolated(
             f"corner_map(corner={corner!r}, t={t}, p=({p_r},{p_c}), "
             f"delta=({delta_r},{delta_c})) out of contract")
-    table = ix.tables[corner][t]
-    if table is None:
+    if not ix.grammar._reach[t]:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
+    table = ix.tables[corner][t]
     p_r, p_c = min(p_r, ix.cap_r[t]), min(p_c, ix.cap_c[t])
     tpr = ix.pows[p_r]
     tpc = ix.pows[p_c]
@@ -357,14 +419,14 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
     tau = ix.tau
-    stored = max(p_r, p_c) < ix.mark[t]
-    step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c] if stored else None
+    step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c] \
+        if table is not None and max(p_r, p_c) < ix.mark[t] else None
     if step is None or step[3] is None:
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
         real = _hook_core2(
             ix.moves, ix.rows, ix.cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner, PLAIN)
-        if stored and real != step:
+        if step is not None and real != step:
             raise _bad_bookmark(t, p_r, p_c, k_r, k_c, f"is {step}; a stored literal step "
                                 f"must be the step descent gives, {real}")
         step = real

@@ -108,7 +108,7 @@ class _Dim:
     to_slp: Callable      # parsed grammar -> validated SLP
     shape: Callable       # SLP -> (n,) or (rows, cols); its length is the coordinate arity
     tau: Callable         # (max(shape), epsilon) -> the tau preset
-    slots: Callable       # (SLP, tau) -> table slots the build allocates
+    slots: Callable       # (SLP, tau) -> the most table slots the build can fill
     build: Callable       # (SLP, tau) -> index
     access: Callable      # (index, *position) -> code
     traced: Callable      # (index, *position) -> (code, mapping steps)
@@ -128,14 +128,15 @@ def _held_bytes(ix):
     pointer) plus each distinct step object once, as sys.getsizeof counts it.
 
     ``ix.tables`` is two sides or four corners, each a list over the
-    variables of flat lists, None for a variable without tables; every slot
-    holds a step, and equal steps are one shared object."""
+    variables of flat lists, None for a variable without a built state; a
+    built slot holds a step, an unbuilt one None, and equal steps are one
+    shared object."""
     slots, steps = 0, {}
     for part in ix.tables:
         for table in part:
             if table is not None:
                 slots += len(table)
-                steps.update((id(v), v) for v in table)
+                steps.update((id(v), v) for v in table if v is not None)
     return 8 * slots + sum(sys.getsizeof(v) for v in steps.values())
 
 

@@ -37,7 +37,7 @@ from .errors import (
     RangeError,
 )
 from .oracle import _not_ints
-from .slg import Slg1, _binarize, grammar_size1, validate_slp1
+from .slg import Slg1, _binarize, _check_binary, grammar_size1, validate_slp1
 from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2, validate_slg2
 
 
@@ -240,6 +240,17 @@ def _zero_run(rules, unit, count, ctor):
     return len(rules) - 1
 
 
+def _slp1(g, needs):
+    """The SLP ``g``: its arity checked if it passed validation, validated
+    otherwise, so a caller's validation is not run again."""
+    return _check_binary(g, needs) if Slg1._own(g).validated else validate_slp1(g)
+
+
+def _slg2(g2):
+    """The 2D grammar ``g2``, validated unless it already passed validation."""
+    return g2 if Slg2._own(g2).validated else validate_slg2(g2)
+
+
 def _marking_grammar(g, sigma, gap):
     """The marking grammar of the validated SLP g with ``gap`` zero rows under each 1.
 
@@ -289,7 +300,7 @@ def mark_grammar(g, sigma):
     about 2 * sigma rules, and sigma is not capped here, so the caller
     bounds it (the CLI checks 2 * sigma rules against its cell cap).
     """
-    return _marking_grammar(validate_slp1(g), sigma, 0)
+    return _marking_grammar(_slp1(g, "mark_grammar"), sigma, 0)
 
 
 def ext_mark_grammar(g, sigma):
@@ -299,7 +310,7 @@ def ext_mark_grammar(g, sigma):
     rows below each 1 come from a doubling chain combined by the binary
     decomposition of n-1 (increasing powers).
     """
-    g = validate_slp1(g)
+    g = _slp1(g, "ext_mark_grammar")
     n = g._lens[g.start]
     if n < 2:
         raise ExtRequiresLengthTwo("extended marking needs a text of length >= 2")
@@ -323,7 +334,7 @@ def alphabet_reduce(g):
     queried code that never occurs answers 0 without consulting the new
     grammar at all.
     """
-    pruned = _binarize(validate_slp1(g))
+    pruned = _binarize(_slp1(g, "alphabet_reduce"))
     occurring = sorted({r for r in pruned.rules if isinstance(r, int)})
     amap = {c: i for i, c in enumerate(occurring)}
     rules = [amap[r] if isinstance(r, int) else r for r in pruned.rules]
@@ -440,7 +451,7 @@ def pad_with_zero_block(g2):
     all-zero block of the same dimensions; only O(log rows + log cols) rules
     are added.
     """
-    g2 = validate_slg2(g2)
+    g2 = _slg2(g2)
     r, c = g2._rows[g2.start], g2._cols[g2.start]
     # a binary grammar for an r x c matrix cannot be smaller than the bit
     # length of its dimensions, so the padding stays linear in its size
@@ -464,7 +475,7 @@ def square_all_zero_via_square_lce(g2):
     for the original matrix: the queried block is all zero iff its LCE
     against the top-left corner of the zero half reaches the block side.
     """
-    g2 = validate_slg2(g2)
+    g2 = _slg2(g2)
     r, c = g2._rows[g2.start], g2._cols[g2.start]
     padded = pad_with_zero_block(g2)
 

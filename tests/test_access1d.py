@@ -127,24 +127,26 @@ def test_index_single_literal():
     ix = build_index1(g, 2)
     assert ix.levels == 0 and ix.cap == [0] and ix.top == [-1]
     left, right = ix.tables
-    assert left == right == [[]]    # a literal stores no level: descending is free
+    assert left == right == [None]  # a literal stores no level, so no walk reads a table
     assert ix.entry_count() == 0
     assert access1(ix, 1) == 0 and access1_traced(ix, 1) == (0, 1)
 
 
 def test_index_abab_entry(abab):
     ix = build_index1(abab, 2)
-    left, _ = ix.tables
     assert ix.grammar._height == [2, 1, 0, 0]
     # variable 0 (S -> A A, height 2) is at most FINISH * 1 = 2 high, so it
-    # stores level 0 only, its 2 blocks, though its cap is 2
-    assert ix.cap[0] == 2 and ix.top[0] == 0 and len(left[0]) == 2
+    # stores level 0 only, though its cap is 2: below its cap, so the walk
+    # descends from it at once and no state is built
+    assert ix.cap[0] == 2 and ix.top[0] == 0 and ix.tables == ([None] * 4, [None] * 4)
     # W -> A S (id 0, height 3 > 2), level 1, block 1, the window (2..4]:
     # hook 1 (A -> B C) at offset 0, so the split lies 1 in from the left,
-    # with B nearer that boundary and C farther
+    # with B nearer that boundary and C farther. W stores level 1, below its
+    # cap 2, so nothing is built and the checked step resolves the block by
+    # descent: position 3 is B's, the near child's, 1 from its right
     ix = build_index1(validate_slp1(Slp1([(1, 4), (2, 3), 0, 1, (1, 1)], 2, 0)), 2)
-    left, _ = ix.tables
-    assert ix.grammar._height[0] == 3 and left[0][1 * 2 + 1] == (1, 2, 3)
+    assert ix.grammar._height[0] == 3 and (ix.top[0], ix.cap[0]) == (1, 2)
+    assert ix.entry_count() == 0 and side_map(ix, 0, 0, 1, 3) == (2, 1, 1)
 
 
 def test_index_entry_count_bound():
@@ -166,9 +168,12 @@ def test_index_clamps_tau_to_the_longest_expansion(abab):
 def test_maps_refuse_a_variable_without_bookmarks():
     g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
     ix = build_index1(g, 2)
-    # both sides: level 0 of the start, its 2 blocks (height 1 <= FINISH * 1,
-    # so not level 1); no level of a literal; no list for the unreachable id 3
-    assert ix.tables[0][3] is None and ix.tables[0][1] == [] and ix.entry_count() == 2 * 2
+    # the start stores level 0 (height 1 <= FINISH * 1, so not level 1),
+    # below its cap 1, so no walk reads a table and no list is built; the
+    # checked step resolves the start's blocks by descent, and refuses the
+    # unreachable id 3 and ids that do not exist
+    assert ix.tables == ([None] * 4, [None] * 4) and ix.entry_count() == 0
+    assert side_map(ix, 0, 0, 0, 1) == (1, 1, 0) and side_map(ix, 1, 0, 0, 1) == (2, 1, 0)
     for side in (0, 1):
         for t in (3, 4, -1):    # unreachable, then no such variable
             with pytest.raises(PreconditionViolated):

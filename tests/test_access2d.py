@@ -139,40 +139,41 @@ def test_index_1x1_text():
     g = validate_slp2(Slp2([4], 5, 0))
     ix = build_index2(g, 2)
     for corner in range(4):     # NW, NE, SW, SE
-        assert ix.tables[corner] == [[]]    # a literal stores no level pair
+        assert ix.tables[corner] == [None]  # a literal stores no level pair
     assert ix.entry_count() == 0 and ix.mark == [0] and ix.first is None
     assert access2(ix, 1, 1) == 4 and access2_traced(ix, 1, 1) == (4, 0)
 
 
 def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
-    nw = ix.tables[0]
     assert ix.grammar._height == [2, 1, 1, 0, 0, 0, 0]
-    # variable 0, levels (0, 0), block (1, 0): S is higher than FINISH2 * 0,
-    # so the slot is the step to the literal 5 at offset (0, 0)
-    assert nw[0][(0 * 2 + 1) * ix.width[0] + 0 * 2 + 0] == (0, 0, 5, None, 0)
     # S is at most FINISH2 * 1 high, so it stores levels (0, 0) only, not
-    # (1, 0) or (0, 1): a grid of 2 x 2 blocks
-    assert ix.mark[0] == 1 and ix.width[0] == 2 and len(nw[0]) == 2 * 2
+    # (1, 0) or (0, 1): a grid of 2 x 2 blocks, below its caps (1, 1), so
+    # the walk descends from S at once and no state is built. Levels (0, 0),
+    # block (1, 0): S is higher than FINISH2 * 0, so the checked step
+    # resolves it, by descent, into the step to the literal 5
+    assert ix.mark[0] == 1 and ix.width[0] == 2 and ix.first is None
+    assert all(table is None for corner in ix.tables for table in corner)
+    assert corner_map(ix, 0, 0, 0, 0, 2, 1) == (5, 1, 1, 0)
     # T_11, with T_k -> Vert(S, T_k-1) and T_0 = S (id 11, 2x2): id 0, 2x24,
     # height 13, so its mark is 2 and its grid ends at levels (1, 1), 3 x 4
-    # blocks, every one holding a step. Levels (0, 1), block (0, 0), the
-    # window (0..1] x (0..2], lies in T's first S, which does not store the
-    # pair: hook 12 (the top row, a b, of that S), so the columns split 1 in
-    # from the left, with a nearer and b farther. Block (0, 1), the window
-    # (0..1] x (2..4], leaves that S: hook 12 of T_10's S. Levels (1, 1),
-    # block (0, 0), is that whole S, whose rows split 1 from the top
+    # blocks; its column cap 4 reaches the mark, so again nothing is built.
+    # Levels (0, 1), block (0, 0), the window (0..1] x (0..2], lies in T's
+    # first S, which does not store the pair: hook 12 (the top row, a b, of
+    # that S), so the columns split 1 in from the left, with a nearer and b
+    # farther. Block (0, 1), the window (0..1] x (2..4], leaves that S: hook
+    # 12 of T_10's S. Levels (1, 1), block (0, 0), is that whole S, whose
+    # rows split 1 from the top
     n = 11
     g = validate_slp2(Slp2([Vert(n, k + 1) for k in range(n - 1)]
                            + [Vert(n, n), Horiz(n + 1, n + 2), Vert(n + 3, n + 4),
                               Vert(n + 5, n + 6), 0, 1, 2, 3], 4, 0))
     ix = build_index2(g, 2)
-    nw, w = ix.tables[0][0], ix.width[0]
     assert ix.grammar._height[0] == 13 and FINISH2 * 1 < 13 <= FINISH2 * 2 and ix.mark[0] == 2
-    assert w == 4 and len(nw) == 3 * w and None not in nw
-    assert nw[(0 * 2 + 0) * w + 1 * 2 + 0] == (0, 1, n + 3, n + 4, 0)
-    assert nw[(0 * 2 + 0) * w + 1 * 2 + 1] == (0, 1, n + 3, n + 4, 0)
-    assert nw[(1 * 2 + 0) * w + 1 * 2 + 0] == (1, 1, n + 1, n + 2, 0)
+    assert ix.width[0] == 4 and ix.first is None and ix.entry_count() == 0
+    assert corner_map(ix, 0, 0, 0, 1, 1, 1) == (n + 3, 1, 1, 1)     # a, from its right
+    assert corner_map(ix, 0, 0, 0, 1, 1, 4) == (n + 4, 1, 1, 0)     # b, the far child
+    assert corner_map(ix, 0, 0, 1, 1, 2, 1) == (n + 2, 1, 1, 0)     # the bottom row
 
 
 def test_index_entry_count_bound_random():

@@ -1,33 +1,39 @@
-"""The children-first bookmark build and both query loops, in 1D and 2D.
+"""The walk-driven bookmark build and both query loops, in 1D and 2D.
 
-The build stores every bookmark resolved into the step a query takes, for
-the variables reachable from the start, at the levels each variable stores:
-up to its cap and below the level (on each axis in 2D) at which a walk
-descends from it instead. It copies a child's slot wherever a block lies
-wholly inside either child in line with that child's block grid and the
-child stores that level, descending for the other blocks, exactly once
-each: a counted build's descents are checked block by block against that
-rule, and the tables against a build that copies nothing, on grammars
-whose every split is aligned and on a far child shorter than the block.
-These properties check every
-stored slot against the step resolved from the reference
-``hook_offset1``/``hook_offset2`` of its window, the stored levels against
+The build stores the bookmarks a fast walk can read, resolved into the step
+a query takes: it starts at the state the walk reads first and builds each
+state (variable, side or corner, level or level pair) the walk's own
+transitions reach, plus the states those copy from. A built slot lies at a
+level each variable stores: up to its cap and below the level (on each
+axis in 2D) at which a walk descends from it instead. A state copies a
+child's slot wherever a block lies wholly inside either child in line with
+that child's block grid and the child stores that level, the child's state
+built first, and descends for the other blocks, exactly once each: a
+counted build's descents are checked block by block against that rule,
+restricted to the states it built and within the rule over every state,
+pinned on the benchmark's comb and staircase, and the built slots against
+builds with fewer copies, on grammars whose every split is aligned and on
+a far child shorter than the block. The built states are checked against
+a closure of the walk's transitions written here from the reference
+``hook_offset1``/``hook_offset2``, and the walks to every position against
+the slots built. These properties check every built slot against the step
+resolved from the reference hook of its window, the stored levels against
 the finish rule, the slot and entry counts against the number of windows
-(and the counts as cheap to take where a build would not be), that no
-slot is empty, in 1D or in 2D, that equal
-steps are stored as one object, the fast and the traced access
-against the expansion and against the library's root-to-leaf descent from
-every side or corner, and that the checked steps refuse a corrupt step, on
-random SLPs, left and right combs (deep, mostly copied on one side and
-descended on the other), 2D combs along either axis and staircases. The descents that run
-along heavy-path chains over long runs of moves are checked against the
-plain walk, run by run, window by window and table by table, on these and
-on the benchmark's own comb and staircase, and the chains against their
-layout and path-count bound. The grammar's move records are checked
-against its child, length and axis arrays and, through every walk that
-reads them, against the expansion; a grammar that is no SLP is refused by
-the arity check before any walk; and the index's per-variable top levels,
-marks and 2D first step follow from the heights.
+and the bound the CLI checks (and the counts as cheap to take where a
+build would not be), that equal steps are stored as one object, the fast
+and the traced access against the expansion and against the library's
+root-to-leaf descent from every side or corner, and that the checked steps
+refuse a corrupt step and resolve an unbuilt one by descent, on random
+SLPs, left and right combs (deep, mostly copied on one side and descended
+on the other), 2D combs along either axis and staircases. The descents
+that run along heavy-path chains over long runs of moves are checked
+against the plain walk, run by run, window by window and table by table,
+on these and on the benchmark's own comb and staircase, and the chains
+against their layout and path-count bound. The grammar's move records are
+checked against its child, length and axis arrays and, through every walk
+that reads them, against the expansion; a grammar that is no SLP is
+refused by the arity check before any walk; and the index's per-variable
+top levels, marks and 2D first step follow from the heights.
 """
 
 import os
@@ -184,9 +190,10 @@ def heights(g):
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_stores_every_window_hook(g, tau):
-    """Every slot holds its block's hook step, as the plain walk finds it;
-    a variable stores the levels up to its cap below ceil(height / FINISH),
-    and no others."""
+    """Every built slot holds its block's hook step, as the plain walk finds
+    it; a variable's list, once built, spans the levels up to its cap below
+    ceil(height / FINISH), and no others; table_slots1 is the slot count of
+    every such list, the bound the built slots stay within."""
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
     height = heights(g)
@@ -194,7 +201,7 @@ def test_build1_stores_every_window_hook(g, tau):
     T = ix.tau
     left, right = ix.tables
     ids = reachable(g)
-    defined = 0
+    grid = built = 0
     for i, m in enumerate(g._lens):
         if i not in ids:
             assert left[i] is None and right[i] is None
@@ -202,33 +209,35 @@ def test_build1_stores_every_window_hook(g, tau):
         cap, top = ix.cap[i], ix.top[i]
         assert T ** cap <= m < T ** (cap + 1)
         assert top == min(cap, -(-height[i] // FINISH) - 1)
-        # one slot per block of the levels 0..top
-        assert len(left[i]) == len(right[i]) == axis_blocks(m, top, T)
-        for p in range(top + 1):
-            for k, b, e in blocks(m, ix.pows[p], T):
-                defined += 2
-                assert left[i][p * T + k] == step1(g, i, 0, b, e)
-                assert right[i][p * T + k] == step1(g, i, 1, m - e, m - b)
-    lists = [table for side in ix.tables for table in side if table is not None]
-    assert all(None not in table for table in lists)
-    assert table_slots1(g, tau) == sum(len(table) for table in lists) == ix.entry_count() \
-        == defined
+        # one slot per block of the levels 0..top, once a state is built
+        grid += 2 * axis_blocks(m, top, T)
+        for side, table in enumerate((left[i], right[i])):
+            if table is None:
+                continue
+            assert len(table) == axis_blocks(m, top, T)
+            for p in range(top + 1):
+                for k, b, e in blocks(m, ix.pows[p], T):
+                    if table[p * T + k] is not None:
+                        built += 1
+                        assert table[p * T + k] == step1(g, i, side, *((m - e, m - b) if side
+                                                                       else (b, e)))
+    assert table_slots1(g, tau) == grid >= built == ix.entry_count() == len(stored(ix))
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(longest=70), tau=FINISH_TAUS)
 def test_build2_stores_every_window_hook(g, tau):
-    """Every slot of a level pair with both levels below ceil(height /
-    FINISH2) holds its block's hook step, as the plain walk finds it; a
-    variable's grid ends at min(cap, that bound - 1) on each axis, every
-    pair of that grid is stored, and no slot is None."""
+    """Every built slot holds its block's hook step, as the plain walk finds
+    it; a variable's grid, once built, ends at min(cap, ceil(height /
+    FINISH2) - 1) on each axis; table_slots2 is the slot count of every such
+    grid, the bound the built slots stay within."""
     ix = build_index2(g, tau)
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
     height = heights(g)
     assert ix.grammar._height == height
     ids = reachable(g)
-    defined = 0
+    grid = built = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
         if i not in ids:
             assert all(ix.tables[corner][i] is None for corner in range(4))
@@ -240,28 +249,222 @@ def test_build2_stores_every_window_hook(g, tau):
         # one slot per block: an H x W grid of the row and the column blocks
         H, W = axis_blocks(m_r, top_r, T), axis_blocks(m_c, top_c, T)
         assert ix.width[i] == W
+        grid += 4 * H * W
         for corner in range(4):
-            assert len(ix.tables[corner][i]) == H * W
-        for p_r in range(top_r + 1):
-            for p_c in range(top_c + 1):
-                for k_r, b_r, e_r in blocks(m_r, ix.pows[p_r], T):
-                    for k_c, b_c, e_c in blocks(m_c, ix.pows[p_c], T):
-                        slot = (p_r * T + k_r) * W + p_c * T + k_c
-                        for corner in range(4):
-                            defined += 1
-                            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
-                            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-                            assert ix.tables[corner][i][slot] == \
-                                step2(g, i, corner, rb, cb, re, ce)
-    lists = [table for corner in ix.tables for table in corner if table is not None]
-    assert all(None not in table for table in lists)
-    assert table_slots2(g, tau) == sum(len(table) for table in lists) == ix.entry_count() \
-        == defined
+            table = ix.tables[corner][i]
+            if table is None:
+                continue
+            assert len(table) == H * W
+            for p_r, p_c in product(range(top_r + 1), range(top_c + 1)):
+                for (k_r, b_r, e_r), (k_c, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
+                                                                blocks(m_c, ix.pows[p_c], T)):
+                    slot = table[(p_r * T + k_r) * W + p_c * T + k_c]
+                    if slot is not None:
+                        built += 1
+                        rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+                        cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+                        assert slot == step2(g, i, corner, rb, cb, re, ce)
+    assert table_slots2(g, tau) == grid >= built == ix.entry_count() == len(stored(ix))
+
+
+# -- the walk's closure: the states a build builds --------------------------------
+
+def copy_sources1(ix, states):
+    """``states`` closed under the copy rule: with each (variable, side,
+    level), the same side and level of the near child when a block lies
+    wholly inside it, and of the far child when a block lies wholly inside
+    it at a multiple of the block size from its start, where that child
+    stores the level."""
+    g, T, top = ix.grammar, ix.tau, ix.top
+    out, todo = set(), list(states)
+    while todo:
+        state = todo.pop()
+        if state in out:
+            continue
+        out.add(state)
+        i, side, p = state
+        near, far = g.rules[i][::-1] if side else g.rules[i]
+        a, tp = g._lens[near], ix.pows[p]
+        for _, b, e in blocks(g._lens[i], tp, T):
+            if e <= a and p <= top[near]:
+                todo.append((near, side, p))
+            elif a <= b and (b - a) % tp == 0 and p <= top[far]:
+                todo.append((far, side, p))
+    return out
+
+
+def closure1(ix):
+    """(walked, built): the (variable, side, level) states access1 can enter
+    from the start, each block's step taken from the plain walk (step1) and
+    each state's every block followed, and those closed under the copy
+    rule."""
+    g, T, top, cap = ix.grammar, ix.tau, ix.top, ix.cap
+    s = g.start
+    todo = [(s, 0, top[s])] if top[s] == cap[s] else []
+    walked = set(todo)
+    while todo:
+        i, side, p = todo.pop()
+        m = g._lens[i]
+        for _, b, e in blocks(m, ix.pows[p], T):
+            _, near, far = step1(g, i, side, *((m - e, m - b) if side else (b, e)))
+            if far is None:
+                continue
+            for c, to in ((near, side ^ 1), (far, side)):
+                q = p - 1
+                if q > top[c]:
+                    if top[c] < cap[c]:
+                        continue            # the walk descends from c
+                    q = top[c]
+                if (c, to, q) not in walked:
+                    walked.add((c, to, q))
+                    todo.append((c, to, q))
+    return walked, copy_sources1(ix, walked)
+
+
+def copy_sources2(ix, states):
+    """``copy_sources1`` in 2D: sizes are taken on the split axis, the
+    children in order from the corner, and a child stores a level pair when
+    both levels are below its mark and within its caps."""
+    g, T = ix.grammar, ix.tau
+    rows, cols = g._rows, g._cols
+
+    def stores(c, p_r, p_c):
+        return p_r <= min(ix.cap_r[c], ix.mark[c] - 1) and p_c <= min(ix.cap_c[c], ix.mark[c] - 1)
+
+    out, todo = set(), list(states)
+    while todo:
+        state = todo.pop()
+        if state in out:
+            continue
+        out.add(state)
+        i, corner, p_r, p_c = state
+        rule = g.rules[i]
+        horiz = isinstance(rule, Horiz)
+        near, far = rule.children[::-1] if corner & (2 if horiz else 1) else rule.children
+        a = rows[near] if horiz else cols[near]
+        tp = ix.pows[p_r if horiz else p_c]
+        for _, b, e in blocks(rows[i] if horiz else cols[i], tp, T):
+            if e <= a and stores(near, p_r, p_c):
+                todo.append((near, corner, p_r, p_c))
+            elif a <= b and (b - a) % tp == 0 and stores(far, p_r, p_c):
+                todo.append((far, corner, p_r, p_c))
+    return out
+
+
+def closure2(ix):
+    """``closure1`` in 2D, over (variable, corner, p_r, p_c): a row step
+    lowers p_r and a column step p_r or p_c (both are followed), each level
+    is capped by the child's cap, and a pair reaching the child's mark ends
+    the walk there."""
+    g, T = ix.grammar, ix.tau
+    rows, cols = g._rows, g._cols
+    todo = [] if ix.first is None else [(g.start, 0, *ix.first)]
+    walked = set(todo)
+    while todo:
+        i, corner, p_r, p_c = todo.pop()
+        m_r, m_c = rows[i], cols[i]
+        for (_, b_r, e_r), (_, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
+                                                    blocks(m_c, ix.pows[p_c], T)):
+            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+            axis, _, near, far, _ = step2(g, i, corner, rb, cb, re, ce)
+            if far is None:
+                continue
+            if axis:
+                levels, flip = [(p_r - 1, p_c)], corner ^ 2
+            else:
+                levels, flip = [(p_r - 1, p_c)] * (p_r > 0) + [(p_r, p_c - 1)], corner ^ 1
+            for c, to in ((near, flip), (far, corner)):
+                for q_r, q_c in levels:
+                    state = (c, to, min(q_r, ix.cap_r[c]), min(q_c, ix.cap_c[c]))
+                    if max(state[2:]) < ix.mark[c] and state not in walked:
+                        walked.add(state)
+                        todo.append(state)
+    return walked, copy_sources2(ix, walked)
+
+
+def slots1(ix, states):
+    """(side, variable, slot) of every block of the 1D states."""
+    return {(side, i, p * ix.tau + k) for i, side, p in states
+            for k, _, _ in blocks(ix.lens[i], ix.pows[p], ix.tau)}
+
+
+def slots2(ix, states):
+    """(corner, variable, slot) of every block of the 2D states."""
+    T = ix.tau
+    return {(corner, i, (p_r * T + k_r) * ix.width[i] + p_c * T + k_c)
+            for i, corner, p_r, p_c in states
+            for k_r, _, _ in blocks(ix.rows[i], ix.pows[p_r], T)
+            for k_c, _, _ in blocks(ix.cols[i], ix.pows[p_c], T)}
+
+
+def built_slots(ix):
+    """(side or corner, variable, slot) of every built slot of ix."""
+    return {(side, t, at) for side, lists in enumerate(ix.tables)
+            for t, table in enumerate(lists) if table is not None
+            for at, v in enumerate(table) if v is not None}
+
+
+class Slots(list):
+    """A table list that logs the (key, slot) of every read through it."""
+
+    def __init__(self, items, key, log):
+        super().__init__(items)
+        self.key, self.log = key, log
+
+    def __getitem__(self, k):
+        self.log.add(self.key + (k,))
+        return super().__getitem__(k)
+
+
+def read_slots(ix):
+    """Wrap every list of ix's tables in Slots; returns the shared log."""
+    log = set()
+    ix.tables = [[None if t is None else Slots(t, (side, v), log) for v, t in enumerate(lists)]
+                 for side, lists in enumerate(ix.tables)]
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1(longest=70), tau=FINISH_TAUS)
+def test_build1_builds_the_walks_closure(g, tau):
+    """The build builds exactly the states of the walk's closure and of the
+    copies they read, no slot else; the fast walk to every position reads
+    built slots only, and every built slot is one table_slots1 counts."""
+    ix = build_index1(g, tau)
+    walked, built = closure1(ix)
+    assert built_slots(ix) == slots1(ix, built)
+    assert ix.entry_count() == len(slots1(ix, built)) <= table_slots1(g, tau)
+    log = read_slots(ix)
+    for i, want in enumerate(expand1(g), start=1):
+        assert access1(ix, i) == want
+    assert log <= slots1(ix, walked) and all(ix.tables[side][t][at] is not None
+                                             for side, t, at in log)
+
+
+# about one 2D draw in five is deep enough for its walk to read a table
+@settings(max_examples=100, deadline=None)
+@given(g=grammars2(longest=70), tau=FINISH_TAUS)
+def test_build2_builds_the_walks_closure(g, tau):
+    """The 2D case: exactly the closure's states and their copies' are
+    built, and the fast walk to every cell reads built slots only."""
+    ix = build_index2(g, tau)
+    walked, built = closure2(ix)
+    assert built_slots(ix) == slots2(ix, built)
+    assert ix.entry_count() == len(slots2(ix, built)) <= table_slots2(g, tau)
+    log = read_slots(ix)
+    m = expand2(g)
+    for i in range(1, m.rows + 1):
+        for j in range(1, m.cols + 1):
+            assert access2(ix, i, j) == m.get(i, j)
+    assert log <= slots2(ix, walked) and all(ix.tables[corner][t][at] is not None
+                                             for corner, t, at in log)
 
 
 def stored(ix):
-    """Every slot of a 1D or a 2D index, in table order."""
-    return [v for lists in ix.tables for slots in lists if slots is not None for v in slots]
+    """Every built slot of a 1D or a 2D index, in table order."""
+    return [v for lists in ix.tables for slots in lists if slots is not None
+            for v in slots if v is not None]
 
 
 def distinct_objects_are_distinct_values(steps):
@@ -332,9 +535,12 @@ def test_builds_and_slot_counts_refuse_a_float_tau():
 
 
 def test_slot_counts_come_back_fast_where_the_builds_would_not():
-    """The builds allocate table_slots*(g, tau) slots and check no bound, so
-    the caller checks the count first; counting stays cheap where building
-    would not. The indexes are never built here."""
+    """The builds may fill up to table_slots*(g, tau) slots, one per block
+    of every level (pair) the reachable variables store, and check no
+    bound, so the caller checks the count first; counting stays cheap where
+    building would not. The indexes are never built here: the 21,880 slots
+    of the 2D corpus at tau 8 are its bound, and its build fills none of
+    them, as its start is low enough for its caps."""
     fib = validate_slp1(Slp1([0, 1] + [(i - 1, i - 2) for i in range(2, 41)], 2, 40))
     assert len(fib.rules) == 41 and fib._lens[fib.start] == 165_580_141
     gen2 = random_slp2(7, 200, 4, 2**20)
@@ -530,23 +736,27 @@ def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
     comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
     stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
     assert len(comb.rules) == 2000
-    # one slot per block; a full tau x tau grid per level pair would take 410,624
+    # the bound: one slot per block of every level pair the variables store
+    # (a full tau x tau grid per level pair would take 410,624); the walk's
+    # closure builds 48,689 of them
     assert table_slots2(stair, 8) == 186_036
     for build, g in ((build_index1, comb), (build_index2, stair)):
         with plain_builds():
             plain = build(g, 8)
         assert_same_tables(build(g, 8), plain)
+    assert plain.entry_count() == 48_689
 
 
 # -- child copies: the blocks a build takes from a child instead of descending --
 
-def uncovered1(ix, far_copies=True):
+def uncovered1(ix, far_copies=True, built=False):
     """Per block that no child copy covers, its variable, side and window
     from the left, once. A block is copied when it lies wholly inside the
     near child, at the side, and that child stores the level, or wholly
     inside the far child at a multiple of the block size from the far
     child's start, and that child stores the level; without far_copies
-    only the first."""
+    only the first. Over every state a variable stores, or with built only
+    over the states ix built (whose first block holds a step)."""
     g, T = ix.grammar, ix.tau
     want = Counter()
     for i in reachable(g):
@@ -557,7 +767,10 @@ def uncovered1(ix, far_copies=True):
         for side in (0, 1):
             near, far = rule[::-1] if side else rule
             a = g._lens[near]
+            table = ix.tables[side][i]
             for p in range(ix.top[i] + 1):
+                if built and (table is None or table[p * T] is None):
+                    continue
                 tp = ix.pows[p]
                 for _, b, e in blocks(m, tp, T):
                     if e <= a and p <= ix.top[near] or far_copies and a <= b \
@@ -567,7 +780,7 @@ def uncovered1(ix, far_copies=True):
     return want
 
 
-def uncovered2(ix, far_copies=True):
+def uncovered2(ix, far_copies=True, built=False):
     """``uncovered1`` in 2D: per block and corner, the near and far children
     are the split's children in order from the corner, sizes are taken on
     the split axis, and a child stores a level pair when each level is at
@@ -586,7 +799,11 @@ def uncovered2(ix, far_copies=True):
         for corner in range(4):
             near, far = rule.children[::-1] if corner & (2 if horiz else 1) else rule.children
             a = rows[near] if horiz else cols[near]
+            table = ix.tables[corner][i]
             for p_r, p_c in product(range(top_r[i] + 1), range(top_c[i] + 1)):
+                if built and (table is None
+                              or table[(p_r * T) * ix.width[i] + p_c * T] is None):
+                    continue
                 tp = ix.pows[p_r if horiz else p_c]
                 stores = [p_r <= top_r[c] and p_c <= top_c[c] for c in (near, far)]
                 for (_, b_r, e_r), (_, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
@@ -639,12 +856,20 @@ def near_copies(a, tp, blocks, near, far):
     return _copied(a, tp, blocks, near, False)
 
 
+def assert_descents(log, ix, uncovered):
+    """The build descended once for each block of a state it built that no
+    child copy covers, and for no other: a subset of the blocks the copy
+    rule leaves to descent over every state a variable stores."""
+    assert log == uncovered(ix, built=True)
+    assert all(n == 1 for n in log.values()) and log.keys() <= uncovered(ix).keys()
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS)
 def test_build1_descends_once_per_block_no_child_holds(g, tau):
     with descents() as log:
         ix = build_index1(g, tau)
-    assert log == uncovered1(ix)
+    assert_descents(log, ix, uncovered1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -652,7 +877,25 @@ def test_build1_descends_once_per_block_no_child_holds(g, tau):
 def test_build2_descends_once_per_block_no_child_holds(g, tau):
     with descents() as log:
         ix = build_index2(g, tau)
-    assert log == uncovered2(ix)
+    assert_descents(log, ix, uncovered2)
+
+
+def test_build_work_on_the_benchmark_shapes():
+    """The descents and built slots of comb-deep's two shapes at tau 8,
+    the 2,000-rule right comb and the 100-step staircase, pinned: a build
+    that does more work than these fails here, not only in the benchmark's
+    build time. Building every state a variable stores took 38,268 descents
+    for 100,436 slots and 51,170 for 186,036; the walk's closure takes
+    these."""
+    rng = random.Random(1)
+    comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
+    stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
+    for build, g, uncovered, work in ((build_index1, comb, uncovered1, (2_280, 16_209)),
+                                      (build_index2, stair, uncovered2, (7_011, 48_689))):
+        with descents() as log:
+            ix = build(g, 8)
+        assert (sum(log.values()), ix.entry_count()) == work
+        assert_descents(log, ix, uncovered)
 
 
 def doubling1(k):
@@ -670,27 +913,43 @@ def doubling2(k):
     return validate_slp2(Slp2(rules + [Horiz(k, k + 1), 0, 1], 2, 0))
 
 
+def agree(*indexes):
+    """Whether the indexes hold the same step at every slot two of them built."""
+    held = {}
+    for ix in indexes:
+        for side, t, at in built_slots(ix):
+            if held.setdefault((side, t, at), ix.tables[side][t][at]) != ix.tables[side][t][at]:
+                return False
+    return True
+
+
 @pytest.mark.parametrize("tau", [2, 4, 8, 16])
 def test_aligned_splits_copy_the_far_childs_blocks(tau):
-    """On grammars whose every split is aligned, the tables equal those of a
-    build that descends for every block, and the far child's copies take
-    over descents wherever it stores a level that holds some of the
-    variable's blocks. At tau 2 the 1D grammar has no such level: its top
-    levels sit about halfway to its caps (the finish rule), where all tau
-    blocks lie in the near half."""
-    for build, g, uncovered in ((build_index1, doubling1(20), uncovered1),
-                                (build_index2, doubling2(36), uncovered2)):
+    """On grammars whose every split is aligned, builds with the copy rule,
+    with near copies only and with no copies all build the walk's closure
+    and agree on every slot two of them hold; each descends exactly for
+    the blocks of its built states that its rule does not copy, and the far
+    child's copies take over descents wherever the walk reads: at tau 8
+    and 16 in 1D, and at 16 on the 128 x 128 2D doubling. Below those the
+    start is low enough for its caps (the finish rule), so no walk reads a
+    table and nothing is built."""
+    for build, g, uncovered, closure, slots, reads in (
+            (build_index1, doubling1(20), uncovered1, closure1, slots1, tau >= 8),
+            (build_index2, doubling2(14), uncovered2, closure2, slots2, tau >= 16)):
         with descents() as log:
             ix = build(g, tau)
         with copy_rule(near_copies), descents() as near_log:
             near = build(g, tau)
         with copy_rule(no_copies), descents() as every:
             plain = build(g, tau)
-        assert ix.tables == near.tables == plain.tables
+        walked = slots(ix, closure(ix)[0])
+        assert built_slots(plain) == walked and walked <= built_slots(near) & built_slots(ix)
+        assert agree(ix, near, plain)
         assert every == Counter(every.keys()) and sum(every.values()) == plain.entry_count()
-        assert log == uncovered(ix) and near_log == uncovered(ix, far_copies=False)
+        assert log == uncovered(ix, built=True)
+        assert near_log == uncovered(near, far_copies=False, built=True)
         far_copied = sum(near_log.values()) - sum(log.values())
-        assert far_copied == 0 if tau == 2 and build is build_index1 else far_copied > 0
+        assert (far_copied > 0) == (ix.entry_count() > 0) == reads
 
 
 def short_far1():
@@ -708,7 +967,7 @@ def short_far1():
 
 
 def short_far2():
-    """An 8 x 40 column comb above a 3 x 40 one, of height 41."""
+    """An 8 x 100 column comb above a 3 x 100 one, of height 101."""
     rules = [0, 1, Horiz(0, 1)]
     for rule in (Horiz(2, 2), Horiz(3, 3), Horiz(0, 2)):   # 4 x 1, 8 x 1, 3 x 1
         rules.append(rule)
@@ -720,7 +979,7 @@ def short_far2():
             v = len(rules) - 1
         return v
 
-    rules.append(Horiz(comb(4, 40), comb(5, 40)))
+    rules.append(Horiz(comb(4, 100), comb(5, 100)))
     return validate_slp2(Slp2(rules, 2, len(rules) - 1))
 
 
@@ -728,26 +987,31 @@ def test_a_far_child_shorter_than_the_block_is_descended():
     """Each start splits at a multiple of its top block size, 16 symbols or
     8 rows, into a far child shorter than that block but tall enough that
     the finish rule alone would store the level: the far child has no such
-    level, so the block it holds is found by descent."""
+    level, so the block it holds, read by the walk's first state, is found
+    by descent."""
     g = short_far1()
     s, (x, y) = g.start, g.rules[g.start]
     with descents() as log:
         ix = build_index1(g, 2)
     p = ix.top[s]
-    assert g._lens[x] % 2 ** p == 0 and ix.cap[y] < p < -(-g._height[y] // FINISH)
+    assert p == ix.cap[s] and g._lens[x] % 2 ** p == 0
+    assert ix.cap[y] < p < -(-g._height[y] // FINISH)
     with copy_rule(no_copies):
-        assert ix.tables == build_index1(g, 2).tables
-    assert log == uncovered1(ix)
+        assert agree(ix, build_index1(g, 2))
+    assert_descents(log, ix, uncovered1)
+    assert (s, 0, g._lens[x], g._lens[s]) in log     # block 1 of level p, from the left
 
     g = short_far2()
     s, (x, y) = g.start, g.rules[g.start].children
     with descents() as log:
         ix = build_index2(g, 2)
     p_r = min(ix.cap_r[s], ix.mark[s] - 1)
-    assert g._rows[x] % 2 ** p_r == 0 and ix.cap_r[y] < p_r < ix.mark[y]
+    assert ix.first[0] == p_r and g._rows[x] % 2 ** p_r == 0
+    assert ix.cap_r[y] < p_r < ix.mark[y]
     with copy_rule(no_copies):
-        assert ix.tables == build_index2(g, 2).tables
-    assert log == uncovered2(ix)
+        assert agree(ix, build_index2(g, 2))
+    assert_descents(log, ix, uncovered2)
+    assert any(v == s and (b_r, e_r) == (8, 11) for v, _, b_r, _, e_r, _ in log)
 
 
 # -- validated input -------------------------------------------------------------
@@ -911,10 +1175,13 @@ def test_side_map_refuses_a_wrong_literal_step():
     # its own cell is resolved by descent and has no slot to corrupt
     g = comb1([0, 1, 2, 3], right=True)
     ix = build_index1(g, 2)
-    assert access1_traced(ix, 3) == (2, 3) and ix.tables[0][5] == []
+    assert access1_traced(ix, 3) == (2, 3) and ix.tables[0][5] is None
     assert side_map(ix, 1, 5, 0, 1) == (5, 1, 0)
-    # X2's block on c, from either side, claims to be d
-    ix.tables[0][2][0] = ix.tables[1][2][1] = (0, 6, None)
+    # the start is low enough for its cap, so nothing is built; X2's level 0
+    # is written in, as a build that reached it holds it, with its block on
+    # c, from either side, claiming to be d, and the other block unbuilt
+    assert ix.entry_count() == 0
+    ix.tables[0][2], ix.tables[1][2] = [(0, 6, None), None], [None, (0, 6, None)]
     with pytest.raises(PreconditionViolated, match="literal step"):
         access1_traced(ix, 3)
     with pytest.raises(PreconditionViolated, match="literal step"):
@@ -924,12 +1191,14 @@ def test_side_map_refuses_a_wrong_literal_step():
 def test_corner_map_refuses_a_wrong_literal_step():
     g = validate_slp2(Slp2([Vert(1, 2), 0, 1], 2, 0))   # S = [a b], one row
     ix = build_index2(g, 2)
-    assert ix.tables[0][2] == []    # a literal stores no level pair
+    assert ix.tables[0][2] is None  # a literal stores no level pair
+    assert ix.first is None         # S is low enough for its caps: nothing is built
     for corner in range(4):
         d_c = 1 if corner & 1 else 2                    # b's column from the corner
         assert corner_map(ix, corner, 0, 0, 0, 1, d_c) == (2, 1, 1, 0)
         assert corner_map(ix, corner, 2, 0, 0, 1, 1) == (2, 1, 1, 0)
-        # S's 1x1 block on b claims to be a
+        # S's level pair (0, 0) written in, its 1x1 block on b claiming to be a
+        ix.tables[corner][0] = [None] * ix.width[0]
         ix.tables[corner][0][d_c - 1] = (0, 0, 1, None, 0)
         with pytest.raises(PreconditionViolated, match="literal step"):
             corner_map(ix, corner, 0, 0, 0, 1, d_c)
@@ -1050,9 +1319,9 @@ def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
 @given(g=grammars2(), tau=FINISH_TAUS)
 def test_finish2_is_exact_and_stores_steps_only_below_the_mark(g, tau):
     """Both walks answer as the expansion at every tau of the finish sweep,
-    every slot holds a step, every slot without a far child is a literal
-    step, and every slot lies at a level pair whose two levels are both
-    below its variable's mark: a finish is never stored."""
+    every built slot without a far child is a literal step, and every built
+    slot lies at a level pair whose two levels are both below its
+    variable's mark: a finish is never stored."""
     ix = build_index2(g, tau)
     m = expand2(g)
     for i in range(1, m.rows + 1):
@@ -1061,7 +1330,9 @@ def test_finish2_is_exact_and_stores_steps_only_below_the_mark(g, tau):
     for corner in ix.tables:
         for t, table in enumerate(corner):
             for at, v in enumerate(table or ()):
-                assert v is not None and not one_child_step_to_a_pair2(ix, v)
+                if v is None:
+                    continue        # not built
+                assert not one_child_step_to_a_pair2(ix, v)
                 row, col = divmod(at, ix.width[t])
                 assert row // ix.tau < ix.mark[t] > col // ix.tau
 
@@ -1069,10 +1340,12 @@ def test_finish2_is_exact_and_stores_steps_only_below_the_mark(g, tau):
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS)
 def test_finish2_changes_the_tables_only_by_markers(g, tau):
-    """Against a build with FINISH2 = FINISH = 2, every slot the FINISH2 rule
-    stores is the same step, and every slot only the low build stores is at
-    a level pair the FINISH2 rule finishes at: the tables differ only by the
-    slots the higher factor leaves out."""
+    """Against a build with FINISH2 = FINISH = 2, every slot both builds
+    hold is the same step, every slot the FINISH2 rule holds lies at a
+    level pair below its mark, and every slot only the low build holds at
+    a pair the FINISH2 rule does not store is at a level pair the FINISH2
+    rule finishes at: the tables differ only by the slots the higher factor
+    leaves out and by the states each walk reaches."""
     ix = build_index2(g, tau)
     with mock.patch.object(access2d, "FINISH2", 2):
         low = build_index2(g, tau)
@@ -1081,17 +1354,18 @@ def test_finish2_changes_the_tables_only_by_markers(g, tau):
     for t, (mark, low_mark) in enumerate(zip(ix.mark, low.mark)):
         h = ix.grammar._height[t]
         assert mark == -(-h // FINISH2) <= low_mark == -(-h // 2)
-    for corner, low_corner in zip(ix.tables, low.tables):
-        for t, (table, low_table) in enumerate(zip(corner, low_corner)):
-            assert (table is None) == (low_table is None)
-            for at, was in enumerate(low_table or ()):
-                row, col = divmod(at, low.width[t])
-                p_r, p_c = row // ix.tau, col // ix.tau
-                assert was is not None
-                if p_r < ix.mark[t] > p_c:
-                    assert table[row * ix.width[t] + col] == was
-                else:
-                    assert ix.grammar._height[t] <= FINISH2 * max(p_r, p_c)
+    for corner, t, at in built_slots(ix):
+        row, col = divmod(at, ix.width[t])
+        assert row // ix.tau < ix.mark[t] > col // ix.tau
+    for corner, t, at in built_slots(low):
+        row, col = divmod(at, low.width[t])
+        p_r, p_c = row // ix.tau, col // ix.tau
+        if p_r >= ix.mark[t] or p_c >= ix.mark[t]:
+            assert ix.grammar._height[t] <= FINISH2 * max(p_r, p_c)
+            continue
+        table = ix.tables[corner][t]
+        mine = None if table is None else table[row * ix.width[t] + col]
+        assert mine is None or mine == low.tables[corner][t][at]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1198,27 +1472,32 @@ def test_access_finishes_inline():
 
 
 def real_slots(ix, far_at):
-    """(side or corner, variable, slot) of every stored real step of ix;
+    """(side or corner, variable, slot) of every built real step of ix;
     ``far_at`` indexes a step's far child."""
     return [(side, t, at) for side, lists in enumerate(ix.tables)
             for t, table in enumerate(lists) for at, v in enumerate(table or ())
-            if v[far_at] is not None]
+            if v is not None and v[far_at] is not None]
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS, data=st.data())
 def test_side_map_refuses_a_real_step_in_literal_shape(g, tau, data):
-    """A stored real step overwritten with a literal step's shape (0, v,
-    None), for the slot's own variable, any other or no variable, or with
-    None, is refused: a stored step of that shape must be the literal step
-    the plain descent gives, and a block of two or more positions has none."""
+    """A built real step overwritten with a literal step's shape (0, v,
+    None), for the slot's own variable, any other or no variable, is
+    refused: a stored step of that shape must be the literal step the plain
+    descent gives, and a block of two or more positions has none.
+    Overwritten with None, the slot is unbuilt, and the plain descent
+    resolves it into the same real step."""
     ix = build_index1(g, tau)
     slots = real_slots(ix, 2)
     if not slots:
         return
     side, t, at = data.draw(st.sampled_from(slots))
     p, k = divmod(at, ix.tau)
-    ix.tables[side][t][at] = data.draw(st.none() | st.builds(
+    real = side_map(ix, side, t, p, k * ix.pows[p] + 1)
+    ix.tables[side][t][at] = None
+    assert side_map(ix, side, t, p, k * ix.pows[p] + 1) == real
+    ix.tables[side][t][at] = data.draw(st.builds(
         lambda v: (0, v, None), st.integers(-1, len(g.rules))))
     with pytest.raises(PreconditionViolated, match="literal step"):
         side_map(ix, side, t, p, k * ix.pows[p] + 1)
@@ -1227,8 +1506,8 @@ def test_side_map_refuses_a_real_step_in_literal_shape(g, tau, data):
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS, data=st.data())
 def test_corner_map_refuses_a_real_step_in_literal_shape(g, tau, data):
-    """The 2D case: a stored real step overwritten with (0, 0, v, None, 0)
-    or with None, which no slot holds."""
+    """The 2D case: a built real step overwritten with (0, 0, v, None, 0) is
+    refused, and overwritten with None it is resolved by descent."""
     ix = build_index2(g, tau)
     slots = real_slots(ix, 3)
     if not slots:
@@ -1236,22 +1515,27 @@ def test_corner_map_refuses_a_real_step_in_literal_shape(g, tau, data):
     corner, t, at = data.draw(st.sampled_from(slots))
     row, col = divmod(at, ix.width[t])
     (p_r, k_r), (p_c, k_c) = divmod(row, ix.tau), divmod(col, ix.tau)
-    ix.tables[corner][t][at] = data.draw(st.none() | st.builds(
+    args = (ix, corner, t, p_r, p_c, k_r * ix.pows[p_r] + 1, k_c * ix.pows[p_c] + 1)
+    real = corner_map(*args)
+    ix.tables[corner][t][at] = None
+    assert corner_map(*args) == real
+    ix.tables[corner][t][at] = data.draw(st.builds(
         lambda v: (0, 0, v, None, 0), st.integers(-1, len(g.rules))))
     with pytest.raises(PreconditionViolated, match="literal step"):
-        corner_map(ix, corner, t, p_r, p_c, k_r * ix.pows[p_r] + 1, k_c * ix.pows[p_c] + 1)
+        corner_map(*args)
 
 
 @pytest.mark.parametrize("split", ["0", "w"])
 def test_side_map_refuses_a_step_that_does_not_straddle(split):
     """A real step whose split is moved to the block's near or far edge is
-    refused, for every such step of the index."""
-    ix = build_index1(random_slp1(3, 40, 3, 4096), 2)
+    refused, for every such step the index built; at tau 3, where the
+    walks on this grammar reach hundreds."""
+    ix = build_index1(random_slp1(3, 40, 3, 4096), 3)
     seen = 0
     for side in (0, 1):
         for t, table in enumerate(ix.tables[side]):
             for at, step in enumerate(table or ()):
-                if step[2] is None:
+                if step is None or step[2] is None:
                     continue
                 p, k = divmod(at, ix.tau)
                 b = k * ix.pows[p]
@@ -1268,14 +1552,15 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
 @pytest.mark.parametrize("split", ["0", "w"])
 def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
     """The 2D straddle guard, on steps that split columns and on steps that
-    split rows; at tau 4, where this grammar's tables hold hundreds of each
-    under the finish rule."""
-    ix = build_index2(random_slp2(3, 40, 3, 4096), 4)
+    split rows; on a 40-step staircase at tau 4, deep enough that its walks
+    read, and its tables hold thousands of each."""
+    rng = random.Random(0)
+    ix = build_index2(staircase2([rng.randrange(4) for _ in range(82)], 40), 4)
     T, seen = ix.tau, 0
     for corner in range(4):
         for t, table in enumerate(ix.tables[corner]):
             for at, step in enumerate(table or ()):
-                if step[3] is None or step[0] != axis:
+                if step is None or step[3] is None or step[0] != axis:
                     continue
                 row, col = divmod(at, ix.width[t])
                 (p_r, k_r), (p_c, k_c) = divmod(row, T), divmod(col, T)

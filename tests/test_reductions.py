@@ -23,6 +23,7 @@ from gridgram import (
     validate_slg2,
     validate_slp1,
 )
+from gridgram import slg
 from gridgram.errors import RangeError
 from gridgram.gen import grammar_from_matrix, random_matrix, random_slp1, random_string
 from gridgram.oracle import (
@@ -463,6 +464,26 @@ def test_pad_with_zero_block_structure():
     # padding adds only a logarithmic number of rules
     assert grammar_size2(padded) <= grammar_size2(g) + 4 * (
         m.rows.bit_length() + m.cols.bit_length()) + 6
+
+
+def test_constructions_validate_only_the_grammar_they_make(monkeypatch):
+    """Given a validated grammar, each construction validates only its
+    output: one topological sort, not a second run over its input, which
+    a raw input still gets."""
+    sorts = []
+    toposort = slg._toposort
+    monkeypatch.setattr(slg, "_toposort", lambda *a: sorts.append(1) or toposort(*a))
+    grid = validate_slg2(grammar_from_matrix(Matrix2D(2, 3, [1, 0, 1, 0, 1, 1])))
+    text = validate_slp1(random_slp1(3, 12, sigma=3, max_len=40))
+    for build, g in ((pad_with_zero_block, grid), (square_all_zero_via_square_lce, grid),
+                     (alphabet_reduce, text), (lambda g: mark_grammar(g, 3), text),
+                     (lambda g: ext_mark_grammar(g, 3), text)):
+        del sorts[:]
+        build(g)
+        assert len(sorts) == 1
+    del sorts[:]
+    pad_with_zero_block(grammar_from_matrix(Matrix2D(2, 3, [1, 0, 1, 0, 1, 1])))
+    assert len(sorts) == 2
 
 
 def test_square_all_zero_via_square_lce_sweep():
