@@ -19,17 +19,21 @@ costs. The contracts that the functions below share:
   reach from the steps of a built state's blocks, plus the states their
   copies read (``_walk_build``). So every slot a fast walk reads is built,
   and no state is built that a full build would not.
-- Finish rule: a walk at a level p with height(v) <= FINISH * p descends
-  from v instead of reading on, so v stores only the levels up to
-  ``top[v] = min(cap[v], ceil(height(v) / FINISH) - 1)``, none for a
-  literal (top -1).
+- Finish rule: a walk at a level p descends from v instead of reading on
+  when height(v) <= FINISH * p (the height rule) or when v's turn bound
+  B(v) (``_turns``) is at most the p + 1 reads it has left (the turn rule),
+  so v stores only the levels up to ``top[v] = min(cap[v], ceil(height(v)
+  / FINISH) - 1, B(v) - 2)``, none for a literal (top -1). A height-rule
+  finish descends plainly, a turn-rule finish with chain runs (access1).
 - Copy rule: the build fills a state after the children's states it reads
   and copies, without descending, the blocks that ``_copied`` gives a
   child: those lying wholly inside the near child, and, where the split
   falls at a multiple of the block size, those inside the far child,
   wherever the child stores the level.
 - A build descent that made RUN moves in a row toward one child runs along
-  that child's chain (``_chains``, ``_run1``). Whether the plain walk would
+  that child's chain (``_chains``, ``_run1``); the point descent of a
+  turn-rule finish does so at its second move in a row, over the chains
+  the index keeps. Whether the plain walk would
   move on to a node v of the chain is monotone along it, as lengths shrink
   down a chain: on the left chain while the window's end fits in v,
   e <= lens[v]; on the right chain while v's offset inside the node is at
@@ -44,7 +48,7 @@ costs. The contracts that the functions below share:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
@@ -118,8 +122,8 @@ def blocks_to_cap(size, top, tau):
 
 def tops(cap, mark):
     """Per variable: the highest level of an axis whose blocks it stores,
-    min(cap, mark - 1) for its mark, ceil(height / FINISH) in 1D and
-    ceil(height / FINISH2) in 2D; -1 when it stores none."""
+    min(cap, mark - 1) for its mark, the level from which a walk descends
+    from it (``_finish``); -1 when it stores none."""
     return [c if c < m else m - 1 for c, m in zip(cap, mark)]
 
 
@@ -127,40 +131,31 @@ def table_slots1(g, tau):
     """The most slots build_index1(g, tau) can build for the validated SLP
     g, the bound a caller checks before building: one per block and side
     of every variable reachable from the start, at its levels up to its
-    top. The build fills those a walk can read, and allocates a variable's
-    list whole once it builds a state of it."""
+    top (the finish rule). The build fills those a walk can read, and
+    allocates a variable's list whole once it builds a state of it."""
     g = _check_binary(Slg1._validated(g), "table_slots1")
     lens = g._lens
     tau = clamp_tau(tau, lens[g.start])
-    top = tops(caps(lens, tau), [-(-h // FINISH) for h in g._height])
+    (top,) = _finish(g, [caps(lens, tau)], [-(-h // FINISH) for h in g._height])[2]
     return 2 * sum(blocks_to_cap(m, c, tau) for m, c, r in zip(lens, top, g._reach) if r)
 
 
-RUN = 4               # moves in a row toward one child before a descent runs along its chain
+RUN = 4               # moves in a row toward one child before a build descent runs along its chain
 FINISH = 2            # a walk descends from a variable with height <= FINISH * level
 PLAIN = ((), ())      # no chains: _hook_core makes the plain walk
 
 
-def _chains(moves, topo, keys, side):
-    """Heavy-path decomposition of the forest v -> moves[v][side] (side 0 =
-    x, the left or top child; 1 = y), for runs along it (``_run1``,
-    ``_run2``).
+def _heavy(moves, topo, side):
+    """The heavy-path decomposition of the forest v -> moves[v][side] (side
+    0 = x, the left or top child; 1 = y): per node its heavy tree child, -1
+    for none.
 
     A node's tree parent is its child on ``side``, so each tree's root is
     a literal. Sizes are taken over ``topo``, the grammar's parents-first
     order, in which a node comes after every node whose child it is, so
     its size is final when it passes its size on; its heavy tree child is
-    the first of the largest. Every heavy path is stored root end first,
-    contiguous in flat lists, so a chain of children from any node crosses
-    at most floor(log2 |V|) + 1 paths: its size at least doubles at each
-    step onto another path. ``keys`` is a tuple of per-node key lists
-    (lengths, or rows and columns), none of which grows down a chain.
-
-    Returns (order, at, top, down, *flat keys): order[j] the node at flat
-    index j, at[v] the flat index of node v, top[j] the flat index of the
-    root end of j's path, down[j] the flat index of the node below that
-    root end on the chain, or -1 past a literal, and each key list in flat
-    order, so never decreasing along a path.
+    the first of the largest. The edge from v to its child c on ``side`` is
+    heavy when heavy[c] == v and light otherwise.
     """
     n = len(moves)
     size = [1] * n
@@ -173,8 +168,59 @@ def _chains(moves, topo, keys, side):
             size[c] += s
             if s > best[c]:
                 best[c], heavy[c] = s, v
+    return heavy
+
+
+def _turns(moves, topo, heavy):
+    """The turn bound B(v) of every node: the largest count, over the point
+    paths from v down to a literal, of the moves that go to the other child
+    than the move before (direction changes) plus the light edges the path
+    takes (``heavy``, the ``_heavy`` lists of both sides); 0 for a literal.
+
+    One pass over ``topo``, children first, keeping per node the bound of
+    the paths that reach it by an x move and by a y move. The point descent
+    of a run finish (``access1``, ``access2``) runs along a chain at its
+    second move in a row toward one child, to the last node of the chain
+    that holds the point, so it makes at most two moves and one bisect per
+    stretch of moves toward one child, plus one bisect per light edge it
+    runs over: at most 3 * (B(v) + 1) moves and bisects from v.
+    """
+    hx, hy = heavy
+    n = len(moves)
+    after_x = [0] * n               # the bound at v, reached by an x move
+    after_y = [0] * n
+    turns = [0] * n
+    for v in reversed(topo):
+        move = moves[v]
+        if move is not None:
+            x, y = move[0], move[1]
+            a = after_x[x] + (hx[x] != v)
+            b = after_y[y] + (hy[y] != v)
+            turns[v] = a if a > b else b
+            after_x[v] = a if a > b else b + 1
+            after_y[v] = b if b > a else a + 1
+    return turns
+
+
+def _chains(moves, topo, heavy, keys, side):
+    """The heavy paths of the forest v -> moves[v][side] (``heavy``, its
+    ``_heavy``), laid out for runs along them (``_run1``, ``_run2``, and the
+    run finishes of ``access1``/``access2``).
+
+    Every heavy path is stored root end first, contiguous in flat lists, so
+    a chain of children from any node crosses at most floor(log2 |V|) + 1
+    paths: its size at least doubles at each step onto another path.
+    ``keys`` is a tuple of per-node key lists (lengths, or rows and
+    columns), none of which grows down a chain.
+
+    Returns (order, at, top, down, *flat keys): order[j] the node at flat
+    index j, at[v] the flat index of node v, top[j] the flat index of the
+    root end of j's path, down[j] the flat index of the node below that
+    root end on the chain, or -1 past a literal, and each key list in flat
+    order, so never decreasing along a path.
+    """
     order, top, down = [], [], []
-    at = [0] * n
+    at = [0] * len(moves)
     for v in reversed(topo):        # the path below a root end is laid out before it
         kid = moves[v]
         if kid is not None and heavy[kid[side]] == v:
@@ -188,6 +234,19 @@ def _chains(moves, topo, keys, side):
             down.append(below)
             v = heavy[v]
     return (order, at, top, down, *([key[v] for v in order] for key in keys))
+
+
+def _finish(g, cap, mark):
+    """The stored region's data shared by both dimensions' index builds and
+    slot counts: the heavy children of both sides (``_heavy``), the turn
+    bound of every variable (``_turns``) and its top level on each axis of
+    ``cap``, min(cap, mark - 1, turns - 2) for ``mark``, the height rule's
+    level, and -1 when it stores none. A walk reads at a variable while
+    the reads it has left (level + 1 in 1D) are fewer than its turn bound."""
+    heavy = tuple(_heavy(g._moves, g._topo, side) for side in (0, 1))
+    turns = _turns(g._moves, g._topo, heavy)
+    bound = [min(m, t - 1) if t else 0 for m, t in zip(mark, turns)]
+    return heavy, turns, [tops(c, bound) for c in cap]
 
 
 def _run1(chains, node, b, e, side):
@@ -271,13 +330,13 @@ def hook_offset1(g, nid, b, e):
 
 
 class AccessIndex1:
-    """Per-variable bookmark tables, level caps and top stored levels, plus
-    references to the grammar's walk arrays."""
+    """Per-variable bookmark tables, level caps and top stored levels, the
+    chains of a run finish, plus references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "cap", "top",
-                 "tables", "n")
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "cap", "mark", "top",
+                 "tables", "chains", "n")
 
-    def __init__(self, grammar, tau, levels, pows, cap, top, tables):
+    def __init__(self, grammar, tau, levels, pows, cap, mark, top, tables, chains):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # ceil(log_tau n); the traced walk steps from here to 0
@@ -286,11 +345,15 @@ class AccessIndex1:
         self.moves = grammar._moves   # the grammar's move records (x, y, lens[x]), None
                                       #   for a literal
         self.cap = cap                # per variable: the largest p with tau**p <= its length
-        self.top = top                # per variable: the highest level it stores,
-                                      #   min(cap, ceil(height / FINISH) - 1), -1 for none
+        self.mark = mark              # per variable: ceil(height / FINISH), the level from
+                                      #   which the height rule finishes a walk at it
+        self.top = top                # per variable: the highest level it stores, min(cap,
+                                      #   ceil(height / FINISH) - 1, turns - 2), -1 for none
         self.tables = tables          # [side][t][p * tau + k] -> (s, near, far), one slot
                                       #   per block up to top[t], None where not built;
                                       #   [side][t] None for t without a built state
+        self.chains = chains          # the _chains of both sides, for a run finish; None
+                                      #   when no walk finishes by runs
         self.n = self.lens[grammar.start]
 
     def entry_count(self):
@@ -383,7 +446,9 @@ def build_index1(g, tau):
     state built first, and every other block's step is found by descent.
     The walk's first state is the start's left side at its top level, when
     that is its cap; otherwise no walk reads a table and nothing is built.
-    The caller bounds tau: table_slots1(g, tau) gives the slot count the
+    The chains (``_chains``) are laid out when a build descends or a walk
+    can finish by runs, and kept on the index in the second case. The
+    caller bounds tau: table_slots1(g, tau) gives the slot count the
     tables may reach, to check before building."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, moves = g._lens, g._moves
@@ -391,13 +456,21 @@ def build_index1(g, tau):
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
+    K = 2 * levels + 2              # state i * K + p * 2 + side
     cap = caps(lens, tau)
-    top = tops(cap, [-(-h // FINISH) for h in g._height])
+    mark = [-(-h // FINISH) for h in g._height]
+    heavy, _, (top,) = _finish(g, [cap], mark)
+    s = g.start
+    first = s * K + top[s] * 2 if top[s] == cap[s] else None
+    if first is None:       # a start low enough for its cap finishes by runs or plainly
+        runs = cap[s] < mark[s]
+    else:                   # some variable the turn bound cuts below the height rule
+        runs = any(r and t < c and t < m - 1 for t, c, m, r in zip(top, cap, mark, g._reach))
+    chains = tuple(_chains(moves, g._topo, heavy[side], (lens,), side) for side in (0, 1)) \
+        if runs or first is not None else None
     share = {}.setdefault           # step -> its one stored copy
-    chains = tuple(_chains(moves, g._topo, (lens,), side) for side in (0, 1))
     tables = ([None] * len(moves), [None] * len(moves))
     kids = itemgetter(1, 2)
-    K = 2 * levels + 2              # state i * K + p * 2 + side
 
     def plan(state):
         i, rest = divmod(state, K)
@@ -457,9 +530,8 @@ def build_index1(g, tau):
                 add(far * K + t * 2 + side)
         return out
 
-    s = g.start
-    _walk_build(s * K + top[s] * 2 if top[s] == cap[s] else None, plan, fill, successors)
-    return AccessIndex1(g, tau, levels, pows, cap, top, tables)
+    _walk_build(first, plan, fill, successors)
+    return AccessIndex1(g, tau, levels, pows, cap, mark, top, tables, chains if runs else None)
 
 
 def side_map(ix, side, t, p, delta):
@@ -550,9 +622,15 @@ def access1(ix, i):
     its code, or a level above the variable's top that its cap allows, from
     which the walk descends with the full delta, inline (a literal stores
     no level; a start whose top is below its cap is descended from at once,
-    without a read). So it makes at most floor(log_tau n) + 1 reads plus
-    FINISH * floor(log_tau n) moves, over the index's tables and the
-    grammar's move records.
+    without a read). Where the height rule finishes the walk, the descent
+    is the plain one, at most FINISH times the level in moves; where only
+    the turn rule does, at a variable v whose turn bound B(v) is at most
+    the reads left, the descent runs along the index's chains from its
+    second move in a row toward one child, at most 3 * (B(v) + 1) moves
+    and bisects (``_turns``). So with L = floor(log_tau n) it makes at most
+    L + 1 reads plus FINISH * L moves, or plus O(B) moves and bisects with
+    B at most L + 1 less the reads made, over the index's tables, the
+    grammar's move records and the chains.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
@@ -577,10 +655,44 @@ def access1(ix, i):
             if p > top[t]:
                 if top[t] < cap[t]:     # t is low enough: the full delta, from the left
                     i = ix.lens[t] + 1 - delta if side else delta
+                    # by the height rule the plain descent, else one with chain runs
+                    chains = None if p >= ix.mark[t] <= cap[t] else ix.chains
                     break
                 p = top[t]
         else:
             raise PreconditionViolated(f"walk to position {i} ended off a literal")
+    else:
+        chains = ix.chains
+    if chains is not None:              # by the turn rule: a descent with chain runs
+        last = -1                       # the child the last move went to, 0 = x, 1 = y
+        while (move := moves[t]) is not None:
+            x, y, l = move
+            if i <= l:
+                t = x
+                if not last:            # on to the last node of t's x chain holding i
+                    order, at, head, down, lens = chains[0]
+                    k = at[t]
+                    while True:
+                        lo = head[k]
+                        j = bisect_left(lens, i, lo, k + 1)
+                        if j > lo or (k := down[lo]) < 0 or lens[k] < i:
+                            break
+                    t = order[j]
+                last = 0
+            else:
+                t, i = y, i - l
+                if last > 0:            # the same on the y chain, r positions right of i
+                    order, at, head, down, lens = chains[1]
+                    k = at[t]
+                    r = lens[k] - i
+                    while True:
+                        lo = head[k]
+                        j = bisect_right(lens, r, lo, k + 1)
+                        if j > lo or (k := down[lo]) < 0 or lens[k] <= r:
+                            break
+                    t, i = order[j], lens[j] - r
+                last = 1
+        return ix.grammar.rules[t]
     while (move := moves[t]) is not None:
         x, y, l = move
         if i <= l:

@@ -27,16 +27,20 @@ costs. The contracts that the functions below share:
   delta falls, so both are followed. So every slot a fast walk reads is
   built, and no state is built that a full build would not.
 - Finish rule: a walk at levels with either of p_r, p_c at least ``mark[v]
-  = ceil(height(v) / FINISH2)`` descends from v instead of reading on, so v
-  stores the grid up to ``min(cap, mark[v] - 1)`` on each axis (none for a
-  literal).
+  = ceil(height(v) / FINISH2)`` (the height rule), or whose p_r + p_c + 1
+  reads left are at least v's turn bound ``turns[v]`` (the turn rule,
+  ``_turns``), descends from v instead of reading on, so v stores the
+  level pairs up to ``min(cap, mark[v] - 1, turns[v] - 2)`` on each axis
+  whose sum is at most ``turns[v] - 2`` (``_stored``; none for a literal),
+  in the rectangular grid up to those levels. A height-rule finish descends
+  plainly, a turn-rule finish with chain runs (access2).
 - The build copies by the 1D copy rule (``_copied``) along the split axis,
   the child's state built first, near and far taken in order from the
   corner: a block index it gives a
   child there is copied at every block of the other axis, on which the
-  child has the variable's size. A child stores a level pair when each
-  level is at most min(cap, mark - 1) on its axis, so a far child shorter
-  than tau**p on the split axis stores no level p, whatever its mark.
+  child has the variable's size. A child stores a level pair by the
+  finish rule, each level at most its cap, so a far child shorter than
+  tau**p on the split axis stores no level p, whatever its mark.
 - Build descents run along chains as in 1D, keyed by rows and columns: a
   node v of the x chain qualifies while the window's far corner fits in v
   (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
@@ -51,12 +55,12 @@ costs. The contracts that the functions below share:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import (PLAIN, RUN, _chains, _copied, _preset, _walk_build, blocks_to_cap, caps,
-                       ceil_log, clamp_tau, tops)
+from .access1d import (PLAIN, RUN, _chains, _copied, _finish, _preset, _walk_build,
+                       blocks_to_cap, caps, ceil_log, clamp_tau)
 from .slg import _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -76,16 +80,30 @@ def optimal_tau2(n, epsilon=1.0):
 def table_slots2(g, tau):
     """The most slots build_index2(g, tau) can build for the validated 2D
     SLP g, the bound a caller checks before building: one per block and
-    corner of every variable reachable from the start, over the levels of
-    its grid (the finish rule). The build fills those a walk can read, and
-    allocates a variable's grid whole once it builds a state of it."""
+    corner of every variable reachable from the start, over the level pairs
+    it stores (the finish rule, ``_stored``). The build fills those a walk
+    can read, and allocates a variable's grid whole once it builds a state
+    of it."""
     g = _check_binary(Slg2._validated(g), "table_slots2")
     rows, cols = g._rows, g._cols
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
-    mark = [-(-h // FINISH2) for h in g._height]
-    return 4 * sum(blocks_to_cap(m_r, tr, tau) * blocks_to_cap(m_c, tc, tau)
-                   for m_r, m_c, tr, tc, r in zip(rows, cols, tops(caps(rows, tau), mark),
-                                                  tops(caps(cols, tau), mark), g._reach) if r)
+    _, turns, (top_r, top_c) = _finish(g, [caps(rows, tau), caps(cols, tau)],
+                                       [-(-h // FINISH2) for h in g._height])
+    return 4 * sum(_stored(m_r, m_c, tr, tc, b, tau)
+                   for m_r, m_c, tr, tc, b, r in zip(rows, cols, top_r, top_c, turns, g._reach)
+                   if r)
+
+
+def _stored(m_r, m_c, top_r, top_c, turns, tau):
+    """The slots of one corner of an m_r x m_c variable over the level pairs
+    it stores: those up to top_r and top_c, each at most turns - 2, whose
+    levels sum to at most turns - 2, so that a walk there has more reads
+    left than the turn bound. Its grid is the rectangle up to top_r by
+    top_c; the pairs past the sum are in it and are never built."""
+    if top_r + top_c + 2 <= turns:
+        return blocks_to_cap(m_r, top_r, tau) * blocks_to_cap(m_c, top_c, tau)
+    return sum(min(tau, -(-m_r // tau ** p)) * blocks_to_cap(m_c, min(top_c, turns - 2 - p), tau)
+               for p in range(top_r + 1))
 
 
 def _run2(chains, node, b_r, b_c, e_r, e_c, side):
@@ -193,13 +211,16 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
 
 
 class AccessIndex2:
-    """Four corner bookmark tables, per-variable level caps and marks, the
-    start's first step, plus references to the grammar's walk arrays."""
+    """Four corner bookmark tables, per-variable level caps, marks and turn
+    bounds, the start's first step, the chains of a run finish, plus
+    references to the grammar's walk arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "cap_r",
-                 "cap_c", "mark", "first", "width", "tables", "n_rows", "n_cols")
+                 "cap_c", "mark", "turns", "first", "width", "tables", "chains", "n_rows",
+                 "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, mark, first, width, tables):
+    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, mark, turns, first, width,
+                 tables, chains):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels
@@ -212,14 +233,19 @@ class AccessIndex2:
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
         self.mark = mark            # per variable: ceil(height / FINISH2), the level
                                     #   from which, on either axis, a walk descends from it
+        self.turns = turns          # per variable: its turn bound B, which a walk at
+                                    #   (p_r, p_c) descends from it once p_r + p_c + 1,
+                                    #   the reads left, reaches
         self.first = first          # the start's caps (cap_r, cap_c), the level pair of
-                                    #   the walk's first read; None when either
-                                    #   reaches the start's mark
+                                    #   the walk's first read; None when the start
+                                    #   stores no such pair
         self.width = width          # per reachable variable: its lists' blocks per row, W
         self.tables = tables        # [corner][t][(p_r*tau+k_r)*width[t] + p_c*tau+k_c]
                                     #   -> (axis, s, near, far, shift), one slot per
                                     #   block, None where not built; [corner][t] is
                                     #   None for a variable without a built state
+        self.chains = chains        # the _chains of both sides, for a run finish; None
+                                    #   when no walk finishes by runs
         self.n_rows = self.rows[grammar.start]
         self.n_cols = self.cols[grammar.start]
 
@@ -241,23 +267,38 @@ def build_index2(g, tau):
     child's step, the child's state built first, and every other block's
     step is found by descent. The walk's first state is the start's NW
     corner at its caps, ``first``; when that is None no walk reads a table
-    and nothing is built. The caller bounds tau: table_slots2(g, tau) gives
-    the slot count the tables may reach, to check before building."""
+    and nothing is built. The chains (``_chains``) are laid out when a
+    build descends or a walk can finish by runs, and kept on the index in
+    the second case. The caller bounds tau: table_slots2(g, tau) gives the
+    slot count the tables may reach, to check before building."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves = g._rows, g._cols, g._moves
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
     cap_r, cap_c = caps(rows, tau), caps(cols, tau)
     mark = [-(-h // FINISH2) for h in g._height]
-    top_r, top_c = tops(cap_r, mark), tops(cap_c, mark)
+    heavy, turns, (top_r, top_c) = _finish(g, [cap_r, cap_c], mark)
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
+    H = levels + 1
+    K = 4 * H * H                   # state i * K + (p_r * H + p_c) * 4 + corner
+
+    def stores(c, p_r, p_c):        # the finish rule, for levels at most c's caps
+        return p_r <= top_r[c] and p_c <= top_c[c] and p_r + p_c + 1 < turns[c]
+
+    s = g.start
+    first = cap_r[s], cap_c[s]
+    if not stores(s, *first):       # a start low enough for its caps finishes by runs
+        first = None                # or plainly
+        runs = max(cap_r[s], cap_c[s]) < mark[s]
+    else:                           # some variable the turn bound cuts below the height rule
+        runs = any(r and m and min(c_r, m - 1) + min(c_c, m - 1) + 1 >= b
+                   for c_r, c_c, m, b, r in zip(cap_r, cap_c, mark, turns, g._reach))
+    chains = tuple(_chains(moves, g._topo, heavy[side], (rows, cols), side)
+                   for side in (0, 1)) if runs or first is not None else None
     share = {}.setdefault           # step -> its one stored copy
-    chains = tuple(_chains(moves, g._topo, (rows, cols), side) for side in (0, 1))
     width = [blocks_to_cap(m, t, tau) if r else 0 for m, t, r in zip(cols, top_c, g._reach)]
     tables = [[None] * len(moves) for _ in range(4)]
     kids = itemgetter(0, 2, 3)
-    H = levels + 1
-    K = 4 * H * H                   # state i * K + (p_r * H + p_c) * 4 + corner
 
     def plan(state):
         i, rest = divmod(state, K)
@@ -273,8 +314,7 @@ def build_index2(g, tau):
         blocks = -(-m // tp)
         if blocks > tau:
             blocks = tau
-        lo, hi = _copied(a, tp, blocks, p_r <= top_r[near] and p_c <= top_c[near],
-                         p_r <= top_r[far] and p_c <= top_c[far])
+        lo, hi = _copied(a, tp, blocks, stores(near, p_r, p_c), stores(far, p_r, p_c))
         return lo, hi, blocks, near * K + rest, far * K + rest
 
     def fill(state, cut):
@@ -326,7 +366,7 @@ def build_index2(g, tau):
     def successors(state, k0, k1):
         # access2's rule: a row step lowers p_r; a column step lowers p_r or
         # p_c, as the new row delta falls, so both are taken; each level is
-        # capped by the child's cap, and a pair reaching its mark finishes
+        # capped by the child's cap, and a pair it does not store finishes
         i, rest = divmod(state, K)
         p_r, p_c = divmod(rest >> 2, H)
         corner = rest & 3
@@ -350,23 +390,20 @@ def build_index2(g, tau):
                 continue                # a literal step
             pairs, flip = (down_r, corner ^ 2) if axis else (down, corner ^ 1)
             for c, to in ((near, flip), (far, corner)):
-                c_r, c_c, m = cap_r[c], cap_c[c], mark[c]
+                c_r, c_c = cap_r[c], cap_c[c]
                 for q_r, q_c in pairs:
                     if q_r > c_r:
                         q_r = c_r
                     if q_c > c_c:
                         q_c = c_c
-                    if q_r < m > q_c:
+                    if stores(c, q_r, q_c):
                         add(c * K + (q_r * H + q_c) * 4 + to)
         return out
 
-    s = g.start
-    first = cap_r[s], cap_c[s]
-    if max(first) >= mark[s]:
-        first = None
     _walk_build(None if first is None else s * K + (first[0] * H + first[1]) * 4, plan, fill,
                 successors)
-    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, mark, first, width, tables)
+    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, mark, turns, first, width, tables,
+                        chains if runs else None)
 
 
 def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
@@ -420,7 +457,8 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
     tau = ix.tau
     step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c] \
-        if table is not None and max(p_r, p_c) < ix.mark[t] else None
+        if table is not None and max(p_r, p_c) < ix.mark[t] and p_r + p_c + 1 < ix.turns[t] \
+        else None
     if step is None or step[3] is None:
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
@@ -499,29 +537,36 @@ def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based).
 
     The same walk as access2_traced in one loop with no per-step checks,
-    one table read per step while both levels are below the variable's
-    mark: until a literal step, which returns its code, or a variable low
-    enough for the levels, from which the walk descends with the full
-    deltas, inline; a literal's mark is 0. A start one of whose caps
-    reaches its mark is descended from at once, without a read: the
+    one table read per step while the variable stores the level pair: both
+    levels below its mark and their sum plus one, the reads left, below its
+    turn bound. It ends at a literal step, which returns its code, or at a
+    variable that does not store the pair, from which the walk descends
+    with the full deltas, inline; a literal's mark is 0. A start that does
+    not store its caps is descended from at once, without a read: the
     index's first step is None. With L = floor(log_tau rows) +
-    floor(log_tau cols), it makes at most L + 1 reads plus FINISH2 times
-    the larger of L's two terms in moves, over the index's tables and the
-    grammar's move records. A step that lowers neither level, which only a
-    corrupt table holds, raises PreconditionViolated.
+    floor(log_tau cols), it makes at most L + 1 reads, over the index's
+    tables, plus a descent over the grammar's move records. Where the
+    height rule finishes the walk the descent is the plain one, FINISH2
+    times the larger of L's two terms in moves at most; where only the turn
+    rule does, at a variable v, it runs along the index's chains from its
+    second move in a row toward one child, at most 3 * (B(v) + 1) moves
+    and bisects (``_turns``; a bisect on rows and one on columns per heavy
+    path), with B(v) at most L + 1 less the reads made. A step that lowers
+    neither level, which only a corrupt table holds, raises
+    PreconditionViolated.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
-    moves = ix.moves
+    moves, chains = ix.moves, ix.chains
     t = ix.grammar.start
     if (first := ix.first) is not None:
         p_r, p_c = first
-        tau, pows, tables, cap_r, cap_c, width, mark = \
-            ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width, ix.mark
+        tau, pows, tables, cap_r, cap_c, width, mark, turns = \
+            ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width, ix.mark, ix.turns
         d_r, d_c, c = i, j, 0
         w = width[t]                # blocks per row in t's lists
-        while p_r < mark[t] > p_c:
+        while p_r < mark[t] > p_c and p_r + p_c + 1 < turns[t]:
             tpr, tpc = pows[p_r], pows[p_c]
             k_r = (d_r - 1) // tpr
             k_c = (d_c - 1) // tpc
@@ -555,8 +600,43 @@ def access2(ix, i, j):
             if p_c > cap_c[t]:
                 p_c = cap_c[t]
             w = width[t]
+        if p_r >= mark[t] or p_c >= mark[t]:
+            chains = None           # by the height rule: the plain descent
         i = ix.rows[t] + 1 - d_r if c & 2 else d_r     # t is low enough: the
         j = ix.cols[t] + 1 - d_c if c & 1 else d_c     #   full deltas, from the NW
+    if chains is not None:          # by the turn rule: a descent with chain runs
+        last = -1                   # the child the last move went to, 0 = x, 1 = y
+        while (move := moves[t]) is not None:
+            x, y, l, horiz = move
+            if i <= l if horiz else j <= l:
+                t = x
+                if not last:        # on to the last node of t's x chain holding (i, j)
+                    order, at, head, down, rows, cols = chains[0]
+                    k = at[t]
+                    while True:
+                        lo = head[k]
+                        q = bisect_left(cols, j, bisect_left(rows, i, lo, k + 1), k + 1)
+                        if q > lo or (k := down[lo]) < 0 or rows[k] < i or cols[k] < j:
+                            break
+                    t = order[q]
+                last = 0
+                continue
+            if horiz:
+                t, i = y, i - l
+            else:
+                t, j = y, j - l
+            if last > 0:            # the same on the y chain, with the r rows below and
+                order, at, head, down, rows, cols = chains[1]   # the s columns right of (i, j)
+                k = at[t]
+                r, s = rows[k] - i, cols[k] - j
+                while True:
+                    lo = head[k]
+                    q = bisect_right(cols, s, bisect_right(rows, r, lo, k + 1), k + 1)
+                    if q > lo or (k := down[lo]) < 0 or rows[k] <= r or cols[k] <= s:
+                        break
+                t, i, j = order[q], rows[q] - r, cols[q] - s
+            last = 1
+        return ix.grammar.rules[t]
     while (move := moves[t]) is not None:
         x, y, l, horiz = move
         if horiz:

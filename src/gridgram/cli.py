@@ -124,19 +124,23 @@ _DIM2 = _Dim(slg2_to_slp2, lambda slp: dims(slp, slp.start), access2d.optimal_ta
 
 
 def _held_bytes(ix):
-    """The memory an index's tables hold: 8 B per allocated slot (one
-    pointer) plus each distinct step object once, as sys.getsizeof counts it.
+    """The memory an index holds beside its grammar: 8 B per allocated slot
+    and per entry of the chain lists it keeps (one pointer each) plus each
+    distinct step object once, as sys.getsizeof counts it.
 
     ``ix.tables`` is two sides or four corners, each a list over the
     variables of flat lists, None for a variable without a built state; a
     built slot holds a step, an unbuilt one None, and equal steps are one
-    shared object."""
+    shared object. ``ix.chains`` is the two sides' chain lists of a run
+    finish, or None."""
     slots, steps = 0, {}
     for part in ix.tables:
         for table in part:
             if table is not None:
                 slots += len(table)
                 steps.update((id(v), v) for v in table if v is not None)
+    for chain in ix.chains or ():
+        slots += sum(map(len, chain))
     return 8 * slots + sum(sys.getsizeof(v) for v in steps.values())
 
 

@@ -147,6 +147,50 @@ def staircase2(codes, steps):
     return validate_slp2(Slp2(rules, 4, x))
 
 
+def zigzag1(codes):
+    """comb1 with the chain on alternate sides, X_i -> lit(codes[i]) X_{i+1}
+    for even i and X_i -> X_{i+1} lit(codes[i]) for odd i: every point walk
+    goes to the other child at every move."""
+    pairs = len(codes) - 1
+    rules = []
+    for i in range(pairs):
+        nxt = i + 1 if i + 1 < pairs else pairs + codes[pairs]
+        rules.append((nxt, pairs + codes[i]) if i % 2 else (pairs + codes[i], nxt))
+    rules.extend(range(4))
+    return validate_slp1(Slp1(rules, 4, 0))
+
+
+def zigzag2(codes, steps):
+    """Z_{k+1} = Horiz(Z_k, row) for even k and Vert(col, Z_k) for odd k,
+    from the literal Z_0, each row (col) a 1 x w (h x 1) strip as wide
+    (tall) as Z_k, itself a zigzag1 along its axis: every point walk goes
+    to the other child at every move, but where it leaves the spine for a
+    strip. Takes steps + 3 codes at most."""
+    rules = list(range(4))
+
+    def add(rule):
+        rules.append(rule)
+        return len(rules) - 1
+
+    take = iter(codes)
+    z, rows, cols = next(take), 1, 1
+    strips = {Vert: [next(take)], Horiz: [next(take)]}    # the 1 x w rows, the h x 1 cols
+
+    def strip(kind, size):
+        made = strips[kind]
+        while len(made) < size:
+            c = next(take)
+            made.append(add(kind(made[-1], c) if len(made) % 2 else kind(c, made[-1])))
+        return made[size - 1]
+
+    for k in range(steps):
+        if k % 2 == 0:
+            z, rows = add(Horiz(z, strip(Vert, cols))), rows + 1
+        else:
+            z, cols = add(Vert(strip(Horiz, rows), z)), cols + 1
+    return validate_slp2(Slp2(rules, 4, z))
+
+
 def reachable(g):
     """Ids reachable from the start, ascending: the variables an index stores."""
     seen, stack = {g.start}, [g.start]

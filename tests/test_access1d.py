@@ -135,10 +135,13 @@ def test_index_single_literal():
 def test_index_abab_entry(abab):
     ix = build_index1(abab, 2)
     assert ix.grammar._height == [2, 1, 0, 0]
-    # variable 0 (S -> A A, height 2) is at most FINISH * 1 = 2 high, so it
-    # stores level 0 only, though its cap is 2: below its cap, so the walk
-    # descends from it at once and no state is built
-    assert ix.cap[0] == 2 and ix.top[0] == 0 and ix.tables == ([None] * 4, [None] * 4)
+    # variable 0 (S -> A A, height 2) is at most FINISH * 1 = 2 high, so the
+    # height rule stores level 0 only, though its cap is 2; its point paths
+    # turn once, on heavy edges only, so its turn bound 1 is at most the one
+    # read a walk has left at level 0, and it stores no level: below its
+    # cap, so the walk descends from it at once and no state is built
+    assert ix.mark[0] == 1 and ix.cap[0] == 2 and ix.top[0] == -1
+    assert ix.tables == ([None] * 4, [None] * 4)
     # W -> A S (id 0, height 3 > 2), level 1, block 1, the window (2..4]:
     # hook 1 (A -> B C) at offset 0, so the split lies 1 in from the left,
     # with B nearer that boundary and C farther. W stores level 1, below its

@@ -147,12 +147,14 @@ def test_index_1x1_text():
 def test_index_2x2_nw_entry(grid22):
     ix = build_index2(grid22, 2)
     assert ix.grammar._height == [2, 1, 1, 0, 0, 0, 0]
-    # S is at most FINISH2 * 1 high, so it stores levels (0, 0) only, not
-    # (1, 0) or (0, 1): a grid of 2 x 2 blocks, below its caps (1, 1), so
-    # the walk descends from S at once and no state is built. Levels (0, 0),
-    # block (1, 0): S is higher than FINISH2 * 0, so the checked step
-    # resolves it, by descent, into the step to the literal 5
-    assert ix.mark[0] == 1 and ix.width[0] == 2 and ix.first is None
+    # S is at most FINISH2 * 1 high, so the height rule stores levels (0, 0)
+    # only, not (1, 0) or (0, 1); its point paths turn once, on heavy edges
+    # only, so its turn bound 1 is at most the one read a walk has left at
+    # (0, 0), and it stores no level pair: a grid of no blocks, below its
+    # caps (1, 1), so the walk descends from S at once and no state is
+    # built. Levels (0, 0), block (1, 0): the checked step resolves it, by
+    # descent, into the step to the literal 5
+    assert ix.mark[0] == 1 and ix.turns[0] == 1 and ix.width[0] == 0 and ix.first is None
     assert all(table is None for corner in ix.tables for table in corner)
     assert corner_map(ix, 0, 0, 0, 0, 2, 1) == (5, 1, 1, 0)
     # T_11, with T_k -> Vert(S, T_k-1) and T_0 = S (id 11, 2x2): id 0, 2x24,

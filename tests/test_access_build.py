@@ -11,7 +11,8 @@ that child's block grid and the child stores that level, the child's state
 built first, and descends for the other blocks, exactly once each: a
 counted build's descents are checked block by block against that rule,
 restricted to the states it built and within the rule over every state,
-pinned on the benchmark's comb and staircase, and the built slots against
+pinned on the benchmark's comb and staircase (which build nothing), the
+zigzags and the doublings, and the built slots against
 builds with fewer copies, on grammars whose every split is aligned and on
 a far child shorter than the block. The built states are checked against
 a closure of the walk's transitions written here from the reference
@@ -25,7 +26,11 @@ and the traced access against the expansion and against the library's
 root-to-leaf descent from every side or corner, and that the checked steps
 refuse a corrupt step and resolve an unbuilt one by descent, on random
 SLPs, left and right combs (deep, mostly copied on one side and descended
-on the other), 2D combs along either axis and staircases. The descents
+on the other), 2D combs along either axis, staircases and zigzags. The
+turn bounds are checked against the point walks to every cell, the
+zigzags against keeping their tables, and every fast walk on these, the
+benchmark's inputs and the gen corpus against its bound in reads, moves
+and bisects, with the turn rule's finish running along the chains. The descents
 that run along heavy-path chains over long runs of moves are checked
 against the plain walk, run by run, window by window and table by table,
 on these and on the benchmark's own comb and staircase, and the chains
@@ -33,7 +38,8 @@ against their layout and path-count bound. The grammar's move records are
 checked against its child, length and axis arrays and, through every walk
 that reads them, against the expansion; a grammar that is no SLP is
 refused by the arity check before any walk; and the index's per-variable
-top levels, marks and 2D first step follow from the heights.
+top levels, marks and 2D first step follow from the heights and the turn
+bounds.
 """
 
 import os
@@ -44,6 +50,7 @@ import time
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -81,11 +88,12 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import FINISH, PLAIN, _chains, _copied, _hook_core, _run1, table_slots1
+from gridgram.access1d import (FINISH, PLAIN, _chains, _copied, _heavy, _hook_core, _run1, _turns,
+                              table_slots1)
 from gridgram.access2d import FINISH2, _hook_core2, _run2, table_slots2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
 from conftest import (comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2,
-                      submatrix)
+                      submatrix, zigzag1, zigzag2)
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
@@ -106,25 +114,27 @@ def comb_codes(draw, longest):
 
 @st.composite
 def grammars1(draw, longest=600):
-    kind = draw(st.sampled_from(["gen", "right-comb", "left-comb"]))
+    kind = draw(st.sampled_from(["gen", "right-comb", "left-comb", "zigzag"]))
     if kind == "gen":
         return random_slp1(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 30)),
                            sigma=3, max_len=draw(st.sampled_from([8, 100, 600])))
+    if kind == "zigzag":
+        return zigzag1(draw(comb_codes(longest)))
     return comb1(draw(comb_codes(longest)), kind == "right-comb")
 
 
 @st.composite
 def grammars2(draw, longest=150):
-    kind = draw(st.sampled_from(["gen", "staircase", "horiz-comb", "vert-comb"]))
+    kind = draw(st.sampled_from(["gen", "staircase", "horiz-comb", "vert-comb", "zigzag"]))
     if kind == "gen":
         return random_slp2(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 20)),
                            sigma=3, max_cells=draw(st.sampled_from([8, 64, 300])))
-    if kind != "staircase":
+    if kind in ("horiz-comb", "vert-comb"):
         return comb2(draw(comb_codes(longest)), Horiz if kind == "horiz-comb" else Vert,
                      draw(st.booleans()))
-    steps = draw(st.integers(1, 12))
-    return staircase2(draw(st.lists(st.integers(0, 3), min_size=2 * steps + 2,
-                                    max_size=2 * steps + 2)), steps)
+    steps = draw(st.integers(1, 12 if kind == "staircase" else 24))
+    codes = draw(st.lists(st.integers(0, 3), min_size=2 * steps + 3, max_size=2 * steps + 3))
+    return staircase2(codes, steps) if kind == "staircase" else zigzag2(codes, steps)
 
 
 def blocks(m, tp, tau):
@@ -183,6 +193,19 @@ def heights(g):
     return h
 
 
+def turns_of(g):
+    """The turn bound of every variable (``_turns``), over g's heavy paths."""
+    return _turns(g._moves, g._topo, [_heavy(g._moves, g._topo, side) for side in (0, 1)])
+
+
+def stores2(ix, c, p_r, p_c):
+    """Whether variable c of a 2D index stores the level pair: each level
+    at most its cap and below its mark, and the reads a walk has left
+    there, p_r + p_c + 1, below its turn bound."""
+    return (p_r <= min(ix.cap_r[c], ix.mark[c] - 1) and p_c <= min(ix.cap_c[c], ix.mark[c] - 1)
+            and p_r + p_c + 1 < ix.turns[c])
+
+
 # the oracle below walks from each slot's variable, so its cost grows with
 # slots times depth: these two draw combs of at most 70 codes, and the deep
 # combs reach the tables through test_run_builds_equal_plain_builds1/2, which
@@ -192,12 +215,14 @@ def heights(g):
 def test_build1_stores_every_window_hook(g, tau):
     """Every built slot holds its block's hook step, as the plain walk finds
     it; a variable's list, once built, spans the levels up to its cap below
-    ceil(height / FINISH), and no others; table_slots1 is the slot count of
-    every such list, the bound the built slots stay within."""
+    ceil(height / FINISH) and below its turn bound less one, and no others;
+    table_slots1 is the slot count of every such list, the bound the built
+    slots stay within."""
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
     height = heights(g)
     assert ix.grammar._height == height
+    turns = turns_of(g)
     T = ix.tau
     left, right = ix.tables
     ids = reachable(g)
@@ -208,7 +233,8 @@ def test_build1_stores_every_window_hook(g, tau):
             continue
         cap, top = ix.cap[i], ix.top[i]
         assert T ** cap <= m < T ** (cap + 1)
-        assert top == min(cap, -(-height[i] // FINISH) - 1)
+        assert ix.mark[i] == -(-height[i] // FINISH)
+        assert top == max(-1, min(cap, ix.mark[i] - 1, turns[i] - 2))
         # one slot per block of the levels 0..top, once a state is built
         grid += 2 * axis_blocks(m, top, T)
         for side, table in enumerate((left[i], right[i])):
@@ -229,13 +255,15 @@ def test_build1_stores_every_window_hook(g, tau):
 def test_build2_stores_every_window_hook(g, tau):
     """Every built slot holds its block's hook step, as the plain walk finds
     it; a variable's grid, once built, ends at min(cap, ceil(height /
-    FINISH2) - 1) on each axis; table_slots2 is the slot count of every such
-    grid, the bound the built slots stay within."""
+    FINISH2) - 1, turns - 2) on each axis, and its built slots lie at level
+    pairs whose sum is at most turns - 2; table_slots2 is the slot count of
+    those pairs, the bound the built slots stay within."""
     ix = build_index2(g, tau)
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
     height = heights(g)
     assert ix.grammar._height == height
+    assert ix.turns == turns_of(g)
     ids = reachable(g)
     grid = built = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
@@ -245,17 +273,24 @@ def test_build2_stores_every_window_hook(g, tau):
         cap_r, cap_c, mark = ix.cap_r[i], ix.cap_c[i], ix.mark[i]
         assert T ** cap_r <= m_r < T ** (cap_r + 1) and T ** cap_c <= m_c < T ** (cap_c + 1)
         assert mark == -(-height[i] // FINISH2)
-        top_r, top_c = min(cap_r, mark - 1), min(cap_c, mark - 1)
-        # one slot per block: an H x W grid of the row and the column blocks
+        turn = ix.turns[i]
+        top_r, top_c = max(-1, min(cap_r, mark - 1, turn - 2)), max(-1, min(cap_c, mark - 1,
+                                                                              turn - 2))
+        # one slot per block: an H x W grid of the row and the column blocks,
+        # of which the pairs with p_r + p_c <= turns - 2 are stored
         H, W = axis_blocks(m_r, top_r, T), axis_blocks(m_c, top_c, T)
         assert ix.width[i] == W
-        grid += 4 * H * W
+        pairs = [(p_r, p_c) for p_r, p_c in product(range(top_r + 1), range(top_c + 1))
+                 if p_r + p_c + 2 <= turn]
+        assert all(stores2(ix, i, p_r, p_c) for p_r, p_c in pairs)
+        grid += 4 * sum(len(blocks(m_r, ix.pows[p_r], T)) * len(blocks(m_c, ix.pows[p_c], T))
+                        for p_r, p_c in pairs)
         for corner in range(4):
             table = ix.tables[corner][i]
             if table is None:
                 continue
             assert len(table) == H * W
-            for p_r, p_c in product(range(top_r + 1), range(top_c + 1)):
+            for p_r, p_c in pairs:
                 for (k_r, b_r, e_r), (k_c, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
                                                                 blocks(m_c, ix.pows[p_c], T)):
                     slot = table[(p_r * T + k_r) * W + p_c * T + k_c]
@@ -324,13 +359,9 @@ def closure1(ix):
 def copy_sources2(ix, states):
     """``copy_sources1`` in 2D: sizes are taken on the split axis, the
     children in order from the corner, and a child stores a level pair when
-    both levels are below its mark and within its caps."""
+    ``stores2`` says so."""
     g, T = ix.grammar, ix.tau
     rows, cols = g._rows, g._cols
-
-    def stores(c, p_r, p_c):
-        return p_r <= min(ix.cap_r[c], ix.mark[c] - 1) and p_c <= min(ix.cap_c[c], ix.mark[c] - 1)
-
     out, todo = set(), list(states)
     while todo:
         state = todo.pop()
@@ -344,9 +375,9 @@ def copy_sources2(ix, states):
         a = rows[near] if horiz else cols[near]
         tp = ix.pows[p_r if horiz else p_c]
         for _, b, e in blocks(rows[i] if horiz else cols[i], tp, T):
-            if e <= a and stores(near, p_r, p_c):
+            if e <= a and stores2(ix, near, p_r, p_c):
                 todo.append((near, corner, p_r, p_c))
-            elif a <= b and (b - a) % tp == 0 and stores(far, p_r, p_c):
+            elif a <= b and (b - a) % tp == 0 and stores2(ix, far, p_r, p_c):
                 todo.append((far, corner, p_r, p_c))
     return out
 
@@ -354,8 +385,8 @@ def copy_sources2(ix, states):
 def closure2(ix):
     """``closure1`` in 2D, over (variable, corner, p_r, p_c): a row step
     lowers p_r and a column step p_r or p_c (both are followed), each level
-    is capped by the child's cap, and a pair reaching the child's mark ends
-    the walk there."""
+    is capped by the child's cap, and a pair the child does not store
+    (``stores2``) ends the walk there."""
     g, T = ix.grammar, ix.tau
     rows, cols = g._rows, g._cols
     todo = [] if ix.first is None else [(g.start, 0, *ix.first)]
@@ -377,7 +408,7 @@ def closure2(ix):
             for c, to in ((near, flip), (far, corner)):
                 for q_r, q_c in levels:
                     state = (c, to, min(q_r, ix.cap_r[c]), min(q_c, ix.cap_c[c]))
-                    if max(state[2:]) < ix.mark[c] and state not in walked:
+                    if stores2(ix, c, *state[2:]) and state not in walked:
                         walked.add(state)
                         todo.append(state)
     return walked, copy_sources2(ix, walked)
@@ -538,7 +569,7 @@ def test_slot_counts_come_back_fast_where_the_builds_would_not():
     """The builds may fill up to table_slots*(g, tau) slots, one per block
     of every level (pair) the reachable variables store, and check no
     bound, so the caller checks the count first; counting stays cheap where
-    building would not. The indexes are never built here: the 21,880 slots
+    building would not. The indexes are never built here: the 21,856 slots
     of the 2D corpus at tau 8 are its bound, and its build fills none of
     them, as its start is low enough for its caps."""
     fib = validate_slp1(Slp1([0, 1] + [(i - 1, i - 2) for i in range(2, 41)], 2, 40))
@@ -552,7 +583,7 @@ def test_slot_counts_come_back_fast_where_the_builds_would_not():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts == (804_264_046, 19_250_936, 21_880)
+    assert counts == (804_264_026, 19_250_912, 21_856)
     assert took < 1.0 and peak < 1 << 20
 
 
@@ -602,9 +633,14 @@ def test_access2_matches_descent(g, tau, data):
 @contextmanager
 def plain_builds():
     """Builds made inside get no chains, so every descent is the plain walk."""
-    with mock.patch.object(access1d, "_chains", lambda moves, topo, keys, side: ()), \
-            mock.patch.object(access2d, "_chains", lambda moves, topo, keys, side: ()):
+    with mock.patch.object(access1d, "_chains", lambda moves, topo, heavy, keys, side: ()), \
+            mock.patch.object(access2d, "_chains", lambda moves, topo, heavy, keys, side: ()):
         yield
+
+
+def chains_of(g, keys, side):
+    """The ``_chains`` of g's forest on ``side``, keyed by ``keys``."""
+    return _chains(g._moves, g._topo, _heavy(g._moves, g._topo, side), keys, side)
 
 
 def assert_chains(g, side, chains, keys):
@@ -642,7 +678,7 @@ def test_chains_pick_the_larger_subtree_as_heavy():
     rules = [(s_[i + 1], t_[i]) for i in range(k - 1)] + [0] + \
         [(s_[i + 1], a) for i in range(k - 1)] + [1]
     g = validate_slp1(Slp1(rules, 2, 0))
-    chains = _chains(g._moves, g._topo, (g._lens,), 0)
+    chains = chains_of(g, (g._lens,), 0)
     assert_chains(g, 0, chains, (g._lens,))
     order, at, top, down, lens = chains
     assert top[at[0]] == top[at[k - 1]]         # the whole spine is one path
@@ -658,7 +694,7 @@ def window(data, m):
 @given(g=grammars1(), data=st.data())
 def test_hook_core_runs_like_the_plain_walk(g, data):
     kids, lens, moves = g._kids, g._lens, g._moves
-    chains = tuple(_chains(moves, g._topo, (lens,), side) for side in (0, 1))
+    chains = tuple(chains_of(g, (lens,), side) for side in (0, 1))
     for side in (0, 1):
         assert_chains(g, side, chains[side], (lens,))
         # a run lands on the last node of the chain that is long enough: at
@@ -684,7 +720,7 @@ def test_hook_core_runs_like_the_plain_walk(g, data):
 def test_hook_core2_runs_like_the_plain_walk(g, data):
     kids, moves = g._kids, g._moves
     rows, cols = g._rows, g._cols
-    chains = tuple(_chains(moves, g._topo, (rows, cols), side) for side in (0, 1))
+    chains = tuple(chains_of(g, (rows, cols), side) for side in (0, 1))
     for side in (0, 1):
         assert_chains(g, side, chains[side], (rows, cols))
         for _ in range(4):
@@ -729,22 +765,34 @@ def test_run_builds_equal_plain_builds2(g, tau):
     assert_same_tables(build_index2(g, tau), plain)
 
 
-def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
+def deep_shapes():
     """The comb-deep workload's 2000-variable right comb and 100-step
-    staircase at tau 8, built the way the benchmark builds them."""
+    staircase, as the benchmark builds them, and the zigzags of the same
+    sizes."""
     rng = random.Random(1)
     comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
     stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
-    assert len(comb.rules) == 2000
+    rng = random.Random(1)
+    return comb, stair, zigzag1([rng.randrange(4) for _ in range(1997)]), \
+        zigzag2([rng.randrange(4) for _ in range(203)], 200)
+
+
+def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
+    """The comb-deep workload's comb and staircase at tau 8, and the
+    zigzags of the same sizes, which keep their tables."""
+    comb, stair, zig1, zig2 = deep_shapes()
+    assert len(comb.rules) == len(zig1.rules) == 2000
     # the bound: one slot per block of every level pair the variables store
     # (a full tau x tau grid per level pair would take 410,624); the walk's
-    # closure builds 48,689 of them
-    assert table_slots2(stair, 8) == 186_036
-    for build, g in ((build_index1, comb), (build_index2, stair)):
+    # closure builds none of them on the staircase, and 48,758 of the
+    # zigzag's 186,012
+    assert table_slots2(stair, 8) == 170_208 and table_slots2(zig2, 8) == 186_012
+    for build, g in ((build_index1, comb), (build_index2, stair), (build_index1, zig1),
+                     (build_index2, zig2)):
         with plain_builds():
             plain = build(g, 8)
         assert_same_tables(build(g, 8), plain)
-    assert plain.entry_count() == 48_689
+    assert plain.entry_count() == 48_758
 
 
 # -- child copies: the blocks a build takes from a child instead of descending --
@@ -784,11 +832,10 @@ def uncovered2(ix, far_copies=True, built=False):
     """``uncovered1`` in 2D: per block and corner, the near and far children
     are the split's children in order from the corner, sizes are taken on
     the split axis, and a child stores a level pair when each level is at
-    most min(cap, mark - 1) on its axis. The window is from the NW."""
+    most min(cap, mark - 1) on its axis and their sum plus one is below
+    its turn bound (``stores2``). The window is from the NW."""
     g, T = ix.grammar, ix.tau
     rows, cols = g._rows, g._cols
-    top_r = [min(c, m - 1) for c, m in zip(ix.cap_r, ix.mark)]
-    top_c = [min(c, m - 1) for c, m in zip(ix.cap_c, ix.mark)]
     want = Counter()
     for i in reachable(g):
         rule = g.rules[i]
@@ -800,12 +847,12 @@ def uncovered2(ix, far_copies=True, built=False):
             near, far = rule.children[::-1] if corner & (2 if horiz else 1) else rule.children
             a = rows[near] if horiz else cols[near]
             table = ix.tables[corner][i]
-            for p_r, p_c in product(range(top_r[i] + 1), range(top_c[i] + 1)):
-                if built and (table is None
-                              or table[(p_r * T) * ix.width[i] + p_c * T] is None):
+            for p_r, p_c in product(range(ix.levels + 1), repeat=2):
+                if not stores2(ix, i, p_r, p_c) or built and (
+                        table is None or table[(p_r * T) * ix.width[i] + p_c * T] is None):
                     continue
                 tp = ix.pows[p_r if horiz else p_c]
-                stores = [p_r <= top_r[c] and p_c <= top_c[c] for c in (near, far)]
+                stores = [stores2(ix, c, p_r, p_c) for c in (near, far)]
                 for (_, b_r, e_r), (_, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
                                                             blocks(m_c, ix.pows[p_c], T)):
                     b, e = (b_r, e_r) if horiz else (b_c, e_c)    # from the corner
@@ -882,18 +929,24 @@ def test_build2_descends_once_per_block_no_child_holds(g, tau):
 
 def test_build_work_on_the_benchmark_shapes():
     """The descents and built slots of comb-deep's two shapes at tau 8,
-    the 2,000-rule right comb and the 100-step staircase, pinned: a build
-    that does more work than these fails here, not only in the benchmark's
-    build time. Building every state a variable stores took 38,268 descents
-    for 100,436 slots and 51,170 for 186,036; the walk's closure takes
-    these."""
-    rng = random.Random(1)
-    comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
-    stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
-    for build, g, uncovered, work in ((build_index1, comb, uncovered1, (2_280, 16_209)),
-                                      (build_index2, stair, uncovered2, (7_011, 48_689))):
+    the 2,000-rule right comb and the 100-step staircase, and of deep
+    shapes that keep their tables, pinned: a build that does more work than
+    these fails here, not only in the benchmark's build time. The comb and
+    the staircase turn at most twice on a point path, so their starts
+    finish by the turn rule and nothing is built. The zigzags of the same
+    sizes turn at every move, so their turn bounds cut only the levels of
+    their pairs of literals; the doublings' every split is aligned, so
+    most of their blocks are copied."""
+    comb, stair, zig1, zig2 = deep_shapes()
+    for build, g, tau, uncovered, work in (
+            (build_index1, comb, 8, uncovered1, (0, 0)),
+            (build_index2, stair, 8, uncovered2, (0, 0)),
+            (build_index1, zig1, 8, uncovered1, (2_291, 32_382)),
+            (build_index2, zig2, 8, uncovered2, (6_544, 48_758)),
+            (build_index1, doubling1(20), 16, uncovered1, (25, 137)),
+            (build_index2, doubling2(14), 16, uncovered2, (48, 592))):
         with descents() as log:
-            ix = build(g, 8)
+            ix = build(g, tau)
         assert (sum(log.values()), ix.entry_count()) == work
         assert_descents(log, ix, uncovered)
 
@@ -953,13 +1006,15 @@ def test_aligned_splits_copy_the_far_childs_blocks(tau):
 
 
 def short_far1():
-    """A 16-symbol right comb followed by a 12-symbol one, of height 11."""
+    """A 16-symbol zigzag comb followed by a 12-symbol one, of height 11:
+    each turns at every level, so its turn bound does not cut its levels."""
     rules = [0, 1]
 
     def comb(k):
         rules.append((0, 1))
         for j in range(k - 2):
-            rules.append((j % 2, len(rules) - 1))
+            v = len(rules) - 1
+            rules.append((v, j % 2) if j % 2 else (j % 2, v))
         return len(rules) - 1
 
     rules.append((comb(16), comb(12)))
@@ -967,15 +1022,15 @@ def short_far1():
 
 
 def short_far2():
-    """An 8 x 100 column comb above a 3 x 100 one, of height 101."""
+    """An 8 x 100 zigzag column comb above a 3 x 100 one, of height 101."""
     rules = [0, 1, Horiz(0, 1)]
     for rule in (Horiz(2, 2), Horiz(3, 3), Horiz(0, 2)):   # 4 x 1, 8 x 1, 3 x 1
         rules.append(rule)
 
     def comb(column, k):
         v = column
-        for _ in range(k - 1):
-            rules.append(Vert(column, v))
+        for j in range(k - 1):
+            rules.append(Vert(v, column) if j % 2 else Vert(column, v))
             v = len(rules) - 1
         return v
 
@@ -1042,9 +1097,10 @@ def test_builds_refuse_a_validated_grammar_that_is_no_slp(build, g):
 def test_move_records_drive_every_walk(g, tau, data):
     """One record per variable, equal to the grammar's own arrays; every
     walk that reads the records answers as the expansion; the 1D index's
-    top level per variable is min(cap, ceil(height / FINISH) - 1), the 2D
-    index's mark ceil(height / FINISH2), and its first step is None exactly
-    when either of the start's caps reaches its mark, and the start's caps
+    top level per variable is min(cap, ceil(height / FINISH) - 1, turns -
+    2), at least -1, the 2D index's mark ceil(height / FINISH2), and its
+    first step is None exactly when either of the start's caps reaches its
+    mark or their sum plus one its turn bound, and the start's caps
     otherwise."""
     one = isinstance(g, Slg1)
     for v, (kid, move) in enumerate(zip(g._kids, g._moves, strict=True)):
@@ -1072,8 +1128,8 @@ def test_move_records_drive_every_walk(g, tau, data):
             b, e = window(data, m)
             hook, off = hook_offset1(g, t, b, e)
             assert exp[hook][off:off + e - b] == exp[t][b:e]
-        assert ix.top == [min(c, -(-h // FINISH) - 1)
-                          for c, h in zip(ix.cap, ix.grammar._height)]
+        assert ix.top == [max(-1, min(c, -(-h // FINISH) - 1, b - 2))
+                          for c, h, b in zip(ix.cap, ix.grammar._height, turns_of(g))]
         return
     ix = build_index2(g, tau)
     assert ix.moves is g._moves
@@ -1093,8 +1149,10 @@ def test_move_records_drive_every_walk(g, tau, data):
         assert submatrix(exp[hook], off_r, off_r + e_r - b_r, off_c, off_c + e_c - b_c) == \
             submatrix(exp[t], b_r, e_r, b_c, e_c)
     assert ix.mark == [-(-h // FINISH2) for h in ix.grammar._height]
+    assert ix.turns == turns_of(g)
     cap_r, cap_c = ix.cap_r[start], ix.cap_c[start]
-    assert ix.first == (None if max(cap_r, cap_c) >= ix.mark[start] else (cap_r, cap_c))
+    finished = max(cap_r, cap_c) >= ix.mark[start] or cap_r + cap_c + 1 >= ix.turns[start]
+    assert ix.first == (None if finished else (cap_r, cap_c))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1144,64 +1202,72 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
 
 
 def test_access2_traced_never_answers_wrong_on_a_swapped_step():
-    """The 2D case, on a 40-step staircase, deep enough at tau 2 that the
-    start's own steps are read (height 80 > FINISH2 * max(5, 5)): the swapped
-    one sends 24 of the 1681 cells to a wrong code through every per-step
-    check."""
+    """The 2D case, on an 80-step zigzag, 41 x 41, deep enough at tau 2 that
+    the start's own steps are read (its turn bound 80 is more than the 11
+    reads left at its caps (5, 5)): the swapped one sends 51 of the 1681
+    cells to a wrong code through every per-step check."""
     rng = random.Random(0)
-    g = staircase2([rng.randrange(4) for _ in range(82)], 40)
+    g = zigzag2([rng.randrange(4) for _ in range(83)], 80)
     ix = build_index2(g, 2)
     t = g.start
     table = ix.tables[0][t]         # the start's block (0, 0) at its caps, levels (5, 5)
     at = (5 * 2 + 0) * ix.width[t] + 5 * 2 + 0
-    assert ix.cap_r[t] == ix.cap_c[t] == 5 and table[at] == (1, 31, 125, 124, 0)
+    assert ix.first == (5, 5) and ix.turns[t] == 80 and table[at] == (0, 1, 161, 160, 0)
     table[at] = swapped(table[at], 3)
     m = expand2(g)
-    raised = 0
+    raised = wrong = 0
     for i in range(1, m.rows + 1):
         for j in range(1, m.cols + 1):
             try:
                 assert access2_traced(ix, i, j)[0] == m.get(i, j)
-            except PreconditionViolated:
+            except PreconditionViolated as e:
                 raised += 1
-    assert raised > 960             # the 24 wrong answers raise too
+                wrong += "descent reaches" in str(e)
+    assert raised > 960 and wrong == 51     # the 51 wrong answers raise too
 
 
 # -- checked literal steps ---------------------------------------------------
 
 def test_side_map_refuses_a_wrong_literal_step():
-    # X0 -> a X1, X1 -> b X2, X2 -> c d: the traced walk to position 3 reads
-    # X2's one-cell block on c at level 0; c, a literal, stores no level, so
-    # its own cell is resolved by descent and has no slot to corrupt
-    g = comb1([0, 1, 2, 3], right=True)
-    ix = build_index1(g, 2)
-    assert access1_traced(ix, 3) == (2, 3) and ix.tables[0][5] is None
-    assert side_map(ix, 1, 5, 0, 1) == (5, 1, 0)
-    # the start is low enough for its cap, so nothing is built; X2's level 0
-    # is written in, as a build that reached it holds it, with its block on
-    # c, from either side, claiming to be d, and the other block unbuilt
-    assert ix.entry_count() == 0
-    ix.tables[0][2], ix.tables[1][2] = [(0, 6, None), None], [None, (0, 6, None)]
+    # X0 -> a X1, X1 -> X2 b, X2 -> c X3, X3 -> X4 d, X4 -> a b, "acabdb":
+    # at tau 3 the traced walk to position 3 reads X3's level-0 block on
+    # X4's a, from the left; X3 stores level 0, as its turn bound 2 is more
+    # than the one read a walk has left there. The literal a stores no level,
+    # so its own cell is resolved by descent and has no slot to corrupt
+    g = zigzag1([0, 1, 2, 3, 0, 1])
+    ix = build_index1(g, 3)
+    assert access1_traced(ix, 3) == (0, 3) and ix.tables[0][5] is None
+    assert side_map(ix, 0, 5, 0, 1) == (5, 1, 0)
+    assert ix.top[3] == 0 and ix.tables[0][3] == [(0, 5, None), (0, 6, None), (0, 8, None)]
+    # X3's block on a, from the left, claiming to be b
+    ix.tables[0][3][0] = (0, 6, None)
     with pytest.raises(PreconditionViolated, match="literal step"):
         access1_traced(ix, 3)
     with pytest.raises(PreconditionViolated, match="literal step"):
-        side_map(ix, 1, 2, 0, 2)
+        side_map(ix, 0, 3, 0, 1)
 
 
 def test_corner_map_refuses_a_wrong_literal_step():
-    g = validate_slp2(Slp2([Vert(1, 2), 0, 1], 2, 0))   # S = [a b], one row
+    # S = Horiz(Z, Vert(b, a)), Z = Vert(Horiz(c, d), Horiz(a, b)): the 3 x 2
+    # [[c a], [d b], [b a]], literal ids equal to codes. S stores the level
+    # pair (0, 0), as its turn bound 2 is more than the one read a walk has
+    # left there, but is low enough for its caps, so nothing is built
+    g = zigzag2([0, 1, 2, 3, 0, 1, 2, 3], 3)
     ix = build_index2(g, 2)
+    s, m = g.start, expand2(g)
+    assert m.cells == [2, 0, 3, 1, 1, 0] and ix.turns[s] == 2 and stores2(ix, s, 0, 0)
+    assert ix.first is None and ix.entry_count() == 0
     assert ix.tables[0][2] is None  # a literal stores no level pair
-    assert ix.first is None         # S is low enough for its caps: nothing is built
     for corner in range(4):
-        d_c = 1 if corner & 1 else 2                    # b's column from the corner
-        assert corner_map(ix, corner, 0, 0, 0, 1, d_c) == (2, 1, 1, 0)
-        assert corner_map(ix, corner, 2, 0, 0, 1, 1) == (2, 1, 1, 0)
-        # S's level pair (0, 0) written in, its 1x1 block on b claiming to be a
-        ix.tables[corner][0] = [None] * ix.width[0]
-        ix.tables[corner][0][d_c - 1] = (0, 0, 1, None, 0)
+        code = m.get(m.rows if corner & 2 else 1, m.cols if corner & 1 else 1)
+        assert corner_map(ix, corner, s, 0, 0, 1, 1) == (code, 1, 1, 0)
+        assert corner_map(ix, corner, code, 0, 0, 1, 1) == (code, 1, 1, 0)
+        # S's level pair (0, 0) written in, its block on the corner's cell
+        # claiming to be another literal
+        ix.tables[corner][s] = [None] * (2 * ix.width[s])
+        ix.tables[corner][s][0] = (0, 0, code ^ 1, None, 0)
         with pytest.raises(PreconditionViolated, match="literal step"):
-            corner_map(ix, corner, 0, 0, 0, 1, d_c)
+            corner_map(ix, corner, s, 0, 0, 1, 1)
 
 
 # -- the finish: no slot where descent is cheaper than reading on ------------
@@ -1304,11 +1370,13 @@ def test_finish1_at_height_two_reads_no_slot(g, tau):
 def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
     """The fast walk starts at the start's cap and caps each level by the
     new variable's, so it reads at most floor(log_tau n) + 1 slots; none
-    when the start is low enough for its cap, height <= FINISH * cap."""
+    when the start is low enough for its cap, height <= FINISH * cap, or
+    its turn bound at most the cap + 1 reads it would have left."""
     ix = build_index1(g, tau)
     cap = ix.cap[g.start]
     assert ix.tau ** cap <= ix.n < ix.tau ** (cap + 1)
-    reads = (0, 0) if ix.grammar._height[g.start] <= FINISH * cap else (1, cap + 1)
+    low = ix.grammar._height[g.start] <= FINISH * cap or turns_of(g)[g.start] <= cap + 1
+    reads = (0, 0) if low else (1, cap + 1)
     log = logged(ix)
     for i, want in enumerate(expand1(g), start=1):
         del log[:]
@@ -1393,17 +1461,6 @@ def distinct_codes(g):
     return validate_slp2(Slp2(rules, len(codes), g.start))
 
 
-def block_comb2(blocks):
-    """X_0 = B, X_k -> Vert(B or B', X_k-1), alternating: a row of 2x2 blocks
-    B = [[0, 1], [2, 3]] and B' = [[1, 0], [2, 3]], each 2 high."""
-    rules = [0, 1, 2, 3, Vert(0, 1), Vert(1, 0), Vert(2, 3), Horiz(4, 6), Horiz(5, 6)]
-    x = 7
-    for k in range(blocks):
-        rules.append(Vert(8 if k % 2 else 7, x))
-        x = len(rules) - 1
-    return validate_slp2(Slp2(rules, 4, x))
-
-
 def finishes():
     """(grammar, tau) pairs, per dimension, for the three ways a fast walk
     finishes: ``start``, the start is low enough to be descended from at
@@ -1411,14 +1468,25 @@ def finishes():
     variable that stores no slot at its next levels, and descends from
     there; ``literal``, every walk ends at a literal step."""
     rng = random.Random(5)
+    stair = staircase2([rng.randrange(4) for _ in range(22)], 10)
+    rng = random.Random(5)
+    zigzag = zigzag2([rng.randrange(4) for _ in range(28)], 25)
     return {
-        "start": ((distinct_codes(random_slp1(11, 20, 3, 100)), 2),
-                  (staircase2([rng.randrange(4) for _ in range(22)], 10), 2)),
-        "read-then-descend": ((distinct_codes(random_slp1(34, 20, 3, 100)), 2),
-                              (block_comb2(128), 2)),
-        "literal": ((distinct_codes(random_slp1(0, 20, 3, 100)), 8),
-                    (distinct_codes(random_slp2(142, 30, 3, 300)), 8)),
+        "start": ((distinct_codes(random_slp1(11, 20, 3, 100)), 2), (stair, 2)),
+        "read-then-descend": ((distinct_codes(random_slp1(34, 20, 3, 100)), 2), (zigzag, 3)),
+        "literal": ((distinct_codes(random_slp1(133, 20, 3, 100)), 8),
+                    (distinct_codes(random_slp2(209, 30, 3, 300)), 8)),
     }
+
+
+def runs():
+    """(grammar, tau) pairs whose every walk finishes by the turn rule, at
+    the start: right and left combs, a 200 x 1 column comb and a 20-step
+    staircase, each turning at most twice on a point path."""
+    rng = random.Random(6)
+    codes = [rng.randrange(4) for _ in range(200)]
+    return [(comb1(codes, True), 8), (comb1(codes, False), 2),
+            (comb2(codes, Horiz, True), 2), (staircase2(codes[:42], 20), 4)]
 
 
 def walk_ends(log, far_at):
@@ -1457,18 +1525,234 @@ def test_access_equals_descent_however_the_walk_finishes(kind):
 
 def test_access_finishes_inline():
     """The fast walks descend over their own locals: with the public
-    descents made to raise, every walk still answers."""
+    descents and the build's runs made to raise, every walk still answers,
+    however it finishes."""
     def refuse(*args):
-        raise AssertionError("the fast walk called a public descent")
+        raise AssertionError("the fast walk called a public descent or a build run")
 
+    built = [(g, (build_index1 if isinstance(g, Slg1) else build_index2)(g, tau))
+             for g, tau in [pair for pairs in finishes().values() for pair in pairs] + runs()]
     with mock.patch.object(access1d, "descend1", refuse), \
-            mock.patch.object(access2d, "descend2", refuse):
-        for (g1, tau1), (g2, tau2) in finishes().values():
-            ix = build_index1(g1, tau1)
-            assert [access1(ix, i) for i in range(1, ix.n + 1)] == expand1(g1)
-            ix, m = build_index2(g2, tau2), expand2(g2)
+            mock.patch.object(access2d, "descend2", refuse), \
+            mock.patch.object(access1d, "_run1", refuse), \
+            mock.patch.object(access2d, "_run2", refuse):
+        for g, ix in built:
+            if isinstance(g, Slg1):
+                assert [access1(ix, i) for i in range(1, ix.n + 1)] == expand1(g)
+                continue
+            m = expand2(g)
             assert all(access2(ix, i, j) == m.get(i, j)
                        for i in range(1, m.rows + 1) for j in range(1, m.cols + 1))
+
+
+class Tallied(list):
+    """A list that adds one to ``tally[kind]`` per read through it, and
+    keeps the key of the first read in ``tally[kind, "first"]``."""
+
+    def __init__(self, items, tally, kind):
+        super().__init__(items)
+        self.tally, self.kind = tally, kind
+
+    def __getitem__(self, k):
+        self.tally[self.kind] += 1
+        self.tally.setdefault((self.kind, "first"), k)
+        return super().__getitem__(k)
+
+
+def tallied(ix):
+    """Wrap ix's tables, move records and chain path heads in Tallied lists
+    sharing one Counter: "reads" counts table reads, "moves" move records
+    read (the literal's own None included), "bisects" heavy paths a run
+    searches (one bisect, or in 2D one on rows and one on columns, per path
+    head read), and ("moves", "first") is the variable the walk descended
+    from. Returns the Counter, to be cleared between walks."""
+    tally = Counter()
+    ix.tables = type(ix.tables)([None if t is None else Tallied(t, tally, "reads")
+                                 for t in lists] for lists in ix.tables)
+    ix.moves = Tallied(ix.moves, tally, "moves")
+    if ix.chains is not None:
+        ix.chains = tuple((*chain[:2], Tallied(chain[2], tally, "bisects"), *chain[3:])
+                          for chain in ix.chains)
+    return tally
+
+
+def test_access_runs_along_the_chains_where_the_turn_rule_finishes():
+    """On shapes whose point paths turn at most twice, the start finishes by
+    the turn rule at once: no slot is built or read, the index keeps both
+    chains, every walk answers as the descents from every side or corner,
+    and the walks run along the chains, searching their heavy paths."""
+    for g, tau in runs():
+        one = isinstance(g, Slg1)
+        ix = (build_index1 if one else build_index2)(g, tau)
+        assert ix.entry_count() == 0 and ix.chains is not None
+        if one:
+            assert ix.top[g.start] < ix.cap[g.start]
+        else:
+            assert ix.first is None
+        tally = tallied(ix)
+        if one:
+            n = ix.n
+            for i in range(1, n + 1):
+                assert access1(ix, i) == descend1(ix, g.start, i, 0) == \
+                    descend1(ix, g.start, n + 1 - i, 1)
+        else:
+            r, c = ix.n_rows, ix.n_cols
+            for i in range(1, r + 1):
+                for j in range(1, c + 1):
+                    assert access2(ix, i, j) == descend2(ix, g.start, i, j, 0) == \
+                        descend2(ix, g.start, r + 1 - i, c + 1 - j, 3)
+        assert tally["reads"] == 0 and tally["bisects"] > 0
+
+
+# -- the turn rule: turn bounds, zigzags and the walk's bound -------------------
+
+def path_turns(g, heavy, v, i, j=1):
+    """The moves of the plain walk from v to the cell (i, j) (a 1D position
+    is i) that go to the other child than the move before, plus the light
+    edges it takes, ``heavy`` the ``_heavy`` lists of both sides."""
+    kids, one = g._kids, isinstance(g, Slg1)
+    count, last = 0, None
+    while kids[v] is not None:
+        x, y = kids[v]
+        if one or isinstance(g.rules[v], Horiz):
+            split = g._lens[x] if one else g._rows[x]
+            side, i = (0, i) if i <= split else (1, i - split)
+        else:
+            side, j = (0, j) if j <= g._cols[x] else (1, j - g._cols[x])
+        c = kids[v][side]
+        count += (last is not None and side != last) + (heavy[side][c] != v)
+        v, last = c, side
+    return count
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars1(longest=40) | grammars2(longest=40))
+def test_turn_bounds_are_the_most_turns_on_a_point_path(g):
+    """Every variable's turn bound is the largest count, over the plain
+    walks to each of its cells, of moves to the other child than the move
+    before plus light edges, walked here cell by cell."""
+    heavy = [_heavy(g._moves, g._topo, side) for side in (0, 1)]
+    turns = _turns(g._moves, g._topo, heavy)
+    for v in range(len(g.rules)):
+        if isinstance(g, Slg1):
+            cells = [(i,) for i in range(1, g._lens[v] + 1)]
+        else:
+            cells = product(range(1, g._rows[v] + 1), range(1, g._cols[v] + 1))
+        assert turns[v] == max(path_turns(g, heavy, v, *cell) for cell in cells)
+
+
+@pytest.mark.parametrize("tau", [2, 3, 4, 8, 16])
+def test_zigzags_keep_their_tables(tau):
+    """Point walks on the zigzags go to the other child at every move, so a
+    start's turn bound is its height, far above the reads a walk has: the
+    turn rule finishes no walk at the start, the index keeps its tables and
+    reads them, and every answer equals the descents'."""
+    rng = random.Random(2)
+    for g in (zigzag1([rng.randrange(4) for _ in range(1000)]),
+              zigzag2([rng.randrange(4) for _ in range(123)], 120)):
+        s = g.start
+        assert turns_of(g)[s] == g._height[s]
+        if isinstance(g, Slg1):
+            ix = build_index1(g, tau)
+            assert ix.top[s] == ix.cap[s] and g._height[s] > ix.levels + 1
+            tally = tallied(ix)
+            n = ix.n
+            for i in range(1, n + 1):
+                assert access1(ix, i) == descend1(ix, s, i, 0) == descend1(ix, s, n + 1 - i, 1)
+        else:
+            ix = build_index2(g, tau)
+            assert ix.first == (ix.cap_r[s], ix.cap_c[s]) and g._height[s] > sum(ix.first) + 1
+            tally = tallied(ix)
+            r, c = ix.n_rows, ix.n_cols
+            for i in range(1, r + 1):
+                for j in range(1, c + 1):
+                    assert access2(ix, i, j) == descend2(ix, s, i, j, 0) == \
+                        descend2(ix, s, r + 1 - i, c + 1 - j, 3)
+        assert ix.entry_count() > 0 and tally["reads"] > 0
+
+
+def assert_walk_bound(g, ix, queries):
+    """Each walk of access1/access2 to the queried cells answers as the
+    descent and makes at most L + 1 reads, L = floor(log_tau n) in 1D and
+    floor(log_tau rows) + floor(log_tau cols) in 2D, then descends from a
+    variable v by one of the two finish rules within its cost: by the
+    height rule, height(v) at most FINISH (FINISH2) times the larger level
+    a walk can still be at, with a plain descent of height(v) moves; by the
+    turn rule, B(v) at most the L + 1 reads less those made, with
+    3 * (B(v) + 1) moves and bisects. Moves count the move records read,
+    one more than the moves made. Returns the mean reads, moves and
+    bisects per walk."""
+    one = isinstance(g, Slg1)
+    s, turns, height = g.start, turns_of(g), g._height
+    if one:
+        L = high = ix.cap[s]
+        walk, descend, factor = partial(access1, ix), partial(descend1, ix, s), FINISH
+    else:
+        L, high = ix.cap_r[s] + ix.cap_c[s], max(ix.cap_r[s], ix.cap_c[s])
+        walk, descend, factor = partial(access2, ix), partial(descend2, ix, s), FINISH2
+    want = [descend(*q, 0) for q in queries]
+    tally = tallied(ix)
+    total = Counter()
+    for q, code in zip(queries, want):
+        tally.clear()
+        assert walk(*q) == code
+        reads, moves, bisects = tally["reads"], tally["moves"], tally["bisects"]
+        assert reads <= L + 1
+        if moves:
+            v = tally["moves", "first"]
+            plain = height[v] <= factor * (high - reads if one else high) \
+                and moves <= height[v] + 1 and not bisects
+            ran = turns[v] <= L + 1 - reads and moves + bisects <= 3 * (turns[v] + 1) + 1
+            assert plain or ran, (q, reads, moves, bisects, v, height[v], turns[v])
+        total.update(tally)
+    return tuple(total[kind] / len(queries) for kind in ("reads", "moves", "bisects"))
+
+
+def bound_inputs():
+    """(name, grammar, tau) of the inputs the walk's bound is checked on:
+    comb-deep's comb and staircase, the zigzags, the doublings, a 200 x 1
+    column comb and the gen corpus."""
+    comb, stair, zig1, zig2 = deep_shapes()
+    column = comb2([random.Random(1).randrange(4) for _ in range(200)], Horiz, True)
+    gen1, gen2 = random_slp1(7, 200, 4, 2 ** 20), random_slp2(7, 200, 4, 2 ** 20)
+    return ([("comb", comb, 8), ("staircase", stair, 8), ("column comb", column, 2)]
+            + [(name, g, tau) for name, g in (("zigzag1", zig1), ("zigzag2", zig2))
+               for tau in (2, 8)]
+            + [("doubling1", doubling1(20), 8), ("doubling1", doubling1(20), 16),
+               ("doubling2", doubling2(14), 16)]
+            + [(name, g, tau) for name, g in (("gen1", gen1), ("gen2", gen2))
+               for tau in (2, 8, 16)])
+
+
+@pytest.mark.parametrize("name, g, tau", bound_inputs(), ids=lambda v: str(v)[:12])
+def test_access_stays_within_its_bound(name, g, tau):
+    """The walk's bound on 500 random cells of each input. On comb-deep's
+    comb and staircase and on the column comb every walk finishes by the
+    turn rule at the start, without a read."""
+    one = isinstance(g, Slg1)
+    ix = (build_index1 if one else build_index2)(g, tau)
+    rng = random.Random(tau)
+    if one:
+        queries = [(rng.randint(1, ix.n),) for _ in range(500)]
+    else:
+        queries = [(rng.randint(1, ix.n_rows), rng.randint(1, ix.n_cols)) for _ in range(500)]
+    reads, moves, bisects = assert_walk_bound(g, ix, queries)
+    if name in ("comb", "staircase", "column comb"):
+        assert reads == 0 and bisects > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1() | grammars2(), tau=FINISH_TAUS, data=st.data())
+def test_access_stays_within_its_bound_on_random_grammars(g, tau, data):
+    """The walk's bound, and its answers against the descent, at every tau
+    of the finish sweep."""
+    one = isinstance(g, Slg1)
+    ix = (build_index1 if one else build_index2)(g, tau)
+    if one:
+        cells = st.tuples(st.integers(1, ix.n))
+    else:
+        cells = st.tuples(st.integers(1, ix.n_rows), st.integers(1, ix.n_cols))
+    assert_walk_bound(g, ix, data.draw(st.lists(cells, min_size=1, max_size=40)))
 
 
 def real_slots(ix, far_at):
@@ -1552,10 +1836,10 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
 @pytest.mark.parametrize("split", ["0", "w"])
 def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
     """The 2D straddle guard, on steps that split columns and on steps that
-    split rows; on a 40-step staircase at tau 4, deep enough that its walks
-    read, and its tables hold thousands of each."""
+    split rows; on an 80-step zigzag, 41 x 41, at tau 4, deep enough that
+    its walks read, and its tables hold thousands of each."""
     rng = random.Random(0)
-    ix = build_index2(staircase2([rng.randrange(4) for _ in range(82)], 40), 4)
+    ix = build_index2(zigzag2([rng.randrange(4) for _ in range(83)], 80), 4)
     T, seen = ix.tau, 0
     for corner in range(4):
         for t, table in enumerate(ix.tables[corner]):
@@ -1593,8 +1877,10 @@ def first_step(module, name, query):
     setattr(module, name, saved)
     return calls[0]
 
-# a right comb of 16 symbols, 15 high, so it stores its cap, level 4; tau 2
-g1 = validate_slp1(Slp1([(15, i + 1) for i in range(14)] + [(15, 16), 0, 1], 2, 0))
+# a zigzag comb of 16 symbols, 15 high and turning at every level, so it
+# stores its cap, level 4; tau 2
+g1 = validate_slp1(Slp1([(15, i + 1) if i % 2 == 0 else (i + 1, 15) for i in range(14)]
+                        + [(15, 16), 0, 1], 2, 0))
 ix1 = build_index1(g1, 2)
 side, t, p, delta = first_step(access1d, "side_map", lambda: access1_traced(ix1, 7))
 assert p == ix1.cap[t] == ix1.top[t] == 4
@@ -1605,9 +1891,10 @@ try:
 except PreconditionViolated:
     print("1D raised")
 
-# a comb of 128 rows, 127 high, so it stores its caps, levels (7, 0); tau 2
-g2 = validate_slp2(Slp2([Horiz(127, i + 1) for i in range(126)] + [Horiz(127, 128), 0, 1],
-                        2, 0))
+# a zigzag comb of 128 rows, 127 high and turning at every level, so it
+# stores its caps, levels (7, 0); tau 2
+g2 = validate_slp2(Slp2([Horiz(127, i + 1) if i % 2 == 0 else Horiz(i + 1, 127)
+                         for i in range(126)] + [Horiz(127, 128), 0, 1], 2, 0))
 ix2 = build_index2(g2, 2)
 corner, t, p_r, p_c, d_r, d_c = first_step(access2d, "corner_map",
                                            lambda: access2_traced(ix2, 3, 1))
@@ -1635,12 +1922,12 @@ def test_traced_walk_raises_on_corrupt_bookmark_under_O():
 
 _LOWERS_NO_LEVEL = """
 from gridgram import PreconditionViolated, access2, build_index2
-from conftest import staircase2
+from conftest import zigzag2
 
-# a 40-step staircase, 41 x 41, read at its caps (5, 5) at tau 2; the cell
+# an 80-step zigzag, 41 x 41, read at its caps (5, 5) at tau 2; the cell
 # (40, 40) lies in block (1, 1), whose step now keeps the walk at the start
 # with the same deltas: it lowers neither level
-g = staircase2([0, 1] * 41, 40)
+g = zigzag2([0, 1] * 42, 80)
 ix = build_index2(g, 2)
 assert ix.first == (5, 5)
 t = g.start
@@ -1671,11 +1958,12 @@ def test_access1_refuses_a_walk_that_ends_off_a_literal():
     level-0 step that sends it on to a pair leaves it off a literal with no
     level left, which raises. The level falls every step, so the walk runs
     in-process: it cannot hang."""
-    # a right comb of 16 symbols, 15 high; the walk to position 5 reads
-    # variable 4's left level-0 slot 0, the literal step to 15 (code 0)
-    g = validate_slp1(Slp1([(15, i + 1) for i in range(14)] + [(15, 16), 0, 1], 2, 0))
+    # a zigzag comb of 16 symbols, 15 high; the walk to position 5 reads
+    # variable 7's left level-0 slot 0, the literal step to 15 (code 0)
+    g = validate_slp1(Slp1([(15, i + 1) if i % 2 == 0 else (i + 1, 15) for i in range(14)]
+                           + [(15, 16), 0, 1], 2, 0))
     ix = build_index1(g, 2)
-    assert access1(ix, 5) == 0 and ix.tables[0][4][0] == (0, 15, None)
-    ix.tables[0][4][0] = (0, 15, 1)     # its far child, variable 1, is a pair
+    assert access1(ix, 5) == 0 and ix.tables[0][7][0] == (0, 15, None)
+    ix.tables[0][7][0] = (0, 15, 1)     # its far child, variable 1, is a pair
     with pytest.raises(PreconditionViolated, match="walk to position 5 ended off a literal"):
         access1(ix, 5)

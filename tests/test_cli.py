@@ -425,9 +425,10 @@ def test_bench_2d_branch(slp2_file, capsys):
 
 
 def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys):
-    # 8 B per allocated slot, built or not, plus each distinct (shared) step
-    # object once; entries counts the built slots. These shallow grammars
-    # build nothing but the 1D one at tau 3, where the walk reads
+    # 8 B per allocated slot, built or not, and per entry of the chain lists
+    # the index keeps, plus each distinct (shared) step object once; entries
+    # counts the built slots. These shallow grammars build nothing but the
+    # 1D one at tau 3, where the walk reads
     built = 0
     for path, load, build in ((slp1_file, lambda t: slg_to_slp(parse_slg1(t)), build_index1),
                               (slp2_file, lambda t: slg2_to_slp2(parse_slg2(t)), build_index2)):
@@ -439,9 +440,28 @@ def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys
             lists = [t for part in ix.tables for t in part if t is not None]
             steps = {id(v): v for t in lists for v in t if v is not None}
             assert entries == ix.entry_count() and (len(steps) < entries or entries == 0)
-            assert nbytes == 8 * sum(map(len, lists)) + sum(map(sys.getsizeof, steps.values()))
+            chained = sum(len(key) for chain in ix.chains or () for key in chain)
+            assert nbytes == 8 * (sum(map(len, lists)) + chained) + \
+                sum(map(sys.getsizeof, steps.values()))
             built += entries
     assert built > 0
+
+
+def test_bench_bytes_count_the_chains_of_a_table_free_index(tmp_path, capsys):
+    # a right comb of 64 symbols turns once on a point path, so its start
+    # finishes by the turn rule at once: no slot is allocated, and the bytes
+    # are the 8 B per entry of the two sides' chains, five lists over its 65
+    # rules each
+    path = tmp_path / "comb.slg1"
+    rules = [f"{i}: N 63 {i + 1}" for i in range(62)] + ["62: N 63 64", "63: T 0", "64: T 1"]
+    path.write_text("SLG1 65 2\n" + "\n".join(rules) + "\nSTART 0\n")
+    code, out, _ = run(capsys, "bench", str(path), "--tau-list", "2,8", "--reps", "4")
+    assert code == 0
+    for line in out.strip().splitlines()[1:]:
+        tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
+        ix = build_index1(slg_to_slp(parse_slg1(path.read_text())), tau)
+        assert entries == 0 and all(t is None for part in ix.tables for t in part)
+        assert ix.chains is not None and nbytes == 8 * 2 * 5 * 65
 
 
 def test_access_tau_preset_from_epsilon(slp1_file, capsys):
