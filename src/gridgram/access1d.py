@@ -109,8 +109,12 @@ def clamp_tau(tau, longest):
 
 def caps(sizes, tau):
     """Per variable: its level cap, the largest p with tau**p <= its size
-    along an axis (its length in 1D, its rows or columns in 2D)."""
-    return [ceil_log(m + 1, tau) - 1 for m in sizes]
+    along an axis (its length in 1D, its rows or columns in 2D), found by
+    bisection in the powers of tau up to the largest size."""
+    pows, top = [1], max(sizes, default=0)
+    while pows[-1] * tau <= top:
+        pows.append(pows[-1] * tau)
+    return [bisect_right(pows, m) - 1 for m in sizes]
 
 
 def blocks_to_cap(size, top, tau):

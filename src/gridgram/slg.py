@@ -68,8 +68,9 @@ class _Grammar:
     """State and helpers shared by the 1D and 2D grammar classes.
 
     A subclass names its text format (``_magic``, the literal letter
-    ``_literal``, and ``_letters`` mapping each rule type to its letter) and
-    how to read a rule's children (``_children``).
+    ``_literal``, and ``_letters`` mapping each rule type to its letter),
+    how to read a rule's children (``_children``) and how to measure and
+    cache its sizes (``_measure``, over ids children first).
     A rule's type is also its rebuilder: ``type(rule)(child_ids)``.
     """
 
@@ -136,13 +137,29 @@ class Slg1(_Grammar):
     _magic, _literal, _letters = "SLG1", "T", {tuple: "N"}
 
     def __init__(self, rules, alphabet_size, start=0):
-        super().__init__((r if isinstance(r, int) or not hasattr(r, "__iter__")
-                          else tuple(r) for r in rules), alphabet_size, start)
+        super().__init__([r if type(r) is tuple or isinstance(r, int) or not hasattr(r, "__iter__")
+                          else tuple(r) for r in rules], alphabet_size, start)
         self._lens = None   # expansion length per id
 
     @staticmethod
     def _children(rule):
         return rule
+
+    def _measure(self, order):
+        """Cache the expansion lengths, over ``order`` (children first)."""
+        rules, lens = self.rules, [0] * len(self.rules)
+        for nid in order:
+            rule = rules[nid]
+            if isinstance(rule, int):
+                lens[nid] = 1
+                continue
+            total = 0
+            for c in rule:
+                total += lens[c]
+            if total > MAX_LEN:
+                raise ArithmeticOverflow(f"expansion of id {nid} exceeds 2**62")
+            lens[nid] = total
+        self._lens = lens
 
     def _move_records(self):
         lens = self._lens
@@ -157,9 +174,9 @@ def _toposort(kids, start):
     parents-first order and the per-id flag of reachability from the start.
 
     The ids finished before the DFS moves on from the start are exactly
-    those reachable from it. Iterative (explicit stack): grammar depth may
-    reach the rule count. Raises CyclicGrammar on any cycle, including
-    self-reference.
+    those reachable from it. Iterative, over a stack of child iterators:
+    grammar depth may reach the rule count. Raises CyclicGrammar on any
+    cycle, including self-reference.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * len(kids)
@@ -168,20 +185,20 @@ def _toposort(kids, start):
     for root in chain((start,), range(len(kids))):
         if color[root] != WHITE:
             continue
-        stack = [(root, 0)]
-        while stack:
-            node, child_ix = stack.pop()
-            if child_ix == 0:           # pushed while white, and popped next
-                color[node] = GRAY
-            children = kids[node] or ()
-            if child_ix < len(children):
-                stack.append((node, child_ix + 1))
-                c = children[child_ix]
+        color[root] = GRAY
+        path, iters = [root], [iter(kids[root] or ())]
+        while iters:
+            for c in iters[-1]:
+                if color[c] == WHITE:
+                    color[c] = GRAY
+                    path.append(c)
+                    iters.append(iter(kids[c] or ()))
+                    break
                 if color[c] == GRAY:
                     raise CyclicGrammar(f"cycle through nonterminal {c}")
-                if color[c] == WHITE:
-                    stack.append((c, 0))
             else:
+                iters.pop()
+                node = path.pop()
                 color[node] = BLACK
                 order.append(node)
         if root == start:
@@ -192,13 +209,14 @@ def _toposort(kids, start):
 
 
 def _validate_core(g):
-    """The dimension-independent half of validation, keeping every id.
+    """Validation in either dimension, keeping every id; returns ``g``.
 
     Checks the type and range of the alphabet size, the start and every
     rule, child id and terminal, refuses a rule with no children
     (EmptyLanguage), then sorts topologically. Stores the child lists,
-    reachability from the start and heights on ``g``, and returns its
-    parents-first order; the caller computes sizes and stores the rest.
+    reachability from the start and heights on ``g``, has ``g`` measure its
+    sizes children first (``_measure``, which checks them), and stores the
+    parents-first order last, which marks ``g`` validated.
     """
     rules = g.rules
     if not rules:
@@ -209,23 +227,26 @@ def _validate_core(g):
     if not (isinstance(g.start, int) and 0 <= g.start < len(rules)):
         raise DanglingReference(f"start id {g.start!r} is not a rule id in [0, {len(rules)})")
 
+    n, letters, children = len(rules), g._letters, g._children
+    kids = []
     for nid, rule in enumerate(rules):
         if isinstance(rule, int):
             if not (0 <= rule < sigma):
                 raise TerminalOutOfRange(f"terminal {rule} at id {nid} not in [0, {sigma})")
-        elif type(rule) in g._letters:
-            if not g._children(rule):
-                raise EmptyLanguage(f"rule {nid} has no children")
-            for c in g._children(rule):
-                if not (isinstance(c, int) and 0 <= c < len(rules)):
-                    raise DanglingReference(f"rule {nid} references undefined id {c!r}")
-        else:
-            kinds = "/".join(t.__name__ for t in g._letters)
+            kids.append(None)
+            continue
+        if type(rule) not in letters:
+            kinds = "/".join(t.__name__ for t in letters)
             raise TerminalOutOfRange(f"rule {nid} is neither an int terminal nor "
                                      f"a {kinds}: {rule!r}")
-    children = g._children
-    g._moves = None
-    g._kids = kids = [None if isinstance(r, int) else children(r) for r in rules]
+        ks = children(rule)
+        if not ks:
+            raise EmptyLanguage(f"rule {nid} has no children")
+        for c in ks:
+            if not (isinstance(c, int) and 0 <= c < n):
+                raise DanglingReference(f"rule {nid} references undefined id {c!r}")
+        kids.append(ks)
+    g._kids, g._moves = kids, None
     topo, g._reach = _toposort(kids, g.start)
     g._height = height = [0] * len(kids)
     for nid in reversed(topo):
@@ -235,7 +256,9 @@ def _validate_core(g):
                 if height[c] > h:
                     h = height[c]
             height[nid] = h + 1
-    return topo
+    g._measure(reversed(topo))
+    g._topo = topo
+    return g
 
 
 def _check_binary(g, needs):
@@ -257,25 +280,7 @@ def validate_slg1(g):
     caches a topological order, the child lists, reachability from the start,
     heights and expansion lengths.
     """
-    topo = _validate_core(Slg1._own(g))
-    rules = g.rules
-
-    lens = [0] * len(rules)
-    for nid in reversed(topo):
-        rule = rules[nid]
-        if isinstance(rule, int):
-            lens[nid] = 1
-            continue
-        total = 0
-        for c in rule:
-            total += lens[c]
-        if total > MAX_LEN:
-            raise ArithmeticOverflow(f"expansion of id {nid} exceeds 2**62")
-        lens[nid] = total
-
-    g._topo = topo
-    g._lens = lens
-    return g
+    return _validate_core(Slg1._own(g))
 
 
 def validate_slp1(g):
@@ -441,32 +446,41 @@ def _binarize(g):
     Single-child rules are aliased away, and longer right-hand sides are
     binarized left to right, each pair rule keeping its parent's type. Only
     rules reachable from the start survive, renumbered children first.
-    Returns an unvalidated grammar of ``g``'s type.
+    Returns a validated SLP of ``g``'s type, valid by construction and not
+    validated again: child lists and heights are recorded as rules are
+    emitted, all are reachable, and descending ids are parents first (for a
+    binary ``g`` the order a fresh sort gives); then the sizes, in id order,
+    and the move records are derived.
     """
-    out_rules = []
-
-    def emit(rule):
-        out_rules.append(rule)
-        return len(out_rules) - 1
-
+    rules, kids, height = [], [], []
     alias = {}  # original id -> output id, for surviving nodes
+    g_rules, g_kids, g_reach = g.rules, g._kids, g._reach
     for nid in reversed(g._topo):
-        if not g._reach[nid]:
+        if not g_reach[nid]:
             continue
-        rule = g.rules[nid]
-        if isinstance(rule, int):
-            alias[nid] = emit(rule)
+        ks = g_kids[nid]
+        if ks is None:
+            alias[nid] = len(rules)
+            rules.append(g_rules[nid])
+            kids.append(None)
+            height.append(0)
             continue
-        kids = [alias[c] for c in g._kids[nid]]
-        if len(kids) == 1:
-            alias[nid] = kids[0]
-        else:
-            ctor = type(rule)
-            acc = kids[0]
-            for c in kids[1:]:
-                acc = emit(ctor((acc, c)))
-            alias[nid] = acc
-    return type(g)(out_rules, g.alphabet_size, alias[g.start])
+        ctor = type(g_rules[nid])
+        acc = alias[ks[0]]
+        for c in ks[1:]:
+            c = alias[c]
+            pair, h, hc = (acc, c), height[acc], height[c]
+            height.append((h if h > hc else hc) + 1)
+            rules.append(pair if ctor is tuple else ctor(pair))
+            kids.append(pair)
+            acc = len(rules) - 1
+        alias[nid] = acc
+    out = type(g)(rules, g.alphabet_size, alias[g.start])
+    out._kids, out._reach, out._height = kids, [True] * len(rules), height
+    out._measure(range(len(rules)))
+    out._topo = list(range(len(rules) - 1, -1, -1))
+    out._moves = out._move_records()
+    return out
 
 
 def slg_to_slp(g):
@@ -474,11 +488,12 @@ def slg_to_slp(g):
 
     Single-child rules are aliased away, and longer right-hand sides are
     binarized left to right. Only rules reachable from the start survive.
-    Output size stays within a small constant factor of the input size.
+    Output size stays within a small constant factor of the input size. The
+    output derives its cached arrays from ``g``'s, validated if it is not.
     """
     if not Slg1._own(g).validated:
         g = validate_slg1(g)
-    return validate_slp1(_binarize(g))
+    return _binarize(g)
 
 
 # -- text format ------------------------------------------------------------
@@ -490,10 +505,35 @@ def _int(field, line):
         raise ParseError(f"bad integer {field!r} in: {line!r}") from None
 
 
+def _refuse(ln, rules, cls):
+    """Raise the error of rule line ``ln`` of class ``cls``, which did not
+    parse, from the first check it fails: the colon, the id's integer, its
+    range, a duplicate, the body, the integers after the kind, the kind."""
+    head, sep, rest = ln.partition(":")
+    if not sep:
+        raise ParseError(f"bad rule line: {ln!r}")
+    nid = _int(head, ln)
+    if not (0 <= nid < len(rules)):
+        raise ParseError(f"rule id {nid} out of range [0, {len(rules)})")
+    if rules[nid] is not None:
+        raise DuplicateRule(f"duplicate rule for id {nid}")
+    fields = rest.split()
+    if not fields:
+        raise ParseError(f"empty rule body: {ln!r}")
+    for field in fields[1:]:
+        _int(field, ln)
+    if fields[0] == cls._literal:
+        raise ParseError(f"literal rule needs one terminal: {ln!r}")
+    if fields[0] in cls._letters.values():
+        raise ParseError(f"sequence rule needs children: {ln!r}")
+    raise ParseError(f"unknown rule kind {fields[0]!r} in: {ln!r}")
+
+
 def _parse(text, cls):
-    """Parse the text format of grammar class ``cls``; returns it unvalidated."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse the text format of grammar class ``cls``; returns it unvalidated.
+    A rule line takes one partition, one split and one ``map(int, ...)``; a
+    line that fails is read again by ``_refuse``, which words the error."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty grammar file")
     head = lines[0].split()
@@ -506,6 +546,7 @@ def _parse(text, cls):
         raise ParseError(f"header declares {count} rules, but {len(lines) - 1} lines follow")
 
     kinds = {letter: ctor for ctor, letter in cls._letters.items()}
+    literal = cls._literal
     rules = [None] * count
     start = None
     for ln in lines[1:]:
@@ -515,28 +556,17 @@ def _parse(text, cls):
                 raise ParseError(f"bad START line: {ln!r}")
             start = _int(parts[1], ln)
             continue
-        head_part, sep, rest = ln.partition(":")
-        if not sep:
-            raise ParseError(f"bad rule line: {ln!r}")
-        nid = _int(head_part, ln)
-        if not (0 <= nid < count):
-            raise ParseError(f"rule id {nid} out of range [0, {count})")
-        if rules[nid] is not None:
-            raise DuplicateRule(f"duplicate rule for id {nid}")
+        head, _, rest = ln.partition(":")
         fields = rest.split()
-        if not fields:
-            raise ParseError(f"empty rule body: {ln!r}")
-        kind, args = fields[0], [_int(a, ln) for a in fields[1:]]
-        if kind == cls._literal:
-            if len(args) != 1:
-                raise ParseError(f"literal rule needs one terminal: {ln!r}")
-            rules[nid] = args[0]
-        elif kind in kinds:
-            if not args:
-                raise ParseError(f"sequence rule needs children: {ln!r}")
-            rules[nid] = kinds[kind](args)
-        else:
-            raise ParseError(f"unknown rule kind {kind!r} in: {ln!r}")
+        try:
+            kind, fields[0] = fields[0], head
+            nums = tuple(map(int, fields))      # the id, then the children or the terminal
+            rule = nums[1] if kind == literal and len(nums) == 2 else kinds[kind](nums[1:])
+        except (IndexError, KeyError, ValueError):
+            rule = None
+        if rule is None or len(nums) < 2 or not 0 <= nums[0] < count or rules[nums[0]] is not None:
+            _refuse(ln, rules, cls)
+        rules[nums[0]] = rule
     if start is None:
         raise ParseError("missing START line")
     missing = [i for i, r in enumerate(rules) if r is None]

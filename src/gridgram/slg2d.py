@@ -194,6 +194,36 @@ class Slg2(_Grammar):
     def _children(rule):
         return rule.children
 
+    def _measure(self, order):
+        """Cache the rows and columns, visiting the ids in ``order``, children
+        first: the children of a Horiz rule must share one column count,
+        those of a Vert rule one row count."""
+        rules, kids = self.rules, self._kids
+        rows, cols = [0] * len(rules), [0] * len(rules)
+        for nid in order:
+            rule = rules[nid]
+            if isinstance(rule, int):
+                rows[nid] = cols[nid] = 1
+                continue
+            ks = kids[nid]
+            if isinstance(rule, Horiz):
+                w = cols[ks[0]]
+                for c in ks:
+                    if cols[c] != w:
+                        raise DimensionMismatch(
+                            f"Horiz rule {nid}: child {c} has {cols[c]} cols, expected {w}")
+                rows[nid], cols[nid] = sum(rows[c] for c in ks), w
+            else:
+                h = rows[ks[0]]
+                for c in ks:
+                    if rows[c] != h:
+                        raise DimensionMismatch(
+                            f"Vert rule {nid}: child {c} has {rows[c]} rows, expected {h}")
+                rows[nid], cols[nid] = h, sum(cols[c] for c in ks)
+            if rows[nid] > MAX_LEN or cols[nid] > MAX_LEN:
+                raise ArithmeticOverflow(f"dimensions of id {nid} exceed 2**62")
+        self._rows, self._cols = rows, cols
+
     def _move_records(self):
         rows, cols = self._rows, self._cols
         return [None if kid is None else (kid[0], kid[1], rows[kid[0]] if h else cols[kid[0]], h)
@@ -212,38 +242,7 @@ def validate_slg2(g):
     child lists, reachability from the start, heights and per-nonterminal
     (rows, cols).
     """
-    topo = _validate_core(Slg2._own(g))
-    rules, kids = g.rules, g._kids
-
-    rows = [0] * len(rules)
-    cols = [0] * len(rules)
-    for nid in reversed(topo):
-        rule = rules[nid]
-        if isinstance(rule, int):
-            rows[nid] = cols[nid] = 1
-            continue
-        ks = kids[nid]
-        if isinstance(rule, Horiz):
-            w = cols[ks[0]]
-            for c in ks:
-                if cols[c] != w:
-                    raise DimensionMismatch(
-                        f"Horiz rule {nid}: child {c} has {cols[c]} cols, expected {w}")
-            rows[nid], cols[nid] = sum(rows[c] for c in ks), w
-        else:
-            h = rows[ks[0]]
-            for c in ks:
-                if rows[c] != h:
-                    raise DimensionMismatch(
-                        f"Vert rule {nid}: child {c} has {rows[c]} rows, expected {h}")
-            rows[nid], cols[nid] = h, sum(cols[c] for c in ks)
-        if rows[nid] > MAX_LEN or cols[nid] > MAX_LEN:
-            raise ArithmeticOverflow(f"dimensions of id {nid} exceed 2**62")
-
-    g._topo = topo
-    g._rows = rows
-    g._cols = cols
-    return g
+    return _validate_core(Slg2._own(g))
 
 
 def validate_slp2(g):
@@ -319,11 +318,11 @@ def slg2_to_slp2(g):
 
     Same pipeline as the 1D conversion: alias single-child rules, binarize
     longer right-hand sides left to right, keep only rules reachable from
-    the start.
+    the start; the output derives its cached arrays from ``g``'s.
     """
     if not Slg2._own(g).validated:
         g = validate_slg2(g)
-    return validate_slp2(_binarize(g))
+    return _binarize(g)
 
 
 # -- text formats -----------------------------------------------------------

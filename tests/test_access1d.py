@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridgram import (
     PositionOutOfRange,
@@ -19,6 +20,7 @@ from gridgram import (
     side_map,
     validate_slp1,
 )
+from gridgram.access1d import caps
 from gridgram.access2d import optimal_tau2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp1
@@ -36,6 +38,15 @@ def test_ceil_log():
                     (2.5, 2), ("5", 2), (None, 2)):
         with pytest.raises(RangeError):
             ceil_log(n, base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.one_of(st.integers(1, 2 ** 62), st.integers(1, 300)), max_size=8),
+       tau=st.one_of(st.integers(2, 20), st.integers(2, 2 ** 64)))
+def test_caps_by_bisection_keep_the_ceil_log_definition(sizes, tau):
+    """Each level cap, by bisection in the powers of tau, is ceil_log(m + 1,
+    tau) - 1, the largest p with tau**p <= m, for tau up to beyond every size."""
+    assert caps(sizes, tau) == [ceil_log(m + 1, tau) - 1 for m in sizes]
 
 
 def test_optimal_tau_clamps():

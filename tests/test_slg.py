@@ -48,9 +48,10 @@ from gridgram import (
     validate_slp1,
     validate_slp2,
 )
+from gridgram import slg, slg2d
 from gridgram.errors import PreconditionViolated, RangeError
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import comb1, comb2, expand_all_1d, expand_all_2d, reachable
+from conftest import comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2
 
 Dim = namedtuple("Dim", "cls rule validate parse dump cells")
 DIMS = (
@@ -317,6 +318,80 @@ def test_format_missing_rule_rejected():
         parse_slg1("SLG1 2 2\n0: T 0\nSTART 0\n")
 
 
+# Every refusal of the text format, with its error class and whole message.
+# In a text and its message, {M} is the dimension's magic word, {T} its
+# literal letter, {N} a sequence letter of it, and {O} and {X} the other
+# dimension's magic word and sequence letter.
+REFUSALS = [
+    ("empty-file", " \n\n", ParseError, "empty grammar file"),
+    ("header-fields", "{M} 1\n0: {T} 0\nSTART 0", ParseError, "bad header: '{M} 1'"),
+    ("header-magic", "{O} 1 2\n0: {T} 0\nSTART 0", ParseError, "bad header: '{O} 1 2'"),
+    ("header-int", "{M} 1 b\n0: {T} 0\nSTART 0", ParseError, "bad integer 'b' in: '{M} 1 b'"),
+    ("header-count", "{M} 0 2\nSTART 0", ParseError,
+     "nonterminal count and alphabet size must be positive"),
+    ("header-lines", "{M} 3 2\n0: {T} 0\nSTART 0", ParseError,
+     "header declares 3 rules, but 2 lines follow"),
+    ("no-colon", "{M} 1 2\n0 {T} 0\nSTART 0", ParseError, "bad rule line: '0 {T} 0'"),
+    ("bad-id", "{M} 1 2\nx: {T} 0\nSTART 0", ParseError, "bad integer 'x' in: 'x: {T} 0'"),
+    ("bad-child", "{M} 2 2\n0: {N} 1 y\n1: {T} 0\nSTART 0", ParseError,
+     "bad integer 'y' in: '0: {N} 1 y'"),
+    ("bad-literal", "{M} 1 2\n0: {T} 0.5\nSTART 0", ParseError,
+     "bad integer '0.5' in: '0: {T} 0.5'"),
+    ("bad-start", "{M} 1 2\n0: {T} 0\nSTART s", ParseError, "bad integer 's' in: 'START s'"),
+    ("id-high", "{M} 1 2\n1: {T} 0\nSTART 0", ParseError, "rule id 1 out of range [0, 1)"),
+    ("id-negative", "{M} 1 2\n-1: {T} 0\nSTART 0", ParseError,
+     "rule id -1 out of range [0, 1)"),
+    ("duplicate", "{M} 1 2\n0: {T} 0\n0: {T} 1\nSTART 0", DuplicateRule,
+     "duplicate rule for id 0"),
+    ("empty-body", "{M} 1 2\n0:  \nSTART 0", ParseError, "empty rule body: '0:'"),
+    ("literal-none", "{M} 1 2\n0: {T}\nSTART 0", ParseError,
+     "literal rule needs one terminal: '0: {T}'"),
+    ("literal-two", "{M} 1 2\n0: {T} 0 1\nSTART 0", ParseError,
+     "literal rule needs one terminal: '0: {T} 0 1'"),
+    ("no-children", "{M} 2 2\n0: {N}\n1: {T} 0\nSTART 1", ParseError,
+     "sequence rule needs children: '0: {N}'"),
+    ("unknown-kind", "{M} 1 2\n0: Q 0\nSTART 0", ParseError, "unknown rule kind 'Q' in: '0: Q 0'"),
+    ("other-kind", "{M} 2 2\n0: {X} 1 1\n1: {T} 0\nSTART 0", ParseError,
+     "unknown rule kind '{X}' in: '0: {X} 1 1'"),
+    ("start-alone", "{M} 1 2\n0: {T} 0\nSTART", ParseError, "bad START line: 'START'"),
+    ("start-fields", "{M} 1 2\n0: {T} 0\nSTART 0 0", ParseError, "bad START line: 'START 0 0'"),
+    ("start-twice", "{M} 1 2\n0: {T} 0\nSTART 0\nSTART 0", ParseError,
+     "bad START line: 'START 0'"),
+    ("start-missing", "{M} 1 2\n0: {T} 0", ParseError, "missing START line"),
+    ("rule-missing", "{M} 2 2\n1: {T} 0\nSTART 1", ParseError, "no rule given for ids [0]"),
+    ("start-prefix", "{M} 1 2\n0: {T} 0\nSTARTS", ParseError, "bad START line: 'STARTS'"),
+    # a line with two faults, or a text with two: the first check to fail wins
+    ("id-then-child", "{M} 2 2\nx: {N} y\n1: {T} 0\nSTART 0", ParseError,
+     "bad integer 'x' in: 'x: {N} y'"),
+    ("range-then-child", "{M} 2 2\n2: {N} y\n1: {T} 0\nSTART 0", ParseError,
+     "rule id 2 out of range [0, 2)"),
+    ("duplicate-then-child", "{M} 2 2\n0: {T} 0\n0: {N} y\nSTART 0", DuplicateRule,
+     "duplicate rule for id 0"),
+    ("range-then-body", "{M} 1 2\n3:\nSTART 0", ParseError, "rule id 3 out of range [0, 1)"),
+    ("child-then-kind", "{M} 1 2\n0: Q y\nSTART 0", ParseError, "bad integer 'y' in: '0: Q y'"),
+    ("child-then-arity", "{M} 1 2\n0: {T} 0 y\nSTART 0", ParseError,
+     "bad integer 'y' in: '0: {T} 0 y'"),
+    ("start-twice-then-int", "{M} 1 2\n0: {T} 0\nSTART 0\nSTART s", ParseError,
+     "bad START line: 'START s'"),
+    ("start-then-colon", "{M} 1 2\n0: {T} 0\nSTART: x", ParseError,
+     "bad integer 'x' in: 'START: x'"),
+    ("line-then-no-start", "{M} 2 2\n1: {T} 0\n0 {T} 0", ParseError,
+     "bad rule line: '0 {T} 0'"),
+]
+_DIM_WORDS = ({"M": "SLG1", "T": "T", "N": "N", "O": "SLG2", "X": "H"},
+              {"M": "SLG2", "T": "L", "N": "H", "O": "SLG1", "X": "N"})
+
+
+@pytest.mark.parametrize("case, text, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+@pytest.mark.parametrize("dim", [0, 1], ids=["1d", "2d"])
+def test_parse_refusals_keep_their_class_message_and_precedence(dim, case, text, error,
+                                                               message):
+    words = _DIM_WORDS[dim]
+    with pytest.raises(error) as err:
+        DIMS[dim].parse(text.format(**words))
+    assert type(err.value) is error and str(err.value) == message.format(**words)
+
+
 # -- the walk arrays validation caches ----------------------------------------
 
 def _relabelled(rules, perm):
@@ -392,6 +467,113 @@ def test_validation_keeps_the_walk_arrays(g):
     assert valid is g and slp.start == len(slp.rules) - 1
     assert_walk_arrays(valid)
     assert_walk_arrays(slp)
+
+
+def assert_caches_of_a_fresh_validation(slp, same_order):
+    """The SLP conversion's cached arrays against validate_slp* of a fresh
+    grammar with the same rules; its order is parents first, and the fresh
+    one when ``same_order``."""
+    fresh = type(slp)(slp.rules, slp.alphabet_size, slp.start)
+    if isinstance(slp, Slg1):
+        validate_slp1(fresh)
+        sizes = ("_lens",)
+    else:
+        validate_slp2(fresh)
+        sizes = ("_rows", "_cols")
+    for name in ("_kids", "_reach", "_height", "_moves") + sizes:
+        assert getattr(slp, name) == getattr(fresh, name), name
+    assert sorted(slp._topo) == list(range(len(slp.rules)))
+    place = {v: i for i, v in enumerate(slp._topo)}
+    assert all(place[v] < place[c] for v, kids in enumerate(slp._kids) for c in kids or ())
+    assert slp._topo == fresh._topo or not same_order
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=raw_grammars())
+def test_conversion_caches_equal_a_fresh_validation(g):
+    """The order is the fresh sort's whenever every rule the start reaches
+    is binary (the output then is emitted in the sort's postorder)."""
+    slp = slg_to_slp(g) if isinstance(g, Slg1) else slg2_to_slp2(g)
+    binary = all(g._kids[v] is None or len(g._kids[v]) == 2 for v in reachable(g))
+    assert_caches_of_a_fresh_validation(slp, binary)
+
+
+def test_conversion_of_the_benchmark_shapes_keeps_every_array():
+    """On the 2,000-rule comb, the 100-step staircase and gen SLPs, all
+    binary, the conversion keeps one rule per reachable rule and caches what
+    a fresh validation does, the order included."""
+    rng = random.Random(1)
+    for g in (comb1([rng.randrange(4) for _ in range(1997)], right=True),
+              staircase2([rng.randrange(4) for _ in range(202)], 100),
+              random_slp1(3, 200), random_slp2(3, 200)):
+        convert, expand = (slg_to_slp, expand1) if isinstance(g, Slg1) else (slg2_to_slp2, expand2)
+        slp = convert(g)
+        assert len(slp.rules) == sum(g._reach) and expand(slp) == expand(g)
+        assert_caches_of_a_fresh_validation(slp, True)
+
+
+def test_conversion_validates_nothing_again(monkeypatch):
+    """Given a validated grammar, slg_to_slp/slg2_to_slp2 neither validate
+    nor sort: the output's arrays come from the input's."""
+    calls = []
+    for mod, name in ((slg, "_validate_core"), (slg2d, "_validate_core"), (slg, "_toposort")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    rng = random.Random(1)
+    comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
+    stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
+    del calls[:]
+    for convert, g in ((slg_to_slp, comb), (slg2_to_slp2, stair)):
+        assert len(g.rules) >= 400 and convert(g).validated
+    assert calls == []
+    slg_to_slp(Slg1(comb.rules, comb.alphabet_size, comb.start))    # a raw input: one run
+    assert calls == ["_validate_core", "_toposort"]
+
+
+@st.composite
+def child_lists(draw):
+    """Child lists over ids 0..n-1, None for a literal: a child may be any
+    id, so cycles and self-references are common."""
+    n = draw(st.integers(1, 10))
+    kid = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(tuple)
+    return draw(st.lists(st.none() | kid, min_size=n, max_size=n)), draw(st.integers(0, n - 1))
+
+
+def _reference_toposort(kids, start):
+    """_toposort's contract by plain recursion: children-first DFS over all
+    ids, the start first, CyclicGrammar naming the first gray child met."""
+    color, post, reach = [0] * len(kids), [], None
+
+    def visit(v):
+        color[v] = 1
+        for c in kids[v] or ():
+            if color[c] == 1:
+                raise CyclicGrammar(f"cycle through nonterminal {c}")
+            if color[c] == 0:
+                visit(c)
+        color[v] = 2
+        post.append(v)
+
+    for root in [start] + list(range(len(kids))):
+        if color[root] == 0:
+            visit(root)
+        if reach is None:
+            reach = [c == 2 for c in color]
+    return post[::-1], reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=child_lists())
+def test_toposort_matches_a_recursive_dfs(case):
+    kids, start = case
+    try:
+        want = _reference_toposort(kids, start)
+    except CyclicGrammar as err:
+        with pytest.raises(CyclicGrammar) as got:
+            slg._toposort(kids, start)
+        assert str(got.value) == str(err)
+    else:
+        assert slg._toposort(kids, start) == want
 
 
 def test_hook_offset_allocates_no_per_variable_array():
