@@ -1,24 +1,25 @@
-"""Random access over 1D SLPs through bookmark tables.
+"""Random access over 1D SLPs through the bookmark states of the walk.
 
 README, "How the index works", describes the build, the walk and their
 costs. The contracts that the functions below share:
 
-- A slot holds the step a query takes at its block's hook: ``(s, near,
-  far)``, the hook's split inside the block measured from the addressed
-  side, then the hook's children in that order from that side. A
-  one-symbol block of a literal v holds ``(0, v, None)``, the one such shape.
-- Sides are integers, in the tables and in side_map: 0 = left, 1 = right.
-- ``tables[side][t]`` is one list per variable t and side with a built
-  state (None for the others, and for every variable the start does not
-  reach), allocated whole; block k of level p <= top[t] is at
-  ``p * tau + k``. A slot of a state no walk can enter, and that no built
-  state copies from, is not built and holds None.
+- A state is one side of a variable at one level, keyed ``t * K + p * 2 +
+  side`` with K = 2 * levels + 2; sides are integers, 0 = left, 1 = right.
+  A kept state's slots, one per block k, hold the step a query takes at
+  the block's hook: ``(S, near, far)``, S the hook's split measured from
+  the state's side of the variable (so it includes ``k * tau**p``), then
+  the codes of what the walk enters in the hook's near and far child. A
+  code is the id of that child's state, one level down and capped by its
+  top when that is its cap, or, where the child stores less, a finish
+  code ``~(t * 4 + side * 2 + runs)``: descend from t, plainly by the
+  height rule or with chain runs by the turn rule. A one-symbol block of
+  a literal v holds ``(k * tau**p, v, None)``, the one such shape.
 - Walk rule: the build starts at the state the fast walk reads first, the
   start's side 0 at its top level when that is its cap (none otherwise),
-  and builds each (variable, side, level) state that access1's transitions
-  reach from the steps of a built state's blocks, plus the states their
-  copies read (``_walk_build``). So every slot a fast walk reads is built,
-  and no state is built that a full build would not.
+  and builds each state whose id a built state's slots name, plus the
+  states their copies read (``_walk_build``). The index keeps, as
+  ``states[id] = (tau**p, slots)``, only the states the walk reaches from
+  the first; an id that only a copy-only source names holds None.
 - Finish rule: a walk at a level p descends from v instead of reading on
   when height(v) <= FINISH * p (the height rule) or when v's turn bound
   B(v) (``_turns``) is at most the p + 1 reads it has left (the turn rule),
@@ -29,7 +30,8 @@ costs. The contracts that the functions below share:
   and copies, without descending, the blocks that ``_copied`` gives a
   child: those lying wholly inside the near child, and, where the split
   falls at a multiple of the block size, those inside the far child,
-  wherever the child stores the level.
+  wherever the child stores the level: the near child's slots as they
+  are, the far child's with S raised by the near child's length.
 - A build descent that made RUN moves in a row toward one child runs along
   that child's chain (``_chains``, ``_run1``); the point descent of a
   turn-rule finish does so at its second move in a row, over the chains
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .slg import Slg1, _check_binary, validate_slp1
@@ -135,8 +136,8 @@ def table_slots1(g, tau):
     """The most slots build_index1(g, tau) can build for the validated SLP
     g, the bound a caller checks before building: one per block and side
     of every variable reachable from the start, at its levels up to its
-    top (the finish rule). The build fills those a walk can read, and
-    allocates a variable's list whole once it builds a state of it."""
+    top (the finish rule). The build fills those a walk can read, and the
+    index keeps the states the walk reaches."""
     g = _check_binary(Slg1._validated(g), "table_slots1")
     lens = g._lens
     tau = clamp_tau(tau, lens[g.start])
@@ -334,13 +335,16 @@ def hook_offset1(g, nid, b, e):
 
 
 class AccessIndex1:
-    """Per-variable bookmark tables, level caps and top stored levels, the
-    chains of a run finish, plus references to the grammar's walk arrays."""
+    """The walk's state machine: per kept state its block size and slots,
+    the code of the walk's first state, level caps and top stored levels,
+    the chains of a run finish, plus references to the grammar's walk
+    arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "cap", "mark", "top",
-                 "tables", "chains", "n")
+                 "first", "states", "keys", "ids", "reads", "chains", "n")
 
-    def __init__(self, grammar, tau, levels, pows, cap, mark, top, tables, chains):
+    def __init__(self, grammar, tau, levels, pows, cap, mark, top, first, states, keys, ids,
+                 chains):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # ceil(log_tau n); the traced walk steps from here to 0
@@ -353,18 +357,21 @@ class AccessIndex1:
                                       #   which the height rule finishes a walk at it
         self.top = top                # per variable: the highest level it stores, min(cap,
                                       #   ceil(height / FINISH) - 1, turns - 2), -1 for none
-        self.tables = tables          # [side][t][p * tau + k] -> (s, near, far), one slot
-                                      #   per block up to top[t], None where not built;
-                                      #   [side][t] None for t without a built state
+        self.first = first            # the code of the walk's first state: 0, or the start's
+                                      #   finish code when it is low enough for its cap
+        self.states = states          # id -> (tau**p, slots) of a kept state, None for an id
+                                      #   only a state the index does not keep names
+        self.keys = keys              # id -> state key t * K + p * 2 + side, K = 2 * levels + 2
+        self.ids = ids                # state key -> id, of the kept states
+        self.reads = range(levels + 1)  # one read per level at most
         self.chains = chains          # the _chains of both sides, for a run finish; None
                                       #   when no walk finishes by runs
         self.n = self.lens[grammar.start]
 
     def entry_count(self):
-        """Stored bookmarks across both tables (the size-bound quantity):
-        the built slots, each holding a step."""
-        return sum(len(table) - table.count(None)
-                   for side in self.tables for table in side if table is not None)
+        """Stored bookmarks (the size-bound quantity): the slots of the
+        kept states."""
+        return sum(len(state[1]) for state in self.states if state is not None)
 
     def __repr__(self):
         return (f"AccessIndex1(n={self.n}, tau={self.tau}, "
@@ -409,7 +416,7 @@ def _walk_build(first, plan, fill, successors):
     with nothing left to scan is not scanned.
     """
     if first is None:
-        return
+        return set()
     built = {}                      # state -> its cut
     walked = {first}
     work = [first]
@@ -441,26 +448,29 @@ def _walk_build(first, plan, fill, successors):
             new = successors(state, k0, k1) - walked
             walked |= new
             work += new
+    return walked
 
 
 def build_index1(g, tau):
-    """Build the (variable, side, level) states of both tables that a fast
-    walk can enter from the start, and those their copies read: a block
-    that ``_copied`` gives a child copies that child's step, the child's
-    state built first, and every other block's step is found by descent.
-    The walk's first state is the start's left side at its top level, when
-    that is its cap; otherwise no walk reads a table and nothing is built.
-    The chains (``_chains``) are laid out when a build descends or a walk
-    can finish by runs, and kept on the index in the second case. The
-    caller bounds tau: table_slots1(g, tau) gives the slot count the
-    tables may reach, to check before building."""
+    """Build the (variable, side, level) states that a fast walk can enter
+    from the start, and those their copies read: a block that ``_copied``
+    gives a child copies that child's slot, the child's state built first,
+    and every other block's step is found by descent and stored with the
+    codes of the states it leads to (``code``). The walk's first state, id
+    0, is the start's left side at its top level, when that is its cap;
+    otherwise no walk reads and nothing is built. The index keeps the
+    states the walk reaches from there, not the copy-only sources. The
+    chains (``_chains``) are laid out when a build descends or a walk can
+    finish by runs, and kept on the index in the second case. The caller
+    bounds tau: table_slots1(g, tau) gives the slot count the states may
+    reach, to check before building."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, moves = g._lens, g._moves
     n = lens[g.start]
     tau = clamp_tau(tau, n)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
-    K = 2 * levels + 2              # state i * K + p * 2 + side
+    K = 2 * levels + 2              # state key i * K + p * 2 + side
     cap = caps(lens, tau)
     mark = [-(-h // FINISH) for h in g._height]
     heavy, _, (top,) = _finish(g, [cap], mark)
@@ -472,9 +482,26 @@ def build_index1(g, tau):
         runs = any(r and t < c and t < m - 1 for t, c, m, r in zip(top, cap, mark, g._reach))
     chains = tuple(_chains(moves, g._topo, heavy[side], (lens,), side) for side in (0, 1)) \
         if runs or first is not None else None
-    share = {}.setdefault           # step -> its one stored copy
-    tables = ([None] * len(moves), [None] * len(moves))
-    kids = itemgetter(1, 2)
+    share = {}.setdefault           # slot -> its one stored copy
+    # state key -> id, in the order the build names the states, and back
+    keys, ids = ([], {}) if first is None else ([first], {first: 0})
+    held = {}                       # state key -> its slots, once built
+    named = {}                      # (near, far, level and side) -> their codes
+
+    def code(c, q, side):
+        # access1's rule, one level down to q: capped by c's top when that
+        # is its cap; a c that stores less finishes the walk
+        t = top[c]
+        if q > t:
+            if t < cap[c]:
+                return ~(c * 4 + side * 2 + (q < mark[c] or mark[c] > cap[c]))
+            q = t
+        key = c * K + q * 2 + side
+        j = ids.get(key)
+        if j is None:
+            j = ids[key] = len(keys)
+            keys.append(key)
+        return j
 
     def plan(state):
         i, rest = divmod(state, K)
@@ -492,50 +519,45 @@ def build_index1(g, tau):
         i, rest = divmod(state, K)
         p, side = rest >> 1, rest & 1
         lo, hi, blocks, near, far = cut
-        own, m = tables[side], lens[i]
-        table = own[i]
-        if table is None:
-            table = own[i] = [None] * blocks_to_cap(m, top[i], tau)
-        base, tp = p * tau, pows[p]
-        if lo:
-            table[base:base + lo] = own[near // K][base:base + lo]
-        if hi < blocks:
-            table[base + hi:base + blocks] = own[far // K][base:base + blocks - hi]
+        m, tp, q = lens[i], pows[p], p - 1
+        slots = held[near][:lo] if lo else []
         for k in range(lo, hi):
             b = k * tp                  # block k's window from the side, clipped to m
             e = b + tp if b + tp < m else m
-            if side:
-                b, e = m - e, m - b
-            step = _hook_core(moves, i, b, e, side, chains)
-            table[base + k] = share(step, step)
+            split, x, y = _hook_core(moves, i, m - e if side else b, m - b if side else e,
+                                     side, chains)
+            if y is None:
+                slot = (b, x, None)
+            else:
+                near_far = named.get((x, y, rest))
+                if near_far is None:
+                    near_far = named[x, y, rest] = code(x, q, side ^ 1), code(y, q, side)
+                slot = (b + split, near_far[0], near_far[1])
+            slots.append(share(slot, slot))
+        if hi < blocks:
+            a = hi * tp                 # the near child's length, a multiple of tp
+            for S, x, y in held[far][:blocks - hi]:
+                slot = (S + a, x, y)
+                slots.append(share(slot, slot))
+        held[state] = slots
 
     def successors(state, k0, k1):
-        # access1's rule: one level down, capped by the child's top when
-        # that is its cap; a child that stores less finishes the walk
-        i, rest = divmod(state, K)
-        p, side = rest >> 1, rest & 1
         out = set()
-        if not p:
-            return out
-        add, q, base = out.add, p - 1, p * tau
-        flip = side ^ 1
-        for near, far in set(map(kids, tables[side][i][base + k0:base + k1])):
-            if far is None:
-                continue                # a literal step
-            t = top[near]
-            if q <= t:
-                add(near * K + q * 2 + flip)
-            elif t == cap[near]:
-                add(near * K + t * 2 + flip)
-            t = top[far]
-            if q <= t:
-                add(far * K + q * 2 + side)
-            elif t == cap[far]:
-                add(far * K + t * 2 + side)
+        for _, x, y in held[state][k0:k1]:
+            if y is not None:
+                if x >= 0:
+                    out.add(keys[x])
+                if y >= 0:
+                    out.add(keys[y])
         return out
 
-    _walk_build(first, plan, fill, successors)
-    return AccessIndex1(g, tau, levels, pows, cap, mark, top, tables, chains if runs else None)
+    walked = _walk_build(first, plan, fill, successors)
+    states = [None] * len(keys)
+    for key in walked:
+        states[ids[key]] = (pows[key % K >> 1], held[key])
+    return AccessIndex1(g, tau, levels, pows, cap, mark, top,
+                        0 if first is not None else ~(s * 4 + runs), states, keys,
+                        {key: ids[key] for key in walked}, chains if runs else None)
 
 
 def side_map(ix, side, t, p, delta):
@@ -547,11 +569,12 @@ def side_map(ix, side, t, p, delta):
     splits the block into the part in the child nearer the addressed
     boundary and the part in the farther one; landing in the nearer child
     flips the side. A level above the variable's cap reads at the cap, whose
-    blocks are no larger, so the step still contracts within tau**p. A
-    level above the variable's top, which it does not store, or a slot the
-    build did not build, is resolved into the real step by the plain
-    descent, and a stored literal step must equal the step the same descent
-    gives. A variable the start does not reach is refused.
+    blocks are no larger, so the step still contracts within tau**p. The
+    state (t, side, level) is looked up by its key and the slot's codes
+    decoded into variables; a state the index does not keep is resolved
+    into the real step by the plain descent, and a stored literal step must
+    equal the step the same descent gives. A variable the start does not
+    reach is refused.
     """
     m = ix.lens[t] if isinstance(t, int) and 0 <= t < len(ix.lens) else 0
     if not (isinstance(side, int) and 0 <= side <= 1) \
@@ -567,17 +590,20 @@ def side_map(ix, side, t, p, delta):
     if not ix.grammar._reach[t]:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
-    table = ix.tables[side][t]
-    step = table[p * ix.tau + k] if table is not None and p <= ix.top[t] else None
+    K = 2 * ix.levels + 2
+    j = ix.ids.get(t * K + p * 2 + side)
+    step = None if j is None else ix.states[j][1][k]
     if step is None or step[2] is None:
         e = m - b if side else b + w       # the block's window, from the left
         real = _hook_core(ix.moves, t, e - w, e, side, PLAIN)
-        if step is not None and real != step:
+        if step is not None and real != (step[0] - b, step[1], None):
             raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} is "
                                        f"{step}; a stored literal step must be the step "
                                        f"descent gives, {real}")
-        step = real
-    s, near, far = step
+        s, near, far = real
+    else:
+        s = step[0] - b
+        near, far = (ix.keys[c] // K if c >= 0 else ~c >> 2 for c in step[1:])
     if far is None:
         return near, 1, 0
     if not 0 < s < w:   # s: the hook's split, as a position inside the block
@@ -620,54 +646,51 @@ def access1_traced(ix, i):
 def access1(ix, i):
     """The symbol Exp(S)[i] (1-based).
 
-    The same walk as access1_traced in one loop with no per-step checks,
-    one table read per step from the start's cap, each step capping the
-    level by the new variable's cap, until a literal step, which returns
-    its code, or a level above the variable's top that its cap allows, from
-    which the walk descends with the full delta, inline (a literal stores
-    no level; a start whose top is below its cap is descended from at once,
-    without a read). Where the height rule finishes the walk, the descent
-    is the plain one, at most FINISH times the level in moves; where only
-    the turn rule does, at a variable v whose turn bound B(v) is at most
-    the reads left, the descent runs along the index's chains from its
-    second move in a row toward one child, at most 3 * (B(v) + 1) moves
-    and bisects (``_turns``). So with L = floor(log_tau n) it makes at most
-    L + 1 reads plus FINISH * L moves, or plus O(B) moves and bisects with
-    B at most L + 1 less the reads made, over the index's tables, the
-    grammar's move records and the chains.
+    The same walk as access1_traced in one loop with no per-step checks:
+    from the first state, one read per step, ``tp, slots = states[st]``,
+    the slot of the block holding delta, one compare with its split, and
+    on to the code of the child delta falls in, until a literal slot,
+    which returns its code, or a finish code, from which the walk descends
+    with the full delta, inline (a start low enough for its cap is
+    descended from at once, without a read). Each read lowers the level,
+    so a walk making more than levels + 1 reads is refused. Where the
+    height rule finishes the walk, the descent is the plain one, at most
+    FINISH times the level in moves; where only the turn rule does, at a
+    variable v whose turn bound B(v) is at most the reads left, the
+    descent runs along the index's chains from its second move in a row
+    toward one child, at most 3 * (B(v) + 1) moves and bisects
+    (``_turns``). So with L = floor(log_tau n) it makes at most L + 1
+    reads plus FINISH * L moves, or plus O(B) moves and bisects with B at
+    most L + 1 less the reads made, over the index's states, the grammar's
+    move records and the chains.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    moves = ix.moves
-    t = ix.grammar.start
-    top, cap = ix.top, ix.cap
-    if (p := top[t]) == cap[t]:
-        tau, pows, tables = ix.tau, ix.pows, ix.tables
-        delta, side = i, 0
-        while p >= 0:
-            tp = pows[p]
-            k = (delta - 1) // tp
-            s, near, far = tables[side][t][p * tau + k]
-            d = delta - k * tp
-            if d <= s:
-                t, delta, side = near, s - d + 1, side ^ 1
+    st = ix.first
+    if st >= 0:
+        states, delta = ix.states, i
+        for _ in ix.reads:
+            tp, slots = states[st]
+            S, near, far = slots[(delta - 1) // tp]
+            if delta <= S:
+                st, delta = near, S - delta + 1
             elif far is None:
                 return ix.grammar.rules[near]
             else:
-                t, delta = far, d - s
-            p -= 1
-            if p > top[t]:
-                if top[t] < cap[t]:     # t is low enough: the full delta, from the left
-                    i = ix.lens[t] + 1 - delta if side else delta
-                    # by the height rule the plain descent, else one with chain runs
-                    chains = None if p >= ix.mark[t] <= cap[t] else ix.chains
-                    break
-                p = top[t]
+                st, delta = far, delta - S
+            if st < 0:
+                break
         else:
             raise PreconditionViolated(f"walk to position {i} ended off a literal")
+        st = ~st
+        t = st >> 2
+        i = ix.lens[t] + 1 - delta if st & 2 else delta
     else:
+        st = ~st
+        t = st >> 2
+    moves = ix.moves
+    if st & 1:                          # by the turn rule: a descent with chain runs
         chains = ix.chains
-    if chains is not None:              # by the turn rule: a descent with chain runs
         last = -1                       # the child the last move went to, 0 = x, 1 = y
         while (move := moves[t]) is not None:
             x, y, l = move

@@ -112,33 +112,39 @@ class _Dim:
     build: Callable       # (SLP, tau) -> index
     access: Callable      # (index, *position) -> code
     traced: Callable      # (index, *position) -> (code, mapping steps)
+    descend: Callable     # (index, variable, *position, side or corner) -> code, by descent
     reference: Callable   # (SLP, cap) -> (*position -> code), from the full expansion
 
 
 _DIM1 = _Dim(slg_to_slp, lambda slp: (exp_len(slp, slp.start),), access1d.optimal_tau,
              access1d.table_slots1, access1d.build_index1, access1d.access1,
-             access1d.access1_traced, _reference1)
+             access1d.access1_traced, access1d.descend1, _reference1)
 _DIM2 = _Dim(slg2_to_slp2, lambda slp: dims(slp, slp.start), access2d.optimal_tau2,
              access2d.table_slots2, access2d.build_index2, access2d.access2,
-             access2d.access2_traced, _reference2)
+             access2d.access2_traced, access2d.descend2, _reference2)
 
 
 def _held_bytes(ix):
-    """The memory an index holds beside its grammar: 8 B per allocated slot
-    and per entry of the chain lists it keeps (one pointer each) plus each
-    distinct step object once, as sys.getsizeof counts it.
+    """The memory an index holds beside its grammar: 8 B per entry of its
+    slot lists and of the chain lists it keeps (one pointer each) plus each
+    distinct slot object once, as sys.getsizeof counts it; equal slots are
+    one shared object.
 
-    ``ix.tables`` is two sides or four corners, each a list over the
-    variables of flat lists, None for a variable without a built state; a
-    built slot holds a step, an unbuilt one None, and equal steps are one
-    shared object. ``ix.chains`` is the two sides' chain lists of a run
+    A 1D index holds one slot list per kept state (``ix.states``, None for
+    an id it does not keep); its state directory, ``ids`` and ``keys``,
+    grows with the kept states alone and is not counted. A 2D index holds
+    ``ix.tables``, four corners, each a list over the variables of flat
+    lists, None for a variable without a built state, and None in an
+    unbuilt slot. ``ix.chains`` is the two sides' chain lists of a run
     finish, or None."""
+    if isinstance(ix, access1d.AccessIndex1):
+        lists = [state[1] for state in ix.states if state is not None]
+    else:
+        lists = [table for part in ix.tables for table in part if table is not None]
     slots, steps = 0, {}
-    for part in ix.tables:
-        for table in part:
-            if table is not None:
-                slots += len(table)
-                steps.update((id(v), v) for v in table if v is not None)
+    for table in lists:
+        slots += len(table)
+        steps.update((id(v), v) for v in table if v is not None)
     for chain in ix.chains or ():
         slots += sum(map(len, chain))
     return 8 * slots + sum(sys.getsizeof(v) for v in steps.values())
@@ -379,7 +385,7 @@ def cmd_bench(args):
     if args.reps < 1:
         raise RangeError(f"--reps must be >= 1, got {args.reps}")
     _check_work("--reps over --tau-list asks for", args.reps * len(taus), "queries", cap)
-    rows = ["tau,entries,bytes,build_ms,mean_query_ns,loop_iterations_mean"]
+    rows = ["tau,entries,bytes,build_ms,mean_query_ns,descent_ns,loop_iterations_mean"]
     dim = _dim(g)
     slp = dim.to_slp(g)
     shape = dim.shape(slp)
@@ -394,9 +400,14 @@ def cmd_bench(args):
         for q in queries:
             dim.access(ix, *q)
         query_ns = (time.perf_counter() - t0) * 1e9 / max(1, len(queries))
+        t0 = time.perf_counter()
+        for q in queries:
+            dim.descend(ix, slp.start, *q, 0)
+        descent_ns = (time.perf_counter() - t0) * 1e9 / max(1, len(queries))
         total_steps = sum(dim.traced(ix, *q)[1] for q in queries)
         rows.append(f"{tau},{ix.entry_count()},{_held_bytes(ix)},{build_ms:.3f},"
-                    f"{query_ns:.0f},{total_steps / max(1, len(queries)):.2f}")
+                    f"{query_ns:.0f},{descent_ns:.0f},"
+                    f"{total_steps / max(1, len(queries)):.2f}")
     print("\n".join(rows))
     return 0
 

@@ -332,13 +332,16 @@ def alphabet_reduce(g):
     with, from each occurring code to its rank, in increasing code order.
     Queries against the original string translate through that dict: a
     queried code that never occurs answers 0 without consulting the new
-    grammar at all.
+    grammar at all. Only literal codes and the alphabet size change, so
+    the new SLP is the conversion's own output, relabeled in place, with
+    the arrays the conversion derived and no second validation.
     """
     pruned = _binarize(_slp1(g, "alphabet_reduce"))
     occurring = sorted({r for r in pruned.rules if isinstance(r, int)})
     amap = {c: i for i, c in enumerate(occurring)}
-    rules = [amap[r] if isinstance(r, int) else r for r in pruned.rules]
-    return validate_slp1(Slg1(rules, len(amap), pruned.start)), amap
+    pruned.rules = [amap[r] if isinstance(r, int) else r for r in pruned.rules]
+    pruned.alphabet_size = len(amap)
+    return pruned, amap
 
 
 # -- adapters over query providers --------------------------------------------

@@ -250,3 +250,43 @@ class CountingProvider:
     def __call__(self, *args):
         self.calls += 1
         return self.fn(*args)
+
+
+# -- the 1D index's states, read back ---------------------------------------------
+
+def state_key1(ix, t, side, p):
+    """The key of a 1D index's state (t, side, level p)."""
+    return t * (2 * ix.levels + 2) + p * 2 + side
+
+
+def kept1(ix):
+    """{(t, side, p): slots} of the states a 1D index keeps."""
+    K = 2 * ix.levels + 2
+    return {(key // K, key % 2, key % K >> 1): ix.states[j][1] for key, j in ix.ids.items()}
+
+
+def variable1(ix, code):
+    """The variable a slot's code names: that of the state with that id,
+    or the one a finish code descends from."""
+    return ix.keys[code] // (2 * ix.levels + 2) if code >= 0 else ~code >> 2
+
+
+def decoded1(ix):
+    """{(side, t, p * tau + k): step} of every kept slot, in the form the
+    plain descent gives a block's step: (split inside the block, near
+    child, far child), or (0, literal, None)."""
+    out = {}
+    for (t, side, p), slots in kept1(ix).items():
+        tp = ix.pows[p]
+        for k, (S, near, far) in enumerate(slots):
+            out[side, t, p * ix.tau + k] = (S - k * tp, near, None) if far is None else \
+                (S - k * tp, variable1(ix, near), variable1(ix, far))
+    return out
+
+
+def wrap_slots1(ix, wrap):
+    """Replace each kept state's slot list by ``wrap(slots, (t, side, p))``."""
+    K = 2 * ix.levels + 2
+    ix.states = [None if state is None else
+                 (state[0], wrap(state[1], (key // K, key % 2, key % K >> 1)))
+                 for state, key in zip(ix.states, ix.keys)]

@@ -137,8 +137,9 @@ def test_index_single_literal():
     g = validate_slp1(Slp1([0], 1, 0))
     ix = build_index1(g, 2)
     assert ix.levels == 0 and ix.cap == [0] and ix.top == [-1]
-    left, right = ix.tables
-    assert left == right == [None]  # a literal stores no level, so no walk reads a table
+    # a literal stores no level, so no walk reads and no state is kept: the
+    # walk starts at the literal's finish code
+    assert ix.states == [] and ix.ids == {} and ix.first == ~0
     assert ix.entry_count() == 0
     assert access1(ix, 1) == 0 and access1_traced(ix, 1) == (0, 1)
 
@@ -152,7 +153,7 @@ def test_index_abab_entry(abab):
     # read a walk has left at level 0, and it stores no level: below its
     # cap, so the walk descends from it at once and no state is built
     assert ix.mark[0] == 1 and ix.cap[0] == 2 and ix.top[0] == -1
-    assert ix.tables == ([None] * 4, [None] * 4)
+    assert ix.states == [] and ix.ids == {}
     # W -> A S (id 0, height 3 > 2), level 1, block 1, the window (2..4]:
     # hook 1 (A -> B C) at offset 0, so the split lies 1 in from the left,
     # with B nearer that boundary and C farther. W stores level 1, below its
@@ -171,7 +172,8 @@ def test_index_entry_count_bound():
 
 def test_index_clamps_tau_to_the_longest_expansion(abab):
     ix = build_index1(abab, 10 ** 11)
-    assert ix.tau == 4 and ix.tables == build_index1(abab, 4).tables
+    four = build_index1(abab, 4)
+    assert ix.tau == 4 and (ix.first, ix.states, ix.ids) == (four.first, four.states, four.ids)
     assert [access1(ix, i) for i in range(1, 5)] == [0, 1, 0, 1]
     # U (id 3, 8 symbols) is unreachable: the clamp is the start's length 2
     g = validate_slp1(Slp1([(1, 2), 0, 1, (4, 4), (5, 5), (1, 2)], 2, 0))
@@ -183,10 +185,10 @@ def test_maps_refuse_a_variable_without_bookmarks():
     g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
     ix = build_index1(g, 2)
     # the start stores level 0 (height 1 <= FINISH * 1, so not level 1),
-    # below its cap 1, so no walk reads a table and no list is built; the
-    # checked step resolves the start's blocks by descent, and refuses the
+    # below its cap 1, so no walk reads and no state is kept; the checked
+    # step resolves the start's blocks by descent, and refuses the
     # unreachable id 3 and ids that do not exist
-    assert ix.tables == ([None] * 4, [None] * 4) and ix.entry_count() == 0
+    assert ix.states == [] and ix.ids == {} and ix.entry_count() == 0
     assert side_map(ix, 0, 0, 0, 1) == (1, 1, 0) and side_map(ix, 1, 0, 0, 1) == (2, 1, 0)
     for side in (0, 1):
         for t in (3, 4, -1):    # unreachable, then no such variable

@@ -3,12 +3,15 @@
 The build stores the bookmarks a fast walk can read, resolved into the step
 a query takes: it starts at the state the walk reads first and builds each
 state (variable, side or corner, level or level pair) the walk's own
-transitions reach, plus the states those copy from. A built slot lies at a
-level each variable stores: up to its cap and below the level (on each
-axis in 2D) at which a walk descends from it instead. A state copies a
-child's slot wherever a block lies wholly inside either child in line with
-that child's block grid and the child stores that level, the child's state
-built first, and descends for the other blocks, exactly once each: a
+transitions reach, plus the states those copy from. The 1D index keeps
+only the states the walk reaches, each slot naming the state the walk
+enters next, and is checked through those codes to be exactly the walk's
+closure. A built slot lies at a level each variable stores: up to its cap
+and below the level (on each axis in 2D) at which a walk descends from it
+instead. A state copies a child's slot wherever a block lies wholly inside
+either child in line with that child's block grid and the child stores
+that level, the child's state built first, and descends for the other
+blocks, exactly once each: a
 counted build's descents are checked block by block against that rule,
 restricted to the states it built and within the rule over every state,
 pinned on the benchmark's comb and staircase (which build nothing), the
@@ -92,8 +95,9 @@ from gridgram.access1d import (FINISH, PLAIN, _chains, _copied, _heavy, _hook_co
                               table_slots1)
 from gridgram.access2d import FINISH2, _hook_core2, _run2, table_slots2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import (comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2,
-                      submatrix, zigzag1, zigzag2)
+from conftest import (comb1, comb2, decoded1, expand_all_1d, expand_all_2d, kept1, reachable,
+                      staircase2, state_key1, submatrix, variable1, wrap_slots1, zigzag1,
+                      zigzag2)
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
@@ -213,40 +217,37 @@ def stores2(ix, c, p_r, p_c):
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_stores_every_window_hook(g, tau):
-    """Every built slot holds its block's hook step, as the plain walk finds
-    it; a variable's list, once built, spans the levels up to its cap below
-    ceil(height / FINISH) and below its turn bound less one, and no others;
-    table_slots1 is the slot count of every such list, the bound the built
-    slots stay within."""
+    """Every kept slot holds its block's hook step, as the plain walk finds
+    it, with the split measured from the state's side of the variable; a
+    kept state lies at a level up to its variable's cap below ceil(height /
+    FINISH) and below its turn bound less one, and has one slot per block
+    of that level; table_slots1, one slot per block of every such level and
+    side, is the bound the kept slots stay within."""
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
     height = heights(g)
     assert ix.grammar._height == height
     turns = turns_of(g)
     T = ix.tau
-    left, right = ix.tables
     ids = reachable(g)
-    grid = built = 0
+    grid = 0
     for i, m in enumerate(g._lens):
         if i not in ids:
-            assert left[i] is None and right[i] is None
             continue
         cap, top = ix.cap[i], ix.top[i]
         assert T ** cap <= m < T ** (cap + 1)
         assert ix.mark[i] == -(-height[i] // FINISH)
         assert top == max(-1, min(cap, ix.mark[i] - 1, turns[i] - 2))
-        # one slot per block of the levels 0..top, once a state is built
         grid += 2 * axis_blocks(m, top, T)
-        for side, table in enumerate((left[i], right[i])):
-            if table is None:
-                continue
-            assert len(table) == axis_blocks(m, top, T)
-            for p in range(top + 1):
-                for k, b, e in blocks(m, ix.pows[p], T):
-                    if table[p * T + k] is not None:
-                        built += 1
-                        assert table[p * T + k] == step1(g, i, side, *((m - e, m - b) if side
-                                                                       else (b, e)))
+    kept, view = kept1(ix), decoded1(ix)
+    for (i, side, p), slots in kept.items():
+        m = g._lens[i]
+        assert i in ids and p <= ix.top[i] and len(slots) == len(blocks(m, ix.pows[p], T))
+        for k, b, e in blocks(m, ix.pows[p], T):
+            step = step1(g, i, side, *((m - e, m - b) if side else (b, e)))
+            assert slots[k][0] == b + step[0]
+            assert view[side, i, p * T + k] == step
+    built = sum(map(len, kept.values()))
     assert table_slots1(g, tau) == grid >= built == ix.entry_count() == len(stored(ix))
 
 
@@ -429,28 +430,43 @@ def slots2(ix, states):
             for k_c, _, _ in blocks(ix.cols[i], ix.pows[p_c], T)}
 
 
-def built_slots(ix):
-    """(side or corner, variable, slot) of every built slot of ix."""
-    return {(side, t, at) for side, lists in enumerate(ix.tables)
+def view(ix):
+    """{(side or corner, variable, slot): step} of every slot ix holds: in
+    1D the kept states' slots, decoded (``decoded1``), in 2D the built
+    slots of the tables."""
+    if isinstance(ix, gridgram.AccessIndex1):
+        return decoded1(ix)
+    return {(side, t, at): v for side, lists in enumerate(ix.tables)
             for t, table in enumerate(lists) if table is not None
             for at, v in enumerate(table) if v is not None}
 
 
-class Slots(list):
-    """A table list that logs the (key, slot) of every read through it."""
+def built_slots(ix):
+    """(side or corner, variable, slot) of every slot ix holds."""
+    return set(view(ix))
 
-    def __init__(self, items, key, log):
+
+class Slots(list):
+    """A slot list that logs the (key, slot) of every read through it, its
+    slot ``base + k``."""
+
+    def __init__(self, items, key, log, base=0):
         super().__init__(items)
-        self.key, self.log = key, log
+        self.key, self.log, self.base = key, log, base
 
     def __getitem__(self, k):
-        self.log.add(self.key + (k,))
+        self.log.add(self.key + (self.base + k,))
         return super().__getitem__(k)
 
 
 def read_slots(ix):
-    """Wrap every list of ix's tables in Slots; returns the shared log."""
+    """Wrap every slot list of ix in Slots; returns the shared log of
+    (side or corner, variable, slot)."""
     log = set()
+    if isinstance(ix, gridgram.AccessIndex1):
+        wrap_slots1(ix, lambda slots, state: Slots(slots, (state[1], state[0]), log,
+                                                   state[2] * ix.tau))
+        return log
     ix.tables = [[None if t is None else Slots(t, (side, v), log) for v, t in enumerate(lists)]
                  for side, lists in enumerate(ix.tables)]
     return log
@@ -459,18 +475,85 @@ def read_slots(ix):
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_builds_the_walks_closure(g, tau):
-    """The build builds exactly the states of the walk's closure and of the
-    copies they read, no slot else; the fast walk to every position reads
-    built slots only, and every built slot is one table_slots1 counts."""
+    """The index keeps exactly the states of the walk's closure, no slot
+    else, not the copies they read; the fast walk to every position reads
+    kept slots only, and every kept slot is one table_slots1 counts."""
     ix = build_index1(g, tau)
-    walked, built = closure1(ix)
-    assert built_slots(ix) == slots1(ix, built)
-    assert ix.entry_count() == len(slots1(ix, built)) <= table_slots1(g, tau)
+    walked, _ = closure1(ix)
+    assert set(kept1(ix)) == walked and built_slots(ix) == slots1(ix, walked)
+    assert ix.entry_count() == len(slots1(ix, walked)) <= table_slots1(g, tau)
     log = read_slots(ix)
     for i, want in enumerate(expand1(g), start=1):
         assert access1(ix, i) == want
-    assert log <= slots1(ix, walked) and all(ix.tables[side][t][at] is not None
-                                             for side, t, at in log)
+    assert log <= slots1(ix, walked)
+
+
+def assert_state_machine1(ix):
+    """The 1D index is exactly the walk's closure, read through its codes:
+    every kept state is reached from the first through the slots' codes;
+    every code >= 0 in a kept slot names a kept state, the one the walk
+    enters in that child (one level down, capped by the child's top when
+    that is its cap, the side flipped in the near child); every negative
+    code is the finish code of a child whose level the walk does not store,
+    with that side and the finish rule that descends from it; and
+    entry_count() is the kept slots, all the slots the index holds.
+    Returns (kept states, kept slots)."""
+    g, T, top, cap, mark = ix.grammar, ix.tau, ix.top, ix.cap, ix.mark
+    kept = {j for j, state in enumerate(ix.states) if state is not None}
+    assert sorted(ix.ids.values()) == sorted(kept)
+    assert all(ix.keys[j] == key for key, j in ix.ids.items())
+    s = g.start
+    if top[s] < cap[s]:
+        assert not kept and ix.first == ~(s * 4 + (cap[s] < mark[s]))
+    else:
+        assert ix.first == 0 and ix.keys[0] == state_key1(ix, s, 0, top[s])
+    reached, todo = set(), [ix.first] if ix.first >= 0 else []
+    while todo:
+        j = todo.pop()
+        if j in reached:
+            continue
+        reached.add(j)
+        t, side, p = next(state for state, slots in kept1(ix).items()
+                          if slots is ix.states[j][1])
+        m = g._lens[t]
+        for k, b, e in blocks(m, ix.pows[p], T):
+            S, near, far = ix.states[j][1][k]
+            _, x, y = step1(g, t, side, *((m - e, m - b) if side else (b, e)))
+            if y is None:
+                assert (near, far) == (x, None)
+                continue
+            for code, c, to in ((near, x, side ^ 1), (far, y, side)):
+                q = p - 1
+                if code >= 0:
+                    assert ix.states[code] is not None
+                    if q > top[c]:
+                        assert top[c] == cap[c]
+                        q = top[c]
+                    assert ix.keys[code] == state_key1(ix, c, to, q)
+                    todo.append(code)
+                else:
+                    assert q > top[c] and top[c] < cap[c]
+                    runs = not (q >= mark[c] <= cap[c])
+                    assert ~code == c * 4 + to * 2 + runs and (ix.chains or not runs)
+    assert reached == kept
+    slots = sum(len(ix.states[j][1]) for j in kept)
+    assert ix.entry_count() == slots
+    return len(kept), slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars1(), tau=st.integers(2, 9))
+def test_index1_is_exactly_the_walks_closure(g, tau):
+    assert_state_machine1(build_index1(g, tau))
+
+
+def test_index1_keeps_the_walks_states_on_the_benchmark_shapes():
+    """Pinned at tau 8: the kept states and slots of a 400-rule zigzag and
+    of the benchmark's gen SLP (seed 7, 200 rules, 2**20 symbols)."""
+    zig = zigzag1([random.Random(3).randrange(4) for _ in range(401)])
+    assert len(zig.rules) == 404
+    assert assert_state_machine1(build_index1(zig, 8)) == (64, 511)
+    assert assert_state_machine1(build_index1(random_slp1(7, 200, 4, 2 ** 20), 8)) == (115, 805)
 
 
 # about one 2D draw in five is deep enough for its walk to read a table
@@ -493,7 +576,9 @@ def test_build2_builds_the_walks_closure(g, tau):
 
 
 def stored(ix):
-    """Every built slot of a 1D or a 2D index, in table order."""
+    """Every slot a 1D index keeps, or a 2D index built, as stored."""
+    if isinstance(ix, gridgram.AccessIndex1):
+        return [v for slots in kept1(ix).values() for v in slots]
     return [v for lists in ix.tables for slots in lists if slots is not None
             for v in slots if v is not None]
 
@@ -744,8 +829,16 @@ def test_hook_core2_runs_like_the_plain_walk(g, data):
         assert _hook_core2(*args, chains) == _hook_core2(*args, PLAIN)
 
 
+def layout(ix):
+    """What an index holds: the 1D states and their directory, or the 2D
+    tables."""
+    if isinstance(ix, gridgram.AccessIndex1):
+        return ix.first, ix.states, ix.keys, ix.ids
+    return ix.tables
+
+
 def assert_same_tables(ix, plain):
-    assert ix.tables == plain.tables and ix.entry_count() == plain.entry_count()
+    assert layout(ix) == layout(plain) and ix.entry_count() == plain.entry_count()
     assert len({id(v) for v in stored(ix)}) == len({id(v) for v in stored(plain)})
 
 
@@ -804,8 +897,10 @@ def uncovered1(ix, far_copies=True, built=False):
     inside the far child at a multiple of the block size from the far
     child's start, and that child stores the level; without far_copies
     only the first. Over every state a variable stores, or with built only
-    over the states ix built (whose first block holds a step)."""
+    over the states ix built: those it keeps and the states their copies
+    read (``copy_sources1``)."""
     g, T = ix.grammar, ix.tau
+    states = copy_sources1(ix, kept1(ix)) if built else None
     want = Counter()
     for i in reachable(g):
         rule = g.rules[i]
@@ -815,9 +910,8 @@ def uncovered1(ix, far_copies=True, built=False):
         for side in (0, 1):
             near, far = rule[::-1] if side else rule
             a = g._lens[near]
-            table = ix.tables[side][i]
             for p in range(ix.top[i] + 1):
-                if built and (table is None or table[p * T] is None):
+                if built and (i, side, p) not in states:
                     continue
                 tp = ix.pows[p]
                 for _, b, e in blocks(m, tp, T):
@@ -928,9 +1022,9 @@ def test_build2_descends_once_per_block_no_child_holds(g, tau):
 
 
 def test_build_work_on_the_benchmark_shapes():
-    """The descents and built slots of comb-deep's two shapes at tau 8,
-    the 2,000-rule right comb and the 100-step staircase, and of deep
-    shapes that keep their tables, pinned: a build that does more work than
+    """The descents and the slots kept in 1D (built in 2D) of comb-deep's
+    two shapes at tau 8, the 2,000-rule right comb and the 100-step
+    staircase, and of deep shapes that keep their tables, pinned: a build that does more work than
     these fails here, not only in the benchmark's build time. The comb and
     the staircase turn at most twice on a point path, so their starts
     finish by the turn rule and nothing is built. The zigzags of the same
@@ -941,9 +1035,9 @@ def test_build_work_on_the_benchmark_shapes():
     for build, g, tau, uncovered, work in (
             (build_index1, comb, 8, uncovered1, (0, 0)),
             (build_index2, stair, 8, uncovered2, (0, 0)),
-            (build_index1, zig1, 8, uncovered1, (2_291, 32_382)),
+            (build_index1, zig1, 8, uncovered1, (2_291, 2_340)),
             (build_index2, zig2, 8, uncovered2, (6_544, 48_758)),
-            (build_index1, doubling1(20), 16, uncovered1, (25, 137)),
+            (build_index1, doubling1(20), 16, uncovered1, (25, 81)),
             (build_index2, doubling2(14), 16, uncovered2, (48, 592))):
         with descents() as log:
             ix = build(g, tau)
@@ -967,11 +1061,11 @@ def doubling2(k):
 
 
 def agree(*indexes):
-    """Whether the indexes hold the same step at every slot two of them built."""
+    """Whether the indexes hold the same step at every slot two of them hold."""
     held = {}
     for ix in indexes:
-        for side, t, at in built_slots(ix):
-            if held.setdefault((side, t, at), ix.tables[side][t][at]) != ix.tables[side][t][at]:
+        for at, step in view(ix).items():
+            if held.setdefault(at, step) != step:
                 return False
     return True
 
@@ -1189,9 +1283,10 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
     every position either answers right or raises."""
     g = random_slp1(0, 40, 3, 4096)
     ix = build_index1(g, 2)
-    table = ix.tables[0][g.start]   # the start's first block at its cap, level 11
-    assert ix.cap[g.start] == 11 and table[11 * 2] == (613, 11, 1)
-    table[11 * 2] = swapped(table[11 * 2], 2)
+    slots = ix.states[0][1]         # the first state: the start's left side at its cap, 11
+    assert ix.cap[g.start] == 11 and ix.keys[0] == state_key1(ix, g.start, 0, 11)
+    assert decoded1(ix)[0, g.start, 11 * 2] == (613, 11, 1) and slots[0][0] == 613
+    slots[0] = swapped(slots[0], 2)
     raised = 0
     for i, want in enumerate(expand1(g), start=1):
         try:
@@ -1229,22 +1324,24 @@ def test_access2_traced_never_answers_wrong_on_a_swapped_step():
 # -- checked literal steps ---------------------------------------------------
 
 def test_side_map_refuses_a_wrong_literal_step():
-    # X0 -> a X1, X1 -> X2 b, X2 -> c X3, X3 -> X4 d, X4 -> a b, "acabdb":
-    # at tau 3 the traced walk to position 3 reads X3's level-0 block on
-    # X4's a, from the left; X3 stores level 0, as its turn bound 2 is more
-    # than the one read a walk has left there. The literal a stores no level,
-    # so its own cell is resolved by descent and has no slot to corrupt
-    g = zigzag1([0, 1, 2, 3, 0, 1])
-    ix = build_index1(g, 3)
-    assert access1_traced(ix, 3) == (0, 3) and ix.tables[0][5] is None
-    assert side_map(ix, 0, 5, 0, 1) == (5, 1, 0)
-    assert ix.top[3] == 0 and ix.tables[0][3] == [(0, 5, None), (0, 6, None), (0, 8, None)]
-    # X3's block on a, from the left, claiming to be b
-    ix.tables[0][3][0] = (0, 6, None)
+    # X0 -> a X1, X1 -> X2 b, X2 -> c X3, X3 -> X4 d, X4 -> a X5, X5 -> X6 b,
+    # X6 -> c d, "acacdbdb": at tau 2 the fast and the traced walk to
+    # position 4 read X5's level-0 block on X6's c, from the left, a state
+    # the index keeps; X5 stores level 0, as its turn bound 2 is more than
+    # the one read a walk has left there. The literal c stores no level, so
+    # its own cell is resolved by descent and has no slot to corrupt
+    g = zigzag1([0, 1, 2, 3, 0, 1, 2, 3])
+    ix = build_index1(g, 2)
+    assert access1_traced(ix, 4) == (2, 4) and ix.top[9] == -1
+    assert side_map(ix, 0, 9, 0, 1) == (9, 1, 0)
+    slots = kept1(ix)[5, 0, 0]
+    assert ix.top[5] == 0 and slots == [(0, 9, None), (1, 10, None)]
+    # X5's block on c, from the left, claiming to be d
+    slots[0] = (0, 10, None)
     with pytest.raises(PreconditionViolated, match="literal step"):
-        access1_traced(ix, 3)
+        access1_traced(ix, 4)
     with pytest.raises(PreconditionViolated, match="literal step"):
-        side_map(ix, 0, 3, 0, 1)
+        side_map(ix, 0, 5, 0, 1)
 
 
 def test_corner_map_refuses_a_wrong_literal_step():
@@ -1298,9 +1395,13 @@ class Reads(list):
 
 
 def logged(ix):
-    """Wrap every list of ix's tables in Reads; returns the shared log."""
+    """Wrap every slot list of ix in Reads; returns the shared log."""
     log = []
-    ix.tables = [[None if t is None else Reads(t, log) for t in lists] for lists in ix.tables]
+    if isinstance(ix, gridgram.AccessIndex1):
+        wrap_slots1(ix, lambda slots, state: Reads(slots, log))
+    else:
+        ix.tables = [[None if t is None else Reads(t, log) for t in lists]
+                     for lists in ix.tables]
     return log
 
 
@@ -1560,15 +1661,18 @@ class Tallied(list):
 
 
 def tallied(ix):
-    """Wrap ix's tables, move records and chain path heads in Tallied lists
+    """Wrap ix's slot lists, move records and chain path heads in Tallied lists
     sharing one Counter: "reads" counts table reads, "moves" move records
     read (the literal's own None included), "bisects" heavy paths a run
     searches (one bisect, or in 2D one on rows and one on columns, per path
     head read), and ("moves", "first") is the variable the walk descended
     from. Returns the Counter, to be cleared between walks."""
     tally = Counter()
-    ix.tables = type(ix.tables)([None if t is None else Tallied(t, tally, "reads")
-                                 for t in lists] for lists in ix.tables)
+    if isinstance(ix, gridgram.AccessIndex1):
+        wrap_slots1(ix, lambda slots, state: Tallied(slots, tally, "reads"))
+    else:
+        ix.tables = [[None if t is None else Tallied(t, tally, "reads") for t in lists]
+                     for lists in ix.tables]
     ix.moves = Tallied(ix.moves, tally, "moves")
     if ix.chains is not None:
         ix.chains = tuple((*chain[:2], Tallied(chain[2], tally, "bisects"), *chain[3:])
@@ -1756,35 +1860,36 @@ def test_access_stays_within_its_bound_on_random_grammars(g, tau, data):
 
 
 def real_slots(ix, far_at):
-    """(side or corner, variable, slot) of every built real step of ix;
-    ``far_at`` indexes a step's far child."""
-    return [(side, t, at) for side, lists in enumerate(ix.tables)
-            for t, table in enumerate(lists) for at, v in enumerate(table or ())
-            if v is not None and v[far_at] is not None]
+    """(side or corner, variable, slot) of every real step ix holds, in
+    slot order; ``far_at`` indexes a step's far child."""
+    return sorted(at for at, v in view(ix).items() if v[far_at] is not None)
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS, data=st.data())
 def test_side_map_refuses_a_real_step_in_literal_shape(g, tau, data):
-    """A built real step overwritten with a literal step's shape (0, v,
-    None), for the slot's own variable, any other or no variable, is
-    refused: a stored step of that shape must be the literal step the plain
-    descent gives, and a block of two or more positions has none.
-    Overwritten with None, the slot is unbuilt, and the plain descent
-    resolves it into the same real step."""
+    """A kept real step overwritten with a literal step's shape (k *
+    tau**p, v, None), for the slot's own variable, any other or no
+    variable, is refused: a stored step of that shape must be the literal
+    step the plain descent gives, and a block of two or more positions has
+    none. With its state out of the index's directory, the state is not
+    kept, and the plain descent resolves the block into the same real
+    step."""
     ix = build_index1(g, tau)
     slots = real_slots(ix, 2)
     if not slots:
         return
     side, t, at = data.draw(st.sampled_from(slots))
     p, k = divmod(at, ix.tau)
-    real = side_map(ix, side, t, p, k * ix.pows[p] + 1)
-    ix.tables[side][t][at] = None
-    assert side_map(ix, side, t, p, k * ix.pows[p] + 1) == real
-    ix.tables[side][t][at] = data.draw(st.builds(
-        lambda v: (0, v, None), st.integers(-1, len(g.rules))))
+    b = k * ix.pows[p]
+    real = side_map(ix, side, t, p, b + 1)
+    j = ix.ids.pop(state_key1(ix, t, side, p))
+    assert side_map(ix, side, t, p, b + 1) == real
+    ix.ids[state_key1(ix, t, side, p)] = j
+    ix.states[j][1][k] = data.draw(st.builds(
+        lambda v: (b, v, None), st.integers(-1, len(g.rules))))
     with pytest.raises(PreconditionViolated, match="literal step"):
-        side_map(ix, side, t, p, k * ix.pows[p] + 1)
+        side_map(ix, side, t, p, b + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1816,19 +1921,17 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
     walks on this grammar reach hundreds."""
     ix = build_index1(random_slp1(3, 40, 3, 4096), 3)
     seen = 0
-    for side in (0, 1):
-        for t, table in enumerate(ix.tables[side]):
-            for at, step in enumerate(table or ()):
-                if step is None or step[2] is None:
-                    continue
-                p, k = divmod(at, ix.tau)
-                b = k * ix.pows[p]
-                w = min(ix.lens[t] - b, ix.pows[p])
-                table[at] = (0 if split == "0" else w,) + step[1:]
-                with pytest.raises(PreconditionViolated, match="does not straddle"):
-                    side_map(ix, side, t, p, b + 1)
-                table[at] = step
-                seen += 1
+    for (t, side, p), slots in kept1(ix).items():
+        for k, step in enumerate(slots):
+            if step[2] is None:
+                continue
+            b = k * ix.pows[p]
+            w = min(ix.lens[t] - b, ix.pows[p])
+            slots[k] = (b + (0 if split == "0" else w),) + step[1:]
+            with pytest.raises(PreconditionViolated, match="does not straddle"):
+                side_map(ix, side, t, p, b + 1)
+            slots[k] = step
+            seen += 1
     assert seen > 100
 
 
@@ -1885,7 +1988,9 @@ ix1 = build_index1(g1, 2)
 side, t, p, delta = first_step(access1d, "side_map", lambda: access1_traced(ix1, 7))
 assert p == ix1.cap[t] == ix1.top[t] == 4
 # a split at the far edge of the block, not inside it
-ix1.tables[side][t][p * 2 + (delta - 1) // ix1.pows[p]] = (ix1.pows[p], 1, 1)
+slots = ix1.states[ix1.ids[t * (2 * ix1.levels + 2) + p * 2 + side]][1]
+k = (delta - 1) // ix1.pows[p]
+slots[k] = ((k + 1) * ix1.pows[p],) + slots[k][1:]
 try:
     access1_traced(ix1, 7)
 except PreconditionViolated:
@@ -1954,16 +2059,17 @@ def test_access2_raises_on_a_step_that_lowers_no_level():
 
 
 def test_access1_refuses_a_walk_that_ends_off_a_literal():
-    """The fast 1D walk reads one level per step down to level 0; a corrupt
-    level-0 step that sends it on to a pair leaves it off a literal with no
-    level left, which raises. The level falls every step, so the walk runs
-    in-process: it cannot hang."""
+    """Every read of the fast 1D walk lowers the level, so it makes at most
+    levels + 1 reads; a corrupt level-0 step that sends it on to a state,
+    here its own, leaves it off a literal with no read left, which raises.
+    The reads are counted, so the walk runs in-process: it cannot hang."""
     # a zigzag comb of 16 symbols, 15 high; the walk to position 5 reads
     # variable 7's left level-0 slot 0, the literal step to 15 (code 0)
     g = validate_slp1(Slp1([(15, i + 1) if i % 2 == 0 else (i + 1, 15) for i in range(14)]
                            + [(15, 16), 0, 1], 2, 0))
     ix = build_index1(g, 2)
-    assert access1(ix, 5) == 0 and ix.tables[0][7][0] == (0, 15, None)
-    ix.tables[0][7][0] = (0, 15, 1)     # its far child, variable 1, is a pair
+    j = ix.ids[state_key1(ix, 7, 0, 0)]
+    assert access1(ix, 5) == 0 and ix.states[j][1][0] == (0, 15, None)
+    ix.states[j][1][0] = (0, 15, j)     # on to its own state, as though 15 were a pair
     with pytest.raises(PreconditionViolated, match="walk to position 5 ended off a literal"):
         access1(ix, 5)

@@ -25,6 +25,7 @@ from gridgram.cli import main
 from gridgram.gen import random_matrix
 from gridgram.oracle import rank
 from gridgram.reductions import mark_all_chars
+from conftest import kept1, wrap_slots1
 
 
 def run(capsys, *argv):
@@ -156,19 +157,16 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     text = expand1(slp)
     coords = [str(i) for i in range(1, len(text) + 1)]
     ix = build_index1(slp, 2)
-    # the slots the traced walks read over every position, and the fast ones
+    # the kept slots the traced walks read over every position, and the
+    # fast ones: the traced walk resolves a state the index does not keep
+    # by descent
     fast, traced = set(), set()
     for read, walk in ((fast, access1), (traced, access1_traced)):
-        ix.tables = [[None if table is None else _Logged(table, (side, t), read)
-                      for t, table in enumerate(lists)] for side, lists in enumerate(ix.tables)]
+        wrap_slots1(ix, lambda slots, state: _Logged(slots, state, read))
         for i in range(1, len(text) + 1):
             walk(ix, i)
-    # of those, the built ones: a slot no walk reaches is not built, and
-    # the traced walk resolves it by descent
-    only_traced = {(side, t, at) for side, t, at in traced - fast
-                   if ix.tables[side][t][at] is not None}
-    assert only_traced and all(ix.tables[side][t][at][2] is not None
-                               for side, t, at in only_traced)
+    only_traced = traced - fast
+    assert only_traced and all(kept1(ix)[state][k][2] is not None for state, k in only_traced)
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""
 
@@ -177,10 +175,11 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
         # to the block's far edge; the fast walk never reads it and still
         # answers right
         ix = build_index1(slp, tau)
-        for side, t, at in only_traced:
-            p, k = divmod(at, ix.tau)
-            s, near, far = ix.tables[side][t][at]
-            ix.tables[side][t][at] = (min(ix.lens[t] - k * ix.pows[p], ix.pows[p]), near, far)
+        kept = kept1(ix)
+        for (t, side, p), k in only_traced:
+            b = k * ix.pows[p]
+            S, near, far = kept[t, side, p][k]
+            kept[t, side, p][k] = (b + min(ix.lens[t] - b, ix.pows[p]), near, far)
         return ix
 
     monkeypatch.setattr(cli._DIM1, "build", build)
@@ -192,15 +191,15 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
 
 
 class _Logged(list):
-    """A table list that adds (side, variable, slot) to ``read`` for every
-    slot read through it."""
+    """A slot list that adds (its key, slot) to ``read`` for every slot
+    read through it."""
 
     def __init__(self, items, key, read):
         super().__init__(items)
         self.key, self.read = key, read
 
     def __getitem__(self, at):
-        self.read.add(self.key + (at,))
+        self.read.add((self.key, at))
         return super().__getitem__(at)
 
 
@@ -395,10 +394,12 @@ def test_bench_csv_shape_and_direction(tmp_path, capsys):
     code, out, _ = run(capsys, "bench", str(path), "--tau-list", "2,8", "--reps", "40")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "tau,entries,bytes,build_ms,mean_query_ns,loop_iterations_mean"
+    assert lines[0] == ("tau,entries,bytes,build_ms,mean_query_ns,descent_ns,"
+                        "loop_iterations_mean")
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[0] for r in rows] == ["2", "8"]
-    assert float(rows[0][5]) > float(rows[1][5])  # larger tau, fewer steps
+    assert float(rows[0][6]) > float(rows[1][6])  # larger tau, fewer steps
+    assert all(float(r[5]) > 0 for r in rows)
     from gridgram import ceil_log
     for r in rows:
         tau = int(r[0])
@@ -425,9 +426,10 @@ def test_bench_2d_branch(slp2_file, capsys):
 
 
 def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys):
-    # 8 B per allocated slot, built or not, and per entry of the chain lists
-    # the index keeps, plus each distinct (shared) step object once; entries
-    # counts the built slots. These shallow grammars build nothing but the
+    # 8 B per slot of the 1D index's kept states and per allocated 2D slot,
+    # built or not, and per entry of the chain lists the index keeps, plus
+    # each distinct (shared) slot object once; entries counts the kept (1D)
+    # or built (2D) slots. These shallow grammars build nothing but the
     # 1D one at tau 3, where the walk reads
     built = 0
     for path, load, build in ((slp1_file, lambda t: slg_to_slp(parse_slg1(t)), build_index1),
@@ -437,7 +439,10 @@ def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys
         for line in out.strip().splitlines()[1:]:
             tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
             ix = build(load(path.read_text()), tau)
-            lists = [t for part in ix.tables for t in part if t is not None]
+            if build is build_index1:
+                lists = list(kept1(ix).values())
+            else:
+                lists = [t for part in ix.tables for t in part if t is not None]
             steps = {id(v): v for t in lists for v in t if v is not None}
             assert entries == ix.entry_count() and (len(steps) < entries or entries == 0)
             chained = sum(len(key) for chain in ix.chains or () for key in chain)
@@ -449,7 +454,7 @@ def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys
 
 def test_bench_bytes_count_the_chains_of_a_table_free_index(tmp_path, capsys):
     # a right comb of 64 symbols turns once on a point path, so its start
-    # finishes by the turn rule at once: no slot is allocated, and the bytes
+    # finishes by the turn rule at once: no state is kept, and the bytes
     # are the 8 B per entry of the two sides' chains, five lists over its 65
     # rules each
     path = tmp_path / "comb.slg1"
@@ -460,7 +465,7 @@ def test_bench_bytes_count_the_chains_of_a_table_free_index(tmp_path, capsys):
     for line in out.strip().splitlines()[1:]:
         tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
         ix = build_index1(slg_to_slp(parse_slg1(path.read_text())), tau)
-        assert entries == 0 and all(t is None for part in ix.tables for t in part)
+        assert entries == 0 and ix.states == [] and ix.first < 0
         assert ix.chains is not None and nbytes == 8 * 2 * 5 * 65
 
 

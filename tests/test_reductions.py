@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridgram import (
     EmptyLanguage,
@@ -336,6 +337,19 @@ def test_alphabet_reduce_identity_on_dense():
     assert expand1(reduced) == expand1(g)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), rules=st.integers(1, 40), sigma=st.integers(1, 9))
+def test_alphabet_reduce_keeps_arrays_equal_to_a_fresh_validation(seed, rules, sigma):
+    """The relabeled conversion's cached arrays (child lists, reachability,
+    heights, order, lengths, move records) equal those validate_slp1 gives
+    a fresh grammar with the same rules."""
+    reduced, amap = alphabet_reduce(random_slp1(seed, rules, sigma=sigma, max_len=300))
+    fresh = validate_slp1(Slp1(reduced.rules, len(amap), reduced.start))
+    assert reduced.alphabet_size == len(amap) and reduced.validated
+    for name in ("_kids", "_reach", "_height", "_topo", "_lens", "_moves"):
+        assert getattr(reduced, name) == getattr(fresh, name), name
+
+
 def test_alphabet_reduce_prunes_unreachable():
     g = validate_slp1(Slp1([(1, 2), 3, 5, 9], 10, 0))  # literal 9 unreachable
     reduced, amap = alphabet_reduce(g)
@@ -469,18 +483,20 @@ def test_pad_with_zero_block_structure():
 def test_constructions_validate_only_the_grammar_they_make(monkeypatch):
     """Given a validated grammar, each construction validates only its
     output: one topological sort, not a second run over its input, which
-    a raw input still gets."""
+    a raw input still gets; alphabet_reduce relabels the SLP conversion's
+    output, which is valid by construction, and sorts nothing."""
     sorts = []
     toposort = slg._toposort
     monkeypatch.setattr(slg, "_toposort", lambda *a: sorts.append(1) or toposort(*a))
     grid = validate_slg2(grammar_from_matrix(Matrix2D(2, 3, [1, 0, 1, 0, 1, 1])))
     text = validate_slp1(random_slp1(3, 12, sigma=3, max_len=40))
-    for build, g in ((pad_with_zero_block, grid), (square_all_zero_via_square_lce, grid),
-                     (alphabet_reduce, text), (lambda g: mark_grammar(g, 3), text),
-                     (lambda g: ext_mark_grammar(g, 3), text)):
+    for build, g, want in ((pad_with_zero_block, grid, 1),
+                           (square_all_zero_via_square_lce, grid, 1),
+                           (alphabet_reduce, text, 0), (lambda g: mark_grammar(g, 3), text, 1),
+                           (lambda g: ext_mark_grammar(g, 3), text, 1)):
         del sorts[:]
         build(g)
-        assert len(sorts) == 1
+        assert len(sorts) == want
     del sorts[:]
     pad_with_zero_block(grammar_from_matrix(Matrix2D(2, 3, [1, 0, 1, 0, 1, 1])))
     assert len(sorts) == 2
