@@ -121,22 +121,29 @@ class _Pools:
     rows and cols hold every id's dimensions (0 while undefined). For each
     kind, ids are grouped by the side its rules share, columns for Horiz and
     rows for Vert, each group in descending id order since rules are defined
-    top-down. largest is the lowest id of largest area, which is what max
-    over ascending ids returns.
+    top-down, and least holds each group's least growing span. largest is
+    the lowest id of largest area, which is what max over ascending ids
+    returns.
     """
 
     def __init__(self, sizes, first):
         self.rows, self.cols = sizes, sizes[:]
         self.groups = {Horiz: {}, Vert: {}}
+        self.least = {Horiz: {}, Vert: {}}
         self.largest = len(sizes) - 1
         for i in range(len(sizes) - 1, first - 1, -1):
             self._file(i)
 
     def _file(self, i):
-        rows, cols, top = self.rows, self.cols, self.largest
-        self.groups[Horiz].setdefault(cols[i], []).append(i)
-        self.groups[Vert].setdefault(rows[i], []).append(i)
-        if rows[i] * cols[i] >= rows[top] * cols[top]:
+        h, w, top = self.rows[i], self.cols[i], self.largest
+        self.groups[Horiz].setdefault(w, []).append(i)
+        self.groups[Vert].setdefault(h, []).append(i)
+        least_h, least_v = self.least[Horiz], self.least[Vert]
+        if h < least_h.get(w, h + 1):
+            least_h[w] = h
+        if w < least_v.get(h, w + 1):
+            least_v[h] = w
+        if h * w >= self.rows[top] * self.cols[top]:
             self.largest = i
 
     def area(self, i):
@@ -148,7 +155,11 @@ class _Pools:
         grow, share = _axes(kind, self.rows, self.cols)
         width = share[kids[0]]
         # (span + g) * width <= max_cells, for a positive int width
-        room = max_cells // width - sum(grow[k] for k in kids)
+        room = max_cells // width
+        for k in kids:
+            room -= grow[k]
+        if room < self.least[kind][width]:
+            return []           # no id of the group fits, so none is read
         return [i for i in reversed(self.groups[kind][width]) if grow[i] <= room]
 
     def define(self, nid, kind, kids):

@@ -43,9 +43,12 @@ from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2, validate_slg2
 
 # -- orthogonal vectors -------------------------------------------------------
 
+_BITS = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class OvInstance:
-    """A set of equal-length 0/1 vectors."""
+    """A set of equal-length 0/1 vectors, each entry the int (or bool) 0 or 1."""
 
     vectors: tuple
 
@@ -63,7 +66,11 @@ class OvInstance:
         for v in vecs:
             if len(v) != d:
                 raise RangeError("vectors must share one dimension")
-            if any(b not in (0, 1) for b in v):
+            try:                    # 1.0 passes the set test, but its sum is no int
+                bits = _BITS.issuperset(v) and type(sum(v)) is int
+            except TypeError:       # an unhashable entry
+                bits = False
+            if not bits:
                 raise RangeError("vector entries must be 0 or 1")
 
     @property
@@ -121,7 +128,10 @@ def ov_to_pm(inst):
     selected at a_i's one-positions, then another ones-column. The grammar
     has one rule per input dimension (a column of the vector matrix), a
     ones-column rule, two literals, and the start rule spelling the column
-    sequence; its size is exactly 2 + (d+1)n + (l+2)n.
+    sequence; its size is exactly 2 + (d+1)n + (l+2)n. The grammar is valid
+    by construction and not validated again: its arrays (child lists,
+    reachability, heights, rows, columns, a parents-first order) come from
+    the construction, and a column no vector has a 1 in is unreachable.
     """
     counts = inst.ones_counts()
     l = counts[0]
@@ -132,23 +142,22 @@ def ov_to_pm(inst):
 
     n, d = inst.n, inst.d
     # ids: 0 start, 1 literal 0, 2 literal 1, 3..d+2 vector columns, d+3 ones column
-    col_id = lambda i: 2 + i          # i in [1..d]
     ones_id = d + 3
     start_children = []
     for vec in inst.vectors:
         start_children.append(ones_id)
-        start_children.extend(col_id(i + 1) for i, b in enumerate(vec) if b == 1)
+        start_children.extend(3 + i for i, b in enumerate(vec) if b == 1)
         start_children.append(ones_id)
-
-    rules = [None] * (d + 4)
-    rules[0] = Vert(*start_children)
-    rules[1] = 0
-    rules[2] = 1
-    for i in range(1, d + 1):
-        rules[col_id(i)] = Horiz(*(1 + vec[i - 1] for vec in inst.vectors))
-    rules[ones_id] = Horiz(*([2] * n))
-
-    grammar = validate_slg2(Slg2(rules, 2, 0))
+    dimensions = list(zip(*inst.vectors))     # per dimension, its entry in each vector
+    rules = [Vert(start_children), 0, 1, *(Horiz([2 if b else 1 for b in t]) for t in dimensions),
+             Horiz([2] * n)]
+    # a column is reached when a vector has a 1 there, the literal 0 when
+    # such a column also has a 0
+    reach = [True, any(1 in t and 0 in t for t in dimensions), True,
+             *(1 in t for t in dimensions), True]
+    grammar = _handed_over(rules, 2, 0, reach, [2, 0, 0] + [1] * (d + 1),
+                           [n, 1, 1] + [n] * (d + 1), [(l + 2) * n, 1, 1] + [1] * (d + 1),
+                           [0, *range(3, d + 4), 1, 2])
     pattern = Matrix2D(1, l + 2, [1] + [0] * l + [1])
     return PmInstance(pattern, grammar, n, d, l)
 
@@ -221,8 +230,41 @@ def _check_sigma(sigma):
         raise RangeError(f"sigma must be an int >= 1, got {sigma!r}")
 
 
-def _zero_run(rules, unit, count, ctor):
-    """Append rules for ``count`` copies of the zero block ``unit`` joined by ``ctor``.
+def _handed_over(rules, sigma, start, reach, height, rows, cols, topo):
+    """The Slg2 of ``rules`` that a construction made valid, with the arrays
+    the construction knows: reachability, heights, rows, columns and a
+    parents-first order as given, and the child lists read off the rules.
+    It is marked validated and not validated again."""
+    g = Slg2(rules, sigma, start)
+    g._kids = [None if isinstance(r, int) else r.children for r in g.rules]
+    g._reach, g._height, g._rows, g._cols, g._topo = reach, height, rows, cols, topo
+    return g
+
+
+def _add(rules, sizes, rule):
+    """Append ``rule``, whose children are in ``rules`` already, to
+    ``rules`` and its height, rows and columns to the lists ``sizes``;
+    returns its id."""
+    height, rows, cols = sizes
+    if isinstance(rule, int):
+        h, r, c = 0, 1, 1
+    else:
+        ks = rule.children
+        h = 1 + max(height[k] for k in ks)
+        if type(rule) is Horiz:
+            r, c = sum(rows[k] for k in ks), cols[ks[0]]
+        else:
+            r, c = rows[ks[0]], sum(cols[k] for k in ks)
+    rules.append(rule)
+    height.append(h)
+    rows.append(r)
+    cols.append(c)
+    return len(rules) - 1
+
+
+def _zero_run(rules, sizes, unit, count, ctor):
+    """Append, with ``_add``, rules for ``count`` copies of the zero block
+    ``unit`` joined by ``ctor``.
 
     The copies come from a doubling chain (``unit``, 2, 4, ... copies) joined
     by the binary decomposition of ``count`` in increasing powers, so at most
@@ -231,13 +273,9 @@ def _zero_run(rules, unit, count, ctor):
     """
     powers = [unit]
     for _ in range(1, count.bit_length()):
-        rules.append(ctor(powers[-1], powers[-1]))
-        powers.append(len(rules) - 1)
+        powers.append(_add(rules, sizes, ctor(powers[-1], powers[-1])))
     parts = [powers[p] for p in range(count.bit_length()) if count >> p & 1]
-    if len(parts) == 1:
-        return parts[0]
-    rules.append(ctor(*parts))
-    return len(rules) - 1
+    return parts[0] if len(parts) == 1 else _add(rules, sizes, ctor(*parts))
 
 
 def _slp1(g, needs):
@@ -261,7 +299,10 @@ def _marking_grammar(g, sigma, gap):
     more zero units, where a zero unit is gap + 1 zero cells tall; a run of
     no zero units is no child at all, so every rule lists one. Variables the
     start does not reach are left out, so only the codes of the text are
-    checked against sigma.
+    checked against sigma. The rows and columns of each rule follow from g's
+    lengths and from ``_add``, its heights from its children's, children
+    first over g's order, and the columns of codes the text lacks, with the
+    zero runs only they list, are unreachable.
     """
     _check_sigma(sigma)
     keep = [nid for nid, r in enumerate(g._reach) if r]
@@ -269,23 +310,32 @@ def _marking_grammar(g, sigma, gap):
         raise RangeError(f"grammar terminals must lie in [0, {sigma})")
     new = {nid: at for at, nid in enumerate(keep)}     # input id -> output id
     gv = len(keep)
-    m0, m1 = gv, gv + 1
-    rules = [None] * gv + [0, 1]
+    rules = [None] * gv
+    sizes = ([0] * gv, [sigma * (gap + 1)] * gv, [g._lens[nid] for nid in keep])
+    m0, m1 = _add(rules, sizes, 0), _add(rules, sizes, 1)
     mid, unit = [m1], m0                   # mid: the 1, then the gap run if any
     if gap:
-        mid.append(_zero_run(rules, m0, gap, Horiz))
-        rules.append(Horiz(mid[-1], m0))
-        unit = len(rules) - 1
+        mid.append(_zero_run(rules, sizes, m0, gap, Horiz))
+        unit = _add(rules, sizes, Horiz(mid[-1], m0))
     zeros = [(), (unit,)]                  # zeros[i]: the ids spelling i zero units
     for _ in range(2, sigma):
-        rules.append(Horiz(*zeros[-1], unit))
-        zeros.append((len(rules) - 1,))
+        zeros.append((_add(rules, sizes, Horiz(*zeros[-1], unit)),))
     col = len(rules)                       # col + c: the marking column of code c
-    rules.extend(Horiz(*zeros[c], *mid, *zeros[sigma - 1 - c]) for c in range(sigma))
-    for at, nid in enumerate(keep):
-        kid = g._kids[nid]
-        rules[at] = Vert(col + g.rules[nid]) if kid is None else Vert(new[kid[0]], new[kid[1]])
-    return validate_slg2(Slg2(rules, 2, new[g.start]))
+    for c in range(sigma):
+        _add(rules, sizes, Horiz(*zeros[c], *mid, *zeros[sigma - 1 - c]))
+    height = sizes[0]
+    for nid in reversed(g._topo):          # children first
+        if g._reach[nid]:
+            kid, at = g._kids[nid], new[nid]
+            rules[at] = Vert(col + g.rules[nid]) if kid is None else Vert(new[kid[0]], new[kid[1]])
+            height[at] = 1 + max(height[k] for k in rules[at].children)
+    topo = [new[nid] for nid in g._topo if g._reach[nid]] + [*range(len(rules) - 1, gv - 1, -1)]
+    reach = [True] * gv + [False] * (len(rules) - gv)
+    for nid in topo:                       # the columns of the codes, and what they list
+        if reach[nid] and not isinstance(rules[nid], int):
+            for k in rules[nid].children:
+                reach[k] = True
+    return _handed_over(rules, 2, new[g.start], reach, *sizes, topo)
 
 
 def mark_grammar(g, sigma):
@@ -298,7 +348,9 @@ def mark_grammar(g, sigma):
     a code at the top or bottom row has no zero-column on that side, so no
     rule is empty. Output size is linear in |g| + sigma: the grammar gains
     about 2 * sigma rules, and sigma is not capped here, so the caller
-    bounds it (the CLI checks 2 * sigma rules against its cell cap).
+    bounds it (the CLI checks 2 * sigma rules against its cell cap). The
+    output's arrays come from the construction, and it is not validated
+    again (see ``_marking_grammar``).
     """
     return _marking_grammar(_slp1(g, "mark_grammar"), sigma, 0)
 
@@ -308,7 +360,8 @@ def ext_mark_grammar(g, sigma):
 
     As mark_grammar, but each marking column is n*sigma tall: the n-1 zero
     rows below each 1 come from a doubling chain combined by the binary
-    decomposition of n-1 (increasing powers).
+    decomposition of n-1 (increasing powers). The output's arrays come from
+    the construction, as for mark_grammar.
     """
     g = _slp1(g, "ext_mark_grammar")
     n = g._lens[g.start]
@@ -452,7 +505,8 @@ def pad_with_zero_block(g2):
 
     The output's left half is the original expansion, the right half is an
     all-zero block of the same dimensions; only O(log rows + log cols) rules
-    are added.
+    are added. The output is not validated again: its arrays are g2's,
+    extended by the zero runs and the new start, which comes last.
     """
     g2 = _slg2(g2)
     r, c = g2._rows[g2.start], g2._cols[g2.start]
@@ -462,11 +516,12 @@ def pad_with_zero_block(g2):
         raise PreconditionViolated(
             f"binary grammar of size {grammar_size2(g2)} claims a {r}x{c} expansion")
 
-    rules = list(g2.rules) + [0]
-    column = _zero_run(rules, len(rules) - 1, r, Horiz)
-    rules.append(Vert(g2.start, _zero_run(rules, column, c, Vert)))
-    new_start = len(rules) - 1
-    return validate_slg2(Slg2(rules, g2.alphabet_size, new_start))
+    rules, first = list(g2.rules), len(g2.rules)
+    sizes = (g2._height[:], g2._rows[:], g2._cols[:])
+    column = _zero_run(rules, sizes, _add(rules, sizes, 0), r, Horiz)
+    start = _add(rules, sizes, Vert(g2.start, _zero_run(rules, sizes, column, c, Vert)))
+    return _handed_over(rules, g2.alphabet_size, start, g2._reach + [True] * (start + 1 - first),
+                        *sizes, [*range(start, first - 1, -1), *g2._topo])
 
 
 def square_all_zero_via_square_lce(g2):

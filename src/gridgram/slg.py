@@ -302,36 +302,62 @@ _BLOCK = 1 << 12
 _DENSE = 16
 
 
-def _expand(g, size, shift, build, paint):
-    """The expansion of validated ``g`` as one flat list, each cell written
-    at most once.
+def _paint(out, width, off, src, h, w):
+    """Copy the h x w row-major block ``src`` into ``out``, a row-major list
+    ``width`` columns wide, with its top-left cell at flat index ``off``:
+    one slice when the block spans the width, one strided slice when it is
+    one column wide, else a slice per row, or a strided slice per column
+    when the block is taller than wide."""
+    if w == width:
+        out[off:off + h * w] = src
+    elif w == 1:
+        out[off:off + (h - 1) * width + 1:width] = src
+    elif h <= w:
+        for i in range(0, h * w, w):
+            out[off:off + w] = src[i:i + w]
+            off += width
+    else:
+        span = (h - 1) * width + 1
+        for j in range(w):
+            out[off + j:off + j + span:width] = src[j::w]
 
-    The output starts as ``size(start)`` zeros, and a variable whose cells
-    are all code 0 is left as those zeros: it is never split, built from its
-    children or painted, and a built parent that lists it gets
-    ``[0] * size`` for it. Of the rest, a variable is built whole, once,
-    when a built variable lists it, when it is a literal, or when it has at
-    most ``_BLOCK`` cells, at most ``_DENSE`` cells per nonzero one, and
-    lies at two or more places of the output; every other variable it
-    reaches is split into its children. Nothing recurses. So the one-hot
-    columns of the 4096 x 1024 ext-marking matrix of reduce-chains are split
-    down to their 1s (README, "Expansion cost").
+
+def _expand(g, rows, cols, stacked):
+    """The expansion of validated ``g``, ``rows[v]`` x ``cols[v]`` cells per
+    id v, as one flat row-major list, each cell written at most once. The
+    children of a rule of type ``stacked`` lie one below the other, those
+    of any other rule side by side; a 1D string is one column.
+
+    The output starts as zeros, and a variable whose cells are all code 0
+    is left as those zeros: it is never split, built from its children or
+    painted, and a built parent that lists it gets ``[0] * size`` for it.
+    Of the rest, a variable is built whole, once, when a built variable
+    lists it, when it is a literal, or when it has at most ``_BLOCK``
+    cells, at most ``_DENSE`` cells per nonzero one, and lies at two or
+    more places of the output; every other variable it reaches is split
+    into its children. Nothing recurses. So the one-hot columns of the
+    4096 x 1024 ext-marking matrix of reduce-chains are split down to their
+    1s (README, "Expansion cost").
 
     0. Children first: count per variable its nonzero cells. An all-zero
        start is returned as its zeros.
     1. Parents first: give each split variable its children that are not
-       all zero with their offsets inside it, ``shift(rule, child)`` apart,
-       and count per variable its places below split variables (up to 2)
-       and its occurrences in the rules of built ones.
-    2. Children first: build each built variable, ``build(v, rule,
-       children, memo)``. An entry is freed once its last built parent has
-       consumed it, unless it lies at a place of its own (a block).
-    3. Top down from the start over the split variables: at every place a
-       block lies, ``paint(out, offset, block, memo[block])``.
+       all zero with their offsets inside it, summed from the children's
+       extents with no call per child, and count per variable its places
+       below split variables (up to 2) and its occurrences in the rules of
+       built ones, except of rules over literals only.
+    2. Children first: build each built variable, a rule over literals
+       only as their codes, another stacked one by concatenating its
+       children, any other by painting them side by side. An entry is
+       freed once its last built parent has consumed it, unless it lies at
+       a place of its own (a block).
+    3. Top down from the start over the split variables: ``_paint`` every
+       block at every place it lies.
 
     A nonzero literal start is its own memo entry and is returned as it is.
     """
-    rules, topo, start, children = g.rules, g._topo, g.start, g._kids
+    rules, topo, start, children, height = g.rules, g._topo, g.start, g._kids, g._height
+    width, paint = cols[start], _paint
     nnz = [0] * len(rules)   # per id: its cells that are not code 0
     for nid in reversed(topo):
         kids = children[nid]
@@ -343,7 +369,7 @@ def _expand(g, size, shift, build, paint):
             total += nnz[c]
         nnz[nid] = total
     if not nnz[start]:
-        return [0] * size(start)
+        return [0] * (rows[start] * width)
 
     places = [0] * len(rules)
     places[start] = 1
@@ -353,18 +379,20 @@ def _expand(g, size, shift, build, paint):
         rule = rules[nid]
         if isinstance(rule, int) or not nnz[nid] or not (places[nid] or pending[nid]):
             continue
-        kids = children[nid]
-        if pending[nid] or (places[nid] > 1 and size(nid) <= _BLOCK
-                            and size(nid) <= _DENSE * nnz[nid]):
-            for c in kids:
-                pending[c] += 1
+        kids, size = children[nid], rows[nid] * cols[nid]
+        if pending[nid] or (places[nid] > 1 and size <= _BLOCK and size <= _DENSE * nnz[nid]):
+            if height[nid] > 1:     # a rule over literals is built from their codes
+                for c in kids:
+                    pending[c] += 1
             continue
-        parts, off = [], 0
+        # a stacked child's offset is the rows above it times the output's width
+        extent, scale = (rows, width) if type(rule) is stacked else (cols, 1)
+        at, parts, off = places[nid], [], 0
         for c in kids:
             if nnz[c]:
-                parts.append((c, off))
-                places[c] = min(places[c] + places[nid], 2)
-            off += shift(rule, c)
+                parts.append((c, off * scale))
+                places[c] = 2 if places[c] else at
+            off += extent[c]
         split[nid] = parts
 
     memo = {}
@@ -373,14 +401,23 @@ def _expand(g, size, shift, build, paint):
             continue
         rule = rules[nid]
         if not nnz[nid]:
-            memo[nid] = [0] * size(nid)
+            memo[nid] = [0] * (rows[nid] * cols[nid])
             continue
         if isinstance(rule, int):
             memo[nid] = [rule]
             continue
         kids = children[nid]
-        built = build(nid, rule, kids, memo)
+        if height[nid] == 1:        # a row or a column of literals: their codes
+            memo[nid] = [rules[c] for c in kids]
+            continue
+        joined, h, w = type(rule) is stacked, rows[nid], cols[nid]
+        built, off = [] if joined else [0] * (h * w), 0
         for c in kids:
+            if joined:
+                built.extend(memo[c])
+            else:
+                paint(built, w, off, memo[c], h, cols[c])
+                off += cols[c]
             pending[c] -= 1
             if not pending[c] and not places[c]:
                 del memo[c]
@@ -388,7 +425,7 @@ def _expand(g, size, shift, build, paint):
     if start not in split:
         return memo[start]
 
-    out = [0] * size(start)
+    out = [0] * (rows[start] * width)
     stack = [(start, 0)]
     while stack:
         nid, base = stack.pop()
@@ -396,7 +433,7 @@ def _expand(g, size, shift, build, paint):
             if c in split:
                 stack.append((c, base + off))
             else:
-                paint(out, base + off, c, memo[c])
+                paint(out, width, base + off, memo[c], rows[c], cols[c])
     return out
 
 
@@ -406,17 +443,6 @@ def _check_cap(size, cap, unit):
         raise RangeError(f"cap must be an int, got {cap!r}")
     if size > cap:
         raise ExpansionTooLarge(f"expansion has {size} {unit}, cap is {cap}")
-
-
-def _extend_all(nid, rule, kids, memo):
-    out = []
-    for c in kids:
-        out.extend(memo[c])
-    return out
-
-
-def _paint1(out, off, c, src):
-    out[off:off + len(src)] = src
 
 
 def expand1(g, cap=DEFAULT_CAP):
@@ -432,7 +458,7 @@ def expand1(g, cap=DEFAULT_CAP):
     """
     lens = Slg1._validated(g)._lens
     _check_cap(lens[g.start], cap, "symbols")
-    return _expand(g, lens.__getitem__, lambda rule, c: lens[c], _extend_all, _paint1)
+    return _expand(g, lens, [1] * len(lens), tuple)
 
 
 def grammar_size1(g):

@@ -62,7 +62,6 @@ from .slg import (
     _check_cap,
     _dump,
     _expand,
-    _extend_all,
     _Grammar,
     _int,
     _parse,
@@ -256,23 +255,6 @@ def dims(g, nid):
     return g._rows[nid], g._cols[nid]
 
 
-def _paint(out, width, off, src, h, w):
-    """Copy the h x w row-major block ``src`` into ``out``, a row-major list
-    ``width`` columns wide, with its top-left cell at flat index ``off``:
-    one slice when the block spans the width, else a slice per row, or a
-    strided slice per column when the block is taller than wide."""
-    if w == width:
-        out[off:off + h * w] = src
-    elif h <= w:
-        for i in range(0, h * w, w):
-            out[off:off + w] = src[i:i + w]
-            off += width
-    else:
-        span = (h - 1) * width + 1
-        for j in range(w):
-            out[off + j:off + j + span:width] = src[j::w]
-
-
 def expand2(g, cap=DEFAULT_CAP):
     """Materialize the unique matrix derived by the grammar.
 
@@ -282,32 +264,14 @@ def expand2(g, cap=DEFAULT_CAP):
     a one-hot column taller than 16 cells is split down to its 1. A
     variable of at most 2**12 cells, at least one in 16 of them nonzero,
     that occurs at two or more places is built once and its copies are
-    painted into place (see ``_paint``); every other variable is split top
-    down into its children. The working set is the output plus those small
-    variables, not the sum of all expansion sizes.
+    painted into place (see ``slg._paint``); every other variable is split
+    top down into its children. The working set is the output plus those
+    small variables, not the sum of all expansion sizes.
     """
     rows, cols = Slg2._validated(g)._rows, g._cols
     r, c = rows[g.start], cols[g.start]
     _check_cap(r * c, cap, "cells")
-
-    def shift(rule, ch):
-        return rows[ch] * c if type(rule) is Horiz else cols[ch]
-
-    def build(nid, rule, kids, memo):
-        if type(rule) is Horiz:
-            return _extend_all(nid, rule, kids, memo)
-        h, w = rows[nid], cols[nid]
-        flat, off = [0] * (h * w), 0
-        for ch in kids:
-            _paint(flat, w, off, memo[ch], h, cols[ch])
-            off += cols[ch]
-        return flat
-
-    def paint(out, off, ch, src):
-        _paint(out, c, off, src, rows[ch], cols[ch])
-
-    cells = _expand(g, lambda nid: rows[nid] * cols[nid], shift, build, paint)
-    return Matrix2D._adopt(r, c, cells)
+    return Matrix2D._adopt(r, c, _expand(g, rows, cols, Horiz))
 
 
 grammar_size2 = grammar_size1  # the size measure is the same in both dimensions

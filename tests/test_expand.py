@@ -8,9 +8,10 @@ splits. So the 4096 x 1024 ext-marking matrix of reduce-chains, one 1 per
 column, paints its 1024 ones alone and expands in about 22 ms, not 93 ms
 (README, "Expansion cost"). These tests hold it to the definitional folds
 of ``conftest`` on random grammars of mixed arity, combs, staircases,
-tiled blocks, the marking grammars and grammars rich in code 0, with sizes
-on both sides of the thresholds; run each of the three ways a block is
-painted; check that a sparse matrix paints only its nonzero cells; expand
+tiled blocks, the marking grammars, grammars rich in code 0, rules of 200
+or more children and the OV texts, with sizes on both sides of the
+thresholds; run each of the four ways a block is painted; check that a
+sparse matrix paints only its nonzero cells; expand
 combs deeper than the recursion limit; refuse a 2**40-cell grammar before
 allocating anything; and bound the memory an expansion traces.
 """
@@ -34,7 +35,7 @@ from gridgram import (
     validate_slg1,
     validate_slg2,
 )
-from gridgram import slg2d
+from gridgram import slg
 from gridgram.errors import RangeError
 from gridgram.slg import _BLOCK as BLOCK, _DENSE as DENSE
 from gridgram.gen import (
@@ -45,7 +46,14 @@ from gridgram.gen import (
     random_slp1,
     random_slp2,
 )
-from gridgram.reductions import alphabet_reduce, ext_mark_grammar, mark_grammar
+from gridgram.reductions import (
+    OvInstance,
+    alphabet_reduce,
+    ext_mark_grammar,
+    mark_grammar,
+    ov_to_pm,
+    uniform_ov,
+)
 from conftest import comb1, comb2, expand_all_1d, expand_all_2d, staircase2
 
 # target sizes for the families that take one: on both sides of BLOCK
@@ -285,27 +293,78 @@ def _painted(g):
     made, to build a block or to paint one into place."""
     seen = []
 
-    def spy(out, w_out, off, src, h, w, real=slg2d._paint):
+    def spy(out, w_out, off, src, h, w, real=slg._paint):
         seen.append((h, w, w_out))
         return real(out, w_out, off, src, h, w)
 
-    with mock.patch.object(slg2d, "_paint", spy):
+    with mock.patch.object(slg, "_paint", spy):
         return expand2(g), seen
 
 
 def test_every_paint_branch_runs():
-    """A block repeated down (full width), across (a slice per row), and a
-    tall narrow block repeated across (a strided slice per column)."""
+    """A block repeated down (full width), a one-column block repeated
+    across (one strided slice), a block repeated across (a slice per row),
+    and a tall block repeated across (a strided slice per column)."""
     rng = random.Random(3)
     cases = {"full": (_tiled2(rng, 32, 128, 2, 1), 128),
+             "one column": (_tiled2(rng, BLOCK, 1, 1, 2), 2),
              "row": (_tiled2(rng, 64, 64, 1, 2), 128),
-             "column": (_tiled2(rng, BLOCK, 1, 1, 2), 2)}
+             "column": (_tiled2(rng, BLOCK // 4, 4, 1, 2), 8)}
     for branch, (g, width) in cases.items():
         g = validate_slg2(g)
         m, seen = _painted(g)
-        seen = ["full" if w == w_out else "row" if h <= w else "column" for h, w, w_out in seen]
+        seen = ["full" if w == w_out else "one column" if w == 1 else "row" if h <= w
+                else "column" for h, w, w_out in seen]
         assert m.cols == width and m == expand_all_2d(g)[g.start]
         assert seen.count(branch) >= 2, (branch, seen)
+
+
+def _wide(rng, kind, count, h):
+    """A grammar whose start is a ``kind`` rule (a 2D rule class, or tuple
+    in 1D) over ``count`` children plus five that occur once. The children
+    are drawn, with repeats, from strips of ``h`` literals across kind's
+    axis (one column under a Vert, one row under a Horiz): random ones, an
+    all-zero one, one with a single 1, and three two strips wide."""
+    strip = tuple if kind is tuple else Horiz if kind is Vert else Vert
+    rules = [0, 1, 2]
+
+    def add(rule):
+        rules.append(rule)
+        return len(rules) - 1
+
+    pool = [add(strip(rng.randrange(3) for _ in range(h))) for _ in range(6)]
+    pool += [add(strip([0] * h)), add(strip([0] * (h - 1) + [1]))]
+    pool += [add(kind((rng.choice(pool), rng.choice(pool)))) for _ in range(3)]
+    kids = [rng.choice(pool) for _ in range(count)]
+    kids += [add(strip(rng.randrange(3) for _ in range(h))) for _ in range(5)]
+    rng.shuffle(kids)
+    rules.append(kind(kids))
+    return (Slg1 if kind is tuple else Slg2)(rules, 3, len(rules) - 1)
+
+
+@pytest.mark.parametrize("kind", [Vert, Horiz, tuple], ids=["vert", "horiz", "1d"])
+@pytest.mark.parametrize("count, h", [(200, 1), (200, 16), (257, 17), (300, 40)])
+def test_wide_rules_expand_as_the_fold(kind, count, h):
+    """Wide rules over repeated, all-zero and mixed-width children, each
+    child's offset read off the extents before it."""
+    g = _wide(random.Random(count * h), kind, count, h)
+    if kind is tuple:
+        g = validate_slg1(g)
+        assert expand1(g) == expand_all_1d(g)[g.start]
+    else:
+        g = validate_slg2(g)
+        assert expand2(g) == expand_all_2d(g)[g.start]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ov_texts_expand_as_the_fold(seed):
+    """The OV texts of reduce-chains' shape (8 vectors in 12 dimensions,
+    made uniform): each column is painted by one strided slice."""
+    vectors = random_matrix(seed, 8, 12, sigma=2).to_rows()
+    g = ov_to_pm(uniform_ov(OvInstance(tuple(map(tuple, vectors))))).grammar
+    m, seen = _painted(g)
+    assert m == expand_all_2d(g)[g.start]
+    assert seen and all(w == 1 for _, w, _ in seen)
 
 
 def test_a_sparse_matrix_paints_only_its_nonzero_cells():

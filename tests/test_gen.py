@@ -1,12 +1,15 @@
-"""Random generators: the seeded corpus is pinned byte for byte, and a size
-that is no int in range is a RangeError."""
+"""Random generators: the seeded corpus is pinned byte for byte, a size
+that is no int in range is a RangeError, and the 2D generators' joiner
+pools hold every id that fits."""
 
 import hashlib
+import random
 
 import pytest
 
-from gridgram import RangeError, dump_slg1, dump_slg2
+from gridgram import Horiz, RangeError, Vert, dump_slg1, dump_slg2
 from gridgram.gen import (
+    _Pools,
     random_matrix,
     random_slg1,
     random_slg2,
@@ -78,3 +81,26 @@ def test_grid_corpus_digest():
 def test_generators_refuse_a_size_that_is_no_int_in_range(make, args):
     with pytest.raises(RangeError, match="must be an int >= "):
         make(*args)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_joiners_are_every_id_that_fits(seed):
+    """A pool's joiners, an empty pool included, are the filed ids, ascending,
+    that share the rule's fixed side and keep it within the cap."""
+    rng = random.Random(seed)
+    sizes = [rng.choice((1, 2, 3, 5, 8)) for _ in range(40)]
+    pools = _Pools(sizes, len(sizes))     # nothing filed yet
+    pools.cols = [rng.choice((1, 2, 4)) for _ in sizes]
+    for i in range(len(sizes) - 1, -1, -1):
+        pools._file(i)
+    empty = 0
+    for kind in (Horiz, Vert):
+        grow, share = (pools.rows, pools.cols) if kind is Horiz else (pools.cols, pools.rows)
+        for a in range(len(sizes)):
+            for cap in (4, 8, 16, 32):
+                want = [i for i in range(len(sizes))
+                        if share[i] == share[a] and (grow[a] + grow[i]) * share[a] <= cap]
+                got = pools.joiners(kind, [a], cap)
+                assert got == want, (kind, a, cap)
+                empty += not got
+    assert empty > 0

@@ -16,6 +16,7 @@ from gridgram import (
     Slp1,
     Vert,
     dims,
+    exp_len,
     expand1,
     expand2,
     grammar_size1,
@@ -58,6 +59,8 @@ from gridgram.reductions import (
     uniform_ov,
 )
 from conftest import CountingProvider, hconcat
+from test_expand import grammars2
+from test_slg import assert_caches_of_a_fresh_validation, raw_grammars
 
 
 # -- orthogonal vectors -------------------------------------------------------
@@ -481,25 +484,68 @@ def test_pad_with_zero_block_structure():
 
 
 def test_constructions_validate_only_the_grammar_they_make(monkeypatch):
-    """Given a validated grammar, each construction validates only its
-    output: one topological sort, not a second run over its input, which
-    a raw input still gets; alphabet_reduce relabels the SLP conversion's
-    output, which is valid by construction, and sorts nothing."""
+    """Given a validated grammar, no construction validates anything: its
+    output is valid by construction and carries the arrays the construction
+    knows, so nothing is sorted. A raw input is still validated, once."""
     sorts = []
     toposort = slg._toposort
     monkeypatch.setattr(slg, "_toposort", lambda *a: sorts.append(1) or toposort(*a))
     grid = validate_slg2(grammar_from_matrix(Matrix2D(2, 3, [1, 0, 1, 0, 1, 1])))
     text = validate_slp1(random_slp1(3, 12, sigma=3, max_len=40))
-    for build, g, want in ((pad_with_zero_block, grid, 1),
-                           (square_all_zero_via_square_lce, grid, 1),
-                           (alphabet_reduce, text, 0), (lambda g: mark_grammar(g, 3), text, 1),
-                           (lambda g: ext_mark_grammar(g, 3), text, 1)):
+    vectors = uniform_ov(OvInstance(((1, 0, 1), (0, 1, 0))))
+    for build, g in ((pad_with_zero_block, grid), (square_all_zero_via_square_lce, grid),
+                     (alphabet_reduce, text), (lambda g: mark_grammar(g, 3), text),
+                     (lambda g: ext_mark_grammar(g, 3), text), (ov_to_pm, vectors)):
         del sorts[:]
         build(g)
-        assert len(sorts) == want
-    del sorts[:]
+        assert len(sorts) == 0
     pad_with_zero_block(grammar_from_matrix(Matrix2D(2, 3, [1, 0, 1, 0, 1, 1])))
-    assert len(sorts) == 2
+    assert len(sorts) == 1
+
+
+@st.composite
+def constructions(draw):
+    """The output of one construction: a padding of a raw or a validated 2D
+    grammar, a marking grammar of an SLP with unreachable rules and a sigma
+    past its codes, or the OV text of a uniform instance, some with every
+    entry a 1."""
+    kind = draw(st.sampled_from(["pad", "saz", "mark", "ext", "ov"]))
+    if kind in ("pad", "saz"):
+        g2 = draw(raw_grammars().filter(lambda g: isinstance(g, Slg2)) | grammars2())
+        return pad_with_zero_block(g2) if kind == "pad" else square_all_zero_via_square_lce(g2)[0]
+    if kind == "ov":
+        d = draw(st.integers(1, 5))
+        vecs = draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=7))
+        inst = OvInstance(tuple(vecs))
+        if len(set(inst.ones_counts())) != 1 or 0 in inst.ones_counts():
+            inst = uniform_ov(inst)
+        return ov_to_pm(inst).grammar
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sigma = draw(st.integers(1, 4))
+    text = random_slp1(rng, draw(st.integers(2, 30)), sigma=sigma, max_len=200)
+    rules = list(text.rules) + [rng.randrange(sigma), (0, 0)]     # reached by nothing
+    text = validate_slp1(Slp1(rules, sigma, text.start))
+    sigma += draw(st.integers(0, 2))
+    if kind == "mark":
+        return mark_grammar(text, sigma)
+    return ext_mark_grammar(text, sigma) if exp_len(text, text.start) >= 2 else mark_grammar(text, sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g2=constructions())
+def test_construction_arrays_equal_a_fresh_validation(g2):
+    """The child lists, reachability, heights, rows, columns and (no) move
+    records equal validate_slg2's on a fresh grammar with the same rules,
+    and the order is parents first."""
+    assert g2.validated
+    assert_caches_of_a_fresh_validation(g2, False, binary=False)
+
+
+def test_ov_text_with_no_zero_reaches_no_literal_zero():
+    """Every entry a 1: no column lists the literal 0, so it is unreachable."""
+    pm = ov_to_pm(OvInstance(((1, 1), (1, 1))))
+    assert pm.grammar._reach == [True, False, True, True, True, True]
+    assert_caches_of_a_fresh_validation(pm.grammar, False, binary=False)
 
 
 def test_square_all_zero_via_square_lce_sweep():
@@ -590,6 +636,14 @@ def test_adapters_refuse_non_integer_arguments(name, form):
 def test_ov_instance_refuses_what_is_no_list_of_vectors():
     with pytest.raises(RangeError, match="iterable of 0/1 vectors"):
         OvInstance(5)
+
+
+@pytest.mark.parametrize("entry", [2, -1, "1", 0.5, 1.0, None, [1]])
+def test_ov_instance_refuses_an_entry_that_is_no_bit(entry):
+    """A float equal to 1 is refused too: uniform_ov and ov_to_pm take the
+    ones counts as ints."""
+    with pytest.raises(RangeError, match="vector entries must be 0 or 1"):
+        OvInstance(((0, 1), (1, entry)))
 
 
 @pytest.mark.parametrize("make, sigma", [

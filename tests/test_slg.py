@@ -469,16 +469,17 @@ def test_validation_keeps_the_walk_arrays(g):
     assert_walk_arrays(slp)
 
 
-def assert_caches_of_a_fresh_validation(slp, same_order):
+def assert_caches_of_a_fresh_validation(slp, same_order, binary=True):
     """The SLP conversion's cached arrays against validate_slp* of a fresh
-    grammar with the same rules; its order is parents first, and the fresh
-    one when ``same_order``."""
+    grammar with the same rules (validate_slg* unless ``binary``, as for a
+    reduction's output); its order is parents first, and the fresh one when
+    ``same_order``."""
     fresh = type(slp)(slp.rules, slp.alphabet_size, slp.start)
     if isinstance(slp, Slg1):
-        validate_slp1(fresh)
+        (validate_slp1 if binary else validate_slg1)(fresh)
         sizes = ("_lens",)
     else:
-        validate_slp2(fresh)
+        (validate_slp2 if binary else validate_slg2)(fresh)
         sizes = ("_rows", "_cols")
     for name in ("_kids", "_reach", "_height", "_moves") + sizes:
         assert getattr(slp, name) == getattr(fresh, name), name

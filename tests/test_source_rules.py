@@ -9,7 +9,8 @@ line is. No ``raise`` of a builtin exception class: every domain
 error is a ``GrammarError`` subclass; a bare re-``raise`` passes one on.
 No ``except`` clause in the access modules: their walks check their
 contracts before walking, and never learn of a bad input from an error
-raised mid-walk.
+raised mid-walk. No import of ``gc``: the library must not win time by
+changing its caller's garbage collector.
 """
 
 import ast
@@ -94,6 +95,19 @@ def _env_read_sites(tree):
     return sorted(sites, key=lambda site: (site[0] or "", site[1]))
 
 
+def _gc_imports(tree):
+    """Lines of every import of ``gc``, or of a name from it."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "gc" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level and node.module == "gc"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_gc(path):
+    lines = _gc_imports(_tree(path))
+    assert not lines, f"{path.name}: imports gc at lines {lines}"
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
 def test_only_the_cli_reads_the_environment(path):
     reads = list(_env_reads(_tree(path)))
@@ -158,3 +172,5 @@ def test_the_rules_catch_what_they_name():
     assert _handlers(raises) == [3]
     assert _handlers(ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n"
                                "finally:\n    pass\n")) == [3]
+    assert _gc_imports(ast.parse("import gc\nimport os, gc as g\nfrom gc import disable\n"
+                                 "import gcx\nfrom . import gc\n")) == [1, 2, 3]
