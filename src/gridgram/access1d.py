@@ -43,6 +43,11 @@ costs. The contracts that the functions below share:
   the plain walk would. Given PLAIN, no chains, a descent is the plain walk.
 - Every descent move reads one record, the grammar's ``_moves[t]``:
   ``(x, y, lens[x])``, None for a literal (``slg``).
+- Cap rule: the build counts the slots of each state it fills, one per
+  block, kept or copy-only, as it plans the state, before it fills that
+  state or the states it copies from, and raises ExpansionTooLarge
+  (``_over_cap``) there when the count would pass its cap. No other code
+  counts an index's slots.
 - The index is immutable after build_index1, so any number of threads may
   query it. Builds are single-threaded.
 """
@@ -52,8 +57,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .slg import Slg1, _check_binary, validate_slp1
+from .errors import ExpansionTooLarge, PositionOutOfRange, PreconditionViolated, RangeError
+from .slg import DEFAULT_CAP, Slg1, _check_binary, validate_slp1
 
 
 def ceil_log(n, base):
@@ -132,17 +137,19 @@ def tops(cap, mark):
     return [c if c < m else m - 1 for c, m in zip(cap, mark)]
 
 
-def table_slots1(g, tau):
-    """The most slots build_index1(g, tau) can build for the validated SLP
-    g, the bound a caller checks before building: one per block and side
-    of every variable reachable from the start, at its levels up to its
-    top (the finish rule). The build fills those a walk can read, and the
-    index keeps the states the walk reaches."""
-    g = _check_binary(Slg1._validated(g), "table_slots1")
-    lens = g._lens
-    tau = clamp_tau(tau, lens[g.start])
-    (top,) = _finish(g, [caps(lens, tau)], [-(-h // FINISH) for h in g._height])[2]
-    return 2 * sum(blocks_to_cap(m, c, tau) for m, c, r in zip(lens, top, g._reach) if r)
+def _check_slot_cap(cap, tau):
+    """Refuse a build's cap that is not an int, as expand1 does, and one
+    below the 0 slots of an index that builds nothing."""
+    if not isinstance(cap, int):
+        raise RangeError(f"cap must be an int, got {cap!r}")
+    if cap < 0:
+        raise _over_cap(tau, cap)
+
+
+def _over_cap(tau, cap):
+    """The refusal of a build whose slots would pass the cap."""
+    return ExpansionTooLarge(f"an index at tau {tau} needs more table slots than the "
+                             f"expansion cap of {cap}")
 
 
 RUN = 4               # moves in a row toward one child before a build descent runs along its chain
@@ -242,12 +249,12 @@ def _chains(moves, topo, heavy, keys, side):
 
 
 def _finish(g, cap, mark):
-    """The stored region's data shared by both dimensions' index builds and
-    slot counts: the heavy children of both sides (``_heavy``), the turn
-    bound of every variable (``_turns``) and its top level on each axis of
-    ``cap``, min(cap, mark - 1, turns - 2) for ``mark``, the height rule's
-    level, and -1 when it stores none. A walk reads at a variable while
-    the reads it has left (level + 1 in 1D) are fewer than its turn bound."""
+    """The stored region's data shared by both dimensions' index builds:
+    the heavy children of both sides (``_heavy``), the turn bound of every
+    variable (``_turns``) and its top level on each axis of ``cap``,
+    min(cap, mark - 1, turns - 2) for ``mark``, the height rule's level, and
+    -1 when it stores none. A walk reads at a variable while the reads it
+    has left (level + 1 in 1D) are fewer than its turn bound."""
     heavy = tuple(_heavy(g._moves, g._topo, side) for side in (0, 1))
     turns = _turns(g._moves, g._topo, heavy)
     bound = [min(m, t - 1) if t else 0 for m, t in zip(mark, turns)]
@@ -409,11 +416,13 @@ def _walk_build(first, plan, fill, successors):
     copied from the state ``near``, those from hi on from ``far``, the rest
     descended (``_copied``). Before ``fill(state, cut)`` builds a state,
     the states it copies from are built, children first, through an
-    explicit stack. ``successors(state, k0, k1)`` gives the set of states
-    the walk enters from the steps of the state's blocks k0..k1 on the
-    split axis; a copied range whose source state is itself walked is left
-    out of that scan, since its successors are the source's, and a state
-    with nothing left to scan is not scanned.
+    explicit stack. Each state is planned once, before any of its sources
+    still unbuilt, and filled once: the builds count slots in ``plan``.
+    ``successors(state, k0, k1)`` gives the set of states the walk enters
+    from the steps of the state's blocks k0..k1 on the split axis; a
+    copied range whose source state is itself walked is left out of that
+    scan, since its successors are the source's, and a state with nothing
+    left to scan is not scanned.
     """
     if first is None:
         return set()
@@ -451,7 +460,7 @@ def _walk_build(first, plan, fill, successors):
     return walked
 
 
-def build_index1(g, tau):
+def build_index1(g, tau, cap=DEFAULT_CAP):
     """Build the (variable, side, level) states that a fast walk can enter
     from the start, and those their copies read: a block that ``_copied``
     gives a child copies that child's slot, the child's state built first,
@@ -461,25 +470,28 @@ def build_index1(g, tau):
     otherwise no walk reads and nothing is built. The index keeps the
     states the walk reaches from there, not the copy-only sources. The
     chains (``_chains``) are laid out when a build descends or a walk can
-    finish by runs, and kept on the index in the second case. The caller
-    bounds tau: table_slots1(g, tau) gives the slot count the states may
-    reach, to check before building."""
+    finish by runs, and kept on the index in the second case. The build
+    counts the slots of every state it fills, kept or not, and raises
+    ExpansionTooLarge as soon as they would pass the int ``cap``: as it
+    plans a state, before any descent or copy for it."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
     lens, moves = g._lens, g._moves
     n = lens[g.start]
     tau = clamp_tau(tau, n)
+    _check_slot_cap(cap, tau)
     levels = ceil_log(n, tau)
     pows = [tau ** p for p in range(levels + 2)]
     K = 2 * levels + 2              # state key i * K + p * 2 + side
-    cap = caps(lens, tau)
+    level_cap = caps(lens, tau)
     mark = [-(-h // FINISH) for h in g._height]
-    heavy, _, (top,) = _finish(g, [cap], mark)
+    heavy, _, (top,) = _finish(g, [level_cap], mark)
     s = g.start
-    first = s * K + top[s] * 2 if top[s] == cap[s] else None
+    first = s * K + top[s] * 2 if top[s] == level_cap[s] else None
     if first is None:       # a start low enough for its cap finishes by runs or plainly
-        runs = cap[s] < mark[s]
+        runs = level_cap[s] < mark[s]
     else:                   # some variable the turn bound cuts below the height rule
-        runs = any(r and t < c and t < m - 1 for t, c, m, r in zip(top, cap, mark, g._reach))
+        runs = any(r and t < c and t < m - 1
+                   for t, c, m, r in zip(top, level_cap, mark, g._reach))
     chains = tuple(_chains(moves, g._topo, heavy[side], (lens,), side) for side in (0, 1)) \
         if runs or first is not None else None
     share = {}.setdefault           # slot -> its one stored copy
@@ -493,8 +505,8 @@ def build_index1(g, tau):
         # is its cap; a c that stores less finishes the walk
         t = top[c]
         if q > t:
-            if t < cap[c]:
-                return ~(c * 4 + side * 2 + (q < mark[c] or mark[c] > cap[c]))
+            if t < level_cap[c]:
+                return ~(c * 4 + side * 2 + (q < mark[c] or mark[c] > level_cap[c]))
             q = t
         key = c * K + q * 2 + side
         j = ids.get(key)
@@ -503,7 +515,10 @@ def build_index1(g, tau):
             keys.append(key)
         return j
 
+    room = cap                      # the slots the build may still allocate
+
     def plan(state):
+        nonlocal room
         i, rest = divmod(state, K)
         p = rest >> 1
         x, y, _ = moves[i]
@@ -512,6 +527,9 @@ def build_index1(g, tau):
         blocks = -(-lens[i] // tp)              # k with k * tau**p < m
         if blocks > tau:
             blocks = tau
+        room -= blocks                          # every planned state is filled
+        if room < 0:
+            raise _over_cap(tau, cap)
         lo, hi = _copied(lens[near], tp, blocks, p <= top[near], p <= top[far])
         return lo, hi, blocks, near * K + rest, far * K + rest
 
@@ -555,7 +573,7 @@ def build_index1(g, tau):
     states = [None] * len(keys)
     for key in walked:
         states[ids[key]] = (pows[key % K >> 1], held[key])
-    return AccessIndex1(g, tau, levels, pows, cap, mark, top,
+    return AccessIndex1(g, tau, levels, pows, level_cap, mark, top,
                         0 if first is not None else ~(s * 4 + runs), states, keys,
                         {key: ids[key] for key in walked}, chains if runs else None)
 

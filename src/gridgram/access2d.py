@@ -31,8 +31,8 @@ costs. The contracts that the functions below share:
   reads left are at least v's turn bound ``turns[v]`` (the turn rule,
   ``_turns``), descends from v instead of reading on, so v stores the
   level pairs up to ``min(cap, mark[v] - 1, turns[v] - 2)`` on each axis
-  whose sum is at most ``turns[v] - 2`` (``_stored``; none for a literal),
-  in the rectangular grid up to those levels. A height-rule finish descends
+  whose sum is at most ``turns[v] - 2`` (none for a literal), in the
+  rectangular grid up to those levels. A height-rule finish descends
   plainly, a turn-rule finish with chain runs (access2).
 - The build copies by the 1D copy rule (``_copied``) along the split axis,
   the child's state built first, near and far taken in order from the
@@ -49,6 +49,11 @@ costs. The contracts that the functions below share:
 - Every descent move reads one record, the grammar's ``_moves[t]``:
   ``(x, y, split, horiz)``, split the rows of x when horiz and its columns
   otherwise; None for a literal (``slg``).
+- Cap rule: the build allocates a variable's grid at a corner whole as it
+  plans the first state there, before it fills that state or the states
+  it copies from; it counts the grids' slots and raises ExpansionTooLarge
+  (``access1d._over_cap``) before a grid that would take the count past
+  its cap. No other code counts an index's slots.
 - The index is immutable after build_index2, so any number of threads may
   query it. Builds are single-threaded.
 """
@@ -59,9 +64,9 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import (PLAIN, RUN, _chains, _copied, _finish, _preset, _walk_build,
-                       blocks_to_cap, caps, ceil_log, clamp_tau)
-from .slg import _check_binary
+from .access1d import (PLAIN, RUN, _chains, _check_slot_cap, _copied, _finish, _over_cap,
+                       _preset, _walk_build, blocks_to_cap, caps, ceil_log, clamp_tau)
+from .slg import DEFAULT_CAP, _check_binary
 from .slg2d import Slg2, validate_slp2
 
 FINISH2 = 12    # a walk descends from a variable with height <= FINISH2 * max(p_r, p_c)
@@ -75,35 +80,6 @@ def optimal_tau2(n, epsilon=1.0):
     epsilon is checked as given, before it is halved.
     """
     return _preset(n, epsilon, 0.5)
-
-
-def table_slots2(g, tau):
-    """The most slots build_index2(g, tau) can build for the validated 2D
-    SLP g, the bound a caller checks before building: one per block and
-    corner of every variable reachable from the start, over the level pairs
-    it stores (the finish rule, ``_stored``). The build fills those a walk
-    can read, and allocates a variable's grid whole once it builds a state
-    of it."""
-    g = _check_binary(Slg2._validated(g), "table_slots2")
-    rows, cols = g._rows, g._cols
-    tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
-    _, turns, (top_r, top_c) = _finish(g, [caps(rows, tau), caps(cols, tau)],
-                                       [-(-h // FINISH2) for h in g._height])
-    return 4 * sum(_stored(m_r, m_c, tr, tc, b, tau)
-                   for m_r, m_c, tr, tc, b, r in zip(rows, cols, top_r, top_c, turns, g._reach)
-                   if r)
-
-
-def _stored(m_r, m_c, top_r, top_c, turns, tau):
-    """The slots of one corner of an m_r x m_c variable over the level pairs
-    it stores: those up to top_r and top_c, each at most turns - 2, whose
-    levels sum to at most turns - 2, so that a walk there has more reads
-    left than the turn bound. Its grid is the rectangle up to top_r by
-    top_c; the pairs past the sum are in it and are never built."""
-    if top_r + top_c + 2 <= turns:
-        return blocks_to_cap(m_r, top_r, tau) * blocks_to_cap(m_c, top_c, tau)
-    return sum(min(tau, -(-m_r // tau ** p)) * blocks_to_cap(m_c, min(top_c, turns - 2 - p), tau)
-               for p in range(top_r + 1))
 
 
 def _run2(chains, node, b_r, b_c, e_r, e_c, side):
@@ -260,7 +236,7 @@ class AccessIndex2:
                 f"levels={self.levels}, entries={self.entry_count()})")
 
 
-def build_index2(g, tau):
+def build_index2(g, tau, cap=DEFAULT_CAP):
     """Build the (variable, corner, level pair) states of the four tables
     that a fast walk can enter from the start, and those their copies read:
     a block that ``_copied`` gives a child on the split axis copies that
@@ -269,11 +245,14 @@ def build_index2(g, tau):
     corner at its caps, ``first``; when that is None no walk reads a table
     and nothing is built. The chains (``_chains``) are laid out when a
     build descends or a walk can finish by runs, and kept on the index in
-    the second case. The caller bounds tau: table_slots2(g, tau) gives the
-    slot count the tables may reach, to check before building."""
+    the second case. The build counts the slots of every grid it
+    allocates, and raises ExpansionTooLarge before allocating a grid that
+    would take the count past the int ``cap``, before any descent or copy
+    for it."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves = g._rows, g._cols, g._moves
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
+    _check_slot_cap(cap, tau)
     cap_r, cap_c = caps(rows, tau), caps(cols, tau)
     mark = [-(-h // FINISH2) for h in g._height]
     heavy, turns, (top_r, top_c) = _finish(g, [cap_r, cap_c], mark)
@@ -299,11 +278,20 @@ def build_index2(g, tau):
     width = [blocks_to_cap(m, t, tau) if r else 0 for m, t, r in zip(cols, top_c, g._reach)]
     tables = [[None] * len(moves) for _ in range(4)]
     kids = itemgetter(0, 2, 3)
+    room = cap                      # the slots the build may still allocate
 
     def plan(state):
+        nonlocal room
         i, rest = divmod(state, K)
         p_r, p_c = divmod(rest >> 2, H)
         corner = rest & 3
+        own = tables[corner]
+        if own[i] is None:          # the variable's first state at this corner
+            size = blocks_to_cap(rows[i], top_r[i], tau) * width[i]
+            room -= size
+            if room < 0:
+                raise _over_cap(tau, cap)
+            own[i] = [None] * size
         x, y, _, horiz = moves[i]
         # the children in order from the corner on the split axis
         near, far = (y, x) if corner & (2 if horiz else 1) else (x, y)
@@ -324,8 +312,6 @@ def build_index2(g, tau):
         lo, hi, blocks, near, far = cut
         own, w = tables[corner], width[i]
         table = own[i]
-        if table is None:
-            table = own[i] = [None] * (blocks_to_cap(rows[i], top_r[i], tau) * w)
         horiz = moves[i][3]
         tpr, tpc = pows[p_r], pows[p_c]
         m_r, m_c = rows[i], cols[i]

@@ -7,6 +7,8 @@ success, 1 on a domain error, 2 on a usage error. A command's output
 depends on its flags, its seed and GG_CAP_CELLS alone (bench timing columns
 excepted). GG_CAP_CELLS, a positive integer defaulting to 2**26, is the one
 work cap: every command that would otherwise run unbounded refuses work over it.
+Most refuse before doing the work; the index builds of access and bench count
+their own slots and refuse as they allocate, before the command prints anything.
 """
 
 from __future__ import annotations
@@ -103,13 +105,13 @@ def _reference2(slp, cap):
 
 @dataclass
 class _Dim:
-    """What the access and bench commands need to know about one dimension."""
+    """What the access and bench commands need to know about one dimension.
+    The build takes the work cap and counts its own slots against it."""
 
     to_slp: Callable      # parsed grammar -> validated SLP
     shape: Callable       # SLP -> (n,) or (rows, cols); its length is the coordinate arity
     tau: Callable         # (max(shape), epsilon) -> the tau preset
-    slots: Callable       # (SLP, tau) -> the most table slots the build can fill
-    build: Callable       # (SLP, tau) -> index
+    build: Callable       # (SLP, tau, cap) -> index, or ExpansionTooLarge past the cap
     access: Callable      # (index, *position) -> code
     traced: Callable      # (index, *position) -> (code, mapping steps)
     descend: Callable     # (index, variable, *position, side or corner) -> code, by descent
@@ -117,11 +119,11 @@ class _Dim:
 
 
 _DIM1 = _Dim(slg_to_slp, lambda slp: (exp_len(slp, slp.start),), access1d.optimal_tau,
-             access1d.table_slots1, access1d.build_index1, access1d.access1,
-             access1d.access1_traced, access1d.descend1, _reference1)
+             access1d.build_index1, access1d.access1, access1d.access1_traced,
+             access1d.descend1, _reference1)
 _DIM2 = _Dim(slg2_to_slp2, lambda slp: dims(slp, slp.start), access2d.optimal_tau2,
-             access2d.table_slots2, access2d.build_index2, access2d.access2,
-             access2d.access2_traced, access2d.descend2, _reference2)
+             access2d.build_index2, access2d.access2, access2d.access2_traced,
+             access2d.descend2, _reference2)
 
 
 def _held_bytes(ix):
@@ -148,11 +150,6 @@ def _held_bytes(ix):
     for chain in ix.chains or ():
         slots += sum(map(len, chain))
     return 8 * slots + sum(sys.getsizeof(v) for v in steps.values())
-
-
-def _check_slots(dim, slp, tau, cap):
-    """Refuse, before building, an index at ``tau`` with more table slots than the cap."""
-    _check_work(f"an index at tau {tau} needs", dim.slots(slp, tau), "table slots", cap)
 
 
 def _check_work(what, amount, unit, cap):
@@ -198,8 +195,7 @@ def cmd_access(args):
     shape = dim.shape(slp)
     preset = dim.tau(max(shape), args.epsilon)     # checks --epsilon even under --tau
     tau = preset if args.tau is None else args.tau
-    _check_slots(dim, slp, tau, cap)
-    ix = dim.build(slp, tau)
+    ix = dim.build(slp, tau, cap)
     reference = dim.reference(slp, cap) if args.verify else None
     failed = False
     for q in args.coords:
@@ -391,10 +387,8 @@ def cmd_bench(args):
     shape = dim.shape(slp)
     queries = [tuple(rng.randint(1, s) for s in shape) for _ in range(args.reps)]
     for tau in taus:
-        _check_slots(dim, slp, tau, cap)
-    for tau in taus:
         t0 = time.perf_counter()
-        ix = dim.build(slp, tau)
+        ix = dim.build(slp, tau, cap)
         build_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
         for q in queries:

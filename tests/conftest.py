@@ -20,6 +20,8 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from unittest import mock
+
 from gridgram import (
     DimensionMismatch,
     Horiz,
@@ -27,6 +29,9 @@ from gridgram import (
     Slp1,
     Slp2,
     Vert,
+    access1d,
+    build_index1,
+    build_index2,
     validate_slp1,
     validate_slp2,
 )
@@ -290,3 +295,27 @@ def wrap_slots1(ix, wrap):
     ix.states = [None if state is None else
                  (state[0], wrap(state[1], (key // K, key % 2, key % K >> 1)))
                  for state, key in zip(ix.states, ix.keys)]
+
+
+# -- the slots a build makes ------------------------------------------------------
+
+def made_slots(g, tau, dim):
+    """(index, slots) of the uncapped build of ``g`` at ``tau``, the slots
+    counted outside the build: in 1D one per block of every state the build
+    fills, kept or copy-only (the cuts ``_walk_build`` hands to fill); in 2D
+    the length of every grid the index holds, each allocated whole."""
+    if dim == 2:
+        ix = build_index2(g, tau)
+        return ix, sum(len(t) for lists in ix.tables for t in lists if t is not None)
+    blocks = []
+    walk = access1d._walk_build
+
+    def counted(first, plan, fill, successors):
+        def fill_counted(state, cut):
+            blocks.append(cut[2])
+            fill(state, cut)
+        return walk(first, plan, fill_counted, successors)
+
+    with mock.patch.object(access1d, "_walk_build", counted):
+        ix = build_index1(g, tau)
+    return ix, sum(blocks)

@@ -22,16 +22,16 @@ a closure of the walk's transitions written here from the reference
 ``hook_offset1``/``hook_offset2``, and the walks to every position against
 the slots built. These properties check every built slot against the step
 resolved from the reference hook of its window, the stored levels against
-the finish rule, the slot and entry counts against the number of windows
-and the bound the CLI checks (and the counts as cheap to take where a
-build would not be), that equal steps are stored as one object, the fast
-and the traced access against the expansion and against the library's
-root-to-leaf descent from every side or corner, and that the checked steps
-refuse a corrupt step and resolve an unbuilt one by descent, on random
-SLPs, left and right combs (deep, mostly copied on one side and descended
-on the other), 2D combs along either axis, staircases and zigzags. The
-turn bounds are checked against the point walks to every cell, the
-zigzags against keeping their tables, and every fast walk on these, the
+the finish rule, the slot and entry counts against the number of windows,
+the builds' own slot count against their cap (exact, and refusing before
+it allocates where a build would be large), that equal steps are stored as
+one object, the fast and the traced access against the expansion and
+against the library's root-to-leaf descent from every side or corner, and
+that the checked steps refuse a corrupt step and resolve an unbuilt one by
+descent, on random SLPs, left and right combs (deep, mostly copied on one
+side and descended on the other), 2D combs along either axis, staircases
+and zigzags. The turn bounds are checked against the point walks to every
+cell, the zigzags against keeping their tables, and every fast walk on these, the
 benchmark's inputs and the gen corpus against its bound in reads, moves
 and bisects, with the turn rule's finish running along the chains. The descents
 that run along heavy-path chains over long runs of moves are checked
@@ -63,6 +63,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridgram
 from gridgram import (
+    DEFAULT_CAP,
+    ExpansionTooLarge,
     Horiz,
     NotAnSlp,
     PreconditionViolated,
@@ -91,13 +93,12 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import (FINISH, PLAIN, _chains, _copied, _heavy, _hook_core, _run1, _turns,
-                              table_slots1)
-from gridgram.access2d import FINISH2, _hook_core2, _run2, table_slots2
+from gridgram.access1d import FINISH, PLAIN, _chains, _copied, _heavy, _hook_core, _run1, _turns
+from gridgram.access2d import FINISH2, _hook_core2, _run2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import (comb1, comb2, decoded1, expand_all_1d, expand_all_2d, kept1, reachable,
-                      staircase2, state_key1, submatrix, variable1, wrap_slots1, zigzag1,
-                      zigzag2)
+from conftest import (comb1, comb2, decoded1, expand_all_1d, expand_all_2d, kept1, made_slots,
+                      reachable, staircase2, state_key1, submatrix, variable1, wrap_slots1,
+                      zigzag1, zigzag2)
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
@@ -221,8 +222,8 @@ def test_build1_stores_every_window_hook(g, tau):
     it, with the split measured from the state's side of the variable; a
     kept state lies at a level up to its variable's cap below ceil(height /
     FINISH) and below its turn bound less one, and has one slot per block
-    of that level; table_slots1, one slot per block of every such level and
-    side, is the bound the kept slots stay within."""
+    of that level; one slot per block of every such level and side is the
+    bound the kept slots stay within."""
     ix = build_index1(g, tau)
     assert ix.tau == min(tau, max(2, g._lens[g.start]))
     height = heights(g)
@@ -248,7 +249,7 @@ def test_build1_stores_every_window_hook(g, tau):
             assert slots[k][0] == b + step[0]
             assert view[side, i, p * T + k] == step
     built = sum(map(len, kept.values()))
-    assert table_slots1(g, tau) == grid >= built == ix.entry_count() == len(stored(ix))
+    assert grid >= built == ix.entry_count() == len(stored(ix))
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,8 +258,8 @@ def test_build2_stores_every_window_hook(g, tau):
     """Every built slot holds its block's hook step, as the plain walk finds
     it; a variable's grid, once built, ends at min(cap, ceil(height /
     FINISH2) - 1, turns - 2) on each axis, and its built slots lie at level
-    pairs whose sum is at most turns - 2; table_slots2 is the slot count of
-    those pairs, the bound the built slots stay within."""
+    pairs whose sum is at most turns - 2; the slot count of those pairs is
+    the bound the built slots stay within."""
     ix = build_index2(g, tau)
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
@@ -300,7 +301,7 @@ def test_build2_stores_every_window_hook(g, tau):
                         rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
                         cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
                         assert slot == step2(g, i, corner, rb, cb, re, ce)
-    assert table_slots2(g, tau) == grid >= built == ix.entry_count() == len(stored(ix))
+    assert grid >= built == ix.entry_count() == len(stored(ix))
 
 
 # -- the walk's closure: the states a build builds --------------------------------
@@ -477,11 +478,12 @@ def read_slots(ix):
 def test_build1_builds_the_walks_closure(g, tau):
     """The index keeps exactly the states of the walk's closure, no slot
     else, not the copies they read; the fast walk to every position reads
-    kept slots only, and every kept slot is one table_slots1 counts."""
+    kept slots only, and every kept slot is one the build counts against
+    its cap."""
     ix = build_index1(g, tau)
     walked, _ = closure1(ix)
     assert set(kept1(ix)) == walked and built_slots(ix) == slots1(ix, walked)
-    assert ix.entry_count() == len(slots1(ix, walked)) <= table_slots1(g, tau)
+    assert ix.entry_count() == len(slots1(ix, walked)) <= made_slots(g, tau, 1)[1]
     log = read_slots(ix)
     for i, want in enumerate(expand1(g), start=1):
         assert access1(ix, i) == want
@@ -561,11 +563,12 @@ def test_index1_keeps_the_walks_states_on_the_benchmark_shapes():
 @given(g=grammars2(longest=70), tau=FINISH_TAUS)
 def test_build2_builds_the_walks_closure(g, tau):
     """The 2D case: exactly the closure's states and their copies' are
-    built, and the fast walk to every cell reads built slots only."""
+    built, and the fast walk to every cell reads built slots only; every
+    built slot is one the build counts against its cap."""
     ix = build_index2(g, tau)
     walked, built = closure2(ix)
     assert built_slots(ix) == slots2(ix, built)
-    assert ix.entry_count() == len(slots2(ix, built)) <= table_slots2(g, tau)
+    assert ix.entry_count() == len(slots2(ix, built)) <= made_slots(g, tau, 2)[1]
     log = read_slots(ix)
     m = expand2(g)
     for i in range(1, m.rows + 1):
@@ -639,37 +642,75 @@ def test_descents_refuse_arguments_out_of_contract():
             descend2(ix2, *args)
 
 
-def test_builds_and_slot_counts_refuse_a_float_tau():
+def test_builds_refuse_a_float_tau_or_cap():
     g1, g2 = random_slp1(7, 30), random_slp2(7, 30)
     # longer than every tau below, so the clamp keeps the float
     assert g1._lens[g1.start] > 4 and max(g2._rows[g2.start], g2._cols[g2.start]) > 4
-    for tau in (2.0, 3.5):
-        for call, g in ((build_index1, g1), (table_slots1, g1),
-                        (build_index2, g2), (table_slots2, g2)):
+    for call, g in ((build_index1, g1), (build_index2, g2)):
+        for tau in (2.0, 3.5):
             with pytest.raises(PreconditionViolated):
                 call(g, tau)
+        for cap in (1e9, None, "1000"):
+            with pytest.raises(gridgram.errors.RangeError, match="cap must be an int"):
+                call(g, 2, cap)
 
 
-def test_slot_counts_come_back_fast_where_the_builds_would_not():
-    """The builds may fill up to table_slots*(g, tau) slots, one per block
-    of every level (pair) the reachable variables store, and check no
-    bound, so the caller checks the count first; counting stays cheap where
-    building would not. The indexes are never built here: the 21,856 slots
-    of the 2D corpus at tau 8 are its bound, and its build fills none of
-    them, as its start is low enough for its caps."""
+def test_builds_refuse_fast_past_the_cap():
+    """A build counts its slots as it plans each state (1D) or allocates
+    each grid (2D), before any descent or copy for them, so one past the
+    cap is refused before it allocates much. Under DEFAULT_CAP: the k = 40
+    Fibonacci SLP at tau 2**27, whose level-0 states hold up to 2**27
+    blocks each, and a 2D doubling grammar, 2**18 x 2**18, at tau 2**18,
+    whose start's grid alone is (2**18 + 1)**2 slots. The gen corpus's 2D
+    text at tau 2136 builds 5,029,504 slots, under DEFAULT_CAP, so it is
+    given a cap below its first grid, 480 x 2137 slots."""
     fib = validate_slp1(Slp1([0, 1] + [(i - 1, i - 2) for i in range(2, 41)], 2, 40))
     assert len(fib.rules) == 41 and fib._lens[fib.start] == 165_580_141
+    square = doubling2(36)
     gen2 = random_slp2(7, 200, 4, 2**20)
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        counts = (table_slots1(fib, 2**27), table_slots2(gen2, 2136), table_slots2(gen2, 8))
-        took = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counts == (804_264_026, 19_250_912, 21_856)
-    assert took < 1.0 and peak < 1 << 20
+    for build, g, tau, cap in ((build_index1, fib, 2**27, DEFAULT_CAP),
+                               (build_index2, square, 2**18, DEFAULT_CAP),
+                               (build_index2, gen2, 2136, 2**19)):
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(ExpansionTooLarge) as exc:
+                build(g, tau, cap)
+            took = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"an index at tau {tau} needs more table slots than the "
+                                  f"expansion cap of {cap}")
+        assert took < 1.0 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("tau", [8, 16])
+def test_a_cap_of_the_slots_a_build_makes_is_exact(tau):
+    """Capped at the slots the uncapped build makes, counted outside it
+    (``made_slots``), a build gives an index equal to the uncapped one,
+    field for field; one slot less refuses. The gen corpus's 2D text at
+    tau 8 builds nothing, so its cap is 0 and -1 refuses."""
+    rng = random.Random(1)
+    zig1 = zigzag1([rng.randrange(4) for _ in range(1997)])
+    zig2 = zigzag2([rng.randrange(4) for _ in range(203)], 200)
+    gen1, gen2 = random_slp1(7, 200, 4, 2 ** 20), random_slp2(7, 200, 4, 2 ** 20)
+    made = {}
+    for name, build, dim, g in (("zigzag1", build_index1, 1, zig1),
+                                ("zigzag2", build_index2, 2, zig2),
+                                ("gen1", build_index1, 1, gen1),
+                                ("gen2", build_index2, 2, gen2)):
+        ix, slots = made_slots(g, tau, dim)
+        made[name] = slots
+        capped = build(g, tau, slots)
+        assert all(getattr(capped, f) == getattr(ix, f) for f in type(ix).__slots__)
+        with pytest.raises(ExpansionTooLarge, match=f"expansion cap of {slots - 1}$"):
+            build(g, tau, slots - 1)
+    # 1D fills its copy-only sources too: zigzag1 keeps 2,340 of its 32,382
+    # slots at tau 8, and 2,184 of 63,810 at tau 16
+    assert made == {8: {"zigzag1": 32_382, "zigzag2": 97_814, "gen1": 1_417, "gen2": 0},
+                    16: {"zigzag1": 63_810, "zigzag2": 158_234, "gen1": 2_418,
+                         "gen2": 36_340}}[tau]
 
 
 @settings(max_examples=60, deadline=None)
@@ -875,11 +916,8 @@ def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
     zigzags of the same sizes, which keep their tables."""
     comb, stair, zig1, zig2 = deep_shapes()
     assert len(comb.rules) == len(zig1.rules) == 2000
-    # the bound: one slot per block of every level pair the variables store
-    # (a full tau x tau grid per level pair would take 410,624); the walk's
-    # closure builds none of them on the staircase, and 48,758 of the
-    # zigzag's 186,012
-    assert table_slots2(stair, 8) == 170_208 and table_slots2(zig2, 8) == 186_012
+    # the walk's closure builds no slot on the staircase, and 48,758 on the
+    # zigzag
     for build, g in ((build_index1, comb), (build_index2, stair), (build_index1, zig1),
                      (build_index2, zig2)):
         with plain_builds():

@@ -1,5 +1,6 @@
 """CLI surface: every subcommand end to end, determinism, exit codes."""
 
+import random
 import sys
 
 import pytest
@@ -19,13 +20,14 @@ from gridgram import (
     validate_slg2,
 )
 from gridgram import cli
-from gridgram.access1d import caps, ceil_log, table_slots1
-from gridgram.access2d import table_slots2
+from gridgram.access1d import caps, ceil_log
 from gridgram.cli import main
 from gridgram.gen import random_matrix
 from gridgram.oracle import rank
 from gridgram.reductions import mark_all_chars
-from conftest import kept1, wrap_slots1
+from gridgram.slg import dump_slg1
+from gridgram.slg2d import dump_slg2
+from conftest import comb1, kept1, made_slots, wrap_slots1, zigzag2
 
 
 def run(capsys, *argv):
@@ -170,11 +172,11 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""
 
-    def build(slp, tau):
+    def build(slp, tau, cap):
         # each real step that only the traced walk reads has its split moved
         # to the block's far edge; the fast walk never reads it and still
         # answers right
-        ix = build_index1(slp, tau)
+        ix = build_index1(slp, tau, cap)
         kept = kept1(ix)
         for (t, side, p), k in only_traced:
             b = k * ix.pows[p]
@@ -261,7 +263,7 @@ def test_access_checks_the_coordinate_count(slp1_file, slp2_file, capsys):
                       f"got {len(coords.split(','))}\n"
 
 
-def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, capsys,
+def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, tmp_path, capsys,
                                                          monkeypatch):
     g1 = validate_slg1(parse_slg1(slp1_file.read_text()))
     m = expand2(validate_slg2(parse_slg2(slp2_file.read_text())))
@@ -270,15 +272,21 @@ def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, c
                        ((str(slp2_file), "1,1", "--epsilon", "50"), [m.get(1, 1)])):
         code, out, err = run(capsys, "access", *argv, "--verify")
         assert (code, err) == (0, "") and [int(v) for v in out.split()] == want
+    # the clamped builds are refused by the slots they make: 286 for the 1D
+    # file at tau 64, and 94,445 for the 80-step zigzag at tau 41 (the 2D
+    # file at its clamped tau builds none, so no cap refuses it)
+    rng = random.Random(0)
+    zigzag = tmp_path / "zigzag.slg2"
+    zigzag.write_text(dump_slg2(zigzag2([rng.randrange(4) for _ in range(83)], 80)))
     monkeypatch.setenv("GG_CAP_CELLS", "99")
     for argv in (("access", str(slp1_file), "1", "--tau", "100000000000"),
-                 ("access", str(slp2_file), "1,1", "--epsilon", "50")):
+                 ("access", str(zigzag), "1,1", "--epsilon", "50")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("ExpansionTooLarge: an index at tau ") and err.count("\n") == 1
-    # bench's cap: over its 512 default queries, under the 710 slots of the tau 64 index
-    monkeypatch.setenv("GG_CAP_CELLS", "600")
-    code, out, err = run(capsys, "bench", str(slp1_file), "--tau-list", "2,64")
+    # bench's cap: over its 200 queries, under the 286 slots of the tau 64 build
+    monkeypatch.setenv("GG_CAP_CELLS", "250")
+    code, out, err = run(capsys, "bench", str(slp1_file), "--tau-list", "2,64", "--reps", "100")
     assert code == 1 and out == ""
     assert err.startswith("ExpansionTooLarge: an index at tau ") and err.count("\n") == 1
     # the queries bench makes count against the same cap, before it makes any
@@ -289,37 +297,94 @@ def test_oversized_tau_is_clamped_or_refused_in_one_line(slp1_file, slp2_file, c
         and err.count("\n") == 1
 
 
-def test_access_refuses_by_the_slots_the_build_allocates(slp1_file, capsys, monkeypatch):
-    slp = slg_to_slp(parse_slg1(slp1_file.read_text()))
-    slots = table_slots1(slp, 2)
-    # one list per side and reachable variable, up to its own level cap; a
-    # list per side and level over every rule id would be over the cap
-    assert slots < 2 * (ceil_log(len(expand1(slp)), 2) + 1) * len(slp.rules) * 2
+def refused(tau, cap):
+    """The one stderr line of a build refused past the cap."""
+    return (f"ExpansionTooLarge: an index at tau {tau} needs more table slots than the "
+            f"expansion cap of {cap}\n")
+
+
+def test_access_refuses_by_the_slots_the_build_allocates(tmp_path, capsys, monkeypatch):
+    """The build counts the slots of every state it fills, kept or not:
+    under a cap of that count access answers, one slot below it refuses."""
+    path = tmp_path / "g.slg1"
+    code, _, _ = run(capsys, "gen", "slp1", "--rules", "40", "--seed", "5", "--sigma", "3",
+                     "--max-len", "200", "-o", str(path))
+    assert code == 0
+    slp = slg_to_slp(parse_slg1(path.read_text()))
+    ix, slots = made_slots(slp, 2, 1)
+    # the index keeps some of the slots it fills; one list per side and
+    # level over every rule id would be far over the cap
+    assert 0 < ix.entry_count() < slots < 2 * (ceil_log(len(expand1(slp)), 2) + 1) * \
+        len(slp.rules) * 2
     monkeypatch.setenv("GG_CAP_CELLS", str(slots))
-    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2")
+    code, out, err = run(capsys, "access", str(path), "3", "--tau", "2")
     assert (code, err) == (0, "") and int(out) == expand1(slp)[2]
     monkeypatch.setenv("GG_CAP_CELLS", str(slots - 1))
-    code, out, err = run(capsys, "access", str(slp1_file), "3", "--tau", "2")
-    assert code == 1 and out == ""
-    assert err == (f"ExpansionTooLarge: an index at tau 2 needs {slots} table slots, "
-                   f"over the expansion cap of {slots - 1}\n")
+    code, out, err = run(capsys, "access", str(path), "3", "--tau", "2")
+    assert (code, out, err) == (1, "", refused(2, slots - 1))
 
 
-def test_access2_refuses_by_the_slots_the_build_allocates(slp2_file, capsys, monkeypatch):
-    slp = slg2_to_slp2(parse_slg2(slp2_file.read_text()))
-    slots = table_slots2(slp, 2)
+def test_access2_refuses_by_the_slots_the_build_allocates(tmp_path, capsys, monkeypatch):
+    """The 2D build counts the slots of every grid it allocates, on the
+    80-step zigzag, 41 x 41, which builds at tau 2."""
+    rng = random.Random(0)
+    path = tmp_path / "zigzag.slg2"
+    path.write_text(dump_slg2(zigzag2([rng.randrange(4) for _ in range(83)], 80)))
+    slp = slg2_to_slp2(parse_slg2(path.read_text()))
+    ix, slots = made_slots(slp, 2, 2)
     # one slot per block; a full tau x tau grid per level pair would be over the cap
     grids = sum((cr + 1) * (cc + 1) for cr, cc, r
                 in zip(caps(slp._rows, 2), caps(slp._cols, 2), slp._reach) if r)
-    assert slots < 4 * 2 * 2 * grids
+    assert 0 < ix.entry_count() < slots < 4 * 2 * 2 * grids
     monkeypatch.setenv("GG_CAP_CELLS", str(slots))
-    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2")
+    code, out, err = run(capsys, "access", str(path), "1,2", "--tau", "2")
     assert (code, err) == (0, "") and int(out) == expand2(slp).get(1, 2)
     monkeypatch.setenv("GG_CAP_CELLS", str(slots - 1))
-    code, out, err = run(capsys, "access", str(slp2_file), "1,2", "--tau", "2")
-    assert code == 1 and out == ""
-    assert err == (f"ExpansionTooLarge: an index at tau 2 needs {slots} table slots, "
-                   f"over the expansion cap of {slots - 1}\n")
+    code, out, err = run(capsys, "access", str(path), "1,2", "--tau", "2")
+    assert (code, out, err) == (1, "", refused(2, slots - 1))
+
+
+def test_access_on_a_comb_that_builds_nothing_answers_under_any_cap(tmp_path, capsys,
+                                                                   monkeypatch):
+    """The 2,000-rule right comb at tau 8 is descended from at once: its
+    build makes no slot, so access answers under a cap of 1."""
+    rng = random.Random(1)
+    g = comb1([rng.randrange(4) for _ in range(1997)], right=True)
+    path = tmp_path / "comb.slg1"
+    path.write_text(dump_slg1(g))
+    slp = slg_to_slp(parse_slg1(path.read_text()))
+    assert len(slp.rules) == 2000 and made_slots(slp, 8, 1)[1] == 0
+    monkeypatch.setenv("GG_CAP_CELLS", "1")
+    text = expand1(g)
+    code, out, err = run(capsys, "access", str(path), "1", "1000", str(len(text)), "--tau", "8")
+    assert (code, err) == (0, "") and [int(v) for v in out.split()] == \
+        [text[0], text[999], text[-1]]
+
+
+def test_access_and_bench_refuse_a_zigzag_by_the_slots_its_build_allocates(tmp_path, capsys,
+                                                                           monkeypatch):
+    """The 200-step zigzag at tau 8 allocates 97,814 slots, of which it
+    builds 48,758. Under a cap of exactly that, access and bench answer;
+    one slot below it, each exits 1 with one ExpansionTooLarge line and
+    empty stdout."""
+    rng = random.Random(1)
+    path = tmp_path / "zigzag.slg2"
+    path.write_text(dump_slg2(zigzag2([rng.randrange(4) for _ in range(203)], 200)))
+    slp = slg2_to_slp2(parse_slg2(path.read_text()))
+    ix, slots = made_slots(slp, 8, 2)
+    assert (ix.entry_count(), slots) == (48_758, 97_814)
+    want = expand2(slp)
+    monkeypatch.setenv("GG_CAP_CELLS", str(slots))
+    code, out, err = run(capsys, "access", str(path), "1,1", "77,101", "--tau", "8")
+    assert (code, err) == (0, "") and [int(v) for v in out.split()] == \
+        [want.get(1, 1), want.get(77, 101)]
+    code, out, err = run(capsys, "bench", str(path), "--tau-list", "8", "--reps", "4")
+    assert (code, err) == (0, "") and out.splitlines()[1].startswith("8,48758,")
+    monkeypatch.setenv("GG_CAP_CELLS", str(slots - 1))
+    for argv in (("access", str(path), "1,1", "--tau", "8"),
+                 ("bench", str(path), "--tau-list", "2,8", "--reps", "4")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", refused(8, slots - 1))
 
 
 def test_ov_pipeline(tmp_path, capsys):

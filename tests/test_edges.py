@@ -12,7 +12,6 @@ from gridgram import (
     GrammarError,
     Horiz,
     Matrix2D,
-    NotAnSlp,
     ParseError,
     PositionOutOfRange,
     PreconditionViolated,
@@ -50,8 +49,6 @@ from gridgram import (
     validate_slp1,
     validate_slp2,
 )
-from gridgram.access1d import table_slots1
-from gridgram.access2d import table_slots2
 from gridgram.errors import RangeError, TerminalOutOfRange
 from gridgram.gen import random_matrix, random_slg1, random_slg2
 from gridgram.reductions import (
@@ -271,7 +268,6 @@ _DIMENSION_CALLS = {
     "exp_len": (1, lambda g: exp_len(g, 0)),
     "build_index1": (1, lambda g: build_index1(g, 2)),
     "hook_offset1": (1, lambda g: hook_offset1(g, 0, 0, 1)),
-    "table_slots1": (1, lambda g: table_slots1(g, 2)),
     "alphabet_reduce": (1, alphabet_reduce),
     "mark_grammar": (1, lambda g: mark_grammar(g, 2)),
     "ext_mark_grammar": (1, lambda g: ext_mark_grammar(g, 2)),
@@ -282,7 +278,6 @@ _DIMENSION_CALLS = {
     "dims": (2, lambda g: dims(g, 0)),
     "build_index2": (2, lambda g: build_index2(g, 2)),
     "hook_offset2": (2, lambda g: hook_offset2(g, 0, 0, 0, 1, 1)),
-    "table_slots2": (2, lambda g: table_slots2(g, 2)),
     "pad_with_zero_block": (2, pad_with_zero_block),
     "square_all_zero_via_square_lce": (2, square_all_zero_via_square_lce),
 }
@@ -302,21 +297,3 @@ def test_a_grammar_of_the_other_dimension_is_refused(name, validated):
     with pytest.raises(PreconditionViolated, match="expected an Slg"):
         call(other)
 
-
-def test_slot_counts_refuse_a_grammar_never_validated():
-    """table_slots* ask for a validated grammar, as build_index* and
-    expand* do, instead of reading caches that are not there."""
-    for count, g in ((table_slots1, Slp1([(1, 2), 0, 1], 2, 0)),
-                     (table_slots2, Slp2([Vert(1, 2), 0, 1], 2, 0))):
-        with pytest.raises(PreconditionViolated, match="must pass validate_"):
-            count(g, 2)
-
-
-def test_slot_counts_refuse_a_grammar_that_is_no_slp():
-    """table_slots* check the arity as build_index* do, so they count no
-    slots for a validated grammar that the builds refuse."""
-    for count, g in ((table_slots1, validate_slg1(Slg1([(1, 1, 1), 0], 1))),
-                     (table_slots2, validate_slg2(Slg2([Vert(1, 1, 1), 0], 1)))):
-        name = count.__name__
-        with pytest.raises(NotAnSlp, match=f"rule 0 has arity 3, {name} requires 2"):
-            count(g, 2)
