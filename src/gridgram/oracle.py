@@ -1,11 +1,11 @@
 """Brute-force reference implementations of every query in the toolkit.
 
-Each query scans the explicit string (a list of codes) or Matrix2D row by
-row with slice operations and builds no index. Every range argument follows
-the exclusive-begin / inclusive-end convention ``(b..e]`` with 1-based cell
-positions, exactly as the query definitions state it, so the adapters in the
-reductions module can be compared against these without any index
-translation.
+Each query scans the explicit string (a sequence of codes, such as
+``expand1``'s ``Codes``) or Matrix2D row by row with slice operations and
+builds no index. Every range argument follows the exclusive-begin /
+inclusive-end convention ``(b..e]`` with 1-based cell positions, exactly as
+the query definitions state it, so the adapters in the reductions module can
+be compared against these without any index translation.
 
 Every argument other than the text, the matrix and the pattern container is
 an integer; a float, a string or None raises RangeError, as an integer out of
@@ -212,9 +212,8 @@ def row_pattern_occurs(m, p):
     if isinstance(p, Matrix2D):
         if p.rows != 1:
             raise RangeError("pattern must have exactly one row")
-        pat = p.cells
-    else:
-        pat = list(p)
+        p = p.cells
+    pat = list(p)
     if not pat:
         raise RangeError("pattern must be nonempty")
     if not all(isinstance(c, int) for c in pat):
@@ -223,22 +222,23 @@ def row_pattern_occurs(m, p):
     if k > w:
         return 0
     cells = m.cells
-    try:
-        # bytearray builds from a list faster than bytes; its find takes the same bounds
-        hay, needle = bytearray(cells), bytes(pat)
-    except (ValueError, TypeError):
-        # a code outside 0..255, or a text cell that is no integer: compare
-        # the pattern at every offset of every row
-        for i in range(0, len(cells), w):
-            row = cells[i:i + w]
-            for j in range(w - k + 1):
-                if row[j:j + k] == pat:
-                    return 1
+    if cells.typecode == "B":
+        # one byte per cell: search the raw bytes, each row bounded so that a
+        # match stays inside it; a pattern code outside 0..255 is in no cell
+        if not all(0 <= c <= 255 for c in pat):
+            return 0
+        hay, needle = bytes(cells), bytes(pat)
+        for i in range(0, len(hay), w):
+            if hay.find(needle, i, i + w) >= 0:
+                return 1
         return 0
-    # the end bound keeps a match inside one row
-    for i in range(0, len(hay), w):
-        if hay.find(needle, i, i + w) >= 0:
-            return 1
+    # wider cells, whose raw bytes are not their codes: compare the pattern
+    # at every offset of every row
+    for i in range(0, len(cells), w):
+        row = cells[i:i + w].tolist()
+        for j in range(w - k + 1):
+            if row[j:j + k] == pat:
+                return 1
     return 0
 
 

@@ -40,6 +40,7 @@ construction and validation are single-threaded.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 
 from .errors import (
@@ -302,12 +303,56 @@ _BLOCK = 1 << 12
 _DENSE = 16
 
 
+class Codes(array):
+    """An expansion's codes, row-major: an ``array.array`` of one unsigned
+    machine integer per cell, one byte for codes up to 255. It holds no
+    object pointers, so the garbage collector never walks it.
+
+    It compares equal to a ``list`` of the same codes, in either order (the
+    list's comparison gives way to this one); against another array it
+    compares as ``array`` does. It is unhashable, and its slices are plain
+    arrays.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return len(self) == len(other) and self.tolist() == other
+        return array.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+
+# (bound, typecode): the unsigned typecodes by width, each holding the codes below its bound
+_WIDTHS = [(1 << 8 * array(tc).itemsize, tc) for tc in "BHIQ"]
+
+
+def _typecode(top):
+    """The narrowest unsigned typecode that holds every code up to ``top``."""
+    for bound, tc in _WIDTHS:
+        if top < bound:
+            return tc
+    raise RangeError(f"code {top} does not fit in 64 bits")
+
+
+def _zeros(tc, n):
+    """``Codes`` of n zeros of typecode tc, in one allocation."""
+    out = Codes(tc, (0,))
+    out *= n
+    return out
+
+
 def _paint(out, width, off, src, h, w):
-    """Copy the h x w row-major block ``src`` into ``out``, a row-major list
-    ``width`` columns wide, with its top-left cell at flat index ``off``:
-    one slice when the block spans the width, one strided slice when it is
-    one column wide, else a slice per row, or a strided slice per column
-    when the block is taller than wide."""
+    """Copy the h x w row-major block ``src`` into ``out``, a row-major
+    array ``width`` columns wide, with its top-left cell at flat index
+    ``off``; both are arrays of one typecode. One slice when the block spans
+    the width, one strided slice when it is one column wide, else a slice
+    per row, or a strided slice per column when the block is taller than
+    wide."""
     if w == width:
         out[off:off + h * w] = src
     elif w == 1:
@@ -324,13 +369,15 @@ def _paint(out, width, off, src, h, w):
 
 def _expand(g, rows, cols, stacked):
     """The expansion of validated ``g``, ``rows[v]`` x ``cols[v]`` cells per
-    id v, as one flat row-major list, each cell written at most once. The
-    children of a rule of type ``stacked`` lie one below the other, those
-    of any other rule side by side; a 1D string is one column.
+    id v, as one flat row-major ``Codes``, each cell written at most once.
+    The children of a rule of type ``stacked`` lie one below the other,
+    those of any other rule side by side; a 1D string is one column. Every
+    array it makes has the narrowest unsigned typecode that holds ``g``'s
+    largest literal code; a code of 2**64 or more is a RangeError.
 
     The output starts as zeros, and a variable whose cells are all code 0
     is left as those zeros: it is never split, built from its children or
-    painted, and a built parent that lists it gets ``[0] * size`` for it.
+    painted, and a built parent that lists it gets ``size`` zeros for it.
     Of the rest, a variable is built whole, once, when a built variable
     lists it, when it is a literal, or when it has at most ``_BLOCK``
     cells, at most ``_DENSE`` cells per nonzero one, and lies at two or
@@ -339,8 +386,8 @@ def _expand(g, rows, cols, stacked):
     4096 x 1024 ext-marking matrix of reduce-chains are split down to their
     1s (README, "Expansion cost").
 
-    0. Children first: count per variable its nonzero cells. An all-zero
-       start is returned as its zeros.
+    0. Children first: count per variable its nonzero cells, and find the
+       largest literal code. An all-zero start is returned as its zeros.
     1. Parents first: give each split variable its children that are not
        all zero with their offsets inside it, summed from the children's
        extents with no call per child, and count per variable its places
@@ -359,17 +406,22 @@ def _expand(g, rows, cols, stacked):
     rules, topo, start, children, height = g.rules, g._topo, g.start, g._kids, g._height
     width, paint = cols[start], _paint
     nnz = [0] * len(rules)   # per id: its cells that are not code 0
+    top = 0                  # the largest literal code
     for nid in reversed(topo):
         kids = children[nid]
         if kids is None:
-            nnz[nid] = 1 if rules[nid] else 0
+            code = rules[nid]
+            nnz[nid] = 1 if code else 0
+            if code > top:
+                top = code
             continue
         total = 0
         for c in kids:
             total += nnz[c]
         nnz[nid] = total
+    tc = _typecode(top)
     if not nnz[start]:
-        return [0] * (rows[start] * width)
+        return _zeros(tc, rows[start] * width)
 
     places = [0] * len(rules)
     places[start] = 1
@@ -396,22 +448,23 @@ def _expand(g, rows, cols, stacked):
         split[nid] = parts
 
     memo = {}
+    zero = array(tc, (0,))
     for nid in reversed(topo):
         if nid in split or not (places[nid] or pending[nid]):
             continue
         rule = rules[nid]
         if not nnz[nid]:
-            memo[nid] = [0] * (rows[nid] * cols[nid])
+            memo[nid] = zero * (rows[nid] * cols[nid])
             continue
         if isinstance(rule, int):
-            memo[nid] = [rule]
+            memo[nid] = array(tc, (rule,))
             continue
         kids = children[nid]
         if height[nid] == 1:        # a row or a column of literals: their codes
-            memo[nid] = [rules[c] for c in kids]
+            memo[nid] = array(tc, [rules[c] for c in kids])
             continue
         joined, h, w = type(rule) is stacked, rows[nid], cols[nid]
-        built, off = [] if joined else [0] * (h * w), 0
+        built, off = array(tc) if joined else zero * (h * w), 0
         for c in kids:
             if joined:
                 built.extend(memo[c])
@@ -423,9 +476,9 @@ def _expand(g, rows, cols, stacked):
                 del memo[c]
         memo[nid] = built
     if start not in split:
-        return memo[start]
+        return Codes(tc, memo[start])
 
-    out = [0] * (rows[start] * width)
+    out = _zeros(tc, rows[start] * width)
     stack = [(start, 0)]
     while stack:
         nid, base = stack.pop()
@@ -446,15 +499,18 @@ def _check_cap(size, cap, unit):
 
 
 def expand1(g, cap=DEFAULT_CAP):
-    """Materialize the unique string derived by the grammar as a list of codes.
+    """Materialize the unique string derived by the grammar as ``Codes``.
 
-    Each output symbol is written at most once, into one preallocated list
-    of zeros. A variable whose symbols are all code 0 is left as those
-    zeros. A variable of at most 2**12 symbols, at least one in 16 of them
-    nonzero, that occurs at two or more places is built once and its
-    copies are sliced into place; every other variable is split top down
-    into its children. The working set is the output plus those small
-    variables, not the sum of all expansion lengths, and nothing recurses.
+    Each output symbol is written at most once, into one preallocated array
+    of zeros, of the narrowest unsigned typecode that holds the grammar's
+    largest literal code (one byte per symbol for codes up to 255); a code
+    of 2**64 or more is a RangeError. A variable whose symbols are all code
+    0 is left as those zeros. A variable of at most 2**12 symbols, at least
+    one in 16 of them nonzero, that occurs at two or more places is built
+    once and its copies are sliced into place; every other variable is
+    split top down into its children. The working set is the output plus
+    those small variables, not the sum of all expansion lengths, and
+    nothing recurses.
     """
     lens = Slg1._validated(g)._lens
     _check_cap(lens[g.start], cap, "symbols")

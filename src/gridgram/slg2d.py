@@ -45,8 +45,6 @@ for any number of concurrent readers.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .errors import (
     ArithmeticOverflow,
     DimensionMismatch,
@@ -56,6 +54,7 @@ from .errors import (
 )
 from .slg import (
     DEFAULT_CAP,
+    Codes,
     MAX_LEN,
     _binarize,
     _check_binary,
@@ -107,10 +106,13 @@ class Matrix2D:
     """An explicit matrix of terminal codes, row-major flat storage.
 
     The public cell accessors are 1-based on both axes to match the query
-    conventions used throughout the package; the flat ``cells`` list is
-    0-based row-major. The constructor checks the dimensions and the cells
-    and copies ``cells``; expand2 hands over its freshly written list through
-    ``_adopt`` instead, so a large expansion is never held twice.
+    conventions used throughout the package; the flat ``cells`` store is a
+    0-based row-major ``Codes`` array. The constructor checks the
+    dimensions and copies ``cells`` into one in a single pass: one byte per
+    cell when every cell is in 0..255, else a signed 64-bit integer per
+    cell, and a cell outside that range is a RangeError. expand2 hands over
+    its freshly written store through ``_adopt`` instead, so a large
+    expansion is never held twice. ``row`` and ``to_rows`` return lists.
     """
 
     __slots__ = ("rows", "cols", "cells")
@@ -118,20 +120,31 @@ class Matrix2D:
     def __init__(self, rows, cols, cells):
         if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
             raise DimensionMismatch(f"matrix dimensions must be positive ints: {rows!r}x{cols!r}")
-        cells = list(cells)
-        if len(cells) != rows * cols:
+        # the retry reads cells again, and array() would read a bytes-like
+        # initializer as raw machine bytes
+        if not isinstance(cells, (list, tuple)):
+            cells = list(cells)
+        try:
+            try:
+                store = Codes("B", cells)
+            except OverflowError:
+                store = Codes("q", cells)
+        except TypeError:
+            raise RangeError("matrix cells must be integers") from None
+        except OverflowError:
+            raise RangeError("matrix cells must lie in the signed 64-bit range") from None
+        if len(store) != rows * cols:
             raise DimensionMismatch(
-                f"cell count {len(cells)} does not match {rows}x{cols}")
-        if not all(map(isinstance, cells, repeat(int))):
-            raise RangeError("matrix cells must be integers")
+                f"cell count {len(store)} does not match {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.cells = cells
+        self.cells = store
 
     @classmethod
     def _adopt(cls, rows, cols, cells):
-        """Wrap a fresh row-major list of rows x cols cells, unchecked and
-        uncopied; for expand2, whose output nothing else holds."""
+        """Wrap the fresh row-major ``Codes`` of rows x cols cells that
+        expand2 wrote, whatever its typecode, unchecked and uncopied:
+        nothing else holds it."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.cells = rows, cols, cells
         return m
@@ -165,7 +178,7 @@ class Matrix2D:
         if not (isinstance(i, int) and 1 <= i <= self.rows):
             raise PositionOutOfRange(f"row {i!r} outside [1, {self.rows}]")
         base = (i - 1) * self.cols
-        return self.cells[base:base + self.cols]
+        return self.cells[base:base + self.cols].tolist()
 
     def to_rows(self):
         return [self.row(i) for i in range(1, self.rows + 1)]
@@ -259,14 +272,16 @@ def expand2(g, cap=DEFAULT_CAP):
     """Materialize the unique matrix derived by the grammar.
 
     Each output cell is written at most once, into one preallocated
-    row-major list of zeros that the returned Matrix2D adopts without a
-    copy. A variable whose cells are all code 0 is left as those zeros, so
-    a one-hot column taller than 16 cells is split down to its 1. A
-    variable of at most 2**12 cells, at least one in 16 of them nonzero,
-    that occurs at two or more places is built once and its copies are
-    painted into place (see ``slg._paint``); every other variable is split
-    top down into its children. The working set is the output plus those
-    small variables, not the sum of all expansion sizes.
+    row-major ``Codes`` array of zeros that the returned Matrix2D adopts
+    without a copy, of the narrowest unsigned typecode that holds the
+    grammar's largest literal code (one byte per cell for codes up to 255);
+    a code of 2**64 or more is a RangeError. A variable whose cells are all
+    code 0 is left as those zeros, so a one-hot column taller than 16 cells
+    is split down to its 1. A variable of at most 2**12 cells, at least one
+    in 16 of them nonzero, that occurs at two or more places is built once
+    and its copies are painted into place (see ``slg._paint``); every other
+    variable is split top down into its children. The working set is the
+    output plus those small variables, not the sum of all expansion sizes.
     """
     rows, cols = Slg2._validated(g)._rows, g._cols
     r, c = rows[g.start], cols[g.start]

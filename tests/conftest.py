@@ -72,7 +72,7 @@ def vconcat(a, b):
     """Place b below a (row counts add); columns must match."""
     if a.cols != b.cols:
         raise DimensionMismatch(f"vconcat needs equal cols, got {a.cols} and {b.cols}")
-    return Matrix2D(a.rows + b.rows, a.cols, a.cells + b.cells)
+    return Matrix2D(a.rows + b.rows, a.cols, [*a.cells, *b.cells])
 
 
 def expand_all_2d(g):

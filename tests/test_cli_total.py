@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridgram import cli, dump_matrix, dump_slg1, dump_slg2
+from gridgram import Horiz, Slg1, Slg2, cli, dump_matrix, dump_slg1, dump_slg2
 from gridgram.gen import random_matrix, random_slg1, random_slg2, random_slp1, random_slp2
 from gridgram.reductions import OvInstance, dump_ov
 
@@ -31,6 +31,9 @@ _TEXTS = {
     "slg2": dump_slg2(random_slg2(4, 10, sigma=3, max_arity=4, max_cells=48)),
     "ov": dump_ov(OvInstance(((1, 0, 1), (0, 1, 0), (1, 1, 0)))),
     "mat": dump_matrix(random_matrix(5, 3, 4)),
+    # valid grammars with a code no 64-bit cell holds: expanding them is refused
+    "wide1": dump_slg1(Slg1([(1, 2), 1 << 64, 1], (1 << 64) + 1, 0)),
+    "wide2": dump_slg2(Slg2([Horiz(1, 2), 1 << 64, 1], (1 << 64) + 1, 0)),
     "junk": "hello\n",
     "empty": "",
 }
@@ -151,3 +154,13 @@ def test_every_argv_exits_0_1_or_2_without_a_traceback(files, inv):
         coords = cli._build_parser().parse_args(argv).coords
         assert len(lines) == len(coords), (argv, out)
         assert all(re.fullmatch(r"\d+|ERR", line) for line in lines), (argv, out)
+
+
+@pytest.mark.parametrize("name", ["wide1", "wide2"])
+def test_expand_refuses_a_code_past_64_bits_in_one_line(files, name):
+    """The expansion stores each code in at most 64 bits: ``expand`` of a
+    valid grammar with the code 2**64 exits 1 with one stderr line and
+    writes nothing."""
+    code, out, err = _run(["expand", str(files / name)])
+    assert (code, out) == (1, "")
+    assert err == f"RangeError: code {1 << 64} does not fit in 64 bits\n"

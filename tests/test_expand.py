@@ -5,19 +5,22 @@ variable as those zeros. It builds every small variable (at most 2**12
 cells, at least one in ``_DENSE`` = 16 of them nonzero) that lies at two
 or more places once and copies it into place; everything else it only
 splits. So the 4096 x 1024 ext-marking matrix of reduce-chains, one 1 per
-column, paints its 1024 ones alone and expands in about 22 ms, not 93 ms
-(README, "Expansion cost"). These tests hold it to the definitional folds
-of ``conftest`` on random grammars of mixed arity, combs, staircases,
-tiled blocks, the marking grammars, grammars rich in code 0, rules of 200
-or more children and the OV texts, with sizes on both sides of the
-thresholds; run each of the four ways a block is painted; check that a
-sparse matrix paints only its nonzero cells; expand
-combs deeper than the recursion limit; refuse a 2**40-cell grammar before
-allocating anything; and bound the memory an expansion traces.
+column, paints its 1024 ones alone into a one-byte ``Codes`` array of
+zeros (README, "Expansion cost"). These tests hold it to the definitional
+folds of ``conftest`` on random grammars of mixed arity, combs,
+staircases, tiled blocks, the marking grammars, grammars rich in code 0,
+rules of 200 or more children and the OV texts, with sizes on both sides
+of the thresholds, and on all of these with codes too wide for a byte;
+run each of the four ways a block is painted; check that a sparse matrix
+paints only its nonzero cells; expand combs deeper than the recursion
+limit; refuse a 2**40-cell grammar before allocating anything; hold
+``Codes`` to its contract (the narrowest width, equality with lists, no
+code past 64 bits); and bound the memory an expansion traces.
 """
 
 import random
 import tracemalloc
+from array import array
 from unittest import mock
 
 import pytest
@@ -26,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from gridgram import (
     ExpansionTooLarge,
     Horiz,
+    Matrix2D,
     Slg1,
     Slg2,
     Vert,
@@ -37,7 +41,7 @@ from gridgram import (
 )
 from gridgram import slg
 from gridgram.errors import RangeError
-from gridgram.slg import _BLOCK as BLOCK, _DENSE as DENSE
+from gridgram.slg import _BLOCK as BLOCK, _DENSE as DENSE, Codes
 from gridgram.gen import (
     grammar_from_matrix,
     random_matrix,
@@ -383,6 +387,89 @@ def test_a_sparse_matrix_paints_only_its_nonzero_cells():
             assert sum(1 for v in m.cells if v) == cells
 
 
+# -- the Codes store -------------------------------------------------------------
+
+def _pair(dim, code):
+    """A validated grammar of dimension ``dim`` expanding to the two codes
+    ``code`` and 7, side by side."""
+    if dim == 1:
+        return validate_slg1(Slg1([(1, 2), code, 7], code + 1, 0))
+    return validate_slg2(Slg2([Vert(1, 2), code, 7], code + 1, 0))
+
+
+def _codes(dim, g):
+    return expand1(g) if dim == 1 else expand2(g).cells
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("code, size", [(8, 1), (255, 1), (256, 2), (65535, 2), (65536, 4),
+                                        ((1 << 32) - 1, 4), (1 << 32, 8), ((1 << 64) - 1, 8)])
+def test_an_expansion_takes_the_narrowest_unsigned_width(dim, code, size):
+    codes = _codes(dim, _pair(dim, code))
+    assert type(codes) is Codes and codes.itemsize == size
+    assert codes == [code, 7]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_code_past_64_bits_is_a_range_error(dim):
+    with pytest.raises(RangeError, match="64 bits"):
+        _codes(dim, _pair(dim, 1 << 64))
+
+
+def test_codes_compare_by_content_with_a_list_both_ways():
+    text = expand1(_pair(1, 9))
+    for other, equal in (([9, 7], True), ([9, 8], False), ([9], False), ([9, 7, 0], False)):
+        assert (text == other) is equal and (other == text) is equal
+        assert (text != other) is not equal and (other != text) is not equal
+    assert text == array("q", [9, 7]) and text != array("B", [7, 9])
+    assert text != (9, 7) and text != "97"
+    with pytest.raises(TypeError):
+        hash(text)
+    assert type(text[0:2]) is array and type(text[::-1]) is array
+
+
+def test_matrices_compare_equal_across_typecodes():
+    """expand2 writes two bytes per cell for a code of 256; the constructor
+    stores the same cells as signed 64-bit integers, and with a byte code
+    one byte per cell."""
+    m = expand2(_pair(2, 256))
+    made = Matrix2D(1, 2, [256, 7])
+    assert (m.cells.itemsize, made.cells.itemsize) == (2, 8)
+    assert m == made and made == m
+    byte = Matrix2D(1, 2, [255, 7])
+    assert byte.cells.itemsize == 1 and byte == expand2(_pair(2, 255))
+    assert m.row(1) == [256, 7] and type(m.row(1)) is list
+    assert m.to_rows() == [[256, 7]] and type(byte.row(1)) is list
+
+
+@pytest.mark.parametrize("cell", [1 << 63, -(1 << 63) - 1, 1 << 64])
+def test_a_matrix_cell_outside_the_signed_64_bit_range_is_a_range_error(cell):
+    with pytest.raises(RangeError):
+        Matrix2D(1, 2, [0, cell])
+
+
+def test_a_matrix_holds_negative_and_wide_cells():
+    m = Matrix2D(1, 3, [-(1 << 63), (1 << 63) - 1, -1])
+    assert m.row(1) == [-(1 << 63), (1 << 63) - 1, -1] and m.cells.itemsize == 8
+
+
+def _widened(g, factor):
+    """``g`` with every literal code multiplied by ``factor``: the same zeros,
+    and a wider typecode for its nonzero codes."""
+    rules = [r * factor if isinstance(r, int) else r for r in g.rules]
+    return type(g)(rules, (g.alphabet_size - 1) * factor + 1, g.start)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g1=grammars1(), g2=grammars2(), factor=st.sampled_from([257, 1 << 20, 1 << 40]))
+def test_wide_codes_expand_as_the_fold(g1, g2, factor):
+    """Painting, concatenating and zero-filling in a typecode wider than a
+    byte: every family of both dimensions, its codes scaled past 255."""
+    g1, g2 = validate_slg1(_widened(g1, factor)), validate_slg2(_widened(g2, factor))
+    assert expand1(g1) == expand_all_1d(g1)[g1.start]
+    assert expand2(g2) == expand_all_2d(g2)[g2.start]
+
+
 # -- memory ---------------------------------------------------------------------
 
 def _corpus():
@@ -397,13 +484,15 @@ def _corpus():
 
 
 def test_expansion_traces_little_beyond_its_output():
-    """Peak traced memory stays within 1.25 x 8 bytes per output cell: the
-    output list, plus the small variables, and no second copy."""
+    """Peak traced memory stays within 1.25 x the output's own bytes, one
+    ``itemsize`` per cell (one byte on this corpus): the output array, plus
+    the small variables, and no second copy."""
     zero_free_2d = False
     for fn, g in _corpus():
         out, peak = _traced_peak(fn, g)
-        cells = len(out) if isinstance(out, list) else out.rows * out.cols
+        codes = out if fn is expand1 else out.cells
+        cells, size = len(codes), codes.itemsize
         assert cells >= 1 << 19
-        assert peak <= 1.25 * 8 * cells, (fn.__name__, cells, peak / (8 * cells))
-        zero_free_2d |= fn is expand2 and 0 not in out.cells
+        assert peak <= 1.25 * size * cells, (fn.__name__, cells, peak / (size * cells))
+        zero_free_2d |= fn is expand2 and 0 not in codes
     assert zero_free_2d   # some 2D case builds its blocks rather than leaving zeros

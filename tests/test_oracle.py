@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cell_line_lce, cell_row_pattern, cell_square_lce
-from gridgram import Matrix2D
+from gridgram import Matrix2D, expand2
 from gridgram.errors import RangeError
-from gridgram.gen import random_matrix, random_string
+from gridgram.gen import grammar_from_matrix, random_matrix, random_string
 from gridgram.oracle import (
     all_zero,
     equal_rect,
@@ -191,7 +191,7 @@ def test_row_pattern_scan_equals_the_cell_restatement(m, data):
                           | st.integers(1, m.cols))
         if width <= m.cols and data.draw(st.booleans()):
             start = data.draw(st.integers(0, len(m.cells) - width))
-            pat = m.cells[start:start + width]
+            pat = list(m.cells[start:start + width])
         else:
             pat = data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
         if data.draw(st.integers(0, 3)) == 0:
@@ -199,6 +199,34 @@ def test_row_pattern_scan_equals_the_cell_restatement(m, data):
         assert row_pattern_occurs(m, pat) == cell_row_pattern(m, pat)
         assert row_pattern_occurs(m, Matrix2D(1, len(pat), pat)) == cell_row_pattern(m, pat)
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=matrices(), data=st.data(), factor=st.sampled_from([1, 257, 1 << 40]))
+def test_row_pattern_scan_over_expanded_cells_of_every_width(m, data, factor):
+    """The scan over expand2's cells, whose typecode is as narrow as the
+    codes allow: one byte, two (codes from 256 up, scaled by 257) or eight.
+    Patterns are taken from the flat text, some with one code changed."""
+    scaled = Matrix2D(m.rows, m.cols, [v * factor for v in m.cells])
+    m = expand2(grammar_from_matrix(scaled))
+    assert m == scaled
+    for _ in range(4):
+        width = data.draw(st.integers(1, m.cols))
+        start = data.draw(st.integers(0, len(m.cells) - width))
+        pat = list(m.cells[start:start + width])
+        if data.draw(st.booleans()):
+            pat[data.draw(st.integers(0, width - 1))] = data.draw(st.integers(0, 3)) * factor
+        assert row_pattern_occurs(m, pat) == cell_row_pattern(m, pat)
+
+
+def test_row_pattern_reads_codes_not_the_bytes_of_wide_cells():
+    """Row 256 0 2 does not hold 2 0, though the raw bytes of its two-byte
+    (expand2) or eight-byte (constructor) cells hold 02 00 inside the row."""
+    made = Matrix2D(1, 3, [256, 0, 2])
+    for m in (made, expand2(grammar_from_matrix(made))):
+        assert m.cells.itemsize > 1
+        assert row_pattern_occurs(m, [2, 0]) == cell_row_pattern(m, [2, 0]) == 0
+        assert row_pattern_occurs(m, [0, 2]) == row_pattern_occurs(m, [256]) == 1
 
 _T = [0, 1, 0]
 _M = Matrix2D(3, 3, [0, 1, 0, 1, 0, 1, 0, 0, 0])
