@@ -19,7 +19,8 @@ costs. The contracts that the functions below share:
   and builds each state whose id a built state's slots name, plus the
   states their copies read (``_walk_build``). The index keeps, as
   ``states[id] = (tau**p, slots)``, only the states the walk reaches from
-  the first; an id that only a copy-only source names holds None.
+  the first; an id that only a copy-only source names holds a sentinel
+  state that leads the walk to its read-count refusal (``_kept``).
 - Finish rule: a walk at a level p descends from v instead of reading on
   when height(v) <= FINISH * p (the height rule) or when v's turn bound
   B(v) (``_turns``) is at most the p + 1 reads it has left (the turn rule),
@@ -48,8 +49,8 @@ costs. The contracts that the functions below share:
   state or the states it copies from, and raises ExpansionTooLarge
   (``_over_cap``) there when the count would pass its cap. No other code
   counts an index's slots.
-- The index is immutable after build_index1, so any number of threads may
-  query it. Builds are single-threaded.
+- An index is immutable after build_index1 (build_index2), so any number
+  of threads may query it. Builds are single-threaded.
 """
 
 from __future__ import annotations
@@ -121,20 +122,6 @@ def caps(sizes, tau):
     while pows[-1] * tau <= top:
         pows.append(pows[-1] * tau)
     return [bisect_right(pows, m) - 1 for m in sizes]
-
-
-def blocks_to_cap(size, top, tau):
-    """The blocks along an axis of ``size`` cells over the levels 0..top,
-    with top at most the axis's cap: tau at each level below top, and the
-    ones that exist at it, at most tau; none for top -1."""
-    return top * tau + min(tau, -(-size // tau ** top)) if top >= 0 else 0
-
-
-def tops(cap, mark):
-    """Per variable: the highest level of an axis whose blocks it stores,
-    min(cap, mark - 1) for its mark, the level from which a walk descends
-    from it (``_finish``); -1 when it stores none."""
-    return [c if c < m else m - 1 for c, m in zip(cap, mark)]
 
 
 def _check_slot_cap(cap, tau):
@@ -258,7 +245,7 @@ def _finish(g, cap, mark):
     heavy = tuple(_heavy(g._moves, g._topo, side) for side in (0, 1))
     turns = _turns(g._moves, g._topo, heavy)
     bound = [min(m, t - 1) if t else 0 for m, t in zip(mark, turns)]
-    return heavy, turns, [tops(c, bound) for c in cap]
+    return heavy, turns, [[c if c < b else b - 1 for c, b in zip(axis, bound)] for axis in cap]
 
 
 def _run1(chains, node, b, e, side):
@@ -366,8 +353,8 @@ class AccessIndex1:
                                       #   ceil(height / FINISH) - 1, turns - 2), -1 for none
         self.first = first            # the code of the walk's first state: 0, or the start's
                                       #   finish code when it is low enough for its cap
-        self.states = states          # id -> (tau**p, slots) of a kept state, None for an id
-                                      #   only a state the index does not keep names
+        self.states = states          # id -> (tau**p, slots) of a kept state, the sentinel
+                                      #   (_kept) for an id only copy-only sources name
         self.keys = keys              # id -> state key t * K + p * 2 + side, K = 2 * levels + 2
         self.ids = ids                # state key -> id, of the kept states
         self.reads = range(levels + 1)  # one read per level at most
@@ -378,7 +365,7 @@ class AccessIndex1:
     def entry_count(self):
         """Stored bookmarks (the size-bound quantity): the slots of the
         kept states."""
-        return sum(len(state[1]) for state in self.states if state is not None)
+        return sum(len(self.states[j][1]) for j in self.ids.values())
 
     def __repr__(self):
         return (f"AccessIndex1(n={self.n}, tau={self.tau}, "
@@ -417,12 +404,13 @@ def _walk_build(first, plan, fill, successors):
     descended (``_copied``). Before ``fill(state, cut)`` builds a state,
     the states it copies from are built, children first, through an
     explicit stack. Each state is planned once, before any of its sources
-    still unbuilt, and filled once: the builds count slots in ``plan``.
-    ``successors(state, k0, k1)`` gives the set of states the walk enters
-    from the steps of the state's blocks k0..k1 on the split axis; a
-    copied range whose source state is itself walked is left out of that
-    scan, since its successors are the source's, and a state with nothing
-    left to scan is not scanned.
+    still unbuilt, and filled once, ``fill`` returning its slots: the
+    builds count slots in ``plan``.
+    ``successors(state, k0, k1)`` gives the states the walk enters from the
+    steps of the state's blocks k0..k1 on the split axis (2D: of all its
+    blocks, a superset within the closure); a copied range whose source
+    state is walked is left out of that scan, since its successors are the
+    source's, and a state with nothing left to scan is not scanned.
     """
     if first is None:
         return set()
@@ -458,6 +446,22 @@ def _walk_build(first, plan, fill, successors):
             walked |= new
             work += new
     return walked
+
+
+def _kept(keys, ids, walked, held, sentinel):
+    """The index's directory of the ``walked`` states, (states, ids):
+    ``states[id]`` the held entry of each walked state, and ``ids`` the
+    walked keys' ids. Every other id, one that only a copy-only source
+    names, holds one shared ``sentinel(u)``, u the first such id, whose one
+    slot sends any delta back to u unchanged: a walk that enters it makes
+    reads until the read-count refusal."""
+    states = [None] * len(keys)
+    for key in walked:
+        states[ids[key]] = held[key]
+    if None in states:
+        filler = sentinel(states.index(None))
+        states = [filler if state is None else state for state in states]
+    return states, {key: ids[key] for key in walked}
 
 
 def build_index1(g, tau, cap=DEFAULT_CAP):
@@ -497,7 +501,7 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
     share = {}.setdefault           # slot -> its one stored copy
     # state key -> id, in the order the build names the states, and back
     keys, ids = ([], {}) if first is None else ([first], {first: 0})
-    held = {}                       # state key -> its slots, once built
+    held = {}                       # state key -> (tau**p, its slots), once built
     named = {}                      # (near, far, level and side) -> their codes
 
     def code(c, q, side):
@@ -538,7 +542,7 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
         p, side = rest >> 1, rest & 1
         lo, hi, blocks, near, far = cut
         m, tp, q = lens[i], pows[p], p - 1
-        slots = held[near][:lo] if lo else []
+        slots = held[near][1][:lo] if lo else []
         for k in range(lo, hi):
             b = k * tp                  # block k's window from the side, clipped to m
             e = b + tp if b + tp < m else m
@@ -554,14 +558,15 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
             slots.append(share(slot, slot))
         if hi < blocks:
             a = hi * tp                 # the near child's length, a multiple of tp
-            for S, x, y in held[far][:blocks - hi]:
+            for S, x, y in held[far][1][:blocks - hi]:
                 slot = (S + a, x, y)
                 slots.append(share(slot, slot))
-        held[state] = slots
+        held[state] = tp, slots
+        return slots
 
     def successors(state, k0, k1):
         out = set()
-        for _, x, y in held[state][k0:k1]:
+        for _, x, y in held[state][1][k0:k1]:
             if y is not None:
                 if x >= 0:
                     out.add(keys[x])
@@ -570,12 +575,10 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
         return out
 
     walked = _walk_build(first, plan, fill, successors)
-    states = [None] * len(keys)
-    for key in walked:
-        states[ids[key]] = (pows[key % K >> 1], held[key])
+    states, kept = _kept(keys, ids, walked, held, lambda u: (pows[-1], [(0, u, u)]))
     return AccessIndex1(g, tau, levels, pows, level_cap, mark, top,
-                        0 if first is not None else ~(s * 4 + runs), states, keys,
-                        {key: ids[key] for key in walked}, chains if runs else None)
+                        0 if first is not None else ~(s * 4 + runs), states, keys, kept,
+                        chains if runs else None)
 
 
 def side_map(ix, side, t, p, delta):

@@ -1,71 +1,66 @@
-"""Corner-bookmark random access over 2D SLPs.
+"""Random access over 2D SLPs through the corner bookmark states of the walk.
 
 README, "How the index works", describes the build, the walk and their
-costs. The contracts that the functions below share:
+costs. The index has the 1D index's layout and rules (``access1d``): per
+state the walk reaches, one slot list whose codes name what the walk
+enters next, a sentinel at every other id, the walk, copy and cap rules
+and the build's chain runs. What 2D adds to those contracts:
 
+- A state is one corner of a variable at one level pair, keyed ``t * K +
+  (p_r * H + p_c) * 4 + corner`` with H = levels + 1 and K = 4 * H * H.
+  Corners are integers 0..3 (NW, NE, SW, SE): bit 1 set means from the
+  bottom, bit 0 set from the right. A kept state is held as
+  ``states[id] = (tau**p_r, tau**p_c, w, slots)``, its blocks in row-major
+  order from the corner, w to a block row: block (k_r, k_c) at
+  ``k_r * w + k_c``.
 - A slot holds the step a query takes at its block's hook:
   ``(axis, s, near, far, shift)``. axis is 1 when the hook splits rows and
   0 when it splits columns; s is the hook's split inside the block on that
-  axis, measured from the corner; near and far are the hook's children in
-  that order from the corner; shift is the block's offset inside the hook
-  on the other axis, measured from the corner's side. A 1x1 block of a
+  axis, measured from the corner; near and far are the codes of the hook's
+  children in that order from the corner; shift is the block's offset
+  inside the hook on the other axis, measured from the corner's side. A
+  code is a pair: what the walk enters in that child when p_r drops and
+  when p_c drops. A row step lowers p_r; a column step lowers p_r when the
+  new row delta is at most tau**p_r and p_r > 0, and p_c otherwise, so
+  both elements of a row step's pair, of one at p_r 0 and of one whose
+  block's rows all land on one side of tau**p_r are one. Each element is
+  the id of the child's state at the lowered pair, each level capped by
+  the child's cap, or, where the child does not store that pair, a finish
+  code ``~(t * 8 + corner * 2 + runs)``: descend from t, plainly by the
+  height rule or with chain runs by the turn rule. A 1x1 block of a
   literal v holds ``(0, 0, v, None, 0)``, the one such shape.
-- Corners are integers 0..3 (NW, NE, SW, SE), in the tables and in
-  corner_map: bit 1 set means from the bottom, bit 0 set from the right.
-- ``tables[corner][t]`` is one list per variable t and corner with a built
-  state (None for the others, and for every variable the start does not
-  reach), allocated whole, a grid of blocks W = ``width[t]`` wide; block
-  (k_r, k_c) of level pair (p_r, p_c) is at
-  ``(p_r * tau + k_r) * W + p_c * tau + k_c``. A slot of a state no walk
-  can enter, and that no built state copies from, is not built and holds
-  None.
-- Walk rule: the build starts at ``first``, the start's NW corner at its
-  caps (none when that is None), and builds each (variable, corner, level
-  pair) state that access2's transitions reach from the steps of a built
-  state's blocks, plus the states their copies read (``_walk_build``): a
-  row step lowers p_r, and a column step lowers p_r or p_c as the new row
-  delta falls, so both are followed. So every slot a fast walk reads is
-  built, and no state is built that a full build would not.
 - Finish rule: a walk at levels with either of p_r, p_c at least ``mark[v]
   = ceil(height(v) / FINISH2)`` (the height rule), or whose p_r + p_c + 1
-  reads left are at least v's turn bound ``turns[v]`` (the turn rule,
-  ``_turns``), descends from v instead of reading on, so v stores the
-  level pairs up to ``min(cap, mark[v] - 1, turns[v] - 2)`` on each axis
-  whose sum is at most ``turns[v] - 2`` (none for a literal), in the
-  rectangular grid up to those levels. A height-rule finish descends
-  plainly, a turn-rule finish with chain runs (access2).
-- The build copies by the 1D copy rule (``_copied``) along the split axis,
-  the child's state built first, near and far taken in order from the
-  corner: a block index it gives a
-  child there is copied at every block of the other axis, on which the
-  child has the variable's size. A child stores a level pair by the
-  finish rule, each level at most its cap, so a far child shorter than
-  tau**p on the split axis stores no level p, whatever its mark.
-- Build descents run along chains as in 1D, keyed by rows and columns: a
-  node v of the x chain qualifies while the window's far corner fits in v
-  (e_r <= rows[v] and e_c <= cols[v]), one of the y chain while v's offsets
-  inside the node are at most the window's start on both axes. Rows and
-  columns never grow down a chain, so both tests are monotone along it.
+  reads left are at least v's turn bound B(v) (the turn rule, ``_turns``),
+  descends from v instead of reading on, so v stores the level pairs up to
+  ``min(cap, mark[v] - 1, B(v) - 2)`` on each axis whose sum is at most
+  B(v) - 2 (none for a literal). The walk starts at the start's NW corner
+  at its caps when it stores them.
+- The copy rule (``_copied``) applies along the split axis, near and far
+  taken in order from the corner: a block index it gives a child there is
+  copied at every block of the other axis, on which the child has the
+  variable's size, so the two grids line up: the copy is one slice on a
+  row split and one per block row on a column split. A child stores a
+  level pair by the finish rule, each level at most its cap, so a far
+  child shorter than tau**p on the split axis stores no level p, whatever
+  its mark.
+- Chain runs are keyed by rows and columns: a node v of the x chain
+  qualifies while the window's far corner fits in v (e_r <= rows[v] and
+  e_c <= cols[v]), one of the y chain while v's offsets inside the node
+  are at most the window's start on both axes. Rows and columns never
+  grow down a chain, so both tests are monotone along it.
 - Every descent move reads one record, the grammar's ``_moves[t]``:
   ``(x, y, split, horiz)``, split the rows of x when horiz and its columns
   otherwise; None for a literal (``slg``).
-- Cap rule: the build allocates a variable's grid at a corner whole as it
-  plans the first state there, before it fills that state or the states
-  it copies from; it counts the grids' slots and raises ExpansionTooLarge
-  (``access1d._over_cap``) before a grid that would take the count past
-  its cap. No other code counts an index's slots.
-- The index is immutable after build_index2, so any number of threads may
-  query it. Builds are single-threaded.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import (PLAIN, RUN, _chains, _check_slot_cap, _copied, _finish, _over_cap,
-                       _preset, _walk_build, blocks_to_cap, caps, ceil_log, clamp_tau)
+from .access1d import (PLAIN, RUN, _chains, _check_slot_cap, _copied, _finish, _kept,
+                       _over_cap, _preset, _walk_build, caps, ceil_log, clamp_tau)
 from .slg import DEFAULT_CAP, _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -187,49 +182,45 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
 
 
 class AccessIndex2:
-    """Four corner bookmark tables, per-variable level caps, marks and turn
-    bounds, the start's first step, the chains of a run finish, plus
-    references to the grammar's walk arrays."""
+    """The walk's state machine, as in 1D: per kept state its block sizes,
+    blocks per row and slots, the code of the walk's first state, level
+    caps, the chains of a run finish, plus references to the grammar's
+    walk arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "cap_r",
-                 "cap_c", "mark", "turns", "first", "width", "tables", "chains", "n_rows",
+                 "cap_c", "first", "states", "keys", "ids", "reads", "chains", "n_rows",
                  "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, mark, turns, first, width,
-                 tables, chains):
+    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, first, states, keys, ids,
+                 chains):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
-        self.levels = levels
-        self.pows = pows
+        self.levels = levels        # ceil(log_tau) of the start's longest side
+        self.pows = pows            # pows[p] = tau**p, up to levels + 1
         self.rows = grammar._rows   # the grammar's row and column counts
         self.cols = grammar._cols
         self.moves = grammar._moves  # the grammar's move records (x, y, split, horiz),
                                     #   None for a literal
         self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
         self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
-        self.mark = mark            # per variable: ceil(height / FINISH2), the level
-                                    #   from which, on either axis, a walk descends from it
-        self.turns = turns          # per variable: its turn bound B, which a walk at
-                                    #   (p_r, p_c) descends from it once p_r + p_c + 1,
-                                    #   the reads left, reaches
-        self.first = first          # the start's caps (cap_r, cap_c), the level pair of
-                                    #   the walk's first read; None when the start
-                                    #   stores no such pair
-        self.width = width          # per reachable variable: its lists' blocks per row, W
-        self.tables = tables        # [corner][t][(p_r*tau+k_r)*width[t] + p_c*tau+k_c]
-                                    #   -> (axis, s, near, far, shift), one slot per
-                                    #   block, None where not built; [corner][t] is
-                                    #   None for a variable without a built state
-        self.chains = chains        # the _chains of both sides, for a run finish; None
-                                    #   when no walk finishes by runs
+        self.first = first          # the code of the walk's first state: 0, or the start's
+                                    #   finish code when it does not store its caps
+        self.states = states        # id -> (tau**p_r, tau**p_c, w, slots) of a kept state,
+                                    #   the sentinel (_kept) for an id only copy-only
+                                    #   sources name
+        self.keys = keys            # id -> state key t * K + (p_r * H + p_c) * 4 + corner,
+                                    #   H = levels + 1, K = 4 * H * H
+        self.ids = ids              # state key -> id, of the kept states
         self.n_rows = self.rows[grammar.start]
         self.n_cols = self.cols[grammar.start]
+        self.reads = range(cap_r[grammar.start] + cap_c[grammar.start] + 1)  # a read per level
+        self.chains = chains        # the _chains of both sides, for a run finish; None
+                                    #   when no walk finishes by runs
 
     def entry_count(self):
-        """Stored bookmarks across all four corner tables (the size-bound
-        quantity): the built slots, each holding a step."""
-        return sum(len(table) - table.count(None)
-                   for corner in self.tables for table in corner if table is not None)
+        """Stored bookmarks (the size-bound quantity): the slots of the
+        kept states."""
+        return sum(len(self.states[j][3]) for j in self.ids.values())
 
     def __repr__(self):
         return (f"AccessIndex2({self.n_rows}x{self.n_cols}, tau={self.tau}, "
@@ -237,18 +228,19 @@ class AccessIndex2:
 
 
 def build_index2(g, tau, cap=DEFAULT_CAP):
-    """Build the (variable, corner, level pair) states of the four tables
-    that a fast walk can enter from the start, and those their copies read:
-    a block that ``_copied`` gives a child on the split axis copies that
-    child's step, the child's state built first, and every other block's
-    step is found by descent. The walk's first state is the start's NW
-    corner at its caps, ``first``; when that is None no walk reads a table
-    and nothing is built. The chains (``_chains``) are laid out when a
-    build descends or a walk can finish by runs, and kept on the index in
-    the second case. The build counts the slots of every grid it
-    allocates, and raises ExpansionTooLarge before allocating a grid that
-    would take the count past the int ``cap``, before any descent or copy
-    for it."""
+    """Build the (variable, corner, level pair) states that a fast walk can
+    enter from the start, and those their copies read: a block that
+    ``_copied`` gives a child on the split axis copies that child's slot,
+    the child's state built first, and every other block's step is found
+    by descent and stored with the codes of the states it leads to
+    (``code``). The walk's first state, id 0, is the start's NW corner at
+    its caps, when it stores them; otherwise no walk reads and nothing is
+    built. The index keeps the states the walk reaches from there, not the
+    copy-only sources. The chains (``_chains``) are laid out when a build
+    descends or a walk can finish by runs, and kept on the index in the
+    second case. The build counts the slots of every state it fills, kept
+    or not, and raises ExpansionTooLarge as soon as they would pass the int
+    ``cap``: as it plans a state, before any descent or copy for it."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves = g._rows, g._cols, g._moves
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
@@ -259,49 +251,71 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
     levels = ceil_log(max(rows[g.start], cols[g.start]), tau)
     pows = [tau ** p for p in range(levels + 2)]
     H = levels + 1
-    K = 4 * H * H                   # state i * K + (p_r * H + p_c) * 4 + corner
+    K = 4 * H * H                   # state key i * K + (p_r * H + p_c) * 4 + corner
 
     def stores(c, p_r, p_c):        # the finish rule, for levels at most c's caps
         return p_r <= top_r[c] and p_c <= top_c[c] and p_r + p_c + 1 < turns[c]
 
     s = g.start
-    first = cap_r[s], cap_c[s]
-    if not stores(s, *first):       # a start low enough for its caps finishes by runs
-        first = None                # or plainly
+    first = s * K + (cap_r[s] * H + cap_c[s]) * 4 if stores(s, cap_r[s], cap_c[s]) else None
+    if first is None:       # a start low enough for its caps finishes by runs or plainly
         runs = max(cap_r[s], cap_c[s]) < mark[s]
-    else:                           # some variable the turn bound cuts below the height rule
+    else:                   # some variable the turn bound cuts below the height rule
         runs = any(r and m and min(c_r, m - 1) + min(c_c, m - 1) + 1 >= b
                    for c_r, c_c, m, b, r in zip(cap_r, cap_c, mark, turns, g._reach))
     chains = tuple(_chains(moves, g._topo, heavy[side], (rows, cols), side)
                    for side in (0, 1)) if runs or first is not None else None
-    share = {}.setdefault           # step -> its one stored copy
-    width = [blocks_to_cap(m, t, tau) if r else 0 for m, t, r in zip(cols, top_c, g._reach)]
-    tables = [[None] * len(moves) for _ in range(4)]
-    kids = itemgetter(0, 2, 3)
+    share = {}.setdefault           # slot -> its one stored copy
+    # state key -> id, in the order the build names the states, and back
+    keys, ids = ([], {}) if first is None else ([first], {first: 0})
+    held = {}                       # state key -> (tau**p_r, tau**p_c, w, slots), once built
+    pairs = {}                      # (child, corner, level pair, kind) -> its codes
+
+    def code(c, q_r, q_c, corner):
+        # access2's rule at the level pair (q_r, q_c): each level capped by
+        # c's cap; a pair c does not store finishes the walk
+        if q_r > cap_r[c]:
+            q_r = cap_r[c]
+        if q_c > cap_c[c]:
+            q_c = cap_c[c]
+        key = c * K + (q_r * H + q_c) * 4 + corner
+        j = ids.get(key)
+        if j is None:
+            if not stores(c, q_r, q_c):
+                return ~(c * 8 + corner * 2 + (q_r < mark[c] > q_c))
+            j = ids[key] = len(keys)
+            keys.append(key)
+        return j
+
+    def pair(c, rest, kind):
+        # the codes of a step into c's corner and level pair ``rest``: kind
+        # 1 when p_r drops (p_c at p_r 0), 2 when p_c does, 0 when the new
+        # row delta decides
+        p_r, p_c = divmod(rest >> 2, H)
+        down_r = code(c, p_r - 1, p_c, rest & 3) if p_r and kind != 2 else None
+        down_c = down_r if kind == 1 and p_r else code(c, p_r, p_c - 1, rest & 3)
+        both = pairs[(c * K + rest) * 4 + kind] = (down_c if down_r is None else down_r, down_c)
+        return both
+
     room = cap                      # the slots the build may still allocate
 
     def plan(state):
         nonlocal room
         i, rest = divmod(state, K)
         p_r, p_c = divmod(rest >> 2, H)
-        corner = rest & 3
-        own = tables[corner]
-        if own[i] is None:          # the variable's first state at this corner
-            size = blocks_to_cap(rows[i], top_r[i], tau) * width[i]
-            room -= size
-            if room < 0:
-                raise _over_cap(tau, cap)
-            own[i] = [None] * size
+        tpr, tpc = pows[p_r], pows[p_c]
+        h, w = -(-rows[i] // tpr), -(-cols[i] // tpc)    # blocks per column and per row
+        if h > tau:
+            h = tau
+        if w > tau:
+            w = tau
+        room -= h * w                           # every planned state is filled
+        if room < 0:
+            raise _over_cap(tau, cap)
         x, y, _, horiz = moves[i]
         # the children in order from the corner on the split axis
-        near, far = (y, x) if corner & (2 if horiz else 1) else (x, y)
-        if horiz:
-            m, a, tp = rows[i], rows[near], pows[p_r]
-        else:
-            m, a, tp = cols[i], cols[near], pows[p_c]
-        blocks = -(-m // tp)
-        if blocks > tau:
-            blocks = tau
+        near, far = (y, x) if rest & (2 if horiz else 1) else (x, y)
+        a, tp, blocks = (rows[near], tpr, h) if horiz else (cols[near], tpc, w)
         lo, hi = _copied(a, tp, blocks, stores(near, p_r, p_c), stores(far, p_r, p_c))
         return lo, hi, blocks, near * K + rest, far * K + rest
 
@@ -310,91 +324,73 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
         p_r, p_c = divmod(rest >> 2, H)
         corner = rest & 3
         lo, hi, blocks, near, far = cut
-        own, w = tables[corner], width[i]
-        table = own[i]
-        horiz = moves[i][3]
         tpr, tpc = pows[p_r], pows[p_c]
         m_r, m_c = rows[i], cols[i]
-        # the blocks on the other axis, every one of the split axis's spans
-        other = -(-m_c // tpc) if horiz else -(-m_r // tpr)
-        if other > tau:
-            other = tau
-        base = p_r * tau * w + p_c * tau   # block (0, 0) of the level pair
-        # a child's first count blocks on the split axis, by every block on
-        # the other, land from block k on the split axis
-        for src, k, count in ((near // K, 0, lo), (far // K, hi, blocks - hi)):
-            if count:
-                child, stride = own[src], width[src]
-                start = p_r * tau * stride + p_c * tau
-                if horiz:
-                    at, n_r, n_c = base + k * w, count, other
-                else:
-                    at, n_r, n_c = base + k, other, count
-                for row in range(at, at + n_r * w, w):
-                    table[row:row + n_c] = child[start:start + n_c]
-                    start += stride
-        # the blocks from lo to hi on the split axis, by descent
-        k_r0, k_r1, k_c0, k_c1 = (lo, hi, 0, other) if horiz else (0, other, lo, hi)
-        for k_r in range(k_r0, k_r1):
-            b_r = k_r * tpr             # the block's window, from the corner's sides
-            e_r = b_r + tpr if b_r + tpr < m_r else m_r
-            if corner & 2:
-                b_r, e_r = m_r - e_r, m_r - b_r
-            at = base + k_r * w
-            for k_c in range(k_c0, k_c1):
-                b_c = k_c * tpc
-                e_c = b_c + tpc if b_c + tpc < m_c else m_c
-                if corner & 1:
-                    b_c, e_c = m_c - e_c, m_c - b_c
-                step = _hook_core2(moves, rows, cols, i, b_r, b_c, e_r, e_c, corner, chains)
-                table[at + k_c] = share(step, step)
+        h, w = -(-m_r // tpr), -(-m_c // tpc)
+        if h > tau:
+            h = tau
+        if w > tau:
+            w = tau
+        # the split axis's blocks lo..hi of each band, copied from the near
+        # child, descended and copied from the far child: one band of all the
+        # block rows on a row split, one per block row on a column split,
+        # ``unit`` slots to a block of the split axis
+        if moves[i][3]:
+            bands, unit, spans = (0,), w, (range(lo, hi), range(w))
+        else:
+            bands, unit, spans = range(h), 1, None
+        slots = []
+        for band in bands:
+            if lo:
+                _, _, stride, source = held[near]
+                slots += source[band * stride:band * stride + lo * unit]
+            down, across = spans or ((band,), range(lo, hi))
+            for k_r in down:
+                b_r = k_r * tpr         # the block's window, from the corner's sides
+                e_r = b_r + tpr if b_r + tpr < m_r else m_r
+                if corner & 2:
+                    b_r, e_r = m_r - e_r, m_r - b_r
+                for k_c in across:
+                    b_c = k_c * tpc
+                    e_c = b_c + tpc if b_c + tpc < m_c else m_c
+                    if corner & 1:
+                        b_c, e_c = m_c - e_c, m_c - b_c
+                    axis, split, x, y, shift = slot = _hook_core2(
+                        moves, rows, cols, i, b_r, b_c, e_r, e_c, corner, chains)
+                    if y is not None:
+                        # the levels the step can lower: p_r on a row step; on a
+                        # column step p_r where the new row delta, shift plus
+                        # the cell's row in the block, is at most tau**p_r
+                        kind = 1 if axis or shift + e_r - b_r <= tpr else 2 if shift >= tpr else 0
+                        # the pairs looked up inline: a call per step costs ~5% at tau 2
+                        flip = rest ^ (2 if axis else 1)
+                        slot = (axis, split,
+                                pairs.get((x * K + flip) * 4 + kind) or pair(x, flip, kind),
+                                pairs.get((y * K + rest) * 4 + kind) or pair(y, rest, kind),
+                                shift)
+                    slots.append(share(slot, slot))
+            if hi < blocks:
+                _, _, stride, source = held[far]
+                slots += source[band * stride:band * stride + (blocks - hi) * unit]
+        held[state] = tpr, tpc, w, slots
+        return slots
 
     def successors(state, k0, k1):
-        # access2's rule: a row step lowers p_r; a column step lowers p_r or
-        # p_c, as the new row delta falls, so both are taken; each level is
-        # capped by the child's cap, and a pair it does not store finishes
-        i, rest = divmod(state, K)
-        p_r, p_c = divmod(rest >> 2, H)
-        corner = rest & 3
-        table, w = tables[corner][i], width[i]
-        base = p_r * tau * w + p_c * tau
-        keys = set()
-        if moves[i][3]:
-            n_c = min(tau, -(-cols[i] // pows[p_c]))
-            for at in range(base + k0 * w, base + k1 * w, w):
-                keys.update(map(kids, table[at:at + n_c]))
-        else:
-            n_r = min(tau, -(-rows[i] // pows[p_r]))
-            for at in range(base + k0, base + k0 + n_r * w, w):
-                keys.update(map(kids, table[at:at + k1 - k0]))
-        out = set()
-        add = out.add
-        down_r = ((p_r - 1, p_c),)
-        down = down_r + ((p_r, p_c - 1),) if p_r else ((p_r, p_c - 1),)
-        for axis, near, far in keys:
-            if far is None:
-                continue                # a literal step
-            pairs, flip = (down_r, corner ^ 2) if axis else (down, corner ^ 1)
-            for c, to in ((near, flip), (far, corner)):
-                c_r, c_c = cap_r[c], cap_c[c]
-                for q_r, q_c in pairs:
-                    if q_r > c_r:
-                        q_r = c_r
-                    if q_c > c_c:
-                        q_c = c_c
-                    if stores(c, q_r, q_c):
-                        add(c * K + (q_r * H + q_c) * 4 + to)
-        return out
+        # every block: a range copied from a walked source names what it names
+        named = set()               # the code pairs, each one shared object
+        for _, _, x, y, _ in held[state][3]:
+            if y is not None:
+                named.add(x)
+                named.add(y)
+        return {keys[c] for both in named for c in both if c >= 0}
 
-    _walk_build(None if first is None else s * K + (first[0] * H + first[1]) * 4, plan, fill,
-                successors)
-    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c, mark, turns, first, width, tables,
+    walked = _walk_build(first, plan, fill, successors)
+    top = pows[-1]                  # past every delta
+    states, kept = _kept(keys, ids, walked, held,
+                         lambda u: (top, top, 1, [(1, 0, (u, u), (u, u), 0)]))
+    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c,
+                        0 if first is not None else ~(s * 8 + runs), states, keys, kept,
                         chains if runs else None)
-
-
-def _bad_bookmark(t, p_r, p_c, k_r, k_c, what):
-    return PreconditionViolated(
-        f"bookmark of variable {t}, levels ({p_r},{p_c}), block ({k_r},{k_c}) {what}")
 
 
 def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
@@ -411,12 +407,12 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     nearer the corner on the split axis flips that axis's side, the farther
     child keeps both sides, and the other axis moves by the stored shift.
     A level above the variable's cap on its axis reads at the cap, whose
-    blocks are no larger, so the step still contracts within tau**p. A
-    level pair the variable does not store, either capped level at or past
-    its mark, or a slot the build did not build, is resolved into the real
-    step by the plain descent, and a stored literal step must equal the
-    step the same descent gives. A variable the start does not reach is
-    refused.
+    blocks are no larger, so the step still contracts within tau**p. The
+    state (t, corner, level pair) is looked up by its key and the slot's
+    codes decoded into variables; a state the index does not keep is
+    resolved into the real step by the plain descent, and a stored literal
+    step must equal the step the same descent gives. A variable the start
+    does not reach is refused.
     """
     m_r, m_c = (ix.rows[t], ix.cols[t]) if isinstance(t, int) and 0 <= t < len(ix.rows) \
         else (0, 0)
@@ -432,7 +428,6 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     if not ix.grammar._reach[t]:
         raise PreconditionViolated(f"variable {t} is not reachable from the start "
                                    f"and has no bookmarks")
-    table = ix.tables[corner][t]
     p_r, p_c = min(p_r, ix.cap_r[t]), min(p_c, ix.cap_c[t])
     tpr = ix.pows[p_r]
     tpc = ix.pows[p_c]
@@ -441,24 +436,32 @@ def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
     k_c = (delta_c - 1) // tpc
     b_c = k_c * tpc
     w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
-    tau = ix.tau
-    step = table[(p_r * tau + k_r) * ix.width[t] + p_c * tau + k_c] \
-        if table is not None and max(p_r, p_c) < ix.mark[t] and p_r + p_c + 1 < ix.turns[t] \
-        else None
+    H = ix.levels + 1
+    K = 4 * H * H
+    j = ix.ids.get(t * K + (p_r * H + p_c) * 4 + corner)
+    step = None
+    if j is not None:
+        _, _, w, slots = ix.states[j]
+        axis, s, near, far, shift = step = slots[k_r * w + k_c]
+        if far is not None:         # the codes decoded into variables
+            near, far = (ix.keys[c[0]] // K if c[0] >= 0 else ~c[0] >> 3 for c in (near, far))
+            step = axis, s, near, far, shift
     if step is None or step[3] is None:
         e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
         e_c = m_c - b_c if corner & 1 else b_c + w_c
         real = _hook_core2(
             ix.moves, ix.rows, ix.cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner, PLAIN)
         if step is not None and real != step:
-            raise _bad_bookmark(t, p_r, p_c, k_r, k_c, f"is {step}; a stored literal step "
-                                f"must be the step descent gives, {real}")
+            raise PreconditionViolated(
+                f"bookmark of variable {t}, levels ({p_r},{p_c}), block ({k_r},{k_c}) is "
+                f"{step}; a stored literal step must be the step descent gives, {real}")
         step = real
     axis, s, near, far, shift = step
     if far is None:
         return near, 1, 1, 0
     if not 0 < s < (w_r if axis else w_c):    # s: the hook's split, inside the block
-        raise _bad_bookmark(t, p_r, p_c, k_r, k_c, "does not straddle its hook's split")
+        raise PreconditionViolated(f"bookmark of variable {t}, levels ({p_r},{p_c}), block "
+                                   f"({k_r},{k_c}) does not straddle its hook's split")
     d_r, d_c = delta_r - b_r, delta_c - b_c    # the cell inside the block
     if axis:
         if d_r <= s:
@@ -522,74 +525,67 @@ def access2_traced(ix, i, j):
 def access2(ix, i, j):
     """The symbol Exp(S)[i, j] (1-based).
 
-    The same walk as access2_traced in one loop with no per-step checks,
-    one table read per step while the variable stores the level pair: both
-    levels below its mark and their sum plus one, the reads left, below its
-    turn bound. It ends at a literal step, which returns its code, or at a
-    variable that does not store the pair, from which the walk descends
-    with the full deltas, inline; a literal's mark is 0. A start that does
-    not store its caps is descended from at once, without a read: the
-    index's first step is None. With L = floor(log_tau rows) +
-    floor(log_tau cols), it makes at most L + 1 reads, over the index's
-    tables, plus a descent over the grammar's move records. Where the
-    height rule finishes the walk the descent is the plain one, FINISH2
-    times the larger of L's two terms in moves at most; where only the turn
-    rule does, at a variable v, it runs along the index's chains from its
-    second move in a row toward one child, at most 3 * (B(v) + 1) moves
-    and bisects (``_turns``; a bisect on rows and one on columns per heavy
-    path), with B(v) at most L + 1 less the reads made. A step that lowers
-    neither level, which only a corrupt table holds, raises
-    PreconditionViolated.
+    The same walk as access2_traced in one loop with no per-step checks:
+    from the first state, one read per step, ``tpr, tpc, w, slots =
+    states[st]``, the slot of the block holding the cell, one compare with
+    its split, the other axis moved by its shift, and on to the code of the
+    child the cell falls in, the first of its pair unless the new row delta
+    passes tau**p_r, until a literal slot, which returns its code, or a
+    finish code, from which the walk descends with the full deltas, inline
+    (a start that does not store its caps is descended from at once,
+    without a read). Each read lowers p_r or p_c, so a walk making more
+    than the start's two caps plus one reads is refused. With L =
+    floor(log_tau rows) + floor(log_tau cols), it makes at most L + 1
+    reads, over the index's states, plus a descent over the grammar's move
+    records. Where the height rule finishes the walk the descent is the
+    plain one, FINISH2 times the larger of L's two terms in moves at most;
+    where only the turn rule does, at a variable v, it runs along the
+    index's chains from its second move in a row toward one child, at most
+    3 * (B(v) + 1) moves and bisects (``_turns``; a bisect on rows and one
+    on columns per heavy path), with B(v) at most L + 1 less the reads
+    made.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
     moves, chains = ix.moves, ix.chains
-    t = ix.grammar.start
-    if (first := ix.first) is not None:
-        p_r, p_c = first
-        tau, pows, tables, cap_r, cap_c, width, mark, turns = \
-            ix.tau, ix.pows, ix.tables, ix.cap_r, ix.cap_c, ix.width, ix.mark, ix.turns
-        d_r, d_c, c = i, j, 0
-        w = width[t]                # blocks per row in t's lists
-        while p_r < mark[t] > p_c and p_r + p_c + 1 < turns[t]:
-            tpr, tpc = pows[p_r], pows[p_c]
+    st = ix.first
+    if st >= 0:
+        states, d_r, d_c = ix.states, i, j
+        for _ in ix.reads:
+            tpr, tpc, w, slots = states[st]
             k_r = (d_r - 1) // tpr
             k_c = (d_c - 1) // tpc
-            axis, s, near, far, shift = \
-                tables[c][t][(p_r * tau + k_r) * w + p_c * tau + k_c]
+            axis, s, near, far, shift = slots[k_r * w + k_c]
             d_r -= k_r * tpr
             d_c -= k_c * tpc
             if axis:
                 if d_r <= s:
-                    t, d_r, c = near, s - d_r + 1, c ^ 2
+                    st, d_r = near, s - d_r + 1
                 else:
-                    t, d_r = far, d_r - s
+                    st, d_r = far, d_r - s
                 d_c += shift
-            elif d_c <= s:
-                t, d_c, c = near, s - d_c + 1, c ^ 1
-                d_r += shift
-            elif far is None:
-                return ix.grammar.rules[near]
             else:
-                t, d_c = far, d_c - s
+                if d_c <= s:
+                    st, d_c = near, s - d_c + 1
+                elif far is None:
+                    return ix.grammar.rules[near]
+                else:
+                    st, d_c = far, d_c - s
                 d_r += shift
-            if d_r <= tpr and p_r > 0:
-                p_r -= 1
-            elif d_c <= tpc and p_c > 0:
-                p_c -= 1
-            else:
-                raise PreconditionViolated(f"walk to ({i},{j}): the step read at levels "
-                                           f"({p_r},{p_c}) lowers neither level")
-            if p_r > cap_r[t]:
-                p_r = cap_r[t]
-            if p_c > cap_c[t]:
-                p_c = cap_c[t]
-            w = width[t]
-        if p_r >= mark[t] or p_c >= mark[t]:
+            st = st[d_r > tpr]
+            if st < 0:
+                break
+        else:
+            raise PreconditionViolated(f"walk to ({i},{j}) ended off a literal")
+        st = ~st
+        t = st >> 3
+        i = ix.rows[t] + 1 - d_r if st & 4 else d_r     # t is low enough: the full
+        j = ix.cols[t] + 1 - d_c if st & 2 else d_c     #   deltas, from the NW
+        if not st & 1:
             chains = None           # by the height rule: the plain descent
-        i = ix.rows[t] + 1 - d_r if c & 2 else d_r     # t is low enough: the
-        j = ix.cols[t] + 1 - d_c if c & 1 else d_c     #   full deltas, from the NW
+    else:                           # a start low enough for its caps: the index keeps
+        t = ix.grammar.start        #   chains exactly when it finishes by the turn rule
     if chains is not None:          # by the turn rule: a descent with chain runs
         last = -1                   # the child the last move went to, 0 = x, 1 = y
         while (move := moves[t]) is not None:

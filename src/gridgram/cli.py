@@ -132,21 +132,17 @@ def _held_bytes(ix):
     distinct slot object once, as sys.getsizeof counts it; equal slots are
     one shared object.
 
-    A 1D index holds one slot list per kept state (``ix.states``, None for
-    an id it does not keep); its state directory, ``ids`` and ``keys``,
-    grows with the kept states alone and is not counted. A 2D index holds
-    ``ix.tables``, four corners, each a list over the variables of flat
-    lists, None for a variable without a built state, and None in an
-    unbuilt slot. ``ix.chains`` is the two sides' chain lists of a run
-    finish, or None."""
-    if isinstance(ix, access1d.AccessIndex1):
-        lists = [state[1] for state in ix.states if state is not None]
-    else:
-        lists = [table for part in ix.tables for table in part if table is not None]
+    An index of either dimension holds one slot list per kept state, the
+    last item of its ``ix.states`` entry at the id ``ix.ids`` gives it; its
+    state directory, ``ids`` and ``keys``, grows with the kept states
+    alone, and the sentinel at the other ids is one small shared entry, so
+    neither is counted, nor are the code pairs 2D slots share.
+    ``ix.chains`` is the two sides' chain lists of a run finish, or None."""
     slots, steps = 0, {}
-    for table in lists:
+    for j in ix.ids.values():
+        table = ix.states[j][-1]
         slots += len(table)
-        steps.update((id(v), v) for v in table if v is not None)
+        steps.update((id(v), v) for v in table)
     for chain in ix.chains or ():
         slots += sum(map(len, chain))
     return 8 * slots + sum(sys.getsizeof(v) for v in steps.values())

@@ -24,7 +24,13 @@ from gridgram import (
 from gridgram.access2d import FINISH2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp2
-from conftest import expand_all_2d, reachable, submatrix
+from gridgram.access1d import _heavy, _turns
+from conftest import expand_all_2d, kept, reachable, submatrix
+
+
+def _turns_of(g):
+    """The turn bound of every variable (``access1d._turns``)."""
+    return _turns(g._moves, g._topo, [_heavy(g._moves, g._topo, side) for side in (0, 1)])
 
 
 def _access_naive(m, d_r, d_c, corner):
@@ -138,9 +144,10 @@ def test_hook_window_equality_exhaustive_small():
 def test_index_1x1_text():
     g = validate_slp2(Slp2([4], 5, 0))
     ix = build_index2(g, 2)
-    for corner in range(4):     # NW, NE, SW, SE
-        assert ix.tables[corner] == [None]  # a literal stores no level pair
-    assert ix.entry_count() == 0 and ix.mark == [0] and ix.first is None
+    # a literal stores no level pair: the walk descends from it at once,
+    # plainly, from the NW corner
+    assert ix.states == [] and ix.ids == {} and ix.first == ~(0 * 8 + 0 * 2 + 0)
+    assert ix.entry_count() == 0
     assert access2(ix, 1, 1) == 4 and access2_traced(ix, 1, 1) == (4, 0)
 
 
@@ -150,16 +157,16 @@ def test_index_2x2_nw_entry(grid22):
     # S is at most FINISH2 * 1 high, so the height rule stores levels (0, 0)
     # only, not (1, 0) or (0, 1); its point paths turn once, on heavy edges
     # only, so its turn bound 1 is at most the one read a walk has left at
-    # (0, 0), and it stores no level pair: a grid of no blocks, below its
-    # caps (1, 1), so the walk descends from S at once and no state is
-    # built. Levels (0, 0), block (1, 0): the checked step resolves it, by
-    # descent, into the step to the literal 5
-    assert ix.mark[0] == 1 and ix.turns[0] == 1 and ix.width[0] == 0 and ix.first is None
-    assert all(table is None for corner in ix.tables for table in corner)
+    # (0, 0), and it stores no level pair, not its caps (1, 1): the walk
+    # descends from S at once, plainly, and no state is built. Levels
+    # (0, 0), block (1, 0): the checked step resolves it, by descent, into
+    # the step to the literal 5
+    assert -(-ix.grammar._height[0] // FINISH2) == 1 and _turns_of(grid22)[0] == 1
+    assert ix.first == ~(0 * 8 + 0) and ix.states == []
     assert corner_map(ix, 0, 0, 0, 0, 2, 1) == (5, 1, 1, 0)
     # T_11, with T_k -> Vert(S, T_k-1) and T_0 = S (id 11, 2x2): id 0, 2x24,
-    # height 13, so its mark is 2 and its grid ends at levels (1, 1), 3 x 4
-    # blocks; its column cap 4 reaches the mark, so again nothing is built.
+    # height 13, so its mark is 2 and it stores level pairs up to (1, 1);
+    # its column cap 4 reaches the mark, so again nothing is built.
     # Levels (0, 1), block (0, 0), the window (0..1] x (0..2], lies in T's
     # first S, which does not store the pair: hook 12 (the top row, a b, of
     # that S), so the columns split 1 in from the left, with a nearer and b
@@ -171,8 +178,8 @@ def test_index_2x2_nw_entry(grid22):
                            + [Vert(n, n), Horiz(n + 1, n + 2), Vert(n + 3, n + 4),
                               Vert(n + 5, n + 6), 0, 1, 2, 3], 4, 0))
     ix = build_index2(g, 2)
-    assert ix.grammar._height[0] == 13 and FINISH2 * 1 < 13 <= FINISH2 * 2 and ix.mark[0] == 2
-    assert ix.width[0] == 4 and ix.first is None and ix.entry_count() == 0
+    assert ix.grammar._height[0] == 13 and FINISH2 * 1 < 13 <= FINISH2 * 2
+    assert ix.first < 0 and ix.entry_count() == 0
     assert corner_map(ix, 0, 0, 0, 1, 1, 1) == (n + 3, 1, 1, 1)     # a, from its right
     assert corner_map(ix, 0, 0, 0, 1, 1, 4) == (n + 4, 1, 1, 0)     # b, the far child
     assert corner_map(ix, 0, 0, 1, 1, 2, 1) == (n + 2, 1, 1, 0)     # the bottom row
@@ -188,7 +195,9 @@ def test_index_entry_count_bound_random():
 
 def test_index_clamps_tau_to_the_longest_side(grid22):
     ix = build_index2(grid22, 10 ** 11)
-    assert ix.tau == 2 and ix.tables == build_index2(grid22, 2).tables
+    two = build_index2(grid22, 2)
+    assert ix.tau == 2 and (ix.first, ix.states, ix.keys, ix.ids) == \
+        (two.first, two.states, two.keys, two.ids)
     assert optimal_tau2(2 ** 20, epsilon=50) == 2 ** 20
     # id 3 (1x8) is unreachable: the clamp is the start's longest side 2
     g = validate_slp2(Slp2([Vert(1, 2), 0, 1, Vert(4, 4), Vert(5, 5), Vert(1, 2)], 2, 0))
@@ -199,7 +208,7 @@ def test_index_clamps_tau_to_the_longest_side(grid22):
 def test_corner_map_refuses_a_variable_without_bookmarks():
     g = validate_slp2(Slp2([Vert(1, 2), 0, 1, Horiz(1, 1)], 2, 0))     # id 3 is unreachable
     ix = build_index2(g, 2)
-    assert all(ix.tables[corner][3] is None for corner in range(4))
+    assert all(t != 3 for t, *_ in kept(ix))
     for t in (3, 4, -2):        # unreachable, then no such variable
         with pytest.raises(PreconditionViolated):
             corner_map(ix, 0, t, 0, 0, 1, 1)

@@ -3,46 +3,48 @@
 The build stores the bookmarks a fast walk can read, resolved into the step
 a query takes: it starts at the state the walk reads first and builds each
 state (variable, side or corner, level or level pair) the walk's own
-transitions reach, plus the states those copy from. The 1D index keeps
-only the states the walk reaches, each slot naming the state the walk
-enters next, and is checked through those codes to be exactly the walk's
-closure. A built slot lies at a level each variable stores: up to its cap
-and below the level (on each axis in 2D) at which a walk descends from it
-instead. A state copies a child's slot wherever a block lies wholly inside
-either child in line with that child's block grid and the child stores
-that level, the child's state built first, and descends for the other
-blocks, exactly once each: a
-counted build's descents are checked block by block against that rule,
-restricted to the states it built and within the rule over every state,
-pinned on the benchmark's comb and staircase (which build nothing), the
-zigzags and the doublings, and the built slots against
-builds with fewer copies, on grammars whose every split is aligned and on
-a far child shorter than the block. The built states are checked against
-a closure of the walk's transitions written here from the reference
-``hook_offset1``/``hook_offset2``, and the walks to every position against
-the slots built. These properties check every built slot against the step
-resolved from the reference hook of its window, the stored levels against
-the finish rule, the slot and entry counts against the number of windows,
-the builds' own slot count against their cap (exact, and refusing before
-it allocates where a build would be large), that equal steps are stored as
-one object, the fast and the traced access against the expansion and
-against the library's root-to-leaf descent from every side or corner, and
-that the checked steps refuse a corrupt step and resolve an unbuilt one by
-descent, on random SLPs, left and right combs (deep, mostly copied on one
-side and descended on the other), 2D combs along either axis, staircases
-and zigzags. The turn bounds are checked against the point walks to every
-cell, the zigzags against keeping their tables, and every fast walk on these, the
-benchmark's inputs and the gen corpus against its bound in reads, moves
-and bisects, with the turn rule's finish running along the chains. The descents
-that run along heavy-path chains over long runs of moves are checked
-against the plain walk, run by run, window by window and table by table,
-on these and on the benchmark's own comb and staircase, and the chains
-against their layout and path-count bound. The grammar's move records are
-checked against its child, length and axis arrays and, through every walk
-that reads them, against the expansion; a grammar that is no SLP is
-refused by the arity check before any walk; and the index's per-variable
-top levels, marks and 2D first step follow from the heights and the turn
-bounds.
+transitions reach, plus the states those copy from. Each index keeps only
+the states the walk reaches, each slot naming the state the walk enters
+next (in 2D, one for each level that can drop), with one shared sentinel
+state at every other id, and is checked through those codes to be exactly
+the walk's closure. A kept slot lies at a level each variable stores: up
+to its cap and below the level (on each axis in 2D) at which a walk
+descends from it instead. A state copies a child's slot wherever a block
+lies wholly inside either child in line with that child's block grid and
+the child stores that level, the child's state built first, and descends
+for the other blocks, exactly once each: a counted build's descents are
+checked block by block against that rule, restricted to the states it
+built and within the rule over every state, pinned on the benchmark's comb
+and staircase (which build nothing), the zigzags and the doublings, and
+the kept slots against builds with fewer copies, on grammars whose every
+split is aligned and on a far child shorter than the block. The kept
+states are checked against a closure of the walk's transitions written
+here from the reference ``hook_offset1``/``hook_offset2``, and the walks to
+every position against the slots kept. These properties check every kept
+slot against the step resolved from the reference hook of its window, the
+stored levels against the finish rule, the slot and entry counts against
+the number of windows, the builds' own slot count against their cap
+(exact, and refusing before it allocates where a build would be large),
+that equal steps are stored as one object, the fast and the traced access
+against the expansion and against the library's root-to-leaf descent from
+every side or corner, that the traced 2D walk reads the slots the fast one
+reads, that the checked steps refuse a corrupt step and resolve a state
+the index does not keep by descent, and that the fast walks refuse a code
+the index does not keep, on random SLPs, left and right combs (deep,
+mostly copied on one side and descended on the other), 2D combs along
+either axis, staircases and zigzags. The turn bounds are checked against
+the point walks to every cell, the zigzags against keeping their states,
+and every fast walk on these, the benchmark's inputs and the gen corpus
+against its bound in reads, moves and bisects, with the turn rule's finish
+running along the chains. The descents that run along heavy-path chains
+over long runs of moves are checked against the plain walk, run by run,
+window by window and index by index, on these and on the benchmark's own
+comb and staircase, and the chains against their layout and path-count
+bound. The grammar's move records are checked against its child, length
+and axis arrays and, through every walk that reads them, against the
+expansion; a grammar that is no SLP is refused by the arity check before
+any walk; and the index's per-variable top levels and first codes follow
+from the heights and the turn bounds.
 """
 
 import os
@@ -96,9 +98,9 @@ from gridgram import access1d, access2d
 from gridgram.access1d import FINISH, PLAIN, _chains, _copied, _heavy, _hook_core, _run1, _turns
 from gridgram.access2d import FINISH2, _hook_core2, _run2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import (comb1, comb2, decoded1, expand_all_1d, expand_all_2d, kept1, made_slots,
-                      reachable, staircase2, state_key1, submatrix, variable1, wrap_slots1,
-                      zigzag1, zigzag2)
+from conftest import (comb1, comb2, decoded, expand_all_1d, expand_all_2d, kept, made_slots,
+                      reachable, staircase2, state_key1, state_key2, state_of, submatrix,
+                      variable, wrap_slots, zigzag1, zigzag2)
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
@@ -203,12 +205,30 @@ def turns_of(g):
     return _turns(g._moves, g._topo, [_heavy(g._moves, g._topo, side) for side in (0, 1)])
 
 
+_TURNS = {}
+
+
+def turns2(g):
+    """``turns_of(g)``, computed once per grammar."""
+    got = _TURNS.get(id(g))
+    if got is None or got[0] is not g:
+        got = _TURNS[id(g)] = (g, turns_of(g))
+    return got[1]
+
+
+def mark2(g, c):
+    """Variable c's mark, ceil(height / FINISH2): the level from which, on
+    either axis, a walk descends from it by the height rule."""
+    return -(-g._height[c] // FINISH2)
+
+
 def stores2(ix, c, p_r, p_c):
     """Whether variable c of a 2D index stores the level pair: each level
     at most its cap and below its mark, and the reads a walk has left
     there, p_r + p_c + 1, below its turn bound."""
-    return (p_r <= min(ix.cap_r[c], ix.mark[c] - 1) and p_c <= min(ix.cap_c[c], ix.mark[c] - 1)
-            and p_r + p_c + 1 < ix.turns[c])
+    mark = mark2(ix.grammar, c)
+    return (p_r <= min(ix.cap_r[c], mark - 1) and p_c <= min(ix.cap_c[c], mark - 1)
+            and p_r + p_c + 1 < turns2(ix.grammar)[c])
 
 
 # the oracle below walks from each slot's variable, so its cost grows with
@@ -240,68 +260,59 @@ def test_build1_stores_every_window_hook(g, tau):
         assert ix.mark[i] == -(-height[i] // FINISH)
         assert top == max(-1, min(cap, ix.mark[i] - 1, turns[i] - 2))
         grid += 2 * axis_blocks(m, top, T)
-    kept, view = kept1(ix), decoded1(ix)
-    for (i, side, p), slots in kept.items():
+    states, view = kept(ix), decoded(ix)
+    for (i, side, p), slots in states.items():
         m = g._lens[i]
         assert i in ids and p <= ix.top[i] and len(slots) == len(blocks(m, ix.pows[p], T))
         for k, b, e in blocks(m, ix.pows[p], T):
             step = step1(g, i, side, *((m - e, m - b) if side else (b, e)))
             assert slots[k][0] == b + step[0]
             assert view[side, i, p * T + k] == step
-    built = sum(map(len, kept.values()))
+    built = sum(map(len, states.values()))
     assert grid >= built == ix.entry_count() == len(stored(ix))
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(longest=70), tau=FINISH_TAUS)
 def test_build2_stores_every_window_hook(g, tau):
-    """Every built slot holds its block's hook step, as the plain walk finds
-    it; a variable's grid, once built, ends at min(cap, ceil(height /
-    FINISH2) - 1, turns - 2) on each axis, and its built slots lie at level
-    pairs whose sum is at most turns - 2; the slot count of those pairs is
-    the bound the built slots stay within."""
+    """Every kept slot holds its block's hook step, as the plain walk finds
+    it, its codes decoded; a kept state lies at a level pair up to its
+    variable's caps, each level below ceil(height / FINISH2) and their sum
+    at most turns - 2, and has one slot per block of that pair, in
+    row-major order; one slot per block of every such pair and corner is
+    the bound the kept slots stay within."""
     ix = build_index2(g, tau)
     T = ix.tau
     assert T == min(tau, max(2, g._rows[g.start], g._cols[g.start]))
     height = heights(g)
     assert ix.grammar._height == height
-    assert ix.turns == turns_of(g)
     ids = reachable(g)
-    grid = built = 0
+    grid = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
         if i not in ids:
-            assert all(ix.tables[corner][i] is None for corner in range(4))
             continue
-        cap_r, cap_c, mark = ix.cap_r[i], ix.cap_c[i], ix.mark[i]
+        cap_r, cap_c, mark = ix.cap_r[i], ix.cap_c[i], -(-height[i] // FINISH2)
         assert T ** cap_r <= m_r < T ** (cap_r + 1) and T ** cap_c <= m_c < T ** (cap_c + 1)
-        assert mark == -(-height[i] // FINISH2)
-        turn = ix.turns[i]
+        turn = turns2(g)[i]
         top_r, top_c = max(-1, min(cap_r, mark - 1, turn - 2)), max(-1, min(cap_c, mark - 1,
                                                                               turn - 2))
-        # one slot per block: an H x W grid of the row and the column blocks,
-        # of which the pairs with p_r + p_c <= turns - 2 are stored
-        H, W = axis_blocks(m_r, top_r, T), axis_blocks(m_c, top_c, T)
-        assert ix.width[i] == W
+        # of the pairs up to the tops, those with p_r + p_c <= turns - 2 are stored
         pairs = [(p_r, p_c) for p_r, p_c in product(range(top_r + 1), range(top_c + 1))
                  if p_r + p_c + 2 <= turn]
         assert all(stores2(ix, i, p_r, p_c) for p_r, p_c in pairs)
         grid += 4 * sum(len(blocks(m_r, ix.pows[p_r], T)) * len(blocks(m_c, ix.pows[p_c], T))
                         for p_r, p_c in pairs)
-        for corner in range(4):
-            table = ix.tables[corner][i]
-            if table is None:
-                continue
-            assert len(table) == H * W
-            for p_r, p_c in pairs:
-                for (k_r, b_r, e_r), (k_c, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
-                                                                blocks(m_c, ix.pows[p_c], T)):
-                    slot = table[(p_r * T + k_r) * W + p_c * T + k_c]
-                    if slot is not None:
-                        built += 1
-                        rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
-                        cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-                        assert slot == step2(g, i, corner, rb, cb, re, ce)
-    assert grid >= built == ix.entry_count() == len(stored(ix))
+    view = decoded(ix)
+    for (i, corner, p_r, p_c), slots in kept(ix).items():
+        m_r, m_c = g._rows[i], g._cols[i]
+        rows_, cols_ = blocks(m_r, ix.pows[p_r], T), blocks(m_c, ix.pows[p_c], T)
+        assert i in ids and stores2(ix, i, p_r, p_c) and len(slots) == len(rows_) * len(cols_)
+        for (k_r, b_r, e_r), (k_c, b_c, e_c) in product(rows_, cols_):
+            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+            assert view[corner, i, p_r, p_c, k_r * len(cols_) + k_c] == \
+                step2(g, i, corner, rb, cb, re, ce)
+    assert grid >= ix.entry_count() == len(stored(ix)) == len(view)
 
 
 # -- the walk's closure: the states a build builds --------------------------------
@@ -386,12 +397,17 @@ def copy_sources2(ix, states):
 
 def closure2(ix):
     """``closure1`` in 2D, over (variable, corner, p_r, p_c): a row step
-    lowers p_r and a column step p_r or p_c (both are followed), each level
-    is capped by the child's cap, and a pair the child does not store
-    (``stores2``) ends the walk there."""
+    lowers p_r, and a column step p_r where the new row delta, the block's
+    shift inside the hook plus a row of the block, is at most tau**p_r and
+    p_r > 0, and p_c where it is more or p_r is 0 (each of those a row of
+    the block reaches is followed); each level is capped by the child's
+    cap, and a pair the child does not store (``stores2``) ends the walk
+    there."""
     g, T = ix.grammar, ix.tau
     rows, cols = g._rows, g._cols
-    todo = [] if ix.first is None else [(g.start, 0, *ix.first)]
+    s = g.start
+    todo = [(s, 0, ix.cap_r[s], ix.cap_c[s])] if stores2(ix, s, ix.cap_r[s], ix.cap_c[s]) \
+        else []
     walked = set(todo)
     while todo:
         i, corner, p_r, p_c = todo.pop()
@@ -400,13 +416,16 @@ def closure2(ix):
                                                     blocks(m_c, ix.pows[p_c], T)):
             rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
             cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-            axis, _, near, far, _ = step2(g, i, corner, rb, cb, re, ce)
+            axis, _, near, far, shift = step2(g, i, corner, rb, cb, re, ce)
             if far is None:
                 continue
+            tpr = ix.pows[p_r]
             if axis:
                 levels, flip = [(p_r - 1, p_c)], corner ^ 2
             else:
-                levels, flip = [(p_r - 1, p_c)] * (p_r > 0) + [(p_r, p_c - 1)], corner ^ 1
+                levels = [(p_r - 1, p_c)] * (p_r > 0 and shift + 1 <= tpr) + \
+                    [(p_r, p_c - 1)] * (p_r == 0 or shift + e_r - b_r > tpr)
+                flip = corner ^ 1
             for c, to in ((near, flip), (far, corner)):
                 for q_r, q_c in levels:
                     state = (c, to, min(q_r, ix.cap_r[c]), min(q_c, ix.cap_c[c]))
@@ -423,28 +442,16 @@ def slots1(ix, states):
 
 
 def slots2(ix, states):
-    """(corner, variable, slot) of every block of the 2D states."""
+    """(corner, variable, p_r, p_c, slot) of every block of the 2D states."""
     T = ix.tau
-    return {(corner, i, (p_r * T + k_r) * ix.width[i] + p_c * T + k_c)
-            for i, corner, p_r, p_c in states
-            for k_r, _, _ in blocks(ix.rows[i], ix.pows[p_r], T)
-            for k_c, _, _ in blocks(ix.cols[i], ix.pows[p_c], T)}
-
-
-def view(ix):
-    """{(side or corner, variable, slot): step} of every slot ix holds: in
-    1D the kept states' slots, decoded (``decoded1``), in 2D the built
-    slots of the tables."""
-    if isinstance(ix, gridgram.AccessIndex1):
-        return decoded1(ix)
-    return {(side, t, at): v for side, lists in enumerate(ix.tables)
-            for t, table in enumerate(lists) if table is not None
-            for at, v in enumerate(table) if v is not None}
+    return {(corner, i, p_r, p_c, at) for i, corner, p_r, p_c in states
+            for at in range(len(blocks(ix.rows[i], ix.pows[p_r], T))
+                            * len(blocks(ix.cols[i], ix.pows[p_c], T)))}
 
 
 def built_slots(ix):
-    """(side or corner, variable, slot) of every slot ix holds."""
-    return set(view(ix))
+    """The address (``decoded``) of every slot ix keeps."""
+    return set(decoded(ix))
 
 
 class Slots(list):
@@ -461,15 +468,17 @@ class Slots(list):
 
 
 def read_slots(ix):
-    """Wrap every slot list of ix in Slots; returns the shared log of
-    (side or corner, variable, slot)."""
+    """Wrap every slot list of ix in Slots; returns the shared log of the
+    addresses (``decoded``) of the slots read."""
     log = set()
-    if isinstance(ix, gridgram.AccessIndex1):
-        wrap_slots1(ix, lambda slots, state: Slots(slots, (state[1], state[0]), log,
-                                                   state[2] * ix.tau))
-        return log
-    ix.tables = [[None if t is None else Slots(t, (side, v), log) for v, t in enumerate(lists)]
-                 for side, lists in enumerate(ix.tables)]
+
+    def wrap(slots, state):
+        if len(state) == 3:         # (t, side, p): at (side, t, p * tau + k)
+            return Slots(slots, (state[1], state[0]), log, state[2] * ix.tau)
+        t, corner, p_r, p_c = state
+        return Slots(slots, (corner, t, p_r, p_c), log)
+
+    wrap_slots(ix, wrap)
     return log
 
 
@@ -482,7 +491,7 @@ def test_build1_builds_the_walks_closure(g, tau):
     its cap."""
     ix = build_index1(g, tau)
     walked, _ = closure1(ix)
-    assert set(kept1(ix)) == walked and built_slots(ix) == slots1(ix, walked)
+    assert set(kept(ix)) == walked and built_slots(ix) == slots1(ix, walked)
     assert ix.entry_count() == len(slots1(ix, walked)) <= made_slots(g, tau, 1)[1]
     log = read_slots(ix)
     for i, want in enumerate(expand1(g), start=1):
@@ -498,12 +507,11 @@ def assert_state_machine1(ix):
     that is its cap, the side flipped in the near child); every negative
     code is the finish code of a child whose level the walk does not store,
     with that side and the finish rule that descends from it; and
-    entry_count() is the kept slots, all the slots the index holds.
+    entry_count() is the kept slots, all the slots the index holds; every
+    other id holds one shared sentinel state (``assert_sentinel``).
     Returns (kept states, kept slots)."""
     g, T, top, cap, mark = ix.grammar, ix.tau, ix.top, ix.cap, ix.mark
-    kept = {j for j, state in enumerate(ix.states) if state is not None}
-    assert sorted(ix.ids.values()) == sorted(kept)
-    assert all(ix.keys[j] == key for key, j in ix.ids.items())
+    kept = assert_sentinel(ix)
     s = g.start
     if top[s] < cap[s]:
         assert not kept and ix.first == ~(s * 4 + (cap[s] < mark[s]))
@@ -515,8 +523,7 @@ def assert_state_machine1(ix):
         if j in reached:
             continue
         reached.add(j)
-        t, side, p = next(state for state, slots in kept1(ix).items()
-                          if slots is ix.states[j][1])
+        t, side, p = state_of(ix, ix.keys[j])
         m = g._lens[t]
         for k, b, e in blocks(m, ix.pows[p], T):
             S, near, far = ix.states[j][1][k]
@@ -543,6 +550,24 @@ def assert_state_machine1(ix):
     return len(kept), slots
 
 
+def assert_sentinel(ix):
+    """The ids of the kept states are exactly ``ids``' values, each naming
+    its key, and every other id holds one shared sentinel entry whose one
+    slot steps back into a sentinel id without moving delta. Returns the
+    kept ids."""
+    kept = set(ix.ids.values())
+    assert len(kept) == len(ix.ids) and all(ix.keys[j] == key for key, j in ix.ids.items())
+    others = {id(ix.states[j]) for j in range(len(ix.keys)) if j not in kept}
+    assert len(ix.states) == len(ix.keys) and len(others) <= 1
+    if others:
+        u = min(j for j in range(len(ix.keys)) if j not in kept)
+        sentinel = ix.states[u]
+        top = ix.pows[-1]
+        assert sentinel == ((top, [(0, u, u)]) if isinstance(ix, gridgram.AccessIndex1)
+                            else (top, top, 1, [(1, 0, (u, u), (u, u), 0)]))
+    return kept
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=st.integers(2, 9))
 def test_index1_is_exactly_the_walks_closure(g, tau):
@@ -558,32 +583,105 @@ def test_index1_keeps_the_walks_states_on_the_benchmark_shapes():
     assert assert_state_machine1(build_index1(random_slp1(7, 200, 4, 2 ** 20), 8)) == (115, 805)
 
 
+def code2(ix, c, q_r, q_c, corner):
+    """The code access2's rule gives a step into c's corner at the level
+    pair (q_r, q_c): each level capped by c's cap, the id of c's kept state
+    there when c stores the pair, its finish code otherwise."""
+    q_r, q_c = min(q_r, ix.cap_r[c]), min(q_c, ix.cap_c[c])
+    if stores2(ix, c, q_r, q_c):
+        return ix.ids[state_key2(ix, c, corner, q_r, q_c)]
+    return ~(c * 8 + corner * 2 + (max(q_r, q_c) < mark2(ix.grammar, c)))
+
+
+def assert_state_machine2(ix):
+    """``assert_state_machine1`` in 2D: every kept state is reached from
+    the first through the slots' codes; each code of a real step is the
+    pair of what the walk enters in that child when p_r drops and when p_c
+    drops (``code2``), corner flipped in the near child: a row step, or a
+    column step whose block's every row lands at most tau**p_r with
+    p_r > 0, holds the p_r drop twice, and one whose every row lands past
+    it, or at p_r 0, the p_c drop twice; every kept slot's step is the
+    plain walk's (``step2``); and entry_count() is the kept slots. Returns
+    (kept states, kept slots)."""
+    g, T = ix.grammar, ix.tau
+    kept = assert_sentinel(ix)
+    s = g.start
+    if stores2(ix, s, ix.cap_r[s], ix.cap_c[s]):
+        assert ix.first == 0 and ix.keys[0] == state_key2(ix, s, 0, ix.cap_r[s], ix.cap_c[s])
+    else:
+        assert not kept and ix.first == ~(s * 8 + (max(ix.cap_r[s], ix.cap_c[s]) < mark2(g, s)))
+    reached, todo = set(), [ix.first] if ix.first >= 0 else []
+    while todo:
+        j = todo.pop()
+        if j in reached:
+            continue
+        reached.add(j)
+        t, corner, p_r, p_c = state_of(ix, ix.keys[j])
+        m_r, m_c, tpr = g._rows[t], g._cols[t], ix.pows[p_r]
+        rows_, cols_ = blocks(m_r, tpr, T), blocks(m_c, ix.pows[p_c], T)
+        for (k_r, b_r, e_r), (k_c, b_c, e_c) in product(rows_, cols_):
+            slot = ix.states[j][3][k_r * len(cols_) + k_c]
+            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+            axis, split, x, y, shift = step2(g, t, corner, rb, cb, re, ce)
+            if y is None:
+                assert slot == (axis, split, x, y, shift)
+                continue
+            assert (slot[0], slot[1], slot[4]) == (axis, split, shift)
+            down_r = (p_r - 1, p_c) if p_r and (axis or shift + 1 <= tpr) else None
+            down_c = (p_r, p_c - 1) if not axis and (p_r == 0 or shift + e_r - b_r > tpr) \
+                else None
+            for code, c, to in ((slot[2], x, corner ^ (2 if axis else 1)), (slot[3], y, corner)):
+                want = tuple(code2(ix, c, *pair, to) for pair in
+                             (down_r or down_c, down_c or down_r))
+                assert code == want
+                runs = [~v & 1 for v in want if v < 0]
+                assert ix.chains or not any(runs)
+                todo += [v for v in want if v >= 0]
+    assert reached == kept
+    slots = sum(len(ix.states[j][3]) for j in kept)
+    assert ix.entry_count() == slots
+    return len(kept), slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=grammars2(), tau=st.integers(2, 9))
+def test_index2_is_exactly_the_walks_closure(g, tau):
+    assert_state_machine2(build_index2(g, tau))
+
+
+def test_index2_keeps_the_walks_states_on_the_benchmark_shapes():
+    """Pinned: the kept states and slots of the 200-step zigzag at tau 8
+    and of the benchmark's gen SLP (seed 7, 200 rules, 480 x 2136) at tau
+    16, where its walk reads."""
+    zig = zigzag2([random.Random(3).randrange(4) for _ in range(203)], 200)
+    assert assert_state_machine2(build_index2(zig, 8)) == (674, 14_178)
+    assert assert_state_machine2(build_index2(random_slp2(7, 200, 4, 2 ** 20), 16)) == \
+        (89, 11_636)
+
+
 # about one 2D draw in five is deep enough for its walk to read a table
 @settings(max_examples=100, deadline=None)
 @given(g=grammars2(longest=70), tau=FINISH_TAUS)
 def test_build2_builds_the_walks_closure(g, tau):
-    """The 2D case: exactly the closure's states and their copies' are
-    built, and the fast walk to every cell reads built slots only; every
-    built slot is one the build counts against its cap."""
+    """The 2D case: the index keeps exactly the closure's states, no slot
+    else, and the fast walk to every cell reads kept slots only; every
+    kept slot is one the build counts against its cap."""
     ix = build_index2(g, tau)
-    walked, built = closure2(ix)
-    assert built_slots(ix) == slots2(ix, built)
-    assert ix.entry_count() == len(slots2(ix, built)) <= made_slots(g, tau, 2)[1]
+    walked, _ = closure2(ix)
+    assert set(kept(ix)) == walked and built_slots(ix) == slots2(ix, walked)
+    assert ix.entry_count() == len(slots2(ix, walked)) <= made_slots(g, tau, 2)[1]
     log = read_slots(ix)
     m = expand2(g)
     for i in range(1, m.rows + 1):
         for j in range(1, m.cols + 1):
             assert access2(ix, i, j) == m.get(i, j)
-    assert log <= slots2(ix, walked) and all(ix.tables[corner][t][at] is not None
-                                             for corner, t, at in log)
+    assert log <= slots2(ix, walked)
 
 
 def stored(ix):
-    """Every slot a 1D index keeps, or a 2D index built, as stored."""
-    if isinstance(ix, gridgram.AccessIndex1):
-        return [v for slots in kept1(ix).values() for v in slots]
-    return [v for lists in ix.tables for slots in lists if slots is not None
-            for v in slots if v is not None]
+    """Every slot an index keeps, as stored."""
+    return [v for slots in kept(ix).values() for v in slots]
 
 
 def distinct_objects_are_distinct_values(steps):
@@ -656,14 +754,15 @@ def test_builds_refuse_a_float_tau_or_cap():
 
 
 def test_builds_refuse_fast_past_the_cap():
-    """A build counts its slots as it plans each state (1D) or allocates
-    each grid (2D), before any descent or copy for them, so one past the
-    cap is refused before it allocates much. Under DEFAULT_CAP: the k = 40
-    Fibonacci SLP at tau 2**27, whose level-0 states hold up to 2**27
-    blocks each, and a 2D doubling grammar, 2**18 x 2**18, at tau 2**18,
-    whose start's grid alone is (2**18 + 1)**2 slots. The gen corpus's 2D
-    text at tau 2136 builds 5,029,504 slots, under DEFAULT_CAP, so it is
-    given a cap below its first grid, 480 x 2137 slots."""
+    """A build counts the slots of each state as it plans it, before any
+    descent or copy for it, so one past the cap is refused before it
+    allocates much. Under DEFAULT_CAP: the k = 40 Fibonacci SLP at tau
+    2**27, whose level-0 states hold up to 2**27 blocks each, and a 2D
+    doubling grammar, 2**18 x 2**18, at tau 2**18, whose states at the
+    level pair (0, 0) hold 2**36 blocks each. The gen corpus's 2D text at
+    tau 2136 fills 4,004,224 slots, under DEFAULT_CAP, so it is given a cap
+    below the second state it plans, 480 x 1944 slots at the level pair
+    (0, 0)."""
     fib = validate_slp1(Slp1([0, 1] + [(i - 1, i - 2) for i in range(2, 41)], 2, 40))
     assert len(fib.rules) == 41 and fib._lens[fib.start] == 165_580_141
     square = doubling2(36)
@@ -706,11 +805,12 @@ def test_a_cap_of_the_slots_a_build_makes_is_exact(tau):
         assert all(getattr(capped, f) == getattr(ix, f) for f in type(ix).__slots__)
         with pytest.raises(ExpansionTooLarge, match=f"expansion cap of {slots - 1}$"):
             build(g, tau, slots - 1)
-    # 1D fills its copy-only sources too: zigzag1 keeps 2,340 of its 32,382
-    # slots at tau 8, and 2,184 of 63,810 at tau 16
-    assert made == {8: {"zigzag1": 32_382, "zigzag2": 97_814, "gen1": 1_417, "gen2": 0},
-                    16: {"zigzag1": 63_810, "zigzag2": 158_234, "gen1": 2_418,
-                         "gen2": 36_340}}[tau]
+    # both fill their copy-only sources too: zigzag1 keeps 2,340 of its
+    # 32,382 slots at tau 8, and 2,184 of 63,810 at tau 16; zigzag2 14,178
+    # of 46,901 and 10,720 of 116,234
+    assert made == {8: {"zigzag1": 32_382, "zigzag2": 46_901, "gen1": 1_417, "gen2": 0},
+                    16: {"zigzag1": 63_810, "zigzag2": 116_234, "gen1": 2_418,
+                         "gen2": 15_700}}[tau]
 
 
 @settings(max_examples=60, deadline=None)
@@ -871,11 +971,8 @@ def test_hook_core2_runs_like_the_plain_walk(g, data):
 
 
 def layout(ix):
-    """What an index holds: the 1D states and their directory, or the 2D
-    tables."""
-    if isinstance(ix, gridgram.AccessIndex1):
-        return ix.first, ix.states, ix.keys, ix.ids
-    return ix.tables
+    """What an index holds: its states and their directory."""
+    return ix.first, ix.states, ix.keys, ix.ids
 
 
 def assert_same_tables(ix, plain):
@@ -916,14 +1013,14 @@ def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
     zigzags of the same sizes, which keep their tables."""
     comb, stair, zig1, zig2 = deep_shapes()
     assert len(comb.rules) == len(zig1.rules) == 2000
-    # the walk's closure builds no slot on the staircase, and 48,758 on the
+    # the walk's closure keeps no slot on the staircase, and 14,178 on the
     # zigzag
     for build, g in ((build_index1, comb), (build_index2, stair), (build_index1, zig1),
                      (build_index2, zig2)):
         with plain_builds():
             plain = build(g, 8)
         assert_same_tables(build(g, 8), plain)
-    assert plain.entry_count() == 48_758
+    assert plain.entry_count() == 14_178
 
 
 # -- child copies: the blocks a build takes from a child instead of descending --
@@ -938,7 +1035,7 @@ def uncovered1(ix, far_copies=True, built=False):
     over the states ix built: those it keeps and the states their copies
     read (``copy_sources1``)."""
     g, T = ix.grammar, ix.tau
-    states = copy_sources1(ix, kept1(ix)) if built else None
+    states = copy_sources1(ix, kept(ix)) if built else None
     want = Counter()
     for i in reachable(g):
         rule = g.rules[i]
@@ -965,9 +1062,12 @@ def uncovered2(ix, far_copies=True, built=False):
     are the split's children in order from the corner, sizes are taken on
     the split axis, and a child stores a level pair when each level is at
     most min(cap, mark - 1) on its axis and their sum plus one is below
-    its turn bound (``stores2``). The window is from the NW."""
+    its turn bound (``stores2``). The window is from the NW; with built,
+    over the states ix built: those it keeps and the states their copies
+    read (``copy_sources2``)."""
     g, T = ix.grammar, ix.tau
     rows, cols = g._rows, g._cols
+    states = copy_sources2(ix, kept(ix)) if built else None
     want = Counter()
     for i in reachable(g):
         rule = g.rules[i]
@@ -978,10 +1078,8 @@ def uncovered2(ix, far_copies=True, built=False):
         for corner in range(4):
             near, far = rule.children[::-1] if corner & (2 if horiz else 1) else rule.children
             a = rows[near] if horiz else cols[near]
-            table = ix.tables[corner][i]
             for p_r, p_c in product(range(ix.levels + 1), repeat=2):
-                if not stores2(ix, i, p_r, p_c) or built and (
-                        table is None or table[(p_r * T) * ix.width[i] + p_c * T] is None):
+                if not stores2(ix, i, p_r, p_c) or built and (i, corner, p_r, p_c) not in states:
                     continue
                 tp = ix.pows[p_r if horiz else p_c]
                 stores = [stores2(ix, c, p_r, p_c) for c in (near, far)]
@@ -1060,7 +1158,7 @@ def test_build2_descends_once_per_block_no_child_holds(g, tau):
 
 
 def test_build_work_on_the_benchmark_shapes():
-    """The descents and the slots kept in 1D (built in 2D) of comb-deep's
+    """The descents and the slots kept of comb-deep's
     two shapes at tau 8, the 2,000-rule right comb and the 100-step
     staircase, and of deep shapes that keep their tables, pinned: a build that does more work than
     these fails here, not only in the benchmark's build time. The comb and
@@ -1074,9 +1172,9 @@ def test_build_work_on_the_benchmark_shapes():
             (build_index1, comb, 8, uncovered1, (0, 0)),
             (build_index2, stair, 8, uncovered2, (0, 0)),
             (build_index1, zig1, 8, uncovered1, (2_291, 2_340)),
-            (build_index2, zig2, 8, uncovered2, (6_544, 48_758)),
+            (build_index2, zig2, 8, uncovered2, (6_036, 14_178)),
             (build_index1, doubling1(20), 16, uncovered1, (25, 81)),
-            (build_index2, doubling2(14), 16, uncovered2, (48, 592))):
+            (build_index2, doubling2(14), 16, uncovered2, (48, 320))):
         with descents() as log:
             ix = build(g, tau)
         assert (sum(log.values()), ix.entry_count()) == work
@@ -1102,7 +1200,7 @@ def agree(*indexes):
     """Whether the indexes hold the same step at every slot two of them hold."""
     held = {}
     for ix in indexes:
-        for at, step in view(ix).items():
+        for at, step in decoded(ix).items():
             if held.setdefault(at, step) != step:
                 return False
     return True
@@ -1192,9 +1290,9 @@ def test_a_far_child_shorter_than_the_block_is_descended():
     s, (x, y) = g.start, g.rules[g.start].children
     with descents() as log:
         ix = build_index2(g, 2)
-    p_r = min(ix.cap_r[s], ix.mark[s] - 1)
-    assert ix.first[0] == p_r and g._rows[x] % 2 ** p_r == 0
-    assert ix.cap_r[y] < p_r < ix.mark[y]
+    p_r = min(ix.cap_r[s], mark2(g, s) - 1)
+    assert ix.first == 0 and state_of(ix, ix.keys[0])[2] == p_r and g._rows[x] % 2 ** p_r == 0
+    assert ix.cap_r[y] < p_r < mark2(g, y)
     with copy_rule(no_copies):
         assert agree(ix, build_index2(g, 2))
     assert_descents(log, ix, uncovered2)
@@ -1230,10 +1328,10 @@ def test_move_records_drive_every_walk(g, tau, data):
     """One record per variable, equal to the grammar's own arrays; every
     walk that reads the records answers as the expansion; the 1D index's
     top level per variable is min(cap, ceil(height / FINISH) - 1, turns -
-    2), at least -1, the 2D index's mark ceil(height / FINISH2), and its
-    first step is None exactly when either of the start's caps reaches its
-    mark or their sum plus one its turn bound, and the start's caps
-    otherwise."""
+    2), at least -1, and the 2D index's first code is the start's finish
+    code exactly when either of the start's caps reaches its mark
+    ceil(height / FINISH2) or their sum plus one its turn bound, plain in
+    the first case, and id 0, the start's state at its caps, otherwise."""
     one = isinstance(g, Slg1)
     for v, (kid, move) in enumerate(zip(g._kids, g._moves, strict=True)):
         if kid is None:
@@ -1280,11 +1378,12 @@ def test_move_records_drive_every_walk(g, tau, data):
         hook, off_r, off_c = hook_offset2(g, t, b_r, b_c, e_r, e_c)
         assert submatrix(exp[hook], off_r, off_r + e_r - b_r, off_c, off_c + e_c - b_c) == \
             submatrix(exp[t], b_r, e_r, b_c, e_c)
-    assert ix.mark == [-(-h // FINISH2) for h in ix.grammar._height]
-    assert ix.turns == turns_of(g)
-    cap_r, cap_c = ix.cap_r[start], ix.cap_c[start]
-    finished = max(cap_r, cap_c) >= ix.mark[start] or cap_r + cap_c + 1 >= ix.turns[start]
-    assert ix.first == (None if finished else (cap_r, cap_c))
+    cap_r, cap_c, mark = ix.cap_r[start], ix.cap_c[start], mark2(g, start)
+    plain = max(cap_r, cap_c) >= mark
+    if plain or cap_r + cap_c + 1 >= turns_of(g)[start]:
+        assert ix.first == ~(start * 8 + (not plain))
+    else:
+        assert ix.first == 0 and ix.keys[0] == state_key2(ix, start, 0, cap_r, cap_c)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1323,7 +1422,7 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
     ix = build_index1(g, 2)
     slots = ix.states[0][1]         # the first state: the start's left side at its cap, 11
     assert ix.cap[g.start] == 11 and ix.keys[0] == state_key1(ix, g.start, 0, 11)
-    assert decoded1(ix)[0, g.start, 11 * 2] == (613, 11, 1) and slots[0][0] == 613
+    assert decoded(ix)[0, g.start, 11 * 2] == (613, 11, 1) and slots[0][0] == 613
     slots[0] = swapped(slots[0], 2)
     raised = 0
     for i, want in enumerate(expand1(g), start=1):
@@ -1343,10 +1442,11 @@ def test_access2_traced_never_answers_wrong_on_a_swapped_step():
     g = zigzag2([rng.randrange(4) for _ in range(83)], 80)
     ix = build_index2(g, 2)
     t = g.start
-    table = ix.tables[0][t]         # the start's block (0, 0) at its caps, levels (5, 5)
-    at = (5 * 2 + 0) * ix.width[t] + 5 * 2 + 0
-    assert ix.first == (5, 5) and ix.turns[t] == 80 and table[at] == (0, 1, 161, 160, 0)
-    table[at] = swapped(table[at], 3)
+    # the first state: the start's NW corner at its caps (5, 5); its block (0, 0)
+    slots = ix.states[0][3]
+    assert ix.keys[0] == state_key2(ix, t, 0, 5, 5) and turns_of(g)[t] == 80
+    assert decoded(ix)[0, t, 5, 5, 0] == (0, 1, 161, 160, 0)
+    slots[0] = swapped(slots[0], 3)
     m = expand2(g)
     raised = wrong = 0
     for i in range(1, m.rows + 1):
@@ -1372,7 +1472,7 @@ def test_side_map_refuses_a_wrong_literal_step():
     ix = build_index1(g, 2)
     assert access1_traced(ix, 4) == (2, 4) and ix.top[9] == -1
     assert side_map(ix, 0, 9, 0, 1) == (9, 1, 0)
-    slots = kept1(ix)[5, 0, 0]
+    slots = kept(ix)[5, 0, 0]
     assert ix.top[5] == 0 and slots == [(0, 9, None), (1, 10, None)]
     # X5's block on c, from the left, claiming to be d
     slots[0] = (0, 10, None)
@@ -1390,17 +1490,17 @@ def test_corner_map_refuses_a_wrong_literal_step():
     g = zigzag2([0, 1, 2, 3, 0, 1, 2, 3], 3)
     ix = build_index2(g, 2)
     s, m = g.start, expand2(g)
-    assert m.cells == [2, 0, 3, 1, 1, 0] and ix.turns[s] == 2 and stores2(ix, s, 0, 0)
-    assert ix.first is None and ix.entry_count() == 0
-    assert ix.tables[0][2] is None  # a literal stores no level pair
+    assert m.cells == [2, 0, 3, 1, 1, 0] and turns_of(g)[s] == 2 and stores2(ix, s, 0, 0)
+    assert ix.first < 0 and ix.entry_count() == 0 and ix.states == []
     for corner in range(4):
         code = m.get(m.rows if corner & 2 else 1, m.cols if corner & 1 else 1)
         assert corner_map(ix, corner, s, 0, 0, 1, 1) == (code, 1, 1, 0)
         assert corner_map(ix, corner, code, 0, 0, 1, 1) == (code, 1, 1, 0)
-        # S's level pair (0, 0) written in, its block on the corner's cell
-        # claiming to be another literal
-        ix.tables[corner][s] = [None] * (2 * ix.width[s])
-        ix.tables[corner][s][0] = (0, 0, code ^ 1, None, 0)
+        # S's state at the level pair (0, 0) written in, 3 x 2 blocks, its
+        # block on the corner's cell claiming to be another literal
+        ix.ids[state_key2(ix, s, corner, 0, 0)] = len(ix.keys)
+        ix.keys.append(state_key2(ix, s, corner, 0, 0))
+        ix.states.append((1, 1, 2, [(0, 0, code ^ 1, None, 0)] + [None] * 5))
         with pytest.raises(PreconditionViolated, match="literal step"):
             corner_map(ix, corner, s, 0, 0, 1, 1)
 
@@ -1435,11 +1535,7 @@ class Reads(list):
 def logged(ix):
     """Wrap every slot list of ix in Reads; returns the shared log."""
     log = []
-    if isinstance(ix, gridgram.AccessIndex1):
-        wrap_slots1(ix, lambda slots, state: Reads(slots, log))
-    else:
-        ix.tables = [[None if t is None else Reads(t, log) for t in lists]
-                     for lists in ix.tables]
+    wrap_slots(ix, lambda slots, state: Reads(slots, log))
     return log
 
 
@@ -1526,53 +1622,42 @@ def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
 @given(g=grammars2(), tau=FINISH_TAUS)
 def test_finish2_is_exact_and_stores_steps_only_below_the_mark(g, tau):
     """Both walks answer as the expansion at every tau of the finish sweep,
-    every built slot without a far child is a literal step, and every built
-    slot lies at a level pair whose two levels are both below its
+    every kept slot without a far child is a literal step, and every kept
+    state lies at a level pair whose two levels are both below its
     variable's mark: a finish is never stored."""
     ix = build_index2(g, tau)
     m = expand2(g)
     for i in range(1, m.rows + 1):
         for j in range(1, m.cols + 1):
             assert access2(ix, i, j) == access2_traced(ix, i, j)[0] == m.get(i, j)
-    for corner in ix.tables:
-        for t, table in enumerate(corner):
-            for at, v in enumerate(table or ()):
-                if v is None:
-                    continue        # not built
-                assert not one_child_step_to_a_pair2(ix, v)
-                row, col = divmod(at, ix.width[t])
-                assert row // ix.tau < ix.mark[t] > col // ix.tau
+    for (t, _, p_r, p_c), slots in kept(ix).items():
+        assert p_r < mark2(g, t) > p_c
+        assert not any(one_child_step_to_a_pair2(ix, v) for v in slots)
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS)
 def test_finish2_changes_the_tables_only_by_markers(g, tau):
     """Against a build with FINISH2 = FINISH = 2, every slot both builds
-    hold is the same step, every slot the FINISH2 rule holds lies at a
-    level pair below its mark, and every slot only the low build holds at
+    keep is the same step, every slot the FINISH2 rule keeps lies at a
+    level pair below its mark, and every slot only the low build keeps at
     a pair the FINISH2 rule does not store is at a level pair the FINISH2
-    rule finishes at: the tables differ only by the slots the higher factor
-    leaves out and by the states each walk reaches."""
+    rule finishes at: the indexes differ only by the slots the higher
+    factor leaves out and by the states each walk reaches."""
     ix = build_index2(g, tau)
     with mock.patch.object(access2d, "FINISH2", 2):
         low = build_index2(g, tau)
     assert ix.grammar._height == low.grammar._height
     assert ix.cap_r == low.cap_r and ix.cap_c == low.cap_c
-    for t, (mark, low_mark) in enumerate(zip(ix.mark, low.mark)):
-        h = ix.grammar._height[t]
-        assert mark == -(-h // FINISH2) <= low_mark == -(-h // 2)
-    for corner, t, at in built_slots(ix):
-        row, col = divmod(at, ix.width[t])
-        assert row // ix.tau < ix.mark[t] > col // ix.tau
-    for corner, t, at in built_slots(low):
-        row, col = divmod(at, low.width[t])
-        p_r, p_c = row // ix.tau, col // ix.tau
-        if p_r >= ix.mark[t] or p_c >= ix.mark[t]:
-            assert ix.grammar._height[t] <= FINISH2 * max(p_r, p_c)
+    for corner, t, p_r, p_c, _ in built_slots(ix):
+        assert p_r < mark2(g, t) > p_c
+    mine = decoded(ix)
+    for at, step in decoded(low).items():
+        _, t, p_r, p_c, _ = at
+        if p_r >= mark2(g, t) or p_c >= mark2(g, t):
+            assert g._height[t] <= FINISH2 * max(p_r, p_c)
             continue
-        table = ix.tables[corner][t]
-        mine = None if table is None else table[row * ix.width[t] + col]
-        assert mine is None or mine == low.tables[corner][t][at]
+        assert mine.get(at, step) == step
 
 
 @settings(max_examples=30, deadline=None)
@@ -1706,11 +1791,7 @@ def tallied(ix):
     head read), and ("moves", "first") is the variable the walk descended
     from. Returns the Counter, to be cleared between walks."""
     tally = Counter()
-    if isinstance(ix, gridgram.AccessIndex1):
-        wrap_slots1(ix, lambda slots, state: Tallied(slots, tally, "reads"))
-    else:
-        ix.tables = [[None if t is None else Tallied(t, tally, "reads") for t in lists]
-                     for lists in ix.tables]
+    wrap_slots(ix, lambda slots, state: Tallied(slots, tally, "reads"))
     ix.moves = Tallied(ix.moves, tally, "moves")
     if ix.chains is not None:
         ix.chains = tuple((*chain[:2], Tallied(chain[2], tally, "bisects"), *chain[3:])
@@ -1727,10 +1808,9 @@ def test_access_runs_along_the_chains_where_the_turn_rule_finishes():
         one = isinstance(g, Slg1)
         ix = (build_index1 if one else build_index2)(g, tau)
         assert ix.entry_count() == 0 and ix.chains is not None
+        assert ix.first < 0
         if one:
             assert ix.top[g.start] < ix.cap[g.start]
-        else:
-            assert ix.first is None
         tally = tallied(ix)
         if one:
             n = ix.n
@@ -1803,7 +1883,9 @@ def test_zigzags_keep_their_tables(tau):
                 assert access1(ix, i) == descend1(ix, s, i, 0) == descend1(ix, s, n + 1 - i, 1)
         else:
             ix = build_index2(g, tau)
-            assert ix.first == (ix.cap_r[s], ix.cap_c[s]) and g._height[s] > sum(ix.first) + 1
+            cap_r, cap_c = ix.cap_r[s], ix.cap_c[s]
+            assert ix.first == 0 and ix.keys[0] == state_key2(ix, s, 0, cap_r, cap_c)
+            assert g._height[s] > cap_r + cap_c + 1
             tally = tallied(ix)
             r, c = ix.n_rows, ix.n_cols
             for i in range(1, r + 1):
@@ -1900,7 +1982,7 @@ def test_access_stays_within_its_bound_on_random_grammars(g, tau, data):
 def real_slots(ix, far_at):
     """(side or corner, variable, slot) of every real step ix holds, in
     slot order; ``far_at`` indexes a step's far child."""
-    return sorted(at for at, v in view(ix).items() if v[far_at] is not None)
+    return sorted(at for at, v in decoded(ix).items() if v[far_at] is not None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1933,20 +2015,22 @@ def test_side_map_refuses_a_real_step_in_literal_shape(g, tau, data):
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS, data=st.data())
 def test_corner_map_refuses_a_real_step_in_literal_shape(g, tau, data):
-    """The 2D case: a built real step overwritten with (0, 0, v, None, 0) is
-    refused, and overwritten with None it is resolved by descent."""
+    """The 2D case: a kept real step overwritten with (0, 0, v, None, 0) is
+    refused, and with its state out of the index's directory the state is
+    not kept, and the plain descent resolves the block into the same real
+    step."""
     ix = build_index2(g, tau)
     slots = real_slots(ix, 3)
     if not slots:
         return
-    corner, t, at = data.draw(st.sampled_from(slots))
-    row, col = divmod(at, ix.width[t])
-    (p_r, k_r), (p_c, k_c) = divmod(row, ix.tau), divmod(col, ix.tau)
+    corner, t, p_r, p_c, at = data.draw(st.sampled_from(slots))
+    j = ix.ids.pop(state_key2(ix, t, corner, p_r, p_c))
+    k_r, k_c = divmod(at, ix.states[j][2])
     args = (ix, corner, t, p_r, p_c, k_r * ix.pows[p_r] + 1, k_c * ix.pows[p_c] + 1)
     real = corner_map(*args)
-    ix.tables[corner][t][at] = None
+    ix.ids[state_key2(ix, t, corner, p_r, p_c)] = j
     assert corner_map(*args) == real
-    ix.tables[corner][t][at] = data.draw(st.builds(
+    ix.states[j][3][at] = data.draw(st.builds(
         lambda v: (0, 0, v, None, 0), st.integers(-1, len(g.rules))))
     with pytest.raises(PreconditionViolated, match="literal step"):
         corner_map(*args)
@@ -1959,7 +2043,7 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
     walks on this grammar reach hundreds."""
     ix = build_index1(random_slp1(3, 40, 3, 4096), 3)
     seen = 0
-    for (t, side, p), slots in kept1(ix).items():
+    for (t, side, p), slots in kept(ix).items():
         for k, step in enumerate(slots):
             if step[2] is None:
                 continue
@@ -1978,25 +2062,24 @@ def test_side_map_refuses_a_step_that_does_not_straddle(split):
 def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
     """The 2D straddle guard, on steps that split columns and on steps that
     split rows; on an 80-step zigzag, 41 x 41, at tau 4, deep enough that
-    its walks read, and its tables hold thousands of each."""
+    its walks read, and its index keeps thousands of each."""
     rng = random.Random(0)
     ix = build_index2(zigzag2([rng.randrange(4) for _ in range(83)], 80), 4)
-    T, seen = ix.tau, 0
-    for corner in range(4):
-        for t, table in enumerate(ix.tables[corner]):
-            for at, step in enumerate(table or ()):
-                if step is None or step[3] is None or step[0] != axis:
-                    continue
-                row, col = divmod(at, ix.width[t])
-                (p_r, k_r), (p_c, k_c) = divmod(row, T), divmod(col, T)
-                b_r, b_c = k_r * ix.pows[p_r], k_c * ix.pows[p_c]
-                w = min((ix.rows[t] - b_r, ix.pows[p_r]) if axis else
-                        (ix.cols[t] - b_c, ix.pows[p_c]))
-                table[at] = (axis, 0 if split == "0" else w) + step[2:]
-                with pytest.raises(PreconditionViolated, match="does not straddle"):
-                    corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
-                table[at] = step
-                seen += 1
+    seen = 0
+    for (t, corner, p_r, p_c), slots in kept(ix).items():
+        w = ix.states[ix.ids[state_key2(ix, t, corner, p_r, p_c)]][2]
+        for at, step in enumerate(slots):
+            if step[3] is None or step[0] != axis:
+                continue
+            k_r, k_c = divmod(at, w)
+            b_r, b_c = k_r * ix.pows[p_r], k_c * ix.pows[p_c]
+            edge = min((ix.rows[t] - b_r, ix.pows[p_r]) if axis else
+                       (ix.cols[t] - b_c, ix.pows[p_c]))
+            slots[at] = (axis, 0 if split == "0" else edge) + step[2:]
+            with pytest.raises(PreconditionViolated, match="does not straddle"):
+                corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
+            slots[at] = step
+            seen += 1
     assert seen > 100
 
 
@@ -2041,10 +2124,11 @@ g2 = validate_slp2(Slp2([Horiz(127, i + 1) if i % 2 == 0 else Horiz(i + 1, 127)
 ix2 = build_index2(g2, 2)
 corner, t, p_r, p_c, d_r, d_c = first_step(access2d, "corner_map",
                                            lambda: access2_traced(ix2, 3, 1))
-assert (p_r, p_c) == ix2.first == (7, 0)
+assert (p_r, p_c) == (7, 0) and ix2.first == 0
+H = ix2.levels + 1
+_, _, w, slots = ix2.states[ix2.ids[t * 4 * H * H + (p_r * H + p_c) * 4 + corner]]
 k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
-ix2.tables[corner][t][(p_r * 2 + k_r) * ix2.width[t] + p_c * 2 + k_c] = \
-    (1, ix2.pows[p_r], 1, 1, 0)
+slots[k_r * w + k_c] = (1, ix2.pows[p_r], (0, 0), (0, 0), 0)
 try:
     access2_traced(ix2, 3, 1)
 except PreconditionViolated:
@@ -2063,37 +2147,77 @@ def test_traced_walk_raises_on_corrupt_bookmark_under_O():
     assert out.stdout.split("\n") == ["1D raised", "2D raised", ""]
 
 
-_LOWERS_NO_LEVEL = """
-from gridgram import PreconditionViolated, access2, build_index2
-from conftest import zigzag2
-
-# an 80-step zigzag, 41 x 41, read at its caps (5, 5) at tau 2; the cell
-# (40, 40) lies in block (1, 1), whose step now keeps the walk at the start
-# with the same deltas: it lowers neither level
-g = zigzag2([0, 1] * 42, 80)
-ix = build_index2(g, 2)
-assert ix.first == (5, 5)
-t = g.start
-ix.tables[0][t][(5 * 2 + 1) * ix.width[t] + 5 * 2 + 1] = (1, -32, t, t, 32)
-try:
-    access2(ix, 40, 40)
-except PreconditionViolated as e:
-    print("raised:", e)
-"""
-
-
 def test_access2_raises_on_a_step_that_lowers_no_level():
-    """The fast 2D walk loops while both levels are below the variable's
-    mark; a corrupt step that lowers neither level raises instead of
-    looping forever (the subprocess is killed if it hangs)."""
-    tests = str(Path(__file__).resolve().parent)
-    src = str(Path(gridgram.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
-    out = subprocess.run([sys.executable, "-c", _LOWERS_NO_LEVEL], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised: walk to (40,40)")
-    assert "lowers neither level" in out.stdout
+    """Every read of the fast 2D walk lowers p_r or p_c, so it makes at
+    most the start's two caps plus one reads; a corrupt step that keeps the
+    walk at its first state with the same deltas, lowering neither level,
+    leaves it off a literal with no read left, which raises. The reads are
+    counted, so the walk runs in-process: it cannot hang."""
+    # an 80-step zigzag, 41 x 41, read at its caps (5, 5) at tau 2; the cell
+    # (40, 40) lies in block (1, 1), 8 rows and columns in, whose step now
+    # goes on to the far child 32 rows up and 32 columns left, the first
+    # state again
+    g = zigzag2([0, 1] * 42, 80)
+    ix = build_index2(g, 2)
+    assert ix.first == 0 and ix.keys[0] == state_key2(ix, g.start, 0, 5, 5)
+    ix.states[0][3][1 * 2 + 1] = (1, -32, (0, 0), (0, 0), 32)
+    assert len(ix.reads) == 5 + 5 + 1
+    with pytest.raises(PreconditionViolated, match=r"walk to \(40,40\) ended off a literal"):
+        access2(ix, 40, 40)
+
+
+def copy_only_ids(ix):
+    """The ids that only states the index does not keep name."""
+    return sorted(set(range(len(ix.keys))) - set(ix.ids.values()))
+
+
+def test_access1_refuses_a_code_the_index_does_not_keep():
+    """A code naming an id that only a copy-only source names enters the
+    sentinel state, whose slot sends the walk back into it: the walk ends
+    in the read-count refusal, not in a bare TypeError. On the gen SLP
+    (seed 7, 200 rules, 2**20 symbols) at tau 8, with the first state's
+    slot that position 1 reads pointed at such an id on both sides."""
+    ix = build_index1(random_slp1(7, 200, 4, 2 ** 20), 8)
+    unkept = copy_only_ids(ix)
+    assert ix.first == 0 and unkept
+    S, near, far = ix.states[0][1][0]
+    ix.states[0][1][0] = (S, unkept[-1], unkept[-1])
+    with pytest.raises(PreconditionViolated, match="walk to position 1 ended off a literal"):
+        access1(ix, 1)
+
+
+def test_access2_refuses_a_code_the_index_does_not_keep():
+    """The 2D case, on an 80-step zigzag, 41 x 41, at tau 2: the first
+    state's slot that the cell (1, 1) reads, pointed at a copy-only id for
+    either level that can drop, leads into the sentinel and the read-count
+    refusal."""
+    rng = random.Random(0)
+    ix = build_index2(zigzag2([rng.randrange(4) for _ in range(83)], 80), 2)
+    unkept = copy_only_ids(ix)
+    assert ix.first == 0 and unkept
+    axis, split, near, far, shift = ix.states[0][3][0]
+    u = unkept[-1]
+    ix.states[0][3][0] = (axis, split, (u, u), (u, u), shift)
+    with pytest.raises(PreconditionViolated, match=r"walk to \(1,1\) ended off a literal"):
+        access2(ix, 1, 1)
+
+
+def test_access2_traced_reads_what_access2_reads():
+    """On the 200-step zigzag at tau 8, every (state, block) that access2
+    reads over 2,000 random cells is one that access2_traced reads from
+    the kept state over the same cells, not one it resolves by descent:
+    both walks step from the start's caps and lower the levels alike."""
+    g = zigzag2([random.Random(3).randrange(4) for _ in range(203)], 200)
+    ix = build_index2(g, 8)
+    rng = random.Random(9)
+    cells = [(rng.randint(1, ix.n_rows), rng.randint(1, ix.n_cols)) for _ in range(2000)]
+    fast, traced = set(), set()
+    for read, walk in ((fast, access2), (traced, access2_traced)):
+        logged_ix = build_index2(g, 8)
+        wrap_slots(logged_ix, lambda slots, state: Slots(slots, state, read))
+        for i, j in cells:
+            walk(logged_ix, i, j)
+    assert fast and fast <= traced
 
 
 def test_access1_refuses_a_walk_that_ends_off_a_literal():

@@ -27,7 +27,7 @@ from gridgram.oracle import rank
 from gridgram.reductions import mark_all_chars
 from gridgram.slg import dump_slg1
 from gridgram.slg2d import dump_slg2
-from conftest import comb1, kept1, made_slots, wrap_slots1, zigzag2
+from conftest import comb1, kept, made_slots, wrap_slots, zigzag2
 
 
 def run(capsys, *argv):
@@ -164,11 +164,11 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     # by descent
     fast, traced = set(), set()
     for read, walk in ((fast, access1), (traced, access1_traced)):
-        wrap_slots1(ix, lambda slots, state: _Logged(slots, state, read))
+        wrap_slots(ix, lambda slots, state: _Logged(slots, state, read))
         for i in range(1, len(text) + 1):
             walk(ix, i)
     only_traced = traced - fast
-    assert only_traced and all(kept1(ix)[state][k][2] is not None for state, k in only_traced)
+    assert only_traced and all(kept(ix)[state][k][2] is not None for state, k in only_traced)
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""
 
@@ -177,11 +177,11 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
         # to the block's far edge; the fast walk never reads it and still
         # answers right
         ix = build_index1(slp, tau, cap)
-        kept = kept1(ix)
+        states = kept(ix)
         for (t, side, p), k in only_traced:
             b = k * ix.pows[p]
-            S, near, far = kept[t, side, p][k]
-            kept[t, side, p][k] = (b + min(ix.lens[t] - b, ix.pows[p]), near, far)
+            S, near, far = states[t, side, p][k]
+            states[t, side, p][k] = (b + min(ix.lens[t] - b, ix.pows[p]), near, far)
         return ix
 
     monkeypatch.setattr(cli._DIM1, "build", build)
@@ -325,8 +325,8 @@ def test_access_refuses_by_the_slots_the_build_allocates(tmp_path, capsys, monke
 
 
 def test_access2_refuses_by_the_slots_the_build_allocates(tmp_path, capsys, monkeypatch):
-    """The 2D build counts the slots of every grid it allocates, on the
-    80-step zigzag, 41 x 41, which builds at tau 2."""
+    """The 2D build counts the slots of every state it fills, kept or not,
+    on the 80-step zigzag, 41 x 41, which builds at tau 2."""
     rng = random.Random(0)
     path = tmp_path / "zigzag.slg2"
     path.write_text(dump_slg2(zigzag2([rng.randrange(4) for _ in range(83)], 80)))
@@ -363,8 +363,8 @@ def test_access_on_a_comb_that_builds_nothing_answers_under_any_cap(tmp_path, ca
 
 def test_access_and_bench_refuse_a_zigzag_by_the_slots_its_build_allocates(tmp_path, capsys,
                                                                            monkeypatch):
-    """The 200-step zigzag at tau 8 allocates 97,814 slots, of which it
-    builds 48,758. Under a cap of exactly that, access and bench answer;
+    """The 200-step zigzag at tau 8 fills 46,901 slots, of which it keeps
+    14,178. Under a cap of exactly that, access and bench answer;
     one slot below it, each exits 1 with one ExpansionTooLarge line and
     empty stdout."""
     rng = random.Random(1)
@@ -372,14 +372,14 @@ def test_access_and_bench_refuse_a_zigzag_by_the_slots_its_build_allocates(tmp_p
     path.write_text(dump_slg2(zigzag2([rng.randrange(4) for _ in range(203)], 200)))
     slp = slg2_to_slp2(parse_slg2(path.read_text()))
     ix, slots = made_slots(slp, 8, 2)
-    assert (ix.entry_count(), slots) == (48_758, 97_814)
+    assert (ix.entry_count(), slots) == (14_178, 46_901)
     want = expand2(slp)
     monkeypatch.setenv("GG_CAP_CELLS", str(slots))
     code, out, err = run(capsys, "access", str(path), "1,1", "77,101", "--tau", "8")
     assert (code, err) == (0, "") and [int(v) for v in out.split()] == \
         [want.get(1, 1), want.get(77, 101)]
     code, out, err = run(capsys, "bench", str(path), "--tau-list", "8", "--reps", "4")
-    assert (code, err) == (0, "") and out.splitlines()[1].startswith("8,48758,")
+    assert (code, err) == (0, "") and out.splitlines()[1].startswith("8,14178,")
     monkeypatch.setenv("GG_CAP_CELLS", str(slots - 1))
     for argv in (("access", str(path), "1,1", "--tau", "8"),
                  ("bench", str(path), "--tau-list", "2,8", "--reps", "4")):
@@ -491,10 +491,9 @@ def test_bench_2d_branch(slp2_file, capsys):
 
 
 def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys):
-    # 8 B per slot of the 1D index's kept states and per allocated 2D slot,
-    # built or not, and per entry of the chain lists the index keeps, plus
-    # each distinct (shared) slot object once; entries counts the kept (1D)
-    # or built (2D) slots. These shallow grammars build nothing but the
+    # 8 B per slot of the index's kept states and per entry of the chain
+    # lists it keeps, plus each distinct (shared) slot object once; entries
+    # counts the kept slots. These shallow grammars build nothing but the
     # 1D one at tau 3, where the walk reads
     built = 0
     for path, load, build in ((slp1_file, lambda t: slg_to_slp(parse_slg1(t)), build_index1),
@@ -504,11 +503,8 @@ def test_bench_bytes_count_slots_and_distinct_steps(slp1_file, slp2_file, capsys
         for line in out.strip().splitlines()[1:]:
             tau, entries, nbytes = (int(v) for v in line.split(",")[:3])
             ix = build(load(path.read_text()), tau)
-            if build is build_index1:
-                lists = list(kept1(ix).values())
-            else:
-                lists = [t for part in ix.tables for t in part if t is not None]
-            steps = {id(v): v for t in lists for v in t if v is not None}
+            lists = list(kept(ix).values())
+            steps = {id(v): v for t in lists for v in t}
             assert entries == ix.entry_count() and (len(steps) < entries or entries == 0)
             chained = sum(len(key) for chain in ix.chains or () for key in chain)
             assert nbytes == 8 * (sum(map(len, lists)) + chained) + \
