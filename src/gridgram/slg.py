@@ -26,6 +26,8 @@ reads, ``(x, y, split)`` in 1D with split the length of x, and ``(x, y,
 split, horiz)`` in 2D with split the rows of x when horiz (the rule splits
 rows) and its columns otherwise; None for a literal.
 The walkers of every module read these arrays and derive none of their own.
+The SLP conversion returns an SLP whose start reaches every rule as it is,
+ids and start kept; it renumbers any other grammar with the start last.
 
 Text format (UTF-8, line oriented)::
 
@@ -523,7 +525,8 @@ def grammar_size1(g):
 
 
 def _binarize(g):
-    """The SLP conversion of a validated grammar, in either dimension.
+    """A renumbered SLP of a validated grammar, in either dimension, always a
+    new grammar (``alphabet_reduce`` relabels its output in place).
 
     Single-child rules are aliased away, and longer right-hand sides are
     binarized left to right, each pair rule keeping its parent's type. Only
@@ -565,17 +568,29 @@ def _binarize(g):
     return out
 
 
+def _as_slp(g):
+    """Validated ``g`` itself, its move records cached, when it is an SLP
+    whose start reaches every rule; else ``_binarize(g)``."""
+    if not (all(g._reach) and all(k is None or len(k) == 2 for k in g._kids)):
+        return _binarize(g)
+    if g._moves is None:
+        g._moves = g._move_records()
+    return g
+
+
 def slg_to_slp(g):
     """Convert a grammar to an equivalent SLP (binary rules).
 
-    Single-child rules are aliased away, and longer right-hand sides are
-    binarized left to right. Only rules reachable from the start survive.
-    Output size stays within a small constant factor of the input size. The
-    output derives its cached arrays from ``g``'s, validated if it is not.
+    An SLP whose start reaches every rule is returned as it is, ids kept.
+    Any other grammar is renumbered, the start last: single-child rules are
+    aliased away, longer right-hand sides binarized left to right, and only
+    rules reachable from the start survive, within a small constant factor
+    of the input size. The output derives its cached arrays from ``g``'s,
+    validated if it is not.
     """
     if not Slg1._own(g).validated:
         g = validate_slg1(g)
-    return _binarize(g)
+    return _as_slp(g)
 
 
 # -- text format ------------------------------------------------------------

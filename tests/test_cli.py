@@ -24,10 +24,10 @@ from gridgram.access1d import caps, ceil_log
 from gridgram.cli import main
 from gridgram.gen import random_matrix
 from gridgram.oracle import rank
-from gridgram.reductions import mark_all_chars
+from gridgram.reductions import ext_mark_all_chars, mark_all_chars
 from gridgram.slg import dump_slg1
-from gridgram.slg2d import dump_slg2
-from conftest import comb1, kept, made_slots, wrap_slots, zigzag2
+from gridgram.slg2d import dump_matrix, dump_slg2
+from conftest import comb1, kept, made_slots, staircase2, wrap_slots, zigzag2
 
 
 def run(capsys, *argv):
@@ -439,6 +439,43 @@ def test_reduce_mark_then_expand_matches_direct(slp1_file, tmp_path, capsys):
     g1 = validate_slg1(parse_slg1(slp1_file.read_text()))
     marked = validate_slg2(parse_slg2(out.read_text()))
     assert expand2(marked) == mark_all_chars(expand1(g1), g1.alphabet_size)
+
+
+def test_an_slp_file_with_start_0_that_reaches_every_rule(tmp_path, capsys):
+    """A dumped comb, and a staircase numbered backwards, start at id 0 and
+    reach every rule, so the conversion keeps their ids: access --verify
+    answers every position as the expansion does, and reduce mark|extmark
+    number their output from the file's ids, start 0, and expand to the
+    direct marking matrices."""
+    rng = random.Random(3)
+    comb = comb1([rng.randrange(4) for _ in range(40)], right=False)
+    stair = staircase2([rng.randrange(4) for _ in range(22)], 10)
+    n = len(stair.rules)
+    back = validate_slg2(type(stair)(
+        [r if isinstance(r, int) else type(r)(tuple(n - 1 - c for c in r.children))
+         for r in reversed(stair.rules)], 4, 0))
+    path1, path2 = tmp_path / "comb.slg1", tmp_path / "stair.slg2"
+    path1.write_text(dump_slg1(comb))
+    path2.write_text(dump_slg2(back))
+    slp1 = slg_to_slp(parse_slg1(path1.read_text()))
+    slp2 = slg2_to_slp2(parse_slg2(path2.read_text()))
+    assert (slp1.start, slp1.rules, slp2.start, slp2.rules) == (0, comb.rules, 0, back.rules)
+
+    text, m = expand1(comb), expand2(back)
+    code, out, err = run(capsys, "access", str(path1), *map(str, range(1, len(text) + 1)),
+                         "--tau", "2", "--verify")
+    assert (code, err) == (0, "") and [int(v) for v in out.split()] == list(text)
+    cells = [(i, j) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1)]
+    code, out, err = run(capsys, "access", str(path2), *(f"{i},{j}" for i, j in cells),
+                         "--tau", "2", "--verify")
+    assert (code, err) == (0, "") and [int(v) for v in out.split()] == [m.get(*c) for c in cells]
+
+    for kind, direct in (("mark", mark_all_chars), ("extmark", ext_mark_all_chars)):
+        marked, mat = tmp_path / f"{kind}.slg2", tmp_path / f"{kind}.mat"
+        assert run(capsys, "reduce", kind, str(path1), str(marked))[0] == 0
+        assert parse_slg2(marked.read_text()).start == 0
+        assert run(capsys, "expand", str(marked), "-o", str(mat))[0] == 0
+        assert mat.read_text() == dump_matrix(direct(text, 4))
 
 
 def test_reduce_pad(slp2_file, tmp_path, capsys):

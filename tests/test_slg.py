@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridgram import (
     ArithmeticOverflow,
+    access1,
+    access2,
     CyclicGrammar,
     DanglingReference,
     DuplicateRule,
@@ -51,7 +53,8 @@ from gridgram import (
 from gridgram import slg, slg2d
 from gridgram.errors import PreconditionViolated, RangeError
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2
+from conftest import (comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2, zigzag1,
+                      zigzag2)
 
 Dim = namedtuple("Dim", "cls rule validate parse dump cells")
 DIMS = (
@@ -460,11 +463,18 @@ def assert_walk_arrays(g):
 @settings(max_examples=80, deadline=None)
 @given(g=raw_grammars())
 def test_validation_keeps_the_walk_arrays(g):
+    """A raw grammar always holds rules its start does not reach, so the
+    conversion renumbers it with the start last, exactly as _binarize does
+    (an SLP that reaches every rule passes through, see below)."""
     if isinstance(g, Slg1):
         valid, slp = validate_slg1(g), slg_to_slp(g)
     else:
         valid, slp = validate_slg2(g), slg2_to_slp2(g)
-    assert valid is g and slp.start == len(slp.rules) - 1
+    assert valid is g and not all(g._reach)
+    assert slp is not g and slp.start == len(slp.rules) - 1
+    again = slg._binarize(g)
+    for name in ("rules", "start", "_topo", "_kids", "_reach", "_height", "_moves"):
+        assert getattr(slp, name) == getattr(again, name), name
     assert_walk_arrays(valid)
     assert_walk_arrays(slp)
 
@@ -515,7 +525,9 @@ def test_conversion_of_the_benchmark_shapes_keeps_every_array():
 
 def test_conversion_validates_nothing_again(monkeypatch):
     """Given a validated grammar, slg_to_slp/slg2_to_slp2 neither validate
-    nor sort: the output's arrays come from the input's."""
+    nor sort, whether they pass it through (the comb, the staircase) or
+    renumber it (the gen SLPs, whose starts leave rules unreached): the
+    output's arrays come from the input's."""
     calls = []
     for mod, name in ((slg, "_validate_core"), (slg2d, "_validate_core"), (slg, "_toposort")):
         fn = getattr(mod, name)
@@ -523,12 +535,115 @@ def test_conversion_validates_nothing_again(monkeypatch):
     rng = random.Random(1)
     comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
     stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
+    gens = random_slp1(3, 200), random_slp2(3, 200)
     del calls[:]
-    for convert, g in ((slg_to_slp, comb), (slg2_to_slp2, stair)):
-        assert len(g.rules) >= 400 and convert(g).validated
+    for convert, g in ((slg_to_slp, comb), (slg2_to_slp2, stair), (slg_to_slp, gens[0]),
+                       (slg2_to_slp2, gens[1])):
+        assert len(g.rules) >= 200 and convert(g).validated
+        assert (convert(g) is g) == all(g._reach)
     assert calls == []
     slg_to_slp(Slg1(comb.rules, comb.alphabet_size, comb.start))    # a raw input: one run
     assert calls == ["_validate_core", "_toposort"]
+
+
+def _passing_inputs():
+    """The conversion and a grammar of each benchmark shape that is an SLP
+    whose start reaches every rule: the 2,000-rule comb (start 0) and the
+    100-step staircase (start last), validated by validate_slg* alone, so
+    no move record is cached yet."""
+    rng = random.Random(1)
+    comb = comb1([rng.randrange(4) for _ in range(1997)], right=True)
+    stair = staircase2([rng.randrange(4) for _ in range(202)], 100)
+    return [(slg_to_slp, validate_slg1(Slg1(comb.rules, 4, comb.start))),
+            (slg2_to_slp2, validate_slg2(Slg2(stair.rules, 4, stair.start)))]
+
+
+def _count_binarize(monkeypatch):
+    """The list of grammars slg._binarize is called on from now on."""
+    calls, binarize = [], slg._binarize
+    monkeypatch.setattr(slg, "_binarize", lambda g: calls.append(g) or binarize(g))
+    return calls
+
+
+def test_conversion_passes_an_slp_that_reaches_every_rule_through(monkeypatch):
+    """Such an SLP is returned as it is, ids and start kept, with no
+    _binarize call, and caches what a fresh validate_slp* does."""
+    calls = _count_binarize(monkeypatch)
+    for convert, g in _passing_inputs():
+        rules, start = list(g.rules), g.start
+        assert all(g._reach) and g._moves is None
+        assert convert(g) is g and g.rules == rules and g.start == start
+        assert_caches_of_a_fresh_validation(g, True)
+        assert convert(g) is g
+    assert calls == []
+
+
+def test_conversion_renumbers_an_unreachable_rule_or_a_longer_one(monkeypatch):
+    """One unreachable literal, or a start of three children, sends the
+    grammar through _binarize: the output is renumbered, the start last."""
+    calls = _count_binarize(monkeypatch)
+    for convert, g in _passing_inputs():
+        n, s = len(g.rules), g.start
+        triple = (s, s, s) if isinstance(g, Slg1) else Horiz(s, s, s)
+        for rules, start in ((g.rules + [0], s), (g.rules + [triple], n)):
+            h = validate_slg1(Slg1(rules, 4, start)) if isinstance(g, Slg1) else \
+                validate_slg2(Slg2(rules, 4, start))
+            del calls[:]
+            out = convert(h)
+            assert calls == [h] and out is not h and out.start == len(out.rules) - 1
+            assert len(out.rules) == (n if start == s else n + 2)    # the triple: two pairs
+            assert_caches_of_a_fresh_validation(out, start == s)
+            cells = expand1 if isinstance(g, Slg1) else expand2
+            assert cells(out) == cells(h)
+
+
+@st.composite
+def slps_reaching_every_rule(draw):
+    """A validated SLP whose start reaches every rule, its ids shuffled:
+    _binarize's output over a raw grammar, relabelled."""
+    g = draw(raw_grammars())
+    slp = slg._binarize(validate_slg1(g) if isinstance(g, Slg1) else validate_slg2(g))
+    perm = list(range(len(slp.rules)))
+    random.Random(draw(st.integers(0, 2 ** 32))).shuffle(perm)
+    out = type(slp)(_relabelled(slp.rules, perm), slp.alphabet_size, perm[slp.start])
+    return validate_slg1(out) if isinstance(out, Slg1) else validate_slg2(out)
+
+
+def assert_one_index_over_either_numbering(g, tau):
+    """The index over the SLP the conversion passes through and over
+    _binarize's renumbered one keep as many states and slots and answer
+    every position alike, as the expansion does."""
+    if isinstance(g, Slg1):
+        convert, build, access = slg_to_slp, build_index1, access1
+        text = expand1(g)
+        cells = [((i,), text[i - 1]) for i in range(1, len(text) + 1)]
+    else:
+        convert, build, access = slg2_to_slp2, build_index2, access2
+        m = expand2(g)
+        cells = [((i, j), m.get(i, j)) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1)]
+    assert convert(g) is g
+    ours, renumbered = build(g, tau), build(slg._binarize(g), tau)
+    assert ours.entry_count() == renumbered.entry_count()
+    assert (len(ours.ids), len(ours.states)) == (len(renumbered.ids), len(renumbered.states))
+    for pos, code in cells:
+        assert access(ours, *pos) == access(renumbered, *pos) == code
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=slps_reaching_every_rule(), tau=st.sampled_from([2, 8]))
+def test_an_index_over_a_passed_slp_equals_one_over_the_renumbered(g, tau):
+    assert_one_index_over_either_numbering(g, tau)
+
+
+@pytest.mark.parametrize("tau", [2, 8])
+def test_an_index_over_a_passed_benchmark_shape_equals_one_over_the_renumbered(tau):
+    """The comb (start 0), the staircase and the zigzags (start last)."""
+    rng = random.Random(2)
+    codes = [rng.randrange(4) for _ in range(1000)]
+    for g in (comb1(codes, right=True), comb1(codes, right=False), zigzag1(codes[:400]),
+              staircase2(codes[:122], 60), zigzag2(codes[:83], 80)):
+        assert all(g._reach)
+        assert_one_index_over_either_numbering(g, tau)
 
 
 @st.composite
