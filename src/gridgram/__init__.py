@@ -59,14 +59,12 @@ from .access1d import (
     descend1,
     hook_offset1,
     optimal_tau,
-    side_map,
 )
 from .access2d import (
     AccessIndex2,
     access2,
     access2_traced,
     build_index2,
-    corner_map,
     descend2,
     hook_offset2,
     optimal_tau2,

@@ -49,6 +49,10 @@ costs. The contracts that the functions below share:
   state or the states it copies from, and raises ExpansionTooLarge
   (``_over_cap``) there when the count would pass its cap. No other code
   counts an index's slots.
+- One walk: ``access1_traced`` follows the same codes as ``access1``, so
+  it reads the same slots, and checks each read, down to a literal step
+  against the plain descent; it descends from a finish code by
+  ``descend1``. It reads no state the index does not keep.
 - An index is immutable after build_index1 (build_index2), so any number
   of threads may query it. Builds are single-threaded.
 """
@@ -330,27 +334,20 @@ def hook_offset1(g, nid, b, e):
 
 class AccessIndex1:
     """The walk's state machine: per kept state its block size and slots,
-    the code of the walk's first state, level caps and top stored levels,
-    the chains of a run finish, plus references to the grammar's walk
-    arrays."""
+    the code of the walk's first state, the chains of a run finish, plus
+    references to the grammar's walk arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "cap", "mark", "top",
-                 "first", "states", "keys", "ids", "reads", "chains", "n")
+    __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "first", "states",
+                 "keys", "ids", "reads", "chains", "n")
 
-    def __init__(self, grammar, tau, levels, pows, cap, mark, top, first, states, keys, ids,
-                 chains):
+    def __init__(self, grammar, tau, levels, pows, first, states, keys, ids, chains):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
-        self.levels = levels          # ceil(log_tau n); the traced walk steps from here to 0
+        self.levels = levels          # ceil(log_tau n)
         self.pows = pows              # pows[p] = tau**p, up to levels + 1
         self.lens = grammar._lens     # the grammar's expansion lengths
         self.moves = grammar._moves   # the grammar's move records (x, y, lens[x]), None
                                       #   for a literal
-        self.cap = cap                # per variable: the largest p with tau**p <= its length
-        self.mark = mark              # per variable: ceil(height / FINISH), the level from
-                                      #   which the height rule finishes a walk at it
-        self.top = top                # per variable: the highest level it stores, min(cap,
-                                      #   ceil(height / FINISH) - 1, turns - 2), -1 for none
         self.first = first            # the code of the walk's first state: 0, or the start's
                                       #   finish code when it is low enough for its cap
         self.states = states          # id -> (tau**p, slots) of a kept state, the sentinel
@@ -576,91 +573,60 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
 
     walked = _walk_build(first, plan, fill, successors)
     states, kept = _kept(keys, ids, walked, held, lambda u: (pows[-1], [(0, u, u)]))
-    return AccessIndex1(g, tau, levels, pows, level_cap, mark, top,
-                        0 if first is not None else ~(s * 4 + runs), states, keys, kept,
-                        chains if runs else None)
-
-
-def side_map(ix, side, t, p, delta):
-    """One checked mapping step: relocate position delta, measured from
-    ``side`` (0 = left, 1 = right) of Exp(N_t), one level down.
-
-    Returns (t', delta', side') with delta' <= tau**p and
-    Access(N_t, delta, side) = Access(N_t', delta', side'). The stored step
-    splits the block into the part in the child nearer the addressed
-    boundary and the part in the farther one; landing in the nearer child
-    flips the side. A level above the variable's cap reads at the cap, whose
-    blocks are no larger, so the step still contracts within tau**p. The
-    state (t, side, level) is looked up by its key and the slot's codes
-    decoded into variables; a state the index does not keep is resolved
-    into the real step by the plain descent, and a stored literal step must
-    equal the step the same descent gives. A variable the start does not
-    reach is refused.
-    """
-    m = ix.lens[t] if isinstance(t, int) and 0 <= t < len(ix.lens) else 0
-    if not (isinstance(side, int) and 0 <= side <= 1) \
-            or not (isinstance(p, int) and 0 <= p <= ix.levels) \
-            or not (isinstance(delta, int) and 1 <= delta <= m) or delta > ix.pows[p + 1]:
-        raise PreconditionViolated(
-            f"side_map(side={side!r}, t={t}, p={p}, delta={delta}) out of contract")
-    p = min(p, ix.cap[t])
-    tp = ix.pows[p]
-    k = (delta - 1) // tp
-    b = k * tp
-    w = min(m - b, tp)
-    if not ix.grammar._reach[t]:
-        raise PreconditionViolated(f"variable {t} is not reachable from the start "
-                                   f"and has no bookmarks")
-    K = 2 * ix.levels + 2
-    j = ix.ids.get(t * K + p * 2 + side)
-    step = None if j is None else ix.states[j][1][k]
-    if step is None or step[2] is None:
-        e = m - b if side else b + w       # the block's window, from the left
-        real = _hook_core(ix.moves, t, e - w, e, side, PLAIN)
-        if step is not None and real != (step[0] - b, step[1], None):
-            raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} is "
-                                       f"{step}; a stored literal step must be the step "
-                                       f"descent gives, {real}")
-        s, near, far = real
-    else:
-        s = step[0] - b
-        near, far = (ix.keys[c] // K if c >= 0 else ~c >> 2 for c in step[1:])
-    if far is None:
-        return near, 1, 0
-    if not 0 < s < w:   # s: the hook's split, as a position inside the block
-        raise PreconditionViolated(f"bookmark of variable {t}, level {p}, block {k} "
-                                   f"does not straddle its hook's split")
-    d = delta - b
-    if d <= s:
-        return near, s - d + 1, side ^ 1
-    return far, d - s, side
+    return AccessIndex1(g, tau, levels, pows, 0 if first is not None else ~(s * 4 + runs),
+                        states, keys, kept, chains if runs else None)
 
 
 def access1_traced(ix, i):
-    """Random access returning (code, mapping_steps).
+    """access1's walk with every read checked, returning (code, levels + 1),
+    levels + 1 = ceil(log_tau n) + 1 the bound on its reads.
 
-    Runs the level loop from ceil(log_tau n) down to 0, one checked side_map
-    per level, so the step count is always levels + 1 (a level a variable
-    does not store is resolved by descent, not skipped). Each step checks
-    the contraction contract 1 <= delta' <= tau**p, and the walk must end on
-    a literal at delta 1 whose code the root-to-leaf descent to i also
-    reaches; a breach raises PreconditionViolated.
+    At each read the code must name a kept state, the reads stay within
+    ``reads``, the block size fall, delta lie in one of the state's blocks
+    and, after the step, within the block size; a real step's split must
+    straddle its block, and a literal step be the step the plain descent
+    gives for its block. A finish code descends by descend1, and the answer
+    must be the one descent from the start gives. A breach raises
+    PreconditionViolated.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    t, delta, side = ix.grammar.start, i, 0
-    for p in range(ix.levels, -1, -1):
-        t, delta, side = side_map(ix, side, t, p, delta)
-        if not (1 <= delta <= ix.pows[p]):
-            raise PreconditionViolated(
-                f"per-step contraction violated at level {p}: delta {delta} "
-                f"outside [1, {ix.pows[p]}]")
-    if ix.lens[t] != 1 or delta != 1:
-        raise PreconditionViolated(f"walk ended at variable {t}, delta {delta}, not a literal")
-    code, want = ix.grammar.rules[t], descend1(ix, ix.grammar.start, i, 0)
-    if code != want:
-        raise PreconditionViolated(f"walk to position {i} ended at code {code}, "
-                                   f"descent reaches {want}")
+    states, keys, K = ix.states, ix.keys, 2 * ix.levels + 2
+    st, delta, size, reads = ix.first, i, ix.pows[-1], 0
+    while (j := st) >= 0:
+        if not (j < len(states) and keys[j] in ix.ids):
+            raise PreconditionViolated(f"walk to position {i} reaches code {j}, no kept state")
+        if reads == len(ix.reads):
+            raise PreconditionViolated(f"walk to position {i} makes more than {reads} reads")
+        tp, slots = states[j]
+        if tp >= size:
+            raise PreconditionViolated(f"walk to position {i} enters state {j} at no lower level")
+        reads, size = reads + 1, tp
+        t, side = keys[j] // K, keys[j] & 1
+        m, k = ix.lens[t], (delta - 1) // tp
+        if delta > m or k >= len(slots):
+            raise PreconditionViolated(f"walk to position {i} leaves the blocks of state {j}")
+        S, near, far = slots[k]
+        b = k * tp
+        w = min(m - b, tp)
+        if far is None:
+            e = m - b if side else b + w        # the block's window, from the left
+            if (real := _hook_core(ix.moves, t, e - w, e, side, PLAIN)) != (S - b, near, None):
+                raise PreconditionViolated(f"state {j}, block {k} holds {slots[k]}; a stored "
+                                           f"literal step must be the step descent gives, {real}")
+            code = ix.grammar.rules[near]
+            break
+        if not 0 < S - b < w:
+            raise PreconditionViolated(f"state {j}, block {k} does not straddle its hook's split")
+        st, delta = (near, S - delta + 1) if delta <= S else (far, delta - S)
+        if not 1 <= delta <= tp:
+            raise PreconditionViolated(f"per-step contraction violated at state {j}: delta "
+                                       f"{delta} outside [1, {tp}]")
+    else:
+        code = descend1(ix, ~st >> 2, delta, ~st >> 1 & 1)
+    if code != (want := descend1(ix, ix.grammar.start, i, 0)):
+        raise PreconditionViolated(f"walk to position {i} ended at code {code}, descent "
+                                   f"reaches {want}")
     return code, ix.levels + 1
 
 

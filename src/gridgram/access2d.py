@@ -52,6 +52,9 @@ and the build's chain runs. What 2D adds to those contracts:
 - Every descent move reads one record, the grammar's ``_moves[t]``:
   ``(x, y, split, horiz)``, split the rows of x when horiz and its columns
   otherwise; None for a literal (``slg``).
+- One walk, as in 1D: ``access2_traced`` follows the codes ``access2``
+  follows and checks each read; its level check is that neither block
+  size grows and one falls.
 """
 
 from __future__ import annotations
@@ -183,16 +186,14 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
 
 class AccessIndex2:
     """The walk's state machine, as in 1D: per kept state its block sizes,
-    blocks per row and slots, the code of the walk's first state, level
-    caps, the chains of a run finish, plus references to the grammar's
-    walk arrays."""
+    blocks per row and slots, the code of the walk's first state, the
+    chains of a run finish, plus references to the grammar's walk
+    arrays."""
 
-    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "cap_r",
-                 "cap_c", "first", "states", "keys", "ids", "reads", "chains", "n_rows",
-                 "n_cols")
+    __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "first",
+                 "states", "keys", "ids", "reads", "chains", "n_rows", "n_cols")
 
-    def __init__(self, grammar, tau, levels, pows, cap_r, cap_c, first, states, keys, ids,
-                 chains):
+    def __init__(self, grammar, tau, levels, pows, reads, first, states, keys, ids, chains):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels        # ceil(log_tau) of the start's longest side
@@ -201,8 +202,6 @@ class AccessIndex2:
         self.cols = grammar._cols
         self.moves = grammar._moves  # the grammar's move records (x, y, split, horiz),
                                     #   None for a literal
-        self.cap_r = cap_r          # per variable: the largest p with tau**p <= rows
-        self.cap_c = cap_c          # per variable: the largest p with tau**p <= cols
         self.first = first          # the code of the walk's first state: 0, or the start's
                                     #   finish code when it does not store its caps
         self.states = states        # id -> (tau**p_r, tau**p_c, w, slots) of a kept state,
@@ -213,7 +212,8 @@ class AccessIndex2:
         self.ids = ids              # state key -> id, of the kept states
         self.n_rows = self.rows[grammar.start]
         self.n_cols = self.cols[grammar.start]
-        self.reads = range(cap_r[grammar.start] + cap_c[grammar.start] + 1)  # a read per level
+        self.reads = reads          # range(cap_r + cap_c + 1) of the start: a read lowers
+                                    #   a level
         self.chains = chains        # the _chains of both sides, for a run finish; None
                                     #   when no walk finishes by runs
 
@@ -388,138 +388,75 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
     top = pows[-1]                  # past every delta
     states, kept = _kept(keys, ids, walked, held,
                          lambda u: (top, top, 1, [(1, 0, (u, u), (u, u), 0)]))
-    return AccessIndex2(g, tau, levels, pows, cap_r, cap_c,
+    return AccessIndex2(g, tau, levels, pows, range(cap_r[s] + cap_c[s] + 1),
                         0 if first is not None else ~(s * 8 + runs), states, keys, kept,
                         chains if runs else None)
 
 
-def corner_map(ix, corner, t, p_r, p_c, delta_r, delta_c):
-    """One checked query step: relocate the cell addressed from ``corner``
-    (0..3, bit 1 = from the bottom, bit 0 = from the right) of Exp(N_t).
-
-    Returns (t', delta_r', delta_c', corner') such that reading
-    (delta_r, delta_c) from the given corner of Exp(N_t) equals reading
-    (delta_r', delta_c') from corner' of Exp(N_t'), and either
-    delta_r' <= tau**p_r with delta_c' not grown, or the column mirror of
-    that statement.
-
-    The stored step is already seen from the corner: landing in the child
-    nearer the corner on the split axis flips that axis's side, the farther
-    child keeps both sides, and the other axis moves by the stored shift.
-    A level above the variable's cap on its axis reads at the cap, whose
-    blocks are no larger, so the step still contracts within tau**p. The
-    state (t, corner, level pair) is looked up by its key and the slot's
-    codes decoded into variables; a state the index does not keep is
-    resolved into the real step by the plain descent, and a stored literal
-    step must equal the step the same descent gives. A variable the start
-    does not reach is refused.
-    """
-    m_r, m_c = (ix.rows[t], ix.cols[t]) if isinstance(t, int) and 0 <= t < len(ix.rows) \
-        else (0, 0)
-    if not (isinstance(corner, int) and 0 <= corner <= 3) \
-            or not (isinstance(p_r, int) and 0 <= p_r <= ix.levels) \
-            or not (isinstance(p_c, int) and 0 <= p_c <= ix.levels) \
-            or not (isinstance(delta_r, int) and 1 <= delta_r <= m_r) \
-            or not (isinstance(delta_c, int) and 1 <= delta_c <= m_c) \
-            or delta_r > ix.pows[p_r + 1] or delta_c > ix.pows[p_c + 1]:
-        raise PreconditionViolated(
-            f"corner_map(corner={corner!r}, t={t}, p=({p_r},{p_c}), "
-            f"delta=({delta_r},{delta_c})) out of contract")
-    if not ix.grammar._reach[t]:
-        raise PreconditionViolated(f"variable {t} is not reachable from the start "
-                                   f"and has no bookmarks")
-    p_r, p_c = min(p_r, ix.cap_r[t]), min(p_c, ix.cap_c[t])
-    tpr = ix.pows[p_r]
-    tpc = ix.pows[p_c]
-    k_r = (delta_r - 1) // tpr
-    b_r = k_r * tpr
-    k_c = (delta_c - 1) // tpc
-    b_c = k_c * tpc
-    w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
-    H = ix.levels + 1
-    K = 4 * H * H
-    j = ix.ids.get(t * K + (p_r * H + p_c) * 4 + corner)
-    step = None
-    if j is not None:
-        _, _, w, slots = ix.states[j]
-        axis, s, near, far, shift = step = slots[k_r * w + k_c]
-        if far is not None:         # the codes decoded into variables
-            near, far = (ix.keys[c[0]] // K if c[0] >= 0 else ~c[0] >> 3 for c in (near, far))
-            step = axis, s, near, far, shift
-    if step is None or step[3] is None:
-        e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
-        e_c = m_c - b_c if corner & 1 else b_c + w_c
-        real = _hook_core2(
-            ix.moves, ix.rows, ix.cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner, PLAIN)
-        if step is not None and real != step:
-            raise PreconditionViolated(
-                f"bookmark of variable {t}, levels ({p_r},{p_c}), block ({k_r},{k_c}) is "
-                f"{step}; a stored literal step must be the step descent gives, {real}")
-        step = real
-    axis, s, near, far, shift = step
-    if far is None:
-        return near, 1, 1, 0
-    if not 0 < s < (w_r if axis else w_c):    # s: the hook's split, inside the block
-        raise PreconditionViolated(f"bookmark of variable {t}, levels ({p_r},{p_c}), block "
-                                   f"({k_r},{k_c}) does not straddle its hook's split")
-    d_r, d_c = delta_r - b_r, delta_c - b_c    # the cell inside the block
-    if axis:
-        if d_r <= s:
-            return near, s - d_r + 1, d_c + shift, corner ^ 2
-        return far, d_r - s, d_c + shift, corner
-    if d_c <= s:
-        return near, d_r + shift, s - d_c + 1, corner ^ 1
-    return far, d_r + shift, d_c - s, corner
-
-
 def access2_traced(ix, i, j):
-    """Random access returning (code, loop_iterations).
+    """access2's walk with every read checked, returning (code, reads made),
+    at most floor(log_tau rows) + floor(log_tau cols) + 1 reads.
 
-    State starts at (start, i, j, corner 0) at the start's level caps
-    floor(log_tau rows) and floor(log_tau cols). Each iteration makes one
-    checked corner_map from the current corner, then lowers the
-    level of the contracted axis by one and caps each level by the new
-    variable's dimension on that axis (the largest p with tau**p within it).
-    The loop ends when the state reaches a literal; the iteration count is
-    at most floor(log_tau rows) + floor(log_tau cols) + 1.
-
-    Each iteration checks the per-step contract: the contracted axis's
-    distance drops to at most tau**p while the other axis's distance does
-    not grow; a breach, a walk that ends off (1, 1), or one that ends at a
-    code the root-to-leaf descent to (i, j) does not reach raises
-    PreconditionViolated.
+    The checks are access1_traced's, with both levels: neither block size
+    may grow and one must fall, and after the step the split axis's delta
+    is at most its block size while the other axis's does not grow, or the
+    column mirror of that. A finish code descends by descend2.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
-    t, d_r, d_c, corner = ix.grammar.start, i, j, 0
-    p_r, p_c = ix.cap_r[t], ix.cap_c[t]
-    pows = ix.pows
-    steps = 0
-    moves = ix.moves
-    while moves[t] is not None:
-        prev_r, prev_c = d_r, d_c
-        t, d_r, d_c, corner = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
-        steps += 1
-        if not ((d_r <= pows[p_r] and d_c <= prev_c) or (d_c <= pows[p_c] and d_r <= prev_r)):
-            raise PreconditionViolated(
-                f"per-step contract violated at levels ({p_r},{p_c}): "
-                f"({prev_r},{prev_c}) -> ({d_r},{d_c})")
-        if moves[t] is None:
+    states, keys, rows, cols, K = ix.states, ix.keys, ix.rows, ix.cols, 4 * (ix.levels + 1) ** 2
+    st, d_r, d_c, reads = ix.first, i, j, 0
+    size_r = size_c = ix.pows[-1]
+    while (u := st) >= 0:
+        if not (u < len(states) and keys[u] in ix.ids):
+            raise PreconditionViolated(f"walk to ({i},{j}) reaches code {u}, no kept state")
+        if reads == len(ix.reads):
+            raise PreconditionViolated(f"walk to ({i},{j}) makes more than {reads} reads")
+        tpr, tpc, w, slots = states[u]
+        if not (tpr <= size_r and tpc <= size_c and (tpr < size_r or tpc < size_c)):
+            raise PreconditionViolated(f"walk to ({i},{j}) enters state {u} at no lower levels")
+        reads, size_r, size_c = reads + 1, tpr, tpc
+        t, corner = keys[u] // K, keys[u] & 3
+        m_r, m_c, k_r, k_c = rows[t], cols[t], (d_r - 1) // tpr, (d_c - 1) // tpc
+        if d_r > m_r or d_c > m_c or k_c >= w or k_r * w + k_c >= len(slots):
+            raise PreconditionViolated(f"walk to ({i},{j}) leaves the blocks of state {u}")
+        axis, s, near, far, shift = step = slots[k_r * w + k_c]
+        b_r, b_c = k_r * tpr, k_c * tpc
+        w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
+        if far is None:
+            e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
+            e_c = m_c - b_c if corner & 1 else b_c + w_c
+            real = _hook_core2(ix.moves, rows, cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner,
+                               PLAIN)
+            if real != step:
+                raise PreconditionViolated(f"state {u}, block ({k_r},{k_c}) holds {step}; a "
+                                           f"stored literal step must be the step descent "
+                                           f"gives, {real}")
+            code = ix.grammar.rules[near]
             break
-        if d_r <= pows[p_r] and p_r > 0:
-            p_r -= 1
-        elif d_c <= pows[p_c] and p_c > 0:
-            p_c -= 1
-        p_r = min(p_r, ix.cap_r[t])
-        p_c = min(p_c, ix.cap_c[t])
-    if d_r != 1 or d_c != 1:
-        raise PreconditionViolated(f"walk ended at variable {t}, delta ({d_r},{d_c}), not (1,1)")
-    code, want = ix.grammar.rules[t], descend2(ix, ix.grammar.start, i, j, 0)
-    if code != want:
-        raise PreconditionViolated(f"walk to ({i},{j}) ended at code {code}, "
-                                   f"descent reaches {want}")
-    return code, steps
+        if not 0 < s < (w_r if axis else w_c):
+            raise PreconditionViolated(f"state {u}, block ({k_r},{k_c}) does not straddle its "
+                                       f"hook's split")
+        prev_r, prev_c = d_r, d_c
+        d_r, d_c = d_r - b_r, d_c - b_c     # the cell inside the block
+        if axis:
+            st, d_r = (near, s - d_r + 1) if d_r <= s else (far, d_r - s)
+            d_c += shift
+        else:
+            st, d_c = (near, s - d_c + 1) if d_c <= s else (far, d_c - s)
+            d_r += shift
+        if not (d_r >= 1 and d_c >= 1
+                and (d_r <= tpr and d_c <= prev_c or d_c <= tpc and d_r <= prev_r)):
+            raise PreconditionViolated(f"per-step contract violated at state {u}: "
+                                       f"({prev_r},{prev_c}) -> ({d_r},{d_c})")
+        st = st[d_r > tpr]
+    else:
+        code = descend2(ix, ~st >> 3, d_r, d_c, ~st >> 1 & 3)
+    if code != (want := descend2(ix, ix.grammar.start, i, j, 0)):
+        raise PreconditionViolated(f"walk to ({i},{j}) ended at code {code}, descent reaches "
+                                   f"{want}")
+    return code, reads
 
 
 def access2(ix, i, j):

@@ -113,7 +113,8 @@ class _Dim:
     tau: Callable         # (max(shape), epsilon) -> the tau preset
     build: Callable       # (SLP, tau, cap) -> index, or ExpansionTooLarge past the cap
     access: Callable      # (index, *position) -> code
-    traced: Callable      # (index, *position) -> (code, mapping steps)
+    traced: Callable      # (index, *position) -> (code, steps), the fast walk with every
+                          #   read checked; steps: levels + 1 in 1D, the reads in 2D
     descend: Callable     # (index, variable, *position, side or corner) -> code, by descent
     reference: Callable   # (SLP, cap) -> (*position -> code), from the full expansion
 

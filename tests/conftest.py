@@ -20,6 +20,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from types import SimpleNamespace
 from unittest import mock
 
 from gridgram import (
@@ -280,6 +281,31 @@ def state_of(ix, key):
     H = ix.levels + 1
     t, rest = divmod(key, 4 * H * H)
     return (t, rest & 3, *divmod(rest >> 2, H))
+
+
+_LEVELS = [None, None]          # the last index levels_of read, and its levels
+
+
+def levels_of(ix):
+    """The per-variable levels an index's build works from, computed from
+    its grammar and tau with ``caps``/``_finish`` as the build computes
+    them: in 1D ``cap``, the largest p with tau**p <= the length, ``mark``,
+    ceil(height / FINISH), and ``top``, the highest level the variable
+    stores, -1 for none; in 2D ``cap_r`` and ``cap_c``, the caps on rows
+    and columns. The last index's are kept, for callers that ask per
+    variable."""
+    if _LEVELS[0] is not ix:
+        g, tau = ix.grammar, ix.tau
+        if isinstance(ix, AccessIndex1):
+            cap = access1d.caps(g._lens, tau)
+            mark = [-(-h // access1d.FINISH) for h in g._height]
+            top = access1d._finish(g, [cap], mark)[2][0]
+            levels = SimpleNamespace(cap=cap, mark=mark, top=top)
+        else:
+            levels = SimpleNamespace(cap_r=access1d.caps(g._rows, tau),
+                                     cap_c=access1d.caps(g._cols, tau))
+        _LEVELS[:] = ix, levels
+    return _LEVELS[1]
 
 
 def kept(ix):

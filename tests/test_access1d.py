@@ -1,4 +1,4 @@
-"""1D bookmark index: hook contract, boundary mappings, query equivalence."""
+"""1D bookmark index: hook contract, index layout, query equivalence."""
 
 import random
 
@@ -17,14 +17,13 @@ from gridgram import (
     expand1,
     hook_offset1,
     optimal_tau,
-    side_map,
     validate_slp1,
 )
 from gridgram.access1d import caps
 from gridgram.access2d import optimal_tau2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp1
-from conftest import expand_all_1d, reachable
+from conftest import expand_all_1d, levels_of
 
 
 def test_ceil_log():
@@ -136,7 +135,7 @@ def test_hook_window_equality_exhaustive_small():
 def test_index_single_literal():
     g = validate_slp1(Slp1([0], 1, 0))
     ix = build_index1(g, 2)
-    assert ix.levels == 0 and ix.cap == [0] and ix.top == [-1]
+    assert ix.levels == 0 and levels_of(ix).cap == [0] and levels_of(ix).top == [-1]
     # a literal stores no level, so no walk reads and no state is kept: the
     # walk starts at the literal's finish code
     assert ix.states == [] and ix.ids == {} and ix.first == ~0
@@ -152,16 +151,16 @@ def test_index_abab_entry(abab):
     # turn once, on heavy edges only, so its turn bound 1 is at most the one
     # read a walk has left at level 0, and it stores no level: below its
     # cap, so the walk descends from it at once and no state is built
-    assert ix.mark[0] == 1 and ix.cap[0] == 2 and ix.top[0] == -1
+    levels = levels_of(ix)
+    assert levels.mark[0] == 1 and levels.cap[0] == 2 and levels.top[0] == -1
     assert ix.states == [] and ix.ids == {}
-    # W -> A S (id 0, height 3 > 2), level 1, block 1, the window (2..4]:
-    # hook 1 (A -> B C) at offset 0, so the split lies 1 in from the left,
-    # with B nearer that boundary and C farther. W stores level 1, below its
-    # cap 2, so nothing is built and the checked step resolves the block by
-    # descent: position 3 is B's, the near child's, 1 from its right
+    # W -> A S (id 0, height 3 > 2) stores level 1, below its cap 2, so
+    # nothing is built and the walk descends from W at once: position 3 is
+    # B's, code 0
     ix = build_index1(validate_slp1(Slp1([(1, 4), (2, 3), 0, 1, (1, 1)], 2, 0)), 2)
-    assert ix.grammar._height[0] == 3 and (ix.top[0], ix.cap[0]) == (1, 2)
-    assert ix.entry_count() == 0 and side_map(ix, 0, 0, 1, 3) == (2, 1, 1)
+    levels = levels_of(ix)
+    assert ix.grammar._height[0] == 3 and (levels.top[0], levels.cap[0]) == (1, 2)
+    assert ix.entry_count() == 0 and ix.first < 0 and access1_traced(ix, 3) == (0, 4)
 
 
 def test_index_entry_count_bound():
@@ -179,21 +178,6 @@ def test_index_clamps_tau_to_the_longest_expansion(abab):
     g = validate_slp1(Slp1([(1, 2), 0, 1, (4, 4), (5, 5), (1, 2)], 2, 0))
     ix = build_index1(g, 10 ** 11)
     assert ix.tau == 2 and [access1(ix, i) for i in (1, 2)] == [0, 1]
-
-
-def test_maps_refuse_a_variable_without_bookmarks():
-    g = validate_slp1(Slp1([(1, 2), 0, 1, (1, 1)], 2, 0))    # id 3 is unreachable
-    ix = build_index1(g, 2)
-    # the start stores level 0 (height 1 <= FINISH * 1, so not level 1),
-    # below its cap 1, so no walk reads and no state is kept; the checked
-    # step resolves the start's blocks by descent, and refuses the
-    # unreachable id 3 and ids that do not exist
-    assert ix.states == [] and ix.ids == {} and ix.entry_count() == 0
-    assert side_map(ix, 0, 0, 0, 1) == (1, 1, 0) and side_map(ix, 1, 0, 0, 1) == (2, 1, 0)
-    for side in (0, 1):
-        for t in (3, 4, -1):    # unreachable, then no such variable
-            with pytest.raises(PreconditionViolated):
-                side_map(ix, side, t, 0, 1)
 
 
 def test_optimal_tau_refuses_epsilon_as_given():
@@ -222,77 +206,6 @@ def test_optimal_tau_stops_at_n():
 def test_index_rejects_tau_below_two(abab):
     with pytest.raises(PreconditionViolated):
         build_index1(abab, 1)
-
-
-def test_left_map_examples(abab):
-    ix = build_index1(abab, 2)
-    assert side_map(ix, 0, 0, 0, 2) == (3, 1, 0)     # reads 'b'
-    assert side_map(ix, 0, 0, 1, 3) == (2, 1, 1)     # reads 'a'
-    g1 = validate_slp1(Slp1([0], 1, 0))
-    ixs = build_index1(g1, 2)
-    assert side_map(ixs, 0, 0, 0, 1) == (0, 1, 0)
-
-
-def test_right_map_examples(abab):
-    ix = build_index1(abab, 2)
-    g1 = validate_slp1(Slp1([0], 1, 0))
-    ixs = build_index1(g1, 2)
-    assert side_map(ixs, 1, 0, 0, 1) == (0, 1, 0)
-    t, d, side = side_map(ix, 1, 0, 0, 1)            # Exp(S)[4] = 'b'
-    assert abab.rules[t] == 1 and d == 1
-    t, d, side = side_map(ix, 1, 0, 1, 3)            # Exp(S)[2] = 'b'
-    assert abab.rules[t] == 1 and d == 1
-
-
-def test_map_precondition_checks(abab):
-    ix = build_index1(abab, 2)
-    with pytest.raises(PreconditionViolated):
-        side_map(ix, 0, 0, 0, 5)
-    with pytest.raises(PreconditionViolated):
-        side_map(ix, 0, 0, 0, 3)   # delta > tau**(p+1)
-    with pytest.raises(PreconditionViolated):
-        side_map(ix, 1, 0, 0, 0)
-
-
-def test_map_contraction_property():
-    rng = random.Random(13)
-    for seed in range(10):
-        g = random_slp1(seed + 300, 20, sigma=3, max_len=512)
-        for tau in (2, 3):
-            ix = build_index1(g, tau)
-            for _ in range(200):
-                t = rng.choice(reachable(g))
-                m = exp_len(g, t)
-                p = rng.randint(0, ix.levels)
-                delta = rng.randint(1, min(m, ix.pows[p + 1]))
-                for side in (0, 1):
-                    t2, d2, _ = side_map(ix, side, t, p, delta)
-                    assert 1 <= d2 <= exp_len(g, t2)
-                    assert d2 <= ix.pows[p]
-                    if p == 0:
-                        assert exp_len(g, t2) == 1
-
-
-def test_map_access_semantics_random():
-    """side_map's output addresses the same symbol from either side,
-    checked on the naive expansion via side-based indexing."""
-    rng = random.Random(17)
-    for seed in range(10):
-        g = random_slp1(seed + 400, 16, sigma=3, max_len=256)
-        exps = expand_all_1d(g)
-        for tau in (2, 3):
-            ix = build_index1(g, tau)
-            for _ in range(300):
-                t = rng.choice(reachable(g))
-                m = len(exps[t])
-                p = rng.randint(0, ix.levels)
-                delta = rng.randint(1, min(m, ix.pows[p + 1]))
-                for side in (0, 1):
-                    before = exps[t][m - delta] if side else exps[t][delta - 1]
-                    t2, d2, s2 = side_map(ix, side, t, p, delta)
-                    w2 = exps[t2]
-                    after = w2[len(w2) - d2] if s2 else w2[d2 - 1]
-                    assert before == after
 
 
 def test_access_abab(abab):

@@ -1,4 +1,4 @@
-"""2D corner index: hook contract, corner mappings, query equivalence."""
+"""2D corner index: hook contract, index layout, query equivalence."""
 
 import random
 
@@ -14,7 +14,6 @@ from gridgram import (
     access2_traced,
     build_index2,
     ceil_log,
-    corner_map,
     dims,
     expand2,
     hook_offset2,
@@ -25,20 +24,12 @@ from gridgram.access2d import FINISH2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp2
 from gridgram.access1d import _heavy, _turns
-from conftest import expand_all_2d, kept, reachable, submatrix
+from conftest import expand_all_2d, submatrix
 
 
 def _turns_of(g):
     """The turn bound of every variable (``access1d._turns``)."""
     return _turns(g._moves, g._topo, [_heavy(g._moves, g._topo, side) for side in (0, 1)])
-
-
-def _access_naive(m, d_r, d_c, corner):
-    """The cell (d_r, d_c) of m read from ``corner`` (bit 1 = from the
-    bottom, bit 0 = from the right)."""
-    i = m.rows - d_r + 1 if corner & 2 else d_r
-    j = m.cols - d_c + 1 if corner & 1 else d_c
-    return m.get(i, j)
 
 
 def test_optimal_tau2_clamps():
@@ -158,21 +149,14 @@ def test_index_2x2_nw_entry(grid22):
     # only, not (1, 0) or (0, 1); its point paths turn once, on heavy edges
     # only, so its turn bound 1 is at most the one read a walk has left at
     # (0, 0), and it stores no level pair, not its caps (1, 1): the walk
-    # descends from S at once, plainly, and no state is built. Levels
-    # (0, 0), block (1, 0): the checked step resolves it, by descent, into
-    # the step to the literal 5
+    # descends from S at once, plainly, with no read, and no state is built
     assert -(-ix.grammar._height[0] // FINISH2) == 1 and _turns_of(grid22)[0] == 1
     assert ix.first == ~(0 * 8 + 0) and ix.states == []
-    assert corner_map(ix, 0, 0, 0, 0, 2, 1) == (5, 1, 1, 0)
+    assert access2_traced(ix, 2, 1) == (2, 0)
     # T_11, with T_k -> Vert(S, T_k-1) and T_0 = S (id 11, 2x2): id 0, 2x24,
     # height 13, so its mark is 2 and it stores level pairs up to (1, 1);
-    # its column cap 4 reaches the mark, so again nothing is built.
-    # Levels (0, 1), block (0, 0), the window (0..1] x (0..2], lies in T's
-    # first S, which does not store the pair: hook 12 (the top row, a b, of
-    # that S), so the columns split 1 in from the left, with a nearer and b
-    # farther. Block (0, 1), the window (0..1] x (2..4], leaves that S: hook
-    # 12 of T_10's S. Levels (1, 1), block (0, 0), is that whole S, whose
-    # rows split 1 from the top
+    # its column cap 4 reaches the mark, so again nothing is built and
+    # every walk descends at once
     n = 11
     g = validate_slp2(Slp2([Vert(n, k + 1) for k in range(n - 1)]
                            + [Vert(n, n), Horiz(n + 1, n + 2), Vert(n + 3, n + 4),
@@ -180,9 +164,9 @@ def test_index_2x2_nw_entry(grid22):
     ix = build_index2(g, 2)
     assert ix.grammar._height[0] == 13 and FINISH2 * 1 < 13 <= FINISH2 * 2
     assert ix.first < 0 and ix.entry_count() == 0
-    assert corner_map(ix, 0, 0, 0, 1, 1, 1) == (n + 3, 1, 1, 1)     # a, from its right
-    assert corner_map(ix, 0, 0, 0, 1, 1, 4) == (n + 4, 1, 1, 0)     # b, the far child
-    assert corner_map(ix, 0, 0, 1, 1, 2, 1) == (n + 2, 1, 1, 0)     # the bottom row
+    m = expand2(g)
+    assert all(access2_traced(ix, i, j) == (m.get(i, j), 0)
+               for i in range(1, m.rows + 1) for j in range(1, m.cols + 1))
 
 
 def test_index_entry_count_bound_random():
@@ -205,65 +189,9 @@ def test_index_clamps_tau_to_the_longest_side(grid22):
     assert ix.tau == 2 and [access2(ix, 1, j) for j in (1, 2)] == [0, 1]
 
 
-def test_corner_map_refuses_a_variable_without_bookmarks():
-    g = validate_slp2(Slp2([Vert(1, 2), 0, 1, Horiz(1, 1)], 2, 0))     # id 3 is unreachable
-    ix = build_index2(g, 2)
-    assert all(t != 3 for t, *_ in kept(ix))
-    for t in (3, 4, -2):        # unreachable, then no such variable
-        with pytest.raises(PreconditionViolated):
-            corner_map(ix, 0, t, 0, 0, 1, 1)
-
-
 def test_index_rejects_tau_below_two(grid22):
     with pytest.raises(PreconditionViolated):
         build_index2(grid22, 1)
-
-
-def test_corner_map_examples(grid22):
-    ix = build_index2(grid22, 2)
-    assert corner_map(ix, 0, 0, 0, 0, 2, 1) == (5, 1, 1, 0)
-    t, d_r, d_c, _ = corner_map(ix, 3, 0, 0, 0, 1, 1)
-    assert grid22.rules[t] == 3 and (d_r, d_c) == (1, 1)
-    g1 = validate_slp2(Slp2([0], 1, 0))
-    ix1 = build_index2(g1, 2)
-    for corner in range(4):
-        assert corner_map(ix1, corner, 0, 0, 0, 1, 1) == (0, 1, 1, 0)
-
-
-def test_corner_map_precondition(grid22):
-    ix = build_index2(grid22, 2)
-    with pytest.raises(PreconditionViolated):
-        corner_map(ix, 0, 0, 0, 0, 3, 1)
-    with pytest.raises(PreconditionViolated):
-        corner_map(ix, 0, 0, 0, 0, 2, 4)
-
-
-def test_corner_map_semantics_all_corners_random():
-    """Every corner mapping preserves the addressed symbol and satisfies the
-    contraction disjunction, verified against naive per-variable matrices."""
-    rng = random.Random(23)
-    for seed in range(8):
-        g = random_slp2(seed + 700, 16, sigma=3, max_cells=400)
-        exps = expand_all_2d(g)
-        for tau in (2, 3):
-            ix = build_index2(g, tau)
-            for _ in range(250):
-                t = rng.choice(reachable(g))
-                w = exps[t]
-                p_r = rng.randint(0, ix.levels)
-                p_c = rng.randint(0, ix.levels)
-                d_r = rng.randint(1, min(w.rows, ix.pows[p_r + 1]))
-                d_c = rng.randint(1, min(w.cols, ix.pows[p_c + 1]))
-                for corner in range(4):
-                    before = _access_naive(w, d_r, d_c, corner)
-                    t2, d_r2, d_c2, c2 = corner_map(ix, corner, t, p_r, p_c, d_r, d_c)
-                    w2 = exps[t2]
-                    assert 1 <= d_r2 <= w2.rows and 1 <= d_c2 <= w2.cols
-                    assert (d_r2 <= ix.pows[p_r] and d_c2 <= d_c) or \
-                           (d_c2 <= ix.pows[p_c] and d_r2 <= d_r)
-                    if p_r == 0 and p_c == 0:
-                        assert isinstance(g.rules[t2], int)
-                    assert _access_naive(w2, d_r2, d_c2, c2) == before
 
 
 def test_access_2x2(grid22):

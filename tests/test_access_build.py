@@ -27,10 +27,10 @@ the number of windows, the builds' own slot count against their cap
 (exact, and refusing before it allocates where a build would be large),
 that equal steps are stored as one object, the fast and the traced access
 against the expansion and against the library's root-to-leaf descent from
-every side or corner, that the traced 2D walk reads the slots the fast one
-reads, that the checked steps refuse a corrupt step and resolve a state
-the index does not keep by descent, and that the fast walks refuse a code
-the index does not keep, on random SLPs, left and right combs (deep,
+every side or corner, that the traced walks read exactly the slots the
+fast ones read and, on every corrupt slot the fast walks read, answer
+right or refuse, and that the fast walks refuse a code the index does not
+keep, on random SLPs, left and right combs (deep,
 mostly copied on one side and descended on the other), 2D combs along
 either axis, staircases and zigzags. The turn bounds are checked against
 the point walks to every cell, the zigzags against keeping their states,
@@ -81,14 +81,12 @@ from gridgram import (
     access2_traced,
     build_index1,
     build_index2,
-    corner_map,
     descend1,
     descend2,
     expand1,
     expand2,
     hook_offset1,
     hook_offset2,
-    side_map,
     validate_slg1,
     validate_slg2,
     validate_slp1,
@@ -98,9 +96,9 @@ from gridgram import access1d, access2d
 from gridgram.access1d import FINISH, PLAIN, _chains, _copied, _heavy, _hook_core, _run1, _turns
 from gridgram.access2d import FINISH2, _hook_core2, _run2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import (comb1, comb2, decoded, expand_all_1d, expand_all_2d, kept, made_slots,
-                      reachable, staircase2, state_key1, state_key2, state_of, submatrix,
-                      variable, wrap_slots, zigzag1, zigzag2)
+from conftest import (comb1, comb2, decoded, expand_all_1d, expand_all_2d, kept, levels_of,
+                      made_slots, reachable, staircase2, state_key1, state_key2, state_of,
+                      submatrix, variable, wrap_slots, zigzag1, zigzag2)
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
@@ -226,8 +224,8 @@ def stores2(ix, c, p_r, p_c):
     """Whether variable c of a 2D index stores the level pair: each level
     at most its cap and below its mark, and the reads a walk has left
     there, p_r + p_c + 1, below its turn bound."""
-    mark = mark2(ix.grammar, c)
-    return (p_r <= min(ix.cap_r[c], mark - 1) and p_c <= min(ix.cap_c[c], mark - 1)
+    mark, levels = mark2(ix.grammar, c), levels_of(ix)
+    return (p_r <= min(levels.cap_r[c], mark - 1) and p_c <= min(levels.cap_c[c], mark - 1)
             and p_r + p_c + 1 < turns2(ix.grammar)[c])
 
 
@@ -251,19 +249,20 @@ def test_build1_stores_every_window_hook(g, tau):
     turns = turns_of(g)
     T = ix.tau
     ids = reachable(g)
+    levels = levels_of(ix)
     grid = 0
     for i, m in enumerate(g._lens):
         if i not in ids:
             continue
-        cap, top = ix.cap[i], ix.top[i]
+        cap, top = levels.cap[i], levels.top[i]
         assert T ** cap <= m < T ** (cap + 1)
-        assert ix.mark[i] == -(-height[i] // FINISH)
-        assert top == max(-1, min(cap, ix.mark[i] - 1, turns[i] - 2))
+        assert levels.mark[i] == -(-height[i] // FINISH)
+        assert top == max(-1, min(cap, levels.mark[i] - 1, turns[i] - 2))
         grid += 2 * axis_blocks(m, top, T)
     states, view = kept(ix), decoded(ix)
     for (i, side, p), slots in states.items():
         m = g._lens[i]
-        assert i in ids and p <= ix.top[i] and len(slots) == len(blocks(m, ix.pows[p], T))
+        assert i in ids and p <= levels.top[i] and len(slots) == len(blocks(m, ix.pows[p], T))
         for k, b, e in blocks(m, ix.pows[p], T):
             step = step1(g, i, side, *((m - e, m - b) if side else (b, e)))
             assert slots[k][0] == b + step[0]
@@ -287,11 +286,12 @@ def test_build2_stores_every_window_hook(g, tau):
     height = heights(g)
     assert ix.grammar._height == height
     ids = reachable(g)
+    levels = levels_of(ix)
     grid = 0
     for i, (m_r, m_c) in enumerate(zip(g._rows, g._cols)):
         if i not in ids:
             continue
-        cap_r, cap_c, mark = ix.cap_r[i], ix.cap_c[i], -(-height[i] // FINISH2)
+        cap_r, cap_c, mark = levels.cap_r[i], levels.cap_c[i], -(-height[i] // FINISH2)
         assert T ** cap_r <= m_r < T ** (cap_r + 1) and T ** cap_c <= m_c < T ** (cap_c + 1)
         turn = turns2(g)[i]
         top_r, top_c = max(-1, min(cap_r, mark - 1, turn - 2)), max(-1, min(cap_c, mark - 1,
@@ -323,7 +323,7 @@ def copy_sources1(ix, states):
     wholly inside it, and of the far child when a block lies wholly inside
     it at a multiple of the block size from its start, where that child
     stores the level."""
-    g, T, top = ix.grammar, ix.tau, ix.top
+    g, T, top = ix.grammar, ix.tau, levels_of(ix).top
     out, todo = set(), list(states)
     while todo:
         state = todo.pop()
@@ -346,7 +346,8 @@ def closure1(ix):
     from the start, each block's step taken from the plain walk (step1) and
     each state's every block followed, and those closed under the copy
     rule."""
-    g, T, top, cap = ix.grammar, ix.tau, ix.top, ix.cap
+    g, T, levels = ix.grammar, ix.tau, levels_of(ix)
+    top, cap = levels.top, levels.cap
     s = g.start
     todo = [(s, 0, top[s])] if top[s] == cap[s] else []
     walked = set(todo)
@@ -403,11 +404,10 @@ def closure2(ix):
     the block reaches is followed); each level is capped by the child's
     cap, and a pair the child does not store (``stores2``) ends the walk
     there."""
-    g, T = ix.grammar, ix.tau
-    rows, cols = g._rows, g._cols
+    g, T, levels = ix.grammar, ix.tau, levels_of(ix)
+    rows, cols, cap_r, cap_c = g._rows, g._cols, levels.cap_r, levels.cap_c
     s = g.start
-    todo = [(s, 0, ix.cap_r[s], ix.cap_c[s])] if stores2(ix, s, ix.cap_r[s], ix.cap_c[s]) \
-        else []
+    todo = [(s, 0, cap_r[s], cap_c[s])] if stores2(ix, s, cap_r[s], cap_c[s]) else []
     walked = set(todo)
     while todo:
         i, corner, p_r, p_c = todo.pop()
@@ -428,7 +428,7 @@ def closure2(ix):
                 flip = corner ^ 1
             for c, to in ((near, flip), (far, corner)):
                 for q_r, q_c in levels:
-                    state = (c, to, min(q_r, ix.cap_r[c]), min(q_c, ix.cap_c[c]))
+                    state = (c, to, min(q_r, cap_r[c]), min(q_c, cap_c[c]))
                     if stores2(ix, c, *state[2:]) and state not in walked:
                         walked.add(state)
                         todo.append(state)
@@ -482,6 +482,21 @@ def read_slots(ix):
     return log
 
 
+def readers(ix, walk, queries):
+    """{(*state, k): the queries whose walk reads slot k of that kept
+    state (``kept``)}, in query order; ix's slot lists are left as they
+    were."""
+    saved, log, out = list(ix.states), set(), {}
+    wrap_slots(ix, lambda slots, state: Slots(slots, state, log))
+    for q in queries:
+        log.clear()
+        walk(ix, *q)
+        for at in log:
+            out.setdefault(at, []).append(q)
+    ix.states[:] = saved
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_builds_the_walks_closure(g, tau):
@@ -510,7 +525,8 @@ def assert_state_machine1(ix):
     entry_count() is the kept slots, all the slots the index holds; every
     other id holds one shared sentinel state (``assert_sentinel``).
     Returns (kept states, kept slots)."""
-    g, T, top, cap, mark = ix.grammar, ix.tau, ix.top, ix.cap, ix.mark
+    g, T, levels = ix.grammar, ix.tau, levels_of(ix)
+    top, cap, mark = levels.top, levels.cap, levels.mark
     kept = assert_sentinel(ix)
     s = g.start
     if top[s] < cap[s]:
@@ -587,7 +603,8 @@ def code2(ix, c, q_r, q_c, corner):
     """The code access2's rule gives a step into c's corner at the level
     pair (q_r, q_c): each level capped by c's cap, the id of c's kept state
     there when c stores the pair, its finish code otherwise."""
-    q_r, q_c = min(q_r, ix.cap_r[c]), min(q_c, ix.cap_c[c])
+    levels = levels_of(ix)
+    q_r, q_c = min(q_r, levels.cap_r[c]), min(q_c, levels.cap_c[c])
     if stores2(ix, c, q_r, q_c):
         return ix.ids[state_key2(ix, c, corner, q_r, q_c)]
     return ~(c * 8 + corner * 2 + (max(q_r, q_c) < mark2(ix.grammar, c)))
@@ -603,13 +620,14 @@ def assert_state_machine2(ix):
     it, or at p_r 0, the p_c drop twice; every kept slot's step is the
     plain walk's (``step2``); and entry_count() is the kept slots. Returns
     (kept states, kept slots)."""
-    g, T = ix.grammar, ix.tau
+    g, T, levels = ix.grammar, ix.tau, levels_of(ix)
     kept = assert_sentinel(ix)
     s = g.start
-    if stores2(ix, s, ix.cap_r[s], ix.cap_c[s]):
-        assert ix.first == 0 and ix.keys[0] == state_key2(ix, s, 0, ix.cap_r[s], ix.cap_c[s])
+    cap_r, cap_c = levels.cap_r[s], levels.cap_c[s]
+    if stores2(ix, s, cap_r, cap_c):
+        assert ix.first == 0 and ix.keys[0] == state_key2(ix, s, 0, cap_r, cap_c)
     else:
-        assert not kept and ix.first == ~(s * 8 + (max(ix.cap_r[s], ix.cap_c[s]) < mark2(g, s)))
+        assert not kept and ix.first == ~(s * 8 + (max(cap_r, cap_c) < mark2(g, s)))
     reached, todo = set(), [ix.first] if ix.first >= 0 else []
     while todo:
         j = todo.pop()
@@ -698,32 +716,6 @@ def test_build1_stores_each_distinct_step_once(g, tau):
 @given(g=grammars2(), tau=TAUS)
 def test_build2_stores_each_distinct_step_once(g, tau):
     assert distinct_objects_are_distinct_values(stored(build_index2(g, tau)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(g=grammars2(), tau=TAUS, data=st.data())
-def test_corner_map_above_the_caps_answers_as_at_the_caps(g, tau, data):
-    ix = build_index2(g, tau)
-    t = data.draw(st.sampled_from(reachable(g)))
-    p_r, p_c = data.draw(st.integers(0, ix.levels)), data.draw(st.integers(0, ix.levels))
-    d_r = data.draw(st.integers(1, min(ix.rows[t], ix.pows[p_r + 1])))
-    d_c = data.draw(st.integers(1, min(ix.cols[t], ix.pows[p_c + 1])))
-    for corner in range(4):
-        assert corner_map(ix, corner, t, p_r, p_c, d_r, d_c) == \
-            corner_map(ix, corner, t, min(p_r, ix.cap_r[t]), min(p_c, ix.cap_c[t]), d_r, d_c)
-
-
-def test_maps_refuse_a_side_or_corner_out_of_range():
-    ix1 = build_index1(validate_slp1(Slp1([(1, 2), 0, 1], 2, 0)), 2)
-    assert side_map(ix1, 1, 0, 0, 1) == (2, 1, 0)
-    for side in (-1, 2, "L"):
-        with pytest.raises(PreconditionViolated):
-            side_map(ix1, side, 0, 0, 1)
-    ix2 = build_index2(validate_slp2(Slp2([Vert(1, 2), 0, 1], 2, 0)), 2)
-    assert corner_map(ix2, 3, 0, 0, 0, 1, 1) == (2, 1, 1, 0)
-    for corner in (-1, 4, "NW"):
-        with pytest.raises(PreconditionViolated):
-            corner_map(ix2, corner, 0, 0, 0, 1, 1)
 
 
 def test_descents_refuse_arguments_out_of_contract():
@@ -1034,7 +1026,7 @@ def uncovered1(ix, far_copies=True, built=False):
     only the first. Over every state a variable stores, or with built only
     over the states ix built: those it keeps and the states their copies
     read (``copy_sources1``)."""
-    g, T = ix.grammar, ix.tau
+    g, T, top = ix.grammar, ix.tau, levels_of(ix).top
     states = copy_sources1(ix, kept(ix)) if built else None
     want = Counter()
     for i in reachable(g):
@@ -1045,13 +1037,13 @@ def uncovered1(ix, far_copies=True, built=False):
         for side in (0, 1):
             near, far = rule[::-1] if side else rule
             a = g._lens[near]
-            for p in range(ix.top[i] + 1):
+            for p in range(top[i] + 1):
                 if built and (i, side, p) not in states:
                     continue
                 tp = ix.pows[p]
                 for _, b, e in blocks(m, tp, T):
-                    if e <= a and p <= ix.top[near] or far_copies and a <= b \
-                            and (b - a) % tp == 0 and p <= ix.top[far]:
+                    if e <= a and p <= top[near] or far_copies and a <= b \
+                            and (b - a) % tp == 0 and p <= top[far]:
                         continue
                     want[(i, side) + ((m - e, m - b) if side else (b, e))] += 1
     return want
@@ -1278,9 +1270,10 @@ def test_a_far_child_shorter_than_the_block_is_descended():
     s, (x, y) = g.start, g.rules[g.start]
     with descents() as log:
         ix = build_index1(g, 2)
-    p = ix.top[s]
-    assert p == ix.cap[s] and g._lens[x] % 2 ** p == 0
-    assert ix.cap[y] < p < -(-g._height[y] // FINISH)
+    levels = levels_of(ix)
+    p = levels.top[s]
+    assert p == levels.cap[s] and g._lens[x] % 2 ** p == 0
+    assert levels.cap[y] < p < -(-g._height[y] // FINISH)
     with copy_rule(no_copies):
         assert agree(ix, build_index1(g, 2))
     assert_descents(log, ix, uncovered1)
@@ -1290,9 +1283,10 @@ def test_a_far_child_shorter_than_the_block_is_descended():
     s, (x, y) = g.start, g.rules[g.start].children
     with descents() as log:
         ix = build_index2(g, 2)
-    p_r = min(ix.cap_r[s], mark2(g, s) - 1)
+    cap_r = levels_of(ix).cap_r
+    p_r = min(cap_r[s], mark2(g, s) - 1)
     assert ix.first == 0 and state_of(ix, ix.keys[0])[2] == p_r and g._rows[x] % 2 ** p_r == 0
-    assert ix.cap_r[y] < p_r < mark2(g, y)
+    assert cap_r[y] < p_r < mark2(g, y)
     with copy_rule(no_copies):
         assert agree(ix, build_index2(g, 2))
     assert_descents(log, ix, uncovered2)
@@ -1358,8 +1352,9 @@ def test_move_records_drive_every_walk(g, tau, data):
             b, e = window(data, m)
             hook, off = hook_offset1(g, t, b, e)
             assert exp[hook][off:off + e - b] == exp[t][b:e]
-        assert ix.top == [max(-1, min(c, -(-h // FINISH) - 1, b - 2))
-                          for c, h, b in zip(ix.cap, ix.grammar._height, turns_of(g))]
+        levels = levels_of(ix)
+        assert levels.top == [max(-1, min(c, -(-h // FINISH) - 1, b - 2))
+                              for c, h, b in zip(levels.cap, ix.grammar._height, turns_of(g))]
         return
     ix = build_index2(g, tau)
     assert ix.moves is g._moves
@@ -1378,7 +1373,8 @@ def test_move_records_drive_every_walk(g, tau, data):
         hook, off_r, off_c = hook_offset2(g, t, b_r, b_c, e_r, e_c)
         assert submatrix(exp[hook], off_r, off_r + e_r - b_r, off_c, off_c + e_c - b_c) == \
             submatrix(exp[t], b_r, e_r, b_c, e_c)
-    cap_r, cap_c, mark = ix.cap_r[start], ix.cap_c[start], mark2(g, start)
+    levels = levels_of(ix)
+    cap_r, cap_c, mark = levels.cap_r[start], levels.cap_c[start], mark2(g, start)
     plain = max(cap_r, cap_c) >= mark
     if plain or cap_r + cap_c + 1 >= turns_of(g)[start]:
         assert ix.first == ~(start * 8 + (not plain))
@@ -1416,12 +1412,13 @@ def swapped(step, far):
 
 def test_access1_traced_never_answers_wrong_on_a_swapped_step():
     """A step whose near and far children are exchanged still straddles its
-    block, so only the descent the traced walk compares with catches it:
-    every position either answers right or raises."""
+    block, so the straddle check passes it; a delta outside the child's
+    blocks or the comparison with the descent catches it: every position
+    either answers right or raises."""
     g = random_slp1(0, 40, 3, 4096)
     ix = build_index1(g, 2)
     slots = ix.states[0][1]         # the first state: the start's left side at its cap, 11
-    assert ix.cap[g.start] == 11 and ix.keys[0] == state_key1(ix, g.start, 0, 11)
+    assert levels_of(ix).cap[g.start] == 11 and ix.keys[0] == state_key1(ix, g.start, 0, 11)
     assert decoded(ix)[0, g.start, 11 * 2] == (613, 11, 1) and slots[0][0] == 613
     slots[0] = swapped(slots[0], 2)
     raised = 0
@@ -1430,13 +1427,13 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
             assert access1_traced(ix, i) == (want, ix.levels + 1)
         except PreconditionViolated:
             raised += 1
-    assert raised > 1153            # the 332 wrong answers raise too
+    assert raised > 1153            # 644 of them at the comparison with the descent
 
 
 def test_access2_traced_never_answers_wrong_on_a_swapped_step():
     """The 2D case, on an 80-step zigzag, 41 x 41, deep enough at tau 2 that
     the start's own steps are read (its turn bound 80 is more than the 11
-    reads left at its caps (5, 5)): the swapped one sends 51 of the 1681
+    reads left at its caps (5, 5)): the swapped one sends 52 of the 1681
     cells to a wrong code through every per-step check."""
     rng = random.Random(0)
     g = zigzag2([rng.randrange(4) for _ in range(83)], 80)
@@ -1456,53 +1453,49 @@ def test_access2_traced_never_answers_wrong_on_a_swapped_step():
             except PreconditionViolated as e:
                 raised += 1
                 wrong += "descent reaches" in str(e)
-    assert raised > 960 and wrong == 51     # the 51 wrong answers raise too
+    assert raised > 960 and wrong == 52     # the 52 wrong answers raise too
 
 
 # -- checked literal steps ---------------------------------------------------
 
-def test_side_map_refuses_a_wrong_literal_step():
+def test_access1_traced_refuses_a_wrong_literal_step():
     # X0 -> a X1, X1 -> X2 b, X2 -> c X3, X3 -> X4 d, X4 -> a X5, X5 -> X6 b,
     # X6 -> c d, "acacdbdb": at tau 2 the fast and the traced walk to
     # position 4 read X5's level-0 block on X6's c, from the left, a state
     # the index keeps; X5 stores level 0, as its turn bound 2 is more than
-    # the one read a walk has left there. The literal c stores no level, so
-    # its own cell is resolved by descent and has no slot to corrupt
+    # the one read a walk has left there. The literal c stores no level
     g = zigzag1([0, 1, 2, 3, 0, 1, 2, 3])
     ix = build_index1(g, 2)
-    assert access1_traced(ix, 4) == (2, 4) and ix.top[9] == -1
-    assert side_map(ix, 0, 9, 0, 1) == (9, 1, 0)
+    levels = levels_of(ix)
+    assert access1_traced(ix, 4) == (2, 4) and levels.top[9] == -1
     slots = kept(ix)[5, 0, 0]
-    assert ix.top[5] == 0 and slots == [(0, 9, None), (1, 10, None)]
+    assert levels.top[5] == 0 and slots == [(0, 9, None), (1, 10, None)]
     # X5's block on c, from the left, claiming to be d
     slots[0] = (0, 10, None)
     with pytest.raises(PreconditionViolated, match="literal step"):
         access1_traced(ix, 4)
-    with pytest.raises(PreconditionViolated, match="literal step"):
-        side_map(ix, 0, 5, 0, 1)
 
 
-def test_corner_map_refuses_a_wrong_literal_step():
-    # S = Horiz(Z, Vert(b, a)), Z = Vert(Horiz(c, d), Horiz(a, b)): the 3 x 2
-    # [[c a], [d b], [b a]], literal ids equal to codes. S stores the level
-    # pair (0, 0), as its turn bound 2 is more than the one read a walk has
-    # left there, but is low enough for its caps, so nothing is built
-    g = zigzag2([0, 1, 2, 3, 0, 1, 2, 3], 3)
+def test_access2_traced_refuses_a_wrong_literal_step():
+    """On an 80-step zigzag, 41 x 41, at tau 2: every kept literal step
+    that the walks to its cells read, from each corner, claiming to be
+    another literal (ids 0..3 are the literals 0..3), is refused."""
+    rng = random.Random(0)
+    g = zigzag2([rng.randrange(4) for _ in range(83)], 80)
     ix = build_index2(g, 2)
-    s, m = g.start, expand2(g)
-    assert m.cells == [2, 0, 3, 1, 1, 0] and turns_of(g)[s] == 2 and stores2(ix, s, 0, 0)
-    assert ix.first < 0 and ix.entry_count() == 0 and ix.states == []
-    for corner in range(4):
-        code = m.get(m.rows if corner & 2 else 1, m.cols if corner & 1 else 1)
-        assert corner_map(ix, corner, s, 0, 0, 1, 1) == (code, 1, 1, 0)
-        assert corner_map(ix, corner, code, 0, 0, 1, 1) == (code, 1, 1, 0)
-        # S's state at the level pair (0, 0) written in, 3 x 2 blocks, its
-        # block on the corner's cell claiming to be another literal
-        ix.ids[state_key2(ix, s, corner, 0, 0)] = len(ix.keys)
-        ix.keys.append(state_key2(ix, s, corner, 0, 0))
-        ix.states.append((1, 1, 2, [(0, 0, code ^ 1, None, 0)] + [None] * 5))
+    states, corners = kept(ix), set()
+    for (t, corner, p_r, p_c, at), read in readers(ix, access2, every_query(ix)).items():
+        slots = states[t, corner, p_r, p_c]
+        step = slots[at]
+        if step[3] is not None:
+            continue
+        assert step[2] < 4 and g.rules[step[2]] == step[2]     # a literal's id is its code
+        slots[at] = (0, 0, step[2] ^ 1, None, 0)
         with pytest.raises(PreconditionViolated, match="literal step"):
-            corner_map(ix, corner, s, 0, 0, 1, 1)
+            access2_traced(ix, *read[0])
+        slots[at] = step
+        corners.add(corner)
+    assert corners == {0, 1, 2, 3}
 
 
 # -- the finish: no slot where descent is cheaper than reading on ------------
@@ -1608,7 +1601,7 @@ def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
     when the start is low enough for its cap, height <= FINISH * cap, or
     its turn bound at most the cap + 1 reads it would have left."""
     ix = build_index1(g, tau)
-    cap = ix.cap[g.start]
+    cap = levels_of(ix).cap[g.start]
     assert ix.tau ** cap <= ix.n < ix.tau ** (cap + 1)
     low = ix.grammar._height[g.start] <= FINISH * cap or turns_of(g)[g.start] <= cap + 1
     reads = (0, 0) if low else (1, cap + 1)
@@ -1648,7 +1641,7 @@ def test_finish2_changes_the_tables_only_by_markers(g, tau):
     with mock.patch.object(access2d, "FINISH2", 2):
         low = build_index2(g, tau)
     assert ix.grammar._height == low.grammar._height
-    assert ix.cap_r == low.cap_r and ix.cap_c == low.cap_c
+    assert levels_of(ix) == levels_of(low)
     for corner, t, p_r, p_c, _ in built_slots(ix):
         assert p_r < mark2(g, t) > p_c
     mine = decoded(ix)
@@ -1810,7 +1803,7 @@ def test_access_runs_along_the_chains_where_the_turn_rule_finishes():
         assert ix.entry_count() == 0 and ix.chains is not None
         assert ix.first < 0
         if one:
-            assert ix.top[g.start] < ix.cap[g.start]
+            assert levels_of(ix).top[g.start] < levels_of(ix).cap[g.start]
         tally = tallied(ix)
         if one:
             n = ix.n
@@ -1876,14 +1869,14 @@ def test_zigzags_keep_their_tables(tau):
         assert turns_of(g)[s] == g._height[s]
         if isinstance(g, Slg1):
             ix = build_index1(g, tau)
-            assert ix.top[s] == ix.cap[s] and g._height[s] > ix.levels + 1
+            assert levels_of(ix).top[s] == levels_of(ix).cap[s] and g._height[s] > ix.levels + 1
             tally = tallied(ix)
             n = ix.n
             for i in range(1, n + 1):
                 assert access1(ix, i) == descend1(ix, s, i, 0) == descend1(ix, s, n + 1 - i, 1)
         else:
             ix = build_index2(g, tau)
-            cap_r, cap_c = ix.cap_r[s], ix.cap_c[s]
+            cap_r, cap_c = levels_of(ix).cap_r[s], levels_of(ix).cap_c[s]
             assert ix.first == 0 and ix.keys[0] == state_key2(ix, s, 0, cap_r, cap_c)
             assert g._height[s] > cap_r + cap_c + 1
             tally = tallied(ix)
@@ -1908,11 +1901,12 @@ def assert_walk_bound(g, ix, queries):
     bisects per walk."""
     one = isinstance(g, Slg1)
     s, turns, height = g.start, turns_of(g), g._height
+    levels = levels_of(ix)
     if one:
-        L = high = ix.cap[s]
+        L = high = levels.cap[s]
         walk, descend, factor = partial(access1, ix), partial(descend1, ix, s), FINISH
     else:
-        L, high = ix.cap_r[s] + ix.cap_c[s], max(ix.cap_r[s], ix.cap_c[s])
+        L, high = levels.cap_r[s] + levels.cap_c[s], max(levels.cap_r[s], levels.cap_c[s])
         walk, descend, factor = partial(access2, ix), partial(descend2, ix, s), FINISH2
     want = [descend(*q, 0) for q in queries]
     tally = tallied(ix)
@@ -1979,156 +1973,146 @@ def test_access_stays_within_its_bound_on_random_grammars(g, tau, data):
     assert_walk_bound(g, ix, data.draw(st.lists(cells, min_size=1, max_size=40)))
 
 
-def real_slots(ix, far_at):
-    """(side or corner, variable, slot) of every real step ix holds, in
-    slot order; ``far_at`` indexes a step's far child."""
-    return sorted(at for at, v in decoded(ix).items() if v[far_at] is not None)
+def every_query(ix):
+    """Every position, as a 1-tuple, or every cell of an index's text."""
+    if isinstance(ix, gridgram.AccessIndex1):
+        return [(i,) for i in range(1, ix.n + 1)]
+    return list(product(range(1, ix.n_rows + 1), range(1, ix.n_cols + 1)))
+
+
+def edge_splits(ix, state, k, axis=0):
+    """The splits of slot k of a kept state at its block's near and far
+    edge on the split axis ``axis`` (2D), each as a slot measures it: from
+    the state's side, the block's offset included, in 1D, inside the block
+    in 2D."""
+    if len(state) == 3:
+        t, _, p = state
+        b = k * ix.pows[p]
+        return b, b + min(ix.lens[t] - b, ix.pows[p])
+    t, _, p_r, p_c = state
+    k_r, k_c = divmod(k, ix.states[ix.ids[state_key2(ix, *state)]][2])
+    return 0, min((ix.rows[t] - k_r * ix.pows[p_r], ix.pows[p_r]) if axis else
+                  (ix.cols[t] - k_c * ix.pows[p_c], ix.pows[p_c]))
+
+
+def real_reads(ix, walk, queries, far_at):
+    """``readers`` of the real steps, whose far child, at ``far_at`` in the
+    step, is not None."""
+    states = kept(ix)
+    return {at: read for at, read in readers(ix, walk, queries).items()
+            if states[at[:-1]][at[-1]][far_at] is not None}
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(), tau=FINISH_TAUS, data=st.data())
-def test_side_map_refuses_a_real_step_in_literal_shape(g, tau, data):
-    """A kept real step overwritten with a literal step's shape (k *
-    tau**p, v, None), for the slot's own variable, any other or no
-    variable, is refused: a stored step of that shape must be the literal
-    step the plain descent gives, and a block of two or more positions has
-    none. With its state out of the index's directory, the state is not
-    kept, and the plain descent resolves the block into the same real
-    step."""
+def test_access1_traced_refuses_a_real_step_in_literal_shape(g, tau, data):
+    """A real step a walk reads, overwritten with a literal step's shape
+    (k * tau**p, v, None), for the slot's own variable, any other or no
+    variable, is refused on that walk: a stored step of that shape must be
+    the literal step the plain descent gives, and a block of two or more
+    positions has none."""
     ix = build_index1(g, tau)
-    slots = real_slots(ix, 2)
-    if not slots:
+    read = real_reads(ix, access1, every_query(ix), 2)
+    if not read:
         return
-    side, t, at = data.draw(st.sampled_from(slots))
-    p, k = divmod(at, ix.tau)
-    b = k * ix.pows[p]
-    real = side_map(ix, side, t, p, b + 1)
-    j = ix.ids.pop(state_key1(ix, t, side, p))
-    assert side_map(ix, side, t, p, b + 1) == real
-    ix.ids[state_key1(ix, t, side, p)] = j
-    ix.states[j][1][k] = data.draw(st.builds(
-        lambda v: (b, v, None), st.integers(-1, len(g.rules))))
+    t, side, p, k = at = data.draw(st.sampled_from(sorted(read)))
+    kept(ix)[t, side, p][k] = data.draw(st.builds(
+        lambda v: (k * ix.pows[p], v, None), st.integers(-1, len(g.rules))))
     with pytest.raises(PreconditionViolated, match="literal step"):
-        side_map(ix, side, t, p, b + 1)
+        access1_traced(ix, *read[at][0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS, data=st.data())
-def test_corner_map_refuses_a_real_step_in_literal_shape(g, tau, data):
-    """The 2D case: a kept real step overwritten with (0, 0, v, None, 0) is
-    refused, and with its state out of the index's directory the state is
-    not kept, and the plain descent resolves the block into the same real
-    step."""
+def test_access2_traced_refuses_a_real_step_in_literal_shape(g, tau, data):
+    """The 2D case: a real step a walk reads, overwritten with (0, 0, v,
+    None, 0), is refused on that walk."""
     ix = build_index2(g, tau)
-    slots = real_slots(ix, 3)
-    if not slots:
+    read = real_reads(ix, access2, every_query(ix), 3)
+    if not read:
         return
-    corner, t, p_r, p_c, at = data.draw(st.sampled_from(slots))
-    j = ix.ids.pop(state_key2(ix, t, corner, p_r, p_c))
-    k_r, k_c = divmod(at, ix.states[j][2])
-    args = (ix, corner, t, p_r, p_c, k_r * ix.pows[p_r] + 1, k_c * ix.pows[p_c] + 1)
-    real = corner_map(*args)
-    ix.ids[state_key2(ix, t, corner, p_r, p_c)] = j
-    assert corner_map(*args) == real
-    ix.states[j][3][at] = data.draw(st.builds(
+    *state, at = cell = data.draw(st.sampled_from(sorted(read)))
+    kept(ix)[tuple(state)][at] = data.draw(st.builds(
         lambda v: (0, 0, v, None, 0), st.integers(-1, len(g.rules))))
     with pytest.raises(PreconditionViolated, match="literal step"):
-        corner_map(*args)
+        access2_traced(ix, *read[cell][0])
 
 
 @pytest.mark.parametrize("split", ["0", "w"])
-def test_side_map_refuses_a_step_that_does_not_straddle(split):
+def test_access1_traced_refuses_a_step_that_does_not_straddle(split):
     """A real step whose split is moved to the block's near or far edge is
-    refused, for every such step the index built; at tau 3, where the
-    walks on this grammar reach hundreds."""
+    refused, for every such step the walks to the positions read; at tau
+    3, where those reach hundreds."""
     ix = build_index1(random_slp1(3, 40, 3, 4096), 3)
-    seen = 0
-    for (t, side, p), slots in kept(ix).items():
-        for k, step in enumerate(slots):
-            if step[2] is None:
-                continue
-            b = k * ix.pows[p]
-            w = min(ix.lens[t] - b, ix.pows[p])
-            slots[k] = (b + (0 if split == "0" else w),) + step[1:]
-            with pytest.raises(PreconditionViolated, match="does not straddle"):
-                side_map(ix, side, t, p, b + 1)
-            slots[k] = step
-            seen += 1
-    assert seen > 100
+    states = kept(ix)
+    read = real_reads(ix, access1, every_query(ix), 2)
+    for (*state, k), (i, *_) in read.items():
+        slots = states[tuple(state)]
+        step = slots[k]
+        slots[k] = (edge_splits(ix, tuple(state), k)[split == "w"],) + step[1:]
+        with pytest.raises(PreconditionViolated, match="does not straddle"):
+            access1_traced(ix, *i)
+        slots[k] = step
+    assert len(read) > 100
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["cols", "rows"])
 @pytest.mark.parametrize("split", ["0", "w"])
-def test_corner_map_refuses_a_step_that_does_not_straddle(axis, split):
+def test_access2_traced_refuses_a_step_that_does_not_straddle(axis, split):
     """The 2D straddle guard, on steps that split columns and on steps that
     split rows; on an 80-step zigzag, 41 x 41, at tau 4, deep enough that
-    its walks read, and its index keeps thousands of each."""
+    its walks read hundreds of each."""
     rng = random.Random(0)
     ix = build_index2(zigzag2([rng.randrange(4) for _ in range(83)], 80), 4)
+    states = kept(ix)
     seen = 0
-    for (t, corner, p_r, p_c), slots in kept(ix).items():
-        w = ix.states[ix.ids[state_key2(ix, t, corner, p_r, p_c)]][2]
-        for at, step in enumerate(slots):
-            if step[3] is None or step[0] != axis:
-                continue
-            k_r, k_c = divmod(at, w)
-            b_r, b_c = k_r * ix.pows[p_r], k_c * ix.pows[p_c]
-            edge = min((ix.rows[t] - b_r, ix.pows[p_r]) if axis else
-                       (ix.cols[t] - b_c, ix.pows[p_c]))
-            slots[at] = (axis, 0 if split == "0" else edge) + step[2:]
-            with pytest.raises(PreconditionViolated, match="does not straddle"):
-                corner_map(ix, corner, t, p_r, p_c, b_r + 1, b_c + 1)
-            slots[at] = step
-            seen += 1
+    for (*state, at), (cell, *_) in real_reads(ix, access2, every_query(ix), 3).items():
+        slots = states[tuple(state)]
+        step = slots[at]
+        if step[0] != axis:
+            continue
+        slots[at] = (axis, edge_splits(ix, tuple(state), at, axis)[split == "w"]) + step[2:]
+        with pytest.raises(PreconditionViolated, match="does not straddle"):
+            access2_traced(ix, *cell)
+        slots[at] = step
+        seen += 1
     assert seen > 100
 
 
 _CORRUPT = """
-from gridgram import (PreconditionViolated, Horiz, Slp1, Slp2, Vert, access1_traced,
+from gridgram import (PreconditionViolated, Horiz, Slp1, Slp2, access1_traced,
                       access2_traced, build_index1, build_index2, validate_slp1,
                       validate_slp2)
-from gridgram import access1d, access2d
 
 if __debug__:
     raise SystemExit("run this under python -O")
 
-def first_step(module, name, query):
-    # the arguments after the index of the first mapping step the traced walk
-    # makes, which reads the start's own slot at its caps
-    calls, saved = [], getattr(module, name)
-    setattr(module, name, lambda *a: calls.append(a[1:]) or saved(*a))
-    query()
-    setattr(module, name, saved)
-    return calls[0]
-
 # a zigzag comb of 16 symbols, 15 high and turning at every level, so it
-# stores its cap, level 4; tau 2
+# stores its cap, level 4; tau 2. The walk to position 7 reads first the
+# start's left side at level 4, key 4 * 2, whose one block is the text
 g1 = validate_slp1(Slp1([(15, i + 1) if i % 2 == 0 else (i + 1, 15) for i in range(14)]
                         + [(15, 16), 0, 1], 2, 0))
 ix1 = build_index1(g1, 2)
-side, t, p, delta = first_step(access1d, "side_map", lambda: access1_traced(ix1, 7))
-assert p == ix1.cap[t] == ix1.top[t] == 4
+if not (ix1.first == 0 and ix1.keys[0] == 4 * 2):     # assert is off under -O
+    raise SystemExit("the 1D walk starts elsewhere")
 # a split at the far edge of the block, not inside it
-slots = ix1.states[ix1.ids[t * (2 * ix1.levels + 2) + p * 2 + side]][1]
-k = (delta - 1) // ix1.pows[p]
-slots[k] = ((k + 1) * ix1.pows[p],) + slots[k][1:]
+slots = ix1.states[0][1]
+slots[0] = (16,) + slots[0][1:]
 try:
     access1_traced(ix1, 7)
 except PreconditionViolated:
     print("1D raised")
 
 # a zigzag comb of 128 rows, 127 high and turning at every level, so it
-# stores its caps, levels (7, 0); tau 2
+# stores its caps, levels (7, 0); tau 2. The walk to (3, 1) reads first the
+# start's NW corner at (7, 0), key (7 * 8 + 0) * 4, whose one block is the
+# text
 g2 = validate_slp2(Slp2([Horiz(127, i + 1) if i % 2 == 0 else Horiz(i + 1, 127)
                          for i in range(126)] + [Horiz(127, 128), 0, 1], 2, 0))
 ix2 = build_index2(g2, 2)
-corner, t, p_r, p_c, d_r, d_c = first_step(access2d, "corner_map",
-                                           lambda: access2_traced(ix2, 3, 1))
-assert (p_r, p_c) == (7, 0) and ix2.first == 0
-H = ix2.levels + 1
-_, _, w, slots = ix2.states[ix2.ids[t * 4 * H * H + (p_r * H + p_c) * 4 + corner]]
-k_r, k_c = (d_r - 1) // ix2.pows[p_r], (d_c - 1) // ix2.pows[p_c]
-slots[k_r * w + k_c] = (1, ix2.pows[p_r], (0, 0), (0, 0), 0)
+if not (ix2.first == 0 and ix2.keys[0] == (7 * 8 + 0) * 4):
+    raise SystemExit("the 2D walk starts elsewhere")
+ix2.states[0][3][0] = (1, 128, (0, 0), (0, 0), 0)
 try:
     access2_traced(ix2, 3, 1)
 except PreconditionViolated:
@@ -2164,6 +2148,32 @@ def test_access2_raises_on_a_step_that_lowers_no_level():
     assert len(ix.reads) == 5 + 5 + 1
     with pytest.raises(PreconditionViolated, match=r"walk to \(40,40\) ended off a literal"):
         access2(ix, 40, 40)
+
+
+def test_traced_walks_refuse_a_step_that_keeps_the_level_or_grows_a_delta():
+    """A real step whose codes both name the first state again passes its
+    own read's checks, and the traced walk refuses the next read, whose
+    block size does not fall; in 2D a step whose shift moves the other
+    axis's delta past where it was breaks the per-step contract. On the
+    16-symbol zigzag comb and the 80-step zigzag2, both at tau 2, whose
+    walks start at the start's own state."""
+    g = validate_slp1(Slp1([(15, i + 1) if i % 2 == 0 else (i + 1, 15) for i in range(14)]
+                           + [(15, 16), 0, 1], 2, 0))
+    ix = build_index1(g, 2)
+    S, near, far = ix.states[0][1][0]
+    assert ix.first == 0 and ix.states[0][0] == ix.n == 16
+    ix.states[0][1][0] = (S, 0, 0)
+    with pytest.raises(PreconditionViolated, match="at no lower level"):
+        access1_traced(ix, 5)
+    ix = build_index2(zigzag2([0, 1] * 42, 80), 2)
+    step = ix.states[0][3][0]
+    assert ix.first == 0 and step[:2] == (0, 1) and step[4] == 0     # columns split 1 in
+    ix.states[0][3][0] = step[:2] + ((0, 0), (0, 0), 0)
+    with pytest.raises(PreconditionViolated, match="at no lower levels"):
+        access2_traced(ix, 1, 1)
+    ix.states[0][3][0] = step[:4] + (64,)
+    with pytest.raises(PreconditionViolated, match="per-step contract"):
+        access2_traced(ix, 1, 1)
 
 
 def copy_only_ids(ix):
@@ -2202,22 +2212,68 @@ def test_access2_refuses_a_code_the_index_does_not_keep():
         access2(ix, 1, 1)
 
 
-def test_access2_traced_reads_what_access2_reads():
-    """On the 200-step zigzag at tau 8, every (state, block) that access2
-    reads over 2,000 random cells is one that access2_traced reads from
-    the kept state over the same cells, not one it resolves by descent:
-    both walks step from the start's caps and lower the levels alike."""
-    g = zigzag2([random.Random(3).randrange(4) for _ in range(203)], 200)
-    ix = build_index2(g, 8)
+def walk_inputs():
+    """(index, fast walk, traced walk, 1,000 random positions) of the gen
+    SLP (seed 7, 200 rules, 2**20 symbols, codes 0, 1 and 3) and of a
+    200-step zigzag2 over all four codes, both at tau 8, where their walks
+    read hundreds and thousands of slots."""
     rng = random.Random(9)
-    cells = [(rng.randint(1, ix.n_rows), rng.randint(1, ix.n_cols)) for _ in range(2000)]
-    fast, traced = set(), set()
-    for read, walk in ((fast, access2), (traced, access2_traced)):
-        logged_ix = build_index2(g, 8)
-        wrap_slots(logged_ix, lambda slots, state: Slots(slots, state, read))
-        for i, j in cells:
-            walk(logged_ix, i, j)
-    assert fast and fast <= traced
+    ix1 = build_index1(random_slp1(7, 200, 4, 2 ** 20), 8)
+    ix2 = build_index2(zigzag2([rng.randrange(4) for _ in range(203)], 200), 8)
+    return [(ix1, access1, access1_traced, [(rng.randint(1, ix1.n),) for _ in range(1000)]),
+            (ix2, access2, access2_traced,
+             [(rng.randint(1, ix2.n_rows), rng.randint(1, ix2.n_cols)) for _ in range(1000)])]
+
+
+def test_traced_walks_read_what_the_fast_walks_read():
+    """On both inputs each slot the fast walk reads is read by the traced
+    walk to the same positions, and no other: the traced walk follows the
+    same codes, and answers as the fast one."""
+    for ix, fast, traced, queries in walk_inputs():
+        read = readers(ix, fast, queries)
+        assert len(read) > 400 and readers(ix, traced, queries) == read
+        assert [traced(ix, *q)[0] for q in queries] == [fast(ix, *q) for q in queries]
+
+
+def corruptions(ix, state, k):
+    """Slot k of a kept state, corrupted each way: near and far swapped, the
+    split moved to either edge of the block, and both codes pointed past
+    ``states`` and at the sentinel, the first copy-only id."""
+    step = kept(ix)[state][k]
+    past, sentinel = len(ix.states), copy_only_ids(ix)[0]
+    if len(state) == 3:             # 1D: (S, near, far)
+        S, near, far = step
+        return [(S, far, near), *((e, near, far) for e in edge_splits(ix, state, k)),
+                (S, past, past), (S, sentinel, sentinel)]
+    axis, s, near, far, shift = step
+    return [(axis, s, far, near, shift),
+            *((axis, e, near, far, shift) for e in edge_splits(ix, state, k, axis)),
+            (axis, s, (past, past), (past, past), shift),
+            (axis, s, (sentinel, sentinel), (sentinel, sentinel), shift)]
+
+
+def test_traced_walks_answer_right_or_refuse_on_a_corrupt_slot():
+    """On both inputs, each slot the fast walk reads, corrupted each way
+    ``corruptions`` gives, one at a time: the traced walk to every position
+    whose walk reads it answers right or raises PreconditionViolated,
+    never a wrong code and never another exception."""
+    for ix, fast, traced, queries in walk_inputs():
+        want = {q: fast(ix, *q) for q in queries}
+        states, raised = kept(ix), 0
+        for (*state, k), read in readers(ix, fast, queries).items():
+            slots = states[tuple(state)]
+            step = slots[k]
+            for bad in corruptions(ix, tuple(state), k):
+                slots[k] = bad
+                for q in read:
+                    try:
+                        code = traced(ix, *q)[0]
+                    except PreconditionViolated:
+                        raised += 1
+                        continue
+                    assert code == want[q], (state, k, bad, q)
+            slots[k] = step
+        assert raised > 10 * len(queries)
 
 
 def test_access1_refuses_a_walk_that_ends_off_a_literal():

@@ -6,8 +6,6 @@ import sys
 import pytest
 
 from gridgram import (
-    access1,
-    access1_traced,
     build_index1,
     build_index2,
     expand1,
@@ -27,7 +25,7 @@ from gridgram.oracle import rank
 from gridgram.reductions import ext_mark_all_chars, mark_all_chars
 from gridgram.slg import dump_slg1
 from gridgram.slg2d import dump_matrix, dump_slg2
-from conftest import comb1, kept, made_slots, staircase2, wrap_slots, zigzag2
+from conftest import comb1, kept, made_slots, staircase2, zigzag1, zigzag2
 
 
 def run(capsys, *argv):
@@ -151,58 +149,30 @@ def test_access_verify_mismatch_is_one_line(slp1_file, capsys, monkeypatch):
 
 
 def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "g.slg1"
-    code, _, _ = run(capsys, "gen", "slp1", "--rules", "40", "--seed", "5", "--sigma", "3",
-                     "--max-len", "200", "-o", str(path))
-    assert code == 0
-    slp = slg_to_slp(parse_slg1(path.read_text()))
+    """A corrupt slot the fast walk reads, the first state's block 0 with
+    its near and far children swapped, makes plain access answer wrong on
+    a 64-symbol zigzag at tau 2, and access --verify refuses the index
+    with a one-line diagnostic."""
+    slp = zigzag1(random.Random(1).choices(range(4), k=64))
+    path = tmp_path / "zig.slg1"
+    path.write_text(dump_slg1(slp))
     text = expand1(slp)
     coords = [str(i) for i in range(1, len(text) + 1)]
-    ix = build_index1(slp, 2)
-    # the kept slots the traced walks read over every position, and the
-    # fast ones: the traced walk resolves a state the index does not keep
-    # by descent
-    fast, traced = set(), set()
-    for read, walk in ((fast, access1), (traced, access1_traced)):
-        wrap_slots(ix, lambda slots, state: _Logged(slots, state, read))
-        for i in range(1, len(text) + 1):
-            walk(ix, i)
-    only_traced = traced - fast
-    assert only_traced and all(kept(ix)[state][k][2] is not None for state, k in only_traced)
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 0 and out.split() == [str(v) for v in text] and err == ""
 
     def build(slp, tau, cap):
-        # each real step that only the traced walk reads has its split moved
-        # to the block's far edge; the fast walk never reads it and still
-        # answers right
         ix = build_index1(slp, tau, cap)
-        states = kept(ix)
-        for (t, side, p), k in only_traced:
-            b = k * ix.pows[p]
-            S, near, far = states[t, side, p][k]
-            states[t, side, p][k] = (b + min(ix.lens[t] - b, ix.pows[p]), near, far)
+        S, near, far = ix.states[0][1][0]
+        ix.states[0][1][0] = (S, far, near)
         return ix
 
     monkeypatch.setattr(cli._DIM1, "build", build)
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2")
-    assert code == 0 and out.split() == [str(v) for v in text]
+    assert code == 0 and sum(a != str(b) for a, b in zip(out.split(), text)) == 46
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 1 and err.count("\n") == 1
-    assert err.startswith("GrammarError: verify mismatch at ") and "does not straddle" in err
-
-
-class _Logged(list):
-    """A slot list that adds (its key, slot) to ``read`` for every slot
-    read through it."""
-
-    def __init__(self, items, key, read):
-        super().__init__(items)
-        self.key, self.read = key, read
-
-    def __getitem__(self, at):
-        self.read.add((self.key, at))
-        return super().__getitem__(at)
+    assert err.startswith("GrammarError: verify mismatch at ")
 
 
 def test_access_checks_epsilon_before_halving_it(slp2_file, capsys):

@@ -26,7 +26,6 @@ from gridgram import (
     access2_traced,
     build_index1,
     build_index2,
-    corner_map,
     descend1,
     descend2,
     dims,
@@ -41,7 +40,6 @@ from gridgram import (
     parse_slg2,
     hook_offset1,
     hook_offset2,
-    side_map,
     slg2_to_slp2,
     slg_to_slp,
     validate_slg1,
@@ -225,7 +223,7 @@ def test_pad_rejects_empty_expansion():
         pad_with_zero_block(Slg2([Horiz()], 1, 0))
 
 
-# -- non-integer positions, levels and ids ------------------------------------
+# -- non-integer positions and ids -------------------------------------------
 
 _G1 = validate_slp1(Slp1([(1, 1), (2, 3), 0, 1], 2, 0))
 _G2 = validate_slp2(Slp2([Horiz(1, 2), Vert(3, 4), Vert(5, 6), 0, 1, 2, 3], 4, 0))
@@ -238,8 +236,6 @@ _INT_CALLS = (
     (access2_traced, (_IX2, 2, 1), PositionOutOfRange),
     (descend1, (_IX1, 0, 3, 1), PreconditionViolated),
     (descend2, (_IX2, 0, 2, 1, 3), PreconditionViolated),
-    (side_map, (_IX1, 1, 0, _IX1.levels, 3), PreconditionViolated),
-    (corner_map, (_IX2, 3, 0, _IX2.cap_r[0], _IX2.cap_c[0], 2, 1), PreconditionViolated),
     (hook_offset1, (_G1, 0, 1, 3), RangeError),
     (hook_offset2, (_G2, 0, 0, 1, 2, 2), RangeError),
 )

@@ -1,8 +1,10 @@
 """README's library example runs as written against the package source,
-every README section or phrase that a docstring cites exists, and README
-states the finish constants with the values the code has."""
+every README section or phrase that a docstring cites exists, README
+states the finish constants with the values the code has, and its module
+map names only what each module has."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -60,3 +62,20 @@ def test_readme_states_the_finish_constants():
     for factor, levels in (("FINISH", "p"), ("FINISH2", "max(p_r, p_c)")):
         stated = re.findall(rf"`height\(v\) <= {factor} \* ([^`]*)`", text)
         assert stated and all(v == levels for v in stated), (factor, levels, stated)
+
+
+def test_readme_module_map_names_what_each_module_has():
+    """Every backticked name in a "Module map" bullet is an attribute of the
+    bullet's module, its first name, but for the command name in the cli
+    bullet, so a name a module drops cannot stay in the map."""
+    text = README.read_text(encoding="utf-8").split("\nModule map:\n", 1)[1]
+    bullets = text.strip().split("\n\n", 1)[0].split("\n* ")
+    missing, modules = [], []
+    for bullet in bullets:
+        module, *names = re.findall(r"`([^`]+)`", bullet)
+        modules.append(module)
+        mod = importlib.import_module(f"gridgram.{module}")
+        missing += [(module, name) for name in names
+                    if not hasattr(mod, name) and (module, name) != ("cli", "gridgram")]
+    assert {"access1d", "access2d", "cli"} <= set(modules)
+    assert not missing, f"README's module map names what the modules lack: {missing}"
