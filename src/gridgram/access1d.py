@@ -581,27 +581,26 @@ def access1_traced(ix, i):
     """access1's walk with every read checked, returning (code, levels + 1),
     levels + 1 = ceil(log_tau n) + 1 the bound on its reads.
 
-    At each read the code must name a kept state, the reads stay within
-    ``reads``, the block size fall, delta lie in one of the state's blocks
-    and, after the step, within the block size; a real step's split must
+    At each read the code must name a kept state, the block size fall and
+    delta lie in one of the state's blocks; a real step's split must
     straddle its block, and a literal step be the step the plain descent
     gives for its block. A finish code descends by descend1, and the answer
     must be the one descent from the start gives. A breach raises
-    PreconditionViolated.
+    PreconditionViolated. The other contracts follow: a kept state's level
+    is at most the start's cap, so a falling level allows at most
+    ``len(reads)`` reads, and a straddling split leaves delta in [1, tp).
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
     states, keys, K = ix.states, ix.keys, 2 * ix.levels + 2
-    st, delta, size, reads = ix.first, i, ix.pows[-1], 0
+    st, delta, size = ix.first, i, ix.pows[-1]
     while (j := st) >= 0:
         if not (j < len(states) and keys[j] in ix.ids):
             raise PreconditionViolated(f"walk to position {i} reaches code {j}, no kept state")
-        if reads == len(ix.reads):
-            raise PreconditionViolated(f"walk to position {i} makes more than {reads} reads")
         tp, slots = states[j]
         if tp >= size:
             raise PreconditionViolated(f"walk to position {i} enters state {j} at no lower level")
-        reads, size = reads + 1, tp
+        size = tp
         t, side = keys[j] // K, keys[j] & 1
         m, k = ix.lens[t], (delta - 1) // tp
         if delta > m or k >= len(slots):
@@ -619,9 +618,6 @@ def access1_traced(ix, i):
         if not 0 < S - b < w:
             raise PreconditionViolated(f"state {j}, block {k} does not straddle its hook's split")
         st, delta = (near, S - delta + 1) if delta <= S else (far, delta - S)
-        if not 1 <= delta <= tp:
-            raise PreconditionViolated(f"per-step contraction violated at state {j}: delta "
-                                       f"{delta} outside [1, {tp}]")
     else:
         code = descend1(ix, ~st >> 2, delta, ~st >> 1 & 1)
     if code != (want := descend1(ix, ix.grammar.start, i, 0)):

@@ -394,13 +394,15 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
 
 
 def access2_traced(ix, i, j):
-    """access2's walk with every read checked, returning (code, reads made),
-    at most floor(log_tau rows) + floor(log_tau cols) + 1 reads.
+    """access2's walk with every read checked, returning (code, steps): the
+    reads made, plus one for a finish by descent, so at least 1 and at most
+    floor(log_tau rows) + floor(log_tau cols) + 2.
 
     The checks are access1_traced's, with both levels: neither block size
     may grow and one must fall, and after the step the split axis's delta
     is at most its block size while the other axis's does not grow, or the
-    column mirror of that. A finish code descends by descend2.
+    column mirror of that (a corrupt shift can break it). A finish code
+    descends by descend2.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
@@ -411,8 +413,6 @@ def access2_traced(ix, i, j):
     while (u := st) >= 0:
         if not (u < len(states) and keys[u] in ix.ids):
             raise PreconditionViolated(f"walk to ({i},{j}) reaches code {u}, no kept state")
-        if reads == len(ix.reads):
-            raise PreconditionViolated(f"walk to ({i},{j}) makes more than {reads} reads")
         tpr, tpc, w, slots = states[u]
         if not (tpr <= size_r and tpc <= size_c and (tpr < size_r or tpc < size_c)):
             raise PreconditionViolated(f"walk to ({i},{j}) enters state {u} at no lower levels")
@@ -456,7 +456,7 @@ def access2_traced(ix, i, j):
     if code != (want := descend2(ix, ix.grammar.start, i, j, 0)):
         raise PreconditionViolated(f"walk to ({i},{j}) ended at code {code}, descent reaches "
                                    f"{want}")
-    return code, reads
+    return code, reads + (st < 0)
 
 
 def access2(ix, i, j):

@@ -114,7 +114,8 @@ class _Dim:
     build: Callable       # (SLP, tau, cap) -> index, or ExpansionTooLarge past the cap
     access: Callable      # (index, *position) -> code
     traced: Callable      # (index, *position) -> (code, steps), the fast walk with every
-                          #   read checked; steps: levels + 1 in 1D, the reads in 2D
+                          #   read checked; steps: levels + 1 in 1D, in 2D the reads plus
+                          #   one for a finish by descent
     descend: Callable     # (index, variable, *position, side or corner) -> code, by descent
     reference: Callable   # (SLP, cap) -> (*position -> code), from the full expansion
 

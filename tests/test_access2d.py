@@ -136,10 +136,10 @@ def test_index_1x1_text():
     g = validate_slp2(Slp2([4], 5, 0))
     ix = build_index2(g, 2)
     # a literal stores no level pair: the walk descends from it at once,
-    # plainly, from the NW corner
+    # plainly, from the NW corner, the traced walk's one step, with no read
     assert ix.states == [] and ix.ids == {} and ix.first == ~(0 * 8 + 0 * 2 + 0)
     assert ix.entry_count() == 0
-    assert access2(ix, 1, 1) == 4 and access2_traced(ix, 1, 1) == (4, 0)
+    assert access2(ix, 1, 1) == 4 and access2_traced(ix, 1, 1) == (4, 1)
 
 
 def test_index_2x2_nw_entry(grid22):
@@ -152,7 +152,7 @@ def test_index_2x2_nw_entry(grid22):
     # descends from S at once, plainly, with no read, and no state is built
     assert -(-ix.grammar._height[0] // FINISH2) == 1 and _turns_of(grid22)[0] == 1
     assert ix.first == ~(0 * 8 + 0) and ix.states == []
-    assert access2_traced(ix, 2, 1) == (2, 0)
+    assert access2_traced(ix, 2, 1) == (2, 1)
     # T_11, with T_k -> Vert(S, T_k-1) and T_0 = S (id 11, 2x2): id 0, 2x24,
     # height 13, so its mark is 2 and it stores level pairs up to (1, 1);
     # its column cap 4 reaches the mark, so again nothing is built and
@@ -165,7 +165,7 @@ def test_index_2x2_nw_entry(grid22):
     assert ix.grammar._height[0] == 13 and FINISH2 * 1 < 13 <= FINISH2 * 2
     assert ix.first < 0 and ix.entry_count() == 0
     m = expand2(g)
-    assert all(access2_traced(ix, i, j) == (m.get(i, j), 0)
+    assert all(access2_traced(ix, i, j) == (m.get(i, j), 1)
                for i in range(1, m.rows + 1) for j in range(1, m.cols + 1))
 
 
@@ -204,7 +204,7 @@ def test_access_1x1():
     g = validate_slp2(Slp2([3], 4, 0))
     ix = build_index2(g, 2)
     code, steps = access2_traced(ix, 1, 1)
-    assert code == 3 and steps == 0
+    assert code == 3 and steps == 1
 
 
 def test_access_out_of_range(grid22):

@@ -152,7 +152,9 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     """A corrupt slot the fast walk reads, the first state's block 0 with
     its near and far children swapped, makes plain access answer wrong on
     a 64-symbol zigzag at tau 2, and access --verify refuses the index
-    with a one-line diagnostic."""
+    with a one-line diagnostic: the traced walk, which reads the same
+    slot, refuses at the first position, whose answer is not the one the
+    descent from the start gives."""
     slp = zigzag1(random.Random(1).choices(range(4), k=64))
     path = tmp_path / "zig.slg1"
     path.write_text(dump_slg1(slp))
@@ -172,7 +174,8 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     assert code == 0 and sum(a != str(b) for a, b in zip(out.split(), text)) == 46
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
     assert code == 1 and err.count("\n") == 1
-    assert err.startswith("GrammarError: verify mismatch at ")
+    assert err == ("GrammarError: verify mismatch at '1': the traced walk refuses the tables: "
+                   "walk to position 1 ended at code 3, descent reaches 0\n")
 
 
 def test_access_checks_epsilon_before_halving_it(slp2_file, capsys):
