@@ -33,15 +33,14 @@ costs. The contracts that the functions below share:
   falls at a multiple of the block size, those inside the far child,
   wherever the child stores the level: the near child's slots as they
   are, the far child's with S raised by the near child's length.
-- A build descent that made RUN moves in a row toward one child runs along
-  that child's chain (``_chains``, ``_run1``); the point descent of a
-  turn-rule finish does so at its second move in a row, over the chains
-  the index keeps. Whether the plain walk would
-  move on to a node v of the chain is monotone along it, as lengths shrink
-  down a chain: on the left chain while the window's end fits in v,
-  e <= lens[v]; on the right chain while v's offset inside the node is at
-  most the window's start, lens[node] - lens[v] <= b. So a run lands where
-  the plain walk would. Given PLAIN, no chains, a descent is the plain walk.
+- The point descent of a turn-rule finish (``access1``) runs along a
+  chain of the index's ``chains`` (``_chains``) at its second move in a row
+  toward one child. Whether the plain walk would move on to a node v of the
+  chain is monotone along it, as lengths shrink down a chain: on the left
+  chain while the point fits in v, i <= lens[v]; on the right chain while
+  v's offset inside the node is below the point, lens[node] - lens[v] < i.
+  So a run lands where the plain walk would. Every other descent, the
+  build's included, is the plain walk (``_hook_core``).
 - Every descent move reads one record, the grammar's ``_moves[t]``:
   ``(x, y, lens[x])``, None for a literal (``slg``).
 - Cap rule: the build counts the slots of each state it fills, one per
@@ -143,9 +142,7 @@ def _over_cap(tau, cap):
                              f"expansion cap of {cap}")
 
 
-RUN = 4               # moves in a row toward one child before a build descent runs along its chain
 FINISH = 2            # a walk descends from a variable with height <= FINISH * level
-PLAIN = ((), ())      # no chains: _hook_core makes the plain walk
 
 
 def _heavy(moves, topo, side):
@@ -182,7 +179,7 @@ def _turns(moves, topo, heavy):
 
     One pass over ``topo``, children first, keeping per node the bound of
     the paths that reach it by an x move and by a y move. The point descent
-    of a run finish (``access1``, ``access2``) runs along a chain at its
+    of a turn-rule finish (``access1``, ``access2``) runs along a chain at its
     second move in a row toward one child, to the last node of the chain
     that holds the point, so it makes at most two moves and one bisect per
     stretch of moves toward one child, plus one bisect per light edge it
@@ -207,8 +204,8 @@ def _turns(moves, topo, heavy):
 
 def _chains(moves, topo, heavy, keys, side):
     """The heavy paths of the forest v -> moves[v][side] (``heavy``, its
-    ``_heavy``), laid out for runs along them (``_run1``, ``_run2``, and the
-    run finishes of ``access1``/``access2``).
+    ``_heavy``), laid out for the turn-rule finishes of ``access1`` and
+    ``access2``, which run along them.
 
     Every heavy path is stored root end first, contiguous in flat lists, so
     a chain of children from any node crosses at most floor(log2 |V|) + 1
@@ -252,30 +249,9 @@ def _finish(g, cap, mark):
     return heavy, turns, [[c if c < b else b - 1 for c, b in zip(axis, bound)] for axis in cap]
 
 
-def _run1(chains, node, b, e, side):
-    """A run from node along the chain on ``side`` (``chains``, that side's
-    ``_chains``) with the window (b..e] of Exp(node): the last node v of the
-    chain that the plain walk would reach, and the window's shift into v,
-    0 on the left chain and lens[node] - lens[v] on the right. The nodes
-    that qualify, those of length at least e on the left and at least
-    lens[node] - b on the right, are a prefix of the chain, as lengths
-    shrink down it: one bisect per heavy path finds its end."""
-    order, at, top, down, lens = chains
-    i = at[node]
-    m = lens[i]
-    need = m - b if side else e
-    while True:
-        lo = top[i]
-        j = bisect_left(lens, need, lo, i + 1)
-        if j == lo:
-            i = down[lo]
-            if i >= 0 and lens[i] >= need:
-                continue
-        return order[j], (m - lens[j] if side else 0)
-
-
-def _hook_core(moves, node, b, e, side, chains):
-    """Iterative descent shared by the standalone op and the index builder.
+def _hook_core(moves, node, b, e, side):
+    """The plain walk, one move per grammar level, shared by the reference
+    ``hook_offset1``, the index build and the traced walk's check.
 
     Descends while the window (b..e] fits strictly inside one child, shifting
     coordinates when moving right. It stops at a literal (``moves`` entry
@@ -283,30 +259,13 @@ def _hook_core(moves, node, b, e, side, chains):
     returns the step a query takes there from ``side`` (0 = left, 1 =
     right): (split from that side, near child, far child), or (0, literal,
     None). With side None it returns the (hook, offset) pair instead.
-
-    ``chains`` is the pair of ``_chains`` for the left and the right
-    children; after RUN moves in a row to one child the descent runs along
-    its chain (see the module docstring). With PLAIN it is the plain walk,
-    one move per grammar level.
     """
-    cx, cy = chains
-    xs = ys = 0                     # the current run of left / right moves
     while (move := moves[node]) is not None:
         x, y, l = move
         if e <= l:
             node = x
-            xs += 1
-            ys = 0
-            if xs == RUN and cx:
-                node = _run1(cx, node, b, e, 0)[0]
-                xs = 0
         elif l <= b:
             node, b, e = y, b - l, e - l
-            ys += 1
-            xs = 0
-            if ys == RUN and cy:
-                node, shift = _run1(cy, node, b, e, 1)
-                b, e, ys = b - shift, e - shift, 0
         elif side is None:
             return node, b
         elif side:
@@ -319,17 +278,17 @@ def _hook_core(moves, node, b, e, side, chains):
 def hook_offset1(g, nid, b, e):
     """Hook and offset of the window (b..e] of Exp(nid), as a (hook, offset) pair.
 
-    The reference: the plain walk, one move per grammar level, with no
-    chains. The result satisfies Exp(nid)(b..e] = Exp(hook)(offset..offset+(e-b)];
-    a width-1 window lands on a literal, otherwise the hook's child split
-    falls strictly inside the relocated window. A grammar with a rule of
-    arity other than 2 raises NotAnSlp.
+    The reference: the plain walk, one move per grammar level. The result
+    satisfies Exp(nid)(b..e] = Exp(hook)(offset..offset+(e-b)]; a width-1
+    window lands on a literal, otherwise the hook's child split falls
+    strictly inside the relocated window. A grammar with a rule of arity
+    other than 2 raises NotAnSlp.
     """
     nid = Slg1._checked_id(g, nid)
     m = g._lens[nid]
     if not (isinstance(b, int) and isinstance(e, int) and 0 <= b < e <= m):
         raise RangeError(f"window {b!r}..{e!r} invalid for expansion length {m}")
-    return _hook_core(_check_binary(g, "hook_offset1")._moves, nid, b, e, None, PLAIN)
+    return _hook_core(_check_binary(g, "hook_offset1")._moves, nid, b, e, None)
 
 
 class AccessIndex1:
@@ -469,10 +428,10 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
     codes of the states it leads to (``code``). The walk's first state, id
     0, is the start's left side at its top level, when that is its cap;
     otherwise no walk reads and nothing is built. The index keeps the
-    states the walk reaches from there, not the copy-only sources. The
-    chains (``_chains``) are laid out when a build descends or a walk can
-    finish by runs, and kept on the index in the second case. The build
-    counts the slots of every state it fills, kept or not, and raises
+    states the walk reaches from there, not the copy-only sources. Every
+    descent is the plain walk; the chains (``_chains``) are laid out, and
+    kept on the index, only when a walk can finish by the turn rule. The
+    build counts the slots of every state it fills, kept or not, and raises
     ExpansionTooLarge as soon as they would pass the int ``cap``: as it
     plans a state, before any descent or copy for it."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
@@ -494,7 +453,7 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
         runs = any(r and t < c and t < m - 1
                    for t, c, m, r in zip(top, level_cap, mark, g._reach))
     chains = tuple(_chains(moves, g._topo, heavy[side], (lens,), side) for side in (0, 1)) \
-        if runs or first is not None else None
+        if runs else None
     share = {}.setdefault           # slot -> its one stored copy
     # state key -> id, in the order the build names the states, and back
     keys, ids = ([], {}) if first is None else ([first], {first: 0})
@@ -543,8 +502,7 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
         for k in range(lo, hi):
             b = k * tp                  # block k's window from the side, clipped to m
             e = b + tp if b + tp < m else m
-            split, x, y = _hook_core(moves, i, m - e if side else b, m - b if side else e,
-                                     side, chains)
+            split, x, y = _hook_core(moves, i, m - e if side else b, m - b if side else e, side)
             if y is None:
                 slot = (b, x, None)
             else:
@@ -574,7 +532,7 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
     walked = _walk_build(first, plan, fill, successors)
     states, kept = _kept(keys, ids, walked, held, lambda u: (pows[-1], [(0, u, u)]))
     return AccessIndex1(g, tau, levels, pows, 0 if first is not None else ~(s * 4 + runs),
-                        states, keys, kept, chains if runs else None)
+                        states, keys, kept, chains)
 
 
 def access1_traced(ix, i):
@@ -610,7 +568,7 @@ def access1_traced(ix, i):
         w = min(m - b, tp)
         if far is None:
             e = m - b if side else b + w        # the block's window, from the left
-            if (real := _hook_core(ix.moves, t, e - w, e, side, PLAIN)) != (S - b, near, None):
+            if (real := _hook_core(ix.moves, t, e - w, e, side)) != (S - b, near, None):
                 raise PreconditionViolated(f"state {j}, block {k} holds {slots[k]}; a stored "
                                            f"literal step must be the step descent gives, {real}")
             code = ix.grammar.rules[near]

@@ -3,8 +3,9 @@
 README, "How the index works", describes the build, the walk and their
 costs. The index has the 1D index's layout and rules (``access1d``): per
 state the walk reaches, one slot list whose codes name what the walk
-enters next, a sentinel at every other id, the walk, copy and cap rules
-and the build's chain runs. What 2D adds to those contracts:
+enters next, a sentinel at every other id, the walk, copy and cap rules,
+plain build descents and the turn-rule finish's chain runs. What 2D adds
+to those contracts:
 
 - A state is one corner of a variable at one level pair, keyed ``t * K +
   (p_r * H + p_c) * 4 + corner`` with H = levels + 1 and K = 4 * H * H.
@@ -44,11 +45,12 @@ and the build's chain runs. What 2D adds to those contracts:
   level pair by the finish rule, each level at most its cap, so a far
   child shorter than tau**p on the split axis stores no level p, whatever
   its mark.
-- Chain runs are keyed by rows and columns: a node v of the x chain
-  qualifies while the window's far corner fits in v (e_r <= rows[v] and
-  e_c <= cols[v]), one of the y chain while v's offsets inside the node
-  are at most the window's start on both axes. Rows and columns never
-  grow down a chain, so both tests are monotone along it.
+- The chain runs of a turn-rule finish (``access2``) are keyed by rows
+  and columns: a node v of the x chain holds the cell (i, j) while i <=
+  rows[v] and j <= cols[v], one of the y chain while v's offsets inside
+  the node are below the cell on both axes. Rows and columns never grow
+  down a chain, so both tests are monotone along it, and a run lands
+  where the plain walk would.
 - Every descent move reads one record, the grammar's ``_moves[t]``:
   ``(x, y, split, horiz)``, split the rows of x when horiz and its columns
   otherwise; None for a literal (``slg``).
@@ -62,8 +64,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import (PLAIN, RUN, _chains, _check_slot_cap, _copied, _finish, _kept,
-                       _over_cap, _preset, _walk_build, caps, ceil_log, clamp_tau)
+from .access1d import (_chains, _check_slot_cap, _copied, _finish, _kept, _over_cap, _preset,
+                       _walk_build, caps, ceil_log, clamp_tau)
 from .slg import DEFAULT_CAP, _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -80,77 +82,32 @@ def optimal_tau2(n, epsilon=1.0):
     return _preset(n, epsilon, 0.5)
 
 
-def _run2(chains, node, b_r, b_c, e_r, e_c, side):
-    """``_run1`` in 2D, for the window (b_r..e_r] x (b_c..e_c]: the last
-    node v the plain walk would reach and the window's shift into v on both
-    axes, (0, 0) on the x chain. The nodes that qualify have at least e_r
-    rows and e_c columns on the x chain, at least rows[node] - b_r and
-    cols[node] - b_c on the y chain; per heavy path one bisect finds where
-    the rows qualify and a second one, from there, where the columns do."""
-    order, at, top, down, rows, cols = chains
-    i = at[node]
-    m_r, m_c = rows[i], cols[i]
-    if side:
-        need_r, need_c = m_r - b_r, m_c - b_c
-    else:
-        need_r, need_c = e_r, e_c
-    while True:
-        lo = top[i]
-        j = bisect_left(cols, need_c, bisect_left(rows, need_r, lo, i + 1), i + 1)
-        if j == lo:
-            i = down[lo]
-            if i >= 0 and rows[i] >= need_r and cols[i] >= need_c:
-                continue
-        return order[j], (m_r - rows[j], m_c - cols[j]) if side else (0, 0)
-
-
-def _hook_core2(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner, chains):
-    """Iterative 2D descent: rows-splitting variables compare the row window,
-    columns-splitting variables the column window.
+def _hook_core2(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner):
+    """The plain 2D walk, one move per grammar level: rows-splitting
+    variables compare the row window, columns-splitting variables the
+    column window.
 
     Returns the step a query takes from ``corner`` at the hook:
     (axis, split from the corner, near child, far child, shift on the other
     axis from the corner's side), or (0, 0, literal, None, 0). With corner
     None it returns the (hook, offset_r, offset_c) triple instead. The
     moves read ``moves`` only; rows and cols give the hook's shift.
-
-    ``chains`` is the pair of ``_chains`` for the x and the y children;
-    after RUN moves in a row to one child the descent runs along its chain
-    (see the module docstring). With PLAIN it is the plain walk.
     """
-    cx, cy = chains
-    xs = ys = 0                     # the current run of x / y moves
     while (move := moves[node]) is not None:
         x, y, l, horiz = move
         if horiz:
             if e_r <= l:
                 node = x
-                xs += 1
-                ys = 0
-                if xs == RUN and cx:
-                    node = _run2(cx, node, b_r, b_c, e_r, e_c, 0)[0]
-                    xs = 0
-                continue
-            if b_r < l:
+            elif b_r < l:
                 break
-            node, b_r, e_r = y, b_r - l, e_r - l
+            else:
+                node, b_r, e_r = y, b_r - l, e_r - l
+        elif e_c <= l:
+            node = x
+        elif b_c < l:
+            break
         else:
-            if e_c <= l:
-                node = x
-                xs += 1
-                ys = 0
-                if xs == RUN and cx:
-                    node = _run2(cx, node, b_r, b_c, e_r, e_c, 0)[0]
-                    xs = 0
-                continue
-            if b_c < l:
-                break
             node, b_c, e_c = y, b_c - l, e_c - l
-        ys += 1                     # the move went to y
-        xs = 0
-        if ys == RUN and cy:
-            node, (s_r, s_c) = _run2(cy, node, b_r, b_c, e_r, e_c, 1)
-            b_r, e_r, b_c, e_c, ys = b_r - s_r, e_r - s_r, b_c - s_c, e_c - s_c, 0
     else:                           # a literal
         return (node, b_r, b_c) if corner is None else (0, 0, node, None, 0)
     if corner is None:              # the window straddles node's split
@@ -166,8 +123,8 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     """2D hook and offsets of the window (b_r..e_r] x (b_c..e_c] of Exp(nid),
     as a (hook, offset_r, offset_c) triple.
 
-    The reference: the plain walk, one move per grammar level, with no
-    chains. The window reappears inside the hook's expansion shifted to
+    The reference: the plain walk, one move per grammar level. The window
+    reappears inside the hook's expansion shifted to
     (offset_r..offset_r+(e_r-b_r)] x (offset_c..offset_c+(e_c-b_c)], with
     offsets never exceeding the original window start on either axis. A 1x1
     window lands on a literal; otherwise the hook's child split falls
@@ -181,7 +138,7 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     if not (isinstance(b_c, int) and isinstance(e_c, int) and 0 <= b_c < e_c <= m_c):
         raise RangeError(f"col window {b_c!r}..{e_c!r} invalid for {m_c} cols")
     return _hook_core2(_check_binary(g, "hook_offset2")._moves, g._rows, g._cols,
-                       nid, b_r, b_c, e_r, e_c, None, PLAIN)
+                       nid, b_r, b_c, e_r, e_c, None)
 
 
 class AccessIndex2:
@@ -236,9 +193,9 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
     (``code``). The walk's first state, id 0, is the start's NW corner at
     its caps, when it stores them; otherwise no walk reads and nothing is
     built. The index keeps the states the walk reaches from there, not the
-    copy-only sources. The chains (``_chains``) are laid out when a build
-    descends or a walk can finish by runs, and kept on the index in the
-    second case. The build counts the slots of every state it fills, kept
+    copy-only sources. Every descent is the plain walk; the chains
+    (``_chains``) are laid out, and kept on the index, only when a walk can
+    finish by the turn rule. The build counts the slots of every state it fills, kept
     or not, and raises ExpansionTooLarge as soon as they would pass the int
     ``cap``: as it plans a state, before any descent or copy for it."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
@@ -264,7 +221,7 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
         runs = any(r and m and min(c_r, m - 1) + min(c_c, m - 1) + 1 >= b
                    for c_r, c_c, m, b, r in zip(cap_r, cap_c, mark, turns, g._reach))
     chains = tuple(_chains(moves, g._topo, heavy[side], (rows, cols), side)
-                   for side in (0, 1)) if runs or first is not None else None
+                   for side in (0, 1)) if runs else None
     share = {}.setdefault           # slot -> its one stored copy
     # state key -> id, in the order the build names the states, and back
     keys, ids = ([], {}) if first is None else ([first], {first: 0})
@@ -356,7 +313,7 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
                     if corner & 1:
                         b_c, e_c = m_c - e_c, m_c - b_c
                     axis, split, x, y, shift = slot = _hook_core2(
-                        moves, rows, cols, i, b_r, b_c, e_r, e_c, corner, chains)
+                        moves, rows, cols, i, b_r, b_c, e_r, e_c, corner)
                     if y is not None:
                         # the levels the step can lower: p_r on a row step; on a
                         # column step p_r where the new row delta, shift plus
@@ -389,8 +346,7 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
     states, kept = _kept(keys, ids, walked, held,
                          lambda u: (top, top, 1, [(1, 0, (u, u), (u, u), 0)]))
     return AccessIndex2(g, tau, levels, pows, range(cap_r[s] + cap_c[s] + 1),
-                        0 if first is not None else ~(s * 8 + runs), states, keys, kept,
-                        chains if runs else None)
+                        0 if first is not None else ~(s * 8 + runs), states, keys, kept, chains)
 
 
 def access2_traced(ix, i, j):
@@ -427,8 +383,7 @@ def access2_traced(ix, i, j):
         if far is None:
             e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
             e_c = m_c - b_c if corner & 1 else b_c + w_c
-            real = _hook_core2(ix.moves, rows, cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner,
-                               PLAIN)
+            real = _hook_core2(ix.moves, rows, cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner)
             if real != step:
                 raise PreconditionViolated(f"state {u}, block ({k_r},{k_c}) holds {step}; a "
                                            f"stored literal step must be the step descent "

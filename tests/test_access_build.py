@@ -36,15 +36,12 @@ either axis, staircases and zigzags. The turn bounds are checked against
 the point walks to every cell, the zigzags against keeping their states,
 and every fast walk on these, the benchmark's inputs and the gen corpus
 against its bound in reads, moves and bisects, with the turn rule's finish
-running along the chains. The descents that run along heavy-path chains
-over long runs of moves are checked against the plain walk, run by run,
-window by window and index by index, on these and on the benchmark's own
-comb and staircase, and the chains against their layout and path-count
-bound. The grammar's move records are checked against its child, length
-and axis arrays and, through every walk that reads them, against the
-expansion; a grammar that is no SLP is refused by the arity check before
-any walk; and the index's per-variable top levels and first codes follow
-from the heights and the turn bounds.
+running along the chains, and the chains against their layout and
+path-count bound. The grammar's move records are checked against its
+child, length and axis arrays and, through every walk that reads them,
+against the expansion; a grammar that is no SLP is refused by the arity
+check before any walk; and the index's per-variable top levels and first
+codes follow from the heights and the turn bounds.
 """
 
 import os
@@ -93,8 +90,8 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import FINISH, PLAIN, _chains, _copied, _heavy, _hook_core, _run1, _turns
-from gridgram.access2d import FINISH2, _hook_core2, _run2
+from gridgram.access1d import FINISH, _chains, _copied, _heavy, _turns
+from gridgram.access2d import FINISH2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
 from conftest import (comb1, comb2, decoded, expand_all_1d, expand_all_2d, kept, levels_of,
                       made_slots, reachable, staircase2, state_key1, state_key2, state_of,
@@ -231,8 +228,8 @@ def stores2(ix, c, p_r, p_c):
 
 # the oracle below walks from each slot's variable, so its cost grows with
 # slots times depth: these two draw combs of at most 70 codes, and the deep
-# combs reach the tables through test_run_builds_equal_plain_builds1/2, which
-# hold the chain-run builds to the plain ones
+# combs reach the tables through test_index1/2_is_exactly_the_walks_closure,
+# which check every kept slot against the reference step
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_stores_every_window_hook(g, tau):
@@ -846,15 +843,7 @@ def test_access2_matches_descent(g, tau, data):
             descend2(ix, g.start, r + 1 - i, c + 1 - j, 3)
 
 
-# -- chain runs: long runs of moves toward one child --------------------------
-
-@contextmanager
-def plain_builds():
-    """Builds made inside get no chains, so every descent is the plain walk."""
-    with mock.patch.object(access1d, "_chains", lambda moves, topo, heavy, keys, side: ()), \
-            mock.patch.object(access2d, "_chains", lambda moves, topo, heavy, keys, side: ()):
-        yield
-
+# -- chains: the heavy paths a turn-rule finish runs along ---------------------
 
 def chains_of(g, keys, side):
     """The ``_chains`` of g's forest on ``side``, keyed by ``keys``."""
@@ -902,90 +891,13 @@ def test_chains_pick_the_larger_subtree_as_heavy():
     assert top[at[0]] == top[at[k - 1]]         # the whole spine is one path
 
 
-def window(data, m):
-    """A window (b, e] of a length-m axis, often narrow so descents go deep."""
-    b = data.draw(st.integers(0, m - 1))
-    return b, b + data.draw(st.integers(1, min(4, m - b)) | st.integers(1, m - b))
-
-
 @settings(max_examples=40, deadline=None)
-@given(g=grammars1(), data=st.data())
-def test_hook_core_runs_like_the_plain_walk(g, data):
-    kids, lens, moves = g._kids, g._lens, g._moves
-    chains = tuple(chains_of(g, (lens,), side) for side in (0, 1))
+@given(g=grammars1() | grammars2())
+def test_chains_lay_out_the_heavy_paths(g):
+    """Both sides' chains, which a turn-rule finish runs along."""
+    keys = (g._lens,) if isinstance(g, Slg1) else (g._rows, g._cols)
     for side in (0, 1):
-        assert_chains(g, side, chains[side], (lens,))
-        # a run lands on the last node of the chain that is long enough: at
-        # least need positions, the window's end on the left chain and the
-        # node's length less the window's start on the right
-        for _ in range(4):
-            v = u = data.draw(st.integers(0, len(g.rules) - 1))
-            need = data.draw(st.integers(1, lens[v]))
-            while kids[u] is not None and lens[kids[u][side]] >= need:
-                u = kids[u][side]
-            b, e = (lens[v] - need, lens[v]) if side else (0, need)
-            assert _run1(chains[side], v, b, e, side) == (u, lens[v] - lens[u] if side else 0)
-    for _ in range(16):
-        t = data.draw(st.integers(0, len(g.rules) - 1))
-        b, e = window(data, lens[t])
-        side = data.draw(st.sampled_from([0, 1, None]))
-        assert _hook_core(moves, t, b, e, side, chains) == \
-            _hook_core(moves, t, b, e, side, PLAIN)
-
-
-@settings(max_examples=40, deadline=None)
-@given(g=grammars2(), data=st.data())
-def test_hook_core2_runs_like_the_plain_walk(g, data):
-    kids, moves = g._kids, g._moves
-    rows, cols = g._rows, g._cols
-    chains = tuple(chains_of(g, (rows, cols), side) for side in (0, 1))
-    for side in (0, 1):
-        assert_chains(g, side, chains[side], (rows, cols))
-        for _ in range(4):
-            v = u = data.draw(st.integers(0, len(g.rules) - 1))
-            need_r = data.draw(st.integers(1, rows[v]))
-            need_c = data.draw(st.integers(1, cols[v]))
-            while kids[u] is not None and rows[kids[u][side]] >= need_r \
-                    and cols[kids[u][side]] >= need_c:
-                u = kids[u][side]
-            if side:
-                window_ = (rows[v] - need_r, cols[v] - need_c, rows[v], cols[v])
-                shift = (rows[v] - rows[u], cols[v] - cols[u])
-            else:
-                window_, shift = (0, 0, need_r, need_c), (0, 0)
-            assert _run2(chains[side], v, *window_, side) == (u, shift)
-    for _ in range(16):
-        t = data.draw(st.integers(0, len(g.rules) - 1))
-        (b_r, e_r), (b_c, e_c) = window(data, rows[t]), window(data, cols[t])
-        corner = data.draw(st.sampled_from([0, 1, 2, 3, None]))
-        args = (moves, rows, cols, t, b_r, b_c, e_r, e_c, corner)
-        assert _hook_core2(*args, chains) == _hook_core2(*args, PLAIN)
-
-
-def layout(ix):
-    """What an index holds: its states and their directory."""
-    return ix.first, ix.states, ix.keys, ix.ids
-
-
-def assert_same_tables(ix, plain):
-    assert layout(ix) == layout(plain) and ix.entry_count() == plain.entry_count()
-    assert len({id(v) for v in stored(ix)}) == len({id(v) for v in stored(plain)})
-
-
-@settings(max_examples=30, deadline=None)
-@given(g=grammars1(), tau=TAUS)
-def test_run_builds_equal_plain_builds1(g, tau):
-    with plain_builds():
-        plain = build_index1(g, tau)
-    assert_same_tables(build_index1(g, tau), plain)
-
-
-@settings(max_examples=30, deadline=None)
-@given(g=grammars2(), tau=TAUS)
-def test_run_builds_equal_plain_builds2(g, tau):
-    with plain_builds():
-        plain = build_index2(g, tau)
-    assert_same_tables(build_index2(g, tau), plain)
+        assert_chains(g, side, chains_of(g, keys, side), keys)
 
 
 def deep_shapes():
@@ -998,21 +910,6 @@ def deep_shapes():
     rng = random.Random(1)
     return comb, stair, zigzag1([rng.randrange(4) for _ in range(1997)]), \
         zigzag2([rng.randrange(4) for _ in range(203)], 200)
-
-
-def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
-    """The comb-deep workload's comb and staircase at tau 8, and the
-    zigzags of the same sizes, which keep their tables."""
-    comb, stair, zig1, zig2 = deep_shapes()
-    assert len(comb.rules) == len(zig1.rules) == 2000
-    # the walk's closure keeps no slot on the staircase, and 14,178 on the
-    # zigzag
-    for build, g in ((build_index1, comb), (build_index2, stair), (build_index1, zig1),
-                     (build_index2, zig2)):
-        with plain_builds():
-            plain = build(g, 8)
-        assert_same_tables(build(g, 8), plain)
-    assert plain.entry_count() == 14_178
 
 
 # -- child copies: the blocks a build takes from a child instead of descending --
@@ -1094,13 +991,13 @@ def descents():
     log = Counter()
     core1, core2 = access1d._hook_core, access2d._hook_core2
 
-    def one(moves, node, b, e, side, chains):
+    def one(moves, node, b, e, side):
         log[node, side, b, e] += 1
-        return core1(moves, node, b, e, side, chains)
+        return core1(moves, node, b, e, side)
 
-    def two(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner, chains):
+    def two(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner):
         log[node, corner, b_r, b_c, e_r, e_c] += 1
-        return core2(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner, chains)
+        return core2(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(access1d, "_hook_core", one)
@@ -1160,6 +1057,7 @@ def test_build_work_on_the_benchmark_shapes():
     their pairs of literals; the doublings' every split is aligned, so
     most of their blocks are copied."""
     comb, stair, zig1, zig2 = deep_shapes()
+    assert len(comb.rules) == len(zig1.rules) == 2000
     for build, g, tau, uncovered, work in (
             (build_index1, comb, 8, uncovered1, (0, 0)),
             (build_index2, stair, 8, uncovered2, (0, 0)),
@@ -1315,6 +1213,12 @@ def test_builds_refuse_a_validated_grammar_that_is_no_slp(build, g):
 
 
 # -- move records and where the walks finish -----------------------------------
+
+def window(data, m):
+    """A window (b, e] of a length-m axis, often narrow so descents go deep."""
+    b = data.draw(st.integers(0, m - 1))
+    return b, b + data.draw(st.integers(1, min(4, m - b)) | st.integers(1, m - b))
+
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1() | grammars2(), tau=TAUS, data=st.data())
@@ -1744,17 +1648,15 @@ def test_access_equals_descent_however_the_walk_finishes(kind):
 
 def test_access_finishes_inline():
     """The fast walks descend over their own locals: with the public
-    descents and the build's runs made to raise, every walk still answers,
-    however it finishes."""
+    descents made to raise, every walk still answers, however it
+    finishes."""
     def refuse(*args):
-        raise AssertionError("the fast walk called a public descent or a build run")
+        raise AssertionError("the fast walk called a public descent")
 
     built = [(g, (build_index1 if isinstance(g, Slg1) else build_index2)(g, tau))
              for g, tau in [pair for pairs in finishes().values() for pair in pairs] + runs()]
     with mock.patch.object(access1d, "descend1", refuse), \
-            mock.patch.object(access2d, "descend2", refuse), \
-            mock.patch.object(access1d, "_run1", refuse), \
-            mock.patch.object(access2d, "_run2", refuse):
+            mock.patch.object(access2d, "descend2", refuse):
         for g, ix in built:
             if isinstance(g, Slg1):
                 assert [access1(ix, i) for i in range(1, ix.n + 1)] == expand1(g)
