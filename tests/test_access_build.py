@@ -37,7 +37,9 @@ the point walks to every cell, the zigzags against keeping their states,
 and every fast walk on these, the benchmark's inputs and the gen corpus
 against its bound in reads, moves and bisects, with the turn rule's finish
 running along the chains, and the chains against their layout and
-path-count bound. The grammar's move records are checked against its
+path-count bound. The build's descents are checked against a plain walk
+over the rules and against the expansion, and the builds on the
+benchmark's shapes against builds with no chains laid out. The grammar's move records are checked against its
 child, length and axis arrays and, through every walk that reads them,
 against the expansion; a grammar that is no SLP is refused by the arity
 check before any walk; and the index's per-variable top levels and first
@@ -90,8 +92,8 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import FINISH, _chains, _copied, _heavy, _turns
-from gridgram.access2d import FINISH2
+from gridgram.access1d import FINISH, _chains, _copied, _heavy, _hook_core, _turns
+from gridgram.access2d import FINISH2, _hook_core2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
 from conftest import (comb1, comb2, decoded, expand_all_1d, expand_all_2d, kept, levels_of,
                       made_slots, reachable, staircase2, state_key1, state_key2, state_of,
@@ -891,13 +893,100 @@ def test_chains_pick_the_larger_subtree_as_heavy():
     assert top[at[0]] == top[at[k - 1]]         # the whole spine is one path
 
 
+@contextmanager
+def plain_builds():
+    """Builds made inside get no chains: their tables must not depend on them."""
+    with mock.patch.object(access1d, "_chains", lambda moves, topo, heavy, keys, side: ()), \
+            mock.patch.object(access2d, "_chains", lambda moves, topo, heavy, keys, side: ()):
+        yield
+
+
+def window(data, m):
+    """A window (b, e] of a length-m axis, often narrow so descents go deep."""
+    b = data.draw(st.integers(0, m - 1))
+    return b, b + data.draw(st.integers(1, min(4, m - b)) | st.integers(1, m - b))
+
+
+def plain_hook1(g, t, b, e):
+    """The hook and offset of (b..e] of Exp(t), walked over the rules and
+    lengths, one child per level, without the grammar's move records."""
+    while not isinstance(rule := g.rules[t], int):
+        x, y = rule
+        l = g._lens[x]
+        if e <= l:
+            t = x
+        elif l <= b:
+            t, b, e = y, b - l, e - l
+        else:
+            break
+    return t, b
+
+
+def plain_hook2(g, t, b_r, b_c, e_r, e_c):
+    """The 2D ``plain_hook1``: a Horiz rule splits the rows, a Vert rule the
+    columns."""
+    while not isinstance(rule := g.rules[t], int):
+        x, y = rule.children
+        if isinstance(rule, Horiz):
+            l = g._rows[x]
+            if e_r <= l:
+                t = x
+            elif l <= b_r:
+                t, b_r, e_r = y, b_r - l, e_r - l
+            else:
+                break
+        else:
+            l = g._cols[x]
+            if e_c <= l:
+                t = x
+            elif l <= b_c:
+                t, b_c, e_c = y, b_c - l, e_c - l
+            else:
+                break
+    return t, b_r, b_c
+
+
 @settings(max_examples=40, deadline=None)
-@given(g=grammars1() | grammars2())
-def test_chains_lay_out_the_heavy_paths(g):
-    """Both sides' chains, which a turn-rule finish runs along."""
-    keys = (g._lens,) if isinstance(g, Slg1) else (g._rows, g._cols)
+@given(g=grammars1(), data=st.data())
+def test_hook_core_runs_like_the_plain_walk(g, data):
+    """The build's descent lands where the plain walk over the rules does,
+    and the window there is the one it started from; the chains a
+    turn-rule finish runs along keep their layout on both sides."""
+    lens = g._lens
     for side in (0, 1):
-        assert_chains(g, side, chains_of(g, keys, side), keys)
+        assert_chains(g, side, chains_of(g, (lens,), side), (lens,))
+    exp = expand_all_1d(g)
+    for _ in range(16):
+        t = data.draw(st.integers(0, len(g.rules) - 1))
+        b, e = window(data, lens[t])
+        h, off = _hook_core(g._moves, t, b, e, None)
+        assert (h, off) == plain_hook1(g, t, b, e)
+        assert exp[h][off:off + e - b] == exp[t][b:e]
+        for side in (0, 1):
+            assert _hook_core(g._moves, t, b, e, side) == step1(g, t, side, b, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=grammars2(), data=st.data())
+def test_hook_core2_runs_like_the_plain_walk(g, data):
+    rows, cols = g._rows, g._cols
+    for side in (0, 1):
+        assert_chains(g, side, chains_of(g, (rows, cols), side), (rows, cols))
+    exp = expand_all_2d(g)
+
+    def cells(m, b_r, b_c, h, w):
+        return [m.cells[(b_r + i) * m.cols + b_c + j] for i in range(h) for j in range(w)]
+
+    for _ in range(16):
+        t = data.draw(st.integers(0, len(g.rules) - 1))
+        (b_r, e_r), (b_c, e_c) = window(data, rows[t]), window(data, cols[t])
+        args = (g._moves, rows, cols, t, b_r, b_c, e_r, e_c)
+        h, a_r, a_c = _hook_core2(*args, None)
+        assert (h, a_r, a_c) == plain_hook2(g, t, b_r, b_c, e_r, e_c)
+        assert cells(exp[h], a_r, a_c, e_r - b_r, e_c - b_c) == \
+            cells(exp[t], b_r, b_c, e_r - b_r, e_c - b_c)
+        for corner in range(4):
+            assert _hook_core2(*args, corner) == step2(g, t, corner, b_r, b_c, e_r, e_c)
 
 
 def deep_shapes():
@@ -910,6 +999,30 @@ def deep_shapes():
     rng = random.Random(1)
     return comb, stair, zigzag1([rng.randrange(4) for _ in range(1997)]), \
         zigzag2([rng.randrange(4) for _ in range(203)], 200)
+
+
+def layout(ix):
+    """What an index holds: its states and their directory."""
+    return ix.first, ix.states, ix.keys, ix.ids
+
+
+def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
+    """The comb-deep workload's comb and staircase at tau 8, and the
+    zigzags of the same sizes, which keep their tables: a build keeps the
+    same states with its chains laid out as with none, so no build descent
+    reads them."""
+    comb, stair, zig1, zig2 = deep_shapes()
+    assert len(comb.rules) == len(zig1.rules) == 2000
+    # the walk's closure keeps no slot on the staircase, and 14,178 on the
+    # zigzag
+    for build, g in ((build_index1, comb), (build_index2, stair), (build_index1, zig1),
+                     (build_index2, zig2)):
+        with plain_builds():
+            plain = build(g, 8)
+        ix = build(g, 8)
+        assert layout(ix) == layout(plain) and ix.entry_count() == plain.entry_count()
+        assert len({id(v) for v in stored(ix)}) == len({id(v) for v in stored(plain)})
+    assert plain.entry_count() == 14_178
 
 
 # -- child copies: the blocks a build takes from a child instead of descending --
@@ -1057,7 +1170,6 @@ def test_build_work_on_the_benchmark_shapes():
     their pairs of literals; the doublings' every split is aligned, so
     most of their blocks are copied."""
     comb, stair, zig1, zig2 = deep_shapes()
-    assert len(comb.rules) == len(zig1.rules) == 2000
     for build, g, tau, uncovered, work in (
             (build_index1, comb, 8, uncovered1, (0, 0)),
             (build_index2, stair, 8, uncovered2, (0, 0)),
@@ -1213,12 +1325,6 @@ def test_builds_refuse_a_validated_grammar_that_is_no_slp(build, g):
 
 
 # -- move records and where the walks finish -----------------------------------
-
-def window(data, m):
-    """A window (b, e] of a length-m axis, often narrow so descents go deep."""
-    b = data.draw(st.integers(0, m - 1))
-    return b, b + data.draw(st.integers(1, min(4, m - b)) | st.integers(1, m - b))
-
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars1() | grammars2(), tau=TAUS, data=st.data())
