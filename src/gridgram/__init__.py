@@ -56,6 +56,7 @@ from .access1d import (
     access1_traced,
     build_index1,
     ceil_log,
+    check_index1,
     descend1,
     hook_offset1,
     optimal_tau,
@@ -65,6 +66,7 @@ from .access2d import (
     access2,
     access2_traced,
     build_index2,
+    check_index2,
     descend2,
     hook_offset2,
     optimal_tau2,

@@ -52,6 +52,10 @@ costs. The contracts that the functions below share:
   it reads the same slots, and checks each read, down to a literal step
   against the plain descent; it descends from a finish code by
   ``descend1``. It reads no state the index does not keep.
+- One layout: ``decode_key1`` and ``decode_finish1`` read a state key and a
+  finish code back; the builds encode them inline, in their hot loops.
+  ``check_index1`` checks every kept slot against the build's contract in
+  one pass, so an index changed by hand can be refused before any walk.
 - An index is immutable after build_index1 (build_index2), so any number
   of threads may query it. Builds are single-threaded.
 """
@@ -297,9 +301,9 @@ class AccessIndex1:
     references to the grammar's walk arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "lens", "moves", "first", "states",
-                 "keys", "ids", "reads", "chains", "n")
+                 "keys", "ids", "reads", "chains", "n", "filled")
 
-    def __init__(self, grammar, tau, levels, pows, first, states, keys, ids, chains):
+    def __init__(self, grammar, tau, levels, pows, first, states, keys, ids, chains, filled):
         self.grammar = grammar        # the validated SLP; a literal's code is its rule
         self.tau = tau                # clamped to max(2, n)
         self.levels = levels          # ceil(log_tau n)
@@ -317,6 +321,8 @@ class AccessIndex1:
         self.chains = chains          # the _chains of both sides, for a run finish; None
                                       #   when no walk finishes by runs
         self.n = self.lens[grammar.start]
+        self.filled = filled          # the slots the build filled, kept or copy-only: what
+                                      #   its cap counts
 
     def entry_count(self):
         """Stored bookmarks (the size-bound quantity): the slots of the
@@ -326,6 +332,32 @@ class AccessIndex1:
     def __repr__(self):
         return (f"AccessIndex1(n={self.n}, tau={self.tau}, "
                 f"levels={self.levels}, entries={self.entry_count()})")
+
+
+def decode_key1(ix, key):
+    """The state a 1D index's key names (``ix.keys``): (t, side, p), the
+    variable, its side (0 = left, 1 = right) and the level."""
+    K = 2 * ix.levels + 2
+    return key // K, key & 1, key % K >> 1
+
+
+def decode_finish1(code):
+    """The finish a 1D code below 0 names: (t, side, runs), the variable and
+    side a walk descends from, and 1 when it descends by chain runs (the
+    turn rule), 0 when plainly (the height rule)."""
+    code = ~code
+    return code >> 2, code >> 1 & 1, code & 1
+
+
+def _plain_slot1(ix, t, side, tp, k):
+    """The slot the build stores at block k of the state (t, side) with
+    blocks of tp symbols: the plain descent's step for the block's window,
+    its split counted from the side, (k * tp + split, near child, far
+    child), or (k * tp, literal, None)."""
+    m, b = ix.lens[t], k * tp
+    e = b + tp if b + tp < m else m
+    split, x, y = _hook_core(ix.moves, t, m - e if side else b, m - b if side else e, side)
+    return b + split, x, y
 
 
 def _copied(a, tp, blocks, near, far):
@@ -430,8 +462,9 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
     otherwise no walk reads and nothing is built. The index keeps the
     states the walk reaches from there, not the copy-only sources. Every
     descent is the plain walk; the chains (``_chains``) are laid out, and
-    kept on the index, only when a walk can finish by the turn rule. The
-    build counts the slots of every state it fills, kept or not, and raises
+    kept on the index, only when a kept slot's code or the start's finish
+    code finishes by the turn rule. The build counts the slots of every
+    state it fills, kept or not, keeps that count as ``filled``, and raises
     ExpansionTooLarge as soon as they would pass the int ``cap``: as it
     plans a state, before any descent or copy for it."""
     g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
@@ -447,13 +480,10 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
     heavy, _, (top,) = _finish(g, [level_cap], mark)
     s = g.start
     first = s * K + top[s] * 2 if top[s] == level_cap[s] else None
-    if first is None:       # a start low enough for its cap finishes by runs or plainly
-        runs = level_cap[s] < mark[s]
-    else:                   # some variable the turn bound cuts below the height rule
-        runs = any(r and t < c and t < m - 1
-                   for t, c, m, r in zip(top, level_cap, mark, g._reach))
-    chains = tuple(_chains(moves, g._topo, heavy[side], (lens,), side) for side in (0, 1)) \
-        if runs else None
+    # the index's first code: a start low enough for its cap finishes by
+    # runs or plainly
+    first_code = 0 if first is not None else ~(s * 4 + (level_cap[s] < mark[s]))
+    ends = {first_code} if first is None else set()     # and the kept slots' finish codes
     share = {}.setdefault           # slot -> its one stored copy
     # state key -> id, in the order the build names the states, and back
     keys, ids = ([], {}) if first is None else ([first], {first: 0})
@@ -484,9 +514,7 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
         x, y, _ = moves[i]
         near, far = (y, x) if rest & 1 else (x, y)
         tp = pows[p]
-        blocks = -(-lens[i] // tp)              # k with k * tau**p < m
-        if blocks > tau:
-            blocks = tau
+        blocks = _blocks(lens[i], tp, tau)      # k with k * tau**p < m
         room -= blocks                          # every planned state is filled
         if room < 0:
             raise _over_cap(tau, cap)
@@ -525,14 +553,104 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
             if y is not None:
                 if x >= 0:
                     out.add(keys[x])
+                else:
+                    ends.add(x)
                 if y >= 0:
                     out.add(keys[y])
+                else:
+                    ends.add(y)
         return out
 
     walked = _walk_build(first, plan, fill, successors)
     states, kept = _kept(keys, ids, walked, held, lambda u: (pows[-1], [(0, u, u)]))
-    return AccessIndex1(g, tau, levels, pows, 0 if first is not None else ~(s * 4 + runs),
-                        states, keys, kept, chains)
+    # chains only where a kept slot or the start finishes by runs
+    chains = tuple(_chains(moves, g._topo, heavy[side], (lens,), side) for side in (0, 1)) \
+        if any(~c & 1 for c in ends) else None
+    return AccessIndex1(g, tau, levels, pows, first_code, states, keys, kept, chains,
+                        cap - room)
+
+
+def _blocks(m, tp, tau):
+    """The blocks of tp cells along an axis of m cells at most tau of which
+    a state holds."""
+    n = -(-m // tp)
+    return n if n < tau else tau
+
+
+def _check_index(ix, decode, finish, sizes, slot_codes):
+    """The pass check_index1 and check_index2 share, ``sizes`` the grammar's
+    per-variable sizes on each axis. ``slot_codes(j, t, where, levels,
+    entry)`` checks kept state j's entry and slots and yields (code, child,
+    where, reach, k) per code of the real step in its slot k: the child the
+    code must name, from the side or corner ``where``, and the furthest
+    cell on each axis that the step sends through it, None for none."""
+    keys, ids, states, pows, tau = ix.keys, ix.ids, ix.states, ix.pows, ix.tau
+    s = ix.grammar.start
+    top = (s, 0, *(bisect_right(pows, size[s]) - 1 for size in sizes))
+    if len(states) != len(keys):
+        raise PreconditionViolated(f"{len(states)} states for {len(keys)} keys")
+    if ix.first >= 0:
+        if not (ix.first == 0 and keys and ids.get(keys[0]) == 0 and decode(ix, keys[0]) == top):
+            raise PreconditionViolated(f"first code {ix.first} is not id 0 on {top}")
+        runs = 0
+    else:
+        t, where, runs = finish(ix.first)
+        if (t, where) != top[:2]:
+            raise PreconditionViolated(f"first code {ix.first} finishes from {(t, where)}, not "
+                                       f"{top[:2]}")
+    for key, j in ids.items():
+        t, where, *levels = decode(ix, key)
+        if not (0 <= j < len(keys) and keys[j] == key and 0 <= t < len(sizes[0])):
+            raise PreconditionViolated(f"ids map key {key!r} to {j!r}, no state of the index")
+        for code, c, to, reach, k in slot_codes(j, t, where, levels, states[j]):
+            if not isinstance(code, int) or code >= 0 and not (code < len(keys)
+                                                               and ids.get(keys[code]) == code):
+                raise PreconditionViolated(f"state {j}, slot {k} holds {code!r}, no kept id or "
+                                           f"finish code")
+            u, w, *lower = decode(ix, keys[code]) if code >= 0 else finish(code)
+            if (u, w) != (c, to):
+                raise PreconditionViolated(f"state {j}, slot {k} names ({u}, {w}), not its "
+                                           f"hook's child ({c}, {to})")
+            if code < 0:
+                runs |= lower[0]
+            elif not (lower != levels and all(q <= p for q, p in zip(lower, levels))) or \
+                    reach and any((r - 1) // pows[q] >= _blocks(size[u], pows[q], tau)
+                                  for r, q, size in zip(reach, lower, sizes)):
+                raise PreconditionViolated(f"state {j}, slot {k} enters state {code} at levels "
+                                           f"{lower}, not below {levels} with blocks to {reach}")
+    if (ix.chains is not None) != bool(runs):
+        raise PreconditionViolated("a finish by runs has no chains" if runs else
+                                   "the index keeps chains that no finish runs along")
+
+
+def check_index1(ix):
+    """Raise PreconditionViolated unless ix holds what build_index1 lays
+    out, in one pass over its kept states: ``first`` is id 0 on the start's
+    left side at its cap, or its left finish code; ``ids`` and ``keys``
+    agree; a state's entry is (tau**p, slots), one slot per block; each
+    slot is its block's plain step (``_plain_slot1``); each code of a real
+    step names the hook's near child from the other side or its far child
+    from the same side, by a finish code or a kept id at a lower level
+    whose blocks hold every delta the step sends there; and ``chains`` is
+    present exactly when ``first`` or a kept code finishes by runs. On an
+    index that passes, access1 reads kept slots only, at most ``len(reads)``
+    of them, and answers as the descent does."""
+    def slot_codes(j, t, side, levels, entry):
+        m, tp = ix.lens[t], ix.pows[levels[0]]
+        if not (type(entry) is tuple and len(entry) == 2 and entry[0] == tp
+                and isinstance(entry[1], list) and len(entry[1]) == _blocks(m, tp, ix.tau)):
+            raise PreconditionViolated(f"state {j} does not hold one slot per block of {tp}")
+        for k, slot in enumerate(entry[1]):
+            S, x, y = want = _plain_slot1(ix, t, side, tp, k)
+            if not (slot == want if y is None else
+                    type(slot) is tuple and len(slot) == 3 and slot[0] == S):
+                raise PreconditionViolated(f"state {j}, slot {k} holds {slot}, not the plain "
+                                           f"step {want}")
+            if y is not None:           # deltas up to the split and from it to the block's end
+                yield slot[1], x, side ^ 1, (S - k * tp,), k
+                yield slot[2], y, side, (min(m, k * tp + tp) - S,), k
+
+    _check_index(ix, decode_key1, decode_finish1, (ix.lens,), slot_codes)
 
 
 def access1_traced(ix, i):
@@ -550,7 +668,7 @@ def access1_traced(ix, i):
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    states, keys, K = ix.states, ix.keys, 2 * ix.levels + 2
+    states, keys = ix.states, ix.keys
     st, delta, size = ix.first, i, ix.pows[-1]
     while (j := st) >= 0:
         if not (j < len(states) and keys[j] in ix.ids):
@@ -559,25 +677,24 @@ def access1_traced(ix, i):
         if tp >= size:
             raise PreconditionViolated(f"walk to position {i} enters state {j} at no lower level")
         size = tp
-        t, side = keys[j] // K, keys[j] & 1
+        t, side, _ = decode_key1(ix, keys[j])
         m, k = ix.lens[t], (delta - 1) // tp
         if delta > m or k >= len(slots):
             raise PreconditionViolated(f"walk to position {i} leaves the blocks of state {j}")
         S, near, far = slots[k]
         b = k * tp
-        w = min(m - b, tp)
         if far is None:
-            e = m - b if side else b + w        # the block's window, from the left
-            if (real := _hook_core(ix.moves, t, e - w, e, side)) != (S - b, near, None):
+            if (real := _plain_slot1(ix, t, side, tp, k)) != slots[k]:
                 raise PreconditionViolated(f"state {j}, block {k} holds {slots[k]}; a stored "
                                            f"literal step must be the step descent gives, {real}")
             code = ix.grammar.rules[near]
             break
-        if not 0 < S - b < w:
+        if not 0 < S - b < min(m - b, tp):
             raise PreconditionViolated(f"state {j}, block {k} does not straddle its hook's split")
         st, delta = (near, S - delta + 1) if delta <= S else (far, delta - S)
     else:
-        code = descend1(ix, ~st >> 2, delta, ~st >> 1 & 1)
+        t, side, _ = decode_finish1(st)
+        code = descend1(ix, t, delta, side)
     if code != (want := descend1(ix, ix.grammar.start, i, 0)):
         raise PreconditionViolated(f"walk to position {i} ended at code {code}, descent "
                                    f"reaches {want}")
@@ -603,7 +720,9 @@ def access1(ix, i):
     (``_turns``). So with L = floor(log_tau n) it makes at most L + 1
     reads plus FINISH * L moves, or plus O(B) moves and bisects with B at
     most L + 1 less the reads made, over the index's states, the grammar's
-    move records and the chains.
+    move records and the chains. The loop checks no slot or code: an index
+    changed by hand must pass ``check_index1`` first, or the walk may raise
+    a bare IndexError or TypeError, or answer wrong.
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")

@@ -57,6 +57,8 @@ to those contracts:
 - One walk, as in 1D: ``access2_traced`` follows the codes ``access2``
   follows and checks each read; its level check is that neither block
   size grows and one falls.
+- One layout, as in 1D: ``decode_key2`` and ``decode_finish2`` read a state
+  key and a finish code back, and ``check_index2`` checks every kept slot.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
-from .access1d import (_chains, _check_slot_cap, _copied, _finish, _kept, _over_cap, _preset,
-                       _walk_build, caps, ceil_log, clamp_tau)
+from .access1d import (_blocks, _chains, _check_index, _check_slot_cap, _copied, _finish, _kept,
+                       _over_cap, _preset, _walk_build, caps, ceil_log, clamp_tau)
 from .slg import DEFAULT_CAP, _check_binary
 from .slg2d import Slg2, validate_slp2
 
@@ -119,6 +121,21 @@ def _hook_core2(moves, rows, cols, node, b_r, b_c, e_r, e_c, corner):
     return (0, e_c - l, y, x, shift) if corner & 1 else (0, l - b_c, x, y, shift)
 
 
+def _plain_slot2(ix, t, corner, tpr, tpc, k_r, k_c):
+    """The slot the build stores at block (k_r, k_c) of the state (t,
+    corner) with tpr x tpc blocks: the plain descent's step for the block's
+    window (``_hook_core2``)."""
+    m_r, m_c = ix.rows[t], ix.cols[t]
+    b_r, b_c = k_r * tpr, k_c * tpc
+    e_r = b_r + tpr if b_r + tpr < m_r else m_r
+    e_c = b_c + tpc if b_c + tpc < m_c else m_c
+    if corner & 2:
+        b_r, e_r = m_r - e_r, m_r - b_r
+    if corner & 1:
+        b_c, e_c = m_c - e_c, m_c - b_c
+    return _hook_core2(ix.moves, ix.rows, ix.cols, t, b_r, b_c, e_r, e_c, corner)
+
+
 def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     """2D hook and offsets of the window (b_r..e_r] x (b_c..e_c] of Exp(nid),
     as a (hook, offset_r, offset_c) triple.
@@ -148,9 +165,10 @@ class AccessIndex2:
     arrays."""
 
     __slots__ = ("grammar", "tau", "levels", "pows", "rows", "cols", "moves", "first",
-                 "states", "keys", "ids", "reads", "chains", "n_rows", "n_cols")
+                 "states", "keys", "ids", "reads", "chains", "n_rows", "n_cols", "filled")
 
-    def __init__(self, grammar, tau, levels, pows, reads, first, states, keys, ids, chains):
+    def __init__(self, grammar, tau, levels, pows, reads, first, states, keys, ids, chains,
+                 filled):
         self.grammar = grammar      # the validated 2D SLP; a literal's code is its rule
         self.tau = tau              # clamped to the start's longest side (at least 2)
         self.levels = levels        # ceil(log_tau) of the start's longest side
@@ -173,6 +191,7 @@ class AccessIndex2:
                                     #   a level
         self.chains = chains        # the _chains of both sides, for a run finish; None
                                     #   when no walk finishes by runs
+        self.filled = filled        # the slots the build filled, kept or copy-only
 
     def entry_count(self):
         """Stored bookmarks (the size-bound quantity): the slots of the
@@ -182,6 +201,23 @@ class AccessIndex2:
     def __repr__(self):
         return (f"AccessIndex2({self.n_rows}x{self.n_cols}, tau={self.tau}, "
                 f"levels={self.levels}, entries={self.entry_count()})")
+
+
+def decode_key2(ix, key):
+    """The state a 2D index's key names (``ix.keys``): (t, corner, p_r, p_c),
+    the variable, its corner (0..3, bit 1 = from the bottom, bit 0 = from
+    the right) and the level pair."""
+    H = ix.levels + 1
+    t, rest = divmod(key, 4 * H * H)
+    return (t, rest & 3, *divmod(rest >> 2, H))
+
+
+def decode_finish2(code):
+    """The finish a 2D code below 0 names: (t, corner, runs), the variable
+    and corner a walk descends from, and 1 when it descends by chain runs
+    (the turn rule), 0 when plainly (the height rule)."""
+    code = ~code
+    return code >> 3, code >> 1 & 3, code & 1
 
 
 def build_index2(g, tau, cap=DEFAULT_CAP):
@@ -194,10 +230,12 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
     its caps, when it stores them; otherwise no walk reads and nothing is
     built. The index keeps the states the walk reaches from there, not the
     copy-only sources. Every descent is the plain walk; the chains
-    (``_chains``) are laid out, and kept on the index, only when a walk can
-    finish by the turn rule. The build counts the slots of every state it fills, kept
-    or not, and raises ExpansionTooLarge as soon as they would pass the int
-    ``cap``: as it plans a state, before any descent or copy for it."""
+    (``_chains``) are laid out, and kept on the index, only when a kept
+    slot's code or the start's finish code finishes by the turn rule. The
+    build counts the slots of every state it fills, kept or not, keeps that
+    count as ``filled``, and raises ExpansionTooLarge as soon as they would
+    pass the int ``cap``: as it plans a state, before any descent or copy
+    for it."""
     g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
     rows, cols, moves = g._rows, g._cols, g._moves
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
@@ -215,13 +253,10 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
 
     s = g.start
     first = s * K + (cap_r[s] * H + cap_c[s]) * 4 if stores(s, cap_r[s], cap_c[s]) else None
-    if first is None:       # a start low enough for its caps finishes by runs or plainly
-        runs = max(cap_r[s], cap_c[s]) < mark[s]
-    else:                   # some variable the turn bound cuts below the height rule
-        runs = any(r and m and min(c_r, m - 1) + min(c_c, m - 1) + 1 >= b
-                   for c_r, c_c, m, b, r in zip(cap_r, cap_c, mark, turns, g._reach))
-    chains = tuple(_chains(moves, g._topo, heavy[side], (rows, cols), side)
-                   for side in (0, 1)) if runs else None
+    # the index's first code: a start low enough for its caps finishes by
+    # runs or plainly
+    first_code = 0 if first is not None else ~(s * 8 + (max(cap_r[s], cap_c[s]) < mark[s]))
+    ends = {first_code} if first is None else set()     # and the kept slots' finish codes
     share = {}.setdefault           # slot -> its one stored copy
     # state key -> id, in the order the build names the states, and back
     keys, ids = ([], {}) if first is None else ([first], {first: 0})
@@ -261,11 +296,7 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
         i, rest = divmod(state, K)
         p_r, p_c = divmod(rest >> 2, H)
         tpr, tpc = pows[p_r], pows[p_c]
-        h, w = -(-rows[i] // tpr), -(-cols[i] // tpc)    # blocks per column and per row
-        if h > tau:
-            h = tau
-        if w > tau:
-            w = tau
+        h, w = _blocks(rows[i], tpr, tau), _blocks(cols[i], tpc, tau)  # per column, per row
         room -= h * w                           # every planned state is filled
         if room < 0:
             raise _over_cap(tau, cap)
@@ -283,11 +314,7 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
         lo, hi, blocks, near, far = cut
         tpr, tpc = pows[p_r], pows[p_c]
         m_r, m_c = rows[i], cols[i]
-        h, w = -(-m_r // tpr), -(-m_c // tpc)
-        if h > tau:
-            h = tau
-        if w > tau:
-            w = tau
+        h, w = _blocks(m_r, tpr, tau), _blocks(m_c, tpc, tau)
         # the split axis's blocks lo..hi of each band, copied from the near
         # child, descended and copied from the far child: one band of all the
         # block rows on a row split, one per block row on a column split,
@@ -339,14 +366,71 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
             if y is not None:
                 named.add(x)
                 named.add(y)
-        return {keys[c] for both in named for c in both if c >= 0}
+        out = set()
+        for both in named:
+            for c in both:
+                if c >= 0:
+                    out.add(keys[c])
+                else:
+                    ends.add(c)
+        return out
 
     walked = _walk_build(first, plan, fill, successors)
     top = pows[-1]                  # past every delta
     states, kept = _kept(keys, ids, walked, held,
                          lambda u: (top, top, 1, [(1, 0, (u, u), (u, u), 0)]))
-    return AccessIndex2(g, tau, levels, pows, range(cap_r[s] + cap_c[s] + 1),
-                        0 if first is not None else ~(s * 8 + runs), states, keys, kept, chains)
+    # chains only where a kept slot or the start finishes by runs
+    chains = tuple(_chains(moves, g._topo, heavy[side], (rows, cols), side)
+                   for side in (0, 1)) if any(~c & 1 for c in ends) else None
+    return AccessIndex2(g, tau, levels, pows, range(cap_r[s] + cap_c[s] + 1), first_code,
+                        states, keys, kept, chains, cap - room)
+
+
+def check_index2(ix):
+    """check_index1 in 2D: ``first`` is on the start's NW corner at its
+    caps; an entry is (tau**p_r, tau**p_c, w, slots), w blocks to a row; a
+    real step's axis, split and shift are the plain step's
+    (``_plain_slot2``); and each element of a code pair names the hook's
+    near child from the corner flipped on the split axis or its far child
+    from the same corner, by a finish code or a kept id at a level pair
+    with neither level higher and one lower, whose blocks hold every cell
+    the step sends through that element."""
+    def slot_codes(j, t, corner, levels, entry):
+        m_r, m_c = ix.rows[t], ix.cols[t]
+        tpr, tpc = ix.pows[levels[0]], ix.pows[levels[1]]
+        w = _blocks(m_c, tpc, ix.tau)
+        if not (type(entry) is tuple and len(entry) == 4 and entry[:3] == (tpr, tpc, w)
+                and isinstance(entry[3], list) and len(entry[3]) == _blocks(m_r, tpr, ix.tau) * w):
+            raise PreconditionViolated(f"state {j} does not hold one slot per block of "
+                                       f"{tpr} x {tpc}")
+        for k, slot in enumerate(entry[3]):
+            k_r, k_c = divmod(k, w)
+            axis, split, x, y, shift = want = _plain_slot2(ix, t, corner, tpr, tpc, k_r, k_c)
+            if not (slot == want if y is None else
+                    type(slot) is tuple and len(slot) == 5
+                    and (slot[0], slot[1], slot[4]) == (axis, split, shift)
+                    and all(type(pair) is tuple and len(pair) == 2 for pair in slot[2:4])):
+                raise PreconditionViolated(f"state {j}, slot {k} holds {slot}, not the plain "
+                                           f"step {want}")
+            if y is None:
+                continue
+            w_r, w_c = min(m_r - k_r * tpr, tpr), min(m_c - k_c * tpc, tpc)
+            # the furthest cell each child receives through each element of
+            # its pair: a row step reads the first; a column step the first
+            # where the new row delta is at most tpr, the second past it
+            if axis:
+                near, far = ((split, shift + w_c), None), ((w_r - split, shift + w_c), None)
+            else:
+                reach = (min(shift + w_r, tpr) if shift < tpr else 0,
+                         shift + w_r if shift + w_r > tpr else 0)
+                near = [(r, split) if r else None for r in reach]
+                far = [(r, w_c - split) if r else None for r in reach]
+            for pair, c, to, most in ((slot[2], x, corner ^ (2 if axis else 1), near),
+                                      (slot[3], y, corner, far)):
+                for code, cell in zip(pair, most):
+                    yield code, c, to, cell, k
+
+    _check_index(ix, decode_key2, decode_finish2, (ix.rows, ix.cols), slot_codes)
 
 
 def access2_traced(ix, i, j):
@@ -363,7 +447,7 @@ def access2_traced(ix, i, j):
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
-    states, keys, rows, cols, K = ix.states, ix.keys, ix.rows, ix.cols, 4 * (ix.levels + 1) ** 2
+    states, keys, rows, cols = ix.states, ix.keys, ix.rows, ix.cols
     st, d_r, d_c, reads = ix.first, i, j, 0
     size_r = size_c = ix.pows[-1]
     while (u := st) >= 0:
@@ -373,7 +457,7 @@ def access2_traced(ix, i, j):
         if not (tpr <= size_r and tpc <= size_c and (tpr < size_r or tpc < size_c)):
             raise PreconditionViolated(f"walk to ({i},{j}) enters state {u} at no lower levels")
         reads, size_r, size_c = reads + 1, tpr, tpc
-        t, corner = keys[u] // K, keys[u] & 3
+        t, corner, _, _ = decode_key2(ix, keys[u])
         m_r, m_c, k_r, k_c = rows[t], cols[t], (d_r - 1) // tpr, (d_c - 1) // tpc
         if d_r > m_r or d_c > m_c or k_c >= w or k_r * w + k_c >= len(slots):
             raise PreconditionViolated(f"walk to ({i},{j}) leaves the blocks of state {u}")
@@ -381,10 +465,7 @@ def access2_traced(ix, i, j):
         b_r, b_c = k_r * tpr, k_c * tpc
         w_r, w_c = min(m_r - b_r, tpr), min(m_c - b_c, tpc)
         if far is None:
-            e_r = m_r - b_r if corner & 2 else b_r + w_r    # the block's window, from the NW
-            e_c = m_c - b_c if corner & 1 else b_c + w_c
-            real = _hook_core2(ix.moves, rows, cols, t, e_r - w_r, e_c - w_c, e_r, e_c, corner)
-            if real != step:
+            if (real := _plain_slot2(ix, t, corner, tpr, tpc, k_r, k_c)) != step:
                 raise PreconditionViolated(f"state {u}, block ({k_r},{k_c}) holds {step}; a "
                                            f"stored literal step must be the step descent "
                                            f"gives, {real}")
@@ -407,7 +488,8 @@ def access2_traced(ix, i, j):
                                        f"({prev_r},{prev_c}) -> ({d_r},{d_c})")
         st = st[d_r > tpr]
     else:
-        code = descend2(ix, ~st >> 3, d_r, d_c, ~st >> 1 & 3)
+        t, corner, _ = decode_finish2(st)
+        code = descend2(ix, t, d_r, d_c, corner)
     if code != (want := descend2(ix, ix.grammar.start, i, j, 0)):
         raise PreconditionViolated(f"walk to ({i},{j}) ended at code {code}, descent reaches "
                                    f"{want}")
@@ -435,7 +517,8 @@ def access2(ix, i, j):
     index's chains from its second move in a row toward one child, at most
     3 * (B(v) + 1) moves and bisects (``_turns``; a bisect on rows and one
     on columns per heavy path), with B(v) at most L + 1 less the reads
-    made.
+    made. As in access1, the loop checks no slot or code: an index changed
+    by hand must pass ``check_index2`` first.
     """
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):

@@ -118,14 +118,16 @@ class _Dim:
                           #   one for a finish by descent
     descend: Callable     # (index, variable, *position, side or corner) -> code, by descent
     reference: Callable   # (SLP, cap) -> (*position -> code), from the full expansion
+    check: Callable       # index -> None, or PreconditionViolated on an index that is not
+                          #   laid out as its build lays it out
 
 
 _DIM1 = _Dim(slg_to_slp, lambda slp: (exp_len(slp, slp.start),), access1d.optimal_tau,
              access1d.build_index1, access1d.access1, access1d.access1_traced,
-             access1d.descend1, _reference1)
+             access1d.descend1, _reference1, access1d.check_index1)
 _DIM2 = _Dim(slg2_to_slp2, lambda slp: dims(slp, slp.start), access2d.optimal_tau2,
              access2d.build_index2, access2d.access2, access2d.access2_traced,
-             access2d.descend2, _reference2)
+             access2d.descend2, _reference2, access2d.check_index2)
 
 
 def _held_bytes(ix):
@@ -194,7 +196,10 @@ def cmd_access(args):
     preset = dim.tau(max(shape), args.epsilon)     # checks --epsilon even under --tau
     tau = preset if args.tau is None else args.tau
     ix = dim.build(slp, tau, cap)
-    reference = dim.reference(slp, cap) if args.verify else None
+    reference = None
+    if args.verify:         # the index's layout, once, before the first query
+        dim.check(ix)
+        reference = dim.reference(slp, cap)
     failed = False
     for q in args.coords:
         try:
@@ -453,7 +458,8 @@ def _build_parser():
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check against full expansion (under the cap)")
+                   help="check the index's layout before the first query, then "
+                        "cross-check each answer against full expansion (under the cap)")
     p.set_defaults(fn=cmd_access)
 
     p = sub.add_parser("ov", help="orthogonal-vectors pipelines")

@@ -21,7 +21,6 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from types import SimpleNamespace
-from unittest import mock
 
 from gridgram import (
     AccessIndex1,
@@ -32,12 +31,11 @@ from gridgram import (
     Slp2,
     Vert,
     access1d,
-    access2d,
-    build_index1,
-    build_index2,
     validate_slp1,
     validate_slp2,
 )
+from gridgram.access1d import decode_finish1, decode_key1
+from gridgram.access2d import decode_finish2, decode_key2
 
 
 @pytest.fixture
@@ -262,25 +260,10 @@ class CountingProvider:
 
 # -- an index's states, read back ------------------------------------------------
 
-def state_key1(ix, t, side, p):
-    """The key of a 1D index's state (t, side, level p)."""
-    return t * (2 * ix.levels + 2) + p * 2 + side
-
-
-def state_key2(ix, t, corner, p_r, p_c):
-    """The key of a 2D index's state (t, corner, level pair (p_r, p_c))."""
-    H = ix.levels + 1
-    return t * 4 * H * H + (p_r * H + p_c) * 4 + corner
-
-
-def state_of(ix, key):
-    """The state a key names: (t, side, p) in 1D, (t, corner, p_r, p_c) in 2D."""
-    if isinstance(ix, AccessIndex1):
-        K = 2 * ix.levels + 2
-        return key // K, key % 2, key % K >> 1
-    H = ix.levels + 1
-    t, rest = divmod(key, 4 * H * H)
-    return (t, rest & 3, *divmod(rest >> 2, H))
+def decode(ix, key):
+    """The state a key names (``decode_key1``/``decode_key2``): (t, side, p)
+    in 1D, (t, corner, p_r, p_c) in 2D."""
+    return (decode_key1 if isinstance(ix, AccessIndex1) else decode_key2)(ix, key)
 
 
 _LEVELS = [None, None]          # the last index levels_of read, and its levels
@@ -309,41 +292,38 @@ def levels_of(ix):
 
 
 def kept(ix):
-    """{state: slots} of the states an index keeps (``state_of``)."""
-    return {state_of(ix, key): ix.states[j][-1] for key, j in ix.ids.items()}
-
-
-def variable(ix, code):
-    """The variable a slot's code names: that of the state with that id,
-    or the one a finish code descends from. A 2D code is a pair, both of
-    whose elements name one variable."""
-    if isinstance(code, tuple):
-        code = code[0]
-    if code >= 0:
-        return state_of(ix, ix.keys[code])[0]
-    return ~code >> (2 if isinstance(ix, AccessIndex1) else 3)
+    """{state: slots} of the states an index keeps (``decode``)."""
+    return {decode(ix, key): ix.states[j][-1] for key, j in ix.ids.items()}
 
 
 def decoded(ix):
-    """{address: step} of every kept slot, its codes decoded into variables,
-    in the form the plain descent gives a block's step: in 1D at (side, t,
-    p * tau + k), (split inside the block, near child, far child) or (0,
-    literal, None); in 2D at (corner, t, p_r, p_c, k_r * w + k_c), the
-    slot itself, (axis, split, near child, far child, shift) or (0, 0,
-    literal, None, 0)."""
+    """{address: step} of every kept slot, its codes decoded into the
+    variables they name, in the form the plain descent gives a block's
+    step: in 1D at (side, t, p * tau + k), (split inside the block, near
+    child, far child) or (0, literal, None); in 2D at (corner, t, p_r,
+    p_c, k_r * w + k_c), the slot itself, (axis, split, near child, far
+    child, shift) or (0, 0, literal, None, 0). A 2D code is a pair, both of
+    whose elements name one variable."""
+    one = isinstance(ix, AccessIndex1)
+    finish = decode_finish1 if one else decode_finish2
+
+    def variable(code):
+        code = code if one else code[0]
+        return (decode(ix, ix.keys[code]) if code >= 0 else finish(code))[0]
+
     out = {}
     for state, slots in kept(ix).items():
-        if len(state) == 3:
+        if one:
             t, side, p = state
             tp = ix.pows[p]
             for k, (S, near, far) in enumerate(slots):
                 out[side, t, p * ix.tau + k] = (S - k * tp, near, None) if far is None else \
-                    (S - k * tp, variable(ix, near), variable(ix, far))
+                    (S - k * tp, variable(near), variable(far))
             continue
         t, corner, p_r, p_c = state
         for at, (axis, s, near, far, shift) in enumerate(slots):
             out[corner, t, p_r, p_c, at] = (axis, s, near, None, shift) if far is None else \
-                (axis, s, variable(ix, near), variable(ix, far), shift)
+                (axis, s, variable(near), variable(far), shift)
     return out
 
 
@@ -351,24 +331,4 @@ def wrap_slots(ix, wrap):
     """Replace each kept state's slot list by ``wrap(slots, state)``."""
     for key, j in ix.ids.items():
         entry = ix.states[j]
-        ix.states[j] = (*entry[:-1], wrap(entry[-1], state_of(ix, key)))
-
-
-# -- the slots a build makes ------------------------------------------------------
-
-def made_slots(g, tau, dim):
-    """(index, slots) of the uncapped build of ``g`` at ``tau``, the slots
-    counted outside the build: one per block of every state the build
-    fills, kept or copy-only (the slot lists ``_walk_build``'s fill
-    returns)."""
-    module, build = (access1d, build_index1) if dim == 1 else (access2d, build_index2)
-    made = []
-    walk = module._walk_build
-
-    def counted(first, plan, fill, successors):
-        return walk(first, plan, lambda state, cut: made.append(len(fill(state, cut))),
-                    successors)
-
-    with mock.patch.object(module, "_walk_build", counted):
-        ix = build(g, tau)
-    return ix, sum(made)
+        ix.states[j] = (*entry[:-1], wrap(entry[-1], decode(ix, key)))

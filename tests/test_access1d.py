@@ -19,7 +19,7 @@ from gridgram import (
     optimal_tau,
     validate_slp1,
 )
-from gridgram.access1d import caps
+from gridgram.access1d import caps, decode_finish1
 from gridgram.access2d import optimal_tau2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp1
@@ -138,7 +138,7 @@ def test_index_single_literal():
     assert ix.levels == 0 and levels_of(ix).cap == [0] and levels_of(ix).top == [-1]
     # a literal stores no level, so no walk reads and no state is kept: the
     # walk starts at the literal's finish code
-    assert ix.states == [] and ix.ids == {} and ix.first == ~0
+    assert ix.states == [] and ix.ids == {} and decode_finish1(ix.first) == (0, 0, 0)
     assert ix.entry_count() == 0
     assert access1(ix, 1) == 0 and access1_traced(ix, 1) == (0, 1)
 

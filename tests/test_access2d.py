@@ -20,7 +20,7 @@ from gridgram import (
     optimal_tau2,
     validate_slp2,
 )
-from gridgram.access2d import FINISH2
+from gridgram.access2d import FINISH2, decode_finish2
 from gridgram.errors import RangeError
 from gridgram.gen import random_slp2
 from gridgram.access1d import _heavy, _turns
@@ -137,7 +137,7 @@ def test_index_1x1_text():
     ix = build_index2(g, 2)
     # a literal stores no level pair: the walk descends from it at once,
     # plainly, from the NW corner, the traced walk's one step, with no read
-    assert ix.states == [] and ix.ids == {} and ix.first == ~(0 * 8 + 0 * 2 + 0)
+    assert ix.states == [] and ix.ids == {} and decode_finish2(ix.first) == (0, 0, 0)
     assert ix.entry_count() == 0
     assert access2(ix, 1, 1) == 4 and access2_traced(ix, 1, 1) == (4, 1)
 
@@ -151,7 +151,7 @@ def test_index_2x2_nw_entry(grid22):
     # (0, 0), and it stores no level pair, not its caps (1, 1): the walk
     # descends from S at once, plainly, with no read, and no state is built
     assert -(-ix.grammar._height[0] // FINISH2) == 1 and _turns_of(grid22)[0] == 1
-    assert ix.first == ~(0 * 8 + 0) and ix.states == []
+    assert decode_finish2(ix.first) == (0, 0, 0) and ix.states == []
     assert access2_traced(ix, 2, 1) == (2, 1)
     # T_11, with T_k -> Vert(S, T_k-1) and T_0 = S (id 11, 2x2): id 0, 2x24,
     # height 13, so its mark is 2 and it stores level pairs up to (1, 1);

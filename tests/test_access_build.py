@@ -4,46 +4,24 @@ The build stores the bookmarks a fast walk can read, resolved into the step
 a query takes: it starts at the state the walk reads first and builds each
 state (variable, side or corner, level or level pair) the walk's own
 transitions reach, plus the states those copy from. Each index keeps only
-the states the walk reaches, each slot naming the state the walk enters
-next (in 2D, one for each level that can drop), with one shared sentinel
-state at every other id, and is checked through those codes to be exactly
-the walk's closure. A kept slot lies at a level each variable stores: up
-to its cap and below the level (on each axis in 2D) at which a walk
-descends from it instead. A state copies a child's slot wherever a block
-lies wholly inside either child in line with that child's block grid and
-the child stores that level, the child's state built first, and descends
-for the other blocks, exactly once each: a counted build's descents are
-checked block by block against that rule, restricted to the states it
-built and within the rule over every state, pinned on the benchmark's comb
-and staircase (which build nothing), the zigzags and the doublings, and
-the kept slots against builds with fewer copies, on grammars whose every
-split is aligned and on a far child shorter than the block. The kept
-states are checked against a closure of the walk's transitions written
-here from the reference ``hook_offset1``/``hook_offset2``, and the walks to
-every position against the slots kept. These properties check every kept
-slot against the step resolved from the reference hook of its window, the
-stored levels against the finish rule, the slot and entry counts against
-the number of windows, the builds' own slot count against their cap
-(exact, and refusing before it allocates where a build would be large),
-that equal steps are stored as one object, the fast and the traced access
-against the expansion and against the library's root-to-leaf descent from
-every side or corner, that the traced walks read exactly the slots the
-fast ones read and, on every corrupt slot the fast walks read, answer
-right or refuse, and that the fast walks refuse a code the index does not
-keep, on random SLPs, left and right combs (deep,
-mostly copied on one side and descended on the other), 2D combs along
-either axis, staircases and zigzags. The turn bounds are checked against
-the point walks to every cell, the zigzags against keeping their states,
-and every fast walk on these, the benchmark's inputs and the gen corpus
-against its bound in reads, moves and bisects, with the turn rule's finish
-running along the chains, and the chains against their layout and
-path-count bound. The build's descents are checked against a plain walk
-over the rules and against the expansion, and the builds on the
-benchmark's shapes against builds with no chains laid out. The grammar's move records are checked against its
-child, length and axis arrays and, through every walk that reads them,
-against the expansion; a grammar that is no SLP is refused by the arity
-check before any walk; and the index's per-variable top levels and first
-codes follow from the heights and the turn bounds.
+the states the walk reaches, with one shared sentinel state at every other
+id. ``check_index1``/``check_index2`` check its layout: every kept slot is
+its block's plain step, and every code names the hook's child at a lower
+level whose blocks hold what the step sends there. The tests here check,
+against references written from ``hook_offset1``/``hook_offset2`` and the
+rules (``step1``/``step2``, ``plain_hook1``/``plain_hook2``), the finish
+rules and the expansions: the kept states against the walk's closure and
+each code's exact level; the stored levels against the finish rule and the
+turn bounds; the build's descents against the copy rule, block by block,
+and on the benchmark's shapes; the builds' slot count against their cap;
+that equal steps are stored as one object; the fast and the traced walks
+against the expansion and the descents from every side or corner, and
+against their bound in reads, moves and bisects; that the traced walks
+read what the fast ones read and, like ``check_index*``, refuse the
+corrupt slots they read; and the chains against their layout, laid out
+only where a kept code finishes by runs. The inputs are random SLPs, left
+and right combs, 2D combs along either axis, staircases, zigzags,
+doublings and the benchmark's gen corpus.
 """
 
 import os
@@ -86,18 +64,19 @@ from gridgram import (
     expand2,
     hook_offset1,
     hook_offset2,
+    slg_to_slp,
     validate_slg1,
     validate_slg2,
     validate_slp1,
     validate_slp2,
 )
 from gridgram import access1d, access2d
-from gridgram.access1d import FINISH, _chains, _copied, _heavy, _hook_core, _turns
-from gridgram.access2d import FINISH2, _hook_core2
+from gridgram.access1d import (FINISH, _chains, _copied, _heavy, _hook_core, _turns,
+                               check_index1, decode_finish1, decode_key1)
+from gridgram.access2d import FINISH2, _hook_core2, check_index2, decode_finish2, decode_key2
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
-from conftest import (comb1, comb2, decoded, expand_all_1d, expand_all_2d, kept, levels_of,
-                      made_slots, reachable, staircase2, state_key1, state_key2, state_of,
-                      submatrix, variable, wrap_slots, zigzag1, zigzag2)
+from conftest import (comb1, comb2, decode, decoded, expand_all_1d, expand_all_2d, kept,
+                      levels_of, reachable, staircase2, submatrix, wrap_slots, zigzag1, zigzag2)
 
 TAUS = st.sampled_from([2, 3, 8])
 # tau past every 1D test length: the build clamps it to the start's length
@@ -316,35 +295,44 @@ def test_build2_stores_every_window_hook(g, tau):
 
 # -- the walk's closure: the states a build builds --------------------------------
 
-def copy_sources1(ix, states):
-    """``states`` closed under the copy rule: with each (variable, side,
-    level), the same side and level of the near child when a block lies
-    wholly inside it, and of the far child when a block lies wholly inside
-    it at a multiple of the block size from its start, where that child
-    stores the level."""
-    g, T, top = ix.grammar, ix.tau, levels_of(ix).top
+def copy_sources(ix, states):
+    """``states`` closed under the copy rule: with each (variable, side or
+    corner, level or level pair), the same side or corner and levels of the
+    near child when a block along the split axis lies wholly inside it, and
+    of the far child when a block lies wholly inside it at a multiple of
+    the block size from its start, where that child stores the levels. In
+    2D, sizes are taken on the split axis, the children in order from the
+    corner, and a child stores a level pair when ``stores2`` says so."""
+    g, one = ix.grammar, isinstance(ix, gridgram.AccessIndex1)
+    top = levels_of(ix).top if one else None
     out, todo = set(), list(states)
     while todo:
         state = todo.pop()
         if state in out:
             continue
         out.add(state)
-        i, side, p = state
-        near, far = g.rules[i][::-1] if side else g.rules[i]
-        a, tp = g._lens[near], ix.pows[p]
-        for _, b, e in blocks(g._lens[i], tp, T):
-            if e <= a and p <= top[near]:
-                todo.append((near, side, p))
-            elif a <= b and (b - a) % tp == 0 and p <= top[far]:
-                todo.append((far, side, p))
+        i, where, *levels = state
+        if one:
+            near, far = g.rules[i][::-1] if where else g.rules[i]
+            sizes, p, stores = g._lens, levels[0], lambda c: levels[0] <= top[c]
+        else:
+            horiz = isinstance(g.rules[i], Horiz)
+            near, far = g.rules[i].children[::-1 if where & (2 if horiz else 1) else 1]
+            sizes, p = (g._rows, levels[0]) if horiz else (g._cols, levels[1])
+            stores = partial(stores2, ix, p_r=levels[0], p_c=levels[1])
+        a, tp = sizes[near], ix.pows[p]
+        for _, b, e in blocks(sizes[i], tp, ix.tau):
+            if e <= a and stores(near):
+                todo.append((near, where, *levels))
+            elif a <= b and (b - a) % tp == 0 and stores(far):
+                todo.append((far, where, *levels))
     return out
 
 
 def closure1(ix):
-    """(walked, built): the (variable, side, level) states access1 can enter
-    from the start, each block's step taken from the plain walk (step1) and
-    each state's every block followed, and those closed under the copy
-    rule."""
+    """The (variable, side, level) states access1 can enter from the start,
+    each block's step taken from the plain walk (step1) and each state's
+    every block followed."""
     g, T, levels = ix.grammar, ix.tau, levels_of(ix)
     top, cap = levels.top, levels.cap
     s = g.start
@@ -366,33 +354,7 @@ def closure1(ix):
                 if (c, to, q) not in walked:
                     walked.add((c, to, q))
                     todo.append((c, to, q))
-    return walked, copy_sources1(ix, walked)
-
-
-def copy_sources2(ix, states):
-    """``copy_sources1`` in 2D: sizes are taken on the split axis, the
-    children in order from the corner, and a child stores a level pair when
-    ``stores2`` says so."""
-    g, T = ix.grammar, ix.tau
-    rows, cols = g._rows, g._cols
-    out, todo = set(), list(states)
-    while todo:
-        state = todo.pop()
-        if state in out:
-            continue
-        out.add(state)
-        i, corner, p_r, p_c = state
-        rule = g.rules[i]
-        horiz = isinstance(rule, Horiz)
-        near, far = rule.children[::-1] if corner & (2 if horiz else 1) else rule.children
-        a = rows[near] if horiz else cols[near]
-        tp = ix.pows[p_r if horiz else p_c]
-        for _, b, e in blocks(rows[i] if horiz else cols[i], tp, T):
-            if e <= a and stores2(ix, near, p_r, p_c):
-                todo.append((near, corner, p_r, p_c))
-            elif a <= b and (b - a) % tp == 0 and stores2(ix, far, p_r, p_c):
-                todo.append((far, corner, p_r, p_c))
-    return out
+    return walked
 
 
 def closure2(ix):
@@ -431,54 +393,20 @@ def closure2(ix):
                     if stores2(ix, c, *state[2:]) and state not in walked:
                         walked.add(state)
                         todo.append(state)
-    return walked, copy_sources2(ix, walked)
+    return walked
 
 
-def slots1(ix, states):
-    """(side, variable, slot) of every block of the 1D states."""
-    return {(side, i, p * ix.tau + k) for i, side, p in states
-            for k, _, _ in blocks(ix.lens[i], ix.pows[p], ix.tau)}
+class Logged(list):
+    """A list that calls ``log(k, item)`` on every read ``self[k]``."""
 
-
-def slots2(ix, states):
-    """(corner, variable, p_r, p_c, slot) of every block of the 2D states."""
-    T = ix.tau
-    return {(corner, i, p_r, p_c, at) for i, corner, p_r, p_c in states
-            for at in range(len(blocks(ix.rows[i], ix.pows[p_r], T))
-                            * len(blocks(ix.cols[i], ix.pows[p_c], T)))}
-
-
-def built_slots(ix):
-    """The address (``decoded``) of every slot ix keeps."""
-    return set(decoded(ix))
-
-
-class Slots(list):
-    """A slot list that logs the (key, slot) of every read through it, its
-    slot ``base + k``."""
-
-    def __init__(self, items, key, log, base=0):
+    def __init__(self, items, log):
         super().__init__(items)
-        self.key, self.log, self.base = key, log, base
+        self.log = log
 
     def __getitem__(self, k):
-        self.log.add(self.key + (self.base + k,))
-        return super().__getitem__(k)
-
-
-def read_slots(ix):
-    """Wrap every slot list of ix in Slots; returns the shared log of the
-    addresses (``decoded``) of the slots read."""
-    log = set()
-
-    def wrap(slots, state):
-        if len(state) == 3:         # (t, side, p): at (side, t, p * tau + k)
-            return Slots(slots, (state[1], state[0]), log, state[2] * ix.tau)
-        t, corner, p_r, p_c = state
-        return Slots(slots, (corner, t, p_r, p_c), log)
-
-    wrap_slots(ix, wrap)
-    return log
+        item = super().__getitem__(k)
+        self.log(k, item)
+        return item
 
 
 def readers(ix, walk, queries):
@@ -486,7 +414,7 @@ def readers(ix, walk, queries):
     state (``kept``)}, in query order; ix's slot lists are left as they
     were."""
     saved, log, out = list(ix.states), set(), {}
-    wrap_slots(ix, lambda slots, state: Slots(slots, state, log))
+    wrap_slots(ix, lambda slots, state: Logged(slots, lambda k, _: log.add(state + (k,))))
     for q in queries:
         log.clear()
         walk(ix, *q)
@@ -499,87 +427,66 @@ def readers(ix, walk, queries):
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_builds_the_walks_closure(g, tau):
-    """The index keeps exactly the states of the walk's closure, no slot
-    else, not the copies they read; the fast walk to every position reads
-    kept slots only, and every kept slot is one the build counts against
-    its cap."""
+    """The index keeps exactly the states of the walk's closure, each with
+    one slot per block (``check_index1``), not the copies they read; the
+    fast walk answers every position, and every kept slot is one the build
+    counts against its cap."""
     ix = build_index1(g, tau)
-    walked, _ = closure1(ix)
-    assert set(kept(ix)) == walked and built_slots(ix) == slots1(ix, walked)
-    assert ix.entry_count() == len(slots1(ix, walked)) <= made_slots(g, tau, 1)[1]
-    log = read_slots(ix)
-    for i, want in enumerate(expand1(g), start=1):
-        assert access1(ix, i) == want
-    assert log <= slots1(ix, walked)
+    check_index1(ix)
+    assert set(kept(ix)) == closure1(ix) and ix.entry_count() <= ix.filled
+    assert [access1(ix, i) for i in range(1, ix.n + 1)] == expand1(g)
 
 
 def assert_state_machine1(ix):
-    """The 1D index is exactly the walk's closure, read through its codes:
-    every kept state is reached from the first through the slots' codes;
-    every code >= 0 in a kept slot names a kept state, the one the walk
-    enters in that child (one level down, capped by the child's top when
-    that is its cap, the side flipped in the near child); every negative
-    code is the finish code of a child whose level the walk does not store,
-    with that side and the finish rule that descends from it; and
-    entry_count() is the kept slots, all the slots the index holds; every
+    """The 1D index is exactly the walk's closure, read through its codes,
+    and laid out as ``check_index1`` checks: every kept state is reached
+    from the first through the slots' codes; every code >= 0 names the
+    state one level down, capped by the child's top when that is its cap;
+    every negative code is the finish code of a child whose level the walk
+    does not store, with the finish rule that descends from it; every
     other id holds one shared sentinel state (``assert_sentinel``).
     Returns (kept states, kept slots)."""
-    g, T, levels = ix.grammar, ix.tau, levels_of(ix)
+    check_index1(ix)
+    levels = levels_of(ix)
     top, cap, mark = levels.top, levels.cap, levels.mark
     kept = assert_sentinel(ix)
-    s = g.start
+    s = ix.grammar.start
     if top[s] < cap[s]:
-        assert not kept and ix.first == ~(s * 4 + (cap[s] < mark[s]))
+        assert not kept and decode_finish1(ix.first) == (s, 0, cap[s] < mark[s])
     else:
-        assert ix.first == 0 and ix.keys[0] == state_key1(ix, s, 0, top[s])
+        assert decode_key1(ix, ix.keys[ix.first]) == (s, 0, top[s])
     reached, todo = set(), [ix.first] if ix.first >= 0 else []
     while todo:
         j = todo.pop()
         if j in reached:
             continue
         reached.add(j)
-        t, side, p = state_of(ix, ix.keys[j])
-        m = g._lens[t]
-        for k, b, e in blocks(m, ix.pows[p], T):
-            S, near, far = ix.states[j][1][k]
-            _, x, y = step1(g, t, side, *((m - e, m - b) if side else (b, e)))
-            if y is None:
-                assert (near, far) == (x, None)
-                continue
-            for code, c, to in ((near, x, side ^ 1), (far, y, side)):
-                q = p - 1
+        q = decode_key1(ix, ix.keys[j])[2] - 1
+        for _, near, far in ix.states[j][1]:
+            for code in (near, far) if far is not None else ():
                 if code >= 0:
-                    assert ix.states[code] is not None
-                    if q > top[c]:
-                        assert top[c] == cap[c]
-                        q = top[c]
-                    assert ix.keys[code] == state_key1(ix, c, to, q)
+                    c, _, level = decode_key1(ix, ix.keys[code])
+                    assert level == min(q, top[c]) and (q <= top[c] or top[c] == cap[c])
                     todo.append(code)
                 else:
+                    c, _, runs = decode_finish1(code)
                     assert q > top[c] and top[c] < cap[c]
-                    runs = not (q >= mark[c] <= cap[c])
-                    assert ~code == c * 4 + to * 2 + runs and (ix.chains or not runs)
+                    assert runs == (q < mark[c] or mark[c] > cap[c])
     assert reached == kept
-    slots = sum(len(ix.states[j][1]) for j in kept)
-    assert ix.entry_count() == slots
-    return len(kept), slots
+    return len(kept), ix.entry_count()
 
 
 def assert_sentinel(ix):
-    """The ids of the kept states are exactly ``ids``' values, each naming
-    its key, and every other id holds one shared sentinel entry whose one
-    slot steps back into a sentinel id without moving delta. Returns the
-    kept ids."""
+    """Every id that ``ids`` does not give holds one shared sentinel entry
+    whose one slot steps back into a sentinel id without moving delta.
+    Returns the kept ids."""
     kept = set(ix.ids.values())
-    assert len(kept) == len(ix.ids) and all(ix.keys[j] == key for key, j in ix.ids.items())
-    others = {id(ix.states[j]) for j in range(len(ix.keys)) if j not in kept}
-    assert len(ix.states) == len(ix.keys) and len(others) <= 1
+    others = [j for j in range(len(ix.keys)) if j not in kept]
+    assert len({id(ix.states[j]) for j in others}) <= 1
     if others:
-        u = min(j for j in range(len(ix.keys)) if j not in kept)
-        sentinel = ix.states[u]
-        top = ix.pows[-1]
-        assert sentinel == ((top, [(0, u, u)]) if isinstance(ix, gridgram.AccessIndex1)
-                            else (top, top, 1, [(1, 0, (u, u), (u, u), 0)]))
+        u, top = others[0], ix.pows[-1]
+        assert ix.states[u] == ((top, [(0, u, u)]) if isinstance(ix, gridgram.AccessIndex1)
+                                else (top, top, 1, [(1, 0, (u, u), (u, u), 0)]))
     return kept
 
 
@@ -598,67 +505,52 @@ def test_index1_keeps_the_walks_states_on_the_benchmark_shapes():
     assert assert_state_machine1(build_index1(random_slp1(7, 200, 4, 2 ** 20), 8)) == (115, 805)
 
 
-def code2(ix, c, q_r, q_c, corner):
-    """The code access2's rule gives a step into c's corner at the level
-    pair (q_r, q_c): each level capped by c's cap, the id of c's kept state
-    there when c stores the pair, its finish code otherwise."""
-    levels = levels_of(ix)
-    q_r, q_c = min(q_r, levels.cap_r[c]), min(q_c, levels.cap_c[c])
-    if stores2(ix, c, q_r, q_c):
-        return ix.ids[state_key2(ix, c, corner, q_r, q_c)]
-    return ~(c * 8 + corner * 2 + (max(q_r, q_c) < mark2(ix.grammar, c)))
-
-
 def assert_state_machine2(ix):
     """``assert_state_machine1`` in 2D: every kept state is reached from
-    the first through the slots' codes; each code of a real step is the
-    pair of what the walk enters in that child when p_r drops and when p_c
-    drops (``code2``), corner flipped in the near child: a row step, or a
-    column step whose block's every row lands at most tau**p_r with
-    p_r > 0, holds the p_r drop twice, and one whose every row lands past
-    it, or at p_r 0, the p_c drop twice; every kept slot's step is the
-    plain walk's (``step2``); and entry_count() is the kept slots. Returns
-    (kept states, kept slots)."""
-    g, T, levels = ix.grammar, ix.tau, levels_of(ix)
+    the first through the slots' codes; each element of a real step's code
+    pair is what the walk enters in that child when p_r drops or when p_c
+    drops, each level capped by the child's cap, a finish code where the
+    child does not store the pair (``stores2``): a row step, or a column
+    step whose block's every row lands at most tau**p_r with p_r > 0,
+    holds the p_r drop twice, one whose every row lands past it, or at p_r
+    0, the p_c drop twice, and any other column step both. Returns (kept
+    states, kept slots)."""
+    check_index2(ix)
+    levels = levels_of(ix)
+    cap_r, cap_c = levels.cap_r, levels.cap_c
     kept = assert_sentinel(ix)
-    s = g.start
-    cap_r, cap_c = levels.cap_r[s], levels.cap_c[s]
-    if stores2(ix, s, cap_r, cap_c):
-        assert ix.first == 0 and ix.keys[0] == state_key2(ix, s, 0, cap_r, cap_c)
+    s = ix.grammar.start
+    if stores2(ix, s, cap_r[s], cap_c[s]):
+        assert decode_key2(ix, ix.keys[ix.first]) == (s, 0, cap_r[s], cap_c[s])
     else:
-        assert not kept and ix.first == ~(s * 8 + (max(cap_r, cap_c) < mark2(g, s)))
+        plain = max(cap_r[s], cap_c[s]) >= mark2(ix.grammar, s)
+        assert not kept and decode_finish2(ix.first) == (s, 0, not plain)
     reached, todo = set(), [ix.first] if ix.first >= 0 else []
     while todo:
         j = todo.pop()
         if j in reached:
             continue
         reached.add(j)
-        t, corner, p_r, p_c = state_of(ix, ix.keys[j])
-        m_r, m_c, tpr = g._rows[t], g._cols[t], ix.pows[p_r]
-        rows_, cols_ = blocks(m_r, tpr, T), blocks(m_c, ix.pows[p_c], T)
-        for (k_r, b_r, e_r), (k_c, b_c, e_c) in product(rows_, cols_):
-            slot = ix.states[j][3][k_r * len(cols_) + k_c]
-            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
-            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-            axis, split, x, y, shift = step2(g, t, corner, rb, cb, re, ce)
-            if y is None:
-                assert slot == (axis, split, x, y, shift)
+        t, _, p_r, p_c = decode_key2(ix, ix.keys[j])
+        tpr, _, w, slots = ix.states[j]
+        for k, (axis, _, near, far, shift) in enumerate(slots):
+            if far is None:
                 continue
-            assert (slot[0], slot[1], slot[4]) == (axis, split, shift)
+            rows = min(ix.rows[t] - k // w * tpr, tpr)          # the block's rows
             down_r = (p_r - 1, p_c) if p_r and (axis or shift + 1 <= tpr) else None
-            down_c = (p_r, p_c - 1) if not axis and (p_r == 0 or shift + e_r - b_r > tpr) \
-                else None
-            for code, c, to in ((slot[2], x, corner ^ (2 if axis else 1)), (slot[3], y, corner)):
-                want = tuple(code2(ix, c, *pair, to) for pair in
-                             (down_r or down_c, down_c or down_r))
-                assert code == want
-                runs = [~v & 1 for v in want if v < 0]
-                assert ix.chains or not any(runs)
-                todo += [v for v in want if v >= 0]
+            down_c = (p_r, p_c - 1) if not axis and (p_r == 0 or shift + rows > tpr) else None
+            for pair in (near, far):
+                for code, (q_r, q_c) in zip(pair, (down_r or down_c, down_c or down_r)):
+                    c = (decode_key2(ix, ix.keys[code]) if code >= 0 else decode_finish2(code))[0]
+                    q_r, q_c = min(q_r, cap_r[c]), min(q_c, cap_c[c])
+                    if stores2(ix, c, q_r, q_c):
+                        assert code >= 0 and decode_key2(ix, ix.keys[code])[2:] == (q_r, q_c)
+                        todo.append(code)
+                    else:
+                        assert code < 0 and decode_finish2(code)[2] == \
+                            (max(q_r, q_c) < mark2(ix.grammar, c))
     assert reached == kept
-    slots = sum(len(ix.states[j][3]) for j in kept)
-    assert ix.entry_count() == slots
-    return len(kept), slots
+    return len(kept), ix.entry_count()
 
 
 @settings(max_examples=60, deadline=None)
@@ -681,19 +573,15 @@ def test_index2_keeps_the_walks_states_on_the_benchmark_shapes():
 @settings(max_examples=100, deadline=None)
 @given(g=grammars2(longest=70), tau=FINISH_TAUS)
 def test_build2_builds_the_walks_closure(g, tau):
-    """The 2D case: the index keeps exactly the closure's states, no slot
-    else, and the fast walk to every cell reads kept slots only; every
-    kept slot is one the build counts against its cap."""
+    """The 2D case: the index keeps exactly the closure's states, each with
+    one slot per block, and the fast walk answers every cell; every kept
+    slot is one the build counts against its cap."""
     ix = build_index2(g, tau)
-    walked, _ = closure2(ix)
-    assert set(kept(ix)) == walked and built_slots(ix) == slots2(ix, walked)
-    assert ix.entry_count() == len(slots2(ix, walked)) <= made_slots(g, tau, 2)[1]
-    log = read_slots(ix)
+    check_index2(ix)
+    assert set(kept(ix)) == closure2(ix) and ix.entry_count() <= ix.filled
     m = expand2(g)
-    for i in range(1, m.rows + 1):
-        for j in range(1, m.cols + 1):
-            assert access2(ix, i, j) == m.get(i, j)
-    assert log <= slots2(ix, walked)
+    assert all(access2(ix, i, j) == m.get(i, j)
+               for i in range(1, m.rows + 1) for j in range(1, m.cols + 1))
 
 
 def stored(ix):
@@ -777,21 +665,19 @@ def test_builds_refuse_fast_past_the_cap():
 
 @pytest.mark.parametrize("tau", [8, 16])
 def test_a_cap_of_the_slots_a_build_makes_is_exact(tau):
-    """Capped at the slots the uncapped build makes, counted outside it
-    (``made_slots``), a build gives an index equal to the uncapped one,
-    field for field; one slot less refuses. The gen corpus's 2D text at
+    """Capped at the slots the uncapped build fills, its ``filled`` count,
+    a build gives an index equal to the uncapped one, field for field; one
+    slot less refuses. The gen corpus's 2D text at
     tau 8 builds nothing, so its cap is 0 and -1 refuses."""
     rng = random.Random(1)
     zig1 = zigzag1([rng.randrange(4) for _ in range(1997)])
     zig2 = zigzag2([rng.randrange(4) for _ in range(203)], 200)
     gen1, gen2 = random_slp1(7, 200, 4, 2 ** 20), random_slp2(7, 200, 4, 2 ** 20)
     made = {}
-    for name, build, dim, g in (("zigzag1", build_index1, 1, zig1),
-                                ("zigzag2", build_index2, 2, zig2),
-                                ("gen1", build_index1, 1, gen1),
-                                ("gen2", build_index2, 2, gen2)):
-        ix, slots = made_slots(g, tau, dim)
-        made[name] = slots
+    for name, build, g in (("zigzag1", build_index1, zig1), ("zigzag2", build_index2, zig2),
+                           ("gen1", build_index1, gen1), ("gen2", build_index2, gen2)):
+        ix = build(g, tau)
+        made[name] = slots = ix.filled
         capped = build(g, tau, slots)
         assert all(getattr(capped, f) == getattr(ix, f) for f in type(ix).__slots__)
         with pytest.raises(ExpansionTooLarge, match=f"expansion cap of {slots - 1}$"):
@@ -891,14 +777,6 @@ def test_chains_pick_the_larger_subtree_as_heavy():
     assert_chains(g, 0, chains, (g._lens,))
     order, at, top, down, lens = chains
     assert top[at[0]] == top[at[k - 1]]         # the whole spine is one path
-
-
-@contextmanager
-def plain_builds():
-    """Builds made inside get no chains: their tables must not depend on them."""
-    with mock.patch.object(access1d, "_chains", lambda moves, topo, heavy, keys, side: ()), \
-            mock.patch.object(access2d, "_chains", lambda moves, topo, heavy, keys, side: ()):
-        yield
 
 
 def window(data, m):
@@ -1001,28 +879,32 @@ def deep_shapes():
         zigzag2([rng.randrange(4) for _ in range(203)], 200)
 
 
-def layout(ix):
-    """What an index holds: its states and their directory."""
-    return ix.first, ix.states, ix.keys, ix.ids
-
-
-def test_run_builds_equal_plain_builds_on_the_benchmark_shapes():
-    """The comb-deep workload's comb and staircase at tau 8, and the
-    zigzags of the same sizes, which keep their tables: a build keeps the
-    same states with its chains laid out as with none, so no build descent
-    reads them."""
+def test_chains_are_laid_out_only_where_a_kept_code_finishes_by_runs():
+    """A build lays out the chains after its walk, and only where ``first``
+    or a kept slot's code finishes by the turn rule: comb-deep's comb and
+    staircase at tau 8, whose starts do so at once, keep them; the gen
+    corpus at tau 2 in 1D and 16 and 32 in 2D, and the zigzags at tau 8 and
+    16 in 1D and 16 and 32 in 2D, keep none, and each still answers as its
+    expansion on 500 random cells."""
     comb, stair, zig1, zig2 = deep_shapes()
-    assert len(comb.rules) == len(zig1.rules) == 2000
-    # the walk's closure keeps no slot on the staircase, and 14,178 on the
-    # zigzag
-    for build, g in ((build_index1, comb), (build_index2, stair), (build_index1, zig1),
-                     (build_index2, zig2)):
-        with plain_builds():
-            plain = build(g, 8)
-        ix = build(g, 8)
-        assert layout(ix) == layout(plain) and ix.entry_count() == plain.entry_count()
-        assert len({id(v) for v in stored(ix)}) == len({id(v) for v in stored(plain)})
-    assert plain.entry_count() == 14_178
+    gen1, gen2 = random_slp1(7, 200, 4, 2 ** 20), random_slp2(7, 200, 4, 2 ** 20)
+    rng = random.Random(4)
+    for g, taus, chained in ((comb, (8,), True), (stair, (8,), True), (gen1, (2,), False),
+                             (zig1, (8, 16), False), (zig2, (16, 32), False),
+                             (gen2, (16, 32), False)):
+        one = isinstance(g, Slg1)
+        for tau in taus:
+            ix = (build_index1 if one else build_index2)(g, tau)
+            (check_index1 if one else check_index2)(ix)
+            assert (ix.chains is not None) == chained
+            if one:
+                text = expand1(g)
+                assert all(access1(ix, i) == text[i - 1]
+                           for i in (rng.randint(1, ix.n) for _ in range(500)))
+            else:
+                m = expand2(g)
+                assert all(access2(ix, i, j) == m.get(i, j) for i, j in (
+                    (rng.randint(1, ix.n_rows), rng.randint(1, ix.n_cols)) for _ in range(500)))
 
 
 # -- child copies: the blocks a build takes from a child instead of descending --
@@ -1035,9 +917,9 @@ def uncovered1(ix, far_copies=True, built=False):
     child's start, and that child stores the level; without far_copies
     only the first. Over every state a variable stores, or with built only
     over the states ix built: those it keeps and the states their copies
-    read (``copy_sources1``)."""
+    read (``copy_sources``)."""
     g, T, top = ix.grammar, ix.tau, levels_of(ix).top
-    states = copy_sources1(ix, kept(ix)) if built else None
+    states = copy_sources(ix, kept(ix)) if built else None
     want = Counter()
     for i in reachable(g):
         rule = g.rules[i]
@@ -1066,10 +948,10 @@ def uncovered2(ix, far_copies=True, built=False):
     most min(cap, mark - 1) on its axis and their sum plus one is below
     its turn bound (``stores2``). The window is from the NW; with built,
     over the states ix built: those it keeps and the states their copies
-    read (``copy_sources2``)."""
+    read (``copy_sources``)."""
     g, T = ix.grammar, ix.tau
     rows, cols = g._rows, g._cols
-    states = copy_sources2(ix, kept(ix)) if built else None
+    states = copy_sources(ix, kept(ix)) if built else None
     want = Counter()
     for i in reachable(g):
         rule = g.rules[i]
@@ -1198,38 +1080,30 @@ def doubling2(k):
     return validate_slp2(Slp2(rules + [Horiz(k, k + 1), 0, 1], 2, 0))
 
 
-def agree(*indexes):
-    """Whether the indexes hold the same step at every slot two of them hold."""
-    held = {}
-    for ix in indexes:
-        for at, step in decoded(ix).items():
-            if held.setdefault(at, step) != step:
-                return False
-    return True
-
-
 @pytest.mark.parametrize("tau", [2, 4, 8, 16])
 def test_aligned_splits_copy_the_far_childs_blocks(tau):
     """On grammars whose every split is aligned, builds with the copy rule,
     with near copies only and with no copies all build the walk's closure
-    and agree on every slot two of them hold; each descends exactly for
+    and hold each block's plain step (``check_index1``/``check_index2``), so
+    agree on every slot two of them hold; each descends exactly for
     the blocks of its built states that its rule does not copy, and the far
     child's copies take over descents wherever the walk reads: at tau 8
     and 16 in 1D, and at 16 on the 128 x 128 2D doubling. Below those the
     start is low enough for its caps (the finish rule), so no walk reads a
     table and nothing is built."""
-    for build, g, uncovered, closure, slots, reads in (
-            (build_index1, doubling1(20), uncovered1, closure1, slots1, tau >= 8),
-            (build_index2, doubling2(14), uncovered2, closure2, slots2, tau >= 16)):
+    for build, check, g, uncovered, closure, reads in (
+            (build_index1, check_index1, doubling1(20), uncovered1, closure1, tau >= 8),
+            (build_index2, check_index2, doubling2(14), uncovered2, closure2, tau >= 16)):
         with descents() as log:
             ix = build(g, tau)
         with copy_rule(near_copies), descents() as near_log:
             near = build(g, tau)
         with copy_rule(no_copies), descents() as every:
             plain = build(g, tau)
-        walked = slots(ix, closure(ix)[0])
-        assert built_slots(plain) == walked and walked <= built_slots(near) & built_slots(ix)
-        assert agree(ix, near, plain)
+        for index in (ix, near, plain):
+            check(index)
+        walked = closure(ix)
+        assert set(kept(plain)) == walked and walked <= set(kept(near)) & set(kept(ix))
         assert every == Counter(every.keys()) and sum(every.values()) == plain.entry_count()
         assert log == uncovered(ix, built=True)
         assert near_log == uncovered(near, far_copies=False, built=True)
@@ -1285,7 +1159,7 @@ def test_a_far_child_shorter_than_the_block_is_descended():
     assert p == levels.cap[s] and g._lens[x] % 2 ** p == 0
     assert levels.cap[y] < p < -(-g._height[y] // FINISH)
     with copy_rule(no_copies):
-        assert agree(ix, build_index1(g, 2))
+        assert decoded(build_index1(g, 2)) == decoded(ix)
     assert_descents(log, ix, uncovered1)
     assert (s, 0, g._lens[x], g._lens[s]) in log     # block 1 of level p, from the left
 
@@ -1295,10 +1169,10 @@ def test_a_far_child_shorter_than_the_block_is_descended():
         ix = build_index2(g, 2)
     cap_r = levels_of(ix).cap_r
     p_r = min(cap_r[s], mark2(g, s) - 1)
-    assert ix.first == 0 and state_of(ix, ix.keys[0])[2] == p_r and g._rows[x] % 2 ** p_r == 0
+    assert ix.first == 0 and decode_key2(ix, ix.keys[0])[2] == p_r and g._rows[x] % 2 ** p_r == 0
     assert cap_r[y] < p_r < mark2(g, y)
     with copy_rule(no_copies):
-        assert agree(ix, build_index2(g, 2))
+        assert decoded(build_index2(g, 2)) == decoded(ix)
     assert_descents(log, ix, uncovered2)
     assert any(v == s and (b_r, e_r) == (8, 11) for v, _, b_r, _, e_r, _ in log)
 
@@ -1330,12 +1204,10 @@ def test_builds_refuse_a_validated_grammar_that_is_no_slp(build, g):
 @given(g=grammars1() | grammars2(), tau=TAUS, data=st.data())
 def test_move_records_drive_every_walk(g, tau, data):
     """One record per variable, equal to the grammar's own arrays; every
-    walk that reads the records answers as the expansion; the 1D index's
-    top level per variable is min(cap, ceil(height / FINISH) - 1, turns -
-    2), at least -1, and the 2D index's first code is the start's finish
-    code exactly when either of the start's caps reaches its mark
-    ceil(height / FINISH2) or their sum plus one its turn bound, plain in
-    the first case, and id 0, the start's state at its caps, otherwise."""
+    walk that reads the records answers as the expansion. (The top levels
+    and first codes the finish rules give are checked with the kept
+    states: ``test_build1_stores_every_window_hook``,
+    ``assert_state_machine2``.)"""
     one = isinstance(g, Slg1)
     for v, (kid, move) in enumerate(zip(g._kids, g._moves, strict=True)):
         if kid is None:
@@ -1362,9 +1234,6 @@ def test_move_records_drive_every_walk(g, tau, data):
             b, e = window(data, m)
             hook, off = hook_offset1(g, t, b, e)
             assert exp[hook][off:off + e - b] == exp[t][b:e]
-        levels = levels_of(ix)
-        assert levels.top == [max(-1, min(c, -(-h // FINISH) - 1, b - 2))
-                              for c, h, b in zip(levels.cap, ix.grammar._height, turns_of(g))]
         return
     ix = build_index2(g, tau)
     assert ix.moves is g._moves
@@ -1383,13 +1252,6 @@ def test_move_records_drive_every_walk(g, tau, data):
         hook, off_r, off_c = hook_offset2(g, t, b_r, b_c, e_r, e_c)
         assert submatrix(exp[hook], off_r, off_r + e_r - b_r, off_c, off_c + e_c - b_c) == \
             submatrix(exp[t], b_r, e_r, b_c, e_c)
-    levels = levels_of(ix)
-    cap_r, cap_c, mark = levels.cap_r[start], levels.cap_c[start], mark2(g, start)
-    plain = max(cap_r, cap_c) >= mark
-    if plain or cap_r + cap_c + 1 >= turns_of(g)[start]:
-        assert ix.first == ~(start * 8 + (not plain))
-    else:
-        assert ix.first == 0 and ix.keys[0] == state_key2(ix, start, 0, cap_r, cap_c)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1420,50 +1282,61 @@ def swapped(step, far):
     return tuple(out)
 
 
-def test_access1_traced_never_answers_wrong_on_a_swapped_step():
-    """A step whose near and far children are exchanged still straddles its
-    block, so the straddle check passes it; a delta outside the child's
-    blocks or the comparison with the descent catches it: every position
-    either answers right or raises."""
-    g = random_slp1(0, 40, 3, 4096)
+def answers_right_or_refuses(traced, ix, query, want):
+    """Whether the traced walk to ``query`` answers ``want`` or raises
+    PreconditionViolated."""
+    try:
+        return traced(ix, *query)[0] == want
+    except PreconditionViolated:
+        return True
+
+
+def test_swapped_steps_are_refused_where_the_fast_walks_raise():
+    """A real step with its near and far codes swapped still straddles its
+    block, and can send the fast walk past the blocks of the state it
+    enters, a bare IndexError: check_index1/2 refuses every such swap, and
+    the traced walk never answers wrong on one. On the 40-rule gen SLP
+    (seed 5, sigma 3, 200 symbols) at tau 2, block 0 of the state (13,
+    left, 4) fails the fast walks to positions 53 and 155; on the 80-step
+    zigzag2 at tau 2, deep enough that its start's own steps are read, the
+    106 swaps of the real steps of its kept states with ids below 40, one
+    at a time, fail 61 walks over a 14 x 14 grid of its cells."""
+    g = slg_to_slp(random_slp1(5, 40, sigma=3, max_len=200))
     ix = build_index1(g, 2)
-    slots = ix.states[0][1]         # the first state: the start's left side at its cap, 11
-    assert levels_of(ix).cap[g.start] == 11 and ix.keys[0] == state_key1(ix, g.start, 0, 11)
-    assert decoded(ix)[0, g.start, 11 * 2] == (613, 11, 1) and slots[0][0] == 613
+    key = next(key for key in ix.ids if decode(ix, key) == (13, 0, 4))
+    slots = kept(ix)[13, 0, 4]
     slots[0] = swapped(slots[0], 2)
-    raised = 0
+    failed = []
     for i, want in enumerate(expand1(g), start=1):
+        assert answers_right_or_refuses(access1_traced, ix, (i,), want)
         try:
-            assert access1_traced(ix, i) == (want, ix.levels + 1)
-        except PreconditionViolated:
-            raised += 1
-    assert raised > 1153            # 644 of them at the comparison with the descent
-
-
-def test_access2_traced_never_answers_wrong_on_a_swapped_step():
-    """The 2D case, on an 80-step zigzag, 41 x 41, deep enough at tau 2 that
-    the start's own steps are read (its turn bound 80 is more than the 11
-    reads left at its caps (5, 5)): the swapped one sends 52 of the 1681
-    cells to a wrong code through every per-step check."""
+            access1(ix, i)
+        except IndexError:
+            failed.append(i)
+    assert failed == [53, 155] and refuses(check_index1, ix, key)
     rng = random.Random(0)
     g = zigzag2([rng.randrange(4) for _ in range(83)], 80)
-    ix = build_index2(g, 2)
-    t = g.start
-    # the first state: the start's NW corner at its caps (5, 5); its block (0, 0)
-    slots = ix.states[0][3]
-    assert ix.keys[0] == state_key2(ix, t, 0, 5, 5) and turns_of(g)[t] == 80
-    assert decoded(ix)[0, t, 5, 5, 0] == (0, 1, 161, 160, 0)
-    slots[0] = swapped(slots[0], 3)
-    m = expand2(g)
-    raised = wrong = 0
-    for i in range(1, m.rows + 1):
-        for j in range(1, m.cols + 1):
-            try:
-                assert access2_traced(ix, i, j)[0] == m.get(i, j)
-            except PreconditionViolated as e:
-                raised += 1
-                wrong += "descent reaches" in str(e)
-    assert raised > 960 and wrong == 52     # the 52 wrong answers raise too
+    ix, m = build_index2(g, 2), expand2(g)
+    cells = list(product(range(1, 42, 3), repeat=2))
+    swaps = failed = 0
+    for key, u in ix.ids.items():
+        slots = ix.states[u][3]
+        for k, step in enumerate(slots if u < 40 else ()):
+            if step[3] is None:
+                continue
+            slots[k] = swapped(step, 3)
+            for cell in cells:
+                assert answers_right_or_refuses(access2_traced, ix, cell, m.get(*cell))
+                try:
+                    access2(ix, *cell)
+                except IndexError:
+                    failed += 1
+                except PreconditionViolated:
+                    pass
+            assert refuses(check_index2, ix, key)
+            slots[k] = step
+            swaps += 1
+    assert (swaps, failed) == (106, 61)
 
 
 # -- checked literal steps ---------------------------------------------------
@@ -1510,35 +1383,10 @@ def test_access2_traced_refuses_a_wrong_literal_step():
 
 # -- the finish: no slot where descent is cheaper than reading on ------------
 
-def one_child_step_to_a_pair1(ix, step):
-    """Whether a 1D slot is shaped (0, v, None) for a pair v, not a literal
-    step."""
-    return step[2] is None and ix.moves[step[1]] is not None
-
-
-def one_child_step_to_a_pair2(ix, step):
-    """Whether a 2D slot is shaped (0, 0, v, None, 0) for a pair v, not a
-    literal step."""
-    return step[3] is None and ix.moves[step[2]] is not None
-
-
-class Reads(list):
-    """A table list that logs the steps read through it."""
-
-    def __init__(self, items, log):
-        super().__init__(items)
-        self.log = log
-
-    def __getitem__(self, k):
-        step = super().__getitem__(k)
-        self.log.append(step)
-        return step
-
-
 def logged(ix):
-    """Wrap every slot list of ix in Reads; returns the shared log."""
+    """Log every step read from ix's slot lists; returns the shared log."""
     log = []
-    wrap_slots(ix, lambda slots, state: Reads(slots, log))
+    wrap_slots(ix, lambda slots, state: Logged(slots, lambda k, step: log.append(step)))
     return log
 
 
@@ -1583,12 +1431,12 @@ def low2(draw):
 @given(g=grammars1(), tau=FINISH_TAUS)
 def test_finish1_is_exact_and_only_literal_steps_lack_a_far_child(g, tau):
     """Both walks answer as the expansion at every tau of the finish sweep,
-    and every slot without a far child is a literal step: a finish is never
-    stored."""
+    and every slot is its block's plain step (``check_index1``), so one
+    without a far child is a literal step: a finish is never stored."""
     ix = build_index1(g, tau)
+    check_index1(ix)
     for i, want in enumerate(expand1(g), start=1):
         assert access1(ix, i) == want and access1_traced(ix, i) == (want, ix.levels + 1)
-    assert not any(one_child_step_to_a_pair1(ix, v) for v in stored(ix))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1625,44 +1473,41 @@ def test_access1_reads_at_most_the_start_cap_plus_one_slots(g, tau):
 @given(g=grammars2(), tau=FINISH_TAUS)
 def test_finish2_is_exact_and_stores_steps_only_below_the_mark(g, tau):
     """Both walks answer as the expansion at every tau of the finish sweep,
-    every kept slot without a far child is a literal step, and every kept
-    state lies at a level pair whose two levels are both below its
-    variable's mark: a finish is never stored."""
+    every kept slot is its block's plain step (``check_index2``), so one
+    without a far child is a literal step, and every kept state lies at a
+    level pair whose two levels are both below its variable's mark: a
+    finish is never stored."""
     ix = build_index2(g, tau)
+    check_index2(ix)
     m = expand2(g)
     for i in range(1, m.rows + 1):
         for j in range(1, m.cols + 1):
             assert access2(ix, i, j) == access2_traced(ix, i, j)[0] == m.get(i, j)
-    for (t, _, p_r, p_c), slots in kept(ix).items():
+    for t, _, p_r, p_c in kept(ix):
         assert p_r < mark2(g, t) > p_c
-        assert not any(one_child_step_to_a_pair2(ix, v) for v in slots)
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=grammars2(), tau=FINISH_TAUS)
 def test_finish2_changes_the_tables_only_by_markers(g, tau):
-    """Against a build with FINISH2 = FINISH = 2, every slot both builds
-    keep is the same step, every slot the FINISH2 rule keeps lies at a
-    level pair below its mark, and every slot only the low build keeps at
-    a pair the FINISH2 rule does not store is at a level pair the FINISH2
-    rule finishes at: the indexes differ only by the slots the higher
-    factor leaves out and by the states each walk reaches."""
+    """Against a build with FINISH2 = FINISH = 2: both builds hold each
+    block's plain step (``check_index2``), so every slot both keep is the
+    same step, and every state only the low build keeps at a pair the
+    FINISH2 rule does not store is at a level pair the FINISH2 rule
+    finishes at: the indexes differ only by the slots the higher factor
+    leaves out and by the states each walk reaches."""
     ix = build_index2(g, tau)
     with mock.patch.object(access2d, "FINISH2", 2):
         low = build_index2(g, tau)
+    check_index2(ix)
+    check_index2(low)
     assert ix.grammar._height == low.grammar._height
     assert ix.reads == low.reads and ix.pows == low.pows
     if ix.first >= 0 <= low.first:     # both start at the start's caps
         assert ix.states[ix.first][:2] == low.states[low.first][:2]
-    for corner, t, p_r, p_c, _ in built_slots(ix):
-        assert p_r < mark2(g, t) > p_c
-    mine = decoded(ix)
-    for at, step in decoded(low).items():
-        _, t, p_r, p_c, _ = at
-        if p_r >= mark2(g, t) or p_c >= mark2(g, t):
+    for t, _, p_r, p_c in kept(low):
+        if max(p_r, p_c) >= mark2(g, t):
             assert g._height[t] <= FINISH2 * max(p_r, p_c)
-            continue
-        assert mine.get(at, step) == step
 
 
 @settings(max_examples=30, deadline=None)
@@ -1772,32 +1617,25 @@ def test_access_finishes_inline():
                        for i in range(1, m.rows + 1) for j in range(1, m.cols + 1))
 
 
-class Tallied(list):
-    """A list that adds one to ``tally[kind]`` per read through it, and
-    keeps the key of the first read in ``tally[kind, "first"]``."""
-
-    def __init__(self, items, tally, kind):
-        super().__init__(items)
-        self.tally, self.kind = tally, kind
-
-    def __getitem__(self, k):
-        self.tally[self.kind] += 1
-        self.tally.setdefault((self.kind, "first"), k)
-        return super().__getitem__(k)
-
-
 def tallied(ix):
-    """Wrap ix's slot lists, move records and chain path heads in Tallied lists
-    sharing one Counter: "reads" counts table reads, "moves" move records
-    read (the literal's own None included), "bisects" heavy paths a run
-    searches (one bisect, or in 2D one on rows and one on columns, per path
-    head read), and ("moves", "first") is the variable the walk descended
-    from. Returns the Counter, to be cleared between walks."""
+    """Count the reads of ix's slot lists, move records and chain path heads
+    in one Counter: "reads" counts table reads, "moves" move records read
+    (the literal's own None included), "bisects" heavy paths a run searches
+    (one bisect, or in 2D one on rows and one on columns, per path head
+    read), and ("moves", "first") is the variable the walk descended from.
+    Returns the Counter, to be cleared between walks."""
     tally = Counter()
-    wrap_slots(ix, lambda slots, state: Tallied(slots, tally, "reads"))
-    ix.moves = Tallied(ix.moves, tally, "moves")
+
+    def count(kind):
+        def log(k, _):
+            tally[kind] += 1
+            tally.setdefault((kind, "first"), k)
+        return log
+
+    wrap_slots(ix, lambda slots, state: Logged(slots, count("reads")))
+    ix.moves = Logged(ix.moves, count("moves"))
     if ix.chains is not None:
-        ix.chains = tuple((*chain[:2], Tallied(chain[2], tally, "bisects"), *chain[3:])
+        ix.chains = tuple((*chain[:2], Logged(chain[2], count("bisects")), *chain[3:])
                           for chain in ix.chains)
     return tally
 
@@ -1887,7 +1725,7 @@ def test_zigzags_keep_their_tables(tau):
         else:
             ix = build_index2(g, tau)
             cap_r, cap_c = levels_of(ix).cap_r[s], levels_of(ix).cap_c[s]
-            assert ix.first == 0 and ix.keys[0] == state_key2(ix, s, 0, cap_r, cap_c)
+            assert ix.first == 0 and decode_key2(ix, ix.keys[0]) == (s, 0, cap_r, cap_c)
             assert g._height[s] > cap_r + cap_c + 1
             tally = tallied(ix)
             r, c = ix.n_rows, ix.n_cols
@@ -2000,7 +1838,7 @@ def edge_splits(ix, state, k, axis=0):
         b = k * ix.pows[p]
         return b, b + min(ix.lens[t] - b, ix.pows[p])
     t, _, p_r, p_c = state
-    k_r, k_c = divmod(k, ix.states[ix.ids[state_key2(ix, *state)]][2])
+    k_r, k_c = divmod(k, min(ix.tau, -(-ix.cols[t] // ix.pows[p_c])))
     return 0, min((ix.rows[t] - k_r * ix.pows[p_r], ix.pows[p_r]) if axis else
                   (ix.cols[t] - k_c * ix.pows[p_c], ix.pows[p_c]))
 
@@ -2093,17 +1931,20 @@ _CORRUPT = """
 from gridgram import (PreconditionViolated, Horiz, Slp1, Slp2, access1_traced,
                       access2_traced, build_index1, build_index2, validate_slp1,
                       validate_slp2)
+from gridgram.access1d import decode_key1
+from gridgram.access2d import decode_key2
 
 if __debug__:
     raise SystemExit("run this under python -O")
 
 # a zigzag comb of 16 symbols, 15 high and turning at every level, so it
 # stores its cap, level 4; tau 2. The walk to position 7 reads first the
-# start's left side at level 4, key 4 * 2, whose one block is the text
+# start's left side at level 4, whose one block is the text
 g1 = validate_slp1(Slp1([(15, i + 1) if i % 2 == 0 else (i + 1, 15) for i in range(14)]
                         + [(15, 16), 0, 1], 2, 0))
 ix1 = build_index1(g1, 2)
-if not (ix1.first == 0 and ix1.keys[0] == 4 * 2):     # assert is off under -O
+# (assert is off under -O)
+if not (ix1.first == 0 and decode_key1(ix1, ix1.keys[0]) == (0, 0, 4)):
     raise SystemExit("the 1D walk starts elsewhere")
 # a split at the far edge of the block, not inside it
 slots = ix1.states[0][1]
@@ -2115,12 +1956,11 @@ except PreconditionViolated:
 
 # a zigzag comb of 128 rows, 127 high and turning at every level, so it
 # stores its caps, levels (7, 0); tau 2. The walk to (3, 1) reads first the
-# start's NW corner at (7, 0), key (7 * 8 + 0) * 4, whose one block is the
-# text
+# start's NW corner at (7, 0), whose one block is the text
 g2 = validate_slp2(Slp2([Horiz(127, i + 1) if i % 2 == 0 else Horiz(i + 1, 127)
                          for i in range(126)] + [Horiz(127, 128), 0, 1], 2, 0))
 ix2 = build_index2(g2, 2)
-if not (ix2.first == 0 and ix2.keys[0] == (7 * 8 + 0) * 4):
+if not (ix2.first == 0 and decode_key2(ix2, ix2.keys[0]) == (0, 0, 7, 0)):
     raise SystemExit("the 2D walk starts elsewhere")
 ix2.states[0][3][0] = (1, 128, (0, 0), (0, 0), 0)
 try:
@@ -2153,7 +1993,7 @@ def test_access2_raises_on_a_step_that_lowers_no_level():
     # state again
     g = zigzag2([0, 1] * 42, 80)
     ix = build_index2(g, 2)
-    assert ix.first == 0 and ix.keys[0] == state_key2(ix, g.start, 0, 5, 5)
+    assert ix.first == 0 and decode_key2(ix, ix.keys[0]) == (g.start, 0, 5, 5)
     ix.states[0][3][1 * 2 + 1] = (1, -32, (0, 0), (0, 0), 32)
     assert len(ix.reads) == 5 + 5 + 1
     with pytest.raises(PreconditionViolated, match=r"walk to \(40,40\) ended off a literal"):
@@ -2262,14 +2102,32 @@ def corruptions(ix, state, k):
             (axis, s, (sentinel, sentinel), (sentinel, sentinel), shift)]
 
 
+def refuses(check, ix, key):
+    """Whether ``check`` refuses ix, the state with ``key`` checked first:
+    a corrupt slot there is refused without a pass over the others."""
+    ids = ix.ids
+    ix.ids = {key: ids[key], **ids}
+    try:
+        check(ix)
+    except PreconditionViolated:
+        return True
+    finally:
+        ix.ids = ids
+    return False
+
+
 def test_traced_walks_answer_right_or_refuse_on_a_corrupt_slot():
     """On both inputs, each slot the fast walk reads, corrupted each way
     ``corruptions`` gives, one at a time: the traced walk to every position
     whose walk reads it answers right or raises PreconditionViolated,
-    never a wrong code and never another exception."""
+    never a wrong code and never another exception; and check_index1/2
+    refuses every corruption that changes the slot (an edge split of a
+    literal step leaves it as it was)."""
     for ix, fast, traced, queries in walk_inputs():
+        check = check_index1 if fast is access1 else check_index2
         want = {q: fast(ix, *q) for q in queries}
         states, raised = kept(ix), 0
+        key_of = {decode(ix, key): key for key in ix.ids}
         for (*state, k), read in readers(ix, fast, queries).items():
             slots = states[tuple(state)]
             step = slots[k]
@@ -2282,6 +2140,7 @@ def test_traced_walks_answer_right_or_refuse_on_a_corrupt_slot():
                         raised += 1
                         continue
                     assert code == want[q], (state, k, bad, q)
+                assert bad == step or refuses(check, ix, key_of[tuple(state)]), (state, k, bad)
             slots[k] = step
         assert raised > 10 * len(queries)
 
@@ -2296,7 +2155,7 @@ def test_access1_refuses_a_walk_that_ends_off_a_literal():
     g = validate_slp1(Slp1([(15, i + 1) if i % 2 == 0 else (i + 1, 15) for i in range(14)]
                            + [(15, 16), 0, 1], 2, 0))
     ix = build_index1(g, 2)
-    j = ix.ids[state_key1(ix, 7, 0, 0)]
+    j = {decode_key1(ix, key): j for key, j in ix.ids.items()}[7, 0, 0]
     assert access1(ix, 5) == 0 and ix.states[j][1][0] == (0, 15, None)
     ix.states[j][1][0] = (0, 15, j)     # on to its own state, as though 15 were a pair
     with pytest.raises(PreconditionViolated, match="walk to position 5 ended off a literal"):

@@ -18,14 +18,14 @@ from gridgram import (
     validate_slg2,
 )
 from gridgram import cli
-from gridgram.access1d import caps, ceil_log
+from gridgram.access1d import caps, ceil_log, decode_key1
 from gridgram.cli import main
 from gridgram.gen import random_matrix
 from gridgram.oracle import rank
 from gridgram.reductions import ext_mark_all_chars, mark_all_chars
 from gridgram.slg import dump_slg1
 from gridgram.slg2d import dump_matrix, dump_slg2
-from conftest import comb1, kept, made_slots, staircase2, zigzag1, zigzag2
+from conftest import comb1, kept, staircase2, zigzag1, zigzag2
 
 
 def run(capsys, *argv):
@@ -152,9 +152,8 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     """A corrupt slot the fast walk reads, the first state's block 0 with
     its near and far children swapped, makes plain access answer wrong on
     a 64-symbol zigzag at tau 2, and access --verify refuses the index
-    with a one-line diagnostic: the traced walk, which reads the same
-    slot, refuses at the first position, whose answer is not the one the
-    descent from the start gives."""
+    with a one-line diagnostic before the first answer: the slot's near
+    code names the hook's far child."""
     slp = zigzag1(random.Random(1).choices(range(4), k=64))
     path = tmp_path / "zig.slg1"
     path.write_text(dump_slg1(slp))
@@ -173,9 +172,36 @@ def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2")
     assert code == 0 and sum(a != str(b) for a, b in zip(out.split(), text)) == 46
     code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
-    assert code == 1 and err.count("\n") == 1
-    assert err == ("GrammarError: verify mismatch at '1': the traced walk refuses the tables: "
-                   "walk to position 1 ended at code 3, descent reaches 0\n")
+    assert (code, out) == (1, "")
+    assert err == "PreconditionViolated: state 0, slot 0 names (1, 0), not its hook's child " \
+                  "(63, 1)\n"
+
+
+def test_access_verify_refuses_an_index_that_fast_access_fails_on(tmp_path, capsys,
+                                                                   monkeypatch):
+    """On the 40-rule gen SLP (seed 5) at tau 2, block 0 of the state
+    (13, left, 4) with its near and far children swapped makes access1
+    raise a bare IndexError at positions 53 and 155
+    (``test_swapped_steps_are_refused_where_the_fast_walks_raise``).
+    access --verify checks the index once, before the first query, and
+    exits 1 with one line and no answer."""
+    path = tmp_path / "g.slg1"
+    code, _, _ = run(capsys, "gen", "slp1", "--rules", "40", "--seed", "5", "--sigma", "3",
+                     "--max-len", "200", "-o", str(path))
+    assert code == 0
+
+    def build(slp, tau, cap):
+        ix = build_index1(slp, tau, cap)
+        j = {decode_key1(ix, key): j for key, j in ix.ids.items()}[13, 0, 4]
+        S, near, far = ix.states[j][1][0]
+        ix.states[j][1][0] = (S, far, near)
+        return ix
+
+    monkeypatch.setattr(cli._DIM1, "build", build)
+    code, out, err = run(capsys, "access", str(path), "1", "53", "155", "--tau", "2", "--verify")
+    assert (code, out) == (1, "")
+    assert err == "PreconditionViolated: state 4, slot 0 names (8, 0), not its hook's child " \
+                  "(7, 1)\n"
 
 
 def test_access_checks_epsilon_before_halving_it(slp2_file, capsys):
@@ -284,7 +310,8 @@ def test_access_refuses_by_the_slots_the_build_allocates(tmp_path, capsys, monke
                      "--max-len", "200", "-o", str(path))
     assert code == 0
     slp = slg_to_slp(parse_slg1(path.read_text()))
-    ix, slots = made_slots(slp, 2, 1)
+    ix = build_index1(slp, 2)
+    slots = ix.filled
     # the index keeps some of the slots it fills; one list per side and
     # level over every rule id would be far over the cap
     assert 0 < ix.entry_count() < slots < 2 * (ceil_log(len(expand1(slp)), 2) + 1) * \
@@ -304,7 +331,8 @@ def test_access2_refuses_by_the_slots_the_build_allocates(tmp_path, capsys, monk
     path = tmp_path / "zigzag.slg2"
     path.write_text(dump_slg2(zigzag2([rng.randrange(4) for _ in range(83)], 80)))
     slp = slg2_to_slp2(parse_slg2(path.read_text()))
-    ix, slots = made_slots(slp, 2, 2)
+    ix = build_index2(slp, 2)
+    slots = ix.filled
     # one slot per block; a full tau x tau grid per level pair would be over the cap
     grids = sum((cr + 1) * (cc + 1) for cr, cc, r
                 in zip(caps(slp._rows, 2), caps(slp._cols, 2), slp._reach) if r)
@@ -326,7 +354,7 @@ def test_access_on_a_comb_that_builds_nothing_answers_under_any_cap(tmp_path, ca
     path = tmp_path / "comb.slg1"
     path.write_text(dump_slg1(g))
     slp = slg_to_slp(parse_slg1(path.read_text()))
-    assert len(slp.rules) == 2000 and made_slots(slp, 8, 1)[1] == 0
+    assert len(slp.rules) == 2000 and build_index1(slp, 8).filled == 0
     monkeypatch.setenv("GG_CAP_CELLS", "1")
     text = expand1(g)
     code, out, err = run(capsys, "access", str(path), "1", "1000", str(len(text)), "--tau", "8")
@@ -344,7 +372,8 @@ def test_access_and_bench_refuse_a_zigzag_by_the_slots_its_build_allocates(tmp_p
     path = tmp_path / "zigzag.slg2"
     path.write_text(dump_slg2(zigzag2([rng.randrange(4) for _ in range(203)], 200)))
     slp = slg2_to_slp2(parse_slg2(path.read_text()))
-    ix, slots = made_slots(slp, 8, 2)
+    ix = build_index2(slp, 8)
+    slots = ix.filled
     assert (ix.entry_count(), slots) == (14_178, 46_901)
     want = expand2(slp)
     monkeypatch.setenv("GG_CAP_CELLS", str(slots))
