@@ -1282,6 +1282,52 @@ def swapped(step, far):
     return tuple(out)
 
 
+def test_access1_traced_never_answers_wrong_on_a_swapped_step():
+    """A step whose near and far children are exchanged still straddles its
+    block, so the straddle check passes it; a delta outside the child's
+    blocks or the comparison with the descent catches it: every position
+    either answers right or raises."""
+    g = random_slp1(0, 40, 3, 4096)
+    ix = build_index1(g, 2)
+    slots = ix.states[0][1]         # the first state: the start's left side at its cap, 11
+    assert levels_of(ix).cap[g.start] == 11 and decode(ix, ix.keys[0]) == (g.start, 0, 11)
+    assert decoded(ix)[0, g.start, 11 * 2] == (613, 11, 1) and slots[0][0] == 613
+    slots[0] = swapped(slots[0], 2)
+    raised = 0
+    for i, want in enumerate(expand1(g), start=1):
+        try:
+            assert access1_traced(ix, i) == (want, ix.levels + 1)
+        except PreconditionViolated:
+            raised += 1
+    assert raised > 1153            # 644 of them at the comparison with the descent
+
+
+def test_access2_traced_never_answers_wrong_on_a_swapped_step():
+    """The 2D case, on an 80-step zigzag, 41 x 41, deep enough at tau 2 that
+    the start's own steps are read (its turn bound 80 is more than the 11
+    reads left at its caps (5, 5)): the swapped one sends 52 of the 1681
+    cells to a wrong code through every per-step check."""
+    rng = random.Random(0)
+    g = zigzag2([rng.randrange(4) for _ in range(83)], 80)
+    ix = build_index2(g, 2)
+    t = g.start
+    # the first state: the start's NW corner at its caps (5, 5); its block (0, 0)
+    slots = ix.states[0][3]
+    assert decode(ix, ix.keys[0]) == (t, 0, 5, 5) and turns_of(g)[t] == 80
+    assert decoded(ix)[0, t, 5, 5, 0] == (0, 1, 161, 160, 0)
+    slots[0] = swapped(slots[0], 3)
+    m = expand2(g)
+    raised = wrong = 0
+    for i in range(1, m.rows + 1):
+        for j in range(1, m.cols + 1):
+            try:
+                assert access2_traced(ix, i, j)[0] == m.get(i, j)
+            except PreconditionViolated as e:
+                raised += 1
+                wrong += "descent reaches" in str(e)
+    assert raised > 960 and wrong == 52     # the 52 wrong answers raise too
+
+
 def answers_right_or_refuses(traced, ix, query, want):
     """Whether the traced walk to ``query`` answers ``want`` or raises
     PreconditionViolated."""
