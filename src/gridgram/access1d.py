@@ -584,11 +584,20 @@ def _check_index(ix, decode, finish, sizes, slot_codes):
     where, reach, k) per code of the real step in its slot k: the child the
     code must name, from the side or corner ``where``, and the furthest
     cell on each axis that the step sends through it, None for none."""
-    keys, ids, states, pows, tau = ix.keys, ix.ids, ix.states, ix.pows, ix.tau
-    s = ix.grammar.start
+    g, keys, ids, states, pows, tau = ix.grammar, ix.keys, ix.ids, ix.states, ix.pows, ix.tau
+    s = g.start
+    n = max(size[s] for size in sizes)
+    if not (clamp_tau(tau, n) == tau and type(ix.levels) is int and ix.levels == ceil_log(n, tau)
+            and pows == [tau ** p for p in range(ix.levels + 2)] and type(ix.first) is int
+            and type(keys) is list and type(states) is list and type(ids) is dict
+            and len(states) == len(keys) and all(type(key) is int for key in keys)):
+        raise PreconditionViolated("the index's tau, levels, pows, first, keys, ids or states "
+                                   "are not of the form its build gives")
     top = (s, 0, *(bisect_right(pows, size[s]) - 1 for size in sizes))
-    if len(states) != len(keys):
-        raise PreconditionViolated(f"{len(states)} states for {len(keys)} keys")
+    if not (type(ix.reads) is range and ix.reads == range(len(ix.reads))
+            and len(ix.reads) > sum(top[2:])):
+        raise PreconditionViolated(f"reads {ix.reads!r} cannot cover the start's levels "
+                                   f"{top[2:]}")
     if ix.first >= 0:
         if not (ix.first == 0 and keys and ids.get(keys[0]) == 0 and decode(ix, keys[0]) == top):
             raise PreconditionViolated(f"first code {ix.first} is not id 0 on {top}")
@@ -599,12 +608,14 @@ def _check_index(ix, decode, finish, sizes, slot_codes):
             raise PreconditionViolated(f"first code {ix.first} finishes from {(t, where)}, not "
                                        f"{top[:2]}")
     for key, j in ids.items():
-        t, where, *levels = decode(ix, key)
-        if not (0 <= j < len(keys) and keys[j] == key and 0 <= t < len(sizes[0])):
+        if not (type(key) is type(j) is int and 0 <= j < len(keys) and keys[j] == key):
             raise PreconditionViolated(f"ids map key {key!r} to {j!r}, no state of the index")
+        t, where, *levels = decode(ix, key)
+        if not 0 <= t < len(sizes[0]):
+            raise PreconditionViolated(f"key {key} names no variable of the grammar")
         for code, c, to, reach, k in slot_codes(j, t, where, levels, states[j]):
-            if not isinstance(code, int) or code >= 0 and not (code < len(keys)
-                                                               and ids.get(keys[code]) == code):
+            if type(code) is not int or code >= 0 and not (code < len(keys)
+                                                           and ids.get(keys[code]) == code):
                 raise PreconditionViolated(f"state {j}, slot {k} holds {code!r}, no kept id or "
                                            f"finish code")
             u, w, *lower = decode(ix, keys[code]) if code >= 0 else finish(code)
@@ -618,32 +629,45 @@ def _check_index(ix, decode, finish, sizes, slot_codes):
                                   for r, q, size in zip(reach, lower, sizes)):
                 raise PreconditionViolated(f"state {j}, slot {k} enters state {code} at levels "
                                            f"{lower}, not below {levels} with blocks to {reach}")
-    if (ix.chains is not None) != bool(runs):
-        raise PreconditionViolated("a finish by runs has no chains" if runs else
-                                   "the index keeps chains that no finish runs along")
+    # the chains of both sides, as the build lays them out, where a finish runs
+    moves, topo = g._moves, g._topo
+    chains = tuple(_chains(moves, topo, _heavy(moves, topo, side), sizes, side)
+                   for side in (0, 1)) if runs else None
+    if ix.chains != chains:
+        raise PreconditionViolated("the index keeps chains that no finish runs along"
+                                   if chains is None else
+                                   "the chains are not the heavy paths a finish by runs takes")
 
 
 def check_index1(ix):
     """Raise PreconditionViolated unless ix holds what build_index1 lays
-    out, in one pass over its kept states: ``first`` is id 0 on the start's
-    left side at its cap, or its left finish code; ``ids`` and ``keys``
-    agree; a state's entry is (tau**p, slots), one slot per block; each
-    slot is its block's plain step (``_plain_slot1``); each code of a real
-    step names the hook's near child from the other side or its far child
-    from the same side, by a finish code or a kept id at a lower level
-    whose blocks hold every delta the step sends there; and ``chains`` is
-    present exactly when ``first`` or a kept code finishes by runs. On an
-    index that passes, access1 reads kept slots only, at most ``len(reads)``
-    of them, and answers as the descent does."""
+    out over its grammar, ``ix.grammar``, taken as given, in one pass over
+    its kept states: its arrays are the grammar's, and tau, levels, pows
+    and reads those the build derives, ``reads`` covering the start's cap;
+    ``first`` is id 0 on the start's left side at its cap, or its left
+    finish code; ``ids`` and ``keys`` agree, ints; a state's entry is
+    (tau**p, slots), one slot per block; each slot is its block's plain
+    step (``_plain_slot1``); each code of a real step names the hook's near
+    child from the other side or its far child from the same side, by a
+    finish code or a kept id at a lower level whose blocks hold every delta
+    the step sends there; and ``chains`` is None, or the heavy paths of
+    both sides (``_chains``) exactly when ``first`` or a kept code finishes
+    by runs. On an index that passes, access1 reads kept slots only, at
+    most ``len(reads)`` of them, and answers as the descent does."""
+    g = ix.grammar
+    if not (ix.lens is g._lens and ix.moves is g._moves and ix.n == g._lens[g.start]):
+        raise PreconditionViolated("the index's lens, moves or n are not its grammar's")
+
     def slot_codes(j, t, side, levels, entry):
         m, tp = ix.lens[t], ix.pows[levels[0]]
-        if not (type(entry) is tuple and len(entry) == 2 and entry[0] == tp
-                and isinstance(entry[1], list) and len(entry[1]) == _blocks(m, tp, ix.tau)):
+        if not (type(entry) is tuple and len(entry) == 2 and type(entry[0]) is int
+                and entry[0] == tp and type(entry[1]) is list
+                and len(entry[1]) == _blocks(m, tp, ix.tau)):
             raise PreconditionViolated(f"state {j} does not hold one slot per block of {tp}")
         for k, slot in enumerate(entry[1]):
             S, x, y = want = _plain_slot1(ix, t, side, tp, k)
-            if not (slot == want if y is None else
-                    type(slot) is tuple and len(slot) == 3 and slot[0] == S):
+            if not (slot == want if y is None else type(slot) is tuple and len(slot) == 3
+                    and type(slot[0]) is int and slot[0] == S):
                 raise PreconditionViolated(f"state {j}, slot {k} holds {slot}, not the plain "
                                            f"step {want}")
             if y is not None:           # deltas up to the split and from it to the block's end
@@ -668,7 +692,9 @@ def access1_traced(ix, i):
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    states, keys = ix.states, ix.keys
+    # each read decodes its key inline (decode_key1): a call per read would
+    # cost about a quarter of the read
+    states, keys, K = ix.states, ix.keys, 2 * ix.levels + 2
     st, delta, size = ix.first, i, ix.pows[-1]
     while (j := st) >= 0:
         if not (j < len(states) and keys[j] in ix.ids):
@@ -677,7 +703,7 @@ def access1_traced(ix, i):
         if tp >= size:
             raise PreconditionViolated(f"walk to position {i} enters state {j} at no lower level")
         size = tp
-        t, side, _ = decode_key1(ix, keys[j])
+        t, side = keys[j] // K, keys[j] & 1
         m, k = ix.lens[t], (delta - 1) // tp
         if delta > m or k >= len(slots):
             raise PreconditionViolated(f"walk to position {i} leaves the blocks of state {j}")

@@ -387,20 +387,29 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
 
 
 def check_index2(ix):
-    """check_index1 in 2D: ``first`` is on the start's NW corner at its
-    caps; an entry is (tau**p_r, tau**p_c, w, slots), w blocks to a row; a
-    real step's axis, split and shift are the plain step's
-    (``_plain_slot2``); and each element of a code pair names the hook's
-    near child from the corner flipped on the split axis or its far child
-    from the same corner, by a finish code or a kept id at a level pair
-    with neither level higher and one lower, whose blocks hold every cell
-    the step sends through that element."""
+    """check_index1 in 2D: the arrays are the grammar's rows, cols and
+    moves, and ``reads`` covers the start's two caps; ``first`` is on the
+    start's NW corner at its caps; an entry is (tau**p_r, tau**p_c, w,
+    slots), w blocks to a row; a real step's axis, split and shift are the
+    plain step's (``_plain_slot2``); and each element of a code pair names
+    the hook's near child from the corner flipped on the split axis or its
+    far child from the same corner, by a finish code or a kept id at a
+    level pair with neither level higher and one lower, whose blocks hold
+    every cell the step sends through that element. On an index that
+    passes, access2 reads kept slots only, at most ``len(reads)`` of them,
+    and answers as the descent does."""
+    g = ix.grammar
+    if not (ix.rows is g._rows and ix.cols is g._cols and ix.moves is g._moves
+            and (ix.n_rows, ix.n_cols) == (g._rows[g.start], g._cols[g.start])):
+        raise PreconditionViolated("the index's rows, cols, moves or sizes are not its grammar's")
+
     def slot_codes(j, t, corner, levels, entry):
         m_r, m_c = ix.rows[t], ix.cols[t]
         tpr, tpc = ix.pows[levels[0]], ix.pows[levels[1]]
         w = _blocks(m_c, tpc, ix.tau)
         if not (type(entry) is tuple and len(entry) == 4 and entry[:3] == (tpr, tpc, w)
-                and isinstance(entry[3], list) and len(entry[3]) == _blocks(m_r, tpr, ix.tau) * w):
+                and all(type(v) is int for v in entry[:3]) and type(entry[3]) is list
+                and len(entry[3]) == _blocks(m_r, tpr, ix.tau) * w):
             raise PreconditionViolated(f"state {j} does not hold one slot per block of "
                                        f"{tpr} x {tpc}")
         for k, slot in enumerate(entry[3]):
@@ -409,6 +418,7 @@ def check_index2(ix):
             if not (slot == want if y is None else
                     type(slot) is tuple and len(slot) == 5
                     and (slot[0], slot[1], slot[4]) == (axis, split, shift)
+                    and type(slot[1]) is type(slot[4]) is int
                     and all(type(pair) is tuple and len(pair) == 2 for pair in slot[2:4])):
                 raise PreconditionViolated(f"state {j}, slot {k} holds {slot}, not the plain "
                                            f"step {want}")
@@ -447,7 +457,8 @@ def access2_traced(ix, i, j):
     r0, c0 = ix.n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
-    states, keys, rows, cols = ix.states, ix.keys, ix.rows, ix.cols
+    # each read decodes its key inline (decode_key2), as access1_traced does
+    states, keys, rows, cols, K = ix.states, ix.keys, ix.rows, ix.cols, 4 * (ix.levels + 1) ** 2
     st, d_r, d_c, reads = ix.first, i, j, 0
     size_r = size_c = ix.pows[-1]
     while (u := st) >= 0:
@@ -457,7 +468,7 @@ def access2_traced(ix, i, j):
         if not (tpr <= size_r and tpc <= size_c and (tpr < size_r or tpc < size_c)):
             raise PreconditionViolated(f"walk to ({i},{j}) enters state {u} at no lower levels")
         reads, size_r, size_c = reads + 1, tpr, tpc
-        t, corner, _, _ = decode_key2(ix, keys[u])
+        t, corner = keys[u] // K, keys[u] & 3
         m_r, m_c, k_r, k_c = rows[t], cols[t], (d_r - 1) // tpr, (d_c - 1) // tpc
         if d_r > m_r or d_c > m_c or k_c >= w or k_r * w + k_c >= len(slots):
             raise PreconditionViolated(f"walk to ({i},{j}) leaves the blocks of state {u}")

@@ -297,11 +297,10 @@ def kept(ix):
 
 
 def decoded(ix):
-    """{address: step} of every kept slot, its codes decoded into the
+    """{(*state, k): step} of every kept slot, its codes decoded into the
     variables they name, in the form the plain descent gives a block's
-    step: in 1D at (side, t, p * tau + k), (split inside the block, near
-    child, far child) or (0, literal, None); in 2D at (corner, t, p_r,
-    p_c, k_r * w + k_c), the slot itself, (axis, split, near child, far
+    step: in 1D (split inside the block, near child, far child) or (0,
+    literal, None); in 2D the slot itself, (axis, split, near child, far
     child, shift) or (0, 0, literal, None, 0). A 2D code is a pair, both of
     whose elements name one variable."""
     one = isinstance(ix, AccessIndex1)
@@ -313,17 +312,15 @@ def decoded(ix):
 
     out = {}
     for state, slots in kept(ix).items():
-        if one:
-            t, side, p = state
-            tp = ix.pows[p]
-            for k, (S, near, far) in enumerate(slots):
-                out[side, t, p * ix.tau + k] = (S - k * tp, near, None) if far is None else \
-                    (S - k * tp, variable(near), variable(far))
-            continue
-        t, corner, p_r, p_c = state
-        for at, (axis, s, near, far, shift) in enumerate(slots):
-            out[corner, t, p_r, p_c, at] = (axis, s, near, None, shift) if far is None else \
-                (axis, s, variable(near), variable(far), shift)
+        for k, slot in enumerate(slots):
+            if one:
+                S, near, far = slot
+                b = k * ix.pows[state[2]]
+                slot = (S - b, near, far) if far is None else \
+                    (S - b, variable(near), variable(far))
+            elif slot[3] is not None:
+                slot = (*slot[:2], variable(slot[2]), variable(slot[3]), slot[4])
+            out[(*state, k)] = slot
     return out
 
 

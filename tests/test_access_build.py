@@ -207,10 +207,37 @@ def stores2(ix, c, p_r, p_c):
             and p_r + p_c + 1 < turns2(ix.grammar)[c])
 
 
-# the oracle below walks from each slot's variable, so its cost grows with
-# slots times depth: these two draw combs of at most 70 codes, and the deep
-# combs reach the tables through test_index1/2_is_exactly_the_walks_closure,
-# which check every kept slot against the reference step
+def block_steps(ix, state):
+    """The reference step (step1/step2) of each block of a state, in slot
+    order, for the block's window read from the state's side or corner."""
+    g, T = ix.grammar, ix.tau
+    if len(state) == 3:
+        i, side, p = state
+        m = g._lens[i]
+        return [step1(g, i, side, *((m - e, m - b) if side else (b, e)))
+                for _, b, e in blocks(m, ix.pows[p], T)]
+    i, corner, p_r, p_c = state
+    m_r, m_c = g._rows[i], g._cols[i]
+    out = []
+    for (_, b_r, e_r), (_, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
+                                                blocks(m_c, ix.pows[p_c], T)):
+        rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
+        cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
+        out.append(step2(g, i, corner, rb, cb, re, ce))
+    return out
+
+
+def reference_steps(ix):
+    """``block_steps`` of every kept state, keyed as ``decoded`` keys the
+    slots."""
+    return {(*state, k): step for state in kept(ix)
+            for k, step in enumerate(block_steps(ix, state))}
+
+
+# the oracle walks from each slot's variable, so its cost grows with slots
+# times depth: these two draw combs of at most 70 codes, and the deep combs
+# reach the tables through test_index1/2_is_exactly_the_walks_closure, which
+# check every kept slot against the reference step (``reference_steps``)
 @settings(max_examples=60, deadline=None)
 @given(g=grammars1(longest=70), tau=FINISH_TAUS)
 def test_build1_stores_every_window_hook(g, tau):
@@ -237,16 +264,9 @@ def test_build1_stores_every_window_hook(g, tau):
         assert levels.mark[i] == -(-height[i] // FINISH)
         assert top == max(-1, min(cap, levels.mark[i] - 1, turns[i] - 2))
         grid += 2 * axis_blocks(m, top, T)
-    states, view = kept(ix), decoded(ix)
-    for (i, side, p), slots in states.items():
-        m = g._lens[i]
-        assert i in ids and p <= levels.top[i] and len(slots) == len(blocks(m, ix.pows[p], T))
-        for k, b, e in blocks(m, ix.pows[p], T):
-            step = step1(g, i, side, *((m - e, m - b) if side else (b, e)))
-            assert slots[k][0] == b + step[0]
-            assert view[side, i, p * T + k] == step
-    built = sum(map(len, states.values()))
-    assert grid >= built == ix.entry_count() == len(stored(ix))
+    assert all(i in ids and p <= levels.top[i] for i, _, p in kept(ix))
+    assert decoded(ix) == reference_steps(ix)
+    assert grid >= ix.entry_count() == len(stored(ix))
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,16 +300,9 @@ def test_build2_stores_every_window_hook(g, tau):
         assert all(stores2(ix, i, p_r, p_c) for p_r, p_c in pairs)
         grid += 4 * sum(len(blocks(m_r, ix.pows[p_r], T)) * len(blocks(m_c, ix.pows[p_c], T))
                         for p_r, p_c in pairs)
+    assert all(i in ids and stores2(ix, i, p_r, p_c) for i, _, p_r, p_c in kept(ix))
     view = decoded(ix)
-    for (i, corner, p_r, p_c), slots in kept(ix).items():
-        m_r, m_c = g._rows[i], g._cols[i]
-        rows_, cols_ = blocks(m_r, ix.pows[p_r], T), blocks(m_c, ix.pows[p_c], T)
-        assert i in ids and stores2(ix, i, p_r, p_c) and len(slots) == len(rows_) * len(cols_)
-        for (k_r, b_r, e_r), (k_c, b_c, e_c) in product(rows_, cols_):
-            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
-            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-            assert view[corner, i, p_r, p_c, k_r * len(cols_) + k_c] == \
-                step2(g, i, corner, rb, cb, re, ce)
+    assert view == reference_steps(ix)
     assert grid >= ix.entry_count() == len(stored(ix)) == len(view)
 
 
@@ -333,16 +346,14 @@ def closure1(ix):
     """The (variable, side, level) states access1 can enter from the start,
     each block's step taken from the plain walk (step1) and each state's
     every block followed."""
-    g, T, levels = ix.grammar, ix.tau, levels_of(ix)
+    g, levels = ix.grammar, levels_of(ix)
     top, cap = levels.top, levels.cap
     s = g.start
     todo = [(s, 0, top[s])] if top[s] == cap[s] else []
     walked = set(todo)
     while todo:
         i, side, p = todo.pop()
-        m = g._lens[i]
-        for _, b, e in blocks(m, ix.pows[p], T):
-            _, near, far = step1(g, i, side, *((m - e, m - b) if side else (b, e)))
+        for _, near, far in block_steps(ix, (i, side, p)):
             if far is None:
                 continue
             for c, to in ((near, side ^ 1), (far, side)):
@@ -372,20 +383,16 @@ def closure2(ix):
     walked = set(todo)
     while todo:
         i, corner, p_r, p_c = todo.pop()
-        m_r, m_c = rows[i], cols[i]
-        for (_, b_r, e_r), (_, b_c, e_c) in product(blocks(m_r, ix.pows[p_r], T),
-                                                    blocks(m_c, ix.pows[p_c], T)):
-            rb, re = (m_r - e_r, m_r - b_r) if corner & 2 else (b_r, e_r)
-            cb, ce = (m_c - e_c, m_c - b_c) if corner & 1 else (b_c, e_c)
-            axis, _, near, far, shift = step2(g, i, corner, rb, cb, re, ce)
+        tpr, w = ix.pows[p_r], len(blocks(cols[i], ix.pows[p_c], T))
+        for k, (axis, _, near, far, shift) in enumerate(block_steps(ix, (i, corner, p_r, p_c))):
             if far is None:
                 continue
-            tpr = ix.pows[p_r]
             if axis:
                 levels, flip = [(p_r - 1, p_c)], corner ^ 2
             else:
+                last = shift + min(rows[i] - k // w * tpr, tpr)     # the block's last row
                 levels = [(p_r - 1, p_c)] * (p_r > 0 and shift + 1 <= tpr) + \
-                    [(p_r, p_c - 1)] * (p_r == 0 or shift + e_r - b_r > tpr)
+                    [(p_r, p_c - 1)] * (p_r == 0 or last > tpr)
                 flip = corner ^ 1
             for c, to in ((near, flip), (far, corner)):
                 for q_r, q_c in levels:
@@ -439,16 +446,23 @@ def test_build1_builds_the_walks_closure(g, tau):
 
 def assert_state_machine1(ix):
     """The 1D index is exactly the walk's closure, read through its codes,
-    and laid out as ``check_index1`` checks: every kept state is reached
-    from the first through the slots' codes; every code >= 0 names the
-    state one level down, capped by the child's top when that is its cap;
+    and laid out as ``check_index1`` checks: each variable's top level is
+    min(cap, ceil(height / FINISH) - 1, turns - 2), at least -1; every kept
+    slot is the reference step (``reference_steps``); every kept state is
+    reached from the first through the slots' codes; every code >= 0 names
+    the state the walk enters in that child, one level down, capped by the
+    child's top when that is its cap, the side flipped in the near child;
     every negative code is the finish code of a child whose level the walk
-    does not store, with the finish rule that descends from it; every
-    other id holds one shared sentinel state (``assert_sentinel``).
-    Returns (kept states, kept slots)."""
+    does not store, with that side and the finish rule that descends from
+    it; every other id holds one shared sentinel state
+    (``assert_sentinel``). Returns (kept states, kept slots)."""
     check_index1(ix)
     levels = levels_of(ix)
     top, cap, mark = levels.top, levels.cap, levels.mark
+    assert top == [max(-1, min(c, m - 1, b - 2))
+                   for c, m, b in zip(cap, mark, turns_of(ix.grammar))]
+    ref = reference_steps(ix)
+    assert decoded(ix) == ref
     kept = assert_sentinel(ix)
     s = ix.grammar.start
     if top[s] < cap[s]:
@@ -461,17 +475,18 @@ def assert_state_machine1(ix):
         if j in reached:
             continue
         reached.add(j)
-        q = decode_key1(ix, ix.keys[j])[2] - 1
-        for _, near, far in ix.states[j][1]:
-            for code in (near, far) if far is not None else ():
+        t, side, p = decode_key1(ix, ix.keys[j])
+        q = p - 1
+        for k, (_, near, far) in enumerate(ix.states[j][1]):
+            _, x, y = ref[t, side, p, k]
+            for code, c, to in ((near, x, side ^ 1), (far, y, side)) if far is not None else ():
                 if code >= 0:
-                    c, _, level = decode_key1(ix, ix.keys[code])
-                    assert level == min(q, top[c]) and (q <= top[c] or top[c] == cap[c])
+                    assert decode_key1(ix, ix.keys[code]) == (c, to, min(q, top[c]))
+                    assert q <= top[c] or top[c] == cap[c]
                     todo.append(code)
                 else:
-                    c, _, runs = decode_finish1(code)
                     assert q > top[c] and top[c] < cap[c]
-                    assert runs == (q < mark[c] or mark[c] > cap[c])
+                    assert decode_finish1(code) == (c, to, q < mark[c] or mark[c] > cap[c])
     assert reached == kept
     return len(kept), ix.entry_count()
 
@@ -506,18 +521,21 @@ def test_index1_keeps_the_walks_states_on_the_benchmark_shapes():
 
 
 def assert_state_machine2(ix):
-    """``assert_state_machine1`` in 2D: every kept state is reached from
-    the first through the slots' codes; each element of a real step's code
-    pair is what the walk enters in that child when p_r drops or when p_c
-    drops, each level capped by the child's cap, a finish code where the
-    child does not store the pair (``stores2``): a row step, or a column
-    step whose block's every row lands at most tau**p_r with p_r > 0,
-    holds the p_r drop twice, one whose every row lands past it, or at p_r
-    0, the p_c drop twice, and any other column step both. Returns (kept
-    states, kept slots)."""
+    """``assert_state_machine1`` in 2D: every kept slot is the reference
+    step; every kept state is reached from the first through the slots'
+    codes; each element of a real step's code pair is what the walk enters
+    in that child, corner flipped on the split axis in the near child, when
+    p_r drops or when p_c drops, each level capped by the child's cap, a
+    finish code where the child does not store the pair (``stores2``): a
+    row step, or a column step whose block's every row lands at most
+    tau**p_r with p_r > 0, holds the p_r drop twice, one whose every row
+    lands past it, or at p_r 0, the p_c drop twice, and any other column
+    step both. Returns (kept states, kept slots)."""
     check_index2(ix)
     levels = levels_of(ix)
     cap_r, cap_c = levels.cap_r, levels.cap_c
+    ref = reference_steps(ix)
+    assert decoded(ix) == ref
     kept = assert_sentinel(ix)
     s = ix.grammar.start
     if stores2(ix, s, cap_r[s], cap_c[s]):
@@ -531,24 +549,24 @@ def assert_state_machine2(ix):
         if j in reached:
             continue
         reached.add(j)
-        t, _, p_r, p_c = decode_key2(ix, ix.keys[j])
+        t, corner, p_r, p_c = decode_key2(ix, ix.keys[j])
         tpr, _, w, slots = ix.states[j]
         for k, (axis, _, near, far, shift) in enumerate(slots):
             if far is None:
                 continue
+            x, y = ref[t, corner, p_r, p_c, k][2:4]
             rows = min(ix.rows[t] - k // w * tpr, tpr)          # the block's rows
             down_r = (p_r - 1, p_c) if p_r and (axis or shift + 1 <= tpr) else None
             down_c = (p_r, p_c - 1) if not axis and (p_r == 0 or shift + rows > tpr) else None
-            for pair in (near, far):
+            for pair, c, to in ((near, x, corner ^ (2 if axis else 1)), (far, y, corner)):
                 for code, (q_r, q_c) in zip(pair, (down_r or down_c, down_c or down_r)):
-                    c = (decode_key2(ix, ix.keys[code]) if code >= 0 else decode_finish2(code))[0]
                     q_r, q_c = min(q_r, cap_r[c]), min(q_c, cap_c[c])
                     if stores2(ix, c, q_r, q_c):
-                        assert code >= 0 and decode_key2(ix, ix.keys[code])[2:] == (q_r, q_c)
+                        assert code >= 0 and decode_key2(ix, ix.keys[code]) == (c, to, q_r, q_c)
                         todo.append(code)
                     else:
-                        assert code < 0 and decode_finish2(code)[2] == \
-                            (max(q_r, q_c) < mark2(ix.grammar, c))
+                        assert code < 0 and decode_finish2(code) == \
+                            (c, to, max(q_r, q_c) < mark2(ix.grammar, c))
     assert reached == kept
     return len(kept), ix.entry_count()
 
@@ -1206,8 +1224,7 @@ def test_move_records_drive_every_walk(g, tau, data):
     """One record per variable, equal to the grammar's own arrays; every
     walk that reads the records answers as the expansion. (The top levels
     and first codes the finish rules give are checked with the kept
-    states: ``test_build1_stores_every_window_hook``,
-    ``assert_state_machine2``.)"""
+    states, over grammars drawn the same way: ``assert_state_machine1/2``.)"""
     one = isinstance(g, Slg1)
     for v, (kid, move) in enumerate(zip(g._kids, g._moves, strict=True)):
         if kid is None:
@@ -1291,7 +1308,7 @@ def test_access1_traced_never_answers_wrong_on_a_swapped_step():
     ix = build_index1(g, 2)
     slots = ix.states[0][1]         # the first state: the start's left side at its cap, 11
     assert levels_of(ix).cap[g.start] == 11 and decode(ix, ix.keys[0]) == (g.start, 0, 11)
-    assert decoded(ix)[0, g.start, 11 * 2] == (613, 11, 1) and slots[0][0] == 613
+    assert decoded(ix)[g.start, 0, 11, 0] == (613, 11, 1) and slots[0][0] == 613
     slots[0] = swapped(slots[0], 2)
     raised = 0
     for i, want in enumerate(expand1(g), start=1):
@@ -1314,7 +1331,7 @@ def test_access2_traced_never_answers_wrong_on_a_swapped_step():
     # the first state: the start's NW corner at its caps (5, 5); its block (0, 0)
     slots = ix.states[0][3]
     assert decode(ix, ix.keys[0]) == (t, 0, 5, 5) and turns_of(g)[t] == 80
-    assert decoded(ix)[0, t, 5, 5, 0] == (0, 1, 161, 160, 0)
+    assert decoded(ix)[t, 0, 5, 5, 0] == (0, 1, 161, 160, 0)
     slots[0] = swapped(slots[0], 3)
     m = expand2(g)
     raised = wrong = 0
@@ -2189,6 +2206,30 @@ def test_traced_walks_answer_right_or_refuse_on_a_corrupt_slot():
                 assert bad == step or refuses(check, ix, key_of[tuple(state)]), (state, k, bad)
             slots[k] = step
         assert raised > 10 * len(queries)
+
+
+def test_checks_refuse_hand_changed_fields_and_chains():
+    """check_index1/2 refuse, by PreconditionViolated and not a bare
+    TypeError, an index whose ``first`` is None or a float, whose first key
+    is a str, whose first state's block size is a float, whose reads cannot
+    cover the start's levels, or whose chains have their last key list
+    zeroed; on the gen SLP (seed 7, 200 rules, 2**20 symbols) at tau 8 and
+    the 80-step zigzag2 at tau 4, both of which keep states and chains."""
+    rng = random.Random(0)
+    for ix, check in ((build_index1(random_slp1(7, 200, 4, 2 ** 20), 8), check_index1),
+                      (build_index2(zigzag2([rng.randrange(4) for _ in range(83)], 80), 4),
+                       check_index2)):
+        check(ix)
+        chains, states = ix.chains, ix.states
+        for field, bad in (("first", None), ("first", 0.0), ("keys", ["0", *ix.keys[1:]]),
+                           ("states", [(float(states[0][0]), *states[0][1:]), *states[1:]]),
+                           ("reads", range(1)),
+                           ("chains", (chains[0], (*chains[1][:-1], [0] * len(chains[1][-1]))))):
+            good = getattr(ix, field)
+            setattr(ix, field, bad)
+            with pytest.raises(PreconditionViolated):
+                check(ix)
+            setattr(ix, field, good)
 
 
 def test_access1_refuses_a_walk_that_ends_off_a_literal():

@@ -149,59 +149,41 @@ def test_access_verify_mismatch_is_one_line(slp1_file, capsys, monkeypatch):
 
 
 def test_access_verify_checks_the_tables(tmp_path, capsys, monkeypatch):
-    """A corrupt slot the fast walk reads, the first state's block 0 with
-    its near and far children swapped, makes plain access answer wrong on
-    a 64-symbol zigzag at tau 2, and access --verify refuses the index
-    with a one-line diagnostic before the first answer: the slot's near
-    code names the hook's far child."""
-    slp = zigzag1(random.Random(1).choices(range(4), k=64))
-    path = tmp_path / "zig.slg1"
-    path.write_text(dump_slg1(slp))
-    text = expand1(slp)
-    coords = [str(i) for i in range(1, len(text) + 1)]
-    code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
-    assert code == 0 and out.split() == [str(v) for v in text] and err == ""
-
-    def build(slp, tau, cap):
-        ix = build_index1(slp, tau, cap)
-        S, near, far = ix.states[0][1][0]
-        ix.states[0][1][0] = (S, far, near)
-        return ix
-
-    monkeypatch.setattr(cli._DIM1, "build", build)
-    code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2")
-    assert code == 0 and sum(a != str(b) for a, b in zip(out.split(), text)) == 46
-    code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
-    assert (code, out) == (1, "")
-    assert err == "PreconditionViolated: state 0, slot 0 names (1, 0), not its hook's child " \
-                  "(63, 1)\n"
-
-
-def test_access_verify_refuses_an_index_that_fast_access_fails_on(tmp_path, capsys,
-                                                                   monkeypatch):
-    """On the 40-rule gen SLP (seed 5) at tau 2, block 0 of the state
-    (13, left, 4) with its near and far children swapped makes access1
-    raise a bare IndexError at positions 53 and 155
-    (``test_swapped_steps_are_refused_where_the_fast_walks_raise``).
-    access --verify checks the index once, before the first query, and
-    exits 1 with one line and no answer."""
-    path = tmp_path / "g.slg1"
+    """A corrupt slot the fast walk reads, block 0 of a state with its near
+    and far children swapped, and access --verify refuses the index with a
+    one-line diagnostic before the first answer, the slot's near code
+    naming the hook's far child: on a 64-symbol zigzag at tau 2, in its
+    first state, where plain access answers wrong at 46 positions, and on
+    the 40-rule gen SLP (seed 5) at tau 2, in the state (13, left, 4),
+    where access1 raises a bare IndexError at positions 53 and 155
+    (``test_swapped_steps_are_refused_where_the_fast_walks_raise``)."""
+    zig, gen = tmp_path / "zig.slg1", tmp_path / "gen.slg1"
+    zig.write_text(dump_slg1(zigzag1(random.Random(1).choices(range(4), k=64))))
     code, _, _ = run(capsys, "gen", "slp1", "--rules", "40", "--seed", "5", "--sigma", "3",
-                     "--max-len", "200", "-o", str(path))
+                     "--max-len", "200", "-o", str(gen))
     assert code == 0
+    for path, state, wrong, line in (
+            (zig, (0, 0, 6), 46, "state 0, slot 0 names (1, 0), not its hook's child (63, 1)"),
+            (gen, (13, 0, 4), None, "state 4, slot 0 names (8, 0), not its hook's child (7, 1)")):
+        text = expand1(slg_to_slp(parse_slg1(path.read_text())))
+        coords = [str(i) for i in range(1, len(text) + 1)]
+        code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
+        assert code == 0 and out.split() == [str(v) for v in text] and err == ""
 
-    def build(slp, tau, cap):
-        ix = build_index1(slp, tau, cap)
-        j = {decode_key1(ix, key): j for key, j in ix.ids.items()}[13, 0, 4]
-        S, near, far = ix.states[j][1][0]
-        ix.states[j][1][0] = (S, far, near)
-        return ix
+        def build(slp, tau, cap):
+            ix = build_index1(slp, tau, cap)
+            slots = ix.states[{decode_key1(ix, key): j for key, j in ix.ids.items()}[state]][1]
+            S, near, far = slots[0]
+            slots[0] = (S, far, near)
+            return ix
 
-    monkeypatch.setattr(cli._DIM1, "build", build)
-    code, out, err = run(capsys, "access", str(path), "1", "53", "155", "--tau", "2", "--verify")
-    assert (code, out) == (1, "")
-    assert err == "PreconditionViolated: state 4, slot 0 names (8, 0), not its hook's child " \
-                  "(7, 1)\n"
+        monkeypatch.setattr(cli._DIM1, "build", build)
+        if wrong:
+            code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2")
+            assert code == 0 and sum(a != str(b) for a, b in zip(out.split(), text)) == wrong
+        code, out, err = run(capsys, "access", str(path), *coords, "--tau", "2", "--verify")
+        assert (code, out, err) == (1, "", f"PreconditionViolated: {line}\n")
+        monkeypatch.undo()
 
 
 def test_access_checks_epsilon_before_halving_it(slp2_file, capsys):
