@@ -692,8 +692,8 @@ def access1_traced(ix, i):
     """
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
-    # each read decodes its key inline (decode_key1): a call per read would
-    # cost about a quarter of the read
+    # each read decodes its key inline (decode_key1), keeping a function
+    # call out of the read loop
     states, keys, K = ix.states, ix.keys, 2 * ix.levels + 2
     st, delta, size = ix.first, i, ix.pows[-1]
     while (j := st) >= 0:
