@@ -266,6 +266,11 @@ def _ints(what, fields):
 
 
 def _rank_via_line_sum(g, cap, j, c):
+    # the adapter answers 0 for an absent code without a provider call, and
+    # the marking matrix bounds j in its own terms: check j as oracle.rank does
+    n = exp_len(g, g.start)
+    if not 0 <= j <= n:
+        raise RangeError(f"rank prefix {j} outside [0, {n}]")
     reduced, amap = reductions.alphabet_reduce(g)
     marking = expand2(reductions.mark_grammar(reduced, len(amap)), cap=cap)
     return reductions.rank_via_line_sum(partial(oracle.line_sum, marking), amap, j, c)

@@ -407,6 +407,11 @@ def rank_via_line_sum(line_sum_provider, amap, j, c):
     alphabet_reduce returns, or None when the provider already speaks the
     original alphabet. Exactly one provider call is issued, plus one
     alphabet-map lookup.
+
+    Only j < 0 is refused here; j is bounded above by the provider alone.
+    So a code missing from amap answers 0 for any j >= 0, with no provider
+    call; and with amap=None, a code outside the provider's rows raises,
+    where oracle.rank answers 0.
     """
     if not (isinstance(j, int) and isinstance(c, int)):
         raise _not_ints(j, c)

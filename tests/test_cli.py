@@ -398,6 +398,19 @@ def test_query_rank_direct_vs_via(slp1_file, capsys):
         assert int(direct) == rank(text, j, c)
 
 
+def test_query_rank_via_line_sum_checks_the_prefix(slp1_file, capsys):
+    """A prefix past the string's end is refused through the chain as the
+    oracle refuses it, for a code in the string and for one absent from it."""
+    g = validate_slg1(parse_slg1(slp1_file.read_text()))
+    text = expand1(g)
+    n = len(text)
+    for c in (text[0], 7):
+        for via in ((), ("--via", "line-sum")):
+            code, out, err = run(capsys, "query", str(slp1_file), "rank", str(n + 1), str(c), *via)
+            assert code == 1 and out == ""
+            assert err == f"RangeError: rank prefix {n + 1} outside [0, {n}]\n"
+
+
 def test_query_occurs_direct_vs_via(slp1_file, capsys):
     for (b, e, c) in ((0, 3, 0), (1, 4, 2), (2, 2, 1)):
         _, direct, _ = run(capsys, "query", str(slp1_file), "occurs",

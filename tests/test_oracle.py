@@ -71,6 +71,39 @@ def test_line_sum_is_a_sum_special_case():
                     assert line_sum(m, e_r, e_c, l) == sum_rect(m, e_r - 1, e_c - l, e_r, e_c)
 
 
+@pytest.mark.parametrize("factor", [1, 257, 1 << 40])
+@pytest.mark.parametrize("cols", [*range(1, 10), 255, 256, 257, 512, 513])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_sums_equal_the_cell_restatement(cols, factor, seed, data):
+    """line_sum and sum_rect against a sum cell by cell, over one-byte
+    cells (the constructor), two-byte ones (expand2 of the codes scaled by
+    257) and eight-byte ones (the constructor, codes scaled by 2**40). One
+    row holds only 255s: at width 257 it sums to 65,535, past what 1 plus a
+    byte sum can reach below the Adler-32 modulus 65,521."""
+    rng = random.Random(seed)
+    rows = data.draw(st.integers(1, 3))
+    grid = [[255] * cols] + [[rng.randrange(256) for _ in range(cols)] for _ in range(rows - 1)]
+    rng.shuffle(grid)
+    grid = [[v * factor for v in row] for row in grid]
+    m = Matrix2D(rows, cols, [v for row in grid for v in row])
+    if factor == 257:
+        m = expand2(grammar_from_matrix(m))
+    assert m.cells.typecode == {1: "B", 257: "H", 1 << 40: "q"}[factor]
+    lines = [(e_r, cols, cols) for e_r in range(1, rows + 1)]
+    rects = [(0, 0, rows, cols)]
+    for _ in range(8):
+        e_c = data.draw(st.integers(0, cols))
+        lines.append((data.draw(st.integers(1, rows)), e_c, data.draw(st.integers(0, e_c))))
+        rects.append((data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols)),
+                      data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))))
+    for e_r, e_c, l in lines:
+        assert line_sum(m, e_r, e_c, l) == sum(grid[e_r - 1][k] for k in range(e_c - l, e_c))
+    for b_r, b_c, e_r, e_c in rects:
+        assert sum_rect(m, b_r, b_c, e_r, e_c) == \
+            sum(grid[i][k] for i in range(b_r, e_r) for k in range(b_c, e_c))
+
+
 def test_square_all_zero_is_an_all_zero_special_case():
     rng = random.Random(7)
     for _ in range(15):

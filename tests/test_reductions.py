@@ -408,17 +408,23 @@ def test_rank_occurs_adapters_exhaustive_sweep():
 
 def test_adapters_through_alphabet_map_and_grammars():
     """Full chain: sparse-alphabet SLP -> alphabet reduction -> marking
-    grammar -> oracle provider -> adapter answers = direct oracle answers."""
+    grammar -> oracle provider -> adapter answers = direct oracle answers.
+    The last text, 1,024 symbols long, has line sums crossing the one-byte
+    sum's 256-cell chunks; its extended marking matrix (sigma n x n cells)
+    is left out."""
     rng = random.Random(53)
-    for _ in range(12):
-        g = random_slp1(rng.randrange(2**32), rng.randint(2, 15), sigma=60, max_len=48)
+    grammars = [random_slp1(rng.randrange(2**32), rng.randint(2, 15), sigma=60, max_len=48)
+                for _ in range(12)]
+    grammars.append(random_slp1(5, 80, sigma=60, max_len=1024))
+    assert len(expand1(grammars[-1])) == 1024
+    for g in grammars:
         text = expand1(g)
         sigma = 60
         reduced, amap = alphabet_reduce(g)
         marking = expand2(mark_grammar(reduced, len(amap)))
         ls = lambda e_r, e_c, l: line_sum(marking, e_r, e_c, l)
         n = len(text)
-        ext = expand2(ext_mark_grammar(reduced, len(amap))) if n >= 2 else None
+        ext = expand2(ext_mark_grammar(reduced, len(amap))) if 2 <= n <= 48 else None
         saz = (lambda e_r, e_c, l: square_all_zero(ext, e_r, e_c, l)) if ext else None
         codes = set(text) | {0, 7, sigma - 1}
         for c in codes:
