@@ -3,7 +3,10 @@
 Each query scans the explicit string (a sequence of codes, such as
 ``expand1``'s ``Codes``) or Matrix2D row by row with slice operations and
 builds no index; the one C-level sum is ``zlib.adler32``, which adds the
-cells of a one-byte store in chunks of 256 (``_cell_sum``). Every range
+cells of a one-byte store in chunks of 256 (``_cell_sum``), and the one
+strip compare is ``_strip_equal``, which lets equality and the LCEs compare
+a block of at most 4,096 cells, the cells between its rows included, in one
+slice comparison before they compare it row by row. Every range
 argument follows the exclusive-begin / inclusive-end convention ``(b..e]``
 with 1-based cell positions, exactly as the query definitions state it, so
 the adapters in the reductions module can be compared against these without
@@ -53,6 +56,25 @@ def _cell_sum(cells, lo, hi):
         total += (adler32(cells[lo:hi if hi - lo <= 256 else lo + 256]) & 0xFFFF) - 1
         lo += 256
     return total
+
+
+# the most cells a strip compare copies: copying and comparing them costs
+# about one interpreted row, so a strip that differs adds about that much,
+# and a larger block keeps the row loop alone, whose own copies dominate
+_STRIP_CELLS = 4096
+
+
+def _strip_equal(cells, a0, b0, step, h, t):
+    """True when the h rows of t cells at a0 and at b0, rows ``step`` cells
+    apart, are shown equal by one slice comparison of the contiguous strip
+    from each row 0 to the end of each row h-1, the cells between the rows
+    included. False means "not shown": the first cells differ, the strip
+    holds more than _STRIP_CELLS cells, or some cell of it differs, perhaps
+    one between the rows, so the caller's row loop decides."""
+    n = (h - 1) * step + t
+    if n > _STRIP_CELLS or cells[a0] != cells[b0]:
+        return False
+    return cells[a0:a0 + n] == cells[b0:b0 + n]
 
 
 def _row_lce(cells, a0, b0, t):
@@ -125,9 +147,11 @@ def all_zero(m, b_r, b_c, e_r, e_c):
 
 
 def _all_zero(cells, w, b_r, b_c, e_r, e_c):
-    """all_zero on row-major cells of width w, unchecked."""
-    for i in range(b_r, e_r):
-        if any(cells[i * w + b_c:i * w + e_c]):
+    """all_zero on row-major cells of width w, unchecked. A cell is zero iff
+    all of its bytes are, so each row is one C-level strip of zero bytes,
+    exact for every typecode."""
+    for i in range(b_r * w, e_r * w, w):
+        if cells[i + b_c:i + e_c].tobytes().lstrip(b"\0"):
             return 0
     return 1
 
@@ -161,10 +185,11 @@ def equal_rect(m, b_r, b_c, b2_r, b2_c, h, w):
     if max(b_r, b2_r) + h > m.rows + 1 or max(b_c, b2_c) + w > m.cols + 1:
         raise RangeError("equality block extends past the matrix")
     cells, cw = m.cells, m.cols
-    for d in range(h):
-        a0 = (b_r - 1 + d) * cw + (b_c - 1)
-        b0 = (b2_r - 1 + d) * cw + (b2_c - 1)
-        if cells[a0:a0 + w] != cells[b0:b0 + w]:
+    a0, b0 = (b_r - 1) * cw + b_c - 1, (b2_r - 1) * cw + b2_c - 1
+    if _strip_equal(cells, a0, b0, cw, h, w):
+        return 1
+    for d in range(0, h * cw, cw):
+        if cells[a0 + d:a0 + d + w] != cells[b0 + d:b0 + d + w]:
             return 0
     return 1
 
@@ -187,6 +212,8 @@ def square_lce(m, b_r, b_c, b2_r, b2_c):
     # cap: the longest square the rows read so far still allow; a (d+1)-square
     # needs row d to agree on its first d+1 cells
     cap = min(m.rows - b_r + 1, m.rows - b2_r + 1, m.cols - b_c + 1, m.cols - b2_c + 1)
+    if _strip_equal(cells, a0, b0, w, cap, cap):
+        return cap
     d = 0
     while d < cap:
         cap = _row_lce(cells, a0 + d * w, b0 + d * w, cap)
@@ -212,6 +239,8 @@ def line_lce(m, b_r, b_c, b2_r, b2_c, l):
     cells, w = m.cells, m.cols
     a0, b0 = (b_r - 1) * w + b_c - 1, (b2_r - 1) * w + b2_c - 1
     t = min(m.cols - b_c + 1, m.cols - b2_c + 1)
+    if _strip_equal(cells, a0, b0, w, l, t):
+        return t
     for d in range(l):
         t = _row_lce(cells, a0 + d * w, b0 + d * w, t)
         if not t:
@@ -240,14 +269,18 @@ def row_pattern_occurs(m, p):
         return 0
     cells = m.cells
     if cells.typecode == "B":
-        # one byte per cell: search the raw bytes, each row bounded so that a
-        # match stays inside it; a pattern code outside 0..255 is in no cell
+        # one byte per cell: search the raw bytes, all rows at once; a match
+        # that runs past the end of its row means every later start in that
+        # row does too, so the search goes on from the next row's start. A
+        # pattern code outside 0..255 is in no cell
         if not all(0 <= c <= 255 for c in pat):
             return 0
         hay, needle = bytes(cells), bytes(pat)
-        for i in range(0, len(hay), w):
-            if hay.find(needle, i, i + w) >= 0:
+        i = hay.find(needle)
+        while i >= 0:
+            if i % w + k <= w:
                 return 1
+            i = hay.find(needle, i - i % w + w)
         return 0
     # wider cells, whose raw bytes are not their codes: compare the pattern
     # at every offset of every row

@@ -217,6 +217,13 @@ def submatrix(m, b_r, e_r, b_c, e_c):
             for i in range(b_r + 1, e_r + 1)]
 
 
+def cell_equal_rect(m, b_r, b_c, b2_r, b2_c, h, w):
+    """oracle.equal_rect by definition: 1 iff the h x w blocks at the two
+    origins agree on every cell."""
+    return int(all(m.get(b_r + i, b_c + j) == m.get(b2_r + i, b2_c + j)
+                   for i in range(h) for j in range(w)))
+
+
 def cell_line_lce(m, b_r, b_c, b2_r, b2_c, l):
     """oracle.line_lce by definition: widen while both l-row strips exist
     and agree on the next column, one cell at a time."""

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cell_line_lce, cell_row_pattern, cell_square_lce
+from conftest import cell_equal_rect, cell_line_lce, cell_row_pattern, cell_square_lce
 from gridgram import Matrix2D, expand2
 from gridgram.errors import RangeError
 from gridgram.gen import grammar_from_matrix, random_matrix, random_string
@@ -210,6 +210,57 @@ def test_lce_scans_equal_the_cell_restatement(m, data):
         assert square_lce(m, *o) == cell_square_lce(m, *o)
         l = data.draw(st.integers(1, m.rows - max(o[0], o[2]) + 1))
         assert line_lce(m, *o, l) == cell_line_lce(m, *o, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_equal_rect_equals_the_cell_restatement(m, data):
+    for _ in range(8):
+        b_r, b_c, b2_r, b2_c = origins(data.draw, m)
+        h = data.draw(st.integers(1, m.rows - max(b_r, b2_r) + 1))
+        w = data.draw(st.integers(1, m.cols - max(b_c, b2_c) + 1))
+        assert equal_rect(m, b_r, b_c, b2_r, b2_c, h, w) == \
+            cell_equal_rect(m, b_r, b_c, b2_r, b2_c, h, w)
+
+
+def test_blocks_that_agree_where_the_cells_between_their_rows_differ():
+    """Origins one column apart in a 3 x 4 matrix whose first column alone
+    differs between rows: the blocks right of it agree, but their strips
+    also hold the first column of the next rows, so the rows decide."""
+    m = Matrix2D.from_rows([[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]])
+    assert equal_rect(m, 1, 2, 1, 3, 3, 2) == 1
+    assert line_lce(m, 1, 2, 1, 3, 3) == 2  # t
+    assert square_lce(m, 1, 2, 1, 3) == 2  # cap
+
+
+@pytest.mark.parametrize("big", [255, 256])
+def test_strips_at_and_past_the_cap(big):
+    """5 x 1,025 matrices compared against themselves one row down, so
+    strips of h rows and t cells hold 1,025 * (h - 1) + t cells: t = 1,021
+    gives exactly 4,096 (compared as a strip) and t = 1,022 gives 4,097 (row
+    loop only). In the first matrix, rows alternate in their last three
+    columns, so every strip of 4 rows differs between its rows while the
+    blocks left of column 1,023 agree; in the second, rows 1-4 are equal and
+    row 5 differs in its first cell, so only the last row of a block differs.
+    One-byte cells, and eight-byte ones where ``big`` is 256."""
+    alternating = Matrix2D.from_rows([[0] * 1022 + [big * (i % 2)] * 3 for i in range(5)])
+    last_differs = Matrix2D.from_rows([[0] * 1024 + [big]] * 4 + [[1] + [0] * 1023 + [big]])
+    for m in (alternating, last_differs):
+        assert m.cells.typecode == ("B" if big < 256 else "q")
+        for t in (1021, 1022, 1023):
+            for b_c in (1, 2):
+                want = cell_equal_rect(m, 1, b_c, 2, b_c, 4, t - b_c + 1)
+                assert equal_rect(m, 1, b_c, 2, b_c, 4, t - b_c + 1) == want
+        for b_c in (1, 4, 5):  # t = 1,025, 1,022 and 1,021
+            assert line_lce(m, 1, b_c, 2, b_c, 4) == cell_line_lce(m, 1, b_c, 2, b_c, 4)
+        assert square_lce(m, 1, 1, 2, 1) == cell_square_lce(m, 1, 1, 2, 1)
+    assert [equal_rect(alternating, 1, 1, 2, 1, 4, t) for t in (1021, 1022, 1023)] == [1, 1, 0]
+    assert line_lce(alternating, 1, 5, 2, 5, 4) == 1018
+    assert square_lce(alternating, 1, 1, 2, 1) == 4
+    assert equal_rect(last_differs, 1, 1, 2, 1, 4, 1021) == 0
+    assert equal_rect(last_differs, 1, 1, 2, 1, 3, 1021) == 1
+    assert line_lce(last_differs, 1, 1, 2, 1, 4) == 0
+    assert line_lce(last_differs, 1, 5, 2, 5, 3) == 1021
 
 
 @settings(max_examples=300, deadline=None)
