@@ -66,7 +66,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .errors import ExpansionTooLarge, PositionOutOfRange, PreconditionViolated, RangeError
-from .slg import DEFAULT_CAP, Slg1, _check_binary, validate_slp1
+from .slg import DEFAULT_CAP, Slg1, _expect
 
 
 def ceil_log(n, base):
@@ -288,11 +288,11 @@ def hook_offset1(g, nid, b, e):
     strictly inside the relocated window. A grammar with a rule of arity
     other than 2 raises NotAnSlp.
     """
-    nid = Slg1._checked_id(g, nid)
+    nid = Slg1._checked_id(g, nid, "hook_offset1")
     m = g._lens[nid]
     if not (isinstance(b, int) and isinstance(e, int) and 0 <= b < e <= m):
         raise RangeError(f"window {b!r}..{e!r} invalid for expansion length {m}")
-    return _hook_core(_check_binary(g, "hook_offset1")._moves, nid, b, e, None)
+    return _hook_core(g._moves, nid, b, e, None)
 
 
 class AccessIndex1:
@@ -467,7 +467,7 @@ def build_index1(g, tau, cap=DEFAULT_CAP):
     state it fills, kept or not, keeps that count as ``filled``, and raises
     ExpansionTooLarge as soon as they would pass the int ``cap``: as it
     plans a state, before any descent or copy for it."""
-    g = _check_binary(g, "build_index1") if Slg1._own(g).validated else validate_slp1(g)
+    g = Slg1._ready(g, "build_index1")
     lens, moves = g._lens, g._moves
     n = lens[g.start]
     tau = clamp_tau(tau, n)
@@ -640,21 +640,22 @@ def _check_index(ix, decode, finish, sizes, slot_codes):
 
 
 def check_index1(ix):
-    """Raise PreconditionViolated unless ix holds what build_index1 lays
-    out over its grammar, ``ix.grammar``, taken as given, in one pass over
-    its kept states: its arrays are the grammar's, and tau, levels, pows
-    and reads those the build derives, ``reads`` covering the start's cap;
-    ``first`` is id 0 on the start's left side at its cap, or its left
-    finish code; ``ids`` and ``keys`` agree, ints; a state's entry is
-    (tau**p, slots), one slot per block; each slot is its block's plain
-    step (``_plain_slot1``); each code of a real step names the hook's near
-    child from the other side or its far child from the same side, by a
-    finish code or a kept id at a lower level whose blocks hold every delta
-    the step sends there; and ``chains`` is None, or the heavy paths of
-    both sides (``_chains``) exactly when ``first`` or a kept code finishes
-    by runs. On an index that passes, access1 reads kept slots only, at
-    most ``len(reads)`` of them, and answers as the descent does."""
-    g = ix.grammar
+    """Raise PreconditionViolated unless ix is an AccessIndex1 that holds
+    what build_index1 lays out over its grammar, ``ix.grammar``, taken as
+    given, in one pass over its kept states: its arrays are the grammar's,
+    and tau, levels, pows and reads those the build derives, ``reads``
+    covering the start's cap; ``first`` is id 0 on the start's left side at
+    its cap, or its left finish code; ``ids`` and ``keys`` agree, ints; a
+    state's entry is (tau**p, slots), one slot per block; each slot is its
+    block's plain step (``_plain_slot1``); each code of a real step names
+    the hook's near child from the other side or its far child from the
+    same side, by a finish code or a kept id at a lower level whose blocks
+    hold every delta the step sends there; and ``chains`` is None, or the
+    heavy paths of both sides (``_chains``) exactly when ``first`` or a
+    kept code finishes by runs. On an index that passes, access1 reads kept
+    slots only, at most ``len(reads)`` of them, and answers as the descent
+    does."""
+    g = _expect(AccessIndex1, ix).grammar
     if not (ix.lens is g._lens and ix.moves is g._moves and ix.n == g._lens[g.start]):
         raise PreconditionViolated("the index's lens, moves or n are not its grammar's")
 
@@ -690,6 +691,7 @@ def access1_traced(ix, i):
     is at most the start's cap, so a falling level allows at most
     ``len(reads)`` reads, and a straddling split leaves delta in [1, tp).
     """
+    _expect(AccessIndex1, ix)
     if not (isinstance(i, int) and 1 <= i <= ix.n):
         raise PositionOutOfRange(f"position {i!r} outside [1, {ix.n}]")
     # each read decodes its key inline (decode_key1), keeping a function
@@ -822,7 +824,7 @@ def descend1(ix, t, delta, side):
 
     Costs one move per grammar level below t, height(t) at most.
     """
-    lens, moves = ix.lens, ix.moves
+    lens, moves = _expect(AccessIndex1, ix).lens, ix.moves
     if not (isinstance(t, int) and 0 <= t < len(lens) and isinstance(side, int)
             and 0 <= side <= 1 and isinstance(delta, int) and 1 <= delta <= lens[t]):
         raise PreconditionViolated(f"descend1(t={t!r}, delta={delta!r}, side={side!r}) "

@@ -68,8 +68,8 @@ from bisect import bisect_left, bisect_right
 from .errors import PositionOutOfRange, PreconditionViolated, RangeError
 from .access1d import (_blocks, _chains, _check_index, _check_slot_cap, _copied, _finish, _kept,
                        _over_cap, _preset, _walk_build, caps, ceil_log, clamp_tau)
-from .slg import DEFAULT_CAP, _check_binary
-from .slg2d import Slg2, validate_slp2
+from .slg import DEFAULT_CAP, _expect
+from .slg2d import Slg2
 
 FINISH2 = 12    # a walk descends from a variable with height <= FINISH2 * max(p_r, p_c)
 
@@ -148,14 +148,13 @@ def hook_offset2(g, nid, b_r, b_c, e_r, e_c):
     strictly inside the relocated window on the hook's splitting axis. A
     grammar with a rule of arity other than 2 raises NotAnSlp.
     """
-    nid = Slg2._checked_id(g, nid)
+    nid = Slg2._checked_id(g, nid, "hook_offset2")
     m_r, m_c = g._rows[nid], g._cols[nid]
     if not (isinstance(b_r, int) and isinstance(e_r, int) and 0 <= b_r < e_r <= m_r):
         raise RangeError(f"row window {b_r!r}..{e_r!r} invalid for {m_r} rows")
     if not (isinstance(b_c, int) and isinstance(e_c, int) and 0 <= b_c < e_c <= m_c):
         raise RangeError(f"col window {b_c!r}..{e_c!r} invalid for {m_c} cols")
-    return _hook_core2(_check_binary(g, "hook_offset2")._moves, g._rows, g._cols,
-                       nid, b_r, b_c, e_r, e_c, None)
+    return _hook_core2(g._moves, g._rows, g._cols, nid, b_r, b_c, e_r, e_c, None)
 
 
 class AccessIndex2:
@@ -236,7 +235,7 @@ def build_index2(g, tau, cap=DEFAULT_CAP):
     count as ``filled``, and raises ExpansionTooLarge as soon as they would
     pass the int ``cap``: as it plans a state, before any descent or copy
     for it."""
-    g = _check_binary(g, "build_index2") if Slg2._own(g).validated else validate_slp2(g)
+    g = Slg2._ready(g, "build_index2")
     rows, cols, moves = g._rows, g._cols, g._moves
     tau = clamp_tau(tau, max(rows[g.start], cols[g.start]))
     _check_slot_cap(cap, tau)
@@ -398,7 +397,7 @@ def check_index2(ix):
     every cell the step sends through that element. On an index that
     passes, access2 reads kept slots only, at most ``len(reads)`` of them,
     and answers as the descent does."""
-    g = ix.grammar
+    g = _expect(AccessIndex2, ix).grammar
     if not (ix.rows is g._rows and ix.cols is g._cols and ix.moves is g._moves
             and (ix.n_rows, ix.n_cols) == (g._rows[g.start], g._cols[g.start])):
         raise PreconditionViolated("the index's rows, cols, moves or sizes are not its grammar's")
@@ -454,7 +453,7 @@ def access2_traced(ix, i, j):
     column mirror of that (a corrupt shift can break it). A finish code
     descends by descend2.
     """
-    r0, c0 = ix.n_rows, ix.n_cols
+    r0, c0 = _expect(AccessIndex2, ix).n_rows, ix.n_cols
     if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= r0 and 1 <= j <= c0):
         raise PositionOutOfRange(f"({i!r},{j!r}) outside [1,{r0}] x [1,{c0}]")
     # each read decodes its key inline (decode_key2), as access1_traced does
@@ -626,7 +625,7 @@ def descend2(ix, t, d_r, d_c, corner):
 
     Costs one move per grammar level below t, height(t) at most.
     """
-    rows, cols, moves = ix.rows, ix.cols, ix.moves
+    rows, cols, moves = _expect(AccessIndex2, ix).rows, ix.cols, ix.moves
     if not (isinstance(t, int) and 0 <= t < len(rows) and isinstance(corner, int)
             and 0 <= corner <= 3 and isinstance(d_r, int) and 1 <= d_r <= rows[t]
             and isinstance(d_c, int) and 1 <= d_c <= cols[t]):

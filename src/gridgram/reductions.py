@@ -37,8 +37,8 @@ from .errors import (
     RangeError,
 )
 from .oracle import _not_ints
-from .slg import Slg1, _binarize, _check_binary, grammar_size1, validate_slp1
-from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2, validate_slg2
+from .slg import Slg1, _binarize, grammar_size1
+from .slg2d import Horiz, Matrix2D, Slg2, Vert, grammar_size2
 
 
 # -- orthogonal vectors -------------------------------------------------------
@@ -278,17 +278,6 @@ def _zero_run(rules, sizes, unit, count, ctor):
     return parts[0] if len(parts) == 1 else _add(rules, sizes, ctor(*parts))
 
 
-def _slp1(g, needs):
-    """The SLP ``g``: its arity checked if it passed validation, validated
-    otherwise, so a caller's validation is not run again."""
-    return _check_binary(g, needs) if Slg1._own(g).validated else validate_slp1(g)
-
-
-def _slg2(g2):
-    """The 2D grammar ``g2``, validated unless it already passed validation."""
-    return g2 if Slg2._own(g2).validated else validate_slg2(g2)
-
-
 def _marking_grammar(g, sigma, gap):
     """The marking grammar of the validated SLP g with ``gap`` zero rows under each 1.
 
@@ -352,7 +341,7 @@ def mark_grammar(g, sigma):
     output's arrays come from the construction, and it is not validated
     again (see ``_marking_grammar``).
     """
-    return _marking_grammar(_slp1(g, "mark_grammar"), sigma, 0)
+    return _marking_grammar(Slg1._ready(g, "mark_grammar"), sigma, 0)
 
 
 def ext_mark_grammar(g, sigma):
@@ -363,7 +352,7 @@ def ext_mark_grammar(g, sigma):
     decomposition of n-1 (increasing powers). The output's arrays come from
     the construction, as for mark_grammar.
     """
-    g = _slp1(g, "ext_mark_grammar")
+    g = Slg1._ready(g, "ext_mark_grammar")
     n = g._lens[g.start]
     if n < 2:
         raise ExtRequiresLengthTwo("extended marking needs a text of length >= 2")
@@ -389,7 +378,7 @@ def alphabet_reduce(g):
     the new SLP is the conversion's own output, relabeled in place, with
     the arrays the conversion derived and no second validation.
     """
-    pruned = _binarize(_slp1(g, "alphabet_reduce"))
+    pruned = _binarize(Slg1._ready(g, "alphabet_reduce"))
     occurring = sorted({r for r in pruned.rules if isinstance(r, int)})
     amap = {c: i for i, c in enumerate(occurring)}
     pruned.rules = [amap[r] if isinstance(r, int) else r for r in pruned.rules]
@@ -513,7 +502,7 @@ def pad_with_zero_block(g2):
     are added. The output is not validated again: its arrays are g2's,
     extended by the zero runs and the new start, which comes last.
     """
-    g2 = _slg2(g2)
+    g2 = Slg2._ready(g2)
     r, c = g2._rows[g2.start], g2._cols[g2.start]
     # a binary grammar for an r x c matrix cannot be smaller than the bit
     # length of its dimensions, so the padding stays linear in its size
@@ -538,7 +527,7 @@ def square_all_zero_via_square_lce(g2):
     for the original matrix: the queried block is all zero iff its LCE
     against the top-left corner of the zero half reaches the block side.
     """
-    g2 = _slg2(g2)
+    g2 = Slg2._ready(g2)
     r, c = g2._rows[g2.start], g2._cols[g2.start]
     padded = pad_with_zero_block(g2)
 

@@ -26,6 +26,10 @@ reads, ``(x, y, split)`` in 1D with split the length of x, and ``(x, y,
 split, horiz)`` in 2D with split the rows of x when horiz (the rule splits
 rows) and its columns otherwise; None for a literal.
 The walkers of every module read these arrays and derive none of their own.
+Every entry point other than ``validate_*`` takes a grammar of its own
+dimension raw or validated, through one gate (``_Grammar._ready``): it
+validates a grammar that has not passed validation, once, as ``validate_*``
+does, and an entry point that needs an SLP names itself in NotAnSlp.
 The SLP conversion returns an SLP whose start reaches every rule as it is,
 ids and start kept; it renumbers any other grammar with the start last.
 
@@ -67,6 +71,14 @@ MAX_LEN = 1 << 62
 DEFAULT_CAP = 1 << 26
 
 
+def _expect(cls, obj):
+    """``obj`` itself, if it is a ``cls``; else PreconditionViolated naming
+    both types, not an AttributeError from the first field read."""
+    if not isinstance(obj, cls):
+        raise PreconditionViolated(f"expected an {cls.__name__}, got {type(obj).__name__}")
+    return obj
+
+
 class _Grammar:
     """State and helpers shared by the 1D and 2D grammar classes.
 
@@ -94,27 +106,25 @@ class _Grammar:
     def validated(self):
         return self._topo is not None
 
-    @classmethod
-    def _own(cls, g):
-        """``g`` itself, if it is a grammar of this class. Every entry point
-        of a dimension passes its argument here first, so a grammar of the
-        other dimension, or any other object, raises PreconditionViolated."""
-        if not isinstance(g, cls):
-            raise PreconditionViolated(f"expected an {cls.__name__}, got {type(g).__name__}")
-        return g
+    _own = classmethod(_expect)     # g itself, if it is a grammar of this class
 
     @classmethod
-    def _validated(cls, g):
-        """``g`` itself, once it is a grammar of this class that passed validation."""
+    def _ready(cls, g, needs=None):
+        """``g`` itself, validated, and an SLP when ``needs`` names the entry
+        point that requires one. Every entry point but ``validate_*`` passes
+        its grammar here first: a grammar of the other dimension, or any
+        other object, raises PreconditionViolated (``_own``); one that has
+        not passed validation is validated, once, as ``validate_*`` does;
+        and a rule of arity other than 2 raises NotAnSlp naming ``needs``
+        (``_check_binary``), whether or not ``g`` came validated."""
         if not cls._own(g).validated:
-            raise PreconditionViolated(f"grammar must pass validate_{cls._magic.lower()}() first")
-        return g
+            _validate_core(g)
+        return g if needs is None else _check_binary(g, needs)
 
     @classmethod
-    def _checked_id(cls, g, nid):
-        """nid, once ``g`` is a validated grammar of this class and nid is one
-        of its rule ids."""
-        count = len(cls._validated(g).rules)
+    def _checked_id(cls, g, nid, needs=None):
+        """nid, once ``g`` is ready (``_ready``) and nid is one of its rule ids."""
+        count = len(cls._ready(g, needs).rules)
         if not (isinstance(nid, int) and 0 <= nid < count):
             raise RangeError(f"variable id {nid!r} outside [0, {count})")
         return nid
@@ -514,7 +524,7 @@ def expand1(g, cap=DEFAULT_CAP):
     those small variables, not the sum of all expansion lengths, and
     nothing recurses.
     """
-    lens = Slg1._validated(g)._lens
+    lens = Slg1._ready(g)._lens
     _check_cap(lens[g.start], cap, "symbols")
     return _expand(g, lens, [1] * len(lens), tuple)
 
@@ -588,9 +598,7 @@ def slg_to_slp(g):
     of the input size. The output derives its cached arrays from ``g``'s,
     validated if it is not.
     """
-    if not Slg1._own(g).validated:
-        g = validate_slg1(g)
-    return _as_slp(g)
+    return _as_slp(Slg1._ready(g))
 
 
 # -- text format ------------------------------------------------------------

@@ -25,8 +25,8 @@ dimension pass of validation, expansion and the MAT format.
 Every Horiz and Vert rule lists at least one child, so no rule derives the
 empty matrix: validation refuses a rule that lists none (EmptyLanguage),
 and the parser an ``H`` or ``V`` line without children. Mixed arity is
-legal in Slg2; only validate_slp2 restricts non-literal rules to exactly
-two children.
+legal in Slg2; only validate_slp2 and the entry points that need an SLP
+restrict non-literal rules to exactly two children.
 
 Text formats::
 
@@ -286,7 +286,7 @@ def expand2(g, cap=DEFAULT_CAP):
     variable is split top down into its children. The working set is the
     output plus those small variables, not the sum of all expansion sizes.
     """
-    rows, cols = Slg2._validated(g)._rows, g._cols
+    rows, cols = Slg2._ready(g)._rows, g._cols
     r, c = rows[g.start], cols[g.start]
     _check_cap(r * c, cap, "cells")
     return Matrix2D._adopt(r, c, _expand(g, rows, cols, Horiz))
@@ -304,9 +304,7 @@ def slg2_to_slp2(g):
     right and only rules reachable from the start kept. The output derives
     its cached arrays from ``g``'s.
     """
-    if not Slg2._own(g).validated:
-        g = validate_slg2(g)
-    return _as_slp(g)
+    return _as_slp(Slg2._ready(g))
 
 
 # -- text formats -----------------------------------------------------------

@@ -485,6 +485,16 @@ def test_reduce_pad(slp2_file, tmp_path, capsys):
     assert (mp.rows, mp.cols) == (mo.rows, 2 * mo.cols)
 
 
+def test_reduce_pad_refuses_sigma_in_one_line(slp2_file, tmp_path, capsys):
+    """pad takes no alphabet: --sigma is refused, not ignored, before the
+    grammar is read, and no output is written."""
+    out_path = tmp_path / "padded.slg2"
+    code, out, err = run(capsys, "reduce", "pad", str(slp2_file), str(out_path),
+                         "--sigma", "3")
+    assert (code, out, err) == (1, "", "RangeError: reduce pad takes no --sigma\n")
+    assert not out_path.exists()
+
+
 def test_bench_csv_shape_and_direction(tmp_path, capsys):
     # deep doubling grammar: more blocks per level => fewer levels => fewer steps
     path = tmp_path / "deep.slg1"

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridgram import (
+    AccessIndex1,
+    AccessIndex2,
     DanglingReference,
     DimensionMismatch,
     EmptyLanguage,
     GrammarError,
     Horiz,
     Matrix2D,
+    NotAnSlp,
     ParseError,
     PositionOutOfRange,
     PreconditionViolated,
@@ -26,6 +29,8 @@ from gridgram import (
     access2_traced,
     build_index1,
     build_index2,
+    check_index1,
+    check_index2,
     descend1,
     descend2,
     dims,
@@ -48,7 +53,8 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram.errors import RangeError, TerminalOutOfRange
-from gridgram.gen import random_matrix, random_slg1, random_slg2
+from gridgram import slg
+from gridgram.gen import random_matrix, random_slg1, random_slg2, random_slp1, random_slp2
 from gridgram.reductions import (
     OvInstance,
     alphabet_reduce,
@@ -293,3 +299,99 @@ def test_a_grammar_of_the_other_dimension_is_refused(name, validated):
     with pytest.raises(PreconditionViolated, match="expected an Slg"):
         call(other)
 
+
+
+# every entry point above but validate_*, which pass a grammar through the gate
+_GATED = [name for name in _DIMENSION_CALLS if not name.startswith("validate_")]
+# the entry points above that need an SLP; each names itself in NotAnSlp
+_SLP_CALLS = ["validate_slp1", "build_index1", "hook_offset1", "alphabet_reduce",
+              "mark_grammar", "ext_mark_grammar", "validate_slp2", "build_index2",
+              "hook_offset2"]
+
+
+def _plain(value):
+    """``value`` in a form that compares by value: a grammar as its dump, an
+    index as its tables, a tuple item by item, and a callable as None."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if isinstance(value, Slg1):
+        return dump_slg1(value)
+    if isinstance(value, Slg2):
+        return dump_slg2(value)
+    if isinstance(value, (AccessIndex1, AccessIndex2)):
+        return value.first, value.states, value.keys, value.ids
+    return None if callable(value) else value
+
+
+def _outcome(call, g):
+    """What ``call(g)`` gives: its value as ``_plain`` puts it, or the type
+    and text of the GrammarError it raises."""
+    try:
+        return _plain(call(g))
+    except GrammarError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(_GATED), slp=st.booleans(), seed=st.integers(0, 2 ** 32),
+       rules=st.integers(1, 12))
+def test_a_raw_grammar_gets_what_a_validated_copy_gets(name, slp, seed, rules):
+    """Each gated entry point answers a fresh raw copy of a grammar as it
+    answers a fresh validated copy, or refuses both with one error and text:
+    SLPs and grammars of mixed arity over two codes, so every call above
+    can answer."""
+    dim, call = _DIMENSION_CALLS[name]
+    make = ((random_slg1, random_slp1), (random_slg2, random_slp2))[dim - 1][slp]
+    text = (dump_slg1 if dim == 1 else dump_slg2)(make(seed, rules, 2))
+    parse, validate = (parse_slg1, validate_slg1) if dim == 1 else (parse_slg2, validate_slg2)
+    assert _outcome(call, parse(text)) == _outcome(call, validate(parse(text)))
+
+
+@pytest.mark.parametrize("validated", [True, False], ids=["validated", "raw"])
+@pytest.mark.parametrize("name", _SLP_CALLS)
+def test_an_entry_that_needs_an_slp_names_itself(name, validated):
+    """A grammar with a rule of arity 3 gets one NotAnSlp text from each entry
+    point that needs an SLP, naming that entry point, raw or validated."""
+    dim, call = _DIMENSION_CALLS[name]
+    g = Slg1([(1, 2, 1), 0, 1], 2, 0) if dim == 1 else Slg2([Vert(1, 2, 1), 0, 1], 2, 0)
+    if validated:
+        (validate_slg1 if dim == 1 else validate_slg2)(g)
+    with pytest.raises(NotAnSlp) as exc:
+        call(g)
+    assert str(exc.value) == f"rule 0 has arity 3, {name} requires 2"
+
+
+def test_exp_len_validates_a_raw_grammar_once(monkeypatch):
+    """A raw grammar is validated in place by the first call that needs it,
+    and not again: exp_len then answers from the lengths it cached."""
+    runs = []
+    core = slg._validate_core
+    monkeypatch.setattr(slg, "_validate_core", lambda g: runs.append(g) or core(g))
+    g = Slg1([(1, 2, 1), 0, 1], 2, 0)
+    assert [exp_len(g, nid) for nid in range(3)] == [3, 1, 1]
+    assert runs == [g] and g.validated
+
+
+# per entry point that takes an index: the index class it takes, and a call on an index ix
+_INDEX_CALLS = {
+    "check_index1": (AccessIndex1, check_index1),
+    "access1_traced": (AccessIndex1, lambda ix: access1_traced(ix, 1)),
+    "descend1": (AccessIndex1, lambda ix: descend1(ix, 0, 1, 0)),
+    "check_index2": (AccessIndex2, check_index2),
+    "access2_traced": (AccessIndex2, lambda ix: access2_traced(ix, 1, 1)),
+    "descend2": (AccessIndex2, lambda ix: descend2(ix, 0, 1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("other", [True, False], ids=["other-index", "none"])
+@pytest.mark.parametrize("name", list(_INDEX_CALLS))
+def test_an_index_of_the_other_dimension_is_refused(name, other):
+    """Each checked entry point given the other dimension's index, or None,
+    raises PreconditionViolated naming both types, not an AttributeError."""
+    cls, call = _INDEX_CALLS[name]
+    own, wrong = (_IX1, _IX2) if cls is AccessIndex1 else (_IX2, _IX1)
+    call(own)
+    wrong = wrong if other else None
+    with pytest.raises(PreconditionViolated) as exc:
+        call(wrong)
+    assert str(exc.value) == f"expected an {cls.__name__}, got {type(wrong).__name__}"

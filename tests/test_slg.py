@@ -51,7 +51,7 @@ from gridgram import (
     validate_slp2,
 )
 from gridgram import slg, slg2d
-from gridgram.errors import PreconditionViolated, RangeError
+from gridgram.errors import RangeError
 from gridgram.gen import random_slg1, random_slg2, random_slp1, random_slp2
 from conftest import (comb1, comb2, expand_all_1d, expand_all_2d, reachable, staircase2, zigzag1,
                       zigzag2)
@@ -171,11 +171,6 @@ def test_exp_len_checks_the_variable_id():
     for nid in (-1, 4):
         with pytest.raises(RangeError):
             exp_len(g, nid)
-
-
-def test_exp_len_needs_a_validated_grammar():
-    with pytest.raises(PreconditionViolated):
-        exp_len(Slp1([0], 1, 0), 0)
 
 
 def test_exp_len_overflow_rejected():

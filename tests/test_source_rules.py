@@ -10,7 +10,9 @@ error is a ``GrammarError`` subclass; a bare re-``raise`` passes one on.
 No ``except`` clause in the access modules: their walks check their
 contracts before walking, and never learn of a bad input from an error
 raised mid-walk. No import of ``gc``: the library must not win time by
-changing its caller's garbage collector.
+changing its caller's garbage collector. No read of ``validated`` outside
+``slg.py``: one gate there, ``_Grammar._ready``, decides what every entry
+point does with a grammar that has not passed validation.
 """
 
 import ast
@@ -108,6 +110,19 @@ def test_no_module_imports_gc(path):
     assert not lines, f"{path.name}: imports gc at lines {lines}"
 
 
+def _validated_reads(tree):
+    """Lines of every read of an attribute named ``validated``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "validated" and isinstance(node.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "slg.py"], ids=lambda p: p.name)
+def test_only_slg_reads_whether_a_grammar_is_validated(path):
+    """A module that reads ``validated`` writes a gate of its own."""
+    lines = _validated_reads(_tree(path))
+    assert not lines, f"{path.name}: reads validated at lines {lines}"
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
 def test_only_the_cli_reads_the_environment(path):
     reads = list(_env_reads(_tree(path)))
@@ -172,5 +187,8 @@ def test_the_rules_catch_what_they_name():
     assert _handlers(raises) == [3]
     assert _handlers(ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n"
                                "finally:\n    pass\n")) == [3]
+    assert _validated_reads(ast.parse("if g.validated:\n    pass\nok = Slg1._own(g).validated\n"
+                                      "g.validated = True\nvalidated = 1\n")) == [1, 3]
+    assert _validated_reads(_tree(Path(gridgram.__file__).parent / "slg.py"))
     assert _gc_imports(ast.parse("import gc\nimport os, gc as g\nfrom gc import disable\n"
                                  "import gcx\nfrom . import gc\n")) == [1, 2, 3]
